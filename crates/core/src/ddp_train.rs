@@ -343,7 +343,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         for chunk in nodes.chunks(64) {
             let mfg = sampler.sample(&ds.graph, chunk, &cfg.infer_fanouts);
-            let tape = Tape::new();
+            let tape = Tape::no_grad();
             let x = tape.constant(ds.features.gather_f32(&mfg.node_ids));
             let out = result.model.forward(&tape, x, &mfg, Mode::Eval, &mut rng);
             preds.extend(metrics::argmax_rows(&out.value()));

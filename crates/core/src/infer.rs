@@ -184,11 +184,11 @@ impl BatchInferencer {
         let StagedBatch { slot, num_nodes } = staged;
         let dim = self.dataset.features.dim();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut wide = vec![0.0f32; num_nodes * dim];
-            slot.features().widen_into(&mut wide);
+            let wide =
+                Tensor::filled_by([num_nodes, dim], |wide| slot.features().widen_into(wide));
             self.transfer_bytes.add(slot.payload_bytes() as u64);
-            let tape = Tape::new();
-            let x = tape.constant(Tensor::from_vec(wide, [num_nodes, dim]));
+            let tape = Tape::no_grad();
+            let x = tape.constant(wide);
             let out = model.forward(&tape, x, mfg, Mode::Eval, rng);
             metrics::argmax_rows(&out.value())
         }));

@@ -224,17 +224,21 @@ impl Trainer {
         (history, best.max(0.0))
     }
 
-    /// One optimizer step on a staged batch; returns the loss.
-    fn train_batch(&mut self, mfg: &MessageFlowGraph, features: Tensor, labels: &[u32]) -> f64 {
-        let tape = Tape::new();
-        let x = tape.constant(features);
-        let out = self
-            .model
-            .forward(&tape, x, mfg, Mode::Train, &mut self.rng);
+    /// One optimizer step on a staged batch; returns the loss. The features
+    /// enter as a constant, so nothing is differentiated with respect to
+    /// them, and the tape — with every buffer it holds — is released before
+    /// the optimizer runs.
+    pub fn train_batch(&mut self, mfg: &MessageFlowGraph, features: Tensor, labels: &[u32]) -> f64 {
         let targets: Vec<usize> = labels.iter().map(|&c| c as usize).collect();
-        let loss = out.nll_loss(&targets);
-        let loss_value = loss.value().item() as f64;
-        let grads = tape.backward(&loss);
+        let (loss_value, grads) = {
+            let tape = Tape::new();
+            let x = tape.constant(features);
+            let out = self
+                .model
+                .forward(&tape, x, mfg, Mode::Train, &mut self.rng);
+            let loss = out.nll_loss(&targets);
+            (loss.value().item() as f64, tape.backward(&loss))
+        };
         salient_tensor::optim::zero_grads(self.model.params_mut().into_iter());
         grads.apply_to(self.model.params_mut());
         self.opt.step(self.model.params_mut().into_iter());
@@ -299,12 +303,12 @@ impl Trainer {
                     let (Some(staged), Some(mfg)) = (item.staged.take(), item.mfg.as_ref()) else {
                         return StageOutcome::Skip;
                     };
-                    let mut wide = vec![0.0f32; staged.len()];
-                    staged.widen_into(&mut wide);
+                    let wide =
+                        Tensor::filled_by([mfg.num_nodes(), dim], |w| staged.widen_into(w));
                     transfer_bytes.add(
                         (staged.bytes() + item.labels.len() * std::mem::size_of::<u32>()) as u64,
                     );
-                    item.features = Some(Tensor::from_vec(wide, [mfg.num_nodes(), dim]));
+                    item.features = Some(wide);
                     StageOutcome::Emit(item)
                 },
             )
@@ -418,11 +422,12 @@ impl Trainer {
                         *failed += 1;
                         return StageOutcome::Skip;
                     }
-                    let mut wide = vec![0.0f32; batch.mfg.num_nodes() * dim];
-                    batch.slot.features().widen_into(&mut wide);
+                    let features = batch.slot.features();
+                    item.features = Some(Tensor::filled_by(
+                        [batch.mfg.num_nodes(), dim],
+                        |wide| features.widen_into(wide),
+                    ));
                     transfer_bytes.add(batch.slot.payload_bytes() as u64);
-                    item.features =
-                        Some(Tensor::from_vec(wide, [batch.mfg.num_nodes(), dim]));
                     item.labels = batch.slot.labels().to_vec();
                     item.mfg = Some(batch.mfg);
                     StageOutcome::Emit(item)
@@ -496,7 +501,10 @@ impl Trainer {
 
     /// Consumes the trainer, handing its trained model to another owner
     /// (the serving layer takes the model without the training scaffolding).
+    /// Training is over for this thread: its recycled buffers are freed
+    /// instead of idling under whatever the model's new owner does.
     pub fn into_model(self) -> Box<dyn GnnModel> {
+        salient_tensor::kernels::release_scratch();
         self.model
     }
 
@@ -507,7 +515,7 @@ impl Trainer {
     /// paper's papers100M run goes out of memory on this path.
     pub fn evaluate_full(&mut self, nodes: &[NodeId]) -> (f64, Vec<u32>) {
         let mfg = crate::infer::full_graph_mfg(&self.dataset.graph, self.config.num_layers);
-        let tape = Tape::new();
+        let tape = Tape::no_grad();
         let x = tape.constant(self.dataset.features.gather_f32(&mfg.node_ids));
         let out = self
             .model

@@ -11,6 +11,7 @@
 
 use crate::csr::CsrGraph;
 use crate::features::FeatureMatrix;
+use salient_tensor::kernels::pin_heap_thresholds;
 use salient_tensor::Dtype;
 use crate::generate::{chung_lu_communities, ChungLuConfig};
 use crate::labels::{planted_features, PlantedFeatureConfig};
@@ -150,7 +151,13 @@ impl DatasetConfig {
     }
 
     /// Generates the dataset.
+    ///
+    /// The arrays built here are the largest blocks a process allocates, and
+    /// generating the graph frees more than twice what it keeps (57 MB of
+    /// edge lists for a 25 MB graph at 100 000 nodes), so the allocator's
+    /// thresholds are fixed before the first of them.
     pub fn build(&self) -> Dataset {
+        pin_heap_thresholds();
         let cg = chung_lu_communities(&ChungLuConfig {
             num_nodes: self.num_nodes,
             num_communities: self.num_classes,

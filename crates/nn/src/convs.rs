@@ -36,8 +36,28 @@ impl SageConv {
         }
     }
 
-    /// Applies the layer to one hop.
-    pub fn forward(&self, tape: &Tape, x: &Var, x_target: &Var, layer: &MfgLayer) -> Var {
+    /// Applies the layer to one hop as a single fused tape node
+    /// ([`Var::sage_conv`]). `x_target` is `None` when the destination rows
+    /// are the first `layer.n_dst` rows of `x`; `act = Some(p)` appends the
+    /// in-place ReLU + dropout(`p`) epilogue (`Some(0.0)`: ReLU only).
+    pub fn forward(
+        &self,
+        tape: &Tape,
+        x: &Var,
+        x_target: Option<&Var>,
+        layer: &MfgLayer,
+        act: Option<f32>,
+        rng: &mut impl Rng,
+    ) -> Var {
+        let (w_self, w_neigh) = (tape.param(&self.w_self), tape.param(&self.w_neigh));
+        let (src, dst) = (&layer.edge_src, &layer.edge_dst);
+        x.sage_conv(x_target, &w_self, &w_neigh, src, dst, layer.n_dst, act, rng)
+    }
+
+    /// The layer as the four-op composition the fused node replaced — the
+    /// oracle the fused forward and backward are tested against.
+    #[cfg(test)]
+    fn forward_reference(&self, tape: &Tape, x: &Var, x_target: &Var, layer: &MfgLayer) -> Var {
         let agg = x.scatter_mean(&layer.edge_src, &layer.edge_dst, layer.n_dst);
         let neigh = agg.matmul(&tape.param(&self.w_neigh));
         let own = x_target.matmul(&tape.param(&self.w_self));
@@ -246,7 +266,7 @@ mod tests {
     }
 
     fn inputs(tape: &Tape) -> (Var, Var) {
-        let x = tape.constant(Tensor::from_vec(
+        let x = tape.leaf(Tensor::from_vec(
             vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0],
             [3, 2],
         ));
@@ -259,12 +279,39 @@ mod tests {
         let mut rng = salient_tensor::rng::StdRng::seed_from_u64(0);
         let mut conv = SageConv::new("s", 2, 4, &mut rng);
         let tape = Tape::new();
-        let (x, xt) = inputs(&tape);
-        let y = conv.forward(&tape, &x, &xt, &hop());
+        let (x, _) = inputs(&tape);
+        let y = conv.forward(&tape, &x, None, &hop(), None, &mut rng);
         assert_eq!(y.shape().dims(), &[2, 4]);
         let grads = tape.backward(&y.sum_all());
         grads.apply_to(conv.params_mut());
         assert!(conv.params().iter().all(|p| p.grad().norm() > 0.0));
+    }
+
+    #[test]
+    fn fused_sage_conv_matches_four_op_reference() {
+        let mut rng = salient_tensor::rng::StdRng::seed_from_u64(1);
+        let conv = SageConv::new("s", 2, 4, &mut rng);
+        let run = |fused: bool, separate_target: bool| {
+            let tape = Tape::new();
+            let (x, xt) = inputs(&tape);
+            let xt = if separate_target { tape.leaf(xt.value().map(|v| v + 0.5)) } else { xt };
+            let y = if fused {
+                let target = separate_target.then_some(&xt);
+                conv.forward(&tape, &x, target, &hop(), None, &mut rng.clone())
+            } else {
+                conv.forward_reference(&tape, &x, &xt, &hop())
+            };
+            let g = tape.backward(&y.mul(&y).sum_all());
+            let mut grads = vec![y.value(), g.wrt(&x).unwrap().clone()];
+            grads.extend(conv.params().iter().map(|p| g.by_param(p.id()).unwrap().clone()));
+            grads.extend(separate_target.then(|| g.wrt(&xt).unwrap().clone()));
+            grads
+        };
+        for separate_target in [false, true] {
+            for (f, r) in run(true, separate_target).iter().zip(run(false, separate_target)) {
+                assert!(f.max_abs_diff(&r) < 1e-5, "fused {f:?} vs reference {r:?}");
+            }
+        }
     }
 
     #[test]
@@ -277,8 +324,8 @@ mod tests {
             p.set_value(eye.clone());
         }
         let tape = Tape::new();
-        let (x, xt) = inputs(&tape);
-        let y = conv.forward(&tape, &x, &xt, &hop()).value();
+        let (x, _) = inputs(&tape);
+        let y = conv.forward(&tape, &x, None, &hop(), None, &mut rng).value();
         // dst0: self (1,0) + mean of rows {2,1} = ((1+0)/2, (1+1)/2) = (0.5, 1).
         assert_eq!(y.row(0), &[1.5, 1.0]);
         // dst1: self (0,1) + row2 (1,1).

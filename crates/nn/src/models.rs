@@ -180,12 +180,10 @@ impl GnnModel for GraphSage {
         check_input(&x, mfg, self.convs.len());
         let last = self.convs.len() - 1;
         let mut x = x;
+        // ReLU + dropout(0.5) rides in every layer's fused node but the last.
+        let drop = if mode.training() { 0.5 } else { 0.0 };
         for (i, (conv, layer)) in self.convs.iter().zip(mfg.layers.iter()).enumerate() {
-            let x_target = x.narrow_rows(layer.n_dst);
-            x = conv.forward(tape, &x, &x_target, layer);
-            if i != last {
-                x = x.relu().dropout(0.5, mode.training(), rng);
-            }
+            x = conv.forward(tape, &x, None, layer, (i != last).then_some(drop), rng);
         }
         x.log_softmax()
     }
@@ -253,7 +251,7 @@ impl GnnModel for Gat {
             let x_target = x.narrow_rows(layer.n_dst);
             x = conv.forward(tape, &x, &x_target, layer);
             if i != last {
-                x = x.relu().dropout(0.5, mode.training(), rng);
+                x = x.relu_dropout(0.5, mode.training(), rng);
             }
         }
         x.log_softmax()
@@ -412,7 +410,7 @@ impl GnnModel for GraphSageRi {
             let x_target = x.narrow_rows(layer.n_dst);
             let xd = x.dropout(0.1, training, rng);
             let xtd = x_target.dropout(0.1, training, rng);
-            let mut h = self.convs[i].forward(tape, &xd, &xtd, layer);
+            let mut h = self.convs[i].forward(tape, &xd, Some(&xtd), layer, None, rng);
             h = self.bns[i].forward(tape, &h, training);
             h = h.leaky_relu(0.01).dropout(0.1, training, rng);
             collect.push(h.narrow_rows(end));

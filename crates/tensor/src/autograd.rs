@@ -9,7 +9,7 @@
 
 use crate::tensor::Tensor;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -117,11 +117,15 @@ impl Param {
     }
 }
 
-/// Gradient contributions flowing to the parents of one tape node.
-pub(crate) type BackwardFn = Box<dyn Fn(&Tensor) -> Vec<(usize, Tensor)>>;
+/// Maps a node's output gradient (handed over by value, so an op may
+/// rewrite it in place) to contributions for those parents that need one.
+pub(crate) type BackwardFn = Box<dyn Fn(Tensor) -> Vec<(usize, Tensor)>>;
 
 pub(crate) struct Node {
     pub(crate) value: Tensor,
+    /// Whether some tracked leaf (a parameter or a [`Tape::leaf`]) feeds
+    /// this node. Only such nodes carry a `backward` or receive a gradient.
+    pub(crate) needs_grad: bool,
     pub(crate) backward: Option<BackwardFn>,
     /// Set when this node is a leaf bound to a parameter.
     pub(crate) param: Option<ParamId>,
@@ -129,6 +133,8 @@ pub(crate) struct Node {
 
 pub(crate) struct TapeInner {
     pub(crate) nodes: RefCell<Vec<Node>>,
+    /// `false` for a [`Tape::no_grad`] tape: no leaf is tracked.
+    track: bool,
 }
 
 /// A recording of one forward pass, able to run backpropagation.
@@ -137,13 +143,17 @@ pub(crate) struct TapeInner {
 /// parallelism in SALIENT lives in batch preparation, not inside a batch's
 /// backward pass.
 ///
+/// Work follows need: [`Tape::constant`] inputs are not differentiated, so
+/// an op fed only by constants records its value and nothing else, and an
+/// op with mixed parents computes contributions only for the tracked ones.
+///
 /// # Examples
 ///
 /// ```
 /// use salient_tensor::{Tape, Tensor};
 ///
 /// let tape = Tape::new();
-/// let x = tape.constant(Tensor::from_vec(vec![2.0], [1]));
+/// let x = tape.leaf(Tensor::from_vec(vec![2.0], [1]));
 /// let y = x.mul(&x); // y = x^2
 /// let grads = tape.backward(&y.sum_all());
 /// // dy/dx = 2x = 4
@@ -169,9 +179,21 @@ impl fmt::Debug for Tape {
 impl Tape {
     /// Creates an empty tape.
     pub fn new() -> Self {
+        Self::tracking(true)
+    }
+
+    /// Creates an empty tape for inference: [`Tape::param`] and
+    /// [`Tape::leaf`] record untracked values, so by the needs-grad rule no
+    /// op on it saves an operand, an edge list or a backward closure.
+    pub fn no_grad() -> Self {
+        Self::tracking(false)
+    }
+
+    fn tracking(track: bool) -> Self {
         Tape {
             inner: Rc::new(TapeInner {
                 nodes: RefCell::new(Vec::new()),
+                track,
             }),
         }
     }
@@ -186,7 +208,7 @@ impl Tape {
         self.len() == 0
     }
 
-    pub(crate) fn push(&self, node: Node) -> Var {
+    fn push(&self, node: Node) -> Var {
         let mut nodes = self.inner.nodes.borrow_mut();
         nodes.push(node);
         Var {
@@ -195,27 +217,54 @@ impl Tape {
         }
     }
 
-    /// Records a non-trainable input (activations, sliced features).
-    pub fn constant(&self, value: Tensor) -> Var {
+    fn input(&self, value: Tensor, needs_grad: bool, param: Option<ParamId>) -> Var {
         self.push(Node {
             value,
+            needs_grad: needs_grad && self.inner.track,
             backward: None,
+            param,
+        })
+    }
+
+    /// Records the result of an op. `backward` — and with it whatever the
+    /// op saves for its backward pass — is built only when `needs_grad`
+    /// (some parent is tracked).
+    pub(crate) fn record(
+        &self,
+        value: Tensor,
+        needs_grad: bool,
+        backward: impl FnOnce() -> BackwardFn,
+    ) -> Var {
+        self.push(Node {
+            value,
+            needs_grad,
+            backward: needs_grad.then(backward),
             param: None,
         })
+    }
+
+    /// Records an input that is not differentiated (sliced features,
+    /// labels-as-data): no gradient is computed for it or kept.
+    pub fn constant(&self, value: Tensor) -> Var {
+        self.input(value, false, None)
+    }
+
+    /// Records a tracked non-parameter input; its gradient is available
+    /// from [`Gradients::wrt`] after [`Tape::backward`].
+    pub fn leaf(&self, value: Tensor) -> Var {
+        self.input(value, true, None)
     }
 
     /// Records a leaf bound to a trainable parameter; its gradient appears in
     /// [`Gradients::by_param`] after [`Tape::backward`].
     pub fn param(&self, param: &Param) -> Var {
-        self.push(Node {
-            value: param.value().clone(),
-            backward: None,
-            param: Some(param.id()),
-        })
+        self.input(param.value().clone(), true, Some(param.id()))
     }
 
     /// Runs reverse-mode differentiation from `output`, which must be a
-    /// scalar, and returns gradients for every reachable node.
+    /// scalar, and returns the gradients of every tracked leaf it depends
+    /// on. An intermediate node's gradient is released as soon as its
+    /// backward has consumed it.
     ///
     /// # Panics
     ///
@@ -226,49 +275,61 @@ impl Tape {
             "backward() var from a different tape"
         );
         let nodes = self.inner.nodes.borrow();
+        let out = &nodes[output.id];
         assert_eq!(
-            nodes[output.id].value.len(),
+            out.value.len(),
             1,
             "backward() requires a scalar output, got shape {}",
-            nodes[output.id].value.shape()
+            out.value.shape()
         );
-        let mut grads: Vec<Option<Tensor>> = vec![None; nodes.len()];
-        grads[output.id] = Some(Tensor::full(
-            nodes[output.id].value.shape().clone(),
-            1.0,
-        ));
+        let mut by_node: Vec<Option<Tensor>> = vec![None; output.id + 1];
+        let mut by_param: HashMap<ParamId, Tensor> = HashMap::new();
+        if out.needs_grad {
+            by_node[output.id] = Some(Tensor::full(out.value.shape().clone(), 1.0));
+        }
         for id in (0..=output.id).rev() {
-            let Some(grad) = grads[id].take() else {
+            let Some(grad) = by_node[id].take() else {
                 continue;
             };
-            if let Some(backward) = &nodes[id].backward {
-                for (pid, contrib) in backward(&grad) {
-                    debug_assert!(pid < id, "gradient must flow to earlier node");
-                    match &mut grads[pid] {
-                        Some(acc) => acc.axpy(1.0, &contrib),
-                        slot @ None => *slot = Some(contrib),
+            let node = &nodes[id];
+            match (&node.backward, node.param) {
+                (Some(backward), _) => {
+                    for (pid, contrib) in backward(grad) {
+                        debug_assert!(pid < id, "gradient must flow to earlier node");
+                        debug_assert!(nodes[pid].needs_grad, "contribution nobody needs");
+                        accumulate(&mut by_node[pid], contrib);
                     }
                 }
-            }
-            grads[id] = Some(grad);
-        }
-        let mut by_param = HashMap::new();
-        for (id, node) in nodes.iter().enumerate() {
-            if let (Some(pid), Some(g)) = (node.param, &grads[id]) {
-                by_param
-                    .entry(pid)
-                    .and_modify(|acc: &mut Tensor| acc.axpy(1.0, g))
-                    .or_insert_with(|| g.clone());
+                (None, Some(pid)) => match by_param.entry(pid) {
+                    Entry::Occupied(mut acc) => acc.get_mut().axpy(1.0, &grad),
+                    Entry::Vacant(slot) => {
+                        slot.insert(grad);
+                    }
+                },
+                (None, None) => by_node[id] = Some(grad),
             }
         }
-        Gradients {
-            by_node: grads,
-            by_param,
-        }
+        Gradients { by_node, by_param }
     }
 }
 
-/// The result of a backward pass: per-node and per-parameter gradients.
+/// Of an op's `(parent is tracked, parent id, gradient)` triples, the
+/// contributions the tape wants: those of tracked parents.
+pub(crate) fn tracked_only<const N: usize>(
+    contribs: [(bool, usize, Tensor); N],
+) -> Vec<(usize, Tensor)> {
+    let tracked = contribs.into_iter().filter(|c| c.0);
+    tracked.map(|(_, id, grad)| (id, grad)).collect()
+}
+
+fn accumulate(slot: &mut Option<Tensor>, contrib: Tensor) {
+    match slot {
+        Some(acc) => acc.axpy(1.0, &contrib),
+        None => *slot = Some(contrib),
+    }
+}
+
+/// The result of a backward pass: gradients of the tracked leaves.
 #[derive(Debug)]
 pub struct Gradients {
     by_node: Vec<Option<Tensor>>,
@@ -276,7 +337,7 @@ pub struct Gradients {
 }
 
 impl Gradients {
-    /// Gradient with respect to a tape variable, if it was reached.
+    /// Gradient with respect to a [`Tape::leaf`], if it was reached.
     pub fn wrt(&self, var: &Var) -> Option<&Tensor> {
         self.by_node.get(var.id).and_then(|g| g.as_ref())
     }
@@ -325,6 +386,25 @@ impl Var {
         self.tape.nodes.borrow()[self.id].value.shape().clone()
     }
 
+    /// Whether a tracked leaf feeds this variable, i.e. whether ops on it
+    /// record a backward pass.
+    pub fn needs_grad(&self) -> bool {
+        self.tape.nodes.borrow()[self.id].needs_grad
+    }
+
+    /// Records a one-parent op: `backward()` builds the map from the output
+    /// gradient to this variable's contribution.
+    pub(crate) fn unary<B>(&self, value: Tensor, backward: impl FnOnce() -> B) -> Var
+    where
+        B: Fn(Tensor) -> Tensor + 'static,
+    {
+        let ia = self.id;
+        self.tape().record(value, self.needs_grad(), || {
+            let back = backward();
+            Box::new(move |g| vec![(ia, back(g))])
+        })
+    }
+
     pub(crate) fn tape(&self) -> Tape {
         Tape {
             inner: Rc::clone(&self.tape),
@@ -357,12 +437,47 @@ mod tests {
     }
 
     #[test]
-    fn constant_has_no_param_grad() {
+    fn leaf_has_no_param_grad() {
         let tape = Tape::new();
-        let x = tape.constant(Tensor::scalar(3.0));
+        let x = tape.leaf(Tensor::scalar(3.0));
         let g = tape.backward(&x);
         assert_eq!(g.iter_params().count(), 0);
         assert_eq!(g.wrt(&x).unwrap().item(), 1.0);
+    }
+
+    #[test]
+    fn constants_and_no_grad_tapes_record_no_backward() {
+        let p = Param::new("w", Tensor::scalar(2.0));
+        let tape = Tape::new();
+        let c = tape.constant(Tensor::scalar(3.0));
+        let y = c.mul(&c).scale(2.0);
+        assert!(!y.needs_grad());
+        assert!(tape.inner.nodes.borrow().iter().all(|n| n.backward.is_none()));
+        let g = tape.backward(&y);
+        assert!(g.wrt(&c).is_none(), "a constant receives no gradient");
+        // A mixed op contributes to its tracked parent only.
+        let z = c.mul(&tape.param(&p));
+        assert!(z.needs_grad());
+        let g = tape.backward(&z);
+        assert_eq!(g.by_param(p.id()).unwrap().item(), 3.0);
+        assert!(g.wrt(&c).is_none());
+
+        let tape = Tape::no_grad();
+        let w = tape.param(&p);
+        let y = tape.leaf(Tensor::scalar(1.0)).mul(&w).relu();
+        assert!(!w.needs_grad() && !y.needs_grad());
+        assert!(tape.inner.nodes.borrow().iter().all(|n| n.backward.is_none()));
+        assert_eq!(tape.backward(&y).iter_params().count(), 0);
+    }
+
+    #[test]
+    fn intermediate_gradients_are_released() {
+        let tape = Tape::new();
+        let x = tape.leaf(Tensor::scalar(3.0));
+        let mid = x.scale(2.0);
+        let g = tape.backward(&mid.mul(&mid));
+        assert!(g.wrt(&mid).is_none(), "only leaves keep their gradient");
+        assert_eq!(g.wrt(&x).unwrap().item(), 24.0);
     }
 
     #[test]
@@ -402,7 +517,7 @@ mod tests {
     fn diamond_dependency_accumulates() {
         // y = x*x + x*x; dy/dx = 4x.
         let tape = Tape::new();
-        let x = tape.constant(Tensor::scalar(3.0));
+        let x = tape.leaf(Tensor::scalar(3.0));
         let a = x.mul(&x);
         let b = x.mul(&x);
         let y = a.add(&b);

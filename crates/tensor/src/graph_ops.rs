@@ -4,8 +4,9 @@
 //! id pairs; aggregation ops here implement the `AGG` of Eq. (1) in the paper
 //! (mean for GraphSAGE, sum for GIN, attention-weighted sum for GAT).
 
-use crate::autograd::{Node, Var};
-use crate::kernels;
+use crate::autograd::{tracked_only, Var};
+use crate::kernels::{self, SavedIds};
+use crate::rng::Rng;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -35,15 +36,31 @@ impl Var {
         debug_assert!(idx.iter().all(|&i| (i as usize) < rows), "gather index out of range");
         let out = kernels::gather_rows_forward(a.data(), cols, idx);
         let out = Tensor::from_vec(out, Shape::matrix(idx.len(), cols));
-        let ia = self.id;
-        let idx = idx.to_vec();
-        self.tape().push(Node {
-            value: out,
-            backward: Some(Box::new(move |g| {
+        self.unary(out, || {
+            let idx = SavedIds::new(idx);
+            move |g: Tensor| {
                 let dx = kernels::gather_rows_backward(g.data(), cols, &idx, rows);
-                vec![(ia, Tensor::from_vec(dx, Shape::matrix(rows, cols)))]
-            })),
-            param: None,
+                Tensor::from_vec(dx, Shape::matrix(rows, cols))
+            }
+        })
+    }
+
+    /// Sum (`mean = false`) or mean aggregation over a bipartite edge list.
+    fn scatter_reduce(&self, src: &[u32], dst: &[u32], n_dst: usize, mean: bool) -> Var {
+        let a = self.value();
+        let (n_src, cols) = (a.rows(), a.cols());
+        check_edges(src, dst, n_src, n_dst);
+        let counts = mean.then(|| kernels::in_degrees(dst, n_dst));
+        let out =
+            kernels::scatter_reduce_forward(a.data(), cols, src, dst, n_dst, counts.as_deref());
+        self.unary(Tensor::from_vec(out, Shape::matrix(n_dst, cols)), || {
+            let (src, dst) = (SavedIds::new(src), SavedIds::new(dst));
+            let counts = counts.map(|c| Tensor::from_vec(c, Shape::vector(n_dst)));
+            move |g: Tensor| {
+                let w = counts.as_ref().map(Tensor::data);
+                let dx = kernels::scatter_reduce_backward(g.data(), cols, &src, &dst, n_src, w);
+                Tensor::from_vec(dx, Shape::matrix(n_src, cols))
+            }
         })
     }
 
@@ -58,34 +75,7 @@ impl Var {
     /// Panics if `src.len() != dst.len()` (and, in debug builds, if any id is
     /// out of range).
     pub fn scatter_mean(&self, src: &[u32], dst: &[u32], n_dst: usize) -> Var {
-        let a = self.value();
-        let cols = a.cols();
-        check_edges(src, dst, a.rows(), n_dst);
-        let mut counts = vec![0.0f32; n_dst];
-        for &d in dst {
-            // lint: allow(panic-reachability, dst/src indices are validated against n_dst/n_src at op entry)
-            counts[d as usize] += 1.0;
-        }
-        let out =
-            kernels::scatter_reduce_forward(a.data(), cols, src, dst, n_dst, Some(&counts));
-        let ia = self.id;
-        let (src, dst) = (src.to_vec(), dst.to_vec());
-        let n_src = a.rows();
-        self.tape().push(Node {
-            value: Tensor::from_vec(out, Shape::matrix(n_dst, cols)),
-            backward: Some(Box::new(move |g| {
-                let dx = kernels::scatter_reduce_backward(
-                    g.data(),
-                    cols,
-                    &src,
-                    &dst,
-                    n_src,
-                    Some(&counts),
-                );
-                vec![(ia, Tensor::from_vec(dx, Shape::matrix(n_src, cols)))]
-            })),
-            param: None,
-        })
+        self.scatter_reduce(src, dst, n_dst, true)
     }
 
     /// Sum aggregation over a bipartite edge list (GIN's neighborhood sum).
@@ -94,24 +84,118 @@ impl Var {
     ///
     /// Panics if `src.len() != dst.len()`.
     pub fn scatter_add(&self, src: &[u32], dst: &[u32], n_dst: usize) -> Var {
-        let a = self.value();
-        let cols = a.cols();
-        check_edges(src, dst, a.rows(), n_dst);
-        let out = kernels::scatter_reduce_forward(a.data(), cols, src, dst, n_dst, None);
-        let ia = self.id;
-        let (src, dst) = (src.to_vec(), dst.to_vec());
-        let n_src = a.rows();
-        self.tape().push(Node {
-            value: Tensor::from_vec(out, Shape::matrix(n_dst, cols)),
-            backward: Some(Box::new(move |g| {
-                let dx =
-                    kernels::scatter_reduce_backward(g.data(), cols, &src, &dst, n_src, None);
-                vec![(ia, Tensor::from_vec(dx, Shape::matrix(n_src, cols)))]
-            })),
-            param: None,
-        })
+        self.scatter_reduce(src, dst, n_dst, false)
     }
 
+    /// One GraphSAGE mean-convolution layer as a single tape node:
+    ///
+    /// `out = x_target · W_self + mean_agg(self) · W_neigh`, followed — when
+    /// `act` is `Some(p)` — by ReLU and inverted dropout with drop
+    /// probability `p` (`Some(0.0)` is a plain ReLU), in place.
+    ///
+    /// `self` holds the `n_src` source rows. `x_target` is `None` when the
+    /// destination rows are the first `n_dst` rows of `self` (read in place,
+    /// and differentiated into the same buffer as the sources), or a
+    /// separate `n_dst`-row variable.
+    ///
+    /// Forward: CSR mean aggregation, then the two products accumulate into
+    /// one buffer (the second GEMM continues the first's FMA chains, so
+    /// there is no separate add), then the epilogue of
+    /// [`kernels::relu_dropout_in_place`]. Backward, given `g`:
+    /// `g ← g · [out > 0] / keep` in place (epilogue only),
+    /// `dW_self = x_targetᵀ · g`, `dW_neigh = aggᵀ · g`, and — only for
+    /// tracked inputs — `dx = scatterᵀ(g · W_neighᵀ)` with
+    /// `g · W_selfᵀ` added into its first `n_dst` rows (or returned on its
+    /// own for a separate `x_target`).
+    ///
+    /// # Panics
+    ///
+    /// Panics on inconsistent shapes or edge lists, or if `p` is not in
+    /// `[0, 1)`.
+    // lint: entry(panic-reachability)
+    #[allow(clippy::too_many_arguments)]
+    pub fn sage_conv(
+        &self,
+        x_target: Option<&Var>,
+        w_self: &Var,
+        w_neigh: &Var,
+        src: &[u32],
+        dst: &[u32],
+        n_dst: usize,
+        act: Option<f32>,
+        rng: &mut impl Rng,
+    ) -> Var {
+        self.same_tape(w_self);
+        self.same_tape(w_neigh);
+        let x = self.value();
+        let xt = match x_target {
+            Some(t) => {
+                self.same_tape(t);
+                t.value()
+            }
+            None => x.narrow_rows(n_dst),
+        };
+        let (ws, wn) = (w_self.value(), w_neigh.value());
+        let (n_src, k, n) = (x.rows(), x.cols(), ws.cols());
+        check_edges(src, dst, n_src, n_dst);
+        assert_eq!(xt.shape().dims(), [n_dst, k], "x_target must be n_dst × in_dim");
+        assert_eq!(ws.shape().dims(), [k, n], "W_self must be in_dim × out_dim");
+        assert_eq!(wn.shape(), ws.shape(), "W_neigh must match W_self");
+
+        let counts = Tensor::from_vec(kernels::in_degrees(dst, n_dst), Shape::vector(n_dst));
+        let agg = Tensor::from_vec(
+            kernels::scatter_reduce_forward(x.data(), k, src, dst, n_dst, Some(counts.data())),
+            Shape::matrix(n_dst, k),
+        );
+        let mut out = Tensor::zeros(Shape::matrix(n_dst, n));
+        kernels::gemm_acc(out.data_mut(), xt.data(), ws.data(), false, false, n_dst, n, k);
+        kernels::gemm_acc(out.data_mut(), agg.data(), wn.data(), false, false, n_dst, n, k);
+        let scale = act.map(|p| kernels::relu_dropout_in_place(out.data_mut(), p, rng));
+
+        let (ix, iws, iwn) = (self.id, w_self.id, w_neigh.id);
+        let (need_x, need_ws, need_wn) =
+            (self.needs_grad(), w_self.needs_grad(), w_neigh.needs_grad());
+        // A separate, tracked x_target receives its own contribution.
+        let ixt = x_target.filter(|t| t.needs_grad()).map(|t| t.id);
+        let prefix = x_target.is_none();
+        let needs_grad = need_x || need_ws || need_wn || ixt.is_some();
+        let saved_out = out.clone();
+        self.tape().record(out, needs_grad, || {
+            let edges = need_x.then(|| (SavedIds::new(src), SavedIds::new(dst)));
+            Box::new(move |mut g| {
+                if let Some(scale) = scale {
+                    kernels::relu_dropout_backward(g.data_mut(), saved_out.data(), scale);
+                }
+                let gd = g.data();
+                let mut contribs = Vec::with_capacity(4);
+                for (need, id, lhs) in [(need_ws, iws, &xt), (need_wn, iwn, &agg)] {
+                    if need {
+                        let mut dw = Tensor::zeros(Shape::matrix(k, n));
+                        kernels::gemm_acc(dw.data_mut(), lhs.data(), gd, true, false, k, n, n_dst);
+                        contribs.push((id, dw));
+                    }
+                }
+                if let Some((src, dst)) = &edges {
+                    let mut dagg = Tensor::zeros(Shape::matrix(n_dst, k));
+                    kernels::gemm_acc(dagg.data_mut(), gd, wn.data(), false, true, n_dst, k, n);
+                    let w = Some(counts.data());
+                    let mut dx = kernels::scatter_reduce_backward(dagg.data(), k, src, dst, n_src, w);
+                    if prefix {
+                        // lint: allow(panic-reachability, n_dst <= n_src rows was asserted through the x_target shape at record time)
+                        let head = &mut dx[..n_dst * k];
+                        kernels::gemm_acc(head, gd, ws.data(), false, true, n_dst, k, n);
+                    }
+                    contribs.push((ix, Tensor::from_vec(dx, Shape::matrix(n_src, k))));
+                }
+                if let Some(ixt) = ixt {
+                    let mut dxt = Tensor::zeros(Shape::matrix(n_dst, k));
+                    kernels::gemm_acc(dxt.data_mut(), gd, ws.data(), false, true, n_dst, k, n);
+                    contribs.push((ixt, dxt));
+                }
+                contribs
+            })
+        })
+    }
 
     /// Max aggregation over a bipartite edge list:
     /// `out[d][c] = max { self[s][c] : (s, d) ∈ edges }`, with zero rows for
@@ -148,22 +232,20 @@ impl Var {
                 *o = 0.0;
             }
         }
-        let ia = self.id;
         let n_src = a.rows();
-        self.tape().push(Node {
-            value: Tensor::from_vec(out, Shape::matrix(n_dst, cols)),
-            backward: Some(Box::new(move |g| {
+        self.unary(Tensor::from_vec(out, Shape::matrix(n_dst, cols)), || {
+            move |g: Tensor| {
                 let gd = g.data();
-                let mut dx = vec![0.0f32; n_src * cols];
+                let mut dx = Tensor::zeros(Shape::matrix(n_src, cols));
+                let dxd = dx.data_mut();
                 for (slot, &am) in argmax.iter().enumerate() {
                     if am != u32::MAX {
                         let c = slot % cols;
-                        dx[am as usize * cols + c] += gd[slot];
+                        dxd[am as usize * cols + c] += gd[slot];
                     }
                 }
-                vec![(ia, Tensor::from_vec(dx, Shape::matrix(n_src, cols)))]
-            })),
-            param: None,
+                dx
+            }
         })
     }
 
@@ -184,35 +266,35 @@ impl Var {
             maxes[d] = maxes[d].max(ld[e]);
         }
         let mut sums = vec![0.0f32; n_dst];
-        let mut alpha = vec![0.0f32; ld.len()];
+        let mut alpha = Tensor::zeros(Shape::vector(ld.len()));
+        let ad = alpha.data_mut();
         for (e, &d) in dst.iter().enumerate() {
             let d = d as usize;
             let v = (ld[e] - maxes[d]).exp();
-            alpha[e] = v;
+            ad[e] = v;
             sums[d] += v;
         }
         for (e, &d) in dst.iter().enumerate() {
-            alpha[e] /= sums[d as usize];
+            ad[e] /= sums[d as usize];
         }
-        let alpha_t = Tensor::from_vec(alpha.clone(), Shape::vector(ld.len()));
-        let ia = self.id;
-        let dst = dst.to_vec();
-        self.tape().push(Node {
-            value: alpha_t,
-            backward: Some(Box::new(move |g| {
+        let saved = alpha.clone();
+        self.unary(alpha, || {
+            let dst = SavedIds::new(dst);
+            move |g: Tensor| {
                 // dl_e = a_e * (g_e - sum_{e' in group(e)} g_{e'} a_{e'})
-                let gd = g.data();
+                let (gd, alpha) = (g.data(), saved.data());
                 let mut group_dot = vec![0.0f32; n_dst];
                 for (e, &d) in dst.iter().enumerate() {
                     group_dot[d as usize] += gd[e] * alpha[e];
                 }
-                let mut dl = vec![0.0f32; alpha.len()];
-                for (e, &d) in dst.iter().enumerate() {
-                    dl[e] = alpha[e] * (gd[e] - group_dot[d as usize]);
+                let mut dl = Tensor::zeros(Shape::vector(alpha.len()));
+                for ((dl, &d), (&a, &gv)) in
+                    dl.data_mut().iter_mut().zip(dst.iter()).zip(alpha.iter().zip(gd))
+                {
+                    *dl = a * (gv - group_dot[d as usize]);
                 }
-                vec![(ia, Tensor::from_vec(dl, Shape::vector(alpha.len())))]
-            })),
-            param: None,
+                dl
+            }
         })
     }
 
@@ -238,11 +320,12 @@ impl Var {
         check_edges(src, dst, x.rows(), n_dst);
         assert_eq!(w.len(), src.len(), "one weight per edge required");
         let (xd, wd) = (x.data(), w.data());
-        let mut out = vec![0.0f32; n_dst * cols];
+        let mut out = Tensor::zeros(Shape::matrix(n_dst, cols));
+        let od = out.data_mut();
         for (e, (&s, &d)) in src.iter().zip(dst.iter()).enumerate() {
             let (s, d) = (s as usize, d as usize);
             let a = wd[e];
-            for (o, v) in out[d * cols..(d + 1) * cols]
+            for (o, v) in od[d * cols..(d + 1) * cols]
                 .iter_mut()
                 .zip(xd[s * cols..(s + 1) * cols].iter())
             {
@@ -250,16 +333,17 @@ impl Var {
             }
         }
         let (ix, iw) = (self.id, alpha.id);
-        let (src, dst) = (src.to_vec(), dst.to_vec());
         let n_src = x.rows();
-        self.tape().push(Node {
-            value: Tensor::from_vec(out, Shape::matrix(n_dst, cols)),
-            backward: Some(Box::new(move |g| {
+        let (need_x, need_w) = (self.needs_grad(), alpha.needs_grad());
+        self.tape().record(out, need_x || need_w, || {
+            let (src, dst) = (SavedIds::new(src), SavedIds::new(dst));
+            Box::new(move |g| {
                 let gd = g.data();
                 let xd = x.data();
                 let wd = w.data();
-                let mut dx = vec![0.0f32; n_src * cols];
-                let mut dw = vec![0.0f32; src.len()];
+                let mut dx = Tensor::zeros(Shape::matrix(n_src, cols));
+                let mut dw = Tensor::zeros(Shape::vector(src.len()));
+                let (dxd, dwd) = (dx.data_mut(), dw.data_mut());
                 for (e, (&s, &d)) in src.iter().zip(dst.iter()).enumerate() {
                     let (s, d) = (s as usize, d as usize);
                     let grow = &gd[d * cols..(d + 1) * cols];
@@ -267,19 +351,15 @@ impl Var {
                     let a = wd[e];
                     let mut dot = 0.0f32;
                     for ((x_acc, &gv), &xv) in
-                        dx[s * cols..(s + 1) * cols].iter_mut().zip(grow).zip(xrow)
+                        dxd[s * cols..(s + 1) * cols].iter_mut().zip(grow).zip(xrow)
                     {
                         *x_acc += a * gv;
                         dot += gv * xv;
                     }
-                    dw[e] = dot;
+                    dwd[e] = dot;
                 }
-                vec![
-                    (ix, Tensor::from_vec(dx, Shape::matrix(n_src, cols))),
-                    (iw, Tensor::from_vec(dw, Shape::vector(src.len()))),
-                ]
-            })),
-            param: None,
+                tracked_only([(need_x, ix, dx), (need_w, iw, dw)])
+            })
         })
     }
 }
@@ -296,7 +376,7 @@ mod tests {
     #[test]
     fn gather_rows_forward_and_backward() {
         let tape = Tape::new();
-        let x = tape.constant(t(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [3, 2]));
+        let x = tape.leaf(t(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [3, 2]));
         let y = x.gather_rows(&[2, 0, 2]);
         assert_eq!(y.value().data(), &[5.0, 6.0, 1.0, 2.0, 5.0, 6.0]);
         let g = tape.backward(&y.sum_all());
@@ -307,7 +387,7 @@ mod tests {
     #[test]
     fn scatter_mean_averages_neighbors() {
         let tape = Tape::new();
-        let x = tape.constant(t(&[2.0, 4.0, 6.0], [3, 1]));
+        let x = tape.leaf(t(&[2.0, 4.0, 6.0], [3, 1]));
         // dst 0 <- src {0, 1}; dst 1 <- src {2}; dst 2 has no edges.
         let y = x.scatter_mean(&[0, 1, 2], &[0, 0, 1], 3);
         assert_eq!(y.value().data(), &[3.0, 6.0, 0.0]);
@@ -318,7 +398,7 @@ mod tests {
     #[test]
     fn scatter_add_sums_neighbors() {
         let tape = Tape::new();
-        let x = tape.constant(t(&[2.0, 4.0, 6.0], [3, 1]));
+        let x = tape.leaf(t(&[2.0, 4.0, 6.0], [3, 1]));
         let y = x.scatter_add(&[0, 1, 2], &[0, 0, 1], 2);
         assert_eq!(y.value().data(), &[6.0, 6.0]);
         let g = tape.backward(&y.sum_all());
@@ -328,7 +408,7 @@ mod tests {
     #[test]
     fn edge_softmax_normalizes_per_destination() {
         let tape = Tape::new();
-        let l = tape.constant(t(&[0.0, 0.0, 1.0, 3.0], [4]));
+        let l = tape.leaf(t(&[0.0, 0.0, 1.0, 3.0], [4]));
         // dst groups: {e0, e1} -> 0, {e2, e3} -> 1.
         let a = l.edge_softmax(&[0, 0, 1, 1], 2).value();
         assert!((a.data()[0] - 0.5).abs() < 1e-6);
@@ -345,7 +425,7 @@ mod tests {
         // Loss = sum of alpha^2, a curved function to exercise the Jacobian.
         let f = |ls: &[f32]| {
             let tape = Tape::new();
-            let l = tape.constant(t(ls, [5]));
+            let l = tape.leaf(t(ls, [5]));
             let a = l.edge_softmax(&dst, 2);
             let loss = a.mul(&a).sum_all();
             (tape, l, loss)
@@ -374,8 +454,8 @@ mod tests {
     #[test]
     fn weighted_scatter_add_forward_and_grads() {
         let tape = Tape::new();
-        let x = tape.constant(t(&[1.0, 2.0, 10.0, 20.0], [2, 2]));
-        let w = tape.constant(t(&[0.25, 0.75], [2]));
+        let x = tape.leaf(t(&[1.0, 2.0, 10.0, 20.0], [2, 2]));
+        let w = tape.leaf(t(&[0.25, 0.75], [2]));
         // Both edges into dst 0: out = 0.25*x0 + 0.75*x1.
         let y = x.weighted_scatter_add(&w, &[0, 1], &[0, 0], 1);
         assert_eq!(y.value().data(), &[7.75, 15.5]);
@@ -389,7 +469,7 @@ mod tests {
     #[test]
     fn scatter_max_takes_columnwise_max() {
         let tape = Tape::new();
-        let x = tape.constant(t(&[1.0, 5.0, 3.0, 2.0, 4.0, 0.0], [3, 2]));
+        let x = tape.leaf(t(&[1.0, 5.0, 3.0, 2.0, 4.0, 0.0], [3, 2]));
         // dst 0 <- src {0, 1}; dst 1 <- src {2}; dst 2 empty.
         let y = x.scatter_max(&[0, 1, 2], &[0, 0, 1], 3);
         assert_eq!(y.value().data(), &[3.0, 5.0, 4.0, 0.0, 0.0, 0.0]);
@@ -402,7 +482,7 @@ mod tests {
     #[test]
     fn scatter_max_handles_negative_values() {
         let tape = Tape::new();
-        let x = tape.constant(t(&[-3.0, -1.0], [2, 1]));
+        let x = tape.leaf(t(&[-3.0, -1.0], [2, 1]));
         let y = x.scatter_max(&[0, 1], &[0, 0], 1);
         assert_eq!(y.value().data(), &[-1.0], "max of negatives is not clamped to 0");
     }
@@ -410,7 +490,7 @@ mod tests {
     #[test]
     fn empty_edge_list_yields_zero_rows() {
         let tape = Tape::new();
-        let x = tape.constant(Tensor::ones([2, 3]));
+        let x = tape.leaf(Tensor::ones([2, 3]));
         let y = x.scatter_mean(&[], &[], 2);
         assert_eq!(y.value().data(), &[0.0; 6]);
     }

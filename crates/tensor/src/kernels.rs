@@ -48,45 +48,182 @@ use std::cell::RefCell;
 // Thread-local scratch buffers
 // ---------------------------------------------------------------------------
 
+/// Smallest pooled capacity, as a power of two (64 elements).
+const MIN_CLASS: usize = 6;
+
+/// Recycled buffers of one element type, one free list per power-of-two
+/// capacity class. A class never holds more idle buffers than this thread
+/// has itself had to allocate for it (`made`), so a thread that only
+/// *receives* buffers (a tensor built elsewhere and dropped here) cannot
+/// grow its pool: in steady state the pool is one batch's high-water mark.
+struct ClassPool<T> {
+    classes: Vec<(Vec<Vec<T>>, usize)>,
+}
+
+impl<T> Default for ClassPool<T> {
+    fn default() -> Self {
+        ClassPool { classes: Vec::new() }
+    }
+}
+
+impl<T> ClassPool<T> {
+    /// A buffer with capacity for at least `n` elements; its length and
+    /// contents are whatever its last user left.
+    fn take(&mut self, n: usize) -> Vec<T> {
+        let c = (n.next_power_of_two().trailing_zeros() as usize).max(MIN_CLASS);
+        if self.classes.len() <= c {
+            self.classes.resize_with(c + 1, Default::default);
+        }
+        let (idle, made) = &mut self.classes[c];
+        idle.pop().unwrap_or_else(|| {
+            *made += 1;
+            Vec::with_capacity(1 << c)
+        })
+    }
+
+    /// Offers a buffer back. It is filed under the largest class its
+    /// capacity covers, or dropped when that class is full.
+    fn put(&mut self, v: Vec<T>) {
+        if v.capacity() < 1 << MIN_CLASS {
+            return;
+        }
+        let c = v.capacity().ilog2() as usize;
+        if let Some((idle, made)) = self.classes.get_mut(c) {
+            if idle.len() < *made {
+                idle.push(v);
+            }
+        }
+    }
+}
+
 #[derive(Default)]
 struct Scratch {
-    u32s: Vec<Vec<u32>>,
-    f32s: Vec<Vec<f32>>,
+    u32s: ClassPool<u32>,
+    f32s: ClassPool<f32>,
 }
 
 thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+    static SCRATCH: RefCell<Scratch> = {
+        pin_heap_thresholds();
+        RefCell::new(Scratch::default())
+    };
 }
 
 /// Checks out a cleared `Vec<u32>` with at least `cap` capacity from the
 /// calling thread's scratch pool (allocating only on first use).
 pub(crate) fn take_u32(cap: usize) -> Vec<u32> {
-    SCRATCH.with(|s| {
-        let mut v = s.borrow_mut().u32s.pop().unwrap_or_default();
-        v.clear();
-        v.reserve(cap);
-        v
-    })
+    let mut v = SCRATCH.with(|s| s.borrow_mut().u32s.take(cap));
+    v.clear();
+    v
 }
 
 /// Returns a `u32` scratch buffer for reuse.
 pub(crate) fn put_u32(v: Vec<u32>) {
-    SCRATCH.with(|s| s.borrow_mut().u32s.push(v));
+    // A buffer released while the thread's locals are being torn down is
+    // simply freed.
+    let _ = SCRATCH.try_with(|s| s.borrow_mut().u32s.put(v));
+}
+
+/// Frees the calling thread's idle scratch buffers; the pool refills on
+/// demand. For a caller that has finished a phase for good:
+/// `Trainer::into_model` ends with it, so training's high-water mark is not
+/// held (invisibly, in a thread-local) while the model's next owner serves.
+/// Not for a hot path: the next batch pays every allocation and page fault
+/// again.
+pub fn release_scratch() {
+    let _ = SCRATCH.try_with(|s| *s.borrow_mut() = Scratch::default());
+}
+
+/// Fixes glibc's `mmap` threshold at 4 MiB and its trim threshold at twice
+/// that (its own ratio), once per process; a no-op on other C libraries.
+///
+/// Left alone, glibc raises both every time a mapped block is freed, up to
+/// 32 and 64 MiB. After the first dropped dataset or released pool, blocks of
+/// that size are carved from the heap instead, and whether their pages go
+/// back to the OS when they are freed depends on what happens to sit above
+/// them, which depends on how the prep threads' allocations interleaved with
+/// the trainer's: the same program ends the same phase with 82 or 101 MB
+/// resident and peaks at 101 or 140 MB (DESIGN.md section 6). With both
+/// fixed, a large block is returned when it is freed and resident memory
+/// follows live data.
+pub fn pin_heap_thresholds() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        // Above every per-batch block that does not come from the pool (a
+        // sampler's edge lists grow by doubling to 1-2 MiB at fanouts
+        // 20,20,20; mapping those afresh cost `infer_sweep` 10 %), below
+        // dataset arrays and the large pool classes.
+        const MMAP_THRESHOLD: i32 = 4 << 20;
+        const M_TRIM_THRESHOLD: i32 = -1;
+        const M_MMAP_THRESHOLD: i32 = -3;
+        extern "C" {
+            fn mallopt(param: i32, value: i32) -> i32;
+        }
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        ONCE.call_once(|| {
+            // SAFETY: `mallopt` is glibc's own entry point (std links glibc
+            // on this target and `System` allocates through it); it takes
+            // two integers, locks the arena itself, and these two
+            // parameters only change where later blocks are placed.
+            unsafe {
+                mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD);
+                mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD);
+            }
+        });
+    }
+}
+
+/// A pooled copy of an edge or index list that an op saves for its backward
+/// pass; the buffer returns to the pool when the tape drops the closure.
+pub(crate) struct SavedIds(Vec<u32>);
+
+impl SavedIds {
+    pub(crate) fn new(ids: &[u32]) -> Self {
+        let mut v = take_u32(ids.len());
+        v.extend_from_slice(ids);
+        SavedIds(v)
+    }
+}
+
+impl std::ops::Deref for SavedIds {
+    type Target = [u32];
+    fn deref(&self) -> &[u32] {
+        &self.0
+    }
+}
+
+impl Drop for SavedIds {
+    fn drop(&mut self) {
+        put_u32(std::mem::take(&mut self.0));
+    }
+}
+
+/// Checks out a `Vec<f32>` of length `n` whose contents are unspecified
+/// (stale values of an earlier use), for callers that overwrite every
+/// element. No fill pass beyond growing past the buffer's previous length.
+pub(crate) fn take_f32_stale(n: usize) -> Vec<f32> {
+    let mut v = SCRATCH.with(|s| s.borrow_mut().f32s.take(n));
+    v.resize(n, 0.0);
+    v
 }
 
 /// Checks out a cleared `Vec<f32>` with at least `cap` capacity.
 pub(crate) fn take_f32(cap: usize) -> Vec<f32> {
-    SCRATCH.with(|s| {
-        let mut v = s.borrow_mut().f32s.pop().unwrap_or_default();
-        v.clear();
-        v.reserve(cap);
-        v
-    })
+    let mut v = SCRATCH.with(|s| s.borrow_mut().f32s.take(cap));
+    v.clear();
+    v
+}
+
+/// Checks out a `Vec<f32>` of `n` zeros (an accumulator).
+pub(crate) fn take_f32_zeroed(n: usize) -> Vec<f32> {
+    let mut v = take_f32(n);
+    v.resize(n, 0.0);
+    v
 }
 
 /// Returns an `f32` scratch buffer for reuse.
 pub(crate) fn put_f32(v: Vec<f32>) {
-    SCRATCH.with(|s| s.borrow_mut().f32s.push(v));
+    let _ = SCRATCH.try_with(|s| s.borrow_mut().f32s.put(v));
 }
 
 /// Best-effort read prefetch (no-op off x86-64). Purely a scheduling hint.
@@ -175,10 +312,30 @@ pub fn gemm(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Tensor {
         "gemm inner dimension mismatch: {}x{} ({}) @ {}x{} ({})",
         ar, ac, ta, br, bc, tb
     );
-    let k = k1;
-    let mut out = vec![0.0f32; m * n];
-    gemm_into(&mut out, a.data(), b.data(), ta, tb, m, n, k, ac, bc);
+    let mut out = take_f32_zeroed(m * n);
+    gemm_into(&mut out, a.data(), b.data(), ta, tb, m, n, k1, ac, bc);
     Tensor::from_vec(out, Shape::matrix(m, n))
+}
+
+/// `out += op(a) · op(b)` on raw row-major `f32` buffers, where `op(a)` is
+/// `m×k` and `op(b)` is `k×n`. Accumulating onto a non-zero `out` continues
+/// each element's K-ordered FMA chain, exactly as a second K block would.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_acc(
+    out: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    ta: bool,
+    tb: bool,
+    m: usize,
+    n: usize,
+    k: usize,
+) {
+    assert_eq!(out.len(), m * n, "gemm_acc: output buffer/shape mismatch");
+    assert_eq!(a.len(), m * k, "gemm_acc: a buffer/shape mismatch");
+    assert_eq!(b.len(), k * n, "gemm_acc: b buffer/shape mismatch");
+    let (a_cols, b_cols) = (if ta { m } else { k }, if tb { k } else { n });
+    gemm_into(out, a, b, ta, tb, m, n, k, a_cols, b_cols);
 }
 
 /// Half-precision-input, fp32-accumulate GEMM: `op(a) * op(b)` where both
@@ -198,6 +355,7 @@ pub fn gemm(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Tensor {
 /// Panics if a buffer length disagrees with its shape or the inner
 /// dimensions do not agree.
 // lint: entry(panic-reachability)
+#[allow(clippy::too_many_arguments)]
 pub fn gemm_f16(
     a: &[F16],
     a_rows: usize,
@@ -213,7 +371,7 @@ pub fn gemm_f16(
     let (m, k1) = if ta { (a_cols, a_rows) } else { (a_rows, a_cols) };
     let (k2, n) = if tb { (b_cols, b_rows) } else { (b_rows, b_cols) };
     assert_eq!(k1, k2, "gemm_f16 inner dimension mismatch");
-    let mut out = vec![0.0f32; m * n];
+    let mut out = take_f32_zeroed(m * n);
     gemm_into(&mut out, a, b, ta, tb, m, n, k1, a_cols, b_cols);
     Tensor::from_vec(out, Shape::matrix(m, n))
 }
@@ -240,7 +398,7 @@ pub fn gemm_f16_f32(
     let (m, k1) = if ta { (a_cols, a_rows) } else { (a_rows, a_cols) };
     let (k2, n) = if tb { (bc, br) } else { (br, bc) };
     assert_eq!(k1, k2, "gemm_f16_f32 inner dimension mismatch");
-    let mut out = vec![0.0f32; m * n];
+    let mut out = take_f32_zeroed(m * n);
     gemm_into(&mut out, a, b.data(), ta, tb, m, n, k1, a_cols, bc);
     Tensor::from_vec(out, Shape::matrix(m, n))
 }
@@ -311,6 +469,7 @@ pub fn gemm_naive(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Tensor {
 /// Packs `op(b)[pc..pc+kcb, jc..jc+ncb]` row-major into `bpack`, widening
 /// to `f32` as it goes (bulk path for the contiguous `!tb` case).
 #[inline]
+#[allow(clippy::too_many_arguments)]
 fn pack_b<TB: GemmElem>(
     bpack: &mut Vec<f32>,
     bd: &[TB],
@@ -348,6 +507,7 @@ fn pack_b<TB: GemmElem>(
 ///   `i0..i0+mb` is unit-stride). The micro-kernels index
 ///   `apack[p*mb + i]` for this layout.
 #[inline]
+#[allow(clippy::too_many_arguments)]
 fn pack_a<TA: GemmElem>(
     apack: &mut Vec<f32>,
     ad: &[TA],
@@ -669,6 +829,9 @@ mod simd {
         }
     }
 
+    // `for r in 0..8` over the accumulator arrays is what unrolls into
+    // eight named registers; an iterator chain would obscure that.
+    #[allow(clippy::needless_range_loop)]
     /// The AVX-512F rung: 8 output rows × 32 columns per tile — sixteen
     /// `zmm` accumulators live in registers across the K loop, so each of
     /// the two packed-B loads per K step feeds eight FMAs. Column tails run
@@ -812,7 +975,7 @@ fn gemm_into<TA: GemmElem, TB: GemmElem>(
             let bp: &[f32] = &bpack;
             let body = |i0: usize, i1: usize| {
                 let mb = i1 - i0;
-                let mut apack = take_f32(MC * KC);
+                let mut apack = take_f32(mb * kcb);
                 pack_a(&mut apack, ad, ta, a_cols, i0, mb, pc, kcb);
                 // Row blocks are disjoint in i, so chunks never alias.
                 #[cfg(target_arch = "x86_64")]
@@ -916,7 +1079,7 @@ const AGG_SERIAL_CUTOFF: usize = 1 << 14;
 /// `out[i] = x[idx[i]]` — parallel row gather.
 // lint: entry(panic-reachability)
 pub fn gather_rows_forward(xd: &[f32], cols: usize, idx: &[u32]) -> Vec<f32> {
-    let mut out = vec![0.0f32; idx.len() * cols];
+    let mut out = take_f32_stale(idx.len() * cols);
     if idx.len() * cols < AGG_SERIAL_CUTOFF {
         for (e, &i) in idx.iter().enumerate() {
             out[e * cols..(e + 1) * cols]
@@ -948,7 +1111,7 @@ pub fn gather_rows_forward(xd: &[f32], cols: usize, idx: &[u32]) -> Vec<f32> {
 /// vectorized) widen exactly once.
 // lint: entry(panic-reachability)
 pub fn gather_rows_forward_f16(xd: &[F16], cols: usize, idx: &[u32]) -> Vec<f32> {
-    let mut out = vec![0.0f32; idx.len() * cols];
+    let mut out = take_f32_stale(idx.len() * cols);
     if idx.len() * cols < AGG_SERIAL_CUTOFF {
         for (e, &i) in idx.iter().enumerate() {
             crate::f16::widen_into(
@@ -986,7 +1149,7 @@ pub fn gather_rows_forward_f16(xd: &[F16], cols: usize, idx: &[u32]) -> Vec<f32>
 // lint: entry(panic-reachability)
 pub fn gather_rows_backward(gd: &[f32], cols: usize, idx: &[u32], n_src: usize) -> Vec<f32> {
     assert_eq!(gd.len(), idx.len() * cols, "gather_rows_backward shape mismatch");
-    let mut dx = vec![0.0f32; n_src * cols];
+    let mut dx = take_f32_zeroed(n_src * cols);
     if cols == 0 {
         return dx;
     }
@@ -1042,7 +1205,7 @@ pub fn scatter_reduce_forward(
     dst_weight: Option<&[f32]>,
 ) -> Vec<f32> {
     assert_eq!(src.len(), dst.len(), "scatter edge lists must pair up");
-    let mut out = vec![0.0f32; n_dst * cols];
+    let mut out = take_f32_zeroed(n_dst * cols);
     if cols == 0 {
         return out;
     }
@@ -1114,7 +1277,7 @@ pub fn scatter_reduce_backward(
     dst_weight: Option<&[f32]>,
 ) -> Vec<f32> {
     assert_eq!(src.len(), dst.len(), "scatter edge lists must pair up");
-    let mut dx = vec![0.0f32; n_src * cols];
+    let mut dx = take_f32_zeroed(n_src * cols);
     if cols == 0 {
         return dx;
     }
@@ -1174,6 +1337,78 @@ pub fn scatter_reduce_backward(
         }
     });
     dx
+}
+
+/// In-degree of every destination as `f32` (the mean aggregation's divisor),
+/// in a pooled buffer.
+pub(crate) fn in_degrees(dst: &[u32], n_dst: usize) -> Vec<f32> {
+    let mut counts = take_f32_zeroed(n_dst);
+    for &d in dst {
+        counts[d as usize] += 1.0;
+    }
+    counts
+}
+
+// ---------------------------------------------------------------------------
+// Fused ReLU + dropout epilogue
+// ---------------------------------------------------------------------------
+
+/// Fused ReLU + inverted dropout, in place: `x ← max(x, 0) · [kept] / keep`.
+/// Returns the survivor scale `1 / keep` that [`relu_dropout_backward`]
+/// needs; no mask is stored, because an output is positive exactly when its
+/// input was positive *and* kept.
+///
+/// One `next_u64` decides four elements: each 16-bit lane is compared with
+/// `keep_q = round((1 - p) · 2¹⁶)`, so the realised keep probability is
+/// `keep_q / 2¹⁶` (within 2⁻¹⁷ of `1 - p`) and `keep` above is that realised
+/// value — the output mean is preserved exactly in expectation. With
+/// `p == 0` this is a plain ReLU and draws nothing.
+///
+/// # Panics
+///
+/// Panics if `p` is not in `[0, 1)`.
+// lint: entry(panic-reachability)
+pub fn relu_dropout_in_place(xs: &mut [f32], p: f32, rng: &mut impl crate::rng::Rng) -> f32 {
+    assert!((0.0..1.0).contains(&p), "dropout probability {p} not in [0,1)");
+    let keep_q = (((1.0 - p) * 65536.0).round() as u64).max(1);
+    if keep_q == 65536 {
+        for x in xs.iter_mut() {
+            *x = x.max(0.0);
+        }
+        return 1.0;
+    }
+    let scale = 65536.0 / keep_q as f32;
+    // lint: region(no_alloc)
+    let mut quad = |quad: &mut [f32]| {
+        let lanes = rng.next_u64();
+        for (i, x) in quad.iter_mut().enumerate() {
+            let kept = ((lanes >> (16 * i)) & 0xFFFF < keep_q) & (*x > 0.0);
+            // Branch-free select: an all-ones mask keeps the scaled value.
+            *x = f32::from_bits((*x * scale).to_bits() & (kept as u32).wrapping_neg());
+        }
+    };
+    // `chunks_exact_mut` hands the compiler a fixed four-element body
+    // (twice as fast as `chunks_mut` here); a shorter tail takes one draw.
+    let mut quads = xs.chunks_exact_mut(4);
+    (&mut quads).for_each(&mut quad);
+    let tail = quads.into_remainder();
+    if !tail.is_empty() {
+        quad(tail);
+    }
+    scale
+}
+
+/// Backward of [`relu_dropout_in_place`], in place on the gradient:
+/// `g ← g · [out > 0] · scale`.
+///
+/// # Panics
+///
+/// Panics if the two buffers differ in length.
+pub fn relu_dropout_backward(g: &mut [f32], out: &[f32], scale: f32) {
+    assert_eq!(g.len(), out.len(), "relu_dropout_backward shape mismatch");
+    for (g, &o) in g.iter_mut().zip(out) {
+        *g = if o > 0.0 { *g * scale } else { 0.0 };
+    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Batch normalization over the row dimension (PyTorch `BatchNorm1d`).
 
-use crate::autograd::{Node, Var};
+use crate::autograd::{tracked_only, Var};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -77,42 +77,34 @@ impl Var {
                 out[r * cols + c] = g.data()[c] * h + b.data()[c];
             }
         }
-        let xhat = Tensor::from_vec(xhat, Shape::matrix(rows, cols));
-        let (ix, ig, ib) = (self.id, gamma.id, beta.id);
+        let xhat_saved = Tensor::from_vec(xhat, Shape::matrix(rows, cols));
         let gamma_v = g.clone();
         let inv_std_saved = inv_std.clone();
-        let xhat_saved = xhat.clone();
-        let out = self.tape().push(Node {
-            value: Tensor::from_vec(out, Shape::matrix(rows, cols)),
-            backward: Some(Box::new(move |gout| {
-                let n = rows as f32;
-                let god = gout.data();
-                let xh = xhat_saved.data();
-                // Column reductions: Σg and Σ(g·x̂).
-                let mut sum_g = vec![0.0f32; cols];
-                let mut sum_gx = vec![0.0f32; cols];
-                for r in 0..rows {
-                    for c in 0..cols {
-                        let v = god[r * cols + c];
-                        sum_g[c] += v;
-                        sum_gx[c] += v * xh[r * cols + c];
-                    }
+        let out = Tensor::from_vec(out, Shape::matrix(rows, cols));
+        let out = self.affine_node(gamma, beta, out, move |gout| {
+            let n = rows as f32;
+            let god = gout.data();
+            let xh = xhat_saved.data();
+            // Column reductions: Σg and Σ(g·x̂).
+            let mut sum_g = vec![0.0f32; cols];
+            let mut sum_gx = vec![0.0f32; cols];
+            for r in 0..rows {
+                for c in 0..cols {
+                    let v = god[r * cols + c];
+                    sum_g[c] += v;
+                    sum_gx[c] += v * xh[r * cols + c];
                 }
-                let mut dx = vec![0.0f32; rows * cols];
-                for r in 0..rows {
-                    for c in 0..cols {
-                        let i = r * cols + c;
-                        dx[i] = gamma_v.data()[c] * inv_std_saved[c] / n
-                            * (n * god[i] - sum_g[c] - xh[i] * sum_gx[c]);
-                    }
+            }
+            let mut dx = Tensor::zeros(Shape::matrix(rows, cols));
+            let dxd = dx.data_mut();
+            for r in 0..rows {
+                for c in 0..cols {
+                    let i = r * cols + c;
+                    dxd[i] = gamma_v.data()[c] * inv_std_saved[c] / n
+                        * (n * god[i] - sum_g[c] - xh[i] * sum_gx[c]);
                 }
-                vec![
-                    (ix, Tensor::from_vec(dx, Shape::matrix(rows, cols))),
-                    (ig, Tensor::from_vec(sum_gx, Shape::vector(cols))),
-                    (ib, Tensor::from_vec(sum_g, Shape::vector(cols))),
-                ]
-            })),
-            param: None,
+            }
+            (dx, sum_gx, sum_g)
         });
         (out, mean, var)
     }
@@ -150,32 +142,49 @@ impl Var {
                 out[r * cols + c] = g.data()[c] * h + b.data()[c];
             }
         }
-        let (ix, ig, ib) = (self.id, gamma.id, beta.id);
         let gamma_v = g.clone();
         let xhat = Tensor::from_vec(xhat, Shape::matrix(rows, cols));
-        self.tape().push(Node {
-            value: Tensor::from_vec(out, Shape::matrix(rows, cols)),
-            backward: Some(Box::new(move |gout| {
-                let god = gout.data();
-                let xh = xhat.data();
-                let mut sum_g = vec![0.0f32; cols];
-                let mut sum_gx = vec![0.0f32; cols];
-                let mut dx = vec![0.0f32; rows * cols];
-                for r in 0..rows {
-                    for c in 0..cols {
-                        let i = r * cols + c;
-                        sum_g[c] += god[i];
-                        sum_gx[c] += god[i] * xh[i];
-                        dx[i] = god[i] * gamma_v.data()[c] * inv_std[c];
-                    }
+        let out = Tensor::from_vec(out, Shape::matrix(rows, cols));
+        self.affine_node(gamma, beta, out, move |gout| {
+            let god = gout.data();
+            let xh = xhat.data();
+            let mut sum_g = vec![0.0f32; cols];
+            let mut sum_gx = vec![0.0f32; cols];
+            let mut dx = Tensor::zeros(Shape::matrix(rows, cols));
+            let dxd = dx.data_mut();
+            for r in 0..rows {
+                for c in 0..cols {
+                    let i = r * cols + c;
+                    sum_g[c] += god[i];
+                    sum_gx[c] += god[i] * xh[i];
+                    dxd[i] = god[i] * gamma_v.data()[c] * inv_std[c];
                 }
-                vec![
-                    (ix, Tensor::from_vec(dx, Shape::matrix(rows, cols))),
-                    (ig, Tensor::from_vec(sum_gx, Shape::vector(cols))),
-                    (ib, Tensor::from_vec(sum_g, Shape::vector(cols))),
-                ]
-            })),
-            param: None,
+            }
+            (dx, sum_gx, sum_g)
+        })
+    }
+
+    /// Records a batch-norm node over `(self, gamma, beta)`. `backward` maps
+    /// the output gradient to `(dx, dγ, dβ)`; only the contributions of
+    /// tracked parents are passed on.
+    fn affine_node(
+        &self,
+        gamma: &Var,
+        beta: &Var,
+        value: Tensor,
+        backward: impl Fn(&Tensor) -> (Tensor, Vec<f32>, Vec<f32>) + 'static,
+    ) -> Var {
+        let [x, g, b] = [self, gamma, beta].map(|v| (v.needs_grad(), v.id));
+        self.tape().record(value, x.0 || g.0 || b.0, || {
+            Box::new(move |gout| {
+                let (dx, dgamma, dbeta) = backward(&gout);
+                let cols = Shape::vector(dgamma.len());
+                tracked_only([
+                    (x.0, x.1, dx),
+                    (g.0, g.1, Tensor::from_vec(dgamma, cols.clone())),
+                    (b.0, b.1, Tensor::from_vec(dbeta, cols)),
+                ])
+            })
         })
     }
 }
@@ -196,9 +205,9 @@ mod tests {
     #[test]
     fn train_output_is_normalized() {
         let tape = Tape::new();
-        let x = tape.constant(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [3, 2]));
-        let g = tape.constant(Tensor::ones([2]));
-        let b = tape.constant(Tensor::zeros([2]));
+        let x = tape.leaf(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [3, 2]));
+        let g = tape.leaf(Tensor::ones([2]));
+        let b = tape.leaf(Tensor::zeros([2]));
         let (y, mean, var) = x.batch_norm_train(&g, &b, 1e-5);
         assert_eq!(mean, vec![3.0, 4.0]);
         let yv = y.value();
@@ -213,9 +222,9 @@ mod tests {
     #[test]
     fn affine_params_receive_gradients() {
         let tape = Tape::new();
-        let x = tape.constant(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]));
-        let g = tape.constant(Tensor::ones([2]));
-        let b = tape.constant(Tensor::zeros([2]));
+        let x = tape.leaf(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]));
+        let g = tape.leaf(Tensor::ones([2]));
+        let b = tape.leaf(Tensor::zeros([2]));
         let (y, _, _) = x.batch_norm_train(&g, &b, 1e-5);
         let grads = tape.backward(&y.sum_all());
         // dβ = Σ g_out = rows per column.
@@ -230,9 +239,9 @@ mod tests {
         let x0 = [0.5f32, -1.0, 2.0, 0.3, 1.1, -0.4];
         let loss_of = |xs: &[f32]| {
             let tape = Tape::new();
-            let x = tape.constant(Tensor::from_vec(xs.to_vec(), [3, 2]));
-            let g = tape.constant(Tensor::from_vec(vec![1.5, 0.5], [2]));
-            let b = tape.constant(Tensor::from_vec(vec![0.1, -0.2], [2]));
+            let x = tape.leaf(Tensor::from_vec(xs.to_vec(), [3, 2]));
+            let g = tape.leaf(Tensor::from_vec(vec![1.5, 0.5], [2]));
+            let b = tape.leaf(Tensor::from_vec(vec![0.1, -0.2], [2]));
             let (y, _, _) = x.batch_norm_train(&g, &b, 1e-5);
             let loss = y.mul(&y).sum_all();
             (tape, x, loss)
@@ -261,9 +270,9 @@ mod tests {
     #[test]
     fn eval_mode_uses_running_stats() {
         let tape = Tape::new();
-        let x = tape.constant(Tensor::from_vec(vec![10.0, 20.0], [1, 2]));
-        let g = tape.constant(Tensor::ones([2]));
-        let b = tape.constant(Tensor::zeros([2]));
+        let x = tape.leaf(Tensor::from_vec(vec![10.0, 20.0], [1, 2]));
+        let g = tape.leaf(Tensor::ones([2]));
+        let b = tape.leaf(Tensor::zeros([2]));
         let y = x.batch_norm_eval(&g, &b, &[10.0, 10.0], &[4.0, 4.0], 0.0);
         let yv = y.value();
         assert!((yv.data()[0] - 0.0).abs() < 1e-6);

@@ -1,14 +1,18 @@
 //! Differentiable tensor operations recorded on the autograd [`Tape`].
 //!
-//! Every method on [`Var`] appends a node whose backward closure produces the
-//! gradient contributions for its parents. Raw (non-differentiable) kernels
-//! such as [`gemm`] live in [`crate::kernels`] and are re-exported here for
-//! optimizer / communication code.
+//! Every method on [`Var`] appends a node; when one of its parents is
+//! tracked the node also carries a backward closure producing the gradient
+//! contributions for those parents (see `Tape::record`). Raw
+//! (non-differentiable) kernels such as [`gemm`] live in [`crate::kernels`]
+//! and are re-exported here for optimizer / communication code.
+//!
+//! [`Tape`]: crate::Tape
 
-use crate::autograd::{Node, Var};
+use crate::autograd::Var;
+use crate::kernels;
+use crate::rng::Rng;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
-use crate::rng::Rng;
 
 pub use crate::kernels::gemm;
 
@@ -25,13 +29,14 @@ fn reduce_to_shape(grad: &Tensor, shape: &Shape) -> Tensor {
     // Sum over rows into a single row of `shape.len()` columns.
     let cols = shape.len();
     assert_eq!(grad.cols(), cols, "broadcast reduce mismatch");
-    let mut out = vec![0.0f32; cols];
+    let mut out = Tensor::zeros(shape.clone());
+    let od = out.data_mut();
     for r in 0..grad.rows() {
-        for (o, v) in out.iter_mut().zip(grad.row(r).iter()) {
+        for (o, v) in od.iter_mut().zip(grad.row(r).iter()) {
             *o += v;
         }
     }
-    Tensor::from_vec(out, shape.clone())
+    out
 }
 
 /// Adds `b` (same shape, row vector, or scalar) to every row of `a`.
@@ -50,18 +55,41 @@ fn broadcast_add(a: &Tensor, b: &Tensor) -> Tensor {
         return a.map(|x| x + s);
     }
     let cols = a.cols();
-    let mut out = a.data().to_vec();
+    let mut out = a.clone();
     let bd = b.data();
-    for r in 0..a.rows() {
-        // lint: allow(panic-reachability, row ranges are bounded by the asserted rows*cols buffer lengths)
-        for (o, v) in out[r * cols..(r + 1) * cols].iter_mut().zip(bd.iter()) {
+    for orow in out.data_mut().chunks_exact_mut(cols.max(1)) {
+        for (o, v) in orow.iter_mut().zip(bd.iter()) {
             *o += v;
         }
     }
-    Tensor::from_vec(out, a.shape().clone())
+    out
 }
 
 impl Var {
+    /// Records a two-parent op whose backward yields one contribution per
+    /// parent; a contribution is computed only for a tracked parent.
+    fn binary<A, B>(&self, rhs: &Var, value: Tensor, backward: impl FnOnce() -> (A, B)) -> Var
+    where
+        A: Fn(&Tensor) -> Tensor + 'static,
+        B: Fn(&Tensor) -> Tensor + 'static,
+    {
+        let (ia, ib) = (self.id, rhs.id);
+        let (na, nb) = (self.needs_grad(), rhs.needs_grad());
+        self.tape().record(value, na || nb, || {
+            let (da, db) = backward();
+            Box::new(move |g| {
+                let mut contribs = Vec::with_capacity(2);
+                if na {
+                    contribs.push((ia, da(&g)));
+                }
+                if nb {
+                    contribs.push((ib, db(&g)));
+                }
+                contribs
+            })
+        })
+    }
+
     /// Matrix product `self @ rhs`.
     ///
     /// # Panics
@@ -70,16 +98,13 @@ impl Var {
     /// tapes.
     pub fn matmul(&self, rhs: &Var) -> Var {
         self.same_tape(rhs);
-        let a = self.value();
-        let b = rhs.value();
+        let (a, b) = (self.value(), rhs.value());
         let out = gemm(&a, &b, false, false);
-        let (ia, ib) = (self.id, rhs.id);
-        self.tape().push(Node {
-            value: out,
-            backward: Some(Box::new(move |g| {
-                vec![(ia, gemm(g, &b, false, true)), (ib, gemm(&a, g, true, false))]
-            })),
-            param: None,
+        self.binary(rhs, out, || {
+            (
+                move |g: &Tensor| gemm(g, &b, false, true),
+                move |g: &Tensor| gemm(&a, g, true, false),
+            )
         })
     }
 
@@ -87,17 +112,11 @@ impl Var {
     /// row vector matching `self`'s columns (bias), or a scalar.
     pub fn add(&self, rhs: &Var) -> Var {
         self.same_tape(rhs);
-        let a = self.value();
         let b = rhs.value();
-        let out = broadcast_add(&a, &b);
-        let (ia, ib) = (self.id, rhs.id);
-        let bshape = b.shape().clone();
-        self.tape().push(Node {
-            value: out,
-            backward: Some(Box::new(move |g| {
-                vec![(ia, g.clone()), (ib, reduce_to_shape(g, &bshape))]
-            })),
-            param: None,
+        let out = broadcast_add(&self.value(), &b);
+        self.binary(rhs, out, || {
+            let bshape = b.shape().clone();
+            (Tensor::clone, move |g: &Tensor| reduce_to_shape(g, &bshape))
         })
     }
 
@@ -105,56 +124,34 @@ impl Var {
     pub fn sub(&self, rhs: &Var) -> Var {
         self.same_tape(rhs);
         let out = self.value().zip(&rhs.value(), |x, y| x - y);
-        let (ia, ib) = (self.id, rhs.id);
-        self.tape().push(Node {
-            value: out,
-            backward: Some(Box::new(move |g| {
-                let mut neg = g.clone();
-                neg.scale(-1.0);
-                vec![(ia, g.clone()), (ib, neg)]
-            })),
-            param: None,
-        })
+        self.binary(rhs, out, || (Tensor::clone, |g: &Tensor| g.map(|gv| -gv)))
     }
 
     /// Elementwise product (same shapes only).
     pub fn mul(&self, rhs: &Var) -> Var {
         self.same_tape(rhs);
-        let a = self.value();
-        let b = rhs.value();
+        let (a, b) = (self.value(), rhs.value());
         let out = a.zip(&b, |x, y| x * y);
-        let (ia, ib) = (self.id, rhs.id);
-        self.tape().push(Node {
-            value: out,
-            backward: Some(Box::new(move |g| {
-                vec![(ia, g.zip(&b, |gv, bv| gv * bv)), (ib, g.zip(&a, |gv, av| gv * av))]
-            })),
-            param: None,
+        self.binary(rhs, out, || {
+            (
+                move |g: &Tensor| g.zip(&b, |gv, bv| gv * bv),
+                move |g: &Tensor| g.zip(&a, |gv, av| gv * av),
+            )
         })
     }
 
     /// Multiplication by a compile-time constant scalar.
     pub fn scale(&self, c: f32) -> Var {
         let out = self.value().map(|x| x * c);
-        let ia = self.id;
-        self.tape().push(Node {
-            value: out,
-            backward: Some(Box::new(move |g| vec![(ia, g.map(|gv| gv * c))])),
-            param: None,
-        })
+        self.unary(out, || move |g: Tensor| g.map(|gv| gv * c))
     }
 
     /// Rectified linear unit.
     pub fn relu(&self) -> Var {
         let a = self.value();
         let out = a.map(|x| x.max(0.0));
-        let ia = self.id;
-        self.tape().push(Node {
-            value: out,
-            backward: Some(Box::new(move |g| {
-                vec![(ia, g.zip(&a, |gv, av| if av > 0.0 { gv } else { 0.0 }))]
-            })),
-            param: None,
+        self.unary(out, || {
+            move |g: Tensor| g.zip(&a, |gv, av| if av > 0.0 { gv } else { 0.0 })
         })
     }
 
@@ -162,45 +159,23 @@ impl Var {
     pub fn leaky_relu(&self, slope: f32) -> Var {
         let a = self.value();
         let out = a.map(|x| if x > 0.0 { x } else { slope * x });
-        let ia = self.id;
-        self.tape().push(Node {
-            value: out,
-            backward: Some(Box::new(move |g| {
-                vec![(
-                    ia,
-                    g.zip(&a, |gv, av| if av > 0.0 { gv } else { slope * gv }),
-                )]
-            })),
-            param: None,
+        self.unary(out, || {
+            move |g: Tensor| g.zip(&a, |gv, av| if av > 0.0 { gv } else { slope * gv })
         })
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Var {
         let out = self.value().map(|x| 1.0 / (1.0 + (-x).exp()));
-        let ia = self.id;
         let saved = out.clone();
-        self.tape().push(Node {
-            value: out,
-            backward: Some(Box::new(move |g| {
-                vec![(ia, g.zip(&saved, |gv, s| gv * s * (1.0 - s)))]
-            })),
-            param: None,
-        })
+        self.unary(out, || move |g: Tensor| g.zip(&saved, |gv, s| gv * s * (1.0 - s)))
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&self) -> Var {
         let out = self.value().map(f32::tanh);
-        let ia = self.id;
         let saved = out.clone();
-        self.tape().push(Node {
-            value: out,
-            backward: Some(Box::new(move |g| {
-                vec![(ia, g.zip(&saved, |gv, t| gv * (1.0 - t * t)))]
-            })),
-            param: None,
-        })
+        self.unary(out, || move |g: Tensor| g.zip(&saved, |gv, t| gv * (1.0 - t * t)))
     }
 
     /// Inverted dropout: during training each element is zeroed with
@@ -213,63 +188,66 @@ impl Var {
     pub fn dropout(&self, p: f32, training: bool, rng: &mut impl Rng) -> Var {
         assert!((0.0..1.0).contains(&p), "dropout probability {p} not in [0,1)");
         if !training || p == 0.0 {
-            let ia = self.id;
-            return self.tape().push(Node {
-                value: self.value(),
-                backward: Some(Box::new(move |g| vec![(ia, g.clone())])),
-                param: None,
-            });
+            return self.unary(self.value(), || |g: Tensor| g);
         }
         let a = self.value();
         let keep = 1.0 - p;
-        let mask: Vec<f32> = (0..a.len())
-            .map(|_| if rng.random::<f32>() < keep { 1.0 / keep } else { 0.0 })
-            .collect();
-        let mask = Tensor::from_vec(mask, a.shape().clone());
+        let mask = Tensor::filled_by(a.shape().clone(), |mask| {
+            for m in mask {
+                *m = if rng.random::<f32>() < keep { 1.0 / keep } else { 0.0 };
+            }
+        });
         let out = a.zip(&mask, |x, m| x * m);
-        let ia = self.id;
-        self.tape().push(Node {
-            value: out,
-            backward: Some(Box::new(move |g| {
-                vec![(ia, g.zip(&mask, |gv, m| gv * m))]
-            })),
-            param: None,
+        self.unary(out, || move |g: Tensor| g.zip(&mask, |gv, m| gv * m))
+    }
+
+    /// ReLU followed by inverted dropout as one node and one in-place pass
+    /// (see [`kernels::relu_dropout_in_place`]); with `training` off it is a
+    /// plain ReLU and draws nothing from `rng`. The dropout mask is not
+    /// stored: the backward pass reads it off the sign of the output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not in `[0, 1)`.
+    pub fn relu_dropout(&self, p: f32, training: bool, rng: &mut impl Rng) -> Var {
+        let mut out = self.value();
+        let scale =
+            kernels::relu_dropout_in_place(out.data_mut(), if training { p } else { 0.0 }, rng);
+        let saved = out.clone();
+        self.unary(out, || {
+            move |mut g: Tensor| {
+                kernels::relu_dropout_backward(g.data_mut(), saved.data(), scale);
+                g
+            }
         })
     }
 
     /// Row-wise log-softmax (numerically stabilized by the row max).
     pub fn log_softmax(&self) -> Var {
         let a = self.value();
-        let (rows, cols) = (a.rows(), a.cols());
-        let mut out = vec![0.0f32; rows * cols];
-        for r in 0..rows {
+        let cols = a.cols();
+        let mut out = Tensor::zeros(a.shape().clone());
+        for (r, orow) in out.data_mut().chunks_exact_mut(cols.max(1)).enumerate() {
             let row = a.row(r);
             let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             let lse = row.iter().map(|x| (x - m).exp()).sum::<f32>().ln() + m;
-            for (o, &x) in out[r * cols..(r + 1) * cols].iter_mut().zip(row.iter()) {
+            for (o, &x) in orow.iter_mut().zip(row.iter()) {
                 *o = x - lse;
             }
         }
-        let out = Tensor::from_vec(out, a.shape().clone());
         let saved = out.clone();
-        let ia = self.id;
-        self.tape().push(Node {
-            value: out,
-            backward: Some(Box::new(move |g| {
-                // d log_softmax: g - softmax * sum_row(g)
-                let (rows, cols) = (saved.rows(), saved.cols());
-                let mut dx = vec![0.0f32; rows * cols];
-                for r in 0..rows {
-                    let grow = g.row(r);
-                    let srow = saved.row(r);
+        self.unary(out, || {
+            // d log_softmax: g - softmax * sum_row(g), in place on g.
+            move |mut g: Tensor| {
+                let rows = g.data_mut().chunks_exact_mut(cols.max(1));
+                for (grow, srow) in rows.zip(saved.data().chunks_exact(cols.max(1))) {
                     let gsum: f32 = grow.iter().sum();
-                    for c in 0..cols {
-                        dx[r * cols + c] = grow[c] - srow[c].exp() * gsum;
+                    for (gv, s) in grow.iter_mut().zip(srow) {
+                        *gv -= s.exp() * gsum;
                     }
                 }
-                vec![(ia, Tensor::from_vec(dx, saved.shape().clone()))]
-            })),
-            param: None,
+                g
+            }
         })
     }
 
@@ -289,35 +267,27 @@ impl Var {
             loss -= a.row(r)[t];
         }
         loss /= rows.max(1) as f32;
-        let ia = self.id;
-        let targets = targets.to_vec();
-        let shape = a.shape().clone();
-        self.tape().push(Node {
-            value: Tensor::scalar(loss),
-            backward: Some(Box::new(move |g| {
+        self.unary(Tensor::scalar(loss), || {
+            let targets = targets.to_vec();
+            let shape = a.shape().clone();
+            move |g: Tensor| {
                 let scale = g.item() / targets.len().max(1) as f32;
-                let mut dx = vec![0.0f32; shape.len()];
-                let cols = shape.cols();
+                let mut dx = Tensor::zeros(shape.clone());
+                let dxd = dx.data_mut();
                 for (r, &t) in targets.iter().enumerate() {
-                    dx[r * cols + t] = -scale;
+                    dxd[r * cols + t] = -scale;
                 }
-                vec![(ia, Tensor::from_vec(dx, shape.clone()))]
-            })),
-            param: None,
+                dx
+            }
         })
     }
 
     /// Sum of all elements, as a scalar variable.
     pub fn sum_all(&self) -> Var {
         let a = self.value();
-        let ia = self.id;
-        let shape = a.shape().clone();
-        self.tape().push(Node {
-            value: Tensor::scalar(a.sum()),
-            backward: Some(Box::new(move |g| {
-                vec![(ia, Tensor::full(shape.clone(), g.item()))]
-            })),
-            param: None,
+        self.unary(Tensor::scalar(a.sum()), || {
+            let shape = a.shape().clone();
+            move |g: Tensor| Tensor::full(shape.clone(), g.item())
         })
     }
 
@@ -334,13 +304,9 @@ impl Var {
     /// Panics if element counts differ.
     pub fn reshape(&self, shape: impl Into<Shape>) -> Var {
         let a = self.value();
-        let old_shape = a.shape().clone();
-        let out = a.reshape(shape);
-        let ia = self.id;
-        self.tape().push(Node {
-            value: out,
-            backward: Some(Box::new(move |g| vec![(ia, g.reshape(old_shape.clone()))])),
-            param: None,
+        self.unary(a.reshape(shape), || {
+            let old_shape = a.shape().clone();
+            move |g: Tensor| g.reshape(old_shape.clone())
         })
     }
 
@@ -350,24 +316,22 @@ impl Var {
         self.reshape([n])
     }
 
-    /// Keeps the first `k` rows (PyG's `x[:k]` target slice).
+    /// Keeps the first `k` rows (PyG's `x[:k]` target slice) as a view: the
+    /// forward pass copies nothing.
     ///
     /// # Panics
     ///
     /// Panics if `k` exceeds the number of rows.
     pub fn narrow_rows(&self, k: usize) -> Var {
         let a = self.value();
-        let out = a.narrow_rows(k);
-        let ia = self.id;
-        let (rows, cols) = (a.rows(), a.cols());
-        self.tape().push(Node {
-            value: out,
-            backward: Some(Box::new(move |g| {
-                let mut dx = vec![0.0f32; rows * cols];
-                dx[..k * cols].copy_from_slice(g.data());
-                vec![(ia, Tensor::from_vec(dx, Shape::matrix(rows, cols)))]
-            })),
-            param: None,
+        self.unary(a.narrow_rows(k), || {
+            let shape = a.shape().clone();
+            move |g: Tensor| {
+                let mut dx = Tensor::zeros(shape.clone());
+                // lint: allow(panic-reachability, ranges in this file are bounded by operand shapes asserted when the op was recorded: g is k of dx's rows here)
+                dx.data_mut()[..g.len()].copy_from_slice(g.data());
+                dx
+            }
         })
     }
 
@@ -389,33 +353,37 @@ impl Var {
         }
         let widths: Vec<usize> = tensors.iter().map(|t| t.cols()).collect();
         let total: usize = widths.iter().sum();
-        let mut out = vec![0.0f32; rows * total];
-        for r in 0..rows {
+        let mut out = Tensor::zeros(Shape::matrix(rows, total));
+        for (r, orow) in out.data_mut().chunks_exact_mut(total.max(1)).enumerate() {
             let mut off = 0;
             for (t, &w) in tensors.iter().zip(widths.iter()) {
-                out[r * total + off..r * total + off + w].copy_from_slice(t.row(r));
+                orow[off..off + w].copy_from_slice(t.row(r));
                 off += w;
             }
         }
-        let ids: Vec<usize> = vars.iter().map(|v| v.id).collect();
-        vars[0].tape().push(Node {
-            value: Tensor::from_vec(out, Shape::matrix(rows, total)),
-            backward: Some(Box::new(move |g| {
-                let mut contributions = Vec::with_capacity(ids.len());
-                let total: usize = widths.iter().sum();
-                let mut off = 0;
-                for (&id, &w) in ids.iter().zip(widths.iter()) {
-                    let mut dx = vec![0.0f32; rows * w];
-                    for r in 0..rows {
-                        dx[r * w..(r + 1) * w]
-                            .copy_from_slice(&g.data()[r * total + off..r * total + off + w]);
-                    }
-                    contributions.push((id, Tensor::from_vec(dx, Shape::matrix(rows, w))));
-                    off += w;
-                }
-                contributions
-            })),
-            param: None,
+        // (node id, column offset, width) of every tracked operand.
+        let mut tracked = Vec::new();
+        let mut off = 0;
+        for (v, &w) in vars.iter().zip(widths.iter()) {
+            if v.needs_grad() {
+                tracked.push((v.id, off, w));
+            }
+            off += w;
+        }
+        vars[0].tape().record(out, !tracked.is_empty(), || {
+            Box::new(move |g| {
+                tracked
+                    .iter()
+                    .map(|&(id, off, w)| {
+                        let mut dx = Tensor::zeros(Shape::matrix(rows, w));
+                        let drows = dx.data_mut().chunks_exact_mut(w.max(1));
+                        for (drow, grow) in drows.zip(g.data().chunks_exact(total.max(1))) {
+                            drow.copy_from_slice(&grow[off..off + w]);
+                        }
+                        (id, dx)
+                    })
+                    .collect()
+            })
         })
     }
 }
@@ -453,8 +421,8 @@ mod tests {
     #[test]
     fn matmul_gradients() {
         let tape = Tape::new();
-        let a = tape.constant(t(&[1.0, 2.0, 3.0, 4.0], [2, 2]));
-        let b = tape.constant(t(&[5.0, 6.0, 7.0, 8.0], [2, 2]));
+        let a = tape.leaf(t(&[1.0, 2.0, 3.0, 4.0], [2, 2]));
+        let b = tape.leaf(t(&[5.0, 6.0, 7.0, 8.0], [2, 2]));
         let y = a.matmul(&b).sum_all();
         let g = tape.backward(&y);
         // d/dA (sum AB) = ones @ B^T
@@ -465,8 +433,8 @@ mod tests {
     #[test]
     fn bias_broadcast_add_reduces_grad() {
         let tape = Tape::new();
-        let x = tape.constant(Tensor::zeros([3, 2]));
-        let bias = tape.constant(t(&[1.0, 2.0], [2]));
+        let x = tape.leaf(Tensor::zeros([3, 2]));
+        let bias = tape.leaf(t(&[1.0, 2.0], [2]));
         let y = x.add(&bias).sum_all();
         let g = tape.backward(&y);
         assert_eq!(g.wrt(&bias).unwrap().data(), &[3.0, 3.0]);
@@ -475,8 +443,8 @@ mod tests {
     #[test]
     fn scalar_broadcast_add() {
         let tape = Tape::new();
-        let x = tape.constant(Tensor::ones([2, 2]));
-        let s = tape.constant(Tensor::scalar(10.0));
+        let x = tape.leaf(Tensor::ones([2, 2]));
+        let s = tape.leaf(Tensor::scalar(10.0));
         let y = x.add(&s);
         assert_eq!(y.value().data(), &[11.0; 4]);
         let g = tape.backward(&y.sum_all());
@@ -486,12 +454,12 @@ mod tests {
     #[test]
     fn relu_and_leaky_relu_grads() {
         let tape = Tape::new();
-        let x = tape.constant(t(&[-1.0, 2.0], [2]));
+        let x = tape.leaf(t(&[-1.0, 2.0], [2]));
         let g = tape.backward(&x.relu().sum_all());
         assert_eq!(g.wrt(&x).unwrap().data(), &[0.0, 1.0]);
 
         let tape = Tape::new();
-        let x = tape.constant(t(&[-1.0, 2.0], [2]));
+        let x = tape.leaf(t(&[-1.0, 2.0], [2]));
         let g = tape.backward(&x.leaky_relu(0.1).sum_all());
         assert_eq!(g.wrt(&x).unwrap().data(), &[0.1, 1.0]);
     }
@@ -499,7 +467,7 @@ mod tests {
     #[test]
     fn log_softmax_rows_sum_to_one_in_prob_space() {
         let tape = Tape::new();
-        let x = tape.constant(t(&[1.0, 2.0, 3.0, -1.0, 0.0, 1.0], [2, 3]));
+        let x = tape.leaf(t(&[1.0, 2.0, 3.0, -1.0, 0.0, 1.0], [2, 3]));
         let ls = x.log_softmax().value();
         for r in 0..2 {
             let p: f32 = ls.row(r).iter().map(|v| v.exp()).sum();
@@ -510,7 +478,7 @@ mod tests {
     #[test]
     fn nll_loss_matches_manual() {
         let tape = Tape::new();
-        let x = tape.constant(t(&[0.0, 1.0, 0.5, 2.0], [2, 2]));
+        let x = tape.leaf(t(&[0.0, 1.0, 0.5, 2.0], [2, 2]));
         let ls = x.log_softmax();
         let loss = ls.nll_loss(&[1, 0]);
         let manual = {
@@ -523,7 +491,7 @@ mod tests {
     #[test]
     fn softmax_nll_grad_is_p_minus_onehot() {
         let tape = Tape::new();
-        let x = tape.constant(t(&[0.2, -0.3, 0.5], [1, 3]));
+        let x = tape.leaf(t(&[0.2, -0.3, 0.5], [1, 3]));
         let ls = x.log_softmax();
         let loss = ls.nll_loss(&[2]);
         let g = tape.backward(&loss);
@@ -539,7 +507,7 @@ mod tests {
     fn dropout_eval_is_identity() {
         let mut rng = crate::rng::rng();
         let tape = Tape::new();
-        let x = tape.constant(t(&[1.0, 2.0, 3.0], [3]));
+        let x = tape.leaf(t(&[1.0, 2.0, 3.0], [3]));
         let y = x.dropout(0.5, false, &mut rng);
         assert_eq!(y.value().data(), &[1.0, 2.0, 3.0]);
     }
@@ -548,7 +516,7 @@ mod tests {
     fn dropout_train_preserves_expectation_roughly() {
         let mut rng = crate::rng::StdRng::seed_from_u64(7);
         let tape = Tape::new();
-        let x = tape.constant(Tensor::ones([10_000]));
+        let x = tape.leaf(Tensor::ones([10_000]));
         let y = x.dropout(0.5, true, &mut rng).value();
         let mean = y.mean();
         assert!((mean - 1.0).abs() < 0.05, "inverted dropout keeps mean, got {mean}");
@@ -557,8 +525,8 @@ mod tests {
     #[test]
     fn concat_and_narrow_roundtrip_grads() {
         let tape = Tape::new();
-        let a = tape.constant(t(&[1.0, 2.0], [1, 2]));
-        let b = tape.constant(t(&[3.0], [1, 1]));
+        let a = tape.leaf(t(&[1.0, 2.0], [1, 2]));
+        let b = tape.leaf(t(&[3.0], [1, 1]));
         let c = Var::concat_cols(&[a.clone(), b.clone()]);
         assert_eq!(c.value().data(), &[1.0, 2.0, 3.0]);
         let g = tape.backward(&c.scale(2.0).sum_all());
@@ -566,7 +534,7 @@ mod tests {
         assert_eq!(g.wrt(&b).unwrap().data(), &[2.0]);
 
         let tape = Tape::new();
-        let x = tape.constant(t(&[1.0, 2.0, 3.0, 4.0], [2, 2]));
+        let x = tape.leaf(t(&[1.0, 2.0, 3.0, 4.0], [2, 2]));
         let y = x.narrow_rows(1);
         let g = tape.backward(&y.sum_all());
         assert_eq!(g.wrt(&x).unwrap().data(), &[1.0, 1.0, 0.0, 0.0]);
@@ -575,8 +543,8 @@ mod tests {
     #[test]
     fn sub_and_mul_grads() {
         let tape = Tape::new();
-        let a = tape.constant(t(&[3.0], [1]));
-        let b = tape.constant(t(&[2.0], [1]));
+        let a = tape.leaf(t(&[3.0], [1]));
+        let b = tape.leaf(t(&[2.0], [1]));
         let y = a.sub(&b).mul(&a); // (a-b)*a = a^2 - ab
         let g = tape.backward(&y.sum_all());
         assert_eq!(g.wrt(&a).unwrap().item(), 2.0 * 3.0 - 2.0);
@@ -587,14 +555,14 @@ mod tests {
     fn sigmoid_tanh_grads_match_numeric() {
         let check = |f: &dyn Fn(&Var) -> Var, x0: f32| {
             let tape = Tape::new();
-            let x = tape.constant(Tensor::scalar(x0));
+            let x = tape.leaf(Tensor::scalar(x0));
             let y = f(&x);
             let g = tape.backward(&y);
             let analytic = g.wrt(&x).unwrap().item();
             let eps = 1e-3;
             let tape2 = Tape::new();
-            let y1 = f(&tape2.constant(Tensor::scalar(x0 + eps))).value().item();
-            let y0 = f(&tape2.constant(Tensor::scalar(x0 - eps))).value().item();
+            let y1 = f(&tape2.leaf(Tensor::scalar(x0 + eps))).value().item();
+            let y0 = f(&tape2.leaf(Tensor::scalar(x0 - eps))).value().item();
             let numeric = (y1 - y0) / (2.0 * eps);
             assert!(
                 (analytic - numeric).abs() < 1e-3,

@@ -88,7 +88,7 @@ static POOL: OnceLock<&'static ThreadPool> = OnceLock::new();
 
 /// The process-wide pool, created on first use.
 pub fn global() -> &'static ThreadPool {
-    *POOL.get_or_init(|| ThreadPool::new(configured_threads()))
+    POOL.get_or_init(|| ThreadPool::new(configured_threads()))
 }
 
 /// Number of threads the global pool runs (including the caller).
@@ -278,6 +278,9 @@ unsafe impl<T> Send for SendPtr<T> {}
 unsafe impl<T> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
+    // The whole point of `SendPtr`: tasks share one handle and each reborrows
+    // its own disjoint range, which the caller's contract below guarantees.
+    #[allow(clippy::mut_from_ref)]
     /// Reborrows `len` elements starting at `offset` as a mutable slice.
     ///
     /// # Safety

@@ -1,13 +1,28 @@
 //! The dense, row-major, reference-counted `f32` tensor.
 
+use crate::kernels::{put_f32, take_f32, take_f32_stale, take_f32_zeroed};
 use crate::shape::Shape;
 use std::fmt;
 use std::sync::Arc;
 
+/// A tensor's buffer. When the last tensor sharing it drops, the buffer is
+/// offered to the dropping thread's scratch pool (`kernels::put_f32`), and
+/// every constructor below that needs a fresh buffer takes one from there:
+/// a loop that builds and drops the same shapes (a train step and its tape)
+/// stops allocating once it has run once.
+struct Storage(Vec<f32>);
+
+impl Drop for Storage {
+    fn drop(&mut self) {
+        put_f32(std::mem::take(&mut self.0));
+    }
+}
+
 /// A dense, row-major tensor of `f32` values.
 ///
-/// Storage is shared via [`Arc`], so clones are cheap; mutation goes through
-/// [`Tensor::data_mut`], which copies on write when the storage is shared.
+/// Storage is shared via [`Arc`], so clones (and [`Tensor::narrow_rows`]
+/// prefix views) are cheap; mutation goes through [`Tensor::data_mut`],
+/// which copies on write when the storage is shared.
 /// This mirrors the "caller decides where to copy" guideline: the training
 /// loop keeps a single owner per parameter, so updates are in place, while
 /// activations can be shared freely across the autograd tape.
@@ -23,7 +38,9 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone)]
 pub struct Tensor {
-    data: Arc<Vec<f32>>,
+    /// At least `shape.len()` elements; a row-prefix view shares a longer
+    /// buffer and reads only its own prefix.
+    data: Arc<Storage>,
     shape: Shape,
 }
 
@@ -43,7 +60,7 @@ impl Tensor {
             data.len()
         );
         Tensor {
-            data: Arc::new(data),
+            data: Arc::new(Storage(data)),
             shape,
         }
     }
@@ -51,10 +68,18 @@ impl Tensor {
     /// Creates a tensor filled with zeros.
     pub fn zeros(shape: impl Into<Shape>) -> Self {
         let shape = shape.into();
-        Tensor {
-            data: Arc::new(vec![0.0; shape.len()]),
-            shape,
-        }
+        Tensor::from_vec(take_f32_zeroed(shape.len()), shape)
+    }
+
+    /// Creates a tensor in a recycled buffer whose every element `fill`
+    /// must overwrite: the slice arrives holding unspecified stale values,
+    /// not zeros, so a producer that writes all of it (a widen, a copy)
+    /// pays no fill pass.
+    pub fn filled_by(shape: impl Into<Shape>, fill: impl FnOnce(&mut [f32])) -> Self {
+        let shape = shape.into();
+        let mut data = take_f32_stale(shape.len());
+        fill(&mut data);
+        Tensor::from_vec(data, shape)
     }
 
     /// Creates a tensor filled with ones.
@@ -65,10 +90,9 @@ impl Tensor {
     /// Creates a tensor filled with `value`.
     pub fn full(shape: impl Into<Shape>, value: f32) -> Self {
         let shape = shape.into();
-        Tensor {
-            data: Arc::new(vec![value; shape.len()]),
-            shape,
-        }
+        let mut data = take_f32(shape.len());
+        data.resize(shape.len(), value);
+        Tensor::from_vec(data, shape)
     }
 
     /// Creates a rank-0 tensor holding a single value.
@@ -103,13 +127,20 @@ impl Tensor {
 
     /// Read-only view of the underlying row-major buffer.
     pub fn data(&self) -> &[f32] {
-        &self.data
+        &self.data.0[..self.shape.len()]
     }
 
     /// Mutable view of the underlying buffer, copying if the storage is
     /// currently shared with another tensor.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        Arc::make_mut(&mut self.data).as_mut_slice()
+        if Arc::get_mut(&mut self.data).is_none_or(|s| s.0.len() != self.shape.len()) {
+            let mut own = take_f32(self.len());
+            own.extend_from_slice(self.data());
+            self.data = Arc::new(Storage(own));
+        }
+        // lint: allow(panic-reachability, the branch above leaves the storage unshared)
+        let storage = Arc::get_mut(&mut self.data).expect("storage is unshared");
+        storage.0.as_mut_slice()
     }
 
     /// The element at a multi-dimensional index.
@@ -118,7 +149,7 @@ impl Tensor {
     ///
     /// Panics if the index is out of bounds or has the wrong rank.
     pub fn at(&self, idx: &[usize]) -> f32 {
-        self.data[self.shape.offset(idx)]
+        self.data()[self.shape.offset(idx)]
     }
 
     /// The single value of a scalar (or one-element) tensor.
@@ -129,7 +160,7 @@ impl Tensor {
     pub fn item(&self) -> f32 {
         assert_eq!(self.len(), 1, "item() on tensor of shape {}", self.shape);
         // lint: allow(panic-reachability, guarded by the len() == 1 assert directly above)
-        self.data[0]
+        self.data()[0]
     }
 
     /// A read-only view of row `r` of a rank-2 tensor (or the whole buffer
@@ -142,7 +173,7 @@ impl Tensor {
         let cols = self.cols();
         let rows = self.rows();
         assert!(r < rows, "row {r} out of bounds for {} rows", rows);
-        &self.data[r * cols..(r + 1) * cols]
+        &self.data()[r * cols..(r + 1) * cols]
     }
 
     /// Returns a tensor with the same data but a different shape.
@@ -164,16 +195,18 @@ impl Tensor {
         }
     }
 
-    /// A copy of the first `k` rows (PyG's `x[:k]`, the `x_target` slice in
-    /// the bipartite GNN layer).
+    /// The first `k` rows (PyG's `x[:k]`, the `x_target` slice in the
+    /// bipartite GNN layer) as a view sharing this tensor's storage.
     ///
     /// # Panics
     ///
     /// Panics if `k > self.rows()`.
     pub fn narrow_rows(&self, k: usize) -> Tensor {
         assert!(k <= self.rows(), "narrow to {k} rows of {}", self.rows());
-        let cols = self.cols();
-        Tensor::from_vec(self.data[..k * cols].to_vec(), Shape::matrix(k, cols))
+        Tensor {
+            data: Arc::clone(&self.data),
+            shape: Shape::matrix(k, self.cols()),
+        }
     }
 
     /// Gathers rows by index into a new tensor (feature slicing).
@@ -184,17 +217,17 @@ impl Tensor {
     pub fn gather_rows(&self, idx: &[usize]) -> Tensor {
         let cols = self.cols();
         let rows = self.rows();
-        let mut out = Vec::with_capacity(idx.len() * cols);
+        let mut out = take_f32(idx.len() * cols);
         for &i in idx {
             assert!(i < rows, "gather index {i} out of bounds for {rows} rows");
-            out.extend_from_slice(&self.data[i * cols..(i + 1) * cols]);
+            out.extend_from_slice(&self.data()[i * cols..(i + 1) * cols]);
         }
         Tensor::from_vec(out, Shape::matrix(idx.len(), cols))
     }
 
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
+        self.data().iter().sum()
     }
 
     /// Mean of all elements (0 for an empty tensor).
@@ -213,17 +246,19 @@ impl Tensor {
     /// Panics if the tensor is empty.
     pub fn max(&self) -> f32 {
         assert!(!self.is_empty(), "max() of empty tensor");
-        self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max)
+        self.data().iter().copied().fold(f32::NEG_INFINITY, f32::max)
     }
 
     /// The L2 norm of the flattened tensor.
     pub fn norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
+        self.data().iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
     /// Elementwise map into a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor::from_vec(self.data.iter().map(|&x| f(x)).collect(), self.shape.clone())
+        let mut out = take_f32(self.len());
+        out.extend(self.data().iter().map(|&x| f(x)));
+        Tensor::from_vec(out, self.shape.clone())
     }
 
     /// Elementwise binary zip with another tensor of identical shape.
@@ -237,14 +272,9 @@ impl Tensor {
             "zip shape mismatch {} vs {}",
             self.shape, other.shape
         );
-        Tensor::from_vec(
-            self.data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-            self.shape.clone(),
-        )
+        let mut out = take_f32(self.len());
+        out.extend(self.data().iter().zip(other.data()).map(|(&a, &b)| f(a, b)));
+        Tensor::from_vec(out, self.shape.clone())
     }
 
     /// In-place `self += alpha * other` (used by optimizers and all-reduce).
@@ -259,7 +289,7 @@ impl Tensor {
             self.shape, other.shape
         );
         let dst = self.data_mut();
-        for (d, s) in dst.iter_mut().zip(other.data.iter()) {
+        for (d, s) in dst.iter_mut().zip(other.data()) {
             *d += alpha * s;
         }
     }
@@ -280,7 +310,7 @@ impl Tensor {
 
     /// Whether every element is finite.
     pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
+        self.data().iter().all(|x| x.is_finite())
     }
 
     /// Maximum absolute difference to another tensor of the same shape.
@@ -290,9 +320,9 @@ impl Tensor {
     /// Panics if shapes differ.
     pub fn max_abs_diff(&self, other: &Tensor) -> f32 {
         assert_eq!(self.shape, other.shape, "shape mismatch");
-        self.data
+        self.data()
             .iter()
-            .zip(other.data.iter())
+            .zip(other.data())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f32::max)
     }
@@ -300,7 +330,7 @@ impl Tensor {
 
 impl PartialEq for Tensor {
     fn eq(&self, other: &Self) -> bool {
-        self.shape == other.shape && self.data == other.data
+        self.shape == other.shape && self.data() == other.data()
     }
 }
 
@@ -308,9 +338,9 @@ impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Tensor(shape={}, ", self.shape)?;
         if self.len() <= 8 {
-            write!(f, "data={:?})", &self.data[..])
+            write!(f, "data={:?})", self.data())
         } else {
-            write!(f, "data=[{}, {}, ...])", self.data[0], self.data[1])
+            write!(f, "data=[{}, {}, ...])", self.data()[0], self.data()[1])
         }
     }
 }

@@ -252,9 +252,14 @@ mod tests {
     fn test_cfg(name: &str, capacity: usize) -> BlackboxConfig {
         BlackboxConfig {
             capacity,
+            // The workspace's target/tmp, not this crate's directory.
             dir: format!(
-                "{}/blackbox-test-{name}",
-                std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into())
+                "{}/tmp/blackbox-test-{name}",
+                std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| concat!(
+                    env!("CARGO_MANIFEST_DIR"),
+                    "/../../target"
+                )
+                .into())
             ),
         }
     }

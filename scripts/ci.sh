@@ -39,6 +39,13 @@ cargo build --release --offline
 echo "== tests (workspace, offline)"
 cargo test --workspace -q --offline
 
+echo "== benchmark tier: the four workloads' correctness checks (--smoke)"
+# A few batches of every BENCHMARK.json workload (train_compute,
+# infer_sweep, prep_stream, serve_open), checks only, ~20 s: a change that
+# breaks what the benchmark measures fails CI here rather than in the
+# driver. Timings from a smoke run are not compared with anything.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
+
 echo "== fault tier: deterministic fault-injection matrix"
 # The matrix installs its own scoped plans; the fixed seed here pins the
 # probabilistic-trigger schedules so failures reproduce bit-for-bit.

@@ -210,7 +210,7 @@ fn autograd_sum_of_products_gradient() {
         let len = rng.random_range(2usize..10);
         let xs = rand_vec(&mut rng, len, -3.0, 3.0);
         let tape = Tape::new();
-        let x = tape.constant(Tensor::from_vec(xs.clone(), [xs.len()]));
+        let x = tape.leaf(Tensor::from_vec(xs.clone(), [xs.len()]));
         let loss = x.mul(&x).sum_all();
         let grads = tape.backward(&loss);
         let g = grads.wrt(&x).unwrap();

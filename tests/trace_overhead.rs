@@ -2,43 +2,15 @@
 //! instrumentation (span guards, pre-resolved counters and histograms,
 //! point events) must perform **zero heap allocations**. A counting global
 //! allocator makes the assertion exact — this is its own test binary so the
-//! allocator hook cannot perturb any other suite.
+//! allocator hook cannot perturb any other suite, and it counts per thread
+//! (`tests/common`), so the sibling tests of this binary running in
+//! parallel cannot allocate inside a measured window.
 
+mod common;
+
+use common::allocations;
 use salient_repro::trace::names::{counters, events, hists, spans};
 use salient_repro::trace::Trace;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Forwards to the system allocator, counting every allocation.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: pure pass-through to `System`, which upholds the `GlobalAlloc`
-// contract; the added relaxed counter increment has no effect on the
-// returned memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // relaxed: a monotone event count; no ordering with the allocation
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `layout` is forwarded unchanged from our caller, who
-        // guarantees it is valid per the `GlobalAlloc` contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr`/`layout` come from a matching `alloc` via `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    // relaxed: reads a monotone counter between single-threaded phases
-    ALLOCS.load(Ordering::Relaxed)
-}
 
 #[test]
 fn disabled_tracing_batch_loop_allocates_nothing() {
@@ -111,7 +83,7 @@ fn flight_recorder_steady_state_costs_no_extra_allocations() {
         salient_repro::trace::Clock::virtual_with_tick(10),
         salient_repro::trace::BlackboxConfig {
             capacity: 4096,
-            dir: "target/blackbox-overhead-test".to_string(),
+            dir: concat!(env!("CARGO_TARGET_TMPDIR"), "/blackbox-overhead-test").to_string(),
         },
     );
     // Warm up: registers this thread (allocating its ring) and faults in
