@@ -30,8 +30,6 @@ mod queue;
 mod slice;
 mod stats;
 
-pub mod channel;
-
 pub use pinned::{PinnedPool, PinnedSlot};
 pub use prep::{
     run_epoch, BatchResult, EpochHandle, PrepConfig, PrepMode, PreparedBatch, SamplerKind,

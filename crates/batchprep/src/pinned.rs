@@ -10,8 +10,8 @@
 //! dtype — f16 by default, so the staged copy moves half the bytes — plus
 //! labels). Returning a slot to the pool is automatic on drop.
 
-use crate::channel::{bounded, Receiver, Sender};
 use salient_graph::{FeatureRows, FeatureRowsMut, FeatureSlab};
+use salient_tensor::sync::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use salient_tensor::Dtype;
 
 #[derive(Debug)]
@@ -164,18 +164,6 @@ impl PinnedPool {
         })
     }
 
-    /// Checks out a slot, giving up after `timeout`. Preparation workers use
-    /// this so an epoch can be cancelled while every slot is parked in
-    /// not-yet-consumed batches.
-    pub fn acquire_timeout(&self, timeout: std::time::Duration) -> Option<PinnedSlot> {
-        self.rx.recv_timeout(timeout).ok().map(|buffers| PinnedSlot {
-            buffers: Some(buffers),
-            home: self.tx.clone(),
-            used_features: 0,
-            used_labels: 0,
-        })
-    }
-
     /// Checks out a slot, waiting until one frees or `cancel` is observed
     /// set; returns `None` on cancellation.
     ///
@@ -209,8 +197,8 @@ impl PinnedPool {
                     }
                     return Some(slot);
                 }
-                Err(crate::channel::RecvTimeoutError::Timeout) => continue,
-                Err(crate::channel::RecvTimeoutError::Disconnected) => return None,
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => return None,
             }
         }
     }

@@ -26,7 +26,6 @@
 //! preparation on the supervisor thread. Per-epoch fault activity is
 //! surfaced as [`FaultStats`] next to [`EpochPrepStats`].
 
-use crate::channel::{bounded, Receiver, Sender};
 use crate::pinned::{PinnedPool, PinnedSlot};
 use crate::queue::{make_work_items, DynamicQueue, RetryQueue, StaticPartition, WorkItem, WorkSource};
 use crate::slice::slice_batch;
@@ -35,6 +34,7 @@ use salient_fault as fault;
 use salient_graph::{Dataset, NodeId};
 use salient_sampler::{FastSampler, MessageFlowGraph, PygSampler};
 use salient_graph::FeatureSlab;
+use salient_tensor::sync::channel::{bounded, Receiver, Sender};
 use salient_trace::{names, Counter, Histogram, Trace, NO_BATCH};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;

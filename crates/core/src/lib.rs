@@ -33,7 +33,6 @@ mod ddp_train;
 mod timing;
 mod train;
 
-pub mod cache;
 pub mod checkpoint;
 pub mod infer;
 

@@ -8,7 +8,6 @@
 //! reports can never disagree — they are the same clock reads.
 
 use salient_trace::PipelineReport;
-use std::time::Duration;
 
 /// Blocking time per pipeline stage over one epoch.
 #[derive(Clone, Copy, Debug, Default)]
@@ -24,16 +23,6 @@ pub struct StageTimings {
 }
 
 impl StageTimings {
-    /// Adds a duration to a stage.
-    pub fn add(&mut self, stage: Stage, d: Duration) {
-        let s = d.as_secs_f64();
-        match stage {
-            Stage::Prep => self.prep_s += s,
-            Stage::Transfer => self.transfer_s += s,
-            Stage::Train => self.train_s += s,
-        }
-    }
-
     /// The view over a trace analysis: stage seconds from the trainer's
     /// recorded span intervals.
     pub fn from_report(r: &PipelineReport) -> StageTimings {
@@ -94,18 +83,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accounting() {
-        let mut t = StageTimings::default();
-        t.add(Stage::Prep, Duration::from_millis(300));
-        t.add(Stage::Transfer, Duration::from_millis(100));
-        t.add(Stage::Train, Duration::from_millis(500));
-        t.total_s = 1.0;
-        assert!((t.pct(Stage::Train) - 50.0).abs() < 1e-9);
-        assert!((t.other_s() - 0.1).abs() < 1e-9);
-        assert!((t.other_pct() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn view_over_a_report() {
         let r = PipelineReport {
             window_ns: 2_000_000_000,
@@ -117,6 +94,8 @@ mod tests {
         let t = StageTimings::from_report(&r);
         assert!((t.total_s - 2.0).abs() < 1e-12);
         assert!((t.pct(Stage::Prep) - 25.0).abs() < 1e-9);
+        assert!((t.pct(Stage::Train) - 50.0).abs() < 1e-9);
         assert!((t.other_s() - 0.25).abs() < 1e-12);
+        assert!((t.other_pct() - 12.5).abs() < 1e-9);
     }
 }

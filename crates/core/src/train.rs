@@ -160,10 +160,10 @@ impl Trainer {
     }
 
     /// Derives this epoch's [`StageTimings`] view from the spans recorded in
-    /// the window `[e0, e1]` (flushes and snapshots the registry).
+    /// the window `[e0, e1]` (flushes the registry and snapshots only that
+    /// window, so epoch `k` does not pay for the `k - 1` epochs before it).
     fn timings_view(&self, e0: u64, e1: u64) -> StageTimings {
-        let snap = self.trace.snapshot();
-        StageTimings::from_report(&analyze(&snap.window(e0, e1)))
+        StageTimings::from_report(&analyze(&self.trace.snapshot_window(e0, e1)))
     }
 
     /// The wrapped model.

@@ -15,11 +15,12 @@
 //! ranks deterministically.
 
 use salient_fault::{self as fault, FaultAction};
+use salient_tensor::sync::lock_unpoisoned;
 use salient_tensor::Tensor;
 use salient_trace::{names, Counter, Trace};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Which phase of a collective an error occurred in.
@@ -88,17 +89,8 @@ impl std::fmt::Display for CommError {
 impl std::error::Error for CommError {}
 
 /// Default per-step receive deadline (override per-ring with
-/// [`Communicator::ring_with_timeout`] or globally with
-/// `SALIENT_COMM_TIMEOUT_MS`).
+/// [`Communicator::ring_with_timeout`]).
 pub const DEFAULT_STEP_TIMEOUT: Duration = Duration::from_secs(5);
-
-fn default_timeout() -> Duration {
-    std::env::var("SALIENT_COMM_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map(Duration::from_millis)
-        .unwrap_or(DEFAULT_STEP_TIMEOUT)
-}
 
 /// One rank's endpoint of a ring communicator.
 #[derive(Debug)]
@@ -127,7 +119,7 @@ impl Communicator {
     ///
     /// Panics if `world == 0`.
     pub fn ring(world: usize) -> Vec<Communicator> {
-        Self::ring_with_timeout(world, default_timeout())
+        Self::ring_with_timeout(world, DEFAULT_STEP_TIMEOUT)
     }
 
     /// Creates a ring whose receives give up after `timeout` per step.
@@ -148,7 +140,13 @@ impl Communicator {
     pub fn ring_traced(world: usize, timeout: Duration, trace: &Trace) -> Vec<Communicator> {
         assert!(world > 0, "world size must be positive");
         // Each ring link has exactly one producer and one consumer, so the
-        // std SPSC channel is sufficient. Channel i is *received* by rank i
+        // std SPSC channel is sufficient — and it is deliberately the
+        // *unbounded* std channel, not `salient_tensor::sync::channel`: a
+        // bounded link would let a slow peer park a *sender*, where today
+        // the only call that can block is the deadline-bounded
+        // `recv_timeout` in `recv_from_prev`, which is what turns a dead
+        // peer into a typed `CommError` instead of a wedged ring.
+        // Channel i is *received* by rank i
         // and rank r sends to rank r + 1, so rotating the sender list left
         // by one pairs rank r with the sender of channel (r + 1) % world —
         // no Option juggling, each sender moved exactly once.
@@ -181,11 +179,6 @@ impl Communicator {
     /// Number of ranks.
     pub fn world(&self) -> usize {
         self.world
-    }
-
-    /// The per-step receive deadline.
-    pub fn step_timeout(&self) -> Duration {
-        self.timeout
     }
 
     /// Ring steps completed by this endpoint (diagnostic).
@@ -273,10 +266,7 @@ impl Communicator {
     /// link mutex is exclusive to this rank (see `from_prev`), so the lock
     /// never blocks and a poisoned guard carries no broken invariant.
     fn recv_from_prev(&self) -> Result<Vec<f32>, RecvTimeoutError> {
-        self.from_prev
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .recv_timeout(self.timeout)
+        lock_unpoisoned(&self.from_prev).recv_timeout(self.timeout)
     }
 
     /// In-place ring all-reduce (sum) over a flat buffer. Every rank must

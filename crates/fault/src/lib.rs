@@ -51,68 +51,101 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// The registry of named injection sites instrumented in the workspace.
-pub mod sites {
+/// A named injection site: a newtype over `&'static str` that only this
+/// crate can construct, so every site passed to [`point`], [`fire`] or a
+/// [`FaultPlan`] builder is one of the [`sites`] constants — an unregistered
+/// site does not compile. Text becomes a `Site` only in the
+/// `SALIENT_FAULT_SPEC` parser, by lookup in [`sites::ALL`].
+///
+/// ```compile_fail,E0624
+/// // The constructor is crate-private: outside `salient-fault` a literal
+/// // cannot become a site.
+/// let _ = salient_fault::Site::new("prep.ad_hoc");
+/// ```
+#[repr(transparent)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Site(&'static str);
+
+impl Site {
+    pub(crate) const fn new(name: &'static str) -> Site {
+        Site(name)
+    }
+
+    /// The site's registered name, as written in fault specs and dumps.
+    pub const fn as_str(self) -> &'static str {
+        self.0
+    }
+
+    /// The registered site named `name`, if any.
+    fn lookup(name: &str) -> Option<Site> {
+        sites::ALL.iter().copied().find(|s| s.0 == name)
+    }
+}
+
+impl std::fmt::Display for Site {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
+/// Declares the [`sites`] module: its constants and, from the same lines,
+/// its `ALL` list — so a site cannot be missing from the list the spec
+/// parser validates against.
+macro_rules! sites {
+    ($($(#[$doc:meta])* $id:ident = $name:literal,)*) => {
+        /// The registry of named injection sites instrumented in the workspace.
+        pub mod sites {
+            use super::Site;
+            $($(#[$doc])* pub const $id: Site = Site::new($name);)*
+
+            /// Every known site, for spec validation and documentation.
+            pub const ALL: &[Site] = &[$($id),*];
+        }
+    };
+}
+
+sites! {
     /// Batch-prep worker, inside neighborhood sampling (occ = batch id).
-    pub const PREP_SAMPLE: &str = "prep.sample";
+    PREP_SAMPLE = "prep.sample",
     /// Batch-prep worker, inside feature/label slicing (occ = batch id).
-    pub const PREP_SLICE: &str = "prep.slice";
+    PREP_SLICE = "prep.slice",
     /// Batch-prep worker, just before publishing a batch (occ = batch id).
-    pub const PREP_SEND: &str = "prep.send";
+    PREP_SEND = "prep.send",
     /// Batch-prep worker loop itself — kills the whole thread, exercising
     /// supervision rather than per-item retry (occ = worker id).
-    pub const PREP_WORKER: &str = "prep.worker";
+    PREP_WORKER = "prep.worker",
     /// DDP ring step, before sending to the next rank (occ = rank id).
-    pub const DDP_SEND: &str = "ddp.send";
+    DDP_SEND = "ddp.send",
     /// DDP ring step, before receiving from the previous rank (occ = rank id).
-    pub const DDP_RECV: &str = "ddp.recv";
+    DDP_RECV = "ddp.recv",
     /// DDP rank training loop (occ = rank id).
-    pub const DDP_RANK: &str = "ddp.rank";
+    DDP_RANK = "ddp.rank",
     /// Checkpoint serialization, before writing an entry (occ = entry index).
-    pub const CKPT_WRITE: &str = "ckpt.write";
+    CKPT_WRITE = "ckpt.write",
     /// Serving request handler, inside the per-request pipeline (occ =
     /// request id). `panic` poisons exactly that request; the server's
     /// isolation boundary must contain it.
-    pub const SERVE_REQUEST: &str = "serve.request";
+    SERVE_REQUEST = "serve.request",
     /// Serving admission queue (occ = request id). Any triggered action is
     /// treated as a forced queue-full: the request is shed with a typed
     /// `Rejected::Overload`, never silently dropped.
-    pub const SERVE_QUEUE: &str = "serve.queue";
+    SERVE_QUEUE = "serve.queue",
     /// Serving sampler stage (occ = micro-batch sequence number). `delay`
     /// models a slow-sampler stall; `panic` a crashed sampler.
-    pub const SERVE_SAMPLER: &str = "serve.sampler";
+    SERVE_SAMPLER = "serve.sampler",
     /// Serving feature-slice stage (occ = micro-batch sequence number).
-    pub const SERVE_SLICE: &str = "serve.slice";
+    SERVE_SLICE = "serve.slice",
     /// Serving model-compute (GEMM) stage (occ = micro-batch sequence
     /// number).
-    pub const SERVE_GEMM: &str = "serve.gemm";
+    SERVE_GEMM = "serve.gemm",
     /// Serving worker thread itself (occ = worker incarnation) — kills the
     /// whole thread, exercising the serve supervisor's respawn path.
-    pub const SERVE_WORKER: &str = "serve.worker";
+    SERVE_WORKER = "serve.worker",
     /// Stage-graph executor transfer/widen stage (occ = batch id). `panic`
     /// exercises the executor's per-item catch boundary: the batch is
     /// dropped and counted, the pinned slot returns via RAII, and the
     /// epoch completes on the remaining batches.
-    pub const PIPE_TRANSFER: &str = "pipe.transfer";
-
-    /// Every known site, for spec validation and documentation.
-    pub const ALL: &[&str] = &[
-        PREP_SAMPLE,
-        PREP_SLICE,
-        PREP_SEND,
-        PREP_WORKER,
-        DDP_SEND,
-        DDP_RECV,
-        DDP_RANK,
-        CKPT_WRITE,
-        SERVE_REQUEST,
-        SERVE_QUEUE,
-        SERVE_SAMPLER,
-        SERVE_SLICE,
-        SERVE_GEMM,
-        SERVE_WORKER,
-        PIPE_TRANSFER,
-    ];
+    PIPE_TRANSFER = "pipe.transfer",
 }
 
 /// What a triggered site should do.
@@ -155,7 +188,7 @@ pub enum Trigger {
 #[derive(Clone, Debug)]
 pub struct FaultSpec {
     /// The named site this rule instruments.
-    pub site: String,
+    pub site: Site,
     /// The fault applied when the trigger fires.
     pub kind: FaultKind,
     /// When the rule fires.
@@ -231,9 +264,9 @@ impl FaultPlan {
     }
 
     /// Panic at `site` on occurrence `occ` (once).
-    pub fn panic_at(self, site: &str, occ: u64) -> Self {
+    pub fn panic_at(self, site: Site, occ: u64) -> Self {
         self.push(FaultSpec {
-            site: site.to_string(),
+            site,
             kind: FaultKind::Panic,
             trigger: Trigger::Once(occ),
             budget: Some(1),
@@ -241,9 +274,9 @@ impl FaultPlan {
     }
 
     /// Sleep `delay` at `site` on occurrence `occ` (once).
-    pub fn delay_at(self, site: &str, occ: u64, delay: Duration) -> Self {
+    pub fn delay_at(self, site: Site, occ: u64, delay: Duration) -> Self {
         self.push(FaultSpec {
-            site: site.to_string(),
+            site,
             kind: FaultKind::Delay(delay),
             trigger: Trigger::Once(occ),
             budget: Some(1),
@@ -254,9 +287,9 @@ impl FaultPlan {
     ///
     /// Unlike [`FaultPlan::panic_at`], this is unbudgeted: a dropped rank
     /// stays dropped for every ring step it would have participated in.
-    pub fn drop_at(self, site: &str, occ: u64) -> Self {
+    pub fn drop_at(self, site: Site, occ: u64) -> Self {
         self.push(FaultSpec {
-            site: site.to_string(),
+            site,
             kind: FaultKind::Drop,
             trigger: Trigger::Once(occ),
             budget: None,
@@ -264,9 +297,9 @@ impl FaultPlan {
     }
 
     /// Apply `kind` at `site` with seeded probability `p` per occurrence.
-    pub fn prob(self, site: &str, kind: FaultKind, p: f64) -> Self {
+    pub fn prob(self, site: Site, kind: FaultKind, p: f64) -> Self {
         self.push(FaultSpec {
-            site: site.to_string(),
+            site,
             kind,
             trigger: Trigger::Prob(p),
             budget: None,
@@ -279,7 +312,7 @@ impl FaultPlan {
     /// For a given plan seed the decision is a pure function of
     /// `(site, occ)` up to budget exhaustion, so schedules are reproducible
     /// regardless of thread interleaving.
-    pub fn decide(&self, site: &str, occ: u64) -> FaultAction {
+    pub fn decide(&self, site: Site, occ: u64) -> FaultAction {
         for st in &self.inner.specs {
             if st.spec.site != site {
                 continue;
@@ -288,7 +321,7 @@ impl FaultPlan {
                 Trigger::Once(k) => occ == k,
                 Trigger::Always => true,
                 Trigger::Prob(p) => {
-                    let h = splitmix64(self.inner.seed ^ fnv1a(site) ^ occ.wrapping_mul(0x9E37));
+                    let h = splitmix64(self.inner.seed ^ fnv1a(site.as_str()) ^ occ.wrapping_mul(0x9E37));
                     // Map the top 53 bits to [0, 1).
                     ((h >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < p
                 }
@@ -360,12 +393,10 @@ impl FaultPlan {
                 .split_once('=')
                 .ok_or_else(|| format!("fault clause missing '=': {clause:?}"))?;
             let site = site.trim();
-            if !sites::ALL.contains(&site) {
-                return Err(format!(
-                    "unknown fault site {site:?} (known: {})",
-                    sites::ALL.join(", ")
-                ));
-            }
+            let site = Site::lookup(site).ok_or_else(|| {
+                let known: Vec<&str> = sites::ALL.iter().map(|s| s.as_str()).collect();
+                format!("unknown fault site {site:?} (known: {})", known.join(", "))
+            })?;
             let (kind_str, trigger) = if let Some((k, occ)) = rule.split_once('@') {
                 let occ: u64 = occ
                     .trim()
@@ -407,7 +438,7 @@ impl FaultPlan {
                 _ => None,
             };
             plan = plan.push(FaultSpec {
-                site: site.to_string(),
+                site,
                 kind,
                 trigger,
                 budget,
@@ -535,7 +566,7 @@ impl Drop for ScopedPlan {
 /// Consults the installed plan at a named site. With no plan installed this
 /// is one relaxed atomic load — cheap enough for per-batch hot paths.
 #[inline]
-pub fn point(site: &str, occ: u64) -> FaultAction {
+pub fn point(site: Site, occ: u64) -> FaultAction {
     // Relaxed: the enable flag is a monotone fast-path filter; plan
     // installation publishes through the PLAN mutex, not this load.
     if !ENABLED.load(Ordering::Relaxed) {
@@ -545,7 +576,7 @@ pub fn point(site: &str, occ: u64) -> FaultAction {
 }
 
 #[cold]
-fn point_slow(site: &str, occ: u64) -> FaultAction {
+fn point_slow(site: Site, occ: u64) -> FaultAction {
     // Poison recovery: the lock guards a read-mostly `Option<Plan>` whose
     // critical sections are plain reads/assignments, so a poisoned guard
     // carries no broken invariant — and decision points sit on hot paths
@@ -560,7 +591,7 @@ fn point_slow(site: &str, occ: u64) -> FaultAction {
     // Notify after the plan lock drops: the observer may dump a trace or
     // take arbitrary locks of its own.
     if action != FaultAction::Proceed {
-        notify_observer(site, occ);
+        notify_observer(site.as_str(), occ);
     }
     action
 }
@@ -572,7 +603,7 @@ fn point_slow(site: &str, occ: u64) -> FaultAction {
 ///
 /// Panics (by design) when the installed plan injects a panic here.
 #[inline]
-pub fn fire(site: &str, occ: u64) -> bool {
+pub fn fire(site: Site, occ: u64) -> bool {
     match point(site, occ) {
         FaultAction::Proceed => false,
         FaultAction::Panic => panic!("injected fault: panic at {site} (occ {occ})"),
@@ -671,6 +702,22 @@ mod tests {
             FaultAction::Delay(Duration::from_millis(25))
         );
         assert_eq!(plan.specs().len(), 4);
+    }
+
+    #[test]
+    fn sites_are_unique_and_all_lists_every_one() {
+        // `ALL` is built from the same lines as the constants: its length
+        // is the declaration count, and the parser resolves each name back
+        // to the constant it was declared as.
+        assert_eq!(sites::ALL.len(), 15);
+        for (i, site) in sites::ALL.iter().enumerate() {
+            assert_eq!(Site::lookup(site.as_str()), Some(*site));
+            assert!(
+                sites::ALL[..i].iter().all(|s| s.as_str() != site.as_str()),
+                "duplicate site {site}"
+            );
+        }
+        assert_eq!(Site::lookup("nosuchsite"), None);
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //! | `unsafe-audit` | every `unsafe` block/fn/impl carries a `// SAFETY:` comment (or `# Safety` doc) |
 //! | `panic-freedom` | no `.unwrap()` / `.expect()` / `panic!` / `todo!` / `unimplemented!` in hot-path modules |
 //! | `panic-reachability` | no panicking construct (incl. `[i]` indexing) in any fn transitively reachable from a `// lint: entry(panic-reachability)` declaration, via the workspace call graph |
-//! | `name-registry` | every trace/fault name at a call site is a `trace::names` / `fault::sites` constant; every constant is used and listed in its module's `ALL` slice |
 //! | `alloc-freedom` | no allocation (`Vec::new`, `vec!`, `.push`, `.clone`, `format!`, …) inside a `// lint: region(no_alloc)` block |
 //! | `determinism` | no `Instant::now` / `SystemTime::now` / `thread::sleep` / `process::exit` outside sim, bench, and CLI code |
 //! | `lock-discipline` | no lock-order cycles; every `Ordering::Relaxed` is justified by a comment |

@@ -60,16 +60,6 @@ pub struct Region {
     pub body: Option<(usize, usize)>,
 }
 
-/// A `const NAME: &str = "value";` item (the name-registry substrate).
-#[derive(Clone, Debug)]
-pub struct StrConst {
-    pub name: String,
-    /// Literal value with the quotes stripped.
-    pub value: String,
-    pub module: Vec<String>,
-    pub line: usize,
-}
-
 /// An entry annotation as written (kept for hygiene: unknown rule names
 /// in `// lint: entry(...)` are themselves findings).
 #[derive(Clone, Debug)]
@@ -87,7 +77,6 @@ pub struct ParsedFile {
     pub krate: String,
     pub fns: Vec<FnItem>,
     pub regions: Vec<Region>,
-    pub consts: Vec<StrConst>,
     pub entries: Vec<EntryMark>,
 }
 
@@ -199,18 +188,6 @@ pub fn parse_file(f: &SourceFile) -> ParsedFile {
                                 is_test: f.class.test_file || f.in_test_code(name.line),
                                 entry: false,
                             });
-                        }
-                    }
-                    "const" => {
-                        if let Some(c) = parse_str_const(toks, i) {
-                            let module: Vec<String> = stack
-                                .iter()
-                                .filter_map(|s| match s {
-                                    Scope::Mod(m) => Some(m.clone()),
-                                    _ => None,
-                                })
-                                .collect();
-                            out.consts.push(StrConst { module, ..c });
                         }
                     }
                     _ => {
@@ -355,51 +332,6 @@ fn find_fn_body(
         j += 1;
     }
     None
-}
-
-/// Parses `const NAME: … str … = "value";` starting at the `const` token.
-fn parse_str_const(toks: &[Token], kw: usize) -> Option<StrConst> {
-    let name = toks.get(kw + 1)?;
-    if name.kind != TokKind::Ident || name.text == "fn" {
-        return None;
-    }
-    if !toks.get(kw + 2)?.is_punct(':') {
-        return None;
-    }
-    // Scan the type up to `=`; require a bare `str` (so `&[&str]` slices
-    // like the ALL lists are not treated as named constants).
-    let mut j = kw + 3;
-    let mut saw_str = false;
-    let mut saw_slice = false;
-    while let Some(t) = toks.get(j) {
-        if t.is_punct('=') {
-            j += 1;
-            break;
-        }
-        if t.is_punct(';') {
-            return None;
-        }
-        if t.is_ident("str") {
-            saw_str = true;
-        }
-        if t.is_punct('[') {
-            saw_slice = true;
-        }
-        j += 1;
-    }
-    if !saw_str || saw_slice {
-        return None;
-    }
-    let val = toks.get(j)?;
-    if val.kind != TokKind::Literal || !val.text.starts_with('"') {
-        return None;
-    }
-    Some(StrConst {
-        name: name.text.clone(),
-        value: val.text.trim_matches('"').to_string(),
-        module: Vec::new(),
-        line: name.line,
-    })
 }
 
 /// Tries to read a call expression whose callee name is the ident at `i`:
@@ -610,17 +542,6 @@ mod tests {
         let p = parse("fn f() {\n    fault::point(SITE, 1);\n    Self::helper(2);\n}\n");
         assert_eq!(p.fns[0].calls[0].qualifier, vec!["fault"]);
         assert_eq!(p.fns[0].calls[1].qualifier, vec!["Self"]);
-    }
-
-    #[test]
-    fn string_consts_are_collected_with_modules() {
-        let p = parse(
-            "pub mod spans {\n    pub const EPOCH: &str = \"epoch\";\n    pub const ALL: &[&str] = &[EPOCH];\n}\n",
-        );
-        assert_eq!(p.consts.len(), 1, "slice consts are not named constants");
-        assert_eq!(p.consts[0].name, "EPOCH");
-        assert_eq!(p.consts[0].value, "epoch");
-        assert_eq!(p.consts[0].module, vec!["spans"]);
     }
 
     #[test]

@@ -144,9 +144,7 @@ mod tests {
         let out = check(
             "fn f() {\n    // lint: region(no_alloc)\n    {\n        let x = unsafe { *p.add(1) };\n        acc[0] = acc[0] + x;\n    }\n}\n",
         );
-        // `.add(` is pointer arithmetic, not Trace::add — but the rule is
-        // lexical, so `.add(` would fire only as a NAME_API in the
-        // registry rule, not here; nothing in this region allocates.
+        // `.add(` is pointer arithmetic; nothing in this region allocates.
         assert!(out.is_empty(), "{out:?}");
     }
 }

@@ -8,7 +8,6 @@ pub mod alloc_freedom;
 pub mod determinism;
 pub mod half_conversion;
 pub mod lock_discipline;
-pub mod name_registry;
 pub mod panic_freedom;
 pub mod panic_reachability;
 pub mod unsafe_audit;
@@ -24,9 +23,6 @@ pub const PANIC_FREEDOM: &str = "panic-freedom";
 /// Rule id: panicking constructs transitively reachable from a declared
 /// `// lint: entry(panic-reachability)` hot-path entry point.
 pub const PANIC_REACHABILITY: &str = "panic-reachability";
-/// Rule id: stringly-typed trace/fault names, dead registry constants,
-/// incomplete exporter `ALL` lists.
-pub const NAME_REGISTRY: &str = "name-registry";
 /// Rule id: allocation inside a `// lint: region(no_alloc)` block.
 pub const ALLOC_FREEDOM: &str = "alloc-freedom";
 /// Rule id: wall-clock / sleep / exit outside the whitelist.
@@ -46,7 +42,6 @@ pub const ALL_RULES: &[&str] = &[
     UNSAFE_AUDIT,
     PANIC_FREEDOM,
     PANIC_REACHABILITY,
-    NAME_REGISTRY,
     ALLOC_FREEDOM,
     DETERMINISM,
     LOCK_DISCIPLINE,

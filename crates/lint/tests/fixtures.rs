@@ -162,25 +162,12 @@ fn unjustified_relaxed_is_flagged_once() {
     assert_eq!(out[0].line, 6);
 }
 
-/// Parses fixture `name` under an explicit workspace-relative `path` (for
-/// rules that key on file identity, like the name registry).
-fn parse_at(name: &str, path: &str, class: FileClass) -> SourceFile {
-    SourceFile::parse(path.to_string(), &load(name), class)
-}
-
 /// Runs the call-graph rule over a set of already-parsed files.
 fn run_reachability(files: &[SourceFile]) -> Vec<Diagnostic> {
     let parsed: Vec<ParsedFile> = files.iter().map(parse_file).collect();
     let graph = CallGraph::build(&parsed);
     let mut out = Vec::new();
     rules::panic_reachability::run(files, &parsed, &graph, &mut out);
-    out
-}
-
-fn run_registry(files: &[SourceFile]) -> Vec<Diagnostic> {
-    let parsed: Vec<ParsedFile> = files.iter().map(parse_file).collect();
-    let mut out = Vec::new();
-    rules::name_registry::run(files, &parsed, &mut out);
     out
 }
 
@@ -214,68 +201,6 @@ fn unreachable_panic_free_chain_is_accepted() {
     let f = parse("good_panic_reachability.rs", FileClass::default());
     let out = run_reachability(std::slice::from_ref(&f));
     assert!(out.is_empty(), "{out:?}");
-}
-
-#[test]
-fn stringly_typed_names_fire_at_call_sites() {
-    let files = vec![
-        parse_at("names_registry.rs", "crates/trace/src/names.rs", FileClass::default()),
-        parse_at("bad_name_registry.rs", "crates/core/src/instrument.rs", FileClass::default()),
-        // The fixed file also rides along so every constant stays referenced.
-        parse_at("good_name_registry.rs", "crates/core/src/instrument_ok.rs", FileClass::default()),
-    ];
-    let out = run_registry(&files);
-    assert_eq!(out.len(), 2, "{out:?}");
-    assert!(out.iter().all(|d| d.rule == "name-registry"));
-    assert!(out.iter().all(|d| d.file.contains("instrument.rs")));
-    let registered = out
-        .iter()
-        .find(|d| d.message.contains("\"serve.batch\""))
-        .expect("registered-literal finding");
-    assert!(
-        registered.message.contains("names::spans::SERVE_BATCH"),
-        "fix hint names the constant: {}",
-        registered.message
-    );
-    let unknown = out
-        .iter()
-        .find(|d| d.message.contains("\"mystery.counter\""))
-        .expect("unregistered-literal finding");
-    assert!(unknown.message.contains("declare it"), "{}", unknown.message);
-}
-
-#[test]
-fn constants_at_call_sites_are_accepted() {
-    let files = vec![
-        parse_at("names_registry.rs", "crates/trace/src/names.rs", FileClass::default()),
-        parse_at("good_name_registry.rs", "crates/core/src/instrument_ok.rs", FileClass::default()),
-    ];
-    let out = run_registry(&files);
-    assert!(out.is_empty(), "{out:?}");
-}
-
-#[test]
-fn dead_constants_and_incomplete_all_lists_fire() {
-    let files = vec![
-        parse_at("bad_names_registry_decl.rs", "crates/trace/src/names.rs", FileClass::default()),
-        SourceFile::parse(
-            "crates/core/src/site.rs".to_string(),
-            "pub fn f(t: &Trace) { t.add(names::counters::LIVE, 1); t.add(names::counters::DROPPED, 1); }\n",
-            FileClass::default(),
-        ),
-    ];
-    let out = run_registry(&files);
-    assert_eq!(out.len(), 2, "{out:?}");
-    let dead = out
-        .iter()
-        .find(|d| d.message.contains("never used"))
-        .expect("dead-constant finding");
-    assert!(dead.message.contains("ORPHANED"), "{}", dead.message);
-    let drift = out
-        .iter()
-        .find(|d| d.message.contains("ALL"))
-        .expect("exporter-drift finding");
-    assert!(drift.message.contains("DROPPED"), "{}", drift.message);
 }
 
 #[test]

@@ -15,10 +15,10 @@
 //!   floating-point operation order to the hand-written loops it replaced.
 //! * **Threaded** ([`StageGraph::run_threaded`]): one dedicated thread per
 //!   stage, adjacent stages connected by bounded queues
-//!   ([`crate::queue`]). Batch `k+1` flows through stage `i` while batch
-//!   `k` occupies stage `i+1` — the SALIENT overlap. Backpressure is the
-//!   queue bound: a fast producer parks in `send` when the queue is full;
-//!   nothing is dropped, nothing busy-waits.
+//!   ([`salient_tensor::sync::channel`]). Batch `k+1` flows through stage
+//!   `i` while batch `k` occupies stage `i+1` — the SALIENT overlap.
+//!   Backpressure is the queue bound: a fast producer parks in `send` when
+//!   the queue is full; nothing is dropped, nothing busy-waits.
 //!
 //! Stage loops run on dedicated `std::thread`s, *not* on
 //! [`salient_tensor::pool`] workers: a pool job holds the pool's submit
@@ -40,11 +40,13 @@
 //! handles drop as stage loops exit, which unblocks any parked peer with
 //! an error instead of leaving it waiting forever.
 
-use crate::queue;
-use salient_trace::{names, Clock, Gauge, Histogram, Trace};
+use salient_tensor::sync::channel as queue;
+use salient_tensor::sync::lock_unpoisoned;
+use salient_trace::names::{self, GaugeName, HistName, SpanName};
+use salient_trace::{Clock, Gauge, Histogram, Trace};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 
 /// An item flowing through a stage graph. The id tags every span the
 /// executor records for the item.
@@ -73,27 +75,28 @@ pub struct StageSpec {
     pub label: &'static str,
     /// Span recorded around each item's work in this stage
     /// (a [`names::spans`] constant).
-    pub work_span: &'static str,
+    pub work_span: SpanName,
     /// Span recorded around this stage's *input wait*. In threaded mode
     /// every stage waits on its own input (source or queue); in inline
     /// mode only the last stage's wait span is used, for the single
     /// source wait — the consumer-blocked time of SALIENT Table 1.
-    pub wait_span: Option<&'static str>,
+    pub wait_span: Option<SpanName>,
     /// Bound of the queue *feeding* this stage in threaded mode (ignored
     /// for the first stage, whose input is the source). 2 ≡ double
-    /// buffering.
-    pub queue_cap: usize,
+    /// buffering. Private so that [`StageSpec::queue`] can keep it at
+    /// least 1, which the channel requires.
+    queue_cap: usize,
     /// Depth gauge for the queue feeding this stage (threaded mode).
-    pub queue_gauge: Option<&'static str>,
+    pub queue_gauge: Option<GaugeName>,
     /// Histogram observing this stage's work-span duration (e.g.
     /// `train.batch_ns`) — derived from the span boundaries, no extra
     /// clock reads.
-    pub work_hist: Option<&'static str>,
+    pub work_hist: Option<HistName>,
 }
 
 impl StageSpec {
     /// A stage with no wait span, queue capacity 2 and no gauge.
-    pub fn new(label: &'static str, work_span: &'static str) -> StageSpec {
+    pub fn new(label: &'static str, work_span: SpanName) -> StageSpec {
         StageSpec {
             label,
             work_span,
@@ -105,25 +108,27 @@ impl StageSpec {
     }
 
     /// Sets the input-wait span name.
-    pub fn wait(mut self, span: &'static str) -> StageSpec {
+    pub fn wait(mut self, span: SpanName) -> StageSpec {
         self.wait_span = Some(span);
         self
     }
 
-    /// Sets the input queue bound (threaded mode).
+    /// Sets the input queue bound (threaded mode). A bound of 0 is clamped
+    /// to 1: the channel has no rendezvous mode, and a stage must be able to
+    /// hand over one item.
     pub fn queue(mut self, cap: usize) -> StageSpec {
-        self.queue_cap = cap;
+        self.queue_cap = cap.max(1);
         self
     }
 
     /// Sets the input queue depth gauge (threaded mode).
-    pub fn gauge(mut self, name: &'static str) -> StageSpec {
+    pub fn gauge(mut self, name: GaugeName) -> StageSpec {
         self.queue_gauge = Some(name);
         self
     }
 
     /// Sets the work-span duration histogram.
-    pub fn hist(mut self, name: &'static str) -> StageSpec {
+    pub fn hist(mut self, name: HistName) -> StageSpec {
         self.work_hist = Some(name);
         self
     }
@@ -141,7 +146,7 @@ pub struct GraphSpec {
     /// pipeline fill and is recorded as a `warmup` span + `pipe.fill_ns`
     /// observation instead, so it cannot distort the steady-state
     /// percentiles (the p99-outlier fix).
-    pub wait_hist: Option<&'static str>,
+    pub wait_hist: Option<HistName>,
 }
 
 impl GraphSpec {
@@ -161,7 +166,7 @@ impl GraphSpec {
     }
 
     /// Sets the steady-state wait histogram (enables fill separation).
-    pub fn wait_hist(mut self, name: &'static str) -> GraphSpec {
+    pub fn wait_hist(mut self, name: HistName) -> GraphSpec {
         self.wait_hist = Some(name);
         self
     }
@@ -188,7 +193,7 @@ pub struct PipeStats {
     pub panics: u64,
     /// `Some(work_span)` of the stage that poisoned the run (budget
     /// exhausted or `Fatal`); `None` for a clean run.
-    pub fatal_stage: Option<&'static str>,
+    pub fatal_stage: Option<SpanName>,
 }
 
 impl PipeStats {
@@ -204,7 +209,7 @@ struct SharedStats {
     skipped: AtomicU64,
     panics: AtomicU64,
     poisoned: AtomicBool,
-    fatal: Mutex<Option<&'static str>>,
+    fatal: Mutex<Option<SpanName>>,
 }
 
 impl SharedStats {
@@ -218,9 +223,9 @@ impl SharedStats {
         }
     }
 
-    fn poison(&self, span: &'static str) {
+    fn poison(&self, span: SpanName) {
         self.poisoned.store(true, Ordering::Release);
-        let mut fatal = self.fatal.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut fatal = lock_unpoisoned(&self.fatal);
         if fatal.is_none() {
             *fatal = Some(span);
         }
@@ -406,7 +411,7 @@ impl<'a, T: PipeItem + Send + 'a> StageGraph<'a, T> {
         // Queue i feeds stage i+1; its bound and gauge come from the fed
         // stage's spec, collected up front because each stage is moved
         // into its thread as it spawns.
-        let feed_specs: Vec<(usize, Option<&'static str>)> = stages
+        let feed_specs: Vec<(usize, Option<GaugeName>)> = stages
             .iter()
             .skip(1)
             .map(|s| (s.spec.queue_cap, s.spec.queue_gauge))
@@ -453,7 +458,7 @@ impl<'a, T: PipeItem + Send + 'a> StageGraph<'a, T> {
                 }
             }
         });
-        let fatal_stage = *shared.fatal.lock().unwrap_or_else(PoisonError::into_inner);
+        let fatal_stage = *lock_unpoisoned(&shared.fatal);
         PipeStats {
             emitted: shared.emitted.load(Ordering::Acquire),
             skipped: shared.skipped.load(Ordering::Acquire),
@@ -478,14 +483,14 @@ struct StageCtx<'env, 'a, T> {
     /// Non-last stages: the queue to the next stage (+ its depth gauge,
     /// keyed by the registered gauge name so depth samples also land on a
     /// Chrome-trace counter track).
-    output: Option<(queue::Sender<T>, Option<(&'static str, Gauge)>)>,
+    output: Option<(queue::Sender<T>, Option<(GaugeName, Gauge)>)>,
 }
 
 /// On poison, hand the flight recorder the failing batch id so the dump
 /// carries that batch's causal chain. No-op when no blackbox is attached.
 fn dump_on_poison(trace: &Trace, bid: u64) {
     if let Some(bb) = trace.blackbox() {
-        let _ = bb.dump(trace, names::events::PIPE_POISONED, bid);
+        let _ = bb.dump(trace, names::events::PIPE_POISONED.as_str(), bid);
     }
 }
 
@@ -514,7 +519,7 @@ fn stage_loop<T: PipeItem + Send>(ctx: StageCtx<'_, '_, T>) {
     let fill_hist = trace.histogram(names::hists::PIPE_FILL_NS);
     let panic_ctr = trace.counter(names::counters::PIPE_STAGE_PANICS);
     let work_hist: Option<Histogram> = stage.spec.work_hist.map(|n| trace.histogram(n));
-    let in_gauge: Option<(&'static str, Gauge)> = match (&input, stage.spec.queue_gauge) {
+    let in_gauge: Option<(GaugeName, Gauge)> = match (&input, stage.spec.queue_gauge) {
         (Some(_), Some(g)) => Some((g, trace.gauge(g))),
         _ => None,
     };
@@ -530,7 +535,7 @@ fn stage_loop<T: PipeItem + Send>(ctx: StageCtx<'_, '_, T>) {
                 }
             }
             (None, Some(rx)) => {
-                let it = rx.recv();
+                let it = rx.recv().ok();
                 if let Some((name, g)) = &in_gauge {
                     let depth = rx.len() as u64;
                     g.set(depth);
@@ -611,7 +616,7 @@ fn stage_loop<T: PipeItem + Send>(ctx: StageCtx<'_, '_, T>) {
                     if let Some((name, g)) = gauge {
                         let depth = tx.len() as u64;
                         g.set(depth);
-                        trace.counter_track(name, depth);
+                        trace.counter_track(*name, depth);
                     }
                 }
             }
@@ -766,6 +771,23 @@ mod tests {
         assert_eq!(snap.count(names::spans::STAGE_TRAIN), n as usize);
     }
 
+    #[test]
+    fn zero_queue_bound_is_clamped_to_one() {
+        let spec = StageSpec::new("b", names::spans::STAGE_TRAIN).queue(0);
+        assert_eq!(spec.queue_cap, 1);
+        // And the threaded schedule runs on the clamped bound instead of
+        // tripping the channel's positive-capacity assertion.
+        let trace = Trace::new(Clock::virtual_with_tick(1));
+        let stats = StageGraph::new(GraphSpec::new("t"), counting_source(8))
+            .stage(
+                StageSpec::new("a", names::spans::STAGE_TRANSFER),
+                StageOutcome::Emit,
+            )
+            .stage(spec, StageOutcome::Emit)
+            .run_threaded(&trace);
+        assert_eq!(stats.emitted, 8);
+    }
+
     /// The satellite-3 schedule-shape test: with a rendezvous forced
     /// between the two stage threads, batch k's compute span and batch
     /// k+1's prep span must overlap in (tick-ordered, deterministic)
@@ -906,7 +928,7 @@ mod tests {
             .metrics
             .gauges
             .iter()
-            .any(|(k, _)| k == names::gauges::PIPE_QUEUE_COMPUTE));
+            .any(|(k, _)| k == names::gauges::PIPE_QUEUE_COMPUTE.as_str()));
     }
 
     #[test]

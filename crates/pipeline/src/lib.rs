@@ -11,8 +11,9 @@
 //! * [`StageGraph`] — a source plus ordered stages, each timed through
 //!   [`salient_trace::Clock`] so the identical description runs on the real
 //!   monotonic clock *and* on the simulator's virtual plane.
-//! * [`exec`]-internal bounded queues give backpressure by construction:
-//!   a fast producer parks, nothing is dropped, nothing spins.
+//! * Adjacent stages are joined by the workspace's one bounded channel
+//!   ([`salient_tensor::sync::channel`]), so backpressure holds by
+//!   construction: a fast producer parks, nothing is dropped, nothing spins.
 //! * [`shape`] — the canonical stage shapes (names, resource classes,
 //!   queue bounds) consumed by both the real executors and
 //!   `salient-sim`'s discrete-event schedules, so sim-vs-real drift checks
@@ -23,7 +24,6 @@
 //! stays the intra-stage data-parallel axis).
 
 mod exec;
-mod queue;
 pub mod shape;
 
 pub use exec::{GraphSpec, PipeItem, PipeStats, StageGraph, StageOutcome, StageSpec};

@@ -27,7 +27,7 @@ pub struct StageShape {
     pub sim_task: &'static str,
     /// Trace span recorded around the stage's work
     /// (a [`salient_trace::names::spans`] constant).
-    pub span: &'static str,
+    pub span: salient_trace::names::SpanName,
     /// Resource class the stage occupies.
     pub resource: ResourceKind,
 }

@@ -34,10 +34,11 @@ use salient_nn::GnnModel;
 use salient_pipeline::{GraphSpec, PipeItem, StageGraph, StageOutcome, StageSpec};
 use salient_sampler::{FastSampler, MessageFlowGraph};
 use salient_tensor::rng::StdRng;
+use salient_tensor::sync::{into_inner_unpoisoned, lock_unpoisoned};
 use salient_trace::{names, Clock, Counter, Gauge, Histogram, Trace};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// Completed latencies kept for the rolling p99 estimate.
 const LATENCY_WINDOW: usize = 128;
@@ -65,12 +66,6 @@ impl PipeItem for ServeJob {
     fn batch_id(&self) -> u64 {
         self.seq
     }
-}
-
-/// Batch-state mutex helper: the state is plain data mutated under short
-/// critical sections, so a poisoned guard carries no broken invariant.
-fn lock_state<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Rolling window of completed-request latencies with a cached p99.
@@ -165,7 +160,7 @@ pub struct StepOutcome {
 /// `Delay` advances it (deterministic stage-stall scripting); on the real
 /// clock it sleeps. Panics inline for `Panic` — callers wrap the stage in
 /// `catch_unwind`. Returns `true` for `Drop`.
-fn apply_fault(clock: &Clock, site: &'static str, occ: u64) -> bool {
+fn apply_fault(clock: &Clock, site: fault::Site, occ: u64) -> bool {
     match fault::point(site, occ) {
         FaultAction::Proceed => false,
         // lint: allow(panic-reachability, injected fault demands a panic; every serving stage wraps it in catch_unwind)
@@ -375,7 +370,7 @@ impl ServerCore {
                 // A breaker open means the server is shedding load: dump the
                 // flight recorder so the window leading up to it survives.
                 if let Some(bb) = self.trace.blackbox() {
-                    let _ = bb.dump(&self.trace, names::events::SERVE_BREAKER_OPEN, self.batch_seq);
+                    let _ = bb.dump(&self.trace, names::events::SERVE_BREAKER_OPEN.as_str(), self.batch_seq);
                 }
             }
             BreakerMove::HalfOpened => {
@@ -522,7 +517,10 @@ impl ServerCore {
         //
         // Members and their expiry stages live outside the graph (behind a
         // local mutex the closures share) so a batch retired mid-pipeline
-        // still produces its terminal responses afterwards.
+        // still produces its terminal responses afterwards. The state is
+        // plain data mutated under short critical sections, so a guard
+        // poisoned by a stage panic carries no broken invariant and is
+        // recovered (`lock_unpoisoned`).
         struct BatchState {
             members: Vec<Pending>,
             expired_at: Vec<Option<Stage>>,
@@ -561,7 +559,7 @@ impl ServerCore {
                         StageOutcome::Emit(job)
                     },
                     move |_job, end_ns| {
-                        let mut st = lock_state(state);
+                        let mut st = lock_unpoisoned(state);
                         let st = &mut *st;
                         let live = Self::expire_members(
                             &st.members,
@@ -591,7 +589,7 @@ impl ServerCore {
                         }
                     },
                     move |_job, end_ns| {
-                        let mut st = lock_state(state);
+                        let mut st = lock_unpoisoned(state);
                         let st = &mut *st;
                         let live = Self::expire_members(
                             &st.members,
@@ -617,7 +615,7 @@ impl ServerCore {
                             Ok(preds) => {
                                 // Fan distinct-seed predictions back out to
                                 // the members that asked for them.
-                                let mut st = lock_state(state);
+                                let mut st = lock_unpoisoned(state);
                                 st.preds =
                                     Some(seed_idx.iter().map(|&i| preds[i]).collect());
                                 StageOutcome::Emit(job)
@@ -626,7 +624,7 @@ impl ServerCore {
                         }
                     },
                     move |_job, end_ns| {
-                        let mut st = lock_state(state);
+                        let mut st = lock_unpoisoned(state);
                         let st = &mut *st;
                         Self::expire_members(
                             &st.members,
@@ -644,7 +642,7 @@ impl ServerCore {
             members,
             expired_at,
             preds,
-        } = state.into_inner().unwrap_or_else(PoisonError::into_inner);
+        } = into_inner_unpoisoned(state);
         if let Some(fatal) = stats.fatal_stage {
             if fatal == names::spans::SERVE_SAMPLE {
                 // Crashed sampler: deterministic respawn (re-seeded from the

@@ -12,14 +12,15 @@
 
 use crate::core::ServerCore;
 use crate::{Rejected, Request, Response};
-use salient_batchprep::channel::{self, Receiver, RecvTimeoutError, Sender};
 use salient_fault::{self as fault};
 use salient_graph::NodeId;
+use salient_tensor::sync::channel::{self, Receiver, RecvTimeoutError, Sender};
+use salient_tensor::sync::{into_inner_unpoisoned, lock_unpoisoned};
 use salient_trace::names;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -29,13 +30,9 @@ const RESPAWN_BUDGET: u64 = 3;
 /// How long an idle worker sleeps between queue checks.
 const IDLE_POLL: Duration = Duration::from_millis(1);
 
-/// Locks tolerating poison: state behind these mutexes is kept consistent
-/// by the panic boundaries around every step, so a poisoned lock carries no
-/// torn invariants.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
+/// Every lock below is taken poison-tolerantly (`lock_unpoisoned`): the
+/// state behind these mutexes is kept consistent by the panic boundaries
+/// around every step, so a poisoned lock carries no torn invariants.
 struct Shared {
     core: Mutex<ServerCore>,
     waiters: Mutex<HashMap<u64, Sender<Response>>>,
@@ -179,7 +176,7 @@ impl Server {
         let shared = Arc::clone(&self.shared);
         drop(self);
         match Arc::try_unwrap(shared) {
-            Ok(sh) => sh.core.into_inner().unwrap_or_else(PoisonError::into_inner),
+            Ok(sh) => into_inner_unpoisoned(sh.core),
             Err(shared) => {
                 // A straggling Ticket still holds the Arc; steal the core by
                 // swapping in a dummy? Not possible without Default — so we
@@ -189,9 +186,7 @@ impl Server {
                 loop {
                     if Arc::strong_count(&shared) == 1 {
                         break Arc::try_unwrap(shared)
-                            .map(|sh| {
-                                sh.core.into_inner().unwrap_or_else(PoisonError::into_inner)
-                            })
+                            .map(|sh| into_inner_unpoisoned(sh.core))
                             .unwrap_or_else(|_| unreachable!("sole owner"));
                     }
                     std::thread::yield_now();
@@ -222,10 +217,7 @@ impl Drop for Server {
 /// pattern). Exhausting the budget marks the server dead and fails all
 /// parked waiters instead of hanging them.
 fn supervise(shared: Arc<Shared>) {
-    let respawns = shared
-        .core
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
+    let respawns = lock_unpoisoned(&shared.core)
         .trace()
         .counter(names::counters::SERVE_RESPAWNS);
     let mut incarnation: u64 = 0;

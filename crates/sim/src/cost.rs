@@ -289,26 +289,6 @@ impl CostModel {
         flops / self.gpu_flops * 1e9 + agg / self.gpu_mem_bw * 1e9 + self.gpu_overhead_ns
     }
 
-    /// CPU→GPU transfer time with a device-side feature cache absorbing
-    /// `hit_rate` of the feature rows (structure and labels always cross
-    /// the bus). Models the GNS-style caching of §8's future work.
-    pub fn transfer_batch_ns_cached(
-        &self,
-        w: &BatchWorkload,
-        skip_assertions: bool,
-        hit_rate: f64,
-    ) -> f64 {
-        let bytes = w.feature_bytes() * (1.0 - hit_rate.clamp(0.0, 1.0))
-            + w.batch_size as f64 * 4.0
-            + w.structure_bytes();
-        let layers = w.hop_edges.len() as f64;
-        if skip_assertions {
-            bytes / (self.dma_bw * self.dma_eff_pipelined) * 1e9
-        } else {
-            bytes / self.dma_bw * 1e9 + layers * self.rt_latency_ns
-        }
-    }
-
     /// Ring all-reduce time across `ranks` for `bytes` of gradients (ns).
     pub fn allreduce_ns(&self, ranks: usize, bytes: f64) -> f64 {
         if ranks <= 1 {

@@ -18,6 +18,11 @@
 //! the job and does not return until every worker has retired the job, so
 //! the erased `'static` borrow handed to workers never outlives the call.
 
+// Poison recovery is sound for every lock below: each critical section in
+// this pool is a plain field assignment, and chunk panics are caught inside
+// `drain`, so a poisoned mutex carries no broken invariant — and the kernel
+// dispatch path stays free of panicking constructs.
+use crate::sync::{lock_unpoisoned, wait_unpoisoned};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 
@@ -76,14 +81,6 @@ fn configured_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Recovers a poisoned lock. Every critical section in this pool is a
-/// plain field assignment, and chunk panics are caught inside `drain`, so
-/// a poisoned mutex carries no broken invariant — take the guard and go.
-/// This keeps the whole kernel dispatch path free of panicking constructs.
-fn relock<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
-    r.unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 static POOL: OnceLock<&'static ThreadPool> = OnceLock::new();
 
 /// The process-wide pool, created on first use.
@@ -129,7 +126,7 @@ impl ThreadPool {
         let mut seen_epoch = 0u64;
         loop {
             let job = {
-                let mut st = relock(self.state.lock());
+                let mut st = lock_unpoisoned(&self.state);
                 loop {
                     if st.epoch != seen_epoch {
                         if let Some(job) = st.job.clone() {
@@ -138,13 +135,13 @@ impl ThreadPool {
                         }
                         seen_epoch = st.epoch;
                     }
-                    st = relock(self.work_cv.wait(st));
+                    st = wait_unpoisoned(&self.work_cv, st);
                 }
             };
             self.drain(&job);
             // Last participant out signals the submitter.
             if self.active.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let _g = relock(self.done_lock.lock());
+                let _g = lock_unpoisoned(&self.done_lock);
                 self.done_cv.notify_all();
             }
         }
@@ -173,7 +170,7 @@ impl ThreadPool {
                 // Relaxed: the store is an optimization hint; stragglers
                 // that miss it merely run extra chunks.
                 job.next.store(job.n_chunks, Ordering::Relaxed);
-                let mut slot = relock(job.panic_payload.lock());
+                let mut slot = lock_unpoisoned(&job.panic_payload);
                 if slot.is_none() {
                     *slot = Some(payload);
                 }
@@ -196,7 +193,7 @@ impl ThreadPool {
             }
             return;
         }
-        let _submit = relock(self.submit.lock());
+        let _submit = lock_unpoisoned(&self.submit);
         // SAFETY: the transmute only erases the borrow's lifetime; workers
         // dereference it exclusively between job publication below and the
         // completion wait at the end of this call, while `task` is borrowed.
@@ -213,7 +210,7 @@ impl ThreadPool {
         // `active` accounting exact without per-worker handshakes.
         self.active.store(self.threads, Ordering::Release);
         {
-            let mut st = relock(self.state.lock());
+            let mut st = lock_unpoisoned(&self.state);
             st.epoch += 1;
             st.job = Some(std::sync::Arc::clone(&job));
             self.work_cv.notify_all();
@@ -221,15 +218,15 @@ impl ThreadPool {
         // The submitter is a participant too.
         self.drain(&job);
         if self.active.fetch_sub(1, Ordering::AcqRel) != 1 {
-            let mut g = relock(self.done_lock.lock());
+            let mut g = lock_unpoisoned(&self.done_lock);
             while self.active.load(Ordering::Acquire) != 0 {
-                g = relock(self.done_cv.wait(g));
+                g = wait_unpoisoned(&self.done_cv, g);
             }
         }
         // Retire the job: the chunk counter is exhausted, but clearing drops
         // the erased borrow reference eagerly.
-        relock(self.state.lock()).job = None;
-        let payload = relock(job.panic_payload.lock()).take();
+        lock_unpoisoned(&self.state).job = None;
+        let payload = lock_unpoisoned(&job.panic_payload).take();
         if let Some(payload) = payload {
             // Propagate the chunk's own panic (message and all) as if it
             // had happened on the submitting thread.

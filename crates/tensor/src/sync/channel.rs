@@ -3,8 +3,14 @@
 //! `std::sync::mpsc` is single-consumer, but batch preparation needs MPMC in
 //! two places: the pinned-buffer pool (any worker returns a slot, any worker
 //! claims one) and the prepared-batch stream (many workers produce, the
-//! consumer — possibly cloned — drains). This module provides the minimal
-//! bounded channel both need, built on `Mutex<VecDeque>` + two condvars.
+//! consumer — possibly cloned — drains). The stage-graph executor's
+//! inter-stage queues and the serving front end's nudge and reply queues
+//! are the single-producer single-consumer case of the same contract. This
+//! module provides the one bounded channel they all use, built on
+//! `Mutex<VecDeque>` + two condvars.
+//!
+//! Backpressure is the bound: a producer that runs ahead parks in `send`
+//! on a condvar (no drops, no spinning) until a slot frees.
 //!
 //! Semantics match the conventional MPMC contract: `send` blocks while the
 //! buffer is full and fails once every receiver is gone; `recv` drains
@@ -12,7 +18,7 @@
 //! disconnection. Endpoints are clone-counted; dropping the last endpoint of
 //! either side wakes all waiters on the other.
 
-use salient_tensor::sync::{lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned};
+use super::{lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -101,6 +107,16 @@ impl<T> Sender<T> {
             }
             st = wait_unpoisoned(&self.inner.not_full, st);
         }
+    }
+
+    /// Messages currently buffered (for depth gauges; racy by nature).
+    pub fn len(&self) -> usize {
+        lock_unpoisoned(&self.inner.state).queue.len()
+    }
+
+    /// Whether the buffer is currently empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -267,6 +283,20 @@ mod tests {
             assert_eq!(rx.recv().unwrap(), i);
         }
         assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+    }
+
+    #[test]
+    fn sender_len_tracks_depth() {
+        let (tx, rx) = bounded(3);
+        assert!(tx.is_empty());
+        tx.send(1u32).unwrap();
+        tx.send(2).unwrap();
+        assert_eq!((tx.len(), rx.len()), (2, 2));
+        assert_eq!(rx.recv(), Ok(1));
+        assert_eq!(tx.len(), 1);
+        drop(rx);
+        // The departing receiver took the buffered message with it.
+        assert_eq!(tx.len(), 0);
     }
 
     #[test]

@@ -1,4 +1,8 @@
-//! Poison-tolerant lock helpers.
+//! The workspace's one synchronisation leaf: poison-tolerant lock helpers
+//! and the bounded blocking [`channel`] built on them. Every crate above
+//! `salient-tensor` (batch prep's slot pool and batch stream, the
+//! stage-graph executor's inter-stage queues, the serving front end) uses
+//! these instead of a private copy.
 //!
 //! A panicking batch-prep worker poisons any `Mutex` it held; the fault
 //! layer (PR 2) catches the panic and retries the batch, so the lock's
@@ -11,6 +15,8 @@
 //! panicking; the hot-path `panic-freedom` lint forbids the bare
 //! `.lock().unwrap()` pattern.
 
+pub mod channel;
+
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, WaitTimeoutResult};
 use std::time::Duration;
 
@@ -18,6 +24,12 @@ use std::time::Duration;
 #[inline]
 pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// `Mutex::into_inner` that recovers the value if a previous holder panicked.
+#[inline]
+pub fn into_inner_unpoisoned<T>(m: Mutex<T>) -> T {
+    m.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// `Condvar::wait` that recovers the guard from a poisoned lock.

@@ -9,7 +9,7 @@
 //! it overlapped training compute.
 
 use crate::metrics::MetricsSnapshot;
-use crate::names::spans;
+use crate::names::{spans, SpanName};
 use crate::span::{EventKind, SpanEvent};
 
 /// Everything recorded by a [`crate::Trace`], frozen at one point in time.
@@ -24,20 +24,21 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Interval events named `name`.
-    pub fn spans<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a SpanEvent> {
+    /// Interval events named `name` (a registered name or a plain `&str`;
+    /// stored events carry strings, so queries accept either).
+    pub fn spans<'a>(&'a self, name: impl AsRef<str> + 'a) -> impl Iterator<Item = &'a SpanEvent> {
         self.events
             .iter()
-            .filter(move |e| e.kind == EventKind::Span && e.name == name)
+            .filter(move |e| e.kind == EventKind::Span && e.name == name.as_ref())
     }
 
     /// Total nanoseconds across all spans named `name`.
-    pub fn sum_ns(&self, name: &str) -> u64 {
+    pub fn sum_ns(&self, name: impl AsRef<str>) -> u64 {
         self.spans(name).map(SpanEvent::dur_ns).sum()
     }
 
     /// Total nanoseconds across spans named `name` on thread `tid`.
-    pub fn sum_ns_on(&self, name: &str, tid: u32) -> u64 {
+    pub fn sum_ns_on(&self, name: impl AsRef<str>, tid: u32) -> u64 {
         self.spans(name)
             .filter(|e| e.tid == tid)
             .map(SpanEvent::dur_ns)
@@ -45,8 +46,8 @@ impl Snapshot {
     }
 
     /// Number of events (spans and instants) named `name`.
-    pub fn count(&self, name: &str) -> usize {
-        self.events.iter().filter(|e| e.name == name).count()
+    pub fn count(&self, name: impl AsRef<str>) -> usize {
+        self.events.iter().filter(|e| e.name == name.as_ref()).count()
     }
 
     /// Number of distinct recording threads.
@@ -65,8 +66,8 @@ impl Snapshot {
             events: self
                 .events
                 .iter()
-                .filter(|e| e.start_ns >= start_ns && e.end_ns <= end_ns)
-                .cloned()
+                .filter(|e| e.within(start_ns, end_ns))
+                .copied()
                 .collect(),
             threads: self.threads.clone(),
             metrics: self.metrics.clone(),
@@ -238,7 +239,7 @@ pub fn analyze(snap: &Snapshot) -> PipelineReport {
         snap.extent().map(|(s, e)| e - s).unwrap_or(0)
     };
 
-    let on_trainer = |name: &str| -> u64 {
+    let on_trainer = |name: SpanName| -> u64 {
         trainer_tids
             .iter()
             .map(|&t| snap.sum_ns_on(name, t))
@@ -310,7 +311,7 @@ pub fn analyze(snap: &Snapshot) -> PipelineReport {
     let shutdown_ns = shutdown_raw.min(other_ns - fill_ns);
     let idle_ns = other_ns - fill_ns - shutdown_ns;
 
-    let worker_spans = |name: &str| -> Vec<(u64, u64)> {
+    let worker_spans = |name: SpanName| -> Vec<(u64, u64)> {
         snap.spans(name)
             .filter(|e| !trainer_tids.contains(&e.tid))
             .map(|e| (e.start_ns, e.end_ns))

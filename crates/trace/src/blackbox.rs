@@ -26,6 +26,7 @@
 use crate::analysis::Snapshot;
 use crate::critical_path;
 use crate::export;
+use crate::lock_tolerant;
 use crate::names;
 use crate::span::{SpanEvent, Trace};
 use std::fmt::Write as _;
@@ -50,13 +51,6 @@ impl Default for BlackboxConfig {
             dir: "target/blackbox".to_string(),
         }
     }
-}
-
-fn lock_tolerant<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // Ring and path slots hold plain data; a panicked writer cannot corrupt
-    // them, and the flight recorder must keep working *especially* after
-    // panics — that is its job.
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Fixed-capacity overwrite-oldest event ring.
@@ -288,14 +282,14 @@ mod tests {
         t.record_span(spans::STAGE_TRAIN, 2, 50, 80);
         t.record_span(spans::STAGE_TRAIN, 3, 80, 90);
         let bb = t.blackbox().unwrap();
-        let path = bb.dump(&t, names::events::PIPE_POISONED, 2).unwrap();
+        let path = bb.dump(&t, names::events::PIPE_POISONED.as_str(), 2).unwrap();
         assert_eq!(bb.last_dump().as_deref(), Some(path.as_str()));
         let text = std::fs::read_to_string(&path).unwrap();
         let doc = crate::json::parse(&text).expect("dump must be valid JSON");
         let meta = doc.get("blackbox").unwrap();
         assert_eq!(
             meta.get("reason").unwrap().as_str(),
-            Some(names::events::PIPE_POISONED)
+            Some(names::events::PIPE_POISONED.as_str())
         );
         assert_eq!(meta.get("batch").unwrap().as_num(), Some(2.0));
         let chain = doc.get("chain").unwrap().as_arr().unwrap();

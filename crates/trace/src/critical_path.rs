@@ -18,7 +18,7 @@
 //! schedule on the same shape constants in `tests/critical_path.rs`.
 
 use crate::analysis::Snapshot;
-use crate::names::spans;
+use crate::names::{spans, SpanName};
 use crate::span::{EventKind, NO_BATCH};
 
 /// The causal role of one edge on a batch's path through the pipeline.
@@ -330,11 +330,11 @@ impl Replay {
         if batches.is_empty() {
             return None;
         }
-        let sum_for = |names: &[&str], b: u64| -> u64 {
+        let sum_for = |names: &[SpanName], b: u64| -> u64 {
             snap.events
                 .iter()
                 .filter(|e| {
-                    e.kind == EventKind::Span && e.batch == b && names.contains(&e.name)
+                    e.kind == EventKind::Span && e.batch == b && names.iter().any(|n| e.name == *n)
                 })
                 .map(|e| e.dur_ns())
                 .sum()
@@ -352,7 +352,7 @@ impl Replay {
         let mut prep_tids: Vec<u32> = snap
             .events
             .iter()
-            .filter(|e| e.kind == EventKind::Span && prep_names.contains(&e.name))
+            .filter(|e| e.kind == EventKind::Span && prep_names.iter().any(|n| e.name == *n))
             .map(|e| e.tid)
             .collect();
         prep_tids.sort_unstable();
@@ -469,15 +469,15 @@ mod tests {
 
     #[test]
     fn classification_covers_the_edge_taxonomy() {
-        assert_eq!(classify(spans::WARMUP), EdgeKind::Fill);
-        assert_eq!(classify(spans::PIPE_SEND), EdgeKind::Backpressure);
-        assert_eq!(classify(spans::DDP_RING_SEND), EdgeKind::RingSend);
-        assert_eq!(classify(spans::DDP_RING_RECV), EdgeKind::RingRecv);
-        assert_eq!(classify(spans::STAGE_PREP), EdgeKind::QueueWait);
-        assert_eq!(classify(spans::PIPE_WAIT), EdgeKind::QueueWait);
-        assert_eq!(classify(spans::SLOT_WAIT), EdgeKind::QueueWait);
-        assert_eq!(classify(spans::STAGE_TRAIN), EdgeKind::StageWork);
-        assert_eq!(classify(spans::PREP_SAMPLE), EdgeKind::StageWork);
+        assert_eq!(classify(spans::WARMUP.as_str()), EdgeKind::Fill);
+        assert_eq!(classify(spans::PIPE_SEND.as_str()), EdgeKind::Backpressure);
+        assert_eq!(classify(spans::DDP_RING_SEND.as_str()), EdgeKind::RingSend);
+        assert_eq!(classify(spans::DDP_RING_RECV.as_str()), EdgeKind::RingRecv);
+        assert_eq!(classify(spans::STAGE_PREP.as_str()), EdgeKind::QueueWait);
+        assert_eq!(classify(spans::PIPE_WAIT.as_str()), EdgeKind::QueueWait);
+        assert_eq!(classify(spans::SLOT_WAIT.as_str()), EdgeKind::QueueWait);
+        assert_eq!(classify(spans::STAGE_TRAIN.as_str()), EdgeKind::StageWork);
+        assert_eq!(classify(spans::PREP_SAMPLE.as_str()), EdgeKind::StageWork);
     }
 
     /// Hand-built chain with a known path: fill 0..10, sample 10..40,

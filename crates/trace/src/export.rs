@@ -246,7 +246,7 @@ mod tests {
     use super::*;
     use crate::analysis::analyze;
     use crate::clock::Clock;
-    use crate::names::{hists, spans};
+    use crate::names::{counters, events, gauges, hists, spans};
     use crate::span::Trace;
 
     fn sample_trace() -> Trace {
@@ -254,9 +254,9 @@ mod tests {
         t.record_span(spans::EPOCH, NO_BATCH, 0, 1_000_000);
         t.record_span(spans::STAGE_TRAIN, 0, 0, 600_000);
         t.record_span(spans::STAGE_PREP, 1, 600_000, 900_000);
-        t.instant("fault.retry", 1);
-        t.counter_track("pipe.q.compute", 2);
-        t.counter("pipeline.batches").add(2);
+        t.instant(events::RETRY, 1);
+        t.counter_track(gauges::PIPE_QUEUE_COMPUTE, 2);
+        t.counter(counters::BATCHES).add(2);
         t.histogram(hists::PREP_BATCH_NS).observe(250_000);
         t
     }

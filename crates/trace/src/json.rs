@@ -336,7 +336,7 @@ mod tests {
     use super::*;
     use crate::clock::Clock;
     use crate::export::chrome_trace;
-    use crate::names::spans;
+    use crate::names::{events, gauges, spans};
     use crate::span::{Trace, NO_BATCH};
 
     #[test]
@@ -367,8 +367,8 @@ mod tests {
         {
             let _s = t.span_batch(spans::STAGE_TRAIN, 0);
         }
-        t.instant("fault.retry", NO_BATCH);
-        t.counter_track("pipe.q.compute", 3);
+        t.instant(events::RETRY, NO_BATCH);
+        t.counter_track(gauges::PIPE_QUEUE_COMPUTE, 3);
         let json = chrome_trace(&t.snapshot());
         let summary = validate_chrome_trace(&json).unwrap();
         assert_eq!(summary.span_events, 1);

@@ -63,3 +63,13 @@ pub use clock::{Clock, VirtualClock};
 pub use critical_path::{batch_chains, BatchChain, ChainAttribution, EdgeKind, Replay, WhatIf};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
 pub use span::{EventKind, SpanEvent, SpanGuard, Trace, NO_BATCH};
+
+/// Locks `m`, recovering the guard if a previous holder panicked: every
+/// table this crate guards (events, thread names, instrument maps, the
+/// flight recorder's rings and path slot) holds plain data a panic cannot
+/// leave half-updated, and observability — the flight recorder above all —
+/// must keep working *after* a panic. The crate's one copy of
+/// `salient_tensor::sync::lock_unpoisoned` (this is a dependency-free leaf).
+pub(crate) fn lock_tolerant<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -12,6 +12,8 @@
 //! times all landed in one 256 ns-wide bucket and p50/p95/p99 collapsed to
 //! the same floor.
 
+use crate::lock_tolerant;
+use crate::names::{CounterName, GaugeName, HistName};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -208,25 +210,20 @@ pub struct Metrics {
     histograms: Mutex<BTreeMap<&'static str, Histogram>>,
 }
 
-fn lock_tolerant<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // Instrument maps hold plain handles; a poisoned map is still usable.
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 impl Metrics {
     /// The counter named `name`, created on first use.
-    pub fn counter(&self, name: &'static str) -> Counter {
-        lock_tolerant(&self.counters).entry(name).or_default().clone()
+    pub fn counter(&self, name: CounterName) -> Counter {
+        lock_tolerant(&self.counters).entry(name.as_str()).or_default().clone()
     }
 
     /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &'static str) -> Gauge {
-        lock_tolerant(&self.gauges).entry(name).or_default().clone()
+    pub fn gauge(&self, name: GaugeName) -> Gauge {
+        lock_tolerant(&self.gauges).entry(name.as_str()).or_default().clone()
     }
 
     /// The histogram named `name`, created on first use.
-    pub fn histogram(&self, name: &'static str) -> Histogram {
-        lock_tolerant(&self.histograms).entry(name).or_default().clone()
+    pub fn histogram(&self, name: HistName) -> Histogram {
+        lock_tolerant(&self.histograms).entry(name.as_str()).or_default().clone()
     }
 
     /// Snapshots every instrument (sorted by name).
@@ -261,17 +258,17 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// The value of counter `name` (0 if absent).
-    pub fn counter(&self, name: &str) -> u64 {
+    pub fn counter(&self, name: impl AsRef<str>) -> u64 {
         self.counters
             .iter()
-            .find(|(k, _)| k == name)
+            .find(|(k, _)| k == name.as_ref())
             .map(|(_, v)| *v)
             .unwrap_or(0)
     }
 
     /// The snapshot of histogram `name`, if present.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+    pub fn histogram(&self, name: impl AsRef<str>) -> Option<&HistogramSnapshot> {
+        self.histograms.iter().find(|(k, _)| k == name.as_ref()).map(|(_, v)| v)
     }
 }
 
@@ -315,13 +312,14 @@ mod tests {
     #[test]
     fn registry_returns_shared_handles() {
         let m = Metrics::default();
-        let a = m.counter("x");
-        let b = m.counter("x");
+        let x = CounterName::new("x");
+        let a = m.counter(x);
+        let b = m.counter(x);
         a.add(2);
         b.add(3);
-        assert_eq!(m.counter("x").get(), 5);
-        m.gauge("g").set(7);
-        m.histogram("h").observe(42);
+        assert_eq!(m.counter(x).get(), 5);
+        m.gauge(GaugeName::new("g")).set(7);
+        m.histogram(HistName::new("h")).observe(42);
         let snap = m.snapshot();
         assert_eq!(snap.counter("x"), 5);
         assert_eq!(snap.gauges, vec![("g".to_string(), 7)]);

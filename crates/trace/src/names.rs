@@ -1,272 +1,312 @@
-//! The registry of well-known span, counter, histogram, and event names
-//! used by the instrumented pipeline (the observability analogue of
+//! The registry of well-known span, counter, gauge, histogram, and event
+//! names used by the instrumented pipeline (the observability analogue of
 //! `salient_fault::sites`).
 //!
-//! The stall-attribution analysis ([`crate::analysis`]) keys on the span
-//! names below, so instrumentation across crates must use these constants
-//! rather than ad-hoc strings.
+//! Each kind of name is a newtype over `&'static str` whose constructor is
+//! private to this crate, and every recording API ([`crate::Trace`],
+//! [`crate::Metrics`], the stage-graph executor's specs) takes the newtype:
+//! a name that is not declared below does not compile, in any crate. The
+//! stall-attribution analysis ([`crate::analysis`]) keys on these names.
+//! Stored events, snapshot queries and exporters work on plain `&str`
+//! ([`SpanName::as_str`], `AsRef<str>`, `&str == SpanName`).
+//!
+//! ```compile_fail,E0624
+//! // The constructor is crate-private: outside `salient-trace` a literal
+//! // cannot become a registered name.
+//! let _ = salient_trace::names::SpanName::new("stage.ad_hoc");
+//! ```
 
-/// Interval (span) names.
-pub mod spans {
+/// Declares the registered-name newtypes.
+macro_rules! name_types {
+    ($($(#[$doc:meta])* $ty:ident,)*) => {$(
+        $(#[$doc])*
+        #[repr(transparent)]
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub struct $ty(&'static str);
+
+        impl $ty {
+            pub(crate) const fn new(name: &'static str) -> $ty {
+                $ty(name)
+            }
+
+            /// The registered string, as stored on events and in snapshots.
+            pub const fn as_str(self) -> &'static str {
+                self.0
+            }
+        }
+
+        impl AsRef<str> for $ty {
+            fn as_ref(&self) -> &str {
+                self.0
+            }
+        }
+
+        impl PartialEq<$ty> for &str {
+            fn eq(&self, other: &$ty) -> bool {
+                *self == other.0
+            }
+        }
+
+        impl std::fmt::Display for $ty {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.write_str(self.0)
+            }
+        }
+    )*};
+}
+
+name_types! {
+    /// An interval (span) name from [`spans`].
+    SpanName,
+    /// A counter name from [`counters`].
+    CounterName,
+    /// A gauge (and counter-track) name from [`gauges`].
+    GaugeName,
+    /// A histogram name from [`hists`].
+    HistName,
+    /// A point-event name from [`events`].
+    EventName,
+}
+
+/// Declares one registry module: its constants and, from the same lines,
+/// its `ALL` list — so a constant cannot be missing from the list.
+/// Attributes before `ALL` apply to the list (`#[cfg(test)]` where only the
+/// uniqueness test reads it).
+macro_rules! registry {
+    (
+        $(#[$mod_attr:meta])* pub mod $module:ident: $ty:ident, $(#[$all_attr:meta])* ALL;
+        $($(#[$doc:meta])* $id:ident = $name:literal,)*
+    ) => {
+        $(#[$mod_attr])*
+        pub mod $module {
+            use super::$ty;
+            $($(#[$doc])* pub const $id: $ty = $ty::new($name);)*
+
+            /// Every name declared in this module, in declaration order.
+            $(#[$all_attr])*
+            pub const ALL: &[$ty] = &[$($id),*];
+        }
+    };
+}
+
+registry! {
+    /// Interval (span) names.
+    pub mod spans: SpanName, #[cfg(test)] ALL;
+
     /// One training epoch, recorded on the consumer ("trainer") thread.
-    pub const EPOCH: &str = "epoch";
+    EPOCH = "epoch",
     /// Trainer-side batch-preparation stage: for the baseline executor the
     /// actual sample+slice work; for the SALIENT executor only the time the
     /// trainer *blocked* waiting for a prepared batch.
-    pub const STAGE_PREP: &str = "stage.prep";
+    STAGE_PREP = "stage.prep",
     /// Trainer-side host→device staging (f16→f32 upcast standing in for the
     /// PCIe copy).
-    pub const STAGE_TRANSFER: &str = "stage.transfer";
+    STAGE_TRANSFER = "stage.transfer",
     /// Trainer-side model compute (forward + backward + step).
-    pub const STAGE_TRAIN: &str = "stage.train";
+    STAGE_TRAIN = "stage.train",
     /// Worker-side neighborhood sampling + MFG construction.
-    pub const PREP_SAMPLE: &str = "prep.sample";
+    PREP_SAMPLE = "prep.sample",
     /// Worker-side feature/label slicing.
-    pub const PREP_SLICE: &str = "prep.slice";
+    PREP_SLICE = "prep.slice",
     /// Worker-side extra copy (multiprocessing-emulation mode only).
-    pub const PREP_COPY: &str = "prep.copy";
+    PREP_COPY = "prep.copy",
     /// Worker blocked waiting for a free pinned staging slot (backpressure).
-    pub const SLOT_WAIT: &str = "prep.slot_wait";
+    SLOT_WAIT = "prep.slot_wait",
     /// One DDP ring step (send + receive).
-    pub const COMM_STEP: &str = "ddp.step";
+    COMM_STEP = "ddp.step",
     /// One rank's whole epoch in a DDP run.
-    pub const RANK_EPOCH: &str = "ddp.epoch";
+    RANK_EPOCH = "ddp.epoch",
     /// Serving micro-batch neighborhood sampling.
-    pub const SERVE_SAMPLE: &str = "serve.sample";
+    SERVE_SAMPLE = "serve.sample",
     /// Serving micro-batch feature slicing into a pinned slot.
-    pub const SERVE_SLICE: &str = "serve.slice";
+    SERVE_SLICE = "serve.slice",
     /// Serving micro-batch model compute (widen + forward).
-    pub const SERVE_GEMM: &str = "serve.gemm";
+    SERVE_GEMM = "serve.gemm",
     /// A pipeline stage blocked on its input queue (threaded stage-graph
     /// executor; the sink stage's wait keeps its Table-1 name,
     /// [`STAGE_PREP`]).
-    pub const PIPE_WAIT: &str = "pipe.wait";
+    PIPE_WAIT = "pipe.wait",
     /// DDP rank-side batch preparation (sample + gather) stage work.
-    pub const DDP_PREP: &str = "ddp.prep";
+    DDP_PREP = "ddp.prep",
     /// DDP rank-side compute (forward + backward + all-reduce + step)
     /// stage work.
-    pub const DDP_TRAIN: &str = "ddp.train";
+    DDP_TRAIN = "ddp.train",
     /// Warm-up iterations excluded from steady-state measurement; also the
     /// stage-graph executor's first source wait per run (pipeline fill),
     /// kept out of the steady-state wait histogram.
-    pub const WARMUP: &str = "warmup";
+    WARMUP = "warmup",
     /// Bench harness: one PyG-style (per-batch allocation) sampling pass.
-    pub const BENCH_SAMPLE_PYG: &str = "bench.sample_pyg";
+    BENCH_SAMPLE_PYG = "bench.sample_pyg",
     /// Bench harness: one SALIENT fast-sampler pass.
-    pub const BENCH_SAMPLE_FAST: &str = "bench.sample_fast";
+    BENCH_SAMPLE_FAST = "bench.sample_fast",
     /// A stage-graph producer blocked pushing into a full bounded queue
     /// (backpressure edge in the per-batch causal chain).
-    pub const PIPE_SEND: &str = "pipe.send";
+    PIPE_SEND = "pipe.send",
     /// One DDP ring-link send (causal edge: this rank → next rank).
-    pub const DDP_RING_SEND: &str = "ddp.ring_send";
+    DDP_RING_SEND = "ddp.ring_send",
     /// One DDP ring-link receive (causal edge: previous rank → this rank).
-    pub const DDP_RING_RECV: &str = "ddp.ring_recv";
-
-    /// Every span name — the exporter's known-name list.
-    pub const ALL: &[&str] = &[
-        EPOCH,
-        STAGE_PREP,
-        STAGE_TRANSFER,
-        STAGE_TRAIN,
-        PREP_SAMPLE,
-        PREP_SLICE,
-        PREP_COPY,
-        SLOT_WAIT,
-        COMM_STEP,
-        RANK_EPOCH,
-        SERVE_SAMPLE,
-        SERVE_SLICE,
-        SERVE_GEMM,
-        PIPE_WAIT,
-        DDP_PREP,
-        DDP_TRAIN,
-        WARMUP,
-        BENCH_SAMPLE_PYG,
-        BENCH_SAMPLE_FAST,
-        PIPE_SEND,
-        DDP_RING_SEND,
-        DDP_RING_RECV,
-    ];
+    DDP_RING_RECV = "ddp.ring_recv",
 }
 
-/// Counter names.
-pub mod counters {
+registry! {
+    /// Counter names.
+    pub mod counters: CounterName, #[cfg(test)] ALL;
+
     /// Batches consumed by the trainer.
-    pub const BATCHES: &str = "pipeline.batches";
+    BATCHES = "pipeline.batches",
     /// Sampled nodes staged by prep workers.
-    pub const PREP_NODES: &str = "prep.nodes";
+    PREP_NODES = "prep.nodes",
     /// MFG edges staged by prep workers.
-    pub const PREP_EDGES: &str = "prep.edges";
+    PREP_EDGES = "prep.edges",
     /// Staged payload bytes (what a CPU→GPU DMA would move).
-    pub const PREP_BYTES: &str = "prep.bytes";
+    PREP_BYTES = "prep.bytes",
     /// Packed bytes the trainer pulled through the transfer stage (staged
     /// features at their storage dtype + labels). With f16 feature storage
     /// this is ~half the f32 figure — the paper's optimization (iii) made
     /// visible in the epoch report.
-    pub const TRANSFER_BYTES: &str = "transfer.bytes";
+    TRANSFER_BYTES = "transfer.bytes",
     /// Per-item panics caught inside prep workers.
-    pub const ITEM_PANICS: &str = "fault.item_panics";
+    ITEM_PANICS = "fault.item_panics",
     /// Prep work items requeued for another attempt.
-    pub const RETRIES: &str = "fault.retries";
+    RETRIES = "fault.retries",
     /// Batches that exhausted their retry budget.
-    pub const FAILED_BATCHES: &str = "fault.failed_batches";
+    FAILED_BATCHES = "fault.failed_batches",
     /// Whole prep-worker deaths observed by the supervisor.
-    pub const WORKER_PANICS: &str = "fault.worker_panics";
+    WORKER_PANICS = "fault.worker_panics",
     /// Replacement prep workers spawned.
-    pub const RESPAWNS: &str = "fault.respawns";
+    RESPAWNS = "fault.respawns",
     /// Epochs the supervisor finished with inline preparation.
-    pub const DEGRADED: &str = "fault.degraded_inline";
+    DEGRADED = "fault.degraded_inline",
     /// Payload bytes sent over DDP ring links.
-    pub const DDP_BYTES: &str = "ddp.bytes_sent";
+    DDP_BYTES = "ddp.bytes_sent",
     /// DDP ring steps completed.
-    pub const DDP_STEPS: &str = "ddp.steps";
+    DDP_STEPS = "ddp.steps",
     /// Serving requests accepted past admission control.
-    pub const SERVE_ADMITTED: &str = "serve.admitted";
+    SERVE_ADMITTED = "serve.admitted",
     /// Serving requests answered with a prediction.
-    pub const SERVE_COMPLETED: &str = "serve.completed";
+    SERVE_COMPLETED = "serve.completed",
     /// Serving requests shed at admission with `Rejected::Overload`.
-    pub const SERVE_SHED_OVERLOAD: &str = "serve.shed_overload";
+    SERVE_SHED_OVERLOAD = "serve.shed_overload",
     /// Serving requests shed with `Rejected::DeadlineInfeasible`.
-    pub const SERVE_SHED_INFEASIBLE: &str = "serve.shed_deadline_infeasible";
+    SERVE_SHED_INFEASIBLE = "serve.shed_deadline_infeasible",
     /// Overload sheds attributable to an open circuit breaker.
-    pub const SERVE_SHED_BREAKER: &str = "serve.shed_breaker";
+    SERVE_SHED_BREAKER = "serve.shed_breaker",
     /// Admitted requests whose deadline expired mid-pipeline (dropped early).
-    pub const SERVE_EXPIRED: &str = "serve.deadline_expired";
+    SERVE_EXPIRED = "serve.deadline_expired",
     /// Per-request panics caught at the serving isolation boundary.
-    pub const SERVE_REQUEST_PANICS: &str = "serve.request_panics";
+    SERVE_REQUEST_PANICS = "serve.request_panics",
     /// Degradation-ladder steps down (fanout reduced).
-    pub const SERVE_DEGRADES: &str = "serve.degrades";
+    SERVE_DEGRADES = "serve.degrades",
     /// Degradation-ladder steps up (fanout restored).
-    pub const SERVE_RESTORES: &str = "serve.restores";
+    SERVE_RESTORES = "serve.restores",
     /// Circuit-breaker Closed→Open transitions.
-    pub const SERVE_BREAKER_OPENS: &str = "serve.breaker_opens";
+    SERVE_BREAKER_OPENS = "serve.breaker_opens",
     /// Serving worker threads respawned by the supervisor.
-    pub const SERVE_RESPAWNS: &str = "serve.respawns";
+    SERVE_RESPAWNS = "serve.respawns",
     /// Items dropped by a caught panic inside a stage-graph executor stage.
-    pub const PIPE_STAGE_PANICS: &str = "pipe.stage_panics";
+    PIPE_STAGE_PANICS = "pipe.stage_panics",
     /// Flight-recorder dumps written by the blackbox exporter.
-    pub const BLACKBOX_DUMPS: &str = "blackbox.dumps";
-
-    /// Every counter name — the exporter's known-name list.
-    pub const ALL: &[&str] = &[
-        BATCHES,
-        PREP_NODES,
-        PREP_EDGES,
-        PREP_BYTES,
-        TRANSFER_BYTES,
-        ITEM_PANICS,
-        RETRIES,
-        FAILED_BATCHES,
-        WORKER_PANICS,
-        RESPAWNS,
-        DEGRADED,
-        DDP_BYTES,
-        DDP_STEPS,
-        SERVE_ADMITTED,
-        SERVE_COMPLETED,
-        SERVE_SHED_OVERLOAD,
-        SERVE_SHED_INFEASIBLE,
-        SERVE_SHED_BREAKER,
-        SERVE_EXPIRED,
-        SERVE_REQUEST_PANICS,
-        SERVE_DEGRADES,
-        SERVE_RESTORES,
-        SERVE_BREAKER_OPENS,
-        SERVE_RESPAWNS,
-        PIPE_STAGE_PANICS,
-        BLACKBOX_DUMPS,
-    ];
+    BLACKBOX_DUMPS = "blackbox.dumps",
 }
 
-/// Gauge names.
-pub mod gauges {
+registry! {
+    /// Gauge names.
+    pub mod gauges: GaugeName, #[cfg(test)] ALL;
+
     /// Serving requests currently queued past admission.
-    pub const QUEUE_DEPTH: &str = "serve.queue_depth";
+    QUEUE_DEPTH = "serve.queue_depth",
     /// Current serving fanout level on the degradation ladder.
-    pub const FANOUT_LEVEL: &str = "serve.fanout_level";
+    FANOUT_LEVEL = "serve.fanout_level",
     /// Circuit-breaker state (0 closed, 1 half-open, 2 open).
-    pub const BREAKER_STATE: &str = "serve.breaker_state";
+    BREAKER_STATE = "serve.breaker_state",
     /// Depth of the stage-graph executor's transfer→compute queue (the
     /// double-buffer bound; backpressure shows as this gauge pinned at
     /// capacity).
-    pub const PIPE_QUEUE_COMPUTE: &str = "pipe.q.compute";
-
-    /// Every gauge name — the exporter's known-name list.
-    pub const ALL: &[&str] = &[QUEUE_DEPTH, FANOUT_LEVEL, BREAKER_STATE, PIPE_QUEUE_COMPUTE];
+    PIPE_QUEUE_COMPUTE = "pipe.q.compute",
 }
 
-/// Histogram names.
-pub mod hists {
+registry! {
+    /// Histogram names.
+    pub mod hists: HistName, ALL;
+
     /// End-to-end preparation nanoseconds per batch (sample + slice + copy).
-    pub const PREP_BATCH_NS: &str = "prep.batch_ns";
+    PREP_BATCH_NS = "prep.batch_ns",
     /// Model-compute nanoseconds per batch.
-    pub const TRAIN_BATCH_NS: &str = "train.batch_ns";
+    TRAIN_BATCH_NS = "train.batch_ns",
     /// Trainer blocking-wait nanoseconds per batch.
-    pub const PREP_WAIT_NS: &str = "prep.wait_ns";
+    PREP_WAIT_NS = "prep.wait_ns",
     /// End-to-end serving latency (submit → response) per completed request.
-    pub const SERVE_LATENCY_NS: &str = "serve.latency_ns";
+    SERVE_LATENCY_NS = "serve.latency_ns",
     /// Serving micro-batch pipeline nanoseconds (sample + slice + gemm).
-    pub const SERVE_BATCH_NS: &str = "serve.batch_ns";
+    SERVE_BATCH_NS = "serve.batch_ns",
     /// Pipeline-fill nanoseconds: the stage-graph executor's first source
     /// wait per run, reported separately so it cannot distort the
     /// steady-state `prep.wait_ns` percentiles.
-    pub const PIPE_FILL_NS: &str = "pipe.fill_ns";
-
-    /// Every histogram name — the exporter's known-name list.
-    pub const ALL: &[&str] = &[
-        PREP_BATCH_NS,
-        TRAIN_BATCH_NS,
-        PREP_WAIT_NS,
-        SERVE_LATENCY_NS,
-        SERVE_BATCH_NS,
-        PIPE_FILL_NS,
-    ];
+    PIPE_FILL_NS = "pipe.fill_ns",
 }
 
-/// Point-event names.
-pub mod events {
+registry! {
+    /// Point-event names.
+    pub mod events: EventName, #[cfg(test)] ALL;
+
     /// A prep work item was requeued after a caught panic.
-    pub const RETRY: &str = "fault.retry";
+    RETRY = "fault.retry",
     /// The supervisor spawned a replacement worker.
-    pub const RESPAWN: &str = "fault.respawn";
+    RESPAWN = "fault.respawn",
     /// A batch exhausted its retry budget (terminal failure marker).
-    pub const FAILED_BATCH: &str = "fault.failed_batch";
+    FAILED_BATCH = "fault.failed_batch",
     /// The worker set collapsed; the epoch finished inline.
-    pub const DEGRADED_INLINE: &str = "fault.degraded";
+    DEGRADED_INLINE = "fault.degraded",
     /// A whole prep-worker thread died.
-    pub const WORKER_PANIC: &str = "fault.worker_panic";
+    WORKER_PANIC = "fault.worker_panic",
     /// The serving degradation ladder stepped down one fanout level.
-    pub const SERVE_DEGRADE: &str = "serve.degrade";
+    SERVE_DEGRADE = "serve.degrade",
     /// The serving degradation ladder stepped back up one level.
-    pub const SERVE_RESTORE: &str = "serve.restore";
+    SERVE_RESTORE = "serve.restore",
     /// Serving circuit breaker tripped Closed→Open.
-    pub const SERVE_BREAKER_OPEN: &str = "serve.breaker.open";
+    SERVE_BREAKER_OPEN = "serve.breaker.open",
     /// Serving circuit breaker cooled down Open→HalfOpen.
-    pub const SERVE_BREAKER_HALF_OPEN: &str = "serve.breaker.half_open";
+    SERVE_BREAKER_HALF_OPEN = "serve.breaker.half_open",
     /// Serving circuit breaker probe succeeded: HalfOpen→Closed.
-    pub const SERVE_BREAKER_CLOSE: &str = "serve.breaker.close";
+    SERVE_BREAKER_CLOSE = "serve.breaker.close",
     /// A stage-graph executor stage caught an item panic (item dropped).
-    pub const PIPE_STAGE_PANIC: &str = "pipe.stage_panic";
+    PIPE_STAGE_PANIC = "pipe.stage_panic",
     /// A stage-graph run exceeded its panic budget (or a stage returned a
     /// fatal outcome) and stopped pulling new work.
-    pub const PIPE_POISONED: &str = "pipe.poisoned";
+    PIPE_POISONED = "pipe.poisoned",
     /// The flight recorder wrote a blackbox dump (payload: triggering batch).
-    pub const BLACKBOX_DUMP: &str = "blackbox.dump";
+    BLACKBOX_DUMP = "blackbox.dump",
+}
 
-    /// Every event name — the exporter's known-name list.
-    pub const ALL: &[&str] = &[
-        RETRY,
-        RESPAWN,
-        FAILED_BATCH,
-        DEGRADED_INLINE,
-        WORKER_PANIC,
-        SERVE_DEGRADE,
-        SERVE_RESTORE,
-        SERVE_BREAKER_OPEN,
-        SERVE_BREAKER_HALF_OPEN,
-        SERVE_BREAKER_CLOSE,
-        PIPE_STAGE_PANIC,
-        PIPE_POISONED,
-        BLACKBOX_DUMP,
-    ];
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn assert_unique<N: AsRef<str>>(kind: &str, all: &[N]) {
+        let mut names: Vec<&str> = all.iter().map(AsRef::as_ref).collect();
+        names.sort_unstable();
+        let declared = names.len();
+        names.dedup();
+        assert_eq!(names.len(), declared, "duplicate {kind} name");
+    }
+
+    #[test]
+    fn every_registered_name_is_unique_within_its_kind() {
+        assert_unique("span", spans::ALL);
+        assert_unique("counter", counters::ALL);
+        assert_unique("gauge", gauges::ALL);
+        assert_unique("histogram", hists::ALL);
+        assert_unique("event", events::ALL);
+    }
+
+    #[test]
+    fn all_lists_carry_every_declared_constant() {
+        // The macro builds `ALL` from the same lines as the constants, so
+        // its length is the declaration count; `hists::ALL` is the list the
+        // epoch report iterates.
+        assert_eq!(hists::ALL.len(), 6);
+        assert_eq!(spans::ALL.len(), 22);
+        assert_eq!(hists::ALL[0], hists::PREP_BATCH_NS);
+        assert!("pipe.fill_ns" == hists::PIPE_FILL_NS);
+    }
 }

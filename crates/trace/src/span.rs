@@ -17,7 +17,9 @@
 use crate::analysis::Snapshot;
 use crate::blackbox::{Blackbox, BlackboxConfig, BlackboxInner, Shard};
 use crate::clock::Clock;
+use crate::lock_tolerant;
 use crate::metrics::{Counter, Gauge, Histogram, Metrics};
+use crate::names::{CounterName, EventName, GaugeName, HistName, SpanName};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -43,8 +45,8 @@ pub enum EventKind {
 /// One recorded event.
 #[derive(Clone, Copy, Debug)]
 pub struct SpanEvent {
-    /// Event name (one of [`crate::names::spans`] / [`crate::names::events`]
-    /// for pipeline code; free-form `&'static str` otherwise).
+    /// Event name: the string of the registered [`SpanName`], [`EventName`]
+    /// or (for counter tracks) [`GaugeName`] it was recorded under.
     pub name: &'static str,
     /// Interval or point event.
     pub kind: EventKind,
@@ -65,6 +67,11 @@ impl SpanEvent {
     pub fn dur_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
     }
+
+    /// Whether the event lies fully inside `[start_ns, end_ns]`.
+    pub(crate) fn within(&self, start_ns: u64, end_ns: u64) -> bool {
+        self.start_ns >= start_ns && self.end_ns <= end_ns
+    }
 }
 
 #[derive(Debug)]
@@ -78,12 +85,6 @@ pub(crate) struct TraceInner {
     /// Flight recorder, when attached: per-thread bounded rings of the most
     /// recent events, dumped on faults (see [`crate::blackbox`]).
     blackbox: Option<Arc<BlackboxInner>>,
-}
-
-fn lock_tolerant<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // Event and thread tables hold plain data; poisoning cannot corrupt
-    // them, so a panicked recorder does not take observability down with it.
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// A per-thread event buffer bound to one trace registry; flushes on drop.
@@ -180,17 +181,17 @@ static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 /// # Examples
 ///
 /// ```
-/// use salient_trace::{Clock, Trace};
+/// use salient_trace::{names, Clock, Trace};
 ///
 /// let trace = Trace::new(Clock::virtual_with_tick(1_000));
 /// {
-///     let _span = trace.span("work");
+///     let _span = trace.span(names::spans::STAGE_TRAIN);
 /// } // recorded on drop
-/// trace.counter("items").inc();
+/// trace.counter(names::counters::BATCHES).inc();
 /// let snap = trace.snapshot();
 /// assert_eq!(snap.events.len(), 1);
 /// assert_eq!(snap.events[0].dur_ns(), 1_000);
-/// assert_eq!(snap.metrics.counter("items"), 1);
+/// assert_eq!(snap.metrics.counter(names::counters::BATCHES), 1);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
@@ -263,7 +264,7 @@ impl Trace {
     }
 
     /// Starts a span; it is recorded when the guard drops.
-    pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
+    pub fn span(&self, name: SpanName) -> SpanGuard<'_> {
         self.span_batch(name, NO_BATCH)
     }
 
@@ -271,11 +272,11 @@ impl Trace {
     /// allocation-free (pinned dynamically by `tests/trace_overhead.rs`,
     /// statically by the region below).
     // lint: region(no_alloc)
-    pub fn span_batch(&self, name: &'static str, batch: u64) -> SpanGuard<'_> {
+    pub fn span_batch(&self, name: SpanName, batch: u64) -> SpanGuard<'_> {
         SpanGuard {
             active: self.inner.as_ref().map(|inner| ActiveSpan {
                 inner,
-                name,
+                name: name.as_str(),
                 batch,
                 start_ns: inner.clock.now_ns(),
             }),
@@ -284,10 +285,10 @@ impl Trace {
 
     /// Records an interval from already-known timestamps (for callers that
     /// measured with [`Trace::now_ns`] themselves).
-    pub fn record_span(&self, name: &'static str, batch: u64, start_ns: u64, end_ns: u64) {
+    pub fn record_span(&self, name: SpanName, batch: u64, start_ns: u64, end_ns: u64) {
         if let Some(inner) = &self.inner {
             record(inner, |tid| SpanEvent {
-                name,
+                name: name.as_str(),
                 kind: EventKind::Span,
                 tid,
                 batch,
@@ -298,11 +299,11 @@ impl Trace {
     }
 
     /// Records a point event.
-    pub fn instant(&self, name: &'static str, batch: u64) {
+    pub fn instant(&self, name: EventName, batch: u64) {
         if let Some(inner) = &self.inner {
             let now = inner.clock.now_ns();
             record(inner, |tid| SpanEvent {
-                name,
+                name: name.as_str(),
                 kind: EventKind::Instant,
                 tid,
                 batch,
@@ -314,7 +315,7 @@ impl Trace {
 
     /// The counter named `name` (a detached dummy when disabled, so handles
     /// can be acquired unconditionally outside hot loops).
-    pub fn counter(&self, name: &'static str) -> Counter {
+    pub fn counter(&self, name: CounterName) -> Counter {
         match &self.inner {
             Some(inner) => inner.metrics.counter(name),
             None => Counter::detached(),
@@ -322,7 +323,7 @@ impl Trace {
     }
 
     /// The gauge named `name`.
-    pub fn gauge(&self, name: &'static str) -> Gauge {
+    pub fn gauge(&self, name: GaugeName) -> Gauge {
         match &self.inner {
             Some(inner) => inner.metrics.gauge(name),
             None => Gauge::detached(),
@@ -330,7 +331,7 @@ impl Trace {
     }
 
     /// The histogram named `name`.
-    pub fn histogram(&self, name: &'static str) -> Histogram {
+    pub fn histogram(&self, name: HistName) -> Histogram {
         match &self.inner {
             Some(inner) => inner.metrics.histogram(name),
             None => Histogram::detached(),
@@ -339,14 +340,14 @@ impl Trace {
 
     /// Convenience counter add (cold paths; hot paths should hold a
     /// [`Counter`] handle instead).
-    pub fn add(&self, name: &'static str, v: u64) {
+    pub fn add(&self, name: CounterName, v: u64) {
         if let Some(inner) = &self.inner {
             inner.metrics.counter(name).add(v);
         }
     }
 
     /// Convenience histogram observation (cold paths).
-    pub fn observe(&self, name: &'static str, v: u64) {
+    pub fn observe(&self, name: HistName, v: u64) {
         if let Some(inner) = &self.inner {
             inner.metrics.histogram(name).observe(v);
         }
@@ -355,11 +356,11 @@ impl Trace {
     /// Records a timestamped counter-track sample (exported as a Chrome
     /// `"C"` counter event, e.g. queue depth over time). The sampled value
     /// rides in the event's `batch` field.
-    pub fn counter_track(&self, name: &'static str, value: u64) {
+    pub fn counter_track(&self, name: GaugeName, value: u64) {
         if let Some(inner) = &self.inner {
             let now = inner.clock.now_ns();
             record(inner, |tid| SpanEvent {
-                name,
+                name: name.as_str(),
                 kind: EventKind::Counter,
                 tid,
                 batch: value,
@@ -367,24 +368,6 @@ impl Trace {
                 end_ns: now,
             });
         }
-    }
-
-    /// Registers the calling thread (idempotent) and returns its dense id,
-    /// or `None` for a disabled handle.
-    pub fn current_tid(&self) -> Option<u32> {
-        let inner = self.inner.as_ref()?;
-        let mut tid = None;
-        let _ = BUFFERS.try_with(|cell| {
-            let mut bufs = cell.borrow_mut();
-            if let Some(b) = bufs.iter().find(|b| b.inner.id == inner.id) {
-                tid = Some(b.tid);
-            } else {
-                let b = new_thread_buf(inner);
-                tid = Some(b.tid);
-                bufs.push(b);
-            }
-        });
-        tid
     }
 
     /// Flushes the calling thread's buffered events into the registry.
@@ -406,11 +389,28 @@ impl Trace {
     /// Events are sorted by `(start_ns, tid, name)` so identical executions
     /// under a [`crate::VirtualClock`] produce byte-identical exports.
     pub fn snapshot(&self) -> Snapshot {
+        self.snapshot_where(|_| true)
+    }
+
+    /// Equal, event for event, to `snapshot().window(start_ns, end_ns)`
+    /// (see [`Snapshot::window`]), but filters under the registry lock
+    /// *before* the clone and sort: the cost follows the events inside the
+    /// window, not everything recorded since the handle was built — which
+    /// is what a per-epoch report on a long run needs.
+    pub fn snapshot_window(&self, start_ns: u64, end_ns: u64) -> Snapshot {
+        self.snapshot_where(|e| e.within(start_ns, end_ns))
+    }
+
+    fn snapshot_where(&self, keep: impl Fn(&SpanEvent) -> bool) -> Snapshot {
         self.flush_current_thread();
         match &self.inner {
             None => Snapshot::default(),
             Some(inner) => {
-                let mut events = lock_tolerant(&inner.events).clone();
+                let mut events: Vec<SpanEvent> = lock_tolerant(&inner.events)
+                    .iter()
+                    .filter(|e| keep(e))
+                    .copied()
+                    .collect();
                 events.sort_by(|a, b| {
                     (a.start_ns, a.tid, a.name).cmp(&(b.start_ns, b.tid, b.name))
                 });
@@ -462,24 +462,23 @@ mod tests {
     fn disabled_handle_records_nothing() {
         let t = Trace::disabled();
         {
-            let _s = t.span_batch("x", 3);
+            let _s = t.span_batch(SpanName::new("x"), 3);
         }
-        t.instant("y", NO_BATCH);
-        t.add("c", 5);
-        t.observe("h", 9);
+        t.instant(EventName::new("y"), NO_BATCH);
+        t.add(CounterName::new("c"), 5);
+        t.observe(HistName::new("h"), 9);
         let snap = t.snapshot();
         assert!(snap.events.is_empty());
         assert!(snap.metrics.counters.is_empty());
         assert!(!t.is_enabled());
-        assert!(t.current_tid().is_none());
     }
 
     #[test]
     fn spans_nest_and_tag_batches() {
         let t = Trace::new(Clock::virtual_with_tick(10));
         {
-            let _outer = t.span("outer");
-            let _inner = t.span_batch("inner", 7);
+            let _outer = t.span(SpanName::new("outer"));
+            let _inner = t.span_batch(SpanName::new("inner"), 7);
         }
         let snap = t.snapshot();
         assert_eq!(snap.events.len(), 2);
@@ -499,7 +498,7 @@ mod tests {
                 std::thread::Builder::new()
                     .name(format!("w{i}"))
                     .spawn(move || {
-                        let _s = t.span("worker");
+                        let _s = t.span(SpanName::new("worker"));
                     })
                     .unwrap()
             })
@@ -519,7 +518,7 @@ mod tests {
     fn buffered_events_flush_at_threshold() {
         let t = Trace::new(Clock::virtual_with_tick(1));
         for _ in 0..FLUSH_EVERY {
-            let _s = t.span("e");
+            let _s = t.span(SpanName::new("e"));
         }
         // Without an explicit flush the threshold must have pushed them out.
         let inner = t.inner.as_ref().unwrap();
@@ -529,7 +528,7 @@ mod tests {
     #[test]
     fn record_span_uses_caller_timestamps() {
         let t = Trace::new(Clock::virtual_manual());
-        t.record_span("x", 1, 100, 250);
+        t.record_span(SpanName::new("x"), 1, 100, 250);
         let snap = t.snapshot();
         assert_eq!(snap.events[0].dur_ns(), 150);
     }
@@ -539,8 +538,8 @@ mod tests {
         let run = || {
             let t = Trace::new(Clock::virtual_with_tick(5));
             for b in 0..10u64 {
-                let _s = t.span_batch("batch", b);
-                t.instant("mark", b);
+                let _s = t.span_batch(SpanName::new("batch"), b);
+                t.instant(EventName::new("mark"), b);
             }
             let s = t.snapshot();
             s.events

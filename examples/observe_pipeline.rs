@@ -199,7 +199,7 @@ fn main() {
     };
 
     // BENCH_kernels.json-style summary for CI trend tracking.
-    let hist = |name: &str| -> Json {
+    let hist = |name: names::HistName| -> Json {
         match snap.metrics.histogram(name) {
             Some(h) => {
                 let (p50, p95, p99) = h.percentiles();

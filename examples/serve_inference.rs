@@ -136,7 +136,7 @@ fn drive(core: &mut ServerCore, arrivals: &[loadgen::Arrival]) -> PointStats {
     }
     let elapsed_s = (clock.now_ns() - t0) as f64 / 1e9;
     let snap = core.trace().snapshot();
-    let c = |name: &str| snap.metrics.counter(name);
+    let c = |name: names::CounterName| snap.metrics.counter(name);
     let (p50_ns, p95_ns, p99_ns) = snap
         .metrics
         .histogram(names::hists::SERVE_LATENCY_NS)

@@ -2,12 +2,16 @@
 # CI entry point: static analysis + offline build + full test suite.
 #
 # The lint tier runs first: salient-lint (crates/lint) enforces the
-# workspace's standing invariants — documented unsafe, panic-free hot
-# paths, no wall-clock reads outside trace/sim/bench/CLI code (pipeline
-# code stamps time through trace::Clock), acyclic lock
-# orders, and dependency freedom (std only, path deps between the
+# workspace's standing invariants with nine rules — unsafe-audit
+# (documented unsafe), panic-freedom and panic-reachability (panic-free hot
+# paths), alloc-freedom (no_alloc regions), determinism (no wall-clock
+# reads outside trace/sim/bench/CLI code; pipeline code stamps time
+# through trace::Clock), lock-discipline (acyclic lock orders, justified
+# Relaxed), half-conversion, deps (std only, path deps between the
 # salient-* crates, so `--offline` can never silently start meaning
-# "from the local registry cache").
+# "from the local registry cache") and suppression hygiene. Registered
+# trace/fault names are no longer a lint rule: the compiler checks them
+# (trace::names / fault::Site newtypes), so the build tier covers that.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,6 +42,13 @@ cargo build --release --offline
 
 echo "== tests (workspace, offline)"
 cargo test --workspace -q --offline
+
+echo "== tests again, one at a time (--test-threads=1)"
+# The same suite with tests serialised inside each binary: a test that
+# only passes (or only fails) because of what its siblings do concurrently
+# — shared process-global state, an allocation counter, a fault plan —
+# shows up as a difference between this run and the one above.
+cargo test --workspace -q --offline -- --test-threads=1
 
 echo "== benchmark tier: the four workloads' correctness checks (--smoke)"
 # A few batches of every BENCHMARK.json workload (train_compute,

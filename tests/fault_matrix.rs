@@ -94,7 +94,7 @@ fn run_under_plan(
 /// per occurrence (so Chrome traces show *when* each fault fired).
 fn assert_faults_observable(trace: &Trace, faults: &FaultStats) {
     let snap = trace.snapshot();
-    let c = |name: &str| snap.metrics.counter(name) as usize;
+    let c = |name: names::CounterName| snap.metrics.counter(name) as usize;
     assert_eq!(c(names::counters::ITEM_PANICS), faults.item_panics, "{faults:?}");
     assert_eq!(c(names::counters::RETRIES), faults.retries, "{faults:?}");
     assert_eq!(c(names::counters::FAILED_BATCHES), faults.failed_batches, "{faults:?}");
@@ -121,9 +121,9 @@ fn expected_batches() -> usize {
 
 /// A rule that fires on every attempt of one occurrence (no budget), unlike
 /// `panic_at`, whose single-firing budget lets the first retry through.
-fn always_panic_at(site: &str, occ: u64) -> FaultSpec {
+fn always_panic_at(site: fault::Site, occ: u64) -> FaultSpec {
     FaultSpec {
-        site: site.to_string(),
+        site,
         kind: FaultKind::Panic,
         trigger: Trigger::Once(occ),
         budget: None,
@@ -180,7 +180,7 @@ fn fault_events_carry_the_failing_batch_id() {
     let (_ready, failed, _faults) = run_under_plan(plan, &cfg);
     assert_eq!(failed, vec![(1, 2)]);
     let snap = cfg.trace.snapshot();
-    let tagged = |name: &str| -> Vec<u64> {
+    let tagged = |name: names::EventName| -> Vec<u64> {
         snap.events
             .iter()
             .filter(|e| e.name == name)
@@ -241,7 +241,7 @@ fn worker_collapse_degrades_to_inline_preparation() {
         // Every worker (and every respawn) dies instantly; the supervisor
         // finishes the epoch inline so the consumer still sees every batch.
         let plan = FaultPlan::new(6).with_spec(FaultSpec {
-            site: sites::PREP_WORKER.to_string(),
+            site: sites::PREP_WORKER,
             kind: FaultKind::Panic,
             trigger: Trigger::Always,
             budget: None,
@@ -352,7 +352,7 @@ fn pipeline_poison_dumps_the_flight_recorder_with_the_failing_chain() {
         ..RunConfig::test_tiny()
     };
     let _guard = fault::scoped(FaultPlan::new(43).with_spec(FaultSpec {
-        site: sites::PIPE_TRANSFER.to_string(),
+        site: sites::PIPE_TRANSFER,
         kind: FaultKind::Panic,
         trigger: Trigger::Always,
         budget: None,
@@ -385,7 +385,7 @@ fn pipeline_poison_dumps_the_flight_recorder_with_the_failing_chain() {
         let doc = parse(&text).expect("every dump must be valid JSON");
         let meta = doc.get("blackbox").expect("dump carries trigger metadata");
         if meta.get("reason").and_then(|r| r.as_str())
-            == Some(names::events::PIPE_POISONED)
+            == Some(names::events::PIPE_POISONED.as_str())
         {
             poison_dump = Some(doc);
         }
@@ -625,7 +625,7 @@ fn serving_breaker_reopens_on_probe_failure_then_closes_when_healed() {
     // Budget 4: three failures trip the breaker, the half-open probe fails
     // once more (re-opening it), then the pipeline heals for good.
     let _guard = fault::scoped(FaultPlan::new(32).with_spec(FaultSpec {
-        site: sites::SERVE_GEMM.to_string(),
+        site: sites::SERVE_GEMM,
         kind: FaultKind::Panic,
         trigger: Trigger::Always,
         budget: Some(4),
@@ -667,7 +667,7 @@ fn serving_degrades_under_sustained_pressure_and_restores_with_hysteresis() {
     // refills the queue to capacity before each step, so every batch forms
     // under pressure until the load stops.
     let _guard = fault::scoped(FaultPlan::new(33).with_spec(FaultSpec {
-        site: sites::SERVE_GEMM.to_string(),
+        site: sites::SERVE_GEMM,
         kind: FaultKind::Delay(Duration::from_micros(20)),
         trigger: Trigger::Always,
         budget: None,

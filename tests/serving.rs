@@ -154,7 +154,7 @@ fn deadline_expires_at_each_pipeline_stage_and_later_stages_are_skipped() {
         let out = core.step();
         assert_eq!(out.responses, vec![(0, Response::Expired(stage))], "{site}");
         let snap = core.trace().snapshot();
-        let ran = |name: &str| snap.spans(name).count();
+        let ran = |name: names::SpanName| snap.spans(name).count();
         match stage {
             Stage::Sample => {
                 assert_eq!(ran(names::spans::SERVE_SAMPLE), 1, "{site}");
@@ -181,7 +181,7 @@ fn breaker_walks_closed_open_half_open_closed_deterministically() {
     let vc = Arc::clone(core.clock().as_virtual().unwrap());
     // Exactly three sampler crashes (budget 3), then the pipeline heals.
     let plan = FaultPlan::new(2).with_spec(FaultSpec {
-        site: sites::SERVE_SAMPLER.to_string(),
+        site: sites::SERVE_SAMPLER,
         kind: FaultKind::Panic,
         trigger: Trigger::Always,
         budget: Some(3),
@@ -239,7 +239,7 @@ fn run_bursty(seed: u64) -> (Vec<(u64, Response)>, u64, u64) {
     let trace = Trace::new(Clock::virtual_manual());
     let mut core = ServerCore::new(model, ds, small_cfg(), trace);
     let plan = FaultPlan::new(seed).with_spec(FaultSpec {
-        site: sites::SERVE_GEMM.to_string(),
+        site: sites::SERVE_GEMM,
         kind: FaultKind::Delay(Duration::from_micros(20)),
         trigger: Trigger::Always,
         budget: None,

@@ -16,11 +16,15 @@ use std::sync::Arc;
 /// Runs two SALIENT epochs under a fresh virtual-clock registry and returns
 /// the trace plus the per-epoch legacy stats.
 fn traced_run() -> (Trace, Vec<salient_repro::core::EpochStats>) {
+    traced_epochs(2)
+}
+
+fn traced_epochs(epochs: usize) -> (Trace, Vec<salient_repro::core::EpochStats>) {
     let trace = Trace::new(Clock::virtual_with_tick(1_000));
     let dataset = Arc::new(DatasetConfig::tiny(5).build());
     let run = RunConfig {
         executor: ExecutorKind::Salient,
-        epochs: 2,
+        epochs,
         num_workers: 2,
         ..RunConfig::test_tiny()
     };
@@ -70,6 +74,43 @@ fn stall_attribution_sums_to_100_and_matches_legacy_timings() {
     }
 }
 
+/// `Trace::snapshot_window` filters before it clones and sorts; it must
+/// still be, event for event, the full snapshot's `window`, and the
+/// per-epoch `StageTimings` the trainer derives from it must be bit-for-bit
+/// what the full-snapshot computation gives.
+#[test]
+fn windowed_snapshot_equals_the_full_snapshots_window_for_every_epoch() {
+    let (trace, stats) = traced_epochs(3);
+    let snap = trace.snapshot();
+    let epochs: Vec<(u64, u64)> = snap
+        .spans(names::spans::EPOCH)
+        .map(|e| (e.start_ns, e.end_ns))
+        .collect();
+    assert_eq!(epochs.len(), 3);
+    let keys = |s: &salient_repro::trace::Snapshot| -> Vec<_> {
+        s.events
+            .iter()
+            .map(|e| (e.name, e.kind, e.tid, e.batch, e.start_ns, e.end_ns))
+            .collect()
+    };
+    for ((e0, e1), legacy) in epochs.into_iter().zip(&stats) {
+        let windowed = trace.snapshot_window(e0, e1);
+        let filtered = snap.window(e0, e1);
+        assert!(!windowed.events.is_empty());
+        assert!(windowed.events.len() < snap.events.len(), "a window is a strict subset");
+        assert_eq!(keys(&windowed), keys(&filtered));
+        assert_eq!(windowed.threads, filtered.threads);
+        let full = StageTimings::from_report(&analyze(&filtered));
+        let t = &legacy.timings;
+        assert_eq!(
+            [full.prep_s, full.transfer_s, full.train_s, full.total_s].map(f64::to_bits),
+            [t.prep_s, t.transfer_s, t.train_s, t.total_s].map(f64::to_bits),
+            "epoch {}: {full:?} vs {t:?}",
+            legacy.epoch
+        );
+    }
+}
+
 #[test]
 fn chrome_trace_is_valid_and_spans_at_least_three_threads() {
     let (trace, _) = traced_run();
@@ -102,7 +143,7 @@ fn prep_latency_histograms_expose_quantiles() {
     let doc = parse(&metrics_json(&snap)).expect("valid metrics JSON");
     let hists = doc.get("histograms").expect("histograms object");
     let entry = hists
-        .get(names::hists::PREP_BATCH_NS)
+        .get(names::hists::PREP_BATCH_NS.as_str())
         .expect("prep.batch_ns entry");
     assert_eq!(
         entry.get("count").and_then(|v| v.as_num()),
