@@ -32,7 +32,7 @@ mod stats;
 
 pub use pinned::{PinnedPool, PinnedSlot};
 pub use prep::{
-    run_epoch, BatchResult, EpochHandle, PrepConfig, PrepMode, PreparedBatch, SamplerKind,
+    run_epoch, run_epoch_with_pool, BatchResult, EpochHandle, PrepConfig, PrepMode, PreparedBatch, SamplerKind,
 };
 pub use queue::{
     make_work_items, CompletionCounter, DynamicQueue, RetryQueue, StaticPartition, WorkItem,

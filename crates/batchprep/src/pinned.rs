@@ -9,6 +9,13 @@
 //! Here a slot is a pair of host buffers (packed features at the dataset's
 //! dtype — f16 by default, so the staged copy moves half the bytes — plus
 //! labels). Returning a slot to the pool is automatic on drop.
+//!
+//! A pool is meant to outlive the epochs it serves: `Trainer`, `ServerCore`
+//! and `BatchInferencer` each build one and keep it. Creating one writes no
+//! feature memory (the buffers come zeroed from the allocator, untouched),
+//! and a slot grows on demand, to a quarter more than the batch at hand needs,
+//! without copying or clearing what the next slice overwrites anyway — so
+//! the only pages a slot ever dirties are the ones batches were sliced into.
 
 use salient_graph::{FeatureRows, FeatureRowsMut, FeatureSlab};
 use salient_tensor::sync::channel::{bounded, Receiver, RecvTimeoutError, Sender};
@@ -31,16 +38,22 @@ pub struct PinnedSlot {
 }
 
 impl PinnedSlot {
-    /// Resizes the slot for a batch of `num_nodes × dim` features and
-    /// `num_labels` labels, growing the backing buffers only when needed
-    /// (growth is logged in pool statistics as a slot-overflow in real
-    /// systems; here we simply grow).
+    /// Exposes room for a batch of `num_nodes × dim` features and
+    /// `num_labels` labels. What the regions hold is unspecified (an earlier
+    /// batch, or zeros): the caller slices over all of it. The backing
+    /// buffers grow only when the batch does not fit, and then to a quarter
+    /// more than it needs, so a stream of like-sized batches grows a slot
+    /// once.
     pub fn prepare(&mut self, num_nodes: usize, dim: usize, num_labels: usize) {
         // lint: allow(panic-freedom, buffers are only None after Drop runs; reaching this is an API-contract bug, not a runtime fault)
         let b = self.buffers.as_mut().expect("slot already returned");
         let need = num_nodes * dim;
         if b.features.len() < need {
-            b.features.resize(need);
+            // Nothing in the old buffer is wanted: free it first, so the
+            // allocator can reuse it and the peak is one buffer, not two.
+            let dtype = b.features.dtype();
+            b.features = FeatureSlab::new(dtype, 0);
+            b.features = FeatureSlab::new(dtype, need + need / 4);
         }
         if b.labels.len() < num_labels {
             b.labels.resize(num_labels, 0);
@@ -105,11 +118,15 @@ pub struct PinnedPool {
     rx: Receiver<Buffers>,
     tx: Sender<Buffers>,
     capacity: usize,
+    dtype: Dtype,
 }
 
 impl PinnedPool {
     /// Creates a pool of `slots` buffers staging features at `dtype`, each
-    /// pre-sized for `nodes_hint × dim` features and `labels_hint` labels.
+    /// with room for `nodes_hint × dim` features and `labels_hint` labels
+    /// before its first growth. The hints may be 0 (a slot then sizes itself
+    /// on its first batch); a large one costs no writes, its memory comes
+    /// zeroed from the allocator and stays untouched until sliced into.
     ///
     /// # Panics
     ///
@@ -125,12 +142,17 @@ impl PinnedPool {
             // lint: allow(panic-freedom, both channel endpoints are held locally while filling; send cannot observe a disconnect)
             .expect("filling fresh pool cannot fail");
         }
-        PinnedPool { rx, tx, capacity: slots }
+        PinnedPool { rx, tx, capacity: slots, dtype }
     }
 
     /// Number of slots in the pool.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// The dtype every slot stages features at.
+    pub fn dtype(&self) -> Dtype {
+        self.dtype
     }
 
     /// Slots currently available (not checked out).
@@ -230,6 +252,62 @@ mod tests {
         assert_eq!(slot.features_mut().len(), 400);
         assert_eq!(slot.labels_mut().len(), 50);
         assert_eq!(slot.payload_bytes(), 400 * 2 + 50 * 4);
+    }
+
+    #[test]
+    fn prepare_regrows_only_for_a_batch_that_does_not_fit() {
+        let pool = PinnedPool::new(1, 0, 4, 0, Dtype::F16);
+        let buffer_of = |slot: &PinnedSlot| match slot.features() {
+            FeatureRows::Half(rows) => rows.as_ptr() as usize,
+            FeatureRows::Full(rows) => rows.as_ptr() as usize,
+        };
+        let mut slot = pool.acquire();
+        slot.prepare(100, 4, 8);
+        let first = buffer_of(&slot);
+        // A quarter of headroom: 125 rows still fit, and so does anything
+        // smaller, in the buffer the first batch was given.
+        for rows in [125, 3, 100] {
+            slot.prepare(rows, 4, 8);
+            assert_eq!(buffer_of(&slot), first, "{rows} rows moved the buffer");
+            assert_eq!(slot.features().len(), rows * 4);
+        }
+        drop(slot);
+        // The buffer, not just the slot count, survives the round trip.
+        let mut slot = pool.acquire();
+        slot.prepare(100, 4, 8);
+        assert_eq!(buffer_of(&slot), first);
+        slot.prepare(126, 4, 8);
+        assert_eq!(slot.features().len(), 126 * 4);
+    }
+
+    /// Resident pages of this process, where `/proc` says.
+    #[cfg(target_os = "linux")]
+    fn resident_bytes() -> usize {
+        let statm = std::fs::read_to_string("/proc/self/statm").unwrap();
+        let pages: usize = statm.split_whitespace().nth(1).unwrap().parse().unwrap();
+        pages * 4096
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn creating_a_pool_touches_none_of_its_memory() {
+        // 2 slots x 64 MiB, both dtypes: written, that is 256 MiB resident.
+        const NODES: usize = 1 << 18;
+        for dtype in [Dtype::F16, Dtype::F32] {
+            let dim = 256 / dtype.size_of();
+            let before = resident_bytes();
+            let pool = PinnedPool::new(2, NODES, dim, 256, dtype);
+            let grown = resident_bytes().saturating_sub(before);
+            assert!(grown < 16 << 20, "{dtype:?}: creating the pool made {grown} bytes resident");
+            // Nothing is exposed before `prepare`, and `prepare` within the
+            // hint exposes exactly the batch.
+            let mut slot = pool.acquire();
+            assert_eq!(slot.features().len(), 0);
+            assert_eq!(slot.labels().len(), 0);
+            slot.prepare(1_000, dim, 256);
+            assert_eq!(slot.features().len(), 1_000 * dim);
+            assert!(slot.features().to_f32_vec().iter().all(|&x| x == 0.0));
+        }
     }
 
     #[test]

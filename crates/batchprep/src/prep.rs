@@ -69,7 +69,8 @@ pub struct PrepConfig {
     pub fanouts: Vec<usize>,
     /// Mini-batch size.
     pub batch_size: usize,
-    /// Number of pinned staging slots (bounds in-flight batches).
+    /// Number of pinned staging slots [`run_epoch`] makes (bounds in-flight
+    /// batches); a pool passed to [`run_epoch_with_pool`] brings its own.
     pub slots: usize,
     /// Work distribution / copy mode.
     pub mode: PrepMode,
@@ -326,36 +327,64 @@ impl EpochHandle {
 }
 
 /// Launches batch preparation for one epoch over `order` (an already
-/// shuffled list of training nodes).
+/// shuffled list of training nodes), staging into a pool of `cfg.slots`
+/// slots made for this epoch alone. A caller that runs epoch after epoch
+/// keeps one pool and calls [`run_epoch_with_pool`].
 ///
-/// Returns immediately; batches stream through the handle's channel while
-/// workers run. The pinned-slot pool bounds the number of unconsumed
-/// batches.
+/// The slots are sized here, on the calling thread, for the most nodes a
+/// batch can reach: the fanout product, but never more than the graph has.
+/// On a small graph that keeps a slot under the allocator's `mmap`
+/// threshold, so the next call gets the same heap pages back instead of
+/// mapping, faulting in and unmapping fresh ones every epoch.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is degenerate (zero workers, zero batch
-/// size).
+/// size, zero slots).
 pub fn run_epoch(dataset: &Arc<Dataset>, order: &[NodeId], cfg: &PrepConfig) -> EpochHandle {
+    let expansion: usize = cfg.fanouts.iter().map(|f| f + 1).product();
+    let nodes_hint = (cfg.batch_size * expansion.min(256)).min(dataset.graph.num_nodes());
+    let features = &dataset.features;
+    let pool = PinnedPool::new(
+        cfg.slots,
+        nodes_hint,
+        features.dim(),
+        cfg.batch_size,
+        features.dtype(),
+    );
+    run_epoch_with_pool(dataset, order, cfg, &pool)
+}
+
+/// Launches batch preparation for one epoch over `order`, staging into the
+/// caller's `pool`, whose capacity (not `cfg.slots`) bounds the unconsumed
+/// batches. Every slot is back in the pool once the handle is joined.
+///
+/// Returns immediately; batches stream through the handle's channel while
+/// workers run.
+///
+/// # Panics
+///
+/// Panics if the configuration is degenerate (zero workers, zero batch
+/// size) or the pool stages another dtype than the dataset stores.
+pub fn run_epoch_with_pool(
+    dataset: &Arc<Dataset>,
+    order: &[NodeId],
+    cfg: &PrepConfig,
+    pool: &PinnedPool,
+) -> EpochHandle {
     assert!(cfg.num_workers > 0, "need at least one worker");
     assert!(cfg.batch_size > 0, "batch size must be positive");
+    assert_eq!(
+        pool.dtype(),
+        dataset.features.dtype(),
+        "staging pool and feature store disagree on dtype"
+    );
     let items = make_work_items(order.len(), cfg.batch_size);
     let source: Arc<dyn WorkSource> = match cfg.mode {
         PrepMode::SharedMemory => DynamicQueue::new(items),
         PrepMode::Multiprocessing => StaticPartition::new(items, cfg.num_workers),
     };
-    // Size slots generously from the fanout product to avoid growth in the
-    // common case.
-    let expansion: usize = cfg.fanouts.iter().map(|f| f + 1).product();
-    let nodes_hint = cfg.batch_size * expansion.min(256);
-    let pool = PinnedPool::new(
-        cfg.slots,
-        nodes_hint,
-        dataset.features.dim(),
-        cfg.batch_size,
-        dataset.features.dtype(),
-    );
-    let (tx, rx) = bounded::<BatchResult>(cfg.slots);
+    let (tx, rx) = bounded::<BatchResult>(pool.capacity());
     let cancel = Arc::new(AtomicBool::new(false));
 
     let ctx = Arc::new(WorkerCtx {
@@ -384,7 +413,7 @@ pub fn run_epoch(dataset: &Arc<Dataset>, order: &[NodeId], cfg: &PrepConfig) -> 
         batches: rx,
         supervisor,
         cancel,
-        pool,
+        pool: pool.clone(),
     }
 }
 

@@ -1,17 +1,21 @@
 //! Figure 2 — exhaustive exploration of sampler optimization parameters:
-//! all 48 design-space variants benchmarked (real wall clock) on the same
+//! all 96 design-space variants benchmarked (real wall clock) on the same
 //! batches of the synthetic products dataset, reported as speedup relative
 //! to the PyG-baseline configuration.
 //!
 //! Expected shape (paper §4.1): flat ("swiss-table"-style) id maps ≈ 2×
 //! over STL-style hashing; the array neighbor set adds ~17 % over hash
-//! sets; the SALIENT point sits at/near the top.
+//! sets; the SALIENT point sits at/near the top. The batch shape is the
+//! benchmark's (256 seeds, fanouts 15,10,5), and each variant is timed
+//! `--rounds` times with the variants interleaved, its fastest round kept:
+//! on a shared box a neighbour's burst then costs every variant a round,
+//! not one variant its rank.
 //!
-//! Run: `cargo run --release -p salient-bench --bin fig2 [--scale 0.25] [--reps 5]`
+//! Run: `cargo run --release -p salient-bench --bin fig2 [--scale 0.25] [--reps 5] [--rounds 5]`
 
 use salient_bench::{arg_f64, arg_usize, bar, fmt_x, render_table};
 use salient_graph::DatasetConfig;
-use salient_sampler::{IdMapKind, NeighborSetKind, VariantConfig, VariantSampler};
+use salient_sampler::{IdMapKind, NeighborSetKind, SampleAlgo, VariantConfig, VariantSampler};
 use std::time::Instant;
 
 fn main() {
@@ -27,31 +31,43 @@ fn main() {
         .map(|c| c.to_vec())
         .collect();
 
-    let time_variant = |cfg: VariantConfig| -> f64 {
-        let mut sampler = VariantSampler::new(cfg, 99);
-        // Warm-up pass (populates allocations / caches).
-        for b in &batches {
-            let _ = sampler.sample(&ds.graph, b, &fanouts);
-        }
-        let t = Instant::now();
-        for _ in 0..reps {
-            for b in &batches {
-                let mfg = sampler.sample(&ds.graph, b, &fanouts);
-                std::hint::black_box(mfg.num_edges());
+    // One sampler per variant, each warmed up on the batches (tables grown,
+    // caches filled), then timed round-robin; a variant's time is its
+    // fastest round.
+    let rounds = arg_usize("--rounds", 5);
+    let mut samplers: Vec<VariantSampler> = VariantConfig::all()
+        .into_iter()
+        .map(|cfg| VariantSampler::new(cfg, 99))
+        .collect();
+    let mut best = vec![f64::INFINITY; samplers.len()];
+    for round in 0..=rounds {
+        for (sampler, best) in samplers.iter_mut().zip(&mut best) {
+            let t = Instant::now();
+            for _ in 0..reps {
+                for b in &batches {
+                    let mfg = sampler.sample(&ds.graph, b, &fanouts);
+                    std::hint::black_box(mfg.num_edges());
+                }
+            }
+            if round > 0 {
+                *best = best.min(t.elapsed().as_secs_f64());
             }
         }
-        t.elapsed().as_secs_f64()
+    }
+    let time_of = |cfg: VariantConfig| {
+        let at = samplers.iter().position(|s| s.config() == cfg);
+        best[at.expect("every config is a variant")]
     };
-
-    let baseline_t = time_variant(VariantConfig::pyg_baseline());
-    let mut results: Vec<(VariantConfig, f64)> = VariantConfig::all()
-        .into_iter()
-        .map(|cfg| (cfg, baseline_t / time_variant(cfg)))
+    let baseline_t = time_of(VariantConfig::pyg_baseline());
+    let mut results: Vec<(VariantConfig, f64)> = samplers
+        .iter()
+        .zip(&best)
+        .map(|(s, &t)| (s.config(), baseline_t / t))
         .collect();
     results.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
 
     println!(
-        "Figure 2: sampler design-space exploration ({} variants, products-sim scale {scale}, {} batches x {reps} reps)\n",
+        "Figure 2: sampler design-space exploration ({} variants, products-sim scale {scale}, {} batches of 256 x {reps} reps, fastest of {rounds} rounds)\n",
         results.len(),
         batches.len()
     );
@@ -91,7 +107,12 @@ fn main() {
     let std_map = mean(&|c| c.id_map == IdMapKind::Std);
     let array = mean(&|c| c.neighbor_set == NeighborSetKind::Array);
     let flatset = mean(&|c| c.neighbor_set == NeighborSetKind::Flat);
+    let bitmap = mean(&|c| c.neighbor_set == NeighborSetKind::Bitmap);
+    let crej = mean(&|c| c.algo == SampleAlgo::ComplementRejection);
+    let fy = mean(&|c| c.algo == SampleAlgo::PartialFisherYates);
     println!("flat map vs std map (mean speedup):      {} vs {} => {}", fmt_x(flat), fmt_x(std_map), fmt_x(flat / std_map));
     println!("array set vs flat hash set (mean):       {} vs {} => {}", fmt_x(array), fmt_x(flatset), fmt_x(array / flatset));
+    println!("bitmap set vs array set (mean):          {} vs {} => {}", fmt_x(bitmap), fmt_x(array), fmt_x(bitmap / array));
+    println!("complement rejection vs partial FY:      {} vs {} => {}", fmt_x(crej), fmt_x(fy), fmt_x(crej / fy));
     println!("\nPaper: swiss-table map ~2x; array set a further ~17%; SALIENT sampler 2.5x end-to-end.");
 }

@@ -13,7 +13,7 @@
 //! | `table6` | inference accuracy vs fanout (real training) |
 //! | `table7` | cross-system comparison |
 //! | `fig1`   | execution timeline, baseline vs SALIENT |
-//! | `fig2`   | 48-variant sampler design space (real wall clock) |
+//! | `fig2`   | 96-variant sampler design space (real wall clock) |
 //! | `fig3`   | accuracy & node count vs degree (real training) |
 //! | `fig4`   | single-GPU speedup over PyG |
 //! | `fig5`   | multi-GPU scaling |

@@ -10,7 +10,10 @@
 
 use crate::config::{ExecutorKind, RunConfig};
 use crate::timing::StageTimings;
-use salient_batchprep::{run_epoch, BatchResult, PrepConfig, PrepMode, SamplerKind};
+use crate::infer::BatchInferencer;
+use salient_batchprep::{
+    run_epoch_with_pool, BatchResult, PinnedPool, PrepConfig, PrepMode, SamplerKind,
+};
 use salient_fault as fault;
 use salient_graph::{Dataset, FeatureSlab, NodeId};
 use salient_nn::{build_model, metrics, GnnModel, Mode};
@@ -96,6 +99,12 @@ pub struct Trainer {
     rng: StdRng,
     epoch: usize,
     trace: Trace,
+    /// The staging slots of every SALIENT epoch: pinned memory "cannot be
+    /// allocated per batch without large costs" (§4.2), nor per epoch.
+    pool: PinnedPool,
+    /// `evaluate_sampled`'s sampler and one-slot inferencer, built on first
+    /// use and kept: a sweep may be one call of two batches.
+    eval: Option<(FastSampler, BatchInferencer)>,
 }
 
 impl Trainer {
@@ -143,6 +152,8 @@ impl Trainer {
         );
         let opt = Adam::new(config.learning_rate);
         let rng = StdRng::seed_from_u64(config.seed ^ 0x7AA7);
+        let features = &dataset.features;
+        let pool = PinnedPool::new(config.slots, 0, features.dim(), 0, features.dtype());
         Trainer {
             dataset,
             config,
@@ -151,6 +162,8 @@ impl Trainer {
             rng,
             epoch: 0,
             trace,
+            pool,
+            eval: None,
         }
     }
 
@@ -179,6 +192,13 @@ impl Trainer {
     /// The run configuration.
     pub fn config(&self) -> &RunConfig {
         &self.config
+    }
+
+    /// The staging pool every SALIENT epoch of this trainer prepares into
+    /// (diagnostics: between epochs `available()` must equal `capacity()`,
+    /// and the slots' buffers are the ones the first epoch grew).
+    pub fn staging_pool(&self) -> &PinnedPool {
+        &self.pool
     }
 
     /// Runs one training epoch with the configured executor.
@@ -370,7 +390,7 @@ impl Trainer {
             respawn_budget: self.config.prep_respawn_budget,
             trace: trace.clone(),
         };
-        let handle = run_epoch(&self.dataset, order, &prep_cfg);
+        let handle = run_epoch_with_pool(&self.dataset, order, &prep_cfg, &self.pool);
         let dim = self.dataset.features.dim();
         let mut total_loss = 0.0;
         let mut batches = 0usize;
@@ -478,13 +498,18 @@ impl Trainer {
     /// direct f32 gather (staging copies the packed values; the widen is the
     /// same per-element conversion `gather_f32` performs).
     pub fn evaluate_sampled(&mut self, nodes: &[NodeId], fanouts: &[usize]) -> (f64, Vec<u32>) {
-        let mut sampler = FastSampler::new(self.config.seed ^ 0x1FE2);
-        let inferencer = crate::infer::BatchInferencer::with_trace(
-            Arc::clone(&self.dataset),
-            1,
-            self.config.batch_size,
-            &self.trace,
-        );
+        let seed = self.config.seed ^ 0x1FE2;
+        let (sampler, inferencer) = self.eval.get_or_insert_with(|| {
+            let inferencer = BatchInferencer::with_trace(
+                Arc::clone(&self.dataset),
+                1,
+                self.config.batch_size,
+                &self.trace,
+            );
+            (FastSampler::new(seed), inferencer)
+        });
+        // Every call draws the same stream, as when each built its sampler.
+        sampler.reseed(seed);
         let mut preds = Vec::with_capacity(nodes.len());
         for chunk in nodes.chunks(self.config.batch_size) {
             let mfg = sampler.sample(&self.dataset.graph, chunk, fanouts);
@@ -614,6 +639,22 @@ mod tests {
             acc > chance * 2.0,
             "sampled eval accuracy {acc:.3} barely above chance {chance:.3}"
         );
+    }
+
+    #[test]
+    fn sampled_evaluation_repeats_itself_with_kept_tools() {
+        let ds = dataset();
+        let mut trainer = Trainer::new(Arc::clone(&ds), RunConfig::test_tiny());
+        trainer.train_epoch();
+        let nodes = ds.splits.val.clone();
+        assert!(trainer.eval.is_none(), "built on first use");
+        let first = trainer.evaluate_sampled(&nodes, &[5, 5]);
+        // Another shape in between: the kept sampler's tables grow, its
+        // stream must still restart.
+        trainer.evaluate_sampled(&ds.splits.test, &[10, 10]);
+        assert_eq!(trainer.evaluate_sampled(&nodes, &[5, 5]), first);
+        let (_, inferencer) = trainer.eval.as_ref().unwrap();
+        assert_eq!(inferencer.pool().available(), inferencer.pool().capacity());
     }
 
     #[test]

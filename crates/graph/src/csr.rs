@@ -121,9 +121,33 @@ impl CsrGraph {
     /// # Panics
     ///
     /// Panics if `v` is out of range.
+    #[inline]
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
         let v = v as usize;
         &self.indices[self.indptr[v]..self.indptr[v + 1]]
+    }
+
+    /// Hints the cache that [`CsrGraph::neighbors`]`(v)` is about to be read:
+    /// a sampler walking a frontier knows the next rows it will visit, the
+    /// hardware prefetcher cannot. A no-op where the target has no such hint.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    #[inline]
+    pub fn prefetch_neighbors(&self, v: NodeId) {
+        let start = self.indptr[v as usize];
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let row = self.indices.as_ptr().wrapping_add(start);
+            // SAFETY: a prefetch is a hint that neither faults nor reads
+            // architecturally, whatever the address; `wrapping_add` keeps the
+            // pointer arithmetic defined for an empty last row.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(row.cast()) };
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = start;
     }
 
     /// The raw row-pointer array (length `num_nodes() + 1`).

@@ -30,10 +30,13 @@ pub enum FeatureSlab {
 }
 
 impl FeatureSlab {
-    /// A zero-filled slab of `len` values in the given dtype.
+    /// A slab of `len` zeros in the given dtype. Either dtype takes zeroed
+    /// memory from the allocator instead of storing zeros itself, so a large
+    /// slab costs nothing until its pages are used: staging buffers are made
+    /// with this and overwritten by the first slice.
     pub fn new(dtype: Dtype, len: usize) -> Self {
         match dtype {
-            Dtype::F16 => FeatureSlab::Half(vec![F16::ZERO; len]),
+            Dtype::F16 => FeatureSlab::Half(F16::zeros(len)),
             Dtype::F32 => FeatureSlab::Full(vec![0.0; len]),
         }
     }

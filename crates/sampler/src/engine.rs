@@ -10,6 +10,9 @@
 //! * capacity pre-reservation ([`EngineOpts::reserve`]);
 //! * the without-replacement algorithm ([`SampleAlgo`]).
 //!
+//! Whatever the choices, every destination gets exactly
+//! `min(degree, fanout)` distinct neighbours, each subset equally likely.
+//!
 //! The tuned production path ([`crate::FastSampler`]) is this engine
 //! monomorphized at the winning configuration.
 
@@ -28,6 +31,14 @@ pub enum SampleAlgo {
     /// displaced entries in a small association list — no O(degree) copy, no
     /// rejection loop.
     PartialFisherYates,
+    /// Rejection again, with two changes. When `2·fanout > degree` it draws
+    /// the `degree − fanout` positions to *leave out* and keeps the rest
+    /// (the complement of a uniform subset is a uniform subset), so the
+    /// expected number of draws stays under ~1.4 per drawn position instead
+    /// of growing like a coupon collector's as `fanout` nears `degree`. And
+    /// up to 64 neighbours it deduplicates in a register bitmask; the
+    /// [`NeighborSet`] serves only longer adjacency lists.
+    ComplementRejection,
 }
 
 /// Non-type design choices of the sampling engine.
@@ -46,33 +57,26 @@ impl Default for EngineOpts {
     fn default() -> Self {
         EngineOpts {
             fused: true,
-            reserve: true,
-            algo: SampleAlgo::PartialFisherYates,
+            reserve: false,
+            algo: SampleAlgo::ComplementRejection,
         }
     }
 }
 
-/// Draws up to `fanout` distinct positions in `0..degree` and invokes `emit`
-/// for each (rejection variant).
+/// Rejection variant: appends `fanout` distinct positions in `0..degree`.
 #[inline]
 fn sample_rejection<S: NeighborSet>(
     degree: usize,
     fanout: usize,
     set: &mut S,
     rng: &mut impl Rng,
-    mut emit: impl FnMut(u32),
+    picks: &mut Vec<u32>,
 ) {
-    if degree <= fanout {
-        for i in 0..degree as u32 {
-            emit(i);
-        }
-        return;
-    }
     set.clear();
-    while set.len() < fanout {
+    while picks.len() < fanout {
         let idx = rng.random_range(0..degree as u32);
         if set.insert(idx) {
-            emit(idx);
+            picks.push(idx);
         }
     }
 }
@@ -85,14 +89,8 @@ fn sample_partial_fy(
     fanout: usize,
     swaps: &mut Vec<(u32, u32)>,
     rng: &mut impl Rng,
-    mut emit: impl FnMut(u32),
+    picks: &mut Vec<u32>,
 ) {
-    if degree <= fanout {
-        for i in 0..degree as u32 {
-            emit(i);
-        }
-        return;
-    }
     swaps.clear();
     let lookup = |swaps: &[(u32, u32)], i: u32| {
         swaps
@@ -107,9 +105,100 @@ fn sample_partial_fy(
         let vj = lookup(swaps, j);
         let vi = lookup(swaps, i);
         // Virtual swap: position j takes i's value; position i's value (vj)
-        // is emitted.
+        // is the one drawn.
         swaps.push((j, vi));
-        emit(vj);
+        picks.push(vj);
+    }
+}
+
+/// Rejection with the complement rule (see
+/// [`SampleAlgo::ComplementRejection`]). Requires `fanout < degree`.
+///
+/// Most adjacency lists are short: up to [`MASK_BITS`] positions the
+/// membership test is one bit of a register and there is nothing to clear;
+/// only longer lists go through the [`NeighborSet`].
+#[inline]
+fn sample_complement_rejection<S: NeighborSet>(
+    degree: usize,
+    fanout: usize,
+    set: &mut S,
+    rng: &mut impl Rng,
+    picks: &mut Vec<u32>,
+) {
+    // Draw the smaller side: the positions to keep, or those to leave out.
+    let complement = 2 * fanout > degree;
+    let draws = if complement { degree - fanout } else { fanout };
+    if degree <= MASK_BITS {
+        let mut mask = 0u64;
+        while picks.len() < draws {
+            let idx = rng.random_range(0..degree as u32);
+            if mask & (1 << idx) == 0 {
+                mask |= 1 << idx;
+                picks.push(idx);
+            }
+        }
+        if complement {
+            picks.clear();
+            let mut kept = !mask & (u64::MAX >> (MASK_BITS - degree));
+            while kept != 0 {
+                picks.push(kept.trailing_zeros());
+                kept &= kept - 1;
+            }
+        }
+    } else {
+        set.clear();
+        while picks.len() < draws {
+            let idx = rng.random_range(0..degree as u32);
+            if set.insert(idx) {
+                picks.push(idx);
+            }
+        }
+        if complement {
+            // What was drawn is what to leave out, and the set holds it:
+            // `insert` answers "was it left in?" for each position in turn
+            // (that it also fills the set is harmless, the next node clears
+            // it).
+            picks.clear();
+            picks.extend((0..degree as u32).filter(|&idx| set.insert(idx)));
+        }
+    }
+}
+
+/// Adjacency lists up to this long are deduplicated in a `u64`.
+const MASK_BITS: usize = 64;
+
+/// How many frontier nodes ahead of the one being sampled the adjacency row
+/// is prefetched. The rows of a frontier are scattered over the whole edge
+/// array, so on a graph beyond the caches each is a miss the draw would
+/// otherwise wait for.
+const PREFETCH_AHEAD: usize = 4;
+
+/// Replaces `picks` with `min(degree, fanout)` distinct positions in
+/// `0..degree`, drawn with the chosen algorithm. Every position of a
+/// destination is drawn before any is mapped to a local id, so the id-map
+/// probes of one node (independent loads) are not serialised behind its RNG
+/// draws.
+#[inline]
+fn draw<S: NeighborSet>(
+    algo: SampleAlgo,
+    degree: usize,
+    fanout: usize,
+    set: &mut S,
+    swaps: &mut Vec<(u32, u32)>,
+    rng: &mut impl Rng,
+    picks: &mut Vec<u32>,
+) {
+    picks.clear();
+    if degree <= fanout {
+        picks.extend(0..degree as u32);
+        return;
+    }
+    match algo {
+        SampleAlgo::Rejection => sample_rejection(degree, fanout, set, rng, picks),
+        SampleAlgo::PartialFisherYates => sample_partial_fy(degree, fanout, swaps, rng, picks),
+        SampleAlgo::ComplementRejection => {
+            sample_complement_rejection(degree, fanout, set, rng, picks)
+        }
     }
 }
 
@@ -120,6 +209,19 @@ pub struct EngineScratch {
     pairs: Vec<(u32, NodeId)>,
     /// Fisher–Yates displaced-entry association list.
     swaps: Vec<(u32, u32)>,
+    /// Positions drawn for one destination, before they are mapped.
+    picks: Vec<u32>,
+    /// Node count of the previous MFG and its edge count per hop: what the
+    /// next batch's vectors are reserved from, so a steady stream of
+    /// like-sized batches never regrows them.
+    last_nodes: usize,
+    last_edges: Vec<usize>,
+}
+
+/// Capacity for a vector the previous batch filled with `last` items (0 =
+/// no previous batch): an eighth more than that, within `floor..=bound`.
+fn reserve_from(last: usize, floor: usize, bound: usize) -> usize {
+    (last + last / 8 + 64).clamp(floor.min(bound), bound)
 }
 
 /// Samples a multi-hop MFG for `batch` with the given per-hop `fanouts`
@@ -141,9 +243,12 @@ pub fn sample_with<M: IdMap, S: NeighborSet>(
 ) -> MessageFlowGraph {
     assert!(!batch.is_empty(), "cannot sample an empty batch");
     assert!(!fanouts.is_empty(), "need at least one fanout");
+    let EngineScratch { pairs, swaps, picks, last_nodes, last_edges } = scratch;
+    last_edges.resize(fanouts.len(), 0);
 
     map.clear();
-    let mut node_ids: Vec<NodeId> = Vec::with_capacity(batch.len() * 4);
+    let mut node_ids: Vec<NodeId> =
+        Vec::with_capacity(reserve_from(*last_nodes, batch.len() * 4, usize::MAX));
     for &v in batch {
         let local = node_ids.len() as u32;
         let (_, new) = map.get_or_insert(v, local);
@@ -154,20 +259,23 @@ pub fn sample_with<M: IdMap, S: NeighborSet>(
     let mut layers_rev: Vec<MfgLayer> = Vec::with_capacity(fanouts.len());
     let mut frontier_len = node_ids.len();
 
-    for &fanout in fanouts {
+    for (&fanout, last) in fanouts.iter().zip(last_edges.iter_mut()) {
         if opts.reserve {
             map.reserve(frontier_len * fanout);
         }
-        let mut edge_src: Vec<u32> = Vec::with_capacity(frontier_len * fanout.min(16));
-        let mut edge_dst: Vec<u32> = Vec::with_capacity(frontier_len * fanout.min(16));
+        let edge_cap = reserve_from(*last, frontier_len * fanout.min(16), frontier_len * fanout);
+        let mut edge_src: Vec<u32> = Vec::with_capacity(edge_cap);
+        let mut edge_dst: Vec<u32> = Vec::with_capacity(edge_cap);
 
         if opts.fused {
             for i in 0..frontier_len {
-                // lint: allow(panic-reachability, frontier indices are produced by the same loop bounds that size node_ids)
-                let v = node_ids[i];
-                let neighbors = graph.neighbors(v);
-                let degree = neighbors.len();
-                let mut emit = |idx: u32| {
+                if let Some(&ahead) = node_ids.get(i + PREFETCH_AHEAD) {
+                    graph.prefetch_neighbors(ahead);
+                }
+                // lint: allow(panic-reachability, frontier indices are produced by the same loop bounds that size node_ids; picks are positions below the row's length)
+                let neighbors = graph.neighbors(node_ids[i]);
+                draw(opts.algo, neighbors.len(), fanout, set, swaps, rng, picks);
+                for &idx in picks.iter() {
                     let u = neighbors[idx as usize];
                     let fallback = node_ids.len() as u32;
                     let (local, new) = map.get_or_insert(u, fallback);
@@ -176,34 +284,21 @@ pub fn sample_with<M: IdMap, S: NeighborSet>(
                     }
                     edge_src.push(local);
                     edge_dst.push(i as u32);
-                };
-                match opts.algo {
-                    SampleAlgo::Rejection => sample_rejection(degree, fanout, set, rng, &mut emit),
-                    SampleAlgo::PartialFisherYates => {
-                        sample_partial_fy(degree, fanout, &mut scratch.swaps, rng, &mut emit)
-                    }
                 }
             }
         } else {
             // Phase A: sample into a (dst, neighbor) buffer.
-            scratch.pairs.clear();
+            pairs.clear();
             for i in 0..frontier_len {
-                let v = node_ids[i];
-                let neighbors = graph.neighbors(v);
-                let degree = neighbors.len();
-                let pairs = &mut scratch.pairs;
-                let mut emit = |idx: u32| {
-                    pairs.push((i as u32, neighbors[idx as usize]));
-                };
-                match opts.algo {
-                    SampleAlgo::Rejection => sample_rejection(degree, fanout, set, rng, &mut emit),
-                    SampleAlgo::PartialFisherYates => {
-                        sample_partial_fy(degree, fanout, &mut scratch.swaps, rng, &mut emit)
-                    }
+                if let Some(&ahead) = node_ids.get(i + PREFETCH_AHEAD) {
+                    graph.prefetch_neighbors(ahead);
                 }
+                let neighbors = graph.neighbors(node_ids[i]);
+                draw(opts.algo, neighbors.len(), fanout, set, swaps, rng, picks);
+                pairs.extend(picks.iter().map(|&idx| (i as u32, neighbors[idx as usize])));
             }
             // Phase B: map globals to locals and build edge lists.
-            for &(dst, u) in &scratch.pairs {
+            for &(dst, u) in pairs.iter() {
                 let fallback = node_ids.len() as u32;
                 let (local, new) = map.get_or_insert(u, fallback);
                 if new {
@@ -214,6 +309,7 @@ pub fn sample_with<M: IdMap, S: NeighborSet>(
             }
         }
 
+        *last = edge_src.len();
         layers_rev.push(MfgLayer {
             edge_src,
             edge_dst,
@@ -222,6 +318,7 @@ pub fn sample_with<M: IdMap, S: NeighborSet>(
         });
         frontier_len = node_ids.len();
     }
+    *last_nodes = node_ids.len();
 
     // Hops were built output-side first; forward order is the reverse, and
     // each layer's n_src must be the final node count of the *next* sampled
@@ -443,7 +540,7 @@ mod tests {
         let trials = 40_000;
         for _ in 0..trials {
             let mut seen = Vec::new();
-            sample_partial_fy(4, 2, &mut swaps, &mut rng, |i| seen.push(i));
+            sample_partial_fy(4, 2, &mut swaps, &mut rng, &mut seen);
             assert_eq!(seen.len(), 2);
             assert_ne!(seen[0], seen[1], "without replacement");
             for &i in &seen {

@@ -1,11 +1,12 @@
 //! The tuned SALIENT sampler: the engine monomorphized at the winning point
-//! of the design-space exploration (flat open-addressing id map, array
-//! neighbor set, fused MFG construction, capacity reservation, partial
-//! Fisher–Yates sampling).
+//! of the design-space exploration (flat open-addressing id map that grows
+//! on insert, bitmap neighbor set, fused MFG construction, rejection draws
+//! with the complement rule) — [`VariantConfig::salient`], bit for bit.
 
-use crate::engine::{sample_with, EngineOpts, EngineScratch, SampleAlgo};
+use crate::engine::{sample_with, EngineScratch};
 use crate::mfg::MessageFlowGraph;
-use crate::structures::{ArrayNeighborSet, FlatIdMap};
+use crate::structures::{BitmapNeighborSet, FlatIdMap};
+use crate::variants::VariantConfig;
 use salient_tensor::rng::StdRng;
 use salient_graph::{CsrGraph, NodeId};
 
@@ -29,7 +30,7 @@ use salient_graph::{CsrGraph, NodeId};
 #[derive(Debug)]
 pub struct FastSampler {
     map: FlatIdMap,
-    set: ArrayNeighborSet,
+    set: BitmapNeighborSet,
     scratch: EngineScratch,
     rng: StdRng,
 }
@@ -38,11 +39,18 @@ impl FastSampler {
     /// Creates a sampler with its own deterministic RNG stream.
     pub fn new(seed: u64) -> Self {
         FastSampler {
-            map: FlatIdMap::with_capacity(1 << 14),
-            set: ArrayNeighborSet::new(),
+            map: FlatIdMap::default(),
+            set: BitmapNeighborSet::new(),
             scratch: EngineScratch::default(),
             rng: StdRng::seed_from_u64(seed),
         }
+    }
+
+    /// Restarts the RNG stream from `seed`, keeping the grown tables: the
+    /// next batches are sampled exactly as a new `FastSampler::new(seed)`
+    /// would, without building one.
+    pub fn reseed(&mut self, seed: u64) {
+        self.rng = StdRng::seed_from_u64(seed);
     }
 
     /// Samples the MFG for one mini-batch.
@@ -61,11 +69,7 @@ impl FastSampler {
             graph,
             batch,
             fanouts,
-            EngineOpts {
-                fused: true,
-                reserve: true,
-                algo: SampleAlgo::PartialFisherYates,
-            },
+            VariantConfig::salient().opts(),
             &mut self.map,
             &mut self.set,
             &mut self.scratch,
@@ -99,6 +103,33 @@ mod tests {
         assert_eq!(mfg1, mfg2);
         let mfg3 = FastSampler::new(6).sample(&ds.graph, &ds.splits.train[..8], &[5, 5]);
         assert!(mfg1 != mfg3 || mfg1.num_edges() == mfg3.num_edges());
+    }
+
+    #[test]
+    fn reseeded_sampler_repeats_a_fresh_one() {
+        let ds = DatasetConfig::tiny(1).build();
+        let mut s = FastSampler::new(5);
+        // Grow the tables on a larger batch first: none of it may show.
+        s.sample(&ds.graph, &ds.splits.train[..64], &[10, 10]);
+        s.reseed(5);
+        let again = s.sample(&ds.graph, &ds.splits.train[..8], &[5, 5]);
+        let fresh = FastSampler::new(5).sample(&ds.graph, &ds.splits.train[..8], &[5, 5]);
+        assert_eq!(again, fresh);
+    }
+
+    #[test]
+    fn equals_the_salient_point_of_the_design_space() {
+        // Figure 2's `<= SALIENT` row times this sampler, not a relative.
+        use crate::variants::VariantSampler;
+        let ds = DatasetConfig::tiny(1).build();
+        let mut fast = FastSampler::new(9);
+        let mut point = VariantSampler::new(VariantConfig::salient(), 9);
+        for batch in ds.splits.train.chunks(24).take(4) {
+            assert_eq!(
+                fast.sample(&ds.graph, batch, &[15, 10, 5]),
+                point.sample(&ds.graph, batch, &[15, 10, 5])
+            );
+        }
     }
 
     #[test]

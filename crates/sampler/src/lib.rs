@@ -39,7 +39,8 @@ pub use mfg::{MessageFlowGraph, MfgLayer};
 pub use pyg_baseline::PygSampler;
 pub use saint::SaintSampler;
 pub use structures::{
-    ArrayNeighborSet, FlatIdMap, FlatNeighborSet, IdMap, NeighborSet, StdIdMap, StdNeighborSet,
+    ArrayNeighborSet, BitmapNeighborSet, FlatIdMap, FlatNeighborSet, IdMap, NeighborSet, StdIdMap,
+    StdNeighborSet,
 };
 pub use trace::{record_trace, replay_trace, HopTrace, SampleTrace};
 pub use variants::{IdMapKind, NeighborSetKind, VariantConfig, VariantSampler};

@@ -3,9 +3,10 @@
 //! reservation, rejection sampling. This is the "None (PyG)" row of Table 3
 //! and the 1.0× reference line of Figure 2.
 
-use crate::engine::{sample_with, EngineOpts, EngineScratch, SampleAlgo};
+use crate::engine::{sample_with, EngineScratch};
 use crate::mfg::MessageFlowGraph;
 use crate::structures::{StdIdMap, StdNeighborSet};
+use crate::variants::VariantConfig;
 use salient_tensor::rng::StdRng;
 use salient_graph::{CsrGraph, NodeId};
 
@@ -45,11 +46,7 @@ impl PygSampler {
             graph,
             batch,
             fanouts,
-            EngineOpts {
-                fused: false,
-                reserve: false,
-                algo: SampleAlgo::Rejection,
-            },
+            VariantConfig::pyg_baseline().opts(),
             &mut self.map,
             &mut self.set,
             &mut self.scratch,

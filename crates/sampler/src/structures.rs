@@ -11,8 +11,11 @@
 //!
 //! Each has a "standard library" implementation (the PyG/STL analogue,
 //! SipHash + buckets) and a flat implementation; the set additionally has the
-//! array variant. All implementations are reusable across batches via
-//! `clear`, because allocation churn was one of the baseline's hidden costs.
+//! array variant and the bitmap that ships. All implementations are reusable
+//! across batches via `clear`, because allocation churn was one of the
+//! baseline's hidden costs — and `clear` runs once per batch (map) or once
+//! per destination node (set), so the two shipped structures clear in time
+//! proportional to what the last use touched, not to their capacity.
 
 use salient_graph::NodeId;
 use std::collections::{HashMap, HashSet};
@@ -87,12 +90,18 @@ impl IdMap for StdIdMap {
 
 /// Flat open-addressing map with linear probing and Fibonacci hashing — the
 /// "swiss table" analogue that gave the paper its ~2× sampler speedup.
+///
+/// Key and value share one `[key, val]` entry, so a probe touches one cache
+/// line, and the slots filled since the last [`IdMap::clear`] are remembered:
+/// clearing costs O(keys inserted), which is what a batch of one seed node
+/// pays in a table a batch of 256 once grew.
 #[derive(Debug)]
 pub struct FlatIdMap {
-    keys: Vec<u32>,
-    vals: Vec<u32>,
+    /// `[key, val]` per slot; a key of `EMPTY` marks a free slot.
+    entries: Vec<[u32; 2]>,
+    /// Slots filled since the last clear, in insertion order.
+    filled: Vec<u32>,
     bits: u32,
-    len: usize,
 }
 
 impl Default for FlatIdMap {
@@ -106,37 +115,33 @@ impl FlatIdMap {
     pub fn with_capacity(capacity: usize) -> Self {
         let bits = (capacity.max(8) * 2).next_power_of_two().trailing_zeros();
         FlatIdMap {
-            keys: vec![EMPTY; 1 << bits],
-            vals: vec![0; 1 << bits],
+            entries: vec![[EMPTY, 0]; 1 << bits],
+            filled: Vec::new(),
             bits,
-            len: 0,
         }
     }
 
     fn grow(&mut self) {
-        let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; 2 << self.bits]);
-        let old_vals = std::mem::take(&mut self.vals);
-        self.vals = vec![0; self.keys.len()];
+        let old = std::mem::replace(&mut self.entries, vec![[EMPTY, 0]; 2 << self.bits]);
         self.bits += 1;
-        self.len = 0;
-        for (k, v) in old_keys.into_iter().zip(old_vals) {
-            if k != EMPTY {
-                self.insert_fresh(k, v);
-            }
+        let mut filled = std::mem::take(&mut self.filled);
+        for slot in &mut filled {
+            // lint: allow(panic-reachability, filled holds slot indices of the table it was built against, which old still is; probe indices are masked by the power-of-two table capacity on every step)
+            let [key, val] = old[*slot as usize];
+            *slot = self.insert_fresh(key, val);
         }
+        self.filled = filled;
     }
 
+    /// Stores a key known to be absent; returns its slot.
     #[inline]
-    fn insert_fresh(&mut self, key: u32, val: u32) {
-        let mask = self.keys.len() - 1;
+    fn insert_fresh(&mut self, key: u32, val: u32) -> u32 {
+        let mask = self.entries.len() - 1;
         let mut i = fib_hash(key, self.bits);
         loop {
-            // lint: allow(panic-reachability, probe indices are masked by the power-of-two table capacity on every step)
-            if self.keys[i] == EMPTY {
-                self.keys[i] = key;
-                self.vals[i] = val;
-                self.len += 1;
-                return;
+            if self.entries[i][0] == EMPTY {
+                self.entries[i] = [key, val];
+                return i as u32;
             }
             i = (i + 1) & mask;
         }
@@ -147,20 +152,19 @@ impl IdMap for FlatIdMap {
     #[inline]
     fn get_or_insert(&mut self, global: NodeId, fallback: u32) -> (u32, bool) {
         debug_assert_ne!(global, EMPTY, "u32::MAX is reserved as the empty slot");
-        if (self.len + 1) * 4 >= self.keys.len() * 3 {
+        if (self.filled.len() + 1) * 4 >= self.entries.len() * 3 {
             self.grow();
         }
-        let mask = self.keys.len() - 1;
+        let mask = self.entries.len() - 1;
         let mut i = fib_hash(global, self.bits);
         loop {
-            let k = self.keys[i];
+            let [k, v] = self.entries[i];
             if k == global {
-                return (self.vals[i], false);
+                return (v, false);
             }
             if k == EMPTY {
-                self.keys[i] = global;
-                self.vals[i] = fallback;
-                self.len += 1;
+                self.entries[i] = [global, fallback];
+                self.filled.push(i as u32);
                 return (fallback, true);
             }
             i = (i + 1) & mask;
@@ -168,18 +172,20 @@ impl IdMap for FlatIdMap {
     }
 
     fn clear(&mut self) {
-        self.keys.fill(EMPTY);
-        self.len = 0;
+        for &slot in &self.filled {
+            self.entries[slot as usize][0] = EMPTY;
+        }
+        self.filled.clear();
     }
 
     fn reserve(&mut self, n: usize) {
-        while (self.len + n) * 4 >= self.keys.len() * 3 {
+        while (self.filled.len() + n) * 4 >= self.entries.len() * 3 {
             self.grow();
         }
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.filled.len()
     }
 }
 
@@ -330,6 +336,54 @@ impl NeighborSet for ArrayNeighborSet {
     }
 }
 
+/// A bitmap over neighbor positions: O(1) membership whatever the fanout,
+/// and a `clear` that zeroes only the words up to the highest position set —
+/// at most one bit per neighbor of the node just sampled. It grows to one
+/// bit per position of the largest degree seen.
+#[derive(Debug, Default)]
+pub struct BitmapNeighborSet {
+    words: Vec<u64>,
+    /// Words that may hold a set bit: `words[dirty..]` is all zero.
+    dirty: usize,
+    len: usize,
+}
+
+impl BitmapNeighborSet {
+    /// Creates an empty bitmap set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl NeighborSet for BitmapNeighborSet {
+    #[inline]
+    fn insert(&mut self, idx: u32) -> bool {
+        let w = (idx >> 6) as usize;
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        let bit = 1u64 << (idx & 63);
+        if self.words[w] & bit != 0 {
+            return false;
+        }
+        self.words[w] |= bit;
+        self.dirty = self.dirty.max(w + 1);
+        self.len += 1;
+        true
+    }
+
+    #[inline]
+    fn clear(&mut self) {
+        self.words[..self.dirty].fill(0);
+        self.dirty = 0;
+        self.len = 0;
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,6 +453,30 @@ mod tests {
         assert_eq!(flat.len(), std.len());
     }
 
+    #[test]
+    fn flat_map_clear_visits_only_the_slots_it_filled() {
+        let mut m = FlatIdMap::with_capacity(1 << 16);
+        assert_eq!(m.entries.len(), 1 << 17);
+        let keys: Vec<u32> = (0..100).map(|i| i * 7919 + 3).collect();
+        for (i, &k) in keys.iter().enumerate() {
+            assert!(m.get_or_insert(k, i as u32).1);
+        }
+        assert_eq!(m.filled.len(), keys.len());
+        // A stowaway the map never recorded: a clear that swept all 2^17
+        // slots would evict it, one that walks its 100 cannot find it.
+        let stowaway = 4_000_000_000u32;
+        let home = fib_hash(stowaway, m.bits);
+        assert_eq!(m.entries[home][0], EMPTY, "pick another stowaway");
+        m.entries[home] = [stowaway, 7];
+
+        m.clear();
+        assert!(m.is_empty());
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(m.get_or_insert(k, 500 + i as u32), (500 + i as u32, true), "key {k} survived");
+        }
+        assert_eq!(m.get_or_insert(stowaway, 0), (7, false));
+    }
+
     fn exercise_set(set: &mut impl NeighborSet) {
         assert!(set.insert(5));
         assert!(!set.insert(5));
@@ -422,6 +500,25 @@ mod tests {
     #[test]
     fn array_set_contract() {
         exercise_set(&mut ArrayNeighborSet::new());
+    }
+
+    #[test]
+    fn bitmap_set_contract() {
+        exercise_set(&mut BitmapNeighborSet::new());
+    }
+
+    #[test]
+    fn bitmap_set_spans_words_and_clears_each() {
+        let mut s = BitmapNeighborSet::new();
+        for idx in [0, 63, 64, 1_000, 65] {
+            assert!(s.insert(idx));
+        }
+        assert!(!s.insert(1_000));
+        assert_eq!(s.len(), 5);
+        s.clear();
+        assert!(s.is_empty());
+        assert!(s.words.iter().all(|&w| w == 0));
+        assert!(s.insert(1_000));
     }
 
     #[test]

@@ -7,10 +7,8 @@
 //! the sampled neighbor choices once; replaying it through different id-map
 //! implementations isolates data-structure cost from sampling randomness.
 
-use crate::engine::{EngineOpts, EngineScratch, SampleAlgo};
 use crate::mfg::{MessageFlowGraph, MfgLayer};
-use crate::structures::{ArrayNeighborSet, FlatIdMap, IdMap};
-use salient_tensor::rng::StdRng;
+use crate::structures::IdMap;
 use salient_graph::{CsrGraph, NodeId};
 
 /// The frozen sampling decisions of one hop: for each destination node of
@@ -54,30 +52,9 @@ pub fn record_trace(
     fanouts: &[usize],
     seed: u64,
 ) -> SampleTrace {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut map = FlatIdMap::with_capacity(batch.len() * 8);
-    let mut set = ArrayNeighborSet::new();
-    let mut scratch = EngineScratch::default();
-    // Run the engine but intercept sampling through a recording pass:
-    // we re-run hop by hop using the same primitives the engine uses.
-    let opts = EngineOpts {
-        fused: true,
-        reserve: true,
-        algo: SampleAlgo::PartialFisherYates,
-    };
-    // Recording needs frontier knowledge, so replicate the frontier loop and
-    // record from the produced MFG instead: each layer's edges, grouped by
-    // dst, in hop order. Sampling order = reverse of forward layer order.
-    let mfg = crate::engine::sample_with(
-        graph,
-        batch,
-        fanouts,
-        opts,
-        &mut map,
-        &mut set,
-        &mut scratch,
-        &mut rng,
-    );
+    // Each layer's edges, grouped by destination, in hop order: sampling
+    // order is the reverse of the MFG's forward layer order.
+    let mfg = crate::FastSampler::new(seed).sample(graph, batch, fanouts);
     let mut hops = Vec::with_capacity(mfg.layers.len());
     for layer in mfg.layers.iter().rev() {
         let mut neighbors: Vec<Vec<NodeId>> = vec![Vec::new(); layer.n_dst];
@@ -150,7 +127,7 @@ pub fn replay_trace<M: IdMap>(trace: &SampleTrace, map: &mut M) -> MessageFlowGr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::structures::StdIdMap;
+    use crate::structures::{FlatIdMap, StdIdMap};
     use salient_graph::DatasetConfig;
 
     #[test]

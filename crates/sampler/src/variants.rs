@@ -4,14 +4,16 @@
 //! explore manually. We designed a parameterized implementation of sampled
 //! MFG generation to systematically explore this optimization space" (§4.1).
 //!
-//! Five axes are exposed here — id-map structure × neighbor-set structure ×
-//! fused construction × capacity reservation × sampling algorithm — giving
-//! 48 instantiations benchmarked by `salient-bench --bin fig2`.
+//! Five axes are exposed here — id-map structure (2) × neighbor-set
+//! structure (4) × fused construction (2) × capacity reservation (2) ×
+//! sampling algorithm (3) — giving 96 instantiations benchmarked by
+//! `salient-bench --bin fig2`.
 
 use crate::engine::{sample_with, EngineOpts, EngineScratch, SampleAlgo};
 use crate::mfg::MessageFlowGraph;
 use crate::structures::{
-    ArrayNeighborSet, FlatIdMap, FlatNeighborSet, IdMap, NeighborSet, StdIdMap, StdNeighborSet,
+    ArrayNeighborSet, BitmapNeighborSet, FlatIdMap, FlatNeighborSet, IdMap, NeighborSet, StdIdMap,
+    StdNeighborSet,
 };
 use salient_tensor::rng::StdRng;
 use salient_graph::{CsrGraph, NodeId};
@@ -34,6 +36,8 @@ pub enum NeighborSetKind {
     Flat,
     /// Plain array with linear scan (the paper's winner at small fanouts).
     Array,
+    /// Bitmap over positions with a dirty list (O(1) test, O(k) clear).
+    Bitmap,
 }
 
 /// One point in the sampler design space.
@@ -52,18 +56,23 @@ pub struct VariantConfig {
 }
 
 impl VariantConfig {
-    /// Every point of the design space (48 variants).
+    /// Every point of the design space (96 variants).
     pub fn all() -> Vec<VariantConfig> {
-        let mut out = Vec::with_capacity(48);
+        let mut out = Vec::with_capacity(96);
         for id_map in [IdMapKind::Std, IdMapKind::Flat] {
             for neighbor_set in [
                 NeighborSetKind::Std,
                 NeighborSetKind::Flat,
                 NeighborSetKind::Array,
+                NeighborSetKind::Bitmap,
             ] {
                 for fused in [false, true] {
                     for reserve in [false, true] {
-                        for algo in [SampleAlgo::Rejection, SampleAlgo::PartialFisherYates] {
+                        for algo in [
+                            SampleAlgo::Rejection,
+                            SampleAlgo::PartialFisherYates,
+                            SampleAlgo::ComplementRejection,
+                        ] {
                             out.push(VariantConfig {
                                 id_map,
                                 neighbor_set,
@@ -94,14 +103,23 @@ impl VariantConfig {
     pub fn salient() -> VariantConfig {
         VariantConfig {
             id_map: IdMapKind::Flat,
-            neighbor_set: NeighborSetKind::Array,
+            neighbor_set: NeighborSetKind::Bitmap,
             fused: true,
-            reserve: true,
-            algo: SampleAlgo::PartialFisherYates,
+            reserve: false,
+            algo: SampleAlgo::ComplementRejection,
         }
     }
 
-    /// A short human-readable label, e.g. `"flat/array/fused/resv/fy"`.
+    /// The engine options of this point (its non-type axes).
+    pub fn opts(&self) -> EngineOpts {
+        EngineOpts {
+            fused: self.fused,
+            reserve: self.reserve,
+            algo: self.algo,
+        }
+    }
+
+    /// A short human-readable label, e.g. `"flat/bitmap/fused/grow/crej"`.
     pub fn label(&self) -> String {
         format!(
             "{}/{}/{}/{}/{}",
@@ -113,12 +131,14 @@ impl VariantConfig {
                 NeighborSetKind::Std => "stdset",
                 NeighborSetKind::Flat => "flatset",
                 NeighborSetKind::Array => "array",
+                NeighborSetKind::Bitmap => "bitmap",
             },
             if self.fused { "fused" } else { "2phase" },
             if self.reserve { "resv" } else { "grow" },
             match self.algo {
                 SampleAlgo::Rejection => "rej",
                 SampleAlgo::PartialFisherYates => "fy",
+                SampleAlgo::ComplementRejection => "crej",
             },
         )
     }
@@ -166,6 +186,7 @@ enum AnyNeighborSet {
     Std(StdNeighborSet),
     Flat(FlatNeighborSet),
     Array(ArrayNeighborSet),
+    Bitmap(BitmapNeighborSet),
 }
 
 impl NeighborSet for AnyNeighborSet {
@@ -175,6 +196,7 @@ impl NeighborSet for AnyNeighborSet {
             AnyNeighborSet::Std(s) => s.insert(idx),
             AnyNeighborSet::Flat(s) => s.insert(idx),
             AnyNeighborSet::Array(s) => s.insert(idx),
+            AnyNeighborSet::Bitmap(s) => s.insert(idx),
         }
     }
 
@@ -183,6 +205,7 @@ impl NeighborSet for AnyNeighborSet {
             AnyNeighborSet::Std(s) => s.clear(),
             AnyNeighborSet::Flat(s) => s.clear(),
             AnyNeighborSet::Array(s) => s.clear(),
+            AnyNeighborSet::Bitmap(s) => s.clear(),
         }
     }
 
@@ -191,6 +214,7 @@ impl NeighborSet for AnyNeighborSet {
             AnyNeighborSet::Std(s) => NeighborSet::len(s),
             AnyNeighborSet::Flat(s) => NeighborSet::len(s),
             AnyNeighborSet::Array(s) => NeighborSet::len(s),
+            AnyNeighborSet::Bitmap(s) => NeighborSet::len(s),
         }
     }
 }
@@ -218,6 +242,7 @@ impl VariantSampler {
                 NeighborSetKind::Std => AnyNeighborSet::Std(StdNeighborSet::new()),
                 NeighborSetKind::Flat => AnyNeighborSet::Flat(FlatNeighborSet::new()),
                 NeighborSetKind::Array => AnyNeighborSet::Array(ArrayNeighborSet::new()),
+                NeighborSetKind::Bitmap => AnyNeighborSet::Bitmap(BitmapNeighborSet::new()),
             },
             scratch: EngineScratch::default(),
             rng: StdRng::seed_from_u64(seed),
@@ -245,11 +270,7 @@ impl VariantSampler {
             graph,
             batch,
             fanouts,
-            EngineOpts {
-                fused: self.config.fused,
-                reserve: self.config.reserve,
-                algo: self.config.algo,
-            },
+            self.config.opts(),
             &mut self.map,
             &mut self.set,
             &mut self.scratch,
@@ -264,11 +285,11 @@ mod tests {
     use salient_graph::DatasetConfig;
 
     #[test]
-    fn design_space_has_48_points() {
+    fn design_space_has_96_points() {
         let all = VariantConfig::all();
-        assert_eq!(all.len(), 48);
+        assert_eq!(all.len(), 96);
         let unique: std::collections::HashSet<_> = all.iter().collect();
-        assert_eq!(unique.len(), 48, "variants must be distinct");
+        assert_eq!(unique.len(), 96, "variants must be distinct");
         assert!(all.contains(&VariantConfig::pyg_baseline()));
         assert!(all.contains(&VariantConfig::salient()));
     }
@@ -277,7 +298,7 @@ mod tests {
     fn labels_are_unique() {
         let labels: std::collections::HashSet<String> =
             VariantConfig::all().iter().map(|c| c.label()).collect();
-        assert_eq!(labels.len(), 48);
+        assert_eq!(labels.len(), 96);
     }
 
     #[test]

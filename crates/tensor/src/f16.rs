@@ -85,6 +85,20 @@ impl F16 {
         self.0
     }
 
+    /// `len` positive zeros, zeroed by the allocator rather than by a store per
+    /// element: `vec![F16::ZERO; len]` writes all of them (the standard library
+    /// asks for zeroed memory only for its own numeric types), which for a
+    /// staging buffer of a few MB is page faults and milliseconds spent on bytes
+    /// the first slice overwrites. Fresh pages stay untouched until used.
+    pub fn zeros(len: usize) -> Vec<F16> {
+        let mut bits = std::mem::ManuallyDrop::new(vec![0u16; len]);
+        // SAFETY: `F16` is `repr(transparent)` over `u16`, so the two element
+        // types share size and alignment and every bit pattern is a valid `F16`;
+        // pointer, length and capacity come from a live `Vec<u16>` whose
+        // destructor is suppressed, so ownership passes to the new vector.
+        unsafe { Vec::from_raw_parts(bits.as_mut_ptr().cast::<F16>(), bits.len(), bits.capacity()) }
+    }
+
     /// Converts an `f32` to `F16` with round-to-nearest-even.
     ///
     /// Values whose magnitude exceeds [`F16::MAX`] become infinity; values
@@ -342,7 +356,7 @@ pub fn narrow_into(src: &[f32], out: &mut [F16]) {
 /// Converts a slice of `f32` into a freshly allocated vector of halves
 /// (bulk-vectorized; see [`narrow_into`]).
 pub fn quantize(values: &[f32]) -> Vec<F16> {
-    let mut out = vec![F16::ZERO; values.len()];
+    let mut out = F16::zeros(values.len());
     narrow_into(values, &mut out);
     out
 }

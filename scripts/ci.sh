@@ -50,6 +50,14 @@ echo "== tests again, one at a time (--test-threads=1)"
 # shows up as a difference between this run and the one above.
 cargo test --workspace -q --offline -- --test-threads=1
 
+echo "== sampler tier: the distribution did not change (release, 10^5 draws a cell)"
+# The chi-square comparison of FastSampler against PygSampler and the
+# exact-count checks over fanouts 5..20 x degrees on both sides of the
+# complement switch and the bitmask boundary. The workspace runs above cover
+# them at 10^4 draws (a 10 % tilt is caught); optimised, the same tests
+# afford 10^5 and catch 3 % (crates/sampler/tests/distribution.rs).
+cargo test --release -q --offline -p salient-sampler
+
 echo "== benchmark tier: the four workloads' correctness checks (--smoke)"
 # A few batches of every BENCHMARK.json workload (train_compute,
 # infer_sweep, prep_stream, serve_open), checks only, ~20 s: a change that

@@ -14,7 +14,10 @@
 //! The fault plan is process-global, so every test here serializes on one
 //! mutex; nothing else runs in this binary.
 
-use salient_repro::batchprep::{run_epoch, BatchResult, FaultStats, PrepConfig, PrepMode, SamplerKind};
+use salient_repro::batchprep::{
+    run_epoch, run_epoch_with_pool, BatchResult, FaultStats, PinnedPool, PrepConfig, PrepMode,
+    SamplerKind,
+};
 use salient_repro::core::checkpoint::{Checkpoint, CheckpointError};
 use salient_repro::core::{train_ddp, DdpError, RunConfig};
 use salient_repro::ddp::CommErrorKind;
@@ -37,6 +40,18 @@ fn serial() -> MutexGuard<'static, ()> {
 fn dataset() -> Arc<Dataset> {
     static DS: OnceLock<Arc<Dataset>> = OnceLock::new();
     Arc::clone(DS.get_or_init(|| Arc::new(DatasetConfig::tiny(11).build())))
+}
+
+/// The one staging pool every prep scenario of this binary borrows, as a
+/// `Trainer` lends its own to epoch after epoch: whatever a scenario kills,
+/// the next one starts from a pool the dead left behind, and finds it whole.
+fn pool() -> PinnedPool {
+    static POOL: OnceLock<PinnedPool> = OnceLock::new();
+    POOL.get_or_init(|| {
+        let features = &dataset().features;
+        PinnedPool::new(3, 0, features.dim(), 0, features.dtype())
+    })
+    .clone()
 }
 
 fn prep_cfg(mode: PrepMode) -> PrepConfig {
@@ -64,11 +79,28 @@ fn run_under_plan(
     plan: FaultPlan,
     cfg: &PrepConfig,
 ) -> (Vec<usize>, Vec<(usize, u32)>, FaultStats) {
+    run_gated(plan, cfg, || true)
+}
+
+/// [`run_under_plan`] with a consumer that takes nothing until `open()`
+/// holds (or 10 s pass): the workers meanwhile fill the slots and block, so
+/// a scenario can fix what the supervisor finds when it acts instead of
+/// racing the workers to it.
+fn run_gated(
+    plan: FaultPlan,
+    cfg: &PrepConfig,
+    open: impl Fn() -> bool,
+) -> (Vec<usize>, Vec<(usize, u32)>, FaultStats) {
     let ds = dataset();
     let order = ds.splits.train.clone();
     let _guard = fault::scoped(plan);
-    let handle = run_epoch(&ds, &order, cfg);
-    let pool = handle.pool().clone();
+    let pool = pool();
+    assert_eq!(pool.available(), pool.capacity(), "the previous scenario leaked a slot");
+    let handle = run_epoch_with_pool(&ds, &order, cfg, &pool);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !open() && std::time::Instant::now() < deadline {
+        std::thread::yield_now();
+    }
     let mut ready = Vec::new();
     let mut failed = Vec::new();
     for msg in handle.batches.iter() {
@@ -224,7 +256,16 @@ fn dead_worker_is_respawned_within_budget() {
         // Worker 0 dies at spawn; the supervisor restarts it once (same id,
         // so a static partition keeps its owner).
         let plan = FaultPlan::new(5).panic_at(sites::PREP_WORKER, 0);
-        let (ready, failed, faults) = run_under_plan(plan, &prep_cfg(mode));
+        // A worker is respawned only while work is left, and with a shared
+        // queue the survivor can finish the epoch before the supervisor has
+        // acted on the death (a panic message with a backtrace takes
+        // milliseconds, and so does a descheduled supervisor on two cores;
+        // ten small batches do not). Nothing is consumed until it has acted:
+        // the survivor then holds at most `slots` batches plus the one in
+        // its hands, and the rest of the epoch is still to do.
+        let cfg = prep_cfg(mode);
+        let respawns = cfg.trace.counter(names::counters::RESPAWNS);
+        let (ready, failed, faults) = run_gated(plan, &cfg, || respawns.get() >= 1);
         assert_eq!(ready.len(), n, "{mode:?}");
         assert!(failed.is_empty(), "{mode:?}");
         assert_eq!(faults.worker_panics, 1, "{mode:?}");
@@ -278,6 +319,8 @@ fn transfer_stage_panic_retires_one_batch_and_the_pipeline_survives() {
     assert_eq!(stats.len(), 1);
     assert_eq!(stats[0].batches, n - 1, "exactly the panicked batch is lost");
     assert_eq!(stats[0].failed_batches, 1, "the loss is accounted, not silent");
+    let staging = trainer.staging_pool();
+    assert_eq!(staging.available(), staging.capacity(), "the trainer's pool is whole again");
 
     // The panic is observable on the timeline: one stage-panic counter
     // tick and one point event tagged with the failing batch id; the
