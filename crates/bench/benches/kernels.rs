@@ -148,10 +148,6 @@ fn aggregation_section() -> Json {
     let idx: Vec<u32> = (0..n_edges).map(|_| rng.random_range(0..n_src as u32)).collect();
     let src = idx.clone();
     let dst: Vec<u32> = (0..n_edges).map(|_| rng.random_range(0..n_dst as u32)).collect();
-    let mut counts = vec![0.0f32; n_dst];
-    for &d in &dst {
-        counts[d as usize] += 1.0;
-    }
     let f32b = std::mem::size_of::<f32>();
     let f16b = std::mem::size_of::<F16>();
 
@@ -166,10 +162,10 @@ fn aggregation_section() -> Json {
         kernels::gather_rows_backward(&x[..n_bwd * cols], cols, &idx[..n_bwd], n_src)
     });
     let scatter_sum = bench("scatter_sum_forward", || {
-        kernels::scatter_reduce_forward(&x, cols, &src, &dst, n_dst, None)
+        kernels::scatter_reduce_forward(&x, cols, &src, &dst, n_dst, false)
     });
     let scatter_mean = bench("scatter_mean_forward", || {
-        kernels::scatter_reduce_forward(&x, cols, &src, &dst, n_dst, Some(&counts))
+        kernels::scatter_reduce_forward(&x, cols, &src, &dst, n_dst, true)
     });
 
     // `rows_per_s` counts *output* rows (what earlier reports tracked — for

@@ -1,14 +1,15 @@
 //! Microbenchmarks of the tensor substrate: GEMM kernels at GNN-typical
-//! shapes, scatter aggregation, the fused SAGE layer and its ReLU + dropout
-//! epilogue, f16 conversion bandwidth, and a forward+backward and a full
-//! train step of one GraphSAGE batch.
+//! shapes, scatter aggregation (through the tape, and the CSR row kernel at
+//! the benchmark's hop-0 shapes against the host's copy bandwidth), the fused
+//! SAGE layer and its ReLU + dropout epilogue, f16 conversion bandwidth, and
+//! a forward+backward and a full train step of one GraphSAGE batch.
 
 use salient_bench::harness::{bench, report};
 use salient_graph::DatasetConfig;
 use salient_nn::{build_model, Mode, ModelKind};
 use salient_sampler::FastSampler;
 use salient_tensor::optim::{zero_grads, Adam, Optimizer};
-use salient_tensor::rng::StdRng;
+use salient_tensor::rng::{Rng, SliceRandom, StdRng};
 use salient_tensor::{dequantize_into, gemm, init, kernels, quantize, Param, Tape, Tensor};
 
 fn bench_gemm() {
@@ -40,6 +41,77 @@ fn bench_scatter() {
         s.per_second(layer.num_edges() as f64) / 1e6
     );
     report("aggregation", &[s]);
+}
+
+/// The CSR aggregation kernel on hop 0 of one `BENCHMARK.json` batch (256
+/// seeds, 100 feature columns): `infer` is `infer_sweep`'s shape (G10k,
+/// fanouts 20,20,20), `train` is `train_compute`'s (G100k, fanouts 15,10,5).
+/// Each row prints edges per second and the bytes of source rows those edges
+/// read per second; the last line is one large `copy_from_slice`, the rate a
+/// kernel that streamed its rows instead of gathering them could not beat.
+fn bench_csr_agg() {
+    const COLS: usize = 100;
+    let mut samples = Vec::new();
+    for (shape, nodes, fanouts) in [("infer", 10_000, [20, 20, 20]), ("train", 100_000, [15, 10, 5])] {
+        let ds = DatasetConfig {
+            num_nodes: nodes,
+            feat_dim: 1,
+            ..DatasetConfig::products_sim(1.0)
+        }
+        .build();
+        let mfg = FastSampler::new(0).sample(&ds.graph, &ds.splits.train[..256], &fanouts);
+        let layer = &mfg.layers[0];
+        let (n_src, n_dst, edges) = (layer.n_src, layer.n_dst, layer.num_edges());
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut values = |n: usize| -> Vec<f32> {
+            (0..n * COLS).map(|_| rng.random_range(-1.0f32..1.0)).collect()
+        };
+        let (x, g) = (values(n_src), values(n_dst));
+        let mut grad = g.clone();
+        let mut order: Vec<usize> = (0..edges).collect();
+        order.shuffle(&mut StdRng::seed_from_u64(2));
+        let shuffled = |ids: &[u32]| -> Vec<u32> { order.iter().map(|&e| ids[e]).collect() };
+        let (src, dst) = (&layer.edge_src, &layer.edge_dst);
+        let (src_sh, dst_sh) = (shuffled(src), shuffled(dst));
+        // Results go back to the buffer pool the way a tape's tensors do.
+        let pooled = |out: Vec<f32>| {
+            let n = out.len();
+            Tensor::from_vec(out, [n]).len()
+        };
+        let rows = [
+            bench(&format!("csr_agg_fwd_sorted {shape}"), || {
+                pooled(kernels::scatter_reduce_forward(&x, COLS, src, dst, n_dst, true))
+            }),
+            bench(&format!("csr_agg_fwd_shuffled {shape}"), || {
+                pooled(kernels::scatter_reduce_forward(&x, COLS, &src_sh, &dst_sh, n_dst, true))
+            }),
+            // The mean's backward pass scales its gradient in place, so
+            // every call gets a fresh copy (as a train step's GEMM writes one).
+            bench(&format!("csr_agg_bwd {shape}"), || {
+                grad.copy_from_slice(&g);
+                pooled(kernels::scatter_reduce_backward(&mut grad, COLS, src, dst, n_src, true))
+            }),
+        ];
+        println!("  {shape}: {n_src} -> {n_dst} rows, {edges} edges, {COLS} cols");
+        for s in rows {
+            println!(
+                "  {} -> {:.1} Medges/s, {:.2} GB/s of source rows",
+                s.name,
+                s.per_second(edges as f64) / 1e6,
+                s.per_second((edges * COLS * 4) as f64) / 1e9
+            );
+            samples.push(s);
+        }
+    }
+    let from = vec![1.0f32; 16 << 20];
+    let mut to = vec![0.0f32; 16 << 20];
+    let copy = bench("stream_copy_64mb", || {
+        to.copy_from_slice(&from);
+        to[0]
+    });
+    println!("  {} -> {:.2} GB/s", copy.name, copy.per_second((from.len() * 4) as f64) / 1e9);
+    samples.push(copy);
+    report("csr_aggregation", &samples);
 }
 
 /// One fused SAGE layer (hop 0, hidden 64) with constant features, as the
@@ -127,6 +199,7 @@ fn bench_train_step() {
 fn main() {
     bench_gemm();
     bench_scatter();
+    bench_csr_agg();
     bench_sage_conv();
     bench_relu_dropout();
     bench_f16();

@@ -18,6 +18,14 @@
 use salient_graph::NodeId;
 
 /// One bipartite hop of a message-flow graph, in local ids.
+///
+/// **Invariant the samplers keep:** `edge_dst` is non-decreasing — every
+/// sampler in this crate, and `core::infer::full_graph_mfg`, emits a hop
+/// destination by destination (`tests/properties.rs` checks all of them).
+/// An edge list in that order already is a CSR row index, and the
+/// aggregation kernel uses it as one without sorting
+/// (`salient_tensor::kernels`). A hand-built layer in any other order is
+/// still valid and aggregates to the same values, through a counting sort.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MfgLayer {
     /// Local source index of each edge (`< n_src`).

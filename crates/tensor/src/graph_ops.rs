@@ -10,18 +10,6 @@ use crate::rng::Rng;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
-fn check_edges(src: &[u32], dst: &[u32], n_src: usize, n_dst: usize) {
-    assert_eq!(src.len(), dst.len(), "edge list length mismatch");
-    debug_assert!(
-        src.iter().all(|&s| (s as usize) < n_src),
-        "source id out of range"
-    );
-    debug_assert!(
-        dst.iter().all(|&d| (d as usize) < n_dst),
-        "destination id out of range"
-    );
-}
-
 impl Var {
     /// Gathers rows by index: `out[i] = self[idx[i]]`.
     ///
@@ -49,16 +37,12 @@ impl Var {
     fn scatter_reduce(&self, src: &[u32], dst: &[u32], n_dst: usize, mean: bool) -> Var {
         let a = self.value();
         let (n_src, cols) = (a.rows(), a.cols());
-        check_edges(src, dst, n_src, n_dst);
-        let counts = mean.then(|| kernels::in_degrees(dst, n_dst));
-        let out =
-            kernels::scatter_reduce_forward(a.data(), cols, src, dst, n_dst, counts.as_deref());
+        let out = kernels::scatter_reduce_forward(a.data(), cols, src, dst, n_dst, mean);
         self.unary(Tensor::from_vec(out, Shape::matrix(n_dst, cols)), || {
             let (src, dst) = (SavedIds::new(src), SavedIds::new(dst));
-            let counts = counts.map(|c| Tensor::from_vec(c, Shape::vector(n_dst)));
-            move |g: Tensor| {
-                let w = counts.as_ref().map(Tensor::data);
-                let dx = kernels::scatter_reduce_backward(g.data(), cols, &src, &dst, n_src, w);
+            move |mut g: Tensor| {
+                let dx =
+                    kernels::scatter_reduce_backward(g.data_mut(), cols, &src, &dst, n_src, mean);
                 Tensor::from_vec(dx, Shape::matrix(n_src, cols))
             }
         })
@@ -72,8 +56,7 @@ impl Var {
     ///
     /// # Panics
     ///
-    /// Panics if `src.len() != dst.len()` (and, in debug builds, if any id is
-    /// out of range).
+    /// Panics if `src.len() != dst.len()` or an id is out of range.
     pub fn scatter_mean(&self, src: &[u32], dst: &[u32], n_dst: usize) -> Var {
         self.scatter_reduce(src, dst, n_dst, true)
     }
@@ -82,7 +65,7 @@ impl Var {
     ///
     /// # Panics
     ///
-    /// Panics if `src.len() != dst.len()`.
+    /// Panics if `src.len() != dst.len()` or an id is out of range.
     pub fn scatter_add(&self, src: &[u32], dst: &[u32], n_dst: usize) -> Var {
         self.scatter_reduce(src, dst, n_dst, false)
     }
@@ -137,14 +120,12 @@ impl Var {
         };
         let (ws, wn) = (w_self.value(), w_neigh.value());
         let (n_src, k, n) = (x.rows(), x.cols(), ws.cols());
-        check_edges(src, dst, n_src, n_dst);
         assert_eq!(xt.shape().dims(), [n_dst, k], "x_target must be n_dst × in_dim");
         assert_eq!(ws.shape().dims(), [k, n], "W_self must be in_dim × out_dim");
         assert_eq!(wn.shape(), ws.shape(), "W_neigh must match W_self");
 
-        let counts = Tensor::from_vec(kernels::in_degrees(dst, n_dst), Shape::vector(n_dst));
         let agg = Tensor::from_vec(
-            kernels::scatter_reduce_forward(x.data(), k, src, dst, n_dst, Some(counts.data())),
+            kernels::scatter_reduce_forward(x.data(), k, src, dst, n_dst, true),
             Shape::matrix(n_dst, k),
         );
         let mut out = Tensor::zeros(Shape::matrix(n_dst, n));
@@ -178,8 +159,8 @@ impl Var {
                 if let Some((src, dst)) = &edges {
                     let mut dagg = Tensor::zeros(Shape::matrix(n_dst, k));
                     kernels::gemm_acc(dagg.data_mut(), gd, wn.data(), false, true, n_dst, k, n);
-                    let w = Some(counts.data());
-                    let mut dx = kernels::scatter_reduce_backward(dagg.data(), k, src, dst, n_src, w);
+                    let mut dx =
+                        kernels::scatter_reduce_backward(dagg.data_mut(), k, src, dst, n_src, true);
                     if prefix {
                         // lint: allow(panic-reachability, n_dst <= n_src rows was asserted through the x_target shape at record time)
                         let head = &mut dx[..n_dst * k];
@@ -211,7 +192,7 @@ impl Var {
     pub fn scatter_max(&self, src: &[u32], dst: &[u32], n_dst: usize) -> Var {
         let a = self.value();
         let cols = a.cols();
-        check_edges(src, dst, a.rows(), n_dst);
+        assert_eq!(src.len(), dst.len(), "edge list length mismatch");
         let ad = a.data();
         let mut out = vec![f32::NEG_INFINITY; n_dst * cols];
         let mut argmax: Vec<u32> = vec![u32::MAX; n_dst * cols];
@@ -317,7 +298,7 @@ impl Var {
         let x = self.value();
         let w = alpha.value();
         let cols = x.cols();
-        check_edges(src, dst, x.rows(), n_dst);
+        assert_eq!(src.len(), dst.len(), "edge list length mismatch");
         assert_eq!(w.len(), src.len(), "one weight per edge required");
         let (xd, wd) = (x.data(), w.data());
         let mut out = Tensor::zeros(Shape::matrix(n_dst, cols));

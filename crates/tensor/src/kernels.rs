@@ -26,17 +26,23 @@
 //!   for `F16` bulk-widens) contiguous source rows instead of striding,
 //!   and the micro-kernel reads `apack[p*mb + i]` — same FLOPs, no strided
 //!   scalar pack loop.
-//! * **Aggregation** first builds a CSR index over the edge list (stable
-//!   counting sort by destination — or by source for backward passes), then
-//!   computes each output row *fully, in edge order* inside one task. No
-//!   atomics, no per-call allocation churn (index buffers come from a
-//!   thread-local scratch pool), and — because every output element is
-//!   produced by the same serial reduction regardless of how rows are
-//!   chunked — results are bitwise identical for any thread count. Edge
-//!   endpoints are validated once per call, so the per-edge inner loops use
-//!   unchecked row reads plus a software prefetch of the next edge's row
-//!   (the per-edge bounds/slice overhead is the indirection tax the gather
-//!   path never paid).
+//! * **Aggregation** is one row kernel, `out[r] = scale_r · Σ_e x[idx[e]]`
+//!   over a CSR row index `(indptr, idx)` of the edge list ([`RowAgg`]).
+//!   Building the index is one pass over the keys that counts degrees,
+//!   bounds-checks and notices keys that are already non-decreasing — every
+//!   sampler's `edge_dst` is — in which case the edge list *is* the index
+//!   and nothing is sorted or copied; other keys (a backward pass keys on
+//!   `src`) go through a stable counting sort into pooled scratch and feed
+//!   the same kernel. A row's accumulator stays in vector registers across
+//!   all of its edges, every cache line of a source row a few edges ahead is
+//!   prefetched, and the row is written once into a stale pooled buffer (no
+//!   memset). The kernel is plain Rust compiled three times (portable,
+//!   AVX2, AVX-512) and dispatched on the GEMM's `Level`. No atomics, no
+//!   per-call allocation, and — because every output column is the same
+//!   `+=` chain in edge order whatever the vector width or the chunking —
+//!   results are bitwise identical for any rung and any thread count. Edge
+//!   endpoints are validated once per call, in release builds too, so the
+//!   per-edge loop reads rows unchecked.
 
 use crate::f16::F16;
 use crate::pool::{parallel_for, SendPtr};
@@ -941,6 +947,28 @@ mod simd {
             i += 1;
         }
     }
+
+    /// [`super::RowAgg::rows`] compiled with 256-bit vectors (AVX2 rung).
+    ///
+    /// # Safety
+    ///
+    /// As for [`super::RowAgg::rows`], and the caller must check [`level`]
+    /// ≥ AVX2.
+    #[target_feature(enable = "avx,avx2,fma")]
+    pub unsafe fn agg_rows_avx2(agg: &super::RowAgg<'_>, r0: usize, r1: usize) {
+        agg.rows(r0, r1)
+    }
+
+    /// [`super::RowAgg::rows`] compiled with 512-bit vectors (AVX-512 rung).
+    ///
+    /// # Safety
+    ///
+    /// As for [`super::RowAgg::rows`], and the caller must check [`level`]
+    /// is AVX-512.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn agg_rows_avx512(agg: &super::RowAgg<'_>, r0: usize, r1: usize) {
+        agg.rows(r0, r1)
+    }
 }
 
 /// Blocked, packed, parallel GEMM into a pre-zeroed output buffer, generic
@@ -1033,42 +1061,8 @@ fn gemm_into<TA: GemmElem, TB: GemmElem>(
 }
 
 // ---------------------------------------------------------------------------
-// CSR index over edge lists
+// Row gather
 // ---------------------------------------------------------------------------
-
-/// Builds a CSR index over `keys` (stable counting sort) and hands
-/// `(offsets, order)` to `f`: edge ids with key `d` are
-/// `order[offsets[d] as usize .. offsets[d + 1] as usize]`, in their
-/// original edge-list order. The two index buffers live in thread-local
-/// scratch, so steady-state calls allocate nothing.
-pub(crate) fn with_csr<R>(
-    keys: &[u32],
-    n_keys: usize,
-    f: impl FnOnce(&[u32], &[u32]) -> R,
-) -> R {
-    let mut offsets = take_u32(n_keys + 1);
-    let mut order = take_u32(keys.len());
-    offsets.resize(n_keys + 1, 0);
-    for &d in keys {
-        offsets[d as usize + 1] += 1;
-    }
-    for i in 0..n_keys {
-        offsets[i + 1] += offsets[i];
-    }
-    order.resize(keys.len(), 0);
-    let mut cursor = take_u32(n_keys);
-    cursor.extend_from_slice(&offsets[..n_keys]);
-    for (e, &d) in keys.iter().enumerate() {
-        let c = &mut cursor[d as usize];
-        order[*c as usize] = e as u32;
-        *c += 1;
-    }
-    put_u32(cursor);
-    let r = f(&offsets, &order);
-    put_u32(offsets);
-    put_u32(order);
-    r
-}
 
 /// Minimum output rows per parallel chunk for aggregation kernels.
 const AGG_MIN_CHUNK: usize = 16;
@@ -1138,63 +1132,313 @@ pub fn gather_rows_forward_f16(xd: &[F16], cols: usize, idx: &[u32]) -> Vec<f32>
     out
 }
 
-/// Backward of [`gather_rows_forward`]: scatter-adds each gradient row `e`
-/// into `dx[idx[e]]`. Parallelized by *destination* row via a CSR index so
-/// no two tasks write the same row and the per-row reduction order is
-/// fixed (bitwise deterministic for any thread count).
+// ---------------------------------------------------------------------------
+// CSR row index over edge lists
+// ---------------------------------------------------------------------------
+
+thread_local! {
+    /// Row indexes this thread has built, as `[identity, sorted]`.
+    static CSR_ROUTES: std::cell::Cell<[u64; 2]> = const { std::cell::Cell::new([0, 0]) };
+}
+
+/// How many row indexes the calling thread has built so far by each route,
+/// as `[identity, sorted]`: `identity` counts edge lists whose keys arrived
+/// non-decreasing (indexed in place), `sorted` those that went through the
+/// counting sort. A sampler's MFG takes the first on every forward hop
+/// (`tests/steady_state.rs`).
+pub fn csr_index_routes() -> [u64; 2] {
+    CSR_ROUTES.with(std::cell::Cell::get)
+}
+
+/// One pass over `keys`: per-key degrees as prefix sums (`indptr`, pooled,
+/// `n_keys + 1` long, so key `r` has `indptr[r + 1] - indptr[r]` edges) and
+/// whether the keys are already non-decreasing.
 ///
 /// # Panics
 ///
-/// Panics if `gd.len() != idx.len() * cols`.
+/// Panics with `"{what} out of range"` on a key `>= n_keys`.
+fn count_keys(keys: &[u32], n_keys: usize, what: &str) -> (Vec<u32>, bool) {
+    assert!(keys.len() <= u32::MAX as usize, "edge list too long for a u32 index");
+    let mut indptr = take_u32(n_keys + 1);
+    indptr.resize(n_keys + 1, 0);
+    let counts = &mut indptr[1..];
+    let (mut sorted, mut prev) = (true, 0);
+    for &k in keys {
+        assert!((k as usize) < counts.len(), "{what} out of range");
+        counts[k as usize] += 1;
+        sorted &= prev <= k;
+        prev = k;
+    }
+    let mut sum = 0;
+    for c in counts {
+        sum += *c;
+        *c = sum;
+    }
+    (indptr, sorted)
+}
+
+/// Indexes an edge list by row and hands `(indptr, idx)` to `f`: the values
+/// of the edges whose key is `r` are `idx[indptr[r]..indptr[r + 1]]`, in
+/// edge-list order. An edge's value is `vals[e]`, or its own position `e`
+/// when `vals` is `None`.
+///
+/// Keys that arrive non-decreasing — every sampler's `edge_dst` does, see
+/// `MfgLayer` — need no sort: `idx` is `vals` itself, untouched. Otherwise a
+/// stable counting sort permutes the values into pooled scratch. Either way
+/// the caller gets the same two arrays, so one row kernel serves both.
+///
+/// # Panics
+///
+/// Panics with `"{key_what} out of range"` on a key `>= n_keys` and with
+/// `"edge list length mismatch"` when `vals` and `keys` differ in length.
+pub(crate) fn with_csr<R>(
+    keys: &[u32],
+    n_keys: usize,
+    key_what: &str,
+    vals: Option<&[u32]>,
+    f: impl FnOnce(&[u32], &[u32]) -> R,
+) -> R {
+    if let Some(v) = vals {
+        assert_eq!(v.len(), keys.len(), "edge list length mismatch");
+    }
+    let (indptr, sorted) = count_keys(keys, n_keys, key_what);
+    CSR_ROUTES.with(|c| {
+        let mut n = c.get();
+        n[usize::from(!sorted)] += 1;
+        c.set(n);
+    });
+    let r = match vals {
+        Some(v) if sorted => f(&indptr, v),
+        _ => {
+            let mut idx = take_u32(keys.len());
+            if sorted {
+                idx.extend(0..keys.len() as u32);
+            } else {
+                idx.resize(keys.len(), 0);
+                let mut cursor = take_u32(n_keys);
+                cursor.extend_from_slice(&indptr[..n_keys]);
+                for (e, &k) in keys.iter().enumerate() {
+                    let c = &mut cursor[k as usize];
+                    idx[*c as usize] = vals.map_or(e as u32, |v| v[e]);
+                    *c += 1;
+                }
+                put_u32(cursor);
+            }
+            let r = f(&indptr, &idx);
+            put_u32(idx);
+            r
+        }
+    };
+    put_u32(indptr);
+    r
+}
+
+// ---------------------------------------------------------------------------
+// CSR aggregation: one row kernel
+// ---------------------------------------------------------------------------
+
+/// How many edges ahead of the one being summed a source row is prefetched.
+/// Measured on hop 0 of the benchmark's batches (100 columns, one and two
+/// threads, distances alternated pass by pass in one process): the next
+/// edge's row arrives too late (1.35 ms at the inference shape on two
+/// threads), 6 to 12 edges ahead are level (1.16–1.20 ms), 16 begins to lose.
+const AGG_PREFETCH_EDGES: usize = 8;
+
+/// One aggregation over a row index:
+/// `out[r] = scale_r · Σ { x[idx[e]] : e ∈ indptr[r]..indptr[r + 1] }`, with
+/// `scale_r = 1 / degree(r)` when `mean` (rows without edges stay zero) and
+/// 1 otherwise. Forward mean/sum aggregation and both backward scatters are
+/// this sum with different `(indptr, idx)`.
+///
+/// A row's accumulator lives in registers across all of its edges, a panel
+/// of columns at a time, and the row is stored once — `out` may hold stale
+/// values. Every column is a plain `+=` chain in edge order starting from
+/// 0.0, so a value depends neither on the panel width (the rung) nor on
+/// which chunk computed it.
+pub(crate) struct RowAgg<'a> {
+    x: &'a [f32],
+    cols: usize,
+    indptr: &'a [u32],
+    idx: &'a [u32],
+    mean: bool,
+    out: SendPtr<f32>,
+}
+
+impl RowAgg<'_> {
+    /// Columns `[c, c + W)` of one output row.
+    ///
+    /// # Safety
+    ///
+    /// As for [`RowAgg::rows`], with `e0..e1` the row's edges,
+    /// `c + W <= cols` and `orow` the start of the output row.
+    #[inline(always)]
+    unsafe fn panel<const W: usize>(
+        &self,
+        (e0, e1): (usize, usize),
+        c: usize,
+        scale: Option<f32>,
+        orow: *mut f32,
+    ) { // lint: region(no_alloc)
+        let (x, cols, idx) = (self.x.as_ptr(), self.cols, self.idx);
+        let mut acc = [0.0f32; W];
+        for e in e0..e1 {
+            if c == 0 {
+                // Every line of a row some edges ahead, once per edge (the
+                // later panels of this row find it cached). The index is
+                // clamped to the list, the address is never dereferenced.
+                let ahead = (e + AGG_PREFETCH_EDGES).min(idx.len() - 1);
+                let next = x.wrapping_add(*idx.get_unchecked(ahead) as usize * cols);
+                for line in (0..cols).step_by(16) {
+                    prefetch_read(next.wrapping_add(line));
+                }
+            }
+            let xrow = x.add(*idx.get_unchecked(e) as usize * cols + c);
+            for (j, a) in acc.iter_mut().enumerate() {
+                *a += *xrow.add(j);
+            }
+        }
+        if let Some(s) = scale {
+            for a in &mut acc {
+                *a *= s;
+            }
+        }
+        std::ptr::copy_nonoverlapping(acc.as_ptr(), orow.add(c), W);
+    }
+
+    /// Computes output rows `[r0, r1)`: the body of one parallel chunk, and
+    /// the portable rung (the `simd` wrappers compile this same code for
+    /// AVX2 and AVX-512).
+    ///
+    /// # Safety
+    ///
+    /// `indptr[r0..=r1]` must be non-decreasing and end `<= idx.len()`, every
+    /// `idx` value must be a row of `x` (`< x.len() / cols`), and `out` must
+    /// cover `r1 · cols` floats whose rows `[r0, r1)` nobody else touches.
+    #[inline(always)]
+    pub(crate) unsafe fn rows(&self, r0: usize, r1: usize) { // lint: region(no_alloc)
+        let cols = self.cols;
+        for r in r0..r1 {
+            let edges = (
+                *self.indptr.get_unchecked(r) as usize,
+                *self.indptr.get_unchecked(r + 1) as usize,
+            );
+            let scale = (self.mean && edges.1 > edges.0).then(|| 1.0 / (edges.1 - edges.0) as f32);
+            let orow = self.out.0.add(r * cols);
+            // The widest panel that still fits, left to right. A remainder
+            // narrower than 8 is covered by an 8-wide panel that ends with
+            // the row: it recomputes up to 7 columns with the same adds in
+            // the same order, so it stores the same bits over them.
+            let mut c = 0;
+            while c < cols {
+                c += match cols - c {
+                    64.. => {
+                        self.panel::<64>(edges, c, scale, orow);
+                        64
+                    }
+                    32.. => {
+                        self.panel::<32>(edges, c, scale, orow);
+                        32
+                    }
+                    16.. => {
+                        self.panel::<16>(edges, c, scale, orow);
+                        16
+                    }
+                    8.. => {
+                        self.panel::<8>(edges, c, scale, orow);
+                        8
+                    }
+                    rest if cols >= 8 => {
+                        self.panel::<8>(edges, cols - 8, scale, orow);
+                        rest
+                    }
+                    _ => {
+                        self.panel::<1>(edges, c, scale, orow);
+                        1
+                    }
+                };
+            }
+        }
+    }
+
+    /// [`RowAgg::rows`] on the rung the GEMM dispatch picked for this CPU.
+    ///
+    /// # Safety
+    ///
+    /// As for [`RowAgg::rows`].
+    unsafe fn rows_dispatched(&self, r0: usize, r1: usize) {
+        #[cfg(target_arch = "x86_64")]
+        match simd::level() {
+            simd::Level::Avx512 => return simd::agg_rows_avx512(self, r0, r1),
+            simd::Level::Avx2 => return simd::agg_rows_avx2(self, r0, r1),
+            simd::Level::Portable => {}
+        }
+        self.rows(r0, r1)
+    }
+}
+
+/// `out[r] = scale_r · Σ { x[vals[e]] : keys[e] = r }` for `r < n_keys`, in
+/// a pooled buffer: index the edge list ([`with_csr`]), then run
+/// [`RowAgg`] over chunks of output rows. `what` names the keys and the
+/// values in panic messages.
+fn aggregate(
+    x: &[f32],
+    cols: usize,
+    keys: &[u32],
+    n_keys: usize,
+    vals: Option<&[u32]>,
+    what: [&str; 2],
+    mean: bool,
+) -> Vec<f32> {
+    let mut out = take_f32_stale(n_keys * cols);
+    if cols == 0 {
+        return out;
+    }
+    // One past the largest row of `x` any edge reads.
+    let rows_read = match vals {
+        Some([]) => 0,
+        Some(v) => v.iter().fold(0, |top, &v| top.max(v)) as usize + 1,
+        None => keys.len(),
+    };
+    assert!(rows_read <= x.len() / cols, "{} out of range", what[1]);
+    with_csr(keys, n_keys, what[0], vals, |indptr, idx| {
+        let agg = RowAgg { x, cols, indptr, idx, mean, out: SendPtr(out.as_mut_ptr()) };
+        // SAFETY: `with_csr` built `indptr` as prefix sums ending at
+        // idx.len() and `idx` as a permutation of the values, every one of
+        // which was checked above to be a row of `x`; `out` holds
+        // n_keys·cols floats and the chunks [r0, r1) ⊆ [0, n_keys) are
+        // disjoint.
+        let body = |r0: usize, r1: usize| unsafe { agg.rows_dispatched(r0, r1) };
+        if idx.len() * cols < AGG_SERIAL_CUTOFF {
+            body(0, n_keys);
+        } else {
+            parallel_for(n_keys, AGG_MIN_CHUNK, &body);
+        }
+    });
+    out
+}
+
+/// Backward of [`gather_rows_forward`]: adds each gradient row `e` into
+/// `dx[idx[e]]` — the row kernel over `idx` as keys, so no two tasks write
+/// the same row and the per-row order is the edge order.
+///
+/// # Panics
+///
+/// Panics if `gd.len() != idx.len() * cols` or an index is `>= n_src`.
 // lint: entry(panic-reachability)
 pub fn gather_rows_backward(gd: &[f32], cols: usize, idx: &[u32], n_src: usize) -> Vec<f32> {
     assert_eq!(gd.len(), idx.len() * cols, "gather_rows_backward shape mismatch");
-    let mut dx = take_f32_zeroed(n_src * cols);
-    if cols == 0 {
-        return dx;
-    }
-    with_csr(idx, n_src, |offsets, order| {
-        let dx_ptr = SendPtr(dx.as_mut_ptr());
-        let body = |r0: usize, r1: usize| {
-            // SAFETY: `dx` has n_src·cols elements and tasks receive
-            // disjoint destination-row ranges [r0, r1) ⊆ [0, n_src), so the
-            // slice is in bounds and unaliased.
-            let rows = unsafe { dx_ptr.slice_mut(r0 * cols, (r1 - r0) * cols) };
-            for (r, drow) in (r0..r1).zip(rows.chunks_exact_mut(cols)) {
-                let edges = &order[offsets[r] as usize..offsets[r + 1] as usize];
-                for (ei, &e) in edges.iter().enumerate() {
-                    if ei + 1 < edges.len() {
-                        prefetch_read(gd.as_ptr().wrapping_add(edges[ei + 1] as usize * cols));
-                    }
-                    // SAFETY: `with_csr` yields edge ids e < idx.len(), and
-                    // gd.len() == idx.len()·cols was asserted on entry.
-                    let grow = unsafe { gd.get_unchecked(e as usize * cols..(e as usize + 1) * cols) };
-                    for (d, &v) in drow.iter_mut().zip(grow) {
-                        *d += v;
-                    }
-                }
-            }
-        };
-        if idx.len() * cols < AGG_SERIAL_CUTOFF {
-            body(0, n_src);
-        } else {
-            parallel_for(n_src, AGG_MIN_CHUNK, &body);
-        }
-    });
-    dx
+    aggregate(gd, cols, idx, n_src, None, ["gather index", "gradient row"], false)
 }
 
-/// Fused CSR scatter-aggregation: for each destination `d`,
-/// `out[d] = reduce { x[s] : (s, d) ∈ edges }` where the reduction is a sum,
-/// optionally scaled by `1 / weight[d]` in the same pass (mean), all inside
-/// one task per destination-row chunk.
+/// CSR scatter-aggregation: for each destination `d`,
+/// `out[d] = Σ { x[s] : (s, d) ∈ edges }`, divided by the in-degree when
+/// `mean` (SAGE; `false` is GIN's sum). Destinations without edges get zero
+/// rows.
 ///
-/// `dst_weight`: `None` for sum (GIN), `Some(counts)` for mean (SAGE).
+/// # Panics
 ///
-/// Edge endpoints are validated once up front (`src.len() == dst.len()`,
-/// every source row inside `xd`), so the per-edge loop reads rows unchecked
-/// and prefetches the next edge's source row — the per-edge slice-check
-/// overhead this removes is what the sequential gather kernel never paid.
+/// Panics if the edge lists differ in length, a source is not a row of
+/// `xd`, or a destination is `>= n_dst`.
 // lint: entry(panic-reachability)
 pub fn scatter_reduce_forward(
     xd: &[f32],
@@ -1202,151 +1446,41 @@ pub fn scatter_reduce_forward(
     src: &[u32],
     dst: &[u32],
     n_dst: usize,
-    dst_weight: Option<&[f32]>,
+    mean: bool,
 ) -> Vec<f32> {
-    assert_eq!(src.len(), dst.len(), "scatter edge lists must pair up");
-    let mut out = take_f32_zeroed(n_dst * cols);
-    if cols == 0 {
-        return out;
-    }
-    let n_rows = xd.len() / cols;
-    assert!(
-        src.iter().all(|&s| (s as usize) < n_rows),
-        "scatter source row out of range"
-    );
-    with_csr(dst, n_dst, |offsets, order| {
-        let out_ptr = SendPtr(out.as_mut_ptr());
-        // lint: region(no_alloc)
-        let body = |d0: usize, d1: usize| {
-            // SAFETY: `out` has n_dst·cols elements and tasks receive
-            // disjoint destination-row ranges [d0, d1) ⊆ [0, n_dst), so the
-            // slice is in bounds and unaliased.
-            let rows = unsafe { out_ptr.slice_mut(d0 * cols, (d1 - d0) * cols) };
-            for (d, orow) in (d0..d1).zip(rows.chunks_exact_mut(cols)) {
-                let edges = &order[offsets[d] as usize..offsets[d + 1] as usize];
-                for (ei, &e) in edges.iter().enumerate() {
-                    if ei + 1 < edges.len() {
-                        // SAFETY: edge ids from `with_csr` are < dst.len()
-                        // == src.len(); source rows were validated < n_rows.
-                        let nxt = unsafe { *src.get_unchecked(edges[ei + 1] as usize) } as usize;
-                        prefetch_read(xd.as_ptr().wrapping_add(nxt * cols));
-                    }
-                    // SAFETY: e < src.len() (CSR over dst, lengths asserted
-                    // equal) and src rows were validated < n_rows = the row
-                    // count of `xd`, so the row slice is in bounds.
-                    let xrow = unsafe {
-                        let s = *src.get_unchecked(e as usize) as usize;
-                        xd.get_unchecked(s * cols..(s + 1) * cols)
-                    };
-                    for (o, &v) in orow.iter_mut().zip(xrow) {
-                        *o += v;
-                    }
-                }
-                if let Some(w) = dst_weight {
-                    let c = w[d];
-                    if c > 0.0 {
-                        let inv = 1.0 / c;
-                        for o in orow.iter_mut() {
-                            *o *= inv;
-                        }
-                    }
-                }
-            }
-        };
-        if src.len() * cols < AGG_SERIAL_CUTOFF {
-            body(0, n_dst);
-        } else {
-            parallel_for(n_dst, AGG_MIN_CHUNK, &body);
-        }
-    });
-    out
+    aggregate(xd, cols, dst, n_dst, Some(src), ["destination id", "source id"], mean)
 }
 
-/// Backward of [`scatter_reduce_forward`]: routes `g[dst]` (scaled by
-/// `1 / weight[dst]` for mean) back to each source row. Parallelized by
-/// source row via a CSR index over `src` — again write-disjoint and
-/// order-deterministic, with the same validate-once / unchecked-per-edge
-/// row reads as the forward pass.
+/// Backward of [`scatter_reduce_forward`]: `dx[s] = Σ { g[d] / deg(d) :
+/// (s, d) ∈ edges }` (no division for the sum). For the mean, `gd` is
+/// scaled by `1 / deg` in place, once per destination row — the caller
+/// gives its gradient up; the sum over each source's edges is then the same
+/// row kernel as the forward pass, with `src` as keys.
+///
+/// # Panics
+///
+/// Panics if the edge lists differ in length, a destination is not a row
+/// of `gd`, or a source is `>= n_src`.
 // lint: entry(panic-reachability)
 pub fn scatter_reduce_backward(
-    gd: &[f32],
+    gd: &mut [f32],
     cols: usize,
     src: &[u32],
     dst: &[u32],
     n_src: usize,
-    dst_weight: Option<&[f32]>,
+    mean: bool,
 ) -> Vec<f32> {
-    assert_eq!(src.len(), dst.len(), "scatter edge lists must pair up");
-    let mut dx = take_f32_zeroed(n_src * cols);
-    if cols == 0 {
-        return dx;
-    }
-    let n_rows = gd.len() / cols;
-    assert!(
-        dst.iter().all(|&d| (d as usize) < n_rows),
-        "scatter destination row out of range"
-    );
-    if let Some(w) = dst_weight {
-        assert!(w.len() >= n_rows, "dst_weight shorter than gradient rows");
-    }
-    with_csr(src, n_src, |offsets, order| {
-        let dx_ptr = SendPtr(dx.as_mut_ptr());
-        // lint: region(no_alloc)
-        let body = |s0: usize, s1: usize| {
-            // SAFETY: `dx` has n_src·cols elements and tasks receive
-            // disjoint source-row ranges [s0, s1) ⊆ [0, n_src), so the
-            // slice is in bounds and unaliased.
-            let rows = unsafe { dx_ptr.slice_mut(s0 * cols, (s1 - s0) * cols) };
-            for (s, drow) in (s0..s1).zip(rows.chunks_exact_mut(cols)) {
-                let edges = &order[offsets[s] as usize..offsets[s + 1] as usize];
-                for (ei, &e) in edges.iter().enumerate() {
-                    if ei + 1 < edges.len() {
-                        // SAFETY: edge ids from `with_csr` are < src.len()
-                        // == dst.len(); dst rows were validated < n_rows.
-                        let nxt = unsafe { *dst.get_unchecked(edges[ei + 1] as usize) } as usize;
-                        prefetch_read(gd.as_ptr().wrapping_add(nxt * cols));
-                    }
-                    // SAFETY: e < dst.len() (CSR over src, lengths asserted
-                    // equal); dst rows validated < n_rows = gd row count, and
-                    // dst_weight (when present) covers n_rows entries.
-                    let (d, grow) = unsafe {
-                        let d = *dst.get_unchecked(e as usize) as usize;
-                        (d, gd.get_unchecked(d * cols..(d + 1) * cols))
-                    };
-                    match dst_weight {
-                        Some(w) => {
-                            // SAFETY: d < n_rows ≤ w.len(), asserted above.
-                            let inv = 1.0 / unsafe { *w.get_unchecked(d) };
-                            for (x, &v) in drow.iter_mut().zip(grow) {
-                                *x += inv * v;
-                            }
-                        }
-                        None => {
-                            for (x, &v) in drow.iter_mut().zip(grow) {
-                                *x += v;
-                            }
-                        }
-                    }
-                }
-            }
-        };
-        if src.len() * cols < AGG_SERIAL_CUTOFF {
-            body(0, n_src);
-        } else {
-            parallel_for(n_src, AGG_MIN_CHUNK, &body);
+    let what = ["source id", "destination id"];
+    if mean && cols > 0 {
+        let (indptr, _) = count_keys(dst, gd.len() / cols, what[1]);
+        for (grow, deg) in gd.chunks_exact_mut(cols).zip(indptr.windows(2).map(|w| w[1] - w[0])) {
+            // A row without edges is read by nobody.
+            let inv = 1.0 / deg.max(1) as f32;
+            grow.iter_mut().for_each(|g| *g *= inv);
         }
-    });
-    dx
-}
-
-/// In-degree of every destination as `f32` (the mean aggregation's divisor),
-/// in a pooled buffer.
-pub(crate) fn in_degrees(dst: &[u32], n_dst: usize) -> Vec<f32> {
-    let mut counts = take_f32_zeroed(n_dst);
-    for &d in dst {
-        counts[d as usize] += 1.0;
+        put_u32(indptr);
     }
-    counts
+    aggregate(gd, cols, src, n_src, Some(dst), what, false)
 }
 
 // ---------------------------------------------------------------------------
@@ -1617,108 +1751,237 @@ mod tests {
 
     #[test]
     fn csr_index_is_stable_and_complete() {
+        // Unsorted keys: a stable counting sort of the values.
         let keys = [2u32, 0, 2, 1, 0, 2];
-        with_csr(&keys, 4, |offsets, order| {
-            assert_eq!(offsets, &[0, 2, 3, 6, 6]);
-            // Stability: edge ids with equal keys keep edge-list order.
-            assert_eq!(&order[0..2], &[1, 4]); // key 0
-            assert_eq!(&order[2..3], &[3]); // key 1
-            assert_eq!(&order[3..6], &[0, 2, 5]); // key 2
+        let vals = [10u32, 11, 12, 13, 14, 15];
+        let before = csr_index_routes();
+        with_csr(&keys, 4, "key", Some(&vals), |indptr, idx| {
+            assert_eq!(indptr, &[0, 2, 3, 6, 6]);
+            assert_eq!(idx, &[11, 14, 13, 10, 12, 15]);
         });
+        // No values: an edge stands for its own position.
+        with_csr(&keys, 4, "key", None, |indptr, idx| {
+            assert_eq!(indptr, &[0, 2, 3, 6, 6]);
+            assert_eq!(idx, &[1, 4, 3, 0, 2, 5]);
+        });
+        // Non-decreasing keys: the values are handed over where they lie.
+        let keys = [0u32, 0, 1, 3, 3, 3];
+        with_csr(&keys, 5, "key", Some(&vals), |indptr, idx| {
+            assert_eq!(indptr, &[0, 2, 3, 3, 6, 6]);
+            assert_eq!(idx.as_ptr(), vals.as_ptr(), "the identity route must not copy");
+        });
+        with_csr(&keys, 5, "key", None, |_, idx| assert_eq!(idx, &[0, 1, 2, 3, 4, 5]));
+        let after = csr_index_routes();
+        assert_eq!([after[0] - before[0], after[1] - before[1]], [2, 2]);
     }
 
-    #[test]
-    fn scatter_kernels_match_serial_edge_walk() {
-        let mut rng = StdRng::seed_from_u64(42);
-        for _ in 0..20 {
-            let n_src = rng.random_range(1usize..200);
-            let n_dst = rng.random_range(1usize..150);
-            let cols = rng.random_range(1usize..40);
-            let n_edges = rng.random_range(0usize..800);
-            let src: Vec<u32> = (0..n_edges).map(|_| rng.random_range(0..n_src as u32)).collect();
-            let dst: Vec<u32> = (0..n_edges).map(|_| rng.random_range(0..n_dst as u32)).collect();
-            let x: Vec<f32> = (0..n_src * cols).map(|_| rng.random_range(-1.0f32..1.0)).collect();
-
-            // Reference: naive edge walk.
-            let mut expect = vec![0.0f32; n_dst * cols];
-            for (&s, &d) in src.iter().zip(&dst) {
-                for c in 0..cols {
-                    expect[d as usize * cols + c] += x[s as usize * cols + c];
+    /// The scalar edge walk the row kernel must reproduce bit for bit, and
+    /// the only other implementation of the aggregation: every edge adds
+    /// `x[vals[e]]` (times `val_scale[vals[e]]`, the way the mean's backward
+    /// pass used to weigh an edge) into row `keys[e]` of a zeroed output, in
+    /// edge-list order; `mean` then multiplies each row by one over its
+    /// edge count.
+    fn edge_walk(
+        x: &[f32],
+        cols: usize,
+        keys: &[u32],
+        n_keys: usize,
+        vals: Option<&[u32]>,
+        val_scale: Option<&[f32]>,
+        mean: bool,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0f32; n_keys * cols];
+        let mut counts = vec![0.0f32; n_keys];
+        for (e, &k) in keys.iter().enumerate() {
+            let (k, v) = (k as usize, vals.map_or(e, |v| v[e] as usize));
+            counts[k] += 1.0;
+            for c in 0..cols {
+                out[k * cols + c] += match val_scale {
+                    Some(w) => w[v] * x[v * cols + c],
+                    None => x[v * cols + c],
+                };
+            }
+        }
+        if mean {
+            for (orow, &n) in out.chunks_exact_mut(cols).zip(&counts) {
+                if n > 0.0 {
+                    let inv = 1.0 / n;
+                    orow.iter_mut().for_each(|o| *o *= inv);
                 }
             }
-            let got = scatter_reduce_forward(&x, cols, &src, &dst, n_dst, None);
-            for (g, e) in got.iter().zip(&expect) {
-                assert!((g - e).abs() < 1e-4, "scatter_add mismatch");
+        }
+        out
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    // SAFETY: a rung is called under the contract of `RowAgg::rows`, on a
+    // CPU that has the rung's vector extension.
+    type Rung = unsafe fn(&RowAgg<'_>, usize, usize);
+
+    /// Every rung of the row kernel this host can run, called directly (the
+    /// process-wide dispatch picks one of them for good).
+    fn rungs() -> Vec<(&'static str, Rung)> {
+        // SAFETY: the caller of a `Rung` upholds the contract of `rows`.
+        let portable: Rung = |agg, r0, r1| unsafe { agg.rows(r0, r1) };
+        let mut rungs = vec![("portable", portable)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
+                rungs.push(("avx2", simd::agg_rows_avx2));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                rungs.push(("avx512", simd::agg_rows_avx512));
+            }
+        }
+        rungs
+    }
+
+    /// Edge lists `(name, keys, vals)` over `n_keys` rows reading `n_vals`
+    /// rows, one for each way the index pass and the row loop can be met.
+    fn edge_cases(n_keys: usize, n_vals: usize, n_edges: usize, rng: &mut StdRng) -> Vec<(&'static str, Vec<u32>, Vec<u32>)> {
+        let mut draw = |n: usize, below: usize| -> Vec<u32> {
+            (0..n).map(|_| rng.random_range(0..below as u32)).collect()
+        };
+        let mut sorted = draw(n_edges, n_keys);
+        sorted.sort_unstable();
+        // Keys on every third row only: runs of empty rows in between and
+        // at the end.
+        let gappy: Vec<u32> = sorted.iter().map(|&k| k / 3 * 3).collect();
+        let mut to_last = sorted.clone();
+        *to_last.last_mut().unwrap() = n_keys as u32 - 1;
+        vec![
+            ("sorted", sorted, draw(n_edges, n_vals)),
+            ("shuffled", draw(n_edges, n_keys), draw(n_edges, n_vals)),
+            ("sorted with empty rows", gappy, draw(n_edges, n_vals)),
+            ("zero edges", vec![], vec![]),
+            ("last key = n - 1", to_last, draw(n_edges, n_vals)),
+            ("one row", vec![n_keys as u32 / 2; n_edges], draw(n_edges, n_vals)),
+        ]
+    }
+
+    const COLS: [usize; 13] = [1, 7, 8, 9, 15, 16, 17, 47, 64, 100, 128, 129, 300];
+
+    #[test]
+    fn every_rung_matches_the_edge_walk_bitwise_at_any_chunking() {
+        let mut rng = StdRng::seed_from_u64(0xA66);
+        let (n_keys, n_vals, n_edges) = (61, 83, 700);
+        for cols in COLS {
+            let x: Vec<f32> = (0..n_vals * cols).map(|_| rng.random_range(-1.0f32..1.0)).collect();
+            for (case, keys, vals) in edge_cases(n_keys, n_vals, n_edges, &mut rng) {
+                for mean in [false, true] {
+                    let want = bits(&edge_walk(&x, cols, &keys, n_keys, Some(&vals), None, mean));
+                    // The row range cut at two arbitrary places: a chunk is
+                    // whatever the pool's width makes it.
+                    let (a, b) = (rng.random_range(0..=n_keys), rng.random_range(0..=n_keys));
+                    let cuts = [0, a.min(b), a.max(b), n_keys];
+                    with_csr(&keys, n_keys, "key", Some(&vals), |indptr, idx| {
+                        for (rung, rows) in rungs() {
+                            // Stale, as the pooled output buffer is.
+                            let mut out = vec![f32::NAN; n_keys * cols];
+                            let agg = RowAgg { x: &x, cols, indptr, idx, mean, out: SendPtr(out.as_mut_ptr()) };
+                            for w in cuts.windows(2) {
+                                // SAFETY: the index comes from `with_csr`
+                                // over values drawn below n_vals = x's rows,
+                                // `out` holds n_keys rows, the chunks are
+                                // disjoint and run one after the other, and
+                                // `rungs` lists only what the CPU supports.
+                                unsafe { rows(&agg, w[0], w[1]) };
+                            }
+                            assert_eq!(bits(&out), want, "{rung}, {cols} cols, {case}, mean {mean}, cuts {cuts:?}");
+                        }
+                    });
+                }
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "source row out of range")]
-    fn scatter_forward_validates_source_rows() {
-        // The unchecked per-edge reads depend on this up-front validation.
+    fn aggregation_entry_points_match_the_edge_walk_bitwise() {
+        let mut rng = StdRng::seed_from_u64(0xE417);
+        // The small shape stays under AGG_SERIAL_CUTOFF for narrow rows; the
+        // large one is hop 0 of an inference batch (a tenth of it in a debug
+        // build) and always goes through the pool.
+        let large = if cfg!(debug_assertions) { (900, 1_000, 14_000) } else { (9_036, 9_970, 147_000) };
+        for ((n_dst, n_src, n_edges), cols_list) in [((61, 83, 700), &COLS[..]), (large, &[100][..])] {
+            for &cols in cols_list {
+                let x: Vec<f32> = (0..n_src * cols).map(|_| rng.random_range(-1.0f32..1.0)).collect();
+                let g: Vec<f32> = (0..n_dst * cols).map(|_| rng.random_range(-1.0f32..1.0)).collect();
+                for (case, dst, src) in edge_cases(n_dst, n_src, n_edges, &mut rng) {
+                    let what = format!("{cols} cols, {case}, {n_edges} edges");
+                    for mean in [false, true] {
+                        let got = scatter_reduce_forward(&x, cols, &src, &dst, n_dst, mean);
+                        let want = edge_walk(&x, cols, &dst, n_dst, Some(&src), None, mean);
+                        assert_eq!(bits(&got), bits(&want), "forward, mean {mean}, {what}");
+                    }
+                    // Backward: sources are the keys. The mean weighs every
+                    // edge by one over its destination's degree.
+                    let got = scatter_reduce_backward(&mut g.clone(), cols, &src, &dst, n_src, false);
+                    let want = edge_walk(&g, cols, &src, n_src, Some(&dst), None, false);
+                    assert_eq!(bits(&got), bits(&want), "sum backward, {what}");
+                    let mut inv_deg = vec![0.0f32; n_dst];
+                    dst.iter().for_each(|&d| inv_deg[d as usize] += 1.0);
+                    inv_deg.iter_mut().for_each(|n| *n = 1.0 / *n);
+                    let got = scatter_reduce_backward(&mut g.clone(), cols, &src, &dst, n_src, true);
+                    let want = edge_walk(&g, cols, &src, n_src, Some(&dst), Some(&inv_deg), false);
+                    assert_eq!(bits(&got), bits(&want), "mean backward, {what}");
+                    // Gather backward: gradient row e goes to row src[e].
+                    let ge: Vec<f32> = (0..src.len() * cols).map(|_| rng.random_range(-1.0f32..1.0)).collect();
+                    let got = gather_rows_backward(&ge, cols, &src, n_src);
+                    let want = edge_walk(&ge, cols, &src, n_src, None, None, false);
+                    assert_eq!(bits(&got), bits(&want), "gather backward, {what}");
+                    let got = gather_rows_backward(&ge, cols, &dst, n_dst);
+                    let want = edge_walk(&ge, cols, &dst, n_dst, None, None, false);
+                    assert_eq!(bits(&got), bits(&want), "gather backward by sorted index, {what}");
+                }
+            }
+        }
+    }
+
+    // The row kernel reads rows unchecked, so every id is checked before it,
+    // in release builds too, on the identity route (sorted keys) as well.
+    #[test]
+    #[should_panic(expected = "source id out of range")]
+    fn scatter_forward_rejects_a_source_beyond_x() {
         let x = vec![0.0f32; 4]; // 2 rows × 2 cols
-        scatter_reduce_forward(&x, 2, &[5], &[0], 1, None);
+        scatter_reduce_forward(&x, 2, &[0, 2], &[0, 1], 2, true);
     }
 
     #[test]
-    fn parallel_and_serial_chunking_are_bitwise_identical() {
-        // The determinism claim: because each output row is reduced in CSR
-        // edge order inside exactly one chunk, chunk boundaries (and hence
-        // thread count) cannot change the result. Compare the pool-parallel
-        // path against a forced single-chunk evaluation of the same kernel.
-        let mut rng = StdRng::seed_from_u64(99);
-        let n_src = 500;
-        let n_dst = 300;
-        let cols = 64; // big enough to clear AGG_SERIAL_CUTOFF
-        let n_edges = 4000;
-        let src: Vec<u32> = (0..n_edges).map(|_| rng.random_range(0..n_src as u32)).collect();
-        let dst: Vec<u32> = (0..n_edges).map(|_| rng.random_range(0..n_dst as u32)).collect();
-        let x: Vec<f32> = (0..n_src * cols).map(|_| rng.random_range(-1.0f32..1.0)).collect();
-        let mut counts = vec![0.0f32; n_dst];
-        for &d in &dst {
-            counts[d as usize] += 1.0;
-        }
+    #[should_panic(expected = "destination id out of range")]
+    fn scatter_forward_rejects_a_destination_beyond_n_dst() {
+        let x = vec![0.0f32; 4];
+        scatter_reduce_forward(&x, 2, &[0, 1], &[0, 2], 2, true);
+    }
 
-        let parallel = scatter_reduce_forward(&x, cols, &src, &dst, n_dst, Some(&counts));
-        // Serial reference with the *identical* per-row reduction.
-        let mut serial = vec![0.0f32; n_dst * cols];
-        with_csr(&dst, n_dst, |offsets, order| {
-            for d in 0..n_dst {
-                let orow = &mut serial[d * cols..(d + 1) * cols];
-                for &e in &order[offsets[d] as usize..offsets[d + 1] as usize] {
-                    let s = src[e as usize] as usize;
-                    for (o, &v) in orow.iter_mut().zip(&x[s * cols..(s + 1) * cols]) {
-                        *o += v;
-                    }
-                }
-                if counts[d] > 0.0 {
-                    let inv = 1.0 / counts[d];
-                    for o in orow.iter_mut() {
-                        *o *= inv;
-                    }
-                }
-            }
-        });
-        assert_eq!(parallel, serial, "bitwise determinism across chunkings");
+    #[test]
+    #[should_panic(expected = "destination id out of range")]
+    fn scatter_backward_rejects_a_destination_beyond_g() {
+        let mut g = vec![0.0f32; 4];
+        scatter_reduce_backward(&mut g, 2, &[0, 1], &[0, 2], 2, true);
+    }
 
-        let g: Vec<f32> = (0..n_dst * cols).map(|_| rng.random_range(-1.0f32..1.0)).collect();
-        let parallel_bwd =
-            scatter_reduce_backward(&g, cols, &src, &dst, n_src, Some(&counts));
-        let mut serial_bwd = vec![0.0f32; n_src * cols];
-        with_csr(&src, n_src, |offsets, order| {
-            for s in 0..n_src {
-                let drow = &mut serial_bwd[s * cols..(s + 1) * cols];
-                for &e in &order[offsets[s] as usize..offsets[s + 1] as usize] {
-                    let d = dst[e as usize] as usize;
-                    let inv = 1.0 / counts[d];
-                    for (o, &v) in drow.iter_mut().zip(&g[d * cols..(d + 1) * cols]) {
-                        *o += inv * v;
-                    }
-                }
-            }
-        });
-        assert_eq!(parallel_bwd, serial_bwd);
+    #[test]
+    #[should_panic(expected = "source id out of range")]
+    fn scatter_backward_rejects_a_source_beyond_n_src() {
+        let mut g = vec![0.0f32; 4];
+        scatter_reduce_backward(&mut g, 2, &[0, 2], &[0, 1], 2, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "gather index out of range")]
+    fn gather_backward_rejects_an_index_beyond_n_src() {
+        let g = vec![0.0f32; 4];
+        gather_rows_backward(&g, 2, &[0, 2], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge list length mismatch")]
+    fn scatter_forward_rejects_unpaired_edge_lists() {
+        let x = vec![0.0f32; 4];
+        scatter_reduce_forward(&x, 2, &[0, 1], &[0], 2, false);
     }
 
     #[test]

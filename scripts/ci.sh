@@ -58,6 +58,15 @@ echo "== sampler tier: the distribution did not change (release, 10^5 draws a ce
 # afford 10^5 and catch 3 % (crates/sampler/tests/distribution.rs).
 cargo test --release -q --offline -p salient-sampler
 
+echo "== tensor tier: the aggregation row kernel equals the scalar edge walk (release, bench shapes)"
+# Every rung of the CSR row kernel the host supports (portable, AVX2,
+# AVX-512) against the one scalar oracle, bit for bit, over 13 widths x 6
+# edge-list shapes x arbitrary chunk cuts, plus the public entry points at
+# hop 0 of an inference batch (9 970 -> 9 036 rows, 147 k edges, 100 columns).
+# The workspace runs above use a tenth of that shape (debug builds walk it
+# slowly) and compile the kernel unoptimised; this is the code that ships.
+cargo test --release -q --offline -p salient-tensor
+
 echo "== benchmark tier: the four workloads' correctness checks (--smoke)"
 # A few batches of every BENCHMARK.json workload (train_compute,
 # infer_sweep, prep_stream, serve_open), checks only, ~20 s: a change that

@@ -4,8 +4,12 @@
 //! RNG, so failures reproduce exactly by seed. (This replaced an external
 //! property-testing dependency; the invariants are unchanged.)
 
+use salient_repro::core::infer::full_graph_mfg;
 use salient_repro::graph::{generate, CsrGraph};
-use salient_repro::sampler::{FastSampler, PygSampler};
+use salient_repro::sampler::{
+    FastSampler, LayerwiseSampler, MessageFlowGraph, PygSampler, SaintSampler, VariantConfig,
+    VariantSampler,
+};
 use salient_repro::tensor::rng::{Rng, StdRng};
 use salient_repro::tensor::{gemm, F16, Tensor};
 
@@ -101,6 +105,41 @@ fn fast_and_pyg_samplers_agree_on_full_expansion() {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
+    }
+}
+
+#[test]
+fn every_sampler_emits_destinations_in_order() {
+    // The invariant `MfgLayer` documents and the aggregation kernel's
+    // identity route relies on for speed (not for correctness).
+    let check = |who: &str, mfg: &MessageFlowGraph| {
+        mfg.validate().unwrap();
+        for (hop, layer) in mfg.layers.iter().enumerate() {
+            assert!(
+                layer.edge_dst.windows(2).all(|w| w[0] <= w[1]),
+                "{who}: edge_dst of hop {hop} decreases somewhere"
+            );
+        }
+    };
+    for seed in 0..4u64 {
+        let mut rng = StdRng::seed_from_u64(350 + seed);
+        let es = edges(&mut rng, 60, 500);
+        let g = CsrGraph::from_edges(60, &es).to_undirected();
+        let batch: Vec<u32> = (0..8).collect();
+        // Fanouts on both sides of the degrees, so hops mix sampled and
+        // fully expanded neighbourhoods.
+        let fanouts = [3usize, 20, 2];
+        check("FastSampler", &FastSampler::new(seed).sample(&g, &batch, &fanouts));
+        check("PygSampler", &PygSampler::new(seed).sample(&g, &batch, &fanouts));
+        let all = VariantConfig::all();
+        assert!(all.iter().any(|v| v.fused) && all.iter().any(|v| !v.fused));
+        for config in all {
+            let mfg = VariantSampler::new(config, seed).sample(&g, &batch, &fanouts);
+            check(&config.label(), &mfg);
+        }
+        check("LayerwiseSampler", &LayerwiseSampler::new(seed).sample(&g, &batch, &[24, 12]));
+        check("SaintSampler", &SaintSampler::new(seed, 4).sample(&g, &batch, 2));
+        check("full_graph_mfg", &full_graph_mfg(&g, 2));
     }
 }
 

@@ -1,17 +1,22 @@
 //! In steady state batch preparation allocates the batch it hands over and
 //! nothing else: a warm sampler makes the vectors of the MFG it returns, and
-//! a trainer's later epochs stage into the buffers its first epoch grew.
+//! a trainer's later epochs stage into the buffers its first epoch grew. A
+//! warm inference forward takes every large buffer from the pool and indexes
+//! the sampler's edge lists in place.
 //!
 //! Its own test binary because it installs the counting allocator of
 //! `tests/common`.
 
 mod common;
 
-use common::allocations;
+use common::{allocations, large_allocations};
 use salient_repro::batchprep::PinnedPool;
-use salient_repro::core::{RunConfig, Trainer};
+use salient_repro::core::{BatchInferencer, RunConfig, Trainer};
 use salient_repro::graph::{DatasetConfig, FeatureRows};
+use salient_repro::nn::{build_model, ModelKind};
 use salient_repro::sampler::FastSampler;
+use salient_repro::tensor::kernels::csr_index_routes;
+use salient_repro::tensor::rng::StdRng;
 use salient_repro::trace::Trace;
 use std::sync::Arc;
 
@@ -86,4 +91,44 @@ fn later_epochs_stage_into_the_buffers_of_the_first() {
             "an epoch replaced a staging buffer"
         );
     }
+}
+
+#[test]
+fn warm_inference_forward_recycles_its_buffers_and_sorts_nothing() {
+    // `infer_sweep` in small: fanouts 20,20,20, hidden 64, features wide
+    // enough that the widened batch and every activation pass 64 KiB.
+    let ds = Arc::new(
+        DatasetConfig {
+            num_nodes: 10_000,
+            feat_dim: 100,
+            ..DatasetConfig::products_sim(1.0)
+        }
+        .build(),
+    );
+    let fanouts = [20, 20, 20];
+    let mut model = build_model(ModelKind::Sage, ds.features.dim(), 64, ds.num_classes, 3, 1);
+    let mfg = FastSampler::new(5).sample(&ds.graph, &ds.splits.train[..64], &fanouts);
+    assert!(mfg.num_nodes() * ds.features.dim() * 4 >= 4 * common::LARGE_BYTES);
+    let infer = BatchInferencer::new(Arc::clone(&ds), 1, mfg.num_nodes());
+    let mut rng = StdRng::seed_from_u64(0);
+    let mut forward = || {
+        let staged = infer.stage(&mfg).unwrap();
+        infer.forward(staged, model.as_mut(), &mfg, &mut rng).unwrap()
+    };
+    let first = forward();
+    forward();
+    let (large, routes) = (large_allocations(), csr_index_routes());
+    assert_eq!(forward(), first, "the same batch predicts the same classes");
+    assert_eq!(
+        large_allocations() - large,
+        0,
+        "a warm forward must take every buffer of {} KiB or more from the pool",
+        common::LARGE_BYTES / 1024
+    );
+    let [identity, sorted] = csr_index_routes();
+    assert_eq!(
+        [identity - routes[0], sorted - routes[1]],
+        [fanouts.len() as u64, 0],
+        "each hop's edge list arrives ordered by destination and is indexed in place"
+    );
 }
