@@ -18,8 +18,8 @@
 //! let cfg = PrepConfig { batch_size: 32, fanouts: vec![5, 3], ..Default::default() };
 //! let handle = run_epoch(&ds, &ds.splits.train.clone(), &cfg);
 //! let n = handle.batches.iter().count();
-//! let stats = handle.join();
-//! assert_eq!(stats.batches, n);
+//! let faults = handle.join();
+//! assert!(n > 0 && !faults.any());
 //! ```
 
 #![warn(missing_docs)]
@@ -34,9 +34,6 @@ pub use pinned::{PinnedPool, PinnedSlot};
 pub use prep::{
     run_epoch, run_epoch_with_pool, BatchResult, EpochHandle, PrepConfig, PrepMode, PreparedBatch, SamplerKind,
 };
-pub use queue::{
-    make_work_items, CompletionCounter, DynamicQueue, RetryQueue, StaticPartition, WorkItem,
-    WorkSource,
-};
+pub use queue::{make_work_items, DynamicQueue, StaticPartition, WorkItem, WorkSource};
 pub use slice::{slice_batch, slice_labels, sliced_bytes};
-pub use stats::{EpochPrepStats, FaultStats, PrepTimings};
+pub use stats::FaultStats;

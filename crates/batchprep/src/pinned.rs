@@ -176,16 +176,6 @@ impl PinnedPool {
         }
     }
 
-    /// Tries to check out a slot without blocking.
-    pub fn try_acquire(&self) -> Option<PinnedSlot> {
-        self.rx.try_recv().ok().map(|buffers| PinnedSlot {
-            buffers: Some(buffers),
-            home: self.tx.clone(),
-            used_features: 0,
-            used_labels: 0,
-        })
-    }
-
     /// Checks out a slot, waiting until one frees or `cancel` is observed
     /// set; returns `None` on cancellation.
     ///
@@ -237,7 +227,6 @@ mod tests {
         let a = pool.acquire();
         let b = pool.acquire();
         assert_eq!(pool.available(), 0);
-        assert!(pool.try_acquire().is_none(), "pool exhausted");
         drop(a);
         assert_eq!(pool.available(), 1);
         drop(b);

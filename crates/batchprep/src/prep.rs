@@ -13,23 +13,23 @@
 //!
 //! # Failure model
 //!
-//! Preparation is supervised. A panic while preparing one work item is
-//! caught on the worker, the item is requeued with a bounded retry budget
-//! (the retry sampler is re-seeded from the batch id and attempt so retries
-//! are deterministic no matter which worker picks them up), and a batch that
-//! exhausts its budget is reported as a terminal
+//! Each worker supervises itself. A panic while preparing one work item is
+//! caught on the worker, which rebuilds its sampler and re-attempts the same
+//! item in place up to [`RETRY_BUDGET`] more times (the retry sampler is
+//! seeded from the batch id and attempt, so the retried batch is the same on
+//! any schedule); a batch that exhausts the budget is reported as a terminal
 //! [`BatchResult::Failed`] marker — the consumer never waits on a batch that
 //! will not arrive, and the staging slot always returns to the pool. A panic
-//! that kills a whole worker thread is observed by the epoch supervisor,
-//! which respawns a replacement (up to [`PrepConfig::respawn_budget`]) or,
-//! when the worker set collapses, finishes the epoch with inline
-//! preparation on the supervisor thread. Per-epoch fault activity is
-//! surfaced as [`FaultStats`] next to [`EpochPrepStats`].
+//! that escapes the item guard ends that incarnation of the worker: the
+//! thread starts another under the same worker id while work is left and the
+//! epoch's [`RESPAWN_BUDGET`] has a unit, else it leaves, and the last
+//! worker to leave finishes any unclaimed work inline. Per-epoch fault
+//! activity is returned by [`EpochHandle::join`] as [`FaultStats`].
 
 use crate::pinned::{PinnedPool, PinnedSlot};
-use crate::queue::{make_work_items, DynamicQueue, RetryQueue, StaticPartition, WorkItem, WorkSource};
+use crate::queue::{make_work_items, DynamicQueue, StaticPartition, WorkItem, WorkSource};
 use crate::slice::slice_batch;
-use crate::stats::{EpochPrepStats, FaultStats, PrepTimings};
+use crate::stats::FaultStats;
 use salient_fault as fault;
 use salient_graph::{Dataset, NodeId};
 use salient_sampler::{FastSampler, MessageFlowGraph, PygSampler};
@@ -38,7 +38,12 @@ use salient_tensor::sync::channel::{bounded, Receiver, Sender};
 use salient_trace::{names, Counter, Histogram, Trace, NO_BATCH};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+
+/// Extra attempts a work item gets after its preparation panicked.
+const RETRY_BUDGET: u32 = 1;
+
+/// Worker incarnations one epoch may start beyond each worker's first.
+const RESPAWN_BUDGET: usize = 1;
 
 /// Work-distribution and copy behaviour of the pool.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,16 +83,10 @@ pub struct PrepConfig {
     pub sampler: SamplerKind,
     /// Base RNG seed (each worker derives its own stream).
     pub seed: u64,
-    /// Extra attempts granted to a work item whose preparation panicked
-    /// (0 = fail immediately on the first panic).
-    pub retry_budget: u32,
-    /// Replacement worker threads the supervisor may spawn in one epoch
-    /// after whole-worker deaths.
-    pub respawn_budget: usize,
     /// Tracing handle: workers record per-batch sample/slice/copy spans,
-    /// slot-wait backpressure, and fault events against it. The default
-    /// disabled handle makes every recording site a no-op (no clock reads
-    /// beyond the `PrepTimings` stamps, no allocation).
+    /// slot-wait backpressure, the `prep.*` counters and fault events
+    /// against it. The default disabled handle makes every recording site a
+    /// no-op (no allocation; the stage stamps are still read).
     pub trace: Trace,
 }
 
@@ -101,8 +100,6 @@ impl Default for PrepConfig {
             mode: PrepMode::SharedMemory,
             sampler: SamplerKind::Fast,
             seed: 0,
-            retry_budget: 1,
-            respawn_budget: 1,
             trace: Trace::disabled(),
         }
     }
@@ -118,8 +115,6 @@ pub struct PreparedBatch {
     pub mfg: MessageFlowGraph,
     /// Staged features + labels (returns to the pool on drop).
     pub slot: PinnedSlot,
-    /// Per-stage preparation cost.
-    pub timings: PrepTimings,
 }
 
 /// One message on the prepared-batch stream: either a usable batch or a
@@ -182,8 +177,8 @@ impl AnySampler {
     }
 }
 
-/// Fault counters shared by workers and the supervisor (lock-free updates,
-/// snapshotted into [`FaultStats`] at epoch end).
+/// Fault counters shared by the epoch's workers (lock-free updates,
+/// snapshotted into [`FaultStats`] by [`EpochHandle::join`]).
 #[derive(Debug, Default)]
 struct SharedFaultStats {
     item_panics: AtomicUsize,
@@ -229,42 +224,22 @@ impl PrepInstruments {
     }
 }
 
-/// Everything a worker (or the inline fallback) needs, shared by Arc so the
-/// supervisor can respawn workers with identical context.
+/// Everything the epoch's worker threads share.
 struct WorkerCtx {
     dataset: Arc<Dataset>,
-    order: Arc<Vec<NodeId>>,
+    order: Vec<NodeId>,
     source: Arc<dyn WorkSource>,
-    retries: Arc<RetryQueue>,
     pool: PinnedPool,
     tx: Sender<BatchResult>,
     cfg: PrepConfig,
     cancel: Arc<AtomicBool>,
     faults: Arc<SharedFaultStats>,
     instruments: PrepInstruments,
-}
-
-/// Exit notifications workers send the supervisor. Clean exits carry the
-/// worker's stats; panics are reported by a drop guard during unwind.
-enum WorkerMsg {
-    Clean { id: usize, stats: EpochPrepStats },
-    Panicked { id: usize },
-}
-
-/// Reports a worker death to the supervisor if the thread unwinds before
-/// the guard is disarmed.
-struct ExitGuard {
-    id: usize,
-    tx: Sender<WorkerMsg>,
-    armed: bool,
-}
-
-impl Drop for ExitGuard {
-    fn drop(&mut self) {
-        if self.armed {
-            let _ = self.tx.send(WorkerMsg::Panicked { id: self.id });
-        }
-    }
+    /// Units of [`RESPAWN_BUDGET`] no worker has taken yet.
+    respawns_left: AtomicUsize,
+    /// Worker threads that have not left; the one that takes it to zero
+    /// finishes unclaimed work inline.
+    live: AtomicUsize,
 }
 
 fn worker_seed(cfg_seed: u64, worker: usize) -> u64 {
@@ -278,44 +253,39 @@ fn retry_seed(cfg_seed: u64, batch_id: usize, attempt: u32) -> u64 {
 }
 
 /// Handle to an in-flight epoch of batch preparation: iterate the receiver
-/// to consume batches, then call [`EpochHandle::join`] for worker stats.
+/// to consume batches, then call [`EpochHandle::join`].
 #[derive(Debug)]
 pub struct EpochHandle {
     /// Channel of prepared batches (and failure markers), in completion
     /// order.
     pub batches: Receiver<BatchResult>,
-    supervisor: std::thread::JoinHandle<(EpochPrepStats, FaultStats)>,
+    workers: Vec<std::thread::JoinHandle<()>>,
     cancel: Arc<AtomicBool>,
+    faults: Arc<SharedFaultStats>,
     pool: PinnedPool,
 }
 
 impl EpochHandle {
-    /// Waits for every worker and returns merged epoch statistics.
+    /// Waits for every worker and returns the epoch's fault-handling
+    /// activity.
     ///
     /// Workers that have not finished are cancelled: batches already sitting
     /// in the channel are discarded and their staging slots recycled.
     ///
     /// # Panics
     ///
-    /// Panics only if the supervisor thread itself panicked (worker panics
-    /// are supervised, counted, and survived).
-    pub fn join(self) -> EpochPrepStats {
-        self.join_detailed().0
-    }
-
-    /// Like [`EpochHandle::join`], additionally returning the epoch's
-    /// fault-handling activity.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if the supervisor thread itself panicked.
-    pub fn join_detailed(self) -> (EpochPrepStats, FaultStats) {
+    /// Panics only if a worker thread panicked outside its own supervision
+    /// (panics inside it are counted and survived).
+    pub fn join(self) -> FaultStats {
         self.cancel.store(true, Ordering::Release);
         // Dropping the receiver destroys parked batches, returning their
         // slots to the pool and waking any worker blocked on acquire.
         drop(self.batches);
-        // lint: allow(panic-freedom, propagating a supervisor panic to the caller is the documented join contract)
-        self.supervisor.join().expect("epoch supervisor panicked")
+        for worker in self.workers {
+            // lint: allow(panic-freedom, propagating a panic that escaped a worker's supervision loop to the caller is the documented join contract)
+            worker.join().expect("batch-prep worker panicked outside its supervision loop");
+        }
+        self.faults.snapshot()
     }
 
     /// The staging-slot pool backing this epoch (diagnostics: after the
@@ -386,208 +356,162 @@ pub fn run_epoch_with_pool(
     };
     let (tx, rx) = bounded::<BatchResult>(pool.capacity());
     let cancel = Arc::new(AtomicBool::new(false));
+    let faults = Arc::new(SharedFaultStats::default());
 
+    // The workers hold the only senders: the channel disconnects, ending the
+    // consumer's iteration, when the last of them has left.
     let ctx = Arc::new(WorkerCtx {
         dataset: Arc::clone(dataset),
-        order: Arc::new(order.to_vec()),
+        order: order.to_vec(),
         source,
-        retries: Arc::new(RetryQueue::new()),
         pool: pool.clone(),
         tx,
         instruments: PrepInstruments::new(&cfg.trace),
         cfg: cfg.clone(),
         cancel: Arc::clone(&cancel),
-        faults: Arc::new(SharedFaultStats::default()),
+        faults: Arc::clone(&faults),
+        respawns_left: AtomicUsize::new(RESPAWN_BUDGET),
+        live: AtomicUsize::new(cfg.num_workers),
     });
-
-    let supervisor = {
-        let ctx = Arc::clone(&ctx);
-        std::thread::Builder::new()
-            .name("salient-prep-supervisor".to_string())
-            .spawn(move || supervise_epoch(&ctx))
-            // lint: allow(panic-freedom, thread-spawn failure is unrecoverable resource exhaustion at epoch start)
-            .expect("failed to spawn epoch supervisor")
-    };
+    let workers = (0..cfg.num_workers)
+        .map(|id| {
+            let ctx = Arc::clone(&ctx);
+            std::thread::Builder::new()
+                .name(format!("salient-prep-{id}"))
+                .spawn(move || supervise_worker(&ctx, id))
+                // lint: allow(panic-freedom, thread-spawn failure is unrecoverable resource exhaustion at epoch start)
+                .expect("failed to spawn batch-prep worker")
+        })
+        .collect();
 
     EpochHandle {
         batches: rx,
-        supervisor,
+        workers,
         cancel,
+        faults,
         pool: pool.clone(),
     }
 }
 
-/// Spawns one (possibly replacement) worker with `id`.
-fn spawn_worker(
-    ctx: &Arc<WorkerCtx>,
-    exit_tx: &Sender<WorkerMsg>,
-    id: usize,
-) -> std::thread::JoinHandle<()> {
-    let ctx = Arc::clone(ctx);
-    let exit_tx = exit_tx.clone();
-    std::thread::Builder::new()
-        .name(format!("salient-prep-{id}"))
-        .spawn(move || {
-            let mut guard = ExitGuard { id, tx: exit_tx, armed: true };
-            let stats = worker_loop(&ctx, id, false);
-            guard.armed = false;
-            let _ = guard.tx.send(WorkerMsg::Clean { id, stats });
-        })
-        // lint: allow(panic-freedom, thread-spawn failure is unrecoverable resource exhaustion; the respawn budget cannot help)
-        .expect("failed to spawn batch-prep worker")
-}
-
-/// Runs the epoch's worker set to completion, respawning dead workers up to
-/// the budget and degrading to inline preparation if the set collapses.
-fn supervise_epoch(ctx: &Arc<WorkerCtx>) -> (EpochPrepStats, FaultStats) {
-    let n = ctx.cfg.num_workers;
-    // Every worker lifetime sends exactly one exit message; size the channel
-    // so no exit send can ever block.
-    let (exit_tx, exit_rx) = bounded::<WorkerMsg>(n + ctx.cfg.respawn_budget + 1);
-    let mut handles: Vec<Option<std::thread::JoinHandle<()>>> = Vec::with_capacity(n);
-    for id in 0..n {
-        handles.push(Some(spawn_worker(ctx, &exit_tx, id)));
-    }
-
-    let mut total = EpochPrepStats::default();
-    let mut live = n;
-    let mut respawns_used = 0usize;
-    while live > 0 {
-        let Ok(msg) = exit_rx.recv() else { break };
-        match msg {
-            WorkerMsg::Clean { id, stats } => {
-                total.merge(&stats);
-                if let Some(h) = handles.get_mut(id).and_then(Option::take) {
-                    let _ = h.join();
-                }
-                live -= 1;
-            }
-            WorkerMsg::Panicked { id } => {
-                ctx.faults.worker_panics.fetch_add(1, Ordering::AcqRel);
-                ctx.cfg.trace.add(names::counters::WORKER_PANICS, 1);
-                ctx.cfg.trace.instant(names::events::WORKER_PANIC, id as u64);
-                if let Some(h) = handles.get_mut(id).and_then(Option::take) {
-                    let _ = h.join(); // reap; the payload was already counted
-                }
-                let work_left =
-                    ctx.source.remaining() > 0 || !ctx.retries.is_empty();
-                if work_left
-                    && !ctx.cancel.load(Ordering::Acquire)
-                    && respawns_used < ctx.cfg.respawn_budget
-                {
-                    respawns_used += 1;
-                    ctx.faults.respawns.fetch_add(1, Ordering::AcqRel);
-                    ctx.cfg.trace.add(names::counters::RESPAWNS, 1);
-                    ctx.cfg.trace.instant(names::events::RESPAWN, id as u64);
-                    // Reuse the dead worker's id: under static partitioning
-                    // the id *is* the partition, so the replacement inherits
-                    // the orphaned items.
-                    handles[id] = Some(spawn_worker(ctx, &exit_tx, id));
-                } else {
-                    live -= 1;
-                }
-            }
-        }
-    }
-    drop(exit_tx);
-
-    // The whole worker set is gone. If unclaimed work remains (collapse
-    // before the queue drained), finish the epoch inline on this thread so
-    // the consumer still sees every batch (prepared or failed).
-    if !ctx.cancel.load(Ordering::Acquire)
-        && (ctx.source.remaining() > 0 || !ctx.retries.is_empty())
+/// The body of worker thread `id`: incarnations of [`worker_loop`], each
+/// under `catch_unwind`. A dead incarnation is followed by another under the
+/// same id (under static partitioning the id *is* the partition, so it keeps
+/// its owner) while work is left, the epoch is not cancelled and the epoch's
+/// respawn budget has a unit. The last thread to leave finishes whatever a
+/// collapsed worker set left unclaimed, so the consumer still sees every
+/// batch (prepared or failed).
+fn supervise_worker(ctx: &WorkerCtx, id: usize) {
+    let trace = &ctx.cfg.trace;
+    let work_left = || !ctx.cancel.load(Ordering::Acquire) && ctx.source.remaining() > 0;
+    while std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        // Whole-worker fault site: ends the incarnation itself, exercising
+        // this loop rather than the per-item guard.
+        fault::fire(fault::sites::PREP_WORKER, id as u64);
+        worker_loop(ctx, id)
+    }))
+    .is_err()
     {
+        ctx.faults.worker_panics.fetch_add(1, Ordering::AcqRel);
+        trace.add(names::counters::WORKER_PANICS, 1);
+        trace.instant(names::events::WORKER_PANIC, id as u64);
+        let respawn = work_left()
+            && ctx
+                .respawns_left
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |left| left.checked_sub(1))
+                .is_ok();
+        if !respawn {
+            break;
+        }
+        ctx.faults.respawns.fetch_add(1, Ordering::AcqRel);
+        trace.add(names::counters::RESPAWNS, 1);
+        trace.instant(names::events::RESPAWN, id as u64);
+    }
+    // AcqRel: the last to leave sees every claim the others made.
+    if ctx.live.fetch_sub(1, Ordering::AcqRel) == 1 && work_left() {
         ctx.faults.degraded_inline.store(true, Ordering::Release);
-        ctx.cfg.trace.add(names::counters::DEGRADED, 1);
-        ctx.cfg.trace.instant(names::events::DEGRADED_INLINE, NO_BATCH);
-        let stats = worker_loop(ctx, 0, true);
-        total.merge(&stats);
-    }
-
-    (total, ctx.faults.snapshot())
-}
-
-/// Claims the next unit of work: pending retries first, then the shared
-/// source. The inline fallback polls every partition so statically
-/// partitioned items orphaned by dead workers are still prepared.
-fn next_work(ctx: &WorkerCtx, worker: usize, inline: bool) -> Option<(WorkItem, u32)> {
-    if let Some(pending) = ctx.retries.pop() {
-        return Some(pending);
-    }
-    if inline {
-        (0..ctx.cfg.num_workers).find_map(|w| ctx.source.next(w).map(|i| (i, 0)))
-    } else {
-        ctx.source.next(worker).map(|i| (i, 0))
+        trace.add(names::counters::DEGRADED, 1);
+        trace.instant(names::events::DEGRADED_INLINE, NO_BATCH);
+        // Every partition in turn, unguarded: a statically partitioned item
+        // orphaned by a dead worker is still prepared.
+        (0..ctx.cfg.num_workers).for_each(|w| worker_loop(ctx, w));
     }
 }
 
-/// The per-worker epoch loop. Item preparation runs under `catch_unwind`;
-/// a panicking item is retried (with a re-seeded sampler) until its budget
-/// is spent and then reported as [`BatchResult::Failed`].
-fn worker_loop(ctx: &WorkerCtx, worker: usize, inline: bool) -> EpochPrepStats {
-    if !inline {
-        // Whole-worker fault site: kills the thread itself, exercising the
-        // supervisor rather than the per-item guard.
-        fault::fire(fault::sites::PREP_WORKER, worker as u64);
-    }
+/// One incarnation of a worker: claims and prepares items until the source
+/// has none for it, the epoch is cancelled or the consumer hangs up.
+fn worker_loop(ctx: &WorkerCtx, worker: usize) {
     let mut sampler = AnySampler::new(ctx.cfg.sampler, worker_seed(ctx.cfg.seed, worker));
     let mut private = FeatureSlab::new(ctx.dataset.features.dtype(), 0);
     let mut private_labels: Vec<u32> = Vec::new();
-    let mut stats = EpochPrepStats::default();
     while !ctx.cancel.load(Ordering::Acquire) {
-        let Some((item, attempt)) = next_work(ctx, worker, inline) else {
+        let Some(item) = ctx.source.next(worker) else {
             break;
         };
-        // Retries get a fresh sampler seeded from the batch and attempt so
-        // the retry is deterministic regardless of scheduling; attempt 0
-        // uses the worker's persistent sampler (the fast path).
+        let Some(result) =
+            prepare_with_retries(ctx, worker, &mut sampler, &item, &mut private, &mut private_labels)
+        else {
+            break; // cancelled while waiting for a slot
+        };
+        if matches!(result, BatchResult::Ready(_))
+            && fault::fire(fault::sites::PREP_SEND, item.batch_id as u64)
+        {
+            // Injected message drop: the batch is lost, but its slot
+            // returns to the pool as `result` drops here.
+            continue;
+        }
+        if ctx.tx.send(result).is_err() {
+            break; // consumer hung up: stop early
+        }
+    }
+}
+
+/// Prepares `item` under `catch_unwind`, re-attempting it in place after a
+/// panic until [`RETRY_BUDGET`] is spent and the batch is reported as
+/// [`BatchResult::Failed`]. Returns `None` if the epoch was cancelled while
+/// waiting for a staging slot.
+fn prepare_with_retries(
+    ctx: &WorkerCtx,
+    worker: usize,
+    sampler: &mut AnySampler,
+    item: &WorkItem,
+    private: &mut FeatureSlab,
+    private_labels: &mut Vec<u32>,
+) -> Option<BatchResult> {
+    let trace = &ctx.cfg.trace;
+    let bid = item.batch_id as u64;
+    for attempt in 0..=RETRY_BUDGET {
+        // A retry gets a fresh sampler seeded from the batch and attempt so
+        // it draws the same stream whichever worker caught the panic;
+        // attempt 0 uses the worker's persistent sampler (the fast path).
         let mut retry_sampler = (attempt > 0)
             .then(|| AnySampler::new(ctx.cfg.sampler, retry_seed(ctx.cfg.seed, item.batch_id, attempt)));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let s = retry_sampler.as_mut().unwrap_or(&mut sampler);
-            prepare_item(ctx, s, &item, &mut private, &mut private_labels, &mut stats)
+            let s = retry_sampler.as_mut().unwrap_or(&mut *sampler);
+            prepare_item(ctx, s, item, private, private_labels)
         }));
-        match outcome {
-            Ok(Some(prepared)) => {
-                if fault::fire(fault::sites::PREP_SEND, item.batch_id as u64) {
-                    // Injected message drop: the batch is lost, but its slot
-                    // returns to the pool as `prepared` drops here.
-                    continue;
-                }
-                if ctx.tx.send(BatchResult::Ready(prepared)).is_err() {
-                    break; // consumer hung up: stop early
-                }
-            }
-            Ok(None) => break, // cancelled while waiting for a slot
-            Err(_panic) => {
-                ctx.faults.item_panics.fetch_add(1, Ordering::AcqRel);
-                ctx.cfg.trace.add(names::counters::ITEM_PANICS, 1);
-                // The shared sampler may have been mid-update when it
-                // unwound; rebuild it before touching another batch.
-                if retry_sampler.is_none() {
-                    sampler = AnySampler::new(ctx.cfg.sampler, worker_seed(ctx.cfg.seed, worker));
-                }
-                if attempt < ctx.cfg.retry_budget {
-                    ctx.faults.retries.fetch_add(1, Ordering::AcqRel);
-                    ctx.cfg.trace.add(names::counters::RETRIES, 1);
-                    ctx.cfg.trace.instant(names::events::RETRY, item.batch_id as u64);
-                    ctx.retries.push(item, attempt + 1);
-                } else {
-                    ctx.faults.failed_batches.fetch_add(1, Ordering::AcqRel);
-                    ctx.cfg.trace.add(names::counters::FAILED_BATCHES, 1);
-                    ctx.cfg.trace.instant(names::events::FAILED_BATCH, item.batch_id as u64);
-                    let failed = BatchResult::Failed {
-                        batch_id: item.batch_id,
-                        attempts: attempt + 1,
-                    };
-                    if ctx.tx.send(failed).is_err() {
-                        break;
-                    }
-                }
-            }
+        if let Ok(prepared) = outcome {
+            return prepared.map(BatchResult::Ready);
+        }
+        ctx.faults.item_panics.fetch_add(1, Ordering::AcqRel);
+        trace.add(names::counters::ITEM_PANICS, 1);
+        if attempt == 0 {
+            // The persistent sampler may have been mid-update when it
+            // unwound; rebuild it before it touches another batch.
+            *sampler = AnySampler::new(ctx.cfg.sampler, worker_seed(ctx.cfg.seed, worker));
+        }
+        if attempt < RETRY_BUDGET {
+            ctx.faults.retries.fetch_add(1, Ordering::AcqRel);
+            trace.add(names::counters::RETRIES, 1);
+            trace.instant(names::events::RETRY, bid);
         }
     }
-    stats
+    ctx.faults.failed_batches.fetch_add(1, Ordering::AcqRel);
+    trace.add(names::counters::FAILED_BATCHES, 1);
+    trace.instant(names::events::FAILED_BATCH, bid);
+    Some(BatchResult::Failed {
+        batch_id: item.batch_id,
+        attempts: RETRY_BUDGET + 1,
+    })
 }
 
 /// Prepares one batch end-to-end. Returns `None` if the epoch was cancelled
@@ -598,15 +522,14 @@ fn prepare_item(
     item: &WorkItem,
     private: &mut FeatureSlab,
     private_labels: &mut Vec<u32>,
-    stats: &mut EpochPrepStats,
 ) -> Option<PreparedBatch> {
     let dim = ctx.dataset.features.dim();
     let batch_nodes = &ctx.order[item.start..item.end];
     let trace = &ctx.cfg.trace;
     // All stage stamps come from the trace clock (the workspace's sanctioned
     // time source), so the same code path is timed deterministically under a
-    // VirtualClock in tests. A disabled trace falls back to the monotonic
-    // clock and every record_span below is a no-op.
+    // VirtualClock in tests. They feed the spans and `prep.batch_ns` only: a
+    // disabled trace falls back to the monotonic clock and records nothing.
     let clock = trace.clock();
     let bid = item.batch_id as u64;
 
@@ -627,13 +550,13 @@ fn prepare_item(
 
     let t1 = clock.now_ns();
     fault::fire(fault::sites::PREP_SLICE, bid);
-    let (slice_ns, copy_ns) = match ctx.cfg.mode {
+    let staged = match ctx.cfg.mode {
         PrepMode::SharedMemory => {
             // Zero-copy: slice straight into the pinned slot.
             slice_batch_into(&ctx.dataset, &mfg, &mut slot);
             let sliced = clock.now_ns();
             trace.record_span(names::spans::PREP_SLICE, bid, t1, sliced);
-            (sliced.saturating_sub(t1), 0)
+            sliced
         }
         PrepMode::Multiprocessing => {
             // Slice into worker-private memory…
@@ -647,28 +570,21 @@ fn prepare_item(
             slot.labels_mut().copy_from_slice(private_labels);
             let copied = clock.now_ns();
             trace.record_span(names::spans::PREP_COPY, bid, sliced, copied);
-            (sliced.saturating_sub(t1), copied.saturating_sub(sliced))
+            copied
         }
     };
 
-    let timings = PrepTimings {
-        sample: Duration::from_nanos(sampled.saturating_sub(t0)),
-        slice: Duration::from_nanos(slice_ns),
-        copy: Duration::from_nanos(copy_ns),
-    };
-    stats.add(mfg.num_nodes(), mfg.num_edges(), slot.payload_bytes(), timings);
     let ins = &ctx.instruments;
     ins.batches.inc();
     ins.nodes.add(mfg.num_nodes() as u64);
     ins.edges.add(mfg.num_edges() as u64);
     ins.bytes.add(slot.payload_bytes() as u64);
     ins.batch_ns
-        .observe(sampled.saturating_sub(t0) + slice_ns + copy_ns);
+        .observe(sampled.saturating_sub(t0) + staged.saturating_sub(t1));
     Some(PreparedBatch {
         batch_id: item.batch_id,
         mfg,
         slot,
-        timings,
     })
 }
 
@@ -685,25 +601,33 @@ fn slice_batch_into(dataset: &Dataset, mfg: &MessageFlowGraph, slot: &mut Pinned
 mod tests {
     use super::*;
     use salient_graph::DatasetConfig;
+    use salient_trace::{Clock, Snapshot};
 
     fn dataset() -> Arc<Dataset> {
         Arc::new(DatasetConfig::tiny(20).build())
     }
 
-    fn run(mode: PrepMode, workers: usize) -> (Vec<usize>, EpochPrepStats) {
-        let ds = dataset();
-        let cfg = PrepConfig {
-            num_workers: workers,
-            fanouts: vec![5, 3],
+    /// Batches of 32 in one pass over the training split.
+    fn expected_batches(ds: &Dataset) -> usize {
+        ds.splits.train.len().div_ceil(32)
+    }
+
+    /// `cfg` at batches of 32 and fanouts 5,3, recording against its own
+    /// registry on a virtual clock: the `prep.*` counters and spans are the
+    /// record of what an epoch did.
+    fn traced(cfg: PrepConfig) -> PrepConfig {
+        PrepConfig {
             batch_size: 32,
-            slots: 3,
-            mode,
-            sampler: SamplerKind::Fast,
-            seed: 1,
-            ..PrepConfig::default()
-        };
-        let order = ds.splits.train.clone();
-        let handle = run_epoch(&ds, &order, &cfg);
+            fanouts: vec![5, 3],
+            trace: Trace::new(Clock::virtual_with_tick(1_000)),
+            ..cfg
+        }
+    }
+
+    /// One clean epoch: the sorted ids of the batches received, and the
+    /// trace snapshot taken after the join.
+    fn run(ds: &Arc<Dataset>, cfg: &PrepConfig) -> (Vec<usize>, Snapshot) {
+        let handle = run_epoch(ds, &ds.splits.train.clone(), cfg);
         let mut ids: Vec<usize> = handle
             .batches
             .iter()
@@ -714,28 +638,36 @@ mod tests {
                 b.batch_id
             })
             .collect();
-        let stats = handle.join();
+        assert!(!handle.join().any());
         ids.sort_unstable();
-        (ids, stats)
+        (ids, cfg.trace.snapshot())
     }
 
     #[test]
     fn shared_memory_mode_prepares_every_batch_once() {
         let ds = dataset();
-        let expected = ds.splits.train.len().div_ceil(32);
-        let (ids, stats) = run(PrepMode::SharedMemory, 3);
-        assert_eq!(ids, (0..expected).collect::<Vec<_>>());
-        assert_eq!(stats.batches, expected);
-        assert_eq!(stats.timings.copy, std::time::Duration::ZERO);
+        let n = expected_batches(&ds);
+        let cfg = traced(PrepConfig { num_workers: 3, slots: 3, seed: 1, ..Default::default() });
+        let (ids, snap) = run(&ds, &cfg);
+        assert_eq!(ids, (0..n).collect::<Vec<_>>());
+        assert_eq!(snap.metrics.counter(names::counters::BATCHES) as usize, n);
+        assert_eq!(snap.spans(names::spans::PREP_COPY).count(), 0, "zero-copy mode copied");
     }
 
     #[test]
     fn multiprocessing_mode_pays_copy() {
         let ds = dataset();
-        let expected = ds.splits.train.len().div_ceil(32);
-        let (ids, stats) = run(PrepMode::Multiprocessing, 2);
-        assert_eq!(ids.len(), expected);
-        assert!(stats.timings.copy > std::time::Duration::ZERO);
+        let n = expected_batches(&ds);
+        let cfg = traced(PrepConfig {
+            slots: 3,
+            mode: PrepMode::Multiprocessing,
+            seed: 1,
+            ..Default::default()
+        });
+        let (ids, snap) = run(&ds, &cfg);
+        assert_eq!(ids.len(), n);
+        assert_eq!(snap.spans(names::spans::PREP_COPY).count(), n);
+        assert!(snap.sum_ns(names::spans::PREP_COPY) > 0);
     }
 
     #[test]
@@ -768,17 +700,11 @@ mod tests {
     #[test]
     fn pyg_sampler_mode_works() {
         let ds = dataset();
-        let cfg = PrepConfig {
-            sampler: SamplerKind::Pyg,
-            batch_size: 32,
-            fanouts: vec![5, 3],
-            ..Default::default()
-        };
-        let handle = run_epoch(&ds, &ds.splits.train.clone(), &cfg);
-        let n = handle.batches.iter().filter_map(BatchResult::ready).count();
-        let stats = handle.join();
-        assert_eq!(n, stats.batches);
-        assert!(stats.nodes > 0);
+        let cfg = traced(PrepConfig { sampler: SamplerKind::Pyg, ..Default::default() });
+        let (ids, snap) = run(&ds, &cfg);
+        assert_eq!(ids.len(), expected_batches(&ds));
+        assert_eq!(snap.metrics.counter(names::counters::BATCHES) as usize, ids.len());
+        assert!(snap.metrics.counter(names::counters::PREP_NODES) > 0);
     }
 
     #[test]
@@ -796,29 +722,23 @@ mod tests {
     }
 
     #[test]
-    fn traced_epoch_matches_inline_stats() {
+    fn traced_epoch_counts_what_the_consumer_received() {
         let ds = dataset();
-        let trace = Trace::new(salient_trace::Clock::virtual_with_tick(1_000));
-        let cfg = PrepConfig {
-            batch_size: 32,
-            fanouts: vec![5, 3],
-            mode: PrepMode::Multiprocessing,
-            trace: trace.clone(),
-            ..Default::default()
-        };
+        let cfg = traced(PrepConfig { mode: PrepMode::Multiprocessing, ..Default::default() });
         let handle = run_epoch(&ds, &ds.splits.train.clone(), &cfg);
-        let n = handle.batches.iter().filter_map(BatchResult::ready).count();
-        let stats = handle.join();
-        let snap = trace.snapshot();
-        // The registry view reconstructs exactly what the workers
-        // accumulated inline (both are stamped by the same clock reads).
-        let view = EpochPrepStats::from_snapshot(&snap);
-        assert_eq!(view.batches, n);
-        assert_eq!(view.batches, stats.batches);
-        assert_eq!(view.nodes, stats.nodes);
-        assert_eq!(view.edges, stats.edges);
-        assert_eq!(view.bytes, stats.bytes);
-        assert_eq!(view.timings, stats.timings);
+        let (mut n, mut nodes, mut edges, mut bytes) = (0, 0, 0, 0);
+        for b in handle.batches.iter().filter_map(BatchResult::ready) {
+            n += 1;
+            nodes += b.mfg.num_nodes() as u64;
+            edges += b.mfg.num_edges() as u64;
+            bytes += b.slot.payload_bytes() as u64;
+        }
+        handle.join();
+        let snap = cfg.trace.snapshot();
+        assert_eq!(snap.metrics.counter(names::counters::BATCHES), n as u64);
+        assert_eq!(snap.metrics.counter(names::counters::PREP_NODES), nodes);
+        assert_eq!(snap.metrics.counter(names::counters::PREP_EDGES), edges);
+        assert_eq!(snap.metrics.counter(names::counters::PREP_BYTES), bytes);
         // Every batch recorded its stage spans (copy mode records all four).
         assert_eq!(snap.spans(names::spans::PREP_SAMPLE).count(), n);
         assert_eq!(snap.spans(names::spans::PREP_SLICE).count(), n);
@@ -840,8 +760,8 @@ mod tests {
         let handle = run_epoch(&ds, &ds.splits.train.clone(), &cfg);
         let pool = handle.pool().clone();
         let n = handle.batches.iter().filter_map(BatchResult::ready).count();
-        let (stats, faults) = handle.join_detailed();
-        assert_eq!(n, stats.batches);
+        let faults = handle.join();
+        assert_eq!(n, expected_batches(&ds));
         assert!(!faults.any(), "clean run must report zero fault activity: {faults:?}");
         assert_eq!(pool.available(), pool.capacity(), "no slot may stay checked out");
     }

@@ -7,7 +7,6 @@
 //! because final neighborhood size varies substantially across batches. Both
 //! strategies are implemented here.
 
-use salient_tensor::sync::lock_unpoisoned;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -43,8 +42,8 @@ pub trait WorkSource: Send + Sync {
     /// Next item for worker `worker`; `None` when the worker is done.
     fn next(&self, worker: usize) -> Option<WorkItem>;
 
-    /// Items not yet claimed by any worker. The epoch supervisor uses this
-    /// to decide whether a collapsed worker set left work behind.
+    /// Items not yet claimed by any worker: whether a dead worker is worth
+    /// replacing, and whether a collapsed worker set left work behind.
     fn remaining(&self) -> usize;
 }
 
@@ -134,70 +133,6 @@ impl WorkSource for StaticPartition {
     }
 }
 
-/// Work items requeued after a caught worker panic, tagged with the attempt
-/// number already consumed. Workers drain retries before claiming fresh
-/// items so a failed batch is re-prepared promptly (and deterministically:
-/// the retry sampler is re-seeded from the batch id and attempt, not from
-/// whichever worker picks it up).
-#[derive(Debug, Default)]
-pub struct RetryQueue {
-    items: std::sync::Mutex<std::collections::VecDeque<(WorkItem, u32)>>,
-}
-
-impl RetryQueue {
-    /// Creates an empty retry queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requeues `item` whose attempt number `attempt` just failed.
-    ///
-    /// Uses poison-tolerant locking: the retry queue exists precisely to
-    /// survive worker panics, so a panic that poisoned the mutex must not
-    /// take the queue down with it.
-    pub fn push(&self, item: WorkItem, attempt: u32) {
-        lock_unpoisoned(&self.items).push_back((item, attempt));
-    }
-
-    /// Claims the oldest pending retry, if any.
-    pub fn pop(&self) -> Option<(WorkItem, u32)> {
-        lock_unpoisoned(&self.items).pop_front()
-    }
-
-    /// Retries currently pending.
-    pub fn len(&self) -> usize {
-        lock_unpoisoned(&self.items).len()
-    }
-
-    /// Whether no retries are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Counts completed batches so a consumer knows when the epoch has drained.
-#[derive(Debug, Default)]
-pub struct CompletionCounter {
-    done: AtomicUsize,
-}
-
-impl CompletionCounter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Marks one batch done; returns the new count.
-    pub fn complete(&self) -> usize {
-        self.done.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// Batches completed so far.
-    pub fn completed(&self) -> usize {
-        self.done.load(Ordering::Acquire)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,26 +200,4 @@ mod tests {
         p.next(1);
         assert_eq!(p.remaining(), 3);
     }
-
-    #[test]
-    fn retry_queue_is_fifo() {
-        let r = RetryQueue::new();
-        assert!(r.is_empty());
-        r.push(WorkItem { batch_id: 7, start: 0, end: 4 }, 1);
-        r.push(WorkItem { batch_id: 2, start: 4, end: 8 }, 2);
-        assert_eq!(r.len(), 2);
-        let (first, attempt) = r.pop().unwrap();
-        assert_eq!((first.batch_id, attempt), (7, 1));
-        assert_eq!(r.pop().unwrap().0.batch_id, 2);
-        assert!(r.pop().is_none());
-    }
-
-    #[test]
-    fn completion_counter() {
-        let c = CompletionCounter::new();
-        assert_eq!(c.complete(), 1);
-        assert_eq!(c.complete(), 2);
-        assert_eq!(c.completed(), 2);
-    }
-
 }

@@ -1,112 +1,26 @@
-//! Per-stage timing accounting for batch preparation.
-
-use salient_trace::{names, Snapshot};
-use std::time::Duration;
-
-/// Wall-clock cost of preparing one batch, split by stage.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct PrepTimings {
-    /// Neighborhood sampling + MFG construction time.
-    pub sample: Duration,
-    /// Feature/label slicing time.
-    pub slice: Duration,
-    /// Extra copy time (only nonzero in the multiprocessing-emulation mode,
-    /// where sliced data crosses a POSIX-shared-memory boundary).
-    pub copy: Duration,
-}
-
-impl PrepTimings {
-    /// Total preparation time.
-    pub fn total(&self) -> Duration {
-        self.sample + self.slice + self.copy
-    }
-}
-
-/// Aggregated preparation statistics for an epoch.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EpochPrepStats {
-    /// Number of batches prepared.
-    pub batches: usize,
-    /// Total sampled nodes across batches.
-    pub nodes: usize,
-    /// Total MFG edges across batches.
-    pub edges: usize,
-    /// Total staged payload bytes.
-    pub bytes: usize,
-    /// Summed per-stage timings.
-    pub timings: PrepTimings,
-}
-
-impl EpochPrepStats {
-    /// Folds one batch's contribution into the epoch totals.
-    pub fn add(&mut self, nodes: usize, edges: usize, bytes: usize, t: PrepTimings) {
-        self.batches += 1;
-        self.nodes += nodes;
-        self.edges += edges;
-        self.bytes += bytes;
-        self.timings.sample += t.sample;
-        self.timings.slice += t.slice;
-        self.timings.copy += t.copy;
-    }
-
-    /// Merges stats from another worker.
-    pub fn merge(&mut self, other: &EpochPrepStats) {
-        self.batches += other.batches;
-        self.nodes += other.nodes;
-        self.edges += other.edges;
-        self.bytes += other.bytes;
-        self.timings.sample += other.timings.sample;
-        self.timings.slice += other.timings.slice;
-        self.timings.copy += other.timings.copy;
-    }
-
-    /// Reconstructs the epoch totals from a trace snapshot: counts come from
-    /// the `prep.*` counters, per-stage times from summing the recorded
-    /// worker spans. Workers stamp both from the same clock reads, so for an
-    /// epoch recorded against an enabled [`salient_trace::Trace`] this view
-    /// equals the inline accumulation.
-    pub fn from_snapshot(snap: &Snapshot) -> EpochPrepStats {
-        EpochPrepStats {
-            batches: snap.metrics.counter(names::counters::BATCHES) as usize,
-            nodes: snap.metrics.counter(names::counters::PREP_NODES) as usize,
-            edges: snap.metrics.counter(names::counters::PREP_EDGES) as usize,
-            bytes: snap.metrics.counter(names::counters::PREP_BYTES) as usize,
-            timings: PrepTimings {
-                sample: Duration::from_nanos(snap.sum_ns(names::spans::PREP_SAMPLE)),
-                slice: Duration::from_nanos(snap.sum_ns(names::spans::PREP_SLICE)),
-                copy: Duration::from_nanos(snap.sum_ns(names::spans::PREP_COPY)),
-            },
-        }
-    }
-
-    /// Mean sampled nodes per batch.
-    pub fn avg_nodes_per_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.nodes as f64 / self.batches as f64
-        }
-    }
-}
+//! Fault-handling accounting for batch preparation. What an epoch prepared
+//! and how long it took is in the trace: the `prep.*` counters, the
+//! `prep.batch_ns` histogram and the sample/slot-wait/slice/copy spans.
 
 /// Fault-handling activity observed during one epoch of batch preparation,
-/// reported by the epoch supervisor alongside [`EpochPrepStats`].
+/// returned by `EpochHandle::join`. With a disabled trace it is the only
+/// record of a fault.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Per-item panics caught inside workers (each either retried or
     /// terminally failed).
     pub item_panics: usize,
-    /// Work items requeued for another attempt.
+    /// Attempts repeated after a caught item panic.
     pub retries: usize,
     /// Batches that exhausted their retry budget and were reported as
     /// `BatchResult::Failed`.
     pub failed_batches: usize,
-    /// Worker threads that died (panicked outside the per-item guard).
+    /// Worker incarnations that died (panicked outside the per-item guard).
     pub worker_panics: usize,
-    /// Replacement workers spawned by the supervisor.
+    /// Incarnations started in a dead one's place, under its worker id.
     pub respawns: usize,
-    /// Whether the worker set collapsed and the supervisor finished the
-    /// epoch with inline preparation.
+    /// Whether the worker set collapsed and the last worker to leave
+    /// finished the epoch with inline preparation.
     pub degraded_inline: bool,
 }
 
@@ -127,39 +41,5 @@ mod tests {
         assert!(!f.any());
         f.retries = 1;
         assert!(f.any());
-    }
-
-    #[test]
-    fn add_and_merge() {
-        let mut a = EpochPrepStats::default();
-        a.add(
-            100,
-            500,
-            4_000,
-            PrepTimings {
-                sample: Duration::from_millis(3),
-                slice: Duration::from_millis(1),
-                copy: Duration::ZERO,
-            },
-        );
-        let mut b = EpochPrepStats::default();
-        b.add(
-            200,
-            900,
-            8_000,
-            PrepTimings {
-                sample: Duration::from_millis(5),
-                slice: Duration::from_millis(2),
-                copy: Duration::from_millis(1),
-            },
-        );
-        a.merge(&b);
-        assert_eq!(a.batches, 2);
-        assert_eq!(a.nodes, 300);
-        assert_eq!(a.edges, 1_400);
-        assert_eq!(a.bytes, 12_000);
-        assert_eq!(a.timings.sample, Duration::from_millis(8));
-        assert_eq!(a.timings.total(), Duration::from_millis(12));
-        assert_eq!(a.avg_nodes_per_batch(), 150.0);
     }
 }

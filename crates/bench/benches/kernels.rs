@@ -3,7 +3,7 @@
 //! shapes, fused CSR gather/scatter throughput with a bytes-moved column, and
 //! the mixed-precision slice+transfer path (f16 vs f32 feature staging, byte
 //! traffic accounted through the `transfer.bytes` trace counter). Emits
-//! `BENCH_kernels.json` at the workspace root.
+//! `target/bench_kernels.json` under the workspace root.
 //!
 //! The kernel thread pool is sized once per process (`SALIENT_NUM_THREADS`),
 //! so single-thread numbers come from re-running this binary as a child
@@ -367,7 +367,7 @@ fn main() {
         ("aggregation".into(), aggregation_section()),
         ("slice_transfer".into(), slice_transfer),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    write_json(path, &doc).expect("write BENCH_kernels.json");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/bench_kernels.json");
+    write_json(path, &doc).expect("write bench_kernels.json");
     println!("wrote {path}");
 }

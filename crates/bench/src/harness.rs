@@ -194,6 +194,9 @@ impl Json {
 
 /// Writes a JSON value to `path`.
 pub fn write_json(path: &str, value: &Json) -> std::io::Result<()> {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir)?;
+    }
     std::fs::write(path, value.render())
 }
 

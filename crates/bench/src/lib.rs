@@ -22,7 +22,7 @@
 //! Microbenches (`cargo bench`, built on the in-repo [`harness`] module)
 //! cover the sampler variants, slicing kernels, lock-free queue vs static
 //! partitioning, tensor kernels, f16 conversion, the CPU kernel layer
-//! (emitting `BENCH_kernels.json`), and the DES engine itself.
+//! (emitting `target/bench_kernels.json`), and the DES engine itself.
 
 pub mod harness;
 

@@ -40,12 +40,6 @@ pub struct RunConfig {
     pub seed: u64,
     /// Execution pipeline.
     pub executor: ExecutorKind,
-    /// Extra preparation attempts granted to a batch whose prep panicked
-    /// (0 = fail on the first panic).
-    pub prep_retry_budget: u32,
-    /// Replacement batch-prep workers the epoch supervisor may spawn after
-    /// whole-worker deaths.
-    pub prep_respawn_budget: usize,
     /// Per-step deadline (milliseconds) for DDP ring collectives; a rank
     /// that misses it surfaces a typed communication error instead of
     /// hanging the run.
@@ -105,8 +99,6 @@ impl Default for RunConfig {
             slots: 4,
             seed: 0,
             executor: ExecutorKind::Salient,
-            prep_retry_budget: 1,
-            prep_respawn_budget: 1,
             comm_timeout_ms: 5_000,
         }
     }

@@ -40,5 +40,5 @@ pub use checkpoint::{Checkpoint, CheckpointError};
 pub use infer::{BatchInferencer, InferPanic, StagedBatch};
 pub use config::{ExecutorKind, ModelKindConfig, RunConfig};
 pub use ddp_train::{train_ddp, train_ddp_traced, DdpError, DdpRunResult};
-pub use timing::{Stage, StageTimings};
+pub use timing::StageTimings;
 pub use train::{EpochStats, Trainer};

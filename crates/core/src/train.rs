@@ -386,8 +386,6 @@ impl Trainer {
             mode: PrepMode::SharedMemory,
             sampler: SamplerKind::Fast,
             seed: self.config.seed ^ (self.epoch as u64) << 16,
-            retry_budget: self.config.prep_retry_budget,
-            respawn_budget: self.config.prep_respawn_budget,
             trace: trace.clone(),
         };
         let handle = run_epoch_with_pool(&self.dataset, order, &prep_cfg, &self.pool);

@@ -350,23 +350,6 @@ pub fn render_json(graph: &CallGraph, parsed: &[ParsedFile]) -> String {
             path_str.join(",")
         ));
     }
-    out.push_str("\n  ],\n  \"regions\": [");
-    let mut first = true;
-    for pf in parsed {
-        for r in &pf.regions {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\n    {{\"file\":\"{}\",\"line\":{},\"kind\":\"{}\",\"attached\":{}}}",
-                json_escape(&pf.path),
-                r.line,
-                json_escape(&r.kind),
-                r.body.is_some()
-            ));
-        }
-    }
     let reachable_count = reach.from.iter().filter(|r| r.is_some()).count();
     out.push_str(&format!(
         "\n  ],\n  \"rules\": {{\"panic-reachability\":{{\"entries\":{},\"reachable\":{}}}}}\n}}",

@@ -17,11 +17,10 @@
 //! | `unsafe-audit` | every `unsafe` block/fn/impl carries a `// SAFETY:` comment (or `# Safety` doc) |
 //! | `panic-freedom` | no `.unwrap()` / `.expect()` / `panic!` / `todo!` / `unimplemented!` in hot-path modules |
 //! | `panic-reachability` | no panicking construct (incl. `[i]` indexing) in any fn transitively reachable from a `// lint: entry(panic-reachability)` declaration, via the workspace call graph |
-//! | `alloc-freedom` | no allocation (`Vec::new`, `vec!`, `.push`, `.clone`, `format!`, …) inside a `// lint: region(no_alloc)` block |
 //! | `determinism` | no `Instant::now` / `SystemTime::now` / `thread::sleep` / `process::exit` outside sim, bench, and CLI code |
 //! | `lock-discipline` | no lock-order cycles; every `Ordering::Relaxed` is justified by a comment |
 //! | `deps` | every manifest dependency is `path` or `workspace = true` (offline-buildable) |
-//! | `suppression` | every `// lint: allow(rule, reason)` carries a non-empty reason, still silences something, and every `entry`/`region` annotation is well-formed |
+//! | `suppression` | every `// lint: allow(rule, reason)` carries a non-empty reason, still silences something, and every `entry` annotation is well-formed |
 //!
 //! ## Semantic substrate
 //!

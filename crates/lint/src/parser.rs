@@ -1,6 +1,6 @@
 //! Item-level parsing on top of the lexer: modules, `impl` blocks, `fn`
 //! items with their call expressions, string constants, and the lint
-//! annotations (`// lint: entry(rule)`, `// lint: region(kind)`).
+//! annotation `// lint: entry(rule)`.
 //!
 //! This is not a Rust grammar — it is a structural scan good enough for
 //! the `salient_*` crates: brace-matched scopes give every `fn` its
@@ -49,17 +49,6 @@ pub struct FnItem {
     pub entry: bool,
 }
 
-/// A `// lint: region(kind)` annotated block.
-#[derive(Clone, Debug)]
-pub struct Region {
-    pub kind: String,
-    /// Line of the annotation comment.
-    pub line: usize,
-    /// Token-index range of the governed `{` … `}`; `None` when the
-    /// annotation attaches to no block (a hygiene finding).
-    pub body: Option<(usize, usize)>,
-}
-
 /// An entry annotation as written (kept for hygiene: unknown rule names
 /// in `// lint: entry(...)` are themselves findings).
 #[derive(Clone, Debug)]
@@ -76,7 +65,6 @@ pub struct ParsedFile {
     /// `tests/`, `examples/`, `src/bin/` get their directory name.
     pub krate: String,
     pub fns: Vec<FnItem>,
-    pub regions: Vec<Region>,
     pub entries: Vec<EntryMark>,
 }
 
@@ -208,7 +196,7 @@ pub fn parse_file(f: &SourceFile) -> ParsedFile {
         i += 1;
     }
 
-    attach_annotations(f, &mut out, &close);
+    attach_annotations(f, &mut out);
     out
 }
 
@@ -414,10 +402,8 @@ fn parse_call(toks: &[Token], i: usize) -> Option<Call> {
     })
 }
 
-/// Attaches `// lint: entry(rule)` comments to the next `fn` and
-/// `// lint: region(kind)` comments to their governed block.
-fn attach_annotations(f: &SourceFile, out: &mut ParsedFile, close: &HashMap<usize, usize>) {
-    let toks = &f.lexed.tokens;
+/// Attaches `// lint: entry(rule)` comments to the next `fn`.
+fn attach_annotations(f: &SourceFile, out: &mut ParsedFile) {
     for c in &f.lexed.comments {
         let text = c.text.trim();
         let Some(rest) = text.strip_prefix("lint:") else { continue };
@@ -437,23 +423,6 @@ fn attach_annotations(f: &SourceFile, out: &mut ParsedFile, close: &HashMap<usiz
                     out.fns[fi].entry = true;
                 }
             }
-        } else if let Some(kind) = annotation_arg(rest, "region") {
-            // Trailing form: the last `{` on the comment's line before it.
-            // Own-line form: the first `{` on a later line.
-            let open = if c.trailing {
-                toks.iter()
-                    .enumerate()
-                    .filter(|(_, t)| t.is_punct('{') && t.line == c.line && t.col < c.col)
-                    .map(|(k, _)| k)
-                    .next_back()
-            } else {
-                toks.iter()
-                    .enumerate()
-                    .find(|(_, t)| t.is_punct('{') && t.line > c.end_line)
-                    .map(|(k, _)| k)
-            };
-            let body = open.and_then(|o| close.get(&o).map(|&e| (o, e)));
-            out.regions.push(Region { kind, line: c.line, body });
         }
     }
 }
@@ -545,23 +514,10 @@ mod tests {
     }
 
     #[test]
-    fn entry_and_region_annotations_attach() {
-        let p = parse(
-            "// lint: entry(panic-reachability)\npub fn hot() {\n    // lint: region(no_alloc)\n    {\n        work();\n    }\n}\n",
-        );
+    fn entry_annotation_attaches_to_the_next_fn() {
+        let p = parse("// lint: entry(panic-reachability)\npub fn hot() {\n    work();\n}\n");
         assert!(p.fns[0].entry);
         assert_eq!(p.entries.len(), 1);
-        assert_eq!(p.regions.len(), 1);
-        assert_eq!(p.regions[0].kind, "no_alloc");
-        assert!(p.regions[0].body.is_some());
-    }
-
-    #[test]
-    fn trailing_region_annotation_grabs_its_own_line_block() {
-        let p = parse("fn f() {\n    let body = |x: usize| { // lint: region(no_alloc)\n        y[x]\n    };\n}\n");
-        assert_eq!(p.regions.len(), 1);
-        let (open, close) = p.regions[0].body.expect("attached");
-        assert!(open < close);
     }
 
     #[test]

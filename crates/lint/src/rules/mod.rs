@@ -4,7 +4,6 @@
 //! [`Diagnostic`]s through [`emit`], which applies inline
 //! `// lint: allow(rule, reason)` suppressions uniformly.
 
-pub mod alloc_freedom;
 pub mod determinism;
 pub mod half_conversion;
 pub mod lock_discipline;
@@ -23,8 +22,6 @@ pub const PANIC_FREEDOM: &str = "panic-freedom";
 /// Rule id: panicking constructs transitively reachable from a declared
 /// `// lint: entry(panic-reachability)` hot-path entry point.
 pub const PANIC_REACHABILITY: &str = "panic-reachability";
-/// Rule id: allocation inside a `// lint: region(no_alloc)` block.
-pub const ALLOC_FREEDOM: &str = "alloc-freedom";
 /// Rule id: wall-clock / sleep / exit outside the whitelist.
 pub const DETERMINISM: &str = "determinism";
 /// Rule id: lock-order cycles and unjustified `Ordering::Relaxed`.
@@ -42,7 +39,6 @@ pub const ALL_RULES: &[&str] = &[
     UNSAFE_AUDIT,
     PANIC_FREEDOM,
     PANIC_REACHABILITY,
-    ALLOC_FREEDOM,
     DETERMINISM,
     LOCK_DISCIPLINE,
     HALF_CONVERSION,
@@ -114,8 +110,7 @@ pub fn check_unused_suppressions(f: &SourceFile, out: &mut Vec<Diagnostic>) {
 }
 
 /// Reports malformed lint annotations: an `// lint: entry(...)` naming an
-/// unknown rule, or a `// lint: region(...)` that attaches to no block or
-/// names an unknown region kind.
+/// unknown rule.
 pub fn check_annotations(f: &SourceFile, pf: &ParsedFile, out: &mut Vec<Diagnostic>) {
     for e in &pf.entries {
         if e.rule != PANIC_REACHABILITY {
@@ -130,34 +125,6 @@ pub fn check_annotations(f: &SourceFile, pf: &ParsedFile, out: &mut Vec<Diagnost
                     e.rule
                 ),
                 snippet: f.line(e.line).trim().to_string(),
-                suppressed: None,
-            });
-        }
-    }
-    for r in &pf.regions {
-        if r.kind != "no_alloc" {
-            out.push(Diagnostic {
-                rule: SUPPRESSION,
-                file: f.path.clone(),
-                line: r.line,
-                col: 1,
-                message: format!(
-                    "`lint: region({})` names an unknown region kind — only `no_alloc` exists",
-                    r.kind
-                ),
-                snippet: f.line(r.line).trim().to_string(),
-                suppressed: None,
-            });
-        } else if r.body.is_none() {
-            out.push(Diagnostic {
-                rule: SUPPRESSION,
-                file: f.path.clone(),
-                line: r.line,
-                col: 1,
-                message: "`lint: region(no_alloc)` attaches to no block — put it on or \
-                          directly above the `{` it governs"
-                    .to_string(),
-                snippet: f.line(r.line).trim().to_string(),
                 suppressed: None,
             });
         }

@@ -193,7 +193,6 @@ pub fn run(root: &Path) -> std::io::Result<LintReport> {
         rules::panic_freedom::run(f, &mut report.diagnostics);
         rules::half_conversion::run(f, &mut report.diagnostics);
         rules::determinism::run(f, &mut report.diagnostics);
-        rules::alloc_freedom::run(f, pf, &mut report.diagnostics);
         lock_discipline::check_relaxed(f, &mut report.diagnostics);
         rules::check_suppression_hygiene(f, &mut report.diagnostics);
         rules::check_annotations(f, pf, &mut report.diagnostics);

@@ -4,8 +4,8 @@
 //! [`Server::submit`] performs admission synchronously on the caller's
 //! thread (so shed decisions are instantaneous and typed) and hands back a
 //! [`Ticket`] the caller blocks on. A single worker thread forms and runs
-//! micro-batches; it is supervised the same way `batchprep`'s prep workers
-//! are (PR 2): each incarnation runs under `catch_unwind`, a crashed
+//! micro-batches; it supervises itself the same way `batchprep`'s prep
+//! workers do: each incarnation runs under `catch_unwind`, a crashed
 //! incarnation is respawned from a bounded budget, and when the budget is
 //! exhausted the server turns itself off — every queued and future caller
 //! gets a terminal response rather than a hang.
@@ -213,7 +213,7 @@ impl Drop for Server {
 }
 
 /// The supervisor loop: runs worker incarnations under `catch_unwind`,
-/// respawning crashed ones from a bounded budget (PR 2's prep-worker
+/// respawning crashed ones from a bounded budget (the prep workers'
 /// pattern). Exhausting the budget marks the server dead and fails all
 /// parked waiters instead of hanging them.
 fn supervise(shared: Arc<Shared>) {

@@ -428,7 +428,7 @@ pub fn gemm_kernel_level() -> &'static str {
 }
 
 /// The seed's scalar triple-loop GEMM, kept as the correctness / performance
-/// reference for tests and `BENCH_kernels.json`.
+/// reference for tests and the kernel bench.
 pub fn gemm_naive(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Tensor {
     let (ar, ac) = (a.rows(), a.cols());
     let (br, bc) = (b.rows(), b.cols());
@@ -731,7 +731,7 @@ mod simd {
         mb: usize,
         kcb: usize,
         ncb: usize,
-    ) { // lint: region(no_alloc)
+    ) {
         let mut i = 0;
         while i + 4 <= mb {
             let o0 = out0.add(i * n);
@@ -860,7 +860,7 @@ mod simd {
         mb: usize,
         kcb: usize,
         ncb: usize,
-    ) { // lint: region(no_alloc)
+    ) {
         let mut i = 0;
         while i + 8 <= mb {
             let mut j = 0;
@@ -1278,7 +1278,7 @@ impl RowAgg<'_> {
         c: usize,
         scale: Option<f32>,
         orow: *mut f32,
-    ) { // lint: region(no_alloc)
+    ) {
         let (x, cols, idx) = (self.x.as_ptr(), self.cols, self.idx);
         let mut acc = [0.0f32; W];
         for e in e0..e1 {
@@ -1315,7 +1315,7 @@ impl RowAgg<'_> {
     /// `idx` value must be a row of `x` (`< x.len() / cols`), and `out` must
     /// cover `r1 · cols` floats whose rows `[r0, r1)` nobody else touches.
     #[inline(always)]
-    pub(crate) unsafe fn rows(&self, r0: usize, r1: usize) { // lint: region(no_alloc)
+    pub(crate) unsafe fn rows(&self, r0: usize, r1: usize) {
         let cols = self.cols;
         for r in r0..r1 {
             let edges = (
@@ -1512,7 +1512,6 @@ pub fn relu_dropout_in_place(xs: &mut [f32], p: f32, rng: &mut impl crate::rng::
         return 1.0;
     }
     let scale = 65536.0 / keep_q as f32;
-    // lint: region(no_alloc)
     let mut quad = |quad: &mut [f32]| {
         let lanes = rng.next_u64();
         for (i, x) in quad.iter_mut().enumerate() {

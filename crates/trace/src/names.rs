@@ -167,15 +167,15 @@ registry! {
     TRANSFER_BYTES = "transfer.bytes",
     /// Per-item panics caught inside prep workers.
     ITEM_PANICS = "fault.item_panics",
-    /// Prep work items requeued for another attempt.
+    /// Prep work items attempted again after a caught panic.
     RETRIES = "fault.retries",
     /// Batches that exhausted their retry budget.
     FAILED_BATCHES = "fault.failed_batches",
-    /// Whole prep-worker deaths observed by the supervisor.
+    /// Prep-worker incarnations that died outside the per-item guard.
     WORKER_PANICS = "fault.worker_panics",
-    /// Replacement prep workers spawned.
+    /// Prep-worker incarnations started in a dead one's place.
     RESPAWNS = "fault.respawns",
-    /// Epochs the supervisor finished with inline preparation.
+    /// Epochs the last worker to leave finished with inline preparation.
     DEGRADED = "fault.degraded_inline",
     /// Payload bytes sent over DDP ring links.
     DDP_BYTES = "ddp.bytes_sent",
@@ -249,15 +249,15 @@ registry! {
     /// Point-event names.
     pub mod events: EventName, #[cfg(test)] ALL;
 
-    /// A prep work item was requeued after a caught panic.
+    /// A prep work item is attempted again after a caught panic.
     RETRY = "fault.retry",
-    /// The supervisor spawned a replacement worker.
+    /// A prep worker started a new incarnation after its last one died.
     RESPAWN = "fault.respawn",
     /// A batch exhausted its retry budget (terminal failure marker).
     FAILED_BATCH = "fault.failed_batch",
     /// The worker set collapsed; the epoch finished inline.
     DEGRADED_INLINE = "fault.degraded",
-    /// A whole prep-worker thread died.
+    /// A prep-worker incarnation died.
     WORKER_PANIC = "fault.worker_panic",
     /// The serving degradation ladder stepped down one fanout level.
     SERVE_DEGRADE = "serve.degrade",

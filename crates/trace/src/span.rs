@@ -269,9 +269,7 @@ impl Trace {
     }
 
     /// Starts a span tagged with a batch id. The disabled path must stay
-    /// allocation-free (pinned dynamically by `tests/trace_overhead.rs`,
-    /// statically by the region below).
-    // lint: region(no_alloc)
+    /// allocation-free (pinned by `tests/trace_overhead.rs`).
     pub fn span_batch(&self, name: SpanName, batch: u64) -> SpanGuard<'_> {
         SpanGuard {
             active: self.inner.as_ref().map(|inner| ActiveSpan {
@@ -438,7 +436,6 @@ pub struct SpanGuard<'a> {
 }
 
 impl Drop for SpanGuard<'_> {
-    // lint: region(no_alloc)
     fn drop(&mut self) {
         if let Some(a) = self.active.take() {
             let end_ns = a.inner.clock.now_ns();

@@ -8,16 +8,16 @@
 //!    sizes that measures *real* prep/compute overlap (the paper's
 //!    Figure-4 pipelining win) and records `overlap_frac`.
 //!
-//! Emits (at the workspace root / `target/`):
+//! Emits (under `target/`):
 //!
 //! * a human-readable stall-attribution report on stdout;
 //! * `target/trace_pipeline.json` — Chrome trace-event timeline
 //!   (load in `chrome://tracing` or Perfetto);
 //! * `target/metrics_pipeline.json` — raw counters / gauges / histograms;
-//! * `BENCH_pipeline.json` — the per-stage breakdown in the same style as
-//!   `BENCH_kernels.json`, for CI trend tracking. Its top-level
-//!   `overlap_frac` comes from the threaded monotonic run when one ran
-//!   (see `overlap.mode`), since overlap is a wall-clock phenomenon.
+//! * `target/bench_pipeline.json` — the per-stage breakdown `scripts/ci.sh`
+//!   reads its gates from. Its top-level `overlap_frac` comes from the
+//!   threaded monotonic run when one ran (see `overlap.mode`), since
+//!   overlap is a wall-clock phenomenon.
 //!
 //! Exits non-zero if any exported artifact fails validation, so
 //! `scripts/ci.sh` can use this binary as its observability tier.
@@ -198,7 +198,7 @@ fn main() {
         )
     };
 
-    // BENCH_kernels.json-style summary for CI trend tracking.
+    // The per-stage summary the CI gates read.
     let hist = |name: names::HistName| -> Json {
         match snap.metrics.histogram(name) {
             Some(h) => {
@@ -314,8 +314,8 @@ fn main() {
             Json::Num(summary.distinct_tids as f64),
         ),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_pipeline.json");
-    write_json(path, &doc).expect("write BENCH_pipeline.json");
-    println!("per-stage breakdown -> BENCH_pipeline.json");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/target/bench_pipeline.json");
+    write_json(path, &doc).expect("write bench_pipeline.json");
+    println!("per-stage breakdown -> target/bench_pipeline.json");
     println!("\nobservability tier OK");
 }

@@ -1,7 +1,7 @@
 //! Online inference serving end-to-end: trains a small model, then drives
 //! the serving core through an open-loop Poisson arrival sweep on the real
 //! clock — below the knee, near the knee, and well past it — emitting the
-//! latency–throughput frontier to `BENCH_serving.json`.
+//! latency–throughput frontier to `target/bench_serving.json`.
 //!
 //! The point of the sweep is the *overload* column: with admission control,
 //! deadlines, and the degradation ladder in place, pushing offered load to
@@ -311,8 +311,8 @@ fn main() {
         ),
         ("points".into(), Json::Arr(points.iter().map(point_json).collect())),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_serving.json");
-    write_json(path, &doc).expect("write BENCH_serving.json");
-    println!("latency-throughput frontier -> BENCH_serving.json");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/target/bench_serving.json");
+    write_json(path, &doc).expect("write bench_serving.json");
+    println!("latency-throughput frontier -> target/bench_serving.json");
     println!("\nserving tier OK");
 }

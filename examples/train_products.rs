@@ -5,8 +5,9 @@
 //!
 //! Run: `cargo run --release --example train_products [-- --scale 0.2]`
 
-use salient_repro::core::{ExecutorKind, RunConfig, Stage, Trainer};
+use salient_repro::core::{ExecutorKind, RunConfig, Trainer};
 use salient_repro::graph::DatasetConfig;
+use salient_repro::trace::{analyze, names};
 use std::sync::Arc;
 
 fn main() {
@@ -40,19 +41,24 @@ fn main() {
         };
         let mut trainer = Trainer::new(Arc::clone(&dataset), run);
         println!("=== {executor:?} executor ===");
-        for stats in trainer.fit() {
+        let stats = trainer.fit();
+        let snap = trainer.trace().snapshot();
+        let epochs = snap.spans(names::spans::EPOCH).map(|e| (e.start_ns, e.end_ns));
+        for (stats, (e0, e1)) in stats.iter().zip(epochs) {
             let t = stats.timings;
+            let [prep_pct, transfer_pct, train_pct, _other] =
+                analyze(&snap.window(e0, e1)).stage_pcts();
             println!(
                 "epoch {:2}: loss {:.4}  epoch {:.2}s | prep {:.2}s ({:.0}%) transfer {:.2}s ({:.0}%) train {:.2}s ({:.0}%)",
                 stats.epoch,
                 stats.mean_loss,
                 t.total_s,
                 t.prep_s,
-                t.pct(Stage::Prep),
+                prep_pct,
                 t.transfer_s,
-                t.pct(Stage::Transfer),
+                transfer_pct,
                 t.train_s,
-                t.pct(Stage::Train),
+                train_pct,
             );
         }
         let (acc, _) = trainer.evaluate_sampled(&dataset.splits.val.clone(), &[20, 20, 20]);

@@ -2,18 +2,23 @@
 # CI entry point: static analysis + offline build + full test suite.
 #
 # The lint tier runs first: salient-lint (crates/lint) enforces the
-# workspace's standing invariants with nine rules — unsafe-audit
+# workspace's standing invariants with eight rules — unsafe-audit
 # (documented unsafe), panic-freedom and panic-reachability (panic-free hot
-# paths), alloc-freedom (no_alloc regions), determinism (no wall-clock
-# reads outside trace/sim/bench/CLI code; pipeline code stamps time
-# through trace::Clock), lock-discipline (acyclic lock orders, justified
-# Relaxed), half-conversion, deps (std only, path deps between the
-# salient-* crates, so `--offline` can never silently start meaning
-# "from the local registry cache") and suppression hygiene. Registered
-# trace/fault names are no longer a lint rule: the compiler checks them
-# (trace::names / fault::Site newtypes), so the build tier covers that.
+# paths), determinism (no wall-clock reads outside trace/sim/bench/CLI
+# code; pipeline code stamps time through trace::Clock), lock-discipline
+# (acyclic lock orders, justified Relaxed), half-conversion, deps (std
+# only, path deps between the salient-* crates, so `--offline` can never
+# silently start meaning "from the local registry cache") and suppression
+# hygiene. Registered trace/fault names are checked by the compiler
+# (trace::names / fault::Site newtypes, the build tier), allocation-free
+# kernels by the counting-allocator suites (tests/steady_state.rs,
+# train_step.rs, trace_overhead.rs), which see through calls.
+#
+# Everything a tier writes goes under target/: the script fails if it
+# leaves the working tree different from how it found it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+tree_before=$(git status --porcelain)
 
 echo "== lint: workspace invariants (salient-lint)"
 # Text mode prints the per-rule finding table and wall time, so a
@@ -83,17 +88,17 @@ echo "== observability tier: instrumented run on a virtual clock"
 # A 2-epoch SALIENT-executor run on a VirtualClock: prints the
 # stall-attribution report, exports the Chrome trace + metrics snapshot,
 # validates both with the in-repo JSON parser (no serde), and writes the
-# per-stage breakdown to BENCH_pipeline.json. Exits non-zero if any
-# artifact fails validation.
+# per-stage breakdown to target/bench_pipeline.json. Exits non-zero if
+# any artifact fails validation.
 cargo run -q --release --offline --example observe_pipeline
-test -s BENCH_pipeline.json
+test -s target/bench_pipeline.json
 test -s target/trace_pipeline.json
 test -s target/metrics_pipeline.json
 # The critical-path section is the profiler's acceptance gate: >= 90% of
 # every batch's chain extent charged to named causal categories (the
 # example itself asserts this; CI re-checks the artifact survived).
-grep -q '"critical_path"' BENCH_pipeline.json
-grep -q '"named_pct"' BENCH_pipeline.json
+grep -q '"critical_path"' target/bench_pipeline.json
+grep -q '"named_pct"' target/bench_pipeline.json
 # Flight-recorder overhead gate: the counting-allocator suite proves the
 # always-on recorder adds zero steady-state allocations per event.
 cargo test -q --offline --test trace_overhead
@@ -105,13 +110,13 @@ cargo test -q --offline --test critical_path
 echo "== pipeline tier: threaded stage-graph overlap (SALIENT_NUM_THREADS=3)"
 # Rerun the observability binary with an explicit thread budget that
 # covers the threaded schedule (two executor stages + the consumer), so
-# BENCH_pipeline.json records a *real* multi-thread overlap measurement:
+# bench_pipeline.json records a *real* multi-thread overlap measurement:
 # prep/transfer work on dedicated stage threads overlapping model
 # compute, the paper's Figure-4 win. The overlap_frac > 0.5 gate needs
 # genuine parallelism, so it is skipped (with a notice) on single-core
 # runners, where wall-clock overlap is at the scheduler's mercy.
 SALIENT_NUM_THREADS=3 cargo run -q --release --offline --example observe_pipeline
-overlap_frac=$(grep -m1 '"overlap_frac"' BENCH_pipeline.json | tr -dc '0-9.')
+overlap_frac=$(grep -m1 '"overlap_frac"' target/bench_pipeline.json | tr -dc '0-9.')
 echo "pipeline tier: overlap_frac = ${overlap_frac}"
 if [ "$(nproc)" -ge 2 ]; then
   awk -v f="$overlap_frac" 'BEGIN { exit !(f > 0.5) }' || {
@@ -131,10 +136,10 @@ cargo test -q --offline --test mixed_precision
 # The kernel bench doubles as the acceptance gate: it re-asserts the
 # GEMM bound at the full bench shapes and the <= 55% byte criterion on
 # the slice+widen path (through the transfer.bytes counter), then
-# regenerates BENCH_kernels.json. SALIENT_BENCH_SMOKE shrinks the
+# writes target/bench_kernels.json. SALIENT_BENCH_SMOKE shrinks the
 # timing batches so this tier stays fast; every assertion still runs.
 SALIENT_BENCH_SMOKE=1 cargo bench -q -p salient-bench --bench kernels --offline
-test -s BENCH_kernels.json
+test -s target/bench_kernels.json
 
 echo "== serving tier: deadlines, admission control, degradation ladder"
 # Deterministic VirtualClock tests first: deadline expiry at every stage
@@ -146,6 +151,13 @@ cargo test -q --offline --test serving
 # in-bench (no shedding below the knee, typed shedding at 2x, p99 within
 # 5x of the knee, no throughput collapse) before writing the frontier.
 SALIENT_BENCH_SMOKE=1 cargo run -q --release --offline --example serve_inference
-test -s BENCH_serving.json
+test -s target/bench_serving.json
+
+echo "== working tree: CI modified no tracked file and left nothing unignored"
+if [ "$(git status --porcelain)" != "$tree_before" ]; then
+  echo "CI FAILED: the working tree changed while the script ran"
+  diff <(echo "$tree_before") <(git status --porcelain) || true
+  exit 1
+fi
 
 echo "CI OK"

@@ -72,8 +72,6 @@ fn run_config(args: &[String]) -> RunConfig {
         num_workers: flag_or(args, "--workers", 2),
         slots: 4,
         seed: flag_or(args, "--seed", 0),
-        prep_retry_budget: flag_or(args, "--prep-retries", 1),
-        prep_respawn_budget: flag_or(args, "--prep-respawns", 1),
         comm_timeout_ms: flag_or(args, "--comm-timeout-ms", 5_000),
     }
 }

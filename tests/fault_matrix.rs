@@ -7,7 +7,7 @@
 //! * no pinned staging slot leaks, whatever dies;
 //! * every injected fault is *observable*: the trace registry's
 //!   retry / respawn / failed-batch counters and point events mirror the
-//!   supervisor's own `FaultStats` exactly;
+//!   epoch's own `FaultStats` exactly;
 //! * DDP collectives surface typed `CommError`s instead of hanging;
 //! * checkpoint saves are crash-safe and loads detect corruption.
 //!
@@ -63,8 +63,6 @@ fn prep_cfg(mode: PrepMode) -> PrepConfig {
         mode,
         sampler: SamplerKind::Fast,
         seed: 4,
-        retry_budget: 1,
-        respawn_budget: 1,
         // A fresh per-run registry on a deterministic virtual clock, so every
         // matrix scenario can cross-check its recovery path against the
         // trace's fault counters and point events.
@@ -84,8 +82,8 @@ fn run_under_plan(
 
 /// [`run_under_plan`] with a consumer that takes nothing until `open()`
 /// holds (or 10 s pass): the workers meanwhile fill the slots and block, so
-/// a scenario can fix what the supervisor finds when it acts instead of
-/// racing the workers to it.
+/// a scenario can fix what a dead worker finds when it acts instead of
+/// racing the survivors to it.
 fn run_gated(
     plan: FaultPlan,
     cfg: &PrepConfig,
@@ -109,7 +107,7 @@ fn run_gated(
             BatchResult::Failed { batch_id, attempts } => failed.push((batch_id, attempts)),
         }
     }
-    let (_stats, faults) = handle.join_detailed();
+    let faults = handle.join();
     assert_eq!(
         pool.available(),
         pool.capacity(),
@@ -121,7 +119,7 @@ fn run_gated(
     (ready, failed, faults)
 }
 
-/// Every recovery action the supervisor takes must be visible in the trace
+/// Every recovery action the workers take must be visible in the trace
 /// registry: counters equal to `FaultStats`, plus one timeline point event
 /// per occurrence (so Chrome traces show *when* each fault fired).
 fn assert_faults_observable(trace: &Trace, faults: &FaultStats) {
@@ -189,7 +187,7 @@ fn exhausted_retry_budget_yields_exactly_one_failed_marker() {
     for mode in MODES {
         for site in [sites::PREP_SAMPLE, sites::PREP_SLICE] {
             // Unbudgeted rule: batch 1 panics on the first attempt AND on
-            // its retry, exhausting retry_budget = 1.
+            // its one retry, exhausting the budget.
             let plan = FaultPlan::new(2).with_spec(always_panic_at(site, 1));
             let (ready, failed, faults) = run_under_plan(plan, &prep_cfg(mode));
             let mut want: Vec<usize> = (0..n).collect();
@@ -253,16 +251,16 @@ fn dead_worker_is_respawned_within_budget() {
     let _s = serial();
     let n = expected_batches();
     for mode in MODES {
-        // Worker 0 dies at spawn; the supervisor restarts it once (same id,
-        // so a static partition keeps its owner).
+        // Worker 0 dies at its start and restarts itself once (same id, so a
+        // static partition keeps its owner).
         let plan = FaultPlan::new(5).panic_at(sites::PREP_WORKER, 0);
-        // A worker is respawned only while work is left, and with a shared
-        // queue the survivor can finish the epoch before the supervisor has
-        // acted on the death (a panic message with a backtrace takes
-        // milliseconds, and so does a descheduled supervisor on two cores;
-        // ten small batches do not). Nothing is consumed until it has acted:
-        // the survivor then holds at most `slots` batches plus the one in
-        // its hands, and the rest of the epoch is still to do.
+        // A worker restarts only while work is left, and with a shared queue
+        // the survivor can finish the epoch before the dead one has unwound
+        // (a panic message with a backtrace takes milliseconds, and so does
+        // a descheduled thread on two cores; ten small batches do not).
+        // Nothing is consumed until it has acted: the survivor then holds at
+        // most `slots` batches plus the one in its hands, and the rest of
+        // the epoch is still to do.
         let cfg = prep_cfg(mode);
         let respawns = cfg.trace.counter(names::counters::RESPAWNS);
         let (ready, failed, faults) = run_gated(plan, &cfg, || respawns.get() >= 1);
@@ -279,7 +277,7 @@ fn worker_collapse_degrades_to_inline_preparation() {
     let _s = serial();
     let n = expected_batches();
     for mode in MODES {
-        // Every worker (and every respawn) dies instantly; the supervisor
+        // Every worker (and every respawn) dies instantly; the last one out
         // finishes the epoch inline so the consumer still sees every batch.
         let plan = FaultPlan::new(6).with_spec(FaultSpec {
             site: sites::PREP_WORKER,
@@ -293,6 +291,47 @@ fn worker_collapse_degrades_to_inline_preparation() {
         assert!(faults.degraded_inline, "{mode:?}: {faults:?}");
         assert!(faults.worker_panics >= 2, "{mode:?}: {faults:?}");
     }
+}
+
+#[test]
+fn a_live_survivor_inherits_an_orphaned_partition() {
+    let _s = serial();
+    let n = expected_batches();
+    // Worker 0 dies at every start: once, again as its own replacement (the
+    // epoch's one respawn), then for good, its static partition untouched.
+    // Worker 1 is healthy throughout, so the worker set never collapses all
+    // at once; whichever of the two leaves last prepares the orphans inline.
+    let plan = FaultPlan::new(10).with_spec(always_panic_at(sites::PREP_WORKER, 0));
+    let (ready, failed, faults) = run_under_plan(plan, &prep_cfg(PrepMode::Multiprocessing));
+    assert_eq!(ready, (0..n).collect::<Vec<_>>());
+    assert!(failed.is_empty(), "{failed:?}");
+    assert_eq!(faults.worker_panics, 2, "{faults:?}");
+    assert_eq!(faults.respawns, 1, "{faults:?}");
+    assert!(faults.degraded_inline, "{faults:?}");
+}
+
+#[test]
+fn a_retry_is_schedule_independent() {
+    let _s = serial();
+    // Batch 2's first attempt panics; its retry draws from a sampler seeded
+    // by (batch, attempt) alone, so the batch that arrives is the same
+    // whether one worker caught the panic or any of three did.
+    let retried_batch = |num_workers: usize| -> Vec<u32> {
+        let ds = dataset();
+        let cfg = PrepConfig { num_workers, ..prep_cfg(PrepMode::SharedMemory) };
+        let _guard = fault::scoped(FaultPlan::new(12).panic_at(sites::PREP_SAMPLE, 2));
+        let handle = run_epoch_with_pool(&ds, &ds.splits.train, &cfg, &pool());
+        let node_ids = handle
+            .batches
+            .iter()
+            .filter_map(BatchResult::ready)
+            .find(|b| b.batch_id == 2)
+            .map(|b| b.mfg.node_ids.clone())
+            .expect("the retry succeeds");
+        assert_eq!(handle.join().retries, 1);
+        node_ids
+    };
+    assert_eq!(retried_batch(1), retried_batch(3));
 }
 
 #[test]
@@ -592,9 +631,8 @@ fn disabled_injection_points_are_inert() {
             .iter()
             .filter_map(BatchResult::ready)
             .count();
-        let (stats, faults) = handle.join_detailed();
+        let faults = handle.join();
         assert_eq!(ready, n, "{mode:?}");
-        assert_eq!(stats.batches, n, "{mode:?}");
         assert!(!faults.any(), "{mode:?}: {faults:?}");
         assert_eq!(pool.available(), pool.capacity(), "{mode:?}");
     }

@@ -26,7 +26,7 @@ fn rand_tensor(r: usize, c: usize, rng: &mut StdRng) -> Tensor {
 /// Half GEMM sits inside the documented elementwise bound at the bench
 /// feature widths (m/n shrunk so the test stays fast unoptimized; the
 /// full-size check runs in release as part of the kernel bench, which
-/// asserts the same bound at the exact BENCH_kernels.json shapes).
+/// asserts the same bound at its own full shapes).
 #[test]
 fn half_gemm_within_documented_bound() {
     let mut rng = StdRng::seed_from_u64(42);

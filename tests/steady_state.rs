@@ -15,8 +15,9 @@ use salient_repro::core::{BatchInferencer, RunConfig, Trainer};
 use salient_repro::graph::{DatasetConfig, FeatureRows};
 use salient_repro::nn::{build_model, ModelKind};
 use salient_repro::sampler::FastSampler;
-use salient_repro::tensor::kernels::csr_index_routes;
-use salient_repro::tensor::rng::StdRng;
+use salient_repro::tensor::kernels::{csr_index_routes, relu_dropout_in_place, scatter_reduce_forward};
+use salient_repro::tensor::rng::{Rng, StdRng};
+use salient_repro::tensor::{gemm, Tensor};
 use salient_repro::trace::Trace;
 use std::sync::Arc;
 
@@ -54,8 +55,8 @@ fn warm_fast_sampler_allocates_only_the_mfg_it_returns() {
 
 /// Where each slot of `pool` keeps its feature buffer (the pool must be idle).
 fn staging_buffers(pool: &PinnedPool) -> Vec<usize> {
-    let slots: Vec<_> = std::iter::from_fn(|| pool.try_acquire()).collect();
-    assert_eq!(slots.len(), pool.capacity(), "a slot is still checked out");
+    assert_eq!(pool.available(), pool.capacity(), "a slot is still checked out");
+    let slots: Vec<_> = (0..pool.capacity()).map(|_| pool.acquire()).collect();
     let mut at: Vec<usize> = slots
         .iter()
         .map(|slot| match slot.features() {
@@ -131,4 +132,43 @@ fn warm_inference_forward_recycles_its_buffers_and_sorts_nothing() {
         [fanouts.len() as u64, 0],
         "each hop's edge list arrives ordered by destination and is indexed in place"
     );
+}
+
+#[test]
+fn warm_micro_kernels_allocate_only_what_they_return() {
+    // The GEMM tile, the aggregation row kernel and the dropout epilogue, at
+    // shapes small enough that each runs on this thread (the counters are
+    // per thread; a larger product goes to the pool's threads) and wide
+    // enough to fill the widest tile (8 x 32).
+    let (m, k, n) = (16, 30, 32);
+    let mut rng = StdRng::seed_from_u64(9);
+    let mut matrix = |rows: usize, cols: usize| {
+        Tensor::from_vec((0..rows * cols).map(|_| rng.random::<f32>() - 0.5).collect(), [rows, cols])
+    };
+    let (a, b) = (matrix(m, k), matrix(k, n));
+    // Four edges into every output row, ordered by destination.
+    let (src, dst): (Vec<u32>, Vec<u32>) = (0..4 * m as u32).map(|e| (e % k as u32, e / 4)).unzip();
+    let made = |f: &mut dyn FnMut()| {
+        let before = allocations();
+        f();
+        allocations() - before
+    };
+    for pass in 0..3 {
+        // What an m x n result costs by itself: buffer, shape, reference count.
+        let own = made(&mut || drop(Tensor::zeros([m, n])));
+        let mut product = Tensor::zeros([0, 0]);
+        let by_gemm = made(&mut || product = gemm(&a, &b, false, false));
+        let mut agg = Vec::new();
+        let by_agg = made(&mut || agg = scatter_reduce_forward(b.data(), n, &src, &dst, m, true));
+        // As a tensor the result goes back to the pool when dropped.
+        drop(Tensor::from_vec(agg, [m, n]));
+        let by_dropout = made(&mut || {
+            relu_dropout_in_place(product.data_mut(), 0.5, &mut rng);
+        });
+        if pass == 2 {
+            assert!(by_gemm <= own, "a warm GEMM tile allocated: {by_gemm} > {own}");
+            assert_eq!(by_agg, 0, "a warm row kernel allocated");
+            assert_eq!(by_dropout, 0, "the dropout epilogue allocated");
+        }
+    }
 }
