@@ -23,6 +23,8 @@
 //! ```
 
 #![warn(missing_docs)]
+// On every batch's path: a file that indexes says why (DESIGN.md section 8).
+#![warn(clippy::indexing_slicing)]
 
 mod pinned;
 mod prep;

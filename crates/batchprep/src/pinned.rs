@@ -17,6 +17,11 @@
 //! without copying or clearing what the next slice overwrites anyway — so
 //! the only pages a slot ever dirties are the ones batches were sliced into.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "`prepare` grows the label buffer to at least `used_labels` before recording it, so the used prefix is in range"
+)]
+
 use salient_graph::{FeatureRows, FeatureRowsMut, FeatureSlab};
 use salient_tensor::sync::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use salient_tensor::Dtype;
@@ -45,7 +50,7 @@ impl PinnedSlot {
     /// more than it needs, so a stream of like-sized batches grows a slot
     /// once.
     pub fn prepare(&mut self, num_nodes: usize, dim: usize, num_labels: usize) {
-        // lint: allow(panic-freedom, buffers are only None after Drop runs; reaching this is an API-contract bug, not a runtime fault)
+        #[expect(clippy::expect_used, reason = "buffers are only None after Drop runs; reaching this is an API-contract bug, not a runtime fault")]
         let b = self.buffers.as_mut().expect("slot already returned");
         let need = num_nodes * dim;
         if b.features.len() < need {
@@ -63,34 +68,34 @@ impl PinnedSlot {
     }
 
     /// The writable feature region sized by the last [`PinnedSlot::prepare`].
+    #[expect(clippy::expect_used, reason = "buffers are only None after Drop runs; unreachable through the public API")]
     pub fn features_mut(&mut self) -> FeatureRowsMut<'_> {
         let used = self.used_features;
-        // lint: allow(panic-freedom, buffers are only None after Drop runs; unreachable through the public API)
         self.buffers.as_mut().expect("slot already returned").features.view_mut(0, used)
     }
 
     /// The writable label region.
+    #[expect(clippy::expect_used, reason = "buffers are only None after Drop runs; unreachable through the public API")]
     pub fn labels_mut(&mut self) -> &mut [u32] {
         let used = self.used_labels;
-        // lint: allow(panic-freedom, buffers are only None after Drop runs; unreachable through the public API)
         &mut self.buffers.as_mut().expect("slot already returned").labels[..used]
     }
 
     /// The filled feature region.
+    #[expect(clippy::expect_used, reason = "buffers are only None after Drop runs; unreachable through the public API")]
     pub fn features(&self) -> FeatureRows<'_> {
-        // lint: allow(panic-freedom, buffers are only None after Drop runs; unreachable through the public API)
         self.buffers.as_ref().expect("slot already returned").features.view(0, self.used_features)
     }
 
     /// The dtype the slot stages features at.
+    #[expect(clippy::expect_used, reason = "buffers are only None after Drop runs; unreachable through the public API")]
     pub fn dtype(&self) -> Dtype {
-        // lint: allow(panic-freedom, buffers are only None after Drop runs; unreachable through the public API)
         self.buffers.as_ref().expect("slot already returned").features.dtype()
     }
 
     /// The filled label region.
+    #[expect(clippy::expect_used, reason = "buffers are only None after Drop runs; unreachable through the public API")]
     pub fn labels(&self) -> &[u32] {
-        // lint: allow(panic-freedom, buffers are only None after Drop runs; unreachable through the public API)
         &self.buffers.as_ref().expect("slot already returned").labels[..self.used_labels]
     }
 
@@ -135,11 +140,11 @@ impl PinnedPool {
         assert!(slots > 0, "pool needs at least one slot");
         let (tx, rx) = bounded(slots);
         for _ in 0..slots {
+            #[expect(clippy::expect_used, reason = "both channel endpoints are held locally while filling; send cannot observe a disconnect")]
             tx.send(Buffers {
                 features: FeatureSlab::new(dtype, nodes_hint * dim),
                 labels: vec![0; labels_hint],
             })
-            // lint: allow(panic-freedom, both channel endpoints are held locally while filling; send cannot observe a disconnect)
             .expect("filling fresh pool cannot fail");
         }
         PinnedPool { rx, tx, capacity: slots, dtype }
@@ -163,10 +168,10 @@ impl PinnedPool {
     /// Checks out a slot, blocking until one is free. This is the
     /// backpressure point bounding in-flight batches.
     pub fn acquire(&self) -> PinnedSlot {
+        #[expect(clippy::expect_used, reason = "the pool owns a Sender clone for its whole lifetime, so recv can never see all senders gone")]
         let buffers = self
             .rx
             .recv()
-            // lint: allow(panic-freedom, the pool owns a Sender clone for its whole lifetime, so recv can never see all senders gone)
             .expect("pool sender lives as long as the pool");
         PinnedSlot {
             buffers: Some(buffers),

@@ -26,6 +26,11 @@
 //! worker to leave finishes any unclaimed work inline. Per-epoch fault
 //! activity is returned by [`EpochHandle::join`] as [`FaultStats`].
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "work items are cut from 0..order.len() by `make_work_items`, and the MFG builder guarantees batch_size <= node_ids.len()"
+)]
+
 use crate::pinned::{PinnedPool, PinnedSlot};
 use crate::queue::{make_work_items, DynamicQueue, StaticPartition, WorkItem, WorkSource};
 use crate::slice::slice_batch;
@@ -282,7 +287,7 @@ impl EpochHandle {
         // slots to the pool and waking any worker blocked on acquire.
         drop(self.batches);
         for worker in self.workers {
-            // lint: allow(panic-freedom, propagating a panic that escaped a worker's supervision loop to the caller is the documented join contract)
+            #[expect(clippy::expect_used, reason = "propagating a panic that escaped a worker's supervision loop to the caller is the documented join contract")]
             worker.join().expect("batch-prep worker panicked outside its supervision loop");
         }
         self.faults.snapshot()
@@ -376,10 +381,10 @@ pub fn run_epoch_with_pool(
     let workers = (0..cfg.num_workers)
         .map(|id| {
             let ctx = Arc::clone(&ctx);
+            #[expect(clippy::expect_used, reason = "thread-spawn failure is unrecoverable resource exhaustion at epoch start")]
             std::thread::Builder::new()
                 .name(format!("salient-prep-{id}"))
                 .spawn(move || supervise_worker(&ctx, id))
-                // lint: allow(panic-freedom, thread-spawn failure is unrecoverable resource exhaustion at epoch start)
                 .expect("failed to spawn batch-prep worker")
         })
         .collect();

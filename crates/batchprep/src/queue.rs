@@ -7,6 +7,11 @@
 //! because final neighborhood size varies substantially across batches. Both
 //! strategies are implemented here.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "both indices are reduced modulo the worker count, which `new` asserts is positive"
+)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 

@@ -10,6 +10,11 @@
 //! slices (and later DMAs) 2 bytes per value, the paper's conventional
 //! optimization (iii).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the MFG builder guarantees batch_size <= node_ids.len(); output sizes are asserted on entry"
+)]
+
 use salient_graph::{Dataset, FeatureRowsMut, NodeId};
 use salient_sampler::MessageFlowGraph;
 use salient_tensor::Dtype;
@@ -21,7 +26,6 @@ use salient_tensor::Dtype;
 /// # Panics
 ///
 /// Panics if the output buffers have the wrong size or dtype.
-// lint: entry(panic-reachability)
 pub fn slice_batch(
     dataset: &Dataset,
     mfg: &MessageFlowGraph,
@@ -29,7 +33,6 @@ pub fn slice_batch(
     out_labels: &mut [u32],
 ) {
     dataset.features.slice_into(&mfg.node_ids, out_features);
-    // lint: allow(panic-reachability, the MFG builder guarantees batch_size <= node_ids.len(); output sizes are asserted on entry)
     let batch = &mfg.node_ids[..mfg.batch_size()];
     slice_labels(&dataset.labels, batch, out_labels);
 }

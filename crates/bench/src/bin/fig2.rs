@@ -13,6 +13,8 @@
 //!
 //! Run: `cargo run --release -p salient-bench --bin fig2 [--scale 0.25] [--reps 5] [--rounds 5]`
 
+#![expect(clippy::disallowed_methods, reason = "figure generator: it reports measured wall time")]
+
 use salient_bench::{arg_f64, arg_usize, bar, fmt_x, render_table};
 use salient_graph::DatasetConfig;
 use salient_sampler::{IdMapKind, NeighborSetKind, SampleAlgo, VariantConfig, VariantSampler};

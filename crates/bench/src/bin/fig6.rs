@@ -10,6 +10,8 @@
 //!
 //! Run: `cargo run --release -p salient-bench --bin fig6 [--scale 0.08] [--epochs 12]`
 
+#![expect(clippy::disallowed_methods, reason = "figure generator: it reports measured wall time")]
+
 use salient_bench::{arg_f64, arg_usize, fmt_s, fmt_x, render_table};
 use salient_core::{ModelKindConfig, RunConfig, Trainer};
 use salient_graph::{DatasetConfig, DatasetStats};

@@ -56,6 +56,7 @@ fn batch_params() -> (f64, usize) {
 /// The closure should perform one unit of work and return a value; the
 /// result is passed through `std::hint::black_box` so the optimizer cannot
 /// elide the computation.
+#[expect(clippy::disallowed_methods, reason = "the harness times wall-clock batches: that is what it is for")]
 pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> Sample {
     let (batch_target_s, batches) = batch_params();
     // Warm up (page in code/data, let the thread pool spin up).

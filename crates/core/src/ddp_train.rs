@@ -131,6 +131,7 @@ pub fn train_ddp_traced(
         let dataset = Arc::clone(dataset);
         let config = config.clone();
         let trace = trace.clone();
+        #[expect(clippy::expect_used, reason = "thread-spawn failure is unrecoverable resource exhaustion before the first step")]
         let handle = std::thread::Builder::new()
             .name(format!("salient-ddp-rank-{rank}"))
             .spawn(move || rank_loop(rank, ranks, comm, dataset, config, trace))

@@ -17,7 +17,7 @@
 //! leak staging capacity.
 
 use salient_batchprep::{PinnedPool, PinnedSlot};
-use salient_graph::{CsrGraph, Dataset, NodeId};
+use salient_graph::{CsrGraph, Dataset, FeatureRows, NodeId};
 use salient_nn::{metrics, GnnModel, Mode};
 use salient_sampler::{MessageFlowGraph, MfgLayer};
 use salient_tensor::rng::StdRng;
@@ -91,6 +91,22 @@ impl StagedBatch {
     pub fn payload_bytes(&self) -> usize {
         self.slot.payload_bytes()
     }
+}
+
+/// The simulated host→device transfer: widens the packed `staged` rows into
+/// a fresh `[num_nodes, dim]` tensor (the device-side cast) and adds
+/// `payload_bytes` — the packed features plus the labels, what the copy
+/// would move — to the `transfer.bytes` counter.
+pub(crate) fn transfer(
+    staged: FeatureRows<'_>,
+    num_nodes: usize,
+    dim: usize,
+    payload_bytes: usize,
+    transfer_bytes: &Counter,
+) -> Tensor {
+    let wide = Tensor::filled_by([num_nodes, dim], |wide| staged.widen_into(wide));
+    transfer_bytes.add(payload_bytes as u64);
+    wide
 }
 
 /// Sampled mini-batch inference through a bounded pinned-slot pool, with a
@@ -184,9 +200,13 @@ impl BatchInferencer {
         let StagedBatch { slot, num_nodes } = staged;
         let dim = self.dataset.features.dim();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let wide =
-                Tensor::filled_by([num_nodes, dim], |wide| slot.features().widen_into(wide));
-            self.transfer_bytes.add(slot.payload_bytes() as u64);
+            let wide = transfer(
+                slot.features(),
+                num_nodes,
+                dim,
+                slot.payload_bytes(),
+                &self.transfer_bytes,
+            );
             let tape = Tape::no_grad();
             let x = tape.constant(wide);
             let out = model.forward(&tape, x, mfg, Mode::Eval, rng);

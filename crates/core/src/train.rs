@@ -10,7 +10,7 @@
 
 use crate::config::{ExecutorKind, RunConfig};
 use crate::timing::StageTimings;
-use crate::infer::BatchInferencer;
+use crate::infer::{transfer, BatchInferencer};
 use salient_batchprep::{
     run_epoch_with_pool, BatchResult, PinnedPool, PrepConfig, PrepMode, SamplerKind,
 };
@@ -323,12 +323,13 @@ impl Trainer {
                     let (Some(staged), Some(mfg)) = (item.staged.take(), item.mfg.as_ref()) else {
                         return StageOutcome::Skip;
                     };
-                    let wide =
-                        Tensor::filled_by([mfg.num_nodes(), dim], |w| staged.widen_into(w));
-                    transfer_bytes.add(
-                        (staged.bytes() + item.labels.len() * std::mem::size_of::<u32>()) as u64,
-                    );
-                    item.features = Some(wide);
+                    item.features = Some(transfer(
+                        staged.rows(),
+                        mfg.num_nodes(),
+                        dim,
+                        staged.bytes() + item.labels.len() * std::mem::size_of::<u32>(),
+                        &transfer_bytes,
+                    ));
                     StageOutcome::Emit(item)
                 },
             )
@@ -440,12 +441,13 @@ impl Trainer {
                         *failed += 1;
                         return StageOutcome::Skip;
                     }
-                    let features = batch.slot.features();
-                    item.features = Some(Tensor::filled_by(
-                        [batch.mfg.num_nodes(), dim],
-                        |wide| features.widen_into(wide),
+                    item.features = Some(transfer(
+                        batch.slot.features(),
+                        batch.mfg.num_nodes(),
+                        dim,
+                        batch.slot.payload_bytes(),
+                        &transfer_bytes,
                     ));
-                    transfer_bytes.add(batch.slot.payload_bytes() as u64);
                     item.labels = batch.slot.labels().to_vec();
                     item.mfg = Some(batch.mfg);
                     StageOutcome::Emit(item)
@@ -511,10 +513,9 @@ impl Trainer {
         let mut preds = Vec::with_capacity(nodes.len());
         for chunk in nodes.chunks(self.config.batch_size) {
             let mfg = sampler.sample(&self.dataset.graph, chunk, fanouts);
+            #[expect(clippy::panic, reason = "offline evaluation keeps the old contract: a poisoned model is a caller bug, not load to shed, so its panic is re-raised")]
             let batch_preds = inferencer
                 .infer_mfg(self.model.as_mut(), &mfg, &mut self.rng)
-                // Offline evaluation keeps the old contract: a poisoned model
-                // is a caller bug, not load to shed — re-raise it.
                 .unwrap_or_else(|p| panic!("{p}"));
             preds.extend(batch_preds);
         }

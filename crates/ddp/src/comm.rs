@@ -230,21 +230,21 @@ impl Communicator {
             }
             FaultAction::Drop => {} // link down: the next rank will time out
             FaultAction::Delay(d) => {
-                // lint: allow(determinism, deterministically injected fault delay; duration comes from the fault plan)
+                #[expect(clippy::disallowed_methods, reason = "deterministically injected fault delay; duration comes from the fault plan")]
                 std::thread::sleep(d);
                 if self.to_next.send(payload).is_err() {
                     return Err(self.err(phase, CommErrorKind::Disconnected));
                 }
             }
+            #[expect(clippy::panic, reason = "injected fault demands a panic; the rank thread dies and `train_ddp` reports it as `DdpError::RankPanicked`")]
             FaultAction::Panic => {
-                // lint: allow(panic-freedom, injected fault demands a panic; the epoch supervisor catches and retries)
                 panic!("injected fault: panic at ddp.send (rank {})", self.rank)
             }
         }
         self.trace
             .record_span(names::spans::DDP_RING_SEND, ring_step, send_t0, clock.now_ns());
         if let FaultAction::Delay(d) = fault::point(fault::sites::DDP_RECV, self.rank as u64) {
-            // lint: allow(determinism, deterministically injected fault delay; duration comes from the fault plan)
+            #[expect(clippy::disallowed_methods, reason = "deterministically injected fault delay; duration comes from the fault plan")]
             std::thread::sleep(d);
         }
         let recv_t0 = clock.now_ns();

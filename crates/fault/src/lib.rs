@@ -451,6 +451,7 @@ impl FaultPlan {
 // `Arc::make_mut` requires `Clone` on the inner value (atomics aren't);
 // builder methods consume `self` before the plan is shared, so the Arc is
 // normally unique — rebuild only in the already-shared corner case.
+#[expect(clippy::expect_used, reason = "the rebuild replaces a shared Arc with a fresh one, so by the last line it has a single owner")]
 fn inner_mut(this: &mut Arc<PlanInner>) -> &mut PlanInner {
     if Arc::get_mut(this).is_none() {
         let rebuilt = PlanInner {
@@ -514,12 +515,14 @@ fn notify_observer(site: &str, occ: u64) {
 }
 
 /// Installs `plan` process-wide; subsequent [`point`] calls consult it.
+#[expect(clippy::unwrap_used, reason = "set-up call, never on a decision point's path; every PLAN critical section is a plain read or assignment, so poison means a bug in this file")]
 pub fn install(plan: FaultPlan) {
     *PLAN.lock().unwrap() = Some(plan);
     ENABLED.store(true, Ordering::Release);
 }
 
 /// Removes any installed plan; [`point`] returns to its no-op fast path.
+#[expect(clippy::unwrap_used, reason = "tear-down call, never on a decision point's path; every PLAN critical section is a plain read or assignment, so poison means a bug in this file")]
 pub fn clear() {
     ENABLED.store(false, Ordering::Release);
     *PLAN.lock().unwrap() = None;
@@ -606,9 +609,10 @@ fn point_slow(site: Site, occ: u64) -> FaultAction {
 pub fn fire(site: Site, occ: u64) -> bool {
     match point(site, occ) {
         FaultAction::Proceed => false,
+        #[expect(clippy::panic, reason = "injected fault demands a panic: raising it at the site is how a plan tests what the caller does with one")]
         FaultAction::Panic => panic!("injected fault: panic at {site} (occ {occ})"),
         FaultAction::Delay(d) => {
-            // lint: allow(determinism, deterministically injected fault delay; duration comes from the installed plan)
+            #[expect(clippy::disallowed_methods, reason = "deterministically injected fault delay; duration comes from the installed plan")]
             std::thread::sleep(d);
             false
         }

@@ -6,6 +6,11 @@
 //! range) which halves index memory versus `u64` and matches the memory-
 //! bandwidth-sensitive design of the paper's sampler.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the CSR contract: indptr has num_nodes+1 entries and node ids are validated < num_nodes at build"
+)]
+
 
 /// A node identifier in the global input graph.
 pub type NodeId = u32;
@@ -40,6 +45,7 @@ impl CsrGraph {
     /// Panics if the arrays are inconsistent: `indptr` must be monotone,
     /// start at 0, end at `indices.len()`, and every index must be a valid
     /// node.
+    #[expect(clippy::unwrap_used, reason = "`last` follows the assert that indptr is not empty")]
     pub fn from_csr(indptr: Vec<usize>, indices: Vec<NodeId>) -> Self {
         assert!(!indptr.is_empty(), "indptr must have at least one entry");
         assert_eq!(indptr[0], 0, "indptr must start at zero");
@@ -112,7 +118,6 @@ impl CsrGraph {
     /// Panics if `v` is out of range.
     pub fn degree(&self, v: NodeId) -> usize {
         let v = v as usize;
-        // lint: allow(panic-reachability, the CSR contract: indptr has num_nodes+1 entries and node ids are validated < num_nodes at build)
         self.indptr[v + 1] - self.indptr[v]
     }
 

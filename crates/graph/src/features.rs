@@ -16,6 +16,11 @@
 //! scratch) can carry either dtype without generics spreading through the
 //! pipeline crates.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "row ranges derive from node ids validated against num_nodes when the dataset is built"
+)]
+
 use salient_tensor::{kernels, Dtype, Tensor, F16};
 
 /// A packed, dtype-tagged feature buffer: the backing storage for the
@@ -96,7 +101,6 @@ impl FeatureSlab {
     /// Panics if the range is out of bounds.
     pub fn view(&self, start: usize, len: usize) -> FeatureRows<'_> {
         match self {
-            // lint: allow(panic-reachability, row ranges derive from node ids validated against num_nodes when the dataset is built)
             FeatureSlab::Half(v) => FeatureRows::Half(&v[start..start + len]),
             FeatureSlab::Full(v) => FeatureRows::Full(&v[start..start + len]),
         }
@@ -249,6 +253,7 @@ impl FeatureRowsMut<'_> {
     /// # Panics
     ///
     /// Panics if the dtypes differ or the lengths mismatch.
+    #[expect(clippy::panic, reason = "documented dtype contract (# Panics): staging buffers are built at the store's dtype, so a mismatch is a wiring bug")]
     pub fn copy_from(&mut self, src: FeatureRows<'_>) {
         match (self, src) {
             (FeatureRowsMut::Half(d), FeatureRows::Half(s)) => d.copy_from_slice(s),
@@ -372,6 +377,7 @@ impl FeatureMatrix {
     ///
     /// Panics if `out.len() != ids.len() * dim`, the dtypes differ, or any id
     /// is out of range.
+    #[expect(clippy::panic, reason = "documented dtype contract (# Panics); a mismatch is a wiring bug caught on the first batch, not a runtime fault")]
     pub fn slice_into(&self, ids: &[u32], out: FeatureRowsMut<'_>) {
         assert_eq!(out.len(), ids.len() * self.dim, "slice output size mismatch");
         let dim = self.dim;
@@ -390,7 +396,6 @@ impl FeatureMatrix {
                     dst[i * dim..(i + 1) * dim].copy_from_slice(&src[v * dim..(v + 1) * dim]);
                 }
             }
-            // lint: allow(panic-reachability, documented dtype contract (# Panics); a mismatch is a wiring bug caught on the first batch, not a runtime fault)
             _ => panic!("slice output dtype must match the feature store"),
         }
     }

@@ -6,6 +6,11 @@
 //! a community-structured Chung–Lu model (used for the label-bearing
 //! datasets) and an R-MAT generator (used for stress tests).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "community ids are v % num_communities, node ids run over 0..n, and a sampled position is clamped to ids.len() - 1"
+)]
+
 use crate::csr::{CsrGraph, NodeId};
 use salient_tensor::rng::Rng;
 
@@ -122,6 +127,7 @@ pub fn chung_lu_communities(cfg: &ChungLuConfig) -> CommunityGraph {
     let global_cum = build_cum(&all_ids);
     let member_cum: Vec<Vec<f64>> = members.iter().map(|m| build_cum(m)).collect();
 
+    #[expect(clippy::unwrap_used, reason = "cum has one entry per id, and no id list is empty: num_nodes > 0 is asserted and a community's members are checked before they are sampled")]
     let sample_from = |cum: &[f64], ids: &[NodeId], rng: &mut salient_tensor::rng::StdRng| -> NodeId {
         let total = *cum.last().unwrap();
         let x: f64 = rng.random::<f64>() * total;

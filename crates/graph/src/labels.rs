@@ -10,6 +10,11 @@
 //! and saturates once the sample mean stabilizes. This reproduces the
 //! *mechanics* behind Table 6 and Figure 3.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "labels are asserted below num_classes, and every range is one dim-wide row of a buffer sized rows x dim"
+)]
+
 use salient_tensor::rng::Rng;
 use salient_tensor::Shape;
 

@@ -17,6 +17,8 @@
 //! ```
 
 #![warn(missing_docs)]
+// On every batch's path: a file that indexes says why (DESIGN.md section 8).
+#![warn(clippy::indexing_slicing)]
 
 mod csr;
 mod datasets;

@@ -10,6 +10,11 @@
 //! communication fraction* (how many sampled feature rows live on a remote
 //! partition).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "part has one entry per node (`validate`), partition ids are below k, and node ids come from the graph the partitioning was built on"
+)]
+
 use crate::csr::{CsrGraph, NodeId};
 use salient_tensor::rng::SliceRandom;
 

@@ -1,5 +1,10 @@
 //! Train / validation / test node splits.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "split fractions are validated to sum <= 1, so every prefix length is <= num_nodes"
+)]
+
 use crate::csr::NodeId;
 use salient_tensor::rng::SliceRandom;
 
@@ -39,7 +44,6 @@ impl Splits {
         let n_train = (num_nodes as f64 * frac_train).round() as usize;
         let n_val = (num_nodes as f64 * frac_val).round() as usize;
         let n_test = (num_nodes as f64 * frac_test).round() as usize;
-        // lint: allow(panic-reachability, split fractions are validated to sum <= 1, so every prefix length is <= num_nodes)
         let train = ids[..n_train].to_vec();
         let val = ids[n_train..n_train + n_val].to_vec();
         let test = ids[n_train + n_val..(n_train + n_val + n_test).min(num_nodes)].to_vec();

@@ -1,102 +1,26 @@
-//! Diagnostic type and the text / JSON renderers.
+//! The finding type and its text rendering.
 
-/// One finding. `suppressed` carries the reason when an inline
-/// `// lint: allow(rule, reason)` matched.
+/// One lock-discipline finding.
 #[derive(Clone, Debug)]
 pub struct Diagnostic {
-    pub rule: &'static str,
     pub file: String,
     pub line: usize,
     pub col: usize,
     pub message: String,
     /// The offending source line, trimmed.
     pub snippet: String,
-    pub suppressed: Option<String>,
 }
 
 impl Diagnostic {
-    /// `file:line:col: [rule] message` plus the snippet.
+    /// `file:line:col: [lock-discipline] message` plus the snippet.
     pub fn render_text(&self) -> String {
         let mut s = format!(
-            "{}:{}:{}: [{}] {}",
-            self.file, self.line, self.col, self.rule, self.message
+            "{}:{}:{}: [lock-discipline] {}",
+            self.file, self.line, self.col, self.message
         );
-        if let Some(reason) = &self.suppressed {
-            s.push_str(&format!("\n    suppressed: {reason}"));
-        }
         if !self.snippet.is_empty() {
             s.push_str(&format!("\n    {}", self.snippet));
         }
         s
-    }
-}
-
-/// Escapes a string for inclusion in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders diagnostics as a JSON array (stable field order, one object per
-/// finding) for `--format json`.
-pub fn render_json(diags: &[Diagnostic]) -> String {
-    let mut out = String::from("[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\",\"snippet\":\"{}\",\"suppressed\":{}}}",
-            json_escape(d.rule),
-            json_escape(&d.file),
-            d.line,
-            d.col,
-            json_escape(&d.message),
-            json_escape(&d.snippet),
-            match &d.suppressed {
-                Some(r) => format!("\"{}\"", json_escape(r)),
-                None => "null".to_string(),
-            }
-        ));
-    }
-    out.push_str("\n]");
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
-
-    #[test]
-    fn json_rendering_is_parseable_shape() {
-        let d = Diagnostic {
-            rule: "panic-freedom",
-            file: "x.rs".into(),
-            line: 3,
-            col: 7,
-            message: "m".into(),
-            snippet: "s".into(),
-            suppressed: None,
-        };
-        let j = render_json(&[d]);
-        assert!(j.starts_with('['));
-        assert!(j.contains("\"rule\":\"panic-freedom\""));
-        assert!(j.contains("\"suppressed\":null"));
     }
 }

@@ -5,13 +5,13 @@
 //! the constructs that defeat naive text matching — line and (nested) block
 //! comments, string/raw-string/byte-string literals, and character literals
 //! (disambiguated from lifetimes). Comments are not discarded: they are
-//! collected with positions so rules can check for `// SAFETY:` notes,
-//! justification comments, and `// lint: allow(...)` suppressions.
+//! collected with their lines so the rule can look for the comment that
+//! justifies an `Ordering::Relaxed`.
 
 /// What kind of token was produced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TokKind {
-    /// Identifier or keyword (`unsafe`, `fn`, `unwrap`, ...).
+    /// Identifier or keyword (`fn`, `let`, `lock`, ...).
     Ident,
     /// A lifetime (`'a`) — kept distinct so `'a` never reads as a char.
     Lifetime,
@@ -45,21 +45,15 @@ impl Token {
     }
 }
 
-/// A comment with its position and raw text (markers stripped).
+/// A comment with its line extent and raw text (markers stripped).
 #[derive(Clone, Debug)]
 pub struct Comment {
     /// Line the comment starts on.
     pub line: usize,
     /// Line the comment ends on (== `line` for line comments).
     pub end_line: usize,
-    pub col: usize,
     /// Comment body without the `//` / `/* */` markers.
     pub text: String,
-    /// True for `///`, `//!`, `/** */`, `/*! */` doc comments.
-    pub is_doc: bool,
-    /// True if any token precedes the comment on its starting line
-    /// (a trailing comment).
-    pub trailing: bool,
 }
 
 /// The result of lexing one source file.
@@ -110,7 +104,6 @@ fn is_ident_continue(b: u8) -> bool {
 pub fn lex(src: &str) -> Lexed {
     let mut cur = Cursor { src: src.as_bytes(), pos: 0, line: 1, col: 1 };
     let mut out = Lexed::default();
-    let mut last_token_line = 0usize;
 
     while let Some(b) = cur.peek() {
         let (line, col) = (cur.line, cur.col);
@@ -122,7 +115,6 @@ pub fn lex(src: &str) -> Lexed {
                 let mut text = Vec::new();
                 cur.bump();
                 cur.bump();
-                let is_doc = matches!(cur.peek(), Some(b'/') | Some(b'!'));
                 while let Some(c) = cur.peek() {
                     if c == b'\n' {
                         break;
@@ -133,16 +125,12 @@ pub fn lex(src: &str) -> Lexed {
                 out.comments.push(Comment {
                     line,
                     end_line: line,
-                    col,
                     text: String::from_utf8_lossy(&text).into_owned(),
-                    is_doc,
-                    trailing: last_token_line == line,
                 });
             }
             b'/' if cur.peek_at(1) == Some(b'*') => {
                 cur.bump();
                 cur.bump();
-                let is_doc = matches!(cur.peek(), Some(b'*') | Some(b'!'));
                 let mut depth = 1usize;
                 let mut text = Vec::new();
                 while depth > 0 {
@@ -167,10 +155,7 @@ pub fn lex(src: &str) -> Lexed {
                 out.comments.push(Comment {
                     line,
                     end_line: cur.line,
-                    col,
                     text: String::from_utf8_lossy(&text).into_owned(),
-                    is_doc,
-                    trailing: last_token_line == line,
                 });
             }
             b'"' => {
@@ -182,7 +167,6 @@ pub fn lex(src: &str) -> Lexed {
                     line,
                     col,
                 });
-                last_token_line = line;
             }
             b'r' | b'b' if starts_raw_or_byte_string(&cur) => {
                 let start = cur.pos;
@@ -193,12 +177,10 @@ pub fn lex(src: &str) -> Lexed {
                     line,
                     col,
                 });
-                last_token_line = line;
             }
             // `r#ident`: a raw identifier is one Ident token that keeps
             // its `r#` prefix (so `r#match` is distinguishable from the
             // keyword `match`) and never splits into `r` `#` `match`.
-            // The parser strips the prefix where names feed the call graph.
             b'r' if cur.peek_at(1) == Some(b'#')
                 && cur.peek_at(2).map(is_ident_start).unwrap_or(false) =>
             {
@@ -214,7 +196,6 @@ pub fn lex(src: &str) -> Lexed {
                     }
                 }
                 out.tokens.push(Token { kind: TokKind::Ident, text, line, col });
-                last_token_line = line;
             }
             b'\'' => {
                 // Lifetime (`'a`, `'static`) vs char literal (`'a'`, `'\n'`).
@@ -272,7 +253,6 @@ pub fn lex(src: &str) -> Lexed {
                         col,
                     });
                 }
-                last_token_line = line;
             }
             c if is_ident_start(c) => {
                 let mut text = String::new();
@@ -285,7 +265,6 @@ pub fn lex(src: &str) -> Lexed {
                     }
                 }
                 out.tokens.push(Token { kind: TokKind::Ident, text, line, col });
-                last_token_line = line;
             }
             c if c.is_ascii_digit() => {
                 let mut text = String::new();
@@ -306,7 +285,6 @@ pub fn lex(src: &str) -> Lexed {
                     }
                 }
                 out.tokens.push(Token { kind: TokKind::Literal, text, line, col });
-                last_token_line = line;
             }
             c => {
                 cur.bump();
@@ -316,7 +294,6 @@ pub fn lex(src: &str) -> Lexed {
                     line,
                     col,
                 });
-                last_token_line = line;
             }
         }
     }
@@ -490,14 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn trailing_comment_flag() {
-        let src = "let x = 1; // trailing\n// own line\nlet y = 2;";
-        let cs = lex(src).comments;
-        assert!(cs[0].trailing);
-        assert!(!cs[1].trailing);
-    }
-
-    #[test]
     fn raw_identifier_is_not_a_raw_string() {
         let src = "let r#type = 1; r#match();";
         let ids = idents(src);
@@ -515,13 +484,5 @@ mod tests {
             .map(|t| t.text.as_str())
             .collect();
         assert_eq!(lits, vec!["\"serve.queue_depth\"", "r#\"raw \"x\"\"#"]);
-    }
-
-    #[test]
-    fn doc_comments_are_flagged() {
-        let src = "/// # Safety\n/// caller checks\nunsafe fn f() {}";
-        let lx = lex(src);
-        assert!(lx.comments.iter().all(|c| c.is_doc));
-        assert!(lx.tokens[0].is_ident("unsafe"));
     }
 }

@@ -1,188 +1,57 @@
-//! `salient-lint` — the CLI for the in-repo static-analysis pass.
+//! `salient-lint` — the CLI for the in-repo lock-discipline check.
 //!
 //! ```text
-//! salient-lint check [--format json] [--root DIR]    # all rules (default)
-//! salient-lint deps  [--format json] [--root DIR]    # manifest guard only
-//! salient-lint unsafe-inventory [--format json] [--root DIR]
-//! salient-lint graph [--root DIR]                    # call-graph JSON
+//! salient-lint [check] [--root DIR]
 //! ```
 //!
-//! Exit codes: 0 clean, 1 unsuppressed findings, 2 usage or I/O error.
+//! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
-use salient_lint::callgraph::CallGraph;
-use salient_lint::diag::{json_escape, render_json};
 use salient_lint::workspace;
 use std::path::PathBuf;
-use std::time::Instant;
+use std::process::ExitCode;
 
-// CLI entry point: process::exit is the whitelisted way out.
-struct Opts {
-    cmd: String,
-    json: bool,
-    root: Option<PathBuf>,
-}
+const USAGE: &str = "usage: salient-lint [check] [--root DIR]";
 
-fn parse_args() -> Result<Opts, String> {
-    let mut args = std::env::args().skip(1);
-    let mut opts = Opts { cmd: "check".to_string(), json: false, root: None };
-    let mut saw_cmd = false;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--format" => match args.next().as_deref() {
-                Some("json") => opts.json = true,
-                Some("text") => opts.json = false,
-                other => return Err(format!("--format expects json|text, got {other:?}")),
-            },
-            "--root" => match args.next() {
-                Some(dir) => opts.root = Some(PathBuf::from(dir)),
-                None => return Err("--root expects a directory".to_string()),
-            },
-            "-h" | "--help" => {
-                println!(
-                    "usage: salient-lint [check|deps|unsafe-inventory|graph] [--format json|text] [--root DIR]"
-                );
-                std::process::exit(0);
-            }
-            cmd if !saw_cmd && !cmd.starts_with('-') => {
-                opts.cmd = cmd.to_string();
-                saw_cmd = true;
-            }
-            other => return Err(format!("unknown argument: {other}")),
-        }
+fn main() -> ExitCode {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some("check") {
+        args.remove(0);
     }
-    Ok(opts)
-}
-
-fn main() {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("salient-lint: {e}");
-            std::process::exit(2);
+    let root = match args.as_slice() {
+        [] => None,
+        [flag, dir] if flag == "--root" => Some(PathBuf::from(dir)),
+        [flag] if flag == "-h" || flag == "--help" => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        _ => {
+            eprintln!("salient-lint: unexpected arguments: {}\n{USAGE}", args.join(" "));
+            return ExitCode::from(2);
         }
     };
     let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    let root = opts
-        .root
-        .clone()
-        .or_else(|| workspace::find_root(&cwd))
-        .unwrap_or_else(|| {
-            eprintln!("salient-lint: no workspace root found above {}", cwd.display());
-            std::process::exit(2);
-        });
-
-    match opts.cmd.as_str() {
-        "check" => {
-            let start = Instant::now();
-            let report = match workspace::run(&root) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("salient-lint: {e}");
-                    std::process::exit(2);
-                }
-            };
-            let elapsed_ms = start.elapsed().as_millis();
-            let unsuppressed = report.unsuppressed_count();
-            if opts.json {
-                println!("{}", render_json(&report.diagnostics));
-            } else {
-                for d in &report.diagnostics {
-                    println!("{}", d.render_text());
-                }
-                for (rule, total, open) in report.counts_by_rule() {
-                    println!(
-                        "  {rule:<20} {total:>3} finding(s), {open} unsuppressed"
-                    );
-                }
-                let suppressed = report.diagnostics.len() - unsuppressed;
-                println!(
-                    "salient-lint: {} file(s), {} finding(s) ({} suppressed), {} unsafe site(s) in {} ms",
-                    report.files_scanned,
-                    report.diagnostics.len(),
-                    suppressed,
-                    report.unsafe_inventory.len(),
-                    elapsed_ms
-                );
-            }
-            std::process::exit(if unsuppressed > 0 { 1 } else { 0 });
+    let Some(root) = root.or_else(|| workspace::find_root(&cwd)) else {
+        eprintln!("salient-lint: no workspace root found above {}", cwd.display());
+        return ExitCode::from(2);
+    };
+    let report = match workspace::run(&root) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("salient-lint: {e}");
+            return ExitCode::from(2);
         }
-        "graph" => {
-            let (_files, parsed) = match workspace::analyze(&root) {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("salient-lint: {e}");
-                    std::process::exit(2);
-                }
-            };
-            let graph = CallGraph::build(&parsed);
-            let json = salient_lint::callgraph::render_json(&graph, &parsed);
-            // The dump is a CI artifact: self-validate it through the
-            // in-repo JSON parser before anything downstream consumes it.
-            if let Err(e) = salient_trace::json::parse(&json) {
-                eprintln!("salient-lint graph: internal error — invalid JSON: {e}");
-                std::process::exit(2);
-            }
-            println!("{json}");
-            std::process::exit(0);
-        }
-        "deps" => {
-            let diags = match workspace::run_deps(&root) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("salient-lint: {e}");
-                    std::process::exit(2);
-                }
-            };
-            if opts.json {
-                println!("{}", render_json(&diags));
-            } else {
-                for d in &diags {
-                    println!("{}", d.render_text());
-                }
-                println!("salient-lint deps: {} finding(s)", diags.len());
-            }
-            std::process::exit(if diags.is_empty() { 0 } else { 1 });
-        }
-        "unsafe-inventory" => {
-            let report = match workspace::run(&root) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("salient-lint: {e}");
-                    std::process::exit(2);
-                }
-            };
-            if opts.json {
-                let mut out = String::from("[");
-                for (i, s) in report.unsafe_inventory.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "\n  {{\"file\":\"{}\",\"line\":{},\"kind\":\"{}\",\"safety\":\"{}\",\"snippet\":\"{}\"}}",
-                        json_escape(&s.file),
-                        s.line,
-                        s.kind,
-                        json_escape(&s.safety),
-                        json_escape(&s.snippet)
-                    ));
-                }
-                out.push_str("\n]");
-                println!("{out}");
-            } else {
-                println!("workspace unsafe inventory ({} sites):", report.unsafe_inventory.len());
-                for s in &report.unsafe_inventory {
-                    println!("  {}:{} [{}] {}", s.file, s.line, s.kind, s.snippet);
-                    let why = if s.safety.is_empty() { "(UNDOCUMENTED)" } else { &s.safety };
-                    println!("      {why}");
-                }
-            }
-            std::process::exit(0);
-        }
-        other => {
-            eprintln!(
-                "salient-lint: unknown command `{other}` (try check|deps|unsafe-inventory|graph)"
-            );
-            std::process::exit(2);
-        }
+    };
+    for d in &report.diagnostics {
+        println!("{}", d.render_text());
+    }
+    println!(
+        "salient-lint: {} file(s), {} lock-discipline finding(s)",
+        report.files_scanned,
+        report.diagnostics.len()
+    );
+    if report.diagnostics.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
 }

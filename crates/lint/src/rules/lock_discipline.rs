@@ -24,10 +24,20 @@
 //! `.read()` / `.write()` count as acquisitions only in files that mention
 //! `RwLock`, so `io::Read`/`Write` calls never produce false locks.
 
-use super::{emit, LOCK_DISCIPLINE};
 use crate::diag::Diagnostic;
 use crate::source::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Builds a finding at `line:col` of `f`.
+fn emit(f: &SourceFile, line: usize, col: usize, message: String, out: &mut Vec<Diagnostic>) {
+    out.push(Diagnostic {
+        file: f.path.clone(),
+        line,
+        col,
+        message,
+        snippet: f.line(line).trim().to_string(),
+    });
+}
 
 /// A lock acquisition site inside one function.
 #[derive(Clone, Debug)]
@@ -241,7 +251,7 @@ struct Edge {
 }
 
 /// Global pass: builds the lock-order graph from all function summaries and
-/// reports cycles. `files` maps path → parsed file (for suppressions).
+/// reports cycles. `files` maps path → parsed file (for the snippet).
 pub fn check_order(
     summaries: &[FnSummary],
     files: &BTreeMap<String, &SourceFile>,
@@ -363,15 +373,13 @@ pub fn check_order(
                             desc.join("; ")
                         );
                         match diag_file {
-                            Some(f) => emit(f, LOCK_DISCIPLINE, site.line, site.col, message, out),
+                            Some(f) => emit(f, site.line, site.col, message, out),
                             None => out.push(Diagnostic {
-                                rule: LOCK_DISCIPLINE,
                                 file: site.file.clone(),
                                 line: site.line,
                                 col: site.col,
                                 message,
                                 snippet: String::new(),
-                                suppressed: None,
                             }),
                         }
                     }
@@ -388,18 +396,22 @@ pub fn check_order(
 /// The Relaxed-justification half of the rule, per file.
 pub fn check_relaxed(f: &SourceFile, out: &mut Vec<Diagnostic>) {
     let toks = &f.lexed.tokens;
-    for i in 0..toks.len() {
-        if super::matches_path(f, i, &["Ordering", "Relaxed"]) && !f.in_test_code(toks[i].line) {
-            let line = toks[i].line;
+    for (i, t) in toks.iter().enumerate() {
+        // `Ordering :: Relaxed`: `::` lexes as two `:` tokens.
+        let is_relaxed = t.is_ident("Ordering")
+            && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
+            && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
+            && toks.get(i + 3).is_some_and(|t| t.is_ident("Relaxed"));
+        if is_relaxed && !f.in_test_code(t.line) {
+            let line = t.line;
             let justified = f.comment_in_range(line.saturating_sub(2), line, |text| {
                 text.to_ascii_lowercase().contains("relaxed")
             });
             if !justified {
                 emit(
                     f,
-                    LOCK_DISCIPLINE,
                     line,
-                    toks[i].col,
+                    t.col,
                     "`Ordering::Relaxed` without a justification comment (same line or the two \
                      lines above, mentioning why relaxed ordering is sufficient)"
                         .to_string(),
@@ -413,10 +425,10 @@ pub fn check_relaxed(f: &SourceFile, out: &mut Vec<Diagnostic>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{FileClass, SourceFile};
+    use crate::source::SourceFile;
 
     fn summaries(src: &str) -> (Vec<FnSummary>, SourceFile) {
-        let f = SourceFile::parse("crates/x/src/a.rs".into(), src, FileClass::default());
+        let f = SourceFile::parse("crates/x/src/a.rs".into(), src);
         (extract(&f), f)
     }
 
@@ -493,7 +505,6 @@ mod tests {
         let f = SourceFile::parse(
             "t.rs".into(),
             "fn f() {\n    x.load(Ordering::Relaxed);\n}\n",
-            FileClass::default(),
         );
         let mut out = Vec::new();
         check_relaxed(&f, &mut out);
@@ -505,7 +516,6 @@ mod tests {
         let f = SourceFile::parse(
             "t.rs".into(),
             "fn f() {\n    // relaxed: monotone counter, no ordering needed.\n    x.load(Ordering::Relaxed);\n}\n",
-            FileClass::default(),
         );
         let mut out = Vec::new();
         check_relaxed(&f, &mut out);

@@ -1,63 +1,26 @@
-//! Per-file analysis context: lexed tokens, line text, `#[cfg(test)]` /
-//! `#[test]` region tracking, and `// lint: allow(rule, reason)` suppressions.
+//! Per-file analysis context: lexed tokens, line text, and `#[cfg(test)]` /
+//! `#[test]` region tracking.
 
 use crate::lexer::{lex, Lexed};
 
-/// How a file participates in each rule, derived from its workspace path.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FileClass {
-    /// Designated hot-path module: panic-freedom applies.
-    pub hot_path: bool,
-    /// Whitelisted for wall-clock / sleep / exit (sim, bench, CLI mains).
-    pub time_whitelisted: bool,
-    /// A test source file (`tests/` directories): panic-freedom and
-    /// determinism do not apply anywhere in the file.
-    pub test_file: bool,
-}
-
-/// An inline suppression parsed from `// lint: allow(rule, reason)`.
-#[derive(Clone, Debug)]
-pub struct Suppression {
-    pub rule: String,
-    pub reason: String,
-    /// Line the suppression comment sits on.
-    pub line: usize,
-    /// Lines the suppression covers: its own line, and (for an own-line
-    /// comment) the next line carrying a token.
-    pub covers: (usize, usize),
-    /// Set by the engine when a diagnostic consumed this suppression.
-    pub used: std::cell::Cell<bool>,
-}
-
-/// One workspace source file ready for rule passes.
+/// One workspace source file ready for the rule.
 pub struct SourceFile {
     /// Workspace-relative path, `/`-separated.
     pub path: String,
-    pub class: FileClass,
     pub lexed: Lexed,
     lines: Vec<String>,
     /// Inclusive (start, end) line ranges of `#[cfg(test)]` / `#[test]`
     /// items.
     test_regions: Vec<(usize, usize)>,
-    pub suppressions: Vec<Suppression>,
 }
 
 impl SourceFile {
-    /// Lexes `text` and precomputes test regions and suppressions.
-    pub fn parse(path: String, text: &str, class: FileClass) -> SourceFile {
+    /// Lexes `text` and precomputes its test regions.
+    pub fn parse(path: String, text: &str) -> SourceFile {
         let lexed = lex(text);
         let lines: Vec<String> = text.lines().map(|l| l.to_string()).collect();
         let test_regions = find_test_regions(&lexed);
-        let mut f = SourceFile {
-            path,
-            class,
-            lexed,
-            lines,
-            test_regions,
-            suppressions: Vec::new(),
-        };
-        f.suppressions = parse_suppressions(&f);
-        f
+        SourceFile { path, lexed, lines, test_regions }
     }
 
     /// The 1-based source line, or `""` past EOF.
@@ -69,25 +32,11 @@ impl SourceFile {
     }
 
     /// True when `line` falls inside a `#[cfg(test)]` module or `#[test]`
-    /// function, or the whole file is a test file.
+    /// function.
     pub fn in_test_code(&self, line: usize) -> bool {
-        self.class.test_file
-            || self
-                .test_regions
-                .iter()
-                .any(|&(s, e)| line >= s && line <= e)
-    }
-
-    /// Finds a suppression for `rule` covering `line`, marks it used, and
-    /// returns its reason.
-    pub fn suppression_for(&self, rule: &str, line: usize) -> Option<String> {
-        for s in &self.suppressions {
-            if s.rule == rule && line >= s.covers.0 && line <= s.covers.1 {
-                s.used.set(true);
-                return Some(s.reason.clone());
-            }
-        }
-        None
+        self.test_regions
+            .iter()
+            .any(|&(s, e)| line >= s && line <= e)
     }
 
     /// True if any comment overlapping `lines` (inclusive range) satisfies
@@ -184,56 +133,12 @@ fn find_test_regions(lexed: &Lexed) -> Vec<(usize, usize)> {
     regions
 }
 
-/// Parses `lint: allow(rule, reason...)` out of every comment. A malformed
-/// suppression (missing rule or empty reason) is reported by the engine as
-/// its own diagnostic, so it is returned with an empty reason here.
-fn parse_suppressions(f: &SourceFile) -> Vec<Suppression> {
-    let mut out = Vec::new();
-    for c in &f.lexed.comments {
-        let text = c.text.trim();
-        let Some(rest) = text.strip_prefix("lint:") else { continue };
-        let rest = rest.trim_start();
-        let Some(rest) = rest.strip_prefix("allow") else { continue };
-        let rest = rest.trim_start();
-        let body = rest
-            .strip_prefix('(')
-            .and_then(|r| r.rfind(')').map(|end| &r[..end]))
-            .unwrap_or("");
-        let (rule, reason) = match body.split_once(',') {
-            Some((r, why)) => (r.trim().to_string(), why.trim().to_string()),
-            None => (body.trim().to_string(), String::new()),
-        };
-        // Coverage: the comment's own line(s); an own-line comment also
-        // covers the next line that carries a token.
-        let mut end = c.end_line;
-        if !c.trailing {
-            if let Some(next) = f
-                .lexed
-                .tokens
-                .iter()
-                .map(|t| t.line)
-                .find(|&l| l > c.end_line)
-            {
-                end = next;
-            }
-        }
-        out.push(Suppression {
-            rule,
-            reason,
-            line: c.line,
-            covers: (c.line, end),
-            used: std::cell::Cell::new(false),
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn sf(src: &str) -> SourceFile {
-        SourceFile::parse("test.rs".into(), src, FileClass::default())
+        SourceFile::parse("test.rs".into(), src)
     }
 
     #[test]
@@ -253,28 +158,5 @@ mod tests {
         let f = sf(src);
         assert!(f.in_test_code(3));
         assert!(!f.in_test_code(5));
-    }
-
-    #[test]
-    fn suppression_parsing_and_coverage() {
-        let src = "// lint: allow(panic-freedom, contract violation is unrecoverable)\nfoo.unwrap();\nbar.unwrap(); // lint: allow(determinism, trailing case)\n";
-        let f = sf(src);
-        assert_eq!(f.suppressions.len(), 2);
-        let s0 = &f.suppressions[0];
-        assert_eq!(s0.rule, "panic-freedom");
-        assert_eq!(s0.covers, (1, 2));
-        assert!(s0.reason.contains("unrecoverable"));
-        let s1 = &f.suppressions[1];
-        assert_eq!(s1.covers, (3, 3));
-        assert!(f.suppression_for("panic-freedom", 2).is_some());
-        assert!(f.suppression_for("panic-freedom", 3).is_none());
-        assert!(f.suppression_for("determinism", 3).is_some());
-    }
-
-    #[test]
-    fn missing_reason_yields_empty_reason() {
-        let f = sf("// lint: allow(unsafe-audit)\nunsafe {}\n");
-        assert_eq!(f.suppressions[0].rule, "unsafe-audit");
-        assert!(f.suppressions[0].reason.is_empty());
     }
 }

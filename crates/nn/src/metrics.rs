@@ -1,5 +1,10 @@
 //! Evaluation metrics: accuracy and the per-degree breakdown of Figure 3.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "c and best stay below cols, the length of every row; a degree's bucket is its bit length and `buckets` is the largest bit length plus one"
+)]
+
 use salient_graph::CsrGraph;
 use salient_tensor::Tensor;
 

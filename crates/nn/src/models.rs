@@ -11,6 +11,11 @@
 //! of the listing); we wire it `hidden → out_channels` so the model is a
 //! working classifier.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "check_input runs behind the non-empty-layers assert shared by every model constructor, and asserts one MFG layer per conv and norm"
+)]
+
 use crate::batch_norm::BatchNorm1d;
 use crate::convs::{GatConv, GinConv, SageConv};
 use crate::linear::Linear;
@@ -132,7 +137,6 @@ fn check_input(x: &Var, mfg: &MessageFlowGraph, layers: usize) {
     );
     assert_eq!(
         x.shape().rows(),
-        // lint: allow(panic-reachability, check_input runs behind the non-empty-layers assert shared by every model constructor)
         mfg.layers[0].n_src,
         "feature rows must match the MFG node count"
     );

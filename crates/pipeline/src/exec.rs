@@ -307,7 +307,6 @@ impl<'a, T: PipeItem + Send + 'a> StageGraph<'a, T> {
     /// last stage's `wait_span`, i.e. consumer-blocked time), then one
     /// work span per stage sharing boundary timestamps — exactly the
     /// clock-read sequence of the hand-written loops this replaced.
-    // lint: entry(panic-reachability)
     pub fn run_inline(mut self, trace: &Trace) -> PipeStats {
         let clock = trace.clock();
         let mut stats = PipeStats::default();
@@ -498,7 +497,6 @@ fn dump_on_poison(trace: &Trace, bid: u64) {
 /// after hook → push. Exits when the input ends, the downstream hangs up,
 /// or the run poisons. Later stages keep draining their queue after a
 /// poison so no in-flight batch is lost.
-// lint: entry(panic-reachability)
 fn stage_loop<T: PipeItem + Send>(ctx: StageCtx<'_, '_, T>) {
     let StageCtx {
         trace,

@@ -23,6 +23,9 @@
 //! rationale (stage loops are dedicated threads; `salient_tensor::pool`
 //! stays the intra-stage data-parallel axis).
 
+// On every batch's path: a file that indexes says why (DESIGN.md section 8).
+#![warn(clippy::indexing_slicing)]
+
 mod exec;
 pub mod shape;
 

@@ -16,6 +16,11 @@
 //! The tuned production path ([`crate::FastSampler`]) is this engine
 //! monomorphized at the winning configuration.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "frontier indices are produced by the same loop bounds that size node_ids; picks are positions below the row's length"
+)]
+
 use crate::mfg::{MessageFlowGraph, MfgLayer};
 use crate::structures::{IdMap, NeighborSet};
 use salient_tensor::rng::Rng;
@@ -230,7 +235,6 @@ fn reserve_from(last: usize, floor: usize, bound: usize) -> usize {
 /// # Panics
 ///
 /// Panics if `batch` is empty, contains duplicates, or `fanouts` is empty.
-// lint: entry(panic-reachability)
 pub fn sample_with<M: IdMap, S: NeighborSet>(
     graph: &CsrGraph,
     batch: &[NodeId],
@@ -272,7 +276,6 @@ pub fn sample_with<M: IdMap, S: NeighborSet>(
                 if let Some(&ahead) = node_ids.get(i + PREFETCH_AHEAD) {
                     graph.prefetch_neighbors(ahead);
                 }
-                // lint: allow(panic-reachability, frontier indices are produced by the same loop bounds that size node_ids; picks are positions below the row's length)
                 let neighbors = graph.neighbors(node_ids[i]);
                 draw(opts.algo, neighbors.len(), fanout, set, swaps, rng, picks);
                 for &idx in picks.iter() {

@@ -11,6 +11,11 @@
 //! against; implementing it lets the benches compare MFG shapes (layer-wise
 //! MFGs have bounded width but much sparser connectivity).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "hop frontiers index node_ids within the bounds the previous hop appended"
+)]
+
 use crate::mfg::{MessageFlowGraph, MfgLayer};
 use crate::structures::{FlatIdMap, IdMap};
 use salient_tensor::rng::StdRng;
@@ -73,7 +78,6 @@ impl LayerwiseSampler {
             let mut pool: Vec<NodeId> = Vec::new();
             let mut pool_seen = FlatIdMap::with_capacity(frontier_len * 8);
             for i in 0..frontier_len {
-                // lint: allow(panic-reachability, hop frontiers index node_ids within the bounds the previous hop appended)
                 for &u in graph.neighbors(node_ids[i]) {
                     let (_, new) = pool_seen.get_or_insert(u, 0);
                     if new {

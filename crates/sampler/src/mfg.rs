@@ -15,6 +15,11 @@
 //! computes `x_target = x[:n_dst]` then aggregates over the edge list — the
 //! exact semantics of Listing 1 in the paper.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "`validate` returns early on an empty layer list and checks i + 1 < layers.len() in the same condition that reads it"
+)]
+
 use salient_graph::NodeId;
 
 /// One bipartite hop of a message-flow graph, in local ids.

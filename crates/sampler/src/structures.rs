@@ -17,6 +17,11 @@
 //! per destination node (set), so the two shipped structures clear in time
 //! proportional to what the last use touched, not to their capacity.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "filled holds slot indices of the table it was built against, which old still is; probe indices are masked by the power-of-two table capacity on every step"
+)]
+
 use salient_graph::NodeId;
 use std::collections::{HashMap, HashSet};
 
@@ -126,7 +131,6 @@ impl FlatIdMap {
         self.bits += 1;
         let mut filled = std::mem::take(&mut self.filled);
         for slot in &mut filled {
-            // lint: allow(panic-reachability, filled holds slot indices of the table it was built against, which old still is; probe indices are masked by the power-of-two table capacity on every step)
             let [key, val] = old[*slot as usize];
             *slot = self.insert_fresh(key, val);
         }

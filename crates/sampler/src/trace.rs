@@ -7,6 +7,11 @@
 //! the sampled neighbor choices once; replaying it through different id-map
 //! implementations isolates data-structure cost from sampling randomness.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "edge endpoints are local ids below n_dst and n_src <= node_ids.len(), as `MessageFlowGraph::validate` checks of what the sampler builds"
+)]
+
 use crate::mfg::{MessageFlowGraph, MfgLayer};
 use crate::structures::IdMap;
 use salient_graph::{CsrGraph, NodeId};

@@ -1,6 +1,11 @@
 //! Serving configuration: admission thresholds, the degradation ladder,
 //! and circuit-breaker tuning (DESIGN.md §11 documents the policy).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the ladder is asserted non-empty on the line above"
+)]
+
 /// Tuning for one serving instance.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {

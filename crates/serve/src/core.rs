@@ -22,6 +22,11 @@
 //! remaining stages are skipped entirely — dead work is dropped, not
 //! finished.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "ring invariant next < LATENCY_WINDOW == buf.len(); batch-member indices run over equal-length vecs built in step"
+)]
+
 use crate::breaker::{Breaker, BreakerMove, BreakerState};
 use crate::config::ServeConfig;
 use crate::ladder::{Ladder, LadderMove};
@@ -81,7 +86,6 @@ impl LatencyWindow {
         if self.buf.len() < LATENCY_WINDOW {
             self.buf.push(v);
         } else {
-            // lint: allow(panic-reachability, ring invariant next < LATENCY_WINDOW == buf.len(); batch-member indices run over equal-length vecs built in step)
             self.buf[self.next] = v;
             self.next = (self.next + 1) % LATENCY_WINDOW;
         }
@@ -163,13 +167,13 @@ pub struct StepOutcome {
 fn apply_fault(clock: &Clock, site: fault::Site, occ: u64) -> bool {
     match fault::point(site, occ) {
         FaultAction::Proceed => false,
-        // lint: allow(panic-reachability, injected fault demands a panic; every serving stage wraps it in catch_unwind)
+        #[expect(clippy::panic, reason = "injected fault demands a panic; every serving stage wraps it in catch_unwind")]
         FaultAction::Panic => panic!("injected fault: panic at {site} (occ {occ})"),
         FaultAction::Delay(d) => {
             let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
             match clock.as_virtual() {
                 Some(v) => v.advance(ns),
-                // lint: allow(determinism, injected straggler stall on the real clock; the duration comes from the installed fault plan)
+                #[expect(clippy::disallowed_methods, reason = "injected straggler stall on the real clock; the duration comes from the installed fault plan")]
                 None => std::thread::sleep(d),
             }
             false
@@ -311,7 +315,6 @@ impl ServerCore {
     /// [`Rejected::DeadlineInfeasible`] for zero/past deadlines or budgets
     /// below the observed service floor; [`Rejected::Overload`] when the
     /// server sheds load.
-    // lint: entry(panic-reachability)
     pub fn submit(&mut self, req: Request) -> Result<(), Rejected> {
         let now = self.clock.now_ns();
 
@@ -427,7 +430,6 @@ impl ServerCore {
     /// sample → slice → gemm with stage-boundary deadline checks. Returns
     /// the terminal responses it emitted. A step with nothing pending
     /// returns an empty outcome.
-    // lint: entry(panic-reachability)
     pub fn step(&mut self) -> StepOutcome {
         let mut out = StepOutcome::default();
         let step_start = self.clock.now_ns();
@@ -682,7 +684,7 @@ impl ServerCore {
     /// Retires a batch whose pipeline ran to the point recorded in
     /// `expired_at` / `preds`: expired members report their stage, live
     /// members (when `preds` is present) complete.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "retiring a batch needs what `step` knew about it: the members, where each expired, the predictions, the outcome so far, the pressure and ladder state, the start time")]
     fn finish_batch(
         &mut self,
         members: Vec<Pending>,
@@ -752,6 +754,7 @@ impl ServerCore {
 /// to the threaded [`crate::Server`] or the bench example).
 pub fn run_trace(core: &mut ServerCore, arrivals: &[Arrival]) -> Vec<(u64, Response)> {
     let clock = core.clock();
+    #[expect(clippy::expect_used, reason = "documented contract (# Panics): a real-clock core is driven by `Server`, never by this replay loop")]
     let vc = Arc::clone(
         clock
             .as_virtual()

@@ -7,6 +7,11 @@
 //! observations to restore than pressured ones to degrade — keeps the
 //! ladder from flapping at the pressure boundary.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "level is clamped below levels.len() by every ladder move"
+)]
+
 /// A ladder transition the caller should record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LadderMove {
@@ -53,7 +58,6 @@ impl Ladder {
 
     /// The fanouts micro-batches should sample with right now.
     pub fn fanouts(&self) -> &[usize] {
-        // lint: allow(panic-reachability, level is clamped below levels.len() by every ladder move)
         &self.levels[self.level]
     }
 

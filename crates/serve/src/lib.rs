@@ -23,9 +23,9 @@
 //!   lower-fidelity answers instead of collapse — and restores them with
 //!   hysteresis once pressure clears.
 //! * **Panic isolation + circuit breaker** ([`Breaker`]): per-request and
-//!   per-stage panics are caught at the same kind of boundary
-//!   `batchprep`'s supervisor uses (the pinned slot returns to its pool by
-//!   RAII); consecutive micro-batch failures open a breaker that shunts
+//!   per-stage panics are caught by a `catch_unwind` round one unit of
+//!   work, as a `batchprep` worker catches a panicking item (the pinned
+//!   slot returns to its pool by RAII); consecutive micro-batch failures open a breaker that shunts
 //!   load away until a cooldown admits probe traffic again.
 //!
 //! Everything is timed through [`salient_trace::Clock`] and instrumented
@@ -38,6 +38,8 @@
 //! traces for benchmarks and tests.
 
 #![warn(missing_docs)]
+// On every batch's path: a file that indexes says why (DESIGN.md section 8).
+#![warn(clippy::indexing_slicing)]
 
 mod breaker;
 mod config;

@@ -59,7 +59,6 @@ pub fn poisson_trace(
 /// of `phase_ns` each (calm first), over `duration_ns`. This is the shape
 /// that exercises the degradation ladder: bursts build queue pressure,
 /// calm phases let hysteresis restore fidelity. Deterministic in `seed`.
-#[allow(clippy::too_many_arguments)]
 pub fn bursty_trace(
     seed: u64,
     calm_rate: f64,

@@ -118,6 +118,7 @@ impl Server {
             next_id: AtomicU64::new(0),
         });
         let sup_shared = Arc::clone(&shared);
+        #[expect(clippy::expect_used, reason = "thread-spawn failure is unrecoverable resource exhaustion at server start")]
         let supervisor = std::thread::Builder::new()
             .name("serve-supervisor".into())
             .spawn(move || supervise(sup_shared))

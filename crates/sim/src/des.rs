@@ -186,6 +186,7 @@ impl Simulation {
         while let Some(Reverse((r_time, id))) = ready.pop() {
             let t = &self.tasks[id];
             let pool = &mut servers[t.resource];
+            #[expect(clippy::expect_used, reason = "`resource` asserts servers > 0, and every pop below is followed by a push to the same pool")]
             let Reverse((free_at, srv)) = pool.pop().expect("resource has servers");
             let s = r_time.max(free_at);
             let e = s + t.duration;

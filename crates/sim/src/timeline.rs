@@ -25,6 +25,7 @@ pub fn render_text(sim: &Simulation, ex: &Executed, horizon_ns: u64, width: usiz
             lanes.push((name, vec!['.'; width]));
         }
     }
+    #[expect(clippy::expect_used, reason = "lane_index has an entry for every (resource, server) pair of this simulation, and the simulation's own tasks are all it is asked about")]
     let lane_of = |rid: usize, srv: usize| -> usize {
         lane_index
             .iter()

@@ -8,10 +8,11 @@
 //! Conversions between whole rows go through the bulk kernels
 //! [`widen_into`] / [`narrow_into`], which use the x86 F16C unit
 //! (`vcvtph2ps` / `vcvtps2ph`, 8 lanes per instruction) when the CPU has it
-//! and fall back to the portable scalar implementation otherwise. Hot-path
-//! crates are forbidden (by the `half-conversion` salient-lint rule) from
-//! writing scalar per-element conversion loops, so the vectorized path is the
-//! only one the pipeline exercises on row-shaped data.
+//! and fall back to the portable scalar implementation otherwise. The
+//! workspace may not call the scalar [`F16::to_f32`] / [`F16::from_f32`]
+//! outside this module without a stated reason (`clippy.toml` lists both
+//! under `disallowed-methods`), so the vectorized path is the only one the
+//! pipeline exercises on row-shaped data.
 //!
 //! One hardware caveat, pinned by tests: the F16C unit handles NaN payloads
 //! differently from the scalar code (`vcvtps2ph` keeps the top ten payload
@@ -20,6 +21,11 @@
 //! results are always NaN, and the pipeline never stores NaN features, so the
 //! bulk kernels only promise "NaN in → NaN out", not a specific payload;
 //! for every non-NaN input they are bit-identical to the scalar path.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "this module is the scalar conversion: the operators, the portable fallback and the tails of the bulk kernels are written with it"
+)]
 
 use std::cmp::Ordering;
 use std::fmt;

@@ -4,6 +4,11 @@
 //! id pairs; aggregation ops here implement the `AGG` of Eq. (1) in the paper
 //! (mean for GraphSAGE, sum for GIN, attention-weighted sum for GAT).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "edge ids and row ranges are checked against the operand shapes when the op is recorded; n_dst <= n_src rows was asserted through the x_target shape at record time"
+)]
+
 use crate::autograd::{tracked_only, Var};
 use crate::kernels::{self, SavedIds};
 use crate::rng::Rng;
@@ -95,8 +100,7 @@ impl Var {
     ///
     /// Panics on inconsistent shapes or edge lists, or if `p` is not in
     /// `[0, 1)`.
-    // lint: entry(panic-reachability)
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the fused node takes what the three nodes it replaces took: two weights, an edge list, its extent, the epilogue")]
     pub fn sage_conv(
         &self,
         x_target: Option<&Var>,
@@ -162,7 +166,6 @@ impl Var {
                     let mut dx =
                         kernels::scatter_reduce_backward(dagg.data_mut(), k, src, dst, n_src, true);
                     if prefix {
-                        // lint: allow(panic-reachability, n_dst <= n_src rows was asserted through the x_target shape at record time)
                         let head = &mut dx[..n_dst * k];
                         kernels::gemm_acc(head, gd, ws.data(), false, true, n_dst, k, n);
                     }

@@ -44,6 +44,11 @@
 //!   endpoints are validated once per call, in release builds too, so the
 //!   per-edge loop reads rows unchecked.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "pack and micro-kernel loops index inside shapes asserted at the GEMM entry; hoisted slices keep the checks elidable"
+)]
+
 use crate::f16::F16;
 use crate::pool::{parallel_for, SendPtr};
 use crate::shape::Shape;
@@ -294,8 +299,8 @@ impl GemmElem for F16 {
         crate::f16::widen_into(src, &mut dst[old..]);
     }
     #[inline]
+    #[expect(clippy::disallowed_methods, reason = "strided transposed-B packing reads one element per cache line; the contiguous pack paths all use widen_append")]
     fn at(d: &[F16], i: usize) -> f32 {
-        // lint: allow(half-conversion, strided transposed-B packing reads one element per cache line; the contiguous pack paths all use widen_append)
         d[i].to_f32()
     }
 }
@@ -307,7 +312,6 @@ impl GemmElem for F16 {
 /// # Panics
 ///
 /// Panics if the inner dimensions do not agree.
-// lint: entry(panic-reachability)
 pub fn gemm(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Tensor {
     let (ar, ac) = (a.rows(), a.cols());
     let (br, bc) = (b.rows(), b.cols());
@@ -326,7 +330,7 @@ pub fn gemm(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Tensor {
 /// `out += op(a) · op(b)` on raw row-major `f32` buffers, where `op(a)` is
 /// `m×k` and `op(b)` is `k×n`. Accumulating onto a non-zero `out` continues
 /// each element's K-ordered FMA chain, exactly as a second K block would.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "a GEMM's signature is its operands, their transposes and the three extents; the blocked helpers add the block's origin")]
 pub(crate) fn gemm_acc(
     out: &mut [f32],
     a: &[f32],
@@ -360,8 +364,7 @@ pub(crate) fn gemm_acc(
 ///
 /// Panics if a buffer length disagrees with its shape or the inner
 /// dimensions do not agree.
-// lint: entry(panic-reachability)
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "a GEMM's signature is its operands, their transposes and the three extents; the blocked helpers add the block's origin")]
 pub fn gemm_f16(
     a: &[F16],
     a_rows: usize,
@@ -390,7 +393,6 @@ pub fn gemm_f16(
 ///
 /// Panics if the `a` buffer length disagrees with its shape or the inner
 /// dimensions do not agree.
-// lint: entry(panic-reachability)
 pub fn gemm_f16_f32(
     a: &[F16],
     a_rows: usize,
@@ -475,7 +477,7 @@ pub fn gemm_naive(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Tensor {
 /// Packs `op(b)[pc..pc+kcb, jc..jc+ncb]` row-major into `bpack`, widening
 /// to `f32` as it goes (bulk path for the contiguous `!tb` case).
 #[inline]
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "a GEMM's signature is its operands, their transposes and the three extents; the blocked helpers add the block's origin")]
 fn pack_b<TB: GemmElem>(
     bpack: &mut Vec<f32>,
     bd: &[TB],
@@ -489,7 +491,6 @@ fn pack_b<TB: GemmElem>(
     bpack.clear();
     if !tb {
         for p in 0..kcb {
-            // lint: allow(panic-reachability, pack and micro-kernel loops index inside shapes asserted at the GEMM entry; hoisted slices keep the checks elidable)
             let row = &bd[(pc + p) * b_cols + jc..(pc + p) * b_cols + jc + ncb];
             TB::widen_append(row, bpack);
         }
@@ -513,7 +514,7 @@ fn pack_b<TB: GemmElem>(
 ///   `i0..i0+mb` is unit-stride). The micro-kernels index
 ///   `apack[p*mb + i]` for this layout.
 #[inline]
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "a GEMM's signature is its operands, their transposes and the three extents; the blocked helpers add the block's origin")]
 fn pack_a<TA: GemmElem>(
     apack: &mut Vec<f32>,
     ad: &[TA],
@@ -835,9 +836,7 @@ mod simd {
         }
     }
 
-    // `for r in 0..8` over the accumulator arrays is what unrolls into
-    // eight named registers; an iterator chain would obscure that.
-    #[allow(clippy::needless_range_loop)]
+    #[expect(clippy::needless_range_loop, reason = "`for r in 0..8` over the accumulator arrays is what unrolls into eight named registers; an iterator chain would obscure that")]
     /// The AVX-512F rung: 8 output rows × 32 columns per tile — sixteen
     /// `zmm` accumulators live in registers across the K loop, so each of
     /// the two packed-B loads per K step feeds eight FMAs. Column tails run
@@ -977,7 +976,7 @@ mod simd {
 /// The loop nest is `jc → pc → (parallel over row blocks) → i`; K blocks
 /// are accumulated in increasing `pc` order for every output element, so
 /// the result is bitwise identical for any thread count.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "a GEMM's signature is its operands, their transposes and the three extents; the blocked helpers add the block's origin")]
 fn gemm_into<TA: GemmElem, TB: GemmElem>(
     out: &mut [f32],
     ad: &[TA],
@@ -1071,7 +1070,6 @@ const AGG_MIN_CHUNK: usize = 16;
 const AGG_SERIAL_CUTOFF: usize = 1 << 14;
 
 /// `out[i] = x[idx[i]]` — parallel row gather.
-// lint: entry(panic-reachability)
 pub fn gather_rows_forward(xd: &[f32], cols: usize, idx: &[u32]) -> Vec<f32> {
     let mut out = take_f32_stale(idx.len() * cols);
     if idx.len() * cols < AGG_SERIAL_CUTOFF {
@@ -1103,7 +1101,6 @@ pub fn gather_rows_forward(xd: &[f32], cols: usize, idx: &[u32]) -> Vec<f32> {
 /// per row). This is the half-precision transfer path: a consumer gathers
 /// binary16 rows — half the bytes of the f32 gather — and pays the (cheap,
 /// vectorized) widen exactly once.
-// lint: entry(panic-reachability)
 pub fn gather_rows_forward_f16(xd: &[F16], cols: usize, idx: &[u32]) -> Vec<f32> {
     let mut out = take_f32_stale(idx.len() * cols);
     if idx.len() * cols < AGG_SERIAL_CUTOFF {
@@ -1424,7 +1421,6 @@ fn aggregate(
 /// # Panics
 ///
 /// Panics if `gd.len() != idx.len() * cols` or an index is `>= n_src`.
-// lint: entry(panic-reachability)
 pub fn gather_rows_backward(gd: &[f32], cols: usize, idx: &[u32], n_src: usize) -> Vec<f32> {
     assert_eq!(gd.len(), idx.len() * cols, "gather_rows_backward shape mismatch");
     aggregate(gd, cols, idx, n_src, None, ["gather index", "gradient row"], false)
@@ -1439,7 +1435,6 @@ pub fn gather_rows_backward(gd: &[f32], cols: usize, idx: &[u32], n_src: usize) 
 ///
 /// Panics if the edge lists differ in length, a source is not a row of
 /// `xd`, or a destination is `>= n_dst`.
-// lint: entry(panic-reachability)
 pub fn scatter_reduce_forward(
     xd: &[f32],
     cols: usize,
@@ -1461,7 +1456,6 @@ pub fn scatter_reduce_forward(
 ///
 /// Panics if the edge lists differ in length, a destination is not a row
 /// of `gd`, or a source is `>= n_src`.
-// lint: entry(panic-reachability)
 pub fn scatter_reduce_backward(
     gd: &mut [f32],
     cols: usize,
@@ -1501,7 +1495,6 @@ pub fn scatter_reduce_backward(
 /// # Panics
 ///
 /// Panics if `p` is not in `[0, 1)`.
-// lint: entry(panic-reachability)
 pub fn relu_dropout_in_place(xs: &mut [f32], p: f32, rng: &mut impl crate::rng::Rng) -> f32 {
     assert!((0.0..1.0).contains(&p), "dropout probability {p} not in [0,1)");
     let keep_q = (((1.0 - p) * 65536.0).round() as u64).max(1);

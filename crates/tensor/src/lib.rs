@@ -45,6 +45,8 @@
 //! ```
 
 #![warn(missing_docs)]
+// On every batch's path: a file that indexes says why (DESIGN.md section 8).
+#![warn(clippy::indexing_slicing)]
 
 mod autograd;
 mod f16;

@@ -1,5 +1,10 @@
 //! Batch normalization over the row dimension (PyTorch `BatchNorm1d`).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "per-row slices are cols long by the asserted input shape and c < cols is the loop bound"
+)]
+
 use crate::autograd::{tracked_only, Var};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -71,7 +76,6 @@ impl Var {
         for r in 0..rows {
             let xrow = x.row(r);
             for c in 0..cols {
-                // lint: allow(panic-reachability, per-row slices are cols long by the asserted input shape and c < cols is the loop bound)
                 let h = (xrow[c] - mean[c]) * inv_std[c];
                 xhat[r * cols + c] = h;
                 out[r * cols + c] = g.data()[c] * h + b.data()[c];

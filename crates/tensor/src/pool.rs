@@ -108,10 +108,10 @@ impl ThreadPool {
         }));
         for w in 1..pool.threads {
             let p: &'static ThreadPool = pool;
+            #[expect(clippy::expect_used, reason = "workers spawn once at pool creation; spawn failure is unrecoverable resource exhaustion")]
             std::thread::Builder::new()
                 .name(format!("salient-kernel-{w}"))
                 .spawn(move || p.worker_loop())
-                // lint: allow(panic-reachability, workers spawn once at pool creation; spawn failure is unrecoverable resource exhaustion)
                 .expect("failed to spawn kernel worker");
         }
         pool
@@ -275,9 +275,7 @@ unsafe impl<T> Send for SendPtr<T> {}
 unsafe impl<T> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
-    // The whole point of `SendPtr`: tasks share one handle and each reborrows
-    // its own disjoint range, which the caller's contract below guarantees.
-    #[allow(clippy::mut_from_ref)]
+    #[expect(clippy::mut_from_ref, reason = "the whole point of `SendPtr`: tasks share one handle and each reborrows its own disjoint range, which the caller's contract below guarantees")]
     /// Reborrows `len` elements starting at `offset` as a mutable slice.
     ///
     /// # Safety

@@ -253,7 +253,7 @@ impl StdRng {
     pub fn from_entropy() -> Self {
         use std::sync::atomic::{AtomicU64, Ordering};
         static COUNTER: AtomicU64 = AtomicU64::new(0);
-        // lint: allow(determinism, from_entropy is the one documented nondeterministic seed source; reproducible paths use seed_from_u64)
+        #[expect(clippy::disallowed_methods, reason = "from_entropy is the one documented nondeterministic seed source; reproducible paths use seed_from_u64")]
         let t = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_nanos() as u64)
@@ -281,7 +281,6 @@ impl StdRng {
 impl Rng for StdRng {
     #[inline]
     fn next_u64(&mut self) -> u64 {
-        // lint: allow(panic-reachability, the xoshiro state array has fixed length 4 and every index is a literal)
         let result = self.s[1]
             .wrapping_mul(5)
             .rotate_left(7)

@@ -1,5 +1,10 @@
 //! Tensor shapes and row-major index arithmetic.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "`dim` and `offset` document their panic on a bad axis (# Panics); rows, cols and strides index below a rank they have just matched on"
+)]
+
 use std::fmt;
 
 /// The shape of a dense, row-major tensor.

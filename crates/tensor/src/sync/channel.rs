@@ -181,7 +181,7 @@ impl<T> Receiver<T> {
 
     /// Like [`Receiver::recv`], but gives up after `timeout`.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        // lint: allow(determinism, monotonic deadline for a caller-supplied timeout; no wall-clock data escapes)
+        #[expect(clippy::disallowed_methods, reason = "monotonic deadline for a caller-supplied timeout; no wall-clock data escapes")]
         let deadline = Instant::now() + timeout;
         let mut st = lock_unpoisoned(&self.inner.state);
         loop {
@@ -192,7 +192,7 @@ impl<T> Receiver<T> {
             if st.senders == 0 {
                 return Err(RecvTimeoutError::Disconnected);
             }
-            // lint: allow(determinism, remaining-time computation against the monotonic deadline above)
+            #[expect(clippy::disallowed_methods, reason = "remaining-time computation against the monotonic deadline above")]
             let now = Instant::now();
             if now >= deadline {
                 return Err(RecvTimeoutError::Timeout);

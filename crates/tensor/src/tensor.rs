@@ -1,5 +1,10 @@
 //! The dense, row-major, reference-counted `f32` tensor.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "storage holds at least shape.len() elements; row and gather_rows assert the row index, item the length, and Debug reads two elements only when there are more than eight"
+)]
+
 use crate::kernels::{put_f32, take_f32, take_f32_stale, take_f32_zeroed};
 use crate::shape::Shape;
 use std::fmt;
@@ -138,7 +143,7 @@ impl Tensor {
             own.extend_from_slice(self.data());
             self.data = Arc::new(Storage(own));
         }
-        // lint: allow(panic-reachability, the branch above leaves the storage unshared)
+        #[expect(clippy::expect_used, reason = "the branch above leaves the storage unshared")]
         let storage = Arc::get_mut(&mut self.data).expect("storage is unshared");
         storage.0.as_mut_slice()
     }
@@ -159,7 +164,6 @@ impl Tensor {
     /// Panics if the tensor has more than one element.
     pub fn item(&self) -> f32 {
         assert_eq!(self.len(), 1, "item() on tensor of shape {}", self.shape);
-        // lint: allow(panic-reachability, guarded by the len() == 1 assert directly above)
         self.data()[0]
     }
 

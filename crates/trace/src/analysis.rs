@@ -8,6 +8,11 @@
 //! `prep.slot_wait`) attribute where preparation time went and how much of
 //! it overlapped training compute.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "i < a.len() and j < b.len() are the loop condition"
+)]
+
 use crate::metrics::MetricsSnapshot;
 use crate::names::{spans, SpanName};
 use crate::span::{EventKind, SpanEvent};

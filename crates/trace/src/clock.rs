@@ -2,7 +2,7 @@
 //!
 //! Every timed code path outside `crates/sim`, `crates/bench`, and CLI entry
 //! points reads time through [`Clock`], never through `std::time::Instant`
-//! directly (enforced by `salient-lint determinism`). A [`Clock`] is either
+//! directly (clippy's `disallowed_methods`, listed in `clippy.toml`). A [`Clock`] is either
 //! the process monotonic clock or a manually advanced [`VirtualClock`], so
 //! any instrumented subsystem can be driven deterministically in tests: the
 //! same code path, the same spans, the same reports — with scripted time.
@@ -15,6 +15,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Nanoseconds since the process-wide monotonic anchor.
+#[expect(clippy::disallowed_methods, reason = "this is the sanctioned time source: the one read of the process monotonic clock, behind `Clock::Monotonic`")]
 fn monotonic_ns() -> u64 {
     static ANCHOR: OnceLock<Instant> = OnceLock::new();
     let anchor = *ANCHOR.get_or_init(Instant::now);

@@ -6,6 +6,11 @@
 //! RFC 8259 to round-trip what [`crate::export`] emits and to assert the
 //! structural invariants a trace viewer relies on.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "pos <= bytes.len() is the parser's invariant: it advances only past a byte it has peeked, and start is an earlier pos"
+)]
+
 use std::collections::BTreeMap;
 
 /// A parsed JSON value.
@@ -59,9 +64,17 @@ impl Value {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so without a limit a document of a million `[`
+/// overflows the stack. A Chrome trace, the deepest document the repo
+/// writes, nests four.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -95,8 +108,15 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -107,7 +127,6 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        // lint: allow(panic-reachability, pos <= bytes.len() parser invariant; the parser reaches the serve path only through the over-approximated value() method edge)
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
@@ -127,9 +146,11 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid utf-8 in number"))?;
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| self.err("malformed number"))
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Value::Num(n)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("malformed number")),
+        }
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -158,8 +179,11 @@ impl<'a> Parser<'a> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
+                            // Checked here: `from_str_radix` would take a sign.
                             let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                                .ok()
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             // Surrogate pairs are not needed for our exports.
@@ -170,13 +194,24 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (exports are valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("eof"))?;
+                Some(lead) => {
+                    // Consume one UTF-8 scalar. Its length is in the lead
+                    // byte, so only those bytes are validated and a long
+                    // string costs time linear in its length.
+                    let len = match lead {
+                        ..=0x7f => 1,
+                        ..=0xdf => 2,
+                        ..=0xef => 3,
+                        _ => 4,
+                    };
+                    let c = self
+                        .bytes
+                        .get(self.pos..self.pos + len)
+                        .and_then(|s| std::str::from_utf8(s).ok())
+                        .and_then(|s| s.chars().next())
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
                     out.push(c);
-                    self.pos += c.len_utf8();
+                    self.pos += len;
                 }
             }
         }
@@ -238,7 +273,7 @@ impl<'a> Parser<'a> {
 
 /// Parses a complete JSON document.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -359,6 +394,33 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{}extra").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_instead_of_overflowing_the_stack() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nested deeper"), "{err}");
+        // A million unclosed brackets used to abort the process.
+        assert!(parse(&"[".repeat(1 << 20)).is_err());
+        assert!(parse(&"{\"a\":".repeat(1 << 16)).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse("\"\\u00e9\"").unwrap(), Value::Str("\u{e9}".to_string()));
+        assert!(parse("\"\\u+123\"").is_err());
+        assert!(parse("\"\\u12\"").is_err());
+        // Unescaped scalars of two, three and four bytes pass through.
+        assert_eq!(parse("\"é→😀\"").unwrap(), Value::Str("é→😀".to_string()));
+    }
+
+    #[test]
+    fn numbers_that_overflow_f64_are_rejected() {
+        assert!(parse("1e999").is_err());
+        assert!(parse("[-1e999]").is_err());
+        assert_eq!(parse("1e308").unwrap(), Value::Num(1e308));
     }
 
     #[test]

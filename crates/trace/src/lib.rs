@@ -8,8 +8,8 @@
 //! * [`Clock`] — the workspace's single sanctioned time source: the process
 //!   monotonic clock in production, a manually advanced [`VirtualClock`] in
 //!   tests, so every report below is reproducible byte-for-byte
-//!   (`salient-lint determinism` rejects raw `Instant::now()` outside
-//!   sim/bench/CLI code).
+//!   (clippy's `disallowed_methods` rejects a raw `Instant::now()` that
+//!   does not state its reason; `clippy.toml` has the list).
 //! * [`Trace`] — a cloneable recording handle. Spans (begin/end intervals
 //!   tagged with a stage name and batch id) buffer in plain thread-local
 //!   vectors and flush in batches; counters/gauges/histograms are
@@ -45,6 +45,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// On every batch's path: a file that indexes says why (DESIGN.md section 8).
+#![warn(clippy::indexing_slicing)]
 
 pub mod analysis;
 pub mod blackbox;

@@ -12,6 +12,11 @@
 //! times all landed in one 256 ns-wide bucket and p50/p95/p99 collapsed to
 //! the same floor.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "i is clamped to HIST_BUCKETS - 1 before it is used and buckets holds exactly HIST_BUCKETS entries"
+)]
+
 use crate::lock_tolerant;
 use crate::names::{CounterName, GaugeName, HistName};
 use std::collections::BTreeMap;
@@ -131,7 +136,6 @@ impl Histogram {
         let i = bucket_index(v).min(HIST_BUCKETS - 1);
         // Relaxed everywhere: independent statistics read only at snapshot
         // time; no ordering between them is required for the estimates.
-        // lint: allow(panic-reachability, i is clamped to HIST_BUCKETS - 1 one line up and buckets holds exactly HIST_BUCKETS entries)
         self.0.buckets[i].fetch_add(1, Ordering::Relaxed); // relaxed: see above
         self.0.count.fetch_add(1, Ordering::Relaxed); // relaxed: see above
         self.0.sum.fetch_add(v, Ordering::Relaxed); // relaxed: see above

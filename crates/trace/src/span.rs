@@ -14,6 +14,11 @@
 //! main) must flush before a [`Trace::snapshot`] is taken; worker threads
 //! flush automatically on exit.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "i comes from position() on the same bufs vec, and last is len() - 1 straight after a push"
+)]
+
 use crate::analysis::Snapshot;
 use crate::blackbox::{Blackbox, BlackboxConfig, BlackboxInner, Shard};
 use crate::clock::Clock;
@@ -147,7 +152,6 @@ fn record(inner: &Arc<TraceInner>, mut make: impl FnMut(u32) -> SpanEvent) {
     let pushed = BUFFERS.try_with(|cell| {
         let mut bufs = cell.borrow_mut();
         let entry = match bufs.iter_mut().position(|b| b.inner.id == inner.id) {
-            // lint: allow(panic-reachability, i comes from position() on the same bufs vec one line up)
             Some(i) => &mut bufs[i],
             None => {
                 bufs.push(new_thread_buf(inner));

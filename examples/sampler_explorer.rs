@@ -5,6 +5,8 @@
 //!
 //! Run: `cargo run --release --example sampler_explorer`
 
+#![expect(clippy::disallowed_methods, reason = "interactive tool: it prints how long each sampler variant took on this machine")]
+
 use salient_repro::graph::DatasetConfig;
 use salient_repro::sampler::{
     FastSampler, PygSampler, SampleAlgo, VariantConfig, VariantSampler,

@@ -17,6 +17,8 @@
 //! Run: `cargo run --release --example serve_inference`
 //! (`SALIENT_BENCH_SMOKE=1` shortens each load point for CI.)
 
+#![expect(clippy::disallowed_methods, reason = "real-clock load driver: it sleeps through the long gaps of an open-loop arrival schedule")]
+
 use salient_repro::bench::harness::{write_json, Json};
 use salient_repro::core::{RunConfig, Trainer};
 use salient_repro::graph::{Dataset, DatasetConfig};

@@ -1,18 +1,23 @@
 #!/usr/bin/env bash
 # CI entry point: static analysis + offline build + full test suite.
 #
-# The lint tier runs first: salient-lint (crates/lint) enforces the
-# workspace's standing invariants with eight rules — unsafe-audit
-# (documented unsafe), panic-freedom and panic-reachability (panic-free hot
-# paths), determinism (no wall-clock reads outside trace/sim/bench/CLI
-# code; pipeline code stamps time through trace::Clock), lock-discipline
-# (acyclic lock orders, justified Relaxed), half-conversion, deps (std
-# only, path deps between the salient-* crates, so `--offline` can never
-# silently start meaning "from the local registry cache") and suppression
-# hygiene. Registered trace/fault names are checked by the compiler
-# (trace::names / fault::Site newtypes, the build tier), allocation-free
-# kernels by the counting-allocator suites (tests/steady_state.rs,
-# train_step.rs, trace_overhead.rs), which see through calls.
+# The lint tier runs first and names what checks what (DESIGN.md section 8):
+#   cargo clippy      the lints [workspace.lints] switches on, configured by
+#                     clippy.toml: documented unsafe, no unreasoned panic or
+#                     indexing in library code, no wall-clock read, sleep,
+#                     exit or scalar f16 conversion without a reason, and
+#                     every suppression an #[expect] with a reason that
+#                     still matches a finding. Test targets and benchmark/
+#                     get the unsafe lints only.
+#   salient-lint      lock discipline (acyclic lock orders, justified
+#                     Relaxed), the one check clippy has no lint for.
+#   cargo metadata    std only: every package of both workspaces has a null
+#                     "source", so `--offline` can never silently start
+#                     meaning "from the local registry cache".
+# Registered trace/fault names are checked by the compiler (trace::names /
+# fault::Site newtypes, the build tier), allocation-free kernels by the
+# counting-allocator suites (tests/steady_state.rs, train_step.rs,
+# trace_overhead.rs), which see through calls.
 #
 # Everything a tier writes goes under target/: the script fails if it
 # leaves the working tree different from how it found it.
@@ -20,27 +25,50 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 tree_before=$(git status --porcelain)
 
-echo "== lint: workspace invariants (salient-lint)"
-# Text mode prints the per-rule finding table and wall time, so a
-# lint-cost regression (a rule suddenly slow or noisy) is visible in the
-# CI log, not just the exit code.
+echo "== lint: every workspace member inherits [workspace.lints]"
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+  grep -A1 '^\[lints\]$' "$manifest" | grep -q '^workspace = true$' || {
+    echo "lint tier FAILED: $manifest has no '[lints] workspace = true'"
+    exit 1
+  }
+done
+
+echo "== lint: workspace invariants (cargo clippy -D warnings)"
+cargo clippy --version >/dev/null 2>&1 || {
+  echo "lint tier FAILED: cargo clippy is not installed; it ships with the toolchain (rustup component add clippy)"
+  exit 1
+}
+clippy_start=$(date +%s.%N)
+# Library targets: everything, the panic lints included.
+cargo clippy --workspace --lib --offline -- -D warnings
+# Binaries, examples and benches may unwrap, as before; the rest applies.
+cargo clippy --workspace --bins --examples --bench '*' --offline -- -D warnings \
+  -A clippy::unwrap_used -A clippy::expect_used -A clippy::panic \
+  -A clippy::todo -A clippy::unimplemented
+# Test targets, and benchmark/ (bench code, the class that may read clocks
+# and exit; it reads the same clippy.toml): the unsafe lints only.
+unsafe_only="-A warnings -D clippy::undocumented_unsafe_blocks -D clippy::missing_safety_doc"
+cargo clippy --workspace --tests --offline -- $unsafe_only
+CLIPPY_CONF_DIR="$PWD" cargo clippy --manifest-path benchmark/Cargo.toml --offline \
+  --target-dir target/clippy-benchmark -- $unsafe_only
+awk -v s="$clippy_start" -v e="$(date +%s.%N)" \
+  'BEGIN { printf "lint tier: clippy took %.1f s\n", e - s }'
+
+echo "== lint: lock discipline (salient-lint)"
 cargo run -q --release -p salient-lint --offline -- check
 
-echo "== lint: machine-readable diagnostics + call-graph artifacts"
-mkdir -p target
-# The JSON diagnostics are the CI artifact downstream tooling consumes;
-# `check` already gated, so `|| true` keeps the artifact write from
-# double-failing the tier while the file still records every finding.
-cargo run -q --release -p salient-lint --offline -- check --format json \
-  > target/lint-report.json || true
-test -s target/lint-report.json
-# The call graph + per-rule reachability evidence. `graph` self-validates
-# through the in-repo JSON parser before printing.
-cargo run -q --release -p salient-lint --offline -- graph > target/lint-callgraph.json
-test -s target/lint-callgraph.json
-
-echo "== lint: dependency-freedom guard (salient-lint deps)"
-cargo run -q --release -p salient-lint --offline -- deps
+echo "== lint: dependency-freedom guard (cargo metadata)"
+for manifest in Cargo.toml benchmark/Cargo.toml; do
+  metadata=$(cargo metadata --offline --format-version 1 --manifest-path "$manifest") || {
+    echo "lint tier FAILED: $manifest does not resolve offline"
+    exit 1
+  }
+  foreign=$(grep -o '"source":[^,]*' <<<"$metadata" | grep -vc '"source":null' || true)
+  if [ "$foreign" != 0 ]; then
+    echo "lint tier FAILED: $manifest resolves $foreign package(s) from outside the repository"
+    exit 1
+  fi
+done
 
 echo "== build (release, offline)"
 cargo build --release --offline

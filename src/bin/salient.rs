@@ -10,6 +10,8 @@
 //! salient sample   [--dataset ...] [--scale F] [--batch N]
 //! ```
 
+#![expect(clippy::disallowed_methods, reason = "CLI entry point: a bad flag or a failed run ends the process with a status, after its message is printed")]
+
 use salient_repro::core::checkpoint::Checkpoint;
 use salient_repro::core::{train_ddp, ExecutorKind, ModelKindConfig, RunConfig, Trainer};
 use salient_repro::graph::{Dataset, DatasetConfig, DatasetStats};

@@ -295,3 +295,53 @@ fn all_reduce_mean_equals_mean_for_many_shapes() {
         }
     }
 }
+
+/// `trace::json` on damaged input: truncations, byte flips and splices of a
+/// valid Chrome-trace export, and 65 536 brackets opened in the middle
+/// of it, give `Ok` or `Err`, never a panic or a stack overflow.
+#[test]
+fn trace_json_returns_on_mutated_chrome_traces() {
+    use salient_repro::trace::export::chrome_trace;
+    use salient_repro::trace::json::validate_chrome_trace;
+    use salient_repro::trace::names::{events, gauges, spans};
+    use salient_repro::trace::{Clock, Trace, NO_BATCH};
+
+    let trace = Trace::new(Clock::virtual_with_tick(100));
+    for batch in 0..4 {
+        let _s = trace.span_batch(spans::STAGE_TRAIN, batch);
+        trace.instant(events::RETRY, NO_BATCH);
+        trace.counter_track(gauges::PIPE_QUEUE_COMPUTE, batch);
+    }
+    let valid = chrome_trace(&trace.snapshot());
+    validate_chrome_trace(&valid).expect("the unmutated export is valid");
+    let valid = valid.into_bytes();
+
+    for seed in 0..2000u64 {
+        let mut rng = StdRng::seed_from_u64(7000 + seed);
+        let mut doc = valid.clone();
+        match seed % 4 {
+            0 => doc.truncate(rng.random_range(0..doc.len())),
+            1 => {
+                for _ in 0..rng.random_range(1..=4usize) {
+                    let at = rng.random_range(0..doc.len());
+                    doc[at] ^= 1 << rng.random_range(0..8u32);
+                }
+            }
+            2 => {
+                // A slice of the document copied to another place in it.
+                let from = rng.random_range(0..doc.len());
+                let len = rng.random_range(0..=(doc.len() - from).min(64));
+                let piece = doc[from..from + len].to_vec();
+                let at = rng.random_range(0..=doc.len());
+                doc.splice(at..at, piece);
+            }
+            _ => {
+                let at = rng.random_range(0..=doc.len());
+                let open = if rng.random_range(0..2u32) == 0 { b'[' } else { b'{' };
+                doc.splice(at..at, std::iter::repeat_n(open, 1 << 16));
+            }
+        }
+        // Returning at all is the property; `validate_chrome_trace` parses.
+        let _ = validate_chrome_trace(&String::from_utf8_lossy(&doc));
+    }
+}
