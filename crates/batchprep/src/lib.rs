@@ -37,5 +37,5 @@ pub use prep::{
     run_epoch, run_epoch_with_pool, BatchResult, EpochHandle, PrepConfig, PrepMode, PreparedBatch, SamplerKind,
 };
 pub use queue::{make_work_items, DynamicQueue, StaticPartition, WorkItem, WorkSource};
-pub use slice::{slice_batch, slice_labels, sliced_bytes};
+pub use slice::{slice_batch, slice_batch_into, slice_labels};
 pub use stats::FaultStats;

@@ -33,7 +33,7 @@
 
 use crate::pinned::{PinnedPool, PinnedSlot};
 use crate::queue::{make_work_items, DynamicQueue, StaticPartition, WorkItem, WorkSource};
-use crate::slice::slice_batch;
+use crate::slice::{slice_batch, slice_batch_into};
 use crate::stats::FaultStats;
 use salient_fault as fault;
 use salient_graph::{Dataset, NodeId};
@@ -591,15 +591,6 @@ fn prepare_item(
         mfg,
         slot,
     })
-}
-
-/// Slices a batch directly into a pinned slot (borrow-splitting helper).
-fn slice_batch_into(dataset: &Dataset, mfg: &MessageFlowGraph, slot: &mut PinnedSlot) {
-    // Feature and label regions are distinct buffers inside the slot, but the
-    // accessor borrows are exclusive; do them sequentially.
-    dataset.features.slice_into(&mfg.node_ids, slot.features_mut());
-    let batch = &mfg.node_ids[..mfg.batch_size()];
-    crate::slice::slice_labels(&dataset.labels, batch, slot.labels_mut());
 }
 
 #[cfg(test)]

@@ -15,9 +15,9 @@
     reason = "the MFG builder guarantees batch_size <= node_ids.len(); output sizes are asserted on entry"
 )]
 
+use crate::pinned::PinnedSlot;
 use salient_graph::{Dataset, FeatureRowsMut, NodeId};
 use salient_sampler::MessageFlowGraph;
-use salient_tensor::Dtype;
 
 /// Slices the features of every node of `mfg` into `out_features` (which
 /// must carry the dataset's dtype) and the labels of its batch nodes into
@@ -37,6 +37,22 @@ pub fn slice_batch(
     slice_labels(&dataset.labels, batch, out_labels);
 }
 
+/// [`slice_batch`] straight into a pinned slot, which the caller has
+/// [`prepare`](PinnedSlot::prepare)d for `mfg`'s nodes and batch labels: what
+/// a SALIENT worker does per batch, and what the serial baseline does on the
+/// trainer thread.
+///
+/// # Panics
+///
+/// Panics if the slot was prepared for another shape or dtype.
+pub fn slice_batch_into(dataset: &Dataset, mfg: &MessageFlowGraph, slot: &mut PinnedSlot) {
+    // Feature and label regions are distinct buffers inside the slot, but the
+    // accessor borrows are exclusive; do them sequentially.
+    dataset.features.slice_into(&mfg.node_ids, slot.features_mut());
+    let batch = &mfg.node_ids[..mfg.batch_size()];
+    slice_labels(&dataset.labels, batch, slot.labels_mut());
+}
+
 /// Copies `labels[v]` for each batch node `v` into `out`.
 ///
 /// # Panics
@@ -47,13 +63,6 @@ pub fn slice_labels(labels: &[u32], batch: &[NodeId], out: &mut [u32]) {
     for (o, &v) in out.iter_mut().zip(batch.iter()) {
         *o = labels[v as usize];
     }
-}
-
-/// Bytes moved by slicing one batch (features + labels) at the given
-/// feature dtype, the quantity that feeds the DMA-transfer model.
-pub fn sliced_bytes(mfg: &MessageFlowGraph, feat_dim: usize, dtype: Dtype) -> usize {
-    mfg.num_nodes() * feat_dim * dtype.size_of()
-        + mfg.batch_size() * std::mem::size_of::<u32>()
 }
 
 #[cfg(test)]
@@ -81,22 +90,6 @@ mod tests {
         for (i, &v) in mfg.node_ids[..mfg.batch_size()].iter().enumerate() {
             assert_eq!(labels[i], ds.labels[v as usize]);
         }
-    }
-
-    #[test]
-    fn sliced_bytes_formula() {
-        let ds = DatasetConfig::tiny(10).build();
-        let mfg = FastSampler::new(0).sample(&ds.graph, &ds.splits.train[..4], &[3]);
-        let dim = ds.features.dim();
-        assert_eq!(
-            sliced_bytes(&mfg, dim, Dtype::F16),
-            mfg.num_nodes() * dim * 2 + 4 * 4
-        );
-        // The f32 path moves exactly twice the feature bytes.
-        assert_eq!(
-            sliced_bytes(&mfg, dim, Dtype::F32),
-            mfg.num_nodes() * dim * 4 + 4 * 4
-        );
     }
 
     #[test]

@@ -10,7 +10,7 @@ use salient_nn::{build_model, Mode, ModelKind};
 use salient_sampler::FastSampler;
 use salient_tensor::optim::{zero_grads, Adam, Optimizer};
 use salient_tensor::rng::{Rng, SliceRandom, StdRng};
-use salient_tensor::{dequantize_into, gemm, init, kernels, quantize, Param, Tape, Tensor};
+use salient_tensor::{gemm, init, kernels, quantize, widen_into, Param, Tape, Tensor};
 
 fn bench_gemm() {
     let mut samples = Vec::new();
@@ -158,7 +158,7 @@ fn bench_f16() {
     let mut out = vec![0.0f32; xs.len()];
     let q = bench("quantize_64k", || quantize(&xs));
     let d = bench("dequantize_64k", || {
-        dequantize_into(&halves, &mut out);
+        widen_into(&halves, &mut out);
         out[0]
     });
     report("f16", &[q, d]);

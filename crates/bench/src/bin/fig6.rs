@@ -13,8 +13,9 @@
 #![expect(clippy::disallowed_methods, reason = "figure generator: it reports measured wall time")]
 
 use salient_bench::{arg_f64, arg_usize, fmt_s, fmt_x, render_table};
-use salient_core::{ModelKindConfig, RunConfig, Trainer};
+use salient_core::{RunConfig, Trainer};
 use salient_graph::{DatasetConfig, DatasetStats};
+use salient_nn::ModelKind;
 use salient_sim::{
     simulate_multi_gpu, CostModel, EpochConfig, GnnArch, MultiGpuConfig, OptLevel,
 };
@@ -22,7 +23,7 @@ use std::sync::Arc;
 
 struct ArchRow {
     arch: GnnArch,
-    model: ModelKindConfig,
+    model: ModelKind,
     hidden_paper: u32,
     fanouts: Vec<usize>,
     hidden_real: usize,
@@ -31,10 +32,10 @@ struct ArchRow {
 fn main() {
     let model = CostModel::paper_hardware();
     let archs = [
-        ArchRow { arch: GnnArch::Sage, model: ModelKindConfig::Sage, hidden_paper: 256, fanouts: vec![15, 10, 5], hidden_real: 64 },
-        ArchRow { arch: GnnArch::Gat, model: ModelKindConfig::Gat, hidden_paper: 256, fanouts: vec![15, 10, 5], hidden_real: 64 },
-        ArchRow { arch: GnnArch::Gin, model: ModelKindConfig::Gin, hidden_paper: 256, fanouts: vec![20, 20, 20], hidden_real: 64 },
-        ArchRow { arch: GnnArch::SageRi, model: ModelKindConfig::SageRi, hidden_paper: 1024, fanouts: vec![12, 12, 12], hidden_real: 96 },
+        ArchRow { arch: GnnArch::Sage, model: ModelKind::Sage, hidden_paper: 256, fanouts: vec![15, 10, 5], hidden_real: 64 },
+        ArchRow { arch: GnnArch::Gat, model: ModelKind::Gat, hidden_paper: 256, fanouts: vec![15, 10, 5], hidden_real: 64 },
+        ArchRow { arch: GnnArch::Gin, model: ModelKind::Gin, hidden_paper: 256, fanouts: vec![20, 20, 20], hidden_real: 64 },
+        ArchRow { arch: GnnArch::SageRi, model: ModelKind::SageRi, hidden_paper: 1024, fanouts: vec![12, 12, 12], hidden_real: 96 },
     ];
 
     // Simulated 16-GPU epoch times + speedup over a 16-GPU PyG baseline.

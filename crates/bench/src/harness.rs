@@ -7,6 +7,7 @@
 //! (`harness = false`), so `cargo bench` runs them directly; results print as
 //! a table and can be exported as JSON with [`write_json`].
 
+use salient_trace::export::json_escape;
 use std::time::Instant;
 
 /// Summary statistics for one benchmarked operation.
@@ -124,9 +125,10 @@ pub fn report(group: &str, samples: &[Sample]) {
 /// dependency).
 #[derive(Clone, Debug)]
 pub enum Json {
-    /// A float (written with enough digits to round-trip).
+    /// A float (written with enough digits to round-trip; `null` when not
+    /// finite).
     Num(f64),
-    /// A string (escaped minimally; labels here are ASCII identifiers).
+    /// A string.
     Str(String),
     /// An ordered map.
     Obj(Vec<(String, Json)>),
@@ -139,28 +141,20 @@ impl Json {
         let pad = "  ".repeat(indent);
         match self {
             Json::Num(v) => {
-                if v.fract() == 0.0 && v.abs() < 1e15 {
+                if !v.is_finite() {
+                    // JSON has no NaN or infinity (a rate over a zero median).
+                    out.push_str("null");
+                } else if v.fract() == 0.0 && v.abs() < 1e15 {
                     out.push_str(&format!("{}", *v as i64));
                 } else {
                     out.push_str(&format!("{v}"));
                 }
             }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Json::Str(s) => out.push_str(&format!("\"{}\"", json_escape(s))),
             Json::Obj(fields) => {
                 out.push_str("{\n");
                 for (i, (k, v)) in fields.iter().enumerate() {
-                    out.push_str(&format!("{pad}  \"{k}\": "));
+                    out.push_str(&format!("{pad}  \"{}\": ", json_escape(k)));
                     v.render_into(out, indent + 1);
                     if i + 1 < fields.len() {
                         out.push(',');
@@ -204,6 +198,7 @@ pub fn write_json(path: &str, value: &Json) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use salient_trace::json::Value;
 
     #[test]
     fn bench_measures_something_positive() {
@@ -231,6 +226,19 @@ mod tests {
         assert!(text.contains("\"gflops\": 12.5"));
         assert!(text.contains("1024"));
         assert!(text.trim_end().ends_with('}'));
+    }
+
+    #[test]
+    fn non_finite_numbers_and_control_characters_stay_valid_json() {
+        let j = Json::Obj(vec![
+            ("nan".into(), Json::Num(f64::NAN)),
+            ("rate".into(), Json::Num(f64::INFINITY)),
+            ("label".into(), Json::Str("a\tb\u{1}".into())),
+        ]);
+        let parsed = salient_trace::json::parse(&j.render()).expect("valid JSON");
+        assert!(matches!(parsed.get("nan"), Some(Value::Null)));
+        assert!(matches!(parsed.get("rate"), Some(Value::Null)));
+        assert_eq!(parsed.get("label").and_then(Value::as_str), Some("a\tb\u{1}"));
     }
 
     #[test]

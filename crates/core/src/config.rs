@@ -17,7 +17,7 @@ pub enum ExecutorKind {
 #[derive(Clone, Debug)]
 pub struct RunConfig {
     /// Architecture.
-    pub model: ModelKindConfig,
+    pub model: ModelKind,
     /// Number of GNN layers.
     pub num_layers: usize,
     /// Hidden dimensionality.
@@ -46,48 +46,13 @@ pub struct RunConfig {
     pub comm_timeout_ms: u64,
 }
 
-/// Serializable wrapper for [`ModelKind`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ModelKindConfig {
-    /// GraphSAGE.
-    Sage,
-    /// GAT.
-    Gat,
-    /// GIN.
-    Gin,
-    /// GraphSAGE-RI.
-    SageRi,
-}
-
-impl From<ModelKindConfig> for ModelKind {
-    fn from(k: ModelKindConfig) -> ModelKind {
-        match k {
-            ModelKindConfig::Sage => ModelKind::Sage,
-            ModelKindConfig::Gat => ModelKind::Gat,
-            ModelKindConfig::Gin => ModelKind::Gin,
-            ModelKindConfig::SageRi => ModelKind::SageRi,
-        }
-    }
-}
-
-impl From<ModelKind> for ModelKindConfig {
-    fn from(k: ModelKind) -> ModelKindConfig {
-        match k {
-            ModelKind::Sage => ModelKindConfig::Sage,
-            ModelKind::Gat => ModelKindConfig::Gat,
-            ModelKind::Gin => ModelKindConfig::Gin,
-            ModelKind::SageRi => ModelKindConfig::SageRi,
-        }
-    }
-}
-
 impl Default for RunConfig {
     /// The paper's default SAGE configuration, scaled for sim-size datasets
     /// (hidden 64 instead of 256; fanouts and batching per Table 5 shrunk
     /// proportionally to the ~1/10-scale graphs).
     fn default() -> Self {
         RunConfig {
-            model: ModelKindConfig::Sage,
+            model: ModelKind::Sage,
             num_layers: 3,
             hidden: 64,
             train_fanouts: vec![15, 10, 5],
@@ -156,14 +121,5 @@ mod tests {
             ..RunConfig::default()
         };
         cfg.validate();
-    }
-
-    #[test]
-    fn model_kind_round_trip() {
-        for k in ModelKind::all() {
-            let cfg: ModelKindConfig = k.into();
-            let back: ModelKind = cfg.into();
-            assert_eq!(back, k);
-        }
     }
 }

@@ -4,28 +4,32 @@
 //! and replicas stay bit-identical.
 
 use crate::config::RunConfig;
+use crate::train::train_step;
 use salient_ddp::{average_model_gradients, sync_model, CommError, Communicator};
 use salient_fault as fault;
 use salient_graph::{Dataset, NodeId};
-use salient_nn::{build_model, GnnModel, Mode};
+use salient_nn::{build_model, GnnModel};
 use salient_pipeline::{GraphSpec, PipeItem, StageGraph, StageOutcome, StageSpec};
 use salient_sampler::{FastSampler, MessageFlowGraph};
-use salient_tensor::optim::{zero_grads, Adam, Optimizer};
+use salient_tensor::optim::Adam;
 use salient_tensor::rng::SliceRandom;
 use salient_tensor::rng::StdRng;
-use salient_tensor::{Tape, Tensor};
+use salient_tensor::Tensor;
 use salient_trace::{names, Trace};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// One DDP optimizer step flowing through a rank's per-epoch stage graph.
-/// Empty shards flow through as items too: every rank must reach the same
-/// number of collectives, so alignment steps cannot be skipped.
+/// Empty shards flow through as items too, with no MFG or features: every
+/// rank must reach the same number of collectives, so alignment steps cannot
+/// be skipped.
+#[derive(Default)]
 struct DdpItem {
     bid: u64,
     shard: Vec<NodeId>,
     mfg: Option<MessageFlowGraph>,
     features: Option<Tensor>,
+    labels: Vec<u32>,
 }
 
 impl PipeItem for DdpItem {
@@ -180,7 +184,7 @@ fn rank_loop(
     // Same seed everywhere: replicas start identical. The broadcast is a
     // belt-and-suspenders guarantee (and exercises the collective).
     let mut model = build_model(
-        config.model.into(),
+        config.model,
         dataset.features.dim(),
         config.hidden,
         dataset.num_classes,
@@ -211,88 +215,56 @@ fn rank_loop(
         // compute ahead of its neighbours behind a stage queue. The graph
         // still buys the shared span layout (`ddp.prep` / `ddp.train`) and
         // the supervised failure path.
-        {
-            let mut chunk_iter = order.chunks(effective);
-            let mut next_bid = 0u64;
-            let ds_prep = Arc::clone(&dataset);
-            let ds_train = Arc::clone(&dataset);
-            let fanouts = config.train_fanouts.clone();
-            let sampler = &mut sampler;
-            let model = &mut model;
-            let opt = &mut opt;
-            let dropout_rng = &mut dropout_rng;
-            let loss_sum = &mut loss_sum;
-            let steps = &mut steps;
-            let comm = &comm;
-            let comm_err = &mut comm_err;
-            StageGraph::new(GraphSpec::new("ddp"), move || {
-                // Rank r takes its slice of the effective batch; trailing
-                // partial chunks are shared as evenly as possible.
-                let chunk = chunk_iter.next()?;
-                let shard: Vec<NodeId> = chunk.iter().skip(rank).step_by(world).copied().collect();
-                let bid = next_bid;
-                next_bid += 1;
-                Some(DdpItem {
-                    bid,
-                    shard,
-                    mfg: None,
-                    features: None,
-                })
-            })
-            .stage(
-                StageSpec::new("prep", names::spans::DDP_PREP),
-                move |mut item: DdpItem| {
-                    if !item.shard.is_empty() {
-                        let mfg = sampler.sample(&ds_prep.graph, &item.shard, &fanouts);
-                        item.features = Some(ds_prep.features.gather_f32(&mfg.node_ids));
-                        item.mfg = Some(mfg);
+        let mut chunks = order.chunks(effective).enumerate();
+        StageGraph::new(GraphSpec::new("ddp"), || {
+            // Rank r takes its slice of the effective batch; trailing
+            // partial chunks are shared as evenly as possible.
+            let (bid, chunk) = chunks.next()?;
+            let shard = chunk.iter().skip(rank).step_by(world).copied().collect();
+            Some(DdpItem { bid: bid as u64, shard, ..DdpItem::default() })
+        })
+        .stage(
+            StageSpec::new("prep", names::spans::DDP_PREP),
+            |mut item: DdpItem| {
+                if !item.shard.is_empty() {
+                    let mfg = sampler.sample(&dataset.graph, &item.shard, &config.train_fanouts);
+                    item.features = Some(dataset.features.gather_f32(&mfg.node_ids));
+                    item.labels = mfg.node_ids[..mfg.batch_size()]
+                        .iter()
+                        .map(|&v| dataset.labels[v as usize])
+                        .collect();
+                    item.mfg = Some(mfg);
+                }
+                StageOutcome::Emit(item)
+            },
+        )
+        .stage(
+            StageSpec::new("train", names::spans::DDP_TRAIN),
+            |mut item: DdpItem| {
+                // No batch for an empty shard: the rank still takes the
+                // step, joining the all-reduce with zero gradients.
+                let batch = (item.mfg.as_ref())
+                    .zip(item.features.take())
+                    .map(|(mfg, x)| (mfg, x, item.labels.as_slice()));
+                let step = train_step(model.as_mut(), &mut opt, &mut dropout_rng, batch, |m| {
+                    average_model_gradients(&comm, m)
+                });
+                match step {
+                    Ok(loss) => {
+                        loss_sum += loss;
+                        steps += 1;
+                        StageOutcome::Emit(item)
                     }
-                    StageOutcome::Emit(item)
-                },
-            )
-            .stage(
-                StageSpec::new("train", names::spans::DDP_TRAIN),
-                move |mut item: DdpItem| {
-                    let step_result = (|| -> Result<(), CommError> {
-                        if let (Some(mfg), Some(x_data)) = (item.mfg.take(), item.features.take())
-                        {
-                            let tape = Tape::new();
-                            let x = tape.constant(x_data);
-                            let out = model.forward(&tape, x, &mfg, Mode::Train, dropout_rng);
-                            let targets: Vec<usize> = mfg.node_ids[..mfg.batch_size()]
-                                .iter()
-                                .map(|&v| ds_train.labels[v as usize] as usize)
-                                .collect();
-                            let loss = out.nll_loss(&targets);
-                            *loss_sum += loss.value().item() as f64;
-                            let grads = tape.backward(&loss);
-                            zero_grads(model.params_mut().into_iter());
-                            grads.apply_to(model.params_mut());
-                            average_model_gradients(comm, model.as_mut())?;
-                            opt.step(model.params_mut().into_iter());
-                        } else {
-                            // Keep collectives aligned: participate with a
-                            // zero grad.
-                            zero_grads(model.params_mut().into_iter());
-                            average_model_gradients(comm, model.as_mut())?;
-                            opt.step(model.params_mut().into_iter());
-                        }
-                        *steps += 1;
-                        Ok(())
-                    })();
-                    match step_result {
-                        Ok(()) => StageOutcome::Emit(item),
-                        Err(e) => {
-                            // A collective failure is terminal for the rank:
-                            // poison the graph and surface the typed error.
-                            *comm_err = Some(e);
-                            StageOutcome::Fatal
-                        }
+                    Err(e) => {
+                        // A collective failure is terminal for the rank:
+                        // poison the graph and surface the typed error.
+                        comm_err = Some(e);
+                        StageOutcome::Fatal
                     }
-                },
-            )
-            .run_inline(&trace);
-        }
+                }
+            },
+        )
+        .run_inline(&trace);
         if let Some(e) = comm_err {
             return Err(e);
         }
@@ -308,7 +280,8 @@ fn rank_loop(
 mod tests {
     use super::*;
     use salient_graph::DatasetConfig;
-    use salient_nn::metrics;
+    use salient_nn::{metrics, Mode};
+    use salient_tensor::Tape;
 
     fn setup() -> (Arc<Dataset>, RunConfig) {
         let ds = Arc::new(DatasetConfig::tiny(77).build());

@@ -235,18 +235,6 @@ impl BatchInferencer {
     }
 }
 
-/// Host-memory bytes needed by layer-wise full inference: one activation
-/// matrix per layer boundary (the paper's reason sampled inference wins on
-/// memory; dense architectures must keep *all* layer results).
-pub fn layerwise_memory_bytes(num_nodes: usize, hidden: usize, num_layers: usize, dense: bool) -> usize {
-    let per_layer = num_nodes * hidden * 4;
-    if dense {
-        per_layer * num_layers
-    } else {
-        per_layer * 2 // ping-pong buffers
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,12 +347,5 @@ mod tests {
         assert_eq!(mfg.layers.len(), 3);
         assert_eq!(mfg.layers[0].num_edges(), ds.graph.num_edges());
         assert_eq!(mfg.batch_size(), ds.graph.num_nodes());
-    }
-
-    #[test]
-    fn memory_model_orders() {
-        let sampled = layerwise_memory_bytes(1000, 64, 3, false);
-        let dense = layerwise_memory_bytes(1000, 64, 3, true);
-        assert!(dense > sampled, "dense connections store all layer results");
     }
 }

@@ -3,14 +3,19 @@
 //! The SALIENT public API: end-to-end GNN training and inference with fast
 //! sampling and pipelined batch preparation, on real (synthetic) datasets.
 //!
-//! Two executors implement the paper's Figure-1 comparison:
+//! Two executors implement the paper's Figure-1 comparison. They run one
+//! transfer→train stage graph over the same prepared batches and differ in
+//! the source that feeds it:
 //!
-//! * [`ExecutorKind::Baseline`] — the standard serial PyTorch-style loop;
-//! * [`ExecutorKind::Salient`] — shared-memory batch-prep workers slicing
-//!   into pinned buffers, overlapping preparation with training.
+//! * [`ExecutorKind::Baseline`] — the standard serial PyTorch-style loop:
+//!   the source samples and slices the next batch on the trainer thread;
+//! * [`ExecutorKind::Salient`] — the source receives from shared-memory
+//!   batch-prep workers slicing into pinned buffers, overlapping
+//!   preparation with training.
 //!
-//! Multi-rank data-parallel training ([`train_ddp`]) and sampled /
-//! full-neighborhood inference complete the system.
+//! Multi-rank data-parallel training ([`train_ddp`]) takes the same
+//! optimizer step as [`Trainer`], with a gradient all-reduce before the
+//! update; sampled / full-neighborhood inference completes the system.
 //!
 //! # Example
 //!
@@ -38,7 +43,7 @@ pub mod infer;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use infer::{BatchInferencer, InferPanic, StagedBatch};
-pub use config::{ExecutorKind, ModelKindConfig, RunConfig};
+pub use config::{ExecutorKind, RunConfig};
 pub use ddp_train::{train_ddp, train_ddp_traced, DdpError, DdpRunResult};
 pub use timing::StageTimings;
 pub use train::{EpochStats, Trainer};

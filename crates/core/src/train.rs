@@ -1,64 +1,86 @@
-//! The training loop: baseline (serial PyG-style) and SALIENT (pipelined
-//! shared-memory batch preparation) executors over real data.
+//! The training loop over real data: one transfer→train [`StageGraph`]
+//! ([`Trainer::consume`]) and one optimizer step ([`train_step`]), fed two ways.
 //!
-//! Both executors are expressed as [`StageGraph`] descriptions. The
-//! baseline runs the graph inline (it *is* the serial reference schedule);
-//! the SALIENT executor lets [`StageGraph::run`] pick the threaded
-//! schedule when the thread budget allows, so the transfer/widen of batch
-//! `k+1` overlaps the compute of batch `k` in addition to the worker-side
-//! preparation overlap.
+//! The baseline executor (Listing 1) is the SALIENT consumer whose source
+//! prepares instead of receives: it samples and slices each batch inside the
+//! graph's source and pins the inline schedule — the serial reference. The
+//! SALIENT executor receives batches from shared-memory workers and lets
+//! [`StageGraph::run`] pick the threaded schedule when the thread budget
+//! allows, so the transfer/widen of batch `k+1` overlaps the compute of batch
+//! `k` in addition to the worker-side preparation overlap.
 
 use crate::config::{ExecutorKind, RunConfig};
 use crate::timing::StageTimings;
 use crate::infer::{transfer, BatchInferencer};
 use salient_batchprep::{
-    run_epoch_with_pool, BatchResult, PinnedPool, PrepConfig, PrepMode, SamplerKind,
+    run_epoch_with_pool, slice_batch_into, BatchResult, PinnedPool, PrepConfig, PrepMode,
+    PreparedBatch, SamplerKind,
 };
 use salient_fault as fault;
-use salient_graph::{Dataset, FeatureSlab, NodeId};
+use salient_graph::{Dataset, NodeId};
 use salient_nn::{build_model, metrics, GnnModel, Mode};
 use salient_pipeline::{shape, GraphSpec, PipeItem, StageGraph, StageOutcome, StageSpec};
 use salient_sampler::{FastSampler, MessageFlowGraph, PygSampler};
-use salient_tensor::optim::{Adam, Optimizer};
+use salient_tensor::optim::{zero_grads, Adam, Optimizer};
 use salient_tensor::rng::SliceRandom;
 use salient_tensor::rng::StdRng;
 use salient_tensor::{Tape, Tensor};
 use salient_trace::{analyze, names, Clock, Trace, NO_BATCH};
+use std::convert::Infallible;
 use std::sync::Arc;
 
-/// The item flowing through both training pipelines; fields are filled in
-/// (and consumed) stage by stage.
+/// The item flowing through the transfer→train graph: `result` arrives from
+/// the source, the transfer stage trades it for the rest.
+#[derive(Default)]
 struct TrainItem {
     bid: u64,
-    /// Salient source: the worker-prepared batch (or failure marker).
     result: Option<BatchResult>,
-    /// Baseline source: the raw mini-batch node ids.
-    chunk: Vec<NodeId>,
     mfg: Option<MessageFlowGraph>,
-    /// Baseline prep output: packed staged rows awaiting the widen.
-    staged: Option<FeatureSlab>,
     features: Option<Tensor>,
     labels: Vec<u32>,
-}
-
-impl TrainItem {
-    fn empty(bid: u64) -> TrainItem {
-        TrainItem {
-            bid,
-            result: None,
-            chunk: Vec::new(),
-            mfg: None,
-            staged: None,
-            features: None,
-            labels: Vec::new(),
-        }
-    }
 }
 
 impl PipeItem for TrainItem {
     fn batch_id(&self) -> u64 {
         self.bid
     }
+}
+
+/// One optimizer step, the only one this crate spells: forward and backward
+/// over `batch` (sampled MFG, widened features, batch labels), gradients into
+/// the parameters, `sync_grads`, then the update. Returns the batch's loss.
+///
+/// `sync_grads` runs between the gradients landing in the parameters and the
+/// optimizer reading them — where a DDP rank all-reduces — and its error
+/// leaves the step untaken. A rank whose shard of a step is empty passes no
+/// batch: it joins the collective with zero gradients and reports loss 0.
+///
+/// The features enter as a constant, so nothing is differentiated with
+/// respect to them, and the tape — with every buffer it holds — is released
+/// before `sync_grads` and the optimizer run.
+pub(crate) fn train_step<E>(
+    model: &mut dyn GnnModel,
+    opt: &mut Adam,
+    rng: &mut StdRng,
+    batch: Option<(&MessageFlowGraph, Tensor, &[u32])>,
+    sync_grads: impl FnOnce(&mut dyn GnnModel) -> Result<(), E>,
+) -> Result<f64, E> {
+    let computed = batch.map(|(mfg, features, labels)| {
+        let targets: Vec<usize> = labels.iter().map(|&c| c as usize).collect();
+        let tape = Tape::new();
+        let x = tape.constant(features);
+        let out = model.forward(&tape, x, mfg, Mode::Train, rng);
+        let loss = out.nll_loss(&targets);
+        (loss.value().item() as f64, tape.backward(&loss))
+    });
+    zero_grads(model.params_mut().into_iter());
+    let loss = computed.map_or(0.0, |(loss, grads)| {
+        grads.apply_to(model.params_mut());
+        loss
+    });
+    sync_grads(model)?;
+    opt.step(model.params_mut().into_iter());
+    Ok(loss)
 }
 
 /// Result of one training epoch.
@@ -99,8 +121,9 @@ pub struct Trainer {
     rng: StdRng,
     epoch: usize,
     trace: Trace,
-    /// The staging slots of every SALIENT epoch: pinned memory "cannot be
-    /// allocated per batch without large costs" (§4.2), nor per epoch.
+    /// The staging slots of every epoch, either executor's: pinned memory
+    /// "cannot be allocated per batch without large costs" (§4.2), nor per
+    /// epoch.
     pool: PinnedPool,
     /// `evaluate_sampled`'s sampler and one-slot inferencer, built on first
     /// use and kept: a sweep may be one call of two batches.
@@ -143,7 +166,7 @@ impl Trainer {
             })));
         }
         let model = build_model(
-            config.model.into(),
+            config.model,
             dataset.features.dim(),
             config.hidden,
             dataset.num_classes,
@@ -172,13 +195,6 @@ impl Trainer {
         &self.trace
     }
 
-    /// Derives this epoch's [`StageTimings`] view from the spans recorded in
-    /// the window `[e0, e1]` (flushes the registry and snapshots only that
-    /// window, so epoch `k` does not pay for the `k - 1` epochs before it).
-    fn timings_view(&self, e0: u64, e1: u64) -> StageTimings {
-        StageTimings::from_report(&analyze(&self.trace.snapshot_window(e0, e1)))
-    }
-
     /// The wrapped model.
     pub fn model(&self) -> &dyn GnnModel {
         self.model.as_ref()
@@ -194,23 +210,11 @@ impl Trainer {
         &self.config
     }
 
-    /// The staging pool every SALIENT epoch of this trainer prepares into
+    /// The staging pool every epoch of this trainer prepares into
     /// (diagnostics: between epochs `available()` must equal `capacity()`,
     /// and the slots' buffers are the ones the first epoch grew).
     pub fn staging_pool(&self) -> &PinnedPool {
         &self.pool
-    }
-
-    /// Runs one training epoch with the configured executor.
-    pub fn train_epoch(&mut self) -> EpochStats {
-        let mut order = self.dataset.splits.train.clone();
-        order.shuffle(&mut self.rng);
-        let stats = match self.config.executor {
-            ExecutorKind::Baseline => self.baseline_epoch(&order),
-            ExecutorKind::Salient => self.salient_epoch(&order),
-        };
-        self.epoch += 1;
-        stats
     }
 
     /// Trains for `config.epochs` epochs.
@@ -244,250 +248,175 @@ impl Trainer {
         (history, best.max(0.0))
     }
 
-    /// One optimizer step on a staged batch; returns the loss. The features
-    /// enter as a constant, so nothing is differentiated with respect to
-    /// them, and the tape — with every buffer it holds — is released before
-    /// the optimizer runs.
+    /// One optimizer step on a staged batch; returns the loss: [`train_step`]
+    /// with nothing between the gradients and the update.
     pub fn train_batch(&mut self, mfg: &MessageFlowGraph, features: Tensor, labels: &[u32]) -> f64 {
-        let targets: Vec<usize> = labels.iter().map(|&c| c as usize).collect();
-        let (loss_value, grads) = {
-            let tape = Tape::new();
-            let x = tape.constant(features);
-            let out = self
-                .model
-                .forward(&tape, x, mfg, Mode::Train, &mut self.rng);
-            let loss = out.nll_loss(&targets);
-            (loss.value().item() as f64, tape.backward(&loss))
-        };
-        salient_tensor::optim::zero_grads(self.model.params_mut().into_iter());
-        grads.apply_to(self.model.params_mut());
-        self.opt.step(self.model.params_mut().into_iter());
-        loss_value
+        let batch = Some((mfg, features, labels));
+        let Ok(loss) = train_step(self.model.as_mut(), &mut self.opt, &mut self.rng, batch, |_| {
+            Ok::<(), Infallible>(())
+        });
+        loss
     }
 
-    /// Serial PyG-style epoch (Listing 1 of the paper), expressed as the
-    /// same stage graph the SALIENT executor uses but pinned to the inline
-    /// schedule: prep, transfer and train run back-to-back on the trainer
-    /// thread with shared boundary timestamps — the serial reference.
-    fn baseline_epoch(&mut self, order: &[NodeId]) -> EpochStats {
-        let trace = self.trace.clone();
-        let clock = trace.clock();
-        let epoch_start = clock.now_ns();
-        let mut sampler = PygSampler::new(self.config.seed ^ self.epoch as u64);
-        let dim = self.dataset.features.dim();
-        let fanouts = self.config.train_fanouts.clone();
-        let transfer_bytes = trace.counter(names::counters::TRANSFER_BYTES);
-        let mut total_loss = 0.0;
-        let mut batches = 0usize;
-        let dataset = Arc::clone(&self.dataset);
-        {
-            let this = &mut *self;
-            let total_loss = &mut total_loss;
-            let batches = &mut batches;
-            let mut chunks = order.chunks(this.config.batch_size);
-            let mut next_bid = 0u64;
-            let ds = Arc::clone(&dataset);
-            StageGraph::new(GraphSpec::new("baseline"), move || {
-                let chunk = chunks.next()?;
-                let bid = next_bid;
-                next_bid += 1;
-                Some(TrainItem {
-                    chunk: chunk.to_vec(),
-                    ..TrainItem::empty(bid)
-                })
-            })
-            // Batch preparation: sample then slice (lines 1–4). For the
-            // baseline this is real work on the trainer thread.
-            .stage(
-                StageSpec::new("prep", names::spans::STAGE_PREP),
-                move |mut item: TrainItem| {
-                    let mfg = sampler.sample(&ds.graph, &item.chunk, &fanouts);
-                    let mut staged = FeatureSlab::new(ds.features.dtype(), 0);
-                    staged.resize(mfg.num_nodes() * dim);
-                    ds.features.slice_into(&mfg.node_ids, staged.rows_mut());
-                    item.labels = mfg.node_ids[..mfg.batch_size()]
-                        .iter()
-                        .map(|&v| ds.labels[v as usize])
-                        .collect();
-                    item.mfg = Some(mfg);
-                    item.staged = Some(staged);
-                    StageOutcome::Emit(item)
-                },
-            )
-            // Transfer: the packed→f32 upcast stands in for the PCIe copy +
-            // device-side widening (line 5). The counted bytes are the
-            // *packed* payload — the quantity the copy would move.
-            .stage(
-                StageSpec::new("transfer", names::spans::STAGE_TRANSFER),
-                move |mut item: TrainItem| {
-                    let (Some(staged), Some(mfg)) = (item.staged.take(), item.mfg.as_ref()) else {
-                        return StageOutcome::Skip;
-                    };
-                    item.features = Some(transfer(
-                        staged.rows(),
-                        mfg.num_nodes(),
-                        dim,
-                        staged.bytes() + item.labels.len() * std::mem::size_of::<u32>(),
-                        &transfer_bytes,
-                    ));
-                    StageOutcome::Emit(item)
-                },
-            )
-            // Training (lines 6–8).
-            .stage(
-                StageSpec::new("train", names::spans::STAGE_TRAIN)
-                    .hist(names::hists::TRAIN_BATCH_NS),
-                move |mut item: TrainItem| {
-                    let (Some(mfg), Some(features)) = (item.mfg.take(), item.features.take())
-                    else {
-                        return StageOutcome::Skip;
-                    };
-                    let labels = std::mem::take(&mut item.labels);
-                    *total_loss += this.train_batch(&mfg, features, &labels);
-                    *batches += 1;
-                    StageOutcome::Emit(item)
-                },
-            )
-            .run_inline(&trace);
-        }
-        let epoch_end = clock.now_ns();
-        trace.record_span(names::spans::EPOCH, NO_BATCH, epoch_start, epoch_end);
-        EpochStats {
-            epoch: self.epoch,
-            mean_loss: total_loss / batches.max(1) as f64,
-            batches,
-            failed_batches: 0,
-            timings: self.timings_view(epoch_start, epoch_end),
-        }
-    }
-
-    /// SALIENT epoch: shared-memory workers prepare batches concurrently;
-    /// the consumer side is a transfer→train stage graph. On an adequate
-    /// thread budget ([`StageGraph::threaded_available`]) the two stages
-    /// run on dedicated threads with a bounded
-    /// ([`shape::TRANSFER_QUEUE_CAP`]) queue between them, so batch `k+1`'s
-    /// widen/copy overlaps batch `k`'s compute; otherwise the inline
-    /// schedule reproduces the exact clock-read and FP-operation order of
-    /// the serial consumer loop.
+    /// Runs one training epoch with the configured executor. Both run the
+    /// transfer→train graph of [`Trainer::consume`] on the same prepared
+    /// batches and differ in the source that feeds it:
     ///
-    /// Workers record into the same trace registry (sample/slice spans,
-    /// slot-wait backpressure, fault events), so one snapshot holds the
-    /// whole pipeline: trainer stalls *and* the concurrent prep work they
-    /// overlapped with.
-    fn salient_epoch(&mut self, order: &[NodeId]) -> EpochStats {
+    /// * Baseline (Listing 1) prepares the next batch inside the source, on
+    ///   this thread, and pins the inline schedule, which records source
+    ///   time as the `stage.prep` span: prep, transfer and train run back to
+    ///   back with shared boundary timestamps — the serial reference.
+    /// * SALIENT receives batches that shared-memory workers prepared
+    ///   concurrently, so `stage.prep` is only the time the consumer blocks.
+    ///   Workers record into the same trace registry (sample/slice spans,
+    ///   slot-wait backpressure, fault events): one snapshot holds the
+    ///   trainer's stalls *and* the prep work they overlapped with.
+    pub fn train_epoch(&mut self) -> EpochStats {
+        let mut order = self.dataset.splits.train.clone();
+        order.shuffle(&mut self.rng);
         let trace = self.trace.clone();
         let clock = trace.clock();
-        let transfer_bytes = trace.counter(names::counters::TRANSFER_BYTES);
         let epoch_start = clock.now_ns();
-        let prep_cfg = PrepConfig {
-            num_workers: self.config.num_workers,
-            fanouts: self.config.train_fanouts.clone(),
-            batch_size: self.config.batch_size,
-            slots: self.config.slots,
-            mode: PrepMode::SharedMemory,
-            sampler: SamplerKind::Fast,
-            seed: self.config.seed ^ (self.epoch as u64) << 16,
-            trace: trace.clone(),
-        };
-        let handle = run_epoch_with_pool(&self.dataset, order, &prep_cfg, &self.pool);
-        let dim = self.dataset.features.dim();
-        let mut total_loss = 0.0;
-        let mut batches = 0usize;
-        let mut failed_batches = 0usize;
-        let stats = {
-            let this = &mut *self;
-            let total_loss = &mut total_loss;
-            let batches = &mut batches;
-            let failed = &mut failed_batches;
-            let rx = handle.batches.clone();
-            // Panic budget 2: an isolated stage panic retires its batch
-            // (counted in `failed_batches`, mirroring prep's
-            // retry-exhaustion policy); repetition beyond the budget
-            // poisons the pipeline, because a recurring executor panic is
-            // a bug, not a flaky batch.
-            StageGraph::new(
-                GraphSpec::new("train")
+        let (total_loss, batches, failed_batches) = match self.config.executor {
+            ExecutorKind::Baseline => {
+                // Listing 1, lines 1–4, inside the source: the consumer sees
+                // what a SALIENT worker would have sent, with none of the
+                // worker's retries, fault sites or cancellation — a panic
+                // here is the caller's. No wait histogram: the first batch's
+                // preparation is work, not pipeline fill.
+                let mut sampler = PygSampler::new(self.config.seed ^ self.epoch as u64);
+                let mut chunks = order.chunks(self.config.batch_size).enumerate();
+                let (dataset, pool) = (Arc::clone(&self.dataset), self.pool.clone());
+                let fanouts = self.config.train_fanouts.clone();
+                self.consume(GraphSpec::new("baseline"), true, move || {
+                    let (batch_id, chunk) = chunks.next()?;
+                    let mfg = sampler.sample(&dataset.graph, chunk, &fanouts);
+                    let mut slot = pool.acquire();
+                    slot.prepare(mfg.num_nodes(), dataset.features.dim(), mfg.batch_size());
+                    slice_batch_into(&dataset, &mfg, &mut slot);
+                    Some(BatchResult::Ready(PreparedBatch { batch_id, mfg, slot }))
+                })
+            }
+            ExecutorKind::Salient => {
+                let prep_cfg = PrepConfig {
+                    num_workers: self.config.num_workers,
+                    fanouts: self.config.train_fanouts.clone(),
+                    batch_size: self.config.batch_size,
+                    slots: self.config.slots,
+                    mode: PrepMode::SharedMemory,
+                    sampler: SamplerKind::Fast,
+                    seed: self.config.seed ^ (self.epoch as u64) << 16,
+                    trace: trace.clone(),
+                };
+                let handle = run_epoch_with_pool(&self.dataset, &order, &prep_cfg, &self.pool);
+                let rx = handle.batches.clone();
+                // Panic budget 2: an isolated stage panic retires its batch
+                // (counted in `failed_batches`, mirroring prep's
+                // retry-exhaustion policy); repetition beyond the budget
+                // poisons the pipeline, because a recurring executor panic is
+                // a bug, not a flaky batch.
+                let spec = GraphSpec::new("train")
                     .panic_budget(2)
-                    .wait_hist(names::hists::PREP_WAIT_NS),
-                move || {
-                    let result = rx.recv().ok()?;
-                    let mut item = TrainItem::empty(result.batch_id() as u64);
-                    item.result = Some(result);
-                    Some(item)
-                },
-            )
-            // Transfer: widen the packed staged rows to f32 — the PCIe
-            // copy + device-side cast stand-in. The pinned slot returns to
-            // the pool when it drops at the end of this stage.
-            .stage(
-                StageSpec::new("transfer", names::spans::STAGE_TRANSFER)
-                    .wait(names::spans::PIPE_WAIT),
-                move |mut item: TrainItem| {
-                    let bid = item.bid;
-                    let batch = match item.result.take() {
-                        Some(BatchResult::Ready(batch)) => batch,
-                        Some(BatchResult::Failed { .. }) => {
-                            // Terminal marker: preparation exhausted its
-                            // retry budget. The epoch proceeds on the
-                            // surviving batches.
-                            *failed += 1;
-                            return StageOutcome::Skip;
-                        }
-                        None => return StageOutcome::Skip,
-                    };
-                    if fault::fire(fault::sites::PIPE_TRANSFER, bid) {
-                        // Injected transfer drop: the batch retires here,
-                        // its slot returning to the pool via RAII.
-                        *failed += 1;
-                        return StageOutcome::Skip;
-                    }
-                    item.features = Some(transfer(
-                        batch.slot.features(),
-                        batch.mfg.num_nodes(),
-                        dim,
-                        batch.slot.payload_bytes(),
-                        &transfer_bytes,
-                    ));
-                    item.labels = batch.slot.labels().to_vec();
-                    item.mfg = Some(batch.mfg);
-                    StageOutcome::Emit(item)
-                },
-            )
-            // Train: the consumer's wait on this stage's input is the
-            // SALIENT Table 1 "prep" stall (only the time it blocks; the
-            // prep work itself ran on the workers).
-            .stage(
-                StageSpec::new("train", names::spans::STAGE_TRAIN)
-                    .wait(names::spans::STAGE_PREP)
-                    .queue(shape::TRANSFER_QUEUE_CAP)
-                    .gauge(names::gauges::PIPE_QUEUE_COMPUTE)
-                    .hist(names::hists::TRAIN_BATCH_NS),
-                move |mut item: TrainItem| {
-                    let (Some(mfg), Some(features)) = (item.mfg.take(), item.features.take())
-                    else {
-                        return StageOutcome::Skip;
-                    };
-                    let labels = std::mem::take(&mut item.labels);
-                    *total_loss += this.train_batch(&mfg, features, &labels);
-                    *batches += 1;
-                    StageOutcome::Emit(item)
-                },
-            )
-            .run(&trace)
+                    .wait_hist(names::hists::PREP_WAIT_NS);
+                let consumed = self.consume(spec, false, move || rx.recv().ok());
+                handle.join();
+                consumed
+            }
         };
-        // Batches dropped by an injected stage panic count as failed: they
-        // left the pipeline without training, like a prep failure.
-        failed_batches += stats.panics as usize;
-        handle.join();
         let epoch_end = clock.now_ns();
         trace.record_span(names::spans::EPOCH, NO_BATCH, epoch_start, epoch_end);
-        EpochStats {
+        // The timings are a view of this epoch's spans: only its window is
+        // flushed and snapshotted, so epoch `k` does not pay for the `k - 1`
+        // before it.
+        let window = trace.snapshot_window(epoch_start, epoch_end);
+        let stats = EpochStats {
             epoch: self.epoch,
             mean_loss: total_loss / batches.max(1) as f64,
             batches,
             failed_batches,
-            timings: self.timings_view(epoch_start, epoch_end),
-        }
+            timings: StageTimings::from_report(&analyze(&window)),
+        };
+        self.epoch += 1;
+        stats
+    }
+
+    /// The consumer side of an epoch, the same for both executors: a
+    /// transfer→train stage graph over the batches `source` yields. Returns
+    /// `(summed loss, batches trained, batches failed)`.
+    ///
+    /// Unless `inline`, [`StageGraph::run`] picks the schedule: on an
+    /// adequate thread budget ([`StageGraph::threaded_available`]) the two
+    /// stages run on dedicated threads with a bounded
+    /// ([`shape::TRANSFER_QUEUE_CAP`]) queue between them, so batch `k+1`'s
+    /// widen/copy overlaps batch `k`'s compute; otherwise the inline
+    /// schedule reproduces the exact clock-read and FP-operation order of
+    /// a serial consumer loop.
+    fn consume(
+        &mut self,
+        spec: GraphSpec,
+        inline: bool,
+        mut source: impl FnMut() -> Option<BatchResult> + Send,
+    ) -> (f64, usize, usize) {
+        let trace = self.trace.clone();
+        let transfer_bytes = trace.counter(names::counters::TRANSFER_BYTES);
+        let dim = self.dataset.features.dim();
+        let (mut total_loss, mut batches, mut failed) = (0.0, 0usize, 0usize);
+        let graph = StageGraph::new(spec, move || {
+            let result = source()?;
+            let bid = result.batch_id() as u64;
+            Some(TrainItem { bid, result: Some(result), ..TrainItem::default() })
+        })
+        // Transfer: widen the packed staged rows to f32 — the PCIe copy +
+        // device-side cast stand-in (line 5). The pinned slot returns to the
+        // pool when it drops at the end of this stage.
+        .stage(
+            StageSpec::new("transfer", names::spans::STAGE_TRANSFER).wait(names::spans::PIPE_WAIT),
+            |mut item: TrainItem| {
+                let Some(BatchResult::Ready(batch)) = item.result.take() else {
+                    // Terminal marker: preparation exhausted its retry
+                    // budget. The epoch proceeds on the surviving batches.
+                    failed += 1;
+                    return StageOutcome::Skip;
+                };
+                if fault::fire(fault::sites::PIPE_TRANSFER, item.bid) {
+                    // Injected transfer drop: the batch retires here, its
+                    // slot returning to the pool via RAII.
+                    failed += 1;
+                    return StageOutcome::Skip;
+                }
+                item.features = Some(transfer(
+                    batch.slot.features(),
+                    batch.mfg.num_nodes(),
+                    dim,
+                    batch.slot.payload_bytes(),
+                    &transfer_bytes,
+                ));
+                item.labels = batch.slot.labels().to_vec();
+                item.mfg = Some(batch.mfg);
+                StageOutcome::Emit(item)
+            },
+        )
+        // Train (lines 6–8). This stage's input wait is Table 1's "prep"
+        // column: the time the consumer spends without a batch.
+        .stage(
+            StageSpec::new("train", names::spans::STAGE_TRAIN)
+                .wait(names::spans::STAGE_PREP)
+                .queue(shape::TRANSFER_QUEUE_CAP)
+                .gauge(names::gauges::PIPE_QUEUE_COMPUTE)
+                .hist(names::hists::TRAIN_BATCH_NS),
+            |mut item: TrainItem| {
+                let (Some(mfg), Some(features)) = (item.mfg.take(), item.features.take()) else {
+                    return StageOutcome::Skip;
+                };
+                total_loss += self.train_batch(&mfg, features, &item.labels);
+                batches += 1;
+                StageOutcome::Emit(item)
+            },
+        );
+        let stats = if inline { graph.run_inline(&trace) } else { graph.run(&trace) };
+        // Batches dropped by a stage panic count as failed: they left the
+        // pipeline without training, like a prep failure.
+        (total_loss, batches, failed + stats.panics as usize)
     }
 
     /// Sampled mini-batch inference over `nodes` with the given fanouts.
@@ -555,6 +484,7 @@ impl Trainer {
 mod tests {
     use super::*;
     use salient_graph::DatasetConfig;
+    use salient_tensor::Dtype;
 
     fn dataset() -> Arc<Dataset> {
         Arc::new(DatasetConfig::tiny(42).build())
@@ -579,6 +509,44 @@ mod tests {
         }
     }
 
+    /// The oracle the executors are checked against: Listing 1 written out
+    /// by hand, sharing nothing with the stage graph but `train_batch`.
+    #[test]
+    fn baseline_epochs_equal_a_hand_written_listing_1_loop_bitwise() {
+        for dtype in [Dtype::F16, Dtype::F32] {
+            let ds = Arc::new(DatasetConfig { dtype, ..DatasetConfig::tiny(42) }.build());
+            let cfg = RunConfig { executor: ExecutorKind::Baseline, ..RunConfig::test_tiny() };
+            let mut trainer = Trainer::new(Arc::clone(&ds), cfg.clone());
+            let mut by_hand = Trainer::new(Arc::clone(&ds), cfg.clone());
+            for epoch in 0..2u64 {
+                let mut order = ds.splits.train.clone();
+                order.shuffle(&mut by_hand.rng);
+                let mut sampler = PygSampler::new(cfg.seed ^ epoch);
+                let mut total = 0.0;
+                let mut batches = 0usize;
+                for chunk in order.chunks(cfg.batch_size) {
+                    let mfg = sampler.sample(&ds.graph, chunk, &cfg.train_fanouts);
+                    let xs = ds.features.gather_f32(&mfg.node_ids);
+                    let ys: Vec<u32> = mfg.node_ids[..mfg.batch_size()]
+                        .iter()
+                        .map(|&v| ds.labels[v as usize])
+                        .collect();
+                    total += by_hand.train_batch(&mfg, xs, &ys);
+                    batches += 1;
+                }
+                let stats = trainer.train_epoch();
+                assert_eq!(stats.batches, batches);
+                assert_eq!(
+                    stats.mean_loss.to_bits(),
+                    (total / batches as f64).to_bits(),
+                    "{dtype} epoch {epoch}: {} vs {}",
+                    stats.mean_loss,
+                    total / batches as f64
+                );
+            }
+        }
+    }
+
     #[test]
     fn salient_processes_every_batch() {
         let cfg = RunConfig::test_tiny();
@@ -592,22 +560,38 @@ mod tests {
 
     #[test]
     fn traced_epoch_agrees_with_stage_timings() {
-        let trace = Trace::new(Clock::virtual_with_tick(10_000));
-        let cfg = RunConfig::test_tiny();
-        let mut trainer = Trainer::with_trace(dataset(), cfg, trace.clone());
-        let stats = trainer.train_epoch();
-        let snap = trace.snapshot();
-        let report = analyze(&snap);
-        // Both views derive from the same clock reads: they must agree
-        // exactly, and the stage percentages partition the window.
-        let t = StageTimings::from_report(&report);
-        assert!((t.total_s - stats.timings.total_s).abs() < 1e-12);
-        assert!((t.prep_s - stats.timings.prep_s).abs() < 1e-12);
-        let sum: f64 = report.stage_pcts().iter().sum();
-        assert!((sum - 100.0).abs() < 1e-9, "{sum}");
-        // Workers recorded real prep work into the same registry.
-        assert!(snap.spans(names::spans::PREP_SAMPLE).count() >= stats.batches);
-        assert!(snap.distinct_tids() >= 2);
+        for executor in [ExecutorKind::Salient, ExecutorKind::Baseline] {
+            let trace = Trace::new(Clock::virtual_with_tick(10_000));
+            let cfg = RunConfig { executor, ..RunConfig::test_tiny() };
+            let mut trainer = Trainer::with_trace(dataset(), cfg, trace.clone());
+            let stats = trainer.train_epoch();
+            let snap = trace.snapshot();
+            let report = analyze(&snap);
+            // Both views derive from the same clock reads: they must agree
+            // exactly, and the stage percentages partition the window.
+            let t = StageTimings::from_report(&report);
+            assert!((t.total_s - stats.timings.total_s).abs() < 1e-12);
+            assert!((t.prep_s - stats.timings.prep_s).abs() < 1e-12);
+            let sum: f64 = report.stage_pcts().iter().sum();
+            assert!((sum - 100.0).abs() < 1e-9, "{sum}");
+            let count = |span| snap.spans(span).count();
+            if executor == ExecutorKind::Salient {
+                // Workers recorded real prep work into the same registry.
+                assert!(count(names::spans::PREP_SAMPLE) >= stats.batches);
+                assert!(snap.distinct_tids() >= 2);
+                continue;
+            }
+            // Baseline: one span a stage a batch, all on this thread. The
+            // source's preparation is `stage.prep`, the first batch's
+            // included — nothing is filed as pipeline fill.
+            assert_eq!(count(names::spans::STAGE_PREP), stats.batches);
+            assert_eq!(count(names::spans::STAGE_TRANSFER), stats.batches);
+            assert_eq!(count(names::spans::STAGE_TRAIN), stats.batches);
+            assert_eq!(count(names::spans::WARMUP), 0);
+            assert_eq!(snap.distinct_tids(), 1);
+            let pool = trainer.staging_pool();
+            assert_eq!(pool.available(), pool.capacity());
+        }
     }
 
     #[test]

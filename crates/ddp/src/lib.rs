@@ -36,5 +36,5 @@ pub use comm::{
     CommError, CommErrorKind, CommPhase, Communicator, DEFAULT_STEP_TIMEOUT,
 };
 pub use trainer::{
-    average_gradients, average_model_gradients, replicas_equal, sync_model, sync_parameters,
+    average_gradients, average_model_gradients, sync_model, sync_parameters,
 };

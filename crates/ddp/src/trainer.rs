@@ -59,15 +59,6 @@ pub fn average_model_gradients(
     average_gradients(comm, &mut params)
 }
 
-/// Verifies two parameter sets are element-wise equal (test helper for the
-/// replica-consistency invariant).
-pub fn replicas_equal(a: &[&Param], b: &[&Param]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b.iter())
-            .all(|(x, y)| x.value().data() == y.value().data())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,15 +118,5 @@ mod tests {
                 .collect::<Vec<_>>()
         });
         assert_eq!(values[0], values[1], "replicas must match rank 0 after sync");
-    }
-
-    #[test]
-    fn replicas_equal_helper() {
-        let a = Param::new("a", Tensor::ones([2]));
-        let b = Param::new("b", Tensor::ones([2]));
-        let c = Param::new("c", Tensor::zeros([2]));
-        assert!(replicas_equal(&[&a], &[&b]));
-        assert!(!replicas_equal(&[&a], &[&c]));
-        assert!(!replicas_equal(&[&a], &[&a, &b]));
     }
 }

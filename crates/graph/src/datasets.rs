@@ -61,8 +61,8 @@ pub struct DatasetConfig {
     pub split_fracs: (f64, f64, f64),
     /// RNG seed.
     pub seed: u64,
-    /// Host storage dtype for node features. Presets read the
-    /// `SALIENT_DTYPE` environment knob (default: f16, the paper's layout).
+    /// Host storage dtype for node features. Every preset says f16, the
+    /// paper's layout; the `salient` binary overrides it from `SALIENT_DTYPE`.
     pub dtype: Dtype,
 }
 
@@ -83,7 +83,7 @@ impl DatasetConfig {
             noise: 1.0,
             split_fracs: (0.54, 0.18, 0.28),
             seed: 0xA12,
-            dtype: Dtype::from_env(),
+            dtype: Dtype::F16,
         }
     }
 
@@ -104,7 +104,7 @@ impl DatasetConfig {
             noise: 1.0,
             split_fracs: (0.082, 0.016, 0.90),
             seed: 0xB34,
-            dtype: Dtype::from_env(),
+            dtype: Dtype::F16,
         }
     }
 
@@ -127,7 +127,7 @@ impl DatasetConfig {
             // 4x so the sim-scale train set is not degenerately small.
             split_fracs: (0.044, 0.0045, 0.0077),
             seed: 0xC56,
-            dtype: Dtype::from_env(),
+            dtype: Dtype::F16,
         }
     }
 
@@ -146,7 +146,7 @@ impl DatasetConfig {
             noise: 0.8,
             split_fracs: (0.5, 0.2, 0.3),
             seed,
-            dtype: Dtype::from_env(),
+            dtype: Dtype::F16,
         }
     }
 

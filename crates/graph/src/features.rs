@@ -6,7 +6,7 @@
 //! CPU-to-GPU data transfers", §3): slicing then moves 2 bytes per value and
 //! the (simulated) device widens to `f32` once, after the transfer. The same
 //! matrix can instead hold full-precision rows ([`Dtype::F32`], selected per
-//! dataset or via the `SALIENT_DTYPE` environment knob) so the byte-volume
+//! dataset; the `salient` binary reads it from `SALIENT_DTYPE`) so the byte-volume
 //! lever is measurable: the two layouts run the identical slice/transfer
 //! code paths and differ only in bytes moved.
 //!
@@ -304,20 +304,6 @@ impl FeatureMatrix {
         assert_eq!(values.len(), num_nodes * dim, "feature buffer size mismatch");
         FeatureMatrix {
             data: FeatureSlab::from_f32(dtype, values),
-            num_nodes,
-            dim,
-        }
-    }
-
-    /// Wraps an existing half-precision buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != num_nodes * dim`.
-    pub fn from_halves(num_nodes: usize, dim: usize, values: Vec<F16>) -> Self {
-        assert_eq!(values.len(), num_nodes * dim, "feature buffer size mismatch");
-        FeatureMatrix {
-            data: FeatureSlab::Half(values),
             num_nodes,
             dim,
         }

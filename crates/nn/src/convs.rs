@@ -75,64 +75,6 @@ impl SageConv {
     }
 }
 
-
-/// GraphSAGE convolution with the *pooling* aggregator of the original
-/// GraphSAGE paper: each neighbor is passed through a one-layer MLP, the
-/// results are max-pooled per destination, and combined with the self
-/// transform: `h_v = W_self · x_v + W_neigh · max_{u∈N(v)} σ(W_pool x_u + b)`.
-#[derive(Debug)]
-pub struct SagePoolConv {
-    pool: Linear,
-    w_self: Param,
-    w_neigh: Param,
-}
-
-impl SagePoolConv {
-    /// Creates a Glorot-initialized pooling-SAGE layer with the given
-    /// pooling width.
-    pub fn new(name: &str, in_dim: usize, pool_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
-        SagePoolConv {
-            pool: Linear::new(&format!("{name}.pool"), in_dim, pool_dim, true, rng),
-            w_self: Param::new(
-                format!("{name}.w_self"),
-                init::glorot_uniform(in_dim, out_dim, rng),
-            ),
-            w_neigh: Param::new(
-                format!("{name}.w_neigh"),
-                init::glorot_uniform(pool_dim, out_dim, rng),
-            ),
-        }
-    }
-
-    /// Applies the layer to one hop.
-    pub fn forward(&self, tape: &Tape, x: &Var, x_target: &Var, layer: &MfgLayer) -> Var {
-        let pooled = self
-            .pool
-            .forward(tape, x)
-            .relu()
-            .scatter_max(&layer.edge_src, &layer.edge_dst, layer.n_dst);
-        let neigh = pooled.matmul(&tape.param(&self.w_neigh));
-        let own = x_target.matmul(&tape.param(&self.w_self));
-        own.add(&neigh)
-    }
-
-    /// Trainable parameters.
-    pub fn params(&self) -> Vec<&Param> {
-        let mut p = self.pool.params();
-        p.push(&self.w_self);
-        p.push(&self.w_neigh);
-        p
-    }
-
-    /// Mutable trainable parameters.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.pool.params_mut();
-        p.push(&mut self.w_self);
-        p.push(&mut self.w_neigh);
-        p
-    }
-}
-
 /// Single-head graph attention convolution (GAT):
 /// `h_v = Σ_{u ∈ {v} ∪ N(v)} α_uv · W x_u` with
 /// `α ∝ exp(LeakyReLU(a_src·Wx_u + a_dst·Wx_v))`.
@@ -330,21 +272,6 @@ mod tests {
         assert_eq!(y.row(0), &[1.5, 1.0]);
         // dst1: self (0,1) + row2 (1,1).
         assert_eq!(y.row(1), &[1.0, 2.0]);
-    }
-
-
-    #[test]
-    fn sage_pool_conv_shapes_and_grads() {
-        let mut rng = salient_tensor::rng::StdRng::seed_from_u64(9);
-        let mut conv = SagePoolConv::new("sp", 2, 8, 4, &mut rng);
-        let tape = Tape::new();
-        let (x, xt) = inputs(&tape);
-        let y = conv.forward(&tape, &x, &xt, &hop());
-        assert_eq!(y.shape().dims(), &[2, 4]);
-        let grads = tape.backward(&y.mul(&y).sum_all());
-        grads.apply_to(conv.params_mut());
-        let live = conv.params().iter().filter(|p| p.grad().norm() > 0.0).count();
-        assert!(live >= 3, "pooling path must carry gradients, got {live} live params");
     }
 
     #[test]

@@ -91,11 +91,6 @@ impl Ticket {
     pub fn wait(self) -> Response {
         self.rx.recv().unwrap_or(Response::Failed)
     }
-
-    /// Non-blocking probe for the response.
-    pub fn try_wait(&self) -> Option<Response> {
-        self.rx.try_recv().ok()
-    }
 }
 
 /// Thread-safe serving front-end (see the module docs).

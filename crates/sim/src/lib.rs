@@ -40,5 +40,5 @@ pub use schedules::{
     pipelined_shape_ns, simulate_epoch, simulate_epoch_detailed, simulate_inference_epoch,
     EpochConfig, EpochReport, OptLevel, PipelinedShapeNs,
 };
-pub use timeline::{render_text, to_csv};
+pub use timeline::render_text;
 pub use workload::{epoch_totals, expected_batch, expected_samples_per_node, BatchWorkload};

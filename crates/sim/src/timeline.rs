@@ -67,23 +67,6 @@ pub fn render_text(sim: &Simulation, ex: &Executed, horizon_ns: u64, width: usiz
     out
 }
 
-/// Exports the executed schedule as CSV (`task,label,resource,server,start_ns,end_ns`).
-pub fn to_csv(sim: &Simulation, ex: &Executed) -> String {
-    let mut out = String::from("task,label,resource,server,start_ns,end_ns\n");
-    for (tid, task) in sim.tasks().iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "{tid},{},{},{},{},{}",
-            task.label,
-            sim.resources()[task.resource].name,
-            ex.server[tid],
-            ex.start[tid],
-            ex.end[tid]
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,14 +94,6 @@ mod tests {
         assert!(lanes[3].starts_with("gpu"));
         assert!(text.contains('A'));
         assert!(text.contains('G'));
-    }
-
-    #[test]
-    fn csv_lists_every_task() {
-        let (sim, ex) = tiny();
-        let csv = to_csv(&sim, &ex);
-        assert_eq!(csv.lines().count(), 4);
-        assert!(csv.lines().nth(1).unwrap().contains("alpha"));
     }
 
     #[test]

@@ -255,7 +255,8 @@ impl fmt::Display for F16 {
     }
 }
 
-/// Element type of a feature buffer: the knob behind `SALIENT_DTYPE`.
+/// Element type of a feature buffer: what the `salient` binary's
+/// `SALIENT_DTYPE` variable names.
 ///
 /// The pipeline stores and ships node features either as packed binary16
 /// (`Half`, the paper's configuration — half the slice/transfer bytes) or as
@@ -285,15 +286,6 @@ impl Dtype {
             "f16" | "half" | "float16" => Some(Dtype::F16),
             "f32" | "full" | "float" | "float32" => Some(Dtype::F32),
             _ => None,
-        }
-    }
-
-    /// Reads the `SALIENT_DTYPE` environment variable; unset or unrecognized
-    /// values fall back to [`Dtype::F16`] (the paper's configuration).
-    pub fn from_env() -> Dtype {
-        match std::env::var("SALIENT_DTYPE") {
-            Ok(v) => Dtype::parse(&v).unwrap_or(Dtype::F16),
-            Err(_) => Dtype::F16,
         }
     }
 }
@@ -365,18 +357,6 @@ pub fn quantize(values: &[f32]) -> Vec<F16> {
     let mut out = F16::zeros(values.len());
     narrow_into(values, &mut out);
     out
-}
-
-/// Converts halves back to `f32`, writing into `out`.
-///
-/// Alias of [`widen_into`] kept for call-site readability (the
-/// quantize/dequantize pairing).
-///
-/// # Panics
-///
-/// Panics if `out.len() != values.len()`.
-pub fn dequantize_into(values: &[F16], out: &mut [f32]) {
-    widen_into(values, out);
 }
 
 /// F16C-accelerated conversion kernels (x86-64 only, runtime-detected).
@@ -526,7 +506,7 @@ mod tests {
         let xs = [0.0f32, 1.0, -2.5, 100.25, 0.099975586];
         let q = quantize(&xs);
         let mut out = vec![0.0f32; xs.len()];
-        dequantize_into(&q, &mut out);
+        widen_into(&q, &mut out);
         for (a, b) in xs.iter().zip(out.iter()) {
             assert!((a - b).abs() <= a.abs() * 1e-3 + 1e-4, "{a} vs {b}");
         }
@@ -744,7 +724,7 @@ mod tests {
         let src: Vec<f32> = (0..65_536).map(|_| (rng.random::<f32>() - 0.5) * 8.0).collect();
         let q = quantize(&src);
         let mut back = vec![0.0f32; src.len()];
-        dequantize_into(&q, &mut back);
+        widen_into(&q, &mut back);
         for (&x, &y) in src.iter().zip(back.iter()) {
             assert!(
                 (x - y).abs() <= x.abs() * (2.0f32).powi(-11) + (2.0f32).powi(-24),

@@ -181,58 +181,6 @@ impl Var {
         })
     }
 
-    /// Max aggregation over a bipartite edge list:
-    /// `out[d][c] = max { self[s][c] : (s, d) ∈ edges }`, with zero rows for
-    /// destinations that have no incoming edge (GraphSAGE's pooling
-    /// aggregator applies this after a per-neighbor MLP).
-    ///
-    /// The backward pass routes each output gradient to the arg-max source
-    /// (ties broken by the first edge encountered).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() != dst.len()`.
-    pub fn scatter_max(&self, src: &[u32], dst: &[u32], n_dst: usize) -> Var {
-        let a = self.value();
-        let cols = a.cols();
-        assert_eq!(src.len(), dst.len(), "edge list length mismatch");
-        let ad = a.data();
-        let mut out = vec![f32::NEG_INFINITY; n_dst * cols];
-        let mut argmax: Vec<u32> = vec![u32::MAX; n_dst * cols];
-        for (&s, &d) in src.iter().zip(dst.iter()) {
-            let (s, d) = (s as usize, d as usize);
-            for c in 0..cols {
-                let v = ad[s * cols + c];
-                let slot = d * cols + c;
-                if v > out[slot] {
-                    out[slot] = v;
-                    argmax[slot] = s as u32;
-                }
-            }
-        }
-        // Destinations with no edges produce zero rows (not -inf).
-        for (o, am) in out.iter_mut().zip(argmax.iter()) {
-            if *am == u32::MAX {
-                *o = 0.0;
-            }
-        }
-        let n_src = a.rows();
-        self.unary(Tensor::from_vec(out, Shape::matrix(n_dst, cols)), || {
-            move |g: Tensor| {
-                let gd = g.data();
-                let mut dx = Tensor::zeros(Shape::matrix(n_src, cols));
-                let dxd = dx.data_mut();
-                for (slot, &am) in argmax.iter().enumerate() {
-                    if am != u32::MAX {
-                        let c = slot % cols;
-                        dxd[am as usize * cols + c] += gd[slot];
-                    }
-                }
-                dx
-            }
-        })
-    }
-
     /// Softmax over edge logits grouped by destination node (GAT attention
     /// normalization). `self` must be a length-`E` vector of logits.
     ///
@@ -447,28 +395,6 @@ mod tests {
         assert_eq!(g.wrt(&x).unwrap().data(), &[0.25, 0.25, 0.75, 0.75]);
         // dα_e = dot(x[src_e], ones) = row sums.
         assert_eq!(g.wrt(&w).unwrap().data(), &[3.0, 30.0]);
-    }
-
-
-    #[test]
-    fn scatter_max_takes_columnwise_max() {
-        let tape = Tape::new();
-        let x = tape.leaf(t(&[1.0, 5.0, 3.0, 2.0, 4.0, 0.0], [3, 2]));
-        // dst 0 <- src {0, 1}; dst 1 <- src {2}; dst 2 empty.
-        let y = x.scatter_max(&[0, 1, 2], &[0, 0, 1], 3);
-        assert_eq!(y.value().data(), &[3.0, 5.0, 4.0, 0.0, 0.0, 0.0]);
-        let g = tape.backward(&y.sum_all());
-        // Gradient flows to the argmax entries only: dst0 col0 came from
-        // src1, dst0 col1 from src0, and dst1 (both columns) from src2.
-        assert_eq!(g.wrt(&x).unwrap().data(), &[0.0, 1.0, 1.0, 0.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn scatter_max_handles_negative_values() {
-        let tape = Tape::new();
-        let x = tape.leaf(t(&[-3.0, -1.0], [2, 1]));
-        let y = x.scatter_max(&[0, 1], &[0, 0], 1);
-        assert_eq!(y.value().data(), &[-1.0], "max of negatives is not clamped to 0");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   linear-algebra, and message-passing (gather/scatter) operations;
 //! * [`Param`] — trainable parameters with stable identities, usable across
 //!   tapes and threads;
-//! * [`optim`] — SGD and Adam;
+//! * [`optim`] — Adam;
 //! * [`init`] — Glorot/Kaiming/normal initializers;
 //! * [`kernels`] — the CPU performance layer: cache-blocked parallel GEMM
 //!   and fused CSR gather/scatter aggregation;
@@ -61,11 +61,10 @@ pub mod kernels;
 pub mod optim;
 pub mod pool;
 pub mod rng;
-pub mod schedule;
 pub mod sync;
 
 pub use autograd::{Gradients, Param, ParamId, Tape, Var};
-pub use f16::{dequantize_into, narrow_into, quantize, widen_into, Dtype, F16};
+pub use f16::{narrow_into, quantize, widen_into, Dtype, F16};
 pub use kernels::{gemm, gemm_f16, gemm_f16_f32, gemm_naive};
 pub use norm::column_stats;
 pub use shape::Shape;

@@ -31,80 +31,6 @@ pub fn zero_grads<'a>(params: impl Iterator<Item = &'a mut Param>) {
     }
 }
 
-/// Plain stochastic gradient descent with optional momentum and weight decay.
-///
-/// # Examples
-///
-/// ```
-/// use salient_tensor::{optim::{Optimizer, Sgd}, Param, Tensor};
-///
-/// let mut p = Param::new("w", Tensor::scalar(1.0));
-/// p.accumulate_grad(&Tensor::scalar(0.5));
-/// let mut opt = Sgd::new(0.1);
-/// opt.step(std::iter::once(&mut p));
-/// assert!((p.value().item() - 0.95).abs() < 1e-6);
-/// ```
-#[derive(Debug)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: HashMap<ParamId, Tensor>,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate and no momentum.
-    pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            velocity: HashMap::new(),
-        }
-    }
-
-    /// Sets the momentum coefficient.
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        self.momentum = momentum;
-        self
-    }
-
-    /// Sets decoupled L2 weight decay.
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
-        self.weight_decay = weight_decay;
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step<'a>(&mut self, params: impl Iterator<Item = &'a mut Param>) {
-        for p in params {
-            let mut g = p.grad().clone();
-            if self.weight_decay != 0.0 {
-                g.axpy(self.weight_decay, p.value());
-            }
-            if self.momentum != 0.0 {
-                let v = self
-                    .velocity
-                    .entry(p.id())
-                    .or_insert_with(|| Tensor::zeros(g.shape().clone()));
-                v.scale(self.momentum);
-                v.axpy(1.0, &g);
-                g = v.clone();
-            }
-            p.value_mut().axpy(-self.lr, &g);
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
 /// Adam (Kingma & Ba, 2015), the paper's optimizer of choice.
 #[derive(Debug)]
 pub struct Adam {
@@ -211,35 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut p = Param::new("w", Tensor::scalar(0.0));
-        let mut opt = Sgd::new(0.1);
-        for _ in 0..100 {
-            p.zero_grad();
-            let g = quadratic_grad(&p);
-            p.accumulate_grad(&g);
-            opt.step(std::iter::once(&mut p));
-        }
-        assert!((p.value().item() - 3.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn sgd_momentum_accelerates() {
-        let run = |momentum: f32| {
-            let mut p = Param::new("w", Tensor::scalar(0.0));
-            let mut opt = Sgd::new(0.01).with_momentum(momentum);
-            for _ in 0..50 {
-                p.zero_grad();
-                let g = quadratic_grad(&p);
-                p.accumulate_grad(&g);
-                opt.step(std::iter::once(&mut p));
-            }
-            (p.value().item() - 3.0).abs()
-        };
-        assert!(run(0.9) < run(0.0), "momentum should move farther on a smooth bowl");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut p = Param::new("w", Tensor::scalar(10.0));
         let mut opt = Adam::new(0.2);
@@ -251,15 +148,6 @@ mod tests {
         }
         assert!((p.value().item() - 3.0).abs() < 1e-2, "got {}", p.value().item());
         assert_eq!(opt.steps(), 300);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_parameters() {
-        let mut p = Param::new("w", Tensor::scalar(1.0));
-        let mut opt = Sgd::new(0.1).with_weight_decay(0.5);
-        // Zero task gradient: only decay acts.
-        opt.step(std::iter::once(&mut p));
-        assert!((p.value().item() - 0.95).abs() < 1e-6);
     }
 
     #[test]

@@ -159,8 +159,12 @@ echo "== mixed-precision tier: f16 storage, half GEMM accuracy, byte traffic"
 # Integration tests: half GEMM inside the documented
 # 2.5*2^-11*(|A|.|B|) elementwise bound, f16 feature stores moving
 # <= 55% of the f32 store's transfer.bytes, training parity at both
-# dtypes, SALIENT_DTYPE parsing.
+# dtypes, `Dtype::parse`'s spellings.
 cargo test -q --offline --test mixed_precision
+# What the `salient` binary does with a SALIENT_DTYPE, --model, --executor,
+# --dataset or number it does not accept: exits non-zero naming what it
+# accepts, instead of running the default.
+cargo test -q --offline --test cli
 # The kernel bench doubles as the acceptance gate: it re-asserts the
 # GEMM bound at the full bench shapes and the <= 55% byte criterion on
 # the slice+widen path (through the transfer.bytes counter), then

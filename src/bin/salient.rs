@@ -9,36 +9,77 @@
 //! salient simulate [--gpus N]
 //! salient sample   [--dataset ...] [--scale F] [--batch N]
 //! ```
+//!
+//! `SALIENT_DTYPE=f16|f32` sets the feature store's element type (default
+//! f16). A value no flag or variable accepts is an error, not the default.
 
 #![expect(clippy::disallowed_methods, reason = "CLI entry point: a bad flag or a failed run ends the process with a status, after its message is printed")]
 
 use salient_repro::core::checkpoint::Checkpoint;
-use salient_repro::core::{train_ddp, ExecutorKind, ModelKindConfig, RunConfig, Trainer};
+use salient_repro::core::{train_ddp, ExecutorKind, RunConfig, Trainer};
 use salient_repro::graph::{Dataset, DatasetConfig, DatasetStats};
+use salient_repro::nn::ModelKind;
 use salient_repro::sampler::FastSampler;
 use salient_repro::sim::{
     scaling_sweep, simulate_epoch, CostModel, EpochConfig, OptLevel,
 };
+use salient_repro::tensor::Dtype;
 use std::sync::Arc;
 
+/// A bad flag or environment value: says what was accepted and exits with
+/// status 2, so a typo cannot run as the default.
+fn usage_error(msg: String) -> ! {
+    eprintln!("salient: {msg}");
+    std::process::exit(2);
+}
+
 fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
+    let i = args.iter().position(|a| a == name)?;
+    let value = args.get(i + 1).cloned();
+    Some(value.unwrap_or_else(|| usage_error(format!("{name} needs a value"))))
 }
 
 fn flag_or<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    flag(args, name).and_then(|v| v.parse().ok()).unwrap_or(default)
+    let Some(v) = flag(args, name) else {
+        return default;
+    };
+    v.parse().unwrap_or_else(|_| {
+        let ty = std::any::type_name::<T>();
+        usage_error(format!("{name} {v:?}: expected a number ({ty})"))
+    })
+}
+
+/// The flag's value looked up among `accepted` names (case-insensitive);
+/// the first of them when the flag is absent.
+fn choice<T: Copy>(args: &[String], name: &str, accepted: &[(&str, T)]) -> T {
+    let Some(v) = flag(args, name) else {
+        return accepted[0].1;
+    };
+    match accepted.iter().find(|(n, _)| n.eq_ignore_ascii_case(&v)) {
+        Some(&(_, value)) => value,
+        None => {
+            let names: Vec<&str> = accepted.iter().map(|&(n, _)| n).collect();
+            usage_error(format!("{name} {v:?}: expected one of {}", names.join(", ")))
+        }
+    }
 }
 
 fn build_dataset(args: &[String]) -> Arc<Dataset> {
     let scale: f64 = flag_or(args, "--scale", 0.15);
-    let name = flag(args, "--dataset").unwrap_or_else(|| "arxiv".into());
-    let mut cfg = match name.as_str() {
-        "products" => DatasetConfig::products_sim(scale),
-        "papers" => DatasetConfig::papers_sim(scale),
-        _ => DatasetConfig::arxiv_sim(scale),
-    };
+    let presets: [(&str, fn(f64) -> DatasetConfig); 3] = [
+        ("arxiv", DatasetConfig::arxiv_sim),
+        ("products", DatasetConfig::products_sim),
+        ("papers", DatasetConfig::papers_sim),
+    ];
+    let mut cfg = choice(args, "--dataset", &presets)(scale);
     // CLI runs want trainable label densities at sim scale.
     cfg.split_fracs = (0.5, 0.1, 0.4);
+    // The one read of SALIENT_DTYPE: the presets store f16 rows.
+    if let Some(v) = std::env::var_os("SALIENT_DTYPE") {
+        cfg.dtype = v.to_str().and_then(Dtype::parse).unwrap_or_else(|| {
+            usage_error(format!("SALIENT_DTYPE={v:?}: expected f16 or f32"))
+        });
+    }
     let ds = Arc::new(cfg.build());
     eprintln!(
         "dataset {}: {} nodes, {} edges, {} classes",
@@ -51,19 +92,11 @@ fn build_dataset(args: &[String]) -> Arc<Dataset> {
 }
 
 fn run_config(args: &[String]) -> RunConfig {
-    let model = match flag(args, "--model").as_deref() {
-        Some("gat") => ModelKindConfig::Gat,
-        Some("gin") => ModelKindConfig::Gin,
-        Some("sage-ri") => ModelKindConfig::SageRi,
-        _ => ModelKindConfig::Sage,
-    };
-    let executor = match flag(args, "--executor").as_deref() {
-        Some("baseline") => ExecutorKind::Baseline,
-        _ => ExecutorKind::Salient,
-    };
+    let models = ModelKind::all().map(|k| (k.name(), k));
+    let executors = [("salient", ExecutorKind::Salient), ("baseline", ExecutorKind::Baseline)];
     RunConfig {
-        model,
-        executor,
+        model: choice(args, "--model", &models),
+        executor: choice(args, "--executor", &executors),
         num_layers: 3,
         hidden: flag_or(args, "--hidden", 64),
         train_fanouts: vec![15, 10, 5],
@@ -79,8 +112,9 @@ fn run_config(args: &[String]) -> RunConfig {
 }
 
 fn cmd_train(args: &[String]) {
-    let ds = build_dataset(args);
+    // Flags first: a typo should not cost a dataset build.
     let cfg = run_config(args);
+    let ds = build_dataset(args);
     let ranks: usize = flag_or(args, "--ranks", 1);
     if ranks > 1 {
         eprintln!("training with {ranks} data-parallel ranks...");
@@ -124,8 +158,8 @@ fn cmd_train(args: &[String]) {
 
 fn cmd_eval(args: &[String]) {
     let path = flag(args, "--load").expect("--load PATH is required");
-    let ds = build_dataset(args);
     let cfg = run_config(args);
+    let ds = build_dataset(args);
     let mut trainer = Trainer::new(Arc::clone(&ds), cfg);
     let ckpt = Checkpoint::load(&path).expect("cannot read checkpoint");
     ckpt.apply_to_model(trainer.model_mut()).expect("checkpoint mismatch");

@@ -2,8 +2,9 @@
 //! optimizer, through the public API, for both executors and several
 //! architectures.
 
-use salient_repro::core::{ExecutorKind, ModelKindConfig, RunConfig, Trainer};
+use salient_repro::core::{ExecutorKind, RunConfig, Trainer};
 use salient_repro::graph::DatasetConfig;
+use salient_repro::nn::ModelKind;
 use std::sync::Arc;
 
 fn dense_tiny(seed: u64) -> Arc<salient_repro::graph::Dataset> {
@@ -15,12 +16,7 @@ fn dense_tiny(seed: u64) -> Arc<salient_repro::graph::Dataset> {
 #[test]
 fn salient_executor_trains_every_architecture() {
     let ds = dense_tiny(1);
-    for model in [
-        ModelKindConfig::Sage,
-        ModelKindConfig::Gat,
-        ModelKindConfig::Gin,
-        ModelKindConfig::SageRi,
-    ] {
+    for model in ModelKind::all() {
         let run = RunConfig {
             model,
             epochs: 5,

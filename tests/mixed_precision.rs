@@ -98,9 +98,9 @@ fn f16_store_halves_transfer_bytes_and_trains() {
     );
 }
 
-/// `SALIENT_DTYPE` parsing accepts both spellings case-insensitively and
-/// rejects anything else (presets call `Dtype::from_env`, so a typo'd env
-/// var must not silently fall back).
+/// `Dtype::parse` accepts both spellings case-insensitively and rejects
+/// anything else; what the `salient` binary does with a rejected
+/// `SALIENT_DTYPE` is `tests/cli.rs`.
 #[test]
 fn dtype_parse_round_trips() {
     assert_eq!(Dtype::parse("f16"), Some(Dtype::F16));
