@@ -2,6 +2,20 @@
 //! paper's DDP usage: effective batch size scales with the number of GPUs,
 //! gradients are averaged with a ring all-reduce after every backward pass,
 //! and replicas stay bit-identical.
+//!
+//! A rank is a plain loop, prep then train then the next step, not a stage
+//! graph: ring collectives need every rank at the same all-reduce at the
+//! same time, so a rank may never run its own prep ahead of its neighbours
+//! and there is nothing to overlap. Each step records a `ddp.prep` and a
+//! `ddp.train` span that share their boundary timestamp.
+//!
+//! Failure is what the thread does: a collective error returns from the
+//! rank with `?`, and a panic anywhere in a step (a bad label, a kernel
+//! assertion) kills the rank thread. Either way the rank's ring endpoint
+//! drops, its peers' next receive reports a typed [`CommError`] within the
+//! step deadline, and [`train_ddp`]'s join loop names the dead rank. Nothing
+//! catches a rank's panic: a rank that outlived one would be a step behind
+//! its peers and would feed the wrong buffer into their next collective.
 
 use crate::config::RunConfig;
 use crate::train::train_step;
@@ -9,34 +23,13 @@ use salient_ddp::{average_model_gradients, sync_model, CommError, Communicator};
 use salient_fault as fault;
 use salient_graph::{Dataset, NodeId};
 use salient_nn::{build_model, GnnModel};
-use salient_pipeline::{GraphSpec, PipeItem, StageGraph, StageOutcome, StageSpec};
-use salient_sampler::{FastSampler, MessageFlowGraph};
+use salient_sampler::FastSampler;
 use salient_tensor::optim::Adam;
 use salient_tensor::rng::SliceRandom;
 use salient_tensor::rng::StdRng;
-use salient_tensor::Tensor;
 use salient_trace::{names, Trace};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// One DDP optimizer step flowing through a rank's per-epoch stage graph.
-/// Empty shards flow through as items too, with no MFG or features: every
-/// rank must reach the same number of collectives, so alignment steps cannot
-/// be skipped.
-#[derive(Default)]
-struct DdpItem {
-    bid: u64,
-    shard: Vec<NodeId>,
-    mfg: Option<MessageFlowGraph>,
-    features: Option<Tensor>,
-    labels: Vec<u32>,
-}
-
-impl PipeItem for DdpItem {
-    fn batch_id(&self) -> u64 {
-        self.bid
-    }
-}
 
 /// Result of a distributed training run.
 pub struct DdpRunResult {
@@ -196,6 +189,7 @@ fn rank_loop(
     let mut sampler = FastSampler::new(config.seed ^ (rank as u64) << 40);
     let mut dropout_rng = StdRng::seed_from_u64(config.seed ^ (rank as u64) << 24);
     let mut epoch_losses = Vec::with_capacity(config.epochs);
+    let clock = trace.clock();
 
     for epoch in 0..config.epochs {
         // One span per (rank, epoch): rank-level occupancy in the reports.
@@ -208,65 +202,32 @@ fn rank_loop(
         let effective = config.batch_size * world;
         let mut loss_sum = 0.0;
         let mut steps = 0usize;
-        let mut comm_err: Option<CommError> = None;
-        // The rank's per-epoch prep→train stage graph, always on the
-        // *inline* schedule: ring collectives require every rank to reach
-        // each all-reduce in lockstep, so a rank may never run its own
-        // compute ahead of its neighbours behind a stage queue. The graph
-        // still buys the shared span layout (`ddp.prep` / `ddp.train`) and
-        // the supervised failure path.
-        let mut chunks = order.chunks(effective).enumerate();
-        StageGraph::new(GraphSpec::new("ddp"), || {
+        for (bid, chunk) in order.chunks(effective).enumerate() {
+            let bid = bid as u64;
+            let t0 = clock.now_ns();
             // Rank r takes its slice of the effective batch; trailing
             // partial chunks are shared as evenly as possible.
-            let (bid, chunk) = chunks.next()?;
-            let shard = chunk.iter().skip(rank).step_by(world).copied().collect();
-            Some(DdpItem { bid: bid as u64, shard, ..DdpItem::default() })
-        })
-        .stage(
-            StageSpec::new("prep", names::spans::DDP_PREP),
-            |mut item: DdpItem| {
-                if !item.shard.is_empty() {
-                    let mfg = sampler.sample(&dataset.graph, &item.shard, &config.train_fanouts);
-                    item.features = Some(dataset.features.gather_f32(&mfg.node_ids));
-                    item.labels = mfg.node_ids[..mfg.batch_size()]
-                        .iter()
-                        .map(|&v| dataset.labels[v as usize])
-                        .collect();
-                    item.mfg = Some(mfg);
-                }
-                StageOutcome::Emit(item)
-            },
-        )
-        .stage(
-            StageSpec::new("train", names::spans::DDP_TRAIN),
-            |mut item: DdpItem| {
-                // No batch for an empty shard: the rank still takes the
-                // step, joining the all-reduce with zero gradients.
-                let batch = (item.mfg.as_ref())
-                    .zip(item.features.take())
-                    .map(|(mfg, x)| (mfg, x, item.labels.as_slice()));
-                let step = train_step(model.as_mut(), &mut opt, &mut dropout_rng, batch, |m| {
-                    average_model_gradients(&comm, m)
-                });
-                match step {
-                    Ok(loss) => {
-                        loss_sum += loss;
-                        steps += 1;
-                        StageOutcome::Emit(item)
-                    }
-                    Err(e) => {
-                        // A collective failure is terminal for the rank:
-                        // poison the graph and surface the typed error.
-                        comm_err = Some(e);
-                        StageOutcome::Fatal
-                    }
-                }
-            },
-        )
-        .run_inline(&trace);
-        if let Some(e) = comm_err {
-            return Err(e);
+            let shard: Vec<NodeId> = chunk.iter().skip(rank).step_by(world).copied().collect();
+            // No batch for an empty shard, but the rank still takes the
+            // step, joining the all-reduce with zero gradients: every rank
+            // must reach the same number of collectives.
+            let mfg = (!shard.is_empty())
+                .then(|| sampler.sample(&dataset.graph, &shard, &config.train_fanouts));
+            let features = mfg.as_ref().map(|mfg| dataset.features.gather_f32(&mfg.node_ids));
+            let labels: Vec<u32> = (mfg.iter())
+                .flat_map(|mfg| &mfg.node_ids[..mfg.batch_size()])
+                .map(|&v| dataset.labels[v as usize])
+                .collect();
+            let t1 = clock.now_ns();
+            trace.record_span(names::spans::DDP_PREP, bid, t0, t1);
+            let batch = (mfg.as_ref().zip(features)).map(|(mfg, x)| (mfg, x, labels.as_slice()));
+            let step = train_step(model.as_mut(), &mut opt, &mut dropout_rng, batch, |m| {
+                average_model_gradients(&comm, m)
+            });
+            trace.record_span(names::spans::DDP_TRAIN, bid, t1, clock.now_ns());
+            // A collective failure is terminal for the rank.
+            loss_sum += step?;
+            steps += 1;
         }
         // Average the epoch loss across ranks for reporting.
         let mut l = [(loss_sum / steps.max(1) as f64) as f32];
@@ -344,6 +305,18 @@ mod tests {
         );
         assert!(snap.threads.iter().any(|n| n == "salient-ddp-rank-0"));
         assert!(snap.threads.iter().any(|n| n == "salient-ddp-rank-1"));
+        // One prep and one train span per (rank, step), sharing the boundary.
+        let steps = ds.splits.train.len().div_ceil(cfg.batch_size * 2);
+        let prep: Vec<_> = snap.spans(names::spans::DDP_PREP).collect();
+        let train: Vec<_> = snap.spans(names::spans::DDP_TRAIN).collect();
+        assert_eq!(prep.len(), 2 * cfg.epochs * steps);
+        assert_eq!(train.len(), prep.len());
+        for p in prep {
+            let next = train
+                .iter()
+                .filter(|t| (t.tid, t.batch, t.start_ns) == (p.tid, p.batch, p.end_ns));
+            assert_eq!(next.count(), 1, "prep {p:?} has no train span starting where it ends");
+        }
     }
 
     #[test]

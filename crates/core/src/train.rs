@@ -345,8 +345,8 @@ impl Trainer {
     /// `(summed loss, batches trained, batches failed)`.
     ///
     /// Unless `inline`, [`StageGraph::run`] picks the schedule: on an
-    /// adequate thread budget ([`StageGraph::threaded_available`]) the two
-    /// stages run on dedicated threads with a bounded
+    /// adequate thread budget (`SALIENT_NUM_THREADS` of at least three) the
+    /// two stages run on dedicated threads with a bounded
     /// ([`shape::TRANSFER_QUEUE_CAP`]) queue between them, so batch `k+1`'s
     /// widen/copy overlaps batch `k`'s compute; otherwise the inline
     /// schedule reproduces the exact clock-read and FP-operation order of

@@ -10,17 +10,18 @@
 //! Every ring receive is bounded by a configurable deadline: a dead or
 //! dropped peer surfaces as a typed [`CommError`] naming the rank, step, and
 //! phase where the collective stalled, instead of deadlocking the ring on a
-//! blocking `recv`. Fault injection hooks ([`salient_fault::sites::DDP_SEND`]
+//! blocking `recv`. Every payload's length is checked against the chunk the
+//! step expects, so ranks that fell out of step get an error, never each
+//! other's buffers. A [`Communicator`] belongs to one rank thread (it is
+//! `Send`, not `Sync`). Fault injection hooks ([`salient_fault::sites::DDP_SEND`]
 //! / [`salient_fault::sites::DDP_RECV`]) allow tests to drop links and delay
 //! ranks deterministically.
 
 use salient_fault::{self as fault, FaultAction};
-use salient_tensor::sync::lock_unpoisoned;
 use salient_tensor::Tensor;
 use salient_trace::{names, Counter, Trace};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Which phase of a collective an error occurred in.
@@ -52,6 +53,15 @@ pub enum CommErrorKind {
     Timeout(Duration),
     /// A peer's endpoint was dropped (its thread died).
     Disconnected,
+    /// The previous rank's payload is not the chunk this step expects: the
+    /// ranks are no longer in the same collective, and combining the buffers
+    /// would corrupt both.
+    Desynchronized {
+        /// Floats this ring step should have received.
+        expected: usize,
+        /// Floats that arrived.
+        got: usize,
+    },
 }
 
 /// A failed collective: which rank observed it, at which ring step, in which
@@ -82,6 +92,11 @@ impl std::fmt::Display for CommError {
                 "rank {} lost its ring peer at step {} ({})",
                 self.rank, self.step, self.phase
             ),
+            CommErrorKind::Desynchronized { expected, got } => write!(
+                f,
+                "rank {} received {} floats where ring step {} ({}) expects {}",
+                self.rank, got, self.step, self.phase, expected
+            ),
         }
     }
 }
@@ -100,10 +115,7 @@ pub struct Communicator {
     timeout: Duration,
     steps: AtomicU64,
     to_next: Sender<Vec<f32>>,
-    /// Wrapped so `Communicator: Sync`: the pipelined executors capture
-    /// `&Communicator` in `Send` stage closures. Uncontended in practice —
-    /// only the owning rank ever receives on its link.
-    from_prev: Mutex<Receiver<Vec<f32>>>,
+    from_prev: Receiver<Vec<f32>>,
     trace: Trace,
     // Metric handles resolved once at ring construction so the per-step hot
     // path is two relaxed atomic adds (detached no-ops when tracing is off).
@@ -163,7 +175,7 @@ impl Communicator {
                 timeout,
                 steps: AtomicU64::new(0),
                 to_next,
-                from_prev: Mutex::new(from_prev),
+                from_prev,
                 trace: trace.clone(),
                 bytes_sent: trace.counter(names::counters::DDP_BYTES),
                 steps_counter: trace.counter(names::counters::DDP_STEPS),
@@ -206,9 +218,14 @@ impl Communicator {
     }
 
     /// One ring step: send `payload` to the next rank (unless an injected
-    /// fault drops the link) and receive the previous rank's payload within
-    /// the deadline.
-    fn step(&self, payload: Vec<f32>, phase: CommPhase) -> Result<Vec<f32>, CommError> {
+    /// fault drops the link) and receive the previous rank's payload — of
+    /// `expected` floats — within the deadline.
+    fn step(
+        &self,
+        payload: Vec<f32>,
+        expected: usize,
+        phase: CommPhase,
+    ) -> Result<Vec<f32>, CommError> {
         // The pre-increment value doubles as the ring-step index tagged
         // onto the send/recv edge spans, letting the critical-path
         // reconstructor chain them across ranks. Relaxed: diagnostic
@@ -248,25 +265,24 @@ impl Communicator {
             std::thread::sleep(d);
         }
         let recv_t0 = clock.now_ns();
-        let received = self.recv_from_prev();
+        let received = self.recv_from_prev(expected, phase);
         self.trace
             .record_span(names::spans::DDP_RING_RECV, ring_step, recv_t0, clock.now_ns());
-        match received {
-            Ok(v) => Ok(v),
-            Err(RecvTimeoutError::Timeout) => {
-                Err(self.err(phase, CommErrorKind::Timeout(self.timeout)))
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(self.err(phase, CommErrorKind::Disconnected))
-            }
-        }
+        received
     }
 
-    /// Receives from the ring predecessor within the step deadline. The
-    /// link mutex is exclusive to this rank (see `from_prev`), so the lock
-    /// never blocks and a poisoned guard carries no broken invariant.
-    fn recv_from_prev(&self) -> Result<Vec<f32>, RecvTimeoutError> {
-        lock_unpoisoned(&self.from_prev).recv_timeout(self.timeout)
+    /// Receives the ring predecessor's payload within the step deadline and
+    /// checks it is the `expected` floats long, in release builds too: a
+    /// rank that fell out of step would otherwise have one collective's
+    /// buffer summed or copied into another's.
+    fn recv_from_prev(&self, expected: usize, phase: CommPhase) -> Result<Vec<f32>, CommError> {
+        let kind = match self.from_prev.recv_timeout(self.timeout) {
+            Ok(v) if v.len() == expected => return Ok(v),
+            Ok(v) => CommErrorKind::Desynchronized { expected, got: v.len() },
+            Err(RecvTimeoutError::Timeout) => CommErrorKind::Timeout(self.timeout),
+            Err(RecvTimeoutError::Disconnected) => CommErrorKind::Disconnected,
+        };
+        Err(self.err(phase, kind))
     }
 
     /// In-place ring all-reduce (sum) over a flat buffer. Every rank must
@@ -287,10 +303,9 @@ impl Communicator {
         let mut send_chunk = self.rank;
         for _ in 0..n - 1 {
             let (s, e) = Self::chunk_bounds(len, n, send_chunk);
-            let incoming = self.step(data[s..e].to_vec(), CommPhase::ReduceScatter)?;
             let recv_chunk = (send_chunk + n - 1) % n;
             let (rs, re) = Self::chunk_bounds(len, n, recv_chunk);
-            debug_assert_eq!(incoming.len(), re - rs);
+            let incoming = self.step(data[s..e].to_vec(), re - rs, CommPhase::ReduceScatter)?;
             for (d, v) in data[rs..re].iter_mut().zip(incoming) {
                 *d += v;
             }
@@ -299,9 +314,9 @@ impl Communicator {
         // All-gather: circulate the completed chunks.
         for _ in 0..n - 1 {
             let (s, e) = Self::chunk_bounds(len, n, send_chunk);
-            let incoming = self.step(data[s..e].to_vec(), CommPhase::AllGather)?;
             let recv_chunk = (send_chunk + n - 1) % n;
             let (rs, re) = Self::chunk_bounds(len, n, recv_chunk);
+            let incoming = self.step(data[s..e].to_vec(), re - rs, CommPhase::AllGather)?;
             data[rs..re].copy_from_slice(&incoming);
             send_chunk = recv_chunk;
         }
@@ -357,15 +372,7 @@ impl Communicator {
                 return Err(self.err(CommPhase::Broadcast, CommErrorKind::Disconnected));
             }
         } else {
-            let incoming = match self.recv_from_prev() {
-                Ok(v) => v,
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(self.err(CommPhase::Broadcast, CommErrorKind::Timeout(self.timeout)))
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(self.err(CommPhase::Broadcast, CommErrorKind::Disconnected))
-                }
-            };
+            let incoming = self.recv_from_prev(data.len(), CommPhase::Broadcast)?;
             data.copy_from_slice(&incoming);
             if self.rank != self.world - 1 {
                 if fault::fire(fault::sites::DDP_SEND, self.rank as u64) {
@@ -377,16 +384,6 @@ impl Communicator {
             }
         }
         Ok(())
-    }
-
-    /// Synchronization barrier (an all-reduce of a scalar).
-    ///
-    /// # Errors
-    ///
-    /// See [`Communicator::all_reduce_sum`].
-    pub fn barrier(&self) -> Result<(), CommError> {
-        let mut token = [0.0f32];
-        self.all_reduce_sum(&mut token)
     }
 }
 
@@ -466,15 +463,6 @@ mod tests {
         let mut data = vec![1.0, 2.0];
         comms[0].all_reduce_mean(&mut data).unwrap();
         assert_eq!(data, vec![1.0, 2.0]);
-        comms[0].barrier().unwrap();
-    }
-
-    #[test]
-    fn barrier_completes() {
-        run_ranks(5, |_, comm| {
-            comm.barrier().unwrap();
-            vec![]
-        });
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! The OGB benchmark graphs (citation and co-purchase networks) have
 //! power-law degree distributions; neighborhood-expansion cost, MFG size and
-//! transfer volume all depend on that tail. The generators here reproduce it:
-//! a community-structured Chung–Lu model (used for the label-bearing
-//! datasets) and an R-MAT generator (used for stress tests).
+//! transfer volume all depend on that tail. The generator here reproduces it:
+//! a community-structured Chung–Lu model, which every dataset is built from.
 
 #![expect(
     clippy::indexing_slicing,
@@ -154,87 +153,6 @@ pub fn chung_lu_communities(cfg: &ChungLuConfig) -> CommunityGraph {
     CommunityGraph { graph, community }
 }
 
-/// Parameters for the R-MAT generator (Chakrabarti et al.).
-#[derive(Clone, Debug)]
-pub struct RmatConfig {
-    /// log2 of the number of nodes.
-    pub scale: u32,
-    /// Average directed edges per node.
-    pub edge_factor: usize,
-    /// Quadrant probabilities; must sum to 1.
-    pub a: f64,
-    /// Top-right quadrant probability.
-    pub b: f64,
-    /// Bottom-left quadrant probability.
-    pub c: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for RmatConfig {
-    fn default() -> Self {
-        RmatConfig {
-            scale: 14,
-            edge_factor: 16,
-            a: 0.57,
-            b: 0.19,
-            c: 0.19,
-            seed: 0,
-        }
-    }
-}
-
-/// Generates an R-MAT graph (directed, may contain duplicates), the standard
-/// skewed-degree stress-test topology (Graph500).
-///
-/// # Panics
-///
-/// Panics if the quadrant probabilities exceed 1.
-pub fn rmat(cfg: &RmatConfig) -> CsrGraph {
-    let d = 1.0 - cfg.a - cfg.b - cfg.c;
-    assert!(d >= -1e-9, "quadrant probabilities exceed 1");
-    let mut rng = salient_tensor::rng::StdRng::seed_from_u64(cfg.seed);
-    let n = 1usize << cfg.scale;
-    let m = n * cfg.edge_factor;
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
-        let (mut u, mut v) = (0usize, 0usize);
-        for _ in 0..cfg.scale {
-            let r: f64 = rng.random();
-            let (du, dv) = if r < cfg.a {
-                (0, 0)
-            } else if r < cfg.a + cfg.b {
-                (0, 1)
-            } else if r < cfg.a + cfg.b + cfg.c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            u = (u << 1) | du;
-            v = (v << 1) | dv;
-        }
-        if u != v {
-            edges.push((u as NodeId, v as NodeId));
-        }
-    }
-    CsrGraph::from_edges(n, &edges)
-}
-
-/// Generates an Erdős–Rényi `G(n, m)` graph (directed, duplicates possible).
-pub fn erdos_renyi(num_nodes: usize, num_edges: usize, seed: u64) -> CsrGraph {
-    let mut rng = salient_tensor::rng::StdRng::seed_from_u64(seed);
-    let edges: Vec<(NodeId, NodeId)> = (0..num_edges)
-        .map(|_| {
-            (
-                rng.random_range(0..num_nodes as NodeId),
-                rng.random_range(0..num_nodes as NodeId),
-            )
-        })
-        .filter(|(u, v)| u != v)
-        .collect();
-    CsrGraph::from_edges(num_nodes, &edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,28 +218,5 @@ mod tests {
         let a = chung_lu_communities(&cfg);
         let b = chung_lu_communities(&cfg);
         assert_eq!(a.graph.indices(), b.graph.indices());
-    }
-
-    #[test]
-    fn rmat_skewed_degrees() {
-        let g = rmat(&RmatConfig {
-            scale: 10,
-            edge_factor: 8,
-            seed: 3,
-            ..Default::default()
-        });
-        assert_eq!(g.num_nodes(), 1024);
-        let max_deg = (0..1024).map(|v| g.degree(v)).max().unwrap();
-        assert!(
-            max_deg > 8 * 4,
-            "R-MAT should produce hubs; max degree {max_deg}"
-        );
-    }
-
-    #[test]
-    fn erdos_renyi_size() {
-        let g = erdos_renyi(100, 500, 1);
-        assert_eq!(g.num_nodes(), 100);
-        assert!(g.num_edges() <= 500 && g.num_edges() > 450);
     }
 }

@@ -27,7 +27,6 @@ mod split;
 
 pub mod generate;
 pub mod labels;
-pub mod partition;
 
 pub use csr::{CsrGraph, NodeId};
 pub use datasets::{Dataset, DatasetConfig, DatasetStats};

@@ -1,4 +1,5 @@
-//! The stage-graph executor: one description, two schedules.
+//! The stage-graph executor: one description, two schedules, one per-item
+//! step.
 //!
 //! A [`StageGraph`] is a source plus an ordered list of stages. Items are
 //! pulled from the source and pushed through every stage in order; each
@@ -7,18 +8,29 @@
 //! monotonic clock and deterministic on a
 //! [`VirtualClock`](salient_trace::VirtualClock).
 //!
-//! Two execution modes share the description:
+//! Two schedules share the description:
 //!
 //! * **Inline** ([`StageGraph::run_inline`]): every stage runs on the
 //!   calling thread, in submission order. This is the bitwise-reproducible
-//!   reference schedule — identical clock-read sequence and identical
-//!   floating-point operation order to the hand-written loops it replaced.
-//! * **Threaded** ([`StageGraph::run_threaded`]): one dedicated thread per
-//!   stage, adjacent stages connected by bounded queues
-//!   ([`salient_tensor::sync::channel`]). Batch `k+1` flows through stage
-//!   `i` while batch `k` occupies stage `i+1` — the SALIENT overlap.
-//!   Backpressure is the queue bound: a fast producer parks in `send` when
-//!   the queue is full; nothing is dropped, nothing busy-waits.
+//!   reference schedule — the clock-read sequence and floating-point
+//!   operation order of a hand-written serial loop.
+//! * **Threaded** (what [`StageGraph::run`] picks when the thread budget
+//!   allows): one dedicated thread per stage, adjacent stages connected by
+//!   bounded queues ([`salient_tensor::sync::channel`]). Batch `k+1` flows
+//!   through stage `i` while batch `k` occupies stage `i+1` — the SALIENT
+//!   overlap. Backpressure is the queue bound: a fast producer parks in
+//!   `send` when the queue is full; nothing is dropped, nothing busy-waits.
+//!
+//! A schedule decides only *where* and *when* a stage meets an item. What
+//! happens when it does — the guarded step, the work span and histogram,
+//! the skip and panic accounting, the poison — is `Run::step`, and how an
+//! input wait is filed is `Run::record_wait`; both schedules call those
+//! two, so they execute the same per-item operations by construction.
+//!
+//! The engine is for stages that can overlap. A loop whose steps must run
+//! in lockstep (a DDP rank between ring collectives) or that handles one
+//! item per call (a serving micro-batch) is sequential code and is written
+//! as such; see DESIGN.md §12.
 //!
 //! Stage loops run on dedicated `std::thread`s, *not* on
 //! [`salient_tensor::pool`] workers: a pool job holds the pool's submit
@@ -43,7 +55,7 @@
 use salient_tensor::sync::channel as queue;
 use salient_tensor::sync::lock_unpoisoned;
 use salient_trace::names::{self, GaugeName, HistName, SpanName};
-use salient_trace::{Clock, Gauge, Histogram, Trace};
+use salient_trace::{Clock, Counter, Gauge, Histogram, Trace};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -63,9 +75,6 @@ pub enum StageOutcome<T> {
     /// stages (e.g. a failed prep batch). Not an error; counted in
     /// [`PipeStats::skipped`].
     Skip,
-    /// Stop the whole run after this item (e.g. a communicator error).
-    /// Reported via [`PipeStats::fatal_stage`].
-    Fatal,
 }
 
 /// Static description of one stage.
@@ -172,14 +181,18 @@ impl GraphSpec {
     }
 }
 
-/// One stage: spec + step + optional post-work hook.
+/// One stage: spec + step, and once a run has started (`bind`) the handle
+/// of the spec's work histogram.
 struct Stage<'a, T> {
     spec: StageSpec,
     step: Box<dyn FnMut(T) -> StageOutcome<T> + Send + 'a>,
-    /// Runs after the work span closes, receiving the item and the work-end
-    /// timestamp. Returning `false` retires the item (counted as skipped) —
-    /// serve uses this for deadline expiry at stage boundaries.
-    after: Option<Box<dyn FnMut(&mut T, u64) -> bool + Send + 'a>>,
+    work_hist: Option<Histogram>,
+}
+
+impl<T> Stage<'_, T> {
+    fn bind(&mut self, trace: &Trace) {
+        self.work_hist = self.spec.work_hist.map(|n| trace.histogram(n));
+    }
 }
 
 /// Outcome of a completed run.
@@ -187,12 +200,12 @@ struct Stage<'a, T> {
 pub struct PipeStats {
     /// Items that exited the last stage.
     pub emitted: u64,
-    /// Items retired early (a `Skip` outcome or an after-hook veto).
+    /// Items retired early by a `Skip` outcome.
     pub skipped: u64,
     /// Items dropped by a caught stage panic.
     pub panics: u64,
-    /// `Some(work_span)` of the stage that poisoned the run (budget
-    /// exhausted or `Fatal`); `None` for a clean run.
+    /// `Some(work_span)` of the stage that poisoned the run (panic budget
+    /// exhausted); `None` for a clean run.
     pub fatal_stage: Option<SpanName>,
 }
 
@@ -203,8 +216,30 @@ impl PipeStats {
     }
 }
 
-/// Counters/flags shared by the stage threads of one run.
-struct SharedStats {
+/// Where an item is after one stage's step.
+enum Stepped<T> {
+    /// Through the stage. The timestamp closed its work span; the inline
+    /// schedule opens the next stage's span on it.
+    Through(T, u64),
+    /// Out of the pipeline (a `Skip`, or a panic within budget).
+    Retired,
+    /// Out of the pipeline, and this step's panic poisoned the run.
+    Poisoned,
+}
+
+/// One run of a graph under either schedule: the handles every stage needs
+/// besides its own step, resolved once; the counters and flags the stages
+/// (threads, in the threaded schedule) share; and the two operations a
+/// schedule performs on an item — [`Run::record_wait`] and [`Run::step`].
+struct Run<'t> {
+    trace: &'t Trace,
+    clock: Clock,
+    panic_budget: u64,
+    wait_hist: Option<Histogram>,
+    fill_hist: Histogram,
+    panic_ctr: Counter,
+    /// Set until the consumer's first input wait has been filed as fill.
+    fill_pending: AtomicBool,
     emitted: AtomicU64,
     skipped: AtomicU64,
     panics: AtomicU64,
@@ -212,14 +247,73 @@ struct SharedStats {
     fatal: Mutex<Option<SpanName>>,
 }
 
-impl SharedStats {
-    fn new() -> SharedStats {
-        SharedStats {
+impl<'t> Run<'t> {
+    fn new(spec: GraphSpec, trace: &'t Trace) -> Run<'t> {
+        let wait_hist = spec.wait_hist.map(|n| trace.histogram(n));
+        Run {
+            trace,
+            clock: trace.clock(),
+            panic_budget: spec.panic_budget,
+            fill_pending: AtomicBool::new(wait_hist.is_some()),
+            wait_hist,
+            fill_hist: trace.histogram(names::hists::PIPE_FILL_NS),
+            panic_ctr: trace.counter(names::counters::PIPE_STAGE_PANICS),
             emitted: AtomicU64::new(0),
             skipped: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             fatal: Mutex::new(None),
+        }
+    }
+
+    /// Files the input wait `[t0, t1]` that ended with item `bid` arriving.
+    /// `consumer` marks the last stage's wait — the consumer-blocked time
+    /// the graph's wait histogram observes, and whose first instance is
+    /// pipeline fill (a `warmup` span) when the graph has that histogram.
+    fn record_wait(&self, wait_span: Option<SpanName>, consumer: bool, bid: u64, t0: u64, t1: u64) {
+        if consumer && self.fill_pending.swap(false, Ordering::AcqRel) {
+            self.trace.record_span(names::spans::WARMUP, bid, t0, t1);
+            self.fill_hist.observe(t1.saturating_sub(t0));
+            return;
+        }
+        if let Some(ws) = wait_span {
+            self.trace.record_span(ws, bid, t0, t1);
+        }
+        if let (true, Some(h)) = (consumer, &self.wait_hist) {
+            h.observe(t1.saturating_sub(t0));
+        }
+    }
+
+    /// Runs `item` through `stage`: the step under a panic guard, the clock
+    /// read that ends the work, the work span `[start_ns, end]` and its
+    /// histogram, then the accounting of whatever did not come through.
+    fn step<T: PipeItem>(&self, stage: &mut Stage<'_, T>, item: T, start_ns: u64) -> Stepped<T> {
+        let bid = item.batch_id();
+        let step = &mut stage.step;
+        let out = catch_unwind(AssertUnwindSafe(move || step(item)));
+        let end_ns = self.clock.now_ns();
+        self.trace.record_span(stage.spec.work_span, bid, start_ns, end_ns);
+        if let Some(h) = &stage.work_hist {
+            h.observe(end_ns.saturating_sub(start_ns));
+        }
+        match out {
+            Ok(StageOutcome::Emit(next)) => Stepped::Through(next, end_ns),
+            Ok(StageOutcome::Skip) => {
+                self.skipped.fetch_add(1, Ordering::AcqRel);
+                Stepped::Retired
+            }
+            Err(_) => {
+                let total = self.panics.fetch_add(1, Ordering::AcqRel) + 1;
+                self.panic_ctr.inc();
+                self.trace.instant(names::events::PIPE_STAGE_PANIC, bid);
+                if total <= self.panic_budget {
+                    return Stepped::Retired;
+                }
+                self.poison(stage.spec.work_span);
+                self.trace.instant(names::events::PIPE_POISONED, bid);
+                dump_on_poison(self.trace, bid);
+                Stepped::Poisoned
+            }
         }
     }
 
@@ -229,6 +323,27 @@ impl SharedStats {
         if fatal.is_none() {
             *fatal = Some(span);
         }
+    }
+
+    fn poisoned(&self) -> bool {
+        self.poisoned.load(Ordering::Acquire)
+    }
+
+    fn finish(self) -> PipeStats {
+        PipeStats {
+            emitted: self.emitted.load(Ordering::Acquire),
+            skipped: self.skipped.load(Ordering::Acquire),
+            panics: self.panics.load(Ordering::Acquire),
+            fatal_stage: *lock_unpoisoned(&self.fatal),
+        }
+    }
+}
+
+/// On poison, hand the flight recorder the failing batch id so the dump
+/// carries that batch's causal chain. No-op when no blackbox is attached.
+fn dump_on_poison(trace: &Trace, bid: u64) {
+    if let Some(bb) = trace.blackbox() {
+        let _ = bb.dump(trace, names::events::PIPE_POISONED.as_str(), bid);
     }
 }
 
@@ -261,22 +376,7 @@ impl<'a, T: PipeItem + Send + 'a> StageGraph<'a, T> {
         self.stages.push(Stage {
             spec,
             step: Box::new(step),
-            after: None,
-        });
-        self
-    }
-
-    /// Appends a stage with a post-work hook (see [`Stage::after`]).
-    pub fn stage_with_after(
-        mut self,
-        spec: StageSpec,
-        step: impl FnMut(T) -> StageOutcome<T> + Send + 'a,
-        after: impl FnMut(&mut T, u64) -> bool + Send + 'a,
-    ) -> StageGraph<'a, T> {
-        self.stages.push(Stage {
-            spec,
-            step: Box::new(step),
-            after: Some(Box::new(after)),
+            work_hist: None,
         });
         self
     }
@@ -285,15 +385,15 @@ impl<'a, T: PipeItem + Send + 'a> StageGraph<'a, T> {
     /// graph of `n_stages` stages: one thread per stage plus the consumer
     /// must fit the configured budget, i.e.
     /// `SALIENT_NUM_THREADS >= n_stages + 1`.
-    pub fn threaded_available(n_stages: usize) -> bool {
+    fn threaded_available(n_stages: usize) -> bool {
         n_stages >= 2 && salient_tensor::pool::num_threads() > n_stages
     }
 
     /// Runs with the schedule the machine supports: threaded when the
     /// configured thread budget (`SALIENT_NUM_THREADS`, defaulting to the
     /// core count) covers one thread per stage plus the consumer, inline
-    /// otherwise. The two schedules execute the same per-item operations
-    /// in the same per-item order.
+    /// otherwise. Both schedules put every item through the same
+    /// per-item step (`Run::step`), in the same per-item order.
     pub fn run(self, trace: &Trace) -> PipeStats {
         if Self::threaded_available(self.stages.len()) {
             self.run_threaded(trace)
@@ -306,227 +406,102 @@ impl<'a, T: PipeItem + Send + 'a> StageGraph<'a, T> {
     /// calling thread, repeat. Span layout per item: one wait span (the
     /// last stage's `wait_span`, i.e. consumer-blocked time), then one
     /// work span per stage sharing boundary timestamps — exactly the
-    /// clock-read sequence of the hand-written loops this replaced.
+    /// clock-read sequence of a hand-written serial loop.
     pub fn run_inline(mut self, trace: &Trace) -> PipeStats {
-        let clock = trace.clock();
-        let mut stats = PipeStats::default();
+        let run = Run::new(self.spec, trace);
         let wait_span = self.stages.last().and_then(|s| s.spec.wait_span);
-        let wait_hist = self.spec.wait_hist.map(|n| trace.histogram(n));
-        let fill_hist = trace.histogram(names::hists::PIPE_FILL_NS);
-        let panic_ctr = trace.counter(names::counters::PIPE_STAGE_PANICS);
-        let work_hists: Vec<Option<Histogram>> = self
-            .stages
-            .iter()
-            .map(|s| s.spec.work_hist.map(|n| trace.histogram(n)))
-            .collect();
-        let mut first_wait = true;
-        'items: loop {
-            let t0 = clock.now_ns();
+        let files_wait = wait_span.is_some() || run.wait_hist.is_some();
+        self.stages.iter_mut().for_each(|s| s.bind(trace));
+        'items: while !run.poisoned() {
+            let t0 = run.clock.now_ns();
             let Some(mut item) = (self.source)() else {
                 break;
             };
             let mut t_prev = t0;
-            if wait_span.is_some() || wait_hist.is_some() {
-                let t1 = clock.now_ns();
-                let bid = item.batch_id();
-                if first_wait && wait_hist.is_some() {
-                    trace.record_span(names::spans::WARMUP, bid, t0, t1);
-                    fill_hist.observe(t1.saturating_sub(t0));
-                } else {
-                    if let Some(ws) = wait_span {
-                        trace.record_span(ws, bid, t0, t1);
-                    }
-                    if let Some(h) = &wait_hist {
-                        h.observe(t1.saturating_sub(t0));
-                    }
-                }
-                t_prev = t1;
+            if files_wait {
+                t_prev = run.clock.now_ns();
+                run.record_wait(wait_span, true, item.batch_id(), t0, t_prev);
             }
-            first_wait = false;
-            for (stage, work_hist) in self.stages.iter_mut().zip(work_hists.iter()) {
-                let bid = item.batch_id();
-                let step = &mut stage.step;
-                let out = catch_unwind(AssertUnwindSafe(move || step(item)));
-                let t2 = clock.now_ns();
-                trace.record_span(stage.spec.work_span, bid, t_prev, t2);
-                if let Some(h) = work_hist {
-                    h.observe(t2.saturating_sub(t_prev));
-                }
-                t_prev = t2;
-                match out {
-                    Err(_) => {
-                        stats.panics += 1;
-                        panic_ctr.inc();
-                        trace.instant(names::events::PIPE_STAGE_PANIC, bid);
-                        if stats.panics > self.spec.panic_budget {
-                            stats.fatal_stage = Some(stage.spec.work_span);
-                            trace.instant(names::events::PIPE_POISONED, bid);
-                            dump_on_poison(trace, bid);
-                            break 'items;
-                        }
-                        continue 'items;
-                    }
-                    Ok(StageOutcome::Fatal) => {
-                        stats.fatal_stage = Some(stage.spec.work_span);
-                        trace.instant(names::events::PIPE_POISONED, bid);
-                        dump_on_poison(trace, bid);
-                        break 'items;
-                    }
-                    Ok(StageOutcome::Skip) => {
-                        stats.skipped += 1;
-                        continue 'items;
-                    }
-                    Ok(StageOutcome::Emit(mut next)) => {
-                        let retired = match &mut stage.after {
-                            Some(after) => !after(&mut next, t2),
-                            None => false,
-                        };
-                        if retired {
-                            stats.skipped += 1;
-                            continue 'items;
-                        }
-                        item = next;
-                    }
+            for stage in &mut self.stages {
+                match run.step(stage, item, t_prev) {
+                    Stepped::Through(next, end_ns) => (item, t_prev) = (next, end_ns),
+                    Stepped::Retired | Stepped::Poisoned => continue 'items,
                 }
             }
-            stats.emitted += 1;
+            run.emitted.fetch_add(1, Ordering::AcqRel);
         }
-        stats
+        run.finish()
     }
 
     /// Pipelined schedule: one dedicated thread per stage, bounded queues
     /// between adjacent stages. Falls back to [`StageGraph::run_inline`]
     /// for graphs of fewer than two stages.
-    pub fn run_threaded(self, trace: &Trace) -> PipeStats {
-        let n = self.stages.len();
-        if n < 2 {
+    fn run_threaded(self, trace: &Trace) -> PipeStats {
+        if self.stages.len() < 2 {
             return self.run_inline(trace);
         }
-        let clock = trace.clock();
-        let shared = SharedStats::new();
-        let spec = self.spec;
-        let mut source_slot = Some(self.source);
-        let stages = self.stages;
-        // Queue i feeds stage i+1; its bound and gauge come from the fed
-        // stage's spec, collected up front because each stage is moved
-        // into its thread as it spawns.
-        let feed_specs: Vec<(usize, Option<GaugeName>)> = stages
-            .iter()
-            .skip(1)
-            .map(|s| (s.spec.queue_cap, s.spec.queue_gauge))
-            .collect();
+        let run = Run::new(self.spec, trace);
+        let mut source = Some(self.source);
+        let mut stages = self.stages.into_iter().peekable();
         std::thread::scope(|scope| {
-            let shared = &shared;
-            let mut incoming: Option<queue::Receiver<T>> = None;
-            let mut feeds = feed_specs.into_iter();
-            for (i, stage) in stages.into_iter().enumerate() {
-                let is_last = i + 1 == n;
-                let (tx, next_rx) = if is_last {
-                    (None, None)
-                } else {
-                    let (cap, gauge) = feeds.next().unwrap_or((1, None));
-                    let (tx, rx) = queue::bounded::<T>(cap);
-                    (Some((tx, gauge.map(|g| (g, trace.gauge(g))))), Some(rx))
+            let run = &run;
+            let mut input: Option<queue::Receiver<T>> = None;
+            while let Some(stage) = stages.next() {
+                // The queue to the next stage takes its bound and its depth
+                // gauge from that stage's spec; the last stage has none.
+                let (output, next_input) = match stages.peek().map(|next| next.spec) {
+                    None => (None, None),
+                    Some(fed) => {
+                        let (tx, rx) = queue::bounded::<T>(fed.queue_cap);
+                        let gauge = fed.queue_gauge.map(|g| (g, trace.gauge(g)));
+                        (Some((tx, gauge)), Some(rx))
+                    }
                 };
-                let input = incoming.take();
-                incoming = next_rx;
-                let trace_h = trace.clone();
-                let clock_h = clock.clone();
-                let source = if i == 0 { source_slot.take() } else { None };
+                let (source, input) = (source.take(), std::mem::replace(&mut input, next_input));
                 let work_span = stage.spec.work_span;
-                let builder =
-                    std::thread::Builder::new().name(format!("salient-pipe-{}", stage.spec.label));
-                let spawned = builder.spawn_scoped(scope, move || {
-                    stage_loop(StageCtx {
-                        trace: trace_h,
-                        clock: clock_h,
-                        shared,
-                        spec,
-                        is_last,
-                        stage,
-                        source,
-                        input,
-                        output: tx,
-                    });
-                });
+                let spawned = std::thread::Builder::new()
+                    .name(format!("salient-pipe-{}", stage.spec.label))
+                    .spawn_scoped(scope, move || stage_loop(run, stage, source, input, output));
                 if spawned.is_err() {
                     // Thread spawn failed (resource exhaustion): poison so
                     // already-running stages wind down via queue drops.
-                    shared.poison(work_span);
+                    run.poison(work_span);
                     break;
                 }
             }
         });
-        let fatal_stage = *lock_unpoisoned(&shared.fatal);
-        PipeStats {
-            emitted: shared.emitted.load(Ordering::Acquire),
-            skipped: shared.skipped.load(Ordering::Acquire),
-            panics: shared.panics.load(Ordering::Acquire),
-            fatal_stage,
-        }
+        run.finish()
     }
 }
 
-/// Everything one threaded stage loop needs; moved into its thread.
-struct StageCtx<'env, 'a, T> {
-    trace: Trace,
-    clock: Clock,
-    shared: &'env SharedStats,
-    spec: GraphSpec,
-    is_last: bool,
-    stage: Stage<'a, T>,
-    /// First stage only: the graph source.
-    source: Option<Box<dyn FnMut() -> Option<T> + Send + 'a>>,
-    /// Later stages: the queue from the previous stage.
+/// A stage thread's link to the next stage: the queue and, when the fed
+/// stage names one, its depth gauge — keyed by the registered gauge name so
+/// depth samples also land on a Chrome-trace counter track.
+type Output<T> = (queue::Sender<T>, Option<(GaugeName, Gauge)>);
+
+/// One stage thread: pull → wait span → [`Run::step`] → push. The first
+/// stage pulls from `source`, later ones from `input`; the last stage has no
+/// `output`. Exits when the input ends, the downstream hangs up, or the run
+/// poisons. Later stages keep draining their queue after a poison so no
+/// in-flight batch is lost.
+fn stage_loop<'a, T: PipeItem + Send>(
+    run: &Run<'_>,
+    mut stage: Stage<'a, T>,
+    mut source: Option<Box<dyn FnMut() -> Option<T> + Send + 'a>>,
     input: Option<queue::Receiver<T>>,
-    /// Non-last stages: the queue to the next stage (+ its depth gauge,
-    /// keyed by the registered gauge name so depth samples also land on a
-    /// Chrome-trace counter track).
-    output: Option<(queue::Sender<T>, Option<(GaugeName, Gauge)>)>,
-}
-
-/// On poison, hand the flight recorder the failing batch id so the dump
-/// carries that batch's causal chain. No-op when no blackbox is attached.
-fn dump_on_poison(trace: &Trace, bid: u64) {
-    if let Some(bb) = trace.blackbox() {
-        let _ = bb.dump(trace, names::events::PIPE_POISONED.as_str(), bid);
-    }
-}
-
-/// One stage thread: pull → wait span → step (panic-caught) → work span →
-/// after hook → push. Exits when the input ends, the downstream hangs up,
-/// or the run poisons. Later stages keep draining their queue after a
-/// poison so no in-flight batch is lost.
-fn stage_loop<T: PipeItem + Send>(ctx: StageCtx<'_, '_, T>) {
-    let StageCtx {
-        trace,
-        clock,
-        shared,
-        spec,
-        is_last,
-        mut stage,
-        mut source,
-        input,
-        output,
-    } = ctx;
-    let wait_hist: Option<Histogram> = if is_last {
-        spec.wait_hist.map(|n| trace.histogram(n))
-    } else {
-        None
-    };
-    let fill_hist = trace.histogram(names::hists::PIPE_FILL_NS);
-    let panic_ctr = trace.counter(names::counters::PIPE_STAGE_PANICS);
-    let work_hist: Option<Histogram> = stage.spec.work_hist.map(|n| trace.histogram(n));
+    output: Option<Output<T>>,
+) {
+    let (trace, clock) = (run.trace, &run.clock);
+    stage.bind(trace);
     let in_gauge: Option<(GaugeName, Gauge)> = match (&input, stage.spec.queue_gauge) {
         (Some(_), Some(g)) => Some((g, trace.gauge(g))),
         _ => None,
     };
-    let mut first_wait = true;
     loop {
         let t0 = clock.now_ns();
         let pulled = match (&mut source, &input) {
             (Some(src), _) => {
-                if shared.poisoned.load(Ordering::Acquire) {
+                if run.poisoned() {
                     None
                 } else {
                     src()
@@ -548,74 +523,34 @@ fn stage_loop<T: PipeItem + Send>(ctx: StageCtx<'_, '_, T>) {
             break;
         };
         let bid = item.batch_id();
-        if is_last && first_wait && spec.wait_hist.is_some() {
-            trace.record_span(names::spans::WARMUP, bid, t0, t1);
-            fill_hist.observe(t1.saturating_sub(t0));
-        } else if let Some(ws) = stage.spec.wait_span {
-            trace.record_span(ws, bid, t0, t1);
-            if let Some(h) = &wait_hist {
-                h.observe(t1.saturating_sub(t0));
-            }
-        }
-        first_wait = false;
-        let step = &mut stage.step;
-        let out = catch_unwind(AssertUnwindSafe(move || step(item)));
-        let t2 = clock.now_ns();
-        trace.record_span(stage.spec.work_span, bid, t1, t2);
-        if let Some(h) = &work_hist {
-            h.observe(t2.saturating_sub(t1));
-        }
-        match out {
-            Err(_) => {
-                let total = shared.panics.fetch_add(1, Ordering::AcqRel) + 1;
-                panic_ctr.inc();
-                trace.instant(names::events::PIPE_STAGE_PANIC, bid);
-                if total > spec.panic_budget {
-                    shared.poison(stage.spec.work_span);
-                    trace.instant(names::events::PIPE_POISONED, bid);
-                    dump_on_poison(&trace, bid);
-                    if is_last {
-                        // The sink exits now; dropping its receiver
-                        // unblocks parked upstream senders with an error.
-                        break;
-                    }
-                }
-            }
-            Ok(StageOutcome::Fatal) => {
-                shared.poison(stage.spec.work_span);
-                trace.instant(names::events::PIPE_POISONED, bid);
-                dump_on_poison(&trace, bid);
-                if is_last {
+        run.record_wait(stage.spec.wait_span, output.is_none(), bid, t0, t1);
+        match run.step(&mut stage, item, t1) {
+            Stepped::Retired => {}
+            Stepped::Poisoned => {
+                if output.is_none() {
+                    // The sink exits now; dropping its receiver unblocks
+                    // parked upstream senders with an error.
                     break;
                 }
             }
-            Ok(StageOutcome::Skip) => {
-                shared.skipped.fetch_add(1, Ordering::AcqRel);
-            }
-            Ok(StageOutcome::Emit(mut next)) => {
-                let retired = match &mut stage.after {
-                    Some(after) => !after(&mut next, t2),
-                    None => false,
+            Stepped::Through(next, _) => {
+                let Some((tx, gauge)) = &output else {
+                    run.emitted.fetch_add(1, Ordering::AcqRel);
+                    continue;
                 };
-                if retired {
-                    shared.skipped.fetch_add(1, Ordering::AcqRel);
-                } else if is_last {
-                    shared.emitted.fetch_add(1, Ordering::AcqRel);
-                } else if let Some((tx, gauge)) = &output {
-                    // The send span makes backpressure visible on the
-                    // causal chain: a full downstream queue parks us here.
-                    let ts0 = clock.now_ns();
-                    if tx.send(next).is_err() {
-                        // Downstream hung up (poisoned): stop producing.
-                        break;
-                    }
-                    let ts1 = clock.now_ns();
-                    trace.record_span(names::spans::PIPE_SEND, bid, ts0, ts1);
-                    if let Some((name, g)) = gauge {
-                        let depth = tx.len() as u64;
-                        g.set(depth);
-                        trace.counter_track(*name, depth);
-                    }
+                // The send span makes backpressure visible on the causal
+                // chain: a full downstream queue parks us here.
+                let ts0 = clock.now_ns();
+                if tx.send(next).is_err() {
+                    // Downstream hung up (poisoned): stop producing.
+                    break;
+                }
+                let ts1 = clock.now_ns();
+                trace.record_span(names::spans::PIPE_SEND, bid, ts0, ts1);
+                if let Some((name, g)) = gauge {
+                    let depth = tx.len() as u64;
+                    g.set(depth);
+                    trace.counter_track(*name, depth);
                 }
             }
         }
@@ -700,27 +635,6 @@ mod tests {
         assert_eq!(stats.emitted, 2);
         assert_eq!(stats.skipped, 2);
         assert_eq!(reached.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn after_hook_can_retire_items() {
-        let trace = Trace::new(Clock::virtual_with_tick(1));
-        let stats = StageGraph::new(GraphSpec::new("t"), counting_source(4))
-            .stage_with_after(
-                StageSpec::new("a", names::spans::STAGE_TRANSFER),
-                StageOutcome::Emit,
-                |it: &mut Item, _end_ns| it.0 != 2,
-            )
-            .stage(
-                StageSpec::new("b", names::spans::STAGE_TRAIN),
-                StageOutcome::Emit,
-            )
-            .run_inline(&trace);
-        assert_eq!(stats.emitted, 3);
-        assert_eq!(stats.skipped, 1);
-        let snap = trace.snapshot();
-        // The retired item never reached the second stage.
-        assert_eq!(snap.count(names::spans::STAGE_TRAIN), 3);
     }
 
     #[test]
@@ -978,53 +892,63 @@ mod tests {
         assert_eq!(fill.count, 1);
     }
 
+    /// Both schedules put an item through `Run::step`; this holds them to
+    /// the same result on it: equal `PipeStats`, equal downstream effect,
+    /// the same multiset of work spans, the same panic accounting.
     #[test]
     fn inline_and_threaded_emit_identically() {
-        let run = |threaded: bool| {
-            let trace = Trace::new(Clock::virtual_with_tick(1));
-            let sum = Arc::new(AtomicU64::new(0));
-            let s = sum.clone();
-            let g = StageGraph::new(GraphSpec::new("t"), counting_source(20))
-                .stage(
-                    StageSpec::new("a", names::spans::STAGE_TRANSFER),
-                    |it: Item| {
-                        if it.0 % 3 == 0 {
-                            StageOutcome::Skip
-                        } else {
-                            StageOutcome::Emit(it)
-                        }
-                    },
-                )
-                .stage(StageSpec::new("b", names::spans::STAGE_TRAIN), move |it| {
-                    s.fetch_add(it.0, Ordering::Relaxed);
-                    StageOutcome::Emit(it)
-                });
-            let stats = if threaded {
-                g.run_threaded(&trace)
-            } else {
-                g.run_inline(&trace)
-            };
-            (stats.emitted, stats.skipped, sum.load(Ordering::Relaxed))
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn fatal_outcome_stops_the_inline_run() {
-        let trace = Trace::new(Clock::virtual_with_tick(1));
-        let stats = StageGraph::new(GraphSpec::new("t"), counting_source(10))
-            .stage(
-                StageSpec::new("a", names::spans::STAGE_TRANSFER),
-                |it: Item| {
-                    if it.0 == 2 {
-                        StageOutcome::Fatal
-                    } else {
+        enum Do {
+            Emit,
+            Skip,
+            Panic,
+        }
+        // (panic budget, panics expected, what the first stage does with an id)
+        let inputs: [(u64, u64, fn(u64) -> Do); 2] = [
+            (0, 0, |id| if id % 3 == 0 { Do::Skip } else { Do::Emit }),
+            (1, 1, |id| match id {
+                5 => Do::Panic,
+                11 => Do::Skip,
+                _ => Do::Emit,
+            }),
+        ];
+        for (budget, panics, first_stage) in inputs {
+            let run = |threaded: bool| {
+                let trace = Trace::new(Clock::virtual_with_tick(1));
+                let sum = Arc::new(AtomicU64::new(0));
+                let s = sum.clone();
+                let g = StageGraph::new(GraphSpec::new("t").panic_budget(budget), counting_source(20))
+                    .stage(
+                        StageSpec::new("a", names::spans::STAGE_TRANSFER),
+                        move |it: Item| match first_stage(it.0) {
+                            Do::Emit => StageOutcome::Emit(it),
+                            Do::Skip => StageOutcome::Skip,
+                            Do::Panic => panic!("boom {}", it.0),
+                        },
+                    )
+                    .stage(StageSpec::new("b", names::spans::STAGE_TRAIN), move |it| {
+                        s.fetch_add(it.0, Ordering::Relaxed);
                         StageOutcome::Emit(it)
-                    }
-                },
-            )
-            .run_inline(&trace);
-        assert_eq!(stats.emitted, 2);
-        assert_eq!(stats.fatal_stage, Some(names::spans::STAGE_TRANSFER));
+                    });
+                let stats = if threaded {
+                    g.run_threaded(&trace)
+                } else {
+                    g.run_inline(&trace)
+                };
+                let snap = trace.snapshot();
+                let mut work: Vec<(&str, u64)> = [names::spans::STAGE_TRANSFER, names::spans::STAGE_TRAIN]
+                    .iter()
+                    .flat_map(|&n| snap.spans(n))
+                    .map(|e| (e.name, e.batch))
+                    .collect();
+                work.sort_unstable();
+                assert_eq!(snap.metrics.counter(names::counters::PIPE_STAGE_PANICS), panics);
+                assert_eq!(snap.count(names::events::PIPE_STAGE_PANIC) as u64, panics);
+                assert_eq!(snap.count(names::events::PIPE_POISONED), 0);
+                (stats, sum.load(Ordering::Relaxed), work)
+            };
+            let (inline, threaded) = (run(false), run(true));
+            assert_eq!(inline, threaded, "budget {budget}");
+            assert_eq!(inline.0.panics, panics);
+        }
     }
 }

@@ -2,15 +2,17 @@
 //!
 //! SALIENT's speedup comes from *overlap*: while the trainer computes on
 //! batch `k`, batch `k+1` is being transferred and batch `k+2` prepared.
-//! Before this crate each consumer (training loop, DDP ranks, the serving
-//! micro-batch path) hand-rolled its own orchestration; the overlap lived
-//! in ad-hoc loops that the simulator could only imitate, not share.
-//!
-//! This crate extracts the orchestration into one reusable engine:
+//! This crate is that orchestration, described once and run two ways:
 //!
 //! * [`StageGraph`] — a source plus ordered stages, each timed through
 //!   [`salient_trace::Clock`] so the identical description runs on the real
-//!   monotonic clock *and* on the simulator's virtual plane.
+//!   monotonic clock *and* on the simulator's virtual plane, on an inline
+//!   and a threaded schedule that share one per-item step.
+//!   The training consumer (`salient_core`'s `Trainer::consume`, both
+//!   executors) is its one production instantiation. Code whose steps
+//!   cannot overlap — a DDP rank in lockstep with its ring, a serving step
+//!   over one micro-batch — is written as the sequential code it is and
+//!   does not use the engine.
 //! * Adjacent stages are joined by the workspace's one bounded channel
 //!   ([`salient_tensor::sync::channel`]), so backpressure holds by
 //!   construction: a fast producer parks, nothing is dropped, nothing spins.

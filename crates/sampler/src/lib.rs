@@ -26,20 +26,16 @@
 
 mod engine;
 mod fast;
-mod layerwise;
 mod mfg;
 mod pyg_baseline;
-mod saint;
 mod structures;
 mod trace;
 mod variants;
 
 pub use engine::{sample_with, EngineOpts, EngineScratch, SampleAlgo};
 pub use fast::FastSampler;
-pub use layerwise::LayerwiseSampler;
 pub use mfg::{MessageFlowGraph, MfgLayer};
 pub use pyg_baseline::PygSampler;
-pub use saint::SaintSampler;
 pub use structures::{
     ArrayNeighborSet, BitmapNeighborSet, FlatIdMap, FlatNeighborSet, IdMap, NeighborSet, StdIdMap,
     StdNeighborSet,

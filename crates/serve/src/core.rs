@@ -21,6 +21,15 @@
 //! overran, and when *every* live member of a micro-batch has expired the
 //! remaining stages are skipped entirely — dead work is dropped, not
 //! finished.
+//!
+//! # Stage failure
+//!
+//! The three stages of a micro-batch run in order on the calling thread
+//! (`ServerCore::run_stages`), each as one guarded call. A stage that
+//! panics fails its batch — every member still live gets
+//! [`Response::Failed`] — and counts against the [`Breaker`]; the breaker
+//! opening is what dumps the flight recorder. A crashed sampler is replaced
+//! by a freshly seeded one.
 
 #![expect(
     clippy::indexing_slicing,
@@ -32,18 +41,17 @@ use crate::config::ServeConfig;
 use crate::ladder::{Ladder, LadderMove};
 use crate::loadgen::Arrival;
 use crate::{Rejected, Request, Response, Stage};
-use salient_core::{BatchInferencer, StagedBatch};
+use salient_core::BatchInferencer;
 use salient_fault::{self as fault, FaultAction};
-use salient_graph::Dataset;
+use salient_graph::{Dataset, NodeId};
 use salient_nn::GnnModel;
-use salient_pipeline::{GraphSpec, PipeItem, StageGraph, StageOutcome, StageSpec};
-use salient_sampler::{FastSampler, MessageFlowGraph};
+use salient_sampler::FastSampler;
 use salient_tensor::rng::StdRng;
-use salient_tensor::sync::{into_inner_unpoisoned, lock_unpoisoned};
-use salient_trace::{names, Clock, Counter, Gauge, Histogram, Trace};
+use salient_trace::names::{self, SpanName};
+use salient_trace::{Clock, Counter, Gauge, Histogram, Trace};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Completed latencies kept for the rolling p99 estimate.
 const LATENCY_WINDOW: usize = 128;
@@ -58,20 +66,8 @@ struct Pending {
     admitted_ns: u64,
 }
 
-/// One micro-batch flowing through the serving stage graph; fields fill in
-/// stage by stage. Dropping it mid-pipeline releases its staged slot.
-struct ServeJob {
-    seq: u64,
-    seeds: Vec<salient_graph::NodeId>,
-    mfg: Option<MessageFlowGraph>,
-    staged: Option<StagedBatch>,
-}
-
-impl PipeItem for ServeJob {
-    fn batch_id(&self) -> u64 {
-        self.seq
-    }
-}
+/// A stage of the micro-batch panicked; the batch fails as a whole.
+struct StageCrashed;
 
 /// Rolling window of completed-request latencies with a cached p99.
 #[derive(Debug, Default)]
@@ -180,6 +176,28 @@ fn apply_fault(clock: &Clock, site: fault::Site, occ: u64) -> bool {
         }
         FaultAction::Drop => true,
     }
+}
+
+/// One stage of a micro-batch: the stage's fault site and its `body` under
+/// one panic guard, then the clock read that ends the stage — the timestamp
+/// that closes its span `[start_ns, end]`, opens the next stage's, and
+/// decides deadline expiry. Returns `body`'s value (`None` when the stage
+/// panicked) with that timestamp.
+fn run_stage<R>(
+    trace: &Trace,
+    clock: &Clock,
+    (site, span): (fault::Site, SpanName),
+    seq: u64,
+    start_ns: u64,
+    body: impl FnOnce() -> R,
+) -> (Option<R>, u64) {
+    let out = catch_unwind(AssertUnwindSafe(|| {
+        apply_fault(clock, site, seq);
+        body()
+    }));
+    let end_ns = clock.now_ns();
+    trace.record_span(span, seq, start_ns, end_ns);
+    (out.ok(), end_ns)
 }
 
 /// The single-threaded serving state machine (see the module docs).
@@ -405,11 +423,11 @@ impl ServerCore {
     /// Retires every member whose deadline has passed, tagging the stage
     /// that overran. Returns the number still live.
     fn expire_members(
+        &self,
         members: &[Pending],
         expired_at: &mut [Option<Stage>],
         stage: Stage,
         now: u64,
-        expired_counter: &Counter,
     ) -> usize {
         let mut live = 0;
         for (i, m) in members.iter().enumerate() {
@@ -418,7 +436,7 @@ impl ServerCore {
             }
             if m.req.deadline_ns <= now {
                 expired_at[i] = Some(stage);
-                expired_counter.inc();
+                self.ins.expired.inc();
             } else {
                 live += 1;
             }
@@ -461,22 +479,15 @@ impl ServerCore {
             // Per-request isolation boundary: an injected handler panic (or
             // drop) poisons exactly this request, never the server.
             let id = p.req.id;
-            let clock = self.clock.clone();
             let handled = catch_unwind(AssertUnwindSafe(|| {
-                apply_fault(&clock, fault::sites::SERVE_REQUEST, id)
+                apply_fault(&self.clock, fault::sites::SERVE_REQUEST, id)
             }));
             match handled {
-                Err(_) => {
+                // A handler that dropped the request's effect is also a
+                // contained per-request failure.
+                Err(_) | Ok(true) => {
                     self.ins.request_panics.inc();
                     out.responses.push((id, Response::Failed));
-                    continue;
-                }
-                Ok(true) => {
-                    // Handler dropped the request's effect: also a contained
-                    // per-request failure.
-                    self.ins.request_panics.inc();
-                    out.responses.push((id, Response::Failed));
-                    continue;
                 }
                 Ok(false) => members.push(p),
             }
@@ -490,11 +501,10 @@ impl ServerCore {
         let seq = self.batch_seq;
         self.batch_seq += 1;
         let fanout_level = self.ladder.level();
-        let fanouts = self.ladder.fanouts().to_vec();
         // Coalesced queries may repeat a node; the sampler requires unique
         // seeds, so sample each distinct node once and fan the prediction
         // back out to every member that asked for it.
-        let mut seeds: Vec<salient_graph::NodeId> = Vec::with_capacity(members.len());
+        let mut seeds: Vec<NodeId> = Vec::with_capacity(members.len());
         let mut seed_idx: Vec<usize> = Vec::with_capacity(members.len());
         for m in &members {
             match seeds.iter().position(|&s| s == m.req.node) {
@@ -505,220 +515,106 @@ impl ServerCore {
                 }
             }
         }
-        let expired_at: Vec<Option<Stage>> = vec![None; members.len()];
+        let mut expired_at: Vec<Option<Stage>> = vec![None; members.len()];
         let batch_start = self.clock.now_ns();
+        let ran = self.run_stages(seq, &seeds, &members, &mut expired_at);
+        if ran.is_ok() {
+            // The stage graph this replaced polled its source once more
+            // after the batch, and a ticking `VirtualClock` counts reads:
+            // without this one every replayed latency moves by a tick.
+            self.clock.now_ns();
+        }
 
-        // The micro-batch pipeline is a sample → slice → gemm stage graph
-        // on the inline schedule (one micro-batch per step; ordering within
-        // the batch is the whole point). The engine provides the per-stage
-        // spans, the panic isolation (`panic_budget` 0: any stage panic
-        // poisons the batch, never the server), and the after-hooks carry
-        // the stage-boundary deadline checks. When every member has expired
-        // the hook *retires* the batch, so later stages never run and never
-        // record spans — dead work is dropped, not finished.
-        //
-        // Members and their expiry stages live outside the graph (behind a
-        // local mutex the closures share) so a batch retired mid-pipeline
-        // still produces its terminal responses afterwards. The state is
-        // plain data mutated under short critical sections, so a guard
-        // poisoned by a stage panic carries no broken invariant and is
-        // recovered (`lock_unpoisoned`).
-        struct BatchState {
-            members: Vec<Pending>,
-            expired_at: Vec<Option<Stage>>,
-            preds: Option<Vec<u32>>,
-        }
-        let state = Mutex::new(BatchState {
-            members,
-            expired_at,
-            preds: None,
-        });
-        let stats = {
-            let trace = self.trace.clone();
-            let state = &state;
-            let expired_ctr = self.ins.expired.clone();
-            let (ctr_sample, ctr_slice, ctr_gemm) =
-                (expired_ctr.clone(), expired_ctr.clone(), expired_ctr);
-            let sampler = &mut self.sampler;
-            let inferencer = &self.inferencer;
-            let model = &mut self.model;
-            let rng = &mut self.rng;
-            let dataset = Arc::clone(&self.dataset);
-            let (clock_sample, clock_slice, clock_gemm) =
-                (self.clock.clone(), self.clock.clone(), self.clock.clone());
-            let mut job = Some(ServeJob {
-                seq,
-                seeds,
-                mfg: None,
-                staged: None,
-            });
-            StageGraph::new(GraphSpec::new("serve"), move || job.take())
-                .stage_with_after(
-                    StageSpec::new("sample", names::spans::SERVE_SAMPLE),
-                    move |mut job: ServeJob| {
-                        apply_fault(&clock_sample, fault::sites::SERVE_SAMPLER, job.seq);
-                        job.mfg = Some(sampler.sample(&dataset.graph, &job.seeds, &fanouts));
-                        StageOutcome::Emit(job)
-                    },
-                    move |_job, end_ns| {
-                        let mut st = lock_unpoisoned(state);
-                        let st = &mut *st;
-                        let live = Self::expire_members(
-                            &st.members,
-                            &mut st.expired_at,
-                            Stage::Sample,
-                            end_ns,
-                            &ctr_sample,
-                        );
-                        // Every member died waiting on the sampler: retire
-                        // the batch before paying for slice + gemm.
-                        live > 0
-                    },
-                )
-                .stage_with_after(
-                    StageSpec::new("slice", names::spans::SERVE_SLICE),
-                    move |mut job: ServeJob| {
-                        apply_fault(&clock_slice, fault::sites::SERVE_SLICE, job.seq);
-                        let Some(mfg) = job.mfg.as_ref() else {
-                            return StageOutcome::Fatal;
-                        };
-                        match inferencer.stage(mfg) {
-                            Ok(staged) => {
-                                job.staged = Some(staged);
-                                StageOutcome::Emit(job)
-                            }
-                            Err(_) => StageOutcome::Fatal,
-                        }
-                    },
-                    move |_job, end_ns| {
-                        let mut st = lock_unpoisoned(state);
-                        let st = &mut *st;
-                        let live = Self::expire_members(
-                            &st.members,
-                            &mut st.expired_at,
-                            Stage::Slice,
-                            end_ns,
-                            &ctr_slice,
-                        );
-                        // Retiring drops the job, which drops the staged
-                        // slot back into the pool; the GEMM is skipped.
-                        live > 0
-                    },
-                )
-                .stage_with_after(
-                    StageSpec::new("gemm", names::spans::SERVE_GEMM),
-                    move |mut job: ServeJob| {
-                        apply_fault(&clock_gemm, fault::sites::SERVE_GEMM, job.seq);
-                        let (Some(mfg), Some(staged)) = (job.mfg.take(), job.staged.take())
-                        else {
-                            return StageOutcome::Fatal;
-                        };
-                        match inferencer.forward(staged, model.as_mut(), &mfg, rng) {
-                            Ok(preds) => {
-                                // Fan distinct-seed predictions back out to
-                                // the members that asked for them.
-                                let mut st = lock_unpoisoned(state);
-                                st.preds =
-                                    Some(seed_idx.iter().map(|&i| preds[i]).collect());
-                                StageOutcome::Emit(job)
-                            }
-                            Err(_) => StageOutcome::Fatal,
-                        }
-                    },
-                    move |_job, end_ns| {
-                        let mut st = lock_unpoisoned(state);
-                        let st = &mut *st;
-                        Self::expire_members(
-                            &st.members,
-                            &mut st.expired_at,
-                            Stage::Gemm,
-                            end_ns,
-                            &ctr_gemm,
-                        );
-                        true
-                    },
-                )
-                .run_inline(&trace)
-        };
-        let BatchState {
-            members,
-            expired_at,
-            preds,
-        } = into_inner_unpoisoned(state);
-        if let Some(fatal) = stats.fatal_stage {
-            if fatal == names::spans::SERVE_SAMPLE {
-                // Crashed sampler: deterministic respawn (re-seeded from the
-                // batch sequence, mirroring batchprep's retry re-seeding).
-                self.sampler = FastSampler::new(self.cfg.seed ^ 0x5A17 ^ seq);
-            }
-            return self.fail_batch(members, expired_at, out, pressured, batch_start);
-        }
-        self.finish_batch(members, expired_at, preds, out, pressured, fanout_level, batch_start)
-    }
-
-    /// Retires a batch whose pipeline panicked: every not-yet-expired
-    /// member gets [`Response::Failed`], and the breaker records the
-    /// failure (possibly tripping open).
-    fn fail_batch(
-        &mut self,
-        members: Vec<Pending>,
-        expired_at: Vec<Option<Stage>>,
-        mut out: StepOutcome,
-        pressured: bool,
-        batch_start: u64,
-    ) -> StepOutcome {
-        for (m, exp) in members.iter().zip(&expired_at) {
-            match exp {
-                Some(stage) => out.responses.push((m.req.id, Response::Expired(*stage))),
-                None => out.responses.push((m.req.id, Response::Failed)),
-            }
-        }
-        let now = self.clock.now_ns();
-        if let Some(mv) = self.breaker.on_failure(now) {
-            self.record_breaker(mv);
-        }
-        self.after_batch(batch_start, now, pressured);
-        out
-    }
-
-    /// Retires a batch whose pipeline ran to the point recorded in
-    /// `expired_at` / `preds`: expired members report their stage, live
-    /// members (when `preds` is present) complete.
-    #[expect(clippy::too_many_arguments, reason = "retiring a batch needs what `step` knew about it: the members, where each expired, the predictions, the outcome so far, the pressure and ladder state, the start time")]
-    fn finish_batch(
-        &mut self,
-        members: Vec<Pending>,
-        expired_at: Vec<Option<Stage>>,
-        preds: Option<Vec<u32>>,
-        mut out: StepOutcome,
-        pressured: bool,
-        fanout_level: usize,
-        batch_start: u64,
-    ) -> StepOutcome {
+        // Retire the batch: a member that expired reports the stage that
+        // overran, a live member of a crashed batch fails, a live member of
+        // a batch that ran completes with its seed's prediction.
         let now = self.clock.now_ns();
         for (i, m) in members.iter().enumerate() {
-            match expired_at[i] {
-                Some(stage) => out.responses.push((m.req.id, Response::Expired(stage))),
-                None => {
+            let response = match (expired_at[i], &ran) {
+                (Some(stage), _) => Response::Expired(stage),
+                (None, Err(StageCrashed)) => Response::Failed,
+                (None, Ok(preds)) => {
                     // `preds` is present whenever any member is live (the
-                    // pipeline only short-circuits when all expired).
-                    let class = preds.as_ref().map(|p| p[i]).unwrap_or(0);
+                    // stages only stop short when all expired).
+                    let class = preds.as_ref().map(|p| p[seed_idx[i]]).unwrap_or(0);
                     let latency_ns = now.saturating_sub(m.admitted_ns);
                     self.ins.completed.inc();
                     self.ins.latency_ns.observe(latency_ns);
                     self.window.push(latency_ns);
-                    out.responses.push((
-                        m.req.id,
-                        Response::Done { class, latency_ns, fanout_level },
-                    ));
+                    Response::Done { class, latency_ns, fanout_level }
                 }
-            }
+            };
+            out.responses.push((m.req.id, response));
         }
-        if let Some(mv) = self.breaker.on_success() {
+        // A crashed batch counts against the breaker (possibly tripping it
+        // open); one that ran, even to find every member expired, for it.
+        let moved = match ran {
+            Ok(_) => self.breaker.on_success(),
+            Err(StageCrashed) => self.breaker.on_failure(now),
+        };
+        if let Some(mv) = moved {
             self.record_breaker(mv);
         }
         self.after_batch(batch_start, now, pressured);
         out
+    }
+
+    /// Sample → slice → gemm over one micro-batch, in order on the calling
+    /// thread: one micro-batch per step and ordering within it is the whole
+    /// point, so there is nothing for a stage graph to overlap. Each stage is
+    /// one [`run_stage`] call; consecutive spans share their boundary
+    /// timestamp, and that timestamp is the deadline check: members it finds
+    /// dead are marked in `expired_at` with the stage that overran, and when
+    /// none is left the batch stops there — later stages neither run nor
+    /// record a span, and a staged slot drops back into the pool.
+    ///
+    /// Returns the distinct seeds' predictions, or `None` for a batch that
+    /// expired whole. A panicking stage fails the batch, never the server;
+    /// [`BatchInferencer::stage`] and [`BatchInferencer::forward`] report
+    /// their own panics as `Err`, which is the same failure.
+    fn run_stages(
+        &mut self,
+        seq: u64,
+        seeds: &[NodeId],
+        members: &[Pending],
+        expired_at: &mut [Option<Stage>],
+    ) -> Result<Option<Vec<u32>>, StageCrashed> {
+        const SAMPLE: (fault::Site, SpanName) = (fault::sites::SERVE_SAMPLER, names::spans::SERVE_SAMPLE);
+        const SLICE: (fault::Site, SpanName) = (fault::sites::SERVE_SLICE, names::spans::SERVE_SLICE);
+        const GEMM: (fault::Site, SpanName) = (fault::sites::SERVE_GEMM, names::spans::SERVE_GEMM);
+
+        let t0 = self.clock.now_ns();
+        let (mfg, t1) = run_stage(&self.trace, &self.clock, SAMPLE, seq, t0, || {
+            self.sampler.sample(&self.dataset.graph, seeds, self.ladder.fanouts())
+        });
+        let Some(mfg) = mfg else {
+            // Crashed sampler: deterministic respawn (re-seeded from the
+            // batch sequence, mirroring batchprep's retry re-seeding).
+            self.sampler = FastSampler::new(self.cfg.seed ^ 0x5A17 ^ seq);
+            return Err(StageCrashed);
+        };
+        if self.expire_members(members, expired_at, Stage::Sample, t1) == 0 {
+            return Ok(None);
+        }
+
+        let (staged, t2) = run_stage(&self.trace, &self.clock, SLICE, seq, t1, || {
+            self.inferencer.stage(&mfg)
+        });
+        let Some(Ok(staged)) = staged else {
+            return Err(StageCrashed);
+        };
+        if self.expire_members(members, expired_at, Stage::Slice, t2) == 0 {
+            return Ok(None);
+        }
+
+        let (preds, t3) = run_stage(&self.trace, &self.clock, GEMM, seq, t2, || {
+            self.inferencer.forward(staged, self.model.as_mut(), &mfg, &mut self.rng)
+        });
+        let Some(Ok(preds)) = preds else {
+            return Err(StageCrashed);
+        };
+        self.expire_members(members, expired_at, Stage::Gemm, t3);
+        Ok(Some(preds))
     }
 
     /// Post-batch bookkeeping shared by success and failure paths: batch

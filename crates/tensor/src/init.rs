@@ -16,35 +16,6 @@ pub fn glorot_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Tens
     Tensor::from_vec(data, Shape::matrix(fan_in, fan_out))
 }
 
-/// Kaiming/He uniform initialization: `U(-a, a)` with `a = sqrt(6 / fan_in)`,
-/// appropriate before ReLU nonlinearities.
-pub fn kaiming_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Tensor {
-    let a = (6.0 / fan_in.max(1) as f32).sqrt();
-    let data = (0..fan_in * fan_out)
-        .map(|_| rng.random_range(-a..=a))
-        .collect();
-    Tensor::from_vec(data, Shape::matrix(fan_in, fan_out))
-}
-
-/// Standard normal entries scaled by `std`.
-pub fn normal(shape: impl Into<Shape>, std: f32, rng: &mut impl Rng) -> Tensor {
-    let shape = shape.into();
-    // Box–Muller transform over the crate RNG's uniform primitive.
-    let n = shape.len();
-    let mut data = Vec::with_capacity(n);
-    while data.len() < n {
-        let u1: f32 = rng.random::<f32>().max(1e-12);
-        let u2: f32 = rng.random();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f32::consts::PI * u2;
-        data.push(r * theta.cos() * std);
-        if data.len() < n {
-            data.push(r * theta.sin() * std);
-        }
-    }
-    Tensor::from_vec(data, shape)
-}
-
 /// Uniform entries in `[lo, hi)`.
 pub fn uniform(shape: impl Into<Shape>, lo: f32, hi: f32, rng: &mut impl Rng) -> Tensor {
     let shape = shape.into();
@@ -64,15 +35,6 @@ mod tests {
         let a = (6.0 / 96.0f32).sqrt();
         assert!(w.data().iter().all(|&x| x.abs() <= a));
         assert_eq!(w.shape().dims(), &[64, 32]);
-    }
-
-    #[test]
-    fn normal_moments() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let w = normal([10_000], 2.0, &mut rng);
-        assert!(w.mean().abs() < 0.1);
-        let var = w.data().iter().map(|x| x * x).sum::<f32>() / 10_000.0;
-        assert!((var - 4.0).abs() < 0.3, "var {var}");
     }
 
     #[test]

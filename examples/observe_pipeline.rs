@@ -65,9 +65,6 @@ fn overlap_run() -> (Json, f64) {
     let snap = trace.snapshot();
     let report = analyze(&snap);
     let frac = report.overlap_frac();
-    if std::env::var("SALIENT_OVERLAP_DEBUG").is_ok() {
-        println!("{}", render_report(&report, &snap));
-    }
     println!(
         "overlap run: {} batches, compute {:.1} ms, overlap {:.1} ms ({:.0}% of compute)",
         stats.iter().map(|s| s.batches).sum::<usize>(),

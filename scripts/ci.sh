@@ -128,12 +128,12 @@ test -s target/metrics_pipeline.json
 grep -q '"critical_path"' target/bench_pipeline.json
 grep -q '"named_pct"' target/bench_pipeline.json
 # Flight-recorder overhead gate: the counting-allocator suite proves the
-# always-on recorder adds zero steady-state allocations per event.
-cargo test -q --offline --test trace_overhead
+# always-on recorder adds zero steady-state allocations per event
+# (tests/trace_overhead.rs, run by both workspace passes above).
 # What-if-vs-sim gate: the replay projector and the discrete-event sim
 # must agree on the Pipelined schedule's makespan (and on a faster-GPU
-# what-if) within 10%, on the same shape constants.
-cargo test -q --offline --test critical_path
+# what-if) within 10%, on the same shape constants
+# (tests/critical_path.rs, run by both workspace passes above).
 
 echo "== pipeline tier: threaded stage-graph overlap (SALIENT_NUM_THREADS=3)"
 # Rerun the observability binary with an explicit thread budget that
@@ -159,12 +159,11 @@ echo "== mixed-precision tier: f16 storage, half GEMM accuracy, byte traffic"
 # Integration tests: half GEMM inside the documented
 # 2.5*2^-11*(|A|.|B|) elementwise bound, f16 feature stores moving
 # <= 55% of the f32 store's transfer.bytes, training parity at both
-# dtypes, `Dtype::parse`'s spellings.
-cargo test -q --offline --test mixed_precision
+# dtypes, `Dtype::parse`'s spellings (tests/mixed_precision.rs, run by both
+# workspace passes above).
 # What the `salient` binary does with a SALIENT_DTYPE, --model, --executor,
 # --dataset or number it does not accept: exits non-zero naming what it
-# accepts, instead of running the default.
-cargo test -q --offline --test cli
+# accepts, instead of running the default (tests/cli.rs, likewise).
 # The kernel bench doubles as the acceptance gate: it re-asserts the
 # GEMM bound at the full bench shapes and the <= 55% byte criterion on
 # the slice+widen path (through the transfer.bytes counter), then
@@ -174,11 +173,11 @@ SALIENT_BENCH_SMOKE=1 cargo bench -q -p salient-bench --bench kernels --offline
 test -s target/bench_kernels.json
 
 echo "== serving tier: deadlines, admission control, degradation ladder"
-# Deterministic VirtualClock tests first: deadline expiry at every stage
+# The deterministic VirtualClock tests — deadline expiry at every stage
 # boundary, breaker open -> half-open -> close, ladder degrade/restore
-# hysteresis, and exact replay equality under a seeded bursty trace.
-cargo test -q --offline --test serving
-# Then the real-clock frontier: trains a model, sweeps Poisson load at
+# hysteresis, exact replay equality under a seeded bursty trace — are
+# tests/serving.rs, run by both workspace passes above.
+# Here the real-clock frontier: trains a model, sweeps Poisson load at
 # 0.3x/0.7x/2x calibrated capacity, and asserts the overload contract
 # in-bench (no shedding below the knee, typed shedding at 2x, p99 within
 # 5x of the knee, no throughput collapse) before writing the frontier.

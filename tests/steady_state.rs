@@ -2,7 +2,8 @@
 //! nothing else: a warm sampler makes the vectors of the MFG it returns, and
 //! a trainer's later epochs stage into the buffers its first epoch grew. A
 //! warm inference forward takes every large buffer from the pool and indexes
-//! the sampler's edge lists in place.
+//! the sampler's edge lists in place. A warm serving step makes a fixed, small
+//! number of allocations.
 //!
 //! Its own test binary because it installs the counting allocator of
 //! `tests/common`.
@@ -15,6 +16,7 @@ use salient_repro::core::{BatchInferencer, RunConfig, Trainer};
 use salient_repro::graph::{DatasetConfig, FeatureRows};
 use salient_repro::nn::{build_model, ModelKind};
 use salient_repro::sampler::FastSampler;
+use salient_repro::serve::{Request, ServeConfig, ServerCore};
 use salient_repro::tensor::kernels::{csr_index_routes, relu_dropout_in_place, scatter_reduce_forward};
 use salient_repro::tensor::rng::{Rng, StdRng};
 use salient_repro::tensor::{gemm, Tensor};
@@ -170,5 +172,43 @@ fn warm_micro_kernels_allocate_only_what_they_return() {
             assert_eq!(by_agg, 0, "a warm row kernel allocated");
             assert_eq!(by_dropout, 0, "the dropout epilogue allocated");
         }
+    }
+}
+
+#[test]
+fn warm_server_step_allocates_a_fixed_small_number_of_times() {
+    // One full micro-batch a step (`max_batch` 16, the default ladder's
+    // 10,10 fanouts), untraced as the benchmark's `serve_open` runs it.
+    let ds = Arc::new(DatasetConfig::tiny(3).build());
+    let model = Trainer::with_trace(Arc::clone(&ds), RunConfig::test_tiny(), Trace::disabled()).into_model();
+    let cfg = ServeConfig { max_batch: 16, ..ServeConfig::default() };
+    let mut core = ServerCore::new(model, Arc::clone(&ds), cfg, Trace::disabled());
+    let mut step_of_16 = |round: u32| {
+        for k in 0..16 {
+            let id = u64::from(round * 16 + k);
+            let deadline_ns = core.now_ns() + 1_000_000_000;
+            core.submit(Request { id, node: (round * 16 + k) % 200, deadline_ns }).unwrap();
+        }
+        let before = allocations();
+        let out = core.step();
+        let made = allocations() - before;
+        assert!(out.responses.iter().all(|(_, r)| r.is_done()), "{out:?}");
+        made
+    };
+    // The first steps grow the sampler's tables, the staging slot and the
+    // tensor pool's free lists.
+    for round in 0..3 {
+        step_of_16(round);
+    }
+    // What is left is what a step hands out or drops before it returns: the
+    // members, seeds and responses, the MFG, the headers of the model's
+    // intermediate tensors. 50 on most steps, one more when a hop's edge
+    // list outgrows what the sampler reserved. (As a stage graph built per
+    // call the step made 64 to 65: the boxed source, stage closures and
+    // hooks, a mutex-held batch state, the metric handles looked up per run,
+    // copies of the fanouts and of the fanned-out predictions.)
+    for round in 3..12 {
+        let made = step_of_16(round);
+        assert!(made <= 51, "warm step {round} made {made} allocations");
     }
 }
