@@ -1,6 +1,7 @@
 //! The CPU kernel layer benchmark: blocked parallel GEMM (f32 and
 //! fp32-accumulate half-input) vs the seed's naive triple loop at GNN-typical
-//! shapes, fused CSR gather/scatter throughput with a bytes-moved column, and
+//! shapes and at the products a `train_compute` batch runs (`gemm_model`),
+//! fused CSR gather/scatter throughput with a bytes-moved column, and
 //! the mixed-precision slice+transfer path (f16 vs f32 feature staging, byte
 //! traffic accounted through the `transfer.bytes` trace counter). Emits
 //! `target/bench_kernels.json` under the workspace root.
@@ -33,6 +34,45 @@ use std::collections::HashMap;
 /// 602 is the padded papers100M-style feature width the issue pins the
 /// acceptance threshold to; 100 is the ogbn-products feature width.
 const SHAPES: [(usize, usize, usize); 3] = [(1024, 602, 256), (1024, 256, 256), (1024, 100, 47)];
+
+/// The products one `train_compute` batch runs (G100k, fanouts 15,10,5,
+/// hidden 128, 47 classes), as `(m, k, n, ta, tb)` of `op(a)·op(b)`: hop 0's
+/// forward product and its `dW = x_tᵀ·g`, hop 1's forward, `dW` and
+/// `dX = g·Wᵀ`, and the class layer. Tall and skinny, where the three shapes
+/// above are square-ish: the ceiling to quote for a layer is the row of the
+/// shape that layer runs.
+const MODEL_SHAPES: [(usize, usize, usize, bool, bool); 6] = [
+    (22_285, 100, 128, false, false),
+    (100, 22_285, 128, true, false),
+    (3_400, 128, 128, false, false),
+    (128, 3_400, 128, true, false),
+    (3_400, 128, 128, false, true),
+    (256, 128, 47, false, false),
+];
+
+fn model_key(m: usize, k: usize, n: usize, ta: bool, tb: bool) -> String {
+    format!("{}{}", shape_key(m, k, n), match (ta, tb) {
+        (false, false) => "",
+        (true, false) => "_ta",
+        (false, true) => "_tb",
+        (true, true) => "_ta_tb",
+    })
+}
+
+/// Median seconds of each model product on this process's pool.
+fn model_samples(label_prefix: &str) -> Vec<(String, f64, Sample)> {
+    let mut rng = StdRng::seed_from_u64(43);
+    MODEL_SHAPES
+        .iter()
+        .map(|&(m, k, n, ta, tb)| {
+            let a = if ta { rand_tensor(k, m, &mut rng) } else { rand_tensor(m, k, &mut rng) };
+            let b = if tb { rand_tensor(n, k, &mut rng) } else { rand_tensor(k, n, &mut rng) };
+            let key = model_key(m, k, n, ta, tb);
+            let sample = bench(&format!("{label_prefix} model {key}"), || gemm(&a, &b, ta, tb));
+            (key, (2 * m * k * n) as f64, sample)
+        })
+        .collect()
+}
 
 /// Documented elementwise error bound for half-input GEMM, relative to the
 /// magnitude matrix |A|·|B|: each operand carries at most one half-precision
@@ -106,6 +146,9 @@ fn run_child() {
         println!("naive_{key}={}", s.naive.p50_s);
         println!("blocked_{key}={}", s.blocked.p50_s);
         println!("half_{key}={}", s.half.p50_s);
+    }
+    for (key, _, s) in model_samples("1t") {
+        println!("model_{key}={}", s.p50_s);
     }
 }
 
@@ -344,6 +387,25 @@ fn main() {
         ]));
     }
 
+    let model_entries = model_samples("par")
+        .into_iter()
+        .map(|(key, flops, par)| {
+            let one = single[&format!("model_{key}")];
+            println!(
+                "gemm {key}: 1T {:.2} GFLOP/s | {}T {:.2} GFLOP/s",
+                flops / one / 1e9,
+                pool::num_threads(),
+                flops / par.p50_s / 1e9,
+            );
+            Json::Obj(vec![
+                ("shape".into(), Json::Str(key)),
+                ("flops_per_iter".into(), Json::Num(flops)),
+                ("blocked_1t_gflops".into(), Json::Num(flops / one / 1e9)),
+                ("blocked_parallel_gflops".into(), Json::Num(flops / par.p50_s / 1e9)),
+            ])
+        })
+        .collect();
+
     let slice_transfer = slice_transfer_section();
 
     let doc = Json::Obj(vec![
@@ -364,6 +426,7 @@ fn main() {
             ]),
         ),
         ("gemm".into(), Json::Arr(gemm_entries)),
+        ("gemm_model".into(), Json::Arr(model_entries)),
         ("aggregation".into(), aggregation_section()),
         ("slice_transfer".into(), slice_transfer),
     ]);

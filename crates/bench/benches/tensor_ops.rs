@@ -114,32 +114,40 @@ fn bench_csr_agg() {
     report("csr_aggregation", &samples);
 }
 
-/// One fused SAGE layer (hop 0, hidden 64) with constant features, as the
-/// train step runs it: forward alone, and forward + backward to the two
-/// weight gradients.
+/// One fused SAGE layer (hop 0) with constant features, as the train step
+/// runs it: forward alone, and forward + backward to the two weight
+/// gradients — at a small shape (128 seeds, 32 → 64) and at `train_compute`'s
+/// (G100k, 256 seeds, fanouts 15,10,5: some 22 k destination rows, 100 → 128),
+/// the layer that is half of a train batch.
 fn bench_sage_conv() {
-    let ds = DatasetConfig::products_sim(0.1).build();
-    let mfg = FastSampler::new(0).sample(&ds.graph, &ds.splits.train[..128], &[15, 10, 5]);
-    let layer = &mfg.layers[0];
-    let mut rng = StdRng::seed_from_u64(0);
-    let x = Tensor::full([layer.n_src, 32], 1.0);
-    let w_self = Param::new("w_self", init::glorot_uniform(32, 64, &mut rng));
-    let w_neigh = Param::new("w_neigh", init::glorot_uniform(32, 64, &mut rng));
-    let mut run = |backward: bool| {
-        let tape = Tape::new();
-        let (ws, wn) = (tape.param(&w_self), tape.param(&w_neigh));
-        let (src, dst) = (&layer.edge_src, &layer.edge_dst);
-        let y = tape
-            .constant(x.clone())
-            .sage_conv(None, &ws, &wn, src, dst, layer.n_dst, Some(0.5), &mut rng);
-        match backward {
-            true => tape.backward(&y.sum_all()).iter_params().count(),
-            false => y.value().len(),
-        }
-    };
-    let fwd = bench("sage_conv_fused_fwd", || run(false));
-    let both = bench("sage_conv_fused_fwd_bwd", || run(true));
-    report("sage_conv_fused", &[fwd, both]);
+    let small = DatasetConfig::products_sim(0.1);
+    let train = DatasetConfig { num_nodes: 100_000, feat_dim: 1, ..DatasetConfig::products_sim(1.0) };
+    let mut samples = Vec::new();
+    for (shape, config, seeds, (k, n)) in [("small", small, 128, (32, 64)), ("train", train, 256, (100, 128))] {
+        let ds = config.build();
+        let mfg = FastSampler::new(0).sample(&ds.graph, &ds.splits.train[..seeds], &[15, 10, 5]);
+        let layer = &mfg.layers[0];
+        let mut rng = StdRng::seed_from_u64(0);
+        let x = Tensor::full([layer.n_src, k], 1.0);
+        let w_self = Param::new("w_self", init::glorot_uniform(k, n, &mut rng));
+        let w_neigh = Param::new("w_neigh", init::glorot_uniform(k, n, &mut rng));
+        let mut run = |backward: bool| {
+            let tape = Tape::new();
+            let (ws, wn) = (tape.param(&w_self), tape.param(&w_neigh));
+            let (src, dst) = (&layer.edge_src, &layer.edge_dst);
+            let y = tape
+                .constant(x.clone())
+                .sage_conv(None, &ws, &wn, src, dst, layer.n_dst, Some(0.5), &mut rng);
+            match backward {
+                true => tape.backward(&y.sum_all()).iter_params().count(),
+                false => y.value().len(),
+            }
+        };
+        println!("  {shape}: {} -> {} rows, {} edges, {k} -> {n}", layer.n_src, layer.n_dst, layer.num_edges());
+        samples.push(bench(&format!("sage_conv_fused_fwd {shape}"), || run(false)));
+        samples.push(bench(&format!("sage_conv_fused_fwd_bwd {shape}"), || run(true)));
+    }
+    report("sage_conv_fused", &samples);
 }
 
 fn bench_relu_dropout() {

@@ -733,11 +733,15 @@ mod tests {
         assert!(FaultPlan::parse(0, "prep.sample=panic%1.5").is_err());
     }
 
+    /// Held by the two tests that install the process-global plan: run side
+    /// by side, one's plan replaces (or its guard clears) the other's.
+    static GLOBAL_PLAN: Mutex<()> = Mutex::new(());
+
     #[test]
     fn global_install_and_scoped_clear() {
-        // Note: this test manipulates process-global state; it is the only
-        // unit test in this crate that does, and it restores the disabled
-        // state before returning.
+        // Note: this test manipulates process-global state and restores the
+        // disabled state before returning.
+        let _serial = GLOBAL_PLAN.lock().unwrap_or_else(|e| e.into_inner());
         assert_eq!(point(sites::PREP_SAMPLE, 1), FaultAction::Proceed);
         {
             let _g = scoped(FaultPlan::new(0).drop_at(sites::PREP_SEND, 2));
@@ -753,6 +757,7 @@ mod tests {
     fn fire_observer_sees_triggered_sites_before_the_action() {
         // Global state, like global_install_and_scoped_clear: restores the
         // disarmed observer and cleared plan before returning.
+        let _serial = GLOBAL_PLAN.lock().unwrap_or_else(|e| e.into_inner());
         let seen: Arc<Mutex<Vec<(String, u64)>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = seen.clone();
         set_fire_observer(Some(Arc::new(move |site: &str, occ: u64| {

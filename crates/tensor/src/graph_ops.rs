@@ -15,6 +15,20 @@ use crate::rng::Rng;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
+/// Destination rows per strip of [`Var::sage_conv`]: a strip's features,
+/// aggregate and output (3 × 128 KiB at width 128) stay in L2 next to the
+/// two weight matrices from the aggregation to the epilogue. A multiple of 4,
+/// so a dropout quad — four elements to one draw — never straddles strips
+/// and the stream is the whole-tensor epilogue's (the portable GEMM rung's
+/// four products per add fall into the same groups for the same reason).
+const STRIP: usize = 256;
+const _: () = assert!(STRIP % 4 == 0);
+
+/// `[s0, s1)` row ranges of at most [`STRIP`] rows covering `0..n`.
+fn strips(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..n).step_by(STRIP).map(move |s0| (s0, (s0 + STRIP).min(n)))
+}
+
 impl Var {
     /// Gathers rows by index: `out[i] = self[idx[i]]`.
     ///
@@ -86,15 +100,20 @@ impl Var {
     /// and differentiated into the same buffer as the sources), or a
     /// separate `n_dst`-row variable.
     ///
-    /// Forward: CSR mean aggregation, then the two products accumulate into
-    /// one buffer (the second GEMM continues the first's FMA chains, so
-    /// there is no separate add), then the epilogue of
-    /// [`kernels::relu_dropout_in_place`]. Backward, given `g`:
-    /// `g ← g · [out > 0] / keep` in place (epilogue only),
-    /// `dW_self = x_targetᵀ · g`, `dW_neigh = aggᵀ · g`, and — only for
-    /// tracked inputs — `dx = scatterᵀ(g · W_neighᵀ)` with
-    /// `g · W_selfᵀ` added into its first `n_dst` rows (or returned on its
-    /// own for a separate `x_target`).
+    /// Forward, in strips of [`STRIP`] destination rows over one CSR index
+    /// of the edge list: the strip's mean aggregate, `x_target · W_self`
+    /// written first into a stale buffer, `agg · W_neigh` continuing the same
+    /// FMA chains (so there is no separate add), then the epilogue of
+    /// [`kernels::relu_dropout_in_place`] on the strip, drawing from the one
+    /// RNG stream in row order. The output is written once and never
+    /// re-read; the aggregate is kept whole only if `W_neigh` is tracked
+    /// (its gradient reads it) and is otherwise one strip of scratch.
+    /// Backward, given `g`: strip by strip, `g ← g · [out > 0] / keep` in
+    /// place (epilogue only) and `dW_self += x_targetᵀ · g`,
+    /// `dW_neigh += aggᵀ · g` from the strip just rewritten; then — only for
+    /// tracked inputs — `dx = scatterᵀ(g · W_neighᵀ)` with `g · W_selfᵀ`
+    /// added into its first `n_dst` rows (or returned on its own for a
+    /// separate `x_target`), each `g · Wᵀ` one write-first product.
     ///
     /// # Panics
     ///
@@ -128,18 +147,28 @@ impl Var {
         assert_eq!(ws.shape().dims(), [k, n], "W_self must be in_dim × out_dim");
         assert_eq!(wn.shape(), ws.shape(), "W_neigh must match W_self");
 
-        let agg = Tensor::from_vec(
-            kernels::scatter_reduce_forward(x.data(), k, src, dst, n_dst, true),
-            Shape::matrix(n_dst, k),
-        );
-        let mut out = Tensor::zeros(Shape::matrix(n_dst, n));
-        kernels::gemm_acc(out.data_mut(), xt.data(), ws.data(), false, false, n_dst, n, k);
-        kernels::gemm_acc(out.data_mut(), agg.data(), wn.data(), false, false, n_dst, n, k);
-        let scale = act.map(|p| kernels::relu_dropout_in_place(out.data_mut(), p, rng));
-
         let (ix, iws, iwn) = (self.id, w_self.id, w_neigh.id);
         let (need_x, need_ws, need_wn) =
             (self.needs_grad(), w_self.needs_grad(), w_neigh.needs_grad());
+        let agg_rows = if need_wn { n_dst } else { STRIP.min(n_dst) };
+        let mut agg = kernels::take_f32_stale(agg_rows * k);
+        let mut out = kernels::take_f32_stale(n_dst * n);
+        let mut scale = None;
+        let what = ["destination id", "source id"];
+        kernels::with_row_agg(x.data(), k, dst, n_dst, Some(src), what, true, |rows| {
+            for (s0, s1) in strips(n_dst) {
+                let a0 = if need_wn { s0 } else { 0 };
+                let (a, o) = (&mut agg[a0 * k..(a0 + s1 - s0) * k], &mut out[s0 * n..s1 * n]);
+                let w = [ws.data(), wn.data()];
+                kernels::sage_rows(rows, (s0, s1), &xt.data()[s0 * k..s1 * k], w, n, a, o);
+                if let Some(p) = act {
+                    scale = Some(kernels::relu_dropout_in_place(o, p, rng));
+                }
+            }
+        });
+        let agg = Tensor::from_vec(agg, Shape::matrix(agg_rows, k));
+        let out = Tensor::from_vec(out, Shape::matrix(n_dst, n));
+
         // A separate, tracked x_target receives its own contribution.
         let ixt = x_target.filter(|t| t.needs_grad()).map(|t| t.id);
         let prefix = x_target.is_none();
@@ -148,34 +177,36 @@ impl Var {
         self.tape().record(out, needs_grad, || {
             let edges = need_x.then(|| (SavedIds::new(src), SavedIds::new(dst)));
             Box::new(move |mut g| {
-                if let Some(scale) = scale {
-                    kernels::relu_dropout_backward(g.data_mut(), saved_out.data(), scale);
-                }
-                let gd = g.data();
-                let mut contribs = Vec::with_capacity(4);
-                for (need, id, lhs) in [(need_ws, iws, &xt), (need_wn, iwn, &agg)] {
-                    if need {
-                        let mut dw = Tensor::zeros(Shape::matrix(k, n));
-                        kernels::gemm_acc(dw.data_mut(), lhs.data(), gd, true, false, k, n, n_dst);
-                        contribs.push((id, dw));
+                let dw = |need: bool| need.then(|| Tensor::zeros(Shape::matrix(k, n)));
+                let (mut dw_self, mut dw_neigh) = (dw(need_ws), dw(need_wn));
+                for (s0, s1) in strips(n_dst) {
+                    let (gr, xr) = (s0 * n..s1 * n, s0 * k..s1 * k);
+                    if let Some(scale) = scale {
+                        let gs = &mut g.data_mut()[gr.clone()];
+                        kernels::relu_dropout_backward(gs, &saved_out.data()[gr.clone()], scale);
+                    }
+                    let gs = &g.data()[gr];
+                    for (dw, lhs) in [(&mut dw_self, &xt), (&mut dw_neigh, &agg)] {
+                        if let Some(dw) = dw {
+                            let lhs = &lhs.data()[xr.clone()];
+                            kernels::gemm_acc(dw.data_mut(), lhs, gs, true, false, k, n, s1 - s0);
+                        }
                     }
                 }
+                let mut contribs = Vec::with_capacity(4);
+                contribs.extend(dw_self.map(|dw| (iws, dw)));
+                contribs.extend(dw_neigh.map(|dw| (iwn, dw)));
                 if let Some((src, dst)) = &edges {
-                    let mut dagg = Tensor::zeros(Shape::matrix(n_dst, k));
-                    kernels::gemm_acc(dagg.data_mut(), gd, wn.data(), false, true, n_dst, k, n);
+                    let mut dagg = kernels::gemm(&g, &wn, false, true);
                     let mut dx =
                         kernels::scatter_reduce_backward(dagg.data_mut(), k, src, dst, n_src, true);
                     if prefix {
                         let head = &mut dx[..n_dst * k];
-                        kernels::gemm_acc(head, gd, ws.data(), false, true, n_dst, k, n);
+                        kernels::gemm_acc(head, g.data(), ws.data(), false, true, n_dst, k, n);
                     }
                     contribs.push((ix, Tensor::from_vec(dx, Shape::matrix(n_src, k))));
                 }
-                if let Some(ixt) = ixt {
-                    let mut dxt = Tensor::zeros(Shape::matrix(n_dst, k));
-                    kernels::gemm_acc(dxt.data_mut(), gd, ws.data(), false, true, n_dst, k, n);
-                    contribs.push((ixt, dxt));
-                }
+                contribs.extend(ixt.map(|ixt| (ixt, kernels::gemm(&g, &ws, false, true))));
                 contribs
             })
         })
@@ -300,6 +331,7 @@ impl Var {
 mod tests {
     use super::*;
     use crate::autograd::Tape;
+    use crate::rng::StdRng;
 
     fn t(data: &[f32], shape: impl Into<Shape>) -> Tensor {
         Tensor::from_vec(data.to_vec(), shape)
@@ -395,6 +427,116 @@ mod tests {
         assert_eq!(g.wrt(&x).unwrap().data(), &[0.25, 0.25, 0.75, 0.75]);
         // dα_e = dot(x[src_e], ones) = row sums.
         assert_eq!(g.wrt(&w).unwrap().data(), &[3.0, 30.0]);
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// What one layer computes, by the sequence of kernels `sage_conv` fused:
+    /// a whole-matrix aggregate, two products accumulated onto a zero-filled
+    /// output, the epilogue over the whole output, and the gradients the same
+    /// way. Returns `[out, dW_self, dW_neigh, dx, dxt]` (`dxt` empty for a
+    /// prefix target).
+    #[expect(clippy::too_many_arguments, reason = "the layer's operands, as sage_conv takes them, plus the output gradient")]
+    fn layer_by_kernels(
+        x: &Tensor,
+        xt: Option<&Tensor>,
+        [ws, wn]: [&Tensor; 2],
+        (src, dst): (&[u32], &[u32]),
+        n_dst: usize,
+        act: Option<f32>,
+        rng: &mut StdRng,
+        g: &[f32],
+    ) -> [Vec<f32>; 5] {
+        let (n_src, k, n) = (x.rows(), x.cols(), ws.cols());
+        let own = x.narrow_rows(n_dst);
+        let target = xt.unwrap_or(&own);
+        let agg = kernels::scatter_reduce_forward(x.data(), k, src, dst, n_dst, true);
+        let product = |out: &mut [f32], a: &[f32], b: &Tensor, ta, tb, (m, n, k)| {
+            kernels::gemm_acc(out, a, b.data(), ta, tb, m, n, k)
+        };
+        let mut out = vec![0.0f32; n_dst * n];
+        product(&mut out, target.data(), ws, false, false, (n_dst, n, k));
+        product(&mut out, &agg, wn, false, false, (n_dst, n, k));
+        let scale = act.map(|p| kernels::relu_dropout_in_place(&mut out, p, rng));
+        let mut g = g.to_vec();
+        if let Some(scale) = scale {
+            kernels::relu_dropout_backward(&mut g, &out, scale);
+        }
+        let g = Tensor::from_vec(g, [n_dst, n]);
+        let (mut dws, mut dwn) = (vec![0.0f32; k * n], vec![0.0f32; k * n]);
+        product(&mut dws, target.data(), &g, true, false, (k, n, n_dst));
+        product(&mut dwn, &agg, &g, true, false, (k, n, n_dst));
+        let mut dagg = vec![0.0f32; n_dst * k];
+        product(&mut dagg, g.data(), wn, false, true, (n_dst, k, n));
+        let mut dx = kernels::scatter_reduce_backward(&mut dagg, k, src, dst, n_src, true);
+        let mut dxt = vec![0.0f32; if xt.is_some() { n_dst * k } else { 0 }];
+        let dself = if xt.is_some() { &mut dxt[..] } else { &mut dx[..n_dst * k] };
+        product(dself, g.data(), ws, false, true, (n_dst, k, n));
+        [out, dws, dwn, dx, dxt]
+    }
+
+    #[test]
+    fn strip_wise_sage_conv_equals_the_kernels_it_fuses_bitwise() {
+        let mut rng = StdRng::seed_from_u64(0x57819);
+        let k = 20;
+        let values = |r: usize, c: usize, rng: &mut StdRng| {
+            Tensor::from_vec((0..r * c).map(|_| rng.random_range(-1.0f32..1.0)).collect(), [r, c])
+        };
+        for n_dst in [0, 1, STRIP - 1, STRIP, STRIP + 1, 3 * STRIP + 5] {
+            let n_src = n_dst + 40;
+            // Three or four sources a destination, ordered by destination.
+            let dst: Vec<u32> = (0..n_dst as u32).flat_map(|d| std::iter::repeat_n(d, 3 + d as usize % 2)).collect();
+            let src: Vec<u32> = dst.iter().map(|_| rng.random_range(0..n_src as u32)).collect();
+            for n in [30, 47, 128] {
+                let (x, xt) = (values(n_src, k, &mut rng), values(n_dst, k, &mut rng));
+                let (ws, wn, g) = (values(k, n, &mut rng), values(k, n, &mut rng), values(n_dst, n, &mut rng));
+                for (separate, act) in [false, true].into_iter().flat_map(|s| [None, Some(0.0), Some(0.5)].map(|act| (s, act))) {
+                    let what = format!("n_dst {n_dst}, n {n}, separate target {separate}, act {act:?}");
+                    let seed = 7 + n_dst as u64;
+                    let want = layer_by_kernels(
+                        &x, separate.then_some(&xt), [&ws, &wn], (&src, &dst), n_dst, act, &mut StdRng::seed_from_u64(seed), g.data(),
+                    );
+                    // A tape that records: every input tracked.
+                    let tape = Tape::new();
+                    let (xv, xtv) = (tape.leaf(x.clone()), tape.leaf(xt.clone()));
+                    let (wsv, wnv) = (tape.leaf(ws.clone()), tape.leaf(wn.clone()));
+                    let mut layer_rng = StdRng::seed_from_u64(seed);
+                    let y = xv.sage_conv(separate.then_some(&xtv), &wsv, &wnv, &src, &dst, n_dst, act, &mut layer_rng);
+                    assert_eq!(bits(y.value().data()), bits(&want[0]), "output, {what}");
+                    let grads = tape.backward(&y.mul(&tape.constant(g.clone())).sum_all());
+                    let wrt = |v: &Var| grads.wrt(v).map_or(Vec::new(), |t| bits(t.data()));
+                    let got = [wrt(&wsv), wrt(&wnv), wrt(&xv), if separate { wrt(&xtv) } else { Vec::new() }];
+                    for (i, name) in ["dW_self", "dW_neigh", "dx", "dx_target"].into_iter().enumerate() {
+                        assert_eq!(got[i], bits(&want[i + 1]), "{name}, {what}");
+                    }
+                    // Constant features, as hop 0 of a train step has them:
+                    // the weight gradients alone, and no panel is packed.
+                    let tape = Tape::new();
+                    let (xv, xtv) = (tape.constant(x.clone()), tape.constant(xt.clone()));
+                    let (wsv, wnv) = (tape.leaf(ws.clone()), tape.leaf(wn.clone()));
+                    let packs = kernels::PACKS.get();
+                    let mut layer_rng = StdRng::seed_from_u64(seed);
+                    let y = xv.sage_conv(separate.then_some(&xtv), &wsv, &wnv, &src, &dst, n_dst, act, &mut layer_rng);
+                    let grads = tape.backward(&y.mul(&tape.constant(g.clone())).sum_all());
+                    assert_eq!(kernels::PACKS.get(), packs, "an f32 layer without dx packed a panel, {what}");
+                    assert_eq!(bits(y.value().data()), bits(&want[0]), "output, constant features, {what}");
+                    for (v, i) in [(&wsv, 1), (&wnv, 2)] {
+                        assert_eq!(bits(grads.wrt(v).unwrap().data()), bits(&want[i]), "weight gradient {i}, constant features, {what}");
+                    }
+                    // A tape that records nothing: same values, same draws.
+                    let tape = Tape::no_grad();
+                    let (xv, xtv) = (tape.leaf(x.clone()), tape.leaf(xt.clone()));
+                    let (wsv, wnv) = (tape.leaf(ws.clone()), tape.leaf(wn.clone()));
+                    let mut eval_rng = StdRng::seed_from_u64(seed);
+                    let y = xv.sage_conv(separate.then_some(&xtv), &wsv, &wnv, &src, &dst, n_dst, act, &mut eval_rng);
+                    assert!(!y.needs_grad());
+                    assert_eq!(bits(y.value().data()), bits(&want[0]), "output on a no_grad tape, {what}");
+                    assert_eq!(eval_rng.next_u64(), layer_rng.next_u64(), "the two tapes drew differently, {what}");
+                }
+            }
+        }
     }
 
     #[test]

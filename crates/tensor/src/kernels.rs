@@ -9,23 +9,35 @@
 //!
 //! Design notes:
 //!
-//! * **GEMM** is blocked (MC×KC×NC) with the `op(B)` panel packed into a
-//!   contiguous buffer once per (K-block, N-block) and `op(A)` packed per
-//!   row block into thread-local scratch, so all four transpose variants
-//!   run the same unit-stride inner kernel. Packing is generic over the
-//!   element type ([`GemmElem`]): `F16` operands are widened to `f32`
-//!   *during packing* (bulk F16C kernels on contiguous rows), so the inner
-//!   micro-kernel — and the fp32 accumulation order — is identical for half
-//!   and full precision inputs. On x86-64 the micro-kernel is selected at
-//!   runtime (no compile-time flags needed): an AVX-512 8-row × 32-column
-//!   register tile where the CPU has AVX-512F, else an AVX2 + FMA 4×16
-//!   tile, else a portable 4-way K-unrolled loop. Both vector kernels
-//!   software-prefetch the packed-B panel a few K steps ahead.
-//! * **Transposed A** (`ta = true`, the `dW = Aᵀ·g` backward shape) packs
-//!   the A panel K-major instead of row-major: the pack then copies (and
-//!   for `F16` bulk-widens) contiguous source rows instead of striding,
-//!   and the micro-kernel reads `apack[p*mb + i]` — same FLOPs, no strided
-//!   scalar pack loop.
+//! * **GEMM** is blocked (KC×NC panels of `op(B)`, row chunks of `op(A)`)
+//!   around register tiles that take leading dimensions, so an `f32` operand
+//!   is read where it lies: untransposed A is a row-major panel with
+//!   `lda = a_cols`, transposed A (`ta = true`, the `dW = Aᵀ·g` backward
+//!   shape) is the K-major panel its storage already is, untransposed B a
+//!   panel with `ldb = b_cols`. Packing into thread-local scratch survives
+//!   only where it *converts* ([`GemmElem`]): `F16` operands are widened to
+//!   `f32` on the way (bulk F16C kernels on contiguous rows) and a
+//!   transposed B is gathered into rows — so the tile, and the fp32
+//!   accumulation order, is identical for half and full precision inputs
+//!   and for all four transpose variants.
+//! * **Write-first**: a product's first K block starts its accumulators at
+//!   zero in registers and stores without loading C, so the output is a
+//!   *stale* pooled buffer — no memset, no read of C. That is the FMA chain
+//!   `0.0 + a₀b₀ + a₁b₁ + …` a zero-filled C would have started, bit for bit
+//!   (a column of `-1 · 0` products still ends at `+0.0`); later K blocks
+//!   and [`gemm_acc`] load C and continue it.
+//! * **One tile routine per rung**, selected at runtime (no compile-time
+//!   flags): AVX-512F up to 8 rows × 32 columns, else AVX2 + FMA up to 4×16,
+//!   const-generic in the row count and under a column mask, so a row tail
+//!   (m = 100 is 12 tiles of 8 and one of 4) and a column tail (n = 47 is
+//!   32 + 15) run the same code as the full tile; else a portable 4-way
+//!   K-unrolled row loop. Every output element is one FMA per K step in
+//!   increasing K whatever the tile shape, so the vector rungs agree bitwise
+//!   and no value depends on how rows were cut into chunks.
+//! * **Dispatch by work**: a product (or a SAGE strip, [`sage_rows`]) is cut
+//!   into row chunks of at least [`MIN_CHUNK_FLOPS`], one pool dispatch per
+//!   product; less than two chunks' worth runs on the caller, and so does
+//!   everything on a one-thread pool.
 //! * **Aggregation** is one row kernel, `out[r] = scale_r · Σ_e x[idx[e]]`
 //!   over a CSR row index `(indptr, idx)` of the edge list ([`RowAgg`]).
 //!   Building the index is one pass over the keys that counts degrees,
@@ -46,7 +58,7 @@
 
 #![expect(
     clippy::indexing_slicing,
-    reason = "pack and micro-kernel loops index inside shapes asserted at the GEMM entry; hoisted slices keep the checks elidable"
+    reason = "panel, pack and row-kernel loops index inside shapes asserted at the GEMM and aggregation entries; hoisted slices keep the checks elidable"
 )]
 
 use crate::f16::F16;
@@ -258,22 +270,40 @@ fn prefetch_read<T>(p: *const T) {
 // GEMM
 // ---------------------------------------------------------------------------
 
-/// Row block assigned to one parallel task.
+/// Row block an [`F16`] left operand is widened by: MC×KC floats of pack
+/// scratch. An `f32` left operand is read in place, a chunk's rows at once.
 const MC: usize = 64;
-/// K (inner-dimension) block; the packed B panel holds KC×NC floats.
+/// K (inner-dimension) block: a tile's K loop runs at most this long before
+/// its accumulators go back to C.
 const KC: usize = 256;
-/// Column block: KC×NC×4 bytes = 256 KiB keeps the panel L2-resident.
+/// Column block: KC×NC×4 bytes = 256 KiB keeps a B panel L2-resident.
 const NC: usize = 256;
 
-/// Below this many multiply-adds the blocked/parallel machinery costs more
-/// than it saves; fall back to the straightforward loop.
-const GEMM_SERIAL_FLOP_CUTOFF: usize = 1 << 15;
+/// The least work, in flops, worth handing to another thread as one chunk:
+/// some 40 µs of a tile's time against a pool dispatch of several µs. A
+/// product (or a SAGE strip) of less than two of these runs on its caller.
+const MIN_CHUNK_FLOPS: usize = 1 << 22;
 
-/// A GEMM operand element: either `f32` (copied while packing) or [`F16`]
-/// (widened to `f32` while packing, via the bulk F16C kernels on contiguous
-/// runs). Packing is where precision ends: past it the micro-kernel only
+/// The fewest rows of `flops_per_row` each that make a chunk worth
+/// dispatching ([`MIN_CHUNK_FLOPS`]).
+fn min_chunk_rows(flops_per_row: usize) -> usize {
+    MIN_CHUNK_FLOPS.div_ceil(flops_per_row.max(1))
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Panels this thread has packed, as `[a, b]`.
+    pub(crate) static PACKS: std::cell::Cell<[u64; 2]> = const { std::cell::Cell::new([0, 0]) };
+}
+
+/// A GEMM operand element. An `f32` operand that is not a transposed B is
+/// read where it lies; packing is for operands that must be *converted* on
+/// the way: [`F16`] (widened, via the bulk F16C kernels on contiguous runs)
+/// and a transposed B (gathered into rows). Past it the micro-kernel only
 /// ever sees `f32` panels, so accumulation is always fp32.
 trait GemmElem: Copy + Send + Sync {
+    /// The operand itself when it already is what the micro-kernel reads.
+    fn as_f32(d: &[Self]) -> Option<&[f32]>;
     /// Appends `src`, widened to `f32`, onto `dst` (contiguous bulk path).
     fn widen_append(src: &[Self], dst: &mut Vec<f32>);
     /// Single-element widened read, for strided (transposed-B) packs.
@@ -281,6 +311,10 @@ trait GemmElem: Copy + Send + Sync {
 }
 
 impl GemmElem for f32 {
+    #[inline]
+    fn as_f32(d: &[f32]) -> Option<&[f32]> {
+        Some(d)
+    }
     #[inline]
     fn widen_append(src: &[f32], dst: &mut Vec<f32>) {
         dst.extend_from_slice(src);
@@ -292,6 +326,10 @@ impl GemmElem for f32 {
 }
 
 impl GemmElem for F16 {
+    #[inline]
+    fn as_f32(_: &[F16]) -> Option<&[f32]> {
+        None
+    }
     #[inline]
     fn widen_append(src: &[F16], dst: &mut Vec<f32>) {
         let old = dst.len();
@@ -305,6 +343,45 @@ impl GemmElem for F16 {
     }
 }
 
+/// One product's operands as the row loop reads them: `op(a)` is `m×k`,
+/// `op(b)` is `k×n`, and `a_cols` / `b_cols` are the physical row lengths.
+struct Operands<'a, TA, TB> {
+    a: &'a [TA],
+    b: &'a [TB],
+    ta: bool,
+    tb: bool,
+    n: usize,
+    k: usize,
+    a_cols: usize,
+    b_cols: usize,
+}
+
+/// The logical extents `(m, n, k)` of `op(a) · op(b)` for physical
+/// `ar×ac` and `br×bc` operands.
+///
+/// # Panics
+///
+/// Panics if the inner dimensions do not agree.
+fn product_dims(
+    (ar, ac): (usize, usize),
+    (br, bc): (usize, usize),
+    ta: bool,
+    tb: bool,
+) -> (usize, usize, usize) {
+    let (m, k1) = if ta { (ac, ar) } else { (ar, ac) };
+    let (k2, n) = if tb { (bc, br) } else { (br, bc) };
+    assert_eq!(k1, k2, "gemm inner dimension mismatch: {ar}x{ac} ({ta}) @ {br}x{bc} ({tb})");
+    (m, n, k1)
+}
+
+/// A product into a pooled buffer that nobody zeroed: the first K block of
+/// every tile starts from zero in registers and stores without loading.
+fn gemm_tensor<TA: GemmElem, TB: GemmElem>(ops: &Operands<'_, TA, TB>, m: usize) -> Tensor {
+    let mut out = take_f32_stale(m * ops.n);
+    gemm_into(&mut out, false, ops, m);
+    Tensor::from_vec(out, Shape::matrix(m, ops.n))
+}
+
 /// Dense matrix multiply `op(a) * op(b)` where `op` optionally transposes.
 ///
 /// Shapes: with `ta = tb = false`, `a` is `m×k`, `b` is `k×n`, result `m×n`.
@@ -313,24 +390,16 @@ impl GemmElem for F16 {
 ///
 /// Panics if the inner dimensions do not agree.
 pub fn gemm(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Tensor {
-    let (ar, ac) = (a.rows(), a.cols());
-    let (br, bc) = (b.rows(), b.cols());
-    let (m, k1) = if ta { (ac, ar) } else { (ar, ac) };
-    let (k2, n) = if tb { (bc, br) } else { (br, bc) };
-    assert_eq!(
-        k1, k2,
-        "gemm inner dimension mismatch: {}x{} ({}) @ {}x{} ({})",
-        ar, ac, ta, br, bc, tb
-    );
-    let mut out = take_f32_zeroed(m * n);
-    gemm_into(&mut out, a.data(), b.data(), ta, tb, m, n, k1, ac, bc);
-    Tensor::from_vec(out, Shape::matrix(m, n))
+    let (m, n, k) = product_dims((a.rows(), a.cols()), (b.rows(), b.cols()), ta, tb);
+    let (a_cols, b_cols) = (a.cols(), b.cols());
+    gemm_tensor(&Operands { a: a.data(), b: b.data(), ta, tb, n, k, a_cols, b_cols }, m)
 }
 
 /// `out += op(a) · op(b)` on raw row-major `f32` buffers, where `op(a)` is
-/// `m×k` and `op(b)` is `k×n`. Accumulating onto a non-zero `out` continues
-/// each element's K-ordered FMA chain, exactly as a second K block would.
-#[expect(clippy::too_many_arguments, reason = "a GEMM's signature is its operands, their transposes and the three extents; the blocked helpers add the block's origin")]
+/// `m×k` and `op(b)` is `k×n`: a second product onto what a first one wrote,
+/// or one strip's share of a sum. Accumulating continues each element's
+/// K-ordered FMA chain, exactly as a further K block would.
+#[expect(clippy::too_many_arguments, reason = "a GEMM's signature is its operands, their transposes and the three extents")]
 pub(crate) fn gemm_acc(
     out: &mut [f32],
     a: &[f32],
@@ -341,11 +410,10 @@ pub(crate) fn gemm_acc(
     n: usize,
     k: usize,
 ) {
-    assert_eq!(out.len(), m * n, "gemm_acc: output buffer/shape mismatch");
     assert_eq!(a.len(), m * k, "gemm_acc: a buffer/shape mismatch");
     assert_eq!(b.len(), k * n, "gemm_acc: b buffer/shape mismatch");
     let (a_cols, b_cols) = (if ta { m } else { k }, if tb { k } else { n });
-    gemm_into(out, a, b, ta, tb, m, n, k, a_cols, b_cols);
+    gemm_into(out, true, &Operands { a, b, ta, tb, n, k, a_cols, b_cols }, m);
 }
 
 /// Half-precision-input, fp32-accumulate GEMM: `op(a) * op(b)` where both
@@ -364,7 +432,7 @@ pub(crate) fn gemm_acc(
 ///
 /// Panics if a buffer length disagrees with its shape or the inner
 /// dimensions do not agree.
-#[expect(clippy::too_many_arguments, reason = "a GEMM's signature is its operands, their transposes and the three extents; the blocked helpers add the block's origin")]
+#[expect(clippy::too_many_arguments, reason = "a GEMM's signature is its operands, their transposes and the three extents")]
 pub fn gemm_f16(
     a: &[F16],
     a_rows: usize,
@@ -377,17 +445,14 @@ pub fn gemm_f16(
 ) -> Tensor {
     assert_eq!(a.len(), a_rows * a_cols, "gemm_f16: a buffer/shape mismatch");
     assert_eq!(b.len(), b_rows * b_cols, "gemm_f16: b buffer/shape mismatch");
-    let (m, k1) = if ta { (a_cols, a_rows) } else { (a_rows, a_cols) };
-    let (k2, n) = if tb { (b_cols, b_rows) } else { (b_rows, b_cols) };
-    assert_eq!(k1, k2, "gemm_f16 inner dimension mismatch");
-    let mut out = take_f32_zeroed(m * n);
-    gemm_into(&mut out, a, b, ta, tb, m, n, k1, a_cols, b_cols);
-    Tensor::from_vec(out, Shape::matrix(m, n))
+    let (m, n, k) = product_dims((a_rows, a_cols), (b_rows, b_cols), ta, tb);
+    gemm_tensor(&Operands { a, b, ta, tb, n, k, a_cols, b_cols }, m)
 }
 
 /// Mixed-precision GEMM: a packed [`F16`] left operand (typically sliced
 /// features) against an `f32` right operand (typically a weight matrix).
-/// Same packing-time widening and fp32 accumulation as [`gemm_f16`].
+/// Same packing-time widening and fp32 accumulation as [`gemm_f16`]; the
+/// `f32` operand is read in place unless transposed.
 ///
 /// # Panics
 ///
@@ -402,42 +467,68 @@ pub fn gemm_f16_f32(
     tb: bool,
 ) -> Tensor {
     assert_eq!(a.len(), a_rows * a_cols, "gemm_f16_f32: a buffer/shape mismatch");
-    let (br, bc) = (b.rows(), b.cols());
-    let (m, k1) = if ta { (a_cols, a_rows) } else { (a_rows, a_cols) };
-    let (k2, n) = if tb { (bc, br) } else { (br, bc) };
-    assert_eq!(k1, k2, "gemm_f16_f32 inner dimension mismatch");
-    let mut out = take_f32_zeroed(m * n);
-    gemm_into(&mut out, a, b.data(), ta, tb, m, n, k1, a_cols, bc);
-    Tensor::from_vec(out, Shape::matrix(m, n))
+    let (m, n, k) = product_dims((a_rows, a_cols), (b.rows(), b.cols()), ta, tb);
+    gemm_tensor(&Operands { a, b: b.data(), ta, tb, n, k, a_cols, b_cols: b.cols() }, m)
 }
 
 /// Name of the active GEMM micro-kernel rung — `"avx512"`, `"avx2"`, or
 /// `"portable"` — for bench reports. Selection is automatic (CPUID) but can
 /// be pinned down-level with `SALIENT_GEMM_KERNEL=portable|avx2|avx512`.
 pub fn gemm_kernel_level() -> &'static str {
+    match level() {
+        Level::Avx512 => "avx512",
+        Level::Avx2 => "avx2",
+        Level::Portable => "portable",
+    }
+}
+
+/// The micro-kernel rung picked for this process.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Level {
+    /// No usable vector unit detected (or forced): [`kernel_row`].
+    Portable,
+    /// AVX2 + FMA, tiles of up to 4×16.
+    Avx2,
+    /// AVX-512F, tiles of up to 8×32.
+    Avx512,
+}
+
+/// Which vector rungs this CPU has, as `(avx2, avx512)`.
+fn host_rungs() -> (bool, bool) {
     #[cfg(target_arch = "x86_64")]
     {
-        match simd::level() {
-            simd::Level::Avx512 => "avx512",
-            simd::Level::Avx2 => "avx2",
-            simd::Level::Portable => "portable",
-        }
+        use std::arch::is_x86_feature_detected as has;
+        (has!("avx2") && has!("fma"), has!("avx512f"))
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        "portable"
+        (false, false)
     }
+}
+
+/// One-time CPUID probe (overridable down-level with
+/// `SALIENT_GEMM_KERNEL=portable|avx2|avx512` for benches and tests; an
+/// override naming an unsupported rung falls back to detection).
+fn level() -> Level {
+    static LEVEL: std::sync::OnceLock<Level> = std::sync::OnceLock::new();
+    *LEVEL.get_or_init(|| {
+        let (avx2, avx512) = host_rungs();
+        match std::env::var("SALIENT_GEMM_KERNEL").ok().as_deref() {
+            Some("portable") => Level::Portable,
+            Some("avx2") if avx2 => Level::Avx2,
+            Some("avx512") if avx512 => Level::Avx512,
+            _ if avx512 => Level::Avx512,
+            _ if avx2 => Level::Avx2,
+            _ => Level::Portable,
+        }
+    })
 }
 
 /// The seed's scalar triple-loop GEMM, kept as the correctness / performance
 /// reference for tests and the kernel bench.
 pub fn gemm_naive(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Tensor {
-    let (ar, ac) = (a.rows(), a.cols());
-    let (br, bc) = (b.rows(), b.cols());
-    let (m, k1) = if ta { (ac, ar) } else { (ar, ac) };
-    let (k2, n) = if tb { (bc, br) } else { (br, bc) };
-    assert_eq!(k1, k2, "gemm inner dimension mismatch");
-    let k = k1;
+    let (ac, bc) = (a.cols(), b.cols());
+    let (m, n, k) = product_dims((a.rows(), ac), (b.rows(), bc), ta, tb);
     let mut out = vec![0.0f32; m * n];
     let ad = a.data();
     let bd = b.data();
@@ -477,19 +568,17 @@ pub fn gemm_naive(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Tensor {
 /// Packs `op(b)[pc..pc+kcb, jc..jc+ncb]` row-major into `bpack`, widening
 /// to `f32` as it goes (bulk path for the contiguous `!tb` case).
 #[inline]
-#[expect(clippy::too_many_arguments, reason = "a GEMM's signature is its operands, their transposes and the three extents; the blocked helpers add the block's origin")]
-fn pack_b<TB: GemmElem>(
+fn pack_b<TA, TB: GemmElem>(
     bpack: &mut Vec<f32>,
-    bd: &[TB],
-    tb: bool,
-    b_cols: usize,
-    pc: usize,
-    kcb: usize,
-    jc: usize,
-    ncb: usize,
+    ops: &Operands<'_, TA, TB>,
+    (pc, kcb): (usize, usize),
+    (jc, ncb): (usize, usize),
 ) {
+    #[cfg(test)]
+    PACKS.with(|c| c.set([c.get()[0], c.get()[1] + 1]));
+    let (bd, b_cols) = (ops.b, ops.b_cols);
     bpack.clear();
-    if !tb {
+    if !ops.tb {
         for p in 0..kcb {
             let row = &bd[(pc + p) * b_cols + jc..(pc + p) * b_cols + jc + ncb];
             TB::widen_append(row, bpack);
@@ -504,105 +593,63 @@ fn pack_b<TB: GemmElem>(
     }
 }
 
-/// Packs the A panel, widening to `f32`.
+/// Packs an A panel that has to be widened, in the layout the operand
+/// already has — contiguous source rows either way, bulk-widened:
 ///
-/// * `ta = false`: row-major `apack[i][p] = a[i0+i][pc+p]` — contiguous
-///   source rows, bulk-widened.
-/// * `ta = true`: **K-major** `apack[p][i] = a[pc+p][i0+i]` — also
-///   contiguous source rows (this is the transposed-output/backward-pass
-///   pack: `a` is k×m physical, so slicing row `pc+p` at columns
-///   `i0..i0+mb` is unit-stride). The micro-kernels index
-///   `apack[p*mb + i]` for this layout.
+/// * `ta = false`: row-major `apack[i][p] = a[i0+i][pc+p]`, `lda = kcb`.
+/// * `ta = true`: **K-major** `apack[p][i] = a[pc+p][i0+i]`, `lda = mb`
+///   (`a` is k×m physical, the `dW = Aᵀ·g` backward shape).
 #[inline]
-#[expect(clippy::too_many_arguments, reason = "a GEMM's signature is its operands, their transposes and the three extents; the blocked helpers add the block's origin")]
-fn pack_a<TA: GemmElem>(
+fn pack_a<TA: GemmElem, TB>(
     apack: &mut Vec<f32>,
-    ad: &[TA],
-    ta: bool,
-    a_cols: usize,
-    i0: usize,
-    mb: usize,
-    pc: usize,
-    kcb: usize,
+    ops: &Operands<'_, TA, TB>,
+    (i0, mb): (usize, usize),
+    (pc, kcb): (usize, usize),
 ) {
+    #[cfg(test)]
+    PACKS.with(|c| c.set([c.get()[0] + 1, c.get()[1]]));
     apack.clear();
-    if !ta {
-        for i in 0..mb {
-            let row = &ad[(i0 + i) * a_cols + pc..(i0 + i) * a_cols + pc + kcb];
-            TA::widen_append(row, apack);
-        }
-    } else {
-        for p in 0..kcb {
-            let row = &ad[(pc + p) * a_cols + i0..(pc + p) * a_cols + i0 + mb];
-            TA::widen_append(row, apack);
-        }
+    let (rows, cols) = if ops.ta { (pc..pc + kcb, i0..i0 + mb) } else { (i0..i0 + mb, pc..pc + kcb) };
+    for r in rows {
+        let row = &ops.a[r * ops.a_cols + cols.start..r * ops.a_cols + cols.end];
+        TA::widen_append(row, apack);
     }
 }
 
-/// The packed inner kernel for row-major A panels:
-/// `orow[0..ncb] += Σ_p arow[p] * bpack[p][0..ncb]` with the K loop 4-way
-/// unrolled so the output row is touched once per four K steps and the
-/// j-loop vectorizes to FMA chains.
-#[inline]
-fn kernel_row(arow: &[f32], bpack: &[f32], orow: &mut [f32], kcb: usize, ncb: usize) {
-    debug_assert_eq!(arow.len(), kcb);
-    debug_assert_eq!(orow.len(), ncb);
-    let mut p = 0;
-    while p + 4 <= kcb {
-        let a0 = arow[p];
-        let a1 = arow[p + 1];
-        let a2 = arow[p + 2];
-        let a3 = arow[p + 3];
-        let b0 = &bpack[p * ncb..p * ncb + ncb];
-        let b1 = &bpack[(p + 1) * ncb..(p + 1) * ncb + ncb];
-        let b2 = &bpack[(p + 2) * ncb..(p + 2) * ncb + ncb];
-        let b3 = &bpack[(p + 3) * ncb..(p + 3) * ncb + ncb];
-        for j in 0..ncb {
-            orow[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
-        }
-        p += 4;
-    }
-    while p < kcb {
-        let a0 = arow[p];
-        let b0 = &bpack[p * ncb..p * ncb + ncb];
-        for j in 0..ncb {
-            orow[j] += a0 * b0[j];
-        }
-        p += 1;
-    }
-}
+/// A panel where it lies: its first element onwards, and the distance
+/// between its rows.
+type Panel<'a> = (&'a [f32], usize);
 
-/// [`kernel_row`] for K-major A panels (`ta = true`): the A value for row
-/// `i` at K step `p` lives at `apack[p*mb + i]`.
+/// The portable inner kernel: `orow (+)= Σ_p a[p·a_step] · b[p][0..ncb]`
+/// over a B panel, with the K loop 4-way unrolled so the output row is
+/// touched once per four K steps and the j-loop vectorizes. `a_step` is 1
+/// for a row of a row-major A panel and `lda` for a column of a K-major one.
+/// A first K block (`!acc`) starts from a zero row.
 #[inline]
-fn kernel_row_kmajor(
-    apack: &[f32],
-    i: usize,
-    mb: usize,
-    bpack: &[f32],
+fn kernel_row(
+    a: &[f32],
+    a_step: usize,
+    (b, ldb): Panel<'_>,
     orow: &mut [f32],
     kcb: usize,
-    ncb: usize,
+    acc: bool,
 ) {
-    debug_assert_eq!(orow.len(), ncb);
+    let ncb = orow.len();
+    if !acc {
+        orow.fill(0.0);
+    }
     let mut p = 0;
     while p + 4 <= kcb {
-        let a0 = apack[p * mb + i];
-        let a1 = apack[(p + 1) * mb + i];
-        let a2 = apack[(p + 2) * mb + i];
-        let a3 = apack[(p + 3) * mb + i];
-        let b0 = &bpack[p * ncb..p * ncb + ncb];
-        let b1 = &bpack[(p + 1) * ncb..(p + 1) * ncb + ncb];
-        let b2 = &bpack[(p + 2) * ncb..(p + 2) * ncb + ncb];
-        let b3 = &bpack[(p + 3) * ncb..(p + 3) * ncb + ncb];
+        let [a0, a1, a2, a3] = [0, 1, 2, 3].map(|q| a[(p + q) * a_step]);
+        let [b0, b1, b2, b3] = [0, 1, 2, 3].map(|q| &b[(p + q) * ldb..(p + q) * ldb + ncb]);
         for j in 0..ncb {
             orow[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
         }
         p += 4;
     }
     while p < kcb {
-        let a0 = apack[p * mb + i];
-        let b0 = &bpack[p * ncb..p * ncb + ncb];
+        let a0 = a[p * a_step];
+        let b0 = &b[p * ldb..p * ldb + ncb];
         for j in 0..ncb {
             orow[j] += a0 * b0[j];
         }
@@ -610,340 +657,217 @@ fn kernel_row_kmajor(
     }
 }
 
-/// The register-tiled micro-kernels, selected at runtime with
-/// `is_x86_feature_detected!` so the crate still builds (and falls back to
-/// [`kernel_row`]) on the x86-64 baseline target and other architectures.
+/// The register-tiled micro-kernels, selected at runtime ([`level`]) so the
+/// crate still builds (and falls back to [`kernel_row`]) on the x86-64
+/// baseline target and other architectures.
 #[cfg(target_arch = "x86_64")]
 mod simd {
+    use super::Level;
     use std::arch::x86_64::*;
-    use std::sync::OnceLock;
 
-    /// How many K steps ahead the packed-B panel is prefetched. One K step
-    /// reads one `ncb`-float panel row, so this covers ~4·NC·4 B = 4 KiB of
-    /// lookahead at full column blocks.
-    const PREFETCH_ROWS: usize = 4;
-
-    /// The micro-kernel rung picked for this process.
-    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-    pub enum Level {
-        /// No usable vector unit detected (or forced): [`super::kernel_row`].
-        Portable,
-        /// AVX2 + FMA 4×16 tile.
-        Avx2,
-        /// AVX-512F 8×32 tile.
-        Avx512,
-    }
-
-    /// One-time CPUID probe (overridable down-level with
-    /// `SALIENT_GEMM_KERNEL=portable|avx2|avx512` for benches and tests;
-    /// an override naming an unsupported rung falls back to detection).
-    pub fn level() -> Level {
-        static LEVEL: OnceLock<Level> = OnceLock::new();
-        *LEVEL.get_or_init(|| {
-            let avx2 = std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma");
-            let avx512 = std::arch::is_x86_feature_detected!("avx512f");
-            let auto = if avx512 {
-                Level::Avx512
-            } else if avx2 {
-                Level::Avx2
-            } else {
-                Level::Portable
-            };
-            match std::env::var("SALIENT_GEMM_KERNEL").ok().as_deref() {
-                Some("portable") => Level::Portable,
-                Some("avx2") if avx2 => Level::Avx2,
-                Some("avx512") if avx512 => Level::Avx512,
-                _ => auto,
-            }
-        })
-    }
-
-    /// Reads the A-panel value for block row `i` at K step `p`, for either
-    /// panel layout (row-major `i*kcb + p`, or K-major `p*mb + i` when the
-    /// logical A is transposed).
+    /// One register tile: `C[R × cols] (+)= A[R × kcb] · B[kcb × cols]` on
+    /// panels read where they lie — `a`, `b`, `c` point at the tile's first
+    /// element and `lda`, `ldb`, `ldc` are the distances between panel rows.
     ///
     /// # Safety
     ///
-    /// `apack` must cover `mb×kcb` packed floats with `i < mb`, `p < kcb`.
-    #[inline(always)]
-    unsafe fn a_elem<const KMAJOR: bool>(
-        apack: *const f32,
-        i: usize,
-        p: usize,
-        mb: usize,
-        kcb: usize,
-    ) -> f32 {
-        if KMAJOR {
-            *apack.add(p * mb + i)
-        } else {
-            *apack.add(i * kcb + p)
+    /// The CPU must have the tile's rung, `cols` must be in `1..=` the tile's
+    /// width, and `a` must cover `R` rows of `kcb` (row-major: element
+    /// `(r, p)` at `r·lda + p`; K-major: at `p·lda + r`), `b` `kcb` rows of
+    /// `cols`, `c` `R` rows of `cols` that nobody else touches.
+    pub type Tile =
+        unsafe fn(*const f32, usize, *const f32, usize, *mut f32, usize, usize, usize, bool);
+
+    /// A rung's tiles for one A layout, as `[vectors wide - 1][rows - 1]`.
+    pub type Tiles = [&'static [Tile]; 2];
+
+    macro_rules! tiles {
+        ($tile:ident, $kmajor:literal, [$($rows:literal)*]) => {
+            [&[$($tile::<$rows, 1, $kmajor>),*], &[$($tile::<$rows, 2, $kmajor>),*]]
+        };
+    }
+    /// Both rungs' tiles by A layout, `[row-major, K-major]`.
+    const AVX2: [Tiles; 2] =
+        [tiles!(tile_avx2, false, [1 2 3 4]), tiles!(tile_avx2, true, [1 2 3 4])];
+    const AVX512: [Tiles; 2] = [
+        tiles!(tile_avx512, false, [1 2 3 4 5 6 7 8]),
+        tiles!(tile_avx512, true, [1 2 3 4 5 6 7 8]),
+    ];
+
+    /// The tiles of rung `lvl` for a row-major or K-major A panel, and how
+    /// many floats its vectors hold; `None` for the portable rung.
+    pub fn tiles(lvl: Level, kmajor: bool) -> Option<(Tiles, usize)> {
+        match lvl {
+            Level::Avx512 => Some((AVX512[usize::from(kmajor)], 16)),
+            Level::Avx2 => Some((AVX2[usize::from(kmajor)], 8)),
+            Level::Portable => None,
         }
     }
 
-    /// Prefetches the packed-B panel row `PREFETCH_ROWS` K steps ahead of
-    /// `bp`. `wrapping_add` keeps the (possibly past-the-end) hint address
-    /// from ever being formed as an out-of-allocation offset, and PREFETCHh
+    /// How many K steps ahead a tile prefetches its B rows.
+    const PREFETCH_ROWS: usize = 4;
+
+    /// Prefetches the B panel row `PREFETCH_ROWS` K steps ahead of `bp`.
+    /// `wrapping_add` keeps the (possibly past-the-end) hint address from
+    /// ever being formed as an out-of-allocation offset, and PREFETCHh
     /// itself never faults.
     #[inline(always)]
-    fn prefetch_b(bp: *const f32, ncb: usize) {
+    fn prefetch_b(bp: *const f32, ldb: usize) {
+        let ahead = (bp as *const i8).wrapping_add(PREFETCH_ROWS * ldb * 4);
         // SAFETY: PREFETCHh is architecturally non-faulting for any address.
-        unsafe {
-            _mm_prefetch::<_MM_HINT_T0>((bp as *const i8).wrapping_add(PREFETCH_ROWS * ncb * 4))
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(ahead) }
+    }
+
+    /// Reads the A-panel value for tile row `r` at K step `p`, for either
+    /// panel layout.
+    ///
+    /// # Safety
+    ///
+    /// `a` must cover the panel as described at [`Tile`].
+    #[inline(always)]
+    unsafe fn a_elem<const KMAJOR: bool>(a: *const f32, r: usize, p: usize, lda: usize) -> f32 {
+        if KMAJOR {
+            *a.add(p * lda + r)
+        } else {
+            *a.add(r * lda + p)
         }
     }
 
-    /// Mask with the first `rem` (1..=8) lanes enabled, for
+    /// Mask with the first `rem` (0..=8) lanes enabled, for
     /// `maskload`/`maskstore` on partial column tiles.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX is available and `rem` is in `1..=8`: the
-    /// unaligned load reads 8 lanes starting at `M[8 - rem]`, which stays
-    /// inside the 16-entry table only for that range.
+    /// Caller must ensure AVX is available and `rem <= 8`: the unaligned
+    /// load reads 8 lanes starting at `M[8 - rem]`, which stays inside the
+    /// 16-entry table only for that range.
     #[target_feature(enable = "avx")]
     unsafe fn tail_mask(rem: usize) -> __m256i {
         const M: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
         _mm256_loadu_si256(M.as_ptr().add(8 - rem) as *const __m256i)
     }
 
-    /// `out[0..mb][0..ncb] += apack[mb×kcb] · bpack[kcb×ncb]`, where block
-    /// row `i` lives at `out0 + i*n` (AVX2 + FMA rung).
-    ///
-    /// The main tile is 4 output rows × 16 columns: eight `ymm` accumulators
-    /// live in registers across the entire K loop, so each of the two
-    /// packed-B vector loads per K step is reused by four FMAs (the 1×N
-    /// kernel gets one use per load — this reuse is the entire speedup).
-    /// Remainder rows run a 1×16 tile and remainder columns masked ≤8-wide
-    /// tiles; every path accumulates fused, in the same K order, so an
-    /// output element's value does not depend on how rows were chunked
-    /// across threads.
+    #[expect(clippy::needless_range_loop, reason = "`for r in 0..R` over the accumulator arrays is what unrolls into named registers; an iterator chain would obscure that")]
+    /// The AVX2 + FMA rung's [`Tile`]: `R <= 4` rows × `NV <= 2` vectors of 8
+    /// columns, under one column mask (a full-width tile loads B unmasked).
+    /// The `R·NV` accumulators stay in `ymm` registers across the K loop, so
+    /// each B vector loaded per K step feeds `R` FMAs. A first K block (`!acc`) starts them at zero and stores
+    /// without loading C — the FMA chain a zeroed C would have started.
+    /// Every output element is one FMA per K step in increasing K, whatever
+    /// `R`, `NV` or the mask: how rows and columns were cut into tiles (and
+    /// rows into chunks) cannot change a value.
     ///
     /// # Safety
     ///
-    /// Caller must check [`level`] ≥ AVX2, and the pointers must cover the
-    /// block extents described above (A panel layout per `KMAJOR`).
+    /// As for [`Tile`], with `cols <= 8·NV` on a CPU with AVX2 and FMA.
     #[target_feature(enable = "avx,avx2,fma")]
-    pub unsafe fn kernel_block<const KMAJOR: bool>(
-        apack: *const f32,
-        bpack: *const f32,
-        out0: *mut f32,
-        n: usize,
-        mb: usize,
+    unsafe fn tile_avx2<const R: usize, const NV: usize, const KMAJOR: bool>(
+        a: *const f32,
+        lda: usize,
+        b: *const f32,
+        ldb: usize,
+        c: *mut f32,
+        ldc: usize,
         kcb: usize,
-        ncb: usize,
+        cols: usize,
+        acc: bool,
     ) {
-        let mut i = 0;
-        while i + 4 <= mb {
-            let o0 = out0.add(i * n);
-            let o1 = o0.add(n);
-            let o2 = o1.add(n);
-            let o3 = o2.add(n);
-            let mut j = 0;
-            while j + 16 <= ncb {
-                let mut c00 = _mm256_loadu_ps(o0.add(j));
-                let mut c01 = _mm256_loadu_ps(o0.add(j + 8));
-                let mut c10 = _mm256_loadu_ps(o1.add(j));
-                let mut c11 = _mm256_loadu_ps(o1.add(j + 8));
-                let mut c20 = _mm256_loadu_ps(o2.add(j));
-                let mut c21 = _mm256_loadu_ps(o2.add(j + 8));
-                let mut c30 = _mm256_loadu_ps(o3.add(j));
-                let mut c31 = _mm256_loadu_ps(o3.add(j + 8));
-                let mut bp = bpack.add(j);
-                for p in 0..kcb {
-                    let b0 = _mm256_loadu_ps(bp);
-                    let b1 = _mm256_loadu_ps(bp.add(8));
-                    prefetch_b(bp, ncb);
-                    let av0 = _mm256_set1_ps(a_elem::<KMAJOR>(apack, i, p, mb, kcb));
-                    c00 = _mm256_fmadd_ps(av0, b0, c00);
-                    c01 = _mm256_fmadd_ps(av0, b1, c01);
-                    let av1 = _mm256_set1_ps(a_elem::<KMAJOR>(apack, i + 1, p, mb, kcb));
-                    c10 = _mm256_fmadd_ps(av1, b0, c10);
-                    c11 = _mm256_fmadd_ps(av1, b1, c11);
-                    let av2 = _mm256_set1_ps(a_elem::<KMAJOR>(apack, i + 2, p, mb, kcb));
-                    c20 = _mm256_fmadd_ps(av2, b0, c20);
-                    c21 = _mm256_fmadd_ps(av2, b1, c21);
-                    let av3 = _mm256_set1_ps(a_elem::<KMAJOR>(apack, i + 3, p, mb, kcb));
-                    c30 = _mm256_fmadd_ps(av3, b0, c30);
-                    c31 = _mm256_fmadd_ps(av3, b1, c31);
-                    bp = bp.add(ncb);
-                }
-                _mm256_storeu_ps(o0.add(j), c00);
-                _mm256_storeu_ps(o0.add(j + 8), c01);
-                _mm256_storeu_ps(o1.add(j), c10);
-                _mm256_storeu_ps(o1.add(j + 8), c11);
-                _mm256_storeu_ps(o2.add(j), c20);
-                _mm256_storeu_ps(o2.add(j + 8), c21);
-                _mm256_storeu_ps(o3.add(j), c30);
-                _mm256_storeu_ps(o3.add(j + 8), c31);
-                j += 16;
-            }
-            while j < ncb {
-                let rem = (ncb - j).min(8);
-                let mask = tail_mask(rem);
-                let mut c0 = _mm256_maskload_ps(o0.add(j), mask);
-                let mut c1 = _mm256_maskload_ps(o1.add(j), mask);
-                let mut c2 = _mm256_maskload_ps(o2.add(j), mask);
-                let mut c3 = _mm256_maskload_ps(o3.add(j), mask);
-                let mut bp = bpack.add(j);
-                for p in 0..kcb {
-                    let b = _mm256_maskload_ps(bp, mask);
-                    c0 = _mm256_fmadd_ps(_mm256_set1_ps(a_elem::<KMAJOR>(apack, i, p, mb, kcb)), b, c0);
-                    c1 = _mm256_fmadd_ps(_mm256_set1_ps(a_elem::<KMAJOR>(apack, i + 1, p, mb, kcb)), b, c1);
-                    c2 = _mm256_fmadd_ps(_mm256_set1_ps(a_elem::<KMAJOR>(apack, i + 2, p, mb, kcb)), b, c2);
-                    c3 = _mm256_fmadd_ps(_mm256_set1_ps(a_elem::<KMAJOR>(apack, i + 3, p, mb, kcb)), b, c3);
-                    bp = bp.add(ncb);
-                }
-                _mm256_maskstore_ps(o0.add(j), mask, c0);
-                _mm256_maskstore_ps(o1.add(j), mask, c1);
-                _mm256_maskstore_ps(o2.add(j), mask, c2);
-                _mm256_maskstore_ps(o3.add(j), mask, c3);
-                j += rem;
-            }
-            i += 4;
+        let mut mask = [_mm256_setzero_si256(); NV];
+        for v in 0..NV {
+            mask[v] = tail_mask(cols.saturating_sub(8 * v).min(8));
         }
-        while i < mb {
-            let o0 = out0.add(i * n);
-            let mut j = 0;
-            while j + 16 <= ncb {
-                let mut c0 = _mm256_loadu_ps(o0.add(j));
-                let mut c1 = _mm256_loadu_ps(o0.add(j + 8));
-                let mut bp = bpack.add(j);
-                for p in 0..kcb {
-                    let av = _mm256_set1_ps(a_elem::<KMAJOR>(apack, i, p, mb, kcb));
-                    c0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp), c0);
-                    c1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(8)), c1);
-                    bp = bp.add(ncb);
+        // Loop-invariant: the compiler emits one K loop per case, and the
+        // common full-width tile pays for no mask (`vmaskmovps` is two uops).
+        let full = cols == 8 * NV;
+        let mut cc = [[_mm256_setzero_ps(); NV]; R];
+        if acc {
+            for r in 0..R {
+                for v in 0..NV {
+                    cc[r][v] = _mm256_maskload_ps(c.add(r * ldc + 8 * v), mask[v]);
                 }
-                _mm256_storeu_ps(o0.add(j), c0);
-                _mm256_storeu_ps(o0.add(j + 8), c1);
-                j += 16;
             }
-            while j < ncb {
-                let rem = (ncb - j).min(8);
-                let mask = tail_mask(rem);
-                let mut c = _mm256_maskload_ps(o0.add(j), mask);
-                let mut bp = bpack.add(j);
-                for p in 0..kcb {
-                    let b = _mm256_maskload_ps(bp, mask);
-                    c = _mm256_fmadd_ps(_mm256_set1_ps(a_elem::<KMAJOR>(apack, i, p, mb, kcb)), b, c);
-                    bp = bp.add(ncb);
+        }
+        let mut bp = b;
+        for p in 0..kcb {
+            let mut bv = [_mm256_setzero_ps(); NV];
+            for v in 0..NV {
+                bv[v] = match full {
+                    true => _mm256_loadu_ps(bp.add(8 * v)),
+                    false => _mm256_maskload_ps(bp.add(8 * v), mask[v]),
+                };
+            }
+            prefetch_b(bp, ldb);
+            for r in 0..R {
+                let av = _mm256_set1_ps(a_elem::<KMAJOR>(a, r, p, lda));
+                for v in 0..NV {
+                    cc[r][v] = _mm256_fmadd_ps(av, bv[v], cc[r][v]);
                 }
-                _mm256_maskstore_ps(o0.add(j), mask, c);
-                j += rem;
             }
-            i += 1;
+            bp = bp.add(ldb);
+        }
+        for r in 0..R {
+            for v in 0..NV {
+                _mm256_maskstore_ps(c.add(r * ldc + 8 * v), mask[v], cc[r][v]);
+            }
         }
     }
 
-    #[expect(clippy::needless_range_loop, reason = "`for r in 0..8` over the accumulator arrays is what unrolls into eight named registers; an iterator chain would obscure that")]
-    /// The AVX-512F rung: 8 output rows × 32 columns per tile — sixteen
-    /// `zmm` accumulators live in registers across the K loop, so each of
-    /// the two packed-B loads per K step feeds eight FMAs. Column tails run
-    /// masked ≤16-wide (`__mmask16`) tiles and row tails a 1×32 kernel.
-    /// Every path accumulates one FMA per K step per output element in the
-    /// same fixed order as the AVX2 rung, so the two rungs (and any row
-    /// chunking) produce bitwise-identical results.
+    #[expect(clippy::needless_range_loop, reason = "`for r in 0..R` over the accumulator arrays is what unrolls into named registers; an iterator chain would obscure that")]
+    /// The AVX-512F rung's [`Tile`]: `R <= 8` rows × `NV <= 2` vectors of 16
+    /// columns under a `__mmask16` each — at 8×32, sixteen `zmm` accumulators
+    /// and eight FMAs per B load. Same chain per element as [`tile_avx2`], so
+    /// the two rungs agree bit for bit.
     ///
     /// # Safety
     ///
-    /// Caller must check [`level`] == AVX-512, and the pointers must cover
-    /// the block extents (A panel layout per `KMAJOR`, B panel `kcb×ncb`,
-    /// output rows `i < mb` at `out0 + i*n + [0, ncb)`).
+    /// As for [`Tile`], with `cols <= 16·NV` on a CPU with AVX-512F.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn kernel_block_avx512<const KMAJOR: bool>(
-        apack: *const f32,
-        bpack: *const f32,
-        out0: *mut f32,
-        n: usize,
-        mb: usize,
+    unsafe fn tile_avx512<const R: usize, const NV: usize, const KMAJOR: bool>(
+        a: *const f32,
+        lda: usize,
+        b: *const f32,
+        ldb: usize,
+        c: *mut f32,
+        ldc: usize,
         kcb: usize,
-        ncb: usize,
+        cols: usize,
+        acc: bool,
     ) {
-        let mut i = 0;
-        while i + 8 <= mb {
-            let mut j = 0;
-            while j + 32 <= ncb {
-                let mut c0 = [_mm512_setzero_ps(); 8];
-                let mut c1 = [_mm512_setzero_ps(); 8];
-                for r in 0..8 {
-                    let o = out0.add((i + r) * n + j);
-                    c0[r] = _mm512_loadu_ps(o);
-                    c1[r] = _mm512_loadu_ps(o.add(16));
-                }
-                let mut bp = bpack.add(j);
-                for p in 0..kcb {
-                    let b0 = _mm512_loadu_ps(bp);
-                    let b1 = _mm512_loadu_ps(bp.add(16));
-                    prefetch_b(bp, ncb);
-                    for r in 0..8 {
-                        let av = _mm512_set1_ps(a_elem::<KMAJOR>(apack, i + r, p, mb, kcb));
-                        c0[r] = _mm512_fmadd_ps(av, b0, c0[r]);
-                        c1[r] = _mm512_fmadd_ps(av, b1, c1[r]);
-                    }
-                    bp = bp.add(ncb);
-                }
-                for r in 0..8 {
-                    let o = out0.add((i + r) * n + j);
-                    _mm512_storeu_ps(o, c0[r]);
-                    _mm512_storeu_ps(o.add(16), c1[r]);
-                }
-                j += 32;
-            }
-            while j < ncb {
-                let rem = (ncb - j).min(16);
-                let mask: __mmask16 = ((1u32 << rem) - 1) as __mmask16;
-                let mut c = [_mm512_setzero_ps(); 8];
-                for r in 0..8 {
-                    c[r] = _mm512_maskz_loadu_ps(mask, out0.add((i + r) * n + j));
-                }
-                let mut bp = bpack.add(j);
-                for p in 0..kcb {
-                    let b = _mm512_maskz_loadu_ps(mask, bp);
-                    for r in 0..8 {
-                        let av = _mm512_set1_ps(a_elem::<KMAJOR>(apack, i + r, p, mb, kcb));
-                        c[r] = _mm512_fmadd_ps(av, b, c[r]);
-                    }
-                    bp = bp.add(ncb);
-                }
-                for r in 0..8 {
-                    _mm512_mask_storeu_ps(out0.add((i + r) * n + j), mask, c[r]);
-                }
-                j += rem;
-            }
-            i += 8;
+        let mut mask = [0 as __mmask16; NV];
+        for v in 0..NV {
+            mask[v] = ((1u32 << cols.saturating_sub(16 * v).min(16)) - 1) as __mmask16;
         }
-        while i < mb {
-            let o0 = out0.add(i * n);
-            let mut j = 0;
-            while j + 32 <= ncb {
-                let mut c0 = _mm512_loadu_ps(o0.add(j));
-                let mut c1 = _mm512_loadu_ps(o0.add(j + 16));
-                let mut bp = bpack.add(j);
-                for p in 0..kcb {
-                    let av = _mm512_set1_ps(a_elem::<KMAJOR>(apack, i, p, mb, kcb));
-                    c0 = _mm512_fmadd_ps(av, _mm512_loadu_ps(bp), c0);
-                    c1 = _mm512_fmadd_ps(av, _mm512_loadu_ps(bp.add(16)), c1);
-                    bp = bp.add(ncb);
+        let full = cols == 16 * NV;
+        let mut cc = [[_mm512_setzero_ps(); NV]; R];
+        if acc {
+            for r in 0..R {
+                for v in 0..NV {
+                    cc[r][v] = _mm512_maskz_loadu_ps(mask[v], c.add(r * ldc + 16 * v));
                 }
-                _mm512_storeu_ps(o0.add(j), c0);
-                _mm512_storeu_ps(o0.add(j + 16), c1);
-                j += 32;
             }
-            while j < ncb {
-                let rem = (ncb - j).min(16);
-                let mask: __mmask16 = ((1u32 << rem) - 1) as __mmask16;
-                let mut c = _mm512_maskz_loadu_ps(mask, o0.add(j));
-                let mut bp = bpack.add(j);
-                for p in 0..kcb {
-                    let av = _mm512_set1_ps(a_elem::<KMAJOR>(apack, i, p, mb, kcb));
-                    c = _mm512_fmadd_ps(av, _mm512_maskz_loadu_ps(mask, bp), c);
-                    bp = bp.add(ncb);
+        }
+        let mut bp = b;
+        for p in 0..kcb {
+            let mut bv = [_mm512_setzero_ps(); NV];
+            for v in 0..NV {
+                bv[v] = match full {
+                    true => _mm512_loadu_ps(bp.add(16 * v)),
+                    false => _mm512_maskz_loadu_ps(mask[v], bp.add(16 * v)),
+                };
+            }
+            prefetch_b(bp, ldb);
+            for r in 0..R {
+                let av = _mm512_set1_ps(a_elem::<KMAJOR>(a, r, p, lda));
+                for v in 0..NV {
+                    cc[r][v] = _mm512_fmadd_ps(av, bv[v], cc[r][v]);
                 }
-                _mm512_mask_storeu_ps(o0.add(j), mask, c);
-                j += rem;
             }
-            i += 1;
+            bp = bp.add(ldb);
+        }
+        for r in 0..R {
+            for v in 0..NV {
+                _mm512_mask_storeu_ps(c.add(r * ldc + 16 * v), mask[v], cc[r][v]);
+            }
         }
     }
 
@@ -951,112 +875,146 @@ mod simd {
     ///
     /// # Safety
     ///
-    /// As for [`super::RowAgg::rows`], and the caller must check [`level`]
-    /// ≥ AVX2.
+    /// As for [`super::RowAgg::rows`], on a CPU with AVX2 and FMA.
     #[target_feature(enable = "avx,avx2,fma")]
-    pub unsafe fn agg_rows_avx2(agg: &super::RowAgg<'_>, r0: usize, r1: usize) {
-        agg.rows(r0, r1)
+    pub unsafe fn agg_rows_avx2(agg: &super::RowAgg<'_>, r0: usize, r1: usize, out: *mut f32) {
+        agg.rows(r0, r1, out)
     }
 
     /// [`super::RowAgg::rows`] compiled with 512-bit vectors (AVX-512 rung).
     ///
     /// # Safety
     ///
-    /// As for [`super::RowAgg::rows`], and the caller must check [`level`]
-    /// is AVX-512.
+    /// As for [`super::RowAgg::rows`], on a CPU with AVX-512F.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn agg_rows_avx512(agg: &super::RowAgg<'_>, r0: usize, r1: usize) {
-        agg.rows(r0, r1)
+    pub unsafe fn agg_rows_avx512(agg: &super::RowAgg<'_>, r0: usize, r1: usize, out: *mut f32) {
+        agg.rows(r0, r1, out)
     }
 }
 
-/// Blocked, packed, parallel GEMM into a pre-zeroed output buffer, generic
-/// over the operand element types (`f32` or [`F16`] — see [`GemmElem`]).
+/// One K block, `c[mb × ncb] = a · b` (`acc = false`: `c` may hold anything)
+/// or `c += a · b`, on rung `lvl`: the block is covered with the rung's
+/// tiles, row group by row group and, inside one, left to right, so a
+/// group's A rows stay in L1 across its column tiles. `a` is row-major
+/// (`(i, p)` at `i·lda + p`) or, when `kmajor`, K-major (`(i, p)` at
+/// `p·lda + i`).
 ///
-/// The loop nest is `jc → pc → (parallel over row blocks) → i`; K blocks
-/// are accumulated in increasing `pc` order for every output element, so
-/// the result is bitwise identical for any thread count.
-#[expect(clippy::too_many_arguments, reason = "a GEMM's signature is its operands, their transposes and the three extents; the blocked helpers add the block's origin")]
-fn gemm_into<TA: GemmElem, TB: GemmElem>(
-    out: &mut [f32],
-    ad: &[TA],
-    bd: &[TB],
-    ta: bool,
-    tb: bool,
-    m: usize,
-    n: usize,
-    k: usize,
-    a_cols: usize,
-    b_cols: usize,
+/// # Safety
+///
+/// The CPU must have rung `lvl` ([`level`] names one it has).
+unsafe fn gemm_block(
+    lvl: Level,
+    ((a, lda), kmajor): (Panel<'_>, bool),
+    (b, ldb): Panel<'_>,
+    (c, ldc): (&mut [f32], usize),
+    (mb, kcb, ncb): (usize, usize, usize),
+    acc: bool,
 ) {
-    if m == 0 || n == 0 || k == 0 {
+    let a_span = if kmajor { (kcb - 1) * lda + mb } else { (mb - 1) * lda + kcb };
+    assert!(
+        a.len() >= a_span && b.len() >= (kcb - 1) * ldb + ncb && c.len() >= (mb - 1) * ldc + ncb,
+        "gemm block outside its operands"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if let Some((tiles, vw)) = simd::tiles(lvl, kmajor) {
+        let mr = tiles[0].len();
+        for i in (0..mb).step_by(mr) {
+            let ai = a.as_ptr().add(if kmajor { i } else { i * lda });
+            for j in (0..ncb).step_by(2 * vw) {
+                let cols = (2 * vw).min(ncb - j);
+                let tile = tiles[usize::from(cols > vw)][mr.min(mb - i) - 1];
+                let (bj, cij) = (b.as_ptr().add(j), c.as_mut_ptr().add(i * ldc + j));
+                // The caller vouches for the ISA; the assert above is the
+                // extent every tile of the block stays in.
+                tile(ai, lda, bj, ldb, cij, ldc, kcb, cols, acc);
+            }
+        }
         return;
     }
-    let mut bpack = take_f32(KC * NC.min(n));
-    let out_ptr = SendPtr(out.as_mut_ptr());
+    for i in 0..mb {
+        let (arow, a_step) = if kmajor { (&a[i..], lda) } else { (&a[i * lda..], 1) };
+        kernel_row(arow, a_step, (b, ldb), &mut c[i * ldc..i * ldc + ncb], kcb, acc);
+    }
+}
+
+/// Rows `[i0, i1)` of a product into `out`, which holds exactly those rows:
+/// the serial blocked loop nest `jc → pc → rows`, and the body of one
+/// parallel chunk. An `f32` operand is read in place (B unless transposed);
+/// an [`F16`] operand or a transposed B goes through pooled pack scratch, a
+/// B panel once per (K block, column block) and an A panel per MC rows of
+/// it. K blocks are accumulated in increasing `pc` order for every output
+/// element, the first one write-first unless `acc`.
+fn gemm_rows<TA: GemmElem, TB: GemmElem>(
+    out: &mut [f32],
+    acc: bool,
+    ops: &Operands<'_, TA, TB>,
+    (i0, i1): (usize, usize),
+) {
+    let (n, k) = (ops.n, ops.k);
+    assert_eq!(out.len(), (i1 - i0) * n, "gemm: output rows/shape mismatch");
+    if k == 0 && !acc {
+        out.fill(0.0);
+    }
+    if i0 == i1 || n == 0 || k == 0 {
+        return;
+    }
+    let (a32, b32) = (TA::as_f32(ops.a), TB::as_f32(ops.b).filter(|_| !ops.tb));
+    let scratch = |packs: bool, cap: usize| if packs { take_f32(cap) } else { Vec::new() };
+    let mut apack = scratch(a32.is_none(), MC * KC.min(k));
+    let mut bpack = scratch(b32.is_none(), KC.min(k) * NC.min(n));
+    let (row_block, lvl) = (if a32.is_some() { i1 - i0 } else { MC }, level());
     for jc in (0..n).step_by(NC) {
         let ncb = NC.min(n - jc);
         for pc in (0..k).step_by(KC) {
             let kcb = KC.min(k - pc);
-            pack_b(&mut bpack, bd, tb, b_cols, pc, kcb, jc, ncb);
-            let bp: &[f32] = &bpack;
-            let body = |i0: usize, i1: usize| {
-                let mb = i1 - i0;
-                let mut apack = take_f32(mb * kcb);
-                pack_a(&mut apack, ad, ta, a_cols, i0, mb, pc, kcb);
-                // Row blocks are disjoint in i, so chunks never alias.
-                #[cfg(target_arch = "x86_64")]
-                {
-                    let lvl = simd::level();
-                    if lvl != simd::Level::Portable {
-                        // SAFETY: `level()` verified the ISA; `out_ptr` spans
-                        // the m×n output, rows [i0, i1) are exclusive to this
-                        // task, and the packed operands cover mb×kcb (layout
-                        // K-major iff `ta`) and kcb×ncb as the kernels
-                        // require.
-                        unsafe {
-                            let out0 = out_ptr.0.add(i0 * n + jc);
-                            let (ap, bpp) = (apack.as_ptr(), bp.as_ptr());
-                            match (lvl, ta) {
-                                (simd::Level::Avx512, false) => {
-                                    simd::kernel_block_avx512::<false>(ap, bpp, out0, n, mb, kcb, ncb)
-                                }
-                                (simd::Level::Avx512, true) => {
-                                    simd::kernel_block_avx512::<true>(ap, bpp, out0, n, mb, kcb, ncb)
-                                }
-                                (_, false) => {
-                                    simd::kernel_block::<false>(ap, bpp, out0, n, mb, kcb, ncb)
-                                }
-                                (_, true) => {
-                                    simd::kernel_block::<true>(ap, bpp, out0, n, mb, kcb, ncb)
-                                }
-                            }
-                        }
-                        put_f32(apack);
-                        return;
-                    }
+            let b = match b32 {
+                Some(b) => (&b[pc * ops.b_cols + jc..], ops.b_cols),
+                None => {
+                    pack_b(&mut bpack, ops, (pc, kcb), (jc, ncb));
+                    (&bpack[..], ncb)
                 }
-                for i in 0..mb {
-                    // SAFETY: output row i0 + i < m and jc + ncb <= n, so
-                    // the slice stays inside the output buffer; row blocks
-                    // are disjoint across tasks, so it is never aliased.
-                    let orow = unsafe { out_ptr.slice_mut((i0 + i) * n + jc, ncb) };
-                    if ta {
-                        kernel_row_kmajor(&apack, i, mb, bp, orow, kcb, ncb);
-                    } else {
-                        kernel_row(&apack[i * kcb..(i + 1) * kcb], bp, orow, kcb, ncb);
-                    }
-                }
-                put_f32(apack);
             };
-            if 2 * m * ncb * kcb < GEMM_SERIAL_FLOP_CUTOFF {
-                body(0, m);
-            } else {
-                parallel_for(m, MC.min(m), &body);
+            for ib in (i0..i1).step_by(row_block) {
+                let mb = row_block.min(i1 - ib);
+                let a = match a32 {
+                    Some(a) if ops.ta => (&a[pc * ops.a_cols + ib..], ops.a_cols),
+                    Some(a) => (&a[ib * ops.a_cols + pc..], ops.a_cols),
+                    None => {
+                        pack_a(&mut apack, ops, (ib, mb), (pc, kcb));
+                        (&apack[..], if ops.ta { mb } else { kcb })
+                    }
+                };
+                let c = (&mut out[(ib - i0) * n + jc..], n);
+                // SAFETY: `level()` names a rung the CPU has.
+                unsafe { gemm_block(lvl, (a, ops.ta), b, c, (mb, kcb, ncb), acc || pc > 0) };
             }
         }
     }
+    put_f32(apack);
     put_f32(bpack);
+}
+
+/// `out = op(a)·op(b)` (or `+=` when `acc`) for an `m`-row product, generic
+/// over the operand element types (`f32` or [`F16`] — see [`GemmElem`]):
+/// [`gemm_rows`] over chunks of rows holding at least [`MIN_CHUNK_FLOPS`]
+/// each, one pool dispatch per product. A chunk computes its rows exactly as
+/// the whole would, so the result is bitwise identical for any thread count.
+fn gemm_into<TA: GemmElem, TB: GemmElem>(
+    out: &mut [f32],
+    acc: bool,
+    ops: &Operands<'_, TA, TB>,
+    m: usize,
+) {
+    let n = ops.n;
+    assert_eq!(out.len(), m * n, "gemm: output buffer/shape mismatch");
+    let out_ptr = SendPtr(out.as_mut_ptr());
+    parallel_for(m, min_chunk_rows(2 * n * ops.k), &|i0, i1| {
+        // SAFETY: `out` holds m·n floats (asserted above) and the chunks
+        // [i0, i1) ⊆ [0, m) are disjoint, so each slice of whole rows is in
+        // bounds and unaliased.
+        let rows = unsafe { out_ptr.slice_mut(i0 * n, (i1 - i0) * n) };
+        gemm_rows(rows, acc, ops, (i0, i1));
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -1248,17 +1206,20 @@ const AGG_PREFETCH_EDGES: usize = 8;
 /// this sum with different `(indptr, idx)`.
 ///
 /// A row's accumulator lives in registers across all of its edges, a panel
-/// of columns at a time, and the row is stored once — `out` may hold stale
-/// values. Every column is a plain `+=` chain in edge order starting from
-/// 0.0, so a value depends neither on the panel width (the rung) nor on
+/// of columns at a time, and the row is stored once — the output may hold
+/// stale values. Every column is a plain `+=` chain in edge order starting
+/// from 0.0, so a value depends neither on the panel width (the rung) nor on
 /// which chunk computed it.
+///
+/// Built only by [`with_row_agg`], which checks what [`RowAgg::rows`] reads
+/// unchecked: `indptr` is `n_keys + 1` prefix sums ending at `idx.len()`, and
+/// every `idx` value is a row of `x`.
 pub(crate) struct RowAgg<'a> {
     x: &'a [f32],
     cols: usize,
     indptr: &'a [u32],
     idx: &'a [u32],
     mean: bool,
-    out: SendPtr<f32>,
 }
 
 impl RowAgg<'_> {
@@ -1302,17 +1263,17 @@ impl RowAgg<'_> {
         std::ptr::copy_nonoverlapping(acc.as_ptr(), orow.add(c), W);
     }
 
-    /// Computes output rows `[r0, r1)`: the body of one parallel chunk, and
-    /// the portable rung (the `simd` wrappers compile this same code for
-    /// AVX2 and AVX-512).
+    /// Computes output rows `[r0, r1)` into `out`, row `r0` first: the body
+    /// of one parallel chunk, and the portable rung (the `simd` wrappers
+    /// compile this same code for AVX2 and AVX-512).
     ///
     /// # Safety
     ///
     /// `indptr[r0..=r1]` must be non-decreasing and end `<= idx.len()`, every
     /// `idx` value must be a row of `x` (`< x.len() / cols`), and `out` must
-    /// cover `r1 · cols` floats whose rows `[r0, r1)` nobody else touches.
+    /// cover `(r1 - r0) · cols` floats that nobody else touches.
     #[inline(always)]
-    pub(crate) unsafe fn rows(&self, r0: usize, r1: usize) {
+    unsafe fn rows(&self, r0: usize, r1: usize, out: *mut f32) {
         let cols = self.cols;
         for r in r0..r1 {
             let edges = (
@@ -1320,7 +1281,7 @@ impl RowAgg<'_> {
                 *self.indptr.get_unchecked(r + 1) as usize,
             );
             let scale = (self.mean && edges.1 > edges.0).then(|| 1.0 / (edges.1 - edges.0) as f32);
-            let orow = self.out.0.add(r * cols);
+            let orow = out.add((r - r0) * cols);
             // The widest panel that still fits, left to right. A remainder
             // narrower than 8 is covered by an 8-wide panel that ends with
             // the row: it recomputes up to 7 columns with the same adds in
@@ -1357,26 +1318,53 @@ impl RowAgg<'_> {
         }
     }
 
-    /// [`RowAgg::rows`] on the rung the GEMM dispatch picked for this CPU.
-    ///
-    /// # Safety
-    ///
-    /// As for [`RowAgg::rows`].
-    unsafe fn rows_dispatched(&self, r0: usize, r1: usize) {
-        #[cfg(target_arch = "x86_64")]
-        match simd::level() {
-            simd::Level::Avx512 => return simd::agg_rows_avx512(self, r0, r1),
-            simd::Level::Avx2 => return simd::agg_rows_avx2(self, r0, r1),
-            simd::Level::Portable => {}
+    /// Output rows `[r0, r1)` into `out`, which holds exactly those rows, on
+    /// the rung the GEMM dispatch picked for this CPU.
+    fn rows_into(&self, (r0, r1): (usize, usize), out: &mut [f32]) {
+        assert!(r0 <= r1 && r1 < self.indptr.len(), "aggregation rows out of range");
+        assert_eq!(out.len(), (r1 - r0) * self.cols, "aggregation output rows/shape mismatch");
+        let out = out.as_mut_ptr();
+        // SAFETY: `with_row_agg` checked the index (see the type), the rows
+        // were just checked against it, `out` is an exclusive borrow of the
+        // right length, and `level()` names a rung the CPU has.
+        unsafe {
+            #[cfg(target_arch = "x86_64")]
+            match level() {
+                Level::Avx512 => return simd::agg_rows_avx512(self, r0, r1, out),
+                Level::Avx2 => return simd::agg_rows_avx2(self, r0, r1, out),
+                Level::Portable => {}
+            }
+            self.rows(r0, r1, out)
         }
-        self.rows(r0, r1)
     }
 }
 
+/// Indexes the edge list `(keys, vals)` by key ([`with_csr`]), checks that
+/// every value is a row of `x`, and hands `f` the row kernel over it. `what`
+/// names the keys and the values in panic messages.
+#[expect(clippy::too_many_arguments, reason = "an aggregation is its source rows, an edge list with its extent and names, and the reduction")]
+pub(crate) fn with_row_agg<R>(
+    x: &[f32],
+    cols: usize,
+    keys: &[u32],
+    n_keys: usize,
+    vals: Option<&[u32]>,
+    what: [&str; 2],
+    mean: bool,
+    f: impl FnOnce(&RowAgg<'_>) -> R,
+) -> R {
+    // One past the largest row of `x` any edge reads.
+    let rows_read = match vals {
+        Some([]) => 0,
+        Some(v) => v.iter().fold(0, |top, &v| top.max(v)) as usize + 1,
+        None => keys.len(),
+    };
+    assert!(rows_read * cols <= x.len(), "{} out of range", what[1]);
+    with_csr(keys, n_keys, what[0], vals, |indptr, idx| f(&RowAgg { x, cols, indptr, idx, mean }))
+}
+
 /// `out[r] = scale_r · Σ { x[vals[e]] : keys[e] = r }` for `r < n_keys`, in
-/// a pooled buffer: index the edge list ([`with_csr`]), then run
-/// [`RowAgg`] over chunks of output rows. `what` names the keys and the
-/// values in panic messages.
+/// a pooled buffer: [`RowAgg`] over chunks of output rows.
 fn aggregate(
     x: &[f32],
     cols: usize,
@@ -1390,28 +1378,56 @@ fn aggregate(
     if cols == 0 {
         return out;
     }
-    // One past the largest row of `x` any edge reads.
-    let rows_read = match vals {
-        Some([]) => 0,
-        Some(v) => v.iter().fold(0, |top, &v| top.max(v)) as usize + 1,
-        None => keys.len(),
-    };
-    assert!(rows_read <= x.len() / cols, "{} out of range", what[1]);
-    with_csr(keys, n_keys, what[0], vals, |indptr, idx| {
-        let agg = RowAgg { x, cols, indptr, idx, mean, out: SendPtr(out.as_mut_ptr()) };
-        // SAFETY: `with_csr` built `indptr` as prefix sums ending at
-        // idx.len() and `idx` as a permutation of the values, every one of
-        // which was checked above to be a row of `x`; `out` holds
-        // n_keys·cols floats and the chunks [r0, r1) ⊆ [0, n_keys) are
-        // disjoint.
-        let body = |r0: usize, r1: usize| unsafe { agg.rows_dispatched(r0, r1) };
-        if idx.len() * cols < AGG_SERIAL_CUTOFF {
+    let out_ptr = SendPtr(out.as_mut_ptr());
+    with_row_agg(x, cols, keys, n_keys, vals, what, mean, |agg| {
+        let body = |r0: usize, r1: usize| {
+            // SAFETY: `out` holds n_keys·cols floats and the chunks [r0, r1)
+            // ⊆ [0, n_keys) are disjoint, so each slice of whole rows is in
+            // bounds and unaliased.
+            let rows = unsafe { out_ptr.slice_mut(r0 * cols, (r1 - r0) * cols) };
+            agg.rows_into((r0, r1), rows)
+        };
+        if agg.idx.len() * cols < AGG_SERIAL_CUTOFF {
             body(0, n_keys);
         } else {
             parallel_for(n_keys, AGG_MIN_CHUNK, &body);
         }
     });
     out
+}
+
+/// Rows `[r0, r1)` of a SAGE layer's linear part, a chunk of them at a time:
+/// `a = mean_agg(x)` for the chunk's rows, then `o = xt · w[0]` written first
+/// and `o += a · w[1]` continuing its chains. `xt`, `a` and `o` hold exactly
+/// rows `[r0, r1)` (`k`, `k` and `n` wide). One dispatch covers the aggregate
+/// and both products, in chunks of at least [`MIN_CHUNK_FLOPS`], so between
+/// the three steps a chunk's rows have not left the cache.
+pub(crate) fn sage_rows(
+    agg: &RowAgg<'_>,
+    (r0, r1): (usize, usize),
+    xt: &[f32],
+    w: [&[f32]; 2],
+    n: usize,
+    a: &mut [f32],
+    o: &mut [f32],
+) {
+    let (k, rows) = (agg.cols, r1 - r0);
+    assert!(xt.len() == rows * k && a.len() == rows * k, "sage rows: operand/shape mismatch");
+    assert!(o.len() == rows * n && w.iter().all(|w| w.len() == k * n), "sage rows: shape mismatch");
+    let (ap, op) = (SendPtr(a.as_mut_ptr()), SendPtr(o.as_mut_ptr()));
+    parallel_for(rows, min_chunk_rows(4 * k * n), &|c0, c1| {
+        // SAFETY: `a` and `o` hold `rows` rows of k and n floats (asserted
+        // above) and the chunks [c0, c1) ⊆ [0, rows) are disjoint, so each
+        // slice of whole rows is in bounds and unaliased.
+        let a = unsafe { ap.slice_mut(c0 * k, (c1 - c0) * k) };
+        // SAFETY: as above.
+        let o = unsafe { op.slice_mut(c0 * n, (c1 - c0) * n) };
+        agg.rows_into((r0 + c0, r0 + c1), a);
+        for (lhs, b, acc) in [(&xt[c0 * k..c1 * k], w[0], false), (&*a, w[1], true)] {
+            let ops = Operands { a: lhs, b, ta: false, tb: false, n, k, a_cols: k, b_cols: n };
+            gemm_rows(o, acc, &ops, (0, c1 - c0));
+        }
+    });
 }
 
 /// Backward of [`gather_rows_forward`]: adds each gradient row `e` into
@@ -1652,92 +1668,192 @@ mod tests {
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
+    /// Every GEMM rung this host can run (the process-wide dispatch picks
+    /// one of them for good).
+    fn levels() -> Vec<Level> {
+        let (avx2, avx512) = host_rungs();
+        let mut levels = vec![Level::Portable];
+        levels.extend(avx2.then_some(Level::Avx2));
+        levels.extend(avx512.then_some(Level::Avx512));
+        levels
+    }
+
+    /// The fully packed GEMM, the reference for the in-place one: a
+    /// zero-filled output, both `f32` operands *copied* into contiguous
+    /// panels per (column block, K block, MC rows) and every block
+    /// accumulated — on rung `lvl` of the tiles that ship.
+    fn gemm_packed(lvl: Level, a: &[f32], b: &[f32], ta: bool, tb: bool, (m, n, k): (usize, usize, usize)) -> Vec<f32> {
+        let (a_cols, b_cols) = (if ta { m } else { k }, if tb { k } else { n });
+        let ops = Operands { a, b, ta, tb, n, k, a_cols, b_cols };
+        let mut out = vec![0.0f32; m * n];
+        let (mut apack, mut bpack) = (Vec::new(), Vec::new());
+        for jc in (0..n).step_by(NC) {
+            let ncb = NC.min(n - jc);
+            for pc in (0..k).step_by(KC) {
+                let kcb = KC.min(k - pc);
+                pack_b(&mut bpack, &ops, (pc, kcb), (jc, ncb));
+                for i0 in (0..m).step_by(MC) {
+                    let mb = MC.min(m - i0);
+                    pack_a(&mut apack, &ops, (i0, mb), (pc, kcb));
+                    let (ap, bp) = ((&apack[..], if ta { mb } else { kcb }), (&bpack[..], ncb));
+                    // SAFETY: `levels` lists only rungs the CPU has.
+                    unsafe { gemm_block(lvl, (ap, ta), bp, (&mut out[i0 * n + jc..], n), (mb, kcb, ncb), true) };
+                }
+            }
+        }
+        out
+    }
+
+    const EXTENTS: [usize; 8] = [1, 7, 8, 9, 47, 100, 129, 300];
+
+    #[test]
+    fn in_place_gemm_equals_the_packed_gemm_bitwise() {
+        let mut rng = StdRng::seed_from_u64(0x1A7);
+        let pick = |rng: &mut StdRng| EXTENTS[rng.random_range(0..EXTENTS.len())];
+        for case in 0..48 {
+            let (m, n, k) = (pick(&mut rng), pick(&mut rng), pick(&mut rng));
+            let (ta, tb) = (case % 2 == 1, (case / 2) % 2 == 1);
+            let ((ar, ac), (br, bc)) = (if ta { (k, m) } else { (m, k) }, if tb { (n, k) } else { (k, n) });
+            // Operands that are row-prefix views of longer buffers.
+            let a = rand_tensor(ar + 3, ac, &mut rng).narrow_rows(ar);
+            let b = rand_tensor(br + 5, bc, &mut rng).narrow_rows(br);
+            let what = format!("case {case} ({m}x{k}x{n}, ta={ta}, tb={tb})");
+            let before = PACKS.get();
+            let fast = gemm(&a, &b, ta, tb);
+            let packs = PACKS.get();
+            // A product of one chunk runs, and counts, on this thread.
+            if 2 * m * n * k <= MIN_CHUNK_FLOPS {
+                assert_eq!(packs[0], before[0], "an f32 A panel was packed, {what}");
+                assert_eq!(packs[1] > before[1], tb, "B is packed exactly when transposed, {what}");
+            }
+            let want = gemm_packed(level(), a.data(), b.data(), ta, tb, (m, n, k));
+            assert_eq!(bits(fast.data()), bits(&want), "{what}");
+            // One FMA per K step per element on either vector rung.
+            if let [_, avx2, avx512] = levels()[..] {
+                let by = |lvl| bits(&gemm_packed(lvl, a.data(), b.data(), ta, tb, (m, n, k)));
+                assert_eq!(by(avx2), by(avx512), "avx2 against avx512, {what}");
+            }
+        }
+    }
+
     #[test]
     fn micro_kernel_rungs_agree() {
-        // Drive each micro-kernel directly on the same packed panels. The
-        // AVX2 and AVX-512 rungs accumulate one FMA per K step per element
-        // in the same order, so they must agree *bitwise*; the portable
-        // kernel groups four products per step, so it gets a tolerance.
-        let avx2 = std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma");
-        let avx512 = std::arch::is_x86_feature_detected!("avx512f");
-        if !avx2 {
-            return;
-        }
+        // A block in the middle of larger operands: lda > kcb, ldb > ncb,
+        // ldc > ncb, on every rung's tiles directly, against the same block
+        // on packed copies of the panels. What lies around the block in C
+        // must survive.
         let mut rng = StdRng::seed_from_u64(0xAB5);
-        let (mb, kcb, ncb) = (13, 37, 41); // odd sizes exercise all tails
-        let n = ncb;
-        let apack: Vec<f32> = (0..mb * kcb).map(|_| rng.random_range(-1.0f32..1.0)).collect();
-        let bpack: Vec<f32> = (0..kcb * ncb).map(|_| rng.random_range(-1.0f32..1.0)).collect();
-
-        let mut portable = vec![0.0f32; mb * n];
-        for i in 0..mb {
-            kernel_row(
-                &apack[i * kcb..(i + 1) * kcb],
-                &bpack,
-                &mut portable[i * n..(i + 1) * n],
-                kcb,
-                ncb,
-            );
-        }
-
-        let mut out2 = vec![0.0f32; mb * n];
-        // SAFETY: AVX2+FMA detected above; panels cover mb×kcb (row-major)
-        // and kcb×ncb; the output buffer covers mb rows of stride n.
-        unsafe {
-            simd::kernel_block::<false>(apack.as_ptr(), bpack.as_ptr(), out2.as_mut_ptr(), n, mb, kcb, ncb);
-        }
-        for (p, v) in portable.iter().zip(out2.iter()) {
-            assert!((p - v).abs() <= p.abs().max(1.0) * 1e-5, "avx2 vs portable: {p} vs {v}");
-        }
-
-        if avx512 {
-            let mut out5 = vec![0.0f32; mb * n];
-            // SAFETY: AVX-512F detected above; same panel/output extents.
-            unsafe {
-                simd::kernel_block_avx512::<false>(
-                    apack.as_ptr(),
-                    bpack.as_ptr(),
-                    out5.as_mut_ptr(),
-                    n,
-                    mb,
-                    kcb,
-                    ncb,
-                );
+        for (mb, kcb, ncb) in [(13, 37, 41), (8, 100, 32), (1, 1, 1), (100, 9, 47), (7, 256, 129), (4, 3, 15)] {
+            let (lda, ldb, ldc) = (kcb.max(mb) + 5, ncb + 3, ncb + 7);
+            let mut values = |n: usize| -> Vec<f32> { (0..n).map(|_| rng.random_range(-1.0f32..1.0)).collect() };
+            let (a, b, c0) = (values((mb.max(kcb) + 2) * lda), values((kcb + 2) * ldb), values((mb + 2) * ldc));
+            let (a_at, b_at, c_at) = (lda + 2, ldb + 1, ldc + 3);
+            let mut by_level = Vec::new();
+            for lvl in levels() {
+                for kmajor in [false, true] {
+                    let apack: Vec<f32> = match kmajor {
+                        false => (0..mb * kcb).map(|q| a[a_at + q / kcb * lda + q % kcb]).collect(),
+                        true => (0..kcb * mb).map(|q| a[a_at + q / mb * lda + q % mb]).collect(),
+                    };
+                    let bpack: Vec<f32> = (0..kcb * ncb).map(|q| b[b_at + q / ncb * ldb + q % ncb]).collect();
+                    for acc in [false, true] {
+                        let what = format!("{lvl:?}, {mb}x{kcb}x{ncb}, kmajor {kmajor}, acc {acc}");
+                        let (mut c, mut want) = (c0.clone(), c0.clone());
+                        let (ap, bp) = ((&a[a_at..], lda), (&b[b_at..], ldb));
+                        let packed = ((&apack[..], if kmajor { mb } else { kcb }), (&bpack[..], ncb));
+                        // SAFETY: `levels` lists only rungs the CPU has.
+                        unsafe {
+                            gemm_block(lvl, (ap, kmajor), bp, (&mut c[c_at..], ldc), (mb, kcb, ncb), acc);
+                            gemm_block(lvl, (packed.0, kmajor), packed.1, (&mut want[c_at..], ldc), (mb, kcb, ncb), acc);
+                        }
+                        assert_eq!(bits(&c), bits(&want), "{what}");
+                        let inside = |q: usize| q >= c_at && (q - c_at) / ldc < mb && (q - c_at) % ldc < ncb;
+                        assert!((0..c.len()).all(|q| inside(q) || c[q].to_bits() == c0[q].to_bits()), "wrote outside the block, {what}");
+                        by_level.push((lvl, kmajor, acc, c));
+                    }
+                }
             }
-            assert_eq!(out2, out5, "avx512 must be bitwise identical to avx2");
+            // The vector rungs agree bit for bit; the portable kernel groups
+            // four products per add, so it gets a tolerance.
+            let of = |lvl: Level| by_level.iter().filter(move |r| r.0 == lvl).map(|r| &r.3);
+            for (x, y) in of(Level::Avx2).zip(of(Level::Avx512)) {
+                assert_eq!(bits(x), bits(y), "avx2 against avx512, {mb}x{kcb}x{ncb}");
+            }
+            for (x, y) in of(Level::Portable).zip(of(level())) {
+                assert!(x.iter().zip(y).all(|(p, v)| (p - v).abs() <= 1e-4), "portable against {:?}, {mb}x{kcb}x{ncb}", level());
+            }
         }
+    }
 
-        // K-major layout: repack A transposed and check both rungs agree
-        // with the row-major result bitwise (same values, same FMA order).
-        let mut akm = vec![0.0f32; mb * kcb];
-        for i in 0..mb {
+    #[test]
+    fn write_first_equals_zero_fill_then_accumulate() {
+        let mut rng = StdRng::seed_from_u64(0xF1257);
+        // One block per rung, columns of signed zeros included: with every
+        // a = -1, column 0 of b all +0.0 and column 1 all -0.0, the chains
+        // are 0 + (-1 · 0) = +0.0 and stay there, as from a zeroed C.
+        for (mb, kcb, ncb) in [(13, 37, 41), (8, 8, 32), (3, 1, 2)] {
+            let a = vec![-1.0f32; mb * kcb];
+            let mut b: Vec<f32> = (0..kcb * ncb).map(|_| rng.random_range(-1.0f32..1.0)).collect();
             for p in 0..kcb {
-                akm[p * mb + i] = apack[i * kcb + p];
+                (b[p * ncb], b[p * ncb + 1]) = (0.0, -0.0);
+            }
+            for lvl in levels() {
+                for kmajor in [false, true] {
+                    let (ap, bp) = ((&a[..], if kmajor { mb } else { kcb }), (&b[..], ncb));
+                    // A stale buffer may hold anything.
+                    let (mut first, mut zeroed) = (vec![f32::NAN; mb * ncb], vec![0.0f32; mb * ncb]);
+                    // SAFETY: `levels` lists only rungs the CPU has.
+                    unsafe {
+                        gemm_block(lvl, (ap, kmajor), bp, (&mut first, ncb), (mb, kcb, ncb), false);
+                        gemm_block(lvl, (ap, kmajor), bp, (&mut zeroed, ncb), (mb, kcb, ncb), true);
+                    }
+                    assert_eq!(bits(&first), bits(&zeroed), "{lvl:?}, {mb}x{kcb}x{ncb}, kmajor {kmajor}");
+                    for i in 0..mb {
+                        assert_eq!(bits(&first[i * ncb..i * ncb + 2]), [0, 0], "{lvl:?}: -1 · ±0 summed from +0.0 is +0.0");
+                    }
+                }
             }
         }
-        let mut outk = vec![0.0f32; mb * n];
-        // SAFETY: AVX2+FMA detected above; K-major panel covers kcb×mb.
-        unsafe {
-            simd::kernel_block::<true>(akm.as_ptr(), bpack.as_ptr(), outk.as_mut_ptr(), n, mb, kcb, ncb);
+        // The entry points, across several K and column blocks and chunks.
+        for (case, (m, n, k)) in [(70, NC + 9, 2 * KC + 3), (300, 47, 100), (5, 3, 0), (0, 4, 4)].into_iter().enumerate() {
+            let (ta, tb) = (case % 2 == 1, case >= 2);
+            let (a, b) = (rand_tensor(m, k, &mut rng), rand_tensor(k, n, &mut rng));
+            let (mut first, mut zeroed) = (vec![f32::NAN; m * n], vec![0.0f32; m * n]);
+            let (a_cols, b_cols) = (if ta { m } else { k }, if tb { k } else { n });
+            gemm_into(&mut first, false, &Operands { a: a.data(), b: b.data(), ta, tb, n, k, a_cols, b_cols }, m);
+            gemm_acc(&mut zeroed, a.data(), b.data(), ta, tb, m, n, k);
+            assert_eq!(bits(&first), bits(&zeroed), "{m}x{k}x{n}, ta={ta}, tb={tb}");
+            assert_eq!(bits(gemm(&a.reshape(if ta { [k, m] } else { [m, k] }), &b.reshape(if tb { [n, k] } else { [k, n] }), ta, tb).data()), bits(&zeroed));
         }
-        assert_eq!(out2, outk, "k-major avx2 must match row-major bitwise");
-        if avx512 {
-            let mut outk5 = vec![0.0f32; mb * n];
-            // SAFETY: AVX-512F detected above; K-major panel covers kcb×mb.
-            unsafe {
-                simd::kernel_block_avx512::<true>(
-                    akm.as_ptr(),
-                    bpack.as_ptr(),
-                    outk5.as_mut_ptr(),
-                    n,
-                    mb,
-                    kcb,
-                    ncb,
-                );
+    }
+
+    #[test]
+    fn sage_rows_equal_the_public_kernels_at_any_cut() {
+        let mut rng = StdRng::seed_from_u64(0x5A6E);
+        let (n_dst, n_src, n_edges, k) = (61, 83, 700, 20);
+        let values = |n: usize, rng: &mut StdRng| -> Vec<f32> { (0..n).map(|_| rng.random_range(-1.0f32..1.0)).collect() };
+        for n in [30, 47, 128] {
+            let (x, ws, wn) = (values(n_src * k, &mut rng), values(k * n, &mut rng), values(k * n, &mut rng));
+            for (case, dst, src) in edge_cases(n_dst, n_src, n_edges, &mut rng) {
+                let xt = &x[..n_dst * k];
+                let want_agg = scatter_reduce_forward(&x, k, &src, &dst, n_dst, true);
+                let mut want = vec![0.0f32; n_dst * n];
+                gemm_acc(&mut want, xt, &ws, false, false, n_dst, n, k);
+                gemm_acc(&mut want, &want_agg, &wn, false, false, n_dst, n, k);
+                // The row range cut at two arbitrary places: a chunk is
+                // whatever the pool's width makes it.
+                let (c0, c1) = (rng.random_range(0..=n_dst), rng.random_range(0..=n_dst));
+                let cuts = [0, c0.min(c1), c0.max(c1), n_dst];
+                let (mut agg, mut out) = (vec![f32::NAN; n_dst * k], vec![f32::NAN; n_dst * n]);
+                with_row_agg(&x, k, &dst, n_dst, Some(&src), ["destination id", "source id"], true, |rows| {
+                    for w in cuts.windows(2) {
+                        let (r0, r1) = (w[0], w[1]);
+                        sage_rows(rows, (r0, r1), &xt[r0 * k..r1 * k], [&ws, &wn], n, &mut agg[r0 * k..r1 * k], &mut out[r0 * n..r1 * n]);
+                    }
+                });
+                assert_eq!(bits(&agg), bits(&want_agg), "aggregate, {n} wide, {case}, cuts {cuts:?}");
+                assert_eq!(bits(&out), bits(&want), "output, {n} wide, {case}, cuts {cuts:?}");
             }
-            assert_eq!(out2, outk5, "k-major avx512 must match row-major bitwise");
         }
     }
 
@@ -1811,22 +1927,19 @@ mod tests {
 
     // SAFETY: a rung is called under the contract of `RowAgg::rows`, on a
     // CPU that has the rung's vector extension.
-    type Rung = unsafe fn(&RowAgg<'_>, usize, usize);
+    type Rung = unsafe fn(&RowAgg<'_>, usize, usize, *mut f32);
 
     /// Every rung of the row kernel this host can run, called directly (the
     /// process-wide dispatch picks one of them for good).
     fn rungs() -> Vec<(&'static str, Rung)> {
         // SAFETY: the caller of a `Rung` upholds the contract of `rows`.
-        let portable: Rung = |agg, r0, r1| unsafe { agg.rows(r0, r1) };
+        let portable: Rung = |agg, r0, r1, out| unsafe { agg.rows(r0, r1, out) };
         let mut rungs = vec![("portable", portable)];
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-                rungs.push(("avx2", simd::agg_rows_avx2));
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                rungs.push(("avx512", simd::agg_rows_avx512));
-            }
+            let (avx2, avx512) = host_rungs();
+            rungs.extend(avx2.then_some(("avx2", simd::agg_rows_avx2 as Rung)));
+            rungs.extend(avx512.then_some(("avx512", simd::agg_rows_avx512 as Rung)));
         }
         rungs
     }
@@ -1873,14 +1986,14 @@ mod tests {
                         for (rung, rows) in rungs() {
                             // Stale, as the pooled output buffer is.
                             let mut out = vec![f32::NAN; n_keys * cols];
-                            let agg = RowAgg { x: &x, cols, indptr, idx, mean, out: SendPtr(out.as_mut_ptr()) };
+                            let agg = RowAgg { x: &x, cols, indptr, idx, mean };
                             for w in cuts.windows(2) {
                                 // SAFETY: the index comes from `with_csr`
                                 // over values drawn below n_vals = x's rows,
-                                // `out` holds n_keys rows, the chunks are
-                                // disjoint and run one after the other, and
-                                // `rungs` lists only what the CPU supports.
-                                unsafe { rows(&agg, w[0], w[1]) };
+                                // `out` holds n_keys rows, of which a chunk
+                                // gets its own, and `rungs` lists only what
+                                // the CPU supports.
+                                unsafe { rows(&agg, w[0], w[1], out[w[0] * cols..].as_mut_ptr()) };
                             }
                             assert_eq!(bits(&out), want, "{rung}, {cols} cols, {case}, mean {mean}, cuts {cuts:?}");
                         }

@@ -236,30 +236,27 @@ impl ThreadPool {
 }
 
 /// Runs `body(chunk_start, chunk_end)` over `0..len` split into contiguous
-/// chunks of at least `min_chunk`, in parallel on the global pool.
+/// chunks of at least `min_chunk` and within one of each other in length, in
+/// parallel on the global pool. A range of less than two such chunks, and any
+/// range on a one-thread pool, is one call of `body` on the calling thread
+/// and never reaches [`ThreadPool::run`].
 ///
-/// Chunk boundaries depend only on `len` and `min_chunk` (not the thread
-/// count), so any kernel whose chunks write disjoint output is bitwise
-/// deterministic regardless of parallelism.
+/// Where the chunks are cut depends on the pool's width, so `body` must
+/// compute a row the same way whichever chunk it falls in; with that and
+/// disjoint writes a kernel is bitwise deterministic regardless of
+/// parallelism.
 pub fn parallel_for(len: usize, min_chunk: usize, body: &(dyn Fn(usize, usize) + Sync)) {
     if len == 0 {
         return;
     }
-    let min_chunk = min_chunk.max(1);
     let pool = global();
-    // Aim for ~4 chunks per thread for load balance, floored by min_chunk.
-    let target = pool.threads() * 4;
-    let chunk = (len.div_ceil(target)).max(min_chunk);
-    let n_chunks = len.div_ceil(chunk);
-    if n_chunks <= 1 {
+    // Up to ~4 chunks per thread for load balance, as far as min_chunk allows.
+    let n_chunks = (len / min_chunk.max(1)).clamp(1, pool.threads() * 4);
+    if n_chunks == 1 || pool.threads() == 1 {
         body(0, len);
         return;
     }
-    pool.run(n_chunks, &|i| {
-        let start = i * chunk;
-        let end = (start + chunk).min(len);
-        body(start, end);
-    });
+    pool.run(n_chunks, &|i| body(i * len / n_chunks, (i + 1) * len / n_chunks));
 }
 
 /// A `Send + Sync` wrapper for a raw mutable pointer handed to disjoint

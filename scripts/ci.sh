@@ -91,7 +91,7 @@ echo "== sampler tier: the distribution did not change (release, 10^5 draws a ce
 # afford 10^5 and catch 3 % (crates/sampler/tests/distribution.rs).
 cargo test --release -q --offline -p salient-sampler
 
-echo "== tensor tier: the aggregation row kernel equals the scalar edge walk (release, bench shapes)"
+echo "== tensor tier: GEMM tiles and the aggregation row kernel against their oracles (release, bench shapes)"
 # Every rung of the CSR row kernel the host supports (portable, AVX2,
 # AVX-512) against the one scalar oracle, bit for bit, over 13 widths x 6
 # edge-list shapes x arbitrary chunk cuts, plus the public entry points at
@@ -99,6 +99,17 @@ echo "== tensor tier: the aggregation row kernel equals the scalar edge walk (re
 # The workspace runs above use a tenth of that shape (debug builds walk it
 # slowly) and compile the kernel unoptimised; this is the code that ships.
 cargo test --release -q --offline -p salient-tensor
+# The benchmark pins the pool to one thread, where `parallel_for` is a plain
+# call and never a dispatch, and every run above drives the rung CPUID
+# picks: the tensor and nn suites again at one thread, and at one thread on
+# the AVX2 rung (the tiles a host without AVX-512 runs).
+SALIENT_NUM_THREADS=1 cargo test --release -q --offline -p salient-tensor -p salient-nn
+if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo 2>/dev/null; then
+  SALIENT_NUM_THREADS=1 SALIENT_GEMM_KERNEL=avx2 \
+    cargo test --release -q --offline -p salient-tensor -p salient-nn
+else
+  echo "tensor tier: this host has no AVX2 + FMA — the AVX2-rung pass is skipped"
+fi
 
 echo "== benchmark tier: the four workloads' correctness checks (--smoke)"
 # A few batches of every BENCHMARK.json workload (train_compute,
