@@ -15,14 +15,14 @@
 
 #![expect(clippy::disallowed_methods, reason = "figure generator: it reports measured wall time")]
 
-use salient_bench::{arg_f64, arg_usize, bar, fmt_x, render_table};
+use salient_bench::{arg, bar, fmt_x, render_table};
 use salient_graph::DatasetConfig;
 use salient_sampler::{IdMapKind, NeighborSetKind, SampleAlgo, VariantConfig, VariantSampler};
 use std::time::Instant;
 
 fn main() {
-    let scale = arg_f64("--scale", 0.25);
-    let reps = arg_usize("--reps", 5);
+    let scale = arg("--scale", 0.25);
+    let reps = arg::<usize>("--reps", 5);
     let ds = DatasetConfig::products_sim(scale).build();
     let fanouts = [15usize, 10, 5];
     let batches: Vec<Vec<u32>> = ds
@@ -36,7 +36,7 @@ fn main() {
     // One sampler per variant, each warmed up on the batches (tables grown,
     // caches filled), then timed round-robin; a variant's time is its
     // fastest round.
-    let rounds = arg_usize("--rounds", 5);
+    let rounds = arg::<usize>("--rounds", 5);
     let mut samplers: Vec<VariantSampler> = VariantConfig::all()
         .into_iter()
         .map(|cfg| VariantSampler::new(cfg, 99))

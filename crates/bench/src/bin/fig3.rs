@@ -8,15 +8,15 @@
 //!
 //! Run: `cargo run --release -p salient-bench --bin fig3 [--scale 0.2] [--epochs 15]`
 
-use salient_bench::{arg_f64, arg_usize, bar, render_table};
+use salient_bench::{arg, bar, render_table};
 use salient_core::{RunConfig, Trainer};
 use salient_graph::DatasetConfig;
 use salient_nn::metrics::accuracy_by_degree;
 use std::sync::Arc;
 
 fn main() {
-    let scale = arg_f64("--scale", 0.2);
-    let epochs = arg_usize("--epochs", 30);
+    let scale = arg("--scale", 0.2);
+    let epochs = arg::<usize>("--epochs", 30);
     // Dense labels: the study needs per-degree-bucket statistics on the
     // test set, which the paper-faithful 90%-test split also provides, but
     // training needs enough labels per class at sim scale.

@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run --release -p salient-bench --bin fig4 [--scale 0.15]`
 
-use salient_bench::{arg_f64, bar, fmt_s, fmt_x, render_table};
+use salient_bench::{arg, bar, fmt_s, fmt_x, render_table};
 use salient_core::{ExecutorKind, RunConfig, Trainer};
 use salient_graph::{DatasetConfig, DatasetStats};
 use salient_sim::{simulate_epoch, CostModel, EpochConfig, OptLevel};
@@ -55,7 +55,7 @@ fn main() {
     );
 
     // Real wall-clock comparison of the two executors (single core).
-    let scale = arg_f64("--scale", 0.15);
+    let scale = arg("--scale", 0.15);
     println!("\nReal executor comparison on synthetic data (scale {scale}, single core):\n");
     let mut rows = Vec::new();
     for cfg in [

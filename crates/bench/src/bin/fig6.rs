@@ -12,7 +12,7 @@
 
 #![expect(clippy::disallowed_methods, reason = "figure generator: it reports measured wall time")]
 
-use salient_bench::{arg_f64, arg_usize, fmt_s, fmt_x, render_table};
+use salient_bench::{arg, fmt_s, fmt_x, render_table};
 use salient_core::{RunConfig, Trainer};
 use salient_graph::{DatasetConfig, DatasetStats};
 use salient_nn::ModelKind;
@@ -81,8 +81,8 @@ fn main() {
     println!("Paper: SAGE ~2.0s with ~2.3x speedup; GAT/SAGE-RI smallest speedup but >1.4x.\n");
 
     // Real accuracy on the synthetic papers analogue.
-    let scale = arg_f64("--scale", 0.08);
-    let epochs = arg_usize("--epochs", 25);
+    let scale = arg("--scale", 0.08);
+    let epochs = arg::<usize>("--epochs", 25);
     println!("Figure 6 (accuracy): real training on papers-sim (scale {scale}, {epochs} epochs)\n");
     // Dense labels so 172-way classification is trainable at sim scale.
     let mut ds_cfg = DatasetConfig::papers_sim(scale);

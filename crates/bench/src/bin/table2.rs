@@ -5,7 +5,7 @@
 //!
 //! Run: `cargo run --release -p salient-bench --bin table2 [--scale 0.25]`
 
-use salient_bench::{arg_f64, fmt_s, fmt_x, render_table};
+use salient_bench::{arg, fmt_s, fmt_x, render_table};
 use salient_graph::{DatasetConfig, DatasetStats};
 use salient_sampler::{FastSampler, PygSampler};
 use salient_sim::{expected_batch, CostModel, Impl};
@@ -76,7 +76,7 @@ fn main() {
 
     // Real measurement: single-thread sampler throughput ratio on the
     // synthetic products analogue.
-    let scale = arg_f64("--scale", 0.25);
+    let scale = arg("--scale", 0.25);
     let ds = DatasetConfig::products_sim(scale).build();
     let fanouts = [15usize, 10, 5];
     let batch: Vec<u32> = ds.splits.train.iter().copied().take(512).collect();

@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --release -p salient-bench --bin table4 [--scale 0.2]`
 
-use salient_bench::{arg_f64, render_table};
+use salient_bench::{arg, render_table};
 use salient_graph::{DatasetConfig, DatasetStats};
 
 fn human(n: u64) -> String {
@@ -47,7 +47,7 @@ fn main() {
         )
     );
 
-    let scale = arg_f64("--scale", 0.2);
+    let scale = arg("--scale", 0.2);
     println!("Synthetic sim scale {scale} (materialized; drives real training):");
     let configs = [
         DatasetConfig::arxiv_sim(scale),

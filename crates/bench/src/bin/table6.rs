@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run --release -p salient-bench --bin table6 [--scale 0.15] [--reps 3] [--epochs 15]`
 
-use salient_bench::{arg_f64, arg_usize, render_table};
+use salient_bench::{arg, render_table};
 use salient_core::{RunConfig, Trainer};
 use salient_graph::DatasetConfig;
 use std::sync::Arc;
@@ -22,9 +22,9 @@ fn mean_std(xs: &[f64]) -> (f64, f64) {
 }
 
 fn main() {
-    let scale = arg_f64("--scale", 0.15);
-    let reps = arg_usize("--reps", 3);
-    let epochs = arg_usize("--epochs", 30);
+    let scale = arg("--scale", 0.15);
+    let reps = arg::<usize>("--reps", 3);
+    let epochs = arg::<usize>("--epochs", 30);
     let fanout_sets: [&[usize]; 3] = [&[20, 20, 20], &[10, 10, 10], &[5, 5, 5]];
 
     println!("Table 6: test accuracy vs inference fanout (real training, scale {scale}, {reps} reps)\n");

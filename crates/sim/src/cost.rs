@@ -42,11 +42,6 @@ pub enum GnnArch {
 }
 
 impl GnnArch {
-    /// All architectures in Figure-6 order.
-    pub fn all() -> [GnnArch; 4] {
-        [GnnArch::Sage, GnnArch::Gat, GnnArch::Gin, GnnArch::SageRi]
-    }
-
     /// Display name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -186,12 +181,6 @@ impl CostModel {
         w.feature_bytes() / bw * 1e9
     }
 
-    /// Extra shared-memory copy paid per batch by multiprocessing workers
-    /// (ns).
-    pub fn mp_copy_ns(&self, w: &BatchWorkload) -> f64 {
-        w.feature_bytes() / self.mp_copy_bw * 1e9
-    }
-
     /// CPU→GPU transfer time for one batch (ns). `skip_assertions` models
     /// SALIENT's removal of the per-sparse-tensor validity checks (§4.3).
     pub fn transfer_batch_ns(&self, w: &BatchWorkload, skip_assertions: bool) -> f64 {
@@ -290,13 +279,21 @@ impl CostModel {
     }
 
     /// Ring all-reduce time across `ranks` for `bytes` of gradients (ns).
-    pub fn allreduce_ns(&self, ranks: usize, bytes: f64) -> f64 {
+    /// Within one machine (`ranks <= gpus_per_machine`) gradients move over
+    /// the PCIe fabric; across machines over the NIC, which the GPUs of a
+    /// machine share, plus a latency per ring step.
+    pub fn allreduce_ns(&self, ranks: usize, gpus_per_machine: usize, bytes: f64) -> f64 {
         if ranks <= 1 {
             return 0.0;
         }
         let n = ranks as f64;
-        2.0 * (n - 1.0) / n * bytes / self.nic_bw * 1e9
-            + 2.0 * (n - 1.0) * self.allreduce_latency_ns
+        let ring_bytes = 2.0 * (n - 1.0) / n * bytes;
+        if ranks <= gpus_per_machine {
+            ring_bytes / self.dma_bw * 1e9
+        } else {
+            let shared = self.nic_bw / gpus_per_machine as f64;
+            ring_bytes / shared * 1e9 + 2.0 * (n - 1.0) * self.allreduce_latency_ns
+        }
     }
 }
 
@@ -404,13 +401,17 @@ mod tests {
     #[test]
     fn allreduce_scales_with_ranks_and_bytes() {
         let m = CostModel::paper_hardware();
-        assert_eq!(m.allreduce_ns(1, 1e6), 0.0);
-        let t2 = m.allreduce_ns(2, 1.3e6);
-        let t16 = m.allreduce_ns(16, 1.3e6);
+        assert_eq!(m.allreduce_ns(1, 1, 1e6), 0.0);
+        let t2 = m.allreduce_ns(2, 1, 1.3e6);
+        let t16 = m.allreduce_ns(16, 1, 1.3e6);
         assert!(t16 > t2);
         // Ring all-reduce asymptote: at most ~2× the 2-rank cost in the
         // bandwidth term.
         assert!(t16 < 4.0 * t2);
+        // Two GPUs of one machine: the ring's bytes over PCIe, no NIC
+        // latency. Two GPUs a machine across machines: half a NIC each.
+        assert_eq!(m.allreduce_ns(2, 2, 1.3e6), 1.3e6 / m.dma_bw * 1e9);
+        assert!(m.allreduce_ns(16, 2, 1.3e6) > t16);
     }
 
     #[test]

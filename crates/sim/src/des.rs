@@ -131,11 +131,6 @@ impl Simulation {
         id
     }
 
-    /// Number of tasks.
-    pub fn num_tasks(&self) -> usize {
-        self.tasks.len()
-    }
-
     /// The registered resources.
     pub fn resources(&self) -> &[ResourceSpec] {
         &self.resources

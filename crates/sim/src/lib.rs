@@ -37,8 +37,8 @@ pub use cost::{CostModel, GnnArch, Impl};
 pub use des::{Executed, ResourceId, ResourceSpec, SimTime, Simulation, TaskId, TaskSpec};
 pub use multi::{scaling_sweep, simulate_multi_gpu, MultiGpuConfig, MultiGpuReport};
 pub use schedules::{
-    pipelined_shape_ns, simulate_epoch, simulate_epoch_detailed, simulate_inference_epoch,
-    EpochConfig, EpochReport, OptLevel, PipelinedShapeNs,
+    simulate_epoch, simulate_epoch_detailed, simulate_inference_epoch, what_if, EpochConfig,
+    EpochReport, OptLevel, WhatIf,
 };
 pub use timeline::render_text;
-pub use workload::{epoch_totals, expected_batch, expected_samples_per_node, BatchWorkload};
+pub use workload::{expected_batch, expected_samples_per_node, BatchWorkload};

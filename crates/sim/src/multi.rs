@@ -7,15 +7,14 @@
 //! all-reduce synchronizes gradients before the next iteration may start.
 
 use crate::cost::CostModel;
-use crate::des::{Simulation, TaskId};
-use crate::schedules::{EpochConfig, OptLevel};
-use crate::workload::expected_batch;
+use crate::schedules::{run_epoch, EpochConfig};
 
 /// Multi-GPU run configuration.
 #[derive(Clone, Debug)]
 pub struct MultiGpuConfig {
-    /// Per-rank configuration (level is forced to [`OptLevel::Pipelined`]
-    /// for SALIENT runs; baseline multi-GPU uses the given level).
+    /// Per-rank configuration (level is forced to
+    /// [`OptLevel::Pipelined`](crate::OptLevel::Pipelined) for SALIENT runs;
+    /// baseline multi-GPU uses the given level).
     pub base: EpochConfig,
     /// Number of GPUs (ranks). Batch size is per GPU, as in Table 5.
     pub ranks: usize,
@@ -29,13 +28,11 @@ pub struct MultiGpuConfig {
 pub struct MultiGpuReport {
     /// Virtual epoch seconds.
     pub epoch_s: f64,
-    /// Mean GPU utilization across ranks.
-    pub gpu_util: f64,
-    /// Total all-reduce seconds per rank.
-    pub allreduce_s: f64,
 }
 
-/// Simulates one distributed training epoch.
+/// Simulates one distributed training epoch: every rank runs the
+/// single-GPU schedule of its ladder level on its shard, and a ring
+/// all-reduce of the gradients closes each step.
 ///
 /// # Panics
 ///
@@ -43,147 +40,12 @@ pub struct MultiGpuReport {
 pub fn simulate_multi_gpu(cfg: &MultiGpuConfig, model: &CostModel) -> MultiGpuReport {
     assert!(cfg.ranks > 0, "need at least one rank");
     let base = &cfg.base;
-    let w = expected_batch(&base.stats, &base.fanouts, base.batch_size);
-    let total_batches = base
-        .stats
-        .train_size
-        .div_ceil((base.batch_size * cfg.ranks) as u64) as usize;
-
-    // Per-batch stage durations follow the configured ladder level, exactly
-    // as in the single-GPU schedule builder.
-    let s = crate::schedules::stage_durations(base, model, &w);
-    let pipelined = base.level == OptLevel::Pipelined;
-    let transfer_ns = s.transfer;
-    let train_ns = s.train;
-
     let grad_bytes = base.arch.param_bytes(base.stats.feat_dim, base.hidden, base.classes);
-    // Within one machine gradients move over the PCIe fabric; across
-    // machines over the shared NIC (halved per-GPU when both GPUs of a
-    // machine communicate).
-    let allreduce_ns = if cfg.ranks <= cfg.gpus_per_machine {
-        let n = cfg.ranks as f64;
-        if cfg.ranks == 1 {
-            0.0
-        } else {
-            2.0 * (n - 1.0) / n * grad_bytes / model.dma_bw * 1e9
-        }
-    } else {
-        let shared = model.nic_bw / cfg.gpus_per_machine as f64;
-        let n = cfg.ranks as f64;
-        2.0 * (n - 1.0) / n * grad_bytes / shared * 1e9
-            + 2.0 * (n - 1.0) * model.allreduce_latency_ns
-    };
-
-    let mut sim = Simulation::new();
-    let mut workers = Vec::with_capacity(cfg.ranks);
-    let mut mains = Vec::with_capacity(cfg.ranks);
-    let mut dma = Vec::with_capacity(cfg.ranks);
-    let mut gpu = Vec::with_capacity(cfg.ranks);
-    let mut nic = Vec::with_capacity(cfg.ranks);
-    let worker_pool = if pipelined || base.level == OptLevel::SharedMemPrep {
-        base.cpu_workers
-    } else {
-        s.sample_workers
-    };
-    for r in 0..cfg.ranks {
-        workers.push(sim.resource(format!("workers[{r}]"), worker_pool));
-        mains.push(sim.resource(format!("main[{r}]"), 1));
-        dma.push(sim.resource(format!("dma[{r}]"), 1));
-        gpu.push(sim.resource(format!("gpu[{r}]"), 1));
-        nic.push(sim.resource(format!("nic[{r}]"), 1));
-    }
-
-    let prefetch_depth = 2 * base.cpu_workers;
-    let mut prev_allreduce: Vec<Option<TaskId>> = vec![None; cfg.ranks];
-    let mut train_hist: Vec<Vec<TaskId>> = vec![Vec::new(); cfg.ranks];
-    for b in 0..total_batches {
-        let mut trains = Vec::with_capacity(cfg.ranks);
-        for r in 0..cfg.ranks {
-            let mut prep_deps = Vec::new();
-            if b >= prefetch_depth {
-                prep_deps.push(train_hist[r][b - prefetch_depth]);
-            }
-            let train = if pipelined {
-                // SALIENT: prep → transfer (own stream) → train; nothing
-                // blocks the main loop.
-                let prep =
-                    sim.task(format!("prep[{b},{r}]"), workers[r], s.prep_worker as u64, prep_deps);
-                let transfer = sim.task(
-                    format!("transfer[{b},{r}]"),
-                    dma[r],
-                    transfer_ns as u64,
-                    vec![prep],
-                );
-                let mut train_deps = vec![transfer];
-                if let Some(ar) = prev_allreduce[r] {
-                    train_deps.push(ar);
-                }
-                sim.task(format!("train[{b},{r}]"), gpu[r], train_ns as u64, train_deps)
-            } else {
-                // Baseline ladder levels: per-rank main thread serializes
-                // slice → transfer and blocks on training, as in the
-                // single-GPU schedules.
-                let sample_ns = match base.level {
-                    // Shared-memory prep: workers sample *and* slice.
-                    OptLevel::SharedMemPrep => s.prep_worker,
-                    _ => s.sample_worker,
-                };
-                let sample = sim.task(
-                    format!("sample[{b},{r}]"),
-                    workers[r],
-                    sample_ns as u64,
-                    prep_deps,
-                );
-                let mut slice_deps = vec![sample];
-                if let Some(&prev) = train_hist[r].last() {
-                    slice_deps.push(prev);
-                }
-                let (slice_ns, slice_label) = match base.level {
-                    OptLevel::SharedMemPrep => (0.0, "noop"),
-                    _ => (s.slice_main, "slice"),
-                };
-                let slice = sim.task(
-                    format!("{slice_label}[{b},{r}]"),
-                    mains[r],
-                    slice_ns as u64,
-                    slice_deps,
-                );
-                let transfer = sim.task(
-                    format!("transfer[{b},{r}]"),
-                    mains[r],
-                    transfer_ns as u64,
-                    vec![slice],
-                );
-                let mut train_deps = vec![transfer];
-                if let Some(ar) = prev_allreduce[r] {
-                    train_deps.push(ar);
-                }
-                sim.task(format!("train[{b},{r}]"), gpu[r], train_ns as u64, train_deps)
-            };
-            trains.push(train);
-            train_hist[r].push(train);
-        }
-        for r in 0..cfg.ranks {
-            // Ring all-reduce starts once every rank finished backward.
-            let ar = sim.task(
-                format!("allreduce[{b},{r}]"),
-                nic[r],
-                allreduce_ns as u64,
-                trains.clone(),
-            );
-            prev_allreduce[r] = Some(ar);
-        }
-    }
-
-    let ex = sim.run();
-    let mut util = 0.0;
-    for r in 0..cfg.ranks {
-        util += ex.utilization(&sim, gpu[r]);
-    }
+    let allreduce_ns = model.allreduce_ns(cfg.ranks, cfg.gpus_per_machine, grad_bytes);
+    let batches = base.stats.batches_per_epoch(base.batch_size * cfg.ranks);
+    let run = run_epoch(base, model, cfg.ranks, batches, false, allreduce_ns as u64);
     MultiGpuReport {
-        epoch_s: ex.makespan as f64 / 1e9,
-        gpu_util: util / cfg.ranks as f64,
-        allreduce_s: total_batches as f64 * allreduce_ns / 1e9,
+        epoch_s: run.ex.makespan as f64 / 1e9,
     }
 }
 
@@ -209,27 +71,69 @@ pub fn scaling_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedules::{simulate_epoch, OptLevel};
     use salient_graph::DatasetStats;
+    use salient_pipeline::shape::{self, ResourceKind, TRANSFER_QUEUE_CAP};
 
     fn base(stats: DatasetStats) -> EpochConfig {
         EpochConfig::paper_default(stats, OptLevel::Pipelined)
     }
 
     #[test]
-    fn single_rank_matches_single_gpu_schedule() {
-        let cfg = MultiGpuConfig {
-            base: base(DatasetStats::products()),
-            ranks: 1,
-            gpus_per_machine: 2,
-        };
+    fn single_rank_is_the_single_gpu_schedule_to_the_nanosecond() {
         let m = CostModel::paper_hardware();
-        let multi = simulate_multi_gpu(&cfg, &m).epoch_s;
-        let single = crate::schedules::simulate_epoch(&cfg.base, &m).epoch_s;
-        let ratio = multi / single;
-        assert!(
-            (0.9..1.1).contains(&ratio),
-            "1-rank multi ({multi:.2}) vs single ({single:.2})"
-        );
+        for stats in DatasetStats::all() {
+            for level in OptLevel::ladder() {
+                let cfg = MultiGpuConfig {
+                    base: EpochConfig::paper_default(stats.clone(), level),
+                    ranks: 1,
+                    gpus_per_machine: 2,
+                };
+                let multi = simulate_multi_gpu(&cfg, &m).epoch_s;
+                let single = simulate_epoch(&cfg.base, &m).epoch_s;
+                assert_eq!(multi, single, "{} at {level:?}", stats.name);
+            }
+        }
+    }
+
+    /// The 2-rank Pipelined DAG is the shared stage shape per rank — every
+    /// task on its resource class, every transfer behind the double buffer —
+    /// plus one all-reduce barrier per step.
+    #[test]
+    fn two_rank_schedule_is_the_stage_shape_per_rank_behind_the_double_buffer() {
+        let batches = 2 * (TRANSFER_QUEUE_CAP + 1);
+        let cfg = base(DatasetStats::arxiv());
+        let sim = run_epoch(&cfg, &CostModel::paper_hardware(), 2, batches, false, 1_000).sim;
+        let task = |label: String| {
+            let id = sim.tasks().iter().position(|t| t.label == label);
+            id.unwrap_or_else(|| panic!("no task {label}"))
+        };
+        let resource_of = |id: usize| sim.resources()[sim.tasks()[id].resource].name.as_str();
+        assert_eq!(sim.tasks().len(), 2 * batches * (shape::train().len() + 1));
+        for (r, b) in (0..2).flat_map(|r| (0..batches).map(move |b| (r, b))) {
+            for stage in shape::train() {
+                let class = match stage.resource {
+                    ResourceKind::Workers => "cpu-workers",
+                    ResourceKind::Dma => "dma",
+                    ResourceKind::Gpu => "gpu",
+                };
+                let id = task(format!("{}[{b},{r}]", stage.sim_task));
+                assert_eq!(resource_of(id), format!("{class}[{r}]"));
+            }
+            let allreduce = task(format!("allreduce[{b},{r}]"));
+            assert_eq!(resource_of(allreduce), format!("nic[{r}]"));
+            let step = [task(format!("train[{b},0]")), task(format!("train[{b},1]"))];
+            assert_eq!(sim.tasks()[allreduce].deps, step);
+            if b > 0 {
+                let train = &sim.tasks()[task(format!("train[{b},{r}]"))];
+                assert!(train.deps.contains(&task(format!("allreduce[{},{r}]", b - 1))));
+            }
+            if b > TRANSFER_QUEUE_CAP {
+                let gate = task(format!("train[{},{r}]", b - TRANSFER_QUEUE_CAP - 1));
+                let transfer = &sim.tasks()[task(format!("transfer[{b},{r}]"))];
+                assert!(transfer.deps.contains(&gate), "transfer[{b},{r}] lacks its double-buffer gate");
+            }
+        }
     }
 
     #[test]

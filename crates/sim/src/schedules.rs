@@ -13,6 +13,9 @@
 //!    launches training.
 //! 4. [`OptLevel::Pipelined`] — transfers move to a separate stream (DMA
 //!    resource), assertions are skipped, and GPU compute overlaps transfer.
+//!
+//! All four, on one GPU or many, and the inference pass and the what-if
+//! projector besides, are one per-batch chain: [`EpochShape::compile`].
 
 use crate::cost::{CostModel, GnnArch, Impl};
 use crate::des::{Executed, ResourceId, Simulation, TaskId};
@@ -118,102 +121,210 @@ impl EpochReport {
     }
 }
 
-/// Stage durations (ns) for one batch under a ladder level.
+/// One batch's stage durations in virtual nanoseconds.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct StageNs {
-    pub(crate) sample_worker: f64,
-    pub(crate) sample_workers: usize,
-    pub(crate) slice_main: f64,
-    pub(crate) prep_worker: f64,
-    pub(crate) transfer: f64,
-    pub(crate) train: f64,
+pub(crate) struct BatchNs {
+    /// On a pool worker: sampling while the main thread still slices,
+    /// end-to-end preparation from [`OptLevel::SharedMemPrep`] on.
+    pub(crate) worker: u64,
+    /// The main thread's slice (levels below [`OptLevel::SharedMemPrep`]).
+    pub(crate) slice: u64,
+    pub(crate) transfer: u64,
+    pub(crate) device: u64,
 }
 
-pub(crate) fn stage_durations(cfg: &EpochConfig, m: &CostModel, w: &BatchWorkload) -> StageNs {
+/// An epoch as the schedule sees it: `ranks` identical pipelines, each
+/// running `batches` through worker → host step → device, joined by one
+/// all-reduce per step when there is more than one rank.
+pub(crate) struct EpochShape<'a> {
+    pub(crate) ranks: usize,
+    /// Worker-pool width per rank.
+    pub(crate) workers: usize,
+    /// Workers start batch `b` once the device finished batch `b - prefetch`
+    /// (bounded work-ahead); 0 disables the bound.
+    pub(crate) prefetch: usize,
+    /// Bound of the queue feeding the device at [`OptLevel::Pipelined`]: the
+    /// transfer runs at most `queue_cap + 1` batches ahead (`queue_cap` queued
+    /// plus one parked in send), the real executor's backpressure.
+    pub(crate) queue_cap: usize,
+    /// Whose host step runs between worker and device (the module docs).
+    pub(crate) level: OptLevel,
+    /// Name of the device task when it is not the shape's own (`train`).
+    pub(crate) device_task: Option<&'static str>,
+    pub(crate) batches: &'a [BatchNs],
+    pub(crate) allreduce_ns: u64,
+}
+
+impl EpochShape<'_> {
+    /// Compiles the epoch to a task graph and returns it with rank 0's device
+    /// resource (the ranks are identical). Stage names and resource classes
+    /// come from the canonical shape shared with the real executor
+    /// (`salient_pipeline::shape::train`), so they cannot silently drift
+    /// between the two planes. This is the only place a per-batch chain is
+    /// written down: every schedule of this crate is a call of it.
+    pub(crate) fn compile(&self) -> (Simulation, ResourceId) {
+        struct Rank {
+            workers: ResourceId,
+            main: ResourceId,
+            dma: ResourceId,
+            gpu: ResourceId,
+            nic: Option<ResourceId>,
+        }
+        let [prep_sh, transfer_sh, train_sh] = shape::train();
+        let multi = self.ranks > 1;
+        let mut sim = Simulation::new();
+        let ranks: Vec<Rank> = (0..self.ranks)
+            .map(|r| {
+                let of = if multi { format!("[{r}]") } else { String::new() };
+                Rank {
+                    workers: sim.resource(format!("cpu-workers{of}"), self.workers),
+                    main: sim.resource(format!("main{of}"), 1),
+                    dma: sim.resource(format!("dma{of}"), 1),
+                    gpu: sim.resource(format!("gpu{of}"), 1),
+                    nic: multi.then(|| sim.resource(format!("nic{of}"), 1)),
+                }
+            })
+            .collect();
+        let class = |rank: &Rank, kind: ResourceKind| match kind {
+            ResourceKind::Workers => rank.workers,
+            ResourceKind::Dma => rank.dma,
+            ResourceKind::Gpu => rank.gpu,
+        };
+        let sliced = self.level < OptLevel::SharedMemPrep;
+        let worker_task = if sliced { "sample" } else { prep_sh.sim_task };
+        let device_task = self.device_task.unwrap_or(train_sh.sim_task);
+
+        let mut device: Vec<Vec<TaskId>> = vec![Vec::new(); self.ranks];
+        let mut reduced: Vec<Option<TaskId>> = vec![None; self.ranks];
+        for (b, ns) in self.batches.iter().enumerate() {
+            for (r, rank) in ranks.iter().enumerate() {
+                let label = |task: &str| {
+                    if multi {
+                        format!("{task}[{b},{r}]")
+                    } else {
+                        format!("{task}[{b}]")
+                    }
+                };
+                // This rank's device task `lag` batches back, if there is one.
+                let behind = |lag: usize| match lag {
+                    0 => None,
+                    _ => b.checked_sub(lag).map(|earlier| device[r][earlier]),
+                };
+                let gate = Vec::from_iter(behind(self.prefetch));
+                let worker = sim.task(label(worker_task), class(rank, prep_sh.resource), ns.worker, gate);
+                let mut ready = vec![worker];
+                let transfer = if self.level == OptLevel::Pipelined {
+                    ready.extend(behind(self.queue_cap + 1));
+                    let stream = class(rank, transfer_sh.resource);
+                    sim.task(label(transfer_sh.sim_task), stream, ns.transfer, ready)
+                } else {
+                    // The main thread is busy until the previous batch's
+                    // device call returns.
+                    ready.extend(behind(1));
+                    if sliced {
+                        ready = vec![sim.task(label("slice"), rank.main, ns.slice, ready)];
+                    }
+                    sim.task(label(transfer_sh.sim_task), rank.main, ns.transfer, ready)
+                };
+                let mut deps = vec![transfer];
+                deps.extend(reduced[r]);
+                let done = sim.task(label(device_task), class(rank, train_sh.resource), ns.device, deps);
+                device[r].push(done);
+            }
+            // The ring all-reduce starts once every rank finished backward,
+            // and the next step's device task waits for it.
+            for (r, rank) in ranks.iter().enumerate() {
+                if let Some(nic) = rank.nic {
+                    let step: Vec<TaskId> = device.iter().map(|done| done[b]).collect();
+                    let label = format!("allreduce[{b},{r}]");
+                    reduced[r] = Some(sim.task(label, nic, self.allreduce_ns, step));
+                }
+            }
+        }
+        (sim, ranks[0].gpu)
+    }
+}
+
+/// Stage durations of one training batch under `cfg`'s ladder level, and
+/// the width of the worker pool that prepares it.
+pub(crate) fn stage_durations(cfg: &EpochConfig, m: &CostModel, w: &BatchWorkload) -> (BatchNs, usize) {
     let p = cfg.cpu_workers;
     let (sampler, slicer) = match cfg.level {
         OptLevel::PygBaseline => (Impl::Pyg, Impl::Pyg),
         _ => (Impl::Salient, Impl::Salient),
     };
     // Per-batch duration on one worker inflates with P active workers such
-    // that aggregate throughput follows the calibrated Amdahl curve. The
-    // multiprocessing baseline runs fewer sampling workers than hardware
-    // cores (the main process's OpenMP slicing needs cores too).
-    let (sample_serial, sample_workers) = match cfg.level {
-        OptLevel::PygBaseline | OptLevel::FastSampling => {
-            (m.sample_serial_frac_pyg, m.pyg_dataloader_workers.min(p))
-        }
-        _ => (m.sample_serial_frac_salient, p),
-    };
+    // that aggregate throughput follows the calibrated Amdahl curve.
     let contention = |serial: f64, workers: usize| serial * workers as f64 + (1.0 - serial);
     let sample_t1 = m.sample_batch_ns(sampler, w);
-    let sample_worker = sample_t1 * contention(sample_serial, sample_workers);
-
+    let (worker, workers) = if cfg.level < OptLevel::SharedMemPrep {
+        // The multiprocessing baseline runs fewer sampling workers than
+        // hardware cores (the main process's OpenMP slicing needs cores too).
+        let workers = m.pyg_dataloader_workers.min(p);
+        (sample_t1 * contention(m.sample_serial_frac_pyg, workers), workers)
+    } else {
+        // Shared-memory prep: sample + serial slice end-to-end on a worker,
+        // zero-copy into pinned memory (no IPC term).
+        let prep = sample_t1 * contention(m.sample_serial_frac_salient, p)
+            + m.slice_batch_ns(Impl::Salient, w) * contention(m.slice_serial_frac_salient, p)
+            + m.salient_batch_overhead_ns;
+        (prep, p)
+    };
     // Baseline slicing runs on the main thread with OpenMP across all
     // cores, after receiving the sampled MFG from a worker process over
     // IPC. The calibrated PyG slice bandwidth and serial fraction already
     // include the shared-memory slicing overheads (fitted to Table 2).
-    let slice_t1 = m.slice_batch_ns(slicer, w);
-    let slice_main = CostModel::parallel_time(slice_t1, p, m.slice_serial_frac_pyg)
+    let slice = CostModel::parallel_time(m.slice_batch_ns(slicer, w), p, m.slice_serial_frac_pyg)
         + m.ipc_receive_ns(w);
-
-    // Shared-memory prep: sample + serial slice end-to-end on a worker,
-    // zero-copy into pinned memory (no IPC term).
-    let prep_worker = sample_t1 * contention(m.sample_serial_frac_salient, p)
-        + m.slice_batch_ns(Impl::Salient, w) * contention(m.slice_serial_frac_salient, p)
-        + m.salient_batch_overhead_ns;
-
     let transfer = m.transfer_batch_ns(w, cfg.level == OptLevel::Pipelined);
     let train = m.gpu_train_batch_ns(cfg.arch, w, cfg.hidden, cfg.classes);
-    StageNs {
-        sample_worker,
-        sample_workers,
-        slice_main,
-        prep_worker,
-        transfer,
-        train,
-    }
+    let ns = BatchNs {
+        worker: worker as u64,
+        slice: slice as u64,
+        transfer: transfer as u64,
+        device: train as u64,
+    };
+    (ns, workers)
 }
 
-/// The Pipelined schedule's per-batch stage durations and shape constants,
-/// exported for cross-validation: the trace-side what-if projector
-/// (`salient_trace::critical_path::Replay`) builds the same batch-major
-/// greedy schedule from these numbers, and CI gates its makespan against
-/// the DES result from [`simulate_epoch_detailed`].
-#[derive(Clone, Copy, Debug)]
-pub struct PipelinedShapeNs {
-    /// Per-batch end-to-end prep duration on one worker (ns).
-    pub prep_ns: u64,
-    /// Per-batch transfer duration on the DMA stream (ns).
-    pub transfer_ns: u64,
-    /// Per-batch GPU train duration (ns).
-    pub train_ns: u64,
-    /// Prep worker-pool width.
-    pub workers: usize,
-    /// Batches per epoch.
-    pub batches: usize,
-    /// Bounded transfer→train queue capacity (see
-    /// [`salient_pipeline::shape::TRANSFER_QUEUE_CAP`]).
-    pub queue_cap: usize,
-    /// Source prefetch depth: how many batches may enter prep before the
-    /// first train completion gates further sourcing.
-    pub prefetch: usize,
+/// An executed epoch of identical batches.
+pub(crate) struct EpochRun {
+    pub(crate) batch: BatchNs,
+    pub(crate) sim: Simulation,
+    pub(crate) ex: Executed,
+    /// Rank 0's device resource.
+    pub(crate) gpu: ResourceId,
 }
 
-/// Computes the [`PipelinedShapeNs`] for `cfg` under `model` — the exact
-/// constants [`simulate_epoch_detailed`] uses for [`OptLevel::Pipelined`].
-pub fn pipelined_shape_ns(cfg: &EpochConfig, model: &CostModel) -> PipelinedShapeNs {
+/// Compiles and runs `batches` steps of `cfg` on `ranks` GPUs (batch size is
+/// per GPU), an all-reduce of `allreduce_ns` closing every step;
+/// `forward_only` swaps the training step for an inference batch.
+pub(crate) fn run_epoch(
+    cfg: &EpochConfig,
+    model: &CostModel,
+    ranks: usize,
+    batches: usize,
+    forward_only: bool,
+    allreduce_ns: u64,
+) -> EpochRun {
     let w = expected_batch(&cfg.stats, &cfg.fanouts, cfg.batch_size);
-    let s = stage_durations(cfg, model, &w);
-    PipelinedShapeNs {
-        prep_ns: s.prep_worker as u64,
-        transfer_ns: s.transfer as u64,
-        train_ns: s.train as u64,
-        workers: cfg.cpu_workers,
-        batches: cfg.stats.batches_per_epoch(cfg.batch_size),
-        queue_cap: TRANSFER_QUEUE_CAP,
-        prefetch: 2 * cfg.cpu_workers,
+    let (mut batch, workers) = stage_durations(cfg, model, &w);
+    if forward_only {
+        batch.device = model.gpu_infer_batch_ns(cfg.arch, &w, cfg.hidden, cfg.classes) as u64;
     }
+    let (sim, gpu) = EpochShape {
+        ranks,
+        workers,
+        prefetch: 2 * cfg.cpu_workers,
+        queue_cap: TRANSFER_QUEUE_CAP,
+        level: cfg.level,
+        device_task: forward_only.then_some("infer"),
+        batches: &vec![batch; batches],
+        allreduce_ns,
+    }
+    .compile();
+    let ex = sim.run();
+    EpochRun { batch, sim, ex, gpu }
 }
 
 /// Builds and runs the DES for one epoch, returning the report plus the raw
@@ -222,157 +333,30 @@ pub fn simulate_epoch_detailed(
     cfg: &EpochConfig,
     model: &CostModel,
 ) -> (EpochReport, Simulation, Executed) {
-    let w = expected_batch(&cfg.stats, &cfg.fanouts, cfg.batch_size);
     let batches = cfg.stats.batches_per_epoch(cfg.batch_size);
-    let s = stage_durations(cfg, model, &w);
-    let mut sim = Simulation::new();
-    let sampler_pool = match cfg.level {
-        OptLevel::PygBaseline | OptLevel::FastSampling => s.sample_workers,
-        _ => cfg.cpu_workers,
+    let run = run_epoch(cfg, model, 1, batches, false, 0);
+    let epoch_s = run.ex.makespan as f64 / 1e9;
+    let total_s = |per_batch: u64| batches as f64 * per_batch as f64 / 1e9;
+    let train_s = total_s(run.batch.device);
+    let (prep_s, transfer_s) = if cfg.level == OptLevel::Pipelined {
+        // Nothing blocks except residual non-overlap.
+        ((epoch_s - train_s).max(0.0), 0.0)
+    } else {
+        // Blocking accounting from the main loop's perspective: whatever
+        // is not transfer or training is preparation (slice + waiting on
+        // samplers), as in Table 1.
+        let transfer_s = total_s(run.batch.transfer);
+        ((epoch_s - transfer_s - train_s).max(0.0), transfer_s)
     };
-    let workers = sim.resource("cpu-workers", sampler_pool);
-    let main = sim.resource("main", 1);
-    let dma = sim.resource("dma", 1);
-    let gpu = sim.resource("gpu", 1);
-
-    let mut train_tasks: Vec<TaskId> = Vec::with_capacity(batches);
-    let prefetch_depth = 2 * cfg.cpu_workers;
-
-    match cfg.level {
-        OptLevel::PygBaseline | OptLevel::FastSampling => {
-            // Workers sample ahead (bounded prefetch); main thread slices,
-            // transfers, and blocks on training.
-            for b in 0..batches {
-                let mut sample_deps = Vec::new();
-                if b >= prefetch_depth {
-                    sample_deps.push(train_tasks[b - prefetch_depth]);
-                }
-                let sample = sim.task(
-                    format!("sample[{b}]"),
-                    workers,
-                    s.sample_worker as u64,
-                    sample_deps,
-                );
-                let mut slice_deps = vec![sample];
-                if let Some(&prev) = train_tasks.last() {
-                    slice_deps.push(prev); // main thread is busy until train returns
-                }
-                let slice = sim.task(format!("slice[{b}]"), main, s.slice_main as u64, slice_deps);
-                let transfer = sim.task(format!("transfer[{b}]"), main, s.transfer as u64, vec![slice]);
-                let train = sim.task(format!("train[{b}]"), gpu, s.train as u64, vec![transfer]);
-                train_tasks.push(train);
-            }
-        }
-        OptLevel::SharedMemPrep => {
-            // Workers prepare end-to-end; main thread transfers (still
-            // blocking, assertions still on) then blocks on training.
-            for b in 0..batches {
-                let mut prep_deps = Vec::new();
-                if b >= prefetch_depth {
-                    prep_deps.push(train_tasks[b - prefetch_depth]);
-                }
-                let prep = sim.task(format!("prep[{b}]"), workers, s.prep_worker as u64, prep_deps);
-                let mut tr_deps = vec![prep];
-                if let Some(&prev) = train_tasks.last() {
-                    tr_deps.push(prev);
-                }
-                let transfer = sim.task(format!("transfer[{b}]"), main, s.transfer as u64, tr_deps);
-                let train = sim.task(format!("train[{b}]"), gpu, s.train as u64, vec![transfer]);
-                train_tasks.push(train);
-            }
-        }
-        OptLevel::Pipelined => {
-            // Full SALIENT: prep on workers, transfer on its own stream
-            // (DMA), GPU compute overlaps; nothing blocks the main loop.
-            // The schedule is compiled from the canonical stage shape shared
-            // with the real executor (`salient_pipeline::shape::train`), so
-            // stage names, resource classes, and the double-buffer bound
-            // cannot silently drift between the two planes.
-            let [prep_sh, transfer_sh, train_sh] = shape::train();
-            let res = |kind: ResourceKind| -> ResourceId {
-                match kind {
-                    ResourceKind::Workers => workers,
-                    ResourceKind::Dma => dma,
-                    ResourceKind::Gpu => gpu,
-                }
-            };
-            for b in 0..batches {
-                let mut prep_deps = Vec::new();
-                if b >= prefetch_depth {
-                    prep_deps.push(train_tasks[b - prefetch_depth]);
-                }
-                let prep = sim.task(
-                    format!("{}[{b}]", prep_sh.sim_task),
-                    res(prep_sh.resource),
-                    s.prep_worker as u64,
-                    prep_deps,
-                );
-                // The bounded queue feeding compute: the transfer stage can
-                // run at most TRANSFER_QUEUE_CAP + 1 batches ahead of the
-                // consumer (cap queued plus one parked in send), mirroring
-                // the real executor's backpressure.
-                let mut tr_deps = vec![prep];
-                if b > TRANSFER_QUEUE_CAP {
-                    tr_deps.push(train_tasks[b - TRANSFER_QUEUE_CAP - 1]);
-                }
-                let transfer = sim.task(
-                    format!("{}[{b}]", transfer_sh.sim_task),
-                    res(transfer_sh.resource),
-                    s.transfer as u64,
-                    tr_deps,
-                );
-                let train = sim.task(
-                    format!("{}[{b}]", train_sh.sim_task),
-                    res(train_sh.resource),
-                    s.train as u64,
-                    vec![transfer],
-                );
-                train_tasks.push(train);
-            }
-        }
-    }
-
-    let ex = sim.run();
-    let report = build_report(cfg, &sim, &ex, &s, &train_tasks);
-    (report, sim, ex)
-}
-
-fn build_report(
-    cfg: &EpochConfig,
-    sim: &Simulation,
-    ex: &Executed,
-    s: &StageNs,
-    train_tasks: &[TaskId],
-) -> EpochReport {
-    let epoch_s = ex.makespan as f64 / 1e9;
-    let batches = train_tasks.len() as f64;
-    let train_s = batches * s.train / 1e9;
-    let (prep_s, transfer_s) = match cfg.level {
-        OptLevel::PygBaseline | OptLevel::FastSampling | OptLevel::SharedMemPrep => {
-            // Blocking accounting from the main loop's perspective: whatever
-            // is not transfer or training is preparation (slice + waiting on
-            // samplers), as in Table 1.
-            let transfer_s = batches * s.transfer / 1e9;
-            let prep_s = (epoch_s - transfer_s - train_s).max(0.0);
-            (prep_s, transfer_s)
-        }
-        OptLevel::Pipelined => {
-            // Nothing blocks except residual non-overlap.
-            let residual = (epoch_s - train_s).max(0.0);
-            (residual, 0.0)
-        }
-    };
-    // GPU resource is registered last (index 3).
-    let gpu_util = ex.utilization(sim, 3);
-    EpochReport {
+    let report = EpochReport {
         epoch_s,
         prep_s,
         transfer_s,
         train_s,
-        gpu_util,
-    }
+        gpu_util: run.ex.utilization(&run.sim, run.gpu),
+    };
+    (report, run.sim, run.ex)
 }
-
 
 /// Simulates a pipelined *inference* pass (forward only) over `num_nodes`
 /// evaluation nodes spread across `ranks` GPUs — the paper's "inference
@@ -383,48 +367,77 @@ pub fn simulate_inference_epoch(
     num_nodes: u64,
     ranks: usize,
 ) -> f64 {
-    let w = expected_batch(&cfg.stats, &cfg.fanouts, cfg.batch_size);
+    let cfg = EpochConfig {
+        level: OptLevel::Pipelined,
+        ..cfg.clone()
+    };
     let batches = num_nodes.div_ceil((cfg.batch_size * ranks.max(1)) as u64) as usize;
-    let contention = |serial: f64| serial * cfg.cpu_workers as f64 + (1.0 - serial);
-    let prep_ns = model.sample_batch_ns(Impl::Salient, &w)
-        * contention(model.sample_serial_frac_salient)
-        + model.slice_batch_ns(Impl::Salient, &w) * contention(model.slice_serial_frac_salient)
-        + model.salient_batch_overhead_ns;
-    let transfer_ns = model.transfer_batch_ns(&w, true);
-    let infer_ns = model.gpu_infer_batch_ns(cfg.arch, &w, cfg.hidden, cfg.classes);
-
-    let mut sim = Simulation::new();
-    let workers = sim.resource("workers", cfg.cpu_workers);
-    let dma = sim.resource("dma", 1);
-    let gpu = sim.resource("gpu", 1);
-    let mut infer_tasks: Vec<TaskId> = Vec::with_capacity(batches);
-    let prefetch = 2 * cfg.cpu_workers;
-    let [prep_sh, transfer_sh, _] = shape::train();
-    for b in 0..batches {
-        let mut deps = Vec::new();
-        if b >= prefetch {
-            deps.push(infer_tasks[b - prefetch]);
-        }
-        let prep = sim.task(format!("{}[{b}]", prep_sh.sim_task), workers, prep_ns as u64, deps);
-        let mut tr_deps = vec![prep];
-        if b > TRANSFER_QUEUE_CAP {
-            tr_deps.push(infer_tasks[b - TRANSFER_QUEUE_CAP - 1]);
-        }
-        let transfer = sim.task(
-            format!("{}[{b}]", transfer_sh.sim_task),
-            dma,
-            transfer_ns as u64,
-            tr_deps,
-        );
-        let infer = sim.task(format!("infer[{b}]"), gpu, infer_ns as u64, vec![transfer]);
-        infer_tasks.push(infer);
-    }
-    sim.run().makespan as f64 / 1e9
+    // Every rank runs the same pass on its share with nothing to reduce, so
+    // one rank's makespan is the pass's.
+    run_epoch(&cfg, model, 1, batches, true, 0).ex.makespan as f64 / 1e9
 }
 
 /// Convenience wrapper returning just the report.
 pub fn simulate_epoch(cfg: &EpochConfig, model: &CostModel) -> EpochReport {
     simulate_epoch_detailed(cfg, model).0
+}
+
+/// One what-if projection: the recorded schedule's makespan and the same
+/// schedule's with one stage sped up.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct WhatIf {
+    /// Makespan with the recorded durations.
+    pub baseline_ns: u64,
+    /// Makespan with the chosen stage scaled.
+    pub projected_ns: u64,
+    /// `baseline / projected` — the predicted end-to-end speedup.
+    pub speedup: f64,
+}
+
+/// Re-executes a recorded training run — per-batch `[prep, transfer, train]`
+/// durations, `prep_lanes` prep workers — under the pipelined schedule's
+/// constraints (`queue_cap`-bounded transfer queue, `prefetch` work-ahead
+/// bound, 0 for none) with stage `stage`'s durations divided by `factor`:
+/// what making that stage `factor` times faster would buy end to end.
+///
+/// The schedule is the one [`simulate_epoch`] runs, so a batch whose prep
+/// finishes first is transferred first, whatever its index — the order the
+/// real workers' channel delivers in.
+pub fn what_if(
+    recorded_ns: [&[u64]; 3],
+    prep_lanes: usize,
+    queue_cap: usize,
+    prefetch: usize,
+    stage: usize,
+    factor: f64,
+) -> WhatIf {
+    let makespan = |scaled: Option<usize>| {
+        let dur = |s: usize, b: usize| {
+            let ns = recorded_ns[s].get(b).copied().unwrap_or(0);
+            if scaled == Some(s) && factor > 0.0 {
+                (ns as f64 / factor).round() as u64
+            } else {
+                ns
+            }
+        };
+        let batches: Vec<BatchNs> = (0..recorded_ns[0].len())
+            .map(|b| BatchNs { worker: dur(0, b), slice: 0, transfer: dur(1, b), device: dur(2, b) })
+            .collect();
+        let shape = EpochShape {
+            ranks: 1,
+            workers: prep_lanes.max(1),
+            prefetch,
+            queue_cap,
+            level: OptLevel::Pipelined,
+            device_task: None,
+            batches: &batches,
+            allreduce_ns: 0,
+        };
+        shape.compile().0.run().makespan
+    };
+    let (baseline_ns, projected_ns) = (makespan(None), makespan(Some(stage)));
+    let speedup = if projected_ns == 0 { 1.0 } else { baseline_ns as f64 / projected_ns as f64 };
+    WhatIf { baseline_ns, projected_ns, speedup }
 }
 
 #[cfg(test)]
@@ -497,15 +510,14 @@ mod tests {
         // time for the slowest of these components in isolation."
         let cfg = EpochConfig::paper_default(DatasetStats::papers(), OptLevel::Pipelined);
         let m = CostModel::paper_hardware();
-        let (r, sim, ex) = simulate_epoch_detailed(&cfg, &m);
-        let _ = (sim, ex);
+        let r = simulate_epoch(&cfg, &m);
         // papers is prep-bound at 20 workers; epoch ≤ 1.15 × bottleneck.
         let w = expected_batch(&cfg.stats, &cfg.fanouts, cfg.batch_size);
-        let s = stage_durations(&cfg, &m, &w);
+        let (s, workers) = stage_durations(&cfg, &m, &w);
         let batches = cfg.stats.batches_per_epoch(cfg.batch_size) as f64;
-        let prep_capacity = batches * s.prep_worker / cfg.cpu_workers as f64 / 1e9;
-        let gpu_total = batches * s.train / 1e9;
-        let dma_total = batches * s.transfer / 1e9;
+        let prep_capacity = batches * s.worker as f64 / workers as f64 / 1e9;
+        let gpu_total = batches * s.device as f64 / 1e9;
+        let dma_total = batches * s.transfer as f64 / 1e9;
         let bottleneck = prep_capacity.max(gpu_total).max(dma_total);
         assert!(
             r.epoch_s <= bottleneck * 1.15 + 0.2,
@@ -543,6 +555,79 @@ mod tests {
         let fwd = m.gpu_infer_batch_ns(cfg.arch, &w, cfg.hidden, cfg.classes);
         let train = m.gpu_train_batch_ns(cfg.arch, &w, cfg.hidden, cfg.classes);
         assert!(fwd < train, "forward-only must be cheaper: {fwd} vs {train}");
+    }
+
+    /// `what_if` on `batches` identical batches of `[prep, transfer, train]`.
+    fn uniform(
+        ns: [u64; 3], batches: usize, lanes: usize, cap: usize, prefetch: usize, stage: usize, factor: f64,
+    ) -> WhatIf {
+        let [prep, transfer, train] = ns.map(|d| vec![d; batches]);
+        what_if([&prep, &transfer, &train], lanes, cap, prefetch, stage, factor)
+    }
+
+    #[test]
+    fn what_if_matches_hand_schedules() {
+        // Transfer 10, train 20, 3 batches, cap 2, no prefetch:
+        // transfer 0-10, 10-20, 20-30; train 10-30, 30-50, 50-70.
+        // Train 2x faster: 10 ns, so the chains serialize behind the
+        // transfer instead: 0-10/10-20, 10-20/20-30, 20-30/30-40.
+        let w = uniform([0, 10, 20], 3, 1, 2, 0, 2, 2.0);
+        assert_eq!((w.baseline_ns, w.projected_ns), (70, 40));
+        assert!((w.speedup - 70.0 / 40.0).abs() < 1e-9);
+        // Speeding the non-bottleneck stage only shortens the fill.
+        assert_eq!(uniform([0, 10, 20], 3, 1, 2, 0, 1, 2.0).projected_ns, 65);
+    }
+
+    #[test]
+    fn what_if_respects_queue_cap_prefetch_and_lanes() {
+        // One-slot queue ahead of the device: transfer 2 must wait for
+        // train 0 (b - cap - 1 = 0). t0 0-1, c0 1-101; t1 1-2; t2 starts at
+        // 101; train runs back to back: 1-101, 101-201, 201-301, 301-401.
+        assert_eq!(uniform([0, 1, 100], 4, 1, 1, 0, 0, 1.0).baseline_ns, 401);
+        // Prefetch 1: prep b waits for train b - 1, so nothing overlaps.
+        assert_eq!(uniform([10, 0, 20], 3, 1, 2, 1, 0, 1.0).baseline_ns, 3 * 30);
+        // A slow prep of 50 feeding a train of 10, 4 batches. One lane:
+        // prep ends at 50, 100, 150, 200 and the last train at 210. Two
+        // lanes: prep ends at 50, 50, 100, 100; train 50-60, 60-70, 100-110,
+        // 110-120.
+        assert_eq!(uniform([50, 0, 10], 4, 1, 8, 0, 0, 1.0).baseline_ns, 210);
+        assert_eq!(uniform([50, 0, 10], 4, 2, 8, 0, 0, 1.0).baseline_ns, 120);
+    }
+
+    #[test]
+    fn what_if_on_the_sims_own_durations_is_the_sim() {
+        // Fed the Pipelined schedule's stage durations, the projector is the
+        // simulated epoch; asked for the train speed-up a GPU of twice the
+        // FLOPs gives, it is the epoch simulated on that GPU.
+        let m = CostModel::paper_hardware();
+        let mut fast = m.clone();
+        fast.gpu_flops *= 2.0;
+        for stats in DatasetStats::all() {
+            let cfg = EpochConfig::paper_default(stats, OptLevel::Pipelined);
+            let batches = cfg.stats.batches_per_epoch(cfg.batch_size);
+            let run = run_epoch(&cfg, &m, 1, batches, false, 0);
+            let run_fast = run_epoch(&cfg, &fast, 1, batches, false, 0);
+            let ns = [run.batch.worker, run.batch.transfer, run.batch.device];
+            let factor = run.batch.device as f64 / run_fast.batch.device as f64;
+            let p = cfg.cpu_workers;
+            let w = uniform(ns, batches, p, TRANSFER_QUEUE_CAP, 2 * p, 2, factor);
+            assert_eq!(w.baseline_ns, run.ex.makespan);
+            assert_eq!(w.projected_ns, run_fast.ex.makespan);
+            assert!(w.speedup >= 1.0, "speeding a stage can never slow the run");
+        }
+    }
+
+    #[test]
+    fn what_if_transfers_in_the_order_prep_finishes() {
+        // Two lanes, and batch 0's prep (100) outlasts both others (10):
+        // prep 0 runs 0-100 on one lane, prep 1 0-10 and prep 2 10-20 on the
+        // other. The DMA stream takes batches as they become ready, as the
+        // workers' channel delivers them: transfer 1 10-30, transfer 2
+        // 30-50, transfer 0 100-120; train 1 30-35, train 2 50-55, train 0
+        // 120-125. (Serving in batch order would hold transfers 1 and 2
+        // behind transfer 0 and end at 165.)
+        let w = what_if([&[100, 10, 10], &[20; 3], &[5; 3]], 2, 2, 0, 0, 1.0);
+        assert_eq!(w.baseline_ns, 125);
     }
 
     #[test]

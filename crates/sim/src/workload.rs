@@ -105,22 +105,6 @@ pub fn expected_batch(stats: &DatasetStats, fanouts: &[usize], batch_size: usize
     }
 }
 
-/// Per-epoch totals at a given batch size: `(batches, nodes, edges, bytes)`.
-pub fn epoch_totals(
-    stats: &DatasetStats,
-    fanouts: &[usize],
-    batch_size: usize,
-) -> (usize, f64, f64, f64) {
-    let w = expected_batch(stats, fanouts, batch_size);
-    let batches = stats.batches_per_epoch(batch_size);
-    (
-        batches,
-        w.mfg_nodes * batches as f64,
-        w.mfg_edges * batches as f64,
-        w.transfer_bytes() * batches as f64,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,8 +132,8 @@ mod tests {
         // §3.3: "During a typical epoch with ogbn-papers100M, a total of
         // 164GB are transferred from CPU to GPU."
         let stats = DatasetStats::papers();
-        let (_, _, _, bytes) = epoch_totals(&stats, &[15, 10, 5], 1024);
-        let gb = bytes / 1e9;
+        let w = expected_batch(&stats, &[15, 10, 5], 1024);
+        let gb = w.transfer_bytes() * stats.batches_per_epoch(1024) as f64 / 1e9;
         assert!(
             (120.0..260.0).contains(&gb),
             "epoch transfer volume {gb:.0} GB should be within ~40% of the paper's 164 GB"
@@ -176,14 +160,5 @@ mod tests {
         let w = expected_batch(&stats, &[15, 10, 5], 1024);
         assert!(w.mfg_nodes < stats.num_nodes as f64);
         assert!(w.mfg_nodes > 0.3 * stats.num_nodes as f64);
-    }
-
-    #[test]
-    fn epoch_totals_scale_with_batches() {
-        let stats = DatasetStats::arxiv();
-        let (batches, nodes, _, _) = epoch_totals(&stats, &[15, 10, 5], 1024);
-        assert_eq!(batches, 89);
-        let w = expected_batch(&stats, &[15, 10, 5], 1024);
-        assert!((nodes - w.mfg_nodes * 89.0).abs() < 1.0);
     }
 }

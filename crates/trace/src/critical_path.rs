@@ -1,4 +1,4 @@
-//! Per-batch causal critical-path reconstruction and what-if projection.
+//! Per-batch causal critical-path reconstruction and attribution.
 //!
 //! Every instrumented pipeline event is tagged with a batch id, so a
 //! snapshot already contains each batch's *causal chain*: the ordered,
@@ -10,12 +10,11 @@
 //! between a work span and the wait that wraps it counts as work; a gap
 //! with no span active but a later edge still ahead is the batch parked in
 //! a queue, so it is inferred as queue wait), and
-//! [`Replay`] re-executes recorded chains under the pipeline's structural
-//! constraints (bounded transfer queue, prefetch depth, worker lanes) with
-//! any stage sped up by a chosen factor — the *what-if projector* that
-//! predicts what removing a bottleneck would buy before anyone builds it.
-//! The projection is validated against the `sim` plane's Pipelined
-//! schedule on the same shape constants in `tests/critical_path.rs`.
+//! [`RecordedStages::from_snapshot`] reads the per-batch prep / transfer /
+//! train durations and the prep lane count off the same spans — the input
+//! of the what-if projector, `salient_sim::what_if`, which re-executes them
+//! on the simulator's pipelined schedule with one stage sped up. This crate
+//! reconstructs and attributes; it schedules nothing.
 
 use crate::analysis::Snapshot;
 use crate::names::{spans, SpanName};
@@ -263,201 +262,44 @@ pub fn summarize(chains: &[BatchChain]) -> ChainAttribution {
     total
 }
 
-/// A replayable pipeline model extracted from recorded chains: per-stage
-/// per-batch durations plus the structural constraints the real executor
-/// ran under (worker lanes, bounded transfer queue, prefetch depth).
-/// [`Replay::what_if`] re-executes it with one stage sped up by a factor
-/// and reports the projected makespan — the causal answer to "what would
-/// making stage X k-times faster buy end to end?".
-#[derive(Clone, Debug)]
-pub struct Replay {
-    /// Stage name + lane count (parallel executors), pipeline order.
-    stages: Vec<(String, usize)>,
-    /// `dur_ns[stage][batch]` recorded durations.
-    dur_ns: Vec<Vec<u64>>,
-    /// Bounded-queue capacity ahead of the final stage: batch `b` of the
-    /// second-to-last stage cannot start until batch `b - cap - 1` left the
-    /// last stage (double buffering).
-    queue_cap: usize,
-    /// Prefetch depth: stage-0 batch `b` cannot start before batch
-    /// `b - prefetch` finished the last stage (bounded work-ahead);
-    /// 0 disables the constraint.
-    prefetch: usize,
+/// What a traced training run recorded per batch, batches in id order: the
+/// plain durations a schedule model needs to re-execute the run.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RecordedStages {
+    /// Prep work (sample + slice + copy) of each batch, nanoseconds.
+    pub prep_ns: Vec<u64>,
+    /// Transfer-stage work of each batch.
+    pub transfer_ns: Vec<u64>,
+    /// Train-stage work of each batch.
+    pub train_ns: Vec<u64>,
+    /// Number of distinct threads that recorded prep work (at least 1).
+    pub prep_lanes: usize,
 }
 
-/// One what-if projection result.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct WhatIf {
-    /// Replayed makespan with recorded durations.
-    pub baseline_ns: u64,
-    /// Replayed makespan with the chosen stage scaled.
-    pub projected_ns: u64,
-    /// `baseline / projected` — the predicted end-to-end speedup.
-    pub speedup: f64,
-}
-
-impl Replay {
-    /// A replay where every batch of a stage has the same duration — the
-    /// shape-constant form used to validate against the sim plane.
-    pub fn uniform(
-        stages: &[(&str, usize)],
-        durs: &[u64],
-        batches: usize,
-        queue_cap: usize,
-        prefetch: usize,
-    ) -> Replay {
-        Replay {
-            stages: stages.iter().map(|(n, l)| (n.to_string(), *l)).collect(),
-            dur_ns: durs.iter().map(|&d| vec![d; batches]).collect(),
-            queue_cap,
-            prefetch,
+impl RecordedStages {
+    /// Reads the stage durations off the batch-tagged spans of `snap`;
+    /// `None` when the snapshot has no tagged batches.
+    pub fn from_snapshot(snap: &Snapshot) -> Option<RecordedStages> {
+        fn named<'a>(chain: &'a BatchChain, names: &'a [SpanName]) -> impl Iterator<Item = &'a Edge> {
+            chain.edges.iter().filter(move |e| names.iter().any(|n| e.name == *n))
         }
-    }
-
-    /// Extracts the 3-stage training replay (prep / transfer / train) from
-    /// recorded batch-tagged spans; `None` when the snapshot has no tagged
-    /// batches. Prep lanes = the number of distinct threads that recorded
-    /// prep work.
-    pub fn from_snapshot(snap: &Snapshot, queue_cap: usize, prefetch: usize) -> Option<Replay> {
-        let mut batches: Vec<u64> = snap
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::Span && e.batch != NO_BATCH)
-            .map(|e| e.batch)
-            .collect();
-        batches.sort_unstable();
-        batches.dedup();
-        if batches.is_empty() {
+        let chains = batch_chains(snap);
+        if chains.is_empty() {
             return None;
         }
-        let sum_for = |names: &[SpanName], b: u64| -> u64 {
-            snap.events
-                .iter()
-                .filter(|e| {
-                    e.kind == EventKind::Span && e.batch == b && names.iter().any(|n| e.name == *n)
-                })
-                .map(|e| e.dur_ns())
-                .sum()
+        let per_batch = |names: &[SpanName]| -> Vec<u64> {
+            chains.iter().map(|c| named(c, names).map(Edge::dur_ns).sum()).collect()
         };
-        let prep_names = [spans::PREP_SAMPLE, spans::PREP_SLICE, spans::PREP_COPY];
-        let prep: Vec<u64> = batches.iter().map(|&b| sum_for(&prep_names, b)).collect();
-        let transfer: Vec<u64> = batches
-            .iter()
-            .map(|&b| sum_for(&[spans::STAGE_TRANSFER], b))
-            .collect();
-        let train: Vec<u64> = batches
-            .iter()
-            .map(|&b| sum_for(&[spans::STAGE_TRAIN], b))
-            .collect();
-        let mut prep_tids: Vec<u32> = snap
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::Span && prep_names.iter().any(|n| e.name == *n))
-            .map(|e| e.tid)
-            .collect();
+        let prep = [spans::PREP_SAMPLE, spans::PREP_SLICE, spans::PREP_COPY];
+        let mut prep_tids: Vec<u32> = chains.iter().flat_map(|c| named(c, &prep)).map(|e| e.tid).collect();
         prep_tids.sort_unstable();
         prep_tids.dedup();
-        Some(Replay {
-            stages: vec![
-                ("prep".to_string(), prep_tids.len().max(1)),
-                ("transfer".to_string(), 1),
-                ("train".to_string(), 1),
-            ],
-            dur_ns: vec![prep, transfer, train],
-            queue_cap,
-            prefetch,
+        Some(RecordedStages {
+            prep_ns: per_batch(&prep),
+            transfer_ns: per_batch(&[spans::STAGE_TRANSFER]),
+            train_ns: per_batch(&[spans::STAGE_TRAIN]),
+            prep_lanes: prep_tids.len().max(1),
         })
-    }
-
-    /// Stage names in pipeline order.
-    pub fn stage_names(&self) -> Vec<&str> {
-        self.stages.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
-    /// Replays the recorded chains under the structural constraints and
-    /// returns the makespan.
-    pub fn makespan_ns(&self) -> u64 {
-        self.makespan_scaled(None, 1.0)
-    }
-
-    /// Replay with stage `stage`'s durations divided by `factor`.
-    pub fn what_if(&self, stage: usize, factor: f64) -> WhatIf {
-        let baseline_ns = self.makespan_ns();
-        let projected_ns = self.makespan_scaled(Some(stage), factor);
-        WhatIf {
-            baseline_ns,
-            projected_ns,
-            speedup: if projected_ns == 0 {
-                1.0
-            } else {
-                baseline_ns as f64 / projected_ns as f64
-            },
-        }
-    }
-
-    /// In-order greedy list schedule: batch-major, each stage picks its
-    /// earliest-free lane; every dependency points at an earlier batch or
-    /// an earlier stage of the same batch, so one pass suffices.
-    fn makespan_scaled(&self, scaled: Option<usize>, factor: f64) -> u64 {
-        let nstages = self.dur_ns.len();
-        let batches = self.dur_ns.first().map(Vec::len).unwrap_or(0);
-        if nstages == 0 || batches == 0 {
-            return 0;
-        }
-        let last = nstages - 1;
-        let mut finish: Vec<Vec<u64>> = vec![vec![0u64; batches]; nstages];
-        let mut lane_free: Vec<Vec<u64>> = self
-            .stages
-            .iter()
-            .map(|(_, l)| vec![0u64; (*l).max(1)])
-            .collect();
-        let fin = |f: &Vec<Vec<u64>>, s: usize, b: usize| -> u64 {
-            f.get(s).and_then(|row| row.get(b)).copied().unwrap_or(0)
-        };
-        let mut makespan = 0u64;
-        for b in 0..batches {
-            for s in 0..nstages {
-                let mut ready = 0u64;
-                if s > 0 {
-                    ready = ready.max(fin(&finish, s - 1, b));
-                }
-                if s == 0 && self.prefetch > 0 && b >= self.prefetch {
-                    ready = ready.max(fin(&finish, last, b - self.prefetch));
-                }
-                if nstages >= 2 && s == nstages - 2 && b > self.queue_cap {
-                    ready = ready.max(fin(&finish, last, b - self.queue_cap - 1));
-                }
-                let mut dur = self
-                    .dur_ns
-                    .get(s)
-                    .and_then(|row| row.get(b))
-                    .copied()
-                    .unwrap_or(0);
-                if scaled == Some(s) && factor > 0.0 {
-                    dur = (dur as f64 / factor).round() as u64;
-                }
-                // Earliest-free lane for this stage.
-                let lane = lane_free
-                    .get(s)
-                    .and_then(|lf| {
-                        lf.iter()
-                            .enumerate()
-                            .min_by_key(|(_, &t)| t)
-                            .map(|(i, &t)| (i, t))
-                    })
-                    .unwrap_or((0, 0));
-                let start = ready.max(lane.1);
-                let end = start + dur;
-                if let Some(slot) = lane_free.get_mut(s).and_then(|lf| lf.get_mut(lane.0)) {
-                    *slot = end;
-                }
-                if let Some(slot) = finish.get_mut(s).and_then(|row| row.get_mut(b)) {
-                    *slot = end;
-                }
-                makespan = makespan.max(end);
-            }
-        }
-        makespan
     }
 }
 
@@ -524,37 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_makespan_matches_hand_schedule() {
-        // 2 stages, 3 batches, durs 10/20, cap 2, no prefetch:
-        // s0: 0-10, 10-20, 20-30; s1: 10-30, 30-50, 50-70.
-        let r = Replay::uniform(&[("a", 1), ("b", 1)], &[10, 20], 3, 2, 0);
-        assert_eq!(r.makespan_ns(), 70);
-        // Speeding the bottleneck stage 2x: s1 becomes 10 ns — chains
-        // serialize behind s0 instead: 0-10/10-20, 10-20/20-30, 20-30/30-40.
-        let w = r.what_if(1, 2.0);
-        assert_eq!(w.baseline_ns, 70);
-        assert_eq!(w.projected_ns, 40);
-        assert!((w.speedup - 70.0 / 40.0).abs() < 1e-9);
-        // Speeding the non-bottleneck stage buys nothing at steady state.
-        let w0 = r.what_if(0, 2.0);
-        assert_eq!(w0.projected_ns, 65);
-    }
-
-    #[test]
-    fn replay_respects_queue_cap_and_lanes() {
-        // One-slot queue ahead of the last stage: transfer b=2 must wait for
-        // train b=0 to finish (b - cap - 1 = 0).
-        let r = Replay::uniform(&[("t", 1), ("c", 1)], &[1, 100], 4, 1, 0);
-        // t0 0-1, c0 1-101; t1 1-2; t2 waits for c0 → starts 101.
-        // c runs back-to-back: 1-101, 101-201, 201-301, 301-401.
-        assert_eq!(r.makespan_ns(), 401);
-        // Two lanes on a slow first stage halve its serial throughput.
-        let one = Replay::uniform(&[("p", 1), ("c", 1)], &[50, 10], 4, 8, 0);
-        let two = Replay::uniform(&[("p", 2), ("c", 1)], &[50, 10], 4, 8, 0);
-        assert!(two.makespan_ns() < one.makespan_ns());
-    }
-
-    #[test]
     fn from_snapshot_extracts_per_batch_durations() {
         let t = Trace::new(Clock::virtual_manual());
         for b in 0..3u64 {
@@ -564,14 +375,12 @@ mod tests {
             t.record_span(spans::STAGE_TRANSFER, b, off + 40, off + 50);
             t.record_span(spans::STAGE_TRAIN, b, off + 50, off + 90);
         }
-        let r = Replay::from_snapshot(&t.snapshot(), 2, 0).unwrap();
-        assert_eq!(r.stage_names(), ["prep", "transfer", "train"]);
-        // prep 40, transfer 10, train 40 per batch; 1 lane each (single
-        // recording thread) → pipeline bound by prep+train interleave.
-        assert_eq!(r.dur_ns[0], vec![40, 40, 40]);
-        assert_eq!(r.dur_ns[1], vec![10, 10, 10]);
-        assert_eq!(r.dur_ns[2], vec![40, 40, 40]);
-        assert!(r.makespan_ns() >= 3 * 40);
-        assert!(Replay::from_snapshot(&Snapshot::default(), 2, 0).is_none());
+        // prep 40, transfer 10, train 40 per batch, one recording thread.
+        let r = RecordedStages::from_snapshot(&t.snapshot()).unwrap();
+        assert_eq!(r.prep_ns, [40, 40, 40]);
+        assert_eq!(r.transfer_ns, [10, 10, 10]);
+        assert_eq!(r.train_ns, [40, 40, 40]);
+        assert_eq!(r.prep_lanes, 1);
+        assert!(RecordedStages::from_snapshot(&Snapshot::default()).is_none());
     }
 }

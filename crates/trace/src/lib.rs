@@ -62,7 +62,7 @@ pub mod metrics;
 pub use analysis::{analyze, PipelineReport, Snapshot, ThreadOccupancy};
 pub use blackbox::{Blackbox, BlackboxConfig};
 pub use clock::{Clock, VirtualClock};
-pub use critical_path::{batch_chains, BatchChain, ChainAttribution, EdgeKind, Replay, WhatIf};
+pub use critical_path::{batch_chains, BatchChain, ChainAttribution, EdgeKind, RecordedStages};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
 pub use span::{EventKind, SpanEvent, SpanGuard, Trace, NO_BATCH};
 

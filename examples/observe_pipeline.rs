@@ -29,7 +29,8 @@ use salient_repro::core::{ExecutorKind, RunConfig, Trainer};
 use salient_repro::graph::DatasetConfig;
 use salient_repro::pipeline::shape;
 use salient_repro::tensor::pool;
-use salient_repro::trace::critical_path::{batch_chains, summarize, Replay};
+use salient_repro::sim::what_if;
+use salient_repro::trace::critical_path::{batch_chains, summarize, RecordedStages};
 use salient_repro::trace::export::{chrome_trace, metrics_json, render_report};
 use salient_repro::trace::json::validate_chrome_trace;
 use salient_repro::trace::{analyze, names, BlackboxConfig, Clock, Trace};
@@ -212,8 +213,8 @@ fn main() {
     };
     // Per-batch causal chains: charge every nanosecond of every batch's
     // latency to a named category, then project what doubling the compute
-    // stage's speed would buy (the what-if answer CI cross-checks against
-    // the sim plane in tests/critical_path.rs).
+    // stage's speed would buy: the recorded stage durations re-executed on
+    // the sim plane's pipelined schedule.
     let chains = batch_chains(&snap);
     let attr = summarize(&chains);
     let chain_total = attr.total_ns.max(1);
@@ -236,8 +237,10 @@ fn main() {
         "critical path must attribute >= 90% of chain time to named \
          categories, got {named_pct:.1}% (queued {queued_pct:.1}%)"
     );
-    let what_if = Replay::from_snapshot(&snap, shape::TRANSFER_QUEUE_CAP, prefetch)
-        .map(|r| r.what_if(2, 2.0));
+    let what_if = RecordedStages::from_snapshot(&snap).map(|r| {
+        let recorded = [&r.prep_ns[..], &r.transfer_ns[..], &r.train_ns[..]];
+        what_if(recorded, r.prep_lanes, shape::TRANSFER_QUEUE_CAP, prefetch, 2, 2.0)
+    });
     if let Some(w) = &what_if {
         println!(
             "what-if train 2x: baseline {:.3} ms -> projected {:.3} ms (speedup {:.2}x)",
