@@ -24,7 +24,7 @@
 
 use salient_graph::{FeatureRows, FeatureRowsMut, FeatureSlab};
 use salient_tensor::sync::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use salient_tensor::Dtype;
+use salient_tensor::{Dtype, RowStore};
 
 #[derive(Debug)]
 struct Buffers {
@@ -105,6 +105,15 @@ impl PinnedSlot {
     pub fn payload_bytes(&self) -> usize {
         self.used_features * self.dtype().size_of()
             + self.used_labels * std::mem::size_of::<u32>()
+    }
+}
+
+/// A tape that is lent the slot ([`salient_tensor::Tape::constant_rows`])
+/// reads the staged rows where they lie and gives the slot back to its pool
+/// when it is dropped.
+impl RowStore for PinnedSlot {
+    fn rows(&self) -> FeatureRows<'_> {
+        self.features()
     }
 }
 

@@ -5,12 +5,18 @@
 //! a forward+backward and a full train step of one GraphSAGE batch.
 
 use salient_bench::harness::{bench, report};
+use salient_batchprep::PinnedPool;
 use salient_graph::DatasetConfig;
 use salient_nn::{build_model, Mode, ModelKind};
 use salient_sampler::FastSampler;
 use salient_tensor::optim::{zero_grads, Adam, Optimizer};
 use salient_tensor::rng::{Rng, SliceRandom, StdRng};
-use salient_tensor::{gemm, init, kernels, quantize, widen_into, Param, Tape, Tensor};
+use salient_tensor::{gemm, init, kernels, quantize, widen_into, Dtype, FeatureRows, Param, RowStore, Tape, Tensor};
+use std::rc::Rc;
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
 
 fn bench_gemm() {
     let mut samples = Vec::new();
@@ -47,7 +53,9 @@ fn bench_scatter() {
 /// seeds, 100 feature columns): `infer` is `infer_sweep`'s shape (G10k,
 /// fanouts 20,20,20), `train` is `train_compute`'s (G100k, fanouts 15,10,5).
 /// Each row prints edges per second and the bytes of source rows those edges
-/// read per second; the last line is one large `copy_from_slice`, the rate a
+/// read per second (`csr_agg_fwd_f16` sums the same rows stored as halves, as
+/// hop 0 reads a staged batch: half the bytes, the same bits out — compared
+/// before timing); the last line is one large `copy_from_slice`, the rate a
 /// kernel that streamed its rows instead of gathering them could not beat.
 fn bench_csr_agg() {
     const COLS: usize = 100;
@@ -67,6 +75,8 @@ fn bench_csr_agg() {
             (0..n * COLS).map(|_| rng.random_range(-1.0f32..1.0)).collect()
         };
         let (x, g) = (values(n_src), values(n_dst));
+        // The same rows as a staged batch holds them.
+        let halves = quantize(&x);
         let mut grad = g.clone();
         let mut order: Vec<usize> = (0..edges).collect();
         order.shuffle(&mut StdRng::seed_from_u64(2));
@@ -78,9 +88,17 @@ fn bench_csr_agg() {
             let n = out.len();
             Tensor::from_vec(out, [n]).len()
         };
+        assert_eq!(
+            bits(&kernels::scatter_reduce_forward_f16(&halves, COLS, src, dst, n_dst, true)),
+            bits(&kernels::scatter_reduce_forward(&FeatureRows::Half(&halves).to_f32_vec(), COLS, src, dst, n_dst, true)),
+            "{shape}: the aggregate of f16 rows is not the aggregate of their widened copy"
+        );
         let rows = [
             bench(&format!("csr_agg_fwd_sorted {shape}"), || {
                 pooled(kernels::scatter_reduce_forward(&x, COLS, src, dst, n_dst, true))
+            }),
+            bench(&format!("csr_agg_fwd_f16 {shape}"), || {
+                pooled(kernels::scatter_reduce_forward_f16(&halves, COLS, src, dst, n_dst, true))
             }),
             bench(&format!("csr_agg_fwd_shuffled {shape}"), || {
                 pooled(kernels::scatter_reduce_forward(&x, COLS, &src_sh, &dst_sh, n_dst, true))
@@ -94,11 +112,12 @@ fn bench_csr_agg() {
         ];
         println!("  {shape}: {n_src} -> {n_dst} rows, {edges} edges, {COLS} cols");
         for s in rows {
+            let elem = if s.name.contains("f16") { 2 } else { 4 };
             println!(
                 "  {} -> {:.1} Medges/s, {:.2} GB/s of source rows",
                 s.name,
                 s.per_second(edges as f64) / 1e6,
-                s.per_second((edges * COLS * 4) as f64) / 1e9
+                s.per_second((edges * COLS * elem) as f64) / 1e9
             );
             samples.push(s);
         }
@@ -118,7 +137,9 @@ fn bench_csr_agg() {
 /// runs it: forward alone, and forward + backward to the two weight
 /// gradients — at a small shape (128 seeds, 32 → 64) and at `train_compute`'s
 /// (G100k, 256 seeds, fanouts 15,10,5: some 22 k destination rows, 100 → 128),
-/// the layer that is half of a train batch.
+/// the layer that is half of a train batch. The `f16` rows run the train
+/// shape as the trainer does, on a lent pinned slot of halves instead of an
+/// `f32` tensor; output and weight gradients are compared bit for bit first.
 fn bench_sage_conv() {
     let small = DatasetConfig::products_sim(0.1);
     let train = DatasetConfig { num_nodes: 100_000, feat_dim: 1, ..DatasetConfig::products_sim(1.0) };
@@ -129,23 +150,43 @@ fn bench_sage_conv() {
         let layer = &mfg.layers[0];
         let mut rng = StdRng::seed_from_u64(0);
         let x = Tensor::full([layer.n_src, k], 1.0);
+        // The f16 rows' input: a slot of varied halves.
+        let halves = quantize(&(0..layer.n_src * k).map(|i| (i % 4093) as f32 / 4093.0 - 0.5).collect::<Vec<_>>());
+        let mut slot = PinnedPool::new(1, layer.n_src, k, 0, Dtype::F16).acquire();
+        slot.prepare(layer.n_src, k, 0);
+        slot.features_mut().copy_from(FeatureRows::Half(&halves));
+        let lent: Rc<dyn RowStore> = Rc::new(slot);
         let w_self = Param::new("w_self", init::glorot_uniform(k, n, &mut rng));
         let w_neigh = Param::new("w_neigh", init::glorot_uniform(k, n, &mut rng));
-        let mut run = |backward: bool| {
+        // The layer's output and — with `backward` — its weight gradients,
+        // over `x` or, without one, over the lent slot.
+        let run = |x: Option<&Tensor>, backward: bool, rng: &mut StdRng| -> Vec<Tensor> {
             let tape = Tape::new();
             let (ws, wn) = (tape.param(&w_self), tape.param(&w_neigh));
             let (src, dst) = (&layer.edge_src, &layer.edge_dst);
-            let y = tape
-                .constant(x.clone())
-                .sage_conv(None, &ws, &wn, src, dst, layer.n_dst, Some(0.5), &mut rng);
-            match backward {
-                true => tape.backward(&y.sum_all()).iter_params().count(),
-                false => y.value().len(),
+            let x = x.map_or_else(|| tape.constant_rows(Rc::clone(&lent), k), |x| tape.constant(x.clone()));
+            let y = x.sage_conv(None, &ws, &wn, src, dst, layer.n_dst, Some(0.5), rng);
+            let mut results = vec![y.value()];
+            if backward {
+                let grads = tape.backward(&y.sum_all());
+                results.extend([&w_self, &w_neigh].map(|w| grads.by_param(w.id()).unwrap().clone()));
             }
+            results
         };
         println!("  {shape}: {} -> {} rows, {} edges, {k} -> {n}", layer.n_src, layer.n_dst, layer.num_edges());
-        samples.push(bench(&format!("sage_conv_fused_fwd {shape}"), || run(false)));
-        samples.push(bench(&format!("sage_conv_fused_fwd_bwd {shape}"), || run(true)));
+        let mut rows = vec![(Some(&x), "")];
+        if shape == "train" {
+            let widened = Tensor::from_vec(FeatureRows::Half(&halves).to_f32_vec(), [layer.n_src, k]);
+            let by = |x: Option<&Tensor>| run(x, true, &mut StdRng::seed_from_u64(9));
+            for (lent, wide) in by(None).iter().zip(by(Some(&widened))) {
+                assert_eq!(bits(lent.data()), bits(wide.data()), "the layer over f16 rows is not the layer over their widened copy");
+            }
+            rows.push((None, " f16"));
+        }
+        for (x, elem) in rows {
+            samples.push(bench(&format!("sage_conv_fused_fwd {shape}{elem}"), || run(x, false, &mut rng).len()));
+            samples.push(bench(&format!("sage_conv_fused_fwd_bwd {shape}{elem}"), || run(x, true, &mut rng).len()));
+        }
     }
     report("sage_conv_fused", &samples);
 }

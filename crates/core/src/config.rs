@@ -34,7 +34,10 @@ pub struct RunConfig {
     pub epochs: usize,
     /// Batch-preparation worker threads (SALIENT executor).
     pub num_workers: usize,
-    /// Pinned staging slots.
+    /// Pinned staging slots, at least one. A batch keeps its slot from the
+    /// worker's slice until the train step that reads it has finished, so
+    /// preparation overlaps training only with two or more; with one the
+    /// epoch runs prepare, train, prepare, … in turn.
     pub slots: usize,
     /// Base RNG seed.
     pub seed: u64,
@@ -87,7 +90,8 @@ impl RunConfig {
     ///
     /// # Panics
     ///
-    /// Panics if fanout lists do not match `num_layers` or sizes are zero.
+    /// Panics if fanout lists do not match `num_layers`, a size is zero, or
+    /// there is no staging slot.
     pub fn validate(&self) {
         assert_eq!(
             self.train_fanouts.len(),
@@ -100,6 +104,10 @@ impl RunConfig {
             "one inference fanout per layer"
         );
         assert!(self.batch_size > 0 && self.hidden > 0 && self.num_workers > 0);
+        assert!(
+            self.slots > 0,
+            "slots must be at least 1 (2 or more for preparation to overlap training): a batch is staged in a slot until its train step ends"
+        );
     }
 }
 
@@ -111,6 +119,12 @@ mod tests {
     fn default_is_valid() {
         RunConfig::default().validate();
         RunConfig::test_tiny().validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "slots must be at least 1")]
+    fn zero_slots_rejected() {
+        RunConfig { slots: 0, ..RunConfig::default() }.validate();
     }
 
     #[test]

@@ -27,6 +27,7 @@ use salient_sampler::FastSampler;
 use salient_tensor::optim::Adam;
 use salient_tensor::rng::SliceRandom;
 use salient_tensor::rng::StdRng;
+use salient_tensor::Tape;
 use salient_trace::{names, Trace};
 use std::sync::Arc;
 use std::time::Duration;
@@ -220,7 +221,8 @@ fn rank_loop(
                 .collect();
             let t1 = clock.now_ns();
             trace.record_span(names::spans::DDP_PREP, bid, t0, t1);
-            let batch = (mfg.as_ref().zip(features)).map(|(mfg, x)| (mfg, x, labels.as_slice()));
+            let batch = (mfg.as_ref().zip(features))
+                .map(|(mfg, x)| (mfg, move |tape: &Tape| tape.constant(x), labels.as_slice()));
             let step = train_step(model.as_mut(), &mut opt, &mut dropout_rng, batch, |m| {
                 average_model_gradients(&comm, m)
             });

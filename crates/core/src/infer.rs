@@ -10,20 +10,22 @@
 //! [`BatchInferencer`] is the staged inference path shared by offline
 //! evaluation and the online serving layer: features are sliced into a
 //! pinned staging slot (the same bounded [`PinnedPool`] the training
-//! pipeline uses), widened once at the simulated transfer, and fed through
-//! the model. Both phases run under a panic-isolation boundary, and the
-//! slot is held *outside* that boundary so an unwinding request returns it
-//! to the pool via the slot's own RAII drop — a poisoned request can never
-//! leak staging capacity.
+//! pipeline uses) and the slot itself is lent to the forward pass's tape,
+//! whose first layer reads the rows at the width they are stored. Both
+//! phases run under a panic-isolation boundary; whoever holds the slot when
+//! a request unwinds — `stage`, or the tape — drops it on the way out, and
+//! the slot's own RAII drop returns it to the pool: a poisoned request can
+//! never leak staging capacity.
 
 use salient_batchprep::{PinnedPool, PinnedSlot};
-use salient_graph::{CsrGraph, Dataset, FeatureRows, NodeId};
+use salient_graph::{CsrGraph, Dataset, NodeId};
 use salient_nn::{metrics, GnnModel, Mode};
 use salient_sampler::{MessageFlowGraph, MfgLayer};
 use salient_tensor::rng::StdRng;
-use salient_tensor::{Tape, Tensor};
+use salient_tensor::Tape;
 use salient_trace::{names, Counter, Trace};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Builds an MFG whose every hop is the entire graph: `n_src = n_dst = |V|`
@@ -82,7 +84,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[derive(Debug)]
 pub struct StagedBatch {
     slot: PinnedSlot,
-    num_nodes: usize,
 }
 
 impl StagedBatch {
@@ -93,33 +94,17 @@ impl StagedBatch {
     }
 }
 
-/// The simulated host→device transfer: widens the packed `staged` rows into
-/// a fresh `[num_nodes, dim]` tensor (the device-side cast) and adds
-/// `payload_bytes` — the packed features plus the labels, what the copy
-/// would move — to the `transfer.bytes` counter.
-pub(crate) fn transfer(
-    staged: FeatureRows<'_>,
-    num_nodes: usize,
-    dim: usize,
-    payload_bytes: usize,
-    transfer_bytes: &Counter,
-) -> Tensor {
-    let wide = Tensor::filled_by([num_nodes, dim], |wide| staged.widen_into(wide));
-    transfer_bytes.add(payload_bytes as u64);
-    wide
-}
-
 /// Sampled mini-batch inference through a bounded pinned-slot pool, with a
 /// per-call panic-isolation boundary.
 ///
 /// The two phases — [`stage`](BatchInferencer::stage) (slice features into
-/// a slot) and [`forward`](BatchInferencer::forward) (widen + model
-/// compute) — are split so callers with latency budgets (the serving layer)
-/// can check deadlines between them and abandon dead work early.
+/// a slot) and [`forward`](BatchInferencer::forward) (model compute on the
+/// slot's rows) — are split so callers with latency budgets (the serving
+/// layer) can check deadlines between them and abandon dead work early.
 ///
-/// Staging at the store's dtype followed by one widen is numerically
-/// identical to `FeatureStore::gather_f32`: both read the same packed
-/// values and perform the same per-element widening.
+/// Staging at the store's dtype and widening where the rows are consumed is
+/// numerically identical to `FeatureStore::gather_f32`: both read the same
+/// packed values and perform the same exact per-element widening.
 pub struct BatchInferencer {
     dataset: Arc<Dataset>,
     pool: PinnedPool,
@@ -177,19 +162,21 @@ impl BatchInferencer {
                 .slice_into(&mfg.node_ids, slot.features_mut());
         }));
         match outcome {
-            Ok(()) => Ok(StagedBatch { slot, num_nodes: mfg.num_nodes() }),
+            Ok(()) => Ok(StagedBatch { slot }),
             Err(payload) => Err(InferPanic { message: panic_message(payload) }),
         }
     }
 
-    /// Widens the staged features (the simulated host→device transfer,
-    /// counted in `transfer.bytes`) and runs the model forward in eval
-    /// mode. Returns argmax predictions for the micro-batch's seed nodes.
+    /// Hands the staged slot to the forward pass (the simulated host→device
+    /// transfer: its payload is counted in `transfer.bytes`, nothing is
+    /// copied) and runs the model in eval mode. Returns argmax predictions
+    /// for the micro-batch's seed nodes.
     ///
     /// # Errors
     ///
-    /// A panicking model is caught at this boundary; the staged slot — held
-    /// outside it — returns to the pool either way.
+    /// A panicking model is caught at this boundary; the tape that holds the
+    /// slot drops inside it, on return or unwind, and the slot is back in
+    /// the pool either way.
     pub fn forward(
         &self,
         staged: StagedBatch,
@@ -197,22 +184,14 @@ impl BatchInferencer {
         mfg: &MessageFlowGraph,
         rng: &mut StdRng,
     ) -> Result<Vec<u32>, InferPanic> {
-        let StagedBatch { slot, num_nodes } = staged;
         let dim = self.dataset.features.dim();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let wide = transfer(
-                slot.features(),
-                num_nodes,
-                dim,
-                slot.payload_bytes(),
-                &self.transfer_bytes,
-            );
+            self.transfer_bytes.add(staged.slot.payload_bytes() as u64);
             let tape = Tape::no_grad();
-            let x = tape.constant(wide);
+            let x = tape.constant_rows(Rc::new(staged.slot), dim);
             let out = model.forward(&tape, x, mfg, Mode::Eval, rng);
             metrics::argmax_rows(&out.value())
         }));
-        // `slot` drops here on success *and* on unwind: RAII release.
         match outcome {
             Ok(preds) => Ok(preds),
             Err(payload) => Err(InferPanic { message: panic_message(payload) }),

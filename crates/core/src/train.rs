@@ -6,12 +6,15 @@
 //! graph's source and pins the inline schedule — the serial reference. The
 //! SALIENT executor receives batches from shared-memory workers and lets
 //! [`StageGraph::run`] pick the threaded schedule when the thread budget
-//! allows, so the transfer/widen of batch `k+1` overlaps the compute of batch
-//! `k` in addition to the worker-side preparation overlap.
+//! allows, so the hand-over of batch `k+1` overlaps the compute of batch `k`
+//! in addition to the worker-side preparation overlap. Nothing widens a
+//! staged batch: the train stage lends the pinned slot to the step's tape,
+//! whose first layer reads the rows at the width they are stored, and the
+//! slot returns to the pool when that tape drops.
 
 use crate::config::{ExecutorKind, RunConfig};
 use crate::timing::StageTimings;
-use crate::infer::{transfer, BatchInferencer};
+use crate::infer::BatchInferencer;
 use salient_batchprep::{
     run_epoch_with_pool, slice_batch_into, BatchResult, PinnedPool, PrepConfig, PrepMode,
     PreparedBatch, SamplerKind,
@@ -24,20 +27,18 @@ use salient_sampler::{FastSampler, MessageFlowGraph, PygSampler};
 use salient_tensor::optim::{zero_grads, Adam, Optimizer};
 use salient_tensor::rng::SliceRandom;
 use salient_tensor::rng::StdRng;
-use salient_tensor::{Tape, Tensor};
+use salient_tensor::{Tape, Tensor, Var};
 use salient_trace::{analyze, names, Clock, Trace, NO_BATCH};
 use std::convert::Infallible;
+use std::rc::Rc;
 use std::sync::Arc;
 
-/// The item flowing through the transfer→train graph: `result` arrives from
-/// the source, the transfer stage trades it for the rest.
-#[derive(Default)]
+/// The item flowing through the transfer→train graph: a prepared batch, or
+/// `None` for one whose preparation failed for good (and, past the train
+/// stage, for one that has been trained).
 struct TrainItem {
     bid: u64,
-    result: Option<BatchResult>,
-    mfg: Option<MessageFlowGraph>,
-    features: Option<Tensor>,
-    labels: Vec<u32>,
+    batch: Option<PreparedBatch>,
 }
 
 impl PipeItem for TrainItem {
@@ -47,8 +48,9 @@ impl PipeItem for TrainItem {
 }
 
 /// One optimizer step, the only one this crate spells: forward and backward
-/// over `batch` (sampled MFG, widened features, batch labels), gradients into
-/// the parameters, `sync_grads`, then the update. Returns the batch's loss.
+/// over `batch` (sampled MFG, the features as a constant the step's tape is
+/// given to record, batch labels), gradients into the parameters,
+/// `sync_grads`, then the update. Returns the batch's loss.
 ///
 /// `sync_grads` runs between the gradients landing in the parameters and the
 /// optimizer reading them — where a DDP rank all-reduces — and its error
@@ -56,19 +58,20 @@ impl PipeItem for TrainItem {
 /// batch: it joins the collective with zero gradients and reports loss 0.
 ///
 /// The features enter as a constant, so nothing is differentiated with
-/// respect to them, and the tape — with every buffer it holds — is released
-/// before `sync_grads` and the optimizer run.
+/// respect to them, and the tape — with every buffer it holds, a lent
+/// staging slot included — is released before `sync_grads` and the optimizer
+/// run.
 pub(crate) fn train_step<E>(
     model: &mut dyn GnnModel,
     opt: &mut Adam,
     rng: &mut StdRng,
-    batch: Option<(&MessageFlowGraph, Tensor, &[u32])>,
+    batch: Option<(&MessageFlowGraph, impl FnOnce(&Tape) -> Var, &[u32])>,
     sync_grads: impl FnOnce(&mut dyn GnnModel) -> Result<(), E>,
 ) -> Result<f64, E> {
     let computed = batch.map(|(mfg, features, labels)| {
         let targets: Vec<usize> = labels.iter().map(|&c| c as usize).collect();
         let tape = Tape::new();
-        let x = tape.constant(features);
+        let x = features(&tape);
         let out = model.forward(&tape, x, mfg, Mode::Train, rng);
         let loss = out.nll_loss(&targets);
         (loss.value().item() as f64, tape.backward(&loss))
@@ -248,9 +251,29 @@ impl Trainer {
         (history, best.max(0.0))
     }
 
-    /// One optimizer step on a staged batch; returns the loss: [`train_step`]
-    /// with nothing between the gradients and the update.
+    /// One optimizer step on a batch of widened features; returns the loss.
     pub fn train_batch(&mut self, mfg: &MessageFlowGraph, features: Tensor, labels: &[u32]) -> f64 {
+        self.step(mfg, |tape| tape.constant(features), labels)
+    }
+
+    /// One optimizer step on a prepared batch, as an epoch's train stage
+    /// takes it; returns the loss. The step's tape is lent the batch's pinned
+    /// slot and reads the staged rows where they lie, at the width they are
+    /// stored; the slot goes back to its pool with the tape, before the
+    /// optimizer runs — or when the step unwinds.
+    pub fn train_prepared(&mut self, batch: PreparedBatch) -> f64 {
+        let PreparedBatch { batch_id, mfg, slot } = batch;
+        let (dim, labels) = (self.dataset.features.dim(), slot.labels().to_vec());
+        let lend = |tape: &Tape| {
+            let x = tape.constant_rows(Rc::new(slot), dim);
+            fault::fire(fault::sites::PIPE_TRAIN, batch_id as u64);
+            x
+        };
+        self.step(&mfg, lend, &labels)
+    }
+
+    /// [`train_step`] with nothing between the gradients and the update.
+    fn step(&mut self, mfg: &MessageFlowGraph, features: impl FnOnce(&Tape) -> Var, labels: &[u32]) -> f64 {
         let batch = Some((mfg, features, labels));
         let Ok(loss) = train_step(self.model.as_mut(), &mut self.opt, &mut self.rng, batch, |_| {
             Ok::<(), Infallible>(())
@@ -348,7 +371,7 @@ impl Trainer {
     /// adequate thread budget (`SALIENT_NUM_THREADS` of at least three) the
     /// two stages run on dedicated threads with a bounded
     /// ([`shape::TRANSFER_QUEUE_CAP`]) queue between them, so batch `k+1`'s
-    /// widen/copy overlaps batch `k`'s compute; otherwise the inline
+    /// hand-over overlaps batch `k`'s compute; otherwise the inline
     /// schedule reproduces the exact clock-read and FP-operation order of
     /// a serial consumer loop.
     fn consume(
@@ -359,20 +382,19 @@ impl Trainer {
     ) -> (f64, usize, usize) {
         let trace = self.trace.clone();
         let transfer_bytes = trace.counter(names::counters::TRANSFER_BYTES);
-        let dim = self.dataset.features.dim();
         let (mut total_loss, mut batches, mut failed) = (0.0, 0usize, 0usize);
         let graph = StageGraph::new(spec, move || {
             let result = source()?;
             let bid = result.batch_id() as u64;
-            Some(TrainItem { bid, result: Some(result), ..TrainItem::default() })
+            Some(TrainItem { bid, batch: result.ready() })
         })
-        // Transfer: widen the packed staged rows to f32 — the PCIe copy +
-        // device-side cast stand-in (line 5). The pinned slot returns to the
-        // pool when it drops at the end of this stage.
+        // Transfer: the PCIe copy's stand-in (line 5) moves no bytes, it
+        // counts the ones a copy would and passes the pinned slot on. A
+        // batch that retires here drops its slot back into the pool.
         .stage(
             StageSpec::new("transfer", names::spans::STAGE_TRANSFER).wait(names::spans::PIPE_WAIT),
-            |mut item: TrainItem| {
-                let Some(BatchResult::Ready(batch)) = item.result.take() else {
+            |item: TrainItem| {
+                let Some(batch) = &item.batch else {
                     // Terminal marker: preparation exhausted its retry
                     // budget. The epoch proceeds on the surviving batches.
                     failed += 1;
@@ -384,15 +406,7 @@ impl Trainer {
                     failed += 1;
                     return StageOutcome::Skip;
                 }
-                item.features = Some(transfer(
-                    batch.slot.features(),
-                    batch.mfg.num_nodes(),
-                    dim,
-                    batch.slot.payload_bytes(),
-                    &transfer_bytes,
-                ));
-                item.labels = batch.slot.labels().to_vec();
-                item.mfg = Some(batch.mfg);
+                transfer_bytes.add(batch.slot.payload_bytes() as u64);
                 StageOutcome::Emit(item)
             },
         )
@@ -405,10 +419,10 @@ impl Trainer {
                 .gauge(names::gauges::PIPE_QUEUE_COMPUTE)
                 .hist(names::hists::TRAIN_BATCH_NS),
             |mut item: TrainItem| {
-                let (Some(mfg), Some(features)) = (item.mfg.take(), item.features.take()) else {
+                let Some(batch) = item.batch.take() else {
                     return StageOutcome::Skip;
                 };
-                total_loss += self.train_batch(&mfg, features, &item.labels);
+                total_loss += self.train_prepared(batch);
                 batches += 1;
                 StageOutcome::Emit(item)
             },
@@ -424,8 +438,8 @@ impl Trainer {
     ///
     /// Runs through [`crate::infer::BatchInferencer`] — the same pinned-slot
     /// staging path the serving layer uses, numerically identical to a
-    /// direct f32 gather (staging copies the packed values; the widen is the
-    /// same per-element conversion `gather_f32` performs).
+    /// direct f32 gather (staging copies the packed values; the first layer
+    /// widens them, exactly, as `gather_f32` would have).
     pub fn evaluate_sampled(&mut self, nodes: &[NodeId], fanouts: &[usize]) -> (f64, Vec<u32>) {
         let seed = self.config.seed ^ 0x1FE2;
         let (sampler, inferencer) = self.eval.get_or_insert_with(|| {

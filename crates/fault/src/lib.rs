@@ -146,6 +146,11 @@ sites! {
     /// dropped and counted, the pinned slot returns via RAII, and the
     /// epoch completes on the remaining batches.
     PIPE_TRANSFER = "pipe.transfer",
+    /// Stage-graph executor train stage, once the step's tape has been lent
+    /// the batch's pinned slot (occ = batch id). `panic` unwinds the step
+    /// through that tape: the slot must be back in the pool when the
+    /// executor's catch boundary has retired the batch.
+    PIPE_TRAIN = "pipe.train",
 }
 
 /// What a triggered site should do.
@@ -713,7 +718,7 @@ mod tests {
         // `ALL` is built from the same lines as the constants: its length
         // is the declaration count, and the parser resolves each name back
         // to the constant it was declared as.
-        assert_eq!(sites::ALL.len(), 15);
+        assert_eq!(sites::ALL.len(), 16);
         for (i, site) in sites::ALL.iter().enumerate() {
             assert_eq!(Site::lookup(site.as_str()), Some(*site));
             assert!(

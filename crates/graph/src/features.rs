@@ -21,7 +21,7 @@
     reason = "row ranges derive from node ids validated against num_nodes when the dataset is built"
 )]
 
-use salient_tensor::{kernels, Dtype, Tensor, F16};
+use salient_tensor::{kernels, Dtype, FeatureRows, Tensor, F16};
 
 /// A packed, dtype-tagged feature buffer: the backing storage for the
 /// dataset's feature matrix and for every staging buffer that carries sliced
@@ -124,96 +124,6 @@ impl FeatureSlab {
         }
     }
 
-    /// Widens the whole slab into `out` (the "device-side upcast": bulk F16C
-    /// for half slabs, a plain copy for full slabs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != self.len()`.
-    pub fn widen_into(&self, out: &mut [f32]) {
-        self.rows().widen_into(out);
-    }
-}
-
-/// A borrowed, dtype-tagged run of packed feature values.
-#[derive(Debug, Clone, Copy)]
-pub enum FeatureRows<'a> {
-    /// Binary16 values.
-    Half(&'a [F16]),
-    /// Full-precision values.
-    Full(&'a [f32]),
-}
-
-impl FeatureRows<'_> {
-    /// The element dtype.
-    pub fn dtype(&self) -> Dtype {
-        match self {
-            FeatureRows::Half(_) => Dtype::F16,
-            FeatureRows::Full(_) => Dtype::F32,
-        }
-    }
-
-    /// Number of values.
-    pub fn len(&self) -> usize {
-        match self {
-            FeatureRows::Half(v) => v.len(),
-            FeatureRows::Full(v) => v.len(),
-        }
-    }
-
-    /// Whether the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Bytes the viewed values occupy (what copying them would move).
-    pub fn bytes(&self) -> usize {
-        self.len() * self.dtype().size_of()
-    }
-
-    /// Widens the values into `out` — bulk F16C for half rows, a plain copy
-    /// for full rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != self.len()`.
-    pub fn widen_into(&self, out: &mut [f32]) {
-        match self {
-            FeatureRows::Half(v) => salient_tensor::widen_into(v, out),
-            FeatureRows::Full(v) => out.copy_from_slice(v),
-        }
-    }
-
-    /// The values widened into a fresh `Vec<f32>`.
-    pub fn to_f32_vec(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.len()];
-        self.widen_into(&mut out);
-        out
-    }
-
-    /// Sub-view of `len` values starting at `start`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn view(&self, start: usize, len: usize) -> FeatureRows<'_> {
-        match self {
-            FeatureRows::Half(v) => FeatureRows::Half(&v[start..start + len]),
-            FeatureRows::Full(v) => FeatureRows::Full(&v[start..start + len]),
-        }
-    }
-}
-
-/// Value equality after widening (so a half view and a full view holding the
-/// same representable values compare equal). Inherits `f32` semantics:
-/// `-0.0 == +0.0`, `NaN != NaN`.
-impl PartialEq for FeatureRows<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        if self.len() != other.len() {
-            return false;
-        }
-        self.to_f32_vec() == other.to_f32_vec()
-    }
 }
 
 /// A mutable, dtype-tagged run of packed feature values.
@@ -479,7 +389,7 @@ mod tests {
         for dtype in [Dtype::F16, Dtype::F32] {
             let slab = FeatureSlab::from_f32(dtype, &vals);
             let mut wide = vec![0.0f32; slab.len()];
-            slab.widen_into(&mut wide);
+            slab.rows().widen_into(&mut wide);
             assert_eq!(wide, vals);
             let mut copy = FeatureSlab::new(dtype, slab.len());
             copy.rows_mut().copy_from(slab.rows());

@@ -30,5 +30,8 @@ pub mod labels;
 
 pub use csr::{CsrGraph, NodeId};
 pub use datasets::{Dataset, DatasetConfig, DatasetStats};
-pub use features::{FeatureMatrix, FeatureRows, FeatureRowsMut, FeatureSlab};
+pub use features::{FeatureMatrix, FeatureRowsMut, FeatureSlab};
+/// The borrowed view of packed rows lives beside [`salient_tensor::Dtype`]: the
+/// row kernels read it at the width it is stored.
+pub use salient_tensor::FeatureRows;
 pub use split::Splits;

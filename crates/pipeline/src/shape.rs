@@ -39,7 +39,7 @@ pub struct StageShape {
 pub const TRANSFER_QUEUE_CAP: usize = 2;
 
 /// The training pipeline: prep (sample+slice on workers) → transfer
-/// (widen + H2D on the DMA engine) → train (fwd/bwd/step on the device).
+/// (H2D on the DMA engine) → train (fwd/bwd/step on the device).
 pub fn train() -> [StageShape; 3] {
     use salient_trace::names::spans;
     [

@@ -6,7 +6,7 @@
 //!
 //! Single-node queries are coalesced into sampler micro-batches (dynamic
 //! micro-batching) and run through the same staged pipeline as training —
-//! sample → slice-into-pinned-slot → widen + GEMM — under a per-request
+//! sample → slice-into-pinned-slot → GEMM on the slot's rows — under a per-request
 //! deadline budget that is checked *between* stages so dead work is
 //! abandoned early. Four mechanisms keep the server standing when offered
 //! load exceeds capacity:

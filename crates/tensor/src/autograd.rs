@@ -12,8 +12,10 @@
     reason = "node ids are indices this tape handed out at push and nodes only grows"
 )]
 
+use crate::f16::FeatureRows;
+use crate::shape::Shape;
 use crate::tensor::Tensor;
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::rc::Rc;
@@ -126,8 +128,43 @@ impl Param {
 /// rewrite it in place) to contributions for those parents that need one.
 pub(crate) type BackwardFn = Box<dyn Fn(Tensor) -> Vec<(usize, Tensor)>>;
 
+/// An owner of packed feature rows — a pinned staging slot — that a tape can
+/// hold for a step instead of a widened copy ([`Tape::constant_rows`]).
+pub trait RowStore {
+    /// The rows, at the width they are stored.
+    fn rows(&self) -> FeatureRows<'_>;
+}
+
+/// A node's forward value: a tensor, or the store a [`Tape::constant_rows`]
+/// leaf was lent, with its row width and — once an op asks for the rows as a
+/// tensor — their widened copy. [`Var::sage_conv`] reads either as rows;
+/// cloning shares the buffers or the store.
+#[derive(Clone)]
+pub(crate) enum Rows {
+    Wide(Tensor),
+    Packed { store: Rc<dyn RowStore>, cols: usize, wide: OnceCell<Tensor> },
+}
+
+impl Rows {
+    pub(crate) fn get(&self) -> FeatureRows<'_> {
+        match self {
+            Rows::Wide(t) => FeatureRows::Full(t.data()),
+            Rows::Packed { store, .. } => store.rows(),
+        }
+    }
+
+    /// By value, as [`Var::shape`] returns it: a clone or a fresh two-element
+    /// shape, one small allocation either way.
+    fn shape(&self) -> Shape {
+        match self {
+            Rows::Wide(t) => t.shape().clone(),
+            Rows::Packed { store, cols, .. } => Shape::matrix(store.rows().len() / cols, *cols),
+        }
+    }
+}
+
 pub(crate) struct Node {
-    pub(crate) value: Tensor,
+    value: Rows,
     /// Whether some tracked leaf (a parameter or a [`Tape::leaf`]) feeds
     /// this node. Only such nodes carry a `backward` or receive a gradient.
     pub(crate) needs_grad: bool,
@@ -224,7 +261,7 @@ impl Tape {
 
     fn input(&self, value: Tensor, needs_grad: bool, param: Option<ParamId>) -> Var {
         self.push(Node {
-            value,
+            value: Rows::Wide(value),
             needs_grad: needs_grad && self.inner.track,
             backward: None,
             param,
@@ -241,7 +278,7 @@ impl Tape {
         backward: impl FnOnce() -> BackwardFn,
     ) -> Var {
         self.push(Node {
-            value,
+            value: Rows::Wide(value),
             needs_grad,
             backward: needs_grad.then(backward),
             param: None,
@@ -252,6 +289,27 @@ impl Tape {
     /// labels-as-data): no gradient is computed for it or kept.
     pub fn constant(&self, value: Tensor) -> Var {
         self.input(value, false, None)
+    }
+
+    /// Records the `cols`-wide rows of `store` as a constant without copying
+    /// them, and keeps its handle on the store until the tape is dropped (a
+    /// pinned slot goes back to its pool then, also when the drop is an
+    /// unwind).
+    /// [`Var::sage_conv`] reads the rows packed, an `F16` widened in
+    /// registers; any other op sees them widened into a tensor, once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store's length is not a multiple of `cols`.
+    pub fn constant_rows(&self, store: Rc<dyn RowStore>, cols: usize) -> Var {
+        let len = store.rows().len();
+        assert!(cols > 0 && len % cols == 0, "{len} values are not rows of {cols}");
+        self.push(Node {
+            value: Rows::Packed { store, cols, wide: OnceCell::new() },
+            needs_grad: false,
+            backward: None,
+            param: None,
+        })
     }
 
     /// Records a tracked non-parameter input; its gradient is available
@@ -281,16 +339,12 @@ impl Tape {
         );
         let nodes = self.inner.nodes.borrow();
         let out = &nodes[output.id];
-        assert_eq!(
-            out.value.len(),
-            1,
-            "backward() requires a scalar output, got shape {}",
-            out.value.shape()
-        );
+        let shape = out.value.shape();
+        assert_eq!(shape.len(), 1, "backward() requires a scalar output, got shape {shape}");
         let mut by_node: Vec<Option<Tensor>> = vec![None; output.id + 1];
         let mut by_param: HashMap<ParamId, Tensor> = HashMap::new();
         if out.needs_grad {
-            by_node[output.id] = Some(Tensor::full(out.value.shape().clone(), 1.0));
+            by_node[output.id] = Some(Tensor::full(shape, 1.0));
         }
         for id in (0..=output.id).rev() {
             let Some(grad) = by_node[id].take() else {
@@ -382,12 +436,23 @@ pub struct Var {
 impl Var {
     /// The forward value of this variable.
     pub fn value(&self) -> Tensor {
+        match &self.tape.nodes.borrow()[self.id].value {
+            Rows::Wide(t) => t.clone(),
+            lent @ Rows::Packed { wide, .. } => {
+                wide.get_or_init(|| Tensor::filled_by(lent.shape(), |w| lent.get().widen_into(w))).clone()
+            }
+        }
+    }
+
+    /// The forward value as rows: a [`Tape::constant_rows`] leaf's as they
+    /// are stored, any other's as its tensor.
+    pub(crate) fn rows(&self) -> Rows {
         self.tape.nodes.borrow()[self.id].value.clone()
     }
 
     /// The shape of the forward value.
     pub fn shape(&self) -> crate::Shape {
-        self.tape.nodes.borrow()[self.id].value.shape().clone()
+        self.tape.nodes.borrow()[self.id].value.shape()
     }
 
     /// Whether a tracked leaf feeds this variable, i.e. whether ops on it

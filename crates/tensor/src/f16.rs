@@ -299,6 +299,88 @@ impl fmt::Display for Dtype {
     }
 }
 
+/// A borrowed, dtype-tagged run of packed feature values.
+#[derive(Debug, Clone, Copy)]
+pub enum FeatureRows<'a> {
+    /// Binary16 values.
+    Half(&'a [F16]),
+    /// Full-precision values.
+    Full(&'a [f32]),
+}
+
+impl<'a> FeatureRows<'a> {
+    /// The element dtype.
+    pub fn dtype(&self) -> Dtype {
+        match self {
+            FeatureRows::Half(_) => Dtype::F16,
+            FeatureRows::Full(_) => Dtype::F32,
+        }
+    }
+
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        match self {
+            FeatureRows::Half(v) => v.len(),
+            FeatureRows::Full(v) => v.len(),
+        }
+    }
+
+    /// Whether the view is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes the viewed values occupy (what copying them would move).
+    pub fn bytes(&self) -> usize {
+        self.len() * self.dtype().size_of()
+    }
+
+    /// Widens the values into `out` — bulk F16C for half rows, a plain copy
+    /// for full rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.len()`.
+    pub fn widen_into(&self, out: &mut [f32]) {
+        match self {
+            FeatureRows::Half(v) => widen_into(v, out),
+            FeatureRows::Full(v) => out.copy_from_slice(v),
+        }
+    }
+
+    /// The values widened into a fresh `Vec<f32>`.
+    pub fn to_f32_vec(&self) -> Vec<f32> {
+        let mut out = vec![0.0f32; self.len()];
+        self.widen_into(&mut out);
+        out
+    }
+
+    /// Sub-view of `len` values starting at `start`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds.
+    #[expect(clippy::indexing_slicing, reason = "documented range contract (# Panics)")]
+    pub fn view(&self, start: usize, len: usize) -> FeatureRows<'a> {
+        match self {
+            FeatureRows::Half(v) => FeatureRows::Half(&v[start..start + len]),
+            FeatureRows::Full(v) => FeatureRows::Full(&v[start..start + len]),
+        }
+    }
+}
+
+/// Value equality after widening (so a half view and a full view holding the
+/// same representable values compare equal). Inherits `f32` semantics:
+/// `-0.0 == +0.0`, `NaN != NaN`.
+impl PartialEq for FeatureRows<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        if self.len() != other.len() {
+            return false;
+        }
+        self.to_f32_vec() == other.to_f32_vec()
+    }
+}
+
 /// Widens halves to `f32`, writing into `out` (the "GPU-side upcast" in the
 /// SALIENT transfer path: features are sliced and shipped as binary16 and
 /// widened once at the consumer).

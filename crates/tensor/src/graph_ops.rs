@@ -9,8 +9,9 @@
     reason = "edge ids and row ranges are checked against the operand shapes when the op is recorded; n_dst <= n_src rows was asserted through the x_target shape at record time"
 )]
 
-use crate::autograd::{tracked_only, Var};
-use crate::kernels::{self, SavedIds};
+use crate::autograd::{tracked_only, Rows, Var};
+use crate::f16::FeatureRows;
+use crate::kernels::{self, Elem, SavedIds};
 use crate::rng::Rng;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -27,6 +28,41 @@ const _: () = assert!(STRIP % 4 == 0);
 /// `[s0, s1)` row ranges of at most [`STRIP`] rows covering `0..n`.
 fn strips(n: usize) -> impl Iterator<Item = (usize, usize)> {
     (0..n).step_by(STRIP).map(move |s0| (s0, (s0 + STRIP).min(n)))
+}
+
+/// The forward pass of [`Var::sage_conv`] over rows of either element type:
+/// strip by strip, the mean aggregate of `x` over `(src, dst)`, the two
+/// products and the epilogue. Returns the aggregate — whole if `keep_agg`,
+/// else the last strip's — the output, and the epilogue's survivor scale.
+#[expect(clippy::too_many_arguments, reason = "the layer's operands as sage_conv takes them, the rows already borrowed at their stored width")]
+fn sage_forward<T: Elem>(
+    x: &[T],
+    xt: &[T],
+    [ws, wn]: [&Tensor; 2],
+    (src, dst): (&[u32], &[u32]),
+    n_dst: usize,
+    keep_agg: bool,
+    act: Option<f32>,
+    rng: &mut impl Rng,
+) -> (Tensor, Tensor, Option<f32>) {
+    let (k, n) = (ws.rows(), ws.cols());
+    let agg_rows = if keep_agg { n_dst } else { STRIP.min(n_dst) };
+    let mut agg = kernels::take_f32_stale(agg_rows * k);
+    let mut out = kernels::take_f32_stale(n_dst * n);
+    let mut scale = None;
+    let what = ["destination id", "source id"];
+    kernels::with_row_agg(x, k, dst, n_dst, Some(src), what, true, |rows| {
+        for (s0, s1) in strips(n_dst) {
+            let a0 = if keep_agg { s0 } else { 0 };
+            let (a, o) = (&mut agg[a0 * k..(a0 + s1 - s0) * k], &mut out[s0 * n..s1 * n]);
+            let w = [ws.data(), wn.data()];
+            kernels::sage_rows(rows, (s0, s1), &xt[s0 * k..s1 * k], w, n, a, o);
+            if let Some(p) = act {
+                scale = Some(kernels::relu_dropout_in_place(o, p, rng));
+            }
+        }
+    });
+    (Tensor::from_vec(agg, Shape::matrix(agg_rows, k)), Tensor::from_vec(out, Shape::matrix(n_dst, n)), scale)
 }
 
 impl Var {
@@ -98,7 +134,10 @@ impl Var {
     /// `self` holds the `n_src` source rows. `x_target` is `None` when the
     /// destination rows are the first `n_dst` rows of `self` (read in place,
     /// and differentiated into the same buffer as the sources), or a
-    /// separate `n_dst`-row variable.
+    /// separate `n_dst`-row variable. With no separate target, the rows of a
+    /// [`crate::Tape::constant_rows`] leaf are read as they are stored — an
+    /// `F16` widened in the row kernel's load and in the self term's pack —
+    /// which is bit for bit the layer over their widened copy.
     ///
     /// Forward, in strips of [`STRIP`] destination rows over one CSR index
     /// of the edge list: the strip's mean aggregate, `x_target · W_self`
@@ -133,41 +172,35 @@ impl Var {
     ) -> Var {
         self.same_tape(w_self);
         self.same_tape(w_neigh);
-        let x = self.value();
-        let xt = match x_target {
-            Some(t) => {
-                self.same_tape(t);
-                t.value()
-            }
-            None => x.narrow_rows(n_dst),
-        };
+        // Rows at their stored width only when the destinations are a prefix
+        // of them: a separate target is an `f32` value, and so then is `x`.
+        let x = if x_target.is_some() { Rows::Wide(self.value()) } else { self.rows() };
+        let xt = x_target.map(|t| {
+            self.same_tape(t);
+            t.value()
+        });
         let (ws, wn) = (w_self.value(), w_neigh.value());
-        let (n_src, k, n) = (x.rows(), x.cols(), ws.cols());
-        assert_eq!(xt.shape().dims(), [n_dst, k], "x_target must be n_dst × in_dim");
+        let shape = self.shape();
+        let (n_src, k, n) = (shape.rows(), shape.cols(), ws.cols());
+        match &xt {
+            Some(xt) => assert_eq!(xt.shape().dims(), [n_dst, k], "x_target must be n_dst × in_dim"),
+            None => assert!(n_dst <= n_src, "x_target must be n_dst × in_dim"),
+        }
         assert_eq!(ws.shape().dims(), [k, n], "W_self must be in_dim × out_dim");
         assert_eq!(wn.shape(), ws.shape(), "W_neigh must match W_self");
 
         let (ix, iws, iwn) = (self.id, w_self.id, w_neigh.id);
         let (need_x, need_ws, need_wn) =
             (self.needs_grad(), w_self.needs_grad(), w_neigh.needs_grad());
-        let agg_rows = if need_wn { n_dst } else { STRIP.min(n_dst) };
-        let mut agg = kernels::take_f32_stale(agg_rows * k);
-        let mut out = kernels::take_f32_stale(n_dst * n);
-        let mut scale = None;
-        let what = ["destination id", "source id"];
-        kernels::with_row_agg(x.data(), k, dst, n_dst, Some(src), what, true, |rows| {
-            for (s0, s1) in strips(n_dst) {
-                let a0 = if need_wn { s0 } else { 0 };
-                let (a, o) = (&mut agg[a0 * k..(a0 + s1 - s0) * k], &mut out[s0 * n..s1 * n]);
-                let w = [ws.data(), wn.data()];
-                kernels::sage_rows(rows, (s0, s1), &xt.data()[s0 * k..s1 * k], w, n, a, o);
-                if let Some(p) = act {
-                    scale = Some(kernels::relu_dropout_in_place(o, p, rng));
-                }
+        let (w, edges) = ([&ws, &wn], (src, dst));
+        let (agg, out, scale) = match x.get() {
+            FeatureRows::Half(x) => sage_forward(x, &x[..n_dst * k], w, edges, n_dst, need_wn, act, rng),
+            FeatureRows::Full(x) => {
+                let own = xt.as_ref().map_or(&x[..n_dst * k], Tensor::data);
+                sage_forward(x, own, w, edges, n_dst, need_wn, act, rng)
             }
-        });
-        let agg = Tensor::from_vec(agg, Shape::matrix(agg_rows, k));
-        let out = Tensor::from_vec(out, Shape::matrix(n_dst, n));
+        };
+        let xt = xt.map_or(x, Rows::Wide);
 
         // A separate, tracked x_target receives its own contribution.
         let ixt = x_target.filter(|t| t.needs_grad()).map(|t| t.id);
@@ -180,16 +213,17 @@ impl Var {
                 let dw = |need: bool| need.then(|| Tensor::zeros(Shape::matrix(k, n)));
                 let (mut dw_self, mut dw_neigh) = (dw(need_ws), dw(need_wn));
                 for (s0, s1) in strips(n_dst) {
-                    let (gr, xr) = (s0 * n..s1 * n, s0 * k..s1 * k);
+                    let gr = s0 * n..s1 * n;
                     if let Some(scale) = scale {
                         let gs = &mut g.data_mut()[gr.clone()];
                         kernels::relu_dropout_backward(gs, &saved_out.data()[gr.clone()], scale);
                     }
                     let gs = &g.data()[gr];
-                    for (dw, lhs) in [(&mut dw_self, &xt), (&mut dw_neigh, &agg)] {
-                        if let Some(dw) = dw {
-                            let lhs = &lhs.data()[xr.clone()];
-                            kernels::gemm_acc(dw.data_mut(), lhs, gs, true, false, k, n, s1 - s0);
+                    for (dw, lhs) in [(&mut dw_self, xt.get()), (&mut dw_neigh, FeatureRows::Full(agg.data()))] {
+                        let Some(dw) = dw else { continue };
+                        match lhs.view(s0 * k, (s1 - s0) * k) {
+                            FeatureRows::Half(lhs) => kernels::gemm_acc(dw.data_mut(), lhs, gs, true, false, k, n, s1 - s0),
+                            FeatureRows::Full(lhs) => kernels::gemm_acc(dw.data_mut(), lhs, gs, true, false, k, n, s1 - s0),
                         }
                     }
                 }
@@ -331,7 +365,9 @@ impl Var {
 mod tests {
     use super::*;
     use crate::autograd::Tape;
-    use crate::rng::StdRng;
+    use crate::rng::{SliceRandom, StdRng};
+    use crate::F16;
+    use std::rc::Rc;
 
     fn t(data: &[f32], shape: impl Into<Shape>) -> Tensor {
         Tensor::from_vec(data.to_vec(), shape)
@@ -534,6 +570,68 @@ mod tests {
                     assert!(!y.needs_grad());
                     assert_eq!(bits(y.value().data()), bits(&want[0]), "output on a no_grad tape, {what}");
                     assert_eq!(eval_rng.next_u64(), layer_rng.next_u64(), "the two tapes drew differently, {what}");
+                }
+            }
+        }
+    }
+
+    impl crate::RowStore for Vec<F16> {
+        fn rows(&self) -> FeatureRows<'_> {
+            FeatureRows::Half(self)
+        }
+    }
+
+    impl crate::RowStore for Vec<f32> {
+        fn rows(&self) -> FeatureRows<'_> {
+            FeatureRows::Full(self)
+        }
+    }
+
+    #[test]
+    fn sage_conv_over_lent_rows_equals_sage_conv_over_their_widened_copy_bitwise() {
+        let mut rng = StdRng::seed_from_u64(0xF16);
+        // Not a multiple of STRIP; every third destination has no edge.
+        let (n_dst, n) = (2 * STRIP + 37, 47);
+        let n_src = n_dst + 90;
+        let dst: Vec<u32> = (0..n_dst as u32).filter(|d| d % 3 != 0).flat_map(|d| std::iter::repeat_n(d, 1 + d as usize % 4)).collect();
+        let src: Vec<u32> = dst.iter().map(|_| rng.random_range(0..n_src as u32)).collect();
+        // The same edges out of order: the counting-sorted index route.
+        let mut order: Vec<usize> = (0..dst.len()).collect();
+        order.shuffle(&mut rng);
+        let shuffled = |ids: &[u32]| -> Vec<u32> { order.iter().map(|&e| ids[e]).collect() };
+        let edge_lists = [("sorted", src.clone(), dst.clone()), ("shuffled", shuffled(&src), shuffled(&dst))];
+        for k in [1, 7, 8, 100, 128] {
+            let mut values = |len: usize| -> Vec<f32> { (0..len).map(|_| rng.random_range(-1.0f32..1.0)).collect() };
+            let halves: Rc<Vec<F16>> = Rc::new(crate::quantize(&values(n_src * k)));
+            let wide = Tensor::from_vec(FeatureRows::Half(&halves).to_f32_vec(), [n_src, k]);
+            let floats: Rc<Vec<f32>> = Rc::new(wide.data().to_vec());
+            let (ws, wn) = (Tensor::from_vec(values(k * n), [k, n]), Tensor::from_vec(values(k * n), [k, n]));
+            let g = Tensor::from_vec(values(n_dst * n), [n_dst, n]);
+            for (route, src, dst) in &edge_lists {
+                for act in [None, Some(0.5)] {
+                    // `[out, dW_self, dW_neigh]` of the layer over `x`, and
+                    // `x` as a later op reads it.
+                    let layer = |tape: Tape, x: &dyn Fn(&Tape) -> Var| {
+                        let (x, wsv, wnv) = (x(&tape), tape.leaf(ws.clone()), tape.leaf(wn.clone()));
+                        let y = x.sage_conv(None, &wsv, &wnv, src, dst, n_dst, act, &mut StdRng::seed_from_u64(k as u64));
+                        let grads = tape.backward(&y.mul(&tape.constant(g.clone())).sum_all());
+                        let dw = |w: &Var| grads.wrt(w).map_or(Vec::new(), |t| bits(t.data()));
+                        ([bits(y.value().data()), dw(&wsv), dw(&wnv)], bits(x.value().data()))
+                    };
+                    let (want, _) = layer(Tape::new(), &|t| t.constant(wide.clone()));
+                    assert!(!want[1].is_empty() && !want[2].is_empty());
+                    for (elem, store) in [("f16", Rc::clone(&halves) as Rc<dyn crate::RowStore>), ("f32", Rc::clone(&floats) as _)] {
+                        let what = format!("lent {elem} rows, {k} cols, {route} edges, act {act:?}");
+                        let (got, seen) = layer(Tape::new(), &|t| t.constant_rows(Rc::clone(&store), k));
+                        for (i, name) in ["output", "dW_self", "dW_neigh"].into_iter().enumerate() {
+                            assert_eq!(got[i], want[i], "{name}, {what}");
+                        }
+                        assert_eq!(seen, bits(wide.data()), "the leaf as any other op sees it, {what}");
+                        // Eval: nothing tracked, one strip of aggregate scratch.
+                        let (got, _) = layer(Tape::no_grad(), &|t| t.constant_rows(Rc::clone(&store), k));
+                        assert_eq!(got[0], want[0], "output on a no_grad tape, {what}");
+                        assert!(got[1].is_empty() && got[2].is_empty());
+                    }
                 }
             }
         }

@@ -15,7 +15,7 @@
 //!   `lda = a_cols`, transposed A (`ta = true`, the `dW = Aᵀ·g` backward
 //!   shape) is the K-major panel its storage already is, untransposed B a
 //!   panel with `ldb = b_cols`. Packing into thread-local scratch survives
-//!   only where it *converts* ([`GemmElem`]): `F16` operands are widened to
+//!   only where it *converts* ([`Elem`]): `F16` operands are widened to
 //!   `f32` on the way (bulk F16C kernels on contiguous rows) and a
 //!   transposed B is gathered into rows — so the tile, and the fp32
 //!   accumulation order, is identical for half and full precision inputs
@@ -54,7 +54,10 @@
 //!   `+=` chain in edge order whatever the vector width or the chunking —
 //!   results are bitwise identical for any rung and any thread count. Edge
 //!   endpoints are validated once per call, in release builds too, so the
-//!   per-edge loop reads rows unchecked.
+//!   per-edge loop reads rows unchecked. The rows are `f32` or [`F16`]
+//!   ([`Elem`], the GEMM's operand element): a staged batch's halves are
+//!   widened in the panel's load (`vcvtph2ps` into the add), exactly, so hop
+//!   0 reads half the bytes and sums the bits a widened copy would give.
 
 #![expect(
     clippy::indexing_slicing,
@@ -270,9 +273,11 @@ fn prefetch_read<T>(p: *const T) {
 // GEMM
 // ---------------------------------------------------------------------------
 
-/// Row block an [`F16`] left operand is widened by: MC×KC floats of pack
-/// scratch. An `f32` left operand is read in place, a chunk's rows at once.
-const MC: usize = 64;
+/// Row block an [`F16`] left operand is widened by: MC×KC floats (128 KiB)
+/// of pack scratch, and wide enough that a transposed feature strip — all
+/// 100 or 128 of its columns — is one block, which [`pack_a`] widens in one
+/// piece. An `f32` left operand is read in place, a chunk's rows at once.
+const MC: usize = 128;
 /// K (inner-dimension) block: a tile's K loop runs at most this long before
 /// its accumulators go back to C.
 const KC: usize = 256;
@@ -296,50 +301,116 @@ thread_local! {
     pub(crate) static PACKS: std::cell::Cell<[u64; 2]> = const { std::cell::Cell::new([0, 0]) };
 }
 
-/// A GEMM operand element. An `f32` operand that is not a transposed B is
-/// read where it lies; packing is for operands that must be *converted* on
-/// the way: [`F16`] (widened, via the bulk F16C kernels on contiguous runs)
-/// and a transposed B (gathered into rows). Past it the micro-kernel only
-/// ever sees `f32` panels, so accumulation is always fp32.
-trait GemmElem: Copy + Send + Sync {
-    /// The operand itself when it already is what the micro-kernel reads.
-    fn as_f32(d: &[Self]) -> Option<&[f32]>;
-    /// Appends `src`, widened to `f32`, onto `dst` (contiguous bulk path).
-    fn widen_append(src: &[Self], dst: &mut Vec<f32>);
-    /// Single-element widened read, for strided (transposed-B) packs.
-    fn at(d: &[Self], i: usize) -> f32;
+/// Appends `src`, widened, onto a pack buffer.
+#[inline]
+fn widen_append<T: Elem>(src: &[T], dst: &mut Vec<f32>) {
+    let old = dst.len();
+    dst.resize(old + src.len(), 0.0);
+    T::widen(src, &mut dst[old..]);
 }
 
-impl GemmElem for f32 {
+/// An operand element of the GEMM and of the aggregation row kernel: `f32`,
+/// or [`F16`] widened on the way in. A GEMM reads an `f32` operand that is
+/// not a transposed B where it lies; packing is for operands that must be
+/// *converted*: [`F16`] (widened, via the bulk F16C kernels on contiguous
+/// runs) and a transposed B (gathered into rows). Past it the micro-kernel
+/// only ever sees `f32` panels, and the row kernel widens in its panel load
+/// ([`Elem::add_into`]), so accumulation is always fp32.
+pub(crate) trait Elem: Copy + Send + Sync {
+    /// The operand itself when it already is what the micro-kernel reads.
+    fn as_f32(d: &[Self]) -> Option<&[f32]>;
+    /// `dst = src`, widened to `f32` (contiguous bulk path).
+    fn widen(src: &[Self], dst: &mut [f32]);
+    /// Single-element widened read, for strided (transposed-B) packs.
+    fn at(d: &[Self], i: usize) -> f32;
+    /// The row kernel's panel step: `acc[j] += src[j]` for `j < W`, each
+    /// element widened exactly, so every column is the same `+=` chain for
+    /// either element type. `VW` is the rung's vector width in floats (1 on
+    /// the portable rung).
+    ///
+    /// # Safety
+    ///
+    /// `src` must cover `W` elements, and for `VW > 1` the CPU must have the
+    /// rung whose vectors hold `VW` floats ([`host_rungs`], F16C with it).
+    unsafe fn add_into<const W: usize, const VW: usize>(acc: &mut [f32; W], src: *const Self);
+}
+
+impl Elem for f32 {
     #[inline]
     fn as_f32(d: &[f32]) -> Option<&[f32]> {
         Some(d)
     }
     #[inline]
-    fn widen_append(src: &[f32], dst: &mut Vec<f32>) {
-        dst.extend_from_slice(src);
+    fn widen(src: &[f32], dst: &mut [f32]) {
+        dst.copy_from_slice(src);
     }
     #[inline]
     fn at(d: &[f32], i: usize) -> f32 {
         d[i]
     }
+    #[inline(always)]
+    unsafe fn add_into<const W: usize, const VW: usize>(acc: &mut [f32; W], src: *const f32) {
+        for (j, a) in acc.iter_mut().enumerate() {
+            // SAFETY: `j < W`, which the caller says `src` covers.
+            *a += unsafe { *src.add(j) };
+        }
+    }
 }
 
-impl GemmElem for F16 {
+impl Elem for F16 {
     #[inline]
     fn as_f32(_: &[F16]) -> Option<&[f32]> {
         None
     }
     #[inline]
-    fn widen_append(src: &[F16], dst: &mut Vec<f32>) {
-        let old = dst.len();
-        dst.resize(old + src.len(), 0.0);
-        crate::f16::widen_into(src, &mut dst[old..]);
+    fn widen(src: &[F16], dst: &mut [f32]) {
+        crate::f16::widen_into(src, dst);
     }
     #[inline]
     #[expect(clippy::disallowed_methods, reason = "strided transposed-B packing reads one element per cache line; the contiguous pack paths all use widen_append")]
     fn at(d: &[F16], i: usize) -> f32 {
         d[i].to_f32()
+    }
+    /// `vcvtph2ps` straight into the add on the vector rungs — a whole
+    /// `zmm` of sixteen halves on AVX-512, eight on AVX2 — and the bulk
+    /// conversion into a stack panel on the portable one (and for a panel
+    /// narrower than a conversion).
+    #[inline(always)]
+    unsafe fn add_into<const W: usize, const VW: usize>(acc: &mut [f32; W], src: *const F16) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::*;
+            // `F16` is `repr(transparent)` over `u16`.
+            let (h, a) = (src as *const u16, acc.as_mut_ptr());
+            if VW == 16 && W % 16 == 0 {
+                for v in (0..W).step_by(16) {
+                    // SAFETY: `v + 16 <= W`, inside `acc` and — the caller's
+                    // word — `src`; AVX-512F is the rung the caller names.
+                    unsafe {
+                        let wide = _mm512_cvtph_ps(_mm256_loadu_si256(h.add(v) as *const __m256i));
+                        _mm512_storeu_ps(a.add(v), _mm512_add_ps(_mm512_loadu_ps(a.add(v)), wide));
+                    }
+                }
+                return;
+            }
+            if VW >= 8 && W % 8 == 0 {
+                for v in (0..W).step_by(8) {
+                    // SAFETY: `v + 8 <= W`, inside `acc` and `src`; either
+                    // vector rung comes with AVX and F16C.
+                    unsafe {
+                        let wide = _mm256_cvtph_ps(_mm_loadu_si128(h.add(v) as *const __m128i));
+                        _mm256_storeu_ps(a.add(v), _mm256_add_ps(_mm256_loadu_ps(a.add(v)), wide));
+                    }
+                }
+                return;
+            }
+        }
+        let mut wide = [0.0f32; W];
+        // SAFETY: the caller says `src` covers `W` elements.
+        Self::widen(unsafe { std::slice::from_raw_parts(src, W) }, &mut wide);
+        for (a, w) in acc.iter_mut().zip(wide) {
+            *a += w;
+        }
     }
 }
 
@@ -376,7 +447,7 @@ fn product_dims(
 
 /// A product into a pooled buffer that nobody zeroed: the first K block of
 /// every tile starts from zero in registers and stores without loading.
-fn gemm_tensor<TA: GemmElem, TB: GemmElem>(ops: &Operands<'_, TA, TB>, m: usize) -> Tensor {
+fn gemm_tensor<TA: Elem, TB: Elem>(ops: &Operands<'_, TA, TB>, m: usize) -> Tensor {
     let mut out = take_f32_stale(m * ops.n);
     gemm_into(&mut out, false, ops, m);
     Tensor::from_vec(out, Shape::matrix(m, ops.n))
@@ -395,14 +466,15 @@ pub fn gemm(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Tensor {
     gemm_tensor(&Operands { a: a.data(), b: b.data(), ta, tb, n, k, a_cols, b_cols }, m)
 }
 
-/// `out += op(a) · op(b)` on raw row-major `f32` buffers, where `op(a)` is
-/// `m×k` and `op(b)` is `k×n`: a second product onto what a first one wrote,
-/// or one strip's share of a sum. Accumulating continues each element's
-/// K-ordered FMA chain, exactly as a further K block would.
+/// `out += op(a) · op(b)` on raw row-major buffers (`a` of either element
+/// type, widened as it is packed), where `op(a)` is `m×k` and `op(b)` is
+/// `k×n`: a second product onto what a first one wrote, or one strip's share
+/// of a sum. Accumulating continues each element's K-ordered FMA chain,
+/// exactly as a further K block would.
 #[expect(clippy::too_many_arguments, reason = "a GEMM's signature is its operands, their transposes and the three extents")]
-pub(crate) fn gemm_acc(
+pub(crate) fn gemm_acc<TA: Elem>(
     out: &mut [f32],
-    a: &[f32],
+    a: &[TA],
     b: &[f32],
     ta: bool,
     tb: bool,
@@ -493,12 +565,14 @@ enum Level {
     Avx512,
 }
 
-/// Which vector rungs this CPU has, as `(avx2, avx512)`.
+/// Which vector rungs this CPU has, as `(avx2, avx512)`. A rung's row
+/// kernel widens halves in its load, so AVX2 counts with F16C only (every
+/// CPU with the one has the other; AVX-512F implies it).
 fn host_rungs() -> (bool, bool) {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::is_x86_feature_detected as has;
-        (has!("avx2") && has!("fma"), has!("avx512f"))
+        (has!("avx2") && has!("fma") && has!("f16c"), has!("avx512f") && has!("f16c"))
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -568,7 +642,7 @@ pub fn gemm_naive(a: &Tensor, b: &Tensor, ta: bool, tb: bool) -> Tensor {
 /// Packs `op(b)[pc..pc+kcb, jc..jc+ncb]` row-major into `bpack`, widening
 /// to `f32` as it goes (bulk path for the contiguous `!tb` case).
 #[inline]
-fn pack_b<TA, TB: GemmElem>(
+fn pack_b<TA, TB: Elem>(
     bpack: &mut Vec<f32>,
     ops: &Operands<'_, TA, TB>,
     (pc, kcb): (usize, usize),
@@ -581,7 +655,7 @@ fn pack_b<TA, TB: GemmElem>(
     if !ops.tb {
         for p in 0..kcb {
             let row = &bd[(pc + p) * b_cols + jc..(pc + p) * b_cols + jc + ncb];
-            TB::widen_append(row, bpack);
+            widen_append(row, bpack);
         }
     } else {
         // b is n×k physical; op(b)[p][j] = b[j][p].
@@ -594,13 +668,14 @@ fn pack_b<TA, TB: GemmElem>(
 }
 
 /// Packs an A panel that has to be widened, in the layout the operand
-/// already has — contiguous source rows either way, bulk-widened:
+/// already has — contiguous source rows either way, bulk-widened, and in one
+/// piece when the panel spans whole rows (a feature strip's does):
 ///
 /// * `ta = false`: row-major `apack[i][p] = a[i0+i][pc+p]`, `lda = kcb`.
 /// * `ta = true`: **K-major** `apack[p][i] = a[pc+p][i0+i]`, `lda = mb`
 ///   (`a` is k×m physical, the `dW = Aᵀ·g` backward shape).
 #[inline]
-fn pack_a<TA: GemmElem, TB>(
+fn pack_a<TA: Elem, TB>(
     apack: &mut Vec<f32>,
     ops: &Operands<'_, TA, TB>,
     (i0, mb): (usize, usize),
@@ -610,9 +685,12 @@ fn pack_a<TA: GemmElem, TB>(
     PACKS.with(|c| c.set([c.get()[0] + 1, c.get()[1]]));
     apack.clear();
     let (rows, cols) = if ops.ta { (pc..pc + kcb, i0..i0 + mb) } else { (i0..i0 + mb, pc..pc + kcb) };
+    if cols.len() == ops.a_cols {
+        return widen_append(&ops.a[rows.start * ops.a_cols..rows.end * ops.a_cols], apack);
+    }
     for r in rows {
         let row = &ops.a[r * ops.a_cols + cols.start..r * ops.a_cols + cols.end];
-        TA::widen_append(row, apack);
+        widen_append(row, apack);
     }
 }
 
@@ -662,7 +740,7 @@ fn kernel_row(
 /// baseline target and other architectures.
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    use super::Level;
+    use super::{Elem, Level};
     use std::arch::x86_64::*;
 
     /// One register tile: `C[R × cols] (+)= A[R × kcb] · B[kcb × cols]` on
@@ -875,20 +953,20 @@ mod simd {
     ///
     /// # Safety
     ///
-    /// As for [`super::RowAgg::rows`], on a CPU with AVX2 and FMA.
-    #[target_feature(enable = "avx,avx2,fma")]
-    pub unsafe fn agg_rows_avx2(agg: &super::RowAgg<'_>, r0: usize, r1: usize, out: *mut f32) {
-        agg.rows(r0, r1, out)
+    /// As for [`super::RowAgg::rows`], on a CPU with AVX2, FMA and F16C.
+    #[target_feature(enable = "avx,avx2,fma,f16c")]
+    pub unsafe fn agg_rows_avx2<T: Elem>(agg: &super::RowAgg<'_, T>, r0: usize, r1: usize, out: *mut f32) {
+        agg.rows::<8>(r0, r1, out)
     }
 
     /// [`super::RowAgg::rows`] compiled with 512-bit vectors (AVX-512 rung).
     ///
     /// # Safety
     ///
-    /// As for [`super::RowAgg::rows`], on a CPU with AVX-512F.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn agg_rows_avx512(agg: &super::RowAgg<'_>, r0: usize, r1: usize, out: *mut f32) {
-        agg.rows(r0, r1, out)
+    /// As for [`super::RowAgg::rows`], on a CPU with AVX-512F (and so F16C).
+    #[target_feature(enable = "avx512f,f16c")]
+    pub unsafe fn agg_rows_avx512<T: Elem>(agg: &super::RowAgg<'_, T>, r0: usize, r1: usize, out: *mut f32) {
+        agg.rows::<16>(r0, r1, out)
     }
 }
 
@@ -944,7 +1022,7 @@ unsafe fn gemm_block(
 /// B panel once per (K block, column block) and an A panel per MC rows of
 /// it. K blocks are accumulated in increasing `pc` order for every output
 /// element, the first one write-first unless `acc`.
-fn gemm_rows<TA: GemmElem, TB: GemmElem>(
+fn gemm_rows<TA: Elem, TB: Elem>(
     out: &mut [f32],
     acc: bool,
     ops: &Operands<'_, TA, TB>,
@@ -995,11 +1073,11 @@ fn gemm_rows<TA: GemmElem, TB: GemmElem>(
 }
 
 /// `out = op(a)·op(b)` (or `+=` when `acc`) for an `m`-row product, generic
-/// over the operand element types (`f32` or [`F16`] — see [`GemmElem`]):
+/// over the operand element types (`f32` or [`F16`] — see [`Elem`]):
 /// [`gemm_rows`] over chunks of rows holding at least [`MIN_CHUNK_FLOPS`]
 /// each, one pool dispatch per product. A chunk computes its rows exactly as
 /// the whole would, so the result is bitwise identical for any thread count.
-fn gemm_into<TA: GemmElem, TB: GemmElem>(
+fn gemm_into<TA: Elem, TB: Elem>(
     out: &mut [f32],
     acc: bool,
     ops: &Operands<'_, TA, TB>,
@@ -1209,20 +1287,22 @@ const AGG_PREFETCH_EDGES: usize = 8;
 /// of columns at a time, and the row is stored once — the output may hold
 /// stale values. Every column is a plain `+=` chain in edge order starting
 /// from 0.0, so a value depends neither on the panel width (the rung) nor on
-/// which chunk computed it.
+/// which chunk computed it. The rows are `f32` or [`F16`] ([`Elem`]): a half
+/// is widened — exactly — in the panel's load, so a sum over staged halves is
+/// bit for bit the sum over their widened copy.
 ///
 /// Built only by [`with_row_agg`], which checks what [`RowAgg::rows`] reads
 /// unchecked: `indptr` is `n_keys + 1` prefix sums ending at `idx.len()`, and
 /// every `idx` value is a row of `x`.
-pub(crate) struct RowAgg<'a> {
-    x: &'a [f32],
+pub(crate) struct RowAgg<'a, T> {
+    x: &'a [T],
     cols: usize,
     indptr: &'a [u32],
     idx: &'a [u32],
     mean: bool,
 }
 
-impl RowAgg<'_> {
+impl<T: Elem> RowAgg<'_, T> {
     /// Columns `[c, c + W)` of one output row.
     ///
     /// # Safety
@@ -1230,7 +1310,7 @@ impl RowAgg<'_> {
     /// As for [`RowAgg::rows`], with `e0..e1` the row's edges,
     /// `c + W <= cols` and `orow` the start of the output row.
     #[inline(always)]
-    unsafe fn panel<const W: usize>(
+    unsafe fn panel<const W: usize, const VW: usize>(
         &self,
         (e0, e1): (usize, usize),
         c: usize,
@@ -1246,14 +1326,11 @@ impl RowAgg<'_> {
                 // clamped to the list, the address is never dereferenced.
                 let ahead = (e + AGG_PREFETCH_EDGES).min(idx.len() - 1);
                 let next = x.wrapping_add(*idx.get_unchecked(ahead) as usize * cols);
-                for line in (0..cols).step_by(16) {
+                for line in (0..cols).step_by(64 / size_of::<T>()) {
                     prefetch_read(next.wrapping_add(line));
                 }
             }
-            let xrow = x.add(*idx.get_unchecked(e) as usize * cols + c);
-            for (j, a) in acc.iter_mut().enumerate() {
-                *a += *xrow.add(j);
-            }
+            T::add_into::<W, VW>(&mut acc, x.add(*idx.get_unchecked(e) as usize * cols + c));
         }
         if let Some(s) = scale {
             for a in &mut acc {
@@ -1264,16 +1341,18 @@ impl RowAgg<'_> {
     }
 
     /// Computes output rows `[r0, r1)` into `out`, row `r0` first: the body
-    /// of one parallel chunk, and the portable rung (the `simd` wrappers
-    /// compile this same code for AVX2 and AVX-512).
+    /// of one parallel chunk, and — at `VW = 1` — the portable rung (the
+    /// `simd` wrappers compile this same code for AVX2 and AVX-512, with
+    /// `VW` their vector width in floats).
     ///
     /// # Safety
     ///
     /// `indptr[r0..=r1]` must be non-decreasing and end `<= idx.len()`, every
-    /// `idx` value must be a row of `x` (`< x.len() / cols`), and `out` must
-    /// cover `(r1 - r0) · cols` floats that nobody else touches.
+    /// `idx` value must be a row of `x` (`< x.len() / cols`), `out` must
+    /// cover `(r1 - r0) · cols` floats that nobody else touches, and for
+    /// `VW > 1` the CPU must have that rung.
     #[inline(always)]
-    unsafe fn rows(&self, r0: usize, r1: usize, out: *mut f32) {
+    unsafe fn rows<const VW: usize>(&self, r0: usize, r1: usize, out: *mut f32) {
         let cols = self.cols;
         for r in r0..r1 {
             let edges = (
@@ -1290,27 +1369,27 @@ impl RowAgg<'_> {
             while c < cols {
                 c += match cols - c {
                     64.. => {
-                        self.panel::<64>(edges, c, scale, orow);
+                        self.panel::<64, VW>(edges, c, scale, orow);
                         64
                     }
                     32.. => {
-                        self.panel::<32>(edges, c, scale, orow);
+                        self.panel::<32, VW>(edges, c, scale, orow);
                         32
                     }
                     16.. => {
-                        self.panel::<16>(edges, c, scale, orow);
+                        self.panel::<16, VW>(edges, c, scale, orow);
                         16
                     }
                     8.. => {
-                        self.panel::<8>(edges, c, scale, orow);
+                        self.panel::<8, VW>(edges, c, scale, orow);
                         8
                     }
                     rest if cols >= 8 => {
-                        self.panel::<8>(edges, cols - 8, scale, orow);
+                        self.panel::<8, VW>(edges, cols - 8, scale, orow);
                         rest
                     }
                     _ => {
-                        self.panel::<1>(edges, c, scale, orow);
+                        self.panel::<1, VW>(edges, c, scale, orow);
                         1
                     }
                 };
@@ -1334,7 +1413,7 @@ impl RowAgg<'_> {
                 Level::Avx2 => return simd::agg_rows_avx2(self, r0, r1, out),
                 Level::Portable => {}
             }
-            self.rows(r0, r1, out)
+            self.rows::<1>(r0, r1, out)
         }
     }
 }
@@ -1343,15 +1422,15 @@ impl RowAgg<'_> {
 /// every value is a row of `x`, and hands `f` the row kernel over it. `what`
 /// names the keys and the values in panic messages.
 #[expect(clippy::too_many_arguments, reason = "an aggregation is its source rows, an edge list with its extent and names, and the reduction")]
-pub(crate) fn with_row_agg<R>(
-    x: &[f32],
+pub(crate) fn with_row_agg<T: Elem, R>(
+    x: &[T],
     cols: usize,
     keys: &[u32],
     n_keys: usize,
     vals: Option<&[u32]>,
     what: [&str; 2],
     mean: bool,
-    f: impl FnOnce(&RowAgg<'_>) -> R,
+    f: impl FnOnce(&RowAgg<'_, T>) -> R,
 ) -> R {
     // One past the largest row of `x` any edge reads.
     let rows_read = match vals {
@@ -1365,8 +1444,8 @@ pub(crate) fn with_row_agg<R>(
 
 /// `out[r] = scale_r · Σ { x[vals[e]] : keys[e] = r }` for `r < n_keys`, in
 /// a pooled buffer: [`RowAgg`] over chunks of output rows.
-fn aggregate(
-    x: &[f32],
+fn aggregate<T: Elem>(
+    x: &[T],
     cols: usize,
     keys: &[u32],
     n_keys: usize,
@@ -1399,13 +1478,15 @@ fn aggregate(
 /// Rows `[r0, r1)` of a SAGE layer's linear part, a chunk of them at a time:
 /// `a = mean_agg(x)` for the chunk's rows, then `o = xt · w[0]` written first
 /// and `o += a · w[1]` continuing its chains. `xt`, `a` and `o` hold exactly
-/// rows `[r0, r1)` (`k`, `k` and `n` wide). One dispatch covers the aggregate
-/// and both products, in chunks of at least [`MIN_CHUNK_FLOPS`], so between
-/// the three steps a chunk's rows have not left the cache.
-pub(crate) fn sage_rows(
-    agg: &RowAgg<'_>,
+/// rows `[r0, r1)` (`k`, `k` and `n` wide); `xt` has the element type of the
+/// rows summed, and as [`F16`] goes through the A-side packer, a chunk of at
+/// most a strip at a time. One dispatch covers the aggregate and both
+/// products, in chunks of at least [`MIN_CHUNK_FLOPS`], so between the three
+/// steps a chunk's rows have not left the cache.
+pub(crate) fn sage_rows<T: Elem>(
+    agg: &RowAgg<'_, T>,
     (r0, r1): (usize, usize),
-    xt: &[f32],
+    xt: &[T],
     w: [&[f32]; 2],
     n: usize,
     a: &mut [f32],
@@ -1423,10 +1504,9 @@ pub(crate) fn sage_rows(
         // SAFETY: as above.
         let o = unsafe { op.slice_mut(c0 * n, (c1 - c0) * n) };
         agg.rows_into((r0 + c0, r0 + c1), a);
-        for (lhs, b, acc) in [(&xt[c0 * k..c1 * k], w[0], false), (&*a, w[1], true)] {
-            let ops = Operands { a: lhs, b, ta: false, tb: false, n, k, a_cols: k, b_cols: n };
-            gemm_rows(o, acc, &ops, (0, c1 - c0));
-        }
+        let (own, rows) = (&xt[c0 * k..c1 * k], (0, c1 - c0));
+        gemm_rows(o, false, &Operands { a: own, b: w[0], ta: false, tb: false, n, k, a_cols: k, b_cols: n }, rows);
+        gemm_rows(o, true, &Operands { a: &*a, b: w[1], ta: false, tb: false, n, k, a_cols: k, b_cols: n }, rows);
     });
 }
 
@@ -1453,6 +1533,24 @@ pub fn gather_rows_backward(gd: &[f32], cols: usize, idx: &[u32], n_src: usize) 
 /// `xd`, or a destination is `>= n_dst`.
 pub fn scatter_reduce_forward(
     xd: &[f32],
+    cols: usize,
+    src: &[u32],
+    dst: &[u32],
+    n_dst: usize,
+    mean: bool,
+) -> Vec<f32> {
+    aggregate(xd, cols, dst, n_dst, Some(src), ["destination id", "source id"], mean)
+}
+
+/// [`scatter_reduce_forward`] over packed [`F16`] rows, each widened in the
+/// row kernel's load: bit for bit the aggregate of the widened rows, for half
+/// the bytes read.
+///
+/// # Panics
+///
+/// As [`scatter_reduce_forward`].
+pub fn scatter_reduce_forward_f16(
+    xd: &[F16],
     cols: usize,
     src: &[u32],
     dst: &[u32],
@@ -1556,6 +1654,7 @@ pub fn relu_dropout_backward(g: &mut [f32], out: &[f32], scale: f32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::f16::FeatureRows;
     use crate::rng::{Rng, StdRng};
 
     fn rand_tensor(r: usize, c: usize, rng: &mut StdRng) -> Tensor {
@@ -1650,12 +1749,21 @@ mod tests {
         }
     }
 
+    /// An `F16` left operand against an `f32` right one read in place — the
+    /// self term and `dW_self` of a layer over staged halves — written first
+    /// ([`gemm_f16_f32`]) and accumulated ([`gemm_acc`]). The small shapes fit
+    /// one pack block, which [`pack_a`] widens in one piece; the last two
+    /// (`m > MC` transposed, `k > KC`) take its row-by-row loop.
     #[test]
     fn gemm_f16_f32_mixed_matches_widened() {
         let mut rng = StdRng::seed_from_u64(21);
-        for &(m, k, n, ta, tb) in
-            &[(40, 33, 25, false, false), (33, 40, 25, true, false), (40, 33, 25, false, true)]
-        {
+        for &(m, k, n, ta, tb) in &[
+            (40, 33, 25, false, false),
+            (33, 40, 25, true, false),
+            (40, 33, 25, false, true),
+            (2 * MC + 44, 100, 47, true, false),
+            (40, KC + 44, 25, false, false),
+        ] {
             let (ar, ac) = if ta { (k, m) } else { (m, k) };
             let ah: Vec<F16> = (0..ar * ac)
                 .map(|_| F16::from_f32(rng.random_range(-2.0f32..2.0)))
@@ -1665,6 +1773,11 @@ mod tests {
             let mixed = gemm_f16_f32(&ah, ar, ac, &b, ta, tb);
             let full = gemm(&aw, &b, ta, tb);
             assert_eq!(mixed.data(), full.data(), "{m}x{k}x{n} ta={ta} tb={tb}");
+            let mut mixed = rand_tensor(m, n, &mut rng);
+            let mut full = mixed.clone();
+            gemm_acc(mixed.data_mut(), &ah, b.data(), ta, tb, m, n, k);
+            gemm_acc(full.data_mut(), aw.data(), b.data(), ta, tb, m, n, k);
+            assert_eq!(mixed.data(), full.data(), "accumulated, {m}x{k}x{n} ta={ta} tb={tb}");
         }
     }
 
@@ -1927,21 +2040,38 @@ mod tests {
 
     // SAFETY: a rung is called under the contract of `RowAgg::rows`, on a
     // CPU that has the rung's vector extension.
-    type Rung = unsafe fn(&RowAgg<'_>, usize, usize, *mut f32);
+    type Rung<T> = unsafe fn(&RowAgg<'_, T>, usize, usize, *mut f32);
 
     /// Every rung of the row kernel this host can run, called directly (the
     /// process-wide dispatch picks one of them for good).
-    fn rungs() -> Vec<(&'static str, Rung)> {
+    fn rungs<T: Elem>() -> Vec<(&'static str, Rung<T>)> {
         // SAFETY: the caller of a `Rung` upholds the contract of `rows`.
-        let portable: Rung = |agg, r0, r1, out| unsafe { agg.rows(r0, r1, out) };
+        let portable: Rung<T> = |agg, r0, r1, out| unsafe { agg.rows::<1>(r0, r1, out) };
         let mut rungs = vec![("portable", portable)];
         #[cfg(target_arch = "x86_64")]
         {
             let (avx2, avx512) = host_rungs();
-            rungs.extend(avx2.then_some(("avx2", simd::agg_rows_avx2 as Rung)));
-            rungs.extend(avx512.then_some(("avx512", simd::agg_rows_avx512 as Rung)));
+            rungs.extend(avx2.then_some(("avx2", simd::agg_rows_avx2::<T> as Rung<T>)));
+            rungs.extend(avx512.then_some(("avx512", simd::agg_rows_avx512::<T> as Rung<T>)));
         }
         rungs
+    }
+
+    /// Rows `cuts[i]..cuts[i + 1]` of `agg`, chunk by chunk, on every rung.
+    fn by_every_rung<T: Elem>(agg: &RowAgg<'_, T>, cuts: &[usize]) -> Vec<(&'static str, Vec<u32>)> {
+        let rows_of = |rows: Rung<T>| {
+            // Stale, as the pooled output buffer is.
+            let mut out = vec![f32::NAN; (agg.indptr.len() - 1) * agg.cols];
+            for w in cuts.windows(2) {
+                // SAFETY: the callers' index comes from `with_csr` over
+                // values drawn below `x`'s rows, `out` holds a row a key, of
+                // which a chunk gets its own, and `rungs` lists only what
+                // the CPU supports.
+                unsafe { rows(agg, w[0], w[1], out[w[0] * agg.cols..].as_mut_ptr()) };
+            }
+            bits(&out)
+        };
+        rungs().into_iter().map(|(rung, rows)| (rung, rows_of(rows))).collect()
     }
 
     /// Edge lists `(name, keys, vals)` over `n_keys` rows reading `n_vals`
@@ -1974,7 +2104,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xA66);
         let (n_keys, n_vals, n_edges) = (61, 83, 700);
         for cols in COLS {
-            let x: Vec<f32> = (0..n_vals * cols).map(|_| rng.random_range(-1.0f32..1.0)).collect();
+            // Exact halves, so the same sums are asked of both element types.
+            let xh = crate::f16::quantize(&(0..n_vals * cols).map(|_| rng.random_range(-1.0f32..1.0)).collect::<Vec<_>>());
+            let x = FeatureRows::Half(&xh).to_f32_vec();
             for (case, keys, vals) in edge_cases(n_keys, n_vals, n_edges, &mut rng) {
                 for mean in [false, true] {
                     let want = bits(&edge_walk(&x, cols, &keys, n_keys, Some(&vals), None, mean));
@@ -1983,19 +2115,10 @@ mod tests {
                     let (a, b) = (rng.random_range(0..=n_keys), rng.random_range(0..=n_keys));
                     let cuts = [0, a.min(b), a.max(b), n_keys];
                     with_csr(&keys, n_keys, "key", Some(&vals), |indptr, idx| {
-                        for (rung, rows) in rungs() {
-                            // Stale, as the pooled output buffer is.
-                            let mut out = vec![f32::NAN; n_keys * cols];
-                            let agg = RowAgg { x: &x, cols, indptr, idx, mean };
-                            for w in cuts.windows(2) {
-                                // SAFETY: the index comes from `with_csr`
-                                // over values drawn below n_vals = x's rows,
-                                // `out` holds n_keys rows, of which a chunk
-                                // gets its own, and `rungs` lists only what
-                                // the CPU supports.
-                                unsafe { rows(&agg, w[0], w[1], out[w[0] * cols..].as_mut_ptr()) };
-                            }
-                            assert_eq!(bits(&out), want, "{rung}, {cols} cols, {case}, mean {mean}, cuts {cuts:?}");
+                        let full = by_every_rung(&RowAgg { x: &x[..], cols, indptr, idx, mean }, &cuts);
+                        let half = by_every_rung(&RowAgg { x: &xh[..], cols, indptr, idx, mean }, &cuts);
+                        for (elem, (rung, out)) in full.iter().map(|r| ("f32", r)).chain(half.iter().map(|r| ("f16", r))) {
+                            assert_eq!(out, &want, "{elem} rows, {rung}, {cols} cols, {case}, mean {mean}, cuts {cuts:?}");
                         }
                     });
                 }
@@ -2012,7 +2135,9 @@ mod tests {
         let large = if cfg!(debug_assertions) { (900, 1_000, 14_000) } else { (9_036, 9_970, 147_000) };
         for ((n_dst, n_src, n_edges), cols_list) in [((61, 83, 700), &COLS[..]), (large, &[100][..])] {
             for &cols in cols_list {
-                let x: Vec<f32> = (0..n_src * cols).map(|_| rng.random_range(-1.0f32..1.0)).collect();
+                // Exact halves: the packed rows must sum to the same bits.
+                let xh = crate::f16::quantize(&(0..n_src * cols).map(|_| rng.random_range(-1.0f32..1.0)).collect::<Vec<_>>());
+                let x = FeatureRows::Half(&xh).to_f32_vec();
                 let g: Vec<f32> = (0..n_dst * cols).map(|_| rng.random_range(-1.0f32..1.0)).collect();
                 for (case, dst, src) in edge_cases(n_dst, n_src, n_edges, &mut rng) {
                     let what = format!("{cols} cols, {case}, {n_edges} edges");
@@ -2020,6 +2145,8 @@ mod tests {
                         let got = scatter_reduce_forward(&x, cols, &src, &dst, n_dst, mean);
                         let want = edge_walk(&x, cols, &dst, n_dst, Some(&src), None, mean);
                         assert_eq!(bits(&got), bits(&want), "forward, mean {mean}, {what}");
+                        let got = scatter_reduce_forward_f16(&xh, cols, &src, &dst, n_dst, mean);
+                        assert_eq!(bits(&got), bits(&want), "forward over f16 rows, mean {mean}, {what}");
                     }
                     // Backward: sources are the keys. The mean weighs every
                     // edge by one over its destination's degree.

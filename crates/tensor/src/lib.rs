@@ -63,8 +63,8 @@ pub mod pool;
 pub mod rng;
 pub mod sync;
 
-pub use autograd::{Gradients, Param, ParamId, Tape, Var};
-pub use f16::{narrow_into, quantize, widen_into, Dtype, F16};
+pub use autograd::{Gradients, Param, ParamId, RowStore, Tape, Var};
+pub use f16::{narrow_into, quantize, widen_into, Dtype, FeatureRows, F16};
 pub use kernels::{gemm, gemm_f16, gemm_f16_f32, gemm_naive};
 pub use norm::column_stats;
 pub use shape::Shape;

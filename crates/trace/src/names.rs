@@ -120,7 +120,7 @@ registry! {
     SERVE_SAMPLE = "serve.sample",
     /// Serving micro-batch feature slicing into a pinned slot.
     SERVE_SLICE = "serve.slice",
-    /// Serving micro-batch model compute (widen + forward).
+    /// Serving micro-batch model compute (forward on the staged slot).
     SERVE_GEMM = "serve.gemm",
     /// A pipeline stage blocked on its input queue (threaded stage-graph
     /// executor; the sink stage's wait keeps its Table-1 name,

@@ -95,21 +95,28 @@ echo "== tensor tier: GEMM tiles and the aggregation row kernel against their or
 # Every rung of the CSR row kernel the host supports (portable, AVX2,
 # AVX-512) against the one scalar oracle, bit for bit, over 13 widths x 6
 # edge-list shapes x arbitrary chunk cuts, plus the public entry points at
-# hop 0 of an inference batch (9 970 -> 9 036 rows, 147 k edges, 100 columns).
+# hop 0 of an inference batch (9 970 -> 9 036 rows, 147 k edges, 100 columns),
+# over f32 rows and over the same rows stored as f16 (widened in the panel
+# load: what hop 0 of every staged batch runs); and the fused SAGE layer on a
+# lent slab of halves against the layer on their widened copy, bit for bit.
 # The workspace runs above use a tenth of that shape (debug builds walk it
 # slowly) and compile the kernel unoptimised; this is the code that ships.
 cargo test --release -q --offline -p salient-tensor
 # The benchmark pins the pool to one thread, where `parallel_for` is a plain
 # call and never a dispatch, and every run above drives the rung CPUID
-# picks: the tensor and nn suites again at one thread, and at one thread on
-# the AVX2 rung (the tiles a host without AVX-512 runs).
+# picks: the tensor and nn suites again at one thread, at one thread on the
+# AVX2 rung (the tiles a host without AVX-512 runs), and at one thread on the
+# portable rung (where an f16 row goes through the bulk conversion).
 SALIENT_NUM_THREADS=1 cargo test --release -q --offline -p salient-tensor -p salient-nn
-if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo 2>/dev/null; then
+if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo 2>/dev/null \
+  && grep -qw f16c /proc/cpuinfo 2>/dev/null; then
   SALIENT_NUM_THREADS=1 SALIENT_GEMM_KERNEL=avx2 \
     cargo test --release -q --offline -p salient-tensor -p salient-nn
 else
-  echo "tensor tier: this host has no AVX2 + FMA — the AVX2-rung pass is skipped"
+  echo "tensor tier: this host has no AVX2 + FMA + F16C — the AVX2-rung pass is skipped"
 fi
+SALIENT_NUM_THREADS=1 SALIENT_GEMM_KERNEL=portable \
+  cargo test --release -q --offline -p salient-tensor -p salient-nn
 
 echo "== benchmark tier: the four workloads' correctness checks (--smoke)"
 # A few batches of every BENCHMARK.json workload (train_compute,
@@ -187,7 +194,7 @@ echo "== mixed-precision tier: f16 storage, half GEMM accuracy, byte traffic"
 # accepts, instead of running the default (tests/cli.rs, likewise).
 # The kernel bench doubles as the acceptance gate: it re-asserts the
 # GEMM bound at the full bench shapes and the <= 55% byte criterion on
-# the slice+widen path (through the transfer.bytes counter), then
+# the slice + hand-over path (through the transfer.bytes counter), then
 # writes target/bench_kernels.json. SALIENT_BENCH_SMOKE shrinks the
 # timing batches so this tier stays fast; every assertion still runs.
 SALIENT_BENCH_SMOKE=1 cargo bench -q -p salient-bench --bench kernels --offline

@@ -18,6 +18,8 @@ pub const LARGE_BYTES: usize = 64 * 1024;
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static LARGE_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// `(size, count)`: allocations of at least `size` bytes since `watch`.
+    static WATCHED: Cell<(usize, u64)> = const { Cell::new((usize::MAX, 0)) };
 }
 
 fn count(size: usize) {
@@ -25,6 +27,10 @@ fn count(size: usize) {
     if size >= LARGE_BYTES {
         LARGE_ALLOCS.with(|c| c.set(c.get() + 1));
     }
+    WATCHED.with(|c| {
+        let (at_least, n) = c.get();
+        c.set((at_least, n + u64::from(size >= at_least)));
+    });
 }
 
 /// Forwards to the system allocator, counting every allocation and every
@@ -72,4 +78,23 @@ pub fn allocations() -> u64 {
 /// Allocations of at least [`LARGE_BYTES`] made so far by the calling thread.
 pub fn large_allocations() -> u64 {
     LARGE_ALLOCS.with(Cell::get)
+}
+
+/// Starts counting the calling thread's allocations of at least `bytes`.
+pub fn watch(bytes: usize) {
+    WATCHED.with(|c| c.set((bytes, 0)));
+}
+
+/// Allocations of at least the watched size since [`watch`]. A buffer the
+/// tensor pool hands out was allocated once by the thread that first took
+/// it: zero here, counted from before a thread's first step, means no buffer
+/// of that size is allocated *or* recycled on it.
+pub fn watched_allocations() -> u64 {
+    WATCHED.with(|c| c.get().1)
+}
+
+/// Bytes of the buffer the tensor pool hands out for `floats` values: its
+/// capacity classes are powers of two.
+pub fn pooled_bytes(floats: usize) -> usize {
+    floats.next_power_of_two() * 4
 }

@@ -5,6 +5,7 @@
 use salient_repro::core::{ExecutorKind, RunConfig, Trainer};
 use salient_repro::graph::DatasetConfig;
 use salient_repro::nn::ModelKind;
+use salient_repro::trace::{names, Clock, Trace};
 use std::sync::Arc;
 
 fn dense_tiny(seed: u64) -> Arc<salient_repro::graph::Dataset> {
@@ -34,6 +35,56 @@ fn salient_executor_trains_every_architecture() {
         );
         assert!(last.is_finite(), "{model:?}: loss must stay finite");
     }
+}
+
+/// A batch keeps its staging slot until the train step that reads it has
+/// finished, so with one slot nothing overlaps: the worker waits for the
+/// trainer, the trainer for the worker. Degraded to serial — and it must
+/// still finish, every batch trained and the slot back in its pool.
+#[test]
+fn one_slot_epoch_completes_serially_and_returns_the_slot() {
+    let ds = dense_tiny(8);
+    let run = RunConfig {
+        slots: 1,
+        batch_size: 32,
+        ..RunConfig::test_tiny()
+    };
+    let batches = ds.splits.train.len().div_ceil(run.batch_size);
+    let trace = Trace::new(Clock::virtual_with_tick(1_000));
+    let mut trainer = Trainer::with_trace(ds, run, trace.clone());
+    for _ in 0..2 {
+        let stats = trainer.train_epoch();
+        assert_eq!((stats.batches, stats.failed_batches), (batches, 0));
+        let pool = trainer.staging_pool();
+        assert_eq!((pool.available(), pool.capacity()), (1, 1));
+    }
+    // Which schedule ran is the process's thread budget; the test below
+    // reruns this one under a budget that buys the threaded one.
+    let snap = trace.snapshot();
+    let tid_of = |span| snap.spans(span).next().map(|e| e.tid);
+    assert_eq!(
+        tid_of(names::spans::STAGE_TRANSFER) != tid_of(names::spans::STAGE_TRAIN),
+        salient_repro::tensor::pool::num_threads() >= 3,
+        "transfer and train stages share a thread exactly on the inline schedule"
+    );
+}
+
+#[test]
+fn one_slot_epoch_completes_on_the_threaded_schedule_too() {
+    // The pool's width is fixed at first use, per process: a child of this
+    // test binary runs the test above with three threads, enough for the
+    // transfer and train stages to get one each.
+    let child = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "one_slot_epoch_completes_serially_and_returns_the_slot"])
+        .env("SALIENT_NUM_THREADS", "3")
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&child.stdout);
+    assert!(
+        child.status.success() && stdout.contains("1 passed"),
+        "{stdout}\n{}",
+        String::from_utf8_lossy(&child.stderr)
+    );
 }
 
 #[test]

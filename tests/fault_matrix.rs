@@ -385,6 +385,44 @@ fn transfer_stage_panic_retires_one_batch_and_the_pipeline_survives() {
 }
 
 #[test]
+fn train_stage_panic_unwinds_through_the_tape_that_holds_the_slot() {
+    let _s = serial();
+    use salient_repro::core::Trainer;
+    // The train stage lends a batch's pinned slot to the step's tape. Batch
+    // 1's step panics right after: the unwind drops the tape inside the
+    // engine's catch boundary, the slot goes home with it, and the epoch
+    // trains every other batch — through two slots, so a slot that stayed
+    // with the dead step would starve the prep workers and hang this test.
+    let ds = dataset();
+    let trace = Trace::new(Clock::virtual_with_tick(1_000));
+    let run = RunConfig {
+        epochs: 1,
+        batch_size: 32,
+        slots: 2,
+        ..RunConfig::test_tiny()
+    };
+    let n = ds.splits.train.len().div_ceil(run.batch_size);
+    assert!(n > run.slots + 1, "must recycle slots after the panic to prove none leaked");
+    let _guard = fault::scoped(FaultPlan::new(43).panic_at(sites::PIPE_TRAIN, 1));
+    let mut trainer = Trainer::with_trace(Arc::clone(&ds), run, trace.clone());
+    let stats = trainer.train_epoch();
+    assert_eq!(stats.batches, n - 1, "exactly the panicked batch is lost");
+    assert_eq!(stats.failed_batches, 1, "the loss is accounted, not silent");
+    let staging = trainer.staging_pool();
+    assert_eq!(staging.available(), staging.capacity(), "the unwound step's slot is back");
+
+    let snap = trace.snapshot();
+    assert_eq!(snap.metrics.counter(names::counters::PIPE_STAGE_PANICS), 1);
+    assert_eq!(snap.count(names::events::PIPE_POISONED), 0);
+    // The batch was handed over before it died, and the next one trained.
+    let handed: Vec<u64> = snap.spans(names::spans::STAGE_TRANSFER).map(|e| e.batch).collect();
+    assert!(handed.contains(&1) && handed.contains(&2), "{handed:?}");
+    drop(_guard);
+    let stats = trainer.train_epoch();
+    assert_eq!((stats.batches, stats.failed_batches), (n, 0), "the next epoch is whole");
+}
+
+#[test]
 fn transfer_stage_drop_fault_skips_the_batch_silently_but_accounted() {
     let _s = serial();
     use salient_repro::core::Trainer;

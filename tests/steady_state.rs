@@ -1,23 +1,23 @@
 //! In steady state batch preparation allocates the batch it hands over and
 //! nothing else: a warm sampler makes the vectors of the MFG it returns, and
 //! a trainer's later epochs stage into the buffers its first epoch grew. A
-//! warm inference forward takes every large buffer from the pool and indexes
-//! the sampler's edge lists in place. A warm serving step makes a fixed, small
-//! number of allocations.
+//! warm inference forward takes every large buffer from the pool, never holds
+//! the staged batch as f32, and indexes the sampler's edge lists in place. A
+//! warm serving step makes a fixed, small number of allocations.
 //!
 //! Its own test binary because it installs the counting allocator of
 //! `tests/common`.
 
 mod common;
 
-use common::{allocations, large_allocations};
+use common::{allocations, large_allocations, pooled_bytes, watch, watched_allocations};
 use salient_repro::batchprep::PinnedPool;
 use salient_repro::core::{BatchInferencer, RunConfig, Trainer};
 use salient_repro::graph::{DatasetConfig, FeatureRows};
 use salient_repro::nn::{build_model, ModelKind};
 use salient_repro::sampler::FastSampler;
 use salient_repro::serve::{Request, ServeConfig, ServerCore};
-use salient_repro::tensor::kernels::{csr_index_routes, relu_dropout_in_place, scatter_reduce_forward};
+use salient_repro::tensor::kernels::{csr_index_routes, release_scratch, relu_dropout_in_place, scatter_reduce_forward};
 use salient_repro::tensor::rng::{Rng, StdRng};
 use salient_repro::tensor::{gemm, Tensor};
 use salient_repro::trace::Trace;
@@ -111,23 +111,39 @@ fn warm_inference_forward_recycles_its_buffers_and_sorts_nothing() {
     let fanouts = [20, 20, 20];
     let mut model = build_model(ModelKind::Sage, ds.features.dim(), 64, ds.num_classes, 3, 1);
     let mfg = FastSampler::new(5).sample(&ds.graph, &ds.splits.train[..64], &fanouts);
-    assert!(mfg.num_nodes() * ds.features.dim() * 4 >= 4 * common::LARGE_BYTES);
+    let as_f32 = mfg.num_nodes() * ds.features.dim();
+    assert!(as_f32 * 4 >= 4 * common::LARGE_BYTES);
+    // The staged rows as f32 would be the forward's largest buffer by a
+    // capacity class (an eval-mode aggregate is one strip of scratch).
+    assert!(pooled_bytes(mfg.layers[0].n_dst * 64) < pooled_bytes(as_f32));
     let infer = BatchInferencer::new(Arc::clone(&ds), 1, mfg.num_nodes());
     let mut rng = StdRng::seed_from_u64(0);
     let mut forward = || {
         let staged = infer.stage(&mfg).unwrap();
         infer.forward(staged, model.as_mut(), &mfg, &mut rng).unwrap()
     };
+    // From a cold pool on: whatever a forward recycles, some forward allocated.
+    release_scratch();
+    watch(pooled_bytes(as_f32));
     let first = forward();
     forward();
-    let (large, routes) = (large_allocations(), csr_index_routes());
+    let (all, large, routes) = (allocations(), large_allocations(), csr_index_routes());
     assert_eq!(forward(), first, "the same batch predicts the same classes");
+    let made = allocations() - all;
     assert_eq!(
         large_allocations() - large,
         0,
         "a warm forward must take every buffer of {} KiB or more from the pool",
         common::LARGE_BYTES / 1024
     );
+    assert_eq!(
+        watched_allocations(),
+        0,
+        "no forward, cold or warm, may allocate — and so none can recycle — a buffer the size of the batch as f32"
+    );
+    // Lending the slot (a reference count, a shape) costs no more than
+    // recording the widened tensor did: 46 then, 45 now.
+    assert!(made <= 45, "a warm stage + forward made {made} allocations");
     let [identity, sorted] = csr_index_routes();
     assert_eq!(
         [identity - routes[0], sorted - routes[1]],
@@ -202,13 +218,23 @@ fn warm_server_step_allocates_a_fixed_small_number_of_times() {
     }
     // What is left is what a step hands out or drops before it returns: the
     // members, seeds and responses, the MFG, the headers of the model's
-    // intermediate tensors. 50 on most steps, one more when a hop's edge
-    // list outgrows what the sampler reserved. (As a stage graph built per
-    // call the step made 64 to 65: the boxed source, stage closures and
-    // hooks, a mutex-held batch state, the metric handles looked up per run,
-    // copies of the fanouts and of the fanned-out predictions.)
+    // intermediate tensors. 47 on most steps, one or two more when a hop's
+    // edge list outgrows what the sampler reserved — one fewer than when the
+    // step widened its staged batch into a tensor instead of lending the slot
+    // (`BatchInferencer::forward`; the test above checks that path for the
+    // buffer itself). (As a stage graph built per call the step made 64 to
+    // 65: the boxed source, stage closures and hooks, a mutex-held batch
+    // state, the metric handles looked up per run, copies of the fanouts and
+    // of the fanned-out predictions.)
+    let routes = csr_index_routes();
     for round in 3..12 {
         let made = step_of_16(round);
-        assert!(made <= 51, "warm step {round} made {made} allocations");
+        assert!(made <= 50, "warm step {round} made {made} allocations");
     }
+    let [identity, sorted] = csr_index_routes();
+    assert_eq!(
+        [identity - routes[0], sorted - routes[1]],
+        [9 * 2, 0],
+        "both hops of every step index the sampler's edge list in place"
+    );
 }
