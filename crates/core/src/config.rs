@@ -35,9 +35,11 @@ pub struct RunConfig {
     /// Batch-preparation worker threads (SALIENT executor).
     pub num_workers: usize,
     /// Pinned staging slots, at least one. A batch keeps its slot from the
-    /// worker's slice until the train step that reads it has finished, so
-    /// preparation overlaps training only with two or more; with one the
-    /// epoch runs prepare, train, prepare, … in turn.
+    /// worker's slice until the train step that reads it has finished. The
+    /// consumer holds exactly one — the batch in its train step — and the
+    /// other `slots - 1` are the workers': preparation overlaps training
+    /// with two or more; with one the epoch runs prepare, train, prepare, …
+    /// in turn.
     pub slots: usize,
     /// Base RNG seed.
     pub seed: u64,

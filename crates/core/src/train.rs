@@ -3,14 +3,13 @@
 //!
 //! The baseline executor (Listing 1) is the SALIENT consumer whose source
 //! prepares instead of receives: it samples and slices each batch inside the
-//! graph's source and pins the inline schedule — the serial reference. The
-//! SALIENT executor receives batches from shared-memory workers and lets
-//! [`StageGraph::run`] pick the threaded schedule when the thread budget
-//! allows, so the hand-over of batch `k+1` overlaps the compute of batch `k`
-//! in addition to the worker-side preparation overlap. Nothing widens a
-//! staged batch: the train stage lends the pinned slot to the step's tape,
-//! whose first layer reads the rows at the width they are stored, and the
-//! slot returns to the pool when that tape drops.
+//! graph's source — the serial reference. The SALIENT executor receives
+//! batches that shared-memory workers prepared while the consumer trained;
+//! that worker-side preparation is the overlap of this plane. The consumer
+//! itself is one thread under either executor. Nothing widens a staged
+//! batch: the train stage lends the pinned slot to the step's tape, whose
+//! first layer reads the rows at the width they are stored, and the slot
+//! returns to the pool when that tape drops.
 
 use crate::config::{ExecutorKind, RunConfig};
 use crate::timing::StageTimings;
@@ -22,7 +21,7 @@ use salient_batchprep::{
 use salient_fault as fault;
 use salient_graph::{Dataset, NodeId};
 use salient_nn::{build_model, metrics, GnnModel, Mode};
-use salient_pipeline::{shape, GraphSpec, PipeItem, StageGraph, StageOutcome, StageSpec};
+use salient_pipeline::{GraphSpec, PipeItem, StageGraph, StageOutcome, StageSpec};
 use salient_sampler::{FastSampler, MessageFlowGraph, PygSampler};
 use salient_tensor::optim::{zero_grads, Adam, Optimizer};
 use salient_tensor::rng::SliceRandom;
@@ -91,12 +90,15 @@ pub(crate) fn train_step<E>(
 pub struct EpochStats {
     /// Epoch index (0-based).
     pub epoch: usize,
-    /// Mean training NLL loss over batches.
+    /// Mean training NLL loss over the batches trained; NaN when none was.
     pub mean_loss: f64,
-    /// Number of batches processed.
+    /// Number of batches trained.
     pub batches: usize,
-    /// Batches whose preparation exhausted its retry budget and was skipped
-    /// (always 0 unless fault injection or real faults occurred).
+    /// Batches of the epoch that were not trained: preparation exhausted
+    /// its retry budget, a stage dropped or panicked on the batch, or the
+    /// pipeline poisoned before reaching it. `batches + failed_batches` is
+    /// the epoch's batch count (always 0 unless fault injection or real
+    /// faults occurred).
     pub failed_batches: usize,
     /// Blocking-time breakdown.
     pub timings: StageTimings,
@@ -286,9 +288,9 @@ impl Trainer {
     /// batches and differ in the source that feeds it:
     ///
     /// * Baseline (Listing 1) prepares the next batch inside the source, on
-    ///   this thread, and pins the inline schedule, which records source
-    ///   time as the `stage.prep` span: prep, transfer and train run back to
-    ///   back with shared boundary timestamps — the serial reference.
+    ///   this thread, so the graph records preparation as the `stage.prep`
+    ///   span: prep, transfer and train run back to back with shared
+    ///   boundary timestamps — the serial reference.
     /// * SALIENT receives batches that shared-memory workers prepared
     ///   concurrently, so `stage.prep` is only the time the consumer blocks.
     ///   Workers record into the same trace registry (sample/slice spans,
@@ -300,7 +302,7 @@ impl Trainer {
         let trace = self.trace.clone();
         let clock = trace.clock();
         let epoch_start = clock.now_ns();
-        let (total_loss, batches, failed_batches) = match self.config.executor {
+        let (total_loss, batches) = match self.config.executor {
             ExecutorKind::Baseline => {
                 // Listing 1, lines 1–4, inside the source: the consumer sees
                 // what a SALIENT worker would have sent, with none of the
@@ -311,7 +313,7 @@ impl Trainer {
                 let mut chunks = order.chunks(self.config.batch_size).enumerate();
                 let (dataset, pool) = (Arc::clone(&self.dataset), self.pool.clone());
                 let fanouts = self.config.train_fanouts.clone();
-                self.consume(GraphSpec::new("baseline"), true, move || {
+                self.consume(GraphSpec::new("baseline"), move || {
                     let (batch_id, chunk) = chunks.next()?;
                     let mfg = sampler.sample(&dataset.graph, chunk, &fanouts);
                     let mut slot = pool.acquire();
@@ -334,14 +336,14 @@ impl Trainer {
                 let handle = run_epoch_with_pool(&self.dataset, &order, &prep_cfg, &self.pool);
                 let rx = handle.batches.clone();
                 // Panic budget 2: an isolated stage panic retires its batch
-                // (counted in `failed_batches`, mirroring prep's
+                // (it counts among `failed_batches`, mirroring prep's
                 // retry-exhaustion policy); repetition beyond the budget
                 // poisons the pipeline, because a recurring executor panic is
                 // a bug, not a flaky batch.
                 let spec = GraphSpec::new("train")
                     .panic_budget(2)
                     .wait_hist(names::hists::PREP_WAIT_NS);
-                let consumed = self.consume(spec, false, move || rx.recv().ok());
+                let consumed = self.consume(spec, move || rx.recv().ok());
                 handle.join();
                 consumed
             }
@@ -354,9 +356,12 @@ impl Trainer {
         let window = trace.snapshot_window(epoch_start, epoch_end);
         let stats = EpochStats {
             epoch: self.epoch,
-            mean_loss: total_loss / batches.max(1) as f64,
+            mean_loss: total_loss / batches as f64,
             batches,
-            failed_batches,
+            // Whatever left the pipeline early — a failed preparation, a
+            // dropped or panicked batch — or was never pulled because the
+            // run poisoned, was not trained.
+            failed_batches: order.len().div_ceil(self.config.batch_size) - batches,
             timings: StageTimings::from_report(&analyze(&window)),
         };
         self.epoch += 1;
@@ -364,26 +369,15 @@ impl Trainer {
     }
 
     /// The consumer side of an epoch, the same for both executors: a
-    /// transfer→train stage graph over the batches `source` yields. Returns
-    /// `(summed loss, batches trained, batches failed)`.
-    ///
-    /// Unless `inline`, [`StageGraph::run`] picks the schedule: on an
-    /// adequate thread budget (`SALIENT_NUM_THREADS` of at least three) the
-    /// two stages run on dedicated threads with a bounded
-    /// ([`shape::TRANSFER_QUEUE_CAP`]) queue between them, so batch `k+1`'s
-    /// hand-over overlaps batch `k`'s compute; otherwise the inline
-    /// schedule reproduces the exact clock-read and FP-operation order of
-    /// a serial consumer loop.
-    fn consume(
-        &mut self,
-        spec: GraphSpec,
-        inline: bool,
-        mut source: impl FnMut() -> Option<BatchResult> + Send,
-    ) -> (f64, usize, usize) {
+    /// transfer→train stage graph over the batches `source` yields, run on
+    /// this thread in the clock-read and FP-operation order of a serial
+    /// consumer loop. Returns `(summed loss, batches trained)`; a batch that
+    /// a stage retired, dropped or panicked on is in neither.
+    fn consume(&mut self, spec: GraphSpec, mut source: impl FnMut() -> Option<BatchResult>) -> (f64, usize) {
         let trace = self.trace.clone();
         let transfer_bytes = trace.counter(names::counters::TRANSFER_BYTES);
-        let (mut total_loss, mut batches, mut failed) = (0.0, 0usize, 0usize);
-        let graph = StageGraph::new(spec, move || {
+        let (mut total_loss, mut batches) = (0.0, 0usize);
+        StageGraph::new(spec, move || {
             let result = source()?;
             let bid = result.batch_id() as u64;
             Some(TrainItem { bid, batch: result.ready() })
@@ -392,18 +386,16 @@ impl Trainer {
         // counts the ones a copy would and passes the pinned slot on. A
         // batch that retires here drops its slot back into the pool.
         .stage(
-            StageSpec::new("transfer", names::spans::STAGE_TRANSFER).wait(names::spans::PIPE_WAIT),
+            StageSpec::new("transfer", names::spans::STAGE_TRANSFER),
             |item: TrainItem| {
                 let Some(batch) = &item.batch else {
                     // Terminal marker: preparation exhausted its retry
                     // budget. The epoch proceeds on the surviving batches.
-                    failed += 1;
                     return StageOutcome::Skip;
                 };
                 if fault::fire(fault::sites::PIPE_TRANSFER, item.bid) {
                     // Injected transfer drop: the batch retires here, its
                     // slot returning to the pool via RAII.
-                    failed += 1;
                     return StageOutcome::Skip;
                 }
                 transfer_bytes.add(batch.slot.payload_bytes() as u64);
@@ -415,8 +407,6 @@ impl Trainer {
         .stage(
             StageSpec::new("train", names::spans::STAGE_TRAIN)
                 .wait(names::spans::STAGE_PREP)
-                .queue(shape::TRANSFER_QUEUE_CAP)
-                .gauge(names::gauges::PIPE_QUEUE_COMPUTE)
                 .hist(names::hists::TRAIN_BATCH_NS),
             |mut item: TrainItem| {
                 let Some(batch) = item.batch.take() else {
@@ -426,11 +416,9 @@ impl Trainer {
                 batches += 1;
                 StageOutcome::Emit(item)
             },
-        );
-        let stats = if inline { graph.run_inline(&trace) } else { graph.run(&trace) };
-        // Batches dropped by a stage panic count as failed: they left the
-        // pipeline without training, like a prep failure.
-        (total_loss, batches, failed + stats.panics as usize)
+        )
+        .run_inline(&trace);
+        (total_loss, batches)
     }
 
     /// Sampled mini-batch inference over `nodes` with the given fanouts.

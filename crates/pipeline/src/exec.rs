@@ -1,64 +1,37 @@
-//! The stage-graph executor: one description, two schedules, one per-item
-//! step.
+//! The stage-graph executor: a source, ordered stages, and one guarded,
+//! budgeted, traced step per item and stage.
 //!
 //! A [`StageGraph`] is a source plus an ordered list of stages. Items are
-//! pulled from the source and pushed through every stage in order; each
+//! pulled from the source and pushed through every stage in order, on the
+//! calling thread ([`StageGraph::run_inline`], the one schedule); each
 //! stage's work is wrapped in a span recorded through the graph's
 //! [`Trace`] clock, so the same description is measurable on the real
 //! monotonic clock and deterministic on a
-//! [`VirtualClock`](salient_trace::VirtualClock).
+//! [`VirtualClock`](salient_trace::VirtualClock). Adjacent work spans share
+//! their boundary timestamp: the clock-read sequence and floating-point
+//! operation order are those of a hand-written serial loop.
 //!
-//! Two schedules share the description:
+//! What the engine adds to that loop is what happens when a stage meets an
+//! item — the panic guard, the work span and histogram, the skip and panic
+//! accounting, the poison and its flight-recorder dump (`Run::step`) — and
+//! how the wait for the source is filed, pipeline fill apart from steady
+//! state (`Run::record_wait`).
 //!
-//! * **Inline** ([`StageGraph::run_inline`]): every stage runs on the
-//!   calling thread, in submission order. This is the bitwise-reproducible
-//!   reference schedule — the clock-read sequence and floating-point
-//!   operation order of a hand-written serial loop.
-//! * **Threaded** (what [`StageGraph::run`] picks when the thread budget
-//!   allows): one dedicated thread per stage, adjacent stages connected by
-//!   bounded queues ([`salient_tensor::sync::channel`]). Batch `k+1` flows
-//!   through stage `i` while batch `k` occupies stage `i+1` — the SALIENT
-//!   overlap. Backpressure is the queue bound: a fast producer parks in
-//!   `send` when the queue is full; nothing is dropped, nothing busy-waits.
-//!
-//! A schedule decides only *where* and *when* a stage meets an item. What
-//! happens when it does — the guarded step, the work span and histogram,
-//! the skip and panic accounting, the poison — is `Run::step`, and how an
-//! input wait is filed is `Run::record_wait`; both schedules call those
-//! two, so they execute the same per-item operations by construction.
-//!
-//! The engine is for stages that can overlap. A loop whose steps must run
-//! in lockstep (a DDP rank between ring collectives) or that handles one
-//! item per call (a serving micro-batch) is sequential code and is written
-//! as such; see DESIGN.md §12.
-//!
-//! Stage loops run on dedicated `std::thread`s, *not* on
-//! [`salient_tensor::pool`] workers: a pool job holds the pool's submit
-//! lock until it finishes, so a long-lived stage loop submitted as a pool
-//! job would deadlock the nested `parallel_for` calls issued by kernels
-//! inside stage work (and starve batch-prep workers sharing the pool). The
-//! pool remains the *data-parallel* axis inside a stage; its configured
-//! thread budget (`SALIENT_NUM_THREADS`) still decides whether stage
-//! threading is worth engaging at all — see [`StageGraph::run`].
+//! The stages of one graph do not overlap each other. What overlaps the
+//! training consumer is whatever feeds its source from other threads (the
+//! batch-preparation workers); see DESIGN.md §12.
 //!
 //! # Failure semantics (PR-2 supervisor rules)
 //!
 //! A panic inside a stage step is caught at the item boundary: the item is
 //! dropped (its resources release via RAII), `pipe.stage_panics` counts
 //! it, and the run continues — until the graph's `panic_budget` is
-//! exhausted, at which point the run *poisons*: it stops pulling new
-//! source items, lets in-flight items drain, and reports the fatal stage
-//! in [`PipeStats::fatal_stage`]. Poisoning degrades, never wedges: queue
-//! handles drop as stage loops exit, which unblocks any parked peer with
-//! an error instead of leaving it waiting forever.
+//! exhausted, at which point the run *poisons*: it stops pulling source
+//! items and reports the fatal stage in [`PipeStats::fatal_stage`].
 
-use salient_tensor::sync::channel as queue;
-use salient_tensor::sync::lock_unpoisoned;
-use salient_trace::names::{self, GaugeName, HistName, SpanName};
-use salient_trace::{Clock, Counter, Gauge, Histogram, Trace};
+use salient_trace::names::{self, HistName, SpanName};
+use salient_trace::{Clock, Counter, Histogram, Trace};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// An item flowing through a stage graph. The id tags every span the
 /// executor records for the item.
@@ -80,23 +53,14 @@ pub enum StageOutcome<T> {
 /// Static description of one stage.
 #[derive(Clone, Copy, Debug)]
 pub struct StageSpec {
-    /// Thread-name suffix in threaded mode (`salient-pipe-<label>`).
+    /// Name of the stage (diagnostics only).
     pub label: &'static str,
     /// Span recorded around each item's work in this stage
     /// (a [`names::spans`] constant).
     pub work_span: SpanName,
-    /// Span recorded around this stage's *input wait*. In threaded mode
-    /// every stage waits on its own input (source or queue); in inline
-    /// mode only the last stage's wait span is used, for the single
-    /// source wait — the consumer-blocked time of SALIENT Table 1.
+    /// Span recorded around the wait for the source. Only the last
+    /// stage's is used: the consumer-blocked time of SALIENT Table 1.
     pub wait_span: Option<SpanName>,
-    /// Bound of the queue *feeding* this stage in threaded mode (ignored
-    /// for the first stage, whose input is the source). 2 ≡ double
-    /// buffering. Private so that [`StageSpec::queue`] can keep it at
-    /// least 1, which the channel requires.
-    queue_cap: usize,
-    /// Depth gauge for the queue feeding this stage (threaded mode).
-    pub queue_gauge: Option<GaugeName>,
     /// Histogram observing this stage's work-span duration (e.g.
     /// `train.batch_ns`) — derived from the span boundaries, no extra
     /// clock reads.
@@ -104,35 +68,19 @@ pub struct StageSpec {
 }
 
 impl StageSpec {
-    /// A stage with no wait span, queue capacity 2 and no gauge.
+    /// A stage with no wait span and no histogram.
     pub fn new(label: &'static str, work_span: SpanName) -> StageSpec {
         StageSpec {
             label,
             work_span,
             wait_span: None,
-            queue_cap: 2,
-            queue_gauge: None,
             work_hist: None,
         }
     }
 
-    /// Sets the input-wait span name.
+    /// Sets the source-wait span name.
     pub fn wait(mut self, span: SpanName) -> StageSpec {
         self.wait_span = Some(span);
-        self
-    }
-
-    /// Sets the input queue bound (threaded mode). A bound of 0 is clamped
-    /// to 1: the channel has no rendezvous mode, and a stage must be able to
-    /// hand over one item.
-    pub fn queue(mut self, cap: usize) -> StageSpec {
-        self.queue_cap = cap.max(1);
-        self
-    }
-
-    /// Sets the input queue depth gauge (threaded mode).
-    pub fn gauge(mut self, name: GaugeName) -> StageSpec {
-        self.queue_gauge = Some(name);
         self
     }
 
@@ -185,7 +133,7 @@ impl GraphSpec {
 /// of the spec's work histogram.
 struct Stage<'a, T> {
     spec: StageSpec,
-    step: Box<dyn FnMut(T) -> StageOutcome<T> + Send + 'a>,
+    step: Box<dyn FnMut(T) -> StageOutcome<T> + 'a>,
     work_hist: Option<Histogram>,
 }
 
@@ -216,21 +164,9 @@ impl PipeStats {
     }
 }
 
-/// Where an item is after one stage's step.
-enum Stepped<T> {
-    /// Through the stage. The timestamp closed its work span; the inline
-    /// schedule opens the next stage's span on it.
-    Through(T, u64),
-    /// Out of the pipeline (a `Skip`, or a panic within budget).
-    Retired,
-    /// Out of the pipeline, and this step's panic poisoned the run.
-    Poisoned,
-}
-
-/// One run of a graph under either schedule: the handles every stage needs
-/// besides its own step, resolved once; the counters and flags the stages
-/// (threads, in the threaded schedule) share; and the two operations a
-/// schedule performs on an item — [`Run::record_wait`] and [`Run::step`].
+/// One run of a graph: the handles every stage needs besides its own step,
+/// resolved once; the run's tallies; and the two operations the schedule
+/// performs on an item — [`Run::record_wait`] and [`Run::step`].
 struct Run<'t> {
     trace: &'t Trace,
     clock: Clock,
@@ -238,13 +174,9 @@ struct Run<'t> {
     wait_hist: Option<Histogram>,
     fill_hist: Histogram,
     panic_ctr: Counter,
-    /// Set until the consumer's first input wait has been filed as fill.
-    fill_pending: AtomicBool,
-    emitted: AtomicU64,
-    skipped: AtomicU64,
-    panics: AtomicU64,
-    poisoned: AtomicBool,
-    fatal: Mutex<Option<SpanName>>,
+    /// Set until the first source wait has been filed as fill.
+    fill_pending: bool,
+    stats: PipeStats,
 }
 
 impl<'t> Run<'t> {
@@ -254,24 +186,20 @@ impl<'t> Run<'t> {
             trace,
             clock: trace.clock(),
             panic_budget: spec.panic_budget,
-            fill_pending: AtomicBool::new(wait_hist.is_some()),
+            fill_pending: wait_hist.is_some(),
             wait_hist,
             fill_hist: trace.histogram(names::hists::PIPE_FILL_NS),
             panic_ctr: trace.counter(names::counters::PIPE_STAGE_PANICS),
-            emitted: AtomicU64::new(0),
-            skipped: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
-            poisoned: AtomicBool::new(false),
-            fatal: Mutex::new(None),
+            stats: PipeStats::default(),
         }
     }
 
-    /// Files the input wait `[t0, t1]` that ended with item `bid` arriving.
-    /// `consumer` marks the last stage's wait — the consumer-blocked time
-    /// the graph's wait histogram observes, and whose first instance is
-    /// pipeline fill (a `warmup` span) when the graph has that histogram.
-    fn record_wait(&self, wait_span: Option<SpanName>, consumer: bool, bid: u64, t0: u64, t1: u64) {
-        if consumer && self.fill_pending.swap(false, Ordering::AcqRel) {
+    /// Files the source wait `[t0, t1]` that ended with item `bid` arriving:
+    /// the consumer-blocked time the graph's wait histogram observes, and
+    /// whose first instance is pipeline fill (a `warmup` span) when the
+    /// graph has that histogram.
+    fn record_wait(&mut self, wait_span: Option<SpanName>, bid: u64, t0: u64, t1: u64) {
+        if std::mem::take(&mut self.fill_pending) {
             self.trace.record_span(names::spans::WARMUP, bid, t0, t1);
             self.fill_hist.observe(t1.saturating_sub(t0));
             return;
@@ -279,7 +207,7 @@ impl<'t> Run<'t> {
         if let Some(ws) = wait_span {
             self.trace.record_span(ws, bid, t0, t1);
         }
-        if let (true, Some(h)) = (consumer, &self.wait_hist) {
+        if let Some(h) = &self.wait_hist {
             h.observe(t1.saturating_sub(t0));
         }
     }
@@ -287,7 +215,10 @@ impl<'t> Run<'t> {
     /// Runs `item` through `stage`: the step under a panic guard, the clock
     /// read that ends the work, the work span `[start_ns, end]` and its
     /// histogram, then the accounting of whatever did not come through.
-    fn step<T: PipeItem>(&self, stage: &mut Stage<'_, T>, item: T, start_ns: u64) -> Stepped<T> {
+    /// Returns the item with the timestamp that closed its work span (the
+    /// next stage's span opens on it), or `None` for an item that left the
+    /// pipeline: a `Skip`, or a panic — which, past the budget, poisons.
+    fn step<T: PipeItem>(&mut self, stage: &mut Stage<'_, T>, item: T, start_ns: u64) -> Option<(T, u64)> {
         let bid = item.batch_id();
         let step = &mut stage.step;
         let out = catch_unwind(AssertUnwindSafe(move || step(item)));
@@ -297,45 +228,20 @@ impl<'t> Run<'t> {
             h.observe(end_ns.saturating_sub(start_ns));
         }
         match out {
-            Ok(StageOutcome::Emit(next)) => Stepped::Through(next, end_ns),
-            Ok(StageOutcome::Skip) => {
-                self.skipped.fetch_add(1, Ordering::AcqRel);
-                Stepped::Retired
-            }
+            Ok(StageOutcome::Emit(next)) => return Some((next, end_ns)),
+            Ok(StageOutcome::Skip) => self.stats.skipped += 1,
             Err(_) => {
-                let total = self.panics.fetch_add(1, Ordering::AcqRel) + 1;
+                self.stats.panics += 1;
                 self.panic_ctr.inc();
                 self.trace.instant(names::events::PIPE_STAGE_PANIC, bid);
-                if total <= self.panic_budget {
-                    return Stepped::Retired;
+                if self.stats.panics > self.panic_budget {
+                    self.stats.fatal_stage = Some(stage.spec.work_span);
+                    self.trace.instant(names::events::PIPE_POISONED, bid);
+                    dump_on_poison(self.trace, bid);
                 }
-                self.poison(stage.spec.work_span);
-                self.trace.instant(names::events::PIPE_POISONED, bid);
-                dump_on_poison(self.trace, bid);
-                Stepped::Poisoned
             }
         }
-    }
-
-    fn poison(&self, span: SpanName) {
-        self.poisoned.store(true, Ordering::Release);
-        let mut fatal = lock_unpoisoned(&self.fatal);
-        if fatal.is_none() {
-            *fatal = Some(span);
-        }
-    }
-
-    fn poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
-    }
-
-    fn finish(self) -> PipeStats {
-        PipeStats {
-            emitted: self.emitted.load(Ordering::Acquire),
-            skipped: self.skipped.load(Ordering::Acquire),
-            panics: self.panics.load(Ordering::Acquire),
-            fatal_stage: *lock_unpoisoned(&self.fatal),
-        }
+        None
     }
 }
 
@@ -350,15 +256,15 @@ fn dump_on_poison(trace: &Trace, bid: u64) {
 /// A source plus ordered stages; see the module docs.
 pub struct StageGraph<'a, T> {
     spec: GraphSpec,
-    source: Box<dyn FnMut() -> Option<T> + Send + 'a>,
+    source: Box<dyn FnMut() -> Option<T> + 'a>,
     stages: Vec<Stage<'a, T>>,
 }
 
-impl<'a, T: PipeItem + Send + 'a> StageGraph<'a, T> {
+impl<'a, T: PipeItem + 'a> StageGraph<'a, T> {
     /// A graph fed by `source` (`None` ends the run).
     pub fn new(
         spec: GraphSpec,
-        source: impl FnMut() -> Option<T> + Send + 'a,
+        source: impl FnMut() -> Option<T> + 'a,
     ) -> StageGraph<'a, T> {
         StageGraph {
             spec,
@@ -371,7 +277,7 @@ impl<'a, T: PipeItem + Send + 'a> StageGraph<'a, T> {
     pub fn stage(
         mut self,
         spec: StageSpec,
-        step: impl FnMut(T) -> StageOutcome<T> + Send + 'a,
+        step: impl FnMut(T) -> StageOutcome<T> + 'a,
     ) -> StageGraph<'a, T> {
         self.stages.push(Stage {
             spec,
@@ -381,38 +287,17 @@ impl<'a, T: PipeItem + Send + 'a> StageGraph<'a, T> {
         self
     }
 
-    /// Whether [`StageGraph::run`] would pick the threaded schedule for a
-    /// graph of `n_stages` stages: one thread per stage plus the consumer
-    /// must fit the configured budget, i.e.
-    /// `SALIENT_NUM_THREADS >= n_stages + 1`.
-    fn threaded_available(n_stages: usize) -> bool {
-        n_stages >= 2 && salient_tensor::pool::num_threads() > n_stages
-    }
-
-    /// Runs with the schedule the machine supports: threaded when the
-    /// configured thread budget (`SALIENT_NUM_THREADS`, defaulting to the
-    /// core count) covers one thread per stage plus the consumer, inline
-    /// otherwise. Both schedules put every item through the same
-    /// per-item step (`Run::step`), in the same per-item order.
-    pub fn run(self, trace: &Trace) -> PipeStats {
-        if Self::threaded_available(self.stages.len()) {
-            self.run_threaded(trace)
-        } else {
-            self.run_inline(trace)
-        }
-    }
-
-    /// Sequential reference schedule: pull an item, run every stage on the
-    /// calling thread, repeat. Span layout per item: one wait span (the
-    /// last stage's `wait_span`, i.e. consumer-blocked time), then one
-    /// work span per stage sharing boundary timestamps — exactly the
-    /// clock-read sequence of a hand-written serial loop.
+    /// Runs the graph: pull an item, run every stage on the calling thread,
+    /// repeat. Span layout per item: one wait span (the last stage's
+    /// `wait_span`, i.e. consumer-blocked time), then one work span per
+    /// stage sharing boundary timestamps — exactly the clock-read sequence
+    /// of a hand-written serial loop.
     pub fn run_inline(mut self, trace: &Trace) -> PipeStats {
-        let run = Run::new(self.spec, trace);
+        let mut run = Run::new(self.spec, trace);
         let wait_span = self.stages.last().and_then(|s| s.spec.wait_span);
         let files_wait = wait_span.is_some() || run.wait_hist.is_some();
         self.stages.iter_mut().for_each(|s| s.bind(trace));
-        'items: while !run.poisoned() {
+        'items: while !run.stats.poisoned() {
             let t0 = run.clock.now_ns();
             let Some(mut item) = (self.source)() else {
                 break;
@@ -420,149 +305,24 @@ impl<'a, T: PipeItem + Send + 'a> StageGraph<'a, T> {
             let mut t_prev = t0;
             if files_wait {
                 t_prev = run.clock.now_ns();
-                run.record_wait(wait_span, true, item.batch_id(), t0, t_prev);
+                run.record_wait(wait_span, item.batch_id(), t0, t_prev);
             }
             for stage in &mut self.stages {
-                match run.step(stage, item, t_prev) {
-                    Stepped::Through(next, end_ns) => (item, t_prev) = (next, end_ns),
-                    Stepped::Retired | Stepped::Poisoned => continue 'items,
-                }
-            }
-            run.emitted.fetch_add(1, Ordering::AcqRel);
-        }
-        run.finish()
-    }
-
-    /// Pipelined schedule: one dedicated thread per stage, bounded queues
-    /// between adjacent stages. Falls back to [`StageGraph::run_inline`]
-    /// for graphs of fewer than two stages.
-    fn run_threaded(self, trace: &Trace) -> PipeStats {
-        if self.stages.len() < 2 {
-            return self.run_inline(trace);
-        }
-        let run = Run::new(self.spec, trace);
-        let mut source = Some(self.source);
-        let mut stages = self.stages.into_iter().peekable();
-        std::thread::scope(|scope| {
-            let run = &run;
-            let mut input: Option<queue::Receiver<T>> = None;
-            while let Some(stage) = stages.next() {
-                // The queue to the next stage takes its bound and its depth
-                // gauge from that stage's spec; the last stage has none.
-                let (output, next_input) = match stages.peek().map(|next| next.spec) {
-                    None => (None, None),
-                    Some(fed) => {
-                        let (tx, rx) = queue::bounded::<T>(fed.queue_cap);
-                        let gauge = fed.queue_gauge.map(|g| (g, trace.gauge(g)));
-                        (Some((tx, gauge)), Some(rx))
-                    }
+                let Some(through) = run.step(stage, item, t_prev) else {
+                    continue 'items;
                 };
-                let (source, input) = (source.take(), std::mem::replace(&mut input, next_input));
-                let work_span = stage.spec.work_span;
-                let spawned = std::thread::Builder::new()
-                    .name(format!("salient-pipe-{}", stage.spec.label))
-                    .spawn_scoped(scope, move || stage_loop(run, stage, source, input, output));
-                if spawned.is_err() {
-                    // Thread spawn failed (resource exhaustion): poison so
-                    // already-running stages wind down via queue drops.
-                    run.poison(work_span);
-                    break;
-                }
+                (item, t_prev) = through;
             }
-        });
-        run.finish()
-    }
-}
-
-/// A stage thread's link to the next stage: the queue and, when the fed
-/// stage names one, its depth gauge — keyed by the registered gauge name so
-/// depth samples also land on a Chrome-trace counter track.
-type Output<T> = (queue::Sender<T>, Option<(GaugeName, Gauge)>);
-
-/// One stage thread: pull → wait span → [`Run::step`] → push. The first
-/// stage pulls from `source`, later ones from `input`; the last stage has no
-/// `output`. Exits when the input ends, the downstream hangs up, or the run
-/// poisons. Later stages keep draining their queue after a poison so no
-/// in-flight batch is lost.
-fn stage_loop<'a, T: PipeItem + Send>(
-    run: &Run<'_>,
-    mut stage: Stage<'a, T>,
-    mut source: Option<Box<dyn FnMut() -> Option<T> + Send + 'a>>,
-    input: Option<queue::Receiver<T>>,
-    output: Option<Output<T>>,
-) {
-    let (trace, clock) = (run.trace, &run.clock);
-    stage.bind(trace);
-    let in_gauge: Option<(GaugeName, Gauge)> = match (&input, stage.spec.queue_gauge) {
-        (Some(_), Some(g)) => Some((g, trace.gauge(g))),
-        _ => None,
-    };
-    loop {
-        let t0 = clock.now_ns();
-        let pulled = match (&mut source, &input) {
-            (Some(src), _) => {
-                if run.poisoned() {
-                    None
-                } else {
-                    src()
-                }
-            }
-            (None, Some(rx)) => {
-                let it = rx.recv().ok();
-                if let Some((name, g)) = &in_gauge {
-                    let depth = rx.len() as u64;
-                    g.set(depth);
-                    trace.counter_track(*name, depth);
-                }
-                it
-            }
-            (None, None) => None,
-        };
-        let t1 = clock.now_ns();
-        let Some(item) = pulled else {
-            break;
-        };
-        let bid = item.batch_id();
-        run.record_wait(stage.spec.wait_span, output.is_none(), bid, t0, t1);
-        match run.step(&mut stage, item, t1) {
-            Stepped::Retired => {}
-            Stepped::Poisoned => {
-                if output.is_none() {
-                    // The sink exits now; dropping its receiver unblocks
-                    // parked upstream senders with an error.
-                    break;
-                }
-            }
-            Stepped::Through(next, _) => {
-                let Some((tx, gauge)) = &output else {
-                    run.emitted.fetch_add(1, Ordering::AcqRel);
-                    continue;
-                };
-                // The send span makes backpressure visible on the causal
-                // chain: a full downstream queue parks us here.
-                let ts0 = clock.now_ns();
-                if tx.send(next).is_err() {
-                    // Downstream hung up (poisoned): stop producing.
-                    break;
-                }
-                let ts1 = clock.now_ns();
-                trace.record_span(names::spans::PIPE_SEND, bid, ts0, ts1);
-                if let Some((name, g)) = gauge {
-                    let depth = tx.len() as u64;
-                    g.set(depth);
-                    trace.counter_track(*name, depth);
-                }
-            }
+            run.stats.emitted += 1;
         }
+        run.stats
     }
-    trace.flush_current_thread();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use salient_trace::analysis;
-    use std::sync::{Arc, Condvar};
+    use std::cell::{Cell, RefCell};
 
     struct Item(u64);
     impl PipeItem for Item {
@@ -571,7 +331,7 @@ mod tests {
         }
     }
 
-    fn counting_source(n: u64) -> impl FnMut() -> Option<Item> + Send {
+    fn counting_source(n: u64) -> impl FnMut() -> Option<Item> {
         let mut next = 0;
         move || {
             if next < n {
@@ -586,17 +346,17 @@ mod tests {
     #[test]
     fn inline_runs_every_stage_in_order() {
         let trace = Trace::new(Clock::virtual_with_tick(10));
-        let log = Mutex::new(Vec::new());
+        let log = RefCell::new(Vec::new());
         let stats = StageGraph::new(GraphSpec::new("t"), counting_source(3))
             .stage(
                 StageSpec::new("a", names::spans::STAGE_TRANSFER),
                 |it: Item| {
-                    log.lock().unwrap().push(("a", it.0));
+                    log.borrow_mut().push(("a", it.0));
                     StageOutcome::Emit(it)
                 },
             )
             .stage(StageSpec::new("b", names::spans::STAGE_TRAIN), |it: Item| {
-                log.lock().unwrap().push(("b", it.0));
+                log.borrow_mut().push(("b", it.0));
                 StageOutcome::Emit(it)
             })
             .run_inline(&trace);
@@ -604,7 +364,7 @@ mod tests {
         assert_eq!(stats.skipped, 0);
         assert!(!stats.poisoned());
         assert_eq!(
-            log.into_inner().unwrap(),
+            log.into_inner(),
             vec![("a", 0), ("b", 0), ("a", 1), ("b", 1), ("a", 2), ("b", 2)]
         );
         let snap = trace.snapshot();
@@ -615,7 +375,7 @@ mod tests {
     #[test]
     fn skip_retires_without_reaching_later_stages() {
         let trace = Trace::new(Clock::virtual_with_tick(1));
-        let reached = AtomicU64::new(0);
+        let mut reached = 0;
         let stats = StageGraph::new(GraphSpec::new("t"), counting_source(4))
             .stage(
                 StageSpec::new("a", names::spans::STAGE_TRANSFER),
@@ -628,245 +388,58 @@ mod tests {
                 },
             )
             .stage(StageSpec::new("b", names::spans::STAGE_TRAIN), |it: Item| {
-                reached.fetch_add(1, Ordering::Relaxed);
+                reached += 1;
                 StageOutcome::Emit(it)
             })
             .run_inline(&trace);
         assert_eq!(stats.emitted, 2);
         assert_eq!(stats.skipped, 2);
-        assert_eq!(reached.load(Ordering::Relaxed), 2);
+        assert_eq!(reached, 2);
     }
 
     #[test]
     fn panic_budget_drops_then_poisons() {
-        let trace = Trace::new(Clock::virtual_with_tick(1));
-        let stats = StageGraph::new(GraphSpec::new("t").panic_budget(1), counting_source(10))
-            .stage(
-                StageSpec::new("a", names::spans::STAGE_TRANSFER),
-                |it: Item| {
-                    if it.0 >= 2 {
+        const STAGES: [SpanName; 2] = [names::spans::STAGE_TRANSFER, names::spans::STAGE_TRAIN];
+        // (panic budget, index of the stage that panics, on every id from)
+        // Budget 1, first stage: items 0,1 emit; item 2 panics (within
+        // budget, dropped); item 3 panics again and poisons the run.
+        // Budget 0, second stage: items 0..3 emit, item 3 passes the first
+        // stage and poisons the run in the second.
+        for (budget, panics_in, from) in [(1, 0, 2), (0, 1, 3)] {
+            let trace = Trace::new(Clock::virtual_with_tick(1));
+            let pulled = Cell::new(0u64);
+            let mut source = counting_source(10);
+            let step = |at: usize| {
+                move |it: Item| {
+                    if at == panics_in && it.0 >= from {
                         panic!("boom {}", it.0);
                     }
                     StageOutcome::Emit(it)
-                },
-            )
+                }
+            };
+            let spec = GraphSpec::new("t").panic_budget(budget);
+            let stats = StageGraph::new(spec, || {
+                pulled.set(pulled.get() + 1);
+                source()
+            })
+            .stage(StageSpec::new("a", STAGES[0]), step(0))
+            .stage(StageSpec::new("b", STAGES[1]), step(1))
             .run_inline(&trace);
-        // Items 0,1 emit; item 2 panics (within budget, dropped); item 3
-        // panics again and poisons the run, so items 4..10 never run.
-        assert_eq!(stats.emitted, 2);
-        assert_eq!(stats.panics, 2);
-        assert_eq!(stats.fatal_stage, Some(names::spans::STAGE_TRANSFER));
-        let snap = trace.snapshot();
-        assert_eq!(snap.metrics.counter(names::counters::PIPE_STAGE_PANICS), 2);
-        assert_eq!(snap.count(names::events::PIPE_STAGE_PANIC), 2);
-        assert_eq!(snap.count(names::events::PIPE_POISONED), 1);
-    }
-
-    #[test]
-    fn threaded_drain_loses_no_item() {
-        let trace = Trace::new(Clock::virtual_with_tick(1));
-        let n = 64;
-        let stats = StageGraph::new(GraphSpec::new("t"), counting_source(n))
-            .stage(
-                StageSpec::new("a", names::spans::STAGE_TRANSFER),
-                StageOutcome::Emit,
-            )
-            .stage(
-                StageSpec::new("b", names::spans::STAGE_TRAIN).queue(1),
-                StageOutcome::Emit,
-            )
-            .run_threaded(&trace);
-        assert_eq!(stats.emitted, n);
-        assert_eq!(stats.skipped, 0);
-        assert!(!stats.poisoned());
-        let snap = trace.snapshot();
-        assert_eq!(snap.count(names::spans::STAGE_TRAIN), n as usize);
-    }
-
-    #[test]
-    fn zero_queue_bound_is_clamped_to_one() {
-        let spec = StageSpec::new("b", names::spans::STAGE_TRAIN).queue(0);
-        assert_eq!(spec.queue_cap, 1);
-        // And the threaded schedule runs on the clamped bound instead of
-        // tripping the channel's positive-capacity assertion.
-        let trace = Trace::new(Clock::virtual_with_tick(1));
-        let stats = StageGraph::new(GraphSpec::new("t"), counting_source(8))
-            .stage(
-                StageSpec::new("a", names::spans::STAGE_TRANSFER),
-                StageOutcome::Emit,
-            )
-            .stage(spec, StageOutcome::Emit)
-            .run_threaded(&trace);
-        assert_eq!(stats.emitted, 8);
-    }
-
-    /// The satellite-3 schedule-shape test: with a rendezvous forced
-    /// between the two stage threads, batch k's compute span and batch
-    /// k+1's prep span must overlap in (tick-ordered, deterministic)
-    /// virtual time — the pipelining the inline schedule cannot produce.
-    #[test]
-    fn threaded_compute_overlaps_next_prep() {
-        let trace = Trace::new(Clock::virtual_with_tick(100));
-        let n = 4u64;
-        // Handshake: (highest prep started, highest compute started), both
-        // 1-based so 0 means "none yet".
-        let state = Arc::new((Mutex::new((0u64, 0u64)), Condvar::new()));
-        let (sp, sc) = (state.clone(), state.clone());
-        let stats = StageGraph::new(GraphSpec::new("t"), counting_source(n))
-            .stage(
-                StageSpec::new("prep", names::spans::STAGE_TRANSFER).queue(2),
-                move |it: Item| {
-                    let (m, cv) = &*sp;
-                    let mut st = m.lock().unwrap();
-                    st.0 = it.0 + 1;
-                    cv.notify_all();
-                    // Hold prep k open until compute k-1 has started, so
-                    // this span provably straddles it.
-                    while it.0 > 0 && st.1 < it.0 {
-                        st = cv.wait(st).unwrap();
-                    }
-                    StageOutcome::Emit(it)
-                },
-            )
-            .stage(
-                StageSpec::new("train", names::spans::STAGE_TRAIN).queue(2),
-                move |it: Item| {
-                    let (m, cv) = &*sc;
-                    let mut st = m.lock().unwrap();
-                    st.1 = it.0 + 1;
-                    cv.notify_all();
-                    // Hold compute k open until prep k+1 has started.
-                    while it.0 + 1 < n && st.0 < it.0 + 2 {
-                        st = cv.wait(st).unwrap();
-                    }
-                    StageOutcome::Emit(it)
-                },
-            )
-            .run_threaded(&trace);
-        assert_eq!(stats.emitted, n);
-        let snap = trace.snapshot();
-        let prep: Vec<_> = snap.spans(names::spans::STAGE_TRANSFER).collect();
-        let train: Vec<_> = snap.spans(names::spans::STAGE_TRAIN).collect();
-        assert_eq!(prep.len(), n as usize);
-        assert_eq!(train.len(), n as usize);
-        // The two stages record from distinct threads.
-        assert_ne!(prep[0].tid, train[0].tid);
-        for k in 0..(n - 1) {
-            let c = train.iter().find(|e| e.batch == k).expect("compute k");
-            let p = prep.iter().find(|e| e.batch == k + 1).expect("prep k+1");
-            assert!(
-                p.start_ns < c.end_ns && c.start_ns < p.end_ns,
-                "compute {k} [{}..{}] must overlap prep {} [{}..{}]",
-                c.start_ns,
-                c.end_ns,
-                k + 1,
-                p.start_ns,
-                p.end_ns
-            );
+            // The items before the first panic emitted, the fatal stage is
+            // named, and the source was not pulled again: 4..10 never ran.
+            assert_eq!(stats.emitted, from);
+            assert_eq!(stats.panics, budget + 1);
+            assert_eq!(stats.fatal_stage, Some(STAGES[panics_in]));
+            assert_eq!(pulled.get(), stats.emitted + stats.panics);
+            let snap = trace.snapshot();
+            assert_eq!(snap.metrics.counter(names::counters::PIPE_STAGE_PANICS), stats.panics);
+            assert_eq!(snap.count(names::events::PIPE_STAGE_PANIC) as u64, stats.panics);
+            assert_eq!(snap.count(names::events::PIPE_POISONED), 1);
+            // A panicking step still closes its work span; a stage behind
+            // it never sees the item.
+            assert_eq!(snap.count(STAGES[0]) as u64, pulled.get());
+            assert_eq!(snap.count(STAGES[1]) as u64, if panics_in == 0 { from } else { pulled.get() });
         }
-        // And the analysis plane credits the cross-thread overlap.
-        let report = analysis::analyze(&snap);
-        assert!(report.overlap_ns > 0, "analyzer must credit the overlap");
-    }
-
-    /// Backpressure: with the compute-input queue bounded at `cap`, the
-    /// producer can never run more than `cap + 2` items ahead of the
-    /// consumer (cap queued + one parked in `send` + one recv'd by the
-    /// consumer but not yet counted), and it provably *reaches* at least
-    /// `cap + 1` (the consumer refuses to proceed until it does) — i.e.
-    /// the bounded queue stalls the producer at capacity instead of
-    /// letting it run away (n is far larger than the bound).
-    #[test]
-    fn bounded_queue_stalls_the_producer_at_capacity() {
-        let trace = Trace::new(Clock::virtual_with_tick(1));
-        let cap = 2u64;
-        let n = 8u64;
-        struct Gate {
-            produced: u64,
-            consumed: u64,
-            max_ahead: u64,
-        }
-        let gate = Arc::new((
-            Mutex::new(Gate {
-                produced: 0,
-                consumed: 0,
-                max_ahead: 0,
-            }),
-            Condvar::new(),
-        ));
-        let (gp, gc, gr) = (gate.clone(), gate.clone(), gate.clone());
-        let stats = StageGraph::new(GraphSpec::new("t"), counting_source(n))
-            .stage(
-                StageSpec::new("fast", names::spans::STAGE_TRANSFER),
-                move |it: Item| {
-                    let (m, cv) = &*gp;
-                    let mut g = m.lock().unwrap();
-                    g.produced += 1;
-                    g.max_ahead = g.max_ahead.max(g.produced - g.consumed);
-                    cv.notify_all();
-                    StageOutcome::Emit(it)
-                },
-            )
-            .stage(
-                StageSpec::new("slow", names::spans::STAGE_TRAIN)
-                    .queue(cap as usize)
-                    .gauge(names::gauges::PIPE_QUEUE_COMPUTE),
-                move |it: Item| {
-                    let (m, cv) = &*gc;
-                    let mut g = m.lock().unwrap();
-                    g.consumed += 1;
-                    // Refuse to consume until the producer is as far ahead
-                    // as the queue bound permits (or out of items).
-                    let target = n.min(it.0 + cap + 2);
-                    while g.produced < target {
-                        g = cv.wait(g).unwrap();
-                    }
-                    StageOutcome::Emit(it)
-                },
-            )
-            .run_threaded(&trace);
-        assert_eq!(stats.emitted, n);
-        let g = gr.0.lock().unwrap();
-        assert!(
-            g.max_ahead >= cap + 1 && g.max_ahead <= cap + 2,
-            "producer lead {} must sit in [cap+1, cap+2] = [{}, {}]",
-            g.max_ahead,
-            cap + 1,
-            cap + 2
-        );
-        // The queue-depth gauge was registered for the compute input.
-        let snap = trace.snapshot();
-        assert!(snap
-            .metrics
-            .gauges
-            .iter()
-            .any(|(k, _)| k == names::gauges::PIPE_QUEUE_COMPUTE.as_str()));
-    }
-
-    #[test]
-    fn threaded_panic_poisons_without_wedging() {
-        let trace = Trace::new(Clock::virtual_with_tick(1));
-        let stats = StageGraph::new(GraphSpec::new("t").panic_budget(0), counting_source(1000))
-            .stage(
-                StageSpec::new("a", names::spans::STAGE_TRANSFER).queue(1),
-                StageOutcome::Emit,
-            )
-            .stage(
-                StageSpec::new("b", names::spans::STAGE_TRAIN).queue(1),
-                |it: Item| {
-                    if it.0 == 3 {
-                        panic!("sink dies");
-                    }
-                    StageOutcome::Emit(it)
-                },
-            )
-            .run_threaded(&trace);
-        // The sink poisons on batch 3; the producer unparks via the queue
-        // drop and the run terminates instead of wedging.
-        assert!(stats.poisoned());
-        assert_eq!(stats.fatal_stage, Some(names::spans::STAGE_TRAIN));
-        assert_eq!(stats.emitted, 3);
-        assert_eq!(stats.panics, 1);
     }
 
     #[test]
@@ -890,65 +463,5 @@ mod tests {
         assert_eq!(steady.count, 2);
         let fill = snap.metrics.histogram(names::hists::PIPE_FILL_NS).unwrap();
         assert_eq!(fill.count, 1);
-    }
-
-    /// Both schedules put an item through `Run::step`; this holds them to
-    /// the same result on it: equal `PipeStats`, equal downstream effect,
-    /// the same multiset of work spans, the same panic accounting.
-    #[test]
-    fn inline_and_threaded_emit_identically() {
-        enum Do {
-            Emit,
-            Skip,
-            Panic,
-        }
-        // (panic budget, panics expected, what the first stage does with an id)
-        let inputs: [(u64, u64, fn(u64) -> Do); 2] = [
-            (0, 0, |id| if id % 3 == 0 { Do::Skip } else { Do::Emit }),
-            (1, 1, |id| match id {
-                5 => Do::Panic,
-                11 => Do::Skip,
-                _ => Do::Emit,
-            }),
-        ];
-        for (budget, panics, first_stage) in inputs {
-            let run = |threaded: bool| {
-                let trace = Trace::new(Clock::virtual_with_tick(1));
-                let sum = Arc::new(AtomicU64::new(0));
-                let s = sum.clone();
-                let g = StageGraph::new(GraphSpec::new("t").panic_budget(budget), counting_source(20))
-                    .stage(
-                        StageSpec::new("a", names::spans::STAGE_TRANSFER),
-                        move |it: Item| match first_stage(it.0) {
-                            Do::Emit => StageOutcome::Emit(it),
-                            Do::Skip => StageOutcome::Skip,
-                            Do::Panic => panic!("boom {}", it.0),
-                        },
-                    )
-                    .stage(StageSpec::new("b", names::spans::STAGE_TRAIN), move |it| {
-                        s.fetch_add(it.0, Ordering::Relaxed);
-                        StageOutcome::Emit(it)
-                    });
-                let stats = if threaded {
-                    g.run_threaded(&trace)
-                } else {
-                    g.run_inline(&trace)
-                };
-                let snap = trace.snapshot();
-                let mut work: Vec<(&str, u64)> = [names::spans::STAGE_TRANSFER, names::spans::STAGE_TRAIN]
-                    .iter()
-                    .flat_map(|&n| snap.spans(n))
-                    .map(|e| (e.name, e.batch))
-                    .collect();
-                work.sort_unstable();
-                assert_eq!(snap.metrics.counter(names::counters::PIPE_STAGE_PANICS), panics);
-                assert_eq!(snap.count(names::events::PIPE_STAGE_PANIC) as u64, panics);
-                assert_eq!(snap.count(names::events::PIPE_POISONED), 0);
-                (stats, sum.load(Ordering::Relaxed), work)
-            };
-            let (inline, threaded) = (run(false), run(true));
-            assert_eq!(inline, threaded, "budget {budget}");
-            assert_eq!(inline.0.panics, panics);
-        }
     }
 }

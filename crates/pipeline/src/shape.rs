@@ -3,10 +3,10 @@
 //! A [`StageShape`] names a pipeline stage once — its simulator task name,
 //! its trace span, and the resource class it occupies — so
 //! `salient-sim`'s discrete-event schedules and the real
-//! [`StageGraph`](crate::StageGraph) ports are built from the same
+//! [`StageGraph`](crate::StageGraph) consumer are built from the same
 //! constants. Drift between the two planes then shows up as a structural
-//! mismatch (a missing stage, a changed queue bound), not a silently
-//! diverging string.
+//! mismatch (a missing stage, a renamed span), not a silently diverging
+//! string.
 
 /// Resource class a stage occupies; the simulator maps each class to a
 /// distinct serial (or worker-pool) resource.
@@ -32,10 +32,11 @@ pub struct StageShape {
     pub resource: ResourceKind,
 }
 
-/// Bound of the queue feeding the compute stage: 2 ≡ double buffering
-/// (one batch in flight on the device, one staged behind it). Consumed by
-/// the real training executor *and* by the simulator's `train[b] →
-/// train[b-2]`-style dependency, keeping the two planes in lockstep.
+/// Double-buffer depth of the modelled machine: 2 ≡ one batch in flight on
+/// the device, one staged behind it. Read by the simulator's
+/// `transfer[b] → train[b-3]`-style dependency and by
+/// `tests/sim_vs_real.rs`; the real consumer has no queue to bound (its
+/// transfer stage moves no bytes and runs on the training thread).
 pub const TRANSFER_QUEUE_CAP: usize = 2;
 
 /// The training pipeline: prep (sample+slice on workers) → transfer

@@ -145,7 +145,7 @@ pub(crate) struct EpochShape<'a> {
     pub(crate) prefetch: usize,
     /// Bound of the queue feeding the device at [`OptLevel::Pipelined`]: the
     /// transfer runs at most `queue_cap + 1` batches ahead (`queue_cap` queued
-    /// plus one parked in send), the real executor's backpressure.
+    /// plus one parked in send), a DMA engine's double buffering.
     pub(crate) queue_cap: usize,
     /// Whose host step runs between worker and device (the module docs).
     pub(crate) level: OptLevel,

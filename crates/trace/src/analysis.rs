@@ -217,10 +217,9 @@ impl PipelineReport {
 /// Computes the stall-attribution report from a snapshot.
 pub fn analyze(snap: &Snapshot) -> PipelineReport {
     // The trainer is *every* thread that records model compute
-    // (`stage.train`) — a set, not a single tid, because the threaded
-    // stage-graph executor spawns fresh stage threads per epoch, so a
-    // multi-epoch run records compute on several tids and single-tid
-    // attribution silently dropped every epoch after the first. The
+    // (`stage.train`) — a set, not a single tid, because a trainer driven
+    // from a fresh thread per epoch records compute on several tids, and
+    // single-tid attribution would drop every epoch after the first. The
     // `epoch` wrapper recorder is only a fallback for compute-less
     // snapshots.
     let trainer_tids: Vec<u32> = {
@@ -235,8 +234,8 @@ pub fn analyze(snap: &Snapshot) -> PipelineReport {
     let trainer_tid = trainer_tids.first().copied();
 
     // The window is epoch wall-clock wherever the wrapper was recorded
-    // (trainer thread in the inline schedule, orchestrator in the threaded
-    // one); extent is the fallback for wrapper-less snapshots.
+    // (the trainer thread, or one orchestrating it); extent is the
+    // fallback for wrapper-less snapshots.
     let epoch_ns = snap.sum_ns(spans::EPOCH);
     let window_ns = if epoch_ns > 0 {
         epoch_ns
@@ -326,9 +325,9 @@ pub fn analyze(snap: &Snapshot) -> PipelineReport {
     prep_work.extend(worker_spans(spans::PREP_SAMPLE));
     prep_work.extend(worker_spans(spans::PREP_SLICE));
     prep_work.extend(worker_spans(spans::PREP_COPY));
-    // Transfer/widen work on a non-trainer thread is pipeline work hidden
-    // under compute too (the threaded executor's transfer stage); on the
-    // inline schedule transfer runs on the trainer and stays excluded.
+    // Transfer work on a non-trainer thread is pipeline work hidden under
+    // compute too; the training consumer runs its transfer stage on the
+    // trainer, where it stays excluded.
     prep_work.extend(worker_spans(spans::STAGE_TRANSFER));
     let compute_iv: Vec<(u64, u64)> = snap
         .spans(spans::STAGE_TRAIN)
@@ -484,9 +483,9 @@ mod tests {
         assert_eq!(w.name, "w");
     }
 
-    /// The threaded stage-graph layout: `epoch` on the orchestrating main
-    /// thread, compute (+ its prep wait) on a dedicated stage thread,
-    /// transfer on another, sampling on a worker. Known overlap by
+    /// A layout with every role on its own thread: `epoch` on an
+    /// orchestrating main thread, compute (+ its prep wait) on a dedicated
+    /// thread, transfer on another, sampling on a worker. Known overlap by
     /// construction: sample 20..60 (40) ∪ transfer 60..80 (20) against
     /// compute 0..100 → 60 of 100 compute ns → 0.6.
     fn scripted_threaded() -> Snapshot {
@@ -529,8 +528,8 @@ mod tests {
         let snap = scripted_threaded();
         let r = analyze(&snap);
         // The trainer is the stage.train recorder, NOT the epoch recorder:
-        // resolving via `epoch` first is the regression that reported
-        // overlap_frac 0 for every threaded run.
+        // resolving via `epoch` first reports overlap_frac 0 whenever the
+        // two are different threads.
         let compute_tid = snap.spans(spans::STAGE_TRAIN).next().unwrap().tid;
         let epoch_tid = snap.spans(spans::EPOCH).next().unwrap().tid;
         assert_ne!(compute_tid, epoch_tid);
@@ -539,7 +538,7 @@ mod tests {
         assert_eq!(r.window_ns, 200);
         assert_eq!(r.compute_ns, 160);
         assert_eq!(r.prep_ns, 30);
-        // Transfer happened on its own stage thread — pipelined away from
+        // Transfer happened on its own thread — pipelined away from
         // the trainer, so it contributes to overlap, not to trainer stall.
         assert_eq!(r.transfer_ns, 0);
         // sample 20..60 ∪ transfer 60..80 vs compute 0..100 ∪ 130..190.
@@ -554,9 +553,9 @@ mod tests {
 
     #[test]
     fn multi_epoch_threaded_runs_attribute_every_epochs_compute() {
-        // The threaded executor spawns a fresh compute thread per epoch, so
-        // `stage.train` lands on a different tid each epoch; single-tid
-        // trainer resolution dropped everything after epoch 1.
+        // A fresh compute thread per epoch: `stage.train` lands on a
+        // different tid each epoch, and single-tid trainer resolution would
+        // drop everything after epoch 1.
         let t = Trace::new(Clock::virtual_manual());
         t.record_span(spans::EPOCH, crate::NO_BATCH, 0, 100);
         t.record_span(spans::EPOCH, crate::NO_BATCH, 100, 200);
@@ -608,7 +607,7 @@ mod tests {
 
     #[test]
     fn serial_schedule_still_reports_zero_overlap() {
-        // The inline schedule's shape: prep wait, transfer, and compute all
+        // A serial shape: prep wait, transfer, and compute all
         // on one thread, worker spans only inside the trainer's waits —
         // nothing concurrent with compute, so overlap must stay 0.
         let t = Trace::new(Clock::virtual_manual());

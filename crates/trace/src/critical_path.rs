@@ -2,8 +2,8 @@
 //!
 //! Every instrumented pipeline event is tagged with a batch id, so a
 //! snapshot already contains each batch's *causal chain*: the ordered,
-//! typed edges (stage work, queue wait, backpressure, ring send/recv,
-//! pipeline fill) it traversed from the sampler to the optimizer step.
+//! typed edges (stage work, queue wait, ring send/recv, pipeline fill) it
+//! traversed from the sampler to the optimizer step.
 //! [`batch_chains`] reconstructs those chains, [`BatchChain::attribute`]
 //! charges every nanosecond of a batch's latency to exactly one named
 //! category (a priority sweep: doing work beats being blocked, so overlap
@@ -30,8 +30,6 @@ pub enum EdgeKind {
     QueueWait,
     /// Actual stage work (sample, slice, copy, transfer, compute).
     StageWork,
-    /// A producer blocked pushing into a full bounded queue.
-    Backpressure,
     /// A DDP ring-link send.
     RingSend,
     /// A DDP ring-link receive.
@@ -45,7 +43,6 @@ impl EdgeKind {
             EdgeKind::Fill => "fill",
             EdgeKind::QueueWait => "queue_wait",
             EdgeKind::StageWork => "stage_work",
-            EdgeKind::Backpressure => "backpressure",
             EdgeKind::RingSend => "ring_send",
             EdgeKind::RingRecv => "ring_recv",
         }
@@ -56,8 +53,7 @@ impl EdgeKind {
     /// the instant, so work outranks every flavor of blocking.
     fn priority(self) -> u8 {
         match self {
-            EdgeKind::StageWork => 5,
-            EdgeKind::Backpressure => 4,
+            EdgeKind::StageWork => 4,
             EdgeKind::RingSend | EdgeKind::RingRecv => 3,
             EdgeKind::QueueWait => 2,
             EdgeKind::Fill => 1,
@@ -69,13 +65,11 @@ impl EdgeKind {
 pub fn classify(name: &str) -> EdgeKind {
     if name == spans::WARMUP {
         EdgeKind::Fill
-    } else if name == spans::PIPE_SEND {
-        EdgeKind::Backpressure
     } else if name == spans::DDP_RING_SEND {
         EdgeKind::RingSend
     } else if name == spans::DDP_RING_RECV {
         EdgeKind::RingRecv
-    } else if name == spans::STAGE_PREP || name == spans::PIPE_WAIT || name == spans::SLOT_WAIT {
+    } else if name == spans::STAGE_PREP || name == spans::SLOT_WAIT {
         EdgeKind::QueueWait
     } else {
         EdgeKind::StageWork
@@ -114,15 +108,13 @@ pub struct BatchChain {
 }
 
 /// Where one batch's (or a whole run's) latency went, by named category.
-/// `total_ns` is the chain extent; the six category fields partition it
+/// `total_ns` is the chain extent; the five category fields partition it
 /// exactly (`queued_ns` is the uncovered remainder: the item sat in a
 /// queue with no recorded span active).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChainAttribution {
     /// Time under a stage-work edge.
     pub stage_work_ns: u64,
-    /// Time blocked pushing into a full queue.
-    pub backpressure_ns: u64,
     /// Time in DDP ring sends/receives.
     pub ring_ns: u64,
     /// Time waiting in a queue: a consumer blocked on this batch, or the
@@ -142,7 +134,6 @@ impl ChainAttribution {
     /// Accumulates another attribution (category-wise sum).
     pub fn add(&mut self, o: &ChainAttribution) {
         self.stage_work_ns += o.stage_work_ns;
-        self.backpressure_ns += o.backpressure_ns;
         self.ring_ns += o.ring_ns;
         self.queue_wait_ns += o.queue_wait_ns;
         self.fill_ns += o.fill_ns;
@@ -151,10 +142,9 @@ impl ChainAttribution {
     }
 
     /// `(label, ns)` pairs for every category, export order.
-    pub fn categories(&self) -> [(&'static str, u64); 6] {
+    pub fn categories(&self) -> [(&'static str, u64); 5] {
         [
             ("stage_work", self.stage_work_ns),
-            ("backpressure", self.backpressure_ns),
             ("ring", self.ring_ns),
             ("queue_wait", self.queue_wait_ns),
             ("fill", self.fill_ns),
@@ -203,7 +193,6 @@ impl BatchChain {
                     let d = t - p;
                     match best {
                         Some(EdgeKind::StageWork) => a.stage_work_ns += d,
-                        Some(EdgeKind::Backpressure) => a.backpressure_ns += d,
                         Some(EdgeKind::RingSend) | Some(EdgeKind::RingRecv) => a.ring_ns += d,
                         Some(EdgeKind::QueueWait) => a.queue_wait_ns += d,
                         Some(EdgeKind::Fill) => a.fill_ns += d,
@@ -312,25 +301,22 @@ mod tests {
     #[test]
     fn classification_covers_the_edge_taxonomy() {
         assert_eq!(classify(spans::WARMUP.as_str()), EdgeKind::Fill);
-        assert_eq!(classify(spans::PIPE_SEND.as_str()), EdgeKind::Backpressure);
         assert_eq!(classify(spans::DDP_RING_SEND.as_str()), EdgeKind::RingSend);
         assert_eq!(classify(spans::DDP_RING_RECV.as_str()), EdgeKind::RingRecv);
         assert_eq!(classify(spans::STAGE_PREP.as_str()), EdgeKind::QueueWait);
-        assert_eq!(classify(spans::PIPE_WAIT.as_str()), EdgeKind::QueueWait);
         assert_eq!(classify(spans::SLOT_WAIT.as_str()), EdgeKind::QueueWait);
         assert_eq!(classify(spans::STAGE_TRAIN.as_str()), EdgeKind::StageWork);
         assert_eq!(classify(spans::PREP_SAMPLE.as_str()), EdgeKind::StageWork);
     }
 
     /// Hand-built chain with a known path: fill 0..10, sample 10..40,
-    /// backpressured send 40..45, in-queue (no span, compute edge ahead)
-    /// 45..50 inferred as queue wait, compute 50..80.
+    /// in-queue (no span, compute edge ahead) 40..50 inferred as queue
+    /// wait, compute 50..80.
     #[test]
     fn chain_attribution_is_exact_on_a_known_path() {
         let t = Trace::new(Clock::virtual_manual());
         t.record_span(spans::WARMUP, 0, 0, 10);
         t.record_span(spans::PREP_SAMPLE, 0, 10, 40);
-        t.record_span(spans::PIPE_SEND, 0, 40, 45);
         t.record_span(spans::STAGE_TRAIN, 0, 50, 80);
         // A second batch to prove grouping.
         t.record_span(spans::STAGE_TRAIN, 1, 80, 90);
@@ -338,13 +324,12 @@ mod tests {
         assert_eq!(chains.len(), 2);
         let c0 = &chains[0];
         assert_eq!(c0.batch, 0);
-        assert_eq!(c0.edges.len(), 4);
+        assert_eq!(c0.edges.len(), 3);
         assert_eq!(c0.extent(), Some((0, 80)));
         let a = c0.attribute();
         assert_eq!(a.fill_ns, 10);
         assert_eq!(a.stage_work_ns, 30 + 30);
-        assert_eq!(a.backpressure_ns, 5);
-        assert_eq!(a.queue_wait_ns, 5, "in-queue gap inferred as queue wait");
+        assert_eq!(a.queue_wait_ns, 10, "in-queue gap inferred as queue wait");
         assert_eq!(a.queued_ns, 0);
         assert_eq!(a.total_ns, 80);
         let sum: u64 = a.categories().iter().map(|(_, ns)| ns).sum();

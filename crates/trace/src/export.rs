@@ -39,11 +39,8 @@ fn us(ns: u64) -> String {
 /// (load it at `chrome://tracing` or <https://ui.perfetto.dev>).
 ///
 /// Spans become `"X"` (complete) events, point events become `"i"`
-/// (instant) events, counter-track samples become `"C"` (counter) events
-/// with the sampled value under `args.value` (rendered as a stacked track
-/// in the timeline — queue depth over time), and each thread gets an
-/// `"M"` `thread_name` metadata record. Batch ids are attached under
-/// `args.batch`.
+/// (instant) events, and each thread gets an `"M"` `thread_name` metadata
+/// record. Batch ids are attached under `args.batch`.
 pub fn chrome_trace(snap: &Snapshot) -> String {
     let mut out = String::new();
     out.push_str("{\"traceEvents\":[");
@@ -88,15 +85,6 @@ pub fn chrome_trace(snap: &Snapshot) -> String {
                 e.tid,
                 us(e.start_ns),
                 args
-            ),
-            // Counter samples carry their value in the batch field.
-            EventKind::Counter => format!(
-                "{{\"name\":\"{}\",\"ph\":\"C\",\"pid\":0,\"tid\":{},\
-                 \"ts\":{},\"args\":{{\"value\":{}}}}}",
-                json_escape(e.name),
-                e.tid,
-                us(e.start_ns),
-                e.batch
             ),
         };
         emit(line, &mut out);
@@ -246,7 +234,7 @@ mod tests {
     use super::*;
     use crate::analysis::analyze;
     use crate::clock::Clock;
-    use crate::names::{counters, events, gauges, hists, spans};
+    use crate::names::{counters, events, hists, spans};
     use crate::span::Trace;
 
     fn sample_trace() -> Trace {
@@ -255,7 +243,6 @@ mod tests {
         t.record_span(spans::STAGE_TRAIN, 0, 0, 600_000);
         t.record_span(spans::STAGE_PREP, 1, 600_000, 900_000);
         t.instant(events::RETRY, 1);
-        t.counter_track(gauges::PIPE_QUEUE_COMPUTE, 2);
         t.counter(counters::BATCHES).add(2);
         t.histogram(hists::PREP_BATCH_NS).observe(250_000);
         t
@@ -268,9 +255,6 @@ mod tests {
         assert!(json.contains("\"ph\":\"M\""));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"ph\":\"i\""));
-        // Counter tracks carry their sampled value, not a batch id.
-        assert!(json.contains("\"ph\":\"C\""));
-        assert!(json.contains("\"args\":{\"value\":2}"));
         assert!(json.contains("\"args\":{\"batch\":1}"));
         // NO_BATCH events get no args object.
         assert!(json.contains("\"name\":\"epoch\",\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":0.000,\"dur\":1000.000}"));

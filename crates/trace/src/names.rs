@@ -99,8 +99,9 @@ registry! {
     /// actual sample+slice work; for the SALIENT executor only the time the
     /// trainer *blocked* waiting for a prepared batch.
     STAGE_PREP = "stage.prep",
-    /// Trainer-side host→device staging (f16→f32 upcast standing in for the
-    /// PCIe copy).
+    /// Trainer-side host→device hand-over, the PCIe copy's stand-in: the
+    /// stage counts the bytes a copy would move (`transfer.bytes`) and
+    /// passes the pinned slot on.
     STAGE_TRANSFER = "stage.transfer",
     /// Trainer-side model compute (forward + backward + step).
     STAGE_TRAIN = "stage.train",
@@ -122,10 +123,6 @@ registry! {
     SERVE_SLICE = "serve.slice",
     /// Serving micro-batch model compute (forward on the staged slot).
     SERVE_GEMM = "serve.gemm",
-    /// A pipeline stage blocked on its input queue (threaded stage-graph
-    /// executor; the sink stage's wait keeps its Table-1 name,
-    /// [`STAGE_PREP`]).
-    PIPE_WAIT = "pipe.wait",
     /// DDP rank-side batch preparation (sample + gather) stage work.
     DDP_PREP = "ddp.prep",
     /// DDP rank-side compute (forward + backward + all-reduce + step)
@@ -139,9 +136,6 @@ registry! {
     BENCH_SAMPLE_PYG = "bench.sample_pyg",
     /// Bench harness: one SALIENT fast-sampler pass.
     BENCH_SAMPLE_FAST = "bench.sample_fast",
-    /// A stage-graph producer blocked pushing into a full bounded queue
-    /// (backpressure edge in the per-batch causal chain).
-    PIPE_SEND = "pipe.send",
     /// One DDP ring-link send (causal edge: this rank → next rank).
     DDP_RING_SEND = "ddp.ring_send",
     /// One DDP ring-link receive (causal edge: previous rank → this rank).
@@ -219,10 +213,6 @@ registry! {
     FANOUT_LEVEL = "serve.fanout_level",
     /// Circuit-breaker state (0 closed, 1 half-open, 2 open).
     BREAKER_STATE = "serve.breaker_state",
-    /// Depth of the stage-graph executor's transfer→compute queue (the
-    /// double-buffer bound; backpressure shows as this gauge pinned at
-    /// capacity).
-    PIPE_QUEUE_COMPUTE = "pipe.q.compute",
 }
 
 registry! {
@@ -305,7 +295,7 @@ mod tests {
         // its length is the declaration count; `hists::ALL` is the list the
         // epoch report iterates.
         assert_eq!(hists::ALL.len(), 6);
-        assert_eq!(spans::ALL.len(), 22);
+        assert_eq!(spans::ALL.len(), 20);
         assert_eq!(hists::ALL[0], hists::PREP_BATCH_NS);
         assert!("pipe.fill_ns" == hists::PIPE_FILL_NS);
     }

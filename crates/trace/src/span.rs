@@ -42,24 +42,20 @@ pub enum EventKind {
     Span,
     /// A point event (retry, respawn, failure marker).
     Instant,
-    /// A sampled counter-track value (queue depth over time); the sampled
-    /// value rides in the `batch` field and `start_ns == end_ns`.
-    Counter,
 }
 
 /// One recorded event.
 #[derive(Clone, Copy, Debug)]
 pub struct SpanEvent {
-    /// Event name: the string of the registered [`SpanName`], [`EventName`]
-    /// or (for counter tracks) [`GaugeName`] it was recorded under.
+    /// Event name: the string of the registered [`SpanName`] or
+    /// [`EventName`] it was recorded under.
     pub name: &'static str,
     /// Interval or point event.
     pub kind: EventKind,
     /// Small dense id of the recording thread (index into the snapshot's
     /// thread-name table).
     pub tid: u32,
-    /// Associated batch id, or [`NO_BATCH`]; for [`EventKind::Counter`]
-    /// events this field carries the sampled value instead.
+    /// Associated batch id, or [`NO_BATCH`].
     pub batch: u64,
     /// Start timestamp (clock nanoseconds).
     pub start_ns: u64,
@@ -352,23 +348,6 @@ impl Trace {
     pub fn observe(&self, name: HistName, v: u64) {
         if let Some(inner) = &self.inner {
             inner.metrics.histogram(name).observe(v);
-        }
-    }
-
-    /// Records a timestamped counter-track sample (exported as a Chrome
-    /// `"C"` counter event, e.g. queue depth over time). The sampled value
-    /// rides in the event's `batch` field.
-    pub fn counter_track(&self, name: GaugeName, value: u64) {
-        if let Some(inner) = &self.inner {
-            let now = inner.clock.now_ns();
-            record(inner, |tid| SpanEvent {
-                name: name.as_str(),
-                kind: EventKind::Counter,
-                tid,
-                batch: value,
-                start_ns: now,
-                end_ns: now,
-            });
         }
     }
 

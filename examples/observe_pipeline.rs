@@ -3,10 +3,10 @@
 //! 1. A small SALIENT-executor training run on a deterministic
 //!    `VirtualClock`, exporting every view the trace subsystem offers and
 //!    structurally validating them with the in-repo JSON parser.
-//! 2. When the thread budget covers the threaded stage-graph schedule
-//!    (`SALIENT_NUM_THREADS` ≥ 3), a monotonic-clock run at ms-scale batch
-//!    sizes that measures *real* prep/compute overlap (the paper's
-//!    Figure-4 pipelining win) and records `overlap_frac`.
+//! 2. On a host with two or more cores, a monotonic-clock run at ms-scale
+//!    batch sizes that measures *real* prep/compute overlap — the
+//!    batch-preparation workers against the training consumer, the paper's
+//!    Figure-4 pipelining win — and records `overlap_frac`.
 //!
 //! Emits (under `target/`):
 //!
@@ -16,13 +16,13 @@
 //! * `target/metrics_pipeline.json` — raw counters / gauges / histograms;
 //! * `target/bench_pipeline.json` — the per-stage breakdown `scripts/ci.sh`
 //!   reads its gates from. Its top-level `overlap_frac` comes from the
-//!   threaded monotonic run when one ran (see `overlap.mode`), since
+//!   monotonic run when one ran (`overlap.skipped` says when not), since
 //!   overlap is a wall-clock phenomenon.
 //!
 //! Exits non-zero if any exported artifact fails validation, so
 //! `scripts/ci.sh` can use this binary as its observability tier.
 //!
-//! Run: `SALIENT_NUM_THREADS=3 cargo run --release --example observe_pipeline`
+//! Run: `cargo run --release --example observe_pipeline`
 
 use salient_repro::bench::harness::{write_json, Json};
 use salient_repro::core::{ExecutorKind, RunConfig, Trainer};
@@ -36,15 +36,14 @@ use salient_repro::trace::json::validate_chrome_trace;
 use salient_repro::trace::{analyze, names, BlackboxConfig, Clock, Trace};
 use std::sync::Arc;
 
-/// Threaded-schedule overlap measurement on the real clock. Returns the
-/// JSON summary block plus the measured overlap fraction.
+/// Worker/consumer overlap measurement on the real clock, on a host of
+/// `cores` cores. Returns the JSON summary block plus the measured overlap
+/// fraction.
 ///
 /// The dataset and batch size are chosen so one batch costs milliseconds —
 /// large against scheduler noise, small enough that the whole epoch stays
-/// around a second. The stage-graph executor picks the threaded schedule
-/// on its own (same `run()` entry point as production); this function only
-/// *measures* it.
-fn overlap_run() -> (Json, f64) {
+/// around a second.
+fn overlap_run(cores: usize) -> (Json, f64) {
     let trace = Trace::new(Clock::monotonic());
     let dataset = Arc::new(DatasetConfig::products_sim(1.0).build());
     // Inference-scale fanouts with a slim hidden layer keep the workload
@@ -79,7 +78,7 @@ fn overlap_run() -> (Json, f64) {
         .map(|h| h.count)
         .unwrap_or(0);
     let obj = Json::Obj(vec![
-        ("mode".into(), Json::Str("threaded".into())),
+        ("cores".into(), Json::Num(cores as f64)),
         ("threads".into(), Json::Num(pool::num_threads() as f64)),
         ("overlap_frac".into(), Json::Num(frac)),
         (
@@ -175,23 +174,17 @@ fn main() {
         dataset.features.dtype()
     );
 
-    // Part 2: measure real pipelining when the thread budget covers the
-    // threaded schedule (two executor stages + the consumer). The virtual
-    // run above cannot show wall-clock overlap, so its value would gate
-    // nothing; the monotonic threaded run is the authoritative number.
-    let (overlap_obj, overlap_frac) = if pool::num_threads() > 2 {
-        overlap_run()
+    // Part 2: measure real pipelining where the prep workers and the
+    // consumer can run at once. The virtual run above cannot show
+    // wall-clock overlap, so its value would gate nothing; the monotonic
+    // run is the authoritative number.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (overlap_obj, overlap_frac) = if cores >= 2 {
+        overlap_run(cores)
     } else {
-        println!(
-            "overlap run skipped: SALIENT_NUM_THREADS={} (the threaded \
-             schedule needs >= 3)",
-            pool::num_threads()
-        );
+        println!("overlap run skipped: one core, so workers and consumer take turns");
         (
-            Json::Obj(vec![
-                ("mode".into(), Json::Str("skipped(single-thread)".into())),
-                ("threads".into(), Json::Num(pool::num_threads() as f64)),
-            ]),
+            Json::Obj(vec![("skipped".into(), Json::Str("single-core host".into()))]),
             report.overlap_frac(),
         )
     };

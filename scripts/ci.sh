@@ -144,12 +144,15 @@ echo "== fault tier: deterministic fault-injection matrix"
 # probabilistic-trigger schedules so failures reproduce bit-for-bit.
 SALIENT_FAULT_SEED=42 cargo test -q --offline --test fault_matrix
 
-echo "== observability tier: instrumented run on a virtual clock"
+echo "== observability tier: instrumented run on a virtual clock, overlap on the real one"
 # A 2-epoch SALIENT-executor run on a VirtualClock: prints the
 # stall-attribution report, exports the Chrome trace + metrics snapshot,
 # validates both with the in-repo JSON parser (no serde), and writes the
 # per-stage breakdown to target/bench_pipeline.json. Exits non-zero if
-# any artifact fails validation.
+# any artifact fails validation. On a host with two or more cores the same
+# run then measures, on the monotonic clock, how much of the consumer's
+# compute the batch-preparation workers' work overlapped (the paper's
+# Figure-4 win) and records it as overlap_frac.
 cargo run -q --release --offline --example observe_pipeline
 test -s target/bench_pipeline.json
 test -s target/trace_pipeline.json
@@ -163,24 +166,18 @@ grep -q '"named_pct"' target/bench_pipeline.json
 # always-on recorder adds zero steady-state allocations per event
 # (tests/trace_overhead.rs, run by both workspace passes above).
 
-echo "== pipeline tier: threaded stage-graph overlap (SALIENT_NUM_THREADS=3)"
-# Rerun the observability binary with an explicit thread budget that
-# covers the threaded schedule (two executor stages + the consumer), so
-# bench_pipeline.json records a *real* multi-thread overlap measurement:
-# prep/transfer work on dedicated stage threads overlapping model
-# compute, the paper's Figure-4 win. The overlap_frac > 0.5 gate needs
-# genuine parallelism, so it is skipped (with a notice) on single-core
-# runners, where wall-clock overlap is at the scheduler's mercy.
-SALIENT_NUM_THREADS=3 cargo run -q --release --offline --example observe_pipeline
+# The overlap_frac > 0.5 gate needs genuine parallelism, so it is skipped
+# (with a notice) on single-core runners, where wall-clock overlap is at
+# the scheduler's mercy and the example records "skipped" instead.
 overlap_frac=$(grep -m1 '"overlap_frac"' target/bench_pipeline.json | tr -dc '0-9.')
-echo "pipeline tier: overlap_frac = ${overlap_frac}"
-if [ "$(nproc)" -ge 2 ]; then
+echo "observability tier: overlap_frac = ${overlap_frac}"
+if ! grep -q '"skipped"' target/bench_pipeline.json; then
   awk -v f="$overlap_frac" 'BEGIN { exit !(f > 0.5) }' || {
-    echo "pipeline tier FAILED: overlap_frac ${overlap_frac} <= 0.5"
+    echo "observability tier FAILED: overlap_frac ${overlap_frac} <= 0.5"
     exit 1
   }
 else
-  echo "pipeline tier: single-core runner — overlap_frac gate skipped"
+  echo "observability tier: single-core runner — overlap_frac gate skipped"
 fi
 
 echo "== mixed-precision tier: f16 storage, half GEMM accuracy, byte traffic"

@@ -358,6 +358,7 @@ fn transfer_stage_panic_retires_one_batch_and_the_pipeline_survives() {
     assert_eq!(stats.len(), 1);
     assert_eq!(stats[0].batches, n - 1, "exactly the panicked batch is lost");
     assert_eq!(stats[0].failed_batches, 1, "the loss is accounted, not silent");
+    assert_eq!(stats[0].batches + stats[0].failed_batches, n, "every batch is in one count");
     let staging = trainer.staging_pool();
     assert_eq!(staging.available(), staging.capacity(), "the trainer's pool is whole again");
 
@@ -422,6 +423,37 @@ fn train_stage_panic_unwinds_through_the_tape_that_holds_the_slot() {
     assert_eq!((stats.batches, stats.failed_batches), (n, 0), "the next epoch is whole");
 }
 
+/// `RunConfig::slots`' other half: the consumer holds one slot — the batch in
+/// its train step — so with two, the worker prepares batch 1 into the second
+/// while batch 0 trains. A 50 ms delay inside batch 0's step keeps it
+/// training long enough for the order of the span ends to be the overlap.
+#[test]
+fn two_slots_let_the_worker_prepare_the_next_batch_under_a_train_step() {
+    let _s = serial();
+    use salient_repro::core::Trainer;
+    let ds = dataset();
+    let trace = Trace::new(Clock::monotonic());
+    let run = RunConfig {
+        batch_size: 32,
+        slots: 2,
+        num_workers: 1,
+        ..RunConfig::test_tiny()
+    };
+    let n = ds.splits.train.len().div_ceil(run.batch_size);
+    let _guard = fault::scoped(FaultPlan::new(44).delay_at(sites::PIPE_TRAIN, 0, Duration::from_millis(50)));
+    let mut trainer = Trainer::with_trace(Arc::clone(&ds), run, trace.clone());
+    let stats = trainer.train_epoch();
+    assert_eq!((stats.batches, stats.failed_batches), (n, 0));
+    let staging = trainer.staging_pool();
+    assert_eq!((staging.available(), staging.capacity()), (2, 2));
+
+    let snap = trace.snapshot();
+    let end_of = |span, batch| snap.spans(span).find(|e| e.batch == batch).map(|e| e.end_ns);
+    let sliced = end_of(names::spans::PREP_SLICE, 1).expect("batch 1 was sliced");
+    let trained = end_of(names::spans::STAGE_TRAIN, 0).expect("batch 0 trained");
+    assert!(sliced < trained, "batch 1 sliced at {sliced} ns, batch 0 trained until {trained} ns");
+}
+
 #[test]
 fn transfer_stage_drop_fault_skips_the_batch_silently_but_accounted() {
     let _s = serial();
@@ -442,6 +474,7 @@ fn transfer_stage_drop_fault_skips_the_batch_silently_but_accounted() {
     let stats = trainer.fit();
     assert_eq!(stats[0].batches, n - 1);
     assert_eq!(stats[0].failed_batches, 1);
+    assert_eq!(stats[0].batches + stats[0].failed_batches, n, "every batch is in one count");
     let snap = trace.snapshot();
     assert_eq!(snap.metrics.counter(names::counters::PIPE_STAGE_PANICS), 0);
     assert_eq!(snap.count(names::events::PIPE_POISONED), 0);
@@ -478,10 +511,17 @@ fn pipeline_poison_dumps_the_flight_recorder_with_the_failing_chain() {
         budget: None,
     }));
     let mut trainer = Trainer::with_trace(Arc::clone(&ds), run, trace.clone());
-    let _stats = trainer.fit();
+    let stats = trainer.fit();
     // The attached-blackbox trainer also installs a global fire observer;
     // detach it so later tests in this serialized binary are unaffected.
     fault::set_fire_observer(None);
+
+    // A poisoned epoch does not read as a perfect one: the three batches
+    // that panicked and the ones never pulled are all failed, and a mean
+    // over no trained batch is not a loss of zero.
+    assert_eq!(stats[0].batches, 0);
+    assert_eq!(stats[0].failed_batches, expected_batches());
+    assert!(stats[0].mean_loss.is_nan(), "{}", stats[0].mean_loss);
 
     let snap = trace.snapshot();
     assert!(

@@ -300,14 +300,13 @@ fn all_reduce_mean_equals_mean_for_many_shapes() {
 fn trace_json_returns_on_mutated_chrome_traces() {
     use salient_repro::trace::export::chrome_trace;
     use salient_repro::trace::json::validate_chrome_trace;
-    use salient_repro::trace::names::{events, gauges, spans};
+    use salient_repro::trace::names::{events, spans};
     use salient_repro::trace::{Clock, Trace, NO_BATCH};
 
     let trace = Trace::new(Clock::virtual_with_tick(100));
     for batch in 0..4 {
         let _s = trace.span_batch(spans::STAGE_TRAIN, batch);
         trace.instant(events::RETRY, NO_BATCH);
-        trace.counter_track(gauges::PIPE_QUEUE_COMPUTE, batch);
     }
     let valid = chrome_trace(&trace.snapshot());
     validate_chrome_trace(&valid).expect("the unmutated export is valid");

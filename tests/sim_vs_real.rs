@@ -150,8 +150,8 @@ fn pipelined_sim_schedule_is_structurally_the_real_stage_graph() {
     assert_eq!(per_stage["transfer"], batches);
 
     // transfer[b] may run at most TRANSFER_QUEUE_CAP + 1 batches ahead of
-    // the consumer — the same backpressure the bounded queue imposes on
-    // the real executor.
+    // the consumer: the modelled machine's double buffering (the real
+    // plane has no copy to run ahead).
     for b in (TRANSFER_QUEUE_CAP + 1)..batches {
         let tr = task_by_label[&format!("transfer[{b}]")];
         let gate = task_by_label[&format!("train[{}]", b - TRANSFER_QUEUE_CAP - 1)];
