@@ -240,7 +240,10 @@ impl Checkpoint {
         if count > 1_000_000 {
             return Err(bad("implausible entry count"));
         }
-        let mut entries = Vec::with_capacity(count);
+        // Reservations below are capped and grow with what the stream really
+        // holds: a corrupt length must not reserve gigabytes ahead of the
+        // read that fails.
+        let mut entries = Vec::with_capacity(count.min(1 << 10));
         for _ in 0..count {
             let mut u32b = [0u8; 4];
             hr.read_exact(&mut u32b)?;
@@ -261,12 +264,16 @@ impl Checkpoint {
                 hr.read_exact(&mut u64b)?;
                 dims.push(u64::from_le_bytes(u64b) as usize);
             }
-            let shape = Shape::new(dims);
-            let len = shape.len();
-            if len > 1 << 30 {
+            // Checked, and with a zero dim counted as one, so that neither the
+            // element count nor any partial product of the dims (a row
+            // width, a stride) can overflow on a crafted file.
+            let bound = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d.max(1)));
+            if bound.is_none_or(|n| n > 1 << 30) {
                 return Err(bad("implausible tensor size"));
             }
-            let mut data = Vec::with_capacity(len);
+            let shape = Shape::new(dims);
+            let len = shape.len();
+            let mut data = Vec::with_capacity(len.min(1 << 16));
             let mut f32b = [0u8; 4];
             for _ in 0..len {
                 hr.read_exact(&mut f32b)?;
@@ -387,7 +394,13 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("salient_ckpt_test");
+        // The workspace's target/tmp: private to this checkout, so two test
+        // runs on one host never share the file.
+        let dir = std::path::PathBuf::from(
+            std::env::var("CARGO_TARGET_DIR")
+                .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../target").into()),
+        )
+        .join("tmp/checkpoint-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.ckpt");
         let model = build_model(ModelKind::Gin, 8, 16, 4, 2, 3);
@@ -414,6 +427,31 @@ mod tests {
                 "cut at {cut}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn overflowing_or_oversized_shapes_are_rejected() {
+        // One entry with the given dims, no payload, and a correct trailer:
+        // only the size check stands between the loader and the dims.
+        let crafted = |dims: &[u64]| {
+            let rank = (dims.len() as u32).to_le_bytes();
+            let mut buf = [&MAGIC[..], &1u64.to_le_bytes(), &1u32.to_le_bytes(), b"w", &rank].concat();
+            buf.extend(dims.iter().flat_map(|d| d.to_le_bytes()));
+            let digest = fnv1a_update(FNV_OFFSET, &buf);
+            buf.extend(digest.to_le_bytes());
+            buf
+        };
+        // 2^33 * 2^31 wraps to 0 elements in an unchecked product.
+        for dims in [&[1 << 33, 1 << 31][..], &[0, 1 << 40, 1 << 40], &[1 << 16, (1 << 14) + 1]] {
+            let err = Checkpoint::read_from(&mut crafted(dims).as_slice()).unwrap_err();
+            assert!(
+                matches!(&err, CheckpointError::Corrupt(m) if m == "implausible tensor size"),
+                "{dims:?}: {err}"
+            );
+        }
+        // A zero-element tensor of plausible dims still loads.
+        let back = Checkpoint::read_from(&mut crafted(&[0, 3]).as_slice()).unwrap();
+        assert_eq!(back.get("w").unwrap().shape().dims(), &[0, 3]);
     }
 
     #[test]

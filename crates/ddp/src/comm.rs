@@ -474,10 +474,6 @@ mod tests {
                 s.spawn(move || {
                     let mut data = vec![1.0f32; 8];
                     comm.all_reduce_sum(&mut data).unwrap();
-                    // Scoped threads can release the scope before their
-                    // TLS destructors run, so flush explicitly rather than
-                    // relying on teardown to beat the snapshot below.
-                    comm.trace.flush_current_thread();
                 });
             }
         });

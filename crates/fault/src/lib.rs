@@ -29,7 +29,6 @@
 //! | `ckpt.write` | entry index |
 //! | `serve.request`, `serve.queue` | request id |
 //! | `serve.sampler`, `serve.slice`, `serve.gemm` | micro-batch sequence |
-//! | `serve.worker` | worker incarnation |
 //!
 //! # Example
 //!
@@ -138,9 +137,6 @@ sites! {
     /// Serving model-compute (GEMM) stage (occ = micro-batch sequence
     /// number).
     SERVE_GEMM = "serve.gemm",
-    /// Serving worker thread itself (occ = worker incarnation) — kills the
-    /// whole thread, exercising the serve supervisor's respawn path.
-    SERVE_WORKER = "serve.worker",
     /// Stage-graph executor transfer/widen stage (occ = batch id). `panic`
     /// exercises the executor's per-item catch boundary: the batch is
     /// dropped and counted, the pinned slot returns via RAII, and the
@@ -718,7 +714,7 @@ mod tests {
         // `ALL` is built from the same lines as the constants: its length
         // is the declaration count, and the parser resolves each name back
         // to the constant it was declared as.
-        assert_eq!(sites::ALL.len(), 16);
+        assert_eq!(sites::ALL.len(), 15);
         for (i, site) in sites::ALL.iter().enumerate() {
             assert_eq!(Site::lookup(site.as_str()), Some(*site));
             assert!(

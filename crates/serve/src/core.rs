@@ -9,8 +9,7 @@
 //! time only through its [`Clock`], never spawns threads, and injects
 //! faults only via `salient_fault` sites, so a whole serving session under
 //! a `VirtualClock` is a pure function of (config, seed, arrival trace,
-//! fault plan). The threaded [`crate::Server`] is a thin supervised
-//! wrapper around it.
+//! fault plan).
 //!
 //! # Deadline propagation
 //!
@@ -646,11 +645,11 @@ impl ServerCore {
 ///
 /// # Panics
 ///
-/// Panics if the core's clock is not virtual (real-clock driving belongs
-/// to the threaded [`crate::Server`] or the bench example).
+/// Panics if the core's clock is not virtual (a real-clock core is driven
+/// step by step by its caller, as the serving benchmark does).
 pub fn run_trace(core: &mut ServerCore, arrivals: &[Arrival]) -> Vec<(u64, Response)> {
     let clock = core.clock();
-    #[expect(clippy::expect_used, reason = "documented contract (# Panics): a real-clock core is driven by `Server`, never by this replay loop")]
+    #[expect(clippy::expect_used, reason = "documented contract (# Panics): a real-clock core is driven step by step by its caller, never by this replay loop")]
     let vc = Arc::clone(
         clock
             .as_virtual()

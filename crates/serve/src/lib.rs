@@ -32,10 +32,10 @@
 //! with `serve.*` counters/histograms/spans, and every failure mode is
 //! reachable deterministically through `salient_fault`'s `serve.*` sites.
 //!
-//! [`ServerCore`] is the deterministic single-threaded state machine;
-//! [`Server`] wraps it in a supervised worker thread for concurrent
-//! callers; [`loadgen`] builds seeded open-loop Poisson and bursty arrival
-//! traces for benchmarks and tests.
+//! [`ServerCore`] is the deterministic single-threaded state machine — it
+//! spawns no thread and takes no lock; its caller drives it — and
+//! [`loadgen`] builds seeded open-loop Poisson and bursty arrival traces
+//! for benchmarks and tests.
 
 #![warn(missing_docs)]
 // On every batch's path: a file that indexes says why (DESIGN.md section 8).
@@ -45,7 +45,6 @@ mod breaker;
 mod config;
 mod core;
 mod ladder;
-mod server;
 
 pub mod loadgen;
 
@@ -53,7 +52,6 @@ pub use crate::core::{run_trace, ServerCore, StepOutcome};
 pub use breaker::{Breaker, BreakerState};
 pub use config::ServeConfig;
 pub use ladder::{Ladder, LadderMove};
-pub use server::{Server, Ticket};
 
 use salient_graph::NodeId;
 

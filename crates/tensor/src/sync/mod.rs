@@ -1,8 +1,7 @@
 //! The workspace's one synchronisation leaf: poison-tolerant lock helpers
-//! and the bounded blocking [`channel`] built on them. Every crate above
-//! `salient-tensor` (batch prep's slot pool and batch stream, the
-//! stage-graph executor's inter-stage queues, the serving front end) uses
-//! these instead of a private copy.
+//! and the bounded blocking [`channel`] built on them. The kernel pool's
+//! job slots and every crate above `salient-tensor` (batch prep's slot
+//! pool and batch stream) use these instead of a private copy.
 //!
 //! A panicking batch-prep worker poisons any `Mutex` it held; the fault
 //! layer (PR 2) catches the panic and retries the batch, so the lock's
@@ -24,12 +23,6 @@ use std::time::Duration;
 #[inline]
 pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// `Mutex::into_inner` that recovers the value if a previous holder panicked.
-#[inline]
-pub fn into_inner_unpoisoned<T>(m: Mutex<T>) -> T {
-    m.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// `Condvar::wait` that recovers the guard from a poisoned lock.

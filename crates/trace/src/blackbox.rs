@@ -1,25 +1,17 @@
-//! Always-on flight recorder: bounded per-thread rings of recent events,
-//! dumped to disk when something goes wrong.
+//! Always-on flight recorder: each thread's most recent events, dumped to
+//! disk when something goes wrong.
 //!
-//! A [`crate::Trace`] built with [`crate::Trace::with_blackbox`] mirrors
-//! every recorded event into the recording thread's [`Shard`] — a ring of
-//! [`crate::SpanEvent`]s whose storage is preallocated when the thread
-//! first registers, so steady-state writes are an uncontended owner-thread
-//! mutex acquire plus one index assignment: no allocation, no contention
-//! (pinned by the counting-allocator test in `tests/trace_overhead.rs`).
-//! The crate forbids `unsafe`, so "lock-free" here is the practical kind —
-//! each ring's mutex is only ever touched by its owner thread until a dump
-//! walks the shards.
+//! A [`crate::Trace`] built with [`crate::Trace::with_blackbox`] keeps no
+//! second copy of anything: a dump takes a [`crate::Trace::snapshot`] — the
+//! same per-thread logs every reader sees, including events of threads that
+//! are still running at the moment of the fault — and keeps each thread's
+//! last 4 096 events of it.
 //!
-//! Beyond bounding memory, the rings capture what the central registry
-//! cannot yet see: events still sitting in other threads' unflushed
-//! thread-local buffers at the moment of a fault.
-//!
-//! Dumps fire on stage panic-budget exhaustion, pipeline poison, serve
-//! circuit-breaker open, and fault-site fires (the callers hold the
-//! trigger; [`Blackbox::dump`] is the mechanism). A dump is one JSON file
+//! Dumps fire on pipeline poison (a stage graph's panic budget running
+//! out), serve circuit-breaker open, and fault-site fires (the callers hold
+//! the trigger; [`Blackbox::dump`] is the mechanism). A dump is one JSON file
 //! containing the trigger metadata, the failing batch's causal chain
-//! (via [`crate::critical_path`]), the ring contents as a Chrome trace,
+//! (via [`crate::critical_path`]), those recent events as a Chrome trace,
 //! and the full metrics snapshot — everything needed to diagnose a dead
 //! run post-mortem.
 
@@ -33,109 +25,30 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Flight-recorder configuration.
-#[derive(Clone, Debug)]
-pub struct BlackboxConfig {
-    /// Ring capacity per recording thread, in events. The default (4096)
-    /// holds several epochs of per-batch pipeline events at ~6 events per
-    /// batch per thread while costing under 200 KiB per thread.
-    pub capacity: usize,
-    /// Directory dump files are written into (created on first dump).
-    pub dir: String,
-}
+/// Events a dump carries per recording thread: the most recent 4 096 hold
+/// several epochs of per-batch pipeline events at ~6 events per batch per
+/// thread.
+const RECENT_PER_THREAD: usize = 4096;
 
-impl Default for BlackboxConfig {
-    fn default() -> Self {
-        BlackboxConfig {
-            capacity: 4096,
-            dir: "target/blackbox".to_string(),
-        }
-    }
-}
-
-/// Fixed-capacity overwrite-oldest event ring.
-#[derive(Debug)]
-struct Ring {
-    buf: Vec<SpanEvent>,
-    /// Overwrite cursor once the buffer is full (oldest entry's slot).
-    next: usize,
-    cap: usize,
-}
-
-/// One thread's bounded ring of recent events. Writes come only from the
-/// owning thread's recorder; reads only from a dumping thread.
-#[derive(Debug)]
-pub(crate) struct Shard {
-    tid: u32,
-    ring: Mutex<Ring>,
-}
-
-impl Shard {
-    /// Appends `ev`, overwriting the oldest entry when full. The buffer was
-    /// preallocated at registration, so the push branch never reallocates.
-    pub(crate) fn write(&self, ev: SpanEvent) {
-        let mut r = lock_tolerant(&self.ring);
-        if r.buf.len() < r.cap {
-            r.buf.push(ev);
-        } else if r.cap > 0 {
-            let i = r.next;
-            if let Some(slot) = r.buf.get_mut(i) {
-                *slot = ev;
+/// The last [`RECENT_PER_THREAD`] events of each thread in `snap`, in the
+/// snapshot's order.
+fn recent(snap: &Snapshot) -> Vec<SpanEvent> {
+    let mut left = vec![RECENT_PER_THREAD; snap.threads.len()];
+    let mut events: Vec<SpanEvent> = snap
+        .events
+        .iter()
+        .rev()
+        .filter(|e| match left.get_mut(e.tid as usize) {
+            Some(n) if *n > 0 => {
+                *n -= 1;
+                true
             }
-            r.next = (i + 1) % r.cap;
-        }
-    }
-
-    /// The ring contents, oldest first.
-    fn gather(&self) -> Vec<SpanEvent> {
-        let r = lock_tolerant(&self.ring);
-        if r.buf.len() < r.cap {
-            r.buf.clone()
-        } else {
-            r.buf
-                .iter()
-                .skip(r.next)
-                .chain(r.buf.iter().take(r.next))
-                .copied()
-                .collect()
-        }
-    }
-}
-
-/// Shared flight-recorder state hanging off an enabled trace.
-#[derive(Debug)]
-pub(crate) struct BlackboxInner {
-    capacity: usize,
-    dir: String,
-    shards: Mutex<Vec<Arc<Shard>>>,
-    last: Mutex<Option<String>>,
-}
-
-impl BlackboxInner {
-    pub(crate) fn new(cfg: BlackboxConfig) -> BlackboxInner {
-        BlackboxInner {
-            capacity: cfg.capacity,
-            dir: cfg.dir,
-            shards: Mutex::new(Vec::new()),
-            last: Mutex::new(None),
-        }
-    }
-
-    /// Creates (and retains) the ring shard for a newly registered thread.
-    /// The full capacity is allocated here, off the hot path, so steady-state
-    /// [`Shard::write`] calls never allocate.
-    pub(crate) fn register_shard(&self, tid: u32) -> Arc<Shard> {
-        let shard = Arc::new(Shard {
-            tid,
-            ring: Mutex::new(Ring {
-                buf: Vec::with_capacity(self.capacity),
-                next: 0,
-                cap: self.capacity,
-            }),
-        });
-        lock_tolerant(&self.shards).push(Arc::clone(&shard));
-        shard
-    }
+            _ => false,
+        })
+        .copied()
+        .collect();
+    events.reverse();
+    events
 }
 
 /// Process-global dump sequence so concurrent traces never collide on a
@@ -149,40 +62,28 @@ pub struct Blackbox {
     inner: Arc<BlackboxInner>,
 }
 
-impl Blackbox {
-    pub(crate) fn from_inner(inner: Arc<BlackboxInner>) -> Blackbox {
-        Blackbox { inner }
-    }
+#[derive(Debug)]
+struct BlackboxInner {
+    /// Directory dump files are written into (created on first dump).
+    dir: String,
+    last: Mutex<Option<String>>,
+}
 
-    /// Everything currently in the rings across all threads, merged and
-    /// sorted like a snapshot (`(start_ns, tid, name)`).
-    pub fn recent_events(&self) -> Vec<SpanEvent> {
-        let shards: Vec<Arc<Shard>> = lock_tolerant(&self.inner.shards).clone();
-        let mut by_tid = shards;
-        by_tid.sort_by_key(|s| s.tid);
-        let mut events: Vec<SpanEvent> = Vec::new();
-        for s in &by_tid {
-            events.extend(s.gather());
-        }
-        events.sort_by(|a, b| (a.start_ns, a.tid, a.name).cmp(&(b.start_ns, b.tid, b.name)));
-        events
+impl Blackbox {
+    pub(crate) fn new(dir: String) -> Blackbox {
+        Blackbox { inner: Arc::new(BlackboxInner { dir, last: Mutex::new(None) }) }
     }
 
     /// Writes one dump file and returns its path (`None` if the filesystem
     /// refused; the recorder itself must never panic — it runs inside fault
     /// handlers). The dump records `reason`, the triggering `batch`, that
-    /// batch's causal chain, the ring contents as an embedded Chrome trace,
-    /// and the full metrics snapshot; it also ticks `blackbox.dumps` and
-    /// emits a `blackbox.dump` instant on `trace`.
+    /// batch's causal chain, each thread's recent events as an embedded
+    /// Chrome trace, and the full metrics snapshot; it also ticks
+    /// `blackbox.dumps` and emits a `blackbox.dump` instant on `trace`.
     pub fn dump(&self, trace: &Trace, reason: &str, batch: u64) -> Option<String> {
         let full = trace.snapshot();
-        let events = self.recent_events();
-        let ring_snap = Snapshot {
-            events,
-            threads: full.threads.clone(),
-            metrics: full.metrics.clone(),
-        };
-        let chains = critical_path::batch_chains(&ring_snap);
+        let dumped = Snapshot { events: recent(&full), ..full };
+        let chains = critical_path::batch_chains(&dumped);
         let chain = chains.iter().find(|c| c.batch == batch);
 
         // Relaxed: the sequence only needs uniqueness, not ordering.
@@ -193,7 +94,7 @@ impl Blackbox {
             "{{\n\"blackbox\": {{\"reason\": \"{}\", \"seq\": {seq}, \"batch\": {batch}, \
              \"ring_events\": {}}},\n\"chain\": [",
             export::json_escape(reason),
-            ring_snap.events.len()
+            dumped.events.len()
         );
         if let Some(c) = chain {
             for (i, e) in c.edges.iter().enumerate() {
@@ -213,9 +114,9 @@ impl Blackbox {
             }
         }
         out.push_str("\n],\n\"trace\": ");
-        out.push_str(export::chrome_trace(&ring_snap).trim_end());
+        out.push_str(export::chrome_trace(&dumped).trim_end());
         out.push_str(",\n\"metrics\": ");
-        out.push_str(export::metrics_json(&ring_snap).trim_end());
+        out.push_str(export::metrics_json(&dumped).trim_end());
         out.push_str("\n}\n");
 
         if std::fs::create_dir_all(&self.inner.dir).is_err() {
@@ -243,40 +144,62 @@ mod tests {
     use crate::clock::Clock;
     use crate::names::spans;
 
-    fn test_cfg(name: &str, capacity: usize) -> BlackboxConfig {
-        BlackboxConfig {
-            capacity,
-            // The workspace's target/tmp, not this crate's directory.
-            dir: format!(
-                "{}/tmp/blackbox-test-{name}",
-                std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| concat!(
-                    env!("CARGO_MANIFEST_DIR"),
-                    "/../../target"
-                )
-                .into())
-            ),
-        }
+    /// A dump directory under the workspace's target/tmp, not this crate's
+    /// directory.
+    fn test_dir(name: &str) -> String {
+        format!(
+            "{}/tmp/blackbox-test-{name}",
+            std::env::var("CARGO_TARGET_DIR")
+                .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../target").into())
+        )
+    }
+
+    fn parse_dump(path: &str) -> crate::json::Value {
+        let text = std::fs::read_to_string(path).unwrap();
+        crate::json::parse(&text).expect("dump must be valid JSON")
     }
 
     #[test]
-    fn ring_overwrites_oldest_and_gathers_in_order() {
-        let t = Trace::with_blackbox(Clock::virtual_with_tick(10), test_cfg("ring", 4));
-        for b in 0..7u64 {
+    fn a_dump_carries_each_threads_last_4096_events() {
+        let t = Trace::with_blackbox(Clock::virtual_manual(), test_dir("recent"));
+        let busy = RECENT_PER_THREAD as u64 + 3;
+        for b in 0..busy {
             t.record_span(spans::STAGE_TRAIN, b, b * 10, b * 10 + 5);
         }
-        let bb = t.blackbox().unwrap();
-        let recent = bb.recent_events();
-        // Capacity 4: batches 3..=6 survive, oldest first.
-        assert_eq!(recent.len(), 4);
+        let t2 = t.clone();
+        std::thread::spawn(move || {
+            t2.record_span(spans::PREP_SAMPLE, 0, 0, 5);
+            t2.record_span(spans::PREP_SAMPLE, 1, 10, 15);
+        })
+        .join()
+        .unwrap();
+        let path = t.blackbox().unwrap().dump(&t, "test", 0).unwrap();
+        let doc = parse_dump(&path);
+        let meta = doc.get("blackbox").unwrap();
         assert_eq!(
-            recent.iter().map(|e| e.batch).collect::<Vec<_>>(),
-            vec![3, 4, 5, 6]
+            meta.get("ring_events").unwrap().as_num(),
+            Some((RECENT_PER_THREAD + 2) as f64)
         );
+        // The busy thread's oldest three are gone, the quiet thread keeps both.
+        let events = doc.get("trace").unwrap().get("traceEvents").unwrap();
+        let batches = |name: &str| -> Vec<f64> {
+            events
+                .as_arr()
+                .unwrap()
+                .iter()
+                .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some(name))
+                .filter_map(|e| e.get("args")?.get("batch")?.as_num())
+                .collect()
+        };
+        let trained = batches(spans::STAGE_TRAIN.as_str());
+        assert_eq!(trained.len(), RECENT_PER_THREAD);
+        assert_eq!((trained[0], trained[RECENT_PER_THREAD - 1]), (3.0, (busy - 1) as f64));
+        assert_eq!(batches(spans::PREP_SAMPLE.as_str()), vec![0.0, 1.0]);
     }
 
     #[test]
     fn dump_is_parseable_and_contains_the_chain() {
-        let t = Trace::with_blackbox(Clock::virtual_manual(), test_cfg("dump", 64));
+        let t = Trace::with_blackbox(Clock::virtual_manual(), test_dir("dump"));
         t.record_span(spans::WARMUP, 2, 0, 10);
         t.record_span(spans::PREP_SAMPLE, 2, 10, 40);
         t.record_span(spans::STAGE_TRAIN, 2, 50, 80);
@@ -285,7 +208,7 @@ mod tests {
         let path = bb.dump(&t, names::events::PIPE_POISONED.as_str(), 2).unwrap();
         assert_eq!(bb.last_dump().as_deref(), Some(path.as_str()));
         let text = std::fs::read_to_string(&path).unwrap();
-        let doc = crate::json::parse(&text).expect("dump must be valid JSON");
+        let doc = parse_dump(&path);
         let meta = doc.get("blackbox").unwrap();
         assert_eq!(
             meta.get("reason").unwrap().as_str(),
@@ -303,31 +226,5 @@ mod tests {
         let snap = t.snapshot();
         assert_eq!(snap.metrics.counter(names::counters::BLACKBOX_DUMPS), 1);
         assert_eq!(snap.count(names::events::BLACKBOX_DUMP), 1);
-    }
-
-    #[test]
-    fn rings_capture_unflushed_events_from_other_threads() {
-        let t = Trace::with_blackbox(Clock::virtual_manual(), test_cfg("unflushed", 64));
-        // A worker records one event and *stays alive* (parked on a channel),
-        // so its thread-local buffer has not flushed to the registry yet.
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let (ready_tx, ready_rx) = std::sync::mpsc::channel::<()>();
-        let worker = std::thread::spawn({
-            let t = t.clone();
-            move || {
-                t.record_span(spans::PREP_SAMPLE, 5, 100, 200);
-                ready_tx.send(()).ok();
-                rx.recv().ok();
-            }
-        });
-        ready_rx.recv().unwrap();
-        let bb = t.blackbox().unwrap();
-        let recent = bb.recent_events();
-        assert!(
-            recent.iter().any(|e| e.batch == 5),
-            "ring must see the unflushed worker event"
-        );
-        tx.send(()).unwrap();
-        worker.join().unwrap();
     }
 }

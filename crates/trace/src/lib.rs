@@ -11,10 +11,11 @@
 //!   (clippy's `disallowed_methods` rejects a raw `Instant::now()` that
 //!   does not state its reason; `clippy.toml` has the list).
 //! * [`Trace`] — a cloneable recording handle. Spans (begin/end intervals
-//!   tagged with a stage name and batch id) buffer in plain thread-local
-//!   vectors and flush in batches; counters/gauges/histograms are
-//!   `Arc`'d atomics. A disabled handle records nothing, reads no clock,
-//!   and allocates nothing on the span fast path.
+//!   tagged with a stage name and batch id) are pushed onto the recording
+//!   thread's own log in the registry, where [`Trace::snapshot`] and the
+//!   flight recorder ([`blackbox`]) both read them; counters/gauges/
+//!   histograms are `Arc`'d atomics. A disabled handle records nothing,
+//!   reads no clock, and allocates nothing on the span fast path.
 //! * [`analysis`] — turns a [`Snapshot`] of span intervals into a
 //!   [`PipelineReport`]: trainer stall attribution
 //!   (prep-blocked / transfer / compute / other), worker prep breakdown,
@@ -60,15 +61,15 @@ mod span;
 pub mod metrics;
 
 pub use analysis::{analyze, PipelineReport, Snapshot, ThreadOccupancy};
-pub use blackbox::{Blackbox, BlackboxConfig};
+pub use blackbox::Blackbox;
 pub use clock::{Clock, VirtualClock};
 pub use critical_path::{batch_chains, BatchChain, ChainAttribution, EdgeKind, RecordedStages};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
 pub use span::{EventKind, SpanEvent, SpanGuard, Trace, NO_BATCH};
 
 /// Locks `m`, recovering the guard if a previous holder panicked: every
-/// table this crate guards (events, thread names, instrument maps, the
-/// flight recorder's rings and path slot) holds plain data a panic cannot
+/// table this crate guards (the thread logs and their events, instrument
+/// maps, the flight recorder's path slot) holds plain data a panic cannot
 /// leave half-updated, and observability — the flight recorder above all —
 /// must keep working *after* a panic. The crate's one copy of
 /// `salient_tensor::sync::lock_unpoisoned` (this is a dependency-free leaf).

@@ -195,8 +195,6 @@ registry! {
     SERVE_RESTORES = "serve.restores",
     /// Circuit-breaker Closed→Open transitions.
     SERVE_BREAKER_OPENS = "serve.breaker_opens",
-    /// Serving worker threads respawned by the supervisor.
-    SERVE_RESPAWNS = "serve.respawns",
     /// Items dropped by a caught panic inside a stage-graph executor stage.
     PIPE_STAGE_PANICS = "pipe.stage_panics",
     /// Flight-recorder dumps written by the blackbox exporter.

@@ -1,26 +1,21 @@
-//! The tracing handle: per-thread buffered span recording.
+//! The tracing handle: one event log per recording thread, read in place.
 //!
-//! A [`Trace`] is either *enabled* (an `Arc`'d registry of span events,
-//! thread names, and metric instruments, all stamped by one shared
-//! [`Clock`]) or *disabled* (a null handle: starting a span reads no clock,
-//! allocates nothing, and records nothing — the hot path is behaviorally
-//! identical to uninstrumented code).
+//! A [`Trace`] is either *enabled* (an `Arc`'d registry of per-thread event
+//! logs and metric instruments, all stamped by one shared [`Clock`]) or
+//! *disabled* (a null handle: starting a span reads no clock, allocates
+//! nothing, and records nothing — the hot path is behaviorally identical to
+//! uninstrumented code).
 //!
-//! Recording is sharded per thread: finished spans are pushed onto a plain
-//! thread-local buffer (no locks, no atomics) and flushed into the central
-//! registry in batches — when the buffer fills, when the thread exits
-//! (thread-local destructor), or when [`Trace::flush_current_thread`] is
-//! called. Threads that outlive the measurement (the trainer thread, a CLI
-//! main) must flush before a [`Trace::snapshot`] is taken; worker threads
-//! flush automatically on exit.
-
-#![expect(
-    clippy::indexing_slicing,
-    reason = "i comes from position() on the same bufs vec, and last is len() - 1 straight after a push"
-)]
+//! The first event a thread records against a registry registers the
+//! thread's log there — its tid is the registration order, its name the
+//! thread's — and every later event is a lock and a push on that log. Only
+//! a reader ever contends for the lock: [`Trace::snapshot`] and the flight
+//! recorder's dumps read every log where it lies, so an event is visible
+//! the moment it is recorded, whichever thread recorded it and whether or
+//! not that thread is still alive. There is nothing to flush.
 
 use crate::analysis::Snapshot;
-use crate::blackbox::{Blackbox, BlackboxConfig, BlackboxInner, Shard};
+use crate::blackbox::Blackbox;
 use crate::clock::Clock;
 use crate::lock_tolerant;
 use crate::metrics::{Counter, Gauge, Histogram, Metrics};
@@ -31,9 +26,6 @@ use std::sync::{Arc, Mutex};
 
 /// Sentinel batch id for events not tied to any batch.
 pub const NO_BATCH: u64 = u64::MAX;
-
-/// Buffered events per thread before an automatic flush.
-const FLUSH_EVERY: usize = 128;
 
 /// What an event records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,102 +67,64 @@ impl SpanEvent {
     }
 }
 
+/// Everything one thread recorded against one registry, in recording order.
 #[derive(Debug)]
-pub(crate) struct TraceInner {
+struct ThreadLog {
+    tid: u32,
+    name: String,
+    events: Mutex<Vec<SpanEvent>>,
+}
+
+#[derive(Debug)]
+struct TraceInner {
     id: u64,
     clock: Clock,
-    events: Mutex<Vec<SpanEvent>>,
-    /// Thread-name table; a thread's tid is its index here.
-    threads: Mutex<Vec<String>>,
+    /// Every recording thread's log; a thread's tid is its index here.
+    logs: Mutex<Vec<Arc<ThreadLog>>>,
     metrics: Metrics,
-    /// Flight recorder, when attached: per-thread bounded rings of the most
-    /// recent events, dumped on faults (see [`crate::blackbox`]).
-    blackbox: Option<Arc<BlackboxInner>>,
-}
-
-/// A per-thread event buffer bound to one trace registry; flushes on drop.
-struct ThreadBuf {
-    inner: Arc<TraceInner>,
-    tid: u32,
-    buf: Vec<SpanEvent>,
-    /// This thread's flight-recorder ring, when a blackbox is attached.
-    shard: Option<Arc<Shard>>,
-}
-
-/// Builds the calling thread's buffer for `inner`, registering the thread
-/// and (when a blackbox is attached) its flight-recorder ring shard.
-fn new_thread_buf(inner: &Arc<TraceInner>) -> ThreadBuf {
-    let tid = register_thread(inner);
-    ThreadBuf {
-        inner: Arc::clone(inner),
-        tid,
-        buf: Vec::with_capacity(FLUSH_EVERY),
-        shard: inner.blackbox.as_ref().map(|bb| bb.register_shard(tid)),
-    }
-}
-
-impl ThreadBuf {
-    fn flush(&mut self) {
-        if !self.buf.is_empty() {
-            lock_tolerant(&self.inner.events).append(&mut self.buf);
-        }
-    }
-}
-
-impl Drop for ThreadBuf {
-    fn drop(&mut self) {
-        self.flush();
-    }
+    /// Flight recorder, when attached (see [`crate::blackbox`]).
+    blackbox: Option<Blackbox>,
 }
 
 thread_local! {
-    /// One buffer per (thread, live trace registry) pair. The vector is
-    /// tiny: a thread rarely records into more than one or two registries.
-    static BUFFERS: RefCell<Vec<ThreadBuf>> = const { RefCell::new(Vec::new()) };
+    /// This thread's log in each registry it has recorded into, keyed by
+    /// registry id. Tiny: a thread rarely records into more than one or two
+    /// live registries.
+    static LOGS: RefCell<Vec<(u64, Arc<ThreadLog>)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Registers the current thread with `inner` (idempotent) and returns its
-/// dense thread id.
-fn register_thread(inner: &Arc<TraceInner>) -> u32 {
-    let mut threads = lock_tolerant(&inner.threads);
-    let tid = threads.len() as u32;
+/// Registers a new log for the calling thread with `inner`.
+fn register_thread(inner: &TraceInner) -> Arc<ThreadLog> {
+    let mut logs = lock_tolerant(&inner.logs);
+    let tid = logs.len() as u32;
     let name = std::thread::current()
         .name()
         .map(str::to_string)
         .unwrap_or_else(|| format!("thread-{tid}"));
-    threads.push(name);
-    tid
+    let log = Arc::new(ThreadLog { tid, name, events: Mutex::new(Vec::new()) });
+    logs.push(Arc::clone(&log));
+    log
 }
 
-/// Appends `ev` to the current thread's buffer for `inner`, creating and
-/// registering the buffer on first use.
-fn record(inner: &Arc<TraceInner>, mut make: impl FnMut(u32) -> SpanEvent) {
-    let pushed = BUFFERS.try_with(|cell| {
-        let mut bufs = cell.borrow_mut();
-        let entry = match bufs.iter_mut().position(|b| b.inner.id == inner.id) {
-            Some(i) => &mut bufs[i],
-            None => {
-                bufs.push(new_thread_buf(inner));
-                let last = bufs.len() - 1;
-                &mut bufs[last]
-            }
-        };
-        let ev = make(entry.tid);
-        entry.buf.push(ev);
-        if entry.buf.len() >= FLUSH_EVERY {
-            entry.flush();
+/// Pushes `make(tid)` onto the calling thread's log in `inner`, registering
+/// the log on the thread's first event.
+fn record(inner: &TraceInner, make: impl Fn(u32) -> SpanEvent) {
+    let push = |log: &ThreadLog| lock_tolerant(&log.events).push(make(log.tid));
+    let recorded = LOGS.try_with(|cell| {
+        let mut logs = cell.borrow_mut();
+        if let Some((_, log)) = logs.iter().find(|(id, _)| *id == inner.id) {
+            return push(log);
         }
-        // Mirror into the flight-recorder ring after the buffer push so the
-        // two never hold their locks at once (acyclic lock order).
-        if let Some(shard) = &entry.shard {
-            shard.write(ev);
-        }
+        // A log nothing else holds belongs to a dropped registry.
+        logs.retain(|(_, log)| Arc::strong_count(log) > 1);
+        let log = register_thread(inner);
+        push(&log);
+        logs.push((inner.id, log));
     });
-    if pushed.is_err() {
+    if recorded.is_err() {
         // Thread-local storage already destroyed (event recorded during
-        // thread teardown): fall back to the shared table directly.
-        let tid = register_thread(inner);
-        lock_tolerant(&inner.events).push(make(tid));
+        // thread teardown): the event gets a log of its own.
+        push(&register_thread(inner));
     }
 }
 
@@ -201,40 +155,31 @@ pub struct Trace {
 impl Trace {
     /// An enabled handle recording against `clock`.
     pub fn new(clock: Clock) -> Trace {
-        Trace {
-            inner: Some(Arc::new(TraceInner {
-                // Relaxed: the id only needs uniqueness, not ordering.
-                id: NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed),
-                clock,
-                events: Mutex::new(Vec::new()),
-                threads: Mutex::new(Vec::new()),
-                metrics: Metrics::default(),
-                blackbox: None,
-            })),
-        }
+        Trace::enabled(clock, None)
     }
 
-    /// An enabled handle with an attached flight recorder: every recorded
-    /// event is also mirrored into a bounded per-thread ring that the
-    /// [`Blackbox`] can dump on faults (see [`crate::blackbox`]).
-    pub fn with_blackbox(clock: Clock, cfg: BlackboxConfig) -> Trace {
+    /// An enabled handle with an attached flight recorder that writes its
+    /// dumps into `dir` (see [`crate::blackbox`]).
+    pub fn with_blackbox(clock: Clock, dir: impl Into<String>) -> Trace {
+        Trace::enabled(clock, Some(Blackbox::new(dir.into())))
+    }
+
+    fn enabled(clock: Clock, blackbox: Option<Blackbox>) -> Trace {
         Trace {
             inner: Some(Arc::new(TraceInner {
                 // Relaxed: the id only needs uniqueness, not ordering.
                 id: NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed),
                 clock,
-                events: Mutex::new(Vec::new()),
-                threads: Mutex::new(Vec::new()),
+                logs: Mutex::new(Vec::new()),
                 metrics: Metrics::default(),
-                blackbox: Some(Arc::new(BlackboxInner::new(cfg))),
+                blackbox,
             })),
         }
     }
 
     /// The attached flight recorder, if this handle has one.
     pub fn blackbox(&self) -> Option<Blackbox> {
-        let inner = self.inner.as_ref()?;
-        inner.blackbox.as_ref().map(|bb| Blackbox::from_inner(Arc::clone(bb)))
+        self.inner.as_ref()?.blackbox.clone()
     }
 
     /// The null handle: every operation is a no-op and the span fast path
@@ -351,21 +296,7 @@ impl Trace {
         }
     }
 
-    /// Flushes the calling thread's buffered events into the registry.
-    /// Long-lived threads (the consumer loop, CLI mains) call this before a
-    /// snapshot; worker threads flush automatically when they exit.
-    pub fn flush_current_thread(&self) {
-        if let Some(inner) = &self.inner {
-            let _ = BUFFERS.try_with(|cell| {
-                let mut bufs = cell.borrow_mut();
-                if let Some(b) = bufs.iter_mut().find(|b| b.inner.id == inner.id) {
-                    b.flush();
-                }
-            });
-        }
-    }
-
-    /// Flushes the calling thread and freezes everything recorded so far.
+    /// Freezes everything recorded so far, by every thread.
     ///
     /// Events are sorted by `(start_ns, tid, name)` so identical executions
     /// under a [`crate::VirtualClock`] produce byte-identical exports.
@@ -374,33 +305,28 @@ impl Trace {
     }
 
     /// Equal, event for event, to `snapshot().window(start_ns, end_ns)`
-    /// (see [`Snapshot::window`]), but filters under the registry lock
-    /// *before* the clone and sort: the cost follows the events inside the
-    /// window, not everything recorded since the handle was built — which
-    /// is what a per-epoch report on a long run needs.
+    /// (see [`Snapshot::window`]), but filters each log *before* the copy
+    /// and sort: the cost follows the events inside the window, not
+    /// everything recorded since the handle was built — which is what a
+    /// per-epoch report on a long run needs.
     pub fn snapshot_window(&self, start_ns: u64, end_ns: u64) -> Snapshot {
         self.snapshot_where(|e| e.within(start_ns, end_ns))
     }
 
     fn snapshot_where(&self, keep: impl Fn(&SpanEvent) -> bool) -> Snapshot {
-        self.flush_current_thread();
-        match &self.inner {
-            None => Snapshot::default(),
-            Some(inner) => {
-                let mut events: Vec<SpanEvent> = lock_tolerant(&inner.events)
-                    .iter()
-                    .filter(|e| keep(e))
-                    .copied()
-                    .collect();
-                events.sort_by(|a, b| {
-                    (a.start_ns, a.tid, a.name).cmp(&(b.start_ns, b.tid, b.name))
-                });
-                Snapshot {
-                    events,
-                    threads: lock_tolerant(&inner.threads).clone(),
-                    metrics: inner.metrics.snapshot(),
-                }
-            }
+        let Some(inner) = &self.inner else {
+            return Snapshot::default();
+        };
+        let logs = lock_tolerant(&inner.logs);
+        let mut events: Vec<SpanEvent> = Vec::new();
+        for log in logs.iter() {
+            events.extend(lock_tolerant(&log.events).iter().filter(|e| keep(e)));
+        }
+        events.sort_by(|a, b| (a.start_ns, a.tid, a.name).cmp(&(b.start_ns, b.tid, b.name)));
+        Snapshot {
+            events,
+            threads: logs.iter().map(|log| log.name.clone()).collect(),
+            metrics: inner.metrics.snapshot(),
         }
     }
 }
@@ -470,7 +396,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_threads_flush_on_exit() {
+    fn exited_worker_threads_keep_their_events_and_names() {
         let t = Trace::new(Clock::monotonic());
         let handles: Vec<_> = (0..3)
             .map(|i| {
@@ -495,14 +421,40 @@ mod tests {
     }
 
     #[test]
-    fn buffered_events_flush_at_threshold() {
-        let t = Trace::new(Clock::virtual_with_tick(1));
-        for _ in 0..FLUSH_EVERY {
-            let _s = t.span(SpanName::new("e"));
-        }
-        // Without an explicit flush the threshold must have pushed them out.
-        let inner = t.inner.as_ref().unwrap();
-        assert_eq!(lock_tolerant(&inner.events).len(), FLUSH_EVERY);
+    fn snapshot_sees_the_events_of_a_thread_that_is_still_running() {
+        let t = Trace::new(Clock::virtual_manual());
+        // The worker records one span and stays parked on a channel: nothing
+        // about its exit can deliver the event to the snapshot below.
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel::<()>();
+        let worker = std::thread::spawn({
+            let t = t.clone();
+            move || {
+                t.record_span(SpanName::new("parked"), 5, 100, 200);
+                ready_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            }
+        });
+        ready_rx.recv().unwrap();
+        let snap = t.snapshot();
+        release_tx.send(()).unwrap();
+        worker.join().unwrap();
+        assert_eq!(snap.events.len(), 1, "the live worker's span is in the snapshot");
+        assert_eq!((snap.events[0].batch, snap.events[0].dur_ns()), (5, 100));
+        assert_eq!(snap.threads.len(), 1);
+    }
+
+    #[test]
+    fn a_dropped_registrys_log_leaves_the_thread() {
+        let held = std::thread::spawn(|| {
+            for _ in 0..3 {
+                let t = Trace::new(Clock::virtual_manual());
+                t.record_span(SpanName::new("x"), 0, 0, 1);
+            }
+            LOGS.with(|cell| cell.borrow().len())
+        });
+        // The third registration pruned the first two registries' logs.
+        assert_eq!(held.join().unwrap(), 1);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use salient_repro::sim::what_if;
 use salient_repro::trace::critical_path::{batch_chains, summarize, RecordedStages};
 use salient_repro::trace::export::{chrome_trace, metrics_json, render_report};
 use salient_repro::trace::json::validate_chrome_trace;
-use salient_repro::trace::{analyze, names, BlackboxConfig, Clock, Trace};
+use salient_repro::trace::{analyze, names, Clock, Trace};
 use std::sync::Arc;
 
 /// Worker/consumer overlap measurement on the real clock, on a host of
@@ -106,9 +106,9 @@ fn main() {
     // A virtual clock that advances 1µs per read: the run is scheduled by
     // real threads but every timestamp comes from the registry's clock, so
     // the exported artifacts are structurally identical run-to-run. The
-    // attached flight recorder mirrors every event into bounded per-thread
-    // rings (dumped only on faults — none here, so it must stay silent).
-    let trace = Trace::with_blackbox(Clock::virtual_with_tick(1_000), BlackboxConfig::default());
+    // attached flight recorder dumps each thread's recent events only on
+    // faults — none here, so it must stay silent.
+    let trace = Trace::with_blackbox(Clock::virtual_with_tick(1_000), "target/blackbox");
     let dataset = Arc::new(DatasetConfig::tiny(3).build());
     let run = RunConfig {
         executor: ExecutorKind::Salient,

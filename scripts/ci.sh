@@ -162,9 +162,10 @@ test -s target/metrics_pipeline.json
 # example itself asserts this; CI re-checks the artifact survived).
 grep -q '"critical_path"' target/bench_pipeline.json
 grep -q '"named_pct"' target/bench_pipeline.json
-# Flight-recorder overhead gate: the counting-allocator suite proves the
-# always-on recorder adds zero steady-state allocations per event
-# (tests/trace_overhead.rs, run by both workspace passes above).
+# The flight recorder keeps no store of its own (a dump reads the trace's
+# per-thread logs), so it costs recording nothing: tests/trace_overhead.rs
+# runs its enabled-recording allocation bound with and without one
+# attached (both workspace passes above).
 
 # The overlap_frac > 0.5 gate needs genuine parallelism, so it is skipped
 # (with a notice) on single-core runners, where wall-clock overlap is at

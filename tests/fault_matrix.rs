@@ -484,21 +484,14 @@ fn transfer_stage_drop_fault_skips_the_batch_silently_but_accounted() {
 fn pipeline_poison_dumps_the_flight_recorder_with_the_failing_chain() {
     let _s = serial();
     use salient_repro::core::Trainer;
-    use salient_repro::trace::BlackboxConfig;
     // Every transfer attempt panics: the third exceeds the graph's panic
     // budget (2) and poisons the pipeline. A run with an attached flight
     // recorder must leave a parseable post-mortem dump on disk carrying
     // the poisoning batch's causal chain.
     let ds = dataset();
-    let dir = std::env::temp_dir().join("salient_fault_matrix_blackbox");
-    std::fs::remove_dir_all(&dir).ok();
-    let trace = Trace::with_blackbox(
-        Clock::virtual_with_tick(1_000),
-        BlackboxConfig {
-            capacity: 1024,
-            dir: dir.to_string_lossy().into_owned(),
-        },
-    );
+    let dir = concat!(env!("CARGO_TARGET_TMPDIR"), "/fault_matrix_blackbox");
+    std::fs::remove_dir_all(dir).ok();
+    let trace = Trace::with_blackbox(Clock::virtual_with_tick(1_000), dir);
     let run = RunConfig {
         epochs: 1,
         batch_size: 32,
@@ -537,10 +530,10 @@ fn pipeline_poison_dumps_the_flight_recorder_with_the_failing_chain() {
 
     // Find the poison dump (earlier fire-observer dumps share the dir) and
     // check it post-mortem: valid JSON, poison reason, the failing batch's
-    // chain reconstructed from the rings.
+    // chain reconstructed from the recorded events.
     use salient_repro::trace::json::parse;
     let mut poison_dump = None;
-    for entry in std::fs::read_dir(&dir).expect("dump dir exists") {
+    for entry in std::fs::read_dir(dir).expect("dump dir exists") {
         let text = std::fs::read_to_string(entry.unwrap().path()).unwrap();
         let doc = parse(&text).expect("every dump must be valid JSON");
         let meta = doc.get("blackbox").expect("dump carries trigger metadata");
@@ -574,7 +567,7 @@ fn pipeline_poison_dumps_the_flight_recorder_with_the_failing_chain() {
         assert!(edge.get("start_ns").unwrap().as_num().is_some());
     }
     assert!(doc.get("trace").unwrap().get("traceEvents").is_some());
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(dir).ok();
 }
 
 fn ddp_cfg() -> RunConfig {
@@ -618,7 +611,7 @@ fn ddp_dropped_messages_surface_typed_timeout() {
 #[test]
 fn checkpoint_crash_during_save_preserves_previous_file() {
     let _s = serial();
-    let dir = std::env::temp_dir().join("salient_fault_matrix_ckpt");
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("fault_matrix_ckpt");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("model.ckpt");
     let mut old = Checkpoint::new();

@@ -341,3 +341,159 @@ fn trace_json_returns_on_mutated_chrome_traces() {
         let _ = validate_chrome_trace(&String::from_utf8_lossy(&doc));
     }
 }
+
+/// The checkpoint loader on damaged input: truncations, bit flips and
+/// splices of a real model checkpoint, and shapes rewritten under a
+/// recomputed trailer (the case a checksum cannot catch). Every input ends
+/// in a typed error or in a value that writes back to the bytes it was read
+/// from — never a panic or an allocation the stream does not back.
+#[test]
+fn checkpoint_loader_returns_on_mutated_streams() {
+    use salient_repro::core::checkpoint::Checkpoint;
+    use salient_repro::nn::{build_model, ModelKind};
+
+    let model = build_model(ModelKind::Sage, 8, 16, 4, 2, 7);
+    let original = Checkpoint::from_model(model.as_ref());
+    let mut valid = Vec::new();
+    original.write_to(&mut valid).unwrap();
+
+    // Where each entry's dims sit: past magic and count, a name length, the
+    // name and a rank, then `rank` dims and the f32 payload.
+    let mut dim_offsets = Vec::new();
+    let mut at = 16;
+    for p in model.params() {
+        let rank = p.value().shape().dims().len();
+        at += 4 + p.name().len() + 4;
+        dim_offsets.extend((0..rank).map(|d| at + 8 * d));
+        at += 8 * rank + 4 * p.value().len();
+    }
+    assert_eq!(at + 8, valid.len(), "the walk ends at the trailer");
+
+    let fnv1a = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x1_0000_01b3)
+        })
+    };
+    let mut loaded = 0;
+    for seed in 0..2000u64 {
+        let mut rng = StdRng::seed_from_u64(9000 + seed);
+        let mut doc = valid.clone();
+        match seed % 4 {
+            0 => doc.truncate(rng.random_range(0..doc.len())),
+            1 => {
+                for _ in 0..rng.random_range(1..=4usize) {
+                    let at = rng.random_range(0..doc.len());
+                    doc[at] ^= 1 << rng.random_range(0..8u32);
+                }
+            }
+            2 => {
+                let from = rng.random_range(0..doc.len());
+                let len = rng.random_range(0..=(doc.len() - from).min(64));
+                let piece = doc[from..from + len].to_vec();
+                let at = rng.random_range(0..=doc.len());
+                doc.splice(at..at, piece);
+            }
+            _ => {
+                let at = dim_offsets[rng.random_range(0..dim_offsets.len())];
+                let dim: u64 = match rng.random_range(0..4u32) {
+                    0 => rng.random_range(0..64u64),
+                    1 => 1 << rng.random_range(20..64u32),
+                    2 => u64::MAX,
+                    _ => rng.random_range(0..u64::MAX),
+                };
+                doc[at..at + 8].copy_from_slice(&dim.to_le_bytes());
+                let body = doc.len() - 8;
+                let digest = fnv1a(&doc[..body]);
+                doc[body..].copy_from_slice(&digest.to_le_bytes());
+            }
+        }
+        if let Ok(ckpt) = Checkpoint::read_from(&mut doc.as_slice()) {
+            let mut back = Vec::new();
+            ckpt.write_to(&mut back).unwrap();
+            assert!(doc.starts_with(&back), "seed {seed}: a loaded value must be what the bytes say");
+            loaded += 1;
+        }
+    }
+    // Zero-length splices leave the stream intact, so some inputs load.
+    assert!(loaded > 0);
+}
+
+/// `FaultPlan::parse` (the `SALIENT_FAULT_SPEC` grammar) on clauses built
+/// from its own vocabulary and junk: a typed error, or a plan that renders
+/// back to a spec which parses to the same plan.
+#[test]
+fn fault_spec_parser_returns_on_assembled_clauses() {
+    use salient_repro::fault::{sites, FaultKind, FaultPlan, FaultSpec, Trigger};
+
+    let render = |s: &FaultSpec| {
+        let kind = match s.kind {
+            FaultKind::Panic => "panic".to_string(),
+            FaultKind::Drop => "drop".to_string(),
+            FaultKind::Delay(d) => format!("delay:{}ms", d.as_millis()),
+        };
+        let trigger = match s.trigger {
+            Trigger::Always => String::new(),
+            Trigger::Once(k) => format!("@{k}"),
+            Trigger::Prob(p) => format!("%{p}"),
+        };
+        format!("{}={kind}{trigger}", s.site)
+    };
+    let pieces: Vec<String> = sites::ALL
+        .iter()
+        .map(|s| s.to_string())
+        .chain(
+            [
+                "=", "@", "%", ";", " ", "delay:", "ms", "panic", "drop", "nan", "inf", "-",
+                ".", "e", "0", "1", "7", "0.5", "1e400", "18446744073709551616", "prep.",
+                "\u{e9}", "\0", "==", "@@",
+            ]
+            .map(String::from),
+        )
+        .collect();
+    let mut parsed = 0;
+    for seed in 0..2000u64 {
+        let mut rng = StdRng::seed_from_u64(11_000 + seed);
+        let mut spec = String::new();
+        for _ in 0..rng.random_range(1..=3usize) {
+            if rng.random_range(0..4u32) != 0 {
+                // A well-formed skeleton with one field drawn from the pieces.
+                let site = sites::ALL[rng.random_range(0..sites::ALL.len())];
+                let kind = ["panic", "drop", "delay:5ms"][rng.random_range(0..3usize)];
+                let field = match rng.random_range(0..3u32) {
+                    0 => rng.random_range(0..1_000u64).to_string(),
+                    1 => rng.random_range(0.0..1.5f64).to_string(),
+                    _ => pieces[rng.random_range(0..pieces.len())].clone(),
+                };
+                let clause = match rng.random_range(0..4u32) {
+                    0 => format!("{site}={kind}@{field}"),
+                    1 => format!("{site}={kind}%{field}"),
+                    2 => format!("{site}=delay:{field}ms@1"),
+                    _ => format!("{field}={kind}"),
+                };
+                spec.push_str(&clause);
+            } else {
+                for _ in 0..rng.random_range(1..=8usize) {
+                    spec.push_str(&pieces[rng.random_range(0..pieces.len())]);
+                }
+            }
+            spec.push(';');
+        }
+        let Ok(plan) = FaultPlan::parse(seed, &spec) else { continue };
+        parsed += 1;
+        let specs = plan.specs();
+        for s in &specs {
+            if let Trigger::Prob(p) = s.trigger {
+                assert!((0.0..=1.0).contains(&p), "{spec:?}: probability {p}");
+            }
+        }
+        let text: Vec<String> = specs.iter().map(render).collect();
+        let again = FaultPlan::parse(seed, &text.join(";"))
+            .unwrap_or_else(|e| panic!("{spec:?} rendered as {text:?}: {e}"));
+        assert_eq!(
+            format!("{:?}", again.specs()),
+            format!("{specs:?}"),
+            "{spec:?}"
+        );
+    }
+    assert!(parsed > 100, "the assembled clauses must also reach the Ok path ({parsed})");
+}
