@@ -1,7 +1,12 @@
 //! Microbenchmarks of the neighborhood sampler (Figure 2's workhorse): the
 //! tuned FastSampler vs the PyG-style baseline, key design-space points,
-//! hop-trace replay isolating id-map cost, and an ablation over fanout sizes
-//! (where the array-set's cache advantage lives).
+//! hop-trace replay isolating id-map cost, an ablation over fanout sizes
+//! (where the array-set's cache advantage lives), and the two samplers at
+//! each shape a benchmark workload samples, in edges per second, asserting
+//! the tuned sampler's lead at the batch-preparation shape.
+//!
+//! Run: `cargo bench -p salient-bench --bench sampler --offline`
+//! (`SALIENT_BENCH_SMOKE=1` for the short batches CI uses).
 
 use salient_bench::harness::{bench, report};
 use salient_graph::{Dataset, DatasetConfig};
@@ -47,6 +52,60 @@ fn bench_samplers(ds: &Dataset) {
     report("sampler", &samples);
 }
 
+/// The products-like graph the benchmark's workloads run on (`G10k`,
+/// `G100k`): 100 features, a 2 048-node train split, seed 2868.
+fn benchmark_dataset(nodes: usize) -> Dataset {
+    DatasetConfig {
+        name: format!("G{}k", nodes / 1000),
+        num_nodes: nodes,
+        feat_dim: 100,
+        split_fracs: (2_048.0 / nodes as f64, 0.016, 0.70),
+        seed: 2868,
+        ..DatasetConfig::products_sim(1.0)
+    }
+    .build()
+}
+
+/// Each shape a benchmark workload samples: (workload, graph nodes,
+/// fanouts, batch size). `train_compute`'s is its prep worker's, and
+/// `serve_open`'s a saturated micro-batch.
+const BENCHMARK_SHAPES: [(&str, usize, &[usize], usize); 4] = [
+    ("prep_stream", 10_000, &[15, 10, 5], 256),
+    ("infer_sweep", 10_000, &[20, 20, 20], 256),
+    ("train_compute", 100_000, &[15, 10, 5], 256),
+    ("serve_open", 100_000, &[10, 10], 16),
+];
+
+/// The two samplers alone at each of [`BENCHMARK_SHAPES`], in sampled edges
+/// per second; at the batch-preparation shape `FastSampler` must be at
+/// least 1.5x the baseline (Figure 2 reads ~2.7x there).
+fn bench_benchmark_shapes() {
+    let mut ds = benchmark_dataset(10_000);
+    for (workload, nodes, fanouts, batch_size) in BENCHMARK_SHAPES {
+        if ds.graph.num_nodes() != nodes {
+            ds = benchmark_dataset(nodes);
+        }
+        let batch = &ds.splits.train[..batch_size];
+        let mut fast = FastSampler::new(1);
+        let mut pyg = PygSampler::new(1);
+        // Edges a call samples, averaged over a few untimed calls.
+        let edges: usize = (0..8).map(|_| fast.sample(&ds.graph, batch, fanouts).num_edges()).sum();
+        let edges = edges as f64 / 8.0;
+        let fast_s = bench("fast(salient)", || fast.sample(&ds.graph, batch, fanouts).num_edges());
+        let pyg_s = bench("pyg_baseline", || pyg.sample(&ds.graph, batch, fanouts).num_edges());
+        let group = format!("sampler {workload}: {} {fanouts:?} @{batch_size}", ds.name);
+        let ratio = pyg_s.p50_s / fast_s.p50_s;
+        let (fast_eps, pyg_eps) = (fast_s.per_second(edges) / 1e6, pyg_s.per_second(edges) / 1e6);
+        report(&group, &[fast_s, pyg_s]);
+        println!(
+            "{group}: {edges:.0} edges a batch; fast {fast_eps:.1} M edges/s, pyg {pyg_eps:.1} M edges/s, {ratio:.2}x\n"
+        );
+        if workload == "prep_stream" {
+            assert!(ratio >= 1.5, "fast(salient) is {ratio:.2}x pyg_baseline at the prep shape, under 1.5x");
+        }
+    }
+}
+
 fn bench_trace_replay(ds: &Dataset) {
     // The paper's hop-by-hop microbenchmark: identical sampled neighbors,
     // different id-map implementations.
@@ -86,4 +145,5 @@ fn main() {
     bench_samplers(&ds);
     bench_trace_replay(&ds);
     bench_fanout_sweep(&ds);
+    bench_benchmark_shapes();
 }

@@ -110,11 +110,13 @@ fn main() {
     let array = mean(&|c| c.neighbor_set == NeighborSetKind::Array);
     let flatset = mean(&|c| c.neighbor_set == NeighborSetKind::Flat);
     let bitmap = mean(&|c| c.neighbor_set == NeighborSetKind::Bitmap);
-    let crej = mean(&|c| c.algo == SampleAlgo::ComplementRejection);
+    let floyd = mean(&|c| c.algo == SampleAlgo::Floyd);
     let fy = mean(&|c| c.algo == SampleAlgo::PartialFisherYates);
+    let rej = mean(&|c| c.algo == SampleAlgo::Rejection);
     println!("flat map vs std map (mean speedup):      {} vs {} => {}", fmt_x(flat), fmt_x(std_map), fmt_x(flat / std_map));
     println!("array set vs flat hash set (mean):       {} vs {} => {}", fmt_x(array), fmt_x(flatset), fmt_x(array / flatset));
     println!("bitmap set vs array set (mean):          {} vs {} => {}", fmt_x(bitmap), fmt_x(array), fmt_x(bitmap / array));
-    println!("complement rejection vs partial FY:      {} vs {} => {}", fmt_x(crej), fmt_x(fy), fmt_x(crej / fy));
+    println!("floyd vs partial FY (mean):              {} vs {} => {}", fmt_x(floyd), fmt_x(fy), fmt_x(floyd / fy));
+    println!("floyd vs rejection (mean):               {} vs {} => {}", fmt_x(floyd), fmt_x(rej), fmt_x(floyd / rej));
     println!("\nPaper: swiss-table map ~2x; array set a further ~17%; SALIENT sampler 2.5x end-to-end.");
 }

@@ -36,14 +36,15 @@ pub enum SampleAlgo {
     /// displaced entries in a small association list — no O(degree) copy, no
     /// rejection loop.
     PartialFisherYates,
-    /// Rejection again, with two changes. When `2·fanout > degree` it draws
-    /// the `degree − fanout` positions to *leave out* and keeps the rest
-    /// (the complement of a uniform subset is a uniform subset), so the
-    /// expected number of draws stays under ~1.4 per drawn position instead
-    /// of growing like a coupon collector's as `fanout` nears `degree`. And
-    /// up to 64 neighbours it deduplicates in a register bitmask; the
-    /// [`NeighborSet`] serves only longer adjacency lists.
-    ComplementRejection,
+    /// Floyd's algorithm: for `j` in `degree − d .. degree` draw `t` uniform
+    /// in `0..=j` and take `t`, or `j` if `t` is already taken — exactly one
+    /// bounded draw per position, no retry. When `2·fanout > degree` it
+    /// draws the `degree − fanout` positions to *leave out* and keeps the
+    /// rest (the complement of a uniform subset is a uniform subset). Up to
+    /// 64 neighbours the taken set is a `u64` in a register and "already
+    /// taken?" a select, not a branch; the [`NeighborSet`] serves only
+    /// longer adjacency lists.
+    Floyd,
 }
 
 /// Non-type design choices of the sampling engine.
@@ -63,7 +64,7 @@ impl Default for EngineOpts {
         EngineOpts {
             fused: true,
             reserve: false,
-            algo: SampleAlgo::ComplementRejection,
+            algo: SampleAlgo::Floyd,
         }
     }
 }
@@ -116,14 +117,15 @@ fn sample_partial_fy(
     }
 }
 
-/// Rejection with the complement rule (see
-/// [`SampleAlgo::ComplementRejection`]). Requires `fanout < degree`.
+/// Floyd's algorithm with the complement rule (see [`SampleAlgo::Floyd`]).
+/// Requires `fanout < degree`.
 ///
-/// Most adjacency lists are short: up to [`MASK_BITS`] positions the
-/// membership test is one bit of a register and there is nothing to clear;
-/// only longer lists go through the [`NeighborSet`].
+/// Most adjacency lists are short: up to [`MASK_BITS`] positions the taken
+/// set is a register, there is nothing to clear, and the positions come out
+/// of it in ascending order; only longer lists go through the
+/// [`NeighborSet`].
 #[inline]
-fn sample_complement_rejection<S: NeighborSet>(
+fn sample_floyd<S: NeighborSet>(
     degree: usize,
     fanout: usize,
     set: &mut S,
@@ -133,29 +135,31 @@ fn sample_complement_rejection<S: NeighborSet>(
     // Draw the smaller side: the positions to keep, or those to leave out.
     let complement = 2 * fanout > degree;
     let draws = if complement { degree - fanout } else { fanout };
+    // Step j takes a uniform t in 0..=j, or j itself (never taken before
+    // this step) when t is: every draws-subset is equally likely.
+    let steps = (degree - draws) as u32..degree as u32;
     if degree <= MASK_BITS {
         let mut mask = 0u64;
-        while picks.len() < draws {
-            let idx = rng.random_range(0..degree as u32);
-            if mask & (1 << idx) == 0 {
-                mask |= 1 << idx;
-                picks.push(idx);
-            }
+        for j in steps {
+            let t = rng.random_range(0..=j);
+            mask |= 1 << std::hint::select_unpredictable(mask & (1 << t) != 0, j, t);
         }
         if complement {
-            picks.clear();
-            let mut kept = !mask & (u64::MAX >> (MASK_BITS - degree));
-            while kept != 0 {
-                picks.push(kept.trailing_zeros());
-                kept &= kept - 1;
-            }
+            mask = !mask & (u64::MAX >> (MASK_BITS - degree));
+        }
+        while mask != 0 {
+            picks.push(mask.trailing_zeros());
+            mask &= mask - 1;
         }
     } else {
         set.clear();
-        while picks.len() < draws {
-            let idx = rng.random_range(0..degree as u32);
-            if set.insert(idx) {
-                picks.push(idx);
+        for j in steps {
+            let t = rng.random_range(0..=j);
+            if set.insert(t) {
+                picks.push(t);
+            } else {
+                set.insert(j);
+                picks.push(j);
             }
         }
         if complement {
@@ -201,9 +205,7 @@ fn draw<S: NeighborSet>(
     match algo {
         SampleAlgo::Rejection => sample_rejection(degree, fanout, set, rng, picks),
         SampleAlgo::PartialFisherYates => sample_partial_fy(degree, fanout, swaps, rng, picks),
-        SampleAlgo::ComplementRejection => {
-            sample_complement_rejection(degree, fanout, set, rng, picks)
-        }
+        SampleAlgo::Floyd => sample_floyd(degree, fanout, set, rng, picks),
     }
 }
 
@@ -286,8 +288,8 @@ pub fn sample_with<M: IdMap, S: NeighborSet>(
                         node_ids.push(u);
                     }
                     edge_src.push(local);
-                    edge_dst.push(i as u32);
                 }
+                edge_dst.extend(std::iter::repeat_n(i as u32, picks.len()));
             }
         } else {
             // Phase A: sample into a (dst, neighbor) buffer.
@@ -403,7 +405,7 @@ mod tests {
     fn fanout_bounds_respected_and_no_duplicate_edges() {
         let ds = DatasetConfig::tiny(3).build();
         let batch: Vec<NodeId> = ds.splits.train[..32].to_vec();
-        for algo in [SampleAlgo::Rejection, SampleAlgo::PartialFisherYates] {
+        for algo in [SampleAlgo::Rejection, SampleAlgo::PartialFisherYates, SampleAlgo::Floyd] {
             for fused in [true, false] {
                 let mut rng = salient_tensor::rng::StdRng::seed_from_u64(9);
                 let mfg = sample_with(

@@ -1,7 +1,7 @@
 //! The tuned SALIENT sampler: the engine monomorphized at the winning point
 //! of the design-space exploration (flat open-addressing id map that grows
-//! on insert, bitmap neighbor set, fused MFG construction, rejection draws
-//! with the complement rule) — [`VariantConfig::salient`], bit for bit.
+//! on insert, bitmap neighbor set, fused MFG construction, Floyd draws with
+//! the complement rule) — [`VariantConfig::salient`], bit for bit.
 
 use crate::engine::{sample_with, EngineScratch};
 use crate::mfg::MessageFlowGraph;

@@ -156,9 +156,6 @@ impl IdMap for FlatIdMap {
     #[inline]
     fn get_or_insert(&mut self, global: NodeId, fallback: u32) -> (u32, bool) {
         debug_assert_ne!(global, EMPTY, "u32::MAX is reserved as the empty slot");
-        if (self.filled.len() + 1) * 4 >= self.entries.len() * 3 {
-            self.grow();
-        }
         let mask = self.entries.len() - 1;
         let mut i = fib_hash(global, self.bits);
         loop {
@@ -167,7 +164,14 @@ impl IdMap for FlatIdMap {
                 return (v, false);
             }
             if k == EMPTY {
-                self.entries[i] = [global, fallback];
+                // Only an insert can cross the load bound, so only an insert
+                // checks it: a hit (most probes at the last hop) never does.
+                if (self.filled.len() + 1) * 4 >= self.entries.len() * 3 {
+                    self.grow();
+                    i = self.insert_fresh(global, fallback) as usize;
+                } else {
+                    self.entries[i] = [global, fallback];
+                }
                 self.filled.push(i as u32);
                 return (fallback, true);
             }
@@ -435,6 +439,29 @@ mod tests {
             assert!(!new);
             assert_eq!(v, i, "values survive growth");
         }
+    }
+
+    #[test]
+    fn flat_map_grows_only_on_the_insert_that_crosses_its_load_bound() {
+        // 16 slots hold 11 keys: the 12th insert is the one that grows.
+        let mut m = FlatIdMap::with_capacity(8);
+        assert_eq!(m.entries.len(), 16);
+        for k in 0..11u32 {
+            assert_eq!(m.get_or_insert(k * 31 + 5, k), (k, true));
+        }
+        for _ in 0..3 {
+            for k in 0..11u32 {
+                assert_eq!(m.get_or_insert(k * 31 + 5, 99), (k, false));
+            }
+        }
+        assert_eq!(m.entries.len(), 16, "a hit never grows the table");
+        assert_eq!(m.get_or_insert(1_000, 11), (11, true));
+        assert_eq!(m.entries.len(), 32);
+        for k in 0..12u32 {
+            let key = if k == 11 { 1_000 } else { k * 31 + 5 };
+            assert_eq!(m.get_or_insert(key, 99), (k, false), "values survive growth");
+        }
+        assert_eq!(m.filled.len(), 12);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! Five axes are exposed here — id-map structure (2) × neighbor-set
 //! structure (4) × fused construction (2) × capacity reservation (2) ×
-//! sampling algorithm (3) — giving 96 instantiations benchmarked by
-//! `salient-bench --bin fig2`.
+//! sampling algorithm (3: PyG's rejection loop, partial Fisher–Yates, and
+//! Floyd's one-draw-per-position algorithm) — giving 96 instantiations
+//! benchmarked by `salient-bench --bin fig2`.
 
 use crate::engine::{sample_with, EngineOpts, EngineScratch, SampleAlgo};
 use crate::mfg::MessageFlowGraph;
@@ -71,7 +72,7 @@ impl VariantConfig {
                         for algo in [
                             SampleAlgo::Rejection,
                             SampleAlgo::PartialFisherYates,
-                            SampleAlgo::ComplementRejection,
+                            SampleAlgo::Floyd,
                         ] {
                             out.push(VariantConfig {
                                 id_map,
@@ -106,7 +107,7 @@ impl VariantConfig {
             neighbor_set: NeighborSetKind::Bitmap,
             fused: true,
             reserve: false,
-            algo: SampleAlgo::ComplementRejection,
+            algo: SampleAlgo::Floyd,
         }
     }
 
@@ -119,7 +120,7 @@ impl VariantConfig {
         }
     }
 
-    /// A short human-readable label, e.g. `"flat/bitmap/fused/grow/crej"`.
+    /// A short human-readable label, e.g. `"flat/bitmap/fused/grow/floyd"`.
     pub fn label(&self) -> String {
         format!(
             "{}/{}/{}/{}/{}",
@@ -138,7 +139,7 @@ impl VariantConfig {
             match self.algo {
                 SampleAlgo::Rejection => "rej",
                 SampleAlgo::PartialFisherYates => "fy",
-                SampleAlgo::ComplementRejection => "crej",
+                SampleAlgo::Floyd => "floyd",
             },
         )
     }

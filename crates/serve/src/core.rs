@@ -74,6 +74,8 @@ struct LatencyWindow {
     buf: Vec<u64>,
     next: usize,
     cached_p99: u64,
+    /// `refresh`'s working copy, reused so a step neither allocates nor sorts.
+    scratch: Vec<u64>,
 }
 
 impl LatencyWindow {
@@ -93,10 +95,11 @@ impl LatencyWindow {
             self.cached_p99 = 0;
             return;
         }
-        let mut sorted = self.buf.clone();
-        sorted.sort_unstable();
-        let idx = (sorted.len() as f64 * 0.99).ceil() as usize;
-        self.cached_p99 = sorted[idx.min(sorted.len()) - 1];
+        self.scratch.clear();
+        self.scratch.extend_from_slice(&self.buf);
+        let idx = (self.scratch.len() as f64 * 0.99).ceil() as usize;
+        let rank = idx.min(self.scratch.len()) - 1;
+        self.cached_p99 = *self.scratch.select_nth_unstable(rank).1;
     }
 
     fn p99(&self) -> u64 {
@@ -680,4 +683,27 @@ pub fn run_trace(core: &mut ServerCore, arrivals: &[Arrival]) -> Vec<(u64, Respo
         out.extend(step.responses);
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use salient_tensor::rng::Rng;
+
+    #[test]
+    fn rolling_p99_is_the_order_statistic_of_the_sorted_window() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut window = LatencyWindow::default();
+        window.refresh();
+        assert_eq!(window.p99(), 0);
+        for pushed in 1..=3 * LATENCY_WINDOW {
+            // Ties included: values repeat within a window.
+            window.push(rng.random_range(0u64..200));
+            window.refresh();
+            let mut sorted = window.buf.clone();
+            sorted.sort_unstable();
+            let idx = (sorted.len() as f64 * 0.99).ceil() as usize;
+            assert_eq!(window.p99(), sorted[idx - 1], "after {pushed} latencies");
+        }
+    }
 }

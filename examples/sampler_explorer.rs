@@ -62,7 +62,7 @@ fn main() {
     let b = batch.clone();
     let mut fast = FastSampler::new(1);
     let fast_ms = time_it(
-        "FastSampler (flat map, bitmap set, fused, complement rejection)",
+        "FastSampler (flat map, bitmap set, fused, Floyd)",
         Box::new(move || fast.sample(g, &b, &fanouts).num_edges()),
     );
     for cfg in [

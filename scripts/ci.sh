@@ -83,13 +83,21 @@ echo "== tests again, one at a time (--test-threads=1)"
 # shows up as a difference between this run and the one above.
 cargo test --workspace -q --offline -- --test-threads=1
 
-echo "== sampler tier: the distribution did not change (release, 10^5 draws a cell)"
+echo "== sampler tier: the distribution did not change (release, 10^5 draws a cell), the speed at the benchmark's shapes"
 # The chi-square comparison of FastSampler against PygSampler and the
 # exact-count checks over fanouts 5..20 x degrees on both sides of the
 # complement switch and the bitmask boundary. The workspace runs above cover
 # them at 10^4 draws (a 10 % tilt is caught); optimised, the same tests
-# afford 10^5 and catch 3 % (crates/sampler/tests/distribution.rs).
+# afford 10^5 and catch 3 % (crates/sampler/tests/distribution.rs). The same
+# run holds the whole-subset chi-square and the exact count of RNG words
+# per drawn position (tests/draw_count.rs).
 cargo test --release -q --offline -p salient-sampler
+# Then the samplers alone at each shape a benchmark workload samples (G10k
+# 15,10,5 and 20,20,20 at 256, G100k 15,10,5 at 256 and 10,10 at 16), edges/s
+# a row, asserting FastSampler >= 1.5x the PyG-style baseline at the
+# batch-preparation shape (Figure 2 reads ~2.7x). Short batches; the
+# assertion is the gate, not the timings.
+SALIENT_BENCH_SMOKE=1 cargo bench -q -p salient-bench --bench sampler --offline
 
 echo "== tensor tier: GEMM tiles and the aggregation row kernel against their oracles (release, bench shapes)"
 # Every rung of the CSR row kernel the host supports (portable, AVX2,
