@@ -14,6 +14,15 @@
 //! that partition *output* rows disjointly — makes 1-thread and N-thread
 //! results bitwise identical.
 //!
+//! One job at a time: a submitter claims the pool by setting its `busy`
+//! flag. A submission that finds the flag taken — a second thread's, or a
+//! chunk's own nested `parallel_for` — runs its chunks inline on the caller,
+//! the loop a one-thread pool runs. Chunks are cut by the pool's width, not
+//! by who runs them, so the results are the same bits either way, and no
+//! submission ever waits for another. The second-thread case is a DDP rank
+//! (`core::train_ddp` runs each on its own thread): it keeps its core busy
+//! instead of sleeping until the other rank's job ends.
+//!
 //! Safety: jobs borrow caller data. The submitting thread participates in
 //! the job and does not return until every worker has retired the job, so
 //! the erased `'static` borrow handed to workers never outlives the call.
@@ -21,9 +30,10 @@
 // Poison recovery is sound for every lock below: each critical section in
 // this pool is a plain field assignment, and chunk panics are caught inside
 // `drain`, so a poisoned mutex carries no broken invariant — and the kernel
-// dispatch path stays free of panicking constructs.
+// dispatch path stays free of panicking constructs. No lock is held while
+// another is taken, nor while a chunk runs.
 use crate::sync::{lock_unpoisoned, wait_unpoisoned};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 
 /// A borrowed parallel job: closure plus the chunk range to cover.
@@ -66,8 +76,9 @@ pub struct ThreadPool {
     active: AtomicUsize,
     done_lock: Mutex<()>,
     done_cv: Condvar,
-    /// Serializes submissions (one job at a time).
-    submit: Mutex<()>,
+    /// Set while a submitter owns the workers (one job at a time); a
+    /// submission that finds it set runs inline instead of waiting.
+    busy: AtomicBool,
 }
 
 fn configured_threads() -> usize {
@@ -104,7 +115,7 @@ impl ThreadPool {
             active: AtomicUsize::new(0),
             done_lock: Mutex::new(()),
             done_cv: Condvar::new(),
-            submit: Mutex::new(()),
+            busy: AtomicBool::new(false),
         }));
         for w in 1..pool.threads {
             let p: &'static ThreadPool = pool;
@@ -179,7 +190,9 @@ impl ThreadPool {
     }
 
     /// Runs `task(chunk)` for every `chunk in 0..n_chunks`, distributing
-    /// chunks dynamically over the pool. Returns when all chunks are done.
+    /// chunks dynamically over the pool — or, while another job owns the
+    /// pool, in order on the calling thread. Returns when all chunks are
+    /// done.
     ///
     /// The closure must partition writes disjointly by chunk index; with
     /// that discipline results are identical for any thread count.
@@ -187,13 +200,14 @@ impl ThreadPool {
         if n_chunks == 0 {
             return;
         }
-        if self.threads == 1 || n_chunks == 1 {
+        // Acquire pairs with the Release that retired the previous job, so
+        // its clean-up happens before this one is published.
+        if self.threads == 1 || n_chunks == 1 || self.busy.swap(true, Ordering::Acquire) {
             for i in 0..n_chunks {
                 task(i);
             }
             return;
         }
-        let _submit = lock_unpoisoned(&self.submit);
         // SAFETY: the transmute only erases the borrow's lifetime; workers
         // dereference it exclusively between job publication below and the
         // completion wait at the end of this call, while `task` is borrowed.
@@ -227,6 +241,7 @@ impl ThreadPool {
         // the erased borrow reference eagerly.
         lock_unpoisoned(&self.state).job = None;
         let payload = lock_unpoisoned(&job.panic_payload).take();
+        self.busy.store(false, Ordering::Release);
         if let Some(payload) = payload {
             // Propagate the chunk's own panic (message and all) as if it
             // had happened on the submitting thread.
@@ -321,7 +336,28 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_submitters_serialize_safely() {
+    fn a_chunk_that_calls_parallel_for_runs_it_inline_instead_of_deadlocking() {
+        // Every chunk submits while its own job owns the pool. A blocking
+        // submit would wait forever on the job that is running the chunk,
+        // so the submitter runs on a thread of its own and is joined only
+        // once it has reported.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let submitter = std::thread::spawn(move || {
+            let total = AtomicUsize::new(0);
+            global().run(8, &|_| {
+                parallel_for(4096, 1, &|s, e| {
+                    total.fetch_add(e - s, Ordering::Relaxed);
+                });
+            });
+            let _ = tx.send(total.into_inner());
+        });
+        let total = rx.recv_timeout(std::time::Duration::from_secs(20));
+        assert_eq!(total, Ok(8 * 4096), "nested submission did not finish in 20 s");
+        submitter.join().unwrap();
+    }
+
+    #[test]
+    fn concurrent_submitters_each_run_every_chunk_once() {
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {

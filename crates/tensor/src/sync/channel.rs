@@ -3,11 +3,8 @@
 //! `std::sync::mpsc` is single-consumer, but batch preparation needs MPMC in
 //! two places: the pinned-buffer pool (any worker returns a slot, any worker
 //! claims one) and the prepared-batch stream (many workers produce, the
-//! consumer — possibly cloned — drains). The stage-graph executor's
-//! inter-stage queues and the serving front end's nudge and reply queues
-//! are the single-producer single-consumer case of the same contract. This
-//! module provides the one bounded channel they all use, built on
-//! `Mutex<VecDeque>` + two condvars.
+//! consumer — possibly cloned — drains). This module provides the one
+//! bounded channel both use, built on `Mutex<VecDeque>` + two condvars.
 //!
 //! Backpressure is the bound: a producer that runs ahead parks in `send`
 //! on a condvar (no drops, no spinning) until a slot frees.

@@ -1,7 +1,8 @@
-//! The workspace's one synchronisation leaf: poison-tolerant lock helpers
-//! and the bounded blocking [`channel`] built on them. The kernel pool's
-//! job slots and every crate above `salient-tensor` (batch prep's slot
-//! pool and batch stream) use these instead of a private copy.
+//! Poison-tolerant lock helpers and the bounded blocking [`channel`] built
+//! on them. The kernel pool's job slots and batch prep's slot pool and
+//! batch stream use these. The two dependency-free leaves keep their own:
+//! `salient-trace` has `lock_tolerant`, and `salient-fault` recovers its
+//! two statics' guards inline.
 //!
 //! A panicking batch-prep worker poisons any `Mutex` it held; the fault
 //! layer (PR 2) catches the panic and retries the batch, so the lock's
@@ -11,8 +12,8 @@
 //! one recovered worker panic into a cascade that kills the whole prep
 //! pipeline, which is exactly what the supervised-recovery layer exists to
 //! prevent. These helpers recover the guard from a poisoned lock instead of
-//! panicking; the hot-path `panic-freedom` lint forbids the bare
-//! `.lock().unwrap()` pattern.
+//! panicking; `clippy::unwrap_used` rejects the bare `.lock().unwrap()`
+//! pattern in library code.
 
 pub mod channel;
 

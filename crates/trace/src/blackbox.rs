@@ -53,7 +53,7 @@ fn recent(snap: &Snapshot) -> Vec<SpanEvent> {
 
 /// Process-global dump sequence so concurrent traces never collide on a
 /// file name (the deterministic alternative to a wall-clock timestamp,
-/// which the lint's determinism rule forbids here anyway).
+/// which `clippy::disallowed_methods` rejects here anyway).
 static DUMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Handle to a trace's attached flight recorder (see the module docs).

@@ -206,45 +206,44 @@ impl HistogramSnapshot {
     }
 }
 
-/// The instrument registry behind a tracing handle.
+/// The instrument registry behind a tracing handle: every map under one
+/// lock, so a snapshot never holds one map's lock while it takes another's.
+/// Lookups are cold (hot code holds the returned handle).
 #[derive(Debug, Default)]
 pub struct Metrics {
-    counters: Mutex<BTreeMap<&'static str, Counter>>,
-    gauges: Mutex<BTreeMap<&'static str, Gauge>>,
-    histograms: Mutex<BTreeMap<&'static str, Histogram>>,
+    instruments: Mutex<Instruments>,
+}
+
+#[derive(Debug, Default)]
+struct Instruments {
+    counters: BTreeMap<&'static str, Counter>,
+    gauges: BTreeMap<&'static str, Gauge>,
+    histograms: BTreeMap<&'static str, Histogram>,
 }
 
 impl Metrics {
     /// The counter named `name`, created on first use.
     pub fn counter(&self, name: CounterName) -> Counter {
-        lock_tolerant(&self.counters).entry(name.as_str()).or_default().clone()
+        lock_tolerant(&self.instruments).counters.entry(name.as_str()).or_default().clone()
     }
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: GaugeName) -> Gauge {
-        lock_tolerant(&self.gauges).entry(name.as_str()).or_default().clone()
+        lock_tolerant(&self.instruments).gauges.entry(name.as_str()).or_default().clone()
     }
 
     /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: HistName) -> Histogram {
-        lock_tolerant(&self.histograms).entry(name.as_str()).or_default().clone()
+        lock_tolerant(&self.instruments).histograms.entry(name.as_str()).or_default().clone()
     }
 
     /// Snapshots every instrument (sorted by name).
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let ins = lock_tolerant(&self.instruments);
         MetricsSnapshot {
-            counters: lock_tolerant(&self.counters)
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.get()))
-                .collect(),
-            gauges: lock_tolerant(&self.gauges)
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.get()))
-                .collect(),
-            histograms: lock_tolerant(&self.histograms)
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.snapshot()))
-                .collect(),
+            counters: ins.counters.iter().map(|(k, v)| (k.to_string(), v.get())).collect(),
+            gauges: ins.gauges.iter().map(|(k, v)| (k.to_string(), v.get())).collect(),
+            histograms: ins.histograms.iter().map(|(k, v)| (k.to_string(), v.snapshot())).collect(),
         }
     }
 }

@@ -12,7 +12,9 @@
 //! a reader ever contends for the lock: [`Trace::snapshot`] and the flight
 //! recorder's dumps read every log where it lies, so an event is visible
 //! the moment it is recorded, whichever thread recorded it and whether or
-//! not that thread is still alive. There is nothing to flush.
+//! not that thread is still alive. There is nothing to flush. No lock here
+//! is taken while another is held: a reader copies the list of logs out of
+//! its lock before it locks any log.
 
 use crate::analysis::Snapshot;
 use crate::blackbox::Blackbox;
@@ -317,7 +319,9 @@ impl Trace {
         let Some(inner) = &self.inner else {
             return Snapshot::default();
         };
-        let logs = lock_tolerant(&inner.logs);
+        // Copy the list and let go of it before reading any log: a thread
+        // registering its first event must not wait on a log being read.
+        let logs: Vec<Arc<ThreadLog>> = lock_tolerant(&inner.logs).clone();
         let mut events: Vec<SpanEvent> = Vec::new();
         for log in logs.iter() {
             events.extend(lock_tolerant(&log.events).iter().filter(|e| keep(e)));
@@ -442,6 +446,38 @@ mod tests {
         assert_eq!(snap.events.len(), 1, "the live worker's span is in the snapshot");
         assert_eq!((snap.events[0].batch, snap.events[0].dur_ns()), (5, 100));
         assert_eq!(snap.threads.len(), 1);
+    }
+
+    #[test]
+    fn a_thread_registers_while_a_snapshot_waits_on_a_log() {
+        use std::time::Duration;
+        let t = Trace::new(Clock::virtual_manual());
+        t.record_span(SpanName::new("held"), 0, 0, 1);
+        let log = Arc::clone(&t.inner.as_ref().unwrap().logs.lock().unwrap()[0]);
+        let held = log.events.lock().unwrap();
+        let reader = std::thread::spawn({
+            let t = t.clone();
+            move || t.snapshot()
+        });
+        // By now the reader is blocked on this thread's log. A reader that
+        // is late can only hide a regression, never fail this test.
+        std::thread::sleep(Duration::from_millis(50));
+        let (registered_tx, registered_rx) = std::sync::mpsc::channel();
+        let late = std::thread::spawn({
+            let t = t.clone();
+            move || {
+                t.record_span(SpanName::new("late"), 1, 2, 3);
+                let _ = registered_tx.send(());
+            }
+        });
+        let registered = registered_rx.recv_timeout(Duration::from_secs(10));
+        let reader_was_blocked = !reader.is_finished();
+        drop(held);
+        let snap = reader.join().unwrap();
+        late.join().unwrap();
+        assert!(registered.is_ok(), "a first event waited for a snapshot to finish reading another log");
+        assert!(reader_was_blocked, "the snapshot did not wait on the held log");
+        assert!(snap.events.iter().any(|e| e.name == "held"));
     }
 
     #[test]

@@ -9,15 +9,18 @@
 #                     every suppression an #[expect] with a reason that
 #                     still matches a finding. Test targets and benchmark/
 #                     get the unsafe lints only.
-#   salient-lint      lock discipline (acyclic lock orders, justified
-#                     Relaxed), the one check clippy has no lint for.
+#   awk               every Ordering::Relaxed outside test code has a
+#                     comment saying why relaxed is enough, the one rule
+#                     clippy has no lint for.
 #   cargo metadata    std only: every package of both workspaces has a null
 #                     "source", so `--offline` can never silently start
 #                     meaning "from the local registry cache".
 # Registered trace/fault names are checked by the compiler (trace::names /
 # fault::Site newtypes, the build tier), allocation-free kernels by the
 # counting-allocator suites (tests/steady_state.rs, train_step.rs,
-# trace_overhead.rs), which see through calls.
+# trace_overhead.rs), which see through calls. No code takes a lock while it
+# holds another (DESIGN.md section 8, "One lock at a time"): the pool and
+# trace-registry tests that fail if it does run in the workspace passes below.
 #
 # Everything a tier writes goes under target/: the script fails if it
 # leaves the working tree different from how it found it.
@@ -25,6 +28,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 tree_before=$(git status --porcelain)
 
+lint_start=$(date +%s.%N)
 echo "== lint: every workspace member inherits [workspace.lints]"
 for manifest in Cargo.toml crates/*/Cargo.toml; do
   grep -A1 '^\[lints\]$' "$manifest" | grep -q '^workspace = true$' || {
@@ -54,8 +58,19 @@ CLIPPY_CONF_DIR="$PWD" cargo clippy --manifest-path benchmark/Cargo.toml --offli
 awk -v s="$clippy_start" -v e="$(date +%s.%N)" \
   'BEGIN { printf "lint tier: clippy took %.1f s\n", e - s }'
 
-echo "== lint: lock discipline (salient-lint)"
-cargo run -q --release -p salient-lint --offline -- check
+echo "== lint: every Ordering::Relaxed outside test code says why relaxed is enough"
+# Each file is read up to its test module (`#[cfg(test)]` then `mod tests {`
+# at column 0); the reason is a comment mentioning "relaxed" on the same
+# line or one of the two above it.
+git ls-files '*.rs' ':!:**/tests/**' ':!:tests/**' ':!:**/benches/**' | xargs awk '
+  function why(s,  i) { i = index(s, "//"); return i && tolower(substr(s, i)) ~ /relaxed/ }
+  FNR == 1 { live = 1; p1 = p2 = "" }
+  /^mod tests \{/ && p1 ~ /^#\[cfg\(test\)\]$/ { live = 0 }
+  live && /Ordering::Relaxed/ && !why(p2) && !why(p1) && !why($0) {
+    print FILENAME ":" FNR ": Ordering::Relaxed without a comment saying why relaxed is enough"; bad = 1
+  }
+  { p2 = p1; p1 = $0 }
+  END { exit bad }' || { echo "lint tier FAILED: unexplained Ordering::Relaxed"; exit 1; }
 
 echo "== lint: dependency-freedom guard (cargo metadata)"
 for manifest in Cargo.toml benchmark/Cargo.toml; do
@@ -69,6 +84,8 @@ for manifest in Cargo.toml benchmark/Cargo.toml; do
     exit 1
   fi
 done
+awk -v s="$lint_start" -v e="$(date +%s.%N)" \
+  'BEGIN { printf "lint tier: took %.1f s\n", e - s }'
 
 echo "== build (release, offline)"
 cargo build --release --offline

@@ -49,6 +49,16 @@ fn flag_or<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
     })
 }
 
+/// A count flag that must be at least 1: rejected here, before a dataset is
+/// built, rather than by `RunConfig::validate` after it.
+fn positive(args: &[String], name: &str, default: usize) -> usize {
+    let n = flag_or(args, name, default);
+    if n == 0 {
+        usage_error(format!("{name} 0: expected a positive number"));
+    }
+    n
+}
+
 /// The flag's value looked up among `accepted` names (case-insensitive);
 /// the first of them when the flag is absent.
 fn choice<T: Copy>(args: &[String], name: &str, accepted: &[(&str, T)]) -> T {
@@ -98,13 +108,13 @@ fn run_config(args: &[String]) -> RunConfig {
         model: choice(args, "--model", &models),
         executor: choice(args, "--executor", &executors),
         num_layers: 3,
-        hidden: flag_or(args, "--hidden", 64),
+        hidden: positive(args, "--hidden", 64),
         train_fanouts: vec![15, 10, 5],
         infer_fanouts: vec![20, 20, 20],
-        batch_size: flag_or(args, "--batch", 128),
+        batch_size: positive(args, "--batch", 128),
         learning_rate: flag_or(args, "--lr", 5e-3),
         epochs: flag_or(args, "--epochs", 10),
-        num_workers: flag_or(args, "--workers", 2),
+        num_workers: positive(args, "--workers", 2),
         slots: 4,
         seed: flag_or(args, "--seed", 0),
         comm_timeout_ms: flag_or(args, "--comm-timeout-ms", 5_000),
@@ -157,7 +167,8 @@ fn cmd_train(args: &[String]) {
 }
 
 fn cmd_eval(args: &[String]) {
-    let path = flag(args, "--load").expect("--load PATH is required");
+    let path = flag(args, "--load")
+        .unwrap_or_else(|| usage_error("eval: --load PATH is required".to_string()));
     let cfg = run_config(args);
     let ds = build_dataset(args);
     let mut trainer = Trainer::new(Arc::clone(&ds), cfg);

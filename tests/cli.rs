@@ -3,11 +3,12 @@
 
 use std::process::Command;
 
-/// Runs `salient train <args>` with `SALIENT_DTYPE` set to `dtype` (unset
-/// when `None`); returns whether it succeeded and what it wrote to stderr.
-fn train(args: &[&str], dtype: Option<&str>) -> (bool, String) {
+/// Runs `salient <subcommand> <args>` with `SALIENT_DTYPE` set to `dtype`
+/// (unset when `None`); returns whether it succeeded and what it wrote to
+/// stderr.
+fn salient(subcommand: &str, args: &[&str], dtype: Option<&str>) -> (bool, String) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_salient"));
-    cmd.arg("train").args(args).env_remove("SALIENT_DTYPE");
+    cmd.arg(subcommand).args(args).env_remove("SALIENT_DTYPE");
     if let Some(dtype) = dtype {
         cmd.env("SALIENT_DTYPE", dtype);
     }
@@ -17,19 +18,25 @@ fn train(args: &[&str], dtype: Option<&str>) -> (bool, String) {
 
 #[test]
 fn unaccepted_values_exit_non_zero_and_name_the_accepted_ones() {
-    let cases: [(&[&str], Option<&str>, &[&str]); 6] = [
-        (&["--model", "gta"], None, &["--model", "SAGE", "GAT", "GIN", "SAGE-RI"]),
-        (&["--executor", "pyg"], None, &["--executor", "salient", "baseline"]),
-        (&["--dataset", "reddit"], None, &["--dataset", "arxiv", "products", "papers"]),
-        (&["--epochs", "ten"], None, &["--epochs", "\"ten\"", "number"]),
-        (&["--epochs"], None, &["--epochs", "value"]),
-        (&[], Some("fp32"), &["SALIENT_DTYPE", "f16", "f32"]),
+    const POSITIVE: &str = "expected a positive number";
+    let cases: [(&str, &[&str], Option<&str>, &[&str]); 10] = [
+        ("train", &["--model", "gta"], None, &["--model", "SAGE", "GAT", "GIN", "SAGE-RI"]),
+        ("train", &["--executor", "pyg"], None, &["--executor", "salient", "baseline"]),
+        ("train", &["--dataset", "reddit"], None, &["--dataset", "arxiv", "products", "papers"]),
+        ("train", &["--epochs", "ten"], None, &["--epochs", "\"ten\"", "number"]),
+        ("train", &["--epochs"], None, &["--epochs", "value"]),
+        ("train", &[], Some("fp32"), &["SALIENT_DTYPE", "f16", "f32"]),
+        ("train", &["--batch", "0"], None, &["--batch", POSITIVE]),
+        ("train", &["--hidden", "0"], None, &["--hidden", POSITIVE]),
+        ("train", &["--workers", "0"], None, &["--workers", POSITIVE]),
+        ("eval", &[], None, &["--load", "required"]),
     ];
-    for (args, dtype, expected) in cases {
-        let (ok, stderr) = train(args, dtype);
-        assert!(!ok, "{args:?} {dtype:?} ran instead of failing");
+    for (sub, args, dtype, expected) in cases {
+        let (ok, stderr) = salient(sub, args, dtype);
+        assert!(!ok, "{sub} {args:?} {dtype:?} ran instead of failing");
+        assert!(!stderr.contains(" nodes, "), "{sub} {args:?} {dtype:?} built a dataset first");
         for word in expected {
-            assert!(stderr.contains(word), "{args:?} {dtype:?}: no {word:?} in {stderr:?}");
+            assert!(stderr.contains(word), "{sub} {args:?} {dtype:?}: no {word:?} in {stderr:?}");
         }
     }
 }
@@ -37,6 +44,6 @@ fn unaccepted_values_exit_non_zero_and_name_the_accepted_ones() {
 #[test]
 fn accepted_values_match_case_insensitively() {
     let args = ["--model", "sage-ri", "--dataset", "ARXIV", "--scale", "0.01", "--epochs", "1"];
-    let (ok, stderr) = train(&args, Some("F32"));
+    let (ok, stderr) = salient("train", &args, Some("F32"));
     assert!(ok, "{stderr}");
 }
