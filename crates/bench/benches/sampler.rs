@@ -9,11 +9,14 @@
 //! (`SALIENT_BENCH_SMOKE=1` for the short batches CI uses).
 
 use salient_bench::harness::{bench, report};
-use salient_graph::{Dataset, DatasetConfig};
+use salient_core::BatchInferencer;
+use salient_graph::{Dataset, DatasetConfig, NodeId};
 use salient_sampler::{
     record_trace, replay_trace, FastSampler, FlatIdMap, PygSampler, StdIdMap, VariantConfig,
     VariantSampler,
 };
+use salient_tensor::rng::{SliceRandom, StdRng};
+use std::sync::Arc;
 
 fn dataset() -> Dataset {
     DatasetConfig::products_sim(0.15).build()
@@ -78,12 +81,13 @@ const BENCHMARK_SHAPES: [(&str, usize, &[usize], usize); 4] = [
 
 /// The two samplers alone at each of [`BENCHMARK_SHAPES`], in sampled edges
 /// per second; at the batch-preparation shape `FastSampler` must be at
-/// least 1.5x the baseline (Figure 2 reads ~2.7x there).
+/// least 1.5x the baseline (Figure 2 reads ~2.7x there). At `serve_open`'s
+/// shape, also a lone request (see [`bench_lone_request`]).
 fn bench_benchmark_shapes() {
-    let mut ds = benchmark_dataset(10_000);
+    let mut ds = Arc::new(benchmark_dataset(10_000));
     for (workload, nodes, fanouts, batch_size) in BENCHMARK_SHAPES {
         if ds.graph.num_nodes() != nodes {
-            ds = benchmark_dataset(nodes);
+            ds = Arc::new(benchmark_dataset(nodes));
         }
         let batch = &ds.splits.train[..batch_size];
         let mut fast = FastSampler::new(1);
@@ -103,7 +107,51 @@ fn bench_benchmark_shapes() {
         if workload == "prep_stream" {
             assert!(ratio >= 1.5, "fast(salient) is {ratio:.2}x pyg_baseline at the prep shape, under 1.5x");
         }
+        if workload == "serve_open" {
+            bench_lone_request(&ds, fanouts);
+        }
     }
+}
+
+/// `serve_open`'s median request: one random seed, sampled and then staged
+/// (`BatchInferencer::stage`, the slice into a pinned slot), as a serving
+/// step runs them, with the plain sample and with the one that warms the
+/// feature rows. Printed, not asserted: the gap is a few microseconds and
+/// the host's noise is of that order.
+///
+/// Each arm cycles its own half of the shuffled nodes, so neither replays
+/// the requests the other has just pulled through the cache, and the arms
+/// run twice, each first once; the ratio is over the sums of their medians.
+fn bench_lone_request(ds: &Arc<Dataset>, fanouts: &[usize]) {
+    let mut seeds: Vec<NodeId> = (0..ds.graph.num_nodes() as NodeId).collect();
+    seeds.shuffle(&mut StdRng::seed_from_u64(7));
+    let (plain_seeds, warm_seeds) = seeds.split_at(seeds.len() / 2);
+    let inferencer = &BatchInferencer::new(Arc::clone(ds), 1, 256);
+    let request = |warm: bool| {
+        let mut sampler = FastSampler::new(1);
+        let mut next = if warm { warm_seeds } else { plain_seeds }.iter().cycle();
+        move || {
+            let batch = std::slice::from_ref(next.next().unwrap());
+            let mfg = if warm {
+                sampler.sample_warming(&ds.graph, batch, fanouts, &ds.features)
+            } else {
+                sampler.sample(&ds.graph, batch, fanouts)
+            };
+            inferencer.stage(&mfg).unwrap().payload_bytes()
+        }
+    };
+    let name = |warm: bool| if warm { "sample_warming+stage" } else { "sample+stage" };
+    let mut runs = Vec::new();
+    for warm_first in [false, true] {
+        for warm in [warm_first, !warm_first] {
+            runs.push((warm, bench(name(warm), request(warm))));
+        }
+    }
+    let p50_sum = |warm: bool| runs.iter().filter(|r| r.0 == warm).map(|r| r.1.p50_s).sum::<f64>();
+    let ratio = p50_sum(true) / p50_sum(false);
+    let group = format!("sampler serve_open: {} {fanouts:?} @1, random seeds", ds.name);
+    report(&group, &runs.into_iter().map(|r| r.1).collect::<Vec<_>>());
+    println!("{group}: warmed/plain {ratio:.2} (not asserted)\n");
 }
 
 fn bench_trace_replay(ds: &Dataset) {

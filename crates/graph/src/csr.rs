@@ -11,6 +11,7 @@
     reason = "the CSR contract: indptr has num_nodes+1 entries and node ids are validated < num_nodes at build"
 )]
 
+use salient_tensor::kernels;
 
 /// A node identifier in the global input graph.
 pub type NodeId = u32;
@@ -136,23 +137,29 @@ impl CsrGraph {
     /// a sampler walking a frontier knows the next rows it will visit, the
     /// hardware prefetcher cannot. A no-op where the target has no such hint.
     ///
+    /// It reads `indptr[v]` to find the row, so it waits for that load
+    /// unless [`CsrGraph::prefetch_row_ptr`]`(v)` ran a little earlier.
+    ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
     #[inline]
     pub fn prefetch_neighbors(&self, v: NodeId) {
-        let start = self.indptr[v as usize];
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let row = self.indices.as_ptr().wrapping_add(start);
-            // SAFETY: a prefetch is a hint that neither faults nor reads
-            // architecturally, whatever the address; `wrapping_add` keeps the
-            // pointer arithmetic defined for an empty last row.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(row.cast()) };
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = start;
+        // `wrapping_add` keeps the pointer arithmetic defined for an empty
+        // last row.
+        kernels::prefetch_read(self.indices.as_ptr().wrapping_add(self.indptr[v as usize]));
+    }
+
+    /// Hints the cache that `v`'s row pointers (`indptr[v]` and
+    /// `indptr[v + 1]`) are about to be read, by
+    /// [`CsrGraph::prefetch_neighbors`] or [`CsrGraph::neighbors`]. A pure
+    /// hint: nothing is loaded, so it never waits and accepts any `v`.
+    #[inline]
+    pub fn prefetch_row_ptr(&self, v: NodeId) {
+        let at = self.indptr.as_ptr().wrapping_add(v as usize);
+        kernels::prefetch_read(at);
+        // `indptr[v + 1]` is on the next line for one node in eight.
+        kernels::prefetch_read(at.wrapping_add(1));
     }
 
     /// The raw row-pointer array (length `num_nodes() + 1`).
@@ -318,6 +325,17 @@ mod tests {
         let h = g.degree_histogram(2);
         // Degrees: 3 (capped to 2), 1, 0.
         assert_eq!(h, vec![1, 1, 1]);
+    }
+
+    #[test]
+    fn prefetch_hints_accept_the_last_node_and_beyond() {
+        // The last node's row is empty and its `indptr[v + 1]` is the array's
+        // last entry; the pointer hint reads nothing and accepts any id.
+        let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
+        g.prefetch_row_ptr(2);
+        g.prefetch_neighbors(2);
+        g.prefetch_row_ptr(NodeId::MAX);
+        assert_eq!(g.neighbors(2), &[] as &[NodeId]);
     }
 
     #[test]

@@ -255,6 +255,28 @@ impl FeatureMatrix {
         self.data.view(v * self.dim, self.dim)
     }
 
+    /// Hints the cache that [`FeatureMatrix::row`]`(v)` is about to be read,
+    /// one hint per cache line the row touches: a sampler that has just
+    /// given `v` a local id knows the slice will copy this row next. A pure
+    /// hint, like [`crate::CsrGraph::prefetch_neighbors`]: nothing is read,
+    /// and the address arithmetic wraps, so any `v` is accepted.
+    #[inline]
+    pub fn prefetch_row(&self, v: u32) {
+        const LINE: usize = 64;
+        let (base, row_bytes) = match &self.data {
+            FeatureSlab::Half(d) => (d.as_ptr().cast::<u8>(), self.dim * size_of::<F16>()),
+            FeatureSlab::Full(d) => (d.as_ptr().cast::<u8>(), self.dim * size_of::<f32>()),
+        };
+        let row = base.wrapping_add((v as usize).wrapping_mul(row_bytes));
+        for offset in (0..row_bytes).step_by(LINE) {
+            kernels::prefetch_read(row.wrapping_add(offset));
+        }
+        // A row that does not start on a line ends on one the steps missed.
+        if row_bytes > 0 {
+            kernels::prefetch_read(row.wrapping_add(row_bytes - 1));
+        }
+    }
+
     /// Row `v` widened to `f32`.
     pub fn row_f32(&self, v: u32) -> Vec<f32> {
         self.row(v).to_f32_vec()
@@ -344,6 +366,18 @@ mod tests {
             assert_eq!(out.rows().to_f32_vec(), vec![5.0, 6.0, 1.0, 2.0]);
             assert_eq!(out.bytes(), 4 * dtype.size_of());
         }
+    }
+
+    #[test]
+    fn prefetch_row_accepts_the_last_node_and_beyond() {
+        let vals: Vec<f32> = (0..3 * 40).map(|i| i as f32).collect();
+        for dtype in [Dtype::F16, Dtype::F32] {
+            let f = FeatureMatrix::from_f32_dtype(dtype, 3, 40, &vals);
+            f.prefetch_row(2);
+            f.prefetch_row(u32::MAX);
+            assert_eq!(f.row_f32(2), vals[80..].to_vec());
+        }
+        FeatureMatrix::from_f32(2, 0, &[]).prefetch_row(1);
     }
 
     #[test]

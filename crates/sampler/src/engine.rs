@@ -182,6 +182,36 @@ const MASK_BITS: usize = 64;
 /// otherwise wait for.
 const PREFETCH_AHEAD: usize = 4;
 
+/// How many frontier nodes ahead the row pointers are prefetched: the
+/// adjacency prefetch reads `indptr[v]` to find its row, and would wait on
+/// that load if the pointers were not already on their way.
+const ROW_PTR_AHEAD: usize = 2 * PREFETCH_AHEAD;
+
+/// Hints the row pointers of frontier node `i + ROW_PTR_AHEAD` and the
+/// adjacency row of node `i + PREFETCH_AHEAD`, those that exist.
+#[inline]
+fn prefetch_ahead(graph: &CsrGraph, node_ids: &[NodeId], i: usize) {
+    if let Some(&v) = node_ids.get(i + ROW_PTR_AHEAD) {
+        graph.prefetch_row_ptr(v);
+    }
+    if let Some(&v) = node_ids.get(i + PREFETCH_AHEAD) {
+        graph.prefetch_neighbors(v);
+    }
+}
+
+/// Starts a hop's prefetch at its first node: what [`prefetch_ahead`] would
+/// have hinted for the nodes before the first, so no node of the hop is
+/// sampled unhinted.
+#[inline]
+fn prefetch_hop_start(graph: &CsrGraph, node_ids: &[NodeId]) {
+    for &v in node_ids.iter().take(ROW_PTR_AHEAD) {
+        graph.prefetch_row_ptr(v);
+    }
+    for &v in node_ids.iter().take(PREFETCH_AHEAD) {
+        graph.prefetch_neighbors(v);
+    }
+}
+
 /// Replaces `picks` with `min(degree, fanout)` distinct positions in
 /// `0..degree`, drawn with the chosen algorithm. Every position of a
 /// destination is drawn before any is mapped to a local id, so the id-map
@@ -247,6 +277,23 @@ pub fn sample_with<M: IdMap, S: NeighborSet>(
     scratch: &mut EngineScratch,
     rng: &mut impl Rng,
 ) -> MessageFlowGraph {
+    sample_hinting(graph, batch, fanouts, opts, map, set, scratch, rng, |_| {})
+}
+
+/// [`sample_with`], calling `on_new(v)` the moment node `v` gets its local
+/// id, seeds included. `on_new` may only hint (prefetch what the caller
+/// reads next): the MFG and the RNG stream are those of `sample_with`.
+pub(crate) fn sample_hinting<M: IdMap, S: NeighborSet>(
+    graph: &CsrGraph,
+    batch: &[NodeId],
+    fanouts: &[usize],
+    opts: EngineOpts,
+    map: &mut M,
+    set: &mut S,
+    scratch: &mut EngineScratch,
+    rng: &mut impl Rng,
+    mut on_new: impl FnMut(NodeId),
+) -> MessageFlowGraph {
     assert!(!batch.is_empty(), "cannot sample an empty batch");
     assert!(!fanouts.is_empty(), "need at least one fanout");
     let EngineScratch { pairs, swaps, picks, last_nodes, last_edges } = scratch;
@@ -260,6 +307,7 @@ pub fn sample_with<M: IdMap, S: NeighborSet>(
         let (_, new) = map.get_or_insert(v, local);
         assert!(new, "duplicate node {v} in batch");
         node_ids.push(v);
+        on_new(v);
     }
 
     let mut layers_rev: Vec<MfgLayer> = Vec::with_capacity(fanouts.len());
@@ -273,11 +321,10 @@ pub fn sample_with<M: IdMap, S: NeighborSet>(
         let mut edge_src: Vec<u32> = Vec::with_capacity(edge_cap);
         let mut edge_dst: Vec<u32> = Vec::with_capacity(edge_cap);
 
+        prefetch_hop_start(graph, &node_ids);
         if opts.fused {
             for i in 0..frontier_len {
-                if let Some(&ahead) = node_ids.get(i + PREFETCH_AHEAD) {
-                    graph.prefetch_neighbors(ahead);
-                }
+                prefetch_ahead(graph, &node_ids, i);
                 let neighbors = graph.neighbors(node_ids[i]);
                 draw(opts.algo, neighbors.len(), fanout, set, swaps, rng, picks);
                 for &idx in picks.iter() {
@@ -286,6 +333,7 @@ pub fn sample_with<M: IdMap, S: NeighborSet>(
                     let (local, new) = map.get_or_insert(u, fallback);
                     if new {
                         node_ids.push(u);
+                        on_new(u);
                     }
                     edge_src.push(local);
                 }
@@ -295,9 +343,7 @@ pub fn sample_with<M: IdMap, S: NeighborSet>(
             // Phase A: sample into a (dst, neighbor) buffer.
             pairs.clear();
             for i in 0..frontier_len {
-                if let Some(&ahead) = node_ids.get(i + PREFETCH_AHEAD) {
-                    graph.prefetch_neighbors(ahead);
-                }
+                prefetch_ahead(graph, &node_ids, i);
                 let neighbors = graph.neighbors(node_ids[i]);
                 draw(opts.algo, neighbors.len(), fanout, set, swaps, rng, picks);
                 pairs.extend(picks.iter().map(|&idx| (i as u32, neighbors[idx as usize])));
@@ -308,6 +354,7 @@ pub fn sample_with<M: IdMap, S: NeighborSet>(
                 let (local, new) = map.get_or_insert(u, fallback);
                 if new {
                     node_ids.push(u);
+                    on_new(u);
                 }
                 edge_src.push(local);
                 edge_dst.push(dst);

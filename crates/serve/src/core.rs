@@ -563,7 +563,10 @@ impl ServerCore {
 
     /// Sample → slice → gemm over one micro-batch, in order on the calling
     /// thread: one micro-batch per step and ordering within it is the whole
-    /// point, so there is nothing for a stage graph to overlap. Each stage is
+    /// point, so there is nothing for a stage graph to overlap. The sample
+    /// stage hints each node's feature row into the cache as it finds the
+    /// node ([`FastSampler::sample_warming`]), so the slice stage copies rows
+    /// already on their way instead of missing on each in turn. Each stage is
     /// one [`run_stage`] call; consecutive spans share their boundary
     /// timestamp, and that timestamp is the deadline check: members it finds
     /// dead are marked in `expired_at` with the stage that overran, and when
@@ -587,7 +590,8 @@ impl ServerCore {
 
         let t0 = self.clock.now_ns();
         let (mfg, t1) = run_stage(&self.trace, &self.clock, SAMPLE, seq, t0, || {
-            self.sampler.sample(&self.dataset.graph, seeds, self.ladder.fanouts())
+            let ds = &self.dataset;
+            self.sampler.sample_warming(&ds.graph, seeds, self.ladder.fanouts(), &ds.features)
         });
         let Some(mfg) = mfg else {
             // Crashed sampler: deterministic respawn (re-seeded from the

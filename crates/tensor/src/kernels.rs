@@ -252,9 +252,10 @@ pub(crate) fn put_f32(v: Vec<f32>) {
     let _ = SCRATCH.try_with(|s| s.borrow_mut().f32s.put(v));
 }
 
-/// Best-effort read prefetch (no-op off x86-64). Purely a scheduling hint.
+/// Best-effort read prefetch (no-op off x86-64). Purely a scheduling hint:
+/// nothing is read, so `p` may be any address, in bounds or not.
 #[inline(always)]
-fn prefetch_read<T>(p: *const T) {
+pub fn prefetch_read<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]
     {
         // SAFETY: PREFETCHh is architecturally non-faulting for any address

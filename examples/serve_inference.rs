@@ -1,7 +1,9 @@
 //! Online inference serving end-to-end: trains a small model, then drives
 //! the serving core through an open-loop Poisson arrival sweep on the real
 //! clock — below the knee, near the knee, and well past it — emitting the
-//! latency–throughput frontier to `target/bench_serving.json`.
+//! latency–throughput frontier to `target/bench_serving.json`, each point
+//! with the median `serve.sample` / `serve.slice` / `serve.gemm` span of its
+//! measured window.
 //!
 //! The point of the sweep is the *overload* column: with admission control,
 //! deadlines, and the degradation ladder in place, pushing offered load to
@@ -23,9 +25,15 @@ use salient_repro::bench::harness::{write_json, Json};
 use salient_repro::core::{RunConfig, Trainer};
 use salient_repro::graph::{Dataset, DatasetConfig};
 use salient_repro::serve::{loadgen, Request, Response, ServeConfig, ServerCore};
-use salient_repro::trace::{names, Clock, Trace};
+use salient_repro::trace::names::SpanName;
+use salient_repro::trace::{names, Clock, Snapshot, Trace};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The three stages of a micro-batch, in order: a point records the median
+/// of each, so the frontier shows which stage a request waits in.
+const STAGE_SPANS: [SpanName; 3] =
+    [names::spans::SERVE_SAMPLE, names::spans::SERVE_SLICE, names::spans::SERVE_GEMM];
 
 fn serve_cfg() -> ServeConfig {
     ServeConfig {
@@ -65,6 +73,20 @@ struct PointStats {
     p50_ns: u64,
     p95_ns: u64,
     p99_ns: u64,
+    /// Median span of each of [`STAGE_SPANS`] over the measured window.
+    stage_p50_ns: [u64; 3],
+}
+
+/// Median duration of the `name` spans that started at or after `from_ns`
+/// (0 when there are none).
+fn span_p50_ns(snap: &Snapshot, name: SpanName, from_ns: u64) -> u64 {
+    let mut durs: Vec<u64> =
+        snap.spans(name).filter(|e| e.start_ns >= from_ns).map(|e| e.dur_ns()).collect();
+    if durs.is_empty() {
+        return 0;
+    }
+    let mid = durs.len() / 2;
+    *durs.select_nth_unstable(mid).1
 }
 
 /// Open-loop catch-up driver: arrivals are submitted as their instants
@@ -157,6 +179,8 @@ fn drive(core: &mut ServerCore, arrivals: &[loadgen::Arrival]) -> PointStats {
         p50_ns,
         p95_ns,
         p99_ns,
+        // The warm-up's spans started before t0.
+        stage_p50_ns: STAGE_SPANS.map(|name| span_p50_ns(&snap, name, t0)),
     }
 }
 
@@ -209,9 +233,11 @@ fn main() {
             );
             let mut core = build_core(&dataset);
             let stats = drive(&mut core, &arrivals);
+            let [sample_us, slice_us, gemm_us] = stats.stage_p50_ns.map(|ns| ns as f64 / 1e3);
             println!(
                 "load {f:.1}x ({rate:.0} req/s): offered {} (missed {}) completed {} shed {}+{} \
-                 expired {} degrades {} | {:.0} req/s served, p50 {:.2} ms p99 {:.2} ms",
+                 expired {} degrades {} | {:.0} req/s served, p50 {:.2} ms p99 {:.2} ms | \
+                 stage p50 sample {sample_us:.1} us, slice {slice_us:.1} us, gemm {gemm_us:.1} us",
                 stats.offered,
                 stats.missed,
                 stats.completed,
@@ -299,6 +325,16 @@ fn main() {
             ("p50_ns".into(), Json::Num(s.p50_ns as f64)),
             ("p95_ns".into(), Json::Num(s.p95_ns as f64)),
             ("p99_ns".into(), Json::Num(s.p99_ns as f64)),
+            (
+                "span_p50_ns".into(),
+                Json::Obj(
+                    STAGE_SPANS
+                        .iter()
+                        .zip(s.stage_p50_ns)
+                        .map(|(name, ns)| (name.as_str().into(), Json::Num(ns as f64)))
+                        .collect(),
+                ),
+            ),
         ])
     };
     let doc = Json::Obj(vec![
