@@ -8,7 +8,7 @@
 //! structure (4) × fused construction (2) × capacity reservation (2) ×
 //! sampling algorithm (3: PyG's rejection loop, partial Fisher–Yates, and
 //! Floyd's one-draw-per-position algorithm) — giving 96 instantiations
-//! benchmarked by `salient-bench --bin fig2`.
+//! benchmarked by `salient paper fig2`.
 
 use crate::engine::{sample_with, EngineOpts, EngineScratch, SampleAlgo};
 use crate::mfg::MessageFlowGraph;

@@ -289,8 +289,6 @@ pub struct ChromeTraceSummary {
     pub span_events: usize,
     /// `"i"` (instant) events.
     pub instant_events: usize,
-    /// `"C"` (counter-track) events.
-    pub counter_events: usize,
     /// `"M"` (metadata) records.
     pub metadata_events: usize,
     /// Distinct `tid`s across non-metadata events.
@@ -346,15 +344,6 @@ pub fn validate_chrome_trace(text: &str) -> Result<ChromeTraceSummary, String> {
                 } else {
                     summary.instant_events += 1;
                 }
-                tids.push(tid as i64);
-            }
-            "C" => {
-                ev.get("ts")
-                    .and_then(Value::as_num)
-                    .ok_or_else(|| at("missing numeric ts"))?;
-                ev.get("args")
-                    .ok_or_else(|| at("C event missing args"))?;
-                summary.counter_events += 1;
                 tids.push(tid as i64);
             }
             other => return Err(at(&format!("unknown ph {other:?}"))),
@@ -434,9 +423,10 @@ mod tests {
         let summary = validate_chrome_trace(&json).unwrap();
         assert_eq!(summary.span_events, 1);
         assert_eq!(summary.instant_events, 1);
-        assert_eq!(summary.counter_events, 0);
         assert_eq!(summary.metadata_events, 1);
         assert_eq!(summary.distinct_tids, 1);
+        // The exporter writes no counter track, so the validator knows none.
+        assert!(!json.contains("\"ph\":\"C\""), "{json}");
     }
 
     #[test]
@@ -454,5 +444,10 @@ mod tests {
             "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"?\",\"pid\":0,\"tid\":0}]}"
         )
         .is_err()); // unknown phase
+        let counter = validate_chrome_trace(
+            "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":0,\"args\":{}}]}",
+        )
+        .unwrap_err();
+        assert!(counter.contains("unknown ph \"C\""), "{counter}");
     }
 }

@@ -136,6 +136,9 @@ registry! {
     BENCH_SAMPLE_PYG = "bench.sample_pyg",
     /// Bench harness: one SALIENT fast-sampler pass.
     BENCH_SAMPLE_FAST = "bench.sample_fast",
+    /// Bench harness: one timed pass of a sampler design-space variant
+    /// (Figure 2); the batch field is the variant's index.
+    BENCH_SAMPLE_VARIANT = "bench.sample_variant",
     /// One DDP ring-link send (causal edge: this rank → next rank).
     DDP_RING_SEND = "ddp.ring_send",
     /// One DDP ring-link receive (causal edge: previous rank → this rank).
@@ -293,7 +296,7 @@ mod tests {
         // its length is the declaration count; `hists::ALL` is the list the
         // epoch report iterates.
         assert_eq!(hists::ALL.len(), 6);
-        assert_eq!(spans::ALL.len(), 20);
+        assert_eq!(spans::ALL.len(), 21);
         assert_eq!(hists::ALL[0], hists::PREP_BATCH_NS);
         assert!("pipe.fill_ns" == hists::PIPE_FILL_NS);
     }

@@ -1,29 +1,16 @@
-//! Drive the discrete-event cluster simulator directly: walk the Table-3
-//! optimization ladder on every paper dataset, then render the Figure-1
-//! execution timeline contrast.
+//! Drive the discrete-event cluster simulator directly: GPU utilization of
+//! the baseline and of SALIENT on products at the paper's 20 CPU workers.
+//! `salient paper table3` prints the optimization ladder, and `salient
+//! paper fig1` the execution timelines (at 4 workers).
 //!
 //! Run: `cargo run --release --example simulate_cluster`
 
 use salient_repro::graph::DatasetStats;
-use salient_repro::sim::{
-    render_text, simulate_epoch, simulate_epoch_detailed, CostModel, EpochConfig, OptLevel,
-};
+use salient_repro::sim::{simulate_epoch, CostModel, EpochConfig, OptLevel};
 
 fn main() {
     let model = CostModel::paper_hardware();
-
-    println!("optimization ladder (virtual seconds per epoch):\n");
-    println!("{:<30} {:>8} {:>10} {:>8}", "configuration", "arxiv", "products", "papers");
-    for level in OptLevel::ladder() {
-        let mut row = format!("{:<30}", level.label());
-        for stats in DatasetStats::all() {
-            let r = simulate_epoch(&EpochConfig::paper_default(stats, level), &model);
-            row.push_str(&format!(" {:>8.2}", r.epoch_s));
-        }
-        println!("{row}");
-    }
-
-    println!("\nGPU utilization, baseline vs SALIENT (products):");
+    println!("GPU utilization, baseline vs SALIENT (products):");
     for level in [OptLevel::PygBaseline, OptLevel::Pipelined] {
         let r = simulate_epoch(
             &EpochConfig::paper_default(DatasetStats::products(), level),
@@ -31,12 +18,4 @@ fn main() {
         );
         println!("  {:<30} {:>5.1}%", level.label(), r.gpu_util * 100.0);
     }
-
-    println!("\nfirst 200 ms of the SALIENT pipeline (products, 4 workers):\n");
-    let cfg = EpochConfig {
-        cpu_workers: 4,
-        ..EpochConfig::paper_default(DatasetStats::products(), OptLevel::Pipelined)
-    };
-    let (_, sim, ex) = simulate_epoch_detailed(&cfg, &model);
-    println!("{}", render_text(&sim, &ex, 200_000_000, 96));
 }

@@ -150,16 +150,22 @@ echo "== benchmark tier: the four workloads' correctness checks (--smoke)"
 # driver. Timings from a smoke run are not compared with anything.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
-echo "== paper tier: results/ is what the sim-plane binaries print"
+echo "== paper tier: results/ is what 'salient paper' prints, and every claim holds"
 # The tables and figures that come from the discrete-event simulator and
 # the seeded dataset generators alone are deterministic to the byte, so
-# results/<name>.txt must be exactly what the binary prints today. The
-# real-clock ones (table2, table6, fig2-4, fig6) are not run here.
+# results/<name>.txt must be exactly what `salient paper <name>` prints
+# today. Each artifact also checks its shape claims (Table 3's ladder is
+# monotone, Figure 5's speedup grows with graph size, ...): they print to
+# stderr, and one that fails exits non-zero. The real-clock artifacts
+# (table2, table6, fig2-4, fig6) are not run here.
 mkdir -p target/paper
 for name in table1 table3 table4 table5 table7 fig1 fig5; do
-  cargo run -q --release --offline -p salient-bench --bin "$name" >"target/paper/$name.txt"
+  ./target/release/salient paper "$name" >"target/paper/$name.txt" || {
+    echo "paper tier FAILED: 'salient paper $name' failed"
+    exit 1
+  }
   diff "results/$name.txt" "target/paper/$name.txt" || {
-    echo "paper tier FAILED: results/$name.txt is not what '$name' prints"
+    echo "paper tier FAILED: results/$name.txt is not what 'salient paper $name' prints"
     exit 1
   }
 done
@@ -213,8 +219,8 @@ echo "== mixed-precision tier: f16 storage, half GEMM accuracy, byte traffic"
 # dtypes, `Dtype::parse`'s spellings (tests/mixed_precision.rs, run by both
 # workspace passes above).
 # What the `salient` binary does with a SALIENT_DTYPE, --model, --executor,
-# --dataset or number it does not accept: exits non-zero naming what it
-# accepts, instead of running the default (tests/cli.rs, likewise).
+# --dataset, paper artifact or number it does not accept: exits 2 naming
+# what it accepts, instead of running the default (tests/cli.rs, likewise).
 # The kernel bench doubles as the acceptance gate: it re-asserts the
 # GEMM bound at the full bench shapes and the <= 55% byte criterion on
 # the slice + hand-over path (through the transfer.bytes counter), then

@@ -1,12 +1,12 @@
-//! The `salient` command-line interface: train, evaluate, and simulate from
-//! the shell.
+//! The `salient` command-line interface: train, evaluate, sample, and rerun
+//! the paper's evaluation from the shell.
 //!
 //! ```text
 //! salient train    [--dataset arxiv|products|papers] [--scale F] [--model sage|gat|gin|sage-ri]
 //!                  [--epochs N] [--batch N] [--hidden N] [--lr F] [--ranks N]
 //!                  [--executor baseline|salient] [--save PATH]
 //! salient eval     --load PATH [--dataset ...] [--scale F] [--fanout D]
-//! salient simulate [--gpus N]
+//! salient paper    <table1..table7|fig1..fig6> [--scale F] [--reps N] [--epochs N] [--rounds N]
 //! salient sample   [--dataset ...] [--scale F] [--batch N]
 //! ```
 //!
@@ -15,14 +15,12 @@
 
 #![expect(clippy::disallowed_methods, reason = "CLI entry point: a bad flag or a failed run ends the process with a status, after its message is printed")]
 
+use salient_repro::bench::paper;
 use salient_repro::core::checkpoint::Checkpoint;
 use salient_repro::core::{train_ddp, ExecutorKind, RunConfig, Trainer};
-use salient_repro::graph::{Dataset, DatasetConfig, DatasetStats};
+use salient_repro::graph::{Dataset, DatasetConfig};
 use salient_repro::nn::ModelKind;
 use salient_repro::sampler::FastSampler;
-use salient_repro::sim::{
-    scaling_sweep, simulate_epoch, CostModel, EpochConfig, OptLevel,
-};
 use salient_repro::tensor::Dtype;
 use std::sync::Arc;
 
@@ -179,29 +177,52 @@ fn cmd_eval(args: &[String]) {
     println!("test accuracy at fanout ({d},{d},{d}): {acc:.4}");
 }
 
-fn cmd_simulate(args: &[String]) {
-    let model = CostModel::paper_hardware();
-    println!("single-GPU ladder (virtual s/epoch):");
-    for stats in DatasetStats::all() {
-        print!("  {:<9}", stats.name);
-        for level in OptLevel::ladder() {
-            let r = simulate_epoch(&EpochConfig::paper_default(stats.clone(), level), &model);
-            print!(" {:>7.2}", r.epoch_s);
-        }
-        println!();
+/// `salient paper <artifact>`: one table or figure of the paper's
+/// evaluation. The text goes to stdout and each claim to stderr; a claim
+/// that does not hold, or a run that cannot finish, exits with status 1.
+fn cmd_paper(args: &[String]) {
+    type Run = fn(&[String]) -> Result<(String, Vec<paper::Claim>), String>;
+    let artifacts: [(&str, Run); 13] = [
+        ("table1", |_| Ok(paper::table1())),
+        ("table2", |a| Ok(paper::table2(flag_or(a, "--scale", 0.25)))),
+        ("table3", |_| Ok(paper::table3())),
+        ("table4", |a| Ok(paper::table4(flag_or(a, "--scale", 0.2)))),
+        ("table5", |_| Ok(paper::table5())),
+        ("table6", |a| {
+            let (scale, reps, epochs) =
+                (flag_or(a, "--scale", 0.15), flag_or(a, "--reps", 3), flag_or(a, "--epochs", 30));
+            Ok(paper::table6(scale, reps, epochs))
+        }),
+        ("table7", |_| Ok(paper::table7())),
+        ("fig1", |_| Ok(paper::fig1())),
+        ("fig2", |a| {
+            let (scale, reps, rounds) =
+                (flag_or(a, "--scale", 0.25), flag_or(a, "--reps", 5), flag_or(a, "--rounds", 5));
+            Ok(paper::fig2(scale, reps, rounds))
+        }),
+        ("fig3", |a| Ok(paper::fig3(flag_or(a, "--scale", 0.2), flag_or(a, "--epochs", 30)))),
+        ("fig4", |a| paper::fig4(flag_or(a, "--scale", 0.15))),
+        ("fig5", |_| Ok(paper::fig5())),
+        ("fig6", |a| paper::fig6(flag_or(a, "--scale", 0.08), flag_or(a, "--epochs", 25))),
+    ];
+    let name = args.get(1).map_or("", String::as_str);
+    let Some(&(name, run)) = artifacts.iter().find(|(n, _)| *n == name) else {
+        let names: Vec<&str> = artifacts.iter().map(|&(n, _)| n).collect();
+        usage_error(format!("paper {name:?}: expected one of {}", names.join(", ")))
+    };
+    let (text, claims) = run(args).unwrap_or_else(|e| {
+        eprintln!("salient paper {name}: {e}");
+        std::process::exit(1);
+    });
+    print!("{text}");
+    for c in &claims {
+        let verdict = if c.holds { "holds" } else { "FAILED" };
+        eprintln!("claim {verdict}: {} ({})", c.name, c.measured);
     }
-    let gpus: usize = flag_or(args, "--gpus", 16);
-    println!("\nscaling to {gpus} GPUs:");
-    for stats in DatasetStats::all() {
-        let base = EpochConfig::paper_default(stats.clone(), OptLevel::Pipelined);
-        let sweep = scaling_sweep(&base, &[1, gpus], &model);
-        println!(
-            "  {:<9} {:>6.2}s -> {:>5.2}s  ({:.2}x)",
-            stats.name,
-            sweep[0].1,
-            sweep[1].1,
-            sweep[0].1 / sweep[1].1
-        );
+    let failed: Vec<&str> = claims.iter().filter(|c| !c.holds).map(|c| c.name.as_str()).collect();
+    if !failed.is_empty() {
+        eprintln!("salient paper {name}: {} claim(s) failed: {}", failed.len(), failed.join("; "));
+        std::process::exit(1);
     }
 }
 
@@ -238,10 +259,10 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("train") => cmd_train(&args),
         Some("eval") => cmd_eval(&args),
-        Some("simulate") => cmd_simulate(&args),
+        Some("paper") => cmd_paper(&args),
         Some("sample") => cmd_sample(&args),
         _ => {
-            eprintln!("usage: salient <train|eval|simulate|sample> [flags]");
+            eprintln!("usage: salient <train|eval|paper|sample> [flags]");
             eprintln!("see module docs (src/bin/salient.rs) for flags");
             std::process::exit(2);
         }

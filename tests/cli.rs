@@ -4,22 +4,26 @@
 use std::process::Command;
 
 /// Runs `salient <subcommand> <args>` with `SALIENT_DTYPE` set to `dtype`
-/// (unset when `None`); returns whether it succeeded and what it wrote to
-/// stderr.
-fn salient(subcommand: &str, args: &[&str], dtype: Option<&str>) -> (bool, String) {
+/// (unset when `None`); returns its exit code and what it wrote to stderr.
+fn salient(subcommand: &str, args: &[&str], dtype: Option<&str>) -> (Option<i32>, String) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_salient"));
     cmd.arg(subcommand).args(args).env_remove("SALIENT_DTYPE");
     if let Some(dtype) = dtype {
         cmd.env("SALIENT_DTYPE", dtype);
     }
     let out = cmd.output().expect("the salient binary runs");
-    (out.status.success(), String::from_utf8_lossy(&out.stderr).into_owned())
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
 }
 
 #[test]
 fn unaccepted_values_exit_non_zero_and_name_the_accepted_ones() {
     const POSITIVE: &str = "expected a positive number";
-    let cases: [(&str, &[&str], Option<&str>, &[&str]); 10] = [
+    // An unknown artifact is named, and so is every one accepted.
+    const FIG9: &[&str] = &[
+        "\"fig9\"", "table1", "table2", "table3", "table4", "table5", "table6", "table7", "fig1",
+        "fig2", "fig3", "fig4", "fig5", "fig6",
+    ];
+    let cases: [(&str, &[&str], Option<&str>, &[&str]); 12] = [
         ("train", &["--model", "gta"], None, &["--model", "SAGE", "GAT", "GIN", "SAGE-RI"]),
         ("train", &["--executor", "pyg"], None, &["--executor", "salient", "baseline"]),
         ("train", &["--dataset", "reddit"], None, &["--dataset", "arxiv", "products", "papers"]),
@@ -30,10 +34,12 @@ fn unaccepted_values_exit_non_zero_and_name_the_accepted_ones() {
         ("train", &["--hidden", "0"], None, &["--hidden", POSITIVE]),
         ("train", &["--workers", "0"], None, &["--workers", POSITIVE]),
         ("eval", &[], None, &["--load", "required"]),
+        ("paper", &["fig9"], None, FIG9),
+        ("paper", &["table6", "--scale", "abc"], None, &["--scale", "\"abc\"", "number"]),
     ];
     for (sub, args, dtype, expected) in cases {
-        let (ok, stderr) = salient(sub, args, dtype);
-        assert!(!ok, "{sub} {args:?} {dtype:?} ran instead of failing");
+        let (code, stderr) = salient(sub, args, dtype);
+        assert_eq!(code, Some(2), "{sub} {args:?} {dtype:?} did not exit 2: {stderr}");
         assert!(!stderr.contains(" nodes, "), "{sub} {args:?} {dtype:?} built a dataset first");
         for word in expected {
             assert!(stderr.contains(word), "{sub} {args:?} {dtype:?}: no {word:?} in {stderr:?}");
@@ -44,6 +50,6 @@ fn unaccepted_values_exit_non_zero_and_name_the_accepted_ones() {
 #[test]
 fn accepted_values_match_case_insensitively() {
     let args = ["--model", "sage-ri", "--dataset", "ARXIV", "--scale", "0.01", "--epochs", "1"];
-    let (ok, stderr) = salient("train", &args, Some("F32"));
-    assert!(ok, "{stderr}");
+    let (code, stderr) = salient("train", &args, Some("F32"));
+    assert_eq!(code, Some(0), "{stderr}");
 }
