@@ -36,6 +36,6 @@ pub use pinned::{PinnedPool, PinnedSlot};
 pub use prep::{
     run_epoch, run_epoch_with_pool, BatchResult, EpochHandle, PrepConfig, PrepMode, PreparedBatch, SamplerKind,
 };
-pub use queue::{make_work_items, DynamicQueue, StaticPartition, WorkItem, WorkSource};
+pub use queue::{make_work_items, WorkItem, WorkQueue};
 pub use slice::{slice_batch, slice_batch_into, slice_labels};
 pub use stats::FaultStats;

@@ -32,7 +32,7 @@
 )]
 
 use crate::pinned::{PinnedPool, PinnedSlot};
-use crate::queue::{make_work_items, DynamicQueue, StaticPartition, WorkItem, WorkSource};
+use crate::queue::{make_work_items, WorkItem, WorkQueue};
 use crate::slice::{slice_batch, slice_batch_into};
 use crate::stats::FaultStats;
 use salient_fault as fault;
@@ -233,7 +233,7 @@ impl PrepInstruments {
 struct WorkerCtx {
     dataset: Arc<Dataset>,
     order: Vec<NodeId>,
-    source: Arc<dyn WorkSource>,
+    queue: WorkQueue,
     pool: PinnedPool,
     tx: Sender<BatchResult>,
     cfg: PrepConfig,
@@ -355,9 +355,9 @@ pub fn run_epoch_with_pool(
         "staging pool and feature store disagree on dtype"
     );
     let items = make_work_items(order.len(), cfg.batch_size);
-    let source: Arc<dyn WorkSource> = match cfg.mode {
-        PrepMode::SharedMemory => DynamicQueue::new(items),
-        PrepMode::Multiprocessing => StaticPartition::new(items, cfg.num_workers),
+    let lanes = match cfg.mode {
+        PrepMode::SharedMemory => 1,
+        PrepMode::Multiprocessing => cfg.num_workers,
     };
     let (tx, rx) = bounded::<BatchResult>(pool.capacity());
     let cancel = Arc::new(AtomicBool::new(false));
@@ -368,7 +368,7 @@ pub fn run_epoch_with_pool(
     let ctx = Arc::new(WorkerCtx {
         dataset: Arc::clone(dataset),
         order: order.to_vec(),
-        source,
+        queue: WorkQueue::new(items, lanes),
         pool: pool.clone(),
         tx,
         instruments: PrepInstruments::new(&cfg.trace),
@@ -407,7 +407,7 @@ pub fn run_epoch_with_pool(
 /// batch (prepared or failed).
 fn supervise_worker(ctx: &WorkerCtx, id: usize) {
     let trace = &ctx.cfg.trace;
-    let work_left = || !ctx.cancel.load(Ordering::Acquire) && ctx.source.remaining() > 0;
+    let work_left = || !ctx.cancel.load(Ordering::Acquire) && ctx.queue.remaining() > 0;
     while std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         // Whole-worker fault site: ends the incarnation itself, exercising
         // this loop rather than the per-item guard.
@@ -449,7 +449,7 @@ fn worker_loop(ctx: &WorkerCtx, worker: usize) {
     let mut private = FeatureSlab::new(ctx.dataset.features.dtype(), 0);
     let mut private_labels: Vec<u32> = Vec::new();
     while !ctx.cancel.load(Ordering::Acquire) {
-        let Some(item) = ctx.source.next(worker) else {
+        let Some(item) = ctx.queue.next(worker) else {
             break;
         };
         let Some(result) =

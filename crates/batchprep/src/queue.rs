@@ -5,15 +5,14 @@
 //! (§4.2); the PyTorch DataLoader baseline instead assigns batches to worker
 //! processes *statically* (round-robin), which loses to dynamic balancing
 //! because final neighborhood size varies substantially across batches. Both
-//! strategies are implemented here.
+//! strategies are one [`WorkQueue`], with one lane or one per worker.
 
 #![expect(
     clippy::indexing_slicing,
-    reason = "both indices are reduced modulo the worker count, which `new` asserts is positive"
+    reason = "the lane index is reduced modulo the lane count, which `new` asserts is positive"
 )]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// One unit of work: prepare the mini-batch with the given id from a range
 /// of the epoch's (already shuffled) node order.
@@ -42,97 +41,57 @@ pub fn make_work_items(n: usize, batch_size: usize) -> Vec<WorkItem> {
         .collect()
 }
 
-/// A strategy for handing work items to `num_workers` preparation threads.
-pub trait WorkSource: Send + Sync {
-    /// Next item for worker `worker`; `None` when the worker is done.
-    fn next(&self, worker: usize) -> Option<WorkItem>;
-
-    /// Items not yet claimed by any worker: whether a dead worker is worth
-    /// replacing, and whether a collapsed worker set left work behind.
-    fn remaining(&self) -> usize;
-}
-
-/// Lock-free dynamic load balancing (SALIENT): all workers pop from one
-/// queue, so a worker stuck on a giant neighborhood does not delay the rest
-/// of the epoch.
+/// The epoch's work items and one claim cursor per lane; worker `w` claims
+/// from lane `w % lanes`, and lane `l` holds items `l, l + lanes, ...`.
 ///
-/// The epoch's items are known up front, so "queue" reduces to an immutable
-/// item list plus an atomic claim cursor — a single `fetch_add` per pop,
-/// genuinely lock-free (stronger than the segmented queue this replaced,
-/// which locked per segment allocation).
+/// * One lane is SALIENT's lock-free dynamic queue: every worker pops from
+///   the same cursor, so a worker stuck on a giant neighborhood does not
+///   delay the rest of the epoch.
+/// * `num_workers` lanes is the DataLoader's static round robin: batch `b`
+///   is pinned to worker `b % num_workers` up front.
+///
+/// The items are known up front, so a pop is one `fetch_add` on an
+/// immutable list — genuinely lock-free.
 #[derive(Debug)]
-pub struct DynamicQueue {
+pub struct WorkQueue {
     items: Vec<WorkItem>,
-    cursor: AtomicUsize,
+    cursors: Vec<AtomicUsize>,
 }
 
-impl DynamicQueue {
-    /// Builds a queue preloaded with the epoch's work items.
-    pub fn new(items: Vec<WorkItem>) -> Arc<Self> {
-        Arc::new(DynamicQueue { items, cursor: AtomicUsize::new(0) })
-    }
-
-    /// Number of items not yet claimed.
-    pub fn remaining(&self) -> usize {
-        self.items
-            .len()
-            .saturating_sub(self.cursor.load(Ordering::Acquire))
-    }
-}
-
-impl WorkSource for DynamicQueue {
-    fn next(&self, _worker: usize) -> Option<WorkItem> {
-        // The claim cursor only needs each index handed out once, and the
-        // item data is immutable after construction, so relaxed ordering
-        // on the fetch_add is sufficient.
-        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-        self.items.get(i).cloned()
-    }
-
-    fn remaining(&self) -> usize {
-        DynamicQueue::remaining(self)
-    }
-}
-
-/// Static round-robin partitioning (the PyTorch DataLoader scheme): batch
-/// `b` is pinned to worker `b % num_workers` up front.
-#[derive(Debug)]
-pub struct StaticPartition {
-    per_worker: Vec<(Vec<WorkItem>, AtomicUsize)>,
-}
-
-impl StaticPartition {
-    /// Pre-assigns the items round-robin across `num_workers`.
+impl WorkQueue {
+    /// Spreads the epoch's `items` (in batch order) over `lanes` lanes.
     ///
     /// # Panics
     ///
-    /// Panics if `num_workers == 0`.
-    pub fn new(items: Vec<WorkItem>, num_workers: usize) -> Arc<Self> {
-        assert!(num_workers > 0, "need at least one worker");
-        let mut per_worker: Vec<(Vec<WorkItem>, AtomicUsize)> = (0..num_workers)
-            .map(|_| (Vec::new(), AtomicUsize::new(0)))
-            .collect();
-        for item in items {
-            per_worker[item.batch_id % num_workers].0.push(item);
-        }
-        Arc::new(StaticPartition { per_worker })
-    }
-}
-
-impl WorkSource for StaticPartition {
-    fn next(&self, worker: usize) -> Option<WorkItem> {
-        let (items, cursor) = &self.per_worker[worker % self.per_worker.len()];
-        // Relaxed: per-worker cursor over an immutable pre-partitioned list;
-        // uniqueness of the fetch_add result is the only requirement.
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        items.get(i).cloned()
+    /// Panics if `lanes == 0`.
+    pub fn new(items: Vec<WorkItem>, lanes: usize) -> Self {
+        assert!(lanes > 0, "need at least one lane");
+        let cursors = (0..lanes).map(|_| AtomicUsize::new(0)).collect();
+        WorkQueue { items, cursors }
     }
 
-    fn remaining(&self) -> usize {
-        self.per_worker
+    /// Next item for worker `worker`; `None` when its lane is drained.
+    pub fn next(&self, worker: usize) -> Option<WorkItem> {
+        let lanes = self.cursors.len();
+        let lane = worker % lanes;
+        // The claim cursor only needs each index handed out once, and the
+        // item list is immutable after construction, so relaxed ordering on
+        // the fetch_add is sufficient.
+        let k = self.cursors[lane].fetch_add(1, Ordering::Relaxed);
+        let i = k.checked_mul(lanes)?.checked_add(lane)?;
+        self.items.get(i).cloned()
+    }
+
+    /// Items no worker has claimed yet: whether a dead worker is worth
+    /// replacing, and whether a collapsed worker set left work behind.
+    pub fn remaining(&self) -> usize {
+        let lanes = self.cursors.len();
+        self.cursors
             .iter()
-            .map(|(items, cursor)| {
-                items.len().saturating_sub(cursor.load(Ordering::Acquire))
+            .enumerate()
+            .map(|(lane, cursor)| {
+                let len = self.items.len().saturating_sub(lane).div_ceil(lanes);
+                len.saturating_sub(cursor.load(Ordering::Acquire))
             })
             .sum()
     }
@@ -155,7 +114,7 @@ mod tests {
 
     #[test]
     fn dynamic_queue_hands_out_each_item_once() {
-        let q = DynamicQueue::new(make_work_items(100, 10));
+        let q = WorkQueue::new(make_work_items(100, 10), 1);
         let mut seen = HashSet::new();
         while let Some(item) = q.next(0) {
             assert!(seen.insert(item.batch_id));
@@ -166,12 +125,11 @@ mod tests {
 
     #[test]
     fn dynamic_queue_is_safe_under_concurrency() {
-        let q = DynamicQueue::new(make_work_items(1_000, 1));
-        let total = Arc::new(AtomicUsize::new(0));
+        let q = WorkQueue::new(make_work_items(1_000, 1), 1);
+        let total = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for w in 0..4 {
-                let q = Arc::clone(&q);
-                let total = Arc::clone(&total);
+                let (q, total) = (&q, &total);
                 s.spawn(move || {
                     while let Some(_item) = q.next(w) {
                         total.fetch_add(1, Ordering::Relaxed);
@@ -184,22 +142,26 @@ mod tests {
 
     #[test]
     fn static_partition_respects_assignment() {
-        let p = StaticPartition::new(make_work_items(12, 2), 3);
+        let p = WorkQueue::new(make_work_items(12, 2), 3);
         for w in 0..3 {
+            let mut claimed = 0;
             while let Some(item) = p.next(w) {
                 assert_eq!(item.batch_id % 3, w, "batch pinned to wrong worker");
+                claimed += 1;
             }
+            assert_eq!(claimed, 2, "worker {w} drained its whole lane");
         }
+        assert_eq!(p.remaining(), 0);
     }
 
     #[test]
     fn remaining_tracks_both_sources() {
-        let q = DynamicQueue::new(make_work_items(10, 2));
-        assert_eq!(WorkSource::remaining(&*q), 5);
+        let q = WorkQueue::new(make_work_items(10, 2), 1);
+        assert_eq!(q.remaining(), 5);
         q.next(0);
-        assert_eq!(WorkSource::remaining(&*q), 4);
+        assert_eq!(q.remaining(), 4);
 
-        let p = StaticPartition::new(make_work_items(10, 2), 2);
+        let p = WorkQueue::new(make_work_items(10, 2), 2);
         assert_eq!(p.remaining(), 5);
         p.next(0);
         p.next(1);

@@ -3,9 +3,7 @@
 //! partitioning under contention, and the pinned-pool recycle path.
 
 use salient_bench::harness::{bench, report};
-use salient_batchprep::{
-    make_work_items, slice_batch, DynamicQueue, PinnedPool, StaticPartition, WorkSource,
-};
+use salient_batchprep::{make_work_items, slice_batch, PinnedPool, WorkQueue};
 use salient_graph::{Dataset, DatasetConfig, FeatureSlab};
 use salient_sampler::FastSampler;
 use salient_tensor::Dtype;
@@ -49,7 +47,7 @@ fn bench_slicing(ds: &Dataset) {
 fn bench_queues() {
     let items = make_work_items(100_000, 8);
     let dynamic = bench("dynamic_lockfree_drain", || {
-        let q = DynamicQueue::new(items.clone());
+        let q = WorkQueue::new(items.clone(), 1);
         let mut n = 0usize;
         while let Some(item) = q.next(0) {
             n += item.end - item.start;
@@ -57,7 +55,7 @@ fn bench_queues() {
         n
     });
     let fixed = bench("static_partition_drain", || {
-        let q = StaticPartition::new(items.clone(), 4);
+        let q = WorkQueue::new(items.clone(), 4);
         let mut n = 0usize;
         for w in 0..4 {
             while let Some(item) = q.next(w) {

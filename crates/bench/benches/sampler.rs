@@ -16,6 +16,7 @@ use salient_sampler::{
     VariantSampler,
 };
 use salient_tensor::rng::{SliceRandom, StdRng};
+use salient_trace::Trace;
 use std::sync::Arc;
 
 fn dataset() -> Dataset {
@@ -126,7 +127,7 @@ fn bench_lone_request(ds: &Arc<Dataset>, fanouts: &[usize]) {
     let mut seeds: Vec<NodeId> = (0..ds.graph.num_nodes() as NodeId).collect();
     seeds.shuffle(&mut StdRng::seed_from_u64(7));
     let (plain_seeds, warm_seeds) = seeds.split_at(seeds.len() / 2);
-    let inferencer = &BatchInferencer::new(Arc::clone(ds), 1, 256);
+    let inferencer = &BatchInferencer::new(Arc::clone(ds), 256, &Trace::disabled());
     let request = |warm: bool| {
         let mut sampler = FastSampler::new(1);
         let mut next = if warm { warm_seeds } else { plain_seeds }.iter().cycle();
@@ -137,7 +138,7 @@ fn bench_lone_request(ds: &Arc<Dataset>, fanouts: &[usize]) {
             } else {
                 sampler.sample(&ds.graph, batch, fanouts)
             };
-            inferencer.stage(&mfg).unwrap().payload_bytes()
+            inferencer.stage(&mfg).payload_bytes()
         }
     };
     let name = |warm: bool| if warm { "sample_warming+stage" } else { "sample+stage" };

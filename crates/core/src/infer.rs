@@ -9,12 +9,13 @@
 //!
 //! [`BatchInferencer`] is the staged inference path shared by offline
 //! evaluation and the online serving layer: features are sliced into a
-//! pinned staging slot (the same bounded [`PinnedPool`] the training
+//! pinned staging slot (a one-slot [`PinnedPool`], the type the training
 //! pipeline uses) and the slot itself is lent to the forward pass's tape,
-//! whose first layer reads the rows at the width they are stored. Both
-//! phases run under a panic-isolation boundary; whoever holds the slot when
-//! a request unwinds — `stage`, or the tape — drops it on the way out, and
-//! the slot's own RAII drop returns it to the pool: a poisoned request can
+//! whose first layer reads the rows at the width they are stored. Neither
+//! phase catches a panic; a caller that must outlive one (the serving
+//! layer) draws that boundary round the call. Whoever holds the slot when a
+//! call unwinds — `stage`, or the tape — drops it on the way out, and the
+//! slot's own RAII drop returns it to the pool: a poisoned request can
 //! never leak staging capacity.
 
 use salient_batchprep::{PinnedPool, PinnedSlot};
@@ -24,7 +25,6 @@ use salient_sampler::{MessageFlowGraph, MfgLayer};
 use salient_tensor::rng::StdRng;
 use salient_tensor::Tape;
 use salient_trace::{names, Counter, Trace};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -53,30 +53,6 @@ pub fn full_graph_mfg(graph: &CsrGraph, num_layers: usize) -> MessageFlowGraph {
     }
 }
 
-/// A panic caught at the inference isolation boundary, reduced to its
-/// message (the payload itself is not `Send + Clone`-friendly).
-#[derive(Clone, Debug)]
-pub struct InferPanic {
-    /// The panic payload rendered as text.
-    pub message: String,
-}
-
-impl std::fmt::Display for InferPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "inference panicked: {}", self.message)
-    }
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Features for one sampled micro-batch, staged in a pinned slot at the
 /// dataset's storage dtype. Dropping it (consumed by
 /// [`BatchInferencer::forward`], or simply discarded when a deadline
@@ -94,8 +70,7 @@ impl StagedBatch {
     }
 }
 
-/// Sampled mini-batch inference through a bounded pinned-slot pool, with a
-/// per-call panic-isolation boundary.
+/// Sampled mini-batch inference through one pinned staging slot.
 ///
 /// The two phases — [`stage`](BatchInferencer::stage) (slice features into
 /// a slot) and [`forward`](BatchInferencer::forward) (model compute on the
@@ -112,104 +87,64 @@ pub struct BatchInferencer {
 }
 
 impl BatchInferencer {
-    /// A pool of `slots` staging buffers pre-sized for `nodes_hint` sampled
-    /// nodes, without instrumentation.
-    pub fn new(dataset: Arc<Dataset>, slots: usize, nodes_hint: usize) -> Self {
-        Self::with_trace(dataset, slots, nodes_hint, &Trace::disabled())
-    }
-
-    /// Like [`BatchInferencer::new`], counting staged bytes against the
-    /// trace's `transfer.bytes`.
-    pub fn with_trace(
-        dataset: Arc<Dataset>,
-        slots: usize,
-        nodes_hint: usize,
-        trace: &Trace,
-    ) -> Self {
+    /// One staging slot pre-sized for `nodes_hint` sampled nodes, counting
+    /// staged bytes against the trace's `transfer.bytes`.
+    pub fn new(dataset: Arc<Dataset>, nodes_hint: usize, trace: &Trace) -> Self {
         let dim = dataset.features.dim();
         let dtype = dataset.features.dtype();
-        let pool = PinnedPool::new(slots, nodes_hint, dim, 1, dtype);
+        let pool = PinnedPool::new(1, nodes_hint, dim, 1, dtype);
         let transfer_bytes = trace.counter(names::counters::TRANSFER_BYTES);
         BatchInferencer { dataset, pool, transfer_bytes }
     }
 
-    /// The staging pool (bounds concurrent in-flight batches; diagnostics
-    /// can assert `available() == capacity()` when idle to prove no request
-    /// leaked a slot).
+    /// The staging pool (diagnostics can assert `available() == capacity()`
+    /// when idle to prove no request leaked the slot).
     pub fn pool(&self) -> &PinnedPool {
         &self.pool
     }
 
-    /// The dataset this inferencer slices from.
-    pub fn dataset(&self) -> &Arc<Dataset> {
-        &self.dataset
-    }
-
-    /// Slices `mfg`'s features into a pinned slot. Blocks until a slot is
-    /// free (the pool is the backpressure bound).
-    ///
-    /// # Errors
-    ///
-    /// A panic during slicing is caught here; the slot — held outside the
-    /// unwind boundary — returns to the pool before this function returns.
-    pub fn stage(&self, mfg: &MessageFlowGraph) -> Result<StagedBatch, InferPanic> {
+    /// Slices `mfg`'s features into the pinned slot. Blocks until the slot
+    /// is free, so the batch staged before must have been forwarded or
+    /// dropped. A panic while slicing unwinds through here and drops the
+    /// slot, which returns it to the pool.
+    pub fn stage(&self, mfg: &MessageFlowGraph) -> StagedBatch {
         let dim = self.dataset.features.dim();
         let mut slot = self.pool.acquire();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            slot.prepare(mfg.num_nodes(), dim, 0);
-            self.dataset
-                .features
-                .slice_into(&mfg.node_ids, slot.features_mut());
-        }));
-        match outcome {
-            Ok(()) => Ok(StagedBatch { slot }),
-            Err(payload) => Err(InferPanic { message: panic_message(payload) }),
-        }
+        slot.prepare(mfg.num_nodes(), dim, 0);
+        self.dataset
+            .features
+            .slice_into(&mfg.node_ids, slot.features_mut());
+        StagedBatch { slot }
     }
 
     /// Hands the staged slot to the forward pass (the simulated host→device
     /// transfer: its payload is counted in `transfer.bytes`, nothing is
     /// copied) and runs the model in eval mode. Returns argmax predictions
-    /// for the micro-batch's seed nodes.
-    ///
-    /// # Errors
-    ///
-    /// A panicking model is caught at this boundary; the tape that holds the
-    /// slot drops inside it, on return or unwind, and the slot is back in
-    /// the pool either way.
+    /// for the micro-batch's seed nodes. The tape holds the slot and drops
+    /// it on return or unwind, so the slot is back in the pool either way.
     pub fn forward(
         &self,
         staged: StagedBatch,
         model: &mut dyn GnnModel,
         mfg: &MessageFlowGraph,
         rng: &mut StdRng,
-    ) -> Result<Vec<u32>, InferPanic> {
+    ) -> Vec<u32> {
         let dim = self.dataset.features.dim();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.transfer_bytes.add(staged.slot.payload_bytes() as u64);
-            let tape = Tape::no_grad();
-            let x = tape.constant_rows(Rc::new(staged.slot), dim);
-            let out = model.forward(&tape, x, mfg, Mode::Eval, rng);
-            metrics::argmax_rows(&out.value())
-        }));
-        match outcome {
-            Ok(preds) => Ok(preds),
-            Err(payload) => Err(InferPanic { message: panic_message(payload) }),
-        }
+        self.transfer_bytes.add(staged.slot.payload_bytes() as u64);
+        let tape = Tape::no_grad();
+        let x = tape.constant_rows(Rc::new(staged.slot), dim);
+        let out = model.forward(&tape, x, mfg, Mode::Eval, rng);
+        metrics::argmax_rows(&out.value())
     }
 
     /// Stage + forward in one call (the offline evaluation path).
-    ///
-    /// # Errors
-    ///
-    /// Propagates a caught panic from either phase.
     pub fn infer_mfg(
         &self,
         model: &mut dyn GnnModel,
         mfg: &MessageFlowGraph,
         rng: &mut StdRng,
-    ) -> Result<Vec<u32>, InferPanic> {
-        let staged = self.stage(mfg)?;
+    ) -> Vec<u32> {
+        let staged = self.stage(mfg);
         self.forward(staged, model, mfg, rng)
     }
 }
@@ -220,6 +155,11 @@ mod tests {
     use salient_graph::DatasetConfig;
     use salient_nn::{build_model, ModelKind};
     use salient_sampler::FastSampler;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    fn inferencer(ds: &Arc<Dataset>, nodes_hint: usize) -> BatchInferencer {
+        BatchInferencer::new(Arc::clone(ds), nodes_hint, &Trace::disabled())
+    }
 
     /// A model that always panics — stands in for any poisoned request.
     struct PoisonModel;
@@ -256,9 +196,9 @@ mod tests {
         let mut sampler = FastSampler::new(9);
         let batch: Vec<NodeId> = ds.splits.val[..16].to_vec();
         let mfg = sampler.sample(&ds.graph, &batch, &[4, 4]);
-        let inferencer = BatchInferencer::new(Arc::clone(&ds), 1, 32);
+        let inferencer = inferencer(&ds, 32);
         let mut rng = StdRng::seed_from_u64(0);
-        let staged = inferencer.infer_mfg(model.as_mut(), &mfg, &mut rng).unwrap();
+        let staged = inferencer.infer_mfg(model.as_mut(), &mfg, &mut rng);
         // Reference: the pre-existing direct-gather path.
         let tape = Tape::new();
         let x = tape.constant(ds.features.gather_f32(&mfg.node_ids));
@@ -276,14 +216,15 @@ mod tests {
         let mfg = sampler.sample(&ds.graph, &batch, &[3, 3]);
         // One slot: any leak would deadlock the second call instead of
         // completing it.
-        let inferencer = BatchInferencer::new(Arc::clone(&ds), 1, 16);
+        let inferencer = inferencer(&ds, 16);
         let mut rng = StdRng::seed_from_u64(0);
         let mut poison = PoisonModel;
         for _ in 0..3 {
-            let err = inferencer
-                .infer_mfg(&mut poison, &mfg, &mut rng)
-                .unwrap_err();
-            assert!(err.message.contains("poisoned request"), "{err}");
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                inferencer.infer_mfg(&mut poison, &mfg, &mut rng)
+            }))
+            .unwrap_err();
+            assert_eq!(err.downcast_ref::<&str>(), Some(&"poisoned request"));
             assert_eq!(
                 inferencer.pool().available(),
                 inferencer.pool().capacity(),
@@ -292,25 +233,26 @@ mod tests {
         }
         // The pool still works after the unwinds.
         let mut model = build_model(ModelKind::Sage, ds.features.dim(), 8, ds.num_classes, 2, 0);
-        assert!(inferencer.infer_mfg(model.as_mut(), &mfg, &mut rng).is_ok());
+        let preds = inferencer.infer_mfg(model.as_mut(), &mfg, &mut rng);
+        assert_eq!(preds.len(), mfg.batch_size());
     }
 
     #[test]
     fn panicking_stage_returns_slot_to_pool() {
         let ds = Arc::new(DatasetConfig::tiny(13).build());
-        let inferencer = BatchInferencer::new(Arc::clone(&ds), 1, 16);
+        let inferencer = inferencer(&ds, 16);
         // An MFG referencing a node outside the dataset: slicing panics.
         let bogus = MessageFlowGraph {
             node_ids: vec![ds.graph.num_nodes() as NodeId + 10],
             layers: vec![MfgLayer { edge_src: vec![], edge_dst: vec![], n_src: 1, n_dst: 1 }],
         };
-        assert!(inferencer.stage(&bogus).is_err());
+        assert!(catch_unwind(AssertUnwindSafe(|| inferencer.stage(&bogus))).is_err());
         assert_eq!(inferencer.pool().available(), inferencer.pool().capacity());
         // Dropping a staged batch without forwarding it also frees the slot.
         let mut sampler = FastSampler::new(2);
         let batch: Vec<NodeId> = ds.splits.val[..4].to_vec();
         let mfg = sampler.sample(&ds.graph, &batch, &[3]);
-        let staged = inferencer.stage(&mfg).unwrap();
+        let staged = inferencer.stage(&mfg);
         assert!(staged.payload_bytes() > 0);
         assert_eq!(inferencer.pool().available(), 0);
         drop(staged);

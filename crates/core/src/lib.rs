@@ -42,7 +42,7 @@ pub mod checkpoint;
 pub mod infer;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
-pub use infer::{BatchInferencer, InferPanic, StagedBatch};
+pub use infer::{BatchInferencer, StagedBatch};
 pub use config::{ExecutorKind, RunConfig};
 pub use ddp_train::{train_ddp, train_ddp_traced, DdpError, DdpRunResult};
 pub use timing::StageTimings;

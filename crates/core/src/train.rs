@@ -431,12 +431,8 @@ impl Trainer {
     pub fn evaluate_sampled(&mut self, nodes: &[NodeId], fanouts: &[usize]) -> (f64, Vec<u32>) {
         let seed = self.config.seed ^ 0x1FE2;
         let (sampler, inferencer) = self.eval.get_or_insert_with(|| {
-            let inferencer = BatchInferencer::with_trace(
-                Arc::clone(&self.dataset),
-                1,
-                self.config.batch_size,
-                &self.trace,
-            );
+            let inferencer =
+                BatchInferencer::new(Arc::clone(&self.dataset), self.config.batch_size, &self.trace);
             (FastSampler::new(seed), inferencer)
         });
         // Every call draws the same stream, as when each built its sampler.
@@ -444,11 +440,7 @@ impl Trainer {
         let mut preds = Vec::with_capacity(nodes.len());
         for chunk in nodes.chunks(self.config.batch_size) {
             let mfg = sampler.sample(&self.dataset.graph, chunk, fanouts);
-            #[expect(clippy::panic, reason = "offline evaluation keeps the old contract: a poisoned model is a caller bug, not load to shed, so its panic is re-raised")]
-            let batch_preds = inferencer
-                .infer_mfg(self.model.as_mut(), &mfg, &mut self.rng)
-                .unwrap_or_else(|p| panic!("{p}"));
-            preds.extend(batch_preds);
+            preds.extend(inferencer.infer_mfg(self.model.as_mut(), &mfg, &mut self.rng));
         }
         let targets: Vec<u32> = nodes.iter().map(|&v| self.dataset.labels[v as usize]).collect();
         (metrics::accuracy(&preds, &targets), preds)

@@ -15,9 +15,6 @@ pub struct ServeConfig {
     /// it. Keeping this a small multiple of `max_batch` is what bounds
     /// worst-case queueing latency (and hence overload p99).
     pub queue_capacity: usize,
-    /// Shed `Overload` when the rolling p99 latency estimate exceeds this
-    /// (ns). `u64::MAX` disables the check.
-    pub p99_shed_ns: u64,
     /// Fanout ladder, level 0 first (full quality). Every level must have
     /// the same number of hops (the model's layer count).
     pub fanout_ladder: Vec<Vec<usize>>,
@@ -37,8 +34,6 @@ pub struct ServeConfig {
     /// Successful single-request probes required to close a half-open
     /// breaker.
     pub breaker_probes: u32,
-    /// Pinned staging slots for the inference pool.
-    pub slots: usize,
     /// Base RNG seed (model eval stream, sampler respawn streams).
     pub seed: u64,
 }
@@ -48,7 +43,6 @@ impl Default for ServeConfig {
         ServeConfig {
             max_batch: 16,
             queue_capacity: 32,
-            p99_shed_ns: u64::MAX,
             fanout_ladder: vec![vec![10, 10], vec![5, 5], vec![2, 2]],
             pressure_occupancy: 0.75,
             degrade_after: 2,
@@ -56,7 +50,6 @@ impl Default for ServeConfig {
             breaker_open_after: 3,
             breaker_cooldown_ns: 50_000_000,
             breaker_probes: 2,
-            slots: 2,
             seed: 0,
         }
     }
@@ -68,14 +61,13 @@ impl ServeConfig {
     /// # Panics
     ///
     /// Panics on a degenerate configuration: empty or ragged fanout
-    /// ladder, zero batch/queue/slots, or a queue smaller than one batch.
+    /// ladder, zero batch or queue, or a queue smaller than one batch.
     pub fn validate(&self) {
         assert!(self.max_batch > 0, "max_batch must be positive");
         assert!(
             self.queue_capacity >= self.max_batch,
             "queue must hold at least one full micro-batch"
         );
-        assert!(self.slots > 0, "need at least one staging slot");
         assert!(!self.fanout_ladder.is_empty(), "fanout ladder cannot be empty");
         let hops = self.fanout_ladder[0].len();
         assert!(hops > 0, "fanouts cannot be empty");

@@ -1,8 +1,8 @@
 //! The deterministic serving state machine.
 //!
 //! [`ServerCore`] owns everything one serving instance needs — the trained
-//! model, a [`BatchInferencer`] (pinned-slot staging + panic isolation), a
-//! seeded sampler, the pending queue, the degradation [`Ladder`], and the
+//! model, a [`BatchInferencer`] (one pinned staging slot), a seeded
+//! sampler, the pending queue, the degradation [`Ladder`], and the
 //! circuit [`Breaker`] — and exposes exactly two operations:
 //! [`submit`](ServerCore::submit) (admission) and
 //! [`step`](ServerCore::step) (form and run one micro-batch). It reads
@@ -24,15 +24,15 @@
 //! # Stage failure
 //!
 //! The three stages of a micro-batch run in order on the calling thread
-//! (`ServerCore::run_stages`), each as one guarded call. A stage that
-//! panics fails its batch — every member still live gets
-//! [`Response::Failed`] — and counts against the [`Breaker`]; the breaker
-//! opening is what dumps the flight recorder. A crashed sampler is replaced
-//! by a freshly seeded one.
+//! (`ServerCore::run_stages`), each as one call under `run_stage`'s guard,
+//! the only panic boundary a stage has. A stage that panics fails its
+//! batch — every member still live gets [`Response::Failed`] — and counts
+//! against the [`Breaker`]; the breaker opening is what dumps the flight
+//! recorder. A crashed sampler is replaced by a freshly seeded one.
 
 #![expect(
     clippy::indexing_slicing,
-    reason = "ring invariant next < LATENCY_WINDOW == buf.len(); batch-member indices run over equal-length vecs built in step"
+    reason = "batch-member indices run over equal-length vecs built in step"
 )]
 
 use crate::breaker::{Breaker, BreakerMove, BreakerState};
@@ -52,9 +52,6 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-/// Completed latencies kept for the rolling p99 estimate.
-const LATENCY_WINDOW: usize = 128;
-
 /// EWMA smoothing for the per-batch service-time floor.
 const EWMA_ALPHA: f64 = 0.2;
 
@@ -67,45 +64,6 @@ struct Pending {
 
 /// A stage of the micro-batch panicked; the batch fails as a whole.
 struct StageCrashed;
-
-/// Rolling window of completed-request latencies with a cached p99.
-#[derive(Debug, Default)]
-struct LatencyWindow {
-    buf: Vec<u64>,
-    next: usize,
-    cached_p99: u64,
-    /// `refresh`'s working copy, reused so a step neither allocates nor sorts.
-    scratch: Vec<u64>,
-}
-
-impl LatencyWindow {
-    fn push(&mut self, v: u64) {
-        if self.buf.len() < LATENCY_WINDOW {
-            self.buf.push(v);
-        } else {
-            self.buf[self.next] = v;
-            self.next = (self.next + 1) % LATENCY_WINDOW;
-        }
-    }
-
-    /// Recomputes the cached p99 (called once per micro-batch, not per
-    /// submit, so admission stays cheap).
-    fn refresh(&mut self) {
-        if self.buf.is_empty() {
-            self.cached_p99 = 0;
-            return;
-        }
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&self.buf);
-        let idx = (self.scratch.len() as f64 * 0.99).ceil() as usize;
-        let rank = idx.min(self.scratch.len()) - 1;
-        self.cached_p99 = *self.scratch.select_nth_unstable(rank).1;
-    }
-
-    fn p99(&self) -> u64 {
-        self.cached_p99
-    }
-}
 
 /// Metric handles resolved once so the per-request path is atomic adds.
 struct Instruments {
@@ -215,7 +173,6 @@ pub struct ServerCore {
     pending: VecDeque<Pending>,
     ladder: Ladder,
     breaker: Breaker,
-    window: LatencyWindow,
     /// EWMA of micro-batch pipeline nanoseconds: the admission floor for
     /// `DeadlineInfeasible` (0 until the first batch completes).
     ewma_batch_ns: f64,
@@ -245,8 +202,7 @@ impl ServerCore {
         // Pre-size staging for a worst-case (level-0) micro-batch.
         let expansion: usize = cfg.fanout_ladder[0].iter().map(|f| f + 1).product();
         let nodes_hint = cfg.max_batch * expansion.min(256);
-        let inferencer =
-            BatchInferencer::with_trace(Arc::clone(&dataset), cfg.slots, nodes_hint, &trace);
+        let inferencer = BatchInferencer::new(Arc::clone(&dataset), nodes_hint, &trace);
         let ladder = Ladder::new(
             cfg.fanout_ladder.clone(),
             cfg.degrade_after,
@@ -270,7 +226,6 @@ impl ServerCore {
             pending: VecDeque::with_capacity(cfg.queue_capacity),
             ladder,
             breaker,
-            window: LatencyWindow::default(),
             ewma_batch_ns: 0.0,
             batch_seq: 0,
             ins,
@@ -308,11 +263,6 @@ impl ServerCore {
         self.ladder.level()
     }
 
-    /// The rolling p99 latency estimate admission control consults (ns).
-    pub fn p99_estimate_ns(&self) -> u64 {
-        self.window.p99()
-    }
-
     /// The staging pool (idle ⇒ `available() == capacity()`; anything less
     /// is a leaked slot).
     pub fn pool_available(&self) -> (usize, usize) {
@@ -328,7 +278,8 @@ impl ServerCore {
     ///
     /// Order of checks: deadline feasibility first (an infeasible deadline
     /// is the caller's problem, reported as such even under overload), then
-    /// breaker, queue bound, and the p99 estimate.
+    /// the queue fault site, breaker, and the queue bound, which is what
+    /// bounds overload latency.
     ///
     /// # Errors
     ///
@@ -363,11 +314,6 @@ impl ServerCore {
         }
 
         if self.pending.len() >= self.cfg.queue_capacity {
-            self.ins.shed_overload.inc();
-            return Err(Rejected::Overload);
-        }
-
-        if self.window.p99() > self.cfg.p99_shed_ns {
             self.ins.shed_overload.inc();
             return Err(Rejected::Overload);
         }
@@ -469,7 +415,8 @@ impl ServerCore {
         };
 
         // Harvest: retire queue-expired requests, isolate per-request
-        // handler faults, and coalesce the survivors.
+        // failures, and coalesce the survivors.
+        let num_nodes = self.dataset.graph.num_nodes();
         let mut members: Vec<Pending> = Vec::with_capacity(limit);
         while members.len() < limit {
             let Some(p) = self.pending.pop_front() else { break };
@@ -479,14 +426,15 @@ impl ServerCore {
                 continue;
             }
             // Per-request isolation boundary: an injected handler panic (or
-            // drop) poisons exactly this request, never the server.
+            // drop) poisons exactly this request, never the server. So does
+            // a node the graph does not have, which would otherwise panic
+            // the sampler and fail every request batched with it.
             let id = p.req.id;
-            let handled = catch_unwind(AssertUnwindSafe(|| {
+            let failed = catch_unwind(AssertUnwindSafe(|| {
                 apply_fault(&self.clock, fault::sites::SERVE_REQUEST, id)
+                    || p.req.node as usize >= num_nodes
             }));
-            match handled {
-                // A handler that dropped the request's effect is also a
-                // contained per-request failure.
+            match failed {
                 Err(_) | Ok(true) => {
                     self.ins.request_panics.inc();
                     out.responses.push((id, Response::Failed));
@@ -542,7 +490,6 @@ impl ServerCore {
                     let latency_ns = now.saturating_sub(m.admitted_ns);
                     self.ins.completed.inc();
                     self.ins.latency_ns.observe(latency_ns);
-                    self.window.push(latency_ns);
                     Response::Done { class, latency_ns, fanout_level }
                 }
             };
@@ -574,9 +521,9 @@ impl ServerCore {
     /// record a span, and a staged slot drops back into the pool.
     ///
     /// Returns the distinct seeds' predictions, or `None` for a batch that
-    /// expired whole. A panicking stage fails the batch, never the server;
-    /// [`BatchInferencer::stage`] and [`BatchInferencer::forward`] report
-    /// their own panics as `Err`, which is the same failure.
+    /// expired whole. A panicking stage fails the batch, never the server:
+    /// [`BatchInferencer::stage`] and [`BatchInferencer::forward`] catch
+    /// nothing, so their panics reach `run_stage` like any other.
     fn run_stages(
         &mut self,
         seq: u64,
@@ -606,7 +553,7 @@ impl ServerCore {
         let (staged, t2) = run_stage(&self.trace, &self.clock, SLICE, seq, t1, || {
             self.inferencer.stage(&mfg)
         });
-        let Some(Ok(staged)) = staged else {
+        let Some(staged) = staged else {
             return Err(StageCrashed);
         };
         if self.expire_members(members, expired_at, Stage::Slice, t2) == 0 {
@@ -616,7 +563,7 @@ impl ServerCore {
         let (preds, t3) = run_stage(&self.trace, &self.clock, GEMM, seq, t2, || {
             self.inferencer.forward(staged, self.model.as_mut(), &mfg, &mut self.rng)
         });
-        let Some(Ok(preds)) = preds else {
+        let Some(preds) = preds else {
             return Err(StageCrashed);
         };
         self.expire_members(members, expired_at, Stage::Gemm, t3);
@@ -624,11 +571,10 @@ impl ServerCore {
     }
 
     /// Post-batch bookkeeping shared by success and failure paths: batch
-    /// histogram, p99 cache, EWMA service floor, and the degradation
-    /// ladder (fed the pressure observed when the batch formed).
+    /// histogram, EWMA service floor, and the degradation ladder (fed the
+    /// pressure observed when the batch formed).
     fn after_batch(&mut self, batch_start: u64, now: u64, pressured: bool) {
         self.ins.batch_ns.observe(now.saturating_sub(batch_start));
-        self.window.refresh();
         let dur = now.saturating_sub(batch_start) as f64;
         self.ewma_batch_ns = if self.ewma_batch_ns == 0.0 {
             dur
@@ -687,27 +633,4 @@ pub fn run_trace(core: &mut ServerCore, arrivals: &[Arrival]) -> Vec<(u64, Respo
         out.extend(step.responses);
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use salient_tensor::rng::Rng;
-
-    #[test]
-    fn rolling_p99_is_the_order_statistic_of_the_sorted_window() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut window = LatencyWindow::default();
-        window.refresh();
-        assert_eq!(window.p99(), 0);
-        for pushed in 1..=3 * LATENCY_WINDOW {
-            // Ties included: values repeat within a window.
-            window.push(rng.random_range(0u64..200));
-            window.refresh();
-            let mut sorted = window.buf.clone();
-            sorted.sort_unstable();
-            let idx = (sorted.len() as f64 * 0.99).ceil() as usize;
-            assert_eq!(window.p99(), sorted[idx - 1], "after {pushed} latencies");
-        }
-    }
 }

@@ -12,8 +12,9 @@
 //! load exceeds capacity:
 //!
 //! * **Admission control** ([`ServerCore::submit`]): a bounded pending
-//!   queue plus a p99-latency estimate; requests that cannot be served are
-//!   shed with a typed [`Rejected`] response — never silently dropped.
+//!   queue, whose depth bounds queueing latency; requests that cannot be
+//!   served are shed with a typed [`Rejected`] response — never silently
+//!   dropped.
 //! * **Deadline propagation**: each request carries an absolute deadline
 //!   (from the shared [`salient_trace::Clock`], so the whole state machine
 //!   runs under a `VirtualClock` in tests); expiry is detected at admission
@@ -23,10 +24,11 @@
 //!   lower-fidelity answers instead of collapse — and restores them with
 //!   hysteresis once pressure clears.
 //! * **Panic isolation + circuit breaker** ([`Breaker`]): per-request and
-//!   per-stage panics are caught by a `catch_unwind` round one unit of
+//!   per-stage panics are caught by one `catch_unwind` round one unit of
 //!   work, as a `batchprep` worker catches a panicking item (the pinned
-//!   slot returns to its pool by RAII); consecutive micro-batch failures open a breaker that shunts
-//!   load away until a cooldown admits probe traffic again.
+//!   slot returns to its pool by RAII); consecutive micro-batch failures
+//!   open a breaker that shunts load away until a cooldown admits probe
+//!   traffic again.
 //!
 //! Everything is timed through [`salient_trace::Clock`] and instrumented
 //! with `serve.*` counters/histograms/spans, and every failure mode is
@@ -75,9 +77,9 @@ pub struct Request {
 /// there are no silent drops.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Rejected {
-    /// The server is saturated: the pending queue is full, the p99
-    /// estimate exceeds the configured bound, or the circuit breaker is
-    /// open. Retry later, ideally with backoff.
+    /// The server is saturated: the pending queue is full (or its injected
+    /// fault fired), or the circuit breaker is open. Retry later, ideally
+    /// with backoff.
     Overload,
     /// The request's deadline cannot be met even by an idle server (already
     /// past, or a budget below the observed service floor). Retrying with
@@ -116,8 +118,9 @@ pub enum Response {
     /// Admitted, but the deadline expired at `stage`; remaining work was
     /// dropped as early as the batch structure allowed.
     Expired(Stage),
-    /// The request's pipeline panicked (injected or real). The panic was
-    /// isolated: the server keeps serving, the staging slot was returned.
+    /// The request's pipeline panicked (injected or real), or it named a
+    /// node outside the graph. The failure was isolated: the server keeps
+    /// serving, the staging slot was returned.
     Failed,
 }
 

@@ -29,15 +29,6 @@ pub struct SendError<T>(pub T);
 #[derive(Debug, PartialEq, Eq)]
 pub struct RecvError;
 
-/// Why a non-blocking receive returned nothing.
-#[derive(Debug, PartialEq, Eq)]
-pub enum TryRecvError {
-    /// The buffer is currently empty (senders still connected).
-    Empty,
-    /// Every sender was dropped and the buffer is empty.
-    Disconnected,
-}
-
 /// Why a bounded-wait receive returned nothing.
 #[derive(Debug, PartialEq, Eq)]
 pub enum RecvTimeoutError {
@@ -105,16 +96,6 @@ impl<T> Sender<T> {
             st = wait_unpoisoned(&self.inner.not_full, st);
         }
     }
-
-    /// Messages currently buffered (for depth gauges; racy by nature).
-    pub fn len(&self) -> usize {
-        lock_unpoisoned(&self.inner.state).queue.len()
-    }
-
-    /// Whether the buffer is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl<T> Clone for Sender<T> {
@@ -163,19 +144,6 @@ impl<T> Receiver<T> {
         }
     }
 
-    /// Takes the next message if one is buffered, without blocking.
-    pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut st = lock_unpoisoned(&self.inner.state);
-        match st.queue.pop_front() {
-            Some(v) => {
-                self.inner.not_full.notify_one();
-                Ok(v)
-            }
-            None if st.senders == 0 => Err(TryRecvError::Disconnected),
-            None => Err(TryRecvError::Empty),
-        }
-    }
-
     /// Like [`Receiver::recv`], but gives up after `timeout`.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
         #[expect(clippy::disallowed_methods, reason = "monotonic deadline for a caller-supplied timeout; no wall-clock data escapes")]
@@ -203,11 +171,6 @@ impl<T> Receiver<T> {
     /// Messages currently buffered.
     pub fn len(&self) -> usize {
         lock_unpoisoned(&self.inner.state).queue.len()
-    }
-
-    /// Whether the buffer is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// A blocking iterator that yields until every sender disconnects and
@@ -278,22 +241,13 @@ mod tests {
         assert_eq!(rx.len(), 4);
         for i in 0..4 {
             assert_eq!(rx.recv().unwrap(), i);
+            assert_eq!(rx.len(), 3 - i);
         }
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-    }
-
-    #[test]
-    fn sender_len_tracks_depth() {
-        let (tx, rx) = bounded(3);
-        assert!(tx.is_empty());
-        tx.send(1u32).unwrap();
-        tx.send(2).unwrap();
-        assert_eq!((tx.len(), rx.len()), (2, 2));
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(tx.len(), 1);
-        drop(rx);
-        // The departing receiver took the buffered message with it.
-        assert_eq!(tx.len(), 0);
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(1)),
+            Err(RecvTimeoutError::Timeout),
+            "an empty buffer with a live sender has nothing to give"
+        );
     }
 
     #[test]
@@ -314,7 +268,6 @@ mod tests {
         drop(tx);
         assert_eq!(rx.recv(), Ok(7));
         assert_eq!(rx.recv(), Err(RecvError));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
 
     #[test]

@@ -190,7 +190,8 @@ registry! {
     SERVE_SHED_BREAKER = "serve.shed_breaker",
     /// Admitted requests whose deadline expired mid-pipeline (dropped early).
     SERVE_EXPIRED = "serve.deadline_expired",
-    /// Per-request panics caught at the serving isolation boundary.
+    /// Requests failed alone at the serving per-request boundary: a caught
+    /// handler panic or drop, or a node outside the graph.
     SERVE_REQUEST_PANICS = "serve.request_panics",
     /// Degradation-ladder steps down (fanout reduced).
     SERVE_DEGRADES = "serve.degrades",

@@ -232,8 +232,11 @@ test -s target/bench_kernels.json
 echo "== serving tier: deadlines, admission control, degradation ladder"
 # The deterministic VirtualClock tests — deadline expiry at every stage
 # boundary, breaker open -> half-open -> close, ladder degrade/restore
-# hysteresis, exact replay equality under a seeded bursty trace — are
-# tests/serving.rs, run by both workspace passes above.
+# hysteresis, exact replay equality under a seeded bursty trace, a node
+# outside the graph failing alone at harvest, a model panic inside the
+# GEMM stage failing only its batch under the stage's one guard — are
+# tests/serving.rs, run by both workspace passes above. Admission is
+# feasibility, breaker and the bounded queue; there is no p99 guard.
 # Here the real-clock frontier: trains a model, sweeps Poisson load at
 # 0.3x/0.7x/2x calibrated capacity, and asserts the overload contract
 # in-bench (no shedding below the knee, typed shedding at 2x, p99 within

@@ -11,18 +11,26 @@
 //! * the degradation ladder steps down under a seeded bursty trace and
 //!   restores with hysteresis — and the entire response sequence replays
 //!   identically;
-//! * no staging slot leaks, whatever dies or expires.
+//! * no staging slot leaks, whatever dies or expires;
+//! * a request for a node outside the graph fails alone at harvest, and a
+//!   panic inside a stage's body fails only its batch.
 //!
 //! The fault plan is process-global, so tests that install one serialize
 //! on a mutex.
 
 use salient_repro::core::{RunConfig, Trainer};
 use salient_repro::fault::{self, sites, FaultKind, FaultPlan, FaultSpec, Trigger};
-use salient_repro::graph::{Dataset, DatasetConfig};
+use salient_repro::graph::{Dataset, DatasetConfig, NodeId};
+use salient_repro::nn::{GnnModel, Mode, ModelKind};
+use salient_repro::sampler::MessageFlowGraph;
 use salient_repro::serve::{
-    loadgen, run_trace, Rejected, Request, Response, ServeConfig, ServerCore, Stage,
+    loadgen, run_trace, BreakerState, Rejected, Request, Response, ServeConfig, ServerCore, Stage,
+    StepOutcome,
 };
+use salient_repro::tensor::rng::StdRng;
+use salient_repro::tensor::{Param, Tape, Var};
 use salient_repro::trace::{names, Clock, Trace};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
@@ -315,5 +323,146 @@ fn every_arrival_gets_exactly_one_terminal_response() {
     let completed = snap.metrics.counter(names::counters::SERVE_COMPLETED);
     let expired = snap.metrics.counter(names::counters::SERVE_EXPIRED);
     assert_eq!(completed + expired, admitted, "every admitted request retired");
+    assert_pool_intact(&core);
+}
+
+/// Submits `node` with a budget that never expires in these tests.
+fn submit(core: &mut ServerCore, id: u64, node: NodeId) {
+    let deadline_ns = core.now_ns() + GENEROUS;
+    core.submit(Request { id, node, deadline_ns }).unwrap();
+}
+
+/// The `(id, class)` of every request a step served.
+fn served(out: &StepOutcome) -> Vec<(u64, u32)> {
+    out.responses
+        .iter()
+        .filter_map(|(id, r)| match r {
+            Response::Done { class, .. } => Some((*id, *class)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Three steps in a row each carry one request for a node the graph does
+/// not have among three good ones. It fails alone, at harvest: its
+/// neighbours get the classes a server that never saw it gives, which also
+/// shows the sampler kept its stream from step to step, and no batch
+/// failed, so the breaker that three failures would open stays closed.
+#[test]
+fn a_node_outside_the_graph_fails_alone_and_its_batch_is_served() {
+    let _s = serial();
+    let bad = dataset().graph.num_nodes() as NodeId;
+    // A queue deep enough that four requests are no pressure: the ladder
+    // stays where the reference's three leave it.
+    let cfg = ServeConfig { queue_capacity: 16, ..small_cfg() };
+    let mut core = core_with(cfg.clone());
+    let mut reference = core_with(cfg);
+    for round in 0..3u64 {
+        let ids = [10 * round, 10 * round + 1, 10 * round + 2];
+        let bad_id = 10 * round + 9;
+        submit(&mut core, ids[0], 3);
+        submit(&mut core, bad_id, bad);
+        submit(&mut core, ids[1], 7);
+        submit(&mut core, ids[2], 11);
+        for (id, node) in ids.into_iter().zip([3, 7, 11]) {
+            submit(&mut reference, id, node);
+        }
+        let out = core.step();
+        assert!(out.ran_batch, "round {round}");
+        assert_eq!(out.responses.len(), 4, "round {round}: {out:?}");
+        assert!(out.responses.contains(&(bad_id, Response::Failed)), "round {round}: {out:?}");
+        let want = served(&reference.step());
+        assert_eq!(want.len(), 3);
+        assert_eq!(served(&out), want, "round {round}");
+        assert_pool_intact(&core);
+    }
+    assert_eq!(core.breaker_state(), BreakerState::Closed);
+    let snap = core.trace().snapshot();
+    assert_eq!(snap.metrics.counter(names::counters::SERVE_BREAKER_OPENS), 0);
+    assert_eq!(snap.metrics.counter(names::counters::SERVE_REQUEST_PANICS), 3);
+    assert_eq!(snap.metrics.counter(names::counters::SERVE_COMPLETED), 9);
+}
+
+/// The trained model, except that its forward panics while `poisoned` is
+/// set: a panic from inside the GEMM stage's body, after the tape has taken
+/// the staged slot, not from the injected fault site before the body.
+struct Poisonable {
+    inner: Box<dyn GnnModel>,
+    poisoned: Arc<AtomicBool>,
+}
+
+impl GnnModel for Poisonable {
+    fn forward(
+        &mut self,
+        tape: &Tape,
+        x: Var,
+        mfg: &MessageFlowGraph,
+        mode: Mode,
+        rng: &mut StdRng,
+    ) -> Var {
+        assert!(!self.poisoned.load(Ordering::Relaxed), "model poisoned");
+        self.inner.forward(tape, x, mfg, mode, rng)
+    }
+    fn params(&self) -> Vec<&Param> {
+        self.inner.params()
+    }
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.inner.params_mut()
+    }
+    fn kind(&self) -> ModelKind {
+        self.inner.kind()
+    }
+    fn num_layers(&self) -> usize {
+        self.inner.num_layers()
+    }
+}
+
+/// `run_stage` is the only guard a stage has: a model that panics fails its
+/// batch's live members (a member that already expired keeps its
+/// `Expired`), counts one breaker failure, and unwinds the slot back into
+/// the pool, and once the model heals the next step serves.
+#[test]
+fn a_panic_inside_the_model_fails_only_its_batch_and_returns_the_slot() {
+    let _s = serial();
+    let ds = dataset();
+    let poisoned = Arc::new(AtomicBool::new(true));
+    let model = Box::new(Poisonable {
+        inner: Trainer::new(Arc::clone(&ds), RunConfig::test_tiny()).into_model(),
+        poisoned: Arc::clone(&poisoned),
+    });
+    let cfg = ServeConfig { breaker_open_after: 2, ..small_cfg() };
+    let cooldown_ns = cfg.breaker_cooldown_ns;
+    let mut core = ServerCore::new(model, ds, cfg, Trace::new(Clock::virtual_with_tick(1_000)));
+    let vc = Arc::clone(core.clock().as_virtual().unwrap());
+    // The first batch's sampler stalls 100 µs: request 0 (50 µs budget)
+    // dies there, request 1 lives on into the panicking GEMM stage.
+    let plan = FaultPlan::new(3).delay_at(sites::SERVE_SAMPLER, 0, Duration::from_micros(100));
+    let _guard = fault::scoped(plan);
+    let now = core.now_ns();
+    core.submit(Request { id: 0, node: 0, deadline_ns: now + 50_000 }).unwrap();
+    submit(&mut core, 1, 1);
+    let out = core.step();
+    assert_eq!(out.responses, vec![(0, Response::Expired(Stage::Sample)), (1, Response::Failed)]);
+    assert_pool_intact(&core);
+    let snap = core.trace().snapshot();
+    assert!(
+        snap.metrics.counter(names::counters::TRANSFER_BYTES) > 0,
+        "the panic came from the stage body, after the slot was handed over"
+    );
+    assert_eq!(snap.spans(names::spans::SERVE_GEMM).count(), 1);
+    assert_eq!(snap.metrics.counter(names::counters::SERVE_REQUEST_PANICS), 0);
+    // One failure counted: the breaker, open after two, is still closed,
+    // and a second poisoned batch opens it.
+    assert_eq!(core.breaker_state(), BreakerState::Closed);
+    submit(&mut core, 2, 2);
+    assert_eq!(core.step().responses, vec![(2, Response::Failed)]);
+    assert_eq!(core.breaker_state(), BreakerState::Open);
+    assert_pool_intact(&core);
+    // Healed: after the cooldown the next step serves.
+    poisoned.store(false, Ordering::Relaxed);
+    vc.advance(cooldown_ns);
+    submit(&mut core, 3, 3);
+    let out = core.step();
+    assert!(out.responses[0].1.is_done(), "{out:?}");
     assert_pool_intact(&core);
 }
