@@ -227,8 +227,8 @@ impl Communicator {
         phase: CommPhase,
     ) -> Result<Vec<f32>, CommError> {
         // The pre-increment value doubles as the ring-step index tagged
-        // onto the send/recv edge spans, letting the critical-path
-        // reconstructor chain them across ranks. Relaxed: diagnostic
+        // onto the send/recv spans: a step, not a batch id, so trace
+        // attribution keeps them off batch chains. Relaxed: diagnostic
         // counter; the channel send/recv provide all cross-rank ordering.
         let ring_step = self.steps.fetch_add(1, Ordering::Relaxed);
         // Comm span covers the send and the (possibly blocking) receive —
@@ -480,8 +480,8 @@ mod tests {
         let snap = trace.snapshot();
         // 2 ranks × (1 reduce-scatter + 1 all-gather) ring steps.
         assert_eq!(snap.spans(names::spans::COMM_STEP).count(), 4);
-        // Every step carries one send edge and one recv edge, batch-tagged
-        // with its ring-step index for the critical-path reconstructor.
+        // Every step carries one send span and one recv span, tagged with
+        // its ring-step index.
         assert_eq!(snap.spans(names::spans::DDP_RING_SEND).count(), 4);
         assert_eq!(snap.spans(names::spans::DDP_RING_RECV).count(), 4);
         assert!(snap

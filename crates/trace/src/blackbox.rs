@@ -10,13 +10,12 @@
 //! Dumps fire on pipeline poison (a stage graph's panic budget running
 //! out), serve circuit-breaker open, and fault-site fires (the callers hold
 //! the trigger; [`Blackbox::dump`] is the mechanism). A dump is one JSON file
-//! containing the trigger metadata, the failing batch's causal chain
-//! (via [`crate::critical_path`]), those recent events as a Chrome trace,
-//! and the full metrics snapshot — everything needed to diagnose a dead
-//! run post-mortem.
+//! containing the trigger metadata, the failing batch's causal chain in the
+//! open epoch (via [`crate::analysis::attribute`]), those recent events as a
+//! Chrome trace, and the full metrics snapshot — everything needed to
+//! diagnose a dead run post-mortem.
 
-use crate::analysis::Snapshot;
-use crate::critical_path;
+use crate::analysis::{self, Snapshot};
 use crate::export;
 use crate::lock_tolerant;
 use crate::names;
@@ -77,14 +76,14 @@ impl Blackbox {
     /// Writes one dump file and returns its path (`None` if the filesystem
     /// refused; the recorder itself must never panic — it runs inside fault
     /// handlers). The dump records `reason`, the triggering `batch`, that
-    /// batch's causal chain, each thread's recent events as an embedded
-    /// Chrome trace, and the full metrics snapshot; it also ticks
+    /// batch's causal chain in the open epoch, each thread's recent events
+    /// as an embedded Chrome trace, and the full metrics snapshot; it also ticks
     /// `blackbox.dumps` and emits a `blackbox.dump` instant on `trace`.
     pub fn dump(&self, trace: &Trace, reason: &str, batch: u64) -> Option<String> {
         let full = trace.snapshot();
         let dumped = Snapshot { events: recent(&full), ..full };
-        let chains = critical_path::batch_chains(&dumped);
-        let chain = chains.iter().find(|c| c.batch == batch);
+        let attribution = analysis::attribute(&dumped);
+        let chain = attribution.open_chain(batch);
 
         // Relaxed: the sequence only needs uniqueness, not ordering.
         let seq = DUMP_SEQ.fetch_add(1, Ordering::Relaxed);
@@ -97,7 +96,7 @@ impl Blackbox {
             dumped.events.len()
         );
         if let Some(c) = chain {
-            for (i, e) in c.edges.iter().enumerate() {
+            for (i, (kind, e)) in c.typed_edges().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
@@ -105,7 +104,7 @@ impl Blackbox {
                     out,
                     "\n  {{\"kind\": \"{}\", \"name\": \"{}\", \"tid\": {}, \
                      \"start_ns\": {}, \"end_ns\": {}}}",
-                    e.kind.label(),
+                    kind.label(),
                     export::json_escape(e.name),
                     e.tid,
                     e.start_ns,

@@ -16,11 +16,16 @@
 //!   flight recorder ([`blackbox`]) both read them; counters/gauges/
 //!   histograms are `Arc`'d atomics. A disabled handle records nothing,
 //!   reads no clock, and allocates nothing on the span fast path.
-//! * [`analysis`] — turns a [`Snapshot`] of span intervals into a
-//!   [`PipelineReport`]: trainer stall attribution
-//!   (prep-blocked / transfer / compute / other), worker prep breakdown,
-//!   slot-wait backpressure, and the prep∕compute overlap that quantifies
-//!   pipelining.
+//! * [`analysis`] — one pass ([`attribute`]) over a [`Snapshot`] of span
+//!   intervals, reading each span's meaning off one span-role table:
+//!   - a [`PipelineReport`]: trainer stall attribution (prep-blocked /
+//!     transfer / compute / other), worker prep breakdown, slot-wait
+//!     backpressure, and the prep∕compute overlap that quantifies
+//!     pipelining ([`analyze`] returns it alone);
+//!   - each batch's causal chain ([`BatchChain`], keyed by epoch and batch
+//!     id) and their summed [`ChainAttribution`];
+//!   - the per-batch stage durations ([`RecordedStages`]) the what-if
+//!     projector `salient_sim::what_if` replays.
 //! * [`export`] — a human-readable epoch report, a JSON metrics snapshot,
 //!   and Chrome trace-event JSON (open in `chrome://tracing` or Perfetto);
 //!   [`json`] holds the in-repo parser/validator used by CI to check the
@@ -52,7 +57,6 @@
 pub mod analysis;
 pub mod blackbox;
 mod clock;
-pub mod critical_path;
 pub mod export;
 pub mod json;
 pub mod names;
@@ -60,10 +64,12 @@ mod span;
 
 pub mod metrics;
 
-pub use analysis::{analyze, PipelineReport, Snapshot, ThreadOccupancy};
+pub use analysis::{
+    analyze, attribute, Attribution, BatchChain, ChainAttribution, PipelineReport, RecordedStages,
+    Snapshot, ThreadOccupancy,
+};
 pub use blackbox::Blackbox;
 pub use clock::{Clock, VirtualClock};
-pub use critical_path::{batch_chains, BatchChain, ChainAttribution, EdgeKind, RecordedStages};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
 pub use span::{EventKind, SpanEvent, SpanGuard, Trace, NO_BATCH};
 

@@ -30,10 +30,9 @@ use salient_repro::graph::DatasetConfig;
 use salient_repro::pipeline::shape;
 use salient_repro::tensor::pool;
 use salient_repro::sim::what_if;
-use salient_repro::trace::critical_path::{batch_chains, summarize, RecordedStages};
 use salient_repro::trace::export::{chrome_trace, metrics_json, render_report};
 use salient_repro::trace::json::validate_chrome_trace;
-use salient_repro::trace::{analyze, names, Clock, Trace};
+use salient_repro::trace::{analyze, attribute, names, Clock, Trace};
 use std::sync::Arc;
 
 /// Worker/consumer overlap measurement on the real clock, on a host of
@@ -126,8 +125,9 @@ fn main() {
     }
 
     let snap = trace.snapshot();
-    let report = analyze(&snap);
-    println!("\n{}", render_report(&report, &snap));
+    let attribution = attribute(&snap);
+    let report = &attribution.report;
+    println!("\n{}", render_report(report, &snap));
 
     // The four stage shares partition the trainer's epoch wall-clock.
     let pcts = report.stage_pcts();
@@ -207,9 +207,13 @@ fn main() {
     // Per-batch causal chains: charge every nanosecond of every batch's
     // latency to a named category, then project what doubling the compute
     // stage's speed would buy: the recorded stage durations re-executed on
-    // the sim plane's pipelined schedule.
-    let chains = batch_chains(&snap);
-    let attr = summarize(&chains);
+    // the sim plane's pipelined schedule. Chains are keyed by (epoch, batch
+    // id), as ids restart every epoch: one chain, and one recorded batch,
+    // per batch trained.
+    let trained = snap.metrics.counter(names::counters::BATCHES) as usize;
+    let chains = &attribution.chains;
+    assert_eq!(chains.len(), trained, "one causal chain per trained batch");
+    let attr = attribution.chain_total;
     let chain_total = attr.total_ns.max(1);
     let cat_pct: Vec<(String, Json)> = attr
         .categories()
@@ -230,7 +234,8 @@ fn main() {
         "critical path must attribute >= 90% of chain time to named \
          categories, got {named_pct:.1}% (queued {queued_pct:.1}%)"
     );
-    let what_if = RecordedStages::from_snapshot(&snap).map(|r| {
+    let what_if = attribution.stages.as_ref().map(|r| {
+        assert_eq!(r.train_ns.len(), trained, "one recorded batch per trained batch");
         let recorded = [&r.prep_ns[..], &r.transfer_ns[..], &r.train_ns[..]];
         what_if(recorded, r.prep_lanes, shape::TRANSFER_QUEUE_CAP, prefetch, 2, 2.0)
     });

@@ -189,8 +189,10 @@ test -s target/bench_pipeline.json
 test -s target/trace_pipeline.json
 test -s target/metrics_pipeline.json
 # The critical-path section is the profiler's acceptance gate: >= 90% of
-# every batch's chain extent charged to named causal categories (the
-# example itself asserts this; CI re-checks the artifact survived).
+# every batch's chain extent charged to named causal categories, and one
+# chain (and one recorded batch for the what-if line) per batch trained,
+# as the `pipeline.batches` counter says (the example itself asserts both;
+# CI re-checks the artifact survived).
 grep -q '"critical_path"' target/bench_pipeline.json
 grep -q '"named_pct"' target/bench_pipeline.json
 # The flight recorder keeps no store of its own (a dump reads the trace's

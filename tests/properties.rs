@@ -497,3 +497,113 @@ fn fault_spec_parser_returns_on_assembled_clauses() {
     }
     assert!(parsed > 100, "the assembled clauses must also reach the Ok path ({parsed})");
 }
+
+/// A random pipeline trace: 1–4 back-to-back phases of 1 000 ns, batch ids
+/// restarting at 0 in each. The trainer (the calling thread) records
+/// disjoint stage spans inside each phase, at most 360 ns of them, so they
+/// fit any closed window; 1–3 worker threads record prep spans that may
+/// overlap anything, plus ring links tagged with a ring step. 0–3 phases are
+/// closed by an `epoch` span; a last, open phase has none, as in a
+/// mid-epoch snapshot. Returns the snapshot and the `(phase, batch)` pairs
+/// that recorded a chain edge.
+fn random_pipeline_trace(
+    rng: &mut StdRng,
+) -> (salient_repro::trace::Snapshot, std::collections::BTreeSet<(usize, u64)>) {
+    use salient_repro::trace::names::spans;
+    use salient_repro::trace::{Clock, Trace, NO_BATCH};
+
+    const PHASE: u64 = 1_000;
+    let trace = Trace::new(Clock::virtual_manual());
+    let closed = rng.random_range(0..=3usize);
+    let open = rng.random_range(0..2u32) == 1;
+    let phases = (closed + usize::from(open)).max(1);
+    let batches: Vec<u64> = (0..phases).map(|_| rng.random_range(1..=4u64)).collect();
+    let mut keys = std::collections::BTreeSet::new();
+
+    let trainer_spans = [spans::STAGE_PREP, spans::STAGE_TRANSFER, spans::STAGE_TRAIN, spans::WARMUP];
+    for (phase, &n) in batches.iter().enumerate() {
+        let mut at = phase as u64 * PHASE + 1;
+        for b in 0..n {
+            for _ in 0..rng.random_range(1..=3u32) {
+                at += rng.random_range(0..=10u64);
+                let len = rng.random_range(1..=20u64);
+                let name = trainer_spans[rng.random_range(0..trainer_spans.len())];
+                trace.record_span(name, b, at, at + len);
+                keys.insert((phase, b));
+                at += len;
+            }
+        }
+    }
+    let worker_spans = [
+        spans::PREP_SAMPLE,
+        spans::PREP_SLICE,
+        spans::PREP_COPY,
+        spans::SLOT_WAIT,
+        spans::STAGE_TRANSFER,
+    ];
+    for _ in 0..rng.random_range(1..=3u32) {
+        let mut plan = Vec::new();
+        for (phase, &n) in batches.iter().enumerate() {
+            for _ in 0..rng.random_range(0..=6u32) {
+                let at = phase as u64 * PHASE + rng.random_range(1..PHASE - 50);
+                let len = rng.random_range(1..=40u64);
+                if rng.random_range(0..4u32) == 0 {
+                    let ring = [spans::DDP_RING_SEND, spans::DDP_RING_RECV][rng.random_range(0..2usize)];
+                    plan.push((ring, rng.random_range(0..100u64), at, at + len));
+                } else {
+                    let b = rng.random_range(0..n);
+                    keys.insert((phase, b));
+                    let name = worker_spans[rng.random_range(0..worker_spans.len())];
+                    plan.push((name, b, at, at + len));
+                }
+            }
+        }
+        let t = trace.clone();
+        std::thread::spawn(move || {
+            for (name, b, s, e) in plan {
+                t.record_span(name, b, s, e);
+            }
+        })
+        .join()
+        .unwrap();
+    }
+    for phase in 0..closed as u64 {
+        trace.record_span(spans::EPOCH, NO_BATCH, phase * PHASE, (phase + 1) * PHASE);
+    }
+    (trace.snapshot(), keys)
+}
+
+/// One attribution pass over random multi-thread traces: chain categories
+/// partition each chain's extent, chains are keyed by (epoch, batch id),
+/// stage shares sum to 100, `other` decomposes exactly, and overlap never
+/// exceeds compute.
+#[test]
+fn attribution_partitions_random_traces() {
+    use salient_repro::trace::attribute;
+
+    for seed in 0..48u64 {
+        let mut rng = StdRng::seed_from_u64(9100 + seed);
+        let (snap, keys) = random_pipeline_trace(&mut rng);
+        let a = attribute(&snap);
+        for c in &a.chains {
+            let at = c.attribute();
+            let lo = c.edges.iter().map(|e| e.start_ns).min().unwrap();
+            let hi = c.edges.iter().map(|e| e.end_ns).max().unwrap();
+            assert_eq!(at.total_ns, hi - lo, "seed {seed}: {c:?}");
+            let sum: u64 = at.categories().iter().map(|&(_, ns)| ns).sum();
+            assert_eq!(sum, at.total_ns, "seed {seed}: {at:?}");
+        }
+        let got: std::collections::BTreeSet<(usize, u64)> =
+            a.chains.iter().map(|c| (c.epoch, c.batch)).collect();
+        assert_eq!(got, keys, "seed {seed}");
+        assert_eq!(got.len(), a.chains.len(), "seed {seed}: one chain per key");
+
+        let r = &a.report;
+        if r.window_ns > 0 {
+            let pcts: f64 = r.stage_pcts().iter().sum();
+            assert!((pcts - 100.0).abs() < 1e-9, "seed {seed}: {pcts}");
+        }
+        assert_eq!(r.fill_ns + r.idle_ns + r.shutdown_ns, r.other_ns, "seed {seed}");
+        assert!(r.overlap_ns <= r.compute_ns, "seed {seed}: {r:?}");
+    }
+}

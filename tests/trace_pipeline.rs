@@ -50,6 +50,11 @@ fn stall_attribution_sums_to_100() {
     for needle in ["prep (blocked)", "transfer", "compute", "other"] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }
+
+    // Batch ids restart every epoch, and chains are keyed by (epoch, batch):
+    // one causal chain per trained batch.
+    let chains = salient_repro::trace::attribute(&snap).chains;
+    assert_eq!(chains.len() as u64, snap.metrics.counter(names::counters::BATCHES));
 }
 
 /// `Trace::snapshot_window` filters before it clones and sorts; it must
