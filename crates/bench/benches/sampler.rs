@@ -12,8 +12,8 @@ use salient_bench::harness::{bench, report};
 use salient_core::BatchInferencer;
 use salient_graph::{Dataset, DatasetConfig, NodeId};
 use salient_sampler::{
-    record_trace, replay_trace, FastSampler, FlatIdMap, PygSampler, StdIdMap, VariantConfig,
-    VariantSampler,
+    record_trace, replay_trace, DenseIdMap, FastSampler, FlatIdMap, PygSampler, StdIdMap,
+    VariantConfig, VariantSampler,
 };
 use salient_tensor::rng::{SliceRandom, StdRng};
 use salient_trace::Trace;
@@ -160,11 +160,13 @@ fn bench_trace_replay(ds: &Dataset) {
     // different id-map implementations.
     let batch: Vec<u32> = ds.splits.train.iter().copied().take(256).collect();
     let trace = record_trace(&ds.graph, &batch, &[15, 10, 5], 7);
+    let mut dense = DenseIdMap::new();
+    let a = bench("dense_map", || replay_trace(&trace, &mut dense).num_edges());
     let mut flat = FlatIdMap::default();
-    let a = bench("flat_map", || replay_trace(&trace, &mut flat).num_edges());
+    let b = bench("flat_map", || replay_trace(&trace, &mut flat).num_edges());
     let mut std_map = StdIdMap::new();
-    let b = bench("std_map", || replay_trace(&trace, &mut std_map).num_edges());
-    report("trace_replay", &[a, b]);
+    let c = bench("std_map", || replay_trace(&trace, &mut std_map).num_edges());
+    report("trace_replay", &[a, b, c]);
 }
 
 fn bench_fanout_sweep(ds: &Dataset) {

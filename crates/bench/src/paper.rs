@@ -13,7 +13,7 @@
 //! | [`table6`] | inference accuracy vs fanout | real training |
 //! | [`table7`] | cross-system comparison | simulated |
 //! | [`fig1`] | execution timeline, baseline vs SALIENT | simulated |
-//! | [`fig2`] | 96-variant sampler design space | real wall clock |
+//! | [`fig2`] | 144-variant sampler design space | real wall clock |
 //! | [`fig3`] | accuracy & node count vs degree | real training |
 //! | [`fig4`] | single-GPU speedup over PyG | simulated + real executors |
 //! | [`fig5`] | multi-GPU scaling | simulated |
@@ -510,7 +510,7 @@ fn fig1_claims(base_util: f64, salient_util: f64) -> Vec<Claim> {
 }
 
 /// Figure 2 — exhaustive exploration of sampler optimization parameters:
-/// all 96 design-space variants timed on the wall clock on the same
+/// all 144 design-space variants timed on the wall clock on the same
 /// batches of products-sim at `scale` (256 seeds, fanouts 15,10,5, the
 /// benchmark's shape), as speedup over the PyG-baseline configuration.
 /// Each variant runs `reps` passes a round for `rounds` rounds with the
@@ -576,6 +576,7 @@ pub fn fig2(scale: f64, reps: usize, rounds: usize) -> (String, Vec<Claim>) {
         let xs: Vec<f64> = results.iter().filter(|(c, _)| pred(c)).map(|(_, s)| *s).collect();
         xs.iter().sum::<f64>() / xs.len() as f64
     };
+    let dense = mean(&|c| c.id_map == IdMapKind::Dense);
     let flat = mean(&|c| c.id_map == IdMapKind::Flat);
     let std_map = mean(&|c| c.id_map == IdMapKind::Std);
     let array = mean(&|c| c.neighbor_set == NeighborSetKind::Array);
@@ -586,6 +587,7 @@ pub fn fig2(scale: f64, reps: usize, rounds: usize) -> (String, Vec<Claim>) {
     let rej = mean(&|c| c.algo == SampleAlgo::Rejection);
     for (label, a, b) in [
         ("flat map vs std map (mean speedup):", flat, std_map),
+        ("dense map vs flat map (mean):", dense, flat),
         ("array set vs flat hash set (mean):", array, flatset),
         ("bitmap set vs array set (mean):", bitmap, array),
         ("floyd vs partial FY (mean):", floyd, fy),

@@ -18,7 +18,7 @@
 
 #![expect(
     clippy::indexing_slicing,
-    reason = "frontier indices are produced by the same loop bounds that size node_ids; picks are positions below the row's length"
+    reason = "frontier indices are below the node count mapped so far; picks are positions below the row's length; a write at node_ids[len] is checked against node_capacity's bound and panics rather than grows"
 )]
 
 use crate::mfg::{MessageFlowGraph, MfgLayer};
@@ -121,9 +121,9 @@ fn sample_partial_fy(
 /// Requires `fanout < degree`.
 ///
 /// Most adjacency lists are short: up to [`MASK_BITS`] positions the taken
-/// set is a register, there is nothing to clear, and the positions come out
-/// of it in ascending order; only longer lists go through the
-/// [`NeighborSet`].
+/// set is a register, there is nothing to clear, and the mask itself is the
+/// result, read out in ascending order; only longer lists go through the
+/// [`NeighborSet`] into `picks`.
 #[inline]
 fn sample_floyd<S: NeighborSet>(
     degree: usize,
@@ -131,7 +131,7 @@ fn sample_floyd<S: NeighborSet>(
     set: &mut S,
     rng: &mut impl Rng,
     picks: &mut Vec<u32>,
-) {
+) -> Drawn {
     // Draw the smaller side: the positions to keep, or those to leave out.
     let complement = 2 * fanout > degree;
     let draws = if complement { degree - fanout } else { fanout };
@@ -147,10 +147,7 @@ fn sample_floyd<S: NeighborSet>(
         if complement {
             mask = !mask & (u64::MAX >> (MASK_BITS - degree));
         }
-        while mask != 0 {
-            picks.push(mask.trailing_zeros());
-            mask &= mask - 1;
-        }
+        Drawn::Mask(mask)
     } else {
         set.clear();
         for j in steps {
@@ -170,6 +167,7 @@ fn sample_floyd<S: NeighborSet>(
             picks.clear();
             picks.extend((0..degree as u32).filter(|&idx| set.insert(idx)));
         }
+        Drawn::Listed
     }
 }
 
@@ -212,11 +210,23 @@ fn prefetch_hop_start(graph: &CsrGraph, node_ids: &[NodeId]) {
     }
 }
 
-/// Replaces `picks` with `min(degree, fanout)` distinct positions in
-/// `0..degree`, drawn with the chosen algorithm. Every position of a
-/// destination is drawn before any is mapped to a local id, so the id-map
-/// probes of one node (independent loads) are not serialised behind its RNG
-/// draws.
+/// Where [`draw`] left a destination's positions.
+#[derive(Clone, Copy, Debug)]
+enum Drawn {
+    /// All of `0..degree`: the fanout covers the whole neighbourhood.
+    All(u32),
+    /// The set bits of a mask, ascending: Floyd's draw up to degree 64.
+    Mask(u64),
+    /// The `picks` buffer.
+    Listed,
+}
+
+/// Draws `min(degree, fanout)` distinct positions in `0..degree` with the
+/// chosen algorithm. Every position of a destination is drawn before any is
+/// mapped to a local id, so the id-map probes of one node (independent
+/// loads) are not serialised behind its RNG draws. Most destinations leave
+/// their positions in a register (a whole neighbourhood, or Floyd's mask);
+/// the rest in `picks`.
 #[inline]
 fn draw<S: NeighborSet>(
     algo: SampleAlgo,
@@ -226,16 +236,31 @@ fn draw<S: NeighborSet>(
     swaps: &mut Vec<(u32, u32)>,
     rng: &mut impl Rng,
     picks: &mut Vec<u32>,
-) {
-    picks.clear();
+) -> Drawn {
     if degree <= fanout {
-        picks.extend(0..degree as u32);
-        return;
+        return Drawn::All(degree as u32);
     }
+    picks.clear();
     match algo {
         SampleAlgo::Rejection => sample_rejection(degree, fanout, set, rng, picks),
         SampleAlgo::PartialFisherYates => sample_partial_fy(degree, fanout, swaps, rng, picks),
-        SampleAlgo::Floyd => sample_floyd(degree, fanout, set, rng, picks),
+        SampleAlgo::Floyd => return sample_floyd(degree, fanout, set, rng, picks),
+    }
+    Drawn::Listed
+}
+
+/// Calls `f` with each position of `drawn`, in the order drawn.
+#[inline(always)]
+fn for_each_position(drawn: Drawn, picks: &[u32], mut f: impl FnMut(u32)) {
+    match drawn {
+        Drawn::All(degree) => (0..degree).for_each(f),
+        Drawn::Mask(mut mask) => {
+            while mask != 0 {
+                f(mask.trailing_zeros());
+                mask &= mask - 1;
+            }
+        }
+        Drawn::Listed => picks.iter().for_each(|&idx| f(idx)),
     }
 }
 
@@ -248,17 +273,15 @@ pub struct EngineScratch {
     swaps: Vec<(u32, u32)>,
     /// Positions drawn for one destination, before they are mapped.
     picks: Vec<u32>,
-    /// Node count of the previous MFG and its edge count per hop: what the
-    /// next batch's vectors are reserved from, so a steady stream of
-    /// like-sized batches never regrows them.
-    last_nodes: usize,
-    last_edges: Vec<usize>,
 }
 
-/// Capacity for a vector the previous batch filled with `last` items (0 =
-/// no previous batch): an eighth more than that, within `floor..=bound`.
-fn reserve_from(last: usize, floor: usize, bound: usize) -> usize {
-    (last + last / 8 + 64).clamp(floor.min(bound), bound)
+/// Room for every node a batch can reach, plus the slot the unconditional
+/// write of a neighbour needs once every node is mapped. Each hop samples
+/// from every node so far, so it multiplies the count by at most
+/// `fanout + 1`, and no MFG holds more nodes than the graph.
+fn node_capacity(batch: usize, fanouts: &[usize], num_nodes: usize) -> usize {
+    let reach = fanouts.iter().fold(batch, |n, &f| n.saturating_mul(f.saturating_add(1)));
+    reach.min(num_nodes) + 1
 }
 
 /// Samples a multi-hop MFG for `batch` with the given per-hop `fanouts`
@@ -280,9 +303,17 @@ pub fn sample_with<M: IdMap, S: NeighborSet>(
     sample_hinting(graph, batch, fanouts, opts, map, set, scratch, rng, |_| {})
 }
 
-/// [`sample_with`], calling `on_new(v)` the moment node `v` gets its local
-/// id, seeds included. `on_new` may only hint (prefetch what the caller
-/// reads next): the MFG and the RNG stream are those of `sample_with`.
+/// [`sample_with`], calling `on_new(v)` for each node `v` that gets a local
+/// id, seeds included, once the destination that reached it is mapped.
+/// `on_new` may only hint (prefetch what the caller reads next): the MFG and
+/// the RNG stream are those of `sample_with`.
+///
+/// A neighbour is mapped without a branch on whether it is new: its id is
+/// written at `node_ids[len]` and `len` advances by the map's answer, so
+/// both lengths stay in registers and `node_ids` is allocated once, at its
+/// bound ([`node_capacity`]), and written in place; each hop's edge lists
+/// are allocated once at `frontier × fanout` edges and filled one
+/// destination at a time.
 pub(crate) fn sample_hinting<M: IdMap, S: NeighborSet>(
     graph: &CsrGraph,
     batch: &[NodeId],
@@ -296,81 +327,92 @@ pub(crate) fn sample_hinting<M: IdMap, S: NeighborSet>(
 ) -> MessageFlowGraph {
     assert!(!batch.is_empty(), "cannot sample an empty batch");
     assert!(!fanouts.is_empty(), "need at least one fanout");
-    let EngineScratch { pairs, swaps, picks, last_nodes, last_edges } = scratch;
-    last_edges.resize(fanouts.len(), 0);
+    let EngineScratch { pairs, swaps, picks } = scratch;
 
-    map.clear();
-    let mut node_ids: Vec<NodeId> =
-        Vec::with_capacity(reserve_from(*last_nodes, batch.len() * 4, usize::MAX));
+    map.begin(graph.num_nodes());
+    // Every slot below `len` holds a mapped node; the one at `len` is free
+    // to be written, and a bounds-checked write catches a map that claims
+    // more new nodes than the bound allows.
+    let mut node_ids: Vec<NodeId> = vec![0; node_capacity(batch.len(), fanouts, graph.num_nodes())];
+    let mut len = 0usize;
     for &v in batch {
-        let local = node_ids.len() as u32;
-        let (_, new) = map.get_or_insert(v, local);
+        let (_, new) = map.get_or_insert(v, len as u32);
         assert!(new, "duplicate node {v} in batch");
-        node_ids.push(v);
+        node_ids[len] = v;
+        len += 1;
         on_new(v);
     }
 
     let mut layers_rev: Vec<MfgLayer> = Vec::with_capacity(fanouts.len());
-    let mut frontier_len = node_ids.len();
+    let mut frontier_len = len;
 
-    for (&fanout, last) in fanouts.iter().zip(last_edges.iter_mut()) {
+    for &fanout in fanouts {
         if opts.reserve {
             map.reserve(frontier_len * fanout);
         }
-        let edge_cap = reserve_from(*last, frontier_len * fanout.min(16), frontier_len * fanout);
+        // A destination keeps at most `fanout` neighbours and at most all of
+        // them, so a hop has at most that many edges.
+        let edge_cap = frontier_len.saturating_mul(fanout).min(graph.num_edges());
         let mut edge_src: Vec<u32> = Vec::with_capacity(edge_cap);
         let mut edge_dst: Vec<u32> = Vec::with_capacity(edge_cap);
 
-        prefetch_hop_start(graph, &node_ids);
+        prefetch_hop_start(graph, &node_ids[..frontier_len]);
         if opts.fused {
+            let mut ne = 0usize;
+            let src = edge_src.spare_capacity_mut();
+            let dst = edge_dst.spare_capacity_mut();
             for i in 0..frontier_len {
-                prefetch_ahead(graph, &node_ids, i);
+                prefetch_ahead(graph, &node_ids[..frontier_len], i);
                 let neighbors = graph.neighbors(node_ids[i]);
-                draw(opts.algo, neighbors.len(), fanout, set, swaps, rng, picks);
-                for &idx in picks.iter() {
+                let drawn = draw(opts.algo, neighbors.len(), fanout, set, swaps, rng, picks);
+                let first_new = len;
+                for_each_position(drawn, picks, |idx| {
                     let u = neighbors[idx as usize];
-                    let fallback = node_ids.len() as u32;
-                    let (local, new) = map.get_or_insert(u, fallback);
-                    if new {
-                        node_ids.push(u);
-                        on_new(u);
-                    }
-                    edge_src.push(local);
-                }
-                edge_dst.extend(std::iter::repeat_n(i as u32, picks.len()));
+                    let (local, new) = map.get_or_insert(u, len as u32);
+                    node_ids[len] = u;
+                    len += usize::from(new);
+                    src[ne].write(local);
+                    dst[ne].write(i as u32);
+                    ne += 1;
+                });
+                node_ids[first_new..len].iter().for_each(|&u| on_new(u));
+            }
+            // SAFETY: the loop wrote src[..ne] and dst[..ne], each write checked against capacity.
+            unsafe {
+                edge_src.set_len(ne);
+                edge_dst.set_len(ne);
             }
         } else {
             // Phase A: sample into a (dst, neighbor) buffer.
             pairs.clear();
             for i in 0..frontier_len {
-                prefetch_ahead(graph, &node_ids, i);
+                prefetch_ahead(graph, &node_ids[..frontier_len], i);
                 let neighbors = graph.neighbors(node_ids[i]);
-                draw(opts.algo, neighbors.len(), fanout, set, swaps, rng, picks);
-                pairs.extend(picks.iter().map(|&idx| (i as u32, neighbors[idx as usize])));
+                let drawn = draw(opts.algo, neighbors.len(), fanout, set, swaps, rng, picks);
+                for_each_position(drawn, picks, |idx| pairs.push((i as u32, neighbors[idx as usize])));
             }
             // Phase B: map globals to locals and build edge lists.
-            for &(dst, u) in pairs.iter() {
-                let fallback = node_ids.len() as u32;
-                let (local, new) = map.get_or_insert(u, fallback);
-                if new {
-                    node_ids.push(u);
-                    on_new(u);
-                }
-                edge_src.push(local);
-                edge_dst.push(dst);
-            }
+            let first_new = len;
+            edge_src.extend(pairs.iter().map(|&(_, u)| {
+                let (local, new) = map.get_or_insert(u, len as u32);
+                node_ids[len] = u;
+                len += usize::from(new);
+                local
+            }));
+            edge_dst.extend(pairs.iter().map(|&(dst, _)| dst));
+            node_ids[first_new..len].iter().for_each(|&u| on_new(u));
         }
 
-        *last = edge_src.len();
         layers_rev.push(MfgLayer {
             edge_src,
             edge_dst,
-            n_src: node_ids.len(),
+            n_src: len,
             n_dst: frontier_len,
         });
-        frontier_len = node_ids.len();
+        frontier_len = len;
     }
-    *last_nodes = node_ids.len();
+    node_ids.truncate(len);
+    map.end(&node_ids);
 
     // Hops were built output-side first; forward order is the reverse, and
     // each layer's n_src must be the final node count of the *next* sampled

@@ -37,8 +37,8 @@ pub use fast::FastSampler;
 pub use mfg::{MessageFlowGraph, MfgLayer};
 pub use pyg_baseline::PygSampler;
 pub use structures::{
-    ArrayNeighborSet, BitmapNeighborSet, FlatIdMap, FlatNeighborSet, IdMap, NeighborSet, StdIdMap,
-    StdNeighborSet,
+    ArrayNeighborSet, BitmapNeighborSet, DenseIdMap, FlatIdMap, FlatNeighborSet, IdMap, NeighborSet,
+    StdIdMap, StdNeighborSet,
 };
 pub use trace::{record_trace, replay_trace, HopTrace, SampleTrace};
 pub use variants::{IdMapKind, NeighborSetKind, VariantConfig, VariantSampler};

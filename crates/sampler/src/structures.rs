@@ -10,16 +10,18 @@
 //!   for one destination node, for sampling *without replacement*.
 //!
 //! Each has a "standard library" implementation (the PyG/STL analogue,
-//! SipHash + buckets) and a flat implementation; the set additionally has the
-//! array variant and the bitmap that ships. All implementations are reusable
-//! across batches via `clear`, because allocation churn was one of the
-//! baseline's hidden costs — and `clear` runs once per batch (map) or once
-//! per destination node (set), so the two shipped structures clear in time
-//! proportional to what the last use touched, not to their capacity.
+//! SipHash + buckets) and a flat implementation; the map additionally has
+//! the direct-indexed table that ships ([`DenseIdMap`], one `u32` per graph
+//! node, as GNNLab's `simple_hashtable`), the set the array variant and the
+//! bitmap that ships. All implementations are reusable across batches,
+//! because allocation churn was one of the baseline's hidden costs — and a
+//! map is emptied once per batch, a set once per destination node, so the
+//! shipped structures empty in time proportional to what the last use
+//! touched, not to their capacity.
 
 #![expect(
     clippy::indexing_slicing,
-    reason = "filled holds slot indices of the table it was built against, which old still is; probe indices are masked by the power-of-two table capacity on every step"
+    reason = "filled holds slot indices of the table it was built against, which old still is; probe indices are masked by the power-of-two table capacity on every step; a dense slot index is a node id, checked against the table"
 )]
 
 use salient_graph::NodeId;
@@ -33,26 +35,24 @@ fn fib_hash(key: u32, bits: u32) -> usize {
     ((key.wrapping_mul(0x9E37_79B9)) >> (32 - bits)) as usize
 }
 
-/// Global→local node id map.
+/// Global→local node id map, used one batch at a time: [`IdMap::begin`],
+/// inserts, [`IdMap::end`].
 pub trait IdMap {
+    /// Starts a batch over a graph of `num_nodes` nodes: the map is empty
+    /// after it, and takes any key below `num_nodes`.
+    fn begin(&mut self, num_nodes: usize);
+
     /// Returns the local id of `global`, inserting `fallback` if absent.
     /// The boolean is `true` when the key was newly inserted.
     fn get_or_insert(&mut self, global: NodeId, fallback: u32) -> (u32, bool);
 
-    /// Removes all entries, retaining capacity where possible.
-    fn clear(&mut self);
+    /// Ends the batch begun last, whose inserted keys were exactly `keys`.
+    /// A map that keeps its own record of them ignores the argument.
+    fn end(&mut self, keys: &[NodeId]);
 
-    /// Pre-sizes the structure for roughly `n` keys (no-op where
+    /// Pre-sizes the structure for roughly `n` more keys (no-op where
     /// unsupported).
     fn reserve(&mut self, n: usize);
-
-    /// Number of stored keys.
-    fn len(&self) -> usize;
-
-    /// Whether the map is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// `std::collections::HashMap` (SipHash) — the STL-map analogue of the PyG
@@ -80,16 +80,14 @@ impl IdMap for StdIdMap {
         }
     }
 
-    fn clear(&mut self) {
+    fn begin(&mut self, _num_nodes: usize) {
         self.map.clear();
     }
 
+    fn end(&mut self, _keys: &[NodeId]) {}
+
     fn reserve(&mut self, n: usize) {
         self.map.reserve(n);
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
     }
 }
 
@@ -97,9 +95,9 @@ impl IdMap for StdIdMap {
 /// "swiss table" analogue that gave the paper its ~2× sampler speedup.
 ///
 /// Key and value share one `[key, val]` entry, so a probe touches one cache
-/// line, and the slots filled since the last [`IdMap::clear`] are remembered:
-/// clearing costs O(keys inserted), which is what a batch of one seed node
-/// pays in a table a batch of 256 once grew.
+/// line, and the slots filled since the last [`IdMap::begin`] are
+/// remembered: emptying costs O(keys inserted), which is what a batch of one
+/// seed node pays in a table a batch of 256 once grew.
 #[derive(Debug)]
 pub struct FlatIdMap {
     /// `[key, val]` per slot; a key of `EMPTY` marks a free slot.
@@ -179,22 +177,79 @@ impl IdMap for FlatIdMap {
         }
     }
 
-    fn clear(&mut self) {
+    fn begin(&mut self, _num_nodes: usize) {
         for &slot in &self.filled {
             self.entries[slot as usize][0] = EMPTY;
         }
         self.filled.clear();
     }
 
+    fn end(&mut self, _keys: &[NodeId]) {}
+
     fn reserve(&mut self, n: usize) {
         while (self.filled.len() + n) * 4 >= self.entries.len() * 3 {
             self.grow();
         }
     }
+}
 
-    fn len(&self) -> usize {
-        self.filled.len()
+/// A table indexed directly by node id: one `u32` per graph node, the local
+/// id or `u32::MAX` when unmapped — GNNLab's `simple_hashtable` choice.
+///
+/// A lookup is one load, one select and one store, with no hash, no probe
+/// loop and no branch on whether the key was new. The price is memory:
+/// 4 B per graph node per map (40 KB at 10 000 nodes, 444 MB at
+/// papers100M's 111 M). The table is sized to the graph at the first
+/// [`IdMap::begin`], grows for a larger graph, and is emptied by walking the
+/// batch's own node ids in [`IdMap::end`], in O(batch nodes).
+///
+/// A batch that never reaches `end` (a panic mid-batch) leaves its keys in
+/// the table; the next `begin` sees that and resets every slot, so a map
+/// that outlives a caught panic samples as a fresh one.
+#[derive(Debug, Default)]
+pub struct DenseIdMap {
+    /// Local id per graph node, `EMPTY` when unmapped.
+    slots: Vec<u32>,
+    /// A batch has begun and not ended: its keys may still be in `slots`.
+    open: bool,
+}
+
+impl DenseIdMap {
+    /// Creates an empty map; the table is allocated by the first batch.
+    pub fn new() -> Self {
+        Self::default()
     }
+}
+
+impl IdMap for DenseIdMap {
+    fn begin(&mut self, num_nodes: usize) {
+        if self.open {
+            self.slots.fill(EMPTY);
+        }
+        if self.slots.len() < num_nodes {
+            self.slots.resize(num_nodes, EMPTY);
+        }
+        self.open = true;
+    }
+
+    #[inline]
+    fn get_or_insert(&mut self, global: NodeId, fallback: u32) -> (u32, bool) {
+        let slot = &mut self.slots[global as usize];
+        let stored = *slot;
+        let new = stored == EMPTY;
+        let local = std::hint::select_unpredictable(new, fallback, stored);
+        *slot = local;
+        (local, new)
+    }
+
+    fn end(&mut self, keys: &[NodeId]) {
+        for &k in keys {
+            self.slots[k as usize] = EMPTY;
+        }
+        self.open = false;
+    }
+
+    fn reserve(&mut self, _n: usize) {}
 }
 
 /// Tracks already-sampled neighbor positions for one destination node.
@@ -397,7 +452,7 @@ mod tests {
     use super::*;
 
     fn exercise_map(map: &mut impl IdMap) {
-        assert!(map.is_empty());
+        map.begin(1_000);
         let (v, new) = map.get_or_insert(100, 0);
         assert!(new);
         assert_eq!(v, 0);
@@ -407,12 +462,15 @@ mod tests {
         let (v, new) = map.get_or_insert(7, 1);
         assert!(new);
         assert_eq!(v, 1);
-        assert_eq!(map.len(), 2);
-        map.clear();
-        assert_eq!(map.len(), 0);
+        map.end(&[100, 7]);
+        map.begin(1_000);
         let (v, new) = map.get_or_insert(100, 9);
-        assert!(new, "cleared map forgets keys");
+        assert!(new, "a new batch forgets keys");
         assert_eq!(v, 9);
+        let (v, new) = map.get_or_insert(7, 10);
+        assert!(new, "a new batch forgets keys");
+        assert_eq!(v, 10);
+        map.end(&[100, 7]);
     }
 
     #[test]
@@ -426,6 +484,11 @@ mod tests {
     }
 
     #[test]
+    fn dense_map_contract() {
+        exercise_map(&mut DenseIdMap::new());
+    }
+
+    #[test]
     fn flat_map_grows_correctly() {
         let mut m = FlatIdMap::with_capacity(4);
         for i in 0..10_000u32 {
@@ -433,7 +496,7 @@ mod tests {
             assert!(new);
             assert_eq!(v, i);
         }
-        assert_eq!(m.len(), 10_000);
+        assert_eq!(m.filled.len(), 10_000);
         for i in 0..10_000u32 {
             let (v, new) = m.get_or_insert(i * 7 + 1, 0);
             assert!(!new);
@@ -465,23 +528,31 @@ mod tests {
     }
 
     #[test]
-    fn flat_map_matches_std_on_random_stream() {
+    fn maps_agree_on_a_random_stream() {
         use salient_tensor::rng::Rng;
         let mut rng = salient_tensor::rng::StdRng::seed_from_u64(1);
-        let mut flat = FlatIdMap::default();
-        let mut std = StdIdMap::new();
-        let mut next = 0u32;
-        for _ in 0..50_000 {
-            let key: u32 = rng.random_range(0u32..5_000);
-            let (a, new_a) = flat.get_or_insert(key, next);
-            let (b, new_b) = std.get_or_insert(key, next);
-            assert_eq!(a, b);
-            assert_eq!(new_a, new_b);
-            if new_a {
-                next += 1;
+        let (mut std, mut flat, mut dense) = (StdIdMap::new(), FlatIdMap::default(), DenseIdMap::new());
+        for batch in 0..3 {
+            std.begin(5_000);
+            flat.begin(5_000);
+            dense.begin(5_000);
+            let mut keys = Vec::new();
+            for _ in 0..20_000 >> batch {
+                let key: u32 = rng.random_range(0u32..5_000);
+                let next = keys.len() as u32;
+                let (a, new_a) = std.get_or_insert(key, next);
+                assert_eq!(flat.get_or_insert(key, next), (a, new_a));
+                assert_eq!(dense.get_or_insert(key, next), (a, new_a));
+                if new_a {
+                    keys.push(key);
+                }
             }
+            assert_eq!(flat.filled.len(), keys.len());
+            assert_eq!(std.map.len(), keys.len());
+            std.end(&keys);
+            flat.end(&keys);
+            dense.end(&keys);
         }
-        assert_eq!(flat.len(), std.len());
     }
 
     #[test]
@@ -500,12 +571,55 @@ mod tests {
         assert_eq!(m.entries[home][0], EMPTY, "pick another stowaway");
         m.entries[home] = [stowaway, 7];
 
-        m.clear();
-        assert!(m.is_empty());
+        m.begin(0);
+        assert!(m.filled.is_empty());
         for (i, &k) in keys.iter().enumerate() {
             assert_eq!(m.get_or_insert(k, 500 + i as u32), (500 + i as u32, true), "key {k} survived");
         }
         assert_eq!(m.get_or_insert(stowaway, 0), (7, false));
+    }
+
+    #[test]
+    fn dense_map_clear_visits_only_the_batch_nodes() {
+        let mut m = DenseIdMap::new();
+        m.begin(1 << 17);
+        assert_eq!(m.slots.len(), 1 << 17);
+        let keys: Vec<u32> = (0..100).map(|i| i * 1297 + 3).collect();
+        for (i, &k) in keys.iter().enumerate() {
+            assert!(m.get_or_insert(k, i as u32).1);
+        }
+        // A stowaway no batch inserted: an end that swept all 2^17 slots
+        // would evict it, one that walks the batch's 100 nodes cannot find
+        // it.
+        let stowaway = 100_000u32;
+        assert!(!keys.contains(&stowaway));
+        m.slots[stowaway as usize] = 7;
+
+        m.end(&keys);
+        m.begin(1 << 17);
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(m.get_or_insert(k, 500 + i as u32), (500 + i as u32, true), "key {k} survived");
+        }
+        assert_eq!(m.get_or_insert(stowaway, 0), (7, false));
+    }
+
+    #[test]
+    fn dense_map_grows_for_a_larger_graph_and_resets_after_an_unended_batch() {
+        let mut m = DenseIdMap::new();
+        m.begin(10);
+        assert_eq!(m.slots.len(), 10);
+        assert_eq!(m.get_or_insert(9, 0), (0, true));
+        m.end(&[9]);
+        m.begin(4);
+        assert_eq!(m.slots.len(), 10, "a smaller graph keeps the table");
+        assert_eq!(m.get_or_insert(3, 0), (0, true));
+        // No `end`: the batch panicked. Its key must not leak into the next.
+        m.begin(1_000);
+        assert_eq!(m.slots.len(), 1_000);
+        assert!(m.slots.iter().all(|&s| s == EMPTY));
+        assert_eq!(m.get_or_insert(3, 5), (5, true));
+        assert_eq!(m.get_or_insert(999, 6), (6, true));
+        m.end(&[3, 999]);
     }
 
     fn exercise_set(set: &mut impl NeighborSet) {

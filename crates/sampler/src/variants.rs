@@ -4,17 +4,17 @@
 //! explore manually. We designed a parameterized implementation of sampled
 //! MFG generation to systematically explore this optimization space" (§4.1).
 //!
-//! Five axes are exposed here — id-map structure (2) × neighbor-set
+//! Five axes are exposed here — id-map structure (3) × neighbor-set
 //! structure (4) × fused construction (2) × capacity reservation (2) ×
 //! sampling algorithm (3: PyG's rejection loop, partial Fisher–Yates, and
-//! Floyd's one-draw-per-position algorithm) — giving 96 instantiations
+//! Floyd's one-draw-per-position algorithm) — giving 144 instantiations
 //! benchmarked by `salient paper fig2`.
 
 use crate::engine::{sample_with, EngineOpts, EngineScratch, SampleAlgo};
 use crate::mfg::MessageFlowGraph;
 use crate::structures::{
-    ArrayNeighborSet, BitmapNeighborSet, FlatIdMap, FlatNeighborSet, IdMap, NeighborSet, StdIdMap,
-    StdNeighborSet,
+    ArrayNeighborSet, BitmapNeighborSet, DenseIdMap, FlatIdMap, FlatNeighborSet, IdMap,
+    StdIdMap, StdNeighborSet,
 };
 use salient_tensor::rng::StdRng;
 use salient_graph::{CsrGraph, NodeId};
@@ -26,6 +26,8 @@ pub enum IdMapKind {
     Std,
     /// Flat open-addressing table with Fibonacci hashing (swiss-style).
     Flat,
+    /// A table indexed directly by node id, one `u32` per graph node.
+    Dense,
 }
 
 /// Which neighbor-dedup set implementation to use.
@@ -57,10 +59,10 @@ pub struct VariantConfig {
 }
 
 impl VariantConfig {
-    /// Every point of the design space (96 variants).
+    /// Every point of the design space (144 variants).
     pub fn all() -> Vec<VariantConfig> {
-        let mut out = Vec::with_capacity(96);
-        for id_map in [IdMapKind::Std, IdMapKind::Flat] {
+        let mut out = Vec::with_capacity(144);
+        for id_map in [IdMapKind::Std, IdMapKind::Flat, IdMapKind::Dense] {
             for neighbor_set in [
                 NeighborSetKind::Std,
                 NeighborSetKind::Flat,
@@ -103,7 +105,7 @@ impl VariantConfig {
     /// The configuration shipped as [`crate::FastSampler`].
     pub fn salient() -> VariantConfig {
         VariantConfig {
-            id_map: IdMapKind::Flat,
+            id_map: IdMapKind::Dense,
             neighbor_set: NeighborSetKind::Bitmap,
             fused: true,
             reserve: false,
@@ -120,13 +122,14 @@ impl VariantConfig {
         }
     }
 
-    /// A short human-readable label, e.g. `"flat/bitmap/fused/grow/floyd"`.
+    /// A short human-readable label, e.g. `"dense/bitmap/fused/grow/floyd"`.
     pub fn label(&self) -> String {
         format!(
             "{}/{}/{}/{}/{}",
             match self.id_map {
                 IdMapKind::Std => "std",
                 IdMapKind::Flat => "flat",
+                IdMapKind::Dense => "dense",
             },
             match self.neighbor_set {
                 NeighborSetKind::Std => "stdset",
@@ -149,37 +152,7 @@ impl VariantConfig {
 enum AnyIdMap {
     Std(StdIdMap),
     Flat(FlatIdMap),
-}
-
-impl IdMap for AnyIdMap {
-    #[inline]
-    fn get_or_insert(&mut self, global: NodeId, fallback: u32) -> (u32, bool) {
-        match self {
-            AnyIdMap::Std(m) => m.get_or_insert(global, fallback),
-            AnyIdMap::Flat(m) => m.get_or_insert(global, fallback),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            AnyIdMap::Std(m) => m.clear(),
-            AnyIdMap::Flat(m) => m.clear(),
-        }
-    }
-
-    fn reserve(&mut self, n: usize) {
-        match self {
-            AnyIdMap::Std(m) => m.reserve(n),
-            AnyIdMap::Flat(m) => m.reserve(n),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            AnyIdMap::Std(m) => IdMap::len(m),
-            AnyIdMap::Flat(m) => IdMap::len(m),
-        }
-    }
+    Dense(DenseIdMap),
 }
 
 #[derive(Debug)]
@@ -190,33 +163,22 @@ enum AnyNeighborSet {
     Bitmap(BitmapNeighborSet),
 }
 
-impl NeighborSet for AnyNeighborSet {
-    #[inline]
-    fn insert(&mut self, idx: u32) -> bool {
-        match self {
-            AnyNeighborSet::Std(s) => s.insert(idx),
-            AnyNeighborSet::Flat(s) => s.insert(idx),
-            AnyNeighborSet::Array(s) => s.insert(idx),
-            AnyNeighborSet::Bitmap(s) => s.insert(idx),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            AnyNeighborSet::Std(s) => s.clear(),
-            AnyNeighborSet::Flat(s) => s.clear(),
-            AnyNeighborSet::Array(s) => s.clear(),
-            AnyNeighborSet::Bitmap(s) => s.clear(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            AnyNeighborSet::Std(s) => NeighborSet::len(s),
-            AnyNeighborSet::Flat(s) => NeighborSet::len(s),
-            AnyNeighborSet::Array(s) => NeighborSet::len(s),
-            AnyNeighborSet::Bitmap(s) => NeighborSet::len(s),
-        }
+/// [`sample_with`] at the concrete set type of `set`.
+fn sample_with_set<M: IdMap>(
+    graph: &CsrGraph,
+    batch: &[NodeId],
+    fanouts: &[usize],
+    opts: EngineOpts,
+    map: &mut M,
+    set: &mut AnyNeighborSet,
+    scratch: &mut EngineScratch,
+    rng: &mut StdRng,
+) -> MessageFlowGraph {
+    match set {
+        AnyNeighborSet::Std(s) => sample_with(graph, batch, fanouts, opts, map, s, scratch, rng),
+        AnyNeighborSet::Flat(s) => sample_with(graph, batch, fanouts, opts, map, s, scratch, rng),
+        AnyNeighborSet::Array(s) => sample_with(graph, batch, fanouts, opts, map, s, scratch, rng),
+        AnyNeighborSet::Bitmap(s) => sample_with(graph, batch, fanouts, opts, map, s, scratch, rng),
     }
 }
 
@@ -238,6 +200,7 @@ impl VariantSampler {
             map: match config.id_map {
                 IdMapKind::Std => AnyIdMap::Std(StdIdMap::new()),
                 IdMapKind::Flat => AnyIdMap::Flat(FlatIdMap::default()),
+                IdMapKind::Dense => AnyIdMap::Dense(DenseIdMap::new()),
             },
             set: match config.neighbor_set {
                 NeighborSetKind::Std => AnyNeighborSet::Std(StdNeighborSet::new()),
@@ -267,16 +230,14 @@ impl VariantSampler {
         batch: &[NodeId],
         fanouts: &[usize],
     ) -> MessageFlowGraph {
-        sample_with(
-            graph,
-            batch,
-            fanouts,
-            self.config.opts(),
-            &mut self.map,
-            &mut self.set,
-            &mut self.scratch,
-            &mut self.rng,
-        )
+        // Dispatched once a batch: every point runs the engine monomorphized
+        // at its own structures, as `FastSampler` does at the shipped one.
+        let (opts, set, scratch, rng) = (self.config.opts(), &mut self.set, &mut self.scratch, &mut self.rng);
+        match &mut self.map {
+            AnyIdMap::Std(m) => sample_with_set(graph, batch, fanouts, opts, m, set, scratch, rng),
+            AnyIdMap::Flat(m) => sample_with_set(graph, batch, fanouts, opts, m, set, scratch, rng),
+            AnyIdMap::Dense(m) => sample_with_set(graph, batch, fanouts, opts, m, set, scratch, rng),
+        }
     }
 }
 
@@ -286,11 +247,11 @@ mod tests {
     use salient_graph::DatasetConfig;
 
     #[test]
-    fn design_space_has_96_points() {
+    fn design_space_has_144_points() {
         let all = VariantConfig::all();
-        assert_eq!(all.len(), 96);
+        assert_eq!(all.len(), 144);
         let unique: std::collections::HashSet<_> = all.iter().collect();
-        assert_eq!(unique.len(), 96, "variants must be distinct");
+        assert_eq!(unique.len(), 144, "variants must be distinct");
         assert!(all.contains(&VariantConfig::pyg_baseline()));
         assert!(all.contains(&VariantConfig::salient()));
     }
@@ -299,7 +260,7 @@ mod tests {
     fn labels_are_unique() {
         let labels: std::collections::HashSet<String> =
             VariantConfig::all().iter().map(|c| c.label()).collect();
-        assert_eq!(labels.len(), 96);
+        assert_eq!(labels.len(), 144);
     }
 
     #[test]

@@ -176,9 +176,10 @@ pub fn pin_heap_thresholds() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {
         // Above every per-batch block that does not come from the pool (a
-        // sampler's edge lists grow by doubling to 1-2 MiB at fanouts
-        // 20,20,20; mapping those afresh cost `infer_sweep` 10 %), below
-        // dataset arrays and the large pool classes.
+        // sampler's edge lists, reserved once a hop at frontier x fanout,
+        // reach ~0.8 MiB at fanouts 20,20,20; mapping blocks of that size
+        // afresh cost `infer_sweep` 10 %), below dataset arrays and the
+        // large pool classes.
         const MMAP_THRESHOLD: i32 = 4 << 20;
         const M_TRIM_THRESHOLD: i32 = -1;
         const M_MMAP_THRESHOLD: i32 = -3;

@@ -157,7 +157,9 @@ echo "== paper tier: results/ is what 'salient paper' prints, and every claim ho
 # today. Each artifact also checks its shape claims (Table 3's ladder is
 # monotone, Figure 5's speedup grows with graph size, ...): they print to
 # stderr, and one that fails exits non-zero. The real-clock artifacts
-# (table2, table6, fig2-4, fig6) are not run here.
+# (table2, table6, fig2-4, fig6) are not diffed; table2 (under 0.1 s) runs
+# for its claim alone: FastSampler at least 1.5x the PyG-style sampler per
+# edge.
 mkdir -p target/paper
 for name in table1 table3 table4 table5 table7 fig1 fig5; do
   ./target/release/salient paper "$name" >"target/paper/$name.txt" || {
@@ -169,6 +171,10 @@ for name in table1 table3 table4 table5 table7 fig1 fig5; do
     exit 1
   }
 done
+./target/release/salient paper table2 >target/paper/table2.txt || {
+  echo "paper tier FAILED: a 'salient paper table2' claim failed"
+  exit 1
+}
 
 echo "== fault tier: deterministic fault-injection matrix"
 # The matrix installs its own scoped plans; the fixed seed here pins the

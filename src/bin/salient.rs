@@ -57,6 +57,22 @@ fn positive(args: &[String], name: &str, default: usize) -> usize {
     n
 }
 
+/// A size or scale flag: a finite number above zero.
+fn positive_real(args: &[String], name: &str, default: f64) -> f64 {
+    let x = flag_or(args, name, default);
+    if !(x.is_finite() && x > 0.0) {
+        usage_error(format!("{name} {x}: expected a positive number"));
+    }
+    x
+}
+
+/// A run that cannot go on for a reason outside the program (a file that
+/// cannot be read or written): prints `what: err` and exits with status 1.
+fn fail(what: &str, err: impl std::fmt::Display) -> ! {
+    eprintln!("salient: {what}: {err}");
+    std::process::exit(1);
+}
+
 /// The flag's value looked up among `accepted` names (case-insensitive);
 /// the first of them when the flag is absent.
 fn choice<T: Copy>(args: &[String], name: &str, accepted: &[(&str, T)]) -> T {
@@ -73,7 +89,7 @@ fn choice<T: Copy>(args: &[String], name: &str, accepted: &[(&str, T)]) -> T {
 }
 
 fn build_dataset(args: &[String]) -> Arc<Dataset> {
-    let scale: f64 = flag_or(args, "--scale", 0.15);
+    let scale = positive_real(args, "--scale", 0.15);
     let presets: [(&str, fn(f64) -> DatasetConfig); 3] = [
         ("arxiv", DatasetConfig::arxiv_sim),
         ("products", DatasetConfig::products_sim),
@@ -138,7 +154,8 @@ fn cmd_train(args: &[String]) {
         }
         println!("wall: {:.2}s", result.wall_s);
         if let Some(path) = flag(args, "--save") {
-            Checkpoint::from_model(result.model.as_ref()).save(&path).expect("save failed");
+            let saved = Checkpoint::from_model(result.model.as_ref()).save(&path);
+            saved.unwrap_or_else(|e| fail(&format!("cannot save checkpoint {path}"), e));
             println!("saved checkpoint to {path}");
         }
         return;
@@ -159,7 +176,8 @@ fn cmd_train(args: &[String]) {
     let (test, _) = trainer.evaluate_sampled(&ds.splits.test.clone(), &[20, 20, 20]);
     println!("val accuracy {val:.4}, test accuracy {test:.4}");
     if let Some(path) = flag(args, "--save") {
-        Checkpoint::from_model(trainer.model()).save(&path).expect("save failed");
+        let saved = Checkpoint::from_model(trainer.model()).save(&path);
+        saved.unwrap_or_else(|e| fail(&format!("cannot save checkpoint {path}"), e));
         println!("saved checkpoint to {path}");
     }
 }
@@ -168,11 +186,13 @@ fn cmd_eval(args: &[String]) {
     let path = flag(args, "--load")
         .unwrap_or_else(|| usage_error("eval: --load PATH is required".to_string()));
     let cfg = run_config(args);
+    let d: usize = flag_or(args, "--fanout", 20);
+    // The file before the dataset: a bad path should not cost a build.
+    let ckpt = Checkpoint::load(&path).unwrap_or_else(|e| fail(&format!("cannot read checkpoint {path}"), e));
     let ds = build_dataset(args);
     let mut trainer = Trainer::new(Arc::clone(&ds), cfg);
-    let ckpt = Checkpoint::load(&path).expect("cannot read checkpoint");
-    ckpt.apply_to_model(trainer.model_mut()).expect("checkpoint mismatch");
-    let d: usize = flag_or(args, "--fanout", 20);
+    ckpt.apply_to_model(trainer.model_mut())
+        .unwrap_or_else(|e| fail(&format!("checkpoint {path} does not fit the model"), e));
     let (acc, _) = trainer.evaluate_sampled(&ds.splits.test.clone(), &[d, d, d]);
     println!("test accuracy at fanout ({d},{d},{d}): {acc:.4}");
 }
@@ -184,26 +204,26 @@ fn cmd_paper(args: &[String]) {
     type Run = fn(&[String]) -> Result<(String, Vec<paper::Claim>), String>;
     let artifacts: [(&str, Run); 13] = [
         ("table1", |_| Ok(paper::table1())),
-        ("table2", |a| Ok(paper::table2(flag_or(a, "--scale", 0.25)))),
+        ("table2", |a| Ok(paper::table2(positive_real(a, "--scale", 0.25)))),
         ("table3", |_| Ok(paper::table3())),
-        ("table4", |a| Ok(paper::table4(flag_or(a, "--scale", 0.2)))),
+        ("table4", |a| Ok(paper::table4(positive_real(a, "--scale", 0.2)))),
         ("table5", |_| Ok(paper::table5())),
         ("table6", |a| {
             let (scale, reps, epochs) =
-                (flag_or(a, "--scale", 0.15), flag_or(a, "--reps", 3), flag_or(a, "--epochs", 30));
+                (positive_real(a, "--scale", 0.15), positive(a, "--reps", 3), positive(a, "--epochs", 30));
             Ok(paper::table6(scale, reps, epochs))
         }),
         ("table7", |_| Ok(paper::table7())),
         ("fig1", |_| Ok(paper::fig1())),
         ("fig2", |a| {
             let (scale, reps, rounds) =
-                (flag_or(a, "--scale", 0.25), flag_or(a, "--reps", 5), flag_or(a, "--rounds", 5));
+                (positive_real(a, "--scale", 0.25), positive(a, "--reps", 5), positive(a, "--rounds", 5));
             Ok(paper::fig2(scale, reps, rounds))
         }),
-        ("fig3", |a| Ok(paper::fig3(flag_or(a, "--scale", 0.2), flag_or(a, "--epochs", 30)))),
-        ("fig4", |a| paper::fig4(flag_or(a, "--scale", 0.15))),
+        ("fig3", |a| Ok(paper::fig3(positive_real(a, "--scale", 0.2), positive(a, "--epochs", 30)))),
+        ("fig4", |a| paper::fig4(positive_real(a, "--scale", 0.15))),
         ("fig5", |_| Ok(paper::fig5())),
-        ("fig6", |a| paper::fig6(flag_or(a, "--scale", 0.08), flag_or(a, "--epochs", 25))),
+        ("fig6", |a| paper::fig6(positive_real(a, "--scale", 0.08), positive(a, "--epochs", 25))),
     ];
     let name = args.get(1).map_or("", String::as_str);
     let Some(&(name, run)) = artifacts.iter().find(|(n, _)| *n == name) else {
@@ -227,9 +247,9 @@ fn cmd_paper(args: &[String]) {
 }
 
 fn cmd_sample(args: &[String]) {
-    let ds = build_dataset(args);
-    let batch: usize = flag_or(args, "--batch", 256);
+    let batch = positive(args, "--batch", 256);
     let mut sampler = FastSampler::new(flag_or(args, "--seed", 0));
+    let ds = build_dataset(args);
     let seeds: Vec<u32> = ds.splits.train.iter().copied().take(batch).collect();
     let mfg = sampler.sample(&ds.graph, &seeds, &[15, 10, 5]);
     println!("batch of {}: {} nodes, {} edges", seeds.len(), mfg.num_nodes(), mfg.num_edges());

@@ -23,7 +23,7 @@ fn unaccepted_values_exit_non_zero_and_name_the_accepted_ones() {
         "\"fig9\"", "table1", "table2", "table3", "table4", "table5", "table6", "table7", "fig1",
         "fig2", "fig3", "fig4", "fig5", "fig6",
     ];
-    let cases: [(&str, &[&str], Option<&str>, &[&str]); 12] = [
+    let cases: [(&str, &[&str], Option<&str>, &[&str]); 22] = [
         ("train", &["--model", "gta"], None, &["--model", "SAGE", "GAT", "GIN", "SAGE-RI"]),
         ("train", &["--executor", "pyg"], None, &["--executor", "salient", "baseline"]),
         ("train", &["--dataset", "reddit"], None, &["--dataset", "arxiv", "products", "papers"]),
@@ -36,6 +36,16 @@ fn unaccepted_values_exit_non_zero_and_name_the_accepted_ones() {
         ("eval", &[], None, &["--load", "required"]),
         ("paper", &["fig9"], None, FIG9),
         ("paper", &["table6", "--scale", "abc"], None, &["--scale", "\"abc\"", "number"]),
+        ("sample", &["--batch", "0"], None, &["--batch", POSITIVE]),
+        ("sample", &["--scale", "0"], None, &["--scale", POSITIVE]),
+        ("train", &["--scale", "inf"], None, &["--scale", POSITIVE]),
+        ("paper", &["fig2", "--reps", "0"], None, &["--reps", POSITIVE]),
+        ("paper", &["fig2", "--rounds", "0"], None, &["--rounds", POSITIVE]),
+        ("paper", &["table6", "--reps", "0"], None, &["--reps", POSITIVE]),
+        ("paper", &["fig3", "--epochs", "0"], None, &["--epochs", POSITIVE]),
+        ("paper", &["table4", "--scale", "-1"], None, &["--scale", POSITIVE]),
+        ("paper", &["table2", "--scale", "0"], None, &["--scale", POSITIVE]),
+        ("paper", &["fig4", "--scale", "NaN"], None, &["--scale", POSITIVE]),
     ];
     for (sub, args, dtype, expected) in cases {
         let (code, stderr) = salient(sub, args, dtype);
@@ -52,4 +62,36 @@ fn accepted_values_match_case_insensitively() {
     let args = ["--model", "sage-ri", "--dataset", "ARXIV", "--scale", "0.01", "--epochs", "1"];
     let (code, stderr) = salient("train", &args, Some("F32"));
     assert_eq!(code, Some(0), "{stderr}");
+}
+
+#[test]
+fn a_checkpoint_that_cannot_be_read_or_written_exits_1_with_the_error() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_checkpoints");
+    std::fs::create_dir_all(&dir).expect("a scratch directory");
+    let missing = dir.join("missing.ckpt");
+    let _ = std::fs::remove_file(&missing);
+    let junk = dir.join("junk.ckpt");
+    std::fs::write(&junk, b"not a checkpoint, just bytes \x00\xff\x13").expect("junk written");
+    let unwritable = dir.join("no-such-directory").join("out.ckpt");
+    let (missing, junk, unwritable) =
+        (missing.to_str().unwrap(), junk.to_str().unwrap(), unwritable.to_str().unwrap());
+    let cases: [(&str, &[&str], &[&str]); 3] = [
+        ("eval", &["--load", missing], &["cannot read checkpoint", missing, "i/o"]),
+        ("eval", &["--load", junk], &["cannot read checkpoint", junk, "corrupt"]),
+        (
+            "train",
+            &["--scale", "0.01", "--epochs", "1", "--save", unwritable],
+            &["cannot save checkpoint", unwritable],
+        ),
+    ];
+    for (sub, args, expected) in cases {
+        let (code, stderr) = salient(sub, args, None);
+        assert_eq!(code, Some(1), "{sub} {args:?} did not exit 1: {stderr}");
+        assert!(!stderr.contains("panicked"), "{sub} {args:?} panicked: {stderr}");
+        for word in expected {
+            assert!(stderr.contains(word), "{sub} {args:?}: no {word:?} in {stderr:?}");
+        }
+    }
+    // A file that cannot be read costs no dataset build.
+    assert!(!salient("eval", &["--load", missing], None).1.contains(" nodes, "));
 }
