@@ -3,12 +3,10 @@
 //! Every table and figure of the paper's evaluation, one function each in
 //! [`paper`], which `salient paper <table1…table7|fig1…fig6>` runs.
 //!
-//! Microbenches (`cargo bench`, built on the in-repo [`harness`] module)
-//! cover the sampler variants, slicing kernels, lock-free queue vs static
-//! partitioning, tensor kernels, f16 conversion, the CPU kernel layer
-//! (emitting `target/bench_kernels.json`), and the DES engine itself.
+//! Per-layer timings (sampler edges/s, GEMM GFLOP/s, aggregation, slicing,
+//! stream copy, backward, optimizer) are rows of the ledger the
+//! `benchmark/` package writes, not microbenches here.
 
-pub mod harness;
 pub mod paper;
 
 use std::fmt::Write as _;

@@ -352,7 +352,8 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed clause.
+    /// Returns a description of a seed that is not a `u64` or of the first
+    /// malformed clause, beginning with the variable's name.
     pub fn from_env() -> Result<Option<FaultPlan>, String> {
         let spec = match std::env::var("SALIENT_FAULT_SPEC") {
             Ok(s) if !s.trim().is_empty() => s,
@@ -367,7 +368,7 @@ impl FaultPlan {
             })
             .transpose()?
             .unwrap_or(0);
-        Self::parse(seed, &spec).map(Some)
+        Self::parse(seed, &spec).map(Some).map_err(|e| format!("SALIENT_FAULT_SPEC: {e}"))
     }
 
     /// Parses a spec string into a plan.

@@ -3,9 +3,8 @@
 //! SALIENT's performance-engineered neighborhood sampler (§4.1 of the
 //! paper): node-wise fanout sampling without replacement producing PyG-style
 //! message-flow graphs, a parameterized engine exposing the full design
-//! space of the paper's Figure-2 exploration, the tuned [`FastSampler`], the
-//! STL-style [`PygSampler`] baseline, and hop-by-hop trace replay for
-//! microbenchmarking.
+//! space of the paper's Figure-2 exploration, the tuned [`FastSampler`] and the
+//! STL-style [`PygSampler`] baseline.
 //!
 //! # Example
 //!
@@ -29,7 +28,6 @@ mod fast;
 mod mfg;
 mod pyg_baseline;
 mod structures;
-mod trace;
 mod variants;
 
 pub use engine::{sample_with, EngineOpts, EngineScratch, SampleAlgo};
@@ -40,5 +38,4 @@ pub use structures::{
     ArrayNeighborSet, BitmapNeighborSet, DenseIdMap, FlatIdMap, FlatNeighborSet, IdMap, NeighborSet,
     StdIdMap, StdNeighborSet,
 };
-pub use trace::{record_trace, replay_trace, HopTrace, SampleTrace};
 pub use variants::{IdMapKind, NeighborSetKind, VariantConfig, VariantSampler};

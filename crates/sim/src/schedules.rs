@@ -47,7 +47,7 @@ impl OptLevel {
         ]
     }
 
-    /// Row label used by the bench harness.
+    /// Row label of the optimization ladder (`examples/simulate_cluster.rs`).
     pub fn label(&self) -> &'static str {
         match self {
             OptLevel::PygBaseline => "None (PyG)",

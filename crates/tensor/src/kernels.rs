@@ -1783,6 +1783,40 @@ mod tests {
         }
     }
 
+    /// The documented elementwise bound of [`gemm_f16`] against the f32 GEMM
+    /// of the unrounded operands, relative to the magnitude matrix |A|·|B|
+    /// (DESIGN.md, precision policy): each operand carries at most one
+    /// half-precision rounding (relative error ≤ 2⁻¹¹), the product at most
+    /// doubles it, and the extra 0.5·2⁻¹¹ covers fp32 accumulation order.
+    const HALF_GEMM_REL_BOUND: f32 = 2.5 * (1.0 / 2048.0);
+
+    /// Half GEMM inside [`HALF_GEMM_REL_BOUND`] at 602, 256 and 100 feature
+    /// columns: at full size (1 024 rows, hidden 256 / 256 / 47) in a release
+    /// build, which the release tensor tier runs on every rung; with fewer
+    /// rows and columns in a debug build.
+    #[test]
+    fn half_gemm_within_documented_bound() {
+        let mut rng = StdRng::seed_from_u64(42);
+        let shapes = if cfg!(debug_assertions) {
+            [(192, 602, 64), (128, 256, 96), (256, 100, 47)]
+        } else {
+            [(1024, 602, 256), (1024, 256, 256), (1024, 100, 47)]
+        };
+        for (m, k, n) in shapes {
+            let a = rand_tensor(m, k, &mut rng);
+            let b = rand_tensor(k, n, &mut rng);
+            let full = gemm(&a, &b, false, false);
+            let half = gemm_f16(&crate::f16::quantize(a.data()), m, k, &crate::f16::quantize(b.data()), k, n, false, false);
+            let abs = |t: &Tensor| Tensor::from_vec(t.data().iter().map(|v| v.abs()).collect(), t.shape().clone());
+            let mag = gemm(&abs(&a), &abs(&b), false, false);
+            for ((h, f), g) in half.data().iter().zip(full.data()).zip(mag.data()) {
+                let err = (h - f).abs();
+                let bound = HALF_GEMM_REL_BOUND * g + 1e-6;
+                assert!(err <= bound, "{m}x{k}x{n}: |{h} - {f}| = {err} > {bound}");
+            }
+        }
+    }
+
     /// Every GEMM rung this host can run (the process-wide dispatch picks
     /// one of them for good).
     fn levels() -> Vec<Level> {

@@ -132,11 +132,12 @@ registry! {
     /// stage-graph executor's first source wait per run (pipeline fill),
     /// kept out of the steady-state wait histogram.
     WARMUP = "warmup",
-    /// Bench harness: one PyG-style (per-batch allocation) sampling pass.
+    /// `salient paper table2`: one PyG-style (per-batch allocation)
+    /// sampling pass.
     BENCH_SAMPLE_PYG = "bench.sample_pyg",
-    /// Bench harness: one SALIENT fast-sampler pass.
+    /// `salient paper table2`: one SALIENT fast-sampler pass.
     BENCH_SAMPLE_FAST = "bench.sample_fast",
-    /// Bench harness: one timed pass of a sampler design-space variant
+    /// `salient paper fig2`: one timed pass of a sampler design-space variant
     /// (Figure 2); the batch field is the variant's index.
     BENCH_SAMPLE_VARIANT = "bench.sample_variant",
     /// One DDP ring-link send (causal edge: this rank → next rank).

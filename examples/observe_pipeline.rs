@@ -6,25 +6,21 @@
 //! 2. On a host with two or more cores, a monotonic-clock run at ms-scale
 //!    batch sizes that measures *real* prep/compute overlap — the
 //!    batch-preparation workers against the training consumer, the paper's
-//!    Figure-4 pipelining win — and records `overlap_frac`.
+//!    Figure-4 pipelining win — and asserts `overlap_frac > 0.5`.
 //!
-//! Emits (under `target/`):
+//! Prints the stall-attribution report, the per-batch critical path with a
+//! what-if projection, and the measured `overlap_frac` on stdout, and writes
+//! (under `target/`):
 //!
-//! * a human-readable stall-attribution report on stdout;
 //! * `target/trace_pipeline.json` — Chrome trace-event timeline
 //!   (load in `chrome://tracing` or Perfetto);
-//! * `target/metrics_pipeline.json` — raw counters / gauges / histograms;
-//! * `target/bench_pipeline.json` — the per-stage breakdown `scripts/ci.sh`
-//!   reads its gates from. Its top-level `overlap_frac` comes from the
-//!   monotonic run when one ran (`overlap.skipped` says when not), since
-//!   overlap is a wall-clock phenomenon.
+//! * `target/metrics_pipeline.json` — raw counters / gauges / histograms.
 //!
-//! Exits non-zero if any exported artifact fails validation, so
-//! `scripts/ci.sh` can use this binary as its observability tier.
+//! Exits non-zero if an exported artifact fails validation or a check
+//! fails, so `scripts/ci.sh` uses this binary as its observability tier.
 //!
 //! Run: `cargo run --release --example observe_pipeline`
 
-use salient_repro::bench::harness::{write_json, Json};
 use salient_repro::core::{ExecutorKind, RunConfig, Trainer};
 use salient_repro::graph::DatasetConfig;
 use salient_repro::pipeline::shape;
@@ -35,14 +31,13 @@ use salient_repro::trace::json::validate_chrome_trace;
 use salient_repro::trace::{analyze, attribute, names, Clock, Trace};
 use std::sync::Arc;
 
-/// Worker/consumer overlap measurement on the real clock, on a host of
-/// `cores` cores. Returns the JSON summary block plus the measured overlap
-/// fraction.
+/// Worker/consumer overlap measurement on the real clock; returns the
+/// fraction of the consumer's compute that batch preparation overlapped.
 ///
 /// The dataset and batch size are chosen so one batch costs milliseconds —
 /// large against scheduler noise, small enough that the whole epoch stays
 /// around a second.
-fn overlap_run(cores: usize) -> (Json, f64) {
+fn overlap_run() -> f64 {
     let trace = Trace::new(Clock::monotonic());
     let dataset = Arc::new(DatasetConfig::products_sim(1.0).build());
     // Inference-scale fanouts with a slim hidden layer keep the workload
@@ -63,42 +58,21 @@ fn overlap_run(cores: usize) -> (Json, f64) {
     let stats = trainer.fit();
     let snap = trace.snapshot();
     let report = analyze(&snap);
-    let frac = report.overlap_frac();
+    // Pipeline warmup: the first batch's wait is recorded as fill
+    // (`pipe.fill_ns`, one entry per epoch), not as a steady-state prep
+    // stall — so `prep_wait` percentiles describe the pipelined regime,
+    // not the unavoidable cold start.
+    let fill = snap.metrics.histogram(names::hists::PIPE_FILL_NS).map_or(0, |h| h.count);
     println!(
-        "overlap run: {} batches, compute {:.1} ms, overlap {:.1} ms ({:.0}% of compute)",
+        "overlap run ({} pool threads): {} batches, compute {:.1} ms, overlap {:.1} ms, \
+         window {:.1} ms, {fill} pipeline fills",
+        pool::num_threads(),
         stats.iter().map(|s| s.batches).sum::<usize>(),
         report.compute_ns as f64 / 1e6,
         report.overlap_ns as f64 / 1e6,
-        100.0 * frac
+        report.window_ns as f64 / 1e6,
     );
-    let fill = snap
-        .metrics
-        .histogram(names::hists::PIPE_FILL_NS)
-        .map(|h| h.count)
-        .unwrap_or(0);
-    let obj = Json::Obj(vec![
-        ("cores".into(), Json::Num(cores as f64)),
-        ("threads".into(), Json::Num(pool::num_threads() as f64)),
-        ("overlap_frac".into(), Json::Num(frac)),
-        (
-            "compute_ms".into(),
-            Json::Num(report.compute_ns as f64 / 1e6),
-        ),
-        (
-            "overlap_ms".into(),
-            Json::Num(report.overlap_ns as f64 / 1e6),
-        ),
-        (
-            "window_ms".into(),
-            Json::Num(report.window_ns as f64 / 1e6),
-        ),
-        // Pipeline warmup: the first batch's wait is recorded as fill
-        // (`pipe.fill_ns`, one entry per epoch), not as a steady-state
-        // prep stall — so `prep_wait` percentiles describe the pipelined
-        // regime, not the unavoidable cold start.
-        ("pipe_fill_count".into(), Json::Num(fill as f64)),
-    ]);
-    (obj, frac)
+    report.overlap_frac()
 }
 
 fn main() {
@@ -174,36 +148,6 @@ fn main() {
         dataset.features.dtype()
     );
 
-    // Part 2: measure real pipelining where the prep workers and the
-    // consumer can run at once. The virtual run above cannot show
-    // wall-clock overlap, so its value would gate nothing; the monotonic
-    // run is the authoritative number.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (overlap_obj, overlap_frac) = if cores >= 2 {
-        overlap_run(cores)
-    } else {
-        println!("overlap run skipped: one core, so workers and consumer take turns");
-        (
-            Json::Obj(vec![("skipped".into(), Json::Str("single-core host".into()))]),
-            report.overlap_frac(),
-        )
-    };
-
-    // The per-stage summary the CI gates read.
-    let hist = |name: names::HistName| -> Json {
-        match snap.metrics.histogram(name) {
-            Some(h) => {
-                let (p50, p95, p99) = h.percentiles();
-                Json::Obj(vec![
-                    ("count".into(), Json::Num(h.count as f64)),
-                    ("p50_ns".into(), Json::Num(p50 as f64)),
-                    ("p95_ns".into(), Json::Num(p95 as f64)),
-                    ("p99_ns".into(), Json::Num(p99 as f64)),
-                ])
-            }
-            None => Json::Obj(vec![("count".into(), Json::Num(0.0))]),
-        }
-    };
     // Per-batch causal chains: charge every nanosecond of every batch's
     // latency to a named category, then project what doubling the compute
     // stage's speed would buy: the recorded stage durations re-executed on
@@ -214,32 +158,30 @@ fn main() {
     let chains = &attribution.chains;
     assert_eq!(chains.len(), trained, "one causal chain per trained batch");
     let attr = attribution.chain_total;
-    let chain_total = attr.total_ns.max(1);
-    let cat_pct: Vec<(String, Json)> = attr
+    let chain_total = attr.total_ns.max(1) as f64;
+    let categories: Vec<String> = attr
         .categories()
         .iter()
-        .map(|(label, ns)| {
-            (
-                (*label).to_string(),
-                Json::Num(100.0 * *ns as f64 / chain_total as f64),
-            )
-        })
+        .map(|(label, ns)| format!("{label} {:.1}%", 100.0 * *ns as f64 / chain_total))
         .collect();
     // `queued` is the only residual bucket (no recorded span active); the
     // acceptance bar is >= 90% of chain time under named categories.
-    let queued_pct = 100.0 * attr.queued_ns as f64 / chain_total as f64;
+    let queued_pct = 100.0 * attr.queued_ns as f64 / chain_total;
     let named_pct = 100.0 - queued_pct;
+    println!(
+        "critical path: {} chains, {named_pct:.1}% named ({})",
+        chains.len(),
+        categories.join(", ")
+    );
     assert!(
         named_pct >= 90.0,
         "critical path must attribute >= 90% of chain time to named \
          categories, got {named_pct:.1}% (queued {queued_pct:.1}%)"
     );
-    let what_if = attribution.stages.as_ref().map(|r| {
+    if let Some(r) = &attribution.stages {
         assert_eq!(r.train_ns.len(), trained, "one recorded batch per trained batch");
         let recorded = [&r.prep_ns[..], &r.transfer_ns[..], &r.train_ns[..]];
-        what_if(recorded, r.prep_lanes, shape::TRANSFER_QUEUE_CAP, prefetch, 2, 2.0)
-    });
-    if let Some(w) = &what_if {
+        let w = what_if(recorded, r.prep_lanes, shape::TRANSFER_QUEUE_CAP, prefetch, 2, 2.0);
         println!(
             "what-if train 2x: baseline {:.3} ms -> projected {:.3} ms (speedup {:.2}x)",
             w.baseline_ns as f64 / 1e6,
@@ -252,68 +194,21 @@ fn main() {
     let dumps = snap.metrics.counter(names::counters::BLACKBOX_DUMPS);
     assert_eq!(dumps, 0, "clean run must not trigger a blackbox dump");
 
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("pipeline_observability".into())),
-        ("clock".into(), Json::Str("virtual(tick=1us)".into())),
-        (
-            "stages_pct".into(),
-            Json::Obj(vec![
-                ("prep".into(), Json::Num(pcts[0])),
-                ("transfer".into(), Json::Num(pcts[1])),
-                ("train".into(), Json::Num(pcts[2])),
-                // `other` decomposed into its named parts (they sum to it
-                // exactly, so the six shares still partition the window).
-                ("fill".into(), Json::Num(report.pct(report.fill_ns))),
-                ("idle".into(), Json::Num(report.pct(report.idle_ns))),
-                (
-                    "shutdown".into(),
-                    Json::Num(report.pct(report.shutdown_ns)),
-                ),
-            ]),
-        ),
-        (
-            "critical_path".into(),
-            Json::Obj(vec![
-                ("batches".into(), Json::Num(chains.len() as f64)),
-                ("total_ns".into(), Json::Num(attr.total_ns as f64)),
-                ("named_pct".into(), Json::Num(named_pct)),
-                ("categories_pct".into(), Json::Obj(cat_pct)),
-                (
-                    "what_if_train_2x".into(),
-                    match &what_if {
-                        Some(w) => Json::Obj(vec![
-                            ("baseline_ns".into(), Json::Num(w.baseline_ns as f64)),
-                            ("projected_ns".into(), Json::Num(w.projected_ns as f64)),
-                            ("speedup".into(), Json::Num(w.speedup)),
-                        ]),
-                        None => Json::Obj(vec![]),
-                    },
-                ),
-            ]),
-        ),
-        ("window_ns".into(), Json::Num(report.window_ns as f64)),
-        ("overlap_frac".into(), Json::Num(overlap_frac)),
-        ("overlap".into(), overlap_obj),
-        (
-            "batches".into(),
-            Json::Num(snap.metrics.counter(names::counters::BATCHES) as f64),
-        ),
-        (
-            "dtype".into(),
-            Json::Str(dataset.features.dtype().to_string()),
-        ),
-        ("prep_bytes".into(), Json::Num(prep_bytes as f64)),
-        ("transfer_bytes".into(), Json::Num(transfer_bytes as f64)),
-        ("prep_batch".into(), hist(names::hists::PREP_BATCH_NS)),
-        ("train_batch".into(), hist(names::hists::TRAIN_BATCH_NS)),
-        ("prep_wait".into(), hist(names::hists::PREP_WAIT_NS)),
-        (
-            "threads".into(),
-            Json::Num(summary.distinct_tids as f64),
-        ),
-    ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/target/bench_pipeline.json");
-    write_json(path, &doc).expect("write bench_pipeline.json");
-    println!("per-stage breakdown -> target/bench_pipeline.json");
+    // Part 2: measure real pipelining where the prep workers and the
+    // consumer can run at once. The virtual run above cannot show
+    // wall-clock overlap, so its value would gate nothing; the monotonic
+    // run is the authoritative number. On one core, wall-clock overlap is
+    // at the scheduler's mercy, so there is nothing to gate.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores >= 2 {
+        let overlap_frac = overlap_run();
+        println!("overlap_frac = {overlap_frac:.3} ({cores} cores; must exceed 0.5)");
+        assert!(
+            overlap_frac > 0.5,
+            "batch preparation overlapped only {overlap_frac:.3} of the consumer's compute, not > 0.5"
+        );
+    } else {
+        println!("overlap run skipped: one core, so workers and consumer take turns");
+    }
     println!("\nobservability tier OK");
 }

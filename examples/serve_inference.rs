@@ -1,9 +1,8 @@
 //! Online inference serving end-to-end: trains a small model, then drives
 //! the serving core through an open-loop Poisson arrival sweep on the real
-//! clock — below the knee, near the knee, and well past it — emitting the
-//! latency–throughput frontier to `target/bench_serving.json`, each point
-//! with the median `serve.sample` / `serve.slice` / `serve.gemm` span of its
-//! measured window.
+//! clock — below the knee, near the knee, and well past it — printing the
+//! latency–throughput frontier, each point with the median `serve.sample` /
+//! `serve.slice` / `serve.gemm` span of its measured window.
 //!
 //! The point of the sweep is the *overload* column: with admission control,
 //! deadlines, and the degradation ladder in place, pushing offered load to
@@ -21,7 +20,6 @@
 
 #![expect(clippy::disallowed_methods, reason = "real-clock load driver: it sleeps through the long gaps of an open-loop arrival schedule")]
 
-use salient_repro::bench::harness::{write_json, Json};
 use salient_repro::core::{RunConfig, Trainer};
 use salient_repro::graph::{Dataset, DatasetConfig};
 use salient_repro::serve::{loadgen, Request, Response, ServeConfig, ServerCore};
@@ -213,12 +211,15 @@ fn main() {
         let elapsed = clock.now_ns() - t0;
         (served as f64 / (elapsed as f64 / 1e9), elapsed / batches)
     };
-    println!(
-        "calibrated capacity: {capacity_rps:.0} req/s ({batch_service_ns} ns per full batch)"
-    );
-
     let duration_ns: u64 = if smoke { 300_000_000 } else { 500_000_000 };
     let budget_ns: u64 = 50_000_000; // 50 ms per-request deadline budget
+    println!(
+        "calibrated capacity: {capacity_rps:.0} req/s ({batch_service_ns} ns per full batch); \
+         max batch {}, queue capacity {}, budget {} ms",
+        serve_cfg().max_batch,
+        serve_cfg().queue_capacity,
+        budget_ns / 1_000_000
+    );
     let load_factors = [0.3f64, 0.7, 2.0];
     let run_sweep = |attempt: u64| -> Vec<(f64, f64, PointStats)> {
         let mut points = Vec::new();
@@ -236,8 +237,9 @@ fn main() {
             let [sample_us, slice_us, gemm_us] = stats.stage_p50_ns.map(|ns| ns as f64 / 1e3);
             println!(
                 "load {f:.1}x ({rate:.0} req/s): offered {} (missed {}) completed {} shed {}+{} \
-                 expired {} degrades {} | {:.0} req/s served, p50 {:.2} ms p99 {:.2} ms | \
-                 stage p50 sample {sample_us:.1} us, slice {slice_us:.1} us, gemm {gemm_us:.1} us",
+                 expired {} degrades {} | {:.0} req/s served, p50 {:.2} ms p95 {:.2} ms \
+                 p99 {:.2} ms | stage p50 sample {sample_us:.1} us, slice {slice_us:.1} us, \
+                 gemm {gemm_us:.1} us",
                 stats.offered,
                 stats.missed,
                 stats.completed,
@@ -247,6 +249,7 @@ fn main() {
                 stats.degrades,
                 stats.throughput_rps,
                 stats.p50_ns as f64 / 1e6,
+                stats.p95_ns as f64 / 1e6,
                 stats.p99_ns as f64 / 1e6,
             );
             points.push((f, rate, stats));
@@ -310,47 +313,5 @@ fn main() {
         }
     }
 
-    let point_json = |(f, rate, s): &(f64, f64, PointStats)| -> Json {
-        Json::Obj(vec![
-            ("load_factor".into(), Json::Num(*f)),
-            ("offered_rps".into(), Json::Num(*rate)),
-            ("offered".into(), Json::Num(s.offered as f64)),
-            ("missed".into(), Json::Num(s.missed as f64)),
-            ("completed".into(), Json::Num(s.completed as f64)),
-            ("shed_overload".into(), Json::Num(s.shed_overload as f64)),
-            ("shed_infeasible".into(), Json::Num(s.shed_infeasible as f64)),
-            ("expired".into(), Json::Num(s.expired as f64)),
-            ("degrades".into(), Json::Num(s.degrades as f64)),
-            ("throughput_rps".into(), Json::Num(s.throughput_rps)),
-            ("p50_ns".into(), Json::Num(s.p50_ns as f64)),
-            ("p95_ns".into(), Json::Num(s.p95_ns as f64)),
-            ("p99_ns".into(), Json::Num(s.p99_ns as f64)),
-            (
-                "span_p50_ns".into(),
-                Json::Obj(
-                    STAGE_SPANS
-                        .iter()
-                        .zip(s.stage_p50_ns)
-                        .map(|(name, ns)| (name.as_str().into(), Json::Num(ns as f64)))
-                        .collect(),
-                ),
-            ),
-        ])
-    };
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("serving_frontier".into())),
-        ("clock".into(), Json::Str("monotonic".into())),
-        ("capacity_rps".into(), Json::Num(capacity_rps)),
-        ("budget_ms".into(), Json::Num(budget_ns as f64 / 1e6)),
-        ("max_batch".into(), Json::Num(serve_cfg().max_batch as f64)),
-        (
-            "queue_capacity".into(),
-            Json::Num(serve_cfg().queue_capacity as f64),
-        ),
-        ("points".into(), Json::Arr(points.iter().map(point_json).collect())),
-    ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/target/bench_serving.json");
-    write_json(path, &doc).expect("write bench_serving.json");
-    println!("latency-throughput frontier -> target/bench_serving.json");
     println!("\nserving tier OK");
 }

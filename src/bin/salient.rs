@@ -57,11 +57,12 @@ fn positive(args: &[String], name: &str, default: usize) -> usize {
     n
 }
 
-/// A size or scale flag: a finite number above zero.
-fn positive_real(args: &[String], name: &str, default: f64) -> f64 {
+/// A size, scale or rate flag: a finite number above zero.
+fn positive_real<T: std::str::FromStr + Into<f64> + Copy>(args: &[String], name: &str, default: T) -> T {
     let x = flag_or(args, name, default);
-    if !(x.is_finite() && x > 0.0) {
-        usage_error(format!("{name} {x}: expected a positive number"));
+    let v: f64 = x.into();
+    if !(v.is_finite() && v > 0.0) {
+        usage_error(format!("{name} {v}: expected a positive number"));
     }
     x
 }
@@ -126,7 +127,7 @@ fn run_config(args: &[String]) -> RunConfig {
         train_fanouts: vec![15, 10, 5],
         infer_fanouts: vec![20, 20, 20],
         batch_size: positive(args, "--batch", 128),
-        learning_rate: flag_or(args, "--lr", 5e-3),
+        learning_rate: positive_real(args, "--lr", 5e-3),
         epochs: flag_or(args, "--epochs", 10),
         num_workers: positive(args, "--workers", 2),
         slots: 4,
@@ -138,8 +139,8 @@ fn run_config(args: &[String]) -> RunConfig {
 fn cmd_train(args: &[String]) {
     // Flags first: a typo should not cost a dataset build.
     let cfg = run_config(args);
+    let ranks = positive(args, "--ranks", 1);
     let ds = build_dataset(args);
-    let ranks: usize = flag_or(args, "--ranks", 1);
     if ranks > 1 {
         eprintln!("training with {ranks} data-parallel ranks...");
         let result = match train_ddp(&ds, &cfg, ranks) {
@@ -270,10 +271,7 @@ fn main() {
     match salient_repro::fault::install_from_env() {
         Ok(true) => eprintln!("fault injection armed from SALIENT_FAULT_SPEC"),
         Ok(false) => {}
-        Err(e) => {
-            eprintln!("bad SALIENT_FAULT_SPEC: {e}");
-            std::process::exit(2);
-        }
+        Err(e) => usage_error(e),
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
