@@ -40,7 +40,7 @@ use salient_graph::{Dataset, NodeId};
 use salient_sampler::{FastSampler, MessageFlowGraph, PygSampler};
 use salient_graph::FeatureSlab;
 use salient_tensor::sync::channel::{bounded, Receiver, Sender};
-use salient_trace::{names, Counter, Histogram, Trace, NO_BATCH};
+use salient_trace::{names, Trace, NO_BATCH};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -207,28 +207,6 @@ impl SharedFaultStats {
     }
 }
 
-/// Metric handles looked up once per epoch so the per-batch hot path is a
-/// handful of relaxed atomic adds (no registry locks, no allocation).
-struct PrepInstruments {
-    batches: Counter,
-    nodes: Counter,
-    edges: Counter,
-    bytes: Counter,
-    batch_ns: Histogram,
-}
-
-impl PrepInstruments {
-    fn new(trace: &Trace) -> PrepInstruments {
-        PrepInstruments {
-            batches: trace.counter(names::counters::BATCHES),
-            nodes: trace.counter(names::counters::PREP_NODES),
-            edges: trace.counter(names::counters::PREP_EDGES),
-            bytes: trace.counter(names::counters::PREP_BYTES),
-            batch_ns: trace.histogram(names::hists::PREP_BATCH_NS),
-        }
-    }
-}
-
 /// Everything the epoch's worker threads share.
 struct WorkerCtx {
     dataset: Arc<Dataset>,
@@ -239,7 +217,6 @@ struct WorkerCtx {
     cfg: PrepConfig,
     cancel: Arc<AtomicBool>,
     faults: Arc<SharedFaultStats>,
-    instruments: PrepInstruments,
     /// Units of [`RESPAWN_BUDGET`] no worker has taken yet.
     respawns_left: AtomicUsize,
     /// Worker threads that have not left; the one that takes it to zero
@@ -371,7 +348,6 @@ pub fn run_epoch_with_pool(
         queue: WorkQueue::new(items, lanes),
         pool: pool.clone(),
         tx,
-        instruments: PrepInstruments::new(&cfg.trace),
         cfg: cfg.clone(),
         cancel: Arc::clone(&cancel),
         faults: Arc::clone(&faults),
@@ -533,8 +509,8 @@ fn prepare_item(
     let trace = &ctx.cfg.trace;
     // All stage stamps come from the trace clock (the workspace's sanctioned
     // time source), so the same code path is timed deterministically under a
-    // VirtualClock in tests. They feed the spans and `prep.batch_ns` only: a
-    // disabled trace falls back to the monotonic clock and records nothing.
+    // VirtualClock in tests. They feed the spans only: a disabled trace
+    // falls back to the monotonic clock and records nothing.
     let clock = trace.clock();
     let bid = item.batch_id as u64;
 
@@ -542,7 +518,8 @@ fn prepare_item(
     fault::fire(fault::sites::PREP_SAMPLE, bid);
     let mfg = sampler.sample(&ctx.dataset.graph, batch_nodes, &ctx.cfg.fanouts);
     let sampled = clock.now_ns();
-    trace.record_span(names::spans::PREP_SAMPLE, bid, t0, sampled);
+    let sizes = [mfg.num_nodes() as u64, mfg.num_edges() as u64];
+    trace.record_span_counts(names::spans::PREP_SAMPLE, bid, t0, sampled, sizes);
 
     // Slots can all be parked in unconsumed batches of a cancelled epoch;
     // the cancellable acquire sleeps on the pool and is woken either by a
@@ -555,13 +532,13 @@ fn prepare_item(
 
     let t1 = clock.now_ns();
     fault::fire(fault::sites::PREP_SLICE, bid);
-    let staged = match ctx.cfg.mode {
+    let bytes = [slot.payload_bytes() as u64, 0];
+    match ctx.cfg.mode {
         PrepMode::SharedMemory => {
             // Zero-copy: slice straight into the pinned slot.
             slice_batch_into(&ctx.dataset, &mfg, &mut slot);
             let sliced = clock.now_ns();
-            trace.record_span(names::spans::PREP_SLICE, bid, t1, sliced);
-            sliced
+            trace.record_span_counts(names::spans::PREP_SLICE, bid, t1, sliced, bytes);
         }
         PrepMode::Multiprocessing => {
             // Slice into worker-private memory…
@@ -569,23 +546,14 @@ fn prepare_item(
             private_labels.resize(mfg.batch_size(), 0);
             slice_batch(&ctx.dataset, &mfg, private.rows_mut(), private_labels);
             let sliced = clock.now_ns();
-            trace.record_span(names::spans::PREP_SLICE, bid, t1, sliced);
+            trace.record_span_counts(names::spans::PREP_SLICE, bid, t1, sliced, bytes);
             // …then pay the shared-memory copy.
             slot.features_mut().copy_from(private.rows());
             slot.labels_mut().copy_from_slice(private_labels);
             let copied = clock.now_ns();
             trace.record_span(names::spans::PREP_COPY, bid, sliced, copied);
-            copied
         }
-    };
-
-    let ins = &ctx.instruments;
-    ins.batches.inc();
-    ins.nodes.add(mfg.num_nodes() as u64);
-    ins.edges.add(mfg.num_edges() as u64);
-    ins.bytes.add(slot.payload_bytes() as u64);
-    ins.batch_ns
-        .observe(sampled.saturating_sub(t0) + staged.saturating_sub(t1));
+    }
     Some(PreparedBatch {
         batch_id: item.batch_id,
         mfg,
@@ -609,8 +577,8 @@ mod tests {
     }
 
     /// `cfg` at batches of 32 and fanouts 5,3, recording against its own
-    /// registry on a virtual clock: the `prep.*` counters and spans are the
-    /// record of what an epoch did.
+    /// registry on a virtual clock: the `prep.*` spans and their counts are
+    /// the record of what an epoch did.
     fn traced(cfg: PrepConfig) -> PrepConfig {
         PrepConfig {
             batch_size: 32,
@@ -646,7 +614,7 @@ mod tests {
         let cfg = traced(PrepConfig { num_workers: 3, slots: 3, seed: 1, ..Default::default() });
         let (ids, snap) = run(&ds, &cfg);
         assert_eq!(ids, (0..n).collect::<Vec<_>>());
-        assert_eq!(snap.metrics.counter(names::counters::BATCHES) as usize, n);
+        assert_eq!(snap.spans(names::spans::PREP_SLICE).count(), n);
         assert_eq!(snap.spans(names::spans::PREP_COPY).count(), 0, "zero-copy mode copied");
     }
 
@@ -699,8 +667,9 @@ mod tests {
         let cfg = traced(PrepConfig { sampler: SamplerKind::Pyg, ..Default::default() });
         let (ids, snap) = run(&ds, &cfg);
         assert_eq!(ids.len(), expected_batches(&ds));
-        assert_eq!(snap.metrics.counter(names::counters::BATCHES) as usize, ids.len());
-        assert!(snap.metrics.counter(names::counters::PREP_NODES) > 0);
+        assert_eq!(snap.spans(names::spans::PREP_SLICE).count(), ids.len());
+        let sampled = snap.spans(names::spans::PREP_SAMPLE);
+        assert!(sampled.map(|e| e.counts[0]).all(|nodes| nodes > 0));
     }
 
     #[test]
@@ -731,18 +700,18 @@ mod tests {
         }
         handle.join();
         let snap = cfg.trace.snapshot();
-        assert_eq!(snap.metrics.counter(names::counters::BATCHES), n as u64);
-        assert_eq!(snap.metrics.counter(names::counters::PREP_NODES), nodes);
-        assert_eq!(snap.metrics.counter(names::counters::PREP_EDGES), edges);
-        assert_eq!(snap.metrics.counter(names::counters::PREP_BYTES), bytes);
+        let total = |name, i: usize| -> u64 { snap.spans(name).map(|e| e.counts[i]).sum() };
+        assert_eq!(total(names::spans::PREP_SAMPLE, 0), nodes);
+        assert_eq!(total(names::spans::PREP_SAMPLE, 1), edges);
+        assert_eq!(total(names::spans::PREP_SLICE, 0), bytes);
         // Every batch recorded its stage spans (copy mode records all four).
         assert_eq!(snap.spans(names::spans::PREP_SAMPLE).count(), n);
         assert_eq!(snap.spans(names::spans::PREP_SLICE).count(), n);
         assert_eq!(snap.spans(names::spans::PREP_COPY).count(), n);
         assert_eq!(snap.spans(names::spans::SLOT_WAIT).count(), n);
-        let hist = snap.metrics.histogram(names::hists::PREP_BATCH_NS).unwrap();
-        assert_eq!(hist.count as usize, n);
-        assert!(hist.quantile(0.5) > 0);
+        let prep = salient_trace::analyze(&snap).prep_work;
+        assert_eq!(prep.n, n);
+        assert!(prep.p50 > 0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Fault-handling accounting for batch preparation. What an epoch prepared
-//! and how long it took is in the trace: the `prep.*` counters, the
-//! `prep.batch_ns` histogram and the sample/slot-wait/slice/copy spans.
+//! and how long it took is in the trace: the sample/slot-wait/slice/copy
+//! spans, the sample span carrying the batch's nodes and edges and the
+//! slice span its staged bytes.
 
 /// Fault-handling activity observed during one epoch of batch preparation,
 /// returned by `EpochHandle::join`. With a disabled trace it is the only

@@ -149,9 +149,9 @@ impl Trainer {
     }
 
     /// Like [`Trainer::new`] with an explicit tracing handle. Every epoch
-    /// records `epoch` / `stage.*` spans and per-batch histograms against
-    /// it; [`EpochStats::timings`] is derived from those spans, so a
-    /// disabled handle reports zero timings.
+    /// records `epoch` / `stage.*` spans against it;
+    /// [`EpochStats::timings`] is derived from those spans, so a disabled
+    /// handle reports zero timings.
     ///
     /// # Panics
     ///
@@ -307,7 +307,7 @@ impl Trainer {
                 // Listing 1, lines 1–4, inside the source: the consumer sees
                 // what a SALIENT worker would have sent, with none of the
                 // worker's retries, fault sites or cancellation — a panic
-                // here is the caller's. No wait histogram: the first batch's
+                // here is the caller's. No fill: the first batch's
                 // preparation is work, not pipeline fill.
                 let mut sampler = PygSampler::new(self.config.seed ^ self.epoch as u64);
                 let mut chunks = order.chunks(self.config.batch_size).enumerate();
@@ -340,9 +340,7 @@ impl Trainer {
                 // retry-exhaustion policy); repetition beyond the budget
                 // poisons the pipeline, because a recurring executor panic is
                 // a bug, not a flaky batch.
-                let spec = GraphSpec::new("train")
-                    .panic_budget(2)
-                    .wait_hist(names::hists::PREP_WAIT_NS);
+                let spec = GraphSpec::new("train").panic_budget(2).first_wait_is_fill();
                 let consumed = self.consume(spec, move || rx.recv().ok());
                 handle.join();
                 consumed
@@ -405,9 +403,7 @@ impl Trainer {
         // Train (lines 6–8). This stage's input wait is Table 1's "prep"
         // column: the time the consumer spends without a batch.
         .stage(
-            StageSpec::new("train", names::spans::STAGE_TRAIN)
-                .wait(names::spans::STAGE_PREP)
-                .hist(names::hists::TRAIN_BATCH_NS),
+            StageSpec::new("train", names::spans::STAGE_TRAIN).wait(names::spans::STAGE_PREP),
             |mut item: TrainItem| {
                 let Some(batch) = item.batch.take() else {
                     return StageOutcome::Skip;

@@ -12,7 +12,7 @@
 //! operation order are those of a hand-written serial loop.
 //!
 //! What the engine adds to that loop is what happens when a stage meets an
-//! item — the panic guard, the work span and histogram, the skip and panic
+//! item — the panic guard, the work span, the skip and panic
 //! accounting, the poison and its flight-recorder dump (`Run::step`) — and
 //! how the wait for the source is filed, pipeline fill apart from steady
 //! state (`Run::record_wait`).
@@ -29,8 +29,8 @@
 //! exhausted, at which point the run *poisons*: it stops pulling source
 //! items and reports the fatal stage in [`PipeStats::fatal_stage`].
 
-use salient_trace::names::{self, HistName, SpanName};
-use salient_trace::{Clock, Counter, Histogram, Trace};
+use salient_trace::names::{self, SpanName};
+use salient_trace::{Clock, Counter, Trace};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// An item flowing through a stage graph. The id tags every span the
@@ -61,32 +61,21 @@ pub struct StageSpec {
     /// Span recorded around the wait for the source. Only the last
     /// stage's is used: the consumer-blocked time of SALIENT Table 1.
     pub wait_span: Option<SpanName>,
-    /// Histogram observing this stage's work-span duration (e.g.
-    /// `train.batch_ns`) — derived from the span boundaries, no extra
-    /// clock reads.
-    pub work_hist: Option<HistName>,
 }
 
 impl StageSpec {
-    /// A stage with no wait span and no histogram.
+    /// A stage with no wait span.
     pub fn new(label: &'static str, work_span: SpanName) -> StageSpec {
         StageSpec {
             label,
             work_span,
             wait_span: None,
-            work_hist: None,
         }
     }
 
     /// Sets the source-wait span name.
     pub fn wait(mut self, span: SpanName) -> StageSpec {
         self.wait_span = Some(span);
-        self
-    }
-
-    /// Sets the work-span duration histogram.
-    pub fn hist(mut self, name: HistName) -> StageSpec {
-        self.work_hist = Some(name);
         self
     }
 }
@@ -98,21 +87,19 @@ pub struct GraphSpec {
     pub name: &'static str,
     /// Item panics tolerated (dropped + counted) before the run poisons.
     pub panic_budget: u64,
-    /// Histogram observing the consumer's steady-state source wait
-    /// (e.g. `prep.wait_ns`). When set, the *first* wait of the run is
-    /// pipeline fill and is recorded as a `warmup` span + `pipe.fill_ns`
-    /// observation instead, so it cannot distort the steady-state
-    /// percentiles (the p99-outlier fix).
-    pub wait_hist: Option<HistName>,
+    /// Whether the *first* source wait of a run is pipeline fill: recorded
+    /// as a `warmup` span instead of the wait span, so it cannot distort
+    /// the steady-state wait percentiles (the p99-outlier fix).
+    pub first_wait_is_fill: bool,
 }
 
 impl GraphSpec {
-    /// A graph with no wait histogram and a zero panic budget.
+    /// A graph that files no wait as fill, with a zero panic budget.
     pub fn new(name: &'static str) -> GraphSpec {
         GraphSpec {
             name,
             panic_budget: 0,
-            wait_hist: None,
+            first_wait_is_fill: false,
         }
     }
 
@@ -122,25 +109,17 @@ impl GraphSpec {
         self
     }
 
-    /// Sets the steady-state wait histogram (enables fill separation).
-    pub fn wait_hist(mut self, name: HistName) -> GraphSpec {
-        self.wait_hist = Some(name);
+    /// Files the first source wait of each run as pipeline fill.
+    pub fn first_wait_is_fill(mut self) -> GraphSpec {
+        self.first_wait_is_fill = true;
         self
     }
 }
 
-/// One stage: spec + step, and once a run has started (`bind`) the handle
-/// of the spec's work histogram.
+/// One stage: spec + step.
 struct Stage<'a, T> {
     spec: StageSpec,
     step: Box<dyn FnMut(T) -> StageOutcome<T> + 'a>,
-    work_hist: Option<Histogram>,
-}
-
-impl<T> Stage<'_, T> {
-    fn bind(&mut self, trace: &Trace) {
-        self.work_hist = self.spec.work_hist.map(|n| trace.histogram(n));
-    }
 }
 
 /// Outcome of a completed run.
@@ -171,8 +150,6 @@ struct Run<'t> {
     trace: &'t Trace,
     clock: Clock,
     panic_budget: u64,
-    wait_hist: Option<Histogram>,
-    fill_hist: Histogram,
     panic_ctr: Counter,
     /// Set until the first source wait has been filed as fill.
     fill_pending: bool,
@@ -181,40 +158,33 @@ struct Run<'t> {
 
 impl<'t> Run<'t> {
     fn new(spec: GraphSpec, trace: &'t Trace) -> Run<'t> {
-        let wait_hist = spec.wait_hist.map(|n| trace.histogram(n));
         Run {
             trace,
             clock: trace.clock(),
             panic_budget: spec.panic_budget,
-            fill_pending: wait_hist.is_some(),
-            wait_hist,
-            fill_hist: trace.histogram(names::hists::PIPE_FILL_NS),
+            fill_pending: spec.first_wait_is_fill,
             panic_ctr: trace.counter(names::counters::PIPE_STAGE_PANICS),
             stats: PipeStats::default(),
         }
     }
 
     /// Files the source wait `[t0, t1]` that ended with item `bid` arriving:
-    /// the consumer-blocked time the graph's wait histogram observes, and
-    /// whose first instance is pipeline fill (a `warmup` span) when the
-    /// graph has that histogram.
+    /// the consumer-blocked time, whose first instance is pipeline fill (a
+    /// `warmup` span) when the graph files it apart.
     fn record_wait(&mut self, wait_span: Option<SpanName>, bid: u64, t0: u64, t1: u64) {
-        if std::mem::take(&mut self.fill_pending) {
-            self.trace.record_span(names::spans::WARMUP, bid, t0, t1);
-            self.fill_hist.observe(t1.saturating_sub(t0));
-            return;
-        }
-        if let Some(ws) = wait_span {
-            self.trace.record_span(ws, bid, t0, t1);
-        }
-        if let Some(h) = &self.wait_hist {
-            h.observe(t1.saturating_sub(t0));
+        let span = if std::mem::take(&mut self.fill_pending) {
+            Some(names::spans::WARMUP)
+        } else {
+            wait_span
+        };
+        if let Some(span) = span {
+            self.trace.record_span(span, bid, t0, t1);
         }
     }
 
     /// Runs `item` through `stage`: the step under a panic guard, the clock
-    /// read that ends the work, the work span `[start_ns, end]` and its
-    /// histogram, then the accounting of whatever did not come through.
+    /// read that ends the work, the work span `[start_ns, end]`, then the
+    /// accounting of whatever did not come through.
     /// Returns the item with the timestamp that closed its work span (the
     /// next stage's span opens on it), or `None` for an item that left the
     /// pipeline: a `Skip`, or a panic — which, past the budget, poisons.
@@ -224,9 +194,6 @@ impl<'t> Run<'t> {
         let out = catch_unwind(AssertUnwindSafe(move || step(item)));
         let end_ns = self.clock.now_ns();
         self.trace.record_span(stage.spec.work_span, bid, start_ns, end_ns);
-        if let Some(h) = &stage.work_hist {
-            h.observe(end_ns.saturating_sub(start_ns));
-        }
         match out {
             Ok(StageOutcome::Emit(next)) => return Some((next, end_ns)),
             Ok(StageOutcome::Skip) => self.stats.skipped += 1,
@@ -282,7 +249,6 @@ impl<'a, T: PipeItem + 'a> StageGraph<'a, T> {
         self.stages.push(Stage {
             spec,
             step: Box::new(step),
-            work_hist: None,
         });
         self
     }
@@ -295,8 +261,7 @@ impl<'a, T: PipeItem + 'a> StageGraph<'a, T> {
     pub fn run_inline(mut self, trace: &Trace) -> PipeStats {
         let mut run = Run::new(self.spec, trace);
         let wait_span = self.stages.last().and_then(|s| s.spec.wait_span);
-        let files_wait = wait_span.is_some() || run.wait_hist.is_some();
-        self.stages.iter_mut().for_each(|s| s.bind(trace));
+        let files_wait = wait_span.is_some() || self.spec.first_wait_is_fill;
         'items: while !run.stats.poisoned() {
             let t0 = run.clock.now_ns();
             let Some(mut item) = (self.source)() else {
@@ -445,23 +410,20 @@ mod tests {
     #[test]
     fn first_wait_is_fill_not_steady_state() {
         let trace = Trace::new(Clock::virtual_with_tick(50));
-        let stats = StageGraph::new(
-            GraphSpec::new("t").wait_hist(names::hists::PREP_WAIT_NS),
-            counting_source(3),
-        )
-        .stage(
-            StageSpec::new("a", names::spans::STAGE_TRAIN).wait(names::spans::STAGE_PREP),
-            StageOutcome::Emit,
-        )
-        .run_inline(&trace);
+        let stats = StageGraph::new(GraphSpec::new("t").first_wait_is_fill(), counting_source(3))
+            .stage(
+                StageSpec::new("a", names::spans::STAGE_TRAIN).wait(names::spans::STAGE_PREP),
+                StageOutcome::Emit,
+            )
+            .run_inline(&trace);
         assert_eq!(stats.emitted, 3);
         let snap = trace.snapshot();
-        // First wait → warmup span + fill hist; remaining 2 → steady state.
+        // First wait → warmup span; remaining 2 → steady state.
         assert_eq!(snap.count(names::spans::WARMUP), 1);
         assert_eq!(snap.count(names::spans::STAGE_PREP), 2);
-        let steady = snap.metrics.histogram(names::hists::PREP_WAIT_NS).unwrap();
-        assert_eq!(steady.count, 2);
-        let fill = snap.metrics.histogram(names::hists::PIPE_FILL_NS).unwrap();
-        assert_eq!(fill.count, 1);
+        let report = salient_trace::analyze(&snap);
+        assert_eq!((report.fill.n, report.prep_wait.n), (1, 2));
+        // Each wait is two successive clock reads apart: one 50 ns tick.
+        assert_eq!(report.prep_wait.p50, 50);
     }
 }

@@ -9,7 +9,7 @@
 //!   the identical description runs on the real monotonic clock *and* on a
 //!   virtual one. What it adds to a hand-written loop is the per-item step:
 //!   a panic guard, a panic budget and poison, the flight-recorder dump,
-//!   work spans and histograms, pipeline fill filed apart from steady-state
+//!   work spans, pipeline fill filed apart from steady-state
 //!   waits. The training consumer (`salient_core`'s `Trainer::consume`,
 //!   both executors) is its one production instantiation; a DDP rank in
 //!   lockstep with its ring and a serving step over one micro-batch are

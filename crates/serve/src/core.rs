@@ -47,7 +47,7 @@ use salient_nn::GnnModel;
 use salient_sampler::FastSampler;
 use salient_tensor::rng::StdRng;
 use salient_trace::names::{self, SpanName};
-use salient_trace::{Clock, Counter, Gauge, Histogram, Trace};
+use salient_trace::{Clock, Counter, Gauge, Trace};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -77,8 +77,6 @@ struct Instruments {
     degrades: Counter,
     restores: Counter,
     breaker_opens: Counter,
-    latency_ns: Histogram,
-    batch_ns: Histogram,
     queue_depth: Gauge,
     fanout_level: Gauge,
     breaker_state: Gauge,
@@ -97,8 +95,6 @@ impl Instruments {
             degrades: trace.counter(names::counters::SERVE_DEGRADES),
             restores: trace.counter(names::counters::SERVE_RESTORES),
             breaker_opens: trace.counter(names::counters::SERVE_BREAKER_OPENS),
-            latency_ns: trace.histogram(names::hists::SERVE_LATENCY_NS),
-            batch_ns: trace.histogram(names::hists::SERVE_BATCH_NS),
             queue_depth: trace.gauge(names::gauges::QUEUE_DEPTH),
             fanout_level: trace.gauge(names::gauges::FANOUT_LEVEL),
             breaker_state: trace.gauge(names::gauges::BREAKER_STATE),
@@ -489,7 +485,6 @@ impl ServerCore {
                     let class = preds.as_ref().map(|p| p[seed_idx[i]]).unwrap_or(0);
                     let latency_ns = now.saturating_sub(m.admitted_ns);
                     self.ins.completed.inc();
-                    self.ins.latency_ns.observe(latency_ns);
                     Response::Done { class, latency_ns, fanout_level }
                 }
             };
@@ -570,11 +565,10 @@ impl ServerCore {
         Ok(Some(preds))
     }
 
-    /// Post-batch bookkeeping shared by success and failure paths: batch
-    /// histogram, EWMA service floor, and the degradation ladder (fed the
-    /// pressure observed when the batch formed).
+    /// Post-batch bookkeeping shared by success and failure paths: EWMA
+    /// service floor and the degradation ladder (fed the pressure observed
+    /// when the batch formed).
     fn after_batch(&mut self, batch_start: u64, now: u64, pressured: bool) {
-        self.ins.batch_ns.observe(now.saturating_sub(batch_start));
         let dur = now.saturating_sub(batch_start) as f64;
         self.ewma_batch_ns = if self.ewma_batch_ns == 0.0 {
             dur

@@ -31,7 +31,7 @@
 //!   traffic again.
 //!
 //! Everything is timed through [`salient_trace::Clock`] and instrumented
-//! with `serve.*` counters/histograms/spans, and every failure mode is
+//! with `serve.*` counters/gauges/spans, and every failure mode is
 //! reachable deterministically through `salient_fault`'s `serve.*` sites.
 //!
 //! [`ServerCore`] is the deterministic single-threaded state machine — it

@@ -13,6 +13,9 @@
 //! * [`RecordedStages`] — each chain's prep / transfer / train durations,
 //!   the input of the what-if projector `salient_sim::what_if`. This module
 //!   reconstructs and attributes; it schedules nothing.
+//!
+//! Every duration percentile the trace reports ([`Percentiles`], on the
+//! report) comes from these spans: nothing re-times them.
 
 #![expect(
     clippy::indexing_slicing,
@@ -179,6 +182,47 @@ pub struct PipelineReport {
     pub comm_ns: u64,
     /// Per-thread busy time.
     pub occupancy: Vec<ThreadOccupancy>,
+    /// Per-batch prep work: each chain's sample + slice + copy, over the
+    /// chains that have any.
+    pub prep_work: Percentiles,
+    /// `stage.train` durations.
+    pub train: Percentiles,
+    /// `stage.prep` waits: the trainer's steady-state waits wherever the
+    /// first wait of a run is filed as fill.
+    pub prep_wait: Percentiles,
+    /// `warmup` spans: one pipeline fill per run that files it apart.
+    pub fill: Percentiles,
+}
+
+/// Exact percentiles of a set of durations, by the nearest-rank rule: the
+/// `q`-quantile of `n` sorted values is the one at rank `max(1, ⌈q·n⌉)`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Percentiles {
+    /// How many durations; every percentile is 0 when there are none.
+    pub n: usize,
+    /// Median, nanoseconds.
+    pub p50: u64,
+    /// 95th percentile, nanoseconds.
+    pub p95: u64,
+    /// 99th percentile, nanoseconds.
+    pub p99: u64,
+}
+
+impl Percentiles {
+    /// The percentiles of `ns`, in any order.
+    pub fn of(mut ns: Vec<u64>) -> Percentiles {
+        ns.sort_unstable();
+        let at = |q: f64| {
+            let rank = ((q * ns.len() as f64).ceil() as usize).max(1);
+            ns.get(rank - 1).copied().unwrap_or(0)
+        };
+        Percentiles {
+            n: ns.len(),
+            p50: at(0.50),
+            p95: at(0.95),
+            p99: at(0.99),
+        }
+    }
 }
 
 impl PipelineReport {
@@ -258,6 +302,11 @@ fn role(name: &str) -> Role {
         n if n == spans::COMM_STEP => Role::Comm,
         _ => Role::Work,
     }
+}
+
+/// Batch preparation's own work: what one prep attempt of a batch costs.
+fn is_prep(r: Role) -> bool {
+    matches!(r, Role::Sample | Role::Slice | Role::Copy)
 }
 
 impl Role {
@@ -385,10 +434,11 @@ pub fn attribute(snap: &Snapshot) -> Attribution {
             .map(|&(_, s, e)| (s, e))
             .collect()
     };
-    let sum = |side: Option<bool>, role: Role| -> u64 {
+    let durations = |side: Option<bool>, role: Role| -> Vec<u64> {
         let spans = spans(side, &|r| r == role);
-        spans.iter().map(|&(s, e)| e.saturating_sub(s)).sum()
+        spans.iter().map(|&(s, e)| e.saturating_sub(s)).collect()
     };
+    let sum = |side: Option<bool>, role: Role| -> u64 { durations(side, role).iter().sum() };
 
     // Per-epoch windows, deliberately NOT merged: back-to-back epochs touch
     // at their boundary, and merging them would hide every epoch's
@@ -490,6 +540,11 @@ pub fn attribute(snap: &Snapshot) -> Attribution {
     for c in &chains {
         chain_total.add(&c.attribute());
     }
+    let prep_per_batch = chains
+        .iter()
+        .filter(|c| c.edges.iter().any(|e| is_prep(role(e.name))))
+        .map(|c| c.work_ns(is_prep))
+        .collect();
 
     Attribution {
         report: PipelineReport {
@@ -509,6 +564,10 @@ pub fn attribute(snap: &Snapshot) -> Attribution {
             overlap_ns,
             comm_ns: sum(None, Role::Comm),
             occupancy,
+            prep_work: Percentiles::of(prep_per_batch),
+            train: Percentiles::of(durations(None, Role::Train)),
+            prep_wait: Percentiles::of(durations(None, Role::PrepWait)),
+            fill: Percentiles::of(durations(None, Role::Fill)),
         },
         stages: RecordedStages::from_chains(&chains),
         chains,
@@ -536,6 +595,15 @@ impl BatchChain {
         self.edges
             .iter()
             .filter_map(|e| Some((role(e.name).edge()?, e)))
+    }
+
+    /// Summed duration of the chain's edges whose role passes `of`.
+    fn work_ns(&self, of: fn(Role) -> bool) -> u64 {
+        self.edges
+            .iter()
+            .filter(|e| of(role(e.name)))
+            .map(SpanEvent::dur_ns)
+            .sum()
     }
 
     /// `(first start, last end)` over the chain's edges.
@@ -652,26 +720,16 @@ impl RecordedStages {
         if chains.is_empty() {
             return None;
         }
-        let prep: fn(Role) -> bool = |r| matches!(r, Role::Sample | Role::Slice | Role::Copy);
-        let per_chain = |of: fn(Role) -> bool| -> Vec<u64> {
-            let ns = |c: &BatchChain| {
-                c.edges
-                    .iter()
-                    .filter(|e| of(role(e.name)))
-                    .map(SpanEvent::dur_ns)
-                    .sum()
-            };
-            chains.iter().map(ns).collect()
-        };
+        let per_chain = |of: fn(Role) -> bool| chains.iter().map(|c| c.work_ns(of)).collect();
         let edges = chains.iter().flat_map(|c| &c.edges);
         let mut lanes: Vec<u32> = edges
-            .filter(|e| prep(role(e.name)))
+            .filter(|e| is_prep(role(e.name)))
             .map(|e| e.tid)
             .collect();
         lanes.sort_unstable();
         lanes.dedup();
         Some(RecordedStages {
-            prep_ns: per_chain(prep),
+            prep_ns: per_chain(is_prep),
             transfer_ns: per_chain(|r| r == Role::Transfer),
             train_ns: per_chain(|r| r == Role::Train),
             prep_lanes: lanes.len().max(1),
@@ -739,6 +797,39 @@ mod tests {
         assert_eq!(r.idle_ns, 0);
         assert_eq!(r.shutdown_ns, 50);
         assert_eq!(r.fill_ns + r.idle_ns + r.shutdown_ns, r.other_ns);
+    }
+
+    fn pct(n: usize, p50: u64, p95: u64, p99: u64) -> Percentiles {
+        Percentiles { n, p50, p95, p99 }
+    }
+
+    #[test]
+    fn report_percentiles_come_from_the_spans() {
+        let r = analyze(&scripted());
+        // Batch 1's prep work is its sample (50) + slice (10); the slot
+        // wait is backpressure, not work. Batch 0 prepared nothing.
+        assert_eq!(r.prep_work, pct(1, 60, 60, 60));
+        assert_eq!(r.train, pct(1, 100, 100, 100));
+        assert_eq!(r.prep_wait, pct(1, 30, 30, 30));
+        assert_eq!(r.fill, Percentiles::default());
+    }
+
+    #[test]
+    fn percentiles_take_the_nearest_rank() {
+        assert_eq!(Percentiles::of(Vec::new()), Percentiles::default());
+        assert_eq!(Percentiles::of(vec![7]), pct(1, 7, 7, 7));
+        // 1..=100 in any order: rank ⌈q·100⌉ holds the value itself.
+        let hundred: Vec<u64> = (1..=100).rev().collect();
+        assert_eq!(Percentiles::of(hundred), pct(100, 50, 95, 99));
+        // Ties: ranks 1..=90 hold 10, 91..=99 hold 20, 100 holds 30.
+        let mut tied = vec![10; 90];
+        tied.extend([20; 9]);
+        tied.push(30);
+        assert_eq!(Percentiles::of(tied), pct(100, 10, 20, 20));
+        // An even count takes the lower median.
+        assert_eq!(Percentiles::of(vec![4, 1, 3, 2]).p50, 2);
+        // A fractional rank rounds up: p95 of 1..=11 is rank ⌈10.45⌉ = 11.
+        assert_eq!(Percentiles::of((1..=11).collect()).p95, 11);
     }
 
     #[test]

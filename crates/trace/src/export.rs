@@ -40,7 +40,8 @@ fn us(ns: u64) -> String {
 ///
 /// Spans become `"X"` (complete) events, point events become `"i"`
 /// (instant) events, and each thread gets an `"M"` `thread_name` metadata
-/// record. Batch ids are attached under `args.batch`.
+/// record. Batch ids are attached under `args.batch`, non-zero counts under
+/// `args.counts`.
 pub fn chrome_trace(snap: &Snapshot) -> String {
     let mut out = String::new();
     out.push_str("{\"traceEvents\":[");
@@ -63,10 +64,18 @@ pub fn chrome_trace(snap: &Snapshot) -> String {
         );
     }
     for e in &snap.events {
-        let args = if e.batch == NO_BATCH {
+        let mut args = Vec::new();
+        if e.batch != NO_BATCH {
+            args.push(format!("\"batch\":{}", e.batch));
+        }
+        let [a, b] = e.counts;
+        if a != 0 || b != 0 {
+            args.push(format!("\"counts\":[{a},{b}]"));
+        }
+        let args = if args.is_empty() {
             String::new()
         } else {
-            format!(",\"args\":{{\"batch\":{}}}", e.batch)
+            format!(",\"args\":{{{}}}", args.join(","))
         };
         let line = match e.kind {
             EventKind::Span => format!(
@@ -94,7 +103,7 @@ pub fn chrome_trace(snap: &Snapshot) -> String {
 }
 
 /// Renders every metric instrument as a JSON object:
-/// `{"counters":{..},"gauges":{..},"histograms":{name:{count,sum,mean,p50,p95,p99}}}`.
+/// `{"counters":{..},"gauges":{..}}`.
 pub fn metrics_json(snap: &Snapshot) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"counters\": {");
@@ -110,22 +119,6 @@ pub fn metrics_json(snap: &Snapshot) -> String {
             out.push(',');
         }
         let _ = write!(out, "\n    \"{}\": {v}", json_escape(k));
-    }
-    out.push_str("\n  },\n  \"histograms\": {");
-    for (i, (k, h)) in snap.metrics.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let (p50, p95, p99) = h.percentiles();
-        let _ = write!(
-            out,
-            "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"mean\": {:.1}, \
-             \"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99}}}",
-            json_escape(k),
-            h.count,
-            h.sum,
-            h.mean()
-        );
     }
     out.push_str("\n  }\n}\n");
     out
@@ -195,21 +188,15 @@ pub fn render_report(r: &PipelineReport, snap: &Snapshot) -> String {
             r.pct(occ.busy_ns)
         );
     }
-    // The full registry, not a hand-picked subset: a histogram recorded
-    // anywhere in the pipeline shows up here without touching this file.
-    for &name in crate::names::hists::ALL {
-        if let Some(h) = snap.metrics.histogram(name) {
-            if h.count > 0 {
-                let (p50, p95, p99) = h.percentiles();
-                let _ = writeln!(
-                    out,
-                    "  {name}: n={} p50={} p95={} p99={}",
-                    h.count,
-                    fmt_ms(p50),
-                    fmt_ms(p95),
-                    fmt_ms(p99)
-                );
-            }
+    for (label, p) in [
+        ("prep work", r.prep_work),
+        ("stage.train", r.train),
+        ("stage.prep", r.prep_wait),
+        ("warmup", r.fill),
+    ] {
+        if p.n > 0 {
+            let (p50, p95, p99) = (fmt_ms(p.p50), fmt_ms(p.p95), fmt_ms(p.p99));
+            let _ = writeln!(out, "  {label}: n={} p50={p50} p95={p95} p99={p99}", p.n);
         }
     }
     let faults = [
@@ -234,7 +221,7 @@ mod tests {
     use super::*;
     use crate::analysis::analyze;
     use crate::clock::Clock;
-    use crate::names::{counters, events, hists, spans};
+    use crate::names::{counters, events, spans};
     use crate::span::Trace;
 
     fn sample_trace() -> Trace {
@@ -242,9 +229,9 @@ mod tests {
         t.record_span(spans::EPOCH, NO_BATCH, 0, 1_000_000);
         t.record_span(spans::STAGE_TRAIN, 0, 0, 600_000);
         t.record_span(spans::STAGE_PREP, 1, 600_000, 900_000);
+        t.record_span_counts(spans::PREP_SLICE, 1, 650_000, 700_000, [4_096, 0]);
         t.instant(events::RETRY, 1);
-        t.counter(counters::BATCHES).add(2);
-        t.histogram(hists::PREP_BATCH_NS).observe(250_000);
+        t.counter(counters::RETRIES).add(2);
         t
     }
 
@@ -256,16 +243,17 @@ mod tests {
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"ph\":\"i\""));
         assert!(json.contains("\"args\":{\"batch\":1}"));
+        assert!(json.contains("\"args\":{\"batch\":1,\"counts\":[4096,0]}"));
         // NO_BATCH events get no args object.
         assert!(json.contains("\"name\":\"epoch\",\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":0.000,\"dur\":1000.000}"));
     }
 
     #[test]
-    fn metrics_json_includes_percentiles() {
+    fn metrics_json_lists_counters_and_gauges() {
         let json = metrics_json(&sample_trace().snapshot());
-        assert!(json.contains("\"pipeline.batches\": 2"));
-        assert!(json.contains("\"prep.batch_ns\""));
-        assert!(json.contains("\"p95\""));
+        assert!(json.contains("\"fault.retries\": 2"));
+        assert!(json.contains("\"gauges\": {"));
+        assert!(crate::json::parse(&json).is_ok());
     }
 
     #[test]
@@ -276,7 +264,9 @@ mod tests {
         assert!(text.contains("trainer stage breakdown"));
         assert!(text.contains("compute"));
         assert!(text.contains("60.0%"));
-        assert!(text.contains("prep.batch_ns: n=1"));
+        assert!(text.contains("prep work: n=1 p50=0.050 ms"), "{text}");
+        assert!(text.contains("stage.train: n=1 p50=0.600 ms"), "{text}");
+        assert!(!text.contains("warmup"), "{text}");
     }
 
     #[test]

@@ -13,9 +13,12 @@
 //! * [`Trace`] — a cloneable recording handle. Spans (begin/end intervals
 //!   tagged with a stage name and batch id) are pushed onto the recording
 //!   thread's own log in the registry, where [`Trace::snapshot`] and the
-//!   flight recorder ([`blackbox`]) both read them; counters/gauges/
-//!   histograms are `Arc`'d atomics. A disabled handle records nothing,
-//!   reads no clock, and allocates nothing on the span fast path.
+//!   flight recorder ([`blackbox`]) both read them. A span is the one
+//!   record of its batch's work: its duration and the counts it covered
+//!   (nodes, edges, bytes; [`SpanEvent::counts`]). Counters and gauges,
+//!   `Arc`'d atomics, hold only events no span covers (faults, admission,
+//!   ring traffic). A disabled handle records nothing, reads no clock, and
+//!   allocates nothing on the span fast path.
 //! * [`analysis`] — one pass ([`attribute`]) over a [`Snapshot`] of span
 //!   intervals, reading each span's meaning off one span-role table:
 //!   - a [`PipelineReport`]: trainer stall attribution (prep-blocked /
@@ -25,7 +28,9 @@
 //!   - each batch's causal chain ([`BatchChain`], keyed by epoch and batch
 //!     id) and their summed [`ChainAttribution`];
 //!   - the per-batch stage durations ([`RecordedStages`]) the what-if
-//!     projector `salient_sim::what_if` replays.
+//!     projector `salient_sim::what_if` replays;
+//!   - exact p50/p95/p99 of per-batch prep work, train steps, prep waits
+//!     and pipeline fills ([`Percentiles`], on the report).
 //! * [`export`] — a human-readable epoch report, a JSON metrics snapshot,
 //!   and Chrome trace-event JSON (open in `chrome://tracing` or Perfetto);
 //!   [`json`] holds the in-repo parser/validator used by CI to check the
@@ -65,12 +70,12 @@ mod span;
 pub mod metrics;
 
 pub use analysis::{
-    analyze, attribute, Attribution, BatchChain, ChainAttribution, PipelineReport, RecordedStages,
-    Snapshot, ThreadOccupancy,
+    analyze, attribute, Attribution, BatchChain, ChainAttribution, Percentiles, PipelineReport,
+    RecordedStages, Snapshot, ThreadOccupancy,
 };
 pub use blackbox::Blackbox;
 pub use clock::{Clock, VirtualClock};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
+pub use metrics::{Counter, Gauge, Metrics, MetricsSnapshot};
 pub use span::{EventKind, SpanEvent, SpanGuard, Trace, NO_BATCH};
 
 /// Locks `m`, recovering the guard if a previous holder panicked: every

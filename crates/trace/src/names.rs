@@ -1,5 +1,4 @@
-//! The registry of well-known span, counter, gauge, histogram, and event
-//! names used by the instrumented pipeline (the observability analogue of
+//! The registry of well-known span, counter, gauge, and event names used by the instrumented pipeline (the observability analogue of
 //! `salient_fault::sites`).
 //!
 //! Each kind of name is a newtype over `&'static str` whose constructor is
@@ -62,19 +61,16 @@ name_types! {
     CounterName,
     /// A gauge (and counter-track) name from [`gauges`].
     GaugeName,
-    /// A histogram name from [`hists`].
-    HistName,
     /// A point-event name from [`events`].
     EventName,
 }
 
 /// Declares one registry module: its constants and, from the same lines,
-/// its `ALL` list — so a constant cannot be missing from the list.
-/// Attributes before `ALL` apply to the list (`#[cfg(test)]` where only the
-/// uniqueness test reads it).
+/// its `ALL` list (read only by the uniqueness test) — so a constant cannot
+/// be missing from the list.
 macro_rules! registry {
     (
-        $(#[$mod_attr:meta])* pub mod $module:ident: $ty:ident, $(#[$all_attr:meta])* ALL;
+        $(#[$mod_attr:meta])* pub mod $module:ident: $ty:ident;
         $($(#[$doc:meta])* $id:ident = $name:literal,)*
     ) => {
         $(#[$mod_attr])*
@@ -83,15 +79,17 @@ macro_rules! registry {
             $($(#[$doc])* pub const $id: $ty = $ty::new($name);)*
 
             /// Every name declared in this module, in declaration order.
-            $(#[$all_attr])*
+            #[cfg(test)]
             pub const ALL: &[$ty] = &[$($id),*];
         }
     };
 }
 
 registry! {
-    /// Interval (span) names.
-    pub mod spans: SpanName, #[cfg(test)] ALL;
+    /// Interval (span) names. A span's two counts
+    /// ([`crate::SpanEvent::counts`]) are zero unless its constant says what
+    /// they hold.
+    pub mod spans: SpanName;
 
     /// One training epoch, recorded on the consumer ("trainer") thread.
     EPOCH = "epoch",
@@ -105,9 +103,11 @@ registry! {
     STAGE_TRANSFER = "stage.transfer",
     /// Trainer-side model compute (forward + backward + step).
     STAGE_TRAIN = "stage.train",
-    /// Worker-side neighborhood sampling + MFG construction.
+    /// Worker-side neighborhood sampling + MFG construction. Counts: the
+    /// MFG's nodes and edges.
     PREP_SAMPLE = "prep.sample",
-    /// Worker-side feature/label slicing.
+    /// Worker-side feature/label slicing; one per prepared batch. Counts:
+    /// the staged payload bytes (what a CPU→GPU DMA would move), then 0.
     PREP_SLICE = "prep.slice",
     /// Worker-side extra copy (multiprocessing-emulation mode only).
     PREP_COPY = "prep.copy",
@@ -129,8 +129,9 @@ registry! {
     /// stage work.
     DDP_TRAIN = "ddp.train",
     /// Warm-up iterations excluded from steady-state measurement; also the
-    /// stage-graph executor's first source wait per run (pipeline fill),
-    /// kept out of the steady-state wait histogram.
+    /// stage-graph executor's first source wait per run (pipeline fill) in
+    /// a graph that files it apart, so its `stage.prep` waits are steady
+    /// state only.
     WARMUP = "warmup",
     /// `salient paper table2`: one PyG-style (per-batch allocation)
     /// sampling pass.
@@ -148,16 +149,8 @@ registry! {
 
 registry! {
     /// Counter names.
-    pub mod counters: CounterName, #[cfg(test)] ALL;
+    pub mod counters: CounterName;
 
-    /// Batches consumed by the trainer.
-    BATCHES = "pipeline.batches",
-    /// Sampled nodes staged by prep workers.
-    PREP_NODES = "prep.nodes",
-    /// MFG edges staged by prep workers.
-    PREP_EDGES = "prep.edges",
-    /// Staged payload bytes (what a CPU→GPU DMA would move).
-    PREP_BYTES = "prep.bytes",
     /// Packed bytes the trainer pulled through the transfer stage (staged
     /// features at their storage dtype + labels). With f16 feature storage
     /// this is ~half the f32 figure — the paper's optimization (iii) made
@@ -208,7 +201,7 @@ registry! {
 
 registry! {
     /// Gauge names.
-    pub mod gauges: GaugeName, #[cfg(test)] ALL;
+    pub mod gauges: GaugeName;
 
     /// Serving requests currently queued past admission.
     QUEUE_DEPTH = "serve.queue_depth",
@@ -219,28 +212,8 @@ registry! {
 }
 
 registry! {
-    /// Histogram names.
-    pub mod hists: HistName, ALL;
-
-    /// End-to-end preparation nanoseconds per batch (sample + slice + copy).
-    PREP_BATCH_NS = "prep.batch_ns",
-    /// Model-compute nanoseconds per batch.
-    TRAIN_BATCH_NS = "train.batch_ns",
-    /// Trainer blocking-wait nanoseconds per batch.
-    PREP_WAIT_NS = "prep.wait_ns",
-    /// End-to-end serving latency (submit → response) per completed request.
-    SERVE_LATENCY_NS = "serve.latency_ns",
-    /// Serving micro-batch pipeline nanoseconds (sample + slice + gemm).
-    SERVE_BATCH_NS = "serve.batch_ns",
-    /// Pipeline-fill nanoseconds: the stage-graph executor's first source
-    /// wait per run, reported separately so it cannot distort the
-    /// steady-state `prep.wait_ns` percentiles.
-    PIPE_FILL_NS = "pipe.fill_ns",
-}
-
-registry! {
     /// Point-event names.
-    pub mod events: EventName, #[cfg(test)] ALL;
+    pub mod events: EventName;
 
     /// A prep work item is attempted again after a caught panic.
     RETRY = "fault.retry",
@@ -288,18 +261,16 @@ mod tests {
         assert_unique("span", spans::ALL);
         assert_unique("counter", counters::ALL);
         assert_unique("gauge", gauges::ALL);
-        assert_unique("histogram", hists::ALL);
         assert_unique("event", events::ALL);
     }
 
     #[test]
     fn all_lists_carry_every_declared_constant() {
         // The macro builds `ALL` from the same lines as the constants, so
-        // its length is the declaration count; `hists::ALL` is the list the
-        // epoch report iterates.
-        assert_eq!(hists::ALL.len(), 6);
+        // its length is the declaration count.
         assert_eq!(spans::ALL.len(), 21);
-        assert_eq!(hists::ALL[0], hists::PREP_BATCH_NS);
-        assert!("pipe.fill_ns" == hists::PIPE_FILL_NS);
+        assert_eq!(counters::ALL.len(), 21);
+        assert_eq!(spans::ALL[0], spans::EPOCH);
+        assert!("warmup" == spans::WARMUP);
     }
 }

@@ -20,8 +20,8 @@ use crate::analysis::Snapshot;
 use crate::blackbox::Blackbox;
 use crate::clock::Clock;
 use crate::lock_tolerant;
-use crate::metrics::{Counter, Gauge, Histogram, Metrics};
-use crate::names::{CounterName, EventName, GaugeName, HistName, SpanName};
+use crate::metrics::{Counter, Gauge, Metrics};
+use crate::names::{CounterName, EventName, GaugeName, SpanName};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -55,6 +55,10 @@ pub struct SpanEvent {
     pub start_ns: u64,
     /// End timestamp; equals `start_ns` for point events.
     pub end_ns: u64,
+    /// What the span covered, in the units its [`crate::names::spans`]
+    /// constant documents (a batch's nodes and edges, its bytes); zero when
+    /// unset.
+    pub counts: [u64; 2],
 }
 
 impl SpanEvent {
@@ -143,11 +147,13 @@ static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 /// {
 ///     let _span = trace.span(names::spans::STAGE_TRAIN);
 /// } // recorded on drop
-/// trace.counter(names::counters::BATCHES).inc();
+/// trace.record_span_counts(names::spans::PREP_SLICE, 0, 0, 500, [4_096, 0]);
+/// trace.counter(names::counters::RETRIES).inc();
 /// let snap = trace.snapshot();
-/// assert_eq!(snap.events.len(), 1);
-/// assert_eq!(snap.events[0].dur_ns(), 1_000);
-/// assert_eq!(snap.metrics.counter(names::counters::BATCHES), 1);
+/// assert_eq!(snap.events.len(), 2);
+/// assert_eq!(snap.events[1].dur_ns(), 1_000);
+/// assert_eq!(snap.events[0].counts, [4_096, 0]);
+/// assert_eq!(snap.metrics.counter(names::counters::RETRIES), 1);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
@@ -231,6 +237,19 @@ impl Trace {
     /// Records an interval from already-known timestamps (for callers that
     /// measured with [`Trace::now_ns`] themselves).
     pub fn record_span(&self, name: SpanName, batch: u64, start_ns: u64, end_ns: u64) {
+        self.record_span_counts(name, batch, start_ns, end_ns, [0; 2]);
+    }
+
+    /// [`Trace::record_span`] with the counts `name` documents: the span is
+    /// the one record of what its batch covered.
+    pub fn record_span_counts(
+        &self,
+        name: SpanName,
+        batch: u64,
+        start_ns: u64,
+        end_ns: u64,
+        counts: [u64; 2],
+    ) {
         if let Some(inner) = &self.inner {
             record(inner, |tid| SpanEvent {
                 name: name.as_str(),
@@ -239,6 +258,7 @@ impl Trace {
                 batch,
                 start_ns,
                 end_ns,
+                counts,
             });
         }
     }
@@ -254,6 +274,7 @@ impl Trace {
                 batch,
                 start_ns: now,
                 end_ns: now,
+                counts: [0; 2],
             });
         }
     }
@@ -275,26 +296,11 @@ impl Trace {
         }
     }
 
-    /// The histogram named `name`.
-    pub fn histogram(&self, name: HistName) -> Histogram {
-        match &self.inner {
-            Some(inner) => inner.metrics.histogram(name),
-            None => Histogram::detached(),
-        }
-    }
-
     /// Convenience counter add (cold paths; hot paths should hold a
     /// [`Counter`] handle instead).
     pub fn add(&self, name: CounterName, v: u64) {
         if let Some(inner) = &self.inner {
             inner.metrics.counter(name).add(v);
-        }
-    }
-
-    /// Convenience histogram observation (cold paths).
-    pub fn observe(&self, name: HistName, v: u64) {
-        if let Some(inner) = &self.inner {
-            inner.metrics.histogram(name).observe(v);
         }
     }
 
@@ -359,6 +365,7 @@ impl Drop for SpanGuard<'_> {
                 batch: a.batch,
                 start_ns: a.start_ns,
                 end_ns,
+                counts: [0; 2],
             });
         }
     }
@@ -376,7 +383,7 @@ mod tests {
         }
         t.instant(EventName::new("y"), NO_BATCH);
         t.add(CounterName::new("c"), 5);
-        t.observe(HistName::new("h"), 9);
+        t.record_span_counts(SpanName::new("z"), 1, 0, 5, [2, 3]);
         let snap = t.snapshot();
         assert!(snap.events.is_empty());
         assert!(snap.metrics.counters.is_empty());
@@ -497,8 +504,11 @@ mod tests {
     fn record_span_uses_caller_timestamps() {
         let t = Trace::new(Clock::virtual_manual());
         t.record_span(SpanName::new("x"), 1, 100, 250);
+        t.record_span_counts(SpanName::new("y"), 2, 300, 310, [7, 9]);
         let snap = t.snapshot();
         assert_eq!(snap.events[0].dur_ns(), 150);
+        assert_eq!(snap.events[0].counts, [0, 0]);
+        assert_eq!((snap.events[1].batch, snap.events[1].counts), (2, [7, 9]));
     }
 
     #[test]

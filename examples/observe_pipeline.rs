@@ -13,11 +13,15 @@
 //! (under `target/`):
 //!
 //! * `target/trace_pipeline.json` — Chrome trace-event timeline
-//!   (load in `chrome://tracing` or Perfetto);
-//! * `target/metrics_pipeline.json` — raw counters / gauges / histograms.
+//!   (load in `chrome://tracing` or Perfetto), each span with its batch id
+//!   and counts;
+//! * `target/metrics_pipeline.json` — raw counters / gauges.
 //!
-//! Exits non-zero if an exported artifact fails validation or a check
-//! fails, so `scripts/ci.sh` uses this binary as its observability tier.
+//! It then reads the Chrome trace back with the in-repo parser and checks
+//! that the per-batch prep durations and staged bytes it rebuilds from the
+//! file equal the in-process pass's. Exits non-zero if an exported artifact
+//! fails validation or a check fails, so `scripts/ci.sh` uses this binary
+//! as its observability tier.
 //!
 //! Run: `cargo run --release --example observe_pipeline`
 
@@ -27,8 +31,8 @@ use salient_repro::pipeline::shape;
 use salient_repro::tensor::pool;
 use salient_repro::sim::what_if;
 use salient_repro::trace::export::{chrome_trace, metrics_json, render_report};
-use salient_repro::trace::json::validate_chrome_trace;
-use salient_repro::trace::{analyze, attribute, names, Clock, Trace};
+use salient_repro::trace::json::{parse, validate_chrome_trace, Value};
+use salient_repro::trace::{analyze, attribute, names, Clock, Percentiles, Trace};
 use std::sync::Arc;
 
 /// Worker/consumer overlap measurement on the real clock; returns the
@@ -58,11 +62,11 @@ fn overlap_run() -> f64 {
     let stats = trainer.fit();
     let snap = trace.snapshot();
     let report = analyze(&snap);
-    // Pipeline warmup: the first batch's wait is recorded as fill
-    // (`pipe.fill_ns`, one entry per epoch), not as a steady-state prep
-    // stall — so `prep_wait` percentiles describe the pipelined regime,
-    // not the unavoidable cold start.
-    let fill = snap.metrics.histogram(names::hists::PIPE_FILL_NS).map_or(0, |h| h.count);
+    // Pipeline warmup: the first batch's wait is recorded as fill (a
+    // `warmup` span, one per epoch), not as a steady-state prep stall — so
+    // `prep_wait` percentiles describe the pipelined regime, not the
+    // unavoidable cold start.
+    let fill = report.fill.n;
     println!(
         "overlap run ({} pool threads): {} batches, compute {:.1} ms, overlap {:.1} ms, \
          window {:.1} ms, {fill} pipeline fills",
@@ -73,6 +77,57 @@ fn overlap_run() -> f64 {
         report.window_ns as f64 / 1e6,
     );
     report.overlap_frac()
+}
+
+/// Rebuilds, from a Chrome trace's events alone, each batch's prep work
+/// (its `prep.sample` + `prep.slice` + `prep.copy` durations, a batch keyed
+/// by its id and the `epoch` spans that closed before it started) and the
+/// staged bytes the `prep.slice` spans counted.
+fn prep_from_chrome_trace(text: &str) -> (Vec<u64>, u64) {
+    let doc = parse(text).expect("the exported Chrome trace parses");
+    let events = doc
+        .get("traceEvents")
+        .and_then(Value::as_arr)
+        .expect("traceEvents");
+    // Microseconds with three decimals: nanoseconds, exactly.
+    let ns = |e: &Value, key: &str| {
+        e.get(key)
+            .and_then(Value::as_num)
+            .map_or(0, |us| (us * 1e3).round() as u64)
+    };
+    fn name(e: &Value) -> &str {
+        e.get("name").and_then(Value::as_str).unwrap_or("")
+    }
+    let mut epoch_ends: Vec<u64> = events
+        .iter()
+        .filter(|e| name(e) == names::spans::EPOCH)
+        .map(|e| ns(e, "ts") + ns(e, "dur"))
+        .collect();
+    epoch_ends.sort_unstable();
+    let prep = [
+        names::spans::PREP_SAMPLE,
+        names::spans::PREP_SLICE,
+        names::spans::PREP_COPY,
+    ];
+    let mut per_batch = std::collections::BTreeMap::<(usize, u64), u64>::new();
+    let mut bytes = 0;
+    for e in events.iter().filter(|e| prep.iter().any(|&p| name(e) == p)) {
+        let args = e.get("args").expect("a prep span carries its batch");
+        let batch = args.get("batch").and_then(Value::as_num).expect("batch id") as u64;
+        let epoch = epoch_ends.partition_point(|&end| end <= ns(e, "ts"));
+        *per_batch.entry((epoch, batch)).or_default() += ns(e, "dur");
+        if name(e) == names::spans::PREP_SLICE {
+            let counts = args
+                .get("counts")
+                .and_then(Value::as_arr)
+                .expect("slice counts");
+            bytes += counts
+                .first()
+                .and_then(Value::as_num)
+                .expect("staged bytes") as u64;
+        }
+    }
+    (per_batch.into_values().collect(), bytes)
 }
 
 fn main() {
@@ -130,12 +185,41 @@ fn main() {
     std::fs::write("target/metrics_pipeline.json", &metrics).expect("write metrics");
     println!("metrics snapshot -> target/metrics_pipeline.json");
 
-    // Byte counters: workers stage `prep.bytes` into pinned slots and the
-    // trainer pulls `transfer.bytes` through the transfer stage, both at the
-    // feature store's packed dtype — so with f16 storage these are ~half of
-    // what an f32 store would report. They agree on every batch the trainer
-    // actually consumed (prep may stage more if an epoch is cut short).
-    let prep_bytes = snap.metrics.counter(names::counters::PREP_BYTES);
+    // The export read back: per-batch prep work and staged bytes rebuilt
+    // from the file's events equal what the in-process pass read off the
+    // snapshot.
+    let file = std::fs::read_to_string("target/trace_pipeline.json").expect("read Chrome trace");
+    let (exported_prep, exported_bytes) = prep_from_chrome_trace(&file);
+    let recorded_prep: u64 = attribution.stages.iter().flat_map(|r| &r.prep_ns).sum();
+    assert_eq!(
+        exported_prep.iter().sum::<u64>(),
+        recorded_prep,
+        "prep work rebuilt from the export"
+    );
+    assert_eq!(
+        Percentiles::of(exported_prep),
+        report.prep_work,
+        "per-batch prep work rebuilt from the export"
+    );
+    let prep_bytes: u64 = snap
+        .spans(names::spans::PREP_SLICE)
+        .map(|e| e.counts[0])
+        .sum();
+    assert_eq!(
+        exported_bytes, prep_bytes,
+        "staged bytes rebuilt from the export"
+    );
+    println!(
+        "export read back: prep work p50 {} ns p99 {} ns over {} batches, {prep_bytes} staged bytes",
+        report.prep_work.p50, report.prep_work.p99, report.prep_work.n
+    );
+
+    // Bytes: workers stage them into pinned slots (each `prep.slice` span's
+    // count) and the trainer pulls `transfer.bytes` through the transfer
+    // stage, both at the feature store's packed dtype — so with f16 storage
+    // these are ~half of what an f32 store would report. They agree on
+    // every batch the trainer actually consumed (prep may stage more if an
+    // epoch is cut short).
     let transfer_bytes = snap.metrics.counter(names::counters::TRANSFER_BYTES);
     assert!(transfer_bytes > 0, "trainer must record transfer bytes");
     assert!(
@@ -153,8 +237,8 @@ fn main() {
     // stage's speed would buy: the recorded stage durations re-executed on
     // the sim plane's pipelined schedule. Chains are keyed by (epoch, batch
     // id), as ids restart every epoch: one chain, and one recorded batch,
-    // per batch trained.
-    let trained = snap.metrics.counter(names::counters::BATCHES) as usize;
+    // per batch prepared (one `prep.slice` span each) and trained.
+    let trained = snap.spans(names::spans::PREP_SLICE).count();
     let chains = &attribution.chains;
     assert_eq!(chains.len(), trained, "one causal chain per trained batch");
     let attr = attribution.chain_total;

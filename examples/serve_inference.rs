@@ -2,7 +2,10 @@
 //! the serving core through an open-loop Poisson arrival sweep on the real
 //! clock — below the knee, near the knee, and well past it — printing the
 //! latency–throughput frontier, each point with the median `serve.sample` /
-//! `serve.slice` / `serve.gemm` span of its measured window.
+//! `serve.slice` / `serve.gemm` span of its measured window. A point's
+//! latency percentiles are those of the `latency_ns` its measured window's
+//! `Response::Done`s carry (the warm-up's are not among them), by the same
+//! nearest-rank rule as the stage medians (`trace::Percentiles`).
 //!
 //! The point of the sweep is the *overload* column: with admission control,
 //! deadlines, and the degradation ladder in place, pushing offered load to
@@ -24,7 +27,7 @@ use salient_repro::core::{RunConfig, Trainer};
 use salient_repro::graph::{Dataset, DatasetConfig};
 use salient_repro::serve::{loadgen, Request, Response, ServeConfig, ServerCore};
 use salient_repro::trace::names::SpanName;
-use salient_repro::trace::{names, Clock, Snapshot, Trace};
+use salient_repro::trace::{names, Clock, Percentiles, Trace};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -75,18 +78,6 @@ struct PointStats {
     stage_p50_ns: [u64; 3],
 }
 
-/// Median duration of the `name` spans that started at or after `from_ns`
-/// (0 when there are none).
-fn span_p50_ns(snap: &Snapshot, name: SpanName, from_ns: u64) -> u64 {
-    let mut durs: Vec<u64> =
-        snap.spans(name).filter(|e| e.start_ns >= from_ns).map(|e| e.dur_ns()).collect();
-    if durs.is_empty() {
-        return 0;
-    }
-    let mid = durs.len() / 2;
-    *durs.select_nth_unstable(mid).1
-}
-
 /// Open-loop catch-up driver: arrivals are submitted as their instants
 /// pass on the real clock, micro-batches run whenever work is queued, and
 /// everything left drains at the end. Deadlines are absolute
@@ -107,9 +98,8 @@ fn drive(core: &mut ServerCore, arrivals: &[loadgen::Arrival]) -> PointStats {
         }
         core.step();
     }
-    let warm = core.trace().snapshot();
-    let warm_completed = warm.metrics.counter(names::counters::SERVE_COMPLETED);
     let t0 = clock.now_ns();
+    let mut latencies = Vec::new();
     let mut next = 0usize;
     let mut missed = 0usize;
     // How far behind an arrival instant the driver may run before the
@@ -142,6 +132,9 @@ fn drive(core: &mut ServerCore, arrivals: &[loadgen::Arrival]) -> PointStats {
         if core.pending() > 0 {
             for (_, resp) in core.step().responses {
                 debug_assert!(!matches!(resp, Response::Rejected(_)));
+                if let Response::Done { latency_ns, .. } = resp {
+                    latencies.push(latency_ns);
+                }
             }
         } else if next < arrivals.len() {
             // Spin for short gaps: an OS sleep overshoots by tens of µs
@@ -159,12 +152,8 @@ fn drive(core: &mut ServerCore, arrivals: &[loadgen::Arrival]) -> PointStats {
     let elapsed_s = (clock.now_ns() - t0) as f64 / 1e9;
     let snap = core.trace().snapshot();
     let c = |name: names::CounterName| snap.metrics.counter(name);
-    let (p50_ns, p95_ns, p99_ns) = snap
-        .metrics
-        .histogram(names::hists::SERVE_LATENCY_NS)
-        .map(|h| h.percentiles())
-        .unwrap_or((0, 0, 0));
-    let completed = c(names::counters::SERVE_COMPLETED) - warm_completed;
+    let completed = latencies.len() as u64;
+    let latency = Percentiles::of(latencies);
     PointStats {
         offered: arrivals.len() - missed,
         missed,
@@ -174,11 +163,14 @@ fn drive(core: &mut ServerCore, arrivals: &[loadgen::Arrival]) -> PointStats {
         expired: c(names::counters::SERVE_EXPIRED),
         degrades: c(names::counters::SERVE_DEGRADES),
         throughput_rps: completed as f64 / elapsed_s,
-        p50_ns,
-        p95_ns,
-        p99_ns,
+        p50_ns: latency.p50,
+        p95_ns: latency.p95,
+        p99_ns: latency.p99,
         // The warm-up's spans started before t0.
-        stage_p50_ns: STAGE_SPANS.map(|name| span_p50_ns(&snap, name, t0)),
+        stage_p50_ns: STAGE_SPANS.map(|name| {
+            let measured = snap.spans(name).filter(|e| e.start_ns >= t0);
+            Percentiles::of(measured.map(|e| e.dur_ns()).collect()).p50
+        }),
     }
 }
 

@@ -185,10 +185,13 @@ done
 echo "== observability tier: instrumented run on a virtual clock, overlap on the real one"
 # A 2-epoch SALIENT-executor run on a VirtualClock: prints the
 # stall-attribution report, exports the Chrome trace + metrics snapshot,
-# validates both with the in-repo JSON parser (no serde), and asserts the
-# profiler's acceptance gate: >= 90% of every batch's chain extent charged
-# to named causal categories, and one chain (and one recorded batch for the
-# what-if line) per batch trained, as the `pipeline.batches` counter says.
+# validates both with the in-repo JSON parser (no serde), reads the Chrome
+# trace back and asserts that the per-batch prep durations (their
+# percentiles and total) and the staged bytes it rebuilds from the file
+# equal the in-process pass's, and asserts the profiler's acceptance gate:
+# >= 90% of every batch's chain extent charged to named causal categories,
+# and one chain (and one recorded batch for the what-if line) per batch
+# prepared, as the `prep.slice` spans count them.
 # On a host with two or more cores the same example then measures, on the
 # monotonic clock, how much of the consumer's compute the batch-preparation
 # workers' work overlapped (the paper's Figure-4 win), prints it as

@@ -293,30 +293,96 @@ fn all_reduce_mean_equals_mean_for_many_shapes() {
     }
 }
 
-/// `trace::json` on damaged input: truncations, byte flips and splices of a
-/// valid Chrome-trace export, and 65 536 brackets opened in the middle
-/// of it, give `Ok` or `Err`, never a panic or a stack overflow.
+/// `chrome_trace` → `json::parse` on random traces with random counts
+/// returns every span's name, batch, duration and counts exactly. Then
+/// `trace::json` on damaged copies of each export: a document cut before
+/// its closing brace is an error; byte flips, splices and 65 536 brackets
+/// opened in the middle of it give `Ok` or `Err`, never a panic or a stack
+/// overflow.
 #[test]
 fn trace_json_returns_on_mutated_chrome_traces() {
     use salient_repro::trace::export::chrome_trace;
-    use salient_repro::trace::json::validate_chrome_trace;
-    use salient_repro::trace::names::{events, spans};
-    use salient_repro::trace::{Clock, Trace, NO_BATCH};
+    use salient_repro::trace::json::{parse, validate_chrome_trace, Value};
+    use salient_repro::trace::names::{events, spans, SpanName};
+    use salient_repro::trace::{Clock, EventKind, Trace, NO_BATCH};
 
-    let trace = Trace::new(Clock::virtual_with_tick(100));
-    for batch in 0..4 {
-        let _s = trace.span_batch(spans::STAGE_TRAIN, batch);
-        trace.instant(events::RETRY, NO_BATCH);
-    }
-    let valid = chrome_trace(&trace.snapshot());
-    validate_chrome_trace(&valid).expect("the unmutated export is valid");
-    let valid = valid.into_bytes();
-
+    const NAMES: [SpanName; 4] = [
+        spans::PREP_SAMPLE,
+        spans::PREP_SLICE,
+        spans::STAGE_TRAIN,
+        spans::EPOCH,
+    ];
+    // Below 2^53, so every value is exact as the parser's f64.
+    let below = |rng: &mut StdRng, bits: u32| -> u64 {
+        if rng.random_range(0..3u32) == 0 {
+            0
+        } else {
+            rng.random_range(0..1u64 << bits)
+        }
+    };
     for seed in 0..2000u64 {
         let mut rng = StdRng::seed_from_u64(7000 + seed);
-        let mut doc = valid.clone();
+        let trace = Trace::new(Clock::virtual_manual());
+        for _ in 0..rng.random_range(1..=6usize) {
+            let name = NAMES[rng.random_range(0..NAMES.len())];
+            let batch = if rng.random_range(0..4u32) == 0 {
+                NO_BATCH
+            } else {
+                below(&mut rng, 40)
+            };
+            let start = below(&mut rng, 40);
+            let end = start + below(&mut rng, 32);
+            let counts = [below(&mut rng, 52), below(&mut rng, 52)];
+            trace.record_span_counts(name, batch, start, end, counts);
+        }
+        trace.instant(events::RETRY, NO_BATCH);
+        let snap = trace.snapshot();
+        let valid = chrome_trace(&snap);
+        validate_chrome_trace(&valid).expect("the unmutated export is valid");
+
+        let doc = parse(&valid).expect("the export parses");
+        let num = |v: Option<&Value>| v.and_then(Value::as_num).map(|n| n as u64);
+        let read: Vec<(String, u64, u64, [u64; 2])> = doc
+            .get("traceEvents")
+            .and_then(Value::as_arr)
+            .expect("traceEvents")
+            .iter()
+            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
+            .map(|e| {
+                let args = e.get("args");
+                let counts = args.and_then(|a| a.get("counts")?.as_arr());
+                let count = |i: usize| num(counts.and_then(|c| c.get(i))).unwrap_or(0);
+                (
+                    e.get("name")
+                        .and_then(Value::as_str)
+                        .expect("name")
+                        .to_string(),
+                    num(args.and_then(|a| a.get("batch"))).unwrap_or(NO_BATCH),
+                    // Microseconds with three decimals: nanoseconds, exactly.
+                    (e.get("dur").and_then(Value::as_num).expect("dur") * 1e3).round() as u64,
+                    [count(0), count(1)],
+                )
+            })
+            .collect();
+        let recorded: Vec<(String, u64, u64, [u64; 2])> = snap
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::Span)
+            .map(|e| (e.name.to_string(), e.batch, e.dur_ns(), e.counts))
+            .collect();
+        assert_eq!(read, recorded, "seed {seed}");
+
+        let mut doc = valid.into_bytes();
+        let closed = doc
+            .iter()
+            .rposition(|&b| b == b'}')
+            .expect("a closing brace");
         match seed % 4 {
-            0 => doc.truncate(rng.random_range(0..doc.len())),
+            0 => {
+                doc.truncate(rng.random_range(0..=closed));
+                let cut = String::from_utf8_lossy(&doc);
+                assert!(parse(&cut).is_err(), "seed {seed}: a cut document parsed");
+            }
             1 => {
                 for _ in 0..rng.random_range(1..=4usize) {
                     let at = rng.random_range(0..doc.len());
@@ -333,7 +399,11 @@ fn trace_json_returns_on_mutated_chrome_traces() {
             }
             _ => {
                 let at = rng.random_range(0..=doc.len());
-                let open = if rng.random_range(0..2u32) == 0 { b'[' } else { b'{' };
+                let open = if rng.random_range(0..2u32) == 0 {
+                    b'['
+                } else {
+                    b'{'
+                };
                 doc.splice(at..at, std::iter::repeat_n(open, 1 << 16));
             }
         }

@@ -1,6 +1,6 @@
 //! Overhead guard: with tracing disabled, the per-batch hot-loop
-//! instrumentation (span guards, pre-resolved counters and histograms,
-//! point events) must perform **zero heap allocations**. A counting global
+//! instrumentation (span guards, spans carrying counts, counters, point
+//! events) must perform **zero heap allocations**. A counting global
 //! allocator makes the assertion exact — this is its own test binary so the
 //! allocator hook cannot perturb any other suite, and it counts per thread
 //! (`tests/common`), so the sibling tests of this binary running in
@@ -9,7 +9,7 @@
 mod common;
 
 use common::allocations;
-use salient_repro::trace::names::{counters, events, hists, spans};
+use salient_repro::trace::names::{counters, events, spans};
 use salient_repro::trace::{Clock, Trace};
 
 #[test]
@@ -17,24 +17,17 @@ fn disabled_tracing_batch_loop_allocates_nothing() {
     let trace = Trace::disabled();
     assert!(!trace.is_enabled());
 
-    // Pre-resolved instruments, exactly as the batch-prep workers and the
-    // DDP communicator hold them.
-    let batches = trace.counter(counters::BATCHES);
-    let latency = trace.histogram(hists::PREP_BATCH_NS);
-
     // Warm up once (lazy statics, TLS init) before the measured window.
     for batch in 0..8u64 {
         let _span = trace.span_batch(spans::STAGE_PREP, batch);
-        batches.inc();
-        latency.observe(1 + batch);
+        trace.record_span_counts(spans::PREP_SLICE, batch, 0, 1 + batch, [4_096, 0]);
     }
 
     let before = allocations();
     for batch in 0..10_000u64 {
         let _span = trace.span_batch(spans::STAGE_PREP, batch);
         let _inner = trace.span(spans::PREP_SAMPLE);
-        batches.inc();
-        latency.observe(1 + batch);
+        trace.record_span_counts(spans::PREP_SLICE, batch, 0, 1 + batch, [4_096, 0]);
         trace.instant(events::RETRY, batch);
         trace.add(counters::RETRIES, 1);
     }
@@ -48,7 +41,7 @@ fn disabled_tracing_batch_loop_allocates_nothing() {
     // The disabled registry also records nothing.
     let snap = trace.snapshot();
     assert!(snap.events.is_empty());
-    assert_eq!(snap.metrics.counter(counters::BATCHES), 0);
+    assert!(snap.metrics.counters.is_empty());
 }
 
 #[test]

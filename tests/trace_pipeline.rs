@@ -4,11 +4,12 @@
 //! * a stall-attribution report whose prep/transfer/compute/other shares
 //!   sum to 100%;
 //! * a structurally valid Chrome trace with spans from ≥ 3 threads;
-//! * per-batch preparation-latency histograms with usable p50/p95.
+//! * per-batch preparation-latency percentiles, read off the spans, and
+//!   the spans' counts carried through the Chrome export.
 
 use salient_repro::core::{ExecutorKind, RunConfig, StageTimings, Trainer};
 use salient_repro::graph::DatasetConfig;
-use salient_repro::trace::export::{chrome_trace, metrics_json, render_report};
+use salient_repro::trace::export::{chrome_trace, render_report};
 use salient_repro::trace::json::{parse, validate_chrome_trace};
 use salient_repro::trace::{analyze, names, Clock, Trace};
 use std::sync::Arc;
@@ -54,7 +55,7 @@ fn stall_attribution_sums_to_100() {
     // Batch ids restart every epoch, and chains are keyed by (epoch, batch):
     // one causal chain per trained batch.
     let chains = salient_repro::trace::attribute(&snap).chains;
-    assert_eq!(chains.len() as u64, snap.metrics.counter(names::counters::BATCHES));
+    assert_eq!(chains.len(), snap.spans(names::spans::PREP_SLICE).count());
 }
 
 /// `Trace::snapshot_window` filters before it clones and sorts; it must
@@ -109,29 +110,35 @@ fn chrome_trace_is_valid_and_spans_at_least_three_threads() {
 }
 
 #[test]
-fn prep_latency_histograms_expose_quantiles() {
+fn prep_latency_percentiles_come_from_spans() {
     let (trace, stats) = traced_run();
     let snap = trace.snapshot();
     let batches: usize = stats.iter().map(|s| s.batches).sum();
-    let h = snap
-        .metrics
-        .histogram(names::hists::PREP_BATCH_NS)
-        .expect("per-batch prep latency histogram");
-    assert_eq!(h.count as usize, batches);
-    let (p50, p95, p99) = h.percentiles();
-    assert!(p50 > 0 && p50 <= p95 && p95 <= p99, "{p50} {p95} {p99}");
+    let report = analyze(&snap);
+    let p = report.prep_work;
+    assert_eq!(p.n, batches);
+    assert!(p.p50 > 0 && p.p50 <= p.p95 && p.p95 <= p.p99, "{p:?}");
+    let text = render_report(&report, &snap);
+    assert!(text.contains(&format!("prep work: n={batches} ")), "{text}");
 
-    // The JSON exporter carries the same quantiles, and the in-repo parser
-    // can read them back.
-    let doc = parse(&metrics_json(&snap)).expect("valid metrics JSON");
-    let hists = doc.get("histograms").expect("histograms object");
-    let entry = hists
-        .get(names::hists::PREP_BATCH_NS.as_str())
-        .expect("prep.batch_ns entry");
-    assert_eq!(
-        entry.get("count").and_then(|v| v.as_num()),
-        Some(batches as f64)
-    );
-    assert_eq!(entry.get("p50").and_then(|v| v.as_num()), Some(p50 as f64));
-    assert_eq!(entry.get("p95").and_then(|v| v.as_num()), Some(p95 as f64));
+    // The Chrome export carries each slice span's staged bytes, and the
+    // in-repo parser reads them back.
+    let doc = parse(&chrome_trace(&snap)).expect("valid Chrome trace");
+    let events = doc
+        .get("traceEvents")
+        .and_then(|v| v.as_arr())
+        .expect("traceEvents");
+    let exported: f64 = events
+        .iter()
+        .filter(|e| {
+            e.get("name").and_then(|v| v.as_str()) == Some(names::spans::PREP_SLICE.as_str())
+        })
+        .filter_map(|e| e.get("args")?.get("counts")?.as_arr()?.first()?.as_num())
+        .sum();
+    let staged: u64 = snap
+        .spans(names::spans::PREP_SLICE)
+        .map(|e| e.counts[0])
+        .sum();
+    assert!(staged > 0);
+    assert_eq!(exported, staged as f64);
 }
