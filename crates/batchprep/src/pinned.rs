@@ -10,12 +10,19 @@
 //! dtype — f16 by default, so the staged copy moves half the bytes — plus
 //! labels). Returning a slot to the pool is automatic on drop.
 //!
+//! The free slots are a stack, not a queue: `acquire` hands out the slot
+//! released most recently. A worker whose consumer drops each batch as it
+//! comes then slices into the buffer it filled one batch ago, still in its
+//! cache, rather than the one it filled `capacity` batches ago (the tensor
+//! scratch pool recycles its buffers the same way).
+//!
 //! A pool is meant to outlive the epochs it serves: `Trainer`, `ServerCore`
 //! and `BatchInferencer` each build one and keep it. Creating one writes no
-//! feature memory (the buffers come zeroed from the allocator, untouched),
-//! and a slot grows on demand, to a quarter more than the batch at hand needs,
-//! without copying or clearing what the next slice overwrites anyway — so
-//! the only pages a slot ever dirties are the ones batches were sliced into.
+//! feature memory itself: the buffers come zeroed from `calloc`, which maps a
+//! block above glibc's 4 MiB `mmap` threshold untouched but clears a smaller
+//! one it recycles from the heap. A slot grows on demand, to a quarter more
+//! than the batch at hand needs, without copying or clearing what the next
+//! slice overwrites anyway.
 
 #![expect(
     clippy::indexing_slicing,
@@ -23,8 +30,9 @@
 )]
 
 use salient_graph::{FeatureRows, FeatureRowsMut, FeatureSlab};
-use salient_tensor::sync::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use salient_tensor::sync::{lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned};
 use salient_tensor::{Dtype, RowStore};
+use std::sync::{Arc, Condvar, Mutex};
 
 #[derive(Debug)]
 struct Buffers {
@@ -37,7 +45,7 @@ struct Buffers {
 #[derive(Debug)]
 pub struct PinnedSlot {
     buffers: Option<Buffers>,
-    home: Sender<Buffers>,
+    home: Arc<FreeList>,
     used_features: usize,
     used_labels: usize,
 }
@@ -120,17 +128,29 @@ impl RowStore for PinnedSlot {
 impl Drop for PinnedSlot {
     fn drop(&mut self) {
         if let Some(buffers) = self.buffers.take() {
-            // If the pool is gone the buffers are simply freed.
-            let _ = self.home.send(buffers);
+            lock_unpoisoned(&self.home.slots).push(buffers);
+            self.home.released.notify_one();
         }
+    }
+}
+
+/// The slots not checked out, newest release on top, and the condvar a
+/// waiting `acquire` sleeps on.
+struct FreeList {
+    slots: Mutex<Vec<Buffers>>,
+    released: Condvar,
+}
+
+impl std::fmt::Debug for FreeList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FreeList").finish_non_exhaustive()
     }
 }
 
 /// A fixed-size pool of staging slots shared by batch-preparation threads.
 #[derive(Debug, Clone)]
 pub struct PinnedPool {
-    rx: Receiver<Buffers>,
-    tx: Sender<Buffers>,
+    free: Arc<FreeList>,
     capacity: usize,
     dtype: Dtype,
 }
@@ -139,24 +159,23 @@ impl PinnedPool {
     /// Creates a pool of `slots` buffers staging features at `dtype`, each
     /// with room for `nodes_hint × dim` features and `labels_hint` labels
     /// before its first growth. The hints may be 0 (a slot then sizes itself
-    /// on its first batch); a large one costs no writes, its memory comes
-    /// zeroed from the allocator and stays untouched until sliced into.
+    /// on its first batch). The memory comes zeroed from the allocator: a
+    /// hint above its `mmap` threshold costs no writes and stays untouched
+    /// until sliced into, a smaller one recycled from the heap is cleared.
     ///
     /// # Panics
     ///
     /// Panics if `slots == 0`.
     pub fn new(slots: usize, nodes_hint: usize, dim: usize, labels_hint: usize, dtype: Dtype) -> Self {
         assert!(slots > 0, "pool needs at least one slot");
-        let (tx, rx) = bounded(slots);
-        for _ in 0..slots {
-            #[expect(clippy::expect_used, reason = "both channel endpoints are held locally while filling; send cannot observe a disconnect")]
-            tx.send(Buffers {
+        let buffers = (0..slots)
+            .map(|_| Buffers {
                 features: FeatureSlab::new(dtype, nodes_hint * dim),
                 labels: vec![0; labels_hint],
             })
-            .expect("filling fresh pool cannot fail");
-        }
-        PinnedPool { rx, tx, capacity: slots, dtype }
+            .collect();
+        let free = Arc::new(FreeList { slots: Mutex::new(buffers), released: Condvar::new() });
+        PinnedPool { free, capacity: slots, dtype }
     }
 
     /// Number of slots in the pool.
@@ -171,61 +190,54 @@ impl PinnedPool {
 
     /// Slots currently available (not checked out).
     pub fn available(&self) -> usize {
-        self.rx.len()
+        lock_unpoisoned(&self.free.slots).len()
     }
 
-    /// Checks out a slot, blocking until one is free. This is the
-    /// backpressure point bounding in-flight batches.
-    pub fn acquire(&self) -> PinnedSlot {
-        #[expect(clippy::expect_used, reason = "the pool owns a Sender clone for its whole lifetime, so recv can never see all senders gone")]
-        let buffers = self
-            .rx
-            .recv()
-            .expect("pool sender lives as long as the pool");
+    fn checked_out(&self, buffers: Buffers) -> PinnedSlot {
         PinnedSlot {
             buffers: Some(buffers),
-            home: self.tx.clone(),
+            home: Arc::clone(&self.free),
             used_features: 0,
             used_labels: 0,
         }
     }
 
-    /// Checks out a slot, waiting until one frees or `cancel` is observed
-    /// set; returns `None` on cancellation.
+    /// Checks out the slot released most recently, blocking until one is
+    /// free. This is the backpressure point bounding in-flight batches.
+    pub fn acquire(&self) -> PinnedSlot {
+        let mut free = lock_unpoisoned(&self.free.slots);
+        loop {
+            if let Some(buffers) = free.pop() {
+                drop(free);
+                return self.checked_out(buffers);
+            }
+            free = wait_unpoisoned(&self.free.released, free);
+        }
+    }
+
+    /// Checks out the slot released most recently, waiting until one frees
+    /// or `cancel` is observed set; returns `None` on cancellation.
     ///
     /// The wait is a condvar sleep, not a spin: cancelling an epoch drops
     /// the prepared-batch receiver, which destroys any parked batches and
     /// returns their slots to the pool — waking this waiter promptly. The
-    /// internal timeout slice only bounds the pathological case where no
-    /// slot ever returns.
+    /// timeout slice only bounds the case where no slot ever returns.
     pub fn acquire_cancellable(
         &self,
         cancel: &std::sync::atomic::AtomicBool,
     ) -> Option<PinnedSlot> {
         use std::sync::atomic::Ordering;
         const SLICE: std::time::Duration = std::time::Duration::from_millis(50);
+        let mut free = lock_unpoisoned(&self.free.slots);
         loop {
             if cancel.load(Ordering::Acquire) {
                 return None;
             }
-            match self.rx.recv_timeout(SLICE) {
-                Ok(buffers) => {
-                    let slot = PinnedSlot {
-                        buffers: Some(buffers),
-                        home: self.tx.clone(),
-                        used_features: 0,
-                        used_labels: 0,
-                    };
-                    if cancel.load(Ordering::Acquire) {
-                        // Cancelled while waiting: hand the slot straight
-                        // back (via drop) and report cancellation.
-                        return None;
-                    }
-                    return Some(slot);
-                }
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return None,
+            if let Some(buffers) = free.pop() {
+                drop(free);
+                return Some(self.checked_out(buffers));
             }
+            free = wait_timeout_unpoisoned(&self.free.released, free, SLICE).0;
         }
     }
 }
@@ -257,13 +269,17 @@ mod tests {
         assert_eq!(slot.payload_bytes(), 400 * 2 + 50 * 4);
     }
 
+    /// Where a slot's feature buffer lies.
+    fn buffer_of(slot: &PinnedSlot) -> usize {
+        match slot.features() {
+            FeatureRows::Half(rows) => rows.as_ptr() as usize,
+            FeatureRows::Full(rows) => rows.as_ptr() as usize,
+        }
+    }
+
     #[test]
     fn prepare_regrows_only_for_a_batch_that_does_not_fit() {
         let pool = PinnedPool::new(1, 0, 4, 0, Dtype::F16);
-        let buffer_of = |slot: &PinnedSlot| match slot.features() {
-            FeatureRows::Half(rows) => rows.as_ptr() as usize,
-            FeatureRows::Full(rows) => rows.as_ptr() as usize,
-        };
         let mut slot = pool.acquire();
         slot.prepare(100, 4, 8);
         let first = buffer_of(&slot);
@@ -281,6 +297,41 @@ mod tests {
         assert_eq!(buffer_of(&slot), first);
         slot.prepare(126, 4, 8);
         assert_eq!(slot.features().len(), 126 * 4);
+    }
+
+    #[test]
+    fn the_slot_released_last_is_acquired_next() {
+        let pool = PinnedPool::new(3, 0, 4, 0, Dtype::F16);
+        let never = std::sync::atomic::AtomicBool::new(false);
+        let take = |slot: Option<PinnedSlot>| {
+            let mut slot = slot.expect("a slot is free");
+            slot.prepare(8, 4, 0);
+            slot
+        };
+        // Three slots with a buffer each, released out of the order they
+        // were taken in.
+        let [a, b, c] = [(); 3].map(|()| take(Some(pool.acquire())));
+        let [at_a, at_b, at_c] = [&a, &b, &c].map(buffer_of);
+        assert_eq!(pool.available(), 0);
+        drop(b);
+        assert_eq!(pool.available(), 1);
+        drop(a);
+        assert_eq!(pool.available(), 2);
+        let first = take(Some(pool.acquire()));
+        assert_eq!(buffer_of(&first), at_a, "acquire passed over the slot released last");
+        assert_eq!(pool.available(), 1);
+        drop(c);
+        assert_eq!(pool.available(), 2);
+        let second = take(pool.acquire_cancellable(&never));
+        assert_eq!(buffer_of(&second), at_c, "acquire_cancellable passed over the slot released last");
+        drop(first);
+        let third = take(pool.acquire_cancellable(&never));
+        assert_eq!(buffer_of(&third), at_a);
+        let fourth = take(Some(pool.acquire()));
+        assert_eq!(buffer_of(&fourth), at_b, "the slot released first waited longest");
+        assert_eq!(pool.available(), 0);
+        drop((second, third, fourth));
+        assert_eq!(pool.available(), 3);
     }
 
     /// Resident pages of this process, where `/proc` says.
@@ -334,8 +385,6 @@ mod tests {
             assert_eq!(slot.features().to_f32_vec(), vec![1.5, -2.0]);
             assert_eq!(slot.labels()[1], 42);
         }
-        // Buffer reuse is an implementation detail; what matters is the pool
-        // refilled.
         assert_eq!(pool.available(), 1);
     }
 

@@ -89,8 +89,7 @@ pub struct PrepConfig {
     /// Base RNG seed (each worker derives its own stream).
     pub seed: u64,
     /// Tracing handle: workers record per-batch sample/slice/copy spans,
-    /// slot-wait backpressure, the `prep.*` counters and fault events
-    /// against it. The default disabled handle makes every recording site a
+    /// slot-wait backpressure and fault events against it. The default disabled handle makes every recording site a
     /// no-op (no allocation; the stage stamps are still read).
     pub trace: Trace,
 }

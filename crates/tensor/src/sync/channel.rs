@@ -1,10 +1,11 @@
 //! A std-only bounded multi-producer multi-consumer channel.
 //!
-//! `std::sync::mpsc` is single-consumer, but batch preparation needs MPMC in
-//! two places: the pinned-buffer pool (any worker returns a slot, any worker
-//! claims one) and the prepared-batch stream (many workers produce, the
-//! consumer — possibly cloned — drains). This module provides the one
-//! bounded channel both use, built on `Mutex<VecDeque>` + two condvars.
+//! `std::sync::mpsc` is single-consumer, but batch preparation's
+//! prepared-batch stream is MPMC: many workers produce, the consumer —
+//! possibly cloned — drains, first in first out. This module provides that
+//! one bounded queue, built on `Mutex<VecDeque>` + two condvars. The
+//! staging-slot pool is not a channel: it hands out the slot released last
+//! (`batchprep::pinned`).
 //!
 //! Backpressure is the bound: a producer that runs ahead parks in `send`
 //! on a condvar (no drops, no spinning) until a slot frees.
@@ -15,10 +16,9 @@
 //! disconnection. Endpoints are clone-counted; dropping the last endpoint of
 //! either side wakes all waiters on the other.
 
-use super::{lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned};
+use super::{lock_unpoisoned, wait_unpoisoned};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// The message could not be delivered because every receiver was dropped.
 /// The unsent message is handed back.
@@ -28,15 +28,6 @@ pub struct SendError<T>(pub T);
 /// Every sender was dropped and the buffer is empty.
 #[derive(Debug, PartialEq, Eq)]
 pub struct RecvError;
-
-/// Why a bounded-wait receive returned nothing.
-#[derive(Debug, PartialEq, Eq)]
-pub enum RecvTimeoutError {
-    /// The timeout elapsed with the buffer still empty.
-    Timeout,
-    /// Every sender was dropped and the buffer is empty.
-    Disconnected,
-}
 
 struct State<T> {
     queue: VecDeque<T>,
@@ -144,35 +135,6 @@ impl<T> Receiver<T> {
         }
     }
 
-    /// Like [`Receiver::recv`], but gives up after `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        #[expect(clippy::disallowed_methods, reason = "monotonic deadline for a caller-supplied timeout; no wall-clock data escapes")]
-        let deadline = Instant::now() + timeout;
-        let mut st = lock_unpoisoned(&self.inner.state);
-        loop {
-            if let Some(v) = st.queue.pop_front() {
-                self.inner.not_full.notify_one();
-                return Ok(v);
-            }
-            if st.senders == 0 {
-                return Err(RecvTimeoutError::Disconnected);
-            }
-            #[expect(clippy::disallowed_methods, reason = "remaining-time computation against the monotonic deadline above")]
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(RecvTimeoutError::Timeout);
-            }
-            let (guard, _res) =
-                wait_timeout_unpoisoned(&self.inner.not_empty, st, deadline - now);
-            st = guard;
-        }
-    }
-
-    /// Messages currently buffered.
-    pub fn len(&self) -> usize {
-        lock_unpoisoned(&self.inner.state).queue.len()
-    }
-
     /// A blocking iterator that yields until every sender disconnects and
     /// the buffer drains.
     pub fn iter(&self) -> Iter<'_, T> {
@@ -231,6 +193,7 @@ impl<T> Iterator for Iter<'_, T> {
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn fifo_within_capacity() {
@@ -238,16 +201,9 @@ mod tests {
         for i in 0..4 {
             tx.send(i).unwrap();
         }
-        assert_eq!(rx.len(), 4);
         for i in 0..4 {
             assert_eq!(rx.recv().unwrap(), i);
-            assert_eq!(rx.len(), 3 - i);
         }
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(1)),
-            Err(RecvTimeoutError::Timeout),
-            "an empty buffer with a live sender has nothing to give"
-        );
     }
 
     #[test]
@@ -275,22 +231,6 @@ mod tests {
         let (tx, rx) = bounded(1);
         drop(rx);
         assert_eq!(tx.send(3u32), Err(SendError(3)));
-    }
-
-    #[test]
-    fn recv_timeout_expires_and_recovers() {
-        let (tx, rx) = bounded::<u32>(1);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(10)),
-            Err(RecvTimeoutError::Timeout)
-        );
-        tx.send(9).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(9));
-        drop(tx);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(10)),
-            Err(RecvTimeoutError::Disconnected)
-        );
     }
 
     #[test]

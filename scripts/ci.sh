@@ -104,10 +104,13 @@ cargo test --workspace -q --offline -- --test-threads=1
 # seed); the f16 feature store moving <= 55% of the f32 store's
 # transfer.bytes, and training at both dtypes (tests/mixed_precision.rs);
 # the staging slot back in its pool after every scenario
-# (tests/fault_matrix.rs, tests/steady_state.rs); and what the `salient`
-# binary does with a SALIENT_DTYPE, --model, --executor, --dataset, paper
-# artifact, number or fault variable it does not accept: exits 2 naming
-# what it accepts (tests/cli.rs).
+# (tests/fault_matrix.rs, tests/steady_state.rs), and the pool handing out
+# the slot released last through both acquires
+# (batchprep's `pinned::tests::the_slot_released_last_is_acquired_next`);
+# and what the `salient` binary does with a SALIENT_DTYPE, --model,
+# --executor, --dataset, paper artifact, number (among them a `sample` or
+# `paper` --scale at which a preset overflows a NodeId) or fault variable
+# it does not accept: exits 2 naming what it accepts (tests/cli.rs).
 
 echo "== sampler tier: the distribution did not change (release, 10^5 draws a cell)"
 # The chi-square comparison of FastSampler against PygSampler and the

@@ -18,7 +18,7 @@
 use salient_repro::bench::paper;
 use salient_repro::core::checkpoint::Checkpoint;
 use salient_repro::core::{train_ddp, ExecutorKind, RunConfig, Trainer};
-use salient_repro::graph::{Dataset, DatasetConfig};
+use salient_repro::graph::{Dataset, DatasetConfig, NodeId};
 use salient_repro::nn::ModelKind;
 use salient_repro::sampler::FastSampler;
 use salient_repro::tensor::Dtype;
@@ -67,6 +67,27 @@ fn positive_real<T: std::str::FromStr + Into<f64> + Copy>(args: &[String], name:
     x
 }
 
+/// The dataset presets `--dataset` names, the default first.
+const PRESETS: [(&str, fn(f64) -> DatasetConfig); 3] = [
+    ("arxiv", DatasetConfig::arxiv_sim),
+    ("products", DatasetConfig::products_sim),
+    ("papers", DatasetConfig::papers_sim),
+];
+
+/// `--scale`: a positive real at which every preset's node count still fits
+/// a `NodeId`, checked before a dataset is built.
+fn scale(args: &[String], default: f64) -> f64 {
+    let s = positive_real(args, "--scale", default);
+    let nodes = PRESETS.iter().map(|(_, preset)| preset(s).num_nodes).max().unwrap_or(0);
+    if NodeId::try_from(nodes).is_err() {
+        usage_error(format!(
+            "--scale {s}: expected every preset's node count within the NodeId bound of {}, the largest would be {nodes}",
+            NodeId::MAX
+        ));
+    }
+    s
+}
+
 /// A run that cannot go on for a reason outside the program (a file that
 /// cannot be read or written): prints `what: err` and exits with status 1.
 fn fail(what: &str, err: impl std::fmt::Display) -> ! {
@@ -90,13 +111,8 @@ fn choice<T: Copy>(args: &[String], name: &str, accepted: &[(&str, T)]) -> T {
 }
 
 fn build_dataset(args: &[String]) -> Arc<Dataset> {
-    let scale = positive_real(args, "--scale", 0.15);
-    let presets: [(&str, fn(f64) -> DatasetConfig); 3] = [
-        ("arxiv", DatasetConfig::arxiv_sim),
-        ("products", DatasetConfig::products_sim),
-        ("papers", DatasetConfig::papers_sim),
-    ];
-    let mut cfg = choice(args, "--dataset", &presets)(scale);
+    let scale = scale(args, 0.15);
+    let mut cfg = choice(args, "--dataset", &PRESETS)(scale);
     // CLI runs want trainable label densities at sim scale.
     cfg.split_fracs = (0.5, 0.1, 0.4);
     // The one read of SALIENT_DTYPE: the presets store f16 rows.
@@ -205,26 +221,26 @@ fn cmd_paper(args: &[String]) {
     type Run = fn(&[String]) -> Result<(String, Vec<paper::Claim>), String>;
     let artifacts: [(&str, Run); 13] = [
         ("table1", |_| Ok(paper::table1())),
-        ("table2", |a| Ok(paper::table2(positive_real(a, "--scale", 0.25)))),
+        ("table2", |a| Ok(paper::table2(scale(a, 0.25)))),
         ("table3", |_| Ok(paper::table3())),
-        ("table4", |a| Ok(paper::table4(positive_real(a, "--scale", 0.2)))),
+        ("table4", |a| Ok(paper::table4(scale(a, 0.2)))),
         ("table5", |_| Ok(paper::table5())),
         ("table6", |a| {
             let (scale, reps, epochs) =
-                (positive_real(a, "--scale", 0.15), positive(a, "--reps", 3), positive(a, "--epochs", 30));
+                (scale(a, 0.15), positive(a, "--reps", 3), positive(a, "--epochs", 30));
             Ok(paper::table6(scale, reps, epochs))
         }),
         ("table7", |_| Ok(paper::table7())),
         ("fig1", |_| Ok(paper::fig1())),
         ("fig2", |a| {
             let (scale, reps, rounds) =
-                (positive_real(a, "--scale", 0.25), positive(a, "--reps", 5), positive(a, "--rounds", 5));
+                (scale(a, 0.25), positive(a, "--reps", 5), positive(a, "--rounds", 5));
             Ok(paper::fig2(scale, reps, rounds))
         }),
-        ("fig3", |a| Ok(paper::fig3(positive_real(a, "--scale", 0.2), positive(a, "--epochs", 30)))),
-        ("fig4", |a| paper::fig4(positive_real(a, "--scale", 0.15))),
+        ("fig3", |a| Ok(paper::fig3(scale(a, 0.2), positive(a, "--epochs", 30)))),
+        ("fig4", |a| paper::fig4(scale(a, 0.15))),
         ("fig5", |_| Ok(paper::fig5())),
-        ("fig6", |a| paper::fig6(positive_real(a, "--scale", 0.08), positive(a, "--epochs", 25))),
+        ("fig6", |a| paper::fig6(scale(a, 0.08), positive(a, "--epochs", 25))),
     ];
     let name = args.get(1).map_or("", String::as_str);
     let Some(&(name, run)) = artifacts.iter().find(|(n, _)| *n == name) else {

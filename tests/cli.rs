@@ -26,12 +26,13 @@ fn salient(subcommand: &str, args: &[&str], dtype: Option<&str>) -> (Option<i32>
 #[test]
 fn unaccepted_values_exit_non_zero_and_name_the_accepted_ones() {
     const POSITIVE: &str = "expected a positive number";
+    const NODE_ID_BOUND: &str = "within the NodeId bound of 4294967295";
     // An unknown artifact is named, and so is every one accepted.
     const FIG9: &[&str] = &[
         "\"fig9\"", "table1", "table2", "table3", "table4", "table5", "table6", "table7", "fig1",
         "fig2", "fig3", "fig4", "fig5", "fig6",
     ];
-    let cases: [(&str, &[&str], Option<&str>, &[&str]); 25] = [
+    let cases: [(&str, &[&str], Option<&str>, &[&str]); 27] = [
         ("train", &["--model", "gta"], None, &["--model", "SAGE", "GAT", "GIN", "SAGE-RI"]),
         ("train", &["--executor", "pyg"], None, &["--executor", "salient", "baseline"]),
         ("train", &["--dataset", "reddit"], None, &["--dataset", "arxiv", "products", "papers"]),
@@ -57,6 +58,8 @@ fn unaccepted_values_exit_non_zero_and_name_the_accepted_ones() {
         ("train", &["--ranks", "0"], None, &["--ranks", POSITIVE]),
         ("train", &["--ranks", "abc"], None, &["--ranks", "\"abc\"", "number"]),
         ("train", &["--lr", "nan"], None, &["--lr", POSITIVE]),
+        ("sample", &["--scale", "1e30"], None, &["--scale", NODE_ID_BOUND]),
+        ("paper", &["table6", "--scale", "1e30"], None, &["--scale", NODE_ID_BOUND]),
     ];
     for (sub, args, dtype, expected) in cases {
         let (code, stderr) = salient(sub, args, dtype);
