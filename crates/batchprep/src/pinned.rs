@@ -30,7 +30,7 @@
 )]
 
 use salient_graph::{FeatureRows, FeatureRowsMut, FeatureSlab};
-use salient_tensor::sync::{lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned};
+use salient_tensor::sync::{lock_unpoisoned, wait_unpoisoned};
 use salient_tensor::{Dtype, RowStore};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -218,16 +218,16 @@ impl PinnedPool {
     /// Checks out the slot released most recently, waiting until one frees
     /// or `cancel` is observed set; returns `None` on cancellation.
     ///
-    /// The wait is a condvar sleep, not a spin: cancelling an epoch drops
-    /// the prepared-batch receiver, which destroys any parked batches and
-    /// returns their slots to the pool — waking this waiter promptly. The
-    /// timeout slice only bounds the case where no slot ever returns.
+    /// The wait is a condvar sleep with no timeout: a released slot wakes
+    /// it, and so does [`PinnedPool::wake_cancelled`], which whoever sets
+    /// `cancel` calls afterwards. `cancel` is read under the free-list lock
+    /// that call takes, so a waiter cannot miss it between its check and its
+    /// sleep.
     pub fn acquire_cancellable(
         &self,
         cancel: &std::sync::atomic::AtomicBool,
     ) -> Option<PinnedSlot> {
         use std::sync::atomic::Ordering;
-        const SLICE: std::time::Duration = std::time::Duration::from_millis(50);
         let mut free = lock_unpoisoned(&self.free.slots);
         loop {
             if cancel.load(Ordering::Acquire) {
@@ -237,8 +237,15 @@ impl PinnedPool {
                 drop(free);
                 return Some(self.checked_out(buffers));
             }
-            free = wait_timeout_unpoisoned(&self.free.released, free, SLICE).0;
+            free = wait_unpoisoned(&self.free.released, free);
         }
+    }
+
+    /// Wakes every [`PinnedPool::acquire_cancellable`] waiter so it rereads
+    /// its cancel flag; call it after setting the flag.
+    pub(crate) fn wake_cancelled(&self) {
+        let _free = lock_unpoisoned(&self.free.slots);
+        self.free.released.notify_all();
     }
 }
 
@@ -392,15 +399,23 @@ mod tests {
     fn cancellable_acquire_returns_on_cancel() {
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
+        use std::time::Duration;
         let pool = PinnedPool::new(1, 1, 1, 1, Dtype::F16);
         let held = pool.acquire(); // exhaust the pool
         let cancel = Arc::new(AtomicBool::new(false));
-        let pool2 = pool.clone();
-        let cancel2 = Arc::clone(&cancel);
-        let waiter = std::thread::spawn(move || pool2.acquire_cancellable(&cancel2).is_none());
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        let (pool2, cancel2) = (pool.clone(), Arc::clone(&cancel));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let _ = done_tx.send(pool2.acquire_cancellable(&cancel2).is_none());
+        });
+        std::thread::sleep(Duration::from_millis(10));
         cancel.store(true, Ordering::Release);
-        assert!(waiter.join().unwrap(), "cancelled acquire must yield None");
+        pool.wake_cancelled();
+        // The slot stays held: only the wake can end the wait, and a missed
+        // one fails here instead of hanging the test.
+        let cancelled = done_rx.recv_timeout(Duration::from_secs(5));
+        assert_eq!(cancelled, Ok(true), "cancelled acquire must wake and yield None");
+        waiter.join().unwrap();
         drop(held);
         assert_eq!(pool.available(), 1, "no slot may leak through cancellation");
     }

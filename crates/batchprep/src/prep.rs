@@ -39,9 +39,9 @@ use salient_fault as fault;
 use salient_graph::{Dataset, NodeId};
 use salient_sampler::{FastSampler, MessageFlowGraph, PygSampler};
 use salient_graph::FeatureSlab;
-use salient_tensor::sync::channel::{bounded, Receiver, Sender};
 use salient_trace::{names, Trace, NO_BATCH};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 
 /// Extra attempts a work item gets after its preparation panicked.
@@ -212,7 +212,7 @@ struct WorkerCtx {
     order: Vec<NodeId>,
     queue: WorkQueue,
     pool: PinnedPool,
-    tx: Sender<BatchResult>,
+    tx: SyncSender<BatchResult>,
     cfg: PrepConfig,
     cancel: Arc<AtomicBool>,
     faults: Arc<SharedFaultStats>,
@@ -237,8 +237,8 @@ fn retry_seed(cfg_seed: u64, batch_id: usize, attempt: u32) -> u64 {
 /// to consume batches, then call [`EpochHandle::join`].
 #[derive(Debug)]
 pub struct EpochHandle {
-    /// Channel of prepared batches (and failure markers), in completion
-    /// order.
+    /// Prepared batches (and failure markers), in completion order. The
+    /// stream has one consumer: read it in place, it cannot be cloned.
     pub batches: Receiver<BatchResult>,
     workers: Vec<std::thread::JoinHandle<()>>,
     cancel: Arc<AtomicBool>,
@@ -251,7 +251,7 @@ impl EpochHandle {
     /// activity.
     ///
     /// Workers that have not finished are cancelled: batches already sitting
-    /// in the channel are discarded and their staging slots recycled.
+    /// in the stream are discarded and their staging slots recycled.
     ///
     /// # Panics
     ///
@@ -259,8 +259,10 @@ impl EpochHandle {
     /// (panics inside it are counted and survived).
     pub fn join(self) -> FaultStats {
         self.cancel.store(true, Ordering::Release);
-        // Dropping the receiver destroys parked batches, returning their
-        // slots to the pool and waking any worker blocked on acquire.
+        // A worker asleep on a slot the consumer still holds rereads the
+        // flag; dropping the receiver destroys parked batches, returning
+        // their slots, and fails any worker's blocked send.
+        self.pool.wake_cancelled();
         drop(self.batches);
         for worker in self.workers {
             #[expect(clippy::expect_used, reason = "propagating a panic that escaped a worker's supervision loop to the caller is the documented join contract")]
@@ -310,7 +312,7 @@ pub fn run_epoch(dataset: &Arc<Dataset>, order: &[NodeId], cfg: &PrepConfig) -> 
 /// caller's `pool`, whose capacity (not `cfg.slots`) bounds the unconsumed
 /// batches. Every slot is back in the pool once the handle is joined.
 ///
-/// Returns immediately; batches stream through the handle's channel while
+/// Returns immediately; batches stream through the handle's receiver while
 /// workers run.
 ///
 /// # Panics
@@ -335,11 +337,11 @@ pub fn run_epoch_with_pool(
         PrepMode::SharedMemory => 1,
         PrepMode::Multiprocessing => cfg.num_workers,
     };
-    let (tx, rx) = bounded::<BatchResult>(pool.capacity());
+    let (tx, rx) = sync_channel::<BatchResult>(pool.capacity());
     let cancel = Arc::new(AtomicBool::new(false));
     let faults = Arc::new(SharedFaultStats::default());
 
-    // The workers hold the only senders: the channel disconnects, ending the
+    // The workers share the only sender: the stream disconnects, ending the
     // consumer's iteration, when the last of them has left.
     let ctx = Arc::new(WorkerCtx {
         dataset: Arc::clone(dataset),
@@ -520,10 +522,10 @@ fn prepare_item(
     let sizes = [mfg.num_nodes() as u64, mfg.num_edges() as u64];
     trace.record_span_counts(names::spans::PREP_SAMPLE, bid, t0, sampled, sizes);
 
-    // Slots can all be parked in unconsumed batches of a cancelled epoch;
-    // the cancellable acquire sleeps on the pool and is woken either by a
-    // freed slot or by cancellation draining the batch channel. The wait is
-    // recorded as backpressure, not preparation work.
+    // Slots can all be parked in unconsumed batches of a cancelled epoch,
+    // or held by its consumer; the cancellable acquire sleeps on the pool
+    // and is woken either by a freed slot or by `join`'s cancel wake. The
+    // wait is recorded as backpressure, not preparation work.
     let mut slot = ctx.pool.acquire_cancellable(&ctx.cancel)?;
     let acquired = clock.now_ns();
     trace.record_span(names::spans::SLOT_WAIT, bid, sampled, acquired);
@@ -674,15 +676,29 @@ mod tests {
     #[test]
     fn consumer_can_drop_early() {
         let ds = dataset();
-        let cfg = PrepConfig {
-            batch_size: 8,
-            fanouts: vec![3],
-            ..Default::default()
-        };
-        let handle = run_epoch(&ds, &ds.splits.train.clone(), &cfg);
-        let _first = handle.batches.recv().unwrap();
-        // Dropping the handle (and receiver) must not deadlock the workers.
-        let _ = handle.join();
+        // Four slots: batches are parked in the stream at `join`. One slot:
+        // the consumer holds it across `join` while a worker waits for it,
+        // and only the cancel wake can end that wait.
+        for slots in [4, 1] {
+            let cfg = PrepConfig {
+                batch_size: 8,
+                fanouts: vec![3],
+                slots,
+                ..Default::default()
+            };
+            let handle = run_epoch(&ds, &ds.splits.train.clone(), &cfg);
+            let pool = handle.pool().clone();
+            let first = handle.batches.recv().unwrap();
+            // Dropping the handle (and receiver) must not deadlock the
+            // workers; a missed wake fails here instead of hanging the test.
+            let (joined_tx, joined_rx) = std::sync::mpsc::channel();
+            let joiner = std::thread::spawn(move || joined_tx.send(handle.join()));
+            let joined = joined_rx.recv_timeout(std::time::Duration::from_secs(10));
+            assert!(joined.is_ok(), "{slots} slots: join did not return");
+            joiner.join().unwrap().unwrap();
+            drop(first);
+            assert_eq!(pool.available(), pool.capacity(), "{slots} slots: a slot stayed out");
+        }
     }
 
     #[test]

@@ -334,7 +334,7 @@ impl Trainer {
                     trace: trace.clone(),
                 };
                 let handle = run_epoch_with_pool(&self.dataset, &order, &prep_cfg, &self.pool);
-                let rx = handle.batches.clone();
+                let rx = &handle.batches;
                 // Panic budget 2: an isolated stage panic retires its batch
                 // (it counts among `failed_batches`, mirroring prep's
                 // retry-exhaustion policy); repetition beyond the budget

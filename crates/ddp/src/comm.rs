@@ -153,8 +153,8 @@ impl Communicator {
         assert!(world > 0, "world size must be positive");
         // Each ring link has exactly one producer and one consumer, so the
         // std SPSC channel is sufficient — and it is deliberately the
-        // *unbounded* std channel, not `salient_tensor::sync::channel`: a
-        // bounded link would let a slow peer park a *sender*, where today
+        // *unbounded* `channel`, not the bounded `sync_channel` batch prep
+        // streams through: a bounded link would let a slow peer park a *sender*, where today
         // the only call that can block is the deadline-bounded
         // `recv_timeout` in `recv_from_prev`, which is what turns a dead
         // peer into a typed `CommError` instead of a wedged ring.

@@ -1,24 +1,20 @@
-//! Poison-tolerant lock helpers and the bounded blocking [`channel`] built
-//! on them. The kernel pool's job slots and batch prep's slot pool and
-//! batch stream use these. The two dependency-free leaves keep their own:
-//! `salient-trace` has `lock_tolerant`, and `salient-fault` recovers its
+//! Poison-tolerant lock helpers. The kernel pool's job slots and batch
+//! prep's slot pool use these. The two dependency-free leaves keep their
+//! own: `salient-trace` has `lock_tolerant`, and `salient-fault` recovers its
 //! two statics' guards inline.
 //!
 //! A panicking batch-prep worker poisons any `Mutex` it held; the fault
-//! layer (PR 2) catches the panic and retries the batch, so the lock's
+//! layer catches the panic and retries the batch, so the lock's
 //! *data* is still consistent — every structure guarded in this workspace
-//! (channel queues, retry deques, pool job slots) keeps its invariants
-//! between mutations. Propagating the poison with `.unwrap()` would turn
-//! one recovered worker panic into a cascade that kills the whole prep
-//! pipeline, which is exactly what the supervised-recovery layer exists to
-//! prevent. These helpers recover the guard from a poisoned lock instead of
-//! panicking; `clippy::unwrap_used` rejects the bare `.lock().unwrap()`
+//! (the staging pool's free list, the kernel pool's job slot) keeps its
+//! invariants between mutations. Propagating the poison with `.unwrap()`
+//! would turn one recovered worker panic into a cascade that kills the whole
+//! prep pipeline, which is exactly what the supervised-recovery layer exists
+//! to prevent. These helpers recover the guard from a poisoned lock instead
+//! of panicking; `clippy::unwrap_used` rejects the bare `.lock().unwrap()`
 //! pattern in library code.
 
-pub mod channel;
-
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, WaitTimeoutResult};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Locks `m`, recovering the guard if a previous holder panicked.
 #[inline]
@@ -30,17 +26,6 @@ pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[inline]
 pub fn wait_unpoisoned<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
-}
-
-/// `Condvar::wait_timeout` that recovers the guard from a poisoned lock.
-#[inline]
-pub fn wait_timeout_unpoisoned<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    dur: Duration,
-) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
-    cv.wait_timeout(guard, dur)
-        .unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -61,15 +46,6 @@ mod tests {
         assert_eq!(*lock_unpoisoned(&m), 7);
         *lock_unpoisoned(&m) = 8;
         assert_eq!(*lock_unpoisoned(&m), 8);
-    }
-
-    #[test]
-    fn wait_timeout_returns_on_deadline() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let g = lock_unpoisoned(&m);
-        let (_g, timed_out) = wait_timeout_unpoisoned(&cv, g, Duration::from_millis(5));
-        assert!(timed_out.timed_out());
     }
 
     #[test]

@@ -4,14 +4,19 @@
 //! ```text
 //! salient train    [--dataset arxiv|products|papers] [--scale F] [--model sage|gat|gin|sage-ri]
 //!                  [--epochs N] [--batch N] [--hidden N] [--lr F] [--ranks N]
-//!                  [--executor baseline|salient] [--save PATH]
-//! salient eval     --load PATH [--dataset ...] [--scale F] [--fanout D]
+//!                  [--executor baseline|salient] [--workers N] [--seed N]
+//!                  [--comm-timeout-ms N] [--save PATH]
+//! salient eval     --load PATH [--dataset ...] [--scale F] [--fanout D] [train's model flags]
 //! salient paper    <table1..table7|fig1..fig6> [--scale F] [--reps N] [--epochs N] [--rounds N]
-//! salient sample   [--dataset ...] [--scale F] [--batch N]
+//! salient sample   [--dataset ...] [--scale F] [--batch N] [--seed N]
 //! ```
 //!
+//! Each `paper` artifact reads only the flags its run takes (`table2 --scale`,
+//! `fig2 --scale --reps --rounds`, ...; the simulated ones none).
+//!
 //! `SALIENT_DTYPE=f16|f32` sets the feature store's element type (default
-//! f16). A value no flag or variable accepts is an error, not the default.
+//! f16). A value no flag or variable accepts is an error, not the default,
+//! and so is a flag the subcommand does not read.
 
 #![expect(clippy::disallowed_methods, reason = "CLI entry point: a bad flag or a failed run ends the process with a status, after its message is printed")]
 
@@ -29,6 +34,23 @@ use std::sync::Arc;
 fn usage_error(msg: String) -> ! {
     eprintln!("salient: {msg}");
     std::process::exit(2);
+}
+
+/// Exits 2 on a `--` argument that is not among `accepted`, so a misspelled
+/// or unread flag cannot run as the default. Every flag takes a value, which
+/// is skipped unread.
+fn only_flags(args: &[String], context: &str, accepted: &[&str]) {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        if !accepted.contains(&arg.as_str()) {
+            let names = if accepted.is_empty() { "none".to_string() } else { accepted.join(", ") };
+            usage_error(format!("{context}: unknown flag {arg:?}; accepted: {names}"));
+        }
+        rest.next();
+    }
 }
 
 fn flag(args: &[String], name: &str) -> Option<String> {
@@ -110,6 +132,9 @@ fn choice<T: Copy>(args: &[String], name: &str, accepted: &[(&str, T)]) -> T {
     }
 }
 
+/// The flags [`build_dataset`] reads.
+const DATASET_FLAGS: [&str; 2] = ["--dataset", "--scale"];
+
 fn build_dataset(args: &[String]) -> Arc<Dataset> {
     let scale = scale(args, 0.15);
     let mut cfg = choice(args, "--dataset", &PRESETS)(scale);
@@ -131,6 +156,12 @@ fn build_dataset(args: &[String]) -> Arc<Dataset> {
     );
     ds
 }
+
+/// The flags [`run_config`] reads.
+const RUN_FLAGS: [&str; 9] = [
+    "--model", "--executor", "--hidden", "--batch", "--lr", "--epochs", "--workers", "--seed",
+    "--comm-timeout-ms",
+];
 
 fn run_config(args: &[String]) -> RunConfig {
     let models = ModelKind::all().map(|k| (k.name(), k));
@@ -154,6 +185,7 @@ fn run_config(args: &[String]) -> RunConfig {
 
 fn cmd_train(args: &[String]) {
     // Flags first: a typo should not cost a dataset build.
+    only_flags(&args[1..], "train", &[&RUN_FLAGS[..], &DATASET_FLAGS, &["--ranks", "--save"]].concat());
     let cfg = run_config(args);
     let ranks = positive(args, "--ranks", 1);
     let ds = build_dataset(args);
@@ -200,6 +232,7 @@ fn cmd_train(args: &[String]) {
 }
 
 fn cmd_eval(args: &[String]) {
+    only_flags(&args[1..], "eval", &[&RUN_FLAGS[..], &DATASET_FLAGS, &["--load", "--fanout"]].concat());
     let path = flag(args, "--load")
         .unwrap_or_else(|| usage_error("eval: --load PATH is required".to_string()));
     let cfg = run_config(args);
@@ -219,34 +252,36 @@ fn cmd_eval(args: &[String]) {
 /// that does not hold, or a run that cannot finish, exits with status 1.
 fn cmd_paper(args: &[String]) {
     type Run = fn(&[String]) -> Result<(String, Vec<paper::Claim>), String>;
-    let artifacts: [(&str, Run); 13] = [
-        ("table1", |_| Ok(paper::table1())),
-        ("table2", |a| Ok(paper::table2(scale(a, 0.25)))),
-        ("table3", |_| Ok(paper::table3())),
-        ("table4", |a| Ok(paper::table4(scale(a, 0.2)))),
-        ("table5", |_| Ok(paper::table5())),
-        ("table6", |a| {
+    const NONE: &[&str] = &[];
+    let artifacts: [(&str, &[&str], Run); 13] = [
+        ("table1", NONE, |_| Ok(paper::table1())),
+        ("table2", &["--scale"], |a| Ok(paper::table2(scale(a, 0.25)))),
+        ("table3", NONE, |_| Ok(paper::table3())),
+        ("table4", &["--scale"], |a| Ok(paper::table4(scale(a, 0.2)))),
+        ("table5", NONE, |_| Ok(paper::table5())),
+        ("table6", &["--scale", "--reps", "--epochs"], |a| {
             let (scale, reps, epochs) =
                 (scale(a, 0.15), positive(a, "--reps", 3), positive(a, "--epochs", 30));
             Ok(paper::table6(scale, reps, epochs))
         }),
-        ("table7", |_| Ok(paper::table7())),
-        ("fig1", |_| Ok(paper::fig1())),
-        ("fig2", |a| {
+        ("table7", NONE, |_| Ok(paper::table7())),
+        ("fig1", NONE, |_| Ok(paper::fig1())),
+        ("fig2", &["--scale", "--reps", "--rounds"], |a| {
             let (scale, reps, rounds) =
                 (scale(a, 0.25), positive(a, "--reps", 5), positive(a, "--rounds", 5));
             Ok(paper::fig2(scale, reps, rounds))
         }),
-        ("fig3", |a| Ok(paper::fig3(scale(a, 0.2), positive(a, "--epochs", 30)))),
-        ("fig4", |a| paper::fig4(scale(a, 0.15))),
-        ("fig5", |_| Ok(paper::fig5())),
-        ("fig6", |a| paper::fig6(scale(a, 0.08), positive(a, "--epochs", 25))),
+        ("fig3", &["--scale", "--epochs"], |a| Ok(paper::fig3(scale(a, 0.2), positive(a, "--epochs", 30)))),
+        ("fig4", &["--scale"], |a| paper::fig4(scale(a, 0.15))),
+        ("fig5", NONE, |_| Ok(paper::fig5())),
+        ("fig6", &["--scale", "--epochs"], |a| paper::fig6(scale(a, 0.08), positive(a, "--epochs", 25))),
     ];
     let name = args.get(1).map_or("", String::as_str);
-    let Some(&(name, run)) = artifacts.iter().find(|(n, _)| *n == name) else {
-        let names: Vec<&str> = artifacts.iter().map(|&(n, _)| n).collect();
+    let Some(&(name, flags, run)) = artifacts.iter().find(|(n, ..)| *n == name) else {
+        let names: Vec<&str> = artifacts.iter().map(|&(n, ..)| n).collect();
         usage_error(format!("paper {name:?}: expected one of {}", names.join(", ")))
     };
+    only_flags(&args[2..], &format!("paper {name}"), flags);
     let (text, claims) = run(args).unwrap_or_else(|e| {
         eprintln!("salient paper {name}: {e}");
         std::process::exit(1);
@@ -264,6 +299,7 @@ fn cmd_paper(args: &[String]) {
 }
 
 fn cmd_sample(args: &[String]) {
+    only_flags(&args[1..], "sample", &[&DATASET_FLAGS[..], &["--batch", "--seed"]].concat());
     let batch = positive(args, "--batch", 256);
     let mut sampler = FastSampler::new(flag_or(args, "--seed", 0));
     let ds = build_dataset(args);
@@ -273,10 +309,11 @@ fn cmd_sample(args: &[String]) {
     for (i, l) in mfg.layers.iter().enumerate() {
         println!("  layer {i}: {} -> {} rows, {} edges", l.n_src, l.n_dst, l.num_edges());
     }
+    let dtype = ds.features.dtype();
     println!(
-        "  transfer payload: {} KB features (f16) + {} KB structure",
-        mfg.num_nodes() * ds.features.dim() * 2 / 1024,
-        mfg.structure_bytes() / 1024
+        "  transfer payload: {} bytes of features ({dtype}) + {} bytes of structure",
+        mfg.num_nodes() * ds.features.dim() * dtype.size_of(),
+        mfg.structure_bytes()
     );
 }
 

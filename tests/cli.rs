@@ -3,17 +3,21 @@
 
 use std::process::Command;
 
-/// Runs `salient <subcommand> <args>` with every variable the binary reads
-/// cleared, so an ambient value cannot leak in, and then `env` set; returns
-/// its exit code and what it wrote to stderr.
-fn run(subcommand: &str, args: &[&str], env: &[(&str, &str)]) -> (Option<i32>, String) {
+/// `salient <subcommand> <args>` with every variable the binary reads
+/// cleared, so an ambient value cannot leak in, and then `env` set.
+fn command(subcommand: &str, args: &[&str], env: &[(&str, &str)]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_salient"));
     cmd.arg(subcommand).args(args);
     for var in ["SALIENT_DTYPE", "SALIENT_FAULT_SPEC", "SALIENT_FAULT_SEED"] {
         cmd.env_remove(var);
     }
     cmd.envs(env.iter().copied());
-    let out = cmd.output().expect("the salient binary runs");
+    cmd
+}
+
+/// Runs [`command`]; returns its exit code and what it wrote to stderr.
+fn run(subcommand: &str, args: &[&str], env: &[(&str, &str)]) -> (Option<i32>, String) {
+    let out = command(subcommand, args, env).output().expect("the salient binary runs");
     (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
 }
 
@@ -32,7 +36,7 @@ fn unaccepted_values_exit_non_zero_and_name_the_accepted_ones() {
         "\"fig9\"", "table1", "table2", "table3", "table4", "table5", "table6", "table7", "fig1",
         "fig2", "fig3", "fig4", "fig5", "fig6",
     ];
-    let cases: [(&str, &[&str], Option<&str>, &[&str]); 27] = [
+    let cases: [(&str, &[&str], Option<&str>, &[&str]); 31] = [
         ("train", &["--model", "gta"], None, &["--model", "SAGE", "GAT", "GIN", "SAGE-RI"]),
         ("train", &["--executor", "pyg"], None, &["--executor", "salient", "baseline"]),
         ("train", &["--dataset", "reddit"], None, &["--dataset", "arxiv", "products", "papers"]),
@@ -60,6 +64,11 @@ fn unaccepted_values_exit_non_zero_and_name_the_accepted_ones() {
         ("train", &["--lr", "nan"], None, &["--lr", POSITIVE]),
         ("sample", &["--scale", "1e30"], None, &["--scale", NODE_ID_BOUND]),
         ("paper", &["table6", "--scale", "1e30"], None, &["--scale", NODE_ID_BOUND]),
+        // A flag the subcommand does not read is named with the ones it does.
+        ("train", &["--epoch", "1"], None, &["\"--epoch\"", "--epochs", "--workers", "--save"]),
+        ("paper", &["fig3", "--reps", "5"], None, &["paper fig3", "\"--reps\"", "--scale", "--epochs"]),
+        ("paper", &["table1", "--scale", "0.1"], None, &["paper table1", "\"--scale\"", "none"]),
+        ("sample", &["--fanout", "5"], None, &["\"--fanout\"", "--batch", "--seed", "--dataset"]),
     ];
     for (sub, args, dtype, expected) in cases {
         let (code, stderr) = salient(sub, args, dtype);
@@ -71,11 +80,37 @@ fn unaccepted_values_exit_non_zero_and_name_the_accepted_ones() {
     }
 }
 
+/// Every flag `train` reads is accepted, and a choice matches whatever its
+/// case.
 #[test]
 fn accepted_values_match_case_insensitively() {
-    let args = ["--model", "sage-ri", "--dataset", "ARXIV", "--scale", "0.01", "--epochs", "1"];
+    let args = [
+        "--model", "sage-ri", "--dataset", "ARXIV", "--scale", "0.01", "--epochs", "1", "--batch",
+        "128", "--hidden", "16", "--lr", "0.01", "--ranks", "1", "--executor", "Salient",
+        "--workers", "1", "--seed", "3", "--comm-timeout-ms", "1000",
+    ];
     let (code, stderr) = salient("train", &args, Some("F32"));
     assert_eq!(code, Some(0), "{stderr}");
+}
+
+/// `sample` prices the feature payload at the store's dtype: f32 rows are
+/// twice the bytes of the same f16 rows.
+#[test]
+fn sample_reports_the_payload_at_the_store_dtype() {
+    let args = ["--scale", "0.01", "--batch", "8"];
+    let payload = |dtype: &str| -> u64 {
+        let out = command("sample", &args, &[("SALIENT_DTYPE", dtype)]).output();
+        let out = out.expect("the salient binary runs");
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let line = stdout.lines().find(|l| l.contains("transfer payload")).expect("a payload line");
+        assert!(line.contains(&format!("features ({dtype})")), "{dtype} not named: {line:?}");
+        let bytes = line.split_whitespace().nth(2).expect("a byte count");
+        bytes.parse().unwrap_or_else(|_| panic!("{bytes:?} in {line:?} is not a byte count"))
+    };
+    let (half, full) = (payload("f16"), payload("f32"));
+    assert!(half > 0);
+    assert_eq!(full, 2 * half, "f16 {half} bytes, f32 {full} bytes");
 }
 
 #[test]
