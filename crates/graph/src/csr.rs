@@ -179,71 +179,39 @@ impl CsrGraph {
     /// practice" (§6).
     pub fn to_undirected(&self) -> CsrGraph {
         let n = self.num_nodes();
-        // Count both directions.
-        let mut deg = vec![0usize; n];
-        for u in 0..n {
-            for &v in self.neighbors(u as NodeId) {
-                if (v as usize) != u {
-                    deg[u] += 1;
-                    deg[v as usize] += 1;
-                }
-            }
+        let edges = || (0..n as NodeId).flat_map(move |u| self.neighbors(u).iter().map(move |&v| (u, v)));
+        let mut builder = SymmetricBuilder::new(n);
+        for (u, v) in edges() {
+            builder.count(u, v);
         }
-        let mut indptr = vec![0usize; n + 1];
-        for i in 0..n {
-            indptr[i + 1] = indptr[i] + deg[i];
-        }
-        let mut cursor = indptr.clone();
-        let mut indices = vec![0 as NodeId; indptr[n]];
-        for u in 0..n {
-            for &v in self.neighbors(u as NodeId) {
-                if (v as usize) != u {
-                    indices[cursor[u]] = v;
-                    cursor[u] += 1;
-                    indices[cursor[v as usize]] = u as NodeId;
-                    cursor[v as usize] += 1;
-                }
-            }
-        }
-        // Sort each adjacency list and deduplicate.
-        let mut out_indptr = vec![0usize; n + 1];
-        let mut out_indices = Vec::with_capacity(indices.len());
-        for u in 0..n {
-            let row = &mut indices[indptr[u]..indptr[u + 1]];
-            row.sort_unstable();
-            let mut prev: Option<NodeId> = None;
-            for &v in row.iter() {
-                if prev != Some(v) {
-                    out_indices.push(v);
-                    prev = Some(v);
-                }
-            }
-            out_indptr[u + 1] = out_indices.len();
-        }
-        CsrGraph {
-            indptr: out_indptr,
-            indices: out_indices,
-        }
+        builder.build(edges())
     }
 
     /// Whether every adjacency list is sorted (useful precondition for
     /// binary-search based membership tests).
     pub fn is_sorted(&self) -> bool {
-        (0..self.num_nodes()).all(|u| {
-            self.neighbors(u as NodeId)
-                .windows(2)
-                .all(|w| w[0] <= w[1])
-        })
+        (0..self.num_nodes()).all(|u| self.row_is_sorted(u as NodeId))
+    }
+
+    fn row_is_sorted(&self, u: NodeId) -> bool {
+        self.neighbors(u).windows(2).all(|w| w[0] <= w[1])
     }
 
     /// Whether the graph is symmetric (every edge has its reverse).
     ///
-    /// Requires sorted adjacency lists for efficiency.
+    /// Rows may be in any order: a sorted row is binary-searched, any other
+    /// row is scanned.
     pub fn is_undirected(&self) -> bool {
+        let sorted: Vec<bool> = (0..self.num_nodes() as NodeId).map(|u| self.row_is_sorted(u)).collect();
         (0..self.num_nodes() as NodeId).all(|u| {
-            self.neighbors(u)
-                .iter()
-                .all(|&v| self.neighbors(v).binary_search(&u).is_ok())
+            self.neighbors(u).iter().all(|&v| {
+                let row = self.neighbors(v);
+                if sorted[v as usize] {
+                    row.binary_search(&u).is_ok()
+                } else {
+                    row.contains(&u)
+                }
+            })
         })
     }
 
@@ -262,6 +230,89 @@ impl CsrGraph {
     pub fn memory_bytes(&self) -> usize {
         self.indptr.len() * std::mem::size_of::<usize>()
             + self.indices.len() * std::mem::size_of::<NodeId>()
+    }
+}
+
+/// Builds the symmetric CSR of an edge list in one scatter: every edge is
+/// counted in both directions first ([`SymmetricBuilder::count`], as the
+/// edges are produced), then written once into the one index array it will
+/// end in, whose rows are sorted and deduplicated in place. Self-loops are
+/// dropped. The dataset generator and [`CsrGraph::to_undirected`] both
+/// build through it.
+pub(crate) struct SymmetricBuilder {
+    /// `ends[u]` counts `u`'s entries until [`SymmetricBuilder::build`]
+    /// turns the counts into row cursors.
+    ends: Vec<usize>,
+}
+
+impl SymmetricBuilder {
+    /// A builder over `num_nodes` nodes with nothing counted.
+    pub(crate) fn new(num_nodes: usize) -> Self {
+        SymmetricBuilder { ends: vec![0; num_nodes + 1] }
+    }
+
+    /// Counts the edge `(u, v)` in both directions (a self-loop not at all).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is out of range.
+    #[inline]
+    pub(crate) fn count(&mut self, u: NodeId, v: NodeId) {
+        if u != v {
+            self.ends[u as usize] += 1;
+            self.ends[v as usize] += 1;
+        }
+    }
+
+    /// Scatters `edges` into the graph. They must be the edges counted, in
+    /// any order: both callers pass the same edges to `count` and here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer or more edges are scattered than were counted, or
+    /// the first row received a different number.
+    pub(crate) fn build(self, edges: impl IntoIterator<Item = (NodeId, NodeId)>) -> CsrGraph {
+        let mut indptr = self.ends;
+        let n = indptr.len() - 1;
+        // Inclusive prefix sums: `indptr[u]` is where row `u` ends, and the
+        // scatter walks each row's cursor down to where it starts.
+        let mut total = 0;
+        for end in &mut indptr[..n] {
+            total += *end;
+            *end = total;
+        }
+        indptr[n] = total;
+        let mut indices = vec![0 as NodeId; total];
+        let mut scattered = 0;
+        for (u, v) in edges {
+            if u != v {
+                indptr[u as usize] -= 1;
+                indices[indptr[u as usize]] = v;
+                indptr[v as usize] -= 1;
+                indices[indptr[v as usize]] = u;
+                scattered += 2;
+            }
+        }
+        assert!(scattered == total && indptr[0] == 0, "the edges scattered are not the edges counted");
+        // Sort each row, and compact it, deduplicated, down to where the
+        // previous row now ends.
+        let mut out = 0;
+        for u in 0..n {
+            let (start, end) = (indptr[u], indptr[u + 1]);
+            indices[start..end].sort_unstable();
+            indptr[u] = out;
+            for i in start..end {
+                let v = indices[i];
+                if i == start || v != indices[out - 1] {
+                    indices[out] = v;
+                    out += 1;
+                }
+            }
+        }
+        indptr[n] = out;
+        indices.truncate(out);
+        indices.shrink_to_fit();
+        CsrGraph { indptr, indices }
     }
 }
 
@@ -317,6 +368,23 @@ mod tests {
         assert_eq!(u.neighbors(1), &[0]);
         assert_eq!(u.neighbors(2), &[3], "self loop dropped");
         assert_eq!(u.neighbors(3), &[2]);
+    }
+
+    #[test]
+    fn is_undirected_holds_for_rows_in_edge_order() {
+        // Row 0 is [3, 1, 2]: a binary search in it misses 1.
+        let g = CsrGraph::from_edges(4, &[(0, 3), (0, 1), (0, 2), (1, 0), (2, 0), (3, 0)]);
+        assert_eq!(g.neighbors(0), &[3, 1, 2]);
+        assert!(g.is_undirected());
+        let one_way = CsrGraph::from_edges(4, &[(0, 3), (0, 1), (0, 2), (1, 0), (2, 0)]);
+        assert!(!one_way.is_undirected());
+    }
+
+    #[test]
+    fn the_symmetric_index_array_has_no_spare_capacity() {
+        let g = CsrGraph::from_edges(4, &[(0, 1), (0, 1), (1, 0), (2, 2), (2, 3), (3, 1)]).to_undirected();
+        assert_eq!(g.indices.capacity(), g.indices.len());
+        assert_eq!(g.indices(), &[1, 0, 3, 3, 1, 2]);
     }
 
     #[test]

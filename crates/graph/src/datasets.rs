@@ -14,7 +14,7 @@ use crate::features::FeatureMatrix;
 use salient_tensor::kernels::pin_heap_thresholds;
 use salient_tensor::Dtype;
 use crate::generate::{chung_lu_communities, ChungLuConfig};
-use crate::labels::{planted_features, PlantedFeatureConfig};
+use crate::labels::{planted_rows, PlantedFeatureConfig};
 use crate::split::Splits;
 
 /// Everything needed to train and evaluate on a synthetic dataset.
@@ -152,10 +152,12 @@ impl DatasetConfig {
 
     /// Generates the dataset.
     ///
-    /// The arrays built here are the largest blocks a process allocates, and
-    /// generating the graph frees more than twice what it keeps (57 MB of
-    /// edge lists for a 25 MB graph at 100 000 nodes), so the allocator's
-    /// thresholds are fixed before the first of them.
+    /// The arrays built here are the largest blocks a process allocates, so
+    /// the allocator's thresholds are fixed before the first of them. At
+    /// the benchmark's 100 000 nodes and 100 features the graph's edge list
+    /// (22 MB) lives beside the index array it is scattered into (22 MB,
+    /// 18 MB of it kept once its rows are deduplicated) and is freed before
+    /// the feature store (20 MB at f16) is filled, one row at a time.
     pub fn build(&self) -> Dataset {
         pin_heap_thresholds();
         let cg = chung_lu_communities(&ChungLuConfig {
@@ -174,8 +176,8 @@ impl DatasetConfig {
             noise: self.noise,
             seed: self.seed ^ 0xF00D,
         };
-        let raw = planted_features(&cg.community, &feat_cfg);
-        let features = FeatureMatrix::from_f32_dtype(self.dtype, self.num_nodes, self.feat_dim, &raw);
+        let mut features = FeatureMatrix::zeros(self.dtype, self.num_nodes, self.feat_dim);
+        planted_rows(&cg.community, &feat_cfg, |v, row| features.set_row(v, row));
         let (ft, fv, fs) = self.split_fracs;
         let splits = Splits::random(self.num_nodes, ft, fv, fs, self.seed ^ 0x5EED);
         Dataset {

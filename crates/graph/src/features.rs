@@ -219,6 +219,30 @@ impl FeatureMatrix {
         }
     }
 
+    /// A `num_nodes × dim` matrix of zeros, for [`FeatureMatrix::set_row`]
+    /// to fill: its pages are not touched until a row is written.
+    pub(crate) fn zeros(dtype: Dtype, num_nodes: usize, dim: usize) -> Self {
+        FeatureMatrix {
+            data: FeatureSlab::new(dtype, num_nodes * dim),
+            num_nodes,
+            dim,
+        }
+    }
+
+    /// Stores `values` as row `v`, narrowed to the matrix's dtype as
+    /// [`FeatureMatrix::from_f32_dtype`] would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range or `values.len() != dim`.
+    pub(crate) fn set_row(&mut self, v: usize, values: &[f32]) {
+        assert!(v < self.num_nodes, "node {v} out of range");
+        match self.data.view_mut(v * self.dim, self.dim) {
+            FeatureRowsMut::Half(d) => salient_tensor::narrow_into(values, d),
+            FeatureRowsMut::Full(d) => d.copy_from_slice(values),
+        }
+    }
+
     /// Number of nodes (rows).
     pub fn num_nodes(&self) -> usize {
         self.num_nodes

@@ -7,10 +7,10 @@
 
 #![expect(
     clippy::indexing_slicing,
-    reason = "community ids are v % num_communities, node ids run over 0..n, and a sampled position is clamped to ids.len() - 1"
+    reason = "community ids are v % num_communities, node ids run over 0..n, a guide table has an entry for every bucket up to its total's, and a draw's walk stops at the last weight"
 )]
 
-use crate::csr::{CsrGraph, NodeId};
+use crate::csr::{CsrGraph, NodeId, SymmetricBuilder};
 use salient_tensor::rng::Rng;
 
 /// Draws `n` expected-degree weights from a discrete Pareto (power-law) with
@@ -83,6 +83,64 @@ pub struct CommunityGraph {
     pub community: Vec<u32>,
 }
 
+/// Draws indices proportionally to a list of weights: the index `i` with
+/// `cum[i - 1] < x <= cum[i]` for a uniform `x` in `[0, total)`, which is
+/// what `cum.partition_point(|&c| c < x)` finds by binary search.
+///
+/// A guide table stands in front of that search: one bucket per weight,
+/// `guide[b]` the first index whose scaled cumulative weight `cum[i] *
+/// scale` reaches bucket `b`. Every index before `guide[bucket(x)]` has
+/// `cum[i] < x` (its bucket is below `x`'s, and bucketing is monotone), so
+/// the walk from there stops at the binary search's answer, not near it.
+/// With one bucket per weight a bucket holds one cumulative weight on
+/// average, so the walk is short.
+struct Guided {
+    cum: Vec<f64>,
+    guide: Vec<u32>,
+    scale: f64,
+}
+
+impl Guided {
+    /// The table over `weights`, which must be positive and not empty.
+    fn new(weights: impl Iterator<Item = f64>) -> Self {
+        let mut acc = 0.0;
+        let cum: Vec<f64> = weights
+            .map(|w| {
+                acc += w;
+                acc
+            })
+            .collect();
+        let scale = cum.len() as f64 / acc;
+        let mut guide = Vec::with_capacity(cum.len() + 1);
+        for (i, &c) in cum.iter().enumerate() {
+            let b = (c * scale) as usize;
+            while guide.len() <= b {
+                guide.push(i as u32);
+            }
+        }
+        Guided { cum, guide, scale }
+    }
+
+    /// Sum of the weights.
+    fn total(&self) -> f64 {
+        self.cum[self.cum.len() - 1]
+    }
+
+    /// One draw: one `f64` from `rng`, as the binary search takes.
+    #[inline]
+    fn draw(&self, rng: &mut impl Rng) -> usize {
+        let x = rng.random::<f64>() * self.total();
+        // `x <= total`, so its bucket is at most the last weight's, the
+        // last the table holds.
+        let mut i = self.guide[(x * self.scale) as usize] as usize;
+        let last = self.cum.len() - 1;
+        while i < last && self.cum[i] < x {
+            i += 1;
+        }
+        i
+    }
+}
+
 /// Generates a community-structured Chung–Lu graph.
 ///
 /// Node `v` receives an expected degree `w_v` from a bounded power law.
@@ -93,6 +151,10 @@ pub struct CommunityGraph {
 /// the property behind Figure 3's "high-degree nodes are predicted less
 /// accurately".
 ///
+/// Each draw finds its node through a guide table ([`Guided`]). The edges
+/// are counted in both directions as they are drawn and scattered once
+/// into the symmetric CSR ([`SymmetricBuilder`]).
+///
 /// # Panics
 ///
 /// Panics if `num_communities == 0` or `num_nodes == 0`.
@@ -101,55 +163,38 @@ pub fn chung_lu_communities(cfg: &ChungLuConfig) -> CommunityGraph {
     assert!(cfg.num_communities > 0, "need at least one community");
     let mut rng = salient_tensor::rng::StdRng::seed_from_u64(cfg.seed);
     let n = cfg.num_nodes;
+    let k = cfg.num_communities;
     let weights = power_law_weights(n, cfg.alpha, cfg.d_min, cfg.d_max, &mut rng);
 
     // Round-robin community assignment keeps communities balanced while the
-    // node order is random by construction of the weights.
-    let community: Vec<u32> = (0..n).map(|v| (v % cfg.num_communities) as u32).collect();
+    // node order is random by construction of the weights: community `c`'s
+    // `i`-th member is node `c + i * k`.
+    let community: Vec<u32> = (0..n).map(|v| (v % k) as u32).collect();
+    let global = Guided::new(weights.iter().copied());
+    // Only the first `n` communities have members.
+    let members: Vec<Guided> = (0..k.min(n))
+        .map(|c| Guided::new(weights[c..].iter().step_by(k).copied()))
+        .collect();
+    drop(weights);
 
-    // Cumulative weights: global and per community (over the community's
-    // member list), enabling O(log n) proportional sampling.
-    let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); cfg.num_communities];
-    for v in 0..n {
-        members[community[v] as usize].push(v as NodeId);
-    }
-    let build_cum = |ids: &[NodeId]| -> Vec<f64> {
-        let mut cum = Vec::with_capacity(ids.len());
-        let mut acc = 0.0;
-        for &v in ids {
-            acc += weights[v as usize];
-            cum.push(acc);
-        }
-        cum
-    };
-    let all_ids: Vec<NodeId> = (0..n as NodeId).collect();
-    let global_cum = build_cum(&all_ids);
-    let member_cum: Vec<Vec<f64>> = members.iter().map(|m| build_cum(m)).collect();
-
-    #[expect(clippy::unwrap_used, reason = "cum has one entry per id, and no id list is empty: num_nodes > 0 is asserted and a community's members are checked before they are sampled")]
-    let sample_from = |cum: &[f64], ids: &[NodeId], rng: &mut salient_tensor::rng::StdRng| -> NodeId {
-        let total = *cum.last().unwrap();
-        let x: f64 = rng.random::<f64>() * total;
-        let i = cum.partition_point(|&c| c < x).min(ids.len() - 1);
-        ids[i]
-    };
-
-    let total_weight: f64 = weights.iter().sum();
-    let num_edges = (total_weight / 2.0).round() as usize;
+    let num_edges = (global.total() / 2.0).round() as usize;
     let mut edges = Vec::with_capacity(num_edges);
+    let mut builder = SymmetricBuilder::new(n);
     for _ in 0..num_edges {
-        let u = sample_from(&global_cum, &all_ids, &mut rng);
-        let c = community[u as usize] as usize;
-        let v = if rng.random::<f64>() < cfg.p_intra && !members[c].is_empty() {
-            sample_from(&member_cum[c], &members[c], &mut rng)
+        let u = global.draw(&mut rng);
+        let c = community[u] as usize;
+        let v = if rng.random::<f64>() < cfg.p_intra {
+            c + members[c].draw(&mut rng) * k
         } else {
-            sample_from(&global_cum, &all_ids, &mut rng)
+            global.draw(&mut rng)
         };
+        let (u, v) = (u as NodeId, v as NodeId);
         if u != v {
+            builder.count(u, v);
             edges.push((u, v));
         }
     }
-    let graph = CsrGraph::from_edges(n, &edges).to_undirected();
+    let graph = builder.build(edges);
     CommunityGraph { graph, community }
 }
 

@@ -51,6 +51,49 @@ fn gaussian(rng: &mut impl Rng) -> f32 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
+/// Random unit prototypes, one per class: the first draws of `cfg.seed`'s
+/// stream.
+fn class_prototypes(rng: &mut impl Rng, cfg: &PlantedFeatureConfig) -> Vec<f32> {
+    let mut prototypes = vec![0.0f32; cfg.num_classes * cfg.dim];
+    for p in prototypes.chunks_mut(cfg.dim) {
+        let mut norm = 0.0f32;
+        for x in p.iter_mut() {
+            *x = gaussian(rng);
+            norm += *x * *x;
+        }
+        let inv = 1.0 / norm.sqrt().max(1e-6);
+        for x in p.iter_mut() {
+            *x *= inv;
+        }
+    }
+    prototypes
+}
+
+/// Draws the planted feature row of each node in turn into one `dim`-wide
+/// scratch and hands it to `row(v, values)`, so a caller that stores rows
+/// narrowed never holds the whole matrix in `f32`.
+///
+/// # Panics
+///
+/// Panics if a label is `>= num_classes`.
+pub(crate) fn planted_rows(labels: &[u32], cfg: &PlantedFeatureConfig, mut row: impl FnMut(usize, &[f32])) {
+    let mut rng = salient_tensor::rng::StdRng::seed_from_u64(cfg.seed);
+    let prototypes = class_prototypes(&mut rng, cfg);
+    let mut scratch = vec![0.0f32; cfg.dim];
+    for (v, &c) in labels.iter().enumerate() {
+        assert!(
+            (c as usize) < cfg.num_classes,
+            "label {c} out of range for {} classes",
+            cfg.num_classes
+        );
+        let proto = &prototypes[c as usize * cfg.dim..(c as usize + 1) * cfg.dim];
+        for (o, &p) in scratch.iter_mut().zip(proto) {
+            *o = cfg.signal * p + cfg.noise * gaussian(&mut rng) / (cfg.dim as f32).sqrt();
+        }
+        row(v, &scratch);
+    }
+}
+
 /// Generates `num_nodes × dim` planted features for the given labels.
 ///
 /// Returns a flat row-major `f32` buffer.
@@ -59,32 +102,8 @@ fn gaussian(rng: &mut impl Rng) -> f32 {
 ///
 /// Panics if a label is `>= num_classes`.
 pub fn planted_features(labels: &[u32], cfg: &PlantedFeatureConfig) -> Vec<f32> {
-    let mut rng = salient_tensor::rng::StdRng::seed_from_u64(cfg.seed);
-    // Random unit prototypes, one per class.
-    let mut prototypes = vec![0.0f32; cfg.num_classes * cfg.dim];
-    for p in prototypes.chunks_mut(cfg.dim) {
-        let mut norm = 0.0f32;
-        for x in p.iter_mut() {
-            *x = gaussian(&mut rng);
-            norm += *x * *x;
-        }
-        let inv = 1.0 / norm.sqrt().max(1e-6);
-        for x in p.iter_mut() {
-            *x *= inv;
-        }
-    }
-    let mut out = vec![0.0f32; labels.len() * cfg.dim];
-    for (v, &c) in labels.iter().enumerate() {
-        assert!(
-            (c as usize) < cfg.num_classes,
-            "label {c} out of range for {} classes",
-            cfg.num_classes
-        );
-        let proto = &prototypes[c as usize * cfg.dim..(c as usize + 1) * cfg.dim];
-        for (o, &p) in out[v * cfg.dim..(v + 1) * cfg.dim].iter_mut().zip(proto) {
-            *o = cfg.signal * p + cfg.noise * gaussian(&mut rng) / (cfg.dim as f32).sqrt();
-        }
-    }
+    let mut out = Vec::with_capacity(labels.len() * cfg.dim);
+    planted_rows(labels, cfg, |_, values| out.extend_from_slice(values));
     out
 }
 
@@ -97,20 +116,8 @@ pub fn pointwise_prototype_accuracy(
     labels: &[u32],
     cfg: &PlantedFeatureConfig,
 ) -> f64 {
-    let mut rng = salient_tensor::rng::StdRng::seed_from_u64(cfg.seed);
     // Re-derive the same prototypes (same seed, same draw order).
-    let mut prototypes = vec![0.0f32; cfg.num_classes * cfg.dim];
-    for p in prototypes.chunks_mut(cfg.dim) {
-        let mut norm = 0.0f32;
-        for x in p.iter_mut() {
-            *x = gaussian(&mut rng);
-            norm += *x * *x;
-        }
-        let inv = 1.0 / norm.sqrt().max(1e-6);
-        for x in p.iter_mut() {
-            *x *= inv;
-        }
-    }
+    let prototypes = class_prototypes(&mut salient_tensor::rng::StdRng::seed_from_u64(cfg.seed), cfg);
     let mut correct = 0usize;
     for (v, &c) in labels.iter().enumerate() {
         let x = &features[v * cfg.dim..(v + 1) * cfg.dim];

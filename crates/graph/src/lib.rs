@@ -23,6 +23,8 @@
 mod csr;
 mod datasets;
 mod features;
+#[cfg(test)]
+mod oracle;
 mod split;
 
 pub mod generate;

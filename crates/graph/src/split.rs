@@ -2,7 +2,7 @@
 
 #![expect(
     clippy::indexing_slicing,
-    reason = "split fractions are validated to sum <= 1, so every prefix length is <= num_nodes"
+    reason = "every range end is clamped to num_nodes and starts where the previous range ends"
 )]
 
 use crate::csr::NodeId;
@@ -44,9 +44,14 @@ impl Splits {
         let n_train = (num_nodes as f64 * frac_train).round() as usize;
         let n_val = (num_nodes as f64 * frac_val).round() as usize;
         let n_test = (num_nodes as f64 * frac_test).round() as usize;
-        let train = ids[..n_train].to_vec();
-        let val = ids[n_train..n_train + n_val].to_vec();
-        let test = ids[n_train + n_val..(n_train + n_val + n_test).min(num_nodes)].to_vec();
+        // Each fraction is rounded on its own, so two halves of an odd count
+        // both round up: every range ends at most at `num_nodes`.
+        let end_train = n_train.min(num_nodes);
+        let end_val = (end_train + n_val).min(num_nodes);
+        let end_test = (end_val + n_test).min(num_nodes);
+        let train = ids[..end_train].to_vec();
+        let val = ids[end_train..end_val].to_vec();
+        let test = ids[end_val..end_test].to_vec();
         Splits { train, val, test }
     }
 
@@ -93,6 +98,36 @@ mod tests {
         assert_eq!(a.train, b.train);
         let c = Splits::random(100, 0.5, 0.25, 0.25, 8);
         assert_ne!(a.train, c.train);
+    }
+
+    #[test]
+    fn halves_of_an_odd_count_both_round_up_without_overflow() {
+        // 1.5 and 1.5 both round to 2: validation takes the one node left.
+        let s = Splits::random(3, 0.5, 0.5, 0.0, 4);
+        assert_eq!((s.train.len(), s.val.len(), s.test.len()), (2, 1, 0));
+        assert!(s.is_disjoint());
+    }
+
+    #[test]
+    fn any_fractions_summing_to_at_most_one_split_small_graphs() {
+        use salient_tensor::rng::{Rng, StdRng};
+        let mut rng = StdRng::seed_from_u64(40);
+        for _ in 0..2_000 {
+            let n = rng.random_range(0..12usize);
+            let train = rng.random::<f64>();
+            let val = rng.random::<f64>() * (1.0 - train);
+            let test = rng.random::<f64>() * (1.0 - train - val);
+            let s = Splits::random(n, train, val, test, rng.random());
+            assert!(s.is_disjoint(), "n {n}, fractions {train} {val} {test}");
+            assert!(s.num_labeled() <= n);
+            assert!(s.train.iter().chain(&s.val).chain(&s.test).all(|&v| (v as usize) < n));
+        }
+        // The halves and thirds that round up together.
+        for n in 0..12 {
+            for (t, v, x) in [(0.5, 0.5, 0.0), (0.5, 0.0, 0.5), (0.0, 0.5, 0.5), (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0), (0.25, 0.25, 0.5)] {
+                assert!(Splits::random(n, t, v, x, 1).is_disjoint());
+            }
+        }
     }
 
     #[test]

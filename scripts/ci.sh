@@ -122,6 +122,20 @@ echo "== sampler tier: the distribution did not change (release, 10^5 draws a ce
 # per drawn position (tests/draw_count.rs).
 cargo test --release -q --offline -p salient-sampler
 
+echo "== graph tier: every dataset builds to the reference's bits (release)"
+# The generator (guided draws, one scatter into the symmetric CSR, feature
+# rows narrowed as they are drawn) against the #[cfg(test)] oracle in
+# crates/graph/src/oracle.rs (binary-search draws, the directed CSR
+# symmetrized through a second index array, the f32 matrix quantized),
+# bit for bit: graph, features, labels and splits of the benchmark's own
+# G100k datasets at seeds 2868 and 94445095, the presets at small scale
+# and the edge cases (one node, one community, p_intra 0 and 1, equal
+# degree bounds). The workspace runs above check the same at G10k.
+graph_start=$(date +%s.%N)
+cargo test --release -q --offline -p salient-graph
+awk -v s="$graph_start" -v e="$(date +%s.%N)" \
+  'BEGIN { printf "graph tier: took %.1f s\n", e - s }'
+
 echo "== tensor tier: GEMM tiles and the aggregation row kernel against their oracles (release, full shapes)"
 # Every rung of the CSR row kernel the host supports (portable, AVX2,
 # AVX-512) against the one scalar oracle, bit for bit, over 13 widths x 6

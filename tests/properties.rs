@@ -9,7 +9,8 @@ use salient_repro::graph::{generate, CsrGraph};
 use salient_repro::sampler::{
     FastSampler, MessageFlowGraph, PygSampler, VariantConfig, VariantSampler,
 };
-use salient_repro::tensor::rng::{Rng, StdRng};
+use salient_repro::tensor::rng::{Rng, SliceRandom, StdRng};
+use std::collections::BTreeSet;
 use salient_repro::tensor::{gemm, F16, Tensor};
 
 /// A random directed edge list over `n` nodes with up to `max_edges` edges.
@@ -55,6 +56,62 @@ fn undirected_is_symmetric_and_deduped() {
             assert!(!ns.contains(&v), "no self loops");
         }
     }
+}
+
+#[test]
+fn to_undirected_equals_a_btreeset_reference() {
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(1_000 + seed);
+        let n = rng.random_range(1u32..40);
+        let mut es = edges(&mut rng, n, 200);
+        // A third of the edges again, reversed, and as self-loops on their
+        // source: duplicates, self-loops and both orders, in any order.
+        let extra: Vec<(u32, u32)> =
+            es.iter().take(es.len() / 3).flat_map(|&(u, v)| [(u, v), (v, u), (u, u)]).collect();
+        es.extend(extra);
+        es.shuffle(&mut rng);
+        let mut reference = vec![BTreeSet::new(); n as usize];
+        for &(u, v) in &es {
+            if u != v {
+                reference[u as usize].insert(v);
+                reference[v as usize].insert(u);
+            }
+        }
+        let g = CsrGraph::from_edges(n as usize, &es).to_undirected();
+        assert_eq!(g.num_nodes(), n as usize);
+        for v in 0..n {
+            let want: Vec<u32> = reference[v as usize].iter().copied().collect();
+            assert_eq!(g.neighbors(v), want.as_slice(), "seed {seed}, node {v}");
+        }
+        assert_eq!(g.num_edges(), reference.iter().map(BTreeSet::len).sum::<usize>());
+    }
+}
+
+#[test]
+fn is_undirected_agrees_with_a_scan_on_unsorted_rows() {
+    let (mut symmetric, mut unsorted) = (0, 0);
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(1_100 + seed);
+        let n = rng.random_range(1u32..30);
+        let mut es = edges(&mut rng, n, 80);
+        if seed % 2 == 0 {
+            let reversed: Vec<(u32, u32)> = es.iter().map(|&(u, v)| (v, u)).collect();
+            es.extend(reversed);
+        }
+        // Rows keep edge order, so most are unsorted; every fourth graph
+        // loses one edge, which may break its symmetry.
+        es.shuffle(&mut rng);
+        if seed % 4 == 0 {
+            es.pop();
+        }
+        let g = CsrGraph::from_edges(n as usize, &es);
+        let scan = (0..n).all(|u| g.neighbors(u).iter().all(|&v| g.neighbors(v).contains(&u)));
+        assert_eq!(g.is_undirected(), scan, "seed {seed}");
+        symmetric += usize::from(scan);
+        unsorted += usize::from(!g.is_sorted());
+    }
+    assert!(symmetric > 8 && symmetric < 56, "{symmetric} of 64 graphs symmetric: both answers must be checked");
+    assert!(unsorted > 32, "only {unsorted} of 64 graphs have an unsorted row");
 }
 
 #[test]
