@@ -34,8 +34,7 @@ mod stats;
 
 pub use pinned::{PinnedPool, PinnedSlot};
 pub use prep::{
-    run_epoch, run_epoch_with_pool, BatchResult, EpochHandle, PrepConfig, PrepMode, PreparedBatch, SamplerKind,
+    run_epoch, run_epoch_with_pool, BatchResult, PrepConfig, PrepMode, PreparedBatch, SamplerKind,
 };
-pub use queue::{make_work_items, WorkItem, WorkQueue};
-pub use slice::{slice_batch, slice_batch_into, slice_labels};
+pub use slice::{slice_batch, slice_batch_into};
 pub use stats::FaultStats;

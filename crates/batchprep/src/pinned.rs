@@ -223,7 +223,7 @@ impl PinnedPool {
     /// `cancel` calls afterwards. `cancel` is read under the free-list lock
     /// that call takes, so a waiter cannot miss it between its check and its
     /// sleep.
-    pub fn acquire_cancellable(
+    pub(crate) fn acquire_cancellable(
         &self,
         cancel: &std::sync::atomic::AtomicBool,
     ) -> Option<PinnedSlot> {

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// One unit of work: prepare the mini-batch with the given id from a range
 /// of the epoch's (already shuffled) node order.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WorkItem {
+pub(crate) struct WorkItem {
     /// Sequential batch index within the epoch.
     pub batch_id: usize,
     /// Start offset into the epoch node order.
@@ -28,7 +28,7 @@ pub struct WorkItem {
 
 /// Splits an epoch of `n` nodes into batch work items of `batch_size`
 /// (the last batch may be short).
-pub fn make_work_items(n: usize, batch_size: usize) -> Vec<WorkItem> {
+pub(crate) fn make_work_items(n: usize, batch_size: usize) -> Vec<WorkItem> {
     assert!(batch_size > 0, "batch size must be positive");
     (0..n)
         .step_by(batch_size)
@@ -53,7 +53,7 @@ pub fn make_work_items(n: usize, batch_size: usize) -> Vec<WorkItem> {
 /// The items are known up front, so a pop is one `fetch_add` on an
 /// immutable list — genuinely lock-free.
 #[derive(Debug)]
-pub struct WorkQueue {
+pub(crate) struct WorkQueue {
     items: Vec<WorkItem>,
     cursors: Vec<AtomicUsize>,
 }
@@ -64,14 +64,14 @@ impl WorkQueue {
     /// # Panics
     ///
     /// Panics if `lanes == 0`.
-    pub fn new(items: Vec<WorkItem>, lanes: usize) -> Self {
+    pub(crate) fn new(items: Vec<WorkItem>, lanes: usize) -> Self {
         assert!(lanes > 0, "need at least one lane");
         let cursors = (0..lanes).map(|_| AtomicUsize::new(0)).collect();
         WorkQueue { items, cursors }
     }
 
     /// Next item for worker `worker`; `None` when its lane is drained.
-    pub fn next(&self, worker: usize) -> Option<WorkItem> {
+    pub(crate) fn next(&self, worker: usize) -> Option<WorkItem> {
         let lanes = self.cursors.len();
         let lane = worker % lanes;
         // The claim cursor only needs each index handed out once, and the
@@ -84,7 +84,7 @@ impl WorkQueue {
 
     /// Items no worker has claimed yet: whether a dead worker is worth
     /// replacing, and whether a collapsed worker set left work behind.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         let lanes = self.cursors.len();
         self.cursors
             .iter()

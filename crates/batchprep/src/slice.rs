@@ -58,7 +58,7 @@ pub fn slice_batch_into(dataset: &Dataset, mfg: &MessageFlowGraph, slot: &mut Pi
 /// # Panics
 ///
 /// Panics if `out.len() != batch.len()` or a node id is out of range.
-pub fn slice_labels(labels: &[u32], batch: &[NodeId], out: &mut [u32]) {
+pub(crate) fn slice_labels(labels: &[u32], batch: &[NodeId], out: &mut [u32]) {
     assert_eq!(out.len(), batch.len(), "label output size mismatch");
     for (o, &v) in out.iter_mut().zip(batch.iter()) {
         *o = labels[v as usize];

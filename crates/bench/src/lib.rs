@@ -12,7 +12,7 @@ pub mod paper;
 use std::fmt::Write as _;
 
 /// Renders rows as a fixed-width text table with a header rule.
-pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let cols = headers.len();
     let mut width = vec![0usize; cols];
     for (i, h) in headers.iter().enumerate() {
@@ -49,7 +49,7 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Formats seconds with sensible precision.
-pub fn fmt_s(s: f64) -> String {
+pub(crate) fn fmt_s(s: f64) -> String {
     if s >= 100.0 {
         format!("{s:.0}s")
     } else if s >= 10.0 {
@@ -60,12 +60,12 @@ pub fn fmt_s(s: f64) -> String {
 }
 
 /// Formats a ratio as `N.NNx`.
-pub fn fmt_x(x: f64) -> String {
+pub(crate) fn fmt_x(x: f64) -> String {
     format!("{x:.2}x")
 }
 
 /// Formats a fraction as a percentage.
-pub fn fmt_pct(p: f64) -> String {
+pub(crate) fn fmt_pct(p: f64) -> String {
     format!("{p:.0}%")
 }
 

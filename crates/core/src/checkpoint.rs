@@ -26,7 +26,9 @@ const MAGIC: &[u8; 8] = b"SALIENT\x02";
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a_update(mut hash: u64, bytes: &[u8]) -> u64 {
+/// Folds `bytes` into the FNV-1a hash `hash` (start from the 64-bit offset
+/// basis, `0xcbf2_9ce4_8422_2325`).
+pub fn fnv1a_update(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(FNV_PRIME);

@@ -110,7 +110,7 @@ pub fn train_ddp(
 /// # Panics
 ///
 /// Panics if `ranks == 0`.
-pub fn train_ddp_traced(
+pub(crate) fn train_ddp_traced(
     dataset: &Arc<Dataset>,
     config: &RunConfig,
     ranks: usize,

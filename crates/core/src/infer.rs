@@ -88,10 +88,12 @@ pub struct BatchInferencer {
 
 impl BatchInferencer {
     /// One staging slot pre-sized for `nodes_hint` sampled nodes, counting
-    /// staged bytes against the trace's `transfer.bytes`.
+    /// staged bytes against the trace's `transfer.bytes`. The hint is
+    /// clamped to the graph's node count: a batch holds each node once.
     pub fn new(dataset: Arc<Dataset>, nodes_hint: usize, trace: &Trace) -> Self {
         let dim = dataset.features.dim();
         let dtype = dataset.features.dtype();
+        let nodes_hint = nodes_hint.min(dataset.graph.num_nodes());
         let pool = PinnedPool::new(1, nodes_hint, dim, 1, dtype);
         let transfer_bytes = trace.counter(names::counters::TRANSFER_BYTES);
         BatchInferencer { dataset, pool, transfer_bytes }
@@ -138,7 +140,7 @@ impl BatchInferencer {
     }
 
     /// Stage + forward in one call (the offline evaluation path).
-    pub fn infer_mfg(
+    pub(crate) fn infer_mfg(
         &self,
         model: &mut dyn GnnModel,
         mfg: &MessageFlowGraph,

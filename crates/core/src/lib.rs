@@ -44,6 +44,6 @@ pub mod infer;
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use infer::{BatchInferencer, StagedBatch};
 pub use config::{ExecutorKind, RunConfig};
-pub use ddp_train::{train_ddp, train_ddp_traced, DdpError, DdpRunResult};
+pub use ddp_train::{train_ddp, DdpError, DdpRunResult};
 pub use timing::StageTimings;
 pub use train::{EpochStats, Trainer};

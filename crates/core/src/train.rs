@@ -227,32 +227,6 @@ impl Trainer {
         (0..self.config.epochs).map(|_| self.train_epoch()).collect()
     }
 
-    /// Trains with per-epoch validation and early stopping: stops once
-    /// validation accuracy has not improved for `patience` consecutive
-    /// epochs (bounded by `config.epochs`). Returns the epoch history and
-    /// the best validation accuracy observed.
-    pub fn fit_with_early_stopping(&mut self, patience: usize) -> (Vec<EpochStats>, f64) {
-        let val_nodes = self.dataset.splits.val.clone();
-        let fanouts = self.config.infer_fanouts.clone();
-        let mut history = Vec::new();
-        let mut best = f64::NEG_INFINITY;
-        let mut since_best = 0usize;
-        for _ in 0..self.config.epochs {
-            history.push(self.train_epoch());
-            let (acc, _) = self.evaluate_sampled(&val_nodes, &fanouts);
-            if acc > best + 1e-9 {
-                best = acc;
-                since_best = 0;
-            } else {
-                since_best += 1;
-                if since_best >= patience {
-                    break;
-                }
-            }
-        }
-        (history, best.max(0.0))
-    }
-
     /// One optimizer step on a batch of widened features; returns the loss.
     pub fn train_batch(&mut self, mfg: &MessageFlowGraph, features: Tensor, labels: &[u32]) -> f64 {
         self.step(mfg, |tape| tape.constant(features), labels)

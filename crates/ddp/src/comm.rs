@@ -105,7 +105,7 @@ impl std::error::Error for CommError {}
 
 /// Default per-step receive deadline (override per-ring with
 /// [`Communicator::ring_with_timeout`]).
-pub const DEFAULT_STEP_TIMEOUT: Duration = Duration::from_secs(5);
+pub(crate) const DEFAULT_STEP_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// One rank's endpoint of a ring communicator.
 #[derive(Debug)]
@@ -139,7 +139,7 @@ impl Communicator {
     /// # Panics
     ///
     /// Panics if `world == 0`.
-    pub fn ring_with_timeout(world: usize, timeout: Duration) -> Vec<Communicator> {
+    pub(crate) fn ring_with_timeout(world: usize, timeout: Duration) -> Vec<Communicator> {
         Self::ring_traced(world, timeout, &Trace::disabled())
     }
 
@@ -342,7 +342,7 @@ impl Communicator {
     /// # Errors
     ///
     /// See [`Communicator::all_reduce_sum`].
-    pub fn all_reduce_mean_tensor(&self, t: &mut Tensor) -> Result<(), CommError> {
+    pub(crate) fn all_reduce_mean_tensor(&self, t: &mut Tensor) -> Result<(), CommError> {
         self.all_reduce_mean(t.data_mut())
     }
 

@@ -32,9 +32,5 @@
 mod comm;
 mod trainer;
 
-pub use comm::{
-    CommError, CommErrorKind, CommPhase, Communicator, DEFAULT_STEP_TIMEOUT,
-};
-pub use trainer::{
-    average_gradients, average_model_gradients, sync_model, sync_parameters,
-};
+pub use comm::{CommError, CommErrorKind, Communicator};
+pub use trainer::{average_model_gradients, sync_model};

@@ -13,7 +13,7 @@ use salient_tensor::Param;
 /// # Errors
 ///
 /// Propagates the first [`CommError`] (dead or stalled peer).
-pub fn average_gradients(comm: &Communicator, params: &mut [&mut Param]) -> Result<(), CommError> {
+pub(crate) fn average_gradients(comm: &Communicator, params: &mut [&mut Param]) -> Result<(), CommError> {
     for p in params.iter_mut() {
         comm.all_reduce_mean_tensor(p.grad_mut())?;
     }
@@ -26,7 +26,7 @@ pub fn average_gradients(comm: &Communicator, params: &mut [&mut Param]) -> Resu
 /// # Errors
 ///
 /// Propagates the first [`CommError`] (dead or stalled peer).
-pub fn sync_parameters(comm: &Communicator, params: &mut [&mut Param]) -> Result<(), CommError> {
+pub(crate) fn sync_parameters(comm: &Communicator, params: &mut [&mut Param]) -> Result<(), CommError> {
     for p in params.iter_mut() {
         let mut buf = p.value().data().to_vec();
         comm.broadcast(&mut buf)?;

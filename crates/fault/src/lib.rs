@@ -297,16 +297,6 @@ impl FaultPlan {
         })
     }
 
-    /// Apply `kind` at `site` with seeded probability `p` per occurrence.
-    pub fn prob(self, site: Site, kind: FaultKind, p: f64) -> Self {
-        self.push(FaultSpec {
-            site,
-            kind,
-            trigger: Trigger::Prob(p),
-            budget: None,
-        })
-    }
-
     /// Decides what happens at `(site, occ)`. The first matching rule whose
     /// trigger fires (and whose budget is not exhausted) wins.
     ///
@@ -354,7 +344,7 @@ impl FaultPlan {
     ///
     /// Returns a description of a seed that is not a `u64` or of the first
     /// malformed clause, beginning with the variable's name.
-    pub fn from_env() -> Result<Option<FaultPlan>, String> {
+    pub(crate) fn from_env() -> Result<Option<FaultPlan>, String> {
         let spec = match std::env::var("SALIENT_FAULT_SPEC") {
             Ok(s) if !s.trim().is_empty() => s,
             _ => return Ok(None),
@@ -479,7 +469,7 @@ static PLAN: Mutex<Option<FaultPlan>> = Mutex::new(None);
 /// (any [`FaultAction`] other than `Proceed`), with the site name and
 /// occurrence id. Used to hook the flight recorder: a dump taken *before*
 /// an injected panic unwinds captures the causal window leading up to it.
-pub type FireObserver = Arc<dyn Fn(&str, u64) + Send + Sync>;
+pub(crate) type FireObserver = Arc<dyn Fn(&str, u64) + Send + Sync>;
 
 static OBSERVER_ARMED: AtomicBool = AtomicBool::new(false);
 static OBSERVER: Mutex<Option<FireObserver>> = Mutex::new(None);
@@ -658,11 +648,7 @@ mod tests {
     fn same_seed_injects_identical_schedule() {
         // The property the whole crate hangs on: schedules are a pure
         // function of (seed, site, occ).
-        let mk = |seed| {
-            FaultPlan::new(seed)
-                .prob(sites::PREP_SAMPLE, FaultKind::Panic, 0.25)
-                .prob(sites::DDP_SEND, FaultKind::Drop, 0.1)
-        };
+        let mk = |seed| FaultPlan::parse(seed, "prep.sample=panic%0.25; ddp.send=drop%0.1").unwrap();
         for seed in [0u64, 1, 42, 0xDEAD_BEEF] {
             let a = mk(seed);
             let b = mk(seed);
@@ -676,8 +662,8 @@ mod tests {
 
     #[test]
     fn different_seeds_differ_somewhere() {
-        let a = FaultPlan::new(1).prob(sites::PREP_SAMPLE, FaultKind::Panic, 0.5);
-        let b = FaultPlan::new(2).prob(sites::PREP_SAMPLE, FaultKind::Panic, 0.5);
+        let a = FaultPlan::parse(1, "prep.sample=panic%0.5").unwrap();
+        let b = FaultPlan::parse(2, "prep.sample=panic%0.5").unwrap();
         let diverges = (0..1_000).any(|occ| {
             a.decide(sites::PREP_SAMPLE, occ) != b.decide(sites::PREP_SAMPLE, occ)
         });
@@ -686,7 +672,7 @@ mod tests {
 
     #[test]
     fn probability_rate_is_roughly_honored() {
-        let plan = FaultPlan::new(9).prob(sites::PREP_SAMPLE, FaultKind::Drop, 0.3);
+        let plan = FaultPlan::parse(9, "prep.sample=drop%0.3").unwrap();
         let fired = (0..10_000)
             .filter(|&occ| plan.decide(sites::PREP_SAMPLE, occ) == FaultAction::Drop)
             .count();

@@ -46,8 +46,8 @@ impl CsrGraph {
     /// Panics if the arrays are inconsistent: `indptr` must be monotone,
     /// start at 0, end at `indices.len()`, and every index must be a valid
     /// node.
-    #[expect(clippy::unwrap_used, reason = "`last` follows the assert that indptr is not empty")]
-    pub fn from_csr(indptr: Vec<usize>, indices: Vec<NodeId>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_csr(indptr: Vec<usize>, indices: Vec<NodeId>) -> Self {
         assert!(!indptr.is_empty(), "indptr must have at least one entry");
         assert_eq!(indptr[0], 0, "indptr must start at zero");
         assert_eq!(
@@ -215,17 +215,6 @@ impl CsrGraph {
         })
     }
 
-    /// Histogram of out-degrees: `hist[d]` = number of nodes of degree `d`,
-    /// capped at `max_degree` (all larger degrees land in the last bucket).
-    pub fn degree_histogram(&self, max_degree: usize) -> Vec<usize> {
-        let mut hist = vec![0usize; max_degree + 1];
-        for v in 0..self.num_nodes() {
-            let d = self.degree(v as NodeId).min(max_degree);
-            hist[d] += 1;
-        }
-        hist
-    }
-
     /// Bytes of memory used by the CSR arrays.
     pub fn memory_bytes(&self) -> usize {
         self.indptr.len() * std::mem::size_of::<usize>()
@@ -385,14 +374,6 @@ mod tests {
         let g = CsrGraph::from_edges(4, &[(0, 1), (0, 1), (1, 0), (2, 2), (2, 3), (3, 1)]).to_undirected();
         assert_eq!(g.indices.capacity(), g.indices.len());
         assert_eq!(g.indices(), &[1, 0, 3, 3, 1, 2]);
-    }
-
-    #[test]
-    fn degree_histogram_caps() {
-        let g = CsrGraph::from_edges(3, &[(0, 1), (0, 2), (0, 0), (1, 2)]);
-        let h = g.degree_histogram(2);
-        // Degrees: 3 (capped to 2), 1, 0.
-        assert_eq!(h, vec![1, 1, 1]);
     }
 
     #[test]

@@ -183,8 +183,7 @@ impl FeatureRowsMut<'_> {
 ///
 /// let f = FeatureMatrix::from_f32(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
 /// assert_eq!(f.dim(), 3);
-/// let row = f.row_f32(1);
-/// assert_eq!(row, vec![4.0, 5.0, 6.0]);
+/// assert_eq!(f.row(1).to_f32_vec(), vec![4.0, 5.0, 6.0]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct FeatureMatrix {
@@ -210,7 +209,7 @@ impl FeatureMatrix {
     /// # Panics
     ///
     /// Panics if `values.len() != num_nodes * dim`.
-    pub fn from_f32_dtype(dtype: Dtype, num_nodes: usize, dim: usize, values: &[f32]) -> Self {
+    pub(crate) fn from_f32_dtype(dtype: Dtype, num_nodes: usize, dim: usize, values: &[f32]) -> Self {
         assert_eq!(values.len(), num_nodes * dim, "feature buffer size mismatch");
         FeatureMatrix {
             data: FeatureSlab::from_f32(dtype, values),
@@ -301,11 +300,6 @@ impl FeatureMatrix {
         }
     }
 
-    /// Row `v` widened to `f32`.
-    pub fn row_f32(&self, v: u32) -> Vec<f32> {
-        self.row(v).to_f32_vec()
-    }
-
     /// Serially slices the rows `ids` into `out` at the matrix's own dtype —
     /// the exact data-movement kernel of the paper's batch preparation (a
     /// half-stored matrix moves 2 bytes per value here, which is the whole
@@ -362,8 +356,8 @@ mod tests {
     #[test]
     fn round_trip_rows() {
         let f = FeatureMatrix::from_f32(3, 2, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(f.row_f32(0), vec![1.0, 2.0]);
-        assert_eq!(f.row_f32(2), vec![5.0, 6.0]);
+        assert_eq!(f.row(0).to_f32_vec(), vec![1.0, 2.0]);
+        assert_eq!(f.row(2).to_f32_vec(), vec![5.0, 6.0]);
         assert_eq!(f.dtype(), Dtype::F16);
         assert_eq!(f.memory_bytes(), 12);
     }
@@ -375,7 +369,7 @@ mod tests {
         let full = FeatureMatrix::from_f32_dtype(Dtype::F32, 3, 2, &vals);
         assert_eq!(full.dtype(), Dtype::F32);
         assert_eq!(full.memory_bytes(), 2 * half.memory_bytes());
-        assert_eq!(full.row_f32(1), vec![2.0, 3.0]);
+        assert_eq!(full.row(1).to_f32_vec(), vec![2.0, 3.0]);
         // Same representable values ⇒ rows compare equal across dtypes.
         assert_eq!(full.row(2), half.row(2));
     }
@@ -399,7 +393,7 @@ mod tests {
             let f = FeatureMatrix::from_f32_dtype(dtype, 3, 40, &vals);
             f.prefetch_row(2);
             f.prefetch_row(u32::MAX);
-            assert_eq!(f.row_f32(2), vals[80..].to_vec());
+            assert_eq!(f.row(2).to_f32_vec(), vals[80..].to_vec());
         }
         FeatureMatrix::from_f32(2, 0, &[]).prefetch_row(1);
     }
@@ -436,7 +430,7 @@ mod tests {
         let xs: Vec<f32> = (0..100).map(|i| (i as f32) * 0.3117 - 15.0).collect();
         let f = FeatureMatrix::from_f32(10, 10, &xs);
         for (i, &x) in xs.iter().enumerate() {
-            let got = f.row_f32((i / 10) as u32)[i % 10];
+            let got = f.row((i / 10) as u32).to_f32_vec()[i % 10];
             assert!((got - x).abs() <= x.abs() * 1e-3 + 1e-3);
         }
     }

@@ -42,7 +42,7 @@ pub fn power_law_weights(
 
 /// Parameters for the community Chung–Lu generator.
 #[derive(Clone, Debug)]
-pub struct ChungLuConfig {
+pub(crate) struct ChungLuConfig {
     /// Number of nodes.
     pub num_nodes: usize,
     /// Number of planted communities (also the label count downstream).
@@ -76,7 +76,7 @@ impl Default for ChungLuConfig {
 /// Result of the community Chung–Lu generator: the symmetrized graph plus
 /// each node's community assignment.
 #[derive(Clone, Debug)]
-pub struct CommunityGraph {
+pub(crate) struct CommunityGraph {
     /// Undirected graph with sorted, deduplicated adjacency lists.
     pub graph: CsrGraph,
     /// `community[v]` is the planted community of node `v`.
@@ -158,7 +158,7 @@ impl Guided {
 /// # Panics
 ///
 /// Panics if `num_communities == 0` or `num_nodes == 0`.
-pub fn chung_lu_communities(cfg: &ChungLuConfig) -> CommunityGraph {
+pub(crate) fn chung_lu_communities(cfg: &ChungLuConfig) -> CommunityGraph {
     assert!(cfg.num_nodes > 0, "empty graph requested");
     assert!(cfg.num_communities > 0, "need at least one community");
     let mut rng = salient_tensor::rng::StdRng::seed_from_u64(cfg.seed);

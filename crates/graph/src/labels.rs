@@ -16,11 +16,10 @@
 )]
 
 use salient_tensor::rng::Rng;
-use salient_tensor::Shape;
 
 /// Configuration of the planted feature model.
 #[derive(Clone, Debug)]
-pub struct PlantedFeatureConfig {
+pub(crate) struct PlantedFeatureConfig {
     /// Feature dimensionality.
     pub dim: usize,
     /// Number of classes (must match the community count of the graph).
@@ -101,7 +100,8 @@ pub(crate) fn planted_rows(labels: &[u32], cfg: &PlantedFeatureConfig, mut row: 
 /// # Panics
 ///
 /// Panics if a label is `>= num_classes`.
-pub fn planted_features(labels: &[u32], cfg: &PlantedFeatureConfig) -> Vec<f32> {
+#[cfg(test)]
+pub(crate) fn planted_features(labels: &[u32], cfg: &PlantedFeatureConfig) -> Vec<f32> {
     let mut out = Vec::with_capacity(labels.len() * cfg.dim);
     planted_rows(labels, cfg, |_, values| out.extend_from_slice(values));
     out
@@ -111,7 +111,8 @@ pub fn planted_features(labels: &[u32], cfg: &PlantedFeatureConfig) -> Vec<f32> 
 /// nearest class prototype using *only its own feature*. Used in tests to
 /// verify that the pointwise problem is genuinely hard (so neighborhood
 /// aggregation has something to add).
-pub fn pointwise_prototype_accuracy(
+#[cfg(test)]
+fn pointwise_prototype_accuracy(
     features: &[f32],
     labels: &[u32],
     cfg: &PlantedFeatureConfig,
@@ -138,12 +139,6 @@ pub fn pointwise_prototype_accuracy(
     correct as f64 / labels.len().max(1) as f64
 }
 
-/// Sanity helper: the shape of the feature tensor produced by
-/// [`planted_features`].
-pub fn feature_shape(num_nodes: usize, cfg: &PlantedFeatureConfig) -> Shape {
-    Shape::matrix(num_nodes, cfg.dim)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,7 +153,6 @@ mod tests {
         };
         let f = planted_features(&labels, &cfg);
         assert_eq!(f.len(), 4 * 8);
-        assert_eq!(feature_shape(4, &cfg).dims(), &[4, 8]);
     }
 
     #[test]

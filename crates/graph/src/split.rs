@@ -55,14 +55,10 @@ impl Splits {
         Splits { train, val, test }
     }
 
-    /// Total number of labeled nodes.
-    pub fn num_labeled(&self) -> usize {
-        self.train.len() + self.val.len() + self.test.len()
-    }
-
     /// Verifies the three sets are pairwise disjoint (test helper).
-    pub fn is_disjoint(&self) -> bool {
-        let mut seen = std::collections::HashSet::with_capacity(self.num_labeled());
+    #[cfg(test)]
+    pub(crate) fn is_disjoint(&self) -> bool {
+        let mut seen = std::collections::HashSet::new();
         self.train
             .iter()
             .chain(self.val.iter())
@@ -87,7 +83,7 @@ mod tests {
     #[test]
     fn partial_labeling() {
         let s = Splits::random(10_000, 0.011, 0.001, 0.002, 1);
-        assert_eq!(s.num_labeled(), 110 + 10 + 20);
+        assert_eq!((s.train.len(), s.val.len(), s.test.len()), (110, 10, 20));
         assert!(s.is_disjoint());
     }
 
@@ -119,7 +115,7 @@ mod tests {
             let test = rng.random::<f64>() * (1.0 - train - val);
             let s = Splits::random(n, train, val, test, rng.random());
             assert!(s.is_disjoint(), "n {n}, fractions {train} {val} {test}");
-            assert!(s.num_labeled() <= n);
+            assert!(s.train.len() + s.val.len() + s.test.len() <= n);
             assert!(s.train.iter().chain(&s.val).chain(&s.test).all(|&v| (v as usize) < n));
         }
         // The halves and thirds that round up together.

@@ -12,7 +12,6 @@ pub struct BatchNorm1d {
     running_var: Vec<f32>,
     momentum: f32,
     eps: f32,
-    num_features: usize,
 }
 
 impl BatchNorm1d {
@@ -25,13 +24,7 @@ impl BatchNorm1d {
             running_var: vec![1.0; num_features],
             momentum: 0.1,
             eps: 1e-5,
-            num_features,
         }
-    }
-
-    /// Number of normalized columns.
-    pub fn num_features(&self) -> usize {
-        self.num_features
     }
 
     /// Current running mean (for checkpointing/tests).

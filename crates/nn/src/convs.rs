@@ -16,14 +16,14 @@ use salient_tensor::{init, Param, Tape, Var};
 /// Matches PyG's `SAGEConv(bias=False)` as used in the paper's GraphSAGE
 /// and GraphSAGE-RI models.
 #[derive(Debug, Clone)]
-pub struct SageConv {
+pub(crate) struct SageConv {
     w_self: Param,
     w_neigh: Param,
 }
 
 impl SageConv {
     /// Creates a Glorot-initialized SAGE layer.
-    pub fn new(name: &str, in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(name: &str, in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
         SageConv {
             w_self: Param::new(
                 format!("{name}.w_self"),
@@ -40,7 +40,7 @@ impl SageConv {
     /// ([`Var::sage_conv`]). `x_target` is `None` when the destination rows
     /// are the first `layer.n_dst` rows of `x`; `act = Some(p)` appends the
     /// in-place ReLU + dropout(`p`) epilogue (`Some(0.0)`: ReLU only).
-    pub fn forward(
+    pub(crate) fn forward(
         &self,
         tape: &Tape,
         x: &Var,
@@ -65,12 +65,12 @@ impl SageConv {
     }
 
     /// Trainable parameters.
-    pub fn params(&self) -> Vec<&Param> {
+    pub(crate) fn params(&self) -> Vec<&Param> {
         vec![&self.w_self, &self.w_neigh]
     }
 
     /// Mutable trainable parameters.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.w_self, &mut self.w_neigh]
     }
 }
@@ -79,7 +79,7 @@ impl SageConv {
 /// `h_v = Σ_{u ∈ {v} ∪ N(v)} α_uv · W x_u` with
 /// `α ∝ exp(LeakyReLU(a_src·Wx_u + a_dst·Wx_v))`.
 #[derive(Debug, Clone)]
-pub struct GatConv {
+pub(crate) struct GatConv {
     w: Param,
     a_src: Param,
     a_dst: Param,
@@ -88,7 +88,7 @@ pub struct GatConv {
 
 impl GatConv {
     /// Creates a Glorot-initialized single-head GAT layer.
-    pub fn new(name: &str, in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(name: &str, in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
         GatConv {
             w: Param::new(format!("{name}.w"), init::glorot_uniform(in_dim, out_dim, rng)),
             a_src: Param::new(
@@ -105,7 +105,7 @@ impl GatConv {
 
     /// Applies the layer to one hop. Self-loop edges `v → v` are added for
     /// each destination, per the GAT formulation `{v} ∪ N(v)`.
-    pub fn forward(&self, tape: &Tape, x: &Var, _x_target: &Var, layer: &MfgLayer) -> Var {
+    pub(crate) fn forward(&self, tape: &Tape, x: &Var, _x_target: &Var, layer: &MfgLayer) -> Var {
         // Extend edges with self-loops (destination locals are also source
         // locals because destinations are a prefix of sources).
         let mut src: Vec<u32> = layer.edge_src.clone();
@@ -127,12 +127,12 @@ impl GatConv {
     }
 
     /// Trainable parameters.
-    pub fn params(&self) -> Vec<&Param> {
+    pub(crate) fn params(&self) -> Vec<&Param> {
         vec![&self.w, &self.a_src, &self.a_dst]
     }
 
     /// Mutable trainable parameters.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.w, &mut self.a_src, &mut self.a_dst]
     }
 }
@@ -141,7 +141,7 @@ impl GatConv {
 /// `h_v = MLP((1 + ε) · x_v + Σ_{u ∈ N(v)} x_u)` with
 /// `MLP = Linear → BatchNorm → ReLU → Linear → ReLU` (the paper's listing).
 #[derive(Debug)]
-pub struct GinConv {
+pub(crate) struct GinConv {
     lin1: Linear,
     bn: BatchNorm1d,
     lin2: Linear,
@@ -150,7 +150,7 @@ pub struct GinConv {
 
 impl GinConv {
     /// Creates the GIN layer of the paper's appendix.
-    pub fn new(name: &str, in_dim: usize, hidden: usize, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(name: &str, in_dim: usize, hidden: usize, rng: &mut impl Rng) -> Self {
         GinConv {
             lin1: Linear::new(&format!("{name}.mlp.0"), in_dim, hidden, true, rng),
             bn: BatchNorm1d::new(&format!("{name}.mlp.1"), hidden),
@@ -160,7 +160,7 @@ impl GinConv {
     }
 
     /// Applies the layer to one hop.
-    pub fn forward(
+    pub(crate) fn forward(
         &mut self,
         tape: &Tape,
         x: &Var,
@@ -176,7 +176,7 @@ impl GinConv {
     }
 
     /// Trainable parameters.
-    pub fn params(&self) -> Vec<&Param> {
+    pub(crate) fn params(&self) -> Vec<&Param> {
         let mut p = self.lin1.params();
         p.extend(self.bn.params());
         p.extend(self.lin2.params());
@@ -184,7 +184,7 @@ impl GinConv {
     }
 
     /// Mutable trainable parameters.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
         let mut p = self.lin1.params_mut();
         p.extend(self.bn.params_mut());
         p.extend(self.lin2.params_mut());

@@ -34,6 +34,5 @@ mod models;
 pub mod metrics;
 
 pub use batch_norm::BatchNorm1d;
-pub use convs::{GatConv, GinConv, SageConv};
 pub use linear::Linear;
-pub use models::{build_model, Gat, Gin, GnnModel, GraphSage, GraphSageRi, Mode, ModelKind};
+pub use models::{build_model, Gat, Gin, GnnModel, Mode, ModelKind};

@@ -8,7 +8,6 @@ use salient_tensor::{init, Param, Tape, Tensor, Var};
 pub struct Linear {
     weight: Param,
     bias: Option<Param>,
-    in_features: usize,
     out_features: usize,
 }
 
@@ -27,14 +26,8 @@ impl Linear {
                 init::glorot_uniform(in_features, out_features, rng),
             ),
             bias: bias.then(|| Param::new(format!("{name}.bias"), Tensor::zeros([out_features]))),
-            in_features,
             out_features,
         }
-    }
-
-    /// Input dimensionality.
-    pub fn in_features(&self) -> usize {
-        self.in_features
     }
 
     /// Output dimensionality.
@@ -103,7 +96,6 @@ mod tests {
         let mut rng = salient_tensor::rng::StdRng::seed_from_u64(2);
         let layer = Linear::new("l", 3, 3, false, &mut rng);
         assert_eq!(layer.params().len(), 1);
-        assert_eq!(layer.in_features(), 3);
         assert_eq!(layer.out_features(), 3);
     }
 }

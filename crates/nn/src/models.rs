@@ -144,13 +144,13 @@ fn check_input(x: &Var, mfg: &MessageFlowGraph, layers: usize) {
 
 /// GraphSAGE of appendix Listing 1 (dropout 0.5).
 #[derive(Debug)]
-pub struct GraphSage {
+pub(crate) struct GraphSage {
     convs: Vec<SageConv>,
 }
 
 impl GraphSage {
     /// Creates the model.
-    pub fn new(
+    pub(crate) fn new(
         in_dim: usize,
         hidden: usize,
         out_dim: usize,
@@ -360,7 +360,7 @@ impl GnnModel for Gin {
 /// light dropout (0.1), and an Inception-style readout over the
 /// concatenation of every depth's batch-node representation.
 #[derive(Debug)]
-pub struct GraphSageRi {
+pub(crate) struct GraphSageRi {
     convs: Vec<SageConv>,
     bns: Vec<BatchNorm1d>,
     res0: Linear,
@@ -369,7 +369,7 @@ pub struct GraphSageRi {
 
 impl GraphSageRi {
     /// Creates the model.
-    pub fn new(
+    pub(crate) fn new(
         in_dim: usize,
         hidden: usize,
         out_dim: usize,

@@ -34,8 +34,5 @@ pub use engine::{sample_with, EngineOpts, EngineScratch, SampleAlgo};
 pub use fast::FastSampler;
 pub use mfg::{MessageFlowGraph, MfgLayer};
 pub use pyg_baseline::PygSampler;
-pub use structures::{
-    ArrayNeighborSet, BitmapNeighborSet, DenseIdMap, FlatIdMap, FlatNeighborSet, IdMap, NeighborSet,
-    StdIdMap, StdNeighborSet,
-};
+pub use structures::{BitmapNeighborSet, FlatIdMap, IdMap, NeighborSet};
 pub use variants::{IdMapKind, NeighborSetKind, VariantConfig, VariantSampler};

@@ -58,13 +58,13 @@ pub trait IdMap {
 /// `std::collections::HashMap` (SipHash) — the STL-map analogue of the PyG
 /// baseline.
 #[derive(Debug, Default)]
-pub struct StdIdMap {
+pub(crate) struct StdIdMap {
     map: HashMap<NodeId, u32>,
 }
 
 impl StdIdMap {
     /// Creates an empty map.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -207,7 +207,7 @@ impl IdMap for FlatIdMap {
 /// the table; the next `begin` sees that and resets every slot, so a map
 /// that outlives a caught panic samples as a fresh one.
 #[derive(Debug, Default)]
-pub struct DenseIdMap {
+pub(crate) struct DenseIdMap {
     /// Local id per graph node, `EMPTY` when unmapped.
     slots: Vec<u32>,
     /// A batch has begun and not ended: its keys may still be in `slots`.
@@ -216,7 +216,7 @@ pub struct DenseIdMap {
 
 impl DenseIdMap {
     /// Creates an empty map; the table is allocated by the first batch.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -274,13 +274,13 @@ pub trait NeighborSet {
 
 /// `std::collections::HashSet` (SipHash) — the STL-set analogue.
 #[derive(Debug, Default)]
-pub struct StdNeighborSet {
+pub(crate) struct StdNeighborSet {
     set: HashSet<u32>,
 }
 
 impl StdNeighborSet {
     /// Creates an empty set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -301,7 +301,7 @@ impl NeighborSet for StdNeighborSet {
 
 /// Small flat open-addressing set.
 #[derive(Debug)]
-pub struct FlatNeighborSet {
+pub(crate) struct FlatNeighborSet {
     slots: Vec<u32>,
     bits: u32,
     len: usize,
@@ -319,7 +319,7 @@ impl Default for FlatNeighborSet {
 
 impl FlatNeighborSet {
     /// Creates an empty set sized for typical fanouts.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -368,13 +368,13 @@ impl NeighborSet for FlatNeighborSet {
 /// exploration at realistic fanouts ("despite its linear search complexity,
 /// the array set benefits from cache locality").
 #[derive(Debug, Default)]
-pub struct ArrayNeighborSet {
+pub(crate) struct ArrayNeighborSet {
     items: Vec<u32>,
 }
 
 impl ArrayNeighborSet {
     /// Creates an empty array set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }

@@ -24,7 +24,7 @@ pub enum BreakerState {
 
 /// A state transition the caller should record (trace event / counter).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BreakerMove {
+pub(crate) enum BreakerMove {
     /// Closed (or HalfOpen) → Open.
     Opened,
     /// Open → HalfOpen (cooldown elapsed).
@@ -35,7 +35,7 @@ pub enum BreakerMove {
 
 /// Circuit breaker over consecutive micro-batch failures.
 #[derive(Debug)]
-pub struct Breaker {
+pub(crate) struct Breaker {
     state: BreakerState,
     open_after: u32,
     cooldown_ns: u64,
@@ -49,7 +49,7 @@ impl Breaker {
     /// A closed breaker that opens after `open_after` consecutive failures,
     /// stays open `cooldown_ns`, and closes again after `probes_needed`
     /// successful half-open probes.
-    pub fn new(open_after: u32, cooldown_ns: u64, probes_needed: u32) -> Self {
+    pub(crate) fn new(open_after: u32, cooldown_ns: u64, probes_needed: u32) -> Self {
         Breaker {
             state: BreakerState::Closed,
             open_after,
@@ -62,14 +62,14 @@ impl Breaker {
     }
 
     /// Current state (after any cooldown transition `poll` applied).
-    pub fn state(&self) -> BreakerState {
+    pub(crate) fn state(&self) -> BreakerState {
         self.state
     }
 
     /// Applies the time-driven transition: an open breaker whose cooldown
     /// has elapsed becomes half-open. Call before consulting
     /// [`Breaker::state`] for admission.
-    pub fn poll(&mut self, now_ns: u64) -> Option<BreakerMove> {
+    pub(crate) fn poll(&mut self, now_ns: u64) -> Option<BreakerMove> {
         if self.state == BreakerState::Open
             && now_ns.saturating_sub(self.opened_at_ns) >= self.cooldown_ns
         {
@@ -81,7 +81,7 @@ impl Breaker {
     }
 
     /// Records a successful micro-batch.
-    pub fn on_success(&mut self) -> Option<BreakerMove> {
+    pub(crate) fn on_success(&mut self) -> Option<BreakerMove> {
         self.consecutive_failures = 0;
         if self.state == BreakerState::HalfOpen {
             self.probe_successes += 1;
@@ -94,7 +94,7 @@ impl Breaker {
     }
 
     /// Records a failed micro-batch (a caught pipeline panic).
-    pub fn on_failure(&mut self, now_ns: u64) -> Option<BreakerMove> {
+    pub(crate) fn on_failure(&mut self, now_ns: u64) -> Option<BreakerMove> {
         match self.state {
             BreakerState::HalfOpen => {
                 // Any probe failure re-opens immediately: the pipeline is

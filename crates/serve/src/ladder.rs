@@ -14,7 +14,7 @@
 
 /// A ladder transition the caller should record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LadderMove {
+pub(crate) enum LadderMove {
     /// Stepped down one level (cheaper fanouts).
     Degraded,
     /// Stepped up one level (restored fidelity).
@@ -23,7 +23,7 @@ pub enum LadderMove {
 
 /// Hysteresis state machine over per-micro-batch pressure observations.
 #[derive(Debug)]
-pub struct Ladder {
+pub(crate) struct Ladder {
     levels: Vec<Vec<usize>>,
     level: usize,
     pressured_streak: u32,
@@ -39,7 +39,7 @@ impl Ladder {
     ///
     /// Panics if `levels` is empty or a threshold is zero (validated
     /// upstream by `ServeConfig::validate`).
-    pub fn new(levels: Vec<Vec<usize>>, degrade_after: u32, restore_after: u32) -> Self {
+    pub(crate) fn new(levels: Vec<Vec<usize>>, degrade_after: u32, restore_after: u32) -> Self {
         assert!(!levels.is_empty() && degrade_after > 0 && restore_after > 0);
         Ladder {
             levels,
@@ -52,25 +52,20 @@ impl Ladder {
     }
 
     /// The current level (0 = full quality, higher = cheaper).
-    pub fn level(&self) -> usize {
+    pub(crate) fn level(&self) -> usize {
         self.level
     }
 
     /// The fanouts micro-batches should sample with right now.
-    pub fn fanouts(&self) -> &[usize] {
+    pub(crate) fn fanouts(&self) -> &[usize] {
         &self.levels[self.level]
-    }
-
-    /// Number of configured levels.
-    pub fn depth(&self) -> usize {
-        self.levels.len()
     }
 
     /// Feeds one per-micro-batch pressure observation; returns the
     /// transition to record, if any. Streaks reset on every transition *and*
     /// whenever the observation flips, so both directions require an
     /// unbroken run.
-    pub fn observe(&mut self, pressured: bool) -> Option<LadderMove> {
+    pub(crate) fn observe(&mut self, pressured: bool) -> Option<LadderMove> {
         if pressured {
             self.calm_streak = 0;
             self.pressured_streak += 1;

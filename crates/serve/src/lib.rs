@@ -51,9 +51,8 @@ mod ladder;
 pub mod loadgen;
 
 pub use crate::core::{run_trace, ServerCore, StepOutcome};
-pub use breaker::{Breaker, BreakerState};
+pub use breaker::BreakerState;
 pub use config::ServeConfig;
-pub use ladder::{Ladder, LadderMove};
 
 use salient_graph::NodeId;
 

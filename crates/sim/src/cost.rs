@@ -53,7 +53,7 @@ impl GnnArch {
     }
 
     /// Approximate trainable-parameter bytes (f32) for the all-reduce model.
-    pub fn param_bytes(&self, feat_dim: u32, hidden: u32, classes: u32) -> f64 {
+    pub(crate) fn param_bytes(&self, feat_dim: u32, hidden: u32, classes: u32) -> f64 {
         let (f, h, c) = (feat_dim as f64, hidden as f64, classes as f64);
         let params = match self {
             // Two weight matrices (self + neighbor) per SAGEConv layer.
@@ -154,7 +154,7 @@ impl CostModel {
 
     /// Per-batch main-process cost of receiving a worker-sampled MFG over
     /// multiprocessing IPC (ns).
-    pub fn ipc_receive_ns(&self, w: &BatchWorkload) -> f64 {
+    pub(crate) fn ipc_receive_ns(&self, w: &BatchWorkload) -> f64 {
         self.pyg_batch_overhead_ns + w.structure_bytes() / self.ipc_bw * 1e9
     }
 
@@ -183,7 +183,7 @@ impl CostModel {
 
     /// CPU→GPU transfer time for one batch (ns). `skip_assertions` models
     /// SALIENT's removal of the per-sparse-tensor validity checks (§4.3).
-    pub fn transfer_batch_ns(&self, w: &BatchWorkload, skip_assertions: bool) -> f64 {
+    pub(crate) fn transfer_batch_ns(&self, w: &BatchWorkload, skip_assertions: bool) -> f64 {
         let layers = w.hop_edges.len() as f64;
         if skip_assertions {
             w.transfer_bytes() / (self.dma_bw * self.dma_eff_pipelined) * 1e9
@@ -197,7 +197,7 @@ impl CostModel {
     /// `hop_nodes` is ordered batch-outward, so forward layer `i` (input
     /// side first) has `n_dst = hop_nodes[L-1-i]` output rows and aggregates
     /// `hop_edges[L-1-i]` edges.
-    pub fn forward_flops(
+    pub(crate) fn forward_flops(
         &self,
         arch: GnnArch,
         w: &BatchWorkload,
@@ -253,7 +253,7 @@ impl CostModel {
 
     /// GPU time for one training iteration (forward + backward + update) of
     /// one batch (ns).
-    pub fn gpu_train_batch_ns(
+    pub(crate) fn gpu_train_batch_ns(
         &self,
         arch: GnnArch,
         w: &BatchWorkload,
@@ -266,7 +266,7 @@ impl CostModel {
     }
 
     /// GPU time for one inference (forward-only) batch (ns).
-    pub fn gpu_infer_batch_ns(
+    pub(crate) fn gpu_infer_batch_ns(
         &self,
         arch: GnnArch,
         w: &BatchWorkload,
@@ -282,7 +282,7 @@ impl CostModel {
     /// Within one machine (`ranks <= gpus_per_machine`) gradients move over
     /// the PCIe fabric; across machines over the NIC, which the GPUs of a
     /// machine share, plus a latency per ring step.
-    pub fn allreduce_ns(&self, ranks: usize, gpus_per_machine: usize, bytes: f64) -> f64 {
+    pub(crate) fn allreduce_ns(&self, ranks: usize, gpus_per_machine: usize, bytes: f64) -> f64 {
         if ranks <= 1 {
             return 0.0;
         }

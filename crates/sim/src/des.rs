@@ -17,13 +17,13 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Virtual time in nanoseconds.
-pub type SimTime = u64;
+pub(crate) type SimTime = u64;
 
 /// Index of a task within a [`Simulation`].
-pub type TaskId = usize;
+pub(crate) type TaskId = usize;
 
 /// Index of a resource within a [`Simulation`].
-pub type ResourceId = usize;
+pub(crate) type ResourceId = usize;
 
 /// A pool of identical servers (e.g. "20 CPU workers", "1 DMA engine").
 #[derive(Clone, Debug)]

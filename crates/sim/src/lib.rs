@@ -34,11 +34,11 @@ mod timeline;
 mod workload;
 
 pub use cost::{CostModel, GnnArch, Impl};
-pub use des::{Executed, ResourceId, ResourceSpec, SimTime, Simulation, TaskId, TaskSpec};
+pub use des::{Executed, ResourceSpec, Simulation, TaskSpec};
 pub use multi::{scaling_sweep, simulate_multi_gpu, MultiGpuConfig, MultiGpuReport};
 pub use schedules::{
     simulate_epoch, simulate_epoch_detailed, simulate_inference_epoch, what_if, EpochConfig,
     EpochReport, OptLevel, WhatIf,
 };
 pub use timeline::render_text;
-pub use workload::{expected_batch, expected_samples_per_node, BatchWorkload};
+pub use workload::{expected_batch, BatchWorkload};

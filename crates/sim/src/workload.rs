@@ -48,7 +48,7 @@ pub struct BatchWorkload {
 
 impl BatchWorkload {
     /// Bytes of half-precision features sliced/transferred per batch.
-    pub fn feature_bytes(&self) -> f64 {
+    pub(crate) fn feature_bytes(&self) -> f64 {
         self.mfg_nodes * self.feat_dim as f64 * 2.0
     }
 
@@ -67,7 +67,7 @@ impl BatchWorkload {
 
 /// Expected number of samples drawn per frontier node at fanout `d` given
 /// the dataset's average degree.
-pub fn expected_samples_per_node(avg_degree: f64, fanout: usize) -> f64 {
+pub(crate) fn expected_samples_per_node(avg_degree: f64, fanout: usize) -> f64 {
     avg_degree * (1.0 - (-(fanout as f64) / avg_degree).exp())
 }
 

@@ -41,9 +41,8 @@ impl ParamId {
 /// ```
 /// use salient_tensor::{Param, Tensor};
 ///
-/// let mut p = Param::new("w", Tensor::ones([2, 2]));
+/// let p = Param::new("w", Tensor::ones([2, 2]));
 /// assert_eq!(p.grad().sum(), 0.0);
-/// p.zero_grad();
 /// ```
 #[derive(Debug, Clone)]
 pub struct Param {
@@ -81,7 +80,7 @@ impl Param {
     }
 
     /// Mutable access to the value (used by optimizers).
-    pub fn value_mut(&mut self) -> &mut Tensor {
+    pub(crate) fn value_mut(&mut self) -> &mut Tensor {
         &mut self.value
     }
 
@@ -119,7 +118,7 @@ impl Param {
     }
 
     /// Resets the accumulated gradient to zero.
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.grad.zero_();
     }
 }
@@ -418,11 +417,6 @@ impl Gradients {
             }
         }
     }
-
-    /// Iterates over `(ParamId, gradient)` pairs.
-    pub fn iter_params(&self) -> impl Iterator<Item = (ParamId, &Tensor)> {
-        self.by_param.iter().map(|(k, v)| (*k, v))
-    }
 }
 
 /// A value recorded on a [`Tape`]. Cloning is cheap (it is an id plus a
@@ -510,7 +504,7 @@ mod tests {
         let tape = Tape::new();
         let x = tape.leaf(Tensor::scalar(3.0));
         let g = tape.backward(&x);
-        assert_eq!(g.iter_params().count(), 0);
+        assert!(g.by_param.is_empty());
         assert_eq!(g.wrt(&x).unwrap().item(), 1.0);
     }
 
@@ -536,7 +530,7 @@ mod tests {
         let y = tape.leaf(Tensor::scalar(1.0)).mul(&w).relu();
         assert!(!w.needs_grad() && !y.needs_grad());
         assert!(tape.inner.nodes.borrow().iter().all(|n| n.backward.is_none()));
-        assert_eq!(tape.backward(&y).iter_params().count(), 0);
+        assert!(tape.backward(&y).by_param.is_empty());
     }
 
     #[test]

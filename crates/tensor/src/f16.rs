@@ -70,19 +70,15 @@ const MAN_MASK: u16 = 0x03FF;
 impl F16 {
     /// Positive zero.
     pub const ZERO: F16 = F16(0);
-    /// One.
-    pub const ONE: F16 = F16(0x3C00);
     /// Positive infinity.
     pub const INFINITY: F16 = F16(0x7C00);
     /// Negative infinity.
     pub const NEG_INFINITY: F16 = F16(0xFC00);
     /// The largest finite value, 65504.
     pub const MAX: F16 = F16(0x7BFF);
-    /// The smallest positive normal value, 2^-14.
-    pub const MIN_POSITIVE: F16 = F16(0x0400);
 
     /// Creates an `F16` from its raw bit pattern.
-    pub const fn from_bits(bits: u16) -> Self {
+    pub(crate) const fn from_bits(bits: u16) -> Self {
         F16(bits)
     }
 
@@ -189,11 +185,6 @@ impl F16 {
     /// Whether this value is NaN.
     pub fn is_nan(self) -> bool {
         (self.0 & EXP_MASK) == EXP_MASK && (self.0 & MAN_MASK) != 0
-    }
-
-    /// Whether this value is positive or negative infinity.
-    pub fn is_infinite(self) -> bool {
-        (self.0 & EXP_MASK) == EXP_MASK && (self.0 & MAN_MASK) == 0
     }
 
     /// Whether this value is finite (neither infinite nor NaN).
@@ -449,7 +440,7 @@ mod simd {
     use std::sync::OnceLock;
 
     /// Whether the CPU supports F16C (`vcvtph2ps`/`vcvtps2ph`).
-    pub fn f16c_available() -> bool {
+    pub(crate) fn f16c_available() -> bool {
         static AVAILABLE: OnceLock<bool> = OnceLock::new();
         *AVAILABLE.get_or_init(|| is_x86_feature_detected!("f16c"))
     }
@@ -461,7 +452,7 @@ mod simd {
     /// Caller must have verified [`f16c_available`] and that
     /// `src.len() == out.len()`.
     #[target_feature(enable = "f16c")]
-    pub unsafe fn widen_f16c(src: &[F16], out: &mut [f32]) {
+    pub(crate) unsafe fn widen_f16c(src: &[F16], out: &mut [f32]) {
         let n = src.len();
         // F16 is repr(transparent) over u16, so the slice reinterprets.
         let sp = src.as_ptr() as *const u16;
@@ -491,7 +482,7 @@ mod simd {
     /// Caller must have verified [`f16c_available`] and that
     /// `src.len() == out.len()`.
     #[target_feature(enable = "f16c")]
-    pub unsafe fn narrow_f16c(src: &[f32], out: &mut [F16]) {
+    pub(crate) unsafe fn narrow_f16c(src: &[f32], out: &mut [F16]) {
         // vcvtps2ph imm8: bits 1:0 = rounding control (0b00 = round to
         // nearest even, the same rounding the scalar path implements),
         // bit 2 clear = use the immediate rather than MXCSR.
@@ -542,9 +533,7 @@ mod tests {
     #[test]
     fn constants() {
         assert_eq!(F16::ZERO.to_f32(), 0.0);
-        assert_eq!(F16::ONE.to_f32(), 1.0);
         assert_eq!(F16::MAX.to_f32(), 65504.0);
-        assert_eq!(F16::MIN_POSITIVE.to_f32(), (2.0f32).powi(-14));
     }
 
     #[test]
@@ -632,7 +621,7 @@ mod tests {
             F16::from_f32(-1.0),
             F16::from_bits(0x8000), // -0.0
             F16::ZERO,
-            F16::ONE,
+            F16::from_f32(1.0),
             F16::INFINITY,
             F16::from_bits(0x7E00), // +NaN
         ];

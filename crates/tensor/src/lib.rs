@@ -26,7 +26,7 @@
 //! # Example
 //!
 //! ```
-//! use salient_tensor::{init, optim::{Adam, Optimizer}, Param, Tape, Tensor};
+//! use salient_tensor::{init, optim::{zero_grads, Adam, Optimizer}, Param, Tape, Tensor};
 //! use salient_tensor::rng::StdRng;
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
@@ -38,7 +38,7 @@
 //!     let x = tape.constant(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]));
 //!     let y = x.matmul(&tape.param(&w)).log_softmax();
 //!     let loss = y.nll_loss(&[0, 1]);
-//!     w.zero_grad();
+//!     zero_grads(std::iter::once(&mut w));
 //!     tape.backward(&loss).apply_to([&mut w]);
 //!     opt.step(std::iter::once(&mut w));
 //! }
@@ -65,7 +65,7 @@ pub mod sync;
 
 pub use autograd::{Gradients, Param, ParamId, RowStore, Tape, Var};
 pub use f16::{narrow_into, quantize, widen_into, Dtype, FeatureRows, F16};
-pub use kernels::{gemm, gemm_f16, gemm_f16_f32, gemm_naive};
+pub use kernels::gemm;
 pub use norm::column_stats;
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -19,7 +19,7 @@ use crate::rng::Rng;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
-pub use crate::kernels::gemm;
+pub(crate) use crate::kernels::gemm;
 
 /// Broadcasts `grad` (shape `r×c`) down to `shape` by summing over rows when
 /// `shape` is a row vector / scalar. Used by the backward pass of broadcast
@@ -273,12 +273,6 @@ impl Var {
             let shape = a.shape().clone();
             move |g: Tensor| Tensor::full(shape.clone(), g.item())
         })
-    }
-
-    /// Mean of all elements, as a scalar variable.
-    pub fn mean_all(&self) -> Var {
-        let n = self.value().len().max(1) as f32;
-        self.sum_all().scale(1.0 / n)
     }
 
     /// Reinterprets the value with a new shape (same element count).

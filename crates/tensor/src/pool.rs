@@ -260,7 +260,7 @@ impl ThreadPool {
 /// compute a row the same way whichever chunk it falls in; with that and
 /// disjoint writes a kernel is bitwise deterministic regardless of
 /// parallelism.
-pub fn parallel_for(len: usize, min_chunk: usize, body: &(dyn Fn(usize, usize) + Sync)) {
+pub(crate) fn parallel_for(len: usize, min_chunk: usize, body: &(dyn Fn(usize, usize) + Sync)) {
     if len == 0 {
         return;
     }
@@ -295,7 +295,7 @@ impl<T> SendPtr<T> {
     /// The region must be in-bounds and not aliased by any other live
     /// borrow for the duration of use.
     #[inline]
-    pub unsafe fn slice_mut(&self, offset: usize, len: usize) -> &mut [T] {
+    pub(crate) unsafe fn slice_mut(&self, offset: usize, len: usize) -> &mut [T] {
         std::slice::from_raw_parts_mut(self.0.add(offset), len)
     }
 }

@@ -250,7 +250,7 @@ impl StdRng {
 
     /// A nondeterministically seeded generator (wall clock + a process-wide
     /// counter), for call sites that do not need reproducibility.
-    pub fn from_entropy() -> Self {
+    pub(crate) fn from_entropy() -> Self {
         use std::sync::atomic::{AtomicU64, Ordering};
         static COUNTER: AtomicU64 = AtomicU64::new(0);
         #[expect(clippy::disallowed_methods, reason = "from_entropy is the one documented nondeterministic seed source; reproducible paths use seed_from_u64")]

@@ -92,13 +92,8 @@ impl Shape {
         }
     }
 
-    /// Row-major strides for this shape.
-    ///
-    /// ```
-    /// # use salient_tensor::Shape;
-    /// assert_eq!(Shape::new([2, 3, 4]).strides(), vec![12, 4, 1]);
-    /// ```
-    pub fn strides(&self) -> Vec<usize> {
+    /// Row-major strides for this shape: `[2, 3, 4]` has `[12, 4, 1]`.
+    pub(crate) fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1usize; self.0.len()];
         for i in (0..self.0.len().saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.0[i + 1];
@@ -106,7 +101,13 @@ impl Shape {
         strides
     }
 
-    /// Linear row-major offset of a multi-dimensional index.
+    /// Linear row-major offset of a multi-dimensional index: the strides of
+    /// `[2, 3, 4]` are `[12, 4, 1]`.
+    ///
+    /// ```
+    /// # use salient_tensor::Shape;
+    /// assert_eq!(Shape::new([2, 3, 4]).offset(&[1, 2, 3]), 12 + 2 * 4 + 3);
+    /// ```
     ///
     /// # Panics
     ///
@@ -135,7 +136,7 @@ impl Shape {
     /// Whether two shapes are compatible for elementwise binary ops with
     /// row-broadcasting: identical shapes, or `other` is a single row / scalar
     /// broadcast across the rows of `self`.
-    pub fn broadcasts_with(&self, other: &Shape) -> bool {
+    pub(crate) fn broadcasts_with(&self, other: &Shape) -> bool {
         if self == other {
             return true;
         }
@@ -197,6 +198,9 @@ mod tests {
         assert_eq!(s.len(), 15);
         assert_eq!(s.strides(), vec![5, 1]);
         assert_eq!(s.offset(&[2, 3]), 13);
+        let s = Shape::new([2, 3, 4]);
+        assert_eq!(s.strides(), vec![12, 4, 1]);
+        assert_eq!(s.offset(&[1, 2, 3]), 23);
     }
 
     #[test]

@@ -286,7 +286,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if shapes differ.
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
+    pub(crate) fn axpy(&mut self, alpha: f32, other: &Tensor) {
         assert_eq!(
             self.shape, other.shape,
             "axpy shape mismatch {} vs {}",
@@ -306,7 +306,7 @@ impl Tensor {
     }
 
     /// In-place set to zero, preserving shape and (if unshared) allocation.
-    pub fn zero_(&mut self) {
+    pub(crate) fn zero_(&mut self) {
         for d in self.data_mut() {
             *d = 0.0;
         }

@@ -248,13 +248,13 @@ fn dropout_train_mask_consistency() {
 }
 
 #[test]
-fn mean_all_and_scale() {
+fn sum_all_and_scale() {
     let x0 = random_input(6, 11);
     gradcheck(
-        "mean_scale",
+        "sum_scale",
         &x0,
         &[6],
-        &|x| x.mul(&x).mean_all().scale(3.0),
+        &|x| x.mul(&x).sum_all().scale(0.5),
         1e-2,
     );
 }

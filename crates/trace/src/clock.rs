@@ -111,7 +111,7 @@ impl VirtualClock {
     }
 
     /// A clock that advances by `tick_ns` after every read.
-    pub fn with_tick(start_ns: u64, tick_ns: u64) -> VirtualClock {
+    pub(crate) fn with_tick(start_ns: u64, tick_ns: u64) -> VirtualClock {
         VirtualClock { now: AtomicU64::new(start_ns), tick: tick_ns }
     }
 

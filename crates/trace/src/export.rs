@@ -11,7 +11,7 @@ use crate::span::{EventKind, NO_BATCH};
 use std::fmt::Write as _;
 
 /// Escapes `s` for inclusion inside a JSON string literal.
-pub fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

@@ -70,12 +70,11 @@ mod span;
 pub mod metrics;
 
 pub use analysis::{
-    analyze, attribute, Attribution, BatchChain, ChainAttribution, Percentiles, PipelineReport,
-    RecordedStages, Snapshot, ThreadOccupancy,
+    analyze, attribute, Attribution, Percentiles, PipelineReport, Snapshot, ThreadOccupancy,
 };
 pub use blackbox::Blackbox;
 pub use clock::{Clock, VirtualClock};
-pub use metrics::{Counter, Gauge, Metrics, MetricsSnapshot};
+pub use metrics::{Counter, Gauge, MetricsSnapshot};
 pub use span::{EventKind, SpanEvent, SpanGuard, Trace, NO_BATCH};
 
 /// Locks `m`, recovering the guard if a previous holder panicked: every

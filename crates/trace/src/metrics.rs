@@ -68,7 +68,7 @@ impl Gauge {
 /// lock, so a snapshot never holds one map's lock while it takes another's.
 /// Lookups are cold (hot code holds the returned handle).
 #[derive(Debug, Default)]
-pub struct Metrics {
+pub(crate) struct Metrics {
     instruments: Mutex<Instruments>,
 }
 
@@ -80,17 +80,17 @@ struct Instruments {
 
 impl Metrics {
     /// The counter named `name`, created on first use.
-    pub fn counter(&self, name: CounterName) -> Counter {
+    pub(crate) fn counter(&self, name: CounterName) -> Counter {
         lock_tolerant(&self.instruments).counters.entry(name.as_str()).or_default().clone()
     }
 
     /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: GaugeName) -> Gauge {
+    pub(crate) fn gauge(&self, name: GaugeName) -> Gauge {
         lock_tolerant(&self.instruments).gauges.entry(name.as_str()).or_default().clone()
     }
 
     /// Snapshots every instrument (sorted by name).
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         let ins = lock_tolerant(&self.instruments);
         MetricsSnapshot {
             counters: ins.counters.iter().map(|(k, v)| (k.to_string(), v.get())).collect(),

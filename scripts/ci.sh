@@ -7,8 +7,11 @@
 #                     indexing in library code, no wall-clock read, sleep,
 #                     exit or scalar f16 conversion without a reason, and
 #                     every suppression an #[expect] with a reason that
-#                     still matches a finding. Test targets and benchmark/
-#                     get the unsafe lints only.
+#                     still matches a finding; and rustc's own, from
+#                     [workspace.lints.rust]: no `pub` item that no path
+#                     from its crate's root reaches (unreachable_pub), and
+#                     no item that nothing calls (dead_code, on by default).
+#                     Test targets and benchmark/ get the unsafe lints only.
 #   awk               every Ordering::Relaxed outside test code has a
 #                     comment saying why relaxed is enough, the one rule
 #                     clippy has no lint for.
@@ -155,16 +158,25 @@ cargo test --release -q --offline -p salient-tensor
 # AVX2 rung (the tiles a host without AVX-512 runs), and at one thread on the
 # portable rung (where an f16 row goes through the bulk conversion). Each
 # pass re-runs the half-GEMM bound on its rung.
+# Each of the four passes is followed by tests/bits.rs on the same rung:
+# three epochs' loss bits of every executor against the constants for that
+# rung (AVX2 and AVX-512 share them; the portable rung, which rounds each
+# product before it adds, has its own) and the digests of the benchmark's
+# two G100k datasets. The four bits runs add ~8 s warm (2 s each).
+cargo test --release -q --offline --test bits
 SALIENT_NUM_THREADS=1 cargo test --release -q --offline -p salient-tensor -p salient-nn
+SALIENT_NUM_THREADS=1 cargo test --release -q --offline --test bits
 if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo 2>/dev/null \
   && grep -qw f16c /proc/cpuinfo 2>/dev/null; then
   SALIENT_NUM_THREADS=1 SALIENT_GEMM_KERNEL=avx2 \
     cargo test --release -q --offline -p salient-tensor -p salient-nn
+  SALIENT_NUM_THREADS=1 SALIENT_GEMM_KERNEL=avx2 cargo test --release -q --offline --test bits
 else
   echo "tensor tier: this host has no AVX2 + FMA + F16C — the AVX2-rung pass is skipped"
 fi
 SALIENT_NUM_THREADS=1 SALIENT_GEMM_KERNEL=portable \
   cargo test --release -q --offline -p salient-tensor -p salient-nn
+SALIENT_NUM_THREADS=1 SALIENT_GEMM_KERNEL=portable cargo test --release -q --offline --test bits
 
 echo "== benchmark tier: the four workloads' correctness checks (--smoke)"
 # A few batches of every BENCHMARK.json workload (train_compute,

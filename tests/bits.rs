@@ -1,0 +1,147 @@
+//! Same bits: golden constants for what the program computes, compared
+//! exactly. A change that is meant to move no bit (a refactor, a removal, a
+//! faster kernel with the same arithmetic) must leave every constant here
+//! as it is; one that moves a bit on purpose updates the constant and says
+//! why.
+//!
+//! Two families:
+//! * the `mean_loss` bits of three epochs of `DatasetConfig::tiny(77)` under
+//!   `RunConfig::test_tiny()`: the Baseline executor, the SALIENT executor at
+//!   one batch-prep worker, and `train_ddp` at two ranks (batch 32), each
+//!   over f16 and over f32 feature storage;
+//! * an FNV-1a digest (the checkpoint's) of a dataset shaped like the
+//!   benchmark's (products-like, 100 f16 features, a 2 048-node train split)
+//!   at its two seeds: CSR arrays, feature bits, labels and splits. Release
+//!   builds digest the benchmark's own `G100k`; debug builds, which generate
+//!   slowly, the `G10k` shape (as the graph crate's oracle tests do).
+//!
+//! The losses are keyed by GEMM rung (`SALIENT_GEMM_KERNEL`, else what CPUID
+//! picks). The AVX2 and AVX-512 rungs agree bit for bit: both sum each
+//! output element's K products in the same order, one fused multiply-add a
+//! step. The portable rung rounds each product and adds four of them before
+//! touching the output, so some losses differ in their last bits. The
+//! losses do not depend on the pool width (`SALIENT_NUM_THREADS`): every
+//! kernel's chunks are independent of where the pool cuts them.
+
+use salient_repro::core::checkpoint::fnv1a_update;
+use salient_repro::core::{train_ddp, ExecutorKind, RunConfig, Trainer};
+use salient_repro::graph::{Dataset, DatasetConfig, FeatureSlab};
+use salient_repro::tensor::kernels::gemm_kernel_level;
+use salient_repro::tensor::Dtype;
+use std::sync::Arc;
+
+/// Which run produced a row of losses.
+#[derive(Clone, Copy, Debug)]
+enum Run {
+    Baseline,
+    /// The SALIENT executor at one batch-prep worker.
+    Salient,
+    /// `train_ddp` at two ranks, batch 32.
+    Ddp,
+}
+
+/// `(run, feature storage, mean_loss bits of epochs 1-3)` on the AVX2 and
+/// AVX-512 rungs.
+const VECTOR_LOSSES: [(Run, Dtype, [u64; 3]); 6] = [
+    (Run::Baseline, Dtype::F16, [0x3ffd_ceb3_9999_999a, 0x3ffd_68af_b999_999a, 0x3ffb_9d48_8000_0000]),
+    (Run::Salient, Dtype::F16, [0x3ffe_3015_b999_999a, 0x3ffd_5b39_2666_6666, 0x3ffc_111d_2000_0000]),
+    (Run::Ddp, Dtype::F16, [0x3ffe_36e6_8000_0000, 0x3ffc_e13b_0000_0000, 0x3ffb_853b_c000_0000]),
+    (Run::Baseline, Dtype::F32, [0x3ffd_ceb4_4ccc_cccd, 0x3ffd_68b2_cccc_cccd, 0x3ffb_9d4a_c666_6666]),
+    (Run::Salient, Dtype::F32, [0x3ffe_3017_f999_999a, 0x3ffd_5b3a_4000_0000, 0x3ffc_1121_e000_0000]),
+    (Run::Ddp, Dtype::F32, [0x3ffe_36ec_8000_0000, 0x3ffc_e13e_2000_0000, 0x3ffb_8540_c000_0000]),
+];
+
+/// The same runs on the portable rung.
+const PORTABLE_LOSSES: [(Run, Dtype, [u64; 3]); 6] = [
+    (Run::Baseline, Dtype::F16, [0x3ffd_ceb3_a000_0000, 0x3ffd_68af_b999_999a, 0x3ffb_9d48_8000_0000]),
+    (Run::Salient, Dtype::F16, [0x3ffe_3015_b999_999a, 0x3ffd_5b39_2ccc_cccd, 0x3ffc_111d_0ccc_cccd]),
+    (Run::Ddp, Dtype::F16, [0x3ffe_36e6_8000_0000, 0x3ffc_e13b_0000_0000, 0x3ffb_853b_c000_0000]),
+    (Run::Baseline, Dtype::F32, [0x3ffd_ceb4_5999_999a, 0x3ffd_68b2_c000_0000, 0x3ffb_9d4a_cccc_cccd]),
+    (Run::Salient, Dtype::F32, [0x3ffe_3017_e666_6666, 0x3ffd_5b3a_3999_999a, 0x3ffc_1121_e000_0000]),
+    (Run::Ddp, Dtype::F32, [0x3ffe_36ec_a000_0000, 0x3ffc_e13e_2000_0000, 0x3ffb_8540_c000_0000]),
+];
+
+/// `(seed, digest)` of the benchmark-shaped dataset at `G100k` (release)
+/// and at `G10k` (debug).
+const DIGESTS_G100K: [(u64, u64); 2] = [(2868, 0x4788_82d4_00d6_e448), (94_445_095, 0x5572_9d0d_a8ef_6d4a)];
+const DIGESTS_G10K: [(u64, u64); 2] = [(2868, 0xc19f_bd52_675f_977c), (94_445_095, 0x3ffe_4f9f_ead3_41a4)];
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn mean_loss_bits(run: Run, dtype: Dtype) -> Vec<u64> {
+    let ds = Arc::new(DatasetConfig { dtype, ..DatasetConfig::tiny(77) }.build());
+    let config = RunConfig { epochs: 3, ..RunConfig::test_tiny() };
+    let losses: Vec<f64> = match run {
+        Run::Baseline | Run::Salient => {
+            let config = match run {
+                Run::Baseline => RunConfig { executor: ExecutorKind::Baseline, ..config },
+                _ => RunConfig { executor: ExecutorKind::Salient, num_workers: 1, ..config },
+            };
+            Trainer::new(ds, config).fit().iter().map(|s| s.mean_loss).collect()
+        }
+        Run::Ddp => {
+            let config = RunConfig { batch_size: 32, ..config };
+            train_ddp(&ds, &config, 2).expect("two healthy ranks").epoch_losses
+        }
+    };
+    losses.iter().map(|l| l.to_bits()).collect()
+}
+
+#[test]
+fn three_epochs_of_every_executor_repeat_their_loss_bits() {
+    let rung = gemm_kernel_level();
+    let table = if rung == "portable" { &PORTABLE_LOSSES } else { &VECTOR_LOSSES };
+    let mut moved = Vec::new();
+    for &(run, dtype, want) in table {
+        let got = mean_loss_bits(run, dtype);
+        if got != want {
+            let hex = |bits: &[u64]| bits.iter().map(|b| format!("{b:#018x}")).collect::<Vec<_>>();
+            moved.push(format!("({run:?}, {dtype:?}): {:?}, expected {:?}", hex(&got), hex(&want)));
+        }
+    }
+    assert!(moved.is_empty(), "on the {rung} rung the losses moved:\n{}", moved.join("\n"));
+}
+
+/// The benchmark's dataset shape at `nodes` nodes.
+fn ledger_config(seed: u64, nodes: usize) -> DatasetConfig {
+    DatasetConfig {
+        name: format!("G{}k", nodes / 1000),
+        num_nodes: nodes,
+        feat_dim: 100,
+        split_fracs: (2_048.0 / nodes as f64, 0.016, 0.70),
+        seed,
+        dtype: Dtype::F16,
+        ..DatasetConfig::products_sim(1.0)
+    }
+}
+
+/// FNV-1a over every array of `ds`, each element as little-endian bytes of
+/// its own width.
+fn digest(ds: &Dataset) -> u64 {
+    let mut hash = FNV_OFFSET;
+    let mut feed = |bytes: &[u8]| hash = fnv1a_update(hash, bytes);
+    ds.graph.indptr().iter().for_each(|&x| feed(&(x as u64).to_le_bytes()));
+    ds.graph.indices().iter().for_each(|x| feed(&x.to_le_bytes()));
+    match ds.features.slab() {
+        FeatureSlab::Half(v) => v.iter().for_each(|h| feed(&h.to_bits().to_le_bytes())),
+        FeatureSlab::Full(v) => v.iter().for_each(|x| feed(&x.to_bits().to_le_bytes())),
+    }
+    ds.labels.iter().for_each(|x| feed(&x.to_le_bytes()));
+    for split in [&ds.splits.train, &ds.splits.val, &ds.splits.test] {
+        split.iter().for_each(|x| feed(&x.to_le_bytes()));
+    }
+    hash
+}
+
+#[test]
+fn the_benchmark_datasets_repeat_their_digests() {
+    let (nodes, table) =
+        if cfg!(debug_assertions) { (10_000, &DIGESTS_G10K) } else { (100_000, &DIGESTS_G100K) };
+    let moved: Vec<String> = table
+        .iter()
+        .map(|&(seed, want)| (seed, want, digest(&ledger_config(seed, nodes).build())))
+        .filter(|&(_, want, got)| got != want)
+        .map(|(seed, want, got)| format!("seed {seed}: {got:#018x}, expected {want:#018x}"))
+        .collect();
+    assert!(moved.is_empty(), "G{}k digests moved:\n{}", nodes / 1000, moved.join("\n"));
+}

@@ -93,6 +93,17 @@ fn accepted_values_match_case_insensitively() {
     assert_eq!(code, Some(0), "{stderr}");
 }
 
+/// A `--batch` larger than the graph trains its epoch and evaluates: the
+/// evaluation's staging slot is sized for at most the graph's nodes, not for
+/// the flag (a billion rows of features, which aborted the process on a
+/// failed allocation).
+#[test]
+fn a_batch_larger_than_the_graph_trains_and_evaluates() {
+    let args = ["--scale", "0.01", "--epochs", "1", "--batch", "1000000000", "--hidden", "16"];
+    let (code, stderr) = salient("train", &args, None);
+    assert_eq!(code, Some(0), "{stderr}");
+}
+
 /// `sample` prices the feature payload at the store's dtype: f32 rows are
 /// twice the bytes of the same f16 rows.
 #[test]

@@ -14,7 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Allocations at least this large count as "large" (64 KiB).
-pub const LARGE_BYTES: usize = 64 * 1024;
+pub(crate) const LARGE_BYTES: usize = 64 * 1024;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -49,7 +49,7 @@ fn count(size: usize) {
 
 /// Forwards to the system allocator, counting every allocation and every
 /// reallocation on the calling thread.
-pub struct CountingAlloc;
+pub(crate) struct CountingAlloc;
 
 // SAFETY: pure pass-through to `System`, which upholds the `GlobalAlloc`
 // contract; bumping thread-local counters has no effect on the returned
@@ -89,17 +89,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocations made so far by the calling thread.
-pub fn allocations() -> u64 {
+pub(crate) fn allocations() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
 /// Allocations of at least [`LARGE_BYTES`] made so far by the calling thread.
-pub fn large_allocations() -> u64 {
+pub(crate) fn large_allocations() -> u64 {
     LARGE_ALLOCS.with(Cell::get)
 }
 
 /// Starts counting the calling thread's allocations of at least `bytes`.
-pub fn watch(bytes: usize) {
+pub(crate) fn watch(bytes: usize) {
     WATCHED.with(|c| c.set((bytes, 0)));
 }
 
@@ -107,23 +107,23 @@ pub fn watch(bytes: usize) {
 /// tensor pool hands out was allocated once by the thread that first took
 /// it: zero here, counted from before a thread's first step, means no buffer
 /// of that size is allocated *or* recycled on it.
-pub fn watched_allocations() -> u64 {
+pub(crate) fn watched_allocations() -> u64 {
     WATCHED.with(|c| c.get().1)
 }
 
 /// Bytes of the buffer the tensor pool hands out for `floats` values: its
 /// capacity classes are powers of two.
-pub fn pooled_bytes(floats: usize) -> usize {
+pub(crate) fn pooled_bytes(floats: usize) -> usize {
     floats.next_power_of_two() * 4
 }
 
 /// Heap bytes the calling thread holds: allocated minus freed.
-pub fn live_bytes() -> isize {
+pub(crate) fn live_bytes() -> isize {
     LIVE.with(|c| c.get().0)
 }
 
 /// Starts the calling thread's peak over again from what it holds now.
-pub fn reset_peak() {
+pub(crate) fn reset_peak() {
     LIVE.with(|c| {
         let (live, _) = c.get();
         c.set((live, live));
@@ -131,6 +131,6 @@ pub fn reset_peak() {
 }
 
 /// The most heap the calling thread has held since [`reset_peak`].
-pub fn peak_bytes() -> isize {
+pub(crate) fn peak_bytes() -> isize {
     LIVE.with(|c| c.get().1)
 }

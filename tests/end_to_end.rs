@@ -162,24 +162,6 @@ fn deterministic_training_given_seed() {
 }
 
 #[test]
-fn early_stopping_halts_before_epoch_budget() {
-    let ds = dense_tiny(6);
-    let run = RunConfig {
-        epochs: 40, // far more than needed on the tiny planted task
-        learning_rate: 5e-3,
-        ..RunConfig::test_tiny()
-    };
-    let mut trainer = Trainer::new(Arc::clone(&ds), run);
-    let (history, best_val) = trainer.fit_with_early_stopping(3);
-    assert!(
-        history.len() < 40,
-        "tiny task should converge and stop early, ran {} epochs",
-        history.len()
-    );
-    assert!(best_val > 0.3, "best validation accuracy {best_val:.3}");
-}
-
-#[test]
 fn checkpoint_restores_trainer_accuracy() {
     use salient_repro::core::checkpoint::Checkpoint;
     let ds = dense_tiny(7);

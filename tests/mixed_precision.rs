@@ -1,7 +1,8 @@
 //! Mixed-precision integration tier: the f16 feature-storage path end to
 //! end — byte-traffic halving through the `transfer.bytes` trace counter,
-//! and training parity between f16 and f32 feature stores. Half-input GEMM
-//! accuracy against its documented bound is a `salient-tensor` unit test
+//! and training parity between f16 and f32 feature stores. The accuracy of
+//! the half-input GEMM hop 0 runs (an f16 operand through `gemm_acc`)
+//! against its documented bound is a `salient-tensor` unit test
 //! (`kernels::tests::half_gemm_within_documented_bound`).
 
 use salient_repro::core::{ExecutorKind, RunConfig, Trainer};
