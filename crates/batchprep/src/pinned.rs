@@ -97,7 +97,7 @@ impl PinnedSlot {
 
     /// The dtype the slot stages features at.
     #[expect(clippy::expect_used, reason = "buffers are only None after Drop runs; unreachable through the public API")]
-    pub fn dtype(&self) -> Dtype {
+    pub(crate) fn dtype(&self) -> Dtype {
         self.buffers.as_ref().expect("slot already returned").features.dtype()
     }
 
@@ -184,7 +184,7 @@ impl PinnedPool {
     }
 
     /// The dtype every slot stages features at.
-    pub fn dtype(&self) -> Dtype {
+    pub(crate) fn dtype(&self) -> Dtype {
         self.dtype
     }
 

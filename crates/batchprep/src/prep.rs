@@ -23,8 +23,10 @@
 //! that escapes the item guard ends that incarnation of the worker: the
 //! thread starts another under the same worker id while work is left and the
 //! epoch's [`RESPAWN_BUDGET`] has a unit, else it leaves, and the last
-//! worker to leave finishes any unclaimed work inline. Per-epoch fault
-//! activity is returned by [`EpochHandle::join`] as [`FaultStats`].
+//! worker to leave finishes any unclaimed work inline. Each of these acts
+//! is one point event on the epoch's trace (`fault.retry`,
+//! `fault.failed_batch`, `fault.worker_panic`, `fault.respawn`,
+//! `fault.degraded`), and a failed batch is also its marker on the stream.
 
 #![expect(
     clippy::indexing_slicing,
@@ -34,11 +36,11 @@
 use crate::pinned::{PinnedPool, PinnedSlot};
 use crate::queue::{make_work_items, WorkItem, WorkQueue};
 use crate::slice::{slice_batch, slice_batch_into};
-use crate::stats::FaultStats;
 use salient_fault as fault;
 use salient_graph::{Dataset, NodeId};
 use salient_sampler::{FastSampler, MessageFlowGraph, PygSampler};
 use salient_graph::FeatureSlab;
+use salient_tensor::rng::{Rng, StdRng};
 use salient_trace::{names, Trace, NO_BATCH};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -181,31 +183,6 @@ impl AnySampler {
     }
 }
 
-/// Fault counters shared by the epoch's workers (lock-free updates,
-/// snapshotted into [`FaultStats`] by [`EpochHandle::join`]).
-#[derive(Debug, Default)]
-struct SharedFaultStats {
-    item_panics: AtomicUsize,
-    retries: AtomicUsize,
-    failed_batches: AtomicUsize,
-    worker_panics: AtomicUsize,
-    respawns: AtomicUsize,
-    degraded_inline: AtomicBool,
-}
-
-impl SharedFaultStats {
-    fn snapshot(&self) -> FaultStats {
-        FaultStats {
-            item_panics: self.item_panics.load(Ordering::Acquire),
-            retries: self.retries.load(Ordering::Acquire),
-            failed_batches: self.failed_batches.load(Ordering::Acquire),
-            worker_panics: self.worker_panics.load(Ordering::Acquire),
-            respawns: self.respawns.load(Ordering::Acquire),
-            degraded_inline: self.degraded_inline.load(Ordering::Acquire),
-        }
-    }
-}
-
 /// Everything the epoch's worker threads share.
 struct WorkerCtx {
     dataset: Arc<Dataset>,
@@ -215,7 +192,6 @@ struct WorkerCtx {
     tx: SyncSender<BatchResult>,
     cfg: PrepConfig,
     cancel: Arc<AtomicBool>,
-    faults: Arc<SharedFaultStats>,
     /// Units of [`RESPAWN_BUDGET`] no worker has taken yet.
     respawns_left: AtomicUsize,
     /// Worker threads that have not left; the one that takes it to zero
@@ -229,8 +205,13 @@ fn worker_seed(cfg_seed: u64, worker: usize) -> u64 {
 
 fn retry_seed(cfg_seed: u64, batch_id: usize, attempt: u32) -> u64 {
     // Independent of which worker runs the retry: attempt n of batch b is
-    // the same sample stream on every run and every schedule.
-    cfg_seed ^ 0x5EED_0000 ^ ((batch_id as u64) << 8) ^ u64::from(attempt)
+    // the same sample stream on every run and every schedule. Each field is
+    // mixed in after the generator's own seeding has scrambled what came
+    // before, so no field can cancel another's bits: the caller's seed may
+    // vary in any bit (the trainer folds its epoch into it).
+    [batch_id as u64, u64::from(attempt)]
+        .into_iter()
+        .fold(cfg_seed, |seed, field| StdRng::seed_from_u64(seed).next_u64() ^ field)
 }
 
 /// Handle to an in-flight epoch of batch preparation: iterate the receiver
@@ -242,13 +223,12 @@ pub struct EpochHandle {
     pub batches: Receiver<BatchResult>,
     workers: Vec<std::thread::JoinHandle<()>>,
     cancel: Arc<AtomicBool>,
-    faults: Arc<SharedFaultStats>,
     pool: PinnedPool,
 }
 
 impl EpochHandle {
-    /// Waits for every worker and returns the epoch's fault-handling
-    /// activity.
+    /// Waits for every worker. What the epoch's faults were is on its
+    /// trace, one point event each.
     ///
     /// Workers that have not finished are cancelled: batches already sitting
     /// in the stream are discarded and their staging slots recycled.
@@ -256,8 +236,8 @@ impl EpochHandle {
     /// # Panics
     ///
     /// Panics only if a worker thread panicked outside its own supervision
-    /// (panics inside it are counted and survived).
-    pub fn join(self) -> FaultStats {
+    /// (panics inside it are recorded and survived).
+    pub fn join(self) {
         self.cancel.store(true, Ordering::Release);
         // A worker asleep on a slot the consumer still holds rereads the
         // flag; dropping the receiver destroys parked batches, returning
@@ -268,7 +248,6 @@ impl EpochHandle {
             #[expect(clippy::expect_used, reason = "propagating a panic that escaped a worker's supervision loop to the caller is the documented join contract")]
             worker.join().expect("batch-prep worker panicked outside its supervision loop");
         }
-        self.faults.snapshot()
     }
 
     /// The staging-slot pool backing this epoch (diagnostics: after the
@@ -339,7 +318,6 @@ pub fn run_epoch_with_pool(
     };
     let (tx, rx) = sync_channel::<BatchResult>(pool.capacity());
     let cancel = Arc::new(AtomicBool::new(false));
-    let faults = Arc::new(SharedFaultStats::default());
 
     // The workers share the only sender: the stream disconnects, ending the
     // consumer's iteration, when the last of them has left.
@@ -351,7 +329,6 @@ pub fn run_epoch_with_pool(
         tx,
         cfg: cfg.clone(),
         cancel: Arc::clone(&cancel),
-        faults: Arc::clone(&faults),
         respawns_left: AtomicUsize::new(RESPAWN_BUDGET),
         live: AtomicUsize::new(cfg.num_workers),
     });
@@ -370,7 +347,6 @@ pub fn run_epoch_with_pool(
         batches: rx,
         workers,
         cancel,
-        faults,
         pool: pool.clone(),
     }
 }
@@ -393,8 +369,6 @@ fn supervise_worker(ctx: &WorkerCtx, id: usize) {
     }))
     .is_err()
     {
-        ctx.faults.worker_panics.fetch_add(1, Ordering::AcqRel);
-        trace.add(names::counters::WORKER_PANICS, 1);
         trace.instant(names::events::WORKER_PANIC, id as u64);
         let respawn = work_left()
             && ctx
@@ -404,14 +378,10 @@ fn supervise_worker(ctx: &WorkerCtx, id: usize) {
         if !respawn {
             break;
         }
-        ctx.faults.respawns.fetch_add(1, Ordering::AcqRel);
-        trace.add(names::counters::RESPAWNS, 1);
         trace.instant(names::events::RESPAWN, id as u64);
     }
     // AcqRel: the last to leave sees every claim the others made.
     if ctx.live.fetch_sub(1, Ordering::AcqRel) == 1 && work_left() {
-        ctx.faults.degraded_inline.store(true, Ordering::Release);
-        trace.add(names::counters::DEGRADED, 1);
         trace.instant(names::events::DEGRADED_INLINE, NO_BATCH);
         // Every partition in turn, unguarded: a statically partitioned item
         // orphaned by a dead worker is still prepared.
@@ -474,21 +444,15 @@ fn prepare_with_retries(
         if let Ok(prepared) = outcome {
             return prepared.map(BatchResult::Ready);
         }
-        ctx.faults.item_panics.fetch_add(1, Ordering::AcqRel);
-        trace.add(names::counters::ITEM_PANICS, 1);
         if attempt == 0 {
             // The persistent sampler may have been mid-update when it
             // unwound; rebuild it before it touches another batch.
             *sampler = AnySampler::new(ctx.cfg.sampler, worker_seed(ctx.cfg.seed, worker));
         }
         if attempt < RETRY_BUDGET {
-            ctx.faults.retries.fetch_add(1, Ordering::AcqRel);
-            trace.add(names::counters::RETRIES, 1);
             trace.instant(names::events::RETRY, bid);
         }
     }
-    ctx.faults.failed_batches.fetch_add(1, Ordering::AcqRel);
-    trace.add(names::counters::FAILED_BATCHES, 1);
     trace.instant(names::events::FAILED_BATCH, bid);
     Some(BatchResult::Failed {
         batch_id: item.batch_id,
@@ -566,7 +530,7 @@ fn prepare_item(
 mod tests {
     use super::*;
     use salient_graph::DatasetConfig;
-    use salient_trace::{Clock, Snapshot};
+    use salient_trace::{Clock, EventKind, Snapshot};
 
     fn dataset() -> Arc<Dataset> {
         Arc::new(DatasetConfig::tiny(20).build())
@@ -589,6 +553,11 @@ mod tests {
         }
     }
 
+    /// The point events in `snap`: in batch prep, each is a fault.
+    fn fault_events(snap: &Snapshot) -> usize {
+        snap.events.iter().filter(|e| e.kind == EventKind::Instant).count()
+    }
+
     /// One clean epoch: the sorted ids of the batches received, and the
     /// trace snapshot taken after the join.
     fn run(ds: &Arc<Dataset>, cfg: &PrepConfig) -> (Vec<usize>, Snapshot) {
@@ -603,9 +572,11 @@ mod tests {
                 b.batch_id
             })
             .collect();
-        assert!(!handle.join().any());
+        handle.join();
         ids.sort_unstable();
-        (ids, cfg.trace.snapshot())
+        let snap = cfg.trace.snapshot();
+        assert_eq!(fault_events(&snap), 0);
+        (ids, snap)
     }
 
     #[test]
@@ -732,17 +703,29 @@ mod tests {
     #[test]
     fn clean_epoch_reports_no_faults() {
         let ds = dataset();
-        let cfg = PrepConfig {
-            batch_size: 32,
-            fanouts: vec![5, 3],
-            ..Default::default()
-        };
+        let cfg = traced(PrepConfig::default());
         let handle = run_epoch(&ds, &ds.splits.train.clone(), &cfg);
         let pool = handle.pool().clone();
         let n = handle.batches.iter().filter_map(BatchResult::ready).count();
-        let faults = handle.join();
+        handle.join();
         assert_eq!(n, expected_batches(&ds));
-        assert!(!faults.any(), "clean run must report zero fault activity: {faults:?}");
+        assert_eq!(fault_events(&cfg.trace.snapshot()), 0, "a clean run records no fault");
         assert_eq!(pool.available(), pool.capacity(), "no slot may stay checked out");
+    }
+
+    #[test]
+    fn retry_streams_are_distinct_across_epochs_batches_and_attempts() {
+        // The trainer folds its epoch into the prep seed at bit 16; a batch
+        // id shifted into the same bits would replay another epoch's retry.
+        let mut seen = std::collections::HashSet::new();
+        for epoch in 0..4u64 {
+            for batch_id in 0..1024 {
+                for attempt in 1..=2 {
+                    let seed = retry_seed(7 ^ epoch << 16, batch_id, attempt);
+                    assert!(seen.insert(seed), "epoch {epoch} batch {batch_id} attempt {attempt}");
+                }
+            }
+        }
+        assert!((0..4).all(|w| !seen.contains(&worker_seed(7, w))));
     }
 }

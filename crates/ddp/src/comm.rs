@@ -19,7 +19,7 @@
 
 use salient_fault::{self as fault, FaultAction};
 use salient_tensor::Tensor;
-use salient_trace::{names, Counter, Trace};
+use salient_trace::{names, Trace};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
@@ -117,10 +117,6 @@ pub struct Communicator {
     to_next: Sender<Vec<f32>>,
     from_prev: Receiver<Vec<f32>>,
     trace: Trace,
-    // Metric handles resolved once at ring construction so the per-step hot
-    // path is two relaxed atomic adds (detached no-ops when tracing is off).
-    bytes_sent: Counter,
-    steps_counter: Counter,
 }
 
 impl Communicator {
@@ -143,8 +139,9 @@ impl Communicator {
         Self::ring_traced(world, timeout, &Trace::disabled())
     }
 
-    /// Creates a ring whose endpoints record `ddp.step` spans and
-    /// bytes/steps counters against `trace`.
+    /// Creates a ring whose endpoints record their `ddp.step` spans, and
+    /// each send as a `ddp.ring_send` span counting its bytes, against
+    /// `trace`.
     ///
     /// # Panics
     ///
@@ -177,26 +174,8 @@ impl Communicator {
                 to_next,
                 from_prev,
                 trace: trace.clone(),
-                bytes_sent: trace.counter(names::counters::DDP_BYTES),
-                steps_counter: trace.counter(names::counters::DDP_STEPS),
             })
             .collect()
-    }
-
-    /// This rank's index.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Number of ranks.
-    pub fn world(&self) -> usize {
-        self.world
-    }
-
-    /// Ring steps completed by this endpoint (diagnostic).
-    pub fn steps(&self) -> u64 {
-        // Relaxed: purely diagnostic counter; no other memory depends on it.
-        self.steps.load(Ordering::Relaxed)
     }
 
     fn chunk_bounds(len: usize, world: usize, chunk: usize) -> (usize, usize) {
@@ -232,13 +211,28 @@ impl Communicator {
         // counter; the channel send/recv provide all cross-rank ordering.
         let ring_step = self.steps.fetch_add(1, Ordering::Relaxed);
         // Comm span covers the send and the (possibly blocking) receive —
-        // the trace-level view of ring latency. Payloads are f32s.
+        // the trace-level view of ring latency.
         let _comm_span = self.trace.span(names::spans::COMM_STEP);
-        self.steps_counter.inc();
-        self.bytes_sent
-            .add(payload.len() as u64 * std::mem::size_of::<f32>() as u64);
+        self.send_next(payload, ring_step, phase)?;
+        if let FaultAction::Delay(d) = fault::point(fault::sites::DDP_RECV, self.rank as u64) {
+            #[expect(clippy::disallowed_methods, reason = "deterministically injected fault delay; duration comes from the fault plan")]
+            std::thread::sleep(d);
+        }
+        let clock = self.trace.clock();
+        let recv_t0 = clock.now_ns();
+        let received = self.recv_from_prev(expected, phase);
+        self.trace
+            .record_span(names::spans::DDP_RING_RECV, ring_step, recv_t0, clock.now_ns());
+        received
+    }
+
+    /// Sends `payload` to the next rank unless an injected fault drops the
+    /// link: one `ddp.ring_send` span tagged `ring_step`, whose first count
+    /// is the payload's bytes (f32s), dropped or not.
+    fn send_next(&self, payload: Vec<f32>, ring_step: u64, phase: CommPhase) -> Result<(), CommError> {
         let clock = self.trace.clock();
         let send_t0 = clock.now_ns();
+        let bytes = (payload.len() * std::mem::size_of::<f32>()) as u64;
         match fault::point(fault::sites::DDP_SEND, self.rank as u64) {
             FaultAction::Proceed => {
                 if self.to_next.send(payload).is_err() {
@@ -258,17 +252,10 @@ impl Communicator {
                 panic!("injected fault: panic at ddp.send (rank {})", self.rank)
             }
         }
+        let counts = [bytes, 0];
         self.trace
-            .record_span(names::spans::DDP_RING_SEND, ring_step, send_t0, clock.now_ns());
-        if let FaultAction::Delay(d) = fault::point(fault::sites::DDP_RECV, self.rank as u64) {
-            #[expect(clippy::disallowed_methods, reason = "deterministically injected fault delay; duration comes from the fault plan")]
-            std::thread::sleep(d);
-        }
-        let recv_t0 = clock.now_ns();
-        let received = self.recv_from_prev(expected, phase);
-        self.trace
-            .record_span(names::spans::DDP_RING_RECV, ring_step, recv_t0, clock.now_ns());
-        received
+            .record_span_counts(names::spans::DDP_RING_SEND, ring_step, send_t0, clock.now_ns(), counts);
+        Ok(())
     }
 
     /// Receives the ring predecessor's payload within the step deadline and
@@ -351,37 +338,21 @@ impl Communicator {
     /// # Errors
     ///
     /// Returns a [`CommError`] if the chain stalls or a peer disconnected.
-    pub fn broadcast(&self, data: &mut [f32]) -> Result<(), CommError> {
+    pub(crate) fn broadcast(&self, data: &mut [f32]) -> Result<(), CommError> {
         if self.world == 1 {
             return Ok(());
         }
-        // Relaxed: diagnostic step counter only.
-        self.steps.fetch_add(1, Ordering::Relaxed);
+        // Relaxed: the step index only tags the send span.
+        let ring_step = self.steps.fetch_add(1, Ordering::Relaxed);
         let _comm_span = self.trace.span(names::spans::COMM_STEP);
-        self.steps_counter.inc();
-        if self.rank != self.world - 1 {
-            self.bytes_sent
-                .add(data.len() as u64 * std::mem::size_of::<f32>() as u64);
-        }
-        // Pass the buffer down the ring n-1 times starting at rank 0.
-        if self.rank == 0 {
-            if fault::fire(fault::sites::DDP_SEND, self.rank as u64) {
-                return Ok(()); // dropped: downstream ranks will time out
-            }
-            if self.to_next.send(data.to_vec()).is_err() {
-                return Err(self.err(CommPhase::Broadcast, CommErrorKind::Disconnected));
-            }
-        } else {
+        // Pass the buffer down the ring from rank 0 to the last rank.
+        if self.rank != 0 {
             let incoming = self.recv_from_prev(data.len(), CommPhase::Broadcast)?;
             data.copy_from_slice(&incoming);
-            if self.rank != self.world - 1 {
-                if fault::fire(fault::sites::DDP_SEND, self.rank as u64) {
-                    return Ok(());
-                }
-                if self.to_next.send(data.to_vec()).is_err() {
-                    return Err(self.err(CommPhase::Broadcast, CommErrorKind::Disconnected));
-                }
-            }
+        }
+        if self.rank != self.world - 1 {
+            // A dropped send leaves the ranks downstream to time out.
+            self.send_next(data.to_vec(), ring_step, CommPhase::Broadcast)?;
         }
         Ok(())
     }
@@ -487,9 +458,9 @@ mod tests {
         assert!(snap
             .spans(names::spans::DDP_RING_SEND)
             .all(|e| e.batch == 0 || e.batch == 1));
-        assert_eq!(snap.metrics.counter(names::counters::DDP_STEPS), 4);
         // Each step ships one 4-float chunk (len 8 split across 2 ranks).
-        assert_eq!(snap.metrics.counter(names::counters::DDP_BYTES), 4 * 16);
+        let bytes: Vec<u64> = snap.spans(names::spans::DDP_RING_SEND).map(|e| e.counts[0]).collect();
+        assert_eq!(bytes, vec![16; 4]);
         assert_eq!(snap.distinct_tids(), 2);
     }
 

@@ -241,11 +241,6 @@ impl FaultPlan {
         }
     }
 
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.inner.seed
-    }
-
     /// The plan's rules, in matching order.
     pub fn specs(&self) -> Vec<FaultSpec> {
         self.inner.specs.iter().map(|s| s.spec.clone()).collect()
@@ -508,14 +503,14 @@ fn notify_observer(site: &str, occ: u64) {
 
 /// Installs `plan` process-wide; subsequent [`point`] calls consult it.
 #[expect(clippy::unwrap_used, reason = "set-up call, never on a decision point's path; every PLAN critical section is a plain read or assignment, so poison means a bug in this file")]
-pub fn install(plan: FaultPlan) {
+pub(crate) fn install(plan: FaultPlan) {
     *PLAN.lock().unwrap() = Some(plan);
     ENABLED.store(true, Ordering::Release);
 }
 
 /// Removes any installed plan; [`point`] returns to its no-op fast path.
 #[expect(clippy::unwrap_used, reason = "tear-down call, never on a decision point's path; every PLAN critical section is a plain read or assignment, so poison means a bug in this file")]
-pub fn clear() {
+pub(crate) fn clear() {
     ENABLED.store(false, Ordering::Release);
     *PLAN.lock().unwrap() = None;
 }

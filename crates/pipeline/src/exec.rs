@@ -24,13 +24,13 @@
 //! # Failure semantics (PR-2 supervisor rules)
 //!
 //! A panic inside a stage step is caught at the item boundary: the item is
-//! dropped (its resources release via RAII), `pipe.stage_panics` counts
-//! it, and the run continues — until the graph's `panic_budget` is
+//! dropped (its resources release via RAII), a `pipe.stage_panic` event
+//! records it, and the run continues — until the graph's `panic_budget` is
 //! exhausted, at which point the run *poisons*: it stops pulling source
 //! items and reports the fatal stage in [`PipeStats::fatal_stage`].
 
 use salient_trace::names::{self, SpanName};
-use salient_trace::{Clock, Counter, Trace};
+use salient_trace::{Clock, Trace};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// An item flowing through a stage graph. The id tags every span the
@@ -150,7 +150,6 @@ struct Run<'t> {
     trace: &'t Trace,
     clock: Clock,
     panic_budget: u64,
-    panic_ctr: Counter,
     /// Set until the first source wait has been filed as fill.
     fill_pending: bool,
     stats: PipeStats,
@@ -163,7 +162,6 @@ impl<'t> Run<'t> {
             clock: trace.clock(),
             panic_budget: spec.panic_budget,
             fill_pending: spec.first_wait_is_fill,
-            panic_ctr: trace.counter(names::counters::PIPE_STAGE_PANICS),
             stats: PipeStats::default(),
         }
     }
@@ -199,7 +197,6 @@ impl<'t> Run<'t> {
             Ok(StageOutcome::Skip) => self.stats.skipped += 1,
             Err(_) => {
                 self.stats.panics += 1;
-                self.panic_ctr.inc();
                 self.trace.instant(names::events::PIPE_STAGE_PANIC, bid);
                 if self.stats.panics > self.panic_budget {
                     self.stats.fatal_stage = Some(stage.spec.work_span);
@@ -397,7 +394,6 @@ mod tests {
             assert_eq!(stats.fatal_stage, Some(STAGES[panics_in]));
             assert_eq!(pulled.get(), stats.emitted + stats.panics);
             let snap = trace.snapshot();
-            assert_eq!(snap.metrics.counter(names::counters::PIPE_STAGE_PANICS), stats.panics);
             assert_eq!(snap.count(names::events::PIPE_STAGE_PANIC) as u64, stats.panics);
             assert_eq!(snap.count(names::events::PIPE_POISONED), 1);
             // A panicking step still closes its work span; a stage behind

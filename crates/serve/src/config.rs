@@ -62,7 +62,7 @@ impl ServeConfig {
     ///
     /// Panics on a degenerate configuration: empty or ragged fanout
     /// ladder, zero batch or queue, or a queue smaller than one batch.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.max_batch > 0, "max_batch must be positive");
         assert!(
             self.queue_capacity >= self.max_batch,

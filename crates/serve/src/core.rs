@@ -47,7 +47,7 @@ use salient_nn::GnnModel;
 use salient_sampler::FastSampler;
 use salient_tensor::rng::StdRng;
 use salient_trace::names::{self, SpanName};
-use salient_trace::{Clock, Counter, Gauge, Trace};
+use salient_trace::{Clock, Counter, Trace};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -65,7 +65,8 @@ struct Pending {
 /// A stage of the micro-batch panicked; the batch fails as a whole.
 struct StageCrashed;
 
-/// Metric handles resolved once so the per-request path is atomic adds.
+/// Counter handles resolved once so the per-request path is atomic adds.
+/// A ladder or breaker move is rare: its point event is its one record.
 struct Instruments {
     admitted: Counter,
     completed: Counter,
@@ -74,12 +75,6 @@ struct Instruments {
     shed_breaker: Counter,
     expired: Counter,
     request_panics: Counter,
-    degrades: Counter,
-    restores: Counter,
-    breaker_opens: Counter,
-    queue_depth: Gauge,
-    fanout_level: Gauge,
-    breaker_state: Gauge,
 }
 
 impl Instruments {
@@ -92,12 +87,6 @@ impl Instruments {
             shed_breaker: trace.counter(names::counters::SERVE_SHED_BREAKER),
             expired: trace.counter(names::counters::SERVE_EXPIRED),
             request_panics: trace.counter(names::counters::SERVE_REQUEST_PANICS),
-            degrades: trace.counter(names::counters::SERVE_DEGRADES),
-            restores: trace.counter(names::counters::SERVE_RESTORES),
-            breaker_opens: trace.counter(names::counters::SERVE_BREAKER_OPENS),
-            queue_depth: trace.gauge(names::gauges::QUEUE_DEPTH),
-            fanout_level: trace.gauge(names::gauges::FANOUT_LEVEL),
-            breaker_state: trace.gauge(names::gauges::BREAKER_STATE),
         }
     }
 }
@@ -316,7 +305,6 @@ impl ServerCore {
 
         self.pending.push_back(Pending { req, admitted_ns: now });
         self.ins.admitted.inc();
-        self.ins.queue_depth.set(self.pending.len() as u64);
         Ok(())
     }
 
@@ -326,42 +314,26 @@ impl ServerCore {
         }
     }
 
-    fn record_breaker(&mut self, mv: BreakerMove) {
-        match mv {
-            BreakerMove::Opened => {
-                self.ins.breaker_opens.inc();
-                self.ins.breaker_state.set(1);
-                self.trace.instant(names::events::SERVE_BREAKER_OPEN, self.batch_seq);
-                // A breaker open means the server is shedding load: dump the
-                // flight recorder so the window leading up to it survives.
-                if let Some(bb) = self.trace.blackbox() {
-                    let _ = bb.dump(&self.trace, names::events::SERVE_BREAKER_OPEN.as_str(), self.batch_seq);
-                }
-            }
-            BreakerMove::HalfOpened => {
-                self.ins.breaker_state.set(2);
-                self.trace
-                    .instant(names::events::SERVE_BREAKER_HALF_OPEN, self.batch_seq);
-            }
-            BreakerMove::Closed => {
-                self.ins.breaker_state.set(0);
-                self.trace.instant(names::events::SERVE_BREAKER_CLOSE, self.batch_seq);
-            }
+    fn record_breaker(&self, mv: BreakerMove) {
+        let event = match mv {
+            BreakerMove::Opened => names::events::SERVE_BREAKER_OPEN,
+            BreakerMove::HalfOpened => names::events::SERVE_BREAKER_HALF_OPEN,
+            BreakerMove::Closed => names::events::SERVE_BREAKER_CLOSE,
+        };
+        self.trace.instant(event, self.batch_seq);
+        // A breaker open means the server is shedding load: dump the flight
+        // recorder so the window leading up to it survives.
+        if let (BreakerMove::Opened, Some(bb)) = (mv, self.trace.blackbox()) {
+            let _ = bb.dump(&self.trace, event.as_str(), self.batch_seq);
         }
     }
 
-    fn record_ladder(&mut self, mv: LadderMove) {
-        match mv {
-            LadderMove::Degraded => {
-                self.ins.degrades.inc();
-                self.trace.instant(names::events::SERVE_DEGRADE, self.batch_seq);
-            }
-            LadderMove::Restored => {
-                self.ins.restores.inc();
-                self.trace.instant(names::events::SERVE_RESTORE, self.batch_seq);
-            }
-        }
-        self.ins.fanout_level.set(self.ladder.level() as u64);
+    fn record_ladder(&self, mv: LadderMove) {
+        let event = match mv {
+            LadderMove::Degraded => names::events::SERVE_DEGRADE,
+            LadderMove::Restored => names::events::SERVE_RESTORE,
+        };
+        self.trace.instant(event, self.batch_seq);
     }
 
     /// Retires every member whose deadline has passed, tagging the stage
@@ -438,7 +410,6 @@ impl ServerCore {
                 Ok(false) => members.push(p),
             }
         }
-        self.ins.queue_depth.set(self.pending.len() as u64);
         if members.is_empty() {
             return out;
         }

@@ -31,7 +31,8 @@
 //!   traffic again.
 //!
 //! Everything is timed through [`salient_trace::Clock`] and instrumented
-//! with `serve.*` counters/gauges/spans, and every failure mode is
+//! with per-request `serve.*` counters, one event per ladder or breaker
+//! move, and stage spans, and every failure mode is
 //! reachable deterministically through `salient_fault`'s `serve.*` sites.
 //!
 //! [`ServerCore`] is the deterministic single-threaded state machine — it

@@ -34,7 +34,7 @@ pub struct Snapshot {
     pub events: Vec<SpanEvent>,
     /// Thread-name table indexed by `tid`.
     pub threads: Vec<String>,
-    /// Metric instruments.
+    /// Counters (per-request facts, whole-run).
     pub metrics: MetricsSnapshot,
 }
 
@@ -66,8 +66,9 @@ impl Snapshot {
     }
 
     /// A sub-snapshot keeping only events fully inside `[start_ns, end_ns]`
-    /// (an epoch window, say). Metric instruments are carried over
-    /// unchanged — counters are cumulative over the whole run.
+    /// (an epoch window, say), point events among them: the faults a
+    /// window reports are its own. Counters are carried over unchanged —
+    /// they are cumulative over the whole run.
     pub fn window(&self, start_ns: u64, end_ns: u64) -> Snapshot {
         Snapshot {
             events: self
@@ -227,7 +228,7 @@ impl Percentiles {
 
 impl PipelineReport {
     /// Percent of the window attributed to `part_ns` (0 when empty).
-    pub fn pct(&self, part_ns: u64) -> f64 {
+    pub(crate) fn pct(&self, part_ns: u64) -> f64 {
         if self.window_ns == 0 {
             0.0
         } else {

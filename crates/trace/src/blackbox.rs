@@ -77,8 +77,8 @@ impl Blackbox {
     /// refused; the recorder itself must never panic — it runs inside fault
     /// handlers). The dump records `reason`, the triggering `batch`, that
     /// batch's causal chain in the open epoch, each thread's recent events
-    /// as an embedded Chrome trace, and the full metrics snapshot; it also ticks
-    /// `blackbox.dumps` and emits a `blackbox.dump` instant on `trace`.
+    /// as an embedded Chrome trace, and the counters' snapshot; it also
+    /// emits a `blackbox.dump` instant on `trace`.
     pub fn dump(&self, trace: &Trace, reason: &str, batch: u64) -> Option<String> {
         let full = trace.snapshot();
         let dumped = Snapshot { events: recent(&full), ..full };
@@ -126,7 +126,6 @@ impl Blackbox {
             return None;
         }
         *lock_tolerant(&self.inner.last) = Some(path.clone());
-        trace.counter(names::counters::BLACKBOX_DUMPS).inc();
         trace.instant(names::events::BLACKBOX_DUMP, batch);
         Some(path)
     }
@@ -221,9 +220,7 @@ mod tests {
         // The embedded trace and metrics are full JSON documents.
         assert!(doc.get("trace").unwrap().get("traceEvents").is_some());
         assert!(doc.get("metrics").unwrap().get("counters").is_some());
-        // Dumping also ticks the counter and emits the instant.
-        let snap = t.snapshot();
-        assert_eq!(snap.metrics.counter(names::counters::BLACKBOX_DUMPS), 1);
-        assert_eq!(snap.count(names::events::BLACKBOX_DUMP), 1);
+        // Dumping also emits the instant.
+        assert_eq!(t.snapshot().count(names::events::BLACKBOX_DUMP), 1);
     }
 }

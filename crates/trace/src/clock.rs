@@ -106,7 +106,7 @@ pub struct VirtualClock {
 
 impl VirtualClock {
     /// A clock frozen at `start_ns` until advanced.
-    pub fn new(start_ns: u64) -> VirtualClock {
+    pub(crate) fn new(start_ns: u64) -> VirtualClock {
         VirtualClock { now: AtomicU64::new(start_ns), tick: 0 }
     }
 
@@ -116,7 +116,7 @@ impl VirtualClock {
     }
 
     /// Reads the clock (and auto-advances it by the configured tick).
-    pub fn now_ns(&self) -> u64 {
+    pub(crate) fn now_ns(&self) -> u64 {
         if self.tick == 0 {
             // Relaxed is sufficient: the value is a monotone logical
             // timestamp; no other memory is published through this load.

@@ -7,6 +7,7 @@
 //! under a [`crate::VirtualClock`] produce byte-identical files.
 
 use crate::analysis::{PipelineReport, Snapshot};
+use crate::names::events;
 use crate::span::{EventKind, NO_BATCH};
 use std::fmt::Write as _;
 
@@ -102,19 +103,11 @@ pub fn chrome_trace(snap: &Snapshot) -> String {
     out
 }
 
-/// Renders every metric instrument as a JSON object:
-/// `{"counters":{..},"gauges":{..}}`.
+/// Renders every counter as a JSON object: `{"counters":{..}}`.
 pub fn metrics_json(snap: &Snapshot) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"counters\": {");
     for (i, (k, v)) in snap.metrics.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\n    \"{}\": {v}", json_escape(k));
-    }
-    out.push_str("\n  },\n  \"gauges\": {");
-    for (i, (k, v)) in snap.metrics.gauges.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -199,19 +192,22 @@ pub fn render_report(r: &PipelineReport, snap: &Snapshot) -> String {
             let _ = writeln!(out, "  {label}: n={} p50={p50} p95={p95} p99={p99}", p.n);
         }
     }
+    // Batch prep's faults, counted from the snapshot's own events: a
+    // window's report names the faults inside it.
     let faults = [
-        crate::names::counters::RETRIES,
-        crate::names::counters::FAILED_BATCHES,
-        crate::names::counters::RESPAWNS,
-    ];
-    if faults.iter().any(|c| snap.metrics.counter(c) > 0) {
-        let _ = writeln!(
-            out,
-            "  faults: retries={} failed_batches={} respawns={}",
-            snap.metrics.counter(faults[0]),
-            snap.metrics.counter(faults[1]),
-            snap.metrics.counter(faults[2])
-        );
+        ("retries", events::RETRY),
+        ("failed_batches", events::FAILED_BATCH),
+        ("worker_panics", events::WORKER_PANIC),
+        ("respawns", events::RESPAWN),
+        ("degraded_inline", events::DEGRADED_INLINE),
+    ]
+    .map(|(label, name)| (label, snap.count(name)));
+    if faults.iter().any(|&(_, n)| n > 0) {
+        let _ = write!(out, "  faults:");
+        for (label, n) in faults {
+            let _ = write!(out, " {label}={n}");
+        }
+        out.push('\n');
     }
     out
 }
@@ -221,7 +217,7 @@ mod tests {
     use super::*;
     use crate::analysis::analyze;
     use crate::clock::Clock;
-    use crate::names::{counters, events, spans};
+    use crate::names::{counters, spans};
     use crate::span::Trace;
 
     fn sample_trace() -> Trace {
@@ -231,7 +227,7 @@ mod tests {
         t.record_span(spans::STAGE_PREP, 1, 600_000, 900_000);
         t.record_span_counts(spans::PREP_SLICE, 1, 650_000, 700_000, [4_096, 0]);
         t.instant(events::RETRY, 1);
-        t.counter(counters::RETRIES).add(2);
+        t.counter(counters::SERVE_ADMITTED).add(2);
         t
     }
 
@@ -249,10 +245,9 @@ mod tests {
     }
 
     #[test]
-    fn metrics_json_lists_counters_and_gauges() {
+    fn metrics_json_lists_counters() {
         let json = metrics_json(&sample_trace().snapshot());
-        assert!(json.contains("\"fault.retries\": 2"));
-        assert!(json.contains("\"gauges\": {"));
+        assert!(json.contains("\"serve.admitted\": 2"));
         assert!(crate::json::parse(&json).is_ok());
     }
 
@@ -267,6 +262,13 @@ mod tests {
         assert!(text.contains("prep work: n=1 p50=0.050 ms"), "{text}");
         assert!(text.contains("stage.train: n=1 p50=0.600 ms"), "{text}");
         assert!(!text.contains("warmup"), "{text}");
+        assert!(
+            text.contains("faults: retries=1 failed_batches=0 worker_panics=0 respawns=0 degraded_inline=0"),
+            "{text}"
+        );
+        // A window without the retry reports no faults.
+        let window = snap.window(600_000, 1_000_000);
+        assert!(!render_report(&analyze(&window), &window).contains("faults"));
     }
 
     #[test]

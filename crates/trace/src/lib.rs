@@ -15,9 +15,12 @@
 //!   thread's own log in the registry, where [`Trace::snapshot`] and the
 //!   flight recorder ([`blackbox`]) both read them. A span is the one
 //!   record of its batch's work: its duration and the counts it covered
-//!   (nodes, edges, bytes; [`SpanEvent::counts`]). Counters and gauges,
-//!   `Arc`'d atomics, hold only events no span covers (faults, admission,
-//!   ring traffic). A disabled handle records nothing, reads no clock, and
+//!   (nodes, edges, bytes; [`SpanEvent::counts`]). A rare fact (a fault,
+//!   a ladder or breaker move, a dump) is one point event
+//!   ([`Trace::instant`]), counted from the snapshot, so a window of the
+//!   trace says whose faults it shows. A counter, an `Arc`'d atomic, holds
+//!   only a per-request fact no span covers (admissions, sheds, transfer
+//!   bytes). A disabled handle records nothing, reads no clock, and
 //!   allocates nothing on the span fast path.
 //! * [`analysis`] — one pass ([`attribute`]) over a [`Snapshot`] of span
 //!   intervals, reading each span's meaning off one span-role table:
@@ -74,12 +77,12 @@ pub use analysis::{
 };
 pub use blackbox::Blackbox;
 pub use clock::{Clock, VirtualClock};
-pub use metrics::{Counter, Gauge, MetricsSnapshot};
+pub use metrics::{Counter, MetricsSnapshot};
 pub use span::{EventKind, SpanEvent, SpanGuard, Trace, NO_BATCH};
 
 /// Locks `m`, recovering the guard if a previous holder panicked: every
-/// table this crate guards (the thread logs and their events, instrument
-/// maps, the flight recorder's path slot) holds plain data a panic cannot
+/// table this crate guards (the thread logs and their events, the counter
+/// map, the flight recorder's path slot) holds plain data a panic cannot
 /// leave half-updated, and observability — the flight recorder above all —
 /// must keep working *after* a panic. The crate's one copy of
 /// `salient_tensor::sync::lock_unpoisoned` (this is a dependency-free leaf).

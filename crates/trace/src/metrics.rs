@@ -1,13 +1,16 @@
-//! Metric instruments: counters and gauges.
+//! The one metric instrument: counters of per-request facts.
 //!
-//! Handles ([`Counter`], [`Gauge`]) are cheap `Arc`-wrapped atomics: look
-//! one up once (a short registry lock), then update it on the hot path with
-//! plain atomic operations — no locks, no allocation. A duration is not a
-//! metric: it is a span, and its percentiles come from the spans
-//! ([`crate::analysis::Percentiles`]).
+//! A [`Counter`] is a cheap `Arc`-wrapped atomic: look one up once (a short
+//! registry lock), then update it on the hot path with a plain atomic add —
+//! no lock, no allocation. A counter holds only a fact that happens per
+//! request and that no span covers (admissions, sheds, completions, the
+//! bytes the transfer stage moves). A duration is a span and its
+//! percentiles come from the spans ([`crate::analysis::Percentiles`]); a
+//! rare fact (a fault, a ladder or breaker move, a dump) is a point event,
+//! counted from the snapshot, so a window of the trace says whose it is.
 
 use crate::lock_tolerant;
-use crate::names::{CounterName, GaugeName};
+use crate::names::CounterName;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -17,12 +20,6 @@ use std::sync::{Arc, Mutex};
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// A counter not attached to any registry (all updates are discarded at
-    /// snapshot time; used by disabled tracing handles).
-    pub fn detached() -> Counter {
-        Counter::default()
-    }
-
     /// Adds `v`.
     pub fn add(&self, v: u64) {
         // Relaxed: pure monotone statistic, read only at snapshot time.
@@ -35,77 +32,39 @@ impl Counter {
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    fn get(&self) -> u64 {
         // Relaxed: snapshot read of a statistic.
         self.0.load(Ordering::Relaxed)
     }
 }
 
-/// A last-value-wins gauge.
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// A gauge not attached to any registry.
-    pub fn detached() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Sets the gauge.
-    pub fn set(&self, v: u64) {
-        // Relaxed: last-writer-wins statistic, read only at snapshot time.
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        // Relaxed: snapshot read of a statistic.
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// The instrument registry behind a tracing handle: every map under one
-/// lock, so a snapshot never holds one map's lock while it takes another's.
-/// Lookups are cold (hot code holds the returned handle).
+/// The counter registry behind a tracing handle. Lookups are cold (hot code
+/// holds the returned handle).
 #[derive(Debug, Default)]
 pub(crate) struct Metrics {
-    instruments: Mutex<Instruments>,
-}
-
-#[derive(Debug, Default)]
-struct Instruments {
-    counters: BTreeMap<&'static str, Counter>,
-    gauges: BTreeMap<&'static str, Gauge>,
+    counters: Mutex<BTreeMap<&'static str, Counter>>,
 }
 
 impl Metrics {
     /// The counter named `name`, created on first use.
     pub(crate) fn counter(&self, name: CounterName) -> Counter {
-        lock_tolerant(&self.instruments).counters.entry(name.as_str()).or_default().clone()
+        lock_tolerant(&self.counters).entry(name.as_str()).or_default().clone()
     }
 
-    /// The gauge named `name`, created on first use.
-    pub(crate) fn gauge(&self, name: GaugeName) -> Gauge {
-        lock_tolerant(&self.instruments).gauges.entry(name.as_str()).or_default().clone()
-    }
-
-    /// Snapshots every instrument (sorted by name).
+    /// Snapshots every counter (sorted by name).
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        let ins = lock_tolerant(&self.instruments);
+        let counters = lock_tolerant(&self.counters);
         MetricsSnapshot {
-            counters: ins.counters.iter().map(|(k, v)| (k.to_string(), v.get())).collect(),
-            gauges: ins.gauges.iter().map(|(k, v)| (k.to_string(), v.get())).collect(),
+            counters: counters.iter().map(|(k, v)| (k.to_string(), v.get())).collect(),
         }
     }
 }
 
-/// Frozen values of every instrument in a registry.
+/// Frozen values of every counter in a registry.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// Counter values, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Gauge values, sorted by name.
-    pub gauges: Vec<(String, u64)>,
 }
 
 impl MetricsSnapshot {
@@ -132,10 +91,8 @@ mod tests {
         a.add(2);
         b.add(3);
         assert_eq!(m.counter(x).get(), 5);
-        m.gauge(GaugeName::new("g")).set(7);
         let snap = m.snapshot();
         assert_eq!(snap.counter("x"), 5);
-        assert_eq!(snap.gauges, vec![("g".to_string(), 7)]);
         assert_eq!(snap.counter("absent"), 0);
     }
 }

@@ -1,4 +1,5 @@
-//! The registry of well-known span, counter, gauge, and event names used by the instrumented pipeline (the observability analogue of
+//! The registry of well-known span, counter, and event names used by the
+//! instrumented pipeline (the observability analogue of
 //! `salient_fault::sites`).
 //!
 //! Each kind of name is a newtype over `&'static str` whose constructor is
@@ -59,8 +60,6 @@ name_types! {
     SpanName,
     /// A counter name from [`counters`].
     CounterName,
-    /// A gauge (and counter-track) name from [`gauges`].
-    GaugeName,
     /// A point-event name from [`events`].
     EventName,
 }
@@ -141,14 +140,17 @@ registry! {
     /// `salient paper fig2`: one timed pass of a sampler design-space variant
     /// (Figure 2); the batch field is the variant's index.
     BENCH_SAMPLE_VARIANT = "bench.sample_variant",
-    /// One DDP ring-link send (causal edge: this rank → next rank).
+    /// One DDP ring-link send (causal edge: this rank → next rank). Counts:
+    /// the payload bytes sent, then 0.
     DDP_RING_SEND = "ddp.ring_send",
     /// One DDP ring-link receive (causal edge: previous rank → this rank).
     DDP_RING_RECV = "ddp.ring_recv",
 }
 
 registry! {
-    /// Counter names.
+    /// Counter names. A counter holds only a per-request fact, one that
+    /// no span covers; every rare fact (a fault, a ladder or breaker move,
+    /// a dump) is an event in [`events`], and a snapshot counts them.
     pub mod counters: CounterName;
 
     /// Packed bytes the trainer pulled through the transfer stage (staged
@@ -156,22 +158,6 @@ registry! {
     /// this is ~half the f32 figure — the paper's optimization (iii) made
     /// visible in the epoch report.
     TRANSFER_BYTES = "transfer.bytes",
-    /// Per-item panics caught inside prep workers.
-    ITEM_PANICS = "fault.item_panics",
-    /// Prep work items attempted again after a caught panic.
-    RETRIES = "fault.retries",
-    /// Batches that exhausted their retry budget.
-    FAILED_BATCHES = "fault.failed_batches",
-    /// Prep-worker incarnations that died outside the per-item guard.
-    WORKER_PANICS = "fault.worker_panics",
-    /// Prep-worker incarnations started in a dead one's place.
-    RESPAWNS = "fault.respawns",
-    /// Epochs the last worker to leave finished with inline preparation.
-    DEGRADED = "fault.degraded_inline",
-    /// Payload bytes sent over DDP ring links.
-    DDP_BYTES = "ddp.bytes_sent",
-    /// DDP ring steps completed.
-    DDP_STEPS = "ddp.steps",
     /// Serving requests accepted past admission control.
     SERVE_ADMITTED = "serve.admitted",
     /// Serving requests answered with a prediction.
@@ -187,28 +173,6 @@ registry! {
     /// Requests failed alone at the serving per-request boundary: a caught
     /// handler panic or drop, or a node outside the graph.
     SERVE_REQUEST_PANICS = "serve.request_panics",
-    /// Degradation-ladder steps down (fanout reduced).
-    SERVE_DEGRADES = "serve.degrades",
-    /// Degradation-ladder steps up (fanout restored).
-    SERVE_RESTORES = "serve.restores",
-    /// Circuit-breaker Closed→Open transitions.
-    SERVE_BREAKER_OPENS = "serve.breaker_opens",
-    /// Items dropped by a caught panic inside a stage-graph executor stage.
-    PIPE_STAGE_PANICS = "pipe.stage_panics",
-    /// Flight-recorder dumps written by the blackbox exporter.
-    BLACKBOX_DUMPS = "blackbox.dumps",
-}
-
-registry! {
-    /// Gauge names.
-    pub mod gauges: GaugeName;
-
-    /// Serving requests currently queued past admission.
-    QUEUE_DEPTH = "serve.queue_depth",
-    /// Current serving fanout level on the degradation ladder.
-    FANOUT_LEVEL = "serve.fanout_level",
-    /// Circuit-breaker state (0 closed, 1 half-open, 2 open).
-    BREAKER_STATE = "serve.breaker_state",
 }
 
 registry! {
@@ -260,7 +224,6 @@ mod tests {
     fn every_registered_name_is_unique_within_its_kind() {
         assert_unique("span", spans::ALL);
         assert_unique("counter", counters::ALL);
-        assert_unique("gauge", gauges::ALL);
         assert_unique("event", events::ALL);
     }
 
@@ -269,7 +232,7 @@ mod tests {
         // The macro builds `ALL` from the same lines as the constants, so
         // its length is the declaration count.
         assert_eq!(spans::ALL.len(), 21);
-        assert_eq!(counters::ALL.len(), 21);
+        assert_eq!(counters::ALL.len(), 8);
         assert_eq!(spans::ALL[0], spans::EPOCH);
         assert!("warmup" == spans::WARMUP);
     }

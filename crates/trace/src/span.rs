@@ -1,7 +1,7 @@
 //! The tracing handle: one event log per recording thread, read in place.
 //!
 //! A [`Trace`] is either *enabled* (an `Arc`'d registry of per-thread event
-//! logs and metric instruments, all stamped by one shared [`Clock`]) or
+//! logs and counters, all stamped by one shared [`Clock`]) or
 //! *disabled* (a null handle: starting a span reads no clock, allocates
 //! nothing, and records nothing — the hot path is behaviorally identical to
 //! uninstrumented code).
@@ -20,8 +20,8 @@ use crate::analysis::Snapshot;
 use crate::blackbox::Blackbox;
 use crate::clock::Clock;
 use crate::lock_tolerant;
-use crate::metrics::{Counter, Gauge, Metrics};
-use crate::names::{CounterName, EventName, GaugeName, SpanName};
+use crate::metrics::{Counter, Metrics};
+use crate::names::{CounterName, EventName, SpanName};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -148,12 +148,14 @@ static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 ///     let _span = trace.span(names::spans::STAGE_TRAIN);
 /// } // recorded on drop
 /// trace.record_span_counts(names::spans::PREP_SLICE, 0, 0, 500, [4_096, 0]);
-/// trace.counter(names::counters::RETRIES).inc();
+/// trace.instant(names::events::RETRY, 3);
+/// trace.counter(names::counters::SERVE_ADMITTED).inc();
 /// let snap = trace.snapshot();
-/// assert_eq!(snap.events.len(), 2);
+/// assert_eq!(snap.events.len(), 3);
 /// assert_eq!(snap.events[1].dur_ns(), 1_000);
 /// assert_eq!(snap.events[0].counts, [4_096, 0]);
-/// assert_eq!(snap.metrics.counter(names::counters::RETRIES), 1);
+/// assert_eq!(snap.count(names::events::RETRY), 1);
+/// assert_eq!(snap.metrics.counter(names::counters::SERVE_ADMITTED), 1);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
@@ -211,11 +213,6 @@ impl Trace {
         }
     }
 
-    /// Reads the handle's clock.
-    pub fn now_ns(&self) -> u64 {
-        self.clock().now_ns()
-    }
-
     /// Starts a span; it is recorded when the guard drops.
     pub fn span(&self, name: SpanName) -> SpanGuard<'_> {
         self.span_batch(name, NO_BATCH)
@@ -235,7 +232,7 @@ impl Trace {
     }
 
     /// Records an interval from already-known timestamps (for callers that
-    /// measured with [`Trace::now_ns`] themselves).
+    /// read [`Trace::clock`] themselves).
     pub fn record_span(&self, name: SpanName, batch: u64, start_ns: u64, end_ns: u64) {
         self.record_span_counts(name, batch, start_ns, end_ns, [0; 2]);
     }
@@ -279,28 +276,13 @@ impl Trace {
         }
     }
 
-    /// The counter named `name` (a detached dummy when disabled, so handles
-    /// can be acquired unconditionally outside hot loops).
+    /// The counter named `name` (a detached one, read by nothing, when
+    /// disabled, so handles can be acquired unconditionally outside hot
+    /// loops).
     pub fn counter(&self, name: CounterName) -> Counter {
         match &self.inner {
             Some(inner) => inner.metrics.counter(name),
-            None => Counter::detached(),
-        }
-    }
-
-    /// The gauge named `name`.
-    pub fn gauge(&self, name: GaugeName) -> Gauge {
-        match &self.inner {
-            Some(inner) => inner.metrics.gauge(name),
-            None => Gauge::detached(),
-        }
-    }
-
-    /// Convenience counter add (cold paths; hot paths should hold a
-    /// [`Counter`] handle instead).
-    pub fn add(&self, name: CounterName, v: u64) {
-        if let Some(inner) = &self.inner {
-            inner.metrics.counter(name).add(v);
+            None => Counter::default(),
         }
     }
 
@@ -382,7 +364,7 @@ mod tests {
             let _s = t.span_batch(SpanName::new("x"), 3);
         }
         t.instant(EventName::new("y"), NO_BATCH);
-        t.add(CounterName::new("c"), 5);
+        t.counter(CounterName::new("c")).add(5);
         t.record_span_counts(SpanName::new("z"), 1, 0, 5, [2, 3]);
         let snap = t.snapshot();
         assert!(snap.events.is_empty());

@@ -15,7 +15,7 @@
 //! * `target/trace_pipeline.json` — Chrome trace-event timeline
 //!   (load in `chrome://tracing` or Perfetto), each span with its batch id
 //!   and counts;
-//! * `target/metrics_pipeline.json` — raw counters / gauges.
+//! * `target/metrics_pipeline.json` — the raw counters.
 //!
 //! It then reads the Chrome trace back with the in-repo parser and checks
 //! that the per-batch prep durations and staged bytes it rebuilds from the
@@ -275,7 +275,7 @@ fn main() {
     }
     // No fault fired in this run, so the always-on flight recorder must not
     // have dumped anything.
-    let dumps = snap.metrics.counter(names::counters::BLACKBOX_DUMPS);
+    let dumps = snap.count(names::events::BLACKBOX_DUMP);
     assert_eq!(dumps, 0, "clean run must not trigger a blackbox dump");
 
     // Part 2: measure real pipelining where the prep workers and the

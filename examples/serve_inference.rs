@@ -161,7 +161,7 @@ fn drive(core: &mut ServerCore, arrivals: &[loadgen::Arrival]) -> PointStats {
         shed_overload: c(names::counters::SERVE_SHED_OVERLOAD),
         shed_infeasible: c(names::counters::SERVE_SHED_INFEASIBLE),
         expired: c(names::counters::SERVE_EXPIRED),
-        degrades: c(names::counters::SERVE_DEGRADES),
+        degrades: snap.count(names::events::SERVE_DEGRADE) as u64,
         throughput_rps: completed as f64 / elapsed_s,
         p50_ns: latency.p50,
         p95_ns: latency.p95,

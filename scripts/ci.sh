@@ -102,9 +102,7 @@ echo "== tests again, one at a time (--test-threads=1)"
 # — shared process-global state, an allocation counter, a fault plan —
 # shows up as a difference between this run and the one above.
 cargo test --workspace -q --offline -- --test-threads=1
-# Both passes hold the gates no tier below repeats: the fault-injection
-# matrix (tests/fault_matrix.rs; every plan there is built with its own
-# seed); the f16 feature store moving <= 55% of the f32 store's
+# Both passes hold the gates no tier below repeats: the f16 feature store moving <= 55% of the f32 store's
 # transfer.bytes, and training at both dtypes (tests/mixed_precision.rs);
 # the staging slot back in its pool after every scenario
 # (tests/fault_matrix.rs, tests/steady_state.rs), and the pool handing out
@@ -114,6 +112,17 @@ cargo test --workspace -q --offline -- --test-threads=1
 # --executor, --dataset, paper artifact, number (among them a `sample` or
 # `paper` --scale at which a preset overflows a NodeId) or fault variable
 # it does not accept: exits 2 naming what it accepts (tests/cli.rs).
+
+echo "== fault tier: the fault matrix and the serving scenarios again (release)"
+# Every scenario asserts the exact point events its plan implies (one
+# fault.retry and one fault.failed_batch, three worker deaths, seven ladder
+# moves, ...). An optimised build gives the supervised prep loops and the
+# serving steps other interleavings than the two debug passes above do;
+# every plan there is built with its own seed.
+fault_start=$(date +%s.%N)
+cargo test --release -q --offline --test fault_matrix --test serving
+awk -v s="$fault_start" -v e="$(date +%s.%N)" \
+  'BEGIN { printf "fault tier: took %.1f s\n", e - s }'
 
 echo "== sampler tier: the distribution did not change (release, 10^5 draws a cell)"
 # The chi-square comparison of FastSampler against PygSampler and the
@@ -161,8 +170,9 @@ cargo test --release -q --offline -p salient-tensor
 # Each of the four passes is followed by tests/bits.rs on the same rung:
 # three epochs' loss bits of every executor against the constants for that
 # rung (AVX2 and AVX-512 share them; the portable rung, which rounds each
-# product before it adds, has its own) and the digests of the benchmark's
-# two G100k datasets. The four bits runs add ~8 s warm (2 s each).
+# product before it adds, has its own), the digests of the benchmark's
+# two G100k datasets, of a warm FastSampler's MFGs and of a seeded serving
+# replay's answers. The four bits runs add ~8 s warm (2 s each).
 cargo test --release -q --offline --test bits
 SALIENT_NUM_THREADS=1 cargo test --release -q --offline -p salient-tensor -p salient-nn
 SALIENT_NUM_THREADS=1 cargo test --release -q --offline --test bits

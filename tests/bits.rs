@@ -4,7 +4,7 @@
 //! as it is; one that moves a bit on purpose updates the constant and says
 //! why.
 //!
-//! Two families:
+//! Four families:
 //! * the `mean_loss` bits of three epochs of `DatasetConfig::tiny(77)` under
 //!   `RunConfig::test_tiny()`: the Baseline executor, the SALIENT executor at
 //!   one batch-prep worker, and `train_ddp` at two ranks (batch 32), each
@@ -13,9 +13,14 @@
 //!   benchmark's (products-like, 100 f16 features, a 2 048-node train split)
 //!   at its two seeds: CSR arrays, feature bits, labels and splits. Release
 //!   builds digest the benchmark's own `G100k`; debug builds, which generate
-//!   slowly, the `G10k` shape (as the graph crate's oracle tests do).
+//!   slowly, the `G10k` shape (as the graph crate's oracle tests do);
+//! * an FNV-1a digest of the MFGs a warm `FastSampler` draws over
+//!   `tiny(77)`'s train split: node ids and each hop's edge lists;
+//! * an FNV-1a digest of the answers of a seeded `serve::run_trace` replay
+//!   (a bursty trace on a ticking virtual clock, so the ladder moves): each
+//!   answered request's id, class and fanout level.
 //!
-//! The losses are keyed by GEMM rung (`SALIENT_GEMM_KERNEL`, else what CPUID
+//! The losses and the serving answers are keyed by GEMM rung (`SALIENT_GEMM_KERNEL`, else what CPUID
 //! picks). The AVX2 and AVX-512 rungs agree bit for bit: both sum each
 //! output element's K products in the same order, one fused multiply-add a
 //! step. The portable rung rounds each product and adds four of them before
@@ -26,8 +31,11 @@
 use salient_repro::core::checkpoint::fnv1a_update;
 use salient_repro::core::{train_ddp, ExecutorKind, RunConfig, Trainer};
 use salient_repro::graph::{Dataset, DatasetConfig, FeatureSlab};
+use salient_repro::sampler::FastSampler;
+use salient_repro::serve::{loadgen, run_trace, Response, ServeConfig, ServerCore};
 use salient_repro::tensor::kernels::gemm_kernel_level;
 use salient_repro::tensor::Dtype;
+use salient_repro::trace::{Clock, Trace};
 use std::sync::Arc;
 
 /// Which run produced a row of losses.
@@ -65,6 +73,15 @@ const PORTABLE_LOSSES: [(Run, Dtype, [u64; 3]); 6] = [
 /// and at `G10k` (debug).
 const DIGESTS_G100K: [(u64, u64); 2] = [(2868, 0x4788_82d4_00d6_e448), (94_445_095, 0x5572_9d0d_a8ef_6d4a)];
 const DIGESTS_G10K: [(u64, u64); 2] = [(2868, 0xc19f_bd52_675f_977c), (94_445_095, 0x3ffe_4f9f_ead3_41a4)];
+
+/// The MFGs of a warm `FastSampler` over `tiny(77)`'s train split.
+const WARM_MFG_DIGEST: u64 = 0xe17a_e64c_ff88_bbf7;
+
+/// The seeded serving replay's answers on the AVX2 / AVX-512 rungs and on
+/// the portable rung. They agree: an argmax absorbs the portable rung's
+/// last-bit differences in this replay.
+const SERVE_ANSWERS_VECTOR: u64 = 0x2add_65d3_6040_0e39;
+const SERVE_ANSWERS_PORTABLE: u64 = 0x2add_65d3_6040_0e39;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -144,4 +161,63 @@ fn the_benchmark_datasets_repeat_their_digests() {
         .map(|(seed, want, got)| format!("seed {seed}: {got:#018x}, expected {want:#018x}"))
         .collect();
     assert!(moved.is_empty(), "G{}k digests moved:\n{}", nodes / 1000, moved.join("\n"));
+}
+
+#[test]
+fn a_warm_fast_sampler_repeats_its_mfgs() {
+    let ds = DatasetConfig::tiny(77).build();
+    let mut sampler = FastSampler::new(77);
+    let batches: Vec<_> = ds.splits.train.chunks(64).collect();
+    // A first pass grows the sampler's tables; the second is digested.
+    for batch in &batches {
+        sampler.sample(&ds.graph, batch, &[10, 5]);
+    }
+    let mut hash = FNV_OFFSET;
+    let mut feed = |words: &[u32]| words.iter().for_each(|w| hash = fnv1a_update(hash, &w.to_le_bytes()));
+    for batch in &batches {
+        let mfg = sampler.sample(&ds.graph, batch, &[10, 5]);
+        feed(&mfg.node_ids);
+        for layer in &mfg.layers {
+            feed(&layer.edge_src);
+            feed(&layer.edge_dst);
+        }
+    }
+    assert_eq!(hash, WARM_MFG_DIGEST, "the MFG digest moved: {hash:#018x}");
+}
+
+#[test]
+fn a_seeded_serving_replay_repeats_its_answers() {
+    let ds = Arc::new(DatasetConfig::tiny(77).build());
+    // One batch-prep worker: batches arrive in one order, so the model is
+    // the same on every run.
+    let config = RunConfig { epochs: 1, num_workers: 1, ..RunConfig::test_tiny() };
+    let mut trainer = Trainer::new(Arc::clone(&ds), config);
+    trainer.fit();
+    // A short queue that counts as pressured from half full: the queue a
+    // burst leaves behind drains through pressured batches.
+    let cfg = ServeConfig {
+        max_batch: 4,
+        queue_capacity: 12,
+        pressure_occupancy: 0.5,
+        restore_after: 6,
+        seed: 77,
+        ..ServeConfig::default()
+    };
+    let trace = Trace::new(Clock::virtual_with_tick(1_000));
+    let mut core = ServerCore::new(trainer.into_model(), Arc::clone(&ds), cfg, trace);
+    // Bursts fill the queue; calm phases are too short to restore all the
+    // way, so answers come at all three fanout levels.
+    let arrivals =
+        loadgen::bursty_trace(77, 10_000.0, 400_000.0, 500_000, 4_000_000, ds.graph.num_nodes(), 2_000_000);
+    let mut hash = FNV_OFFSET;
+    for (id, response) in run_trace(&mut core, &arrivals) {
+        if let Response::Done { class, fanout_level, .. } = response {
+            for word in [id, u64::from(class), fanout_level as u64] {
+                hash = fnv1a_update(hash, &word.to_le_bytes());
+            }
+        }
+    }
+    let rung = gemm_kernel_level();
+    let want = if rung == "portable" { SERVE_ANSWERS_PORTABLE } else { SERVE_ANSWERS_VECTOR };
+    assert_eq!(hash, want, "on the {rung} rung the serving answers moved: {hash:#018x}");
 }

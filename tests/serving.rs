@@ -225,7 +225,6 @@ fn breaker_walks_closed_open_half_open_closed_deterministically() {
     }
 
     let snap = core.trace().snapshot();
-    assert_eq!(snap.metrics.counter(names::counters::SERVE_BREAKER_OPENS), 1);
     assert_eq!(snap.metrics.counter(names::counters::SERVE_SHED_BREAKER), 1);
     assert_eq!(snap.count(names::events::SERVE_BREAKER_OPEN), 1);
     assert_eq!(snap.count(names::events::SERVE_BREAKER_HALF_OPEN), 1);
@@ -241,7 +240,7 @@ fn breaker_walks_closed_open_half_open_closed_deterministically() {
 /// exactly 20 µs via an injected GEMM delay, so queue pressure is a pure
 /// function of the arrival trace: 1 µs burst gaps pile the queue up
 /// faster than batches retire, 20 µs calm gaps drain one-for-one.
-fn run_bursty(seed: u64) -> (Vec<(u64, Response)>, u64, u64) {
+fn run_bursty(seed: u64) -> (Vec<(u64, Response)>, usize, usize) {
     let ds = dataset();
     let model = Trainer::new(Arc::clone(&ds), RunConfig::test_tiny()).into_model();
     let trace = Trace::new(Clock::virtual_manual());
@@ -267,8 +266,8 @@ fn run_bursty(seed: u64) -> (Vec<(u64, Response)>, u64, u64) {
     let snap = core.trace().snapshot();
     (
         responses,
-        snap.metrics.counter(names::counters::SERVE_DEGRADES),
-        snap.metrics.counter(names::counters::SERVE_RESTORES),
+        snap.count(names::events::SERVE_DEGRADE),
+        snap.count(names::events::SERVE_RESTORE),
     )
 }
 
@@ -276,8 +275,9 @@ fn run_bursty(seed: u64) -> (Vec<(u64, Response)>, u64, u64) {
 fn ladder_degrades_under_bursts_restores_in_calm_and_replays_identically() {
     let _s = serial();
     let (responses, degrades, restores) = run_bursty(41);
-    assert!(degrades >= 1, "bursts must push the ladder down (degrades={degrades})");
-    assert!(restores >= 1, "calm must restore fidelity (restores={restores})");
+    // Bursts push the ladder down and calm restores it, seven times each:
+    // on a manual clock the moves are a function of the arrival trace.
+    assert_eq!((degrades, restores), (7, 7));
     // Some answers were served degraded, some at full quality.
     let levels: Vec<usize> = responses
         .iter()
@@ -378,7 +378,7 @@ fn a_node_outside_the_graph_fails_alone_and_its_batch_is_served() {
     }
     assert_eq!(core.breaker_state(), BreakerState::Closed);
     let snap = core.trace().snapshot();
-    assert_eq!(snap.metrics.counter(names::counters::SERVE_BREAKER_OPENS), 0);
+    assert_eq!(snap.count(names::events::SERVE_BREAKER_OPEN), 0);
     assert_eq!(snap.metrics.counter(names::counters::SERVE_REQUEST_PANICS), 3);
     assert_eq!(snap.metrics.counter(names::counters::SERVE_COMPLETED), 9);
 }
