@@ -33,6 +33,7 @@ mod slice;
 
 pub use pinned::{PinnedPool, PinnedSlot};
 pub use prep::{
-    run_epoch, run_epoch_with_pool, BatchResult, PrepConfig, PrepMode, PreparedBatch, SamplerKind,
+    batch_seed, run_epoch, run_epoch_with_pool, BatchResult, PrepConfig, PrepMode, PreparedBatch,
+    SamplerKind,
 };
 pub use slice::{slice_batch, slice_batch_into};

@@ -11,13 +11,16 @@
 //!   reproducing the POSIX-shared-memory hop that "effectively halves the
 //!   observed memory bandwidth"; work is also partitioned statically.
 //!
+//! A worker keeps one sampler and reseeds it from [`batch_seed`] before each
+//! attempt at a batch, so batch `b` is the same MFG whichever worker claims
+//! it, at any worker count, in either mode.
+//!
 //! # Failure model
 //!
 //! Each worker supervises itself. A panic while preparing one work item is
-//! caught on the worker, which rebuilds its sampler and re-attempts the same
-//! item in place up to [`RETRY_BUDGET`] more times (the retry sampler is
-//! seeded from the batch id and attempt, so the retried batch is the same on
-//! any schedule); a batch that exhausts the budget is reported as a terminal
+//! caught on the worker, which re-attempts the same item in place with the
+//! same sampler, reseeded for the next attempt, up to [`RETRY_BUDGET`] more
+//! times; a batch that exhausts the budget is reported as a terminal
 //! [`BatchResult::Failed`] marker — the consumer never waits on a batch that
 //! will not arrive, and the staging slot always returns to the pool. A panic
 //! that escapes the item guard ends that incarnation of the worker: the
@@ -40,7 +43,7 @@ use salient_fault as fault;
 use salient_graph::{Dataset, NodeId};
 use salient_sampler::{FastSampler, MessageFlowGraph, PygSampler};
 use salient_graph::FeatureSlab;
-use salient_tensor::rng::{Rng, StdRng};
+use salient_tensor::rng::derive;
 use salient_trace::{names, Trace, NO_BATCH};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -88,7 +91,8 @@ pub struct PrepConfig {
     pub mode: PrepMode,
     /// Sampler implementation.
     pub sampler: SamplerKind,
-    /// Base RNG seed (each worker derives its own stream).
+    /// The epoch's seed: attempt `a` at batch `b` samples from
+    /// [`batch_seed`]`(seed, b, a)`, whichever worker runs it.
     pub seed: u64,
     /// Tracing handle: workers record per-batch sample/slice/copy spans,
     /// slot-wait backpressure and fault events against it. The default disabled handle makes every recording site a
@@ -163,10 +167,18 @@ enum AnySampler {
 }
 
 impl AnySampler {
-    fn new(kind: SamplerKind, seed: u64) -> AnySampler {
+    /// A sampler of `kind`, never drawn from before a [`AnySampler::reseed`].
+    fn new(kind: SamplerKind) -> AnySampler {
         match kind {
-            SamplerKind::Fast => AnySampler::Fast(FastSampler::new(seed)),
-            SamplerKind::Pyg => AnySampler::Pyg(PygSampler::new(seed)),
+            SamplerKind::Fast => AnySampler::Fast(FastSampler::new(0)),
+            SamplerKind::Pyg => AnySampler::Pyg(PygSampler::new(0)),
+        }
+    }
+
+    fn reseed(&mut self, seed: u64) {
+        match self {
+            AnySampler::Fast(s) => s.reseed(seed),
+            AnySampler::Pyg(s) => s.reseed(seed),
         }
     }
 
@@ -199,19 +211,11 @@ struct WorkerCtx {
     live: AtomicUsize,
 }
 
-fn worker_seed(cfg_seed: u64, worker: usize) -> u64 {
-    cfg_seed ^ (worker as u64) << 32
-}
-
-fn retry_seed(cfg_seed: u64, batch_id: usize, attempt: u32) -> u64 {
-    // Independent of which worker runs the retry: attempt n of batch b is
-    // the same sample stream on every run and every schedule. Each field is
-    // mixed in after the generator's own seeding has scrambled what came
-    // before, so no field can cancel another's bits: the caller's seed may
-    // vary in any bit (the trainer folds its epoch into it).
-    [batch_id as u64, u64::from(attempt)]
-        .into_iter()
-        .fold(cfg_seed, |seed, field| StdRng::seed_from_u64(seed).next_u64() ^ field)
+/// The seed attempt `attempt` at batch `batch_id` samples from, in an
+/// epoch seeded `epoch_seed` ([`PrepConfig::seed`]): the same on every run,
+/// every worker and every schedule. Attempt 0 is the batch's first try.
+pub fn batch_seed(epoch_seed: u64, batch_id: usize, attempt: u32) -> u64 {
+    derive(epoch_seed, &[batch_id as u64, u64::from(attempt)])
 }
 
 /// Handle to an in-flight epoch of batch preparation: iterate the receiver
@@ -392,7 +396,7 @@ fn supervise_worker(ctx: &WorkerCtx, id: usize) {
 /// One incarnation of a worker: claims and prepares items until the source
 /// has none for it, the epoch is cancelled or the consumer hangs up.
 fn worker_loop(ctx: &WorkerCtx, worker: usize) {
-    let mut sampler = AnySampler::new(ctx.cfg.sampler, worker_seed(ctx.cfg.seed, worker));
+    let mut sampler = AnySampler::new(ctx.cfg.sampler);
     let mut private = FeatureSlab::new(ctx.dataset.features.dtype(), 0);
     let mut private_labels: Vec<u32> = Vec::new();
     while !ctx.cancel.load(Ordering::Acquire) {
@@ -400,7 +404,7 @@ fn worker_loop(ctx: &WorkerCtx, worker: usize) {
             break;
         };
         let Some(result) =
-            prepare_with_retries(ctx, worker, &mut sampler, &item, &mut private, &mut private_labels)
+            prepare_with_retries(ctx, &mut sampler, &item, &mut private, &mut private_labels)
         else {
             break; // cancelled while waiting for a slot
         };
@@ -419,11 +423,12 @@ fn worker_loop(ctx: &WorkerCtx, worker: usize) {
 
 /// Prepares `item` under `catch_unwind`, re-attempting it in place after a
 /// panic until [`RETRY_BUDGET`] is spent and the batch is reported as
-/// [`BatchResult::Failed`]. Returns `None` if the epoch was cancelled while
-/// waiting for a staging slot.
+/// [`BatchResult::Failed`]. Each attempt reseeds `sampler` from
+/// [`batch_seed`]; a sampler that unwound mid-batch samples as a fresh one
+/// once reseeded. Returns `None` if the epoch was cancelled while waiting
+/// for a staging slot.
 fn prepare_with_retries(
     ctx: &WorkerCtx,
-    worker: usize,
     sampler: &mut AnySampler,
     item: &WorkItem,
     private: &mut FeatureSlab,
@@ -432,22 +437,12 @@ fn prepare_with_retries(
     let trace = &ctx.cfg.trace;
     let bid = item.batch_id as u64;
     for attempt in 0..=RETRY_BUDGET {
-        // A retry gets a fresh sampler seeded from the batch and attempt so
-        // it draws the same stream whichever worker caught the panic;
-        // attempt 0 uses the worker's persistent sampler (the fast path).
-        let mut retry_sampler = (attempt > 0)
-            .then(|| AnySampler::new(ctx.cfg.sampler, retry_seed(ctx.cfg.seed, item.batch_id, attempt)));
+        sampler.reseed(batch_seed(ctx.cfg.seed, item.batch_id, attempt));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let s = retry_sampler.as_mut().unwrap_or(&mut *sampler);
-            prepare_item(ctx, s, item, private, private_labels)
+            prepare_item(ctx, sampler, item, private, private_labels)
         }));
         if let Ok(prepared) = outcome {
             return prepared.map(BatchResult::Ready);
-        }
-        if attempt == 0 {
-            // The persistent sampler may have been mid-update when it
-            // unwound; rebuild it before it touches another batch.
-            *sampler = AnySampler::new(ctx.cfg.sampler, worker_seed(ctx.cfg.seed, worker));
         }
         if attempt < RETRY_BUDGET {
             trace.instant(names::events::RETRY, bid);
@@ -714,18 +709,18 @@ mod tests {
     }
 
     #[test]
-    fn retry_streams_are_distinct_across_epochs_batches_and_attempts() {
-        // The trainer folds its epoch into the prep seed at bit 16; a batch
-        // id shifted into the same bits would replay another epoch's retry.
-        let mut seen = std::collections::HashSet::new();
-        for epoch in 0..4u64 {
+    fn batch_streams_are_distinct_across_epochs_batches_and_attempts() {
+        // Epoch seeds as a caller derives them from its run's seed 7, which
+        // is also where its weights are drawn: no batch's stream may start
+        // there, first attempts included.
+        let mut seen = std::collections::HashSet::from([7]);
+        for epoch in 0..4 {
             for batch_id in 0..1024 {
-                for attempt in 1..=2 {
-                    let seed = retry_seed(7 ^ epoch << 16, batch_id, attempt);
+                for attempt in 0..=2 {
+                    let seed = batch_seed(derive(7, &[epoch]), batch_id, attempt);
                     assert!(seen.insert(seed), "epoch {epoch} batch {batch_id} attempt {attempt}");
                 }
             }
         }
-        assert!((0..4).all(|w| !seen.contains(&worker_seed(7, w))));
     }
 }

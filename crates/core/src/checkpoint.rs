@@ -137,16 +137,6 @@ impl Checkpoint {
         }
     }
 
-    /// Number of stored tensors.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the checkpoint is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Adds or replaces a tensor.
     pub fn insert(&mut self, name: impl Into<String>, tensor: Tensor) {
         let name = name.into();
@@ -155,11 +145,6 @@ impl Checkpoint {
         } else {
             self.entries.push((name, tensor));
         }
-    }
-
-    /// Looks up a tensor by name.
-    pub fn get(&self, name: &str) -> Option<&Tensor> {
-        self.entries.iter().find(|(n, _)| n == name).map(|(_, t)| t)
     }
 
     /// Restores parameters into a model by name. Every model parameter must
@@ -355,7 +340,7 @@ mod tests {
         ckpt.write_to(&mut buf).unwrap();
         let back = Checkpoint::read_from(&mut buf.as_slice()).unwrap();
         assert_eq!(ckpt, back);
-        assert_eq!(back.get("a").unwrap().data(), &[1.0, -2.5, 3.25]);
+        assert_eq!(back.entries[0].1.data(), &[1.0, -2.5, 3.25]);
     }
 
     #[test]
@@ -453,7 +438,7 @@ mod tests {
         }
         // A zero-element tensor of plausible dims still loads.
         let back = Checkpoint::read_from(&mut crafted(&[0, 3]).as_slice()).unwrap();
-        assert_eq!(back.get("w").unwrap().shape().dims(), &[0, 3]);
+        assert_eq!(back.entries[0].1.shape().dims(), &[0, 3]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Run configuration mirroring the paper's Table 5.
 
 use salient_nn::ModelKind;
+use salient_tensor::rng::derive;
 
 /// Which execution pipeline to use (the Figure-1 comparison).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,7 +42,8 @@ pub struct RunConfig {
     /// with two or more; with one the epoch runs prepare, train, prepare, …
     /// in turn.
     pub slots: usize,
-    /// Base RNG seed.
+    /// Base RNG seed: `build_model` draws the initial weights from it, and
+    /// every other generator of the run from a `Stream` derived from it.
     pub seed: u64,
     /// Execution pipeline.
     pub executor: ExecutorKind,
@@ -94,7 +96,7 @@ impl RunConfig {
     ///
     /// Panics if fanout lists do not match `num_layers`, a size is zero, or
     /// there is no staging slot.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert_eq!(
             self.train_fanouts.len(),
             self.num_layers,
@@ -113,9 +115,66 @@ impl RunConfig {
     }
 }
 
+/// Every generator a training run draws from besides the initial weights,
+/// which start at [`RunConfig::seed`] itself: one [`derive`] from that seed
+/// each, named by a tag and fields, so no two share a stream and none is
+/// the weights'.
+pub(crate) enum Stream {
+    /// The `Trainer`'s generator: epoch shuffles and dropout.
+    Trainer,
+    /// `Trainer::evaluate_sampled`'s sampler.
+    Eval,
+    /// An epoch's `PrepConfig::seed`, under either executor: attempt `a` at
+    /// batch `b` samples from `batchprep::batch_seed(this, b, a)`.
+    Prep { epoch: usize },
+    /// DDP: the shuffle every rank makes, one rank's dropout, and one
+    /// rank's shard of one step.
+    DdpShuffle { epoch: usize },
+    DdpDropout { rank: usize },
+    DdpShard { epoch: usize, step: usize, rank: usize },
+}
+
+impl Stream {
+    /// This stream's seed in a run seeded `run_seed`.
+    pub(crate) fn seed(self, run_seed: u64) -> u64 {
+        let n = |x: usize| x as u64;
+        match self {
+            Stream::Trainer => derive(run_seed, &[0]),
+            Stream::Eval => derive(run_seed, &[1]),
+            Stream::Prep { epoch } => derive(run_seed, &[2, n(epoch)]),
+            Stream::DdpShuffle { epoch } => derive(run_seed, &[3, n(epoch)]),
+            Stream::DdpDropout { rank } => derive(run_seed, &[4, n(rank)]),
+            Stream::DdpShard { epoch, step, rank } => derive(run_seed, &[5, n(epoch), n(step), n(rank)]),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn no_two_streams_of_a_run_share_a_seed_and_none_is_the_weights() {
+        for run_seed in [0, 7, 2868] {
+            let mut seeds = vec![Stream::Trainer.seed(run_seed), Stream::Eval.seed(run_seed)];
+            for epoch in 0..4 {
+                let prep = Stream::Prep { epoch }.seed(run_seed);
+                for batch_id in 0..64 {
+                    seeds.extend((0..=2).map(|attempt| salient_batchprep::batch_seed(prep, batch_id, attempt)));
+                }
+                seeds.push(Stream::DdpShuffle { epoch }.seed(run_seed));
+            }
+            for rank in 0..4 {
+                seeds.push(Stream::DdpDropout { rank }.seed(run_seed));
+                for (epoch, step) in (0..4).flat_map(|epoch| (0..64).map(move |step| (epoch, step))) {
+                    seeds.push(Stream::DdpShard { epoch, step, rank }.seed(run_seed));
+                }
+            }
+            let mut distinct = std::collections::HashSet::from([run_seed]);
+            let repeated: Vec<_> = seeds.iter().filter(|&&s| !distinct.insert(s)).collect();
+            assert!(repeated.is_empty(), "run seed {run_seed}: {repeated:x?} repeat a stream or the weights");
+        }
+    }
 
     #[test]
     fn default_is_valid() {

@@ -17,7 +17,7 @@
 //! catches a rank's panic: a rank that outlived one would be a step behind
 //! its peers and would feed the wrong buffer into their next collective.
 
-use crate::config::RunConfig;
+use crate::config::{RunConfig, Stream};
 use crate::train::train_step;
 use salient_ddp::{average_model_gradients, sync_model, CommError, Communicator};
 use salient_fault as fault;
@@ -187,8 +187,8 @@ fn rank_loop(
     );
     sync_model(&comm, model.as_mut())?;
     let mut opt = Adam::new(config.learning_rate);
-    let mut sampler = FastSampler::new(config.seed ^ (rank as u64) << 40);
-    let mut dropout_rng = StdRng::seed_from_u64(config.seed ^ (rank as u64) << 24);
+    let mut sampler = FastSampler::new(0); // reseeded for each step's shard
+    let mut dropout_rng = StdRng::seed_from_u64(Stream::DdpDropout { rank }.seed(config.seed));
     let mut epoch_losses = Vec::with_capacity(config.epochs);
     let clock = trace.clock();
 
@@ -197,18 +197,18 @@ fn rank_loop(
         let _rank_epoch = trace.span_batch(names::spans::RANK_EPOCH, epoch as u64);
         // All ranks shuffle identically, then shard by iteration.
         let mut order = dataset.splits.train.clone();
-        let mut shuffle_rng = StdRng::seed_from_u64(config.seed ^ 0xE90C ^ epoch as u64);
-        order.shuffle(&mut shuffle_rng);
+        order.shuffle(&mut StdRng::seed_from_u64(Stream::DdpShuffle { epoch }.seed(config.seed)));
 
         let effective = config.batch_size * world;
         let mut loss_sum = 0.0;
         let mut steps = 0usize;
-        for (bid, chunk) in order.chunks(effective).enumerate() {
-            let bid = bid as u64;
+        for (step, chunk) in order.chunks(effective).enumerate() {
+            let bid = step as u64;
             let t0 = clock.now_ns();
             // Rank r takes its slice of the effective batch; trailing
             // partial chunks are shared as evenly as possible.
             let shard: Vec<NodeId> = chunk.iter().skip(rank).step_by(world).copied().collect();
+            sampler.reseed(Stream::DdpShard { epoch, step, rank }.seed(config.seed));
             // No batch for an empty shard, but the rank still takes the
             // step, joining the all-reduce with zero gradients: every rank
             // must reach the same number of collectives.

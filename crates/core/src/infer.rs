@@ -62,14 +62,6 @@ pub struct StagedBatch {
     slot: PinnedSlot,
 }
 
-impl StagedBatch {
-    /// Packed payload bytes staged for this batch (what a CPU→GPU DMA would
-    /// move).
-    pub fn payload_bytes(&self) -> usize {
-        self.slot.payload_bytes()
-    }
-}
-
 /// Sampled mini-batch inference through one pinned staging slot.
 ///
 /// The two phases — [`stage`](BatchInferencer::stage) (slice features into
@@ -255,7 +247,7 @@ mod tests {
         let batch: Vec<NodeId> = ds.splits.val[..4].to_vec();
         let mfg = sampler.sample(&ds.graph, &batch, &[3]);
         let staged = inferencer.stage(&mfg);
-        assert!(staged.payload_bytes() > 0);
+        assert!(staged.slot.payload_bytes() > 0);
         assert_eq!(inferencer.pool().available(), 0);
         drop(staged);
         assert_eq!(inferencer.pool().available(), 1);

@@ -11,12 +11,12 @@
 //! first layer reads the rows at the width they are stored, and the slot
 //! returns to the pool when that tape drops.
 
-use crate::config::{ExecutorKind, RunConfig};
+use crate::config::{ExecutorKind, RunConfig, Stream};
 use crate::timing::StageTimings;
 use crate::infer::BatchInferencer;
 use salient_batchprep::{
-    run_epoch_with_pool, slice_batch_into, BatchResult, PinnedPool, PrepConfig, PrepMode,
-    PreparedBatch, SamplerKind,
+    batch_seed, run_epoch_with_pool, slice_batch_into, BatchResult, PinnedPool, PrepConfig,
+    PrepMode, PreparedBatch, SamplerKind,
 };
 use salient_fault as fault;
 use salient_graph::{Dataset, NodeId};
@@ -142,8 +142,7 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is inconsistent (see
-    /// [`RunConfig::validate`]).
+    /// Panics if the configuration is inconsistent (see `RunConfig::validate`).
     pub fn new(dataset: Arc<Dataset>, config: RunConfig) -> Self {
         Trainer::with_trace(dataset, config, Trace::new(Clock::monotonic()))
     }
@@ -179,7 +178,7 @@ impl Trainer {
             config.seed,
         );
         let opt = Adam::new(config.learning_rate);
-        let rng = StdRng::seed_from_u64(config.seed ^ 0x7AA7);
+        let rng = StdRng::seed_from_u64(Stream::Trainer.seed(config.seed));
         let features = &dataset.features;
         let pool = PinnedPool::new(config.slots, 0, features.dim(), 0, features.dtype());
         Trainer {
@@ -208,11 +207,6 @@ impl Trainer {
     /// Mutable access to the wrapped model.
     pub fn model_mut(&mut self) -> &mut dyn GnnModel {
         self.model.as_mut()
-    }
-
-    /// The run configuration.
-    pub fn config(&self) -> &RunConfig {
-        &self.config
     }
 
     /// The staging pool every epoch of this trainer prepares into
@@ -276,19 +270,22 @@ impl Trainer {
         let trace = self.trace.clone();
         let clock = trace.clock();
         let epoch_start = clock.now_ns();
+        let epoch_seed = Stream::Prep { epoch: self.epoch }.seed(self.config.seed);
         let (total_loss, batches) = match self.config.executor {
             ExecutorKind::Baseline => {
                 // Listing 1, lines 1–4, inside the source: the consumer sees
                 // what a SALIENT worker would have sent, with none of the
                 // worker's retries, fault sites or cancellation — a panic
                 // here is the caller's. No fill: the first batch's
-                // preparation is work, not pipeline fill.
-                let mut sampler = PygSampler::new(self.config.seed ^ self.epoch as u64);
+                // preparation is work, not pipeline fill. Each batch draws
+                // the stream a worker's first attempt at it would.
+                let mut sampler = PygSampler::new(0);
                 let mut chunks = order.chunks(self.config.batch_size).enumerate();
                 let (dataset, pool) = (Arc::clone(&self.dataset), self.pool.clone());
                 let fanouts = self.config.train_fanouts.clone();
                 self.consume(GraphSpec::new("baseline"), move || {
                     let (batch_id, chunk) = chunks.next()?;
+                    sampler.reseed(batch_seed(epoch_seed, batch_id, 0));
                     let mfg = sampler.sample(&dataset.graph, chunk, &fanouts);
                     let mut slot = pool.acquire();
                     slot.prepare(mfg.num_nodes(), dataset.features.dim(), mfg.batch_size());
@@ -304,7 +301,7 @@ impl Trainer {
                     slots: self.config.slots,
                     mode: PrepMode::SharedMemory,
                     sampler: SamplerKind::Fast,
-                    seed: self.config.seed ^ (self.epoch as u64) << 16,
+                    seed: epoch_seed,
                     trace: trace.clone(),
                 };
                 let handle = run_epoch_with_pool(&self.dataset, &order, &prep_cfg, &self.pool);
@@ -399,7 +396,7 @@ impl Trainer {
     /// direct f32 gather (staging copies the packed values; the first layer
     /// widens them, exactly, as `gather_f32` would have).
     pub fn evaluate_sampled(&mut self, nodes: &[NodeId], fanouts: &[usize]) -> (f64, Vec<u32>) {
-        let seed = self.config.seed ^ 0x1FE2;
+        let seed = Stream::Eval.seed(self.config.seed);
         let (sampler, inferencer) = self.eval.get_or_insert_with(|| {
             let inferencer =
                 BatchInferencer::new(Arc::clone(&self.dataset), self.config.batch_size, &self.trace);
@@ -474,7 +471,8 @@ mod tests {
     }
 
     /// The oracle the executors are checked against: Listing 1 written out
-    /// by hand, sharing nothing with the stage graph but `train_batch`.
+    /// by hand, sharing nothing with the stage graph but `train_batch` and
+    /// the per-batch reseed.
     #[test]
     fn baseline_epochs_equal_a_hand_written_listing_1_loop_bitwise() {
         for dtype in [Dtype::F16, Dtype::F32] {
@@ -482,13 +480,15 @@ mod tests {
             let cfg = RunConfig { executor: ExecutorKind::Baseline, ..RunConfig::test_tiny() };
             let mut trainer = Trainer::new(Arc::clone(&ds), cfg.clone());
             let mut by_hand = Trainer::new(Arc::clone(&ds), cfg.clone());
-            for epoch in 0..2u64 {
+            for epoch in 0..2 {
                 let mut order = ds.splits.train.clone();
                 order.shuffle(&mut by_hand.rng);
-                let mut sampler = PygSampler::new(cfg.seed ^ epoch);
+                let epoch_seed = Stream::Prep { epoch }.seed(cfg.seed);
+                let mut sampler = PygSampler::new(0);
                 let mut total = 0.0;
                 let mut batches = 0usize;
-                for chunk in order.chunks(cfg.batch_size) {
+                for (batch_id, chunk) in order.chunks(cfg.batch_size).enumerate() {
+                    sampler.reseed(batch_seed(epoch_seed, batch_id, 0));
                     let mfg = sampler.sample(&ds.graph, chunk, &cfg.train_fanouts);
                     let xs = ds.features.gather_f32(&mfg.node_ids);
                     let ys: Vec<u32> = mfg.node_ids[..mfg.batch_size()]

@@ -250,11 +250,38 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_batch_that_panics_leaves_a_sampler_that_samples_as_a_fresh_one() {
-        // A batch that never finishes leaves its nodes in the id table; the
-        // next batch must not see them. Batch prep and serving replace a
-        // sampler that panicked, but the sampler does not rely on it.
+    /// The samplers batch prep keeps from batch to batch.
+    trait Kept {
+        fn fresh(seed: u64) -> Self;
+        fn restart(&mut self, seed: u64);
+        fn draw(&mut self, graph: &CsrGraph, batch: &[NodeId], fanouts: &[usize]) -> MessageFlowGraph;
+    }
+
+    impl Kept for FastSampler {
+        fn fresh(seed: u64) -> Self {
+            FastSampler::new(seed)
+        }
+        fn restart(&mut self, seed: u64) {
+            self.reseed(seed);
+        }
+        fn draw(&mut self, graph: &CsrGraph, batch: &[NodeId], fanouts: &[usize]) -> MessageFlowGraph {
+            self.sample(graph, batch, fanouts)
+        }
+    }
+
+    impl Kept for crate::PygSampler {
+        fn fresh(seed: u64) -> Self {
+            crate::PygSampler::new(seed)
+        }
+        fn restart(&mut self, seed: u64) {
+            self.reseed(seed);
+        }
+        fn draw(&mut self, graph: &CsrGraph, batch: &[NodeId], fanouts: &[usize]) -> MessageFlowGraph {
+            self.sample(graph, batch, fanouts)
+        }
+    }
+
+    fn reseeded_after_a_panic_samples_as_a_fresh_one<S: Kept>() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let ds = DatasetConfig::tiny(4).build();
         let nodes = shuffled_nodes(&ds, 7);
@@ -263,17 +290,27 @@ mod tests {
         duplicate.push(nodes[7]);
         let mut stranger = nodes[40..80].to_vec();
         stranger.push(outside);
-        let mut s = FastSampler::new(8);
+        let mut s = S::fresh(8);
         for bad in [duplicate, stranger] {
-            s.sample(&ds.graph, &nodes[80..120], &[10, 5]);
-            let panicked = catch_unwind(AssertUnwindSafe(|| s.sample(&ds.graph, &bad, &[10, 5])));
+            s.draw(&ds.graph, &nodes[80..120], &[10, 5]);
+            let panicked = catch_unwind(AssertUnwindSafe(|| s.draw(&ds.graph, &bad, &[10, 5])));
             assert!(panicked.is_err(), "{bad:?} was sampled");
-            s.reseed(8);
-            let mut fresh = FastSampler::new(8);
+            s.restart(8);
+            let mut fresh = S::fresh(8);
             for batch in [&nodes[..40], &nodes[40..80]] {
-                assert_eq!(s.sample(&ds.graph, batch, &[10, 5]), fresh.sample(&ds.graph, batch, &[10, 5]));
+                assert_eq!(s.draw(&ds.graph, batch, &[10, 5]), fresh.draw(&ds.graph, batch, &[10, 5]));
             }
         }
+    }
+
+    #[test]
+    fn a_batch_that_panics_leaves_a_sampler_that_samples_as_a_fresh_one() {
+        // A batch that never finishes leaves its nodes in the id table; the
+        // next batch must not see them. Batch prep keeps a sampler that
+        // panicked and reseeds it for the retry, and serving does the same
+        // after a crashed sample stage, so a reseed must be enough.
+        reseeded_after_a_panic_samples_as_a_fresh_one::<FastSampler>();
+        reseeded_after_a_panic_samples_as_a_fresh_one::<crate::PygSampler>();
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl MfgLayer {
     }
 
     /// Validates local-id bounds and the prefix property.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.n_dst > self.n_src {
             return Err(format!(
                 "destinations ({}) must be a prefix of sources ({})",

@@ -30,6 +30,12 @@ impl PygSampler {
         }
     }
 
+    /// Restarts the RNG stream from `seed`, keeping the grown tables, as
+    /// [`crate::FastSampler::reseed`] does.
+    pub fn reseed(&mut self, seed: u64) {
+        self.rng = StdRng::seed_from_u64(seed);
+    }
+
     /// Samples the MFG for one mini-batch with baseline data structures.
     ///
     /// # Panics

@@ -115,7 +115,7 @@ impl Default for FlatIdMap {
 
 impl FlatIdMap {
     /// Creates a map able to hold roughly `capacity` keys before growing.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         let bits = (capacity.max(8) * 2).next_power_of_two().trailing_zeros();
         FlatIdMap {
             entries: vec![[EMPTY, 0]; 1 << bits],

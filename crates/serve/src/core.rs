@@ -28,7 +28,8 @@
 //! the only panic boundary a stage has. A stage that panics fails its
 //! batch — every member still live gets [`Response::Failed`] — and counts
 //! against the [`Breaker`]; the breaker opening is what dumps the flight
-//! recorder. A crashed sampler is replaced by a freshly seeded one.
+//! recorder. A crashed sampler is kept and reseeded: it samples as a fresh
+//! one would, without rebuilding its id table.
 
 #![expect(
     clippy::indexing_slicing,
@@ -45,7 +46,7 @@ use salient_fault::{self as fault, FaultAction};
 use salient_graph::{Dataset, NodeId};
 use salient_nn::GnnModel;
 use salient_sampler::FastSampler;
-use salient_tensor::rng::StdRng;
+use salient_tensor::rng::{derive, StdRng};
 use salient_trace::names::{self, SpanName};
 use salient_trace::{Clock, Counter, Trace};
 use std::collections::VecDeque;
@@ -507,9 +508,9 @@ impl ServerCore {
             self.sampler.sample_warming(&ds.graph, seeds, self.ladder.fanouts(), &ds.features)
         });
         let Some(mfg) = mfg else {
-            // Crashed sampler: deterministic respawn (re-seeded from the
-            // batch sequence, mirroring batchprep's retry re-seeding).
-            self.sampler = FastSampler::new(self.cfg.seed ^ 0x5A17 ^ seq);
+            // Crashed sampler: kept, and restarted on a stream named by the
+            // batch sequence, as batch prep reseeds a retried batch's.
+            self.sampler.reseed(derive(self.cfg.seed, &[seq]));
             return Err(StageCrashed);
         };
         if self.expire_members(members, expired_at, Stage::Sample, t1) == 0 {

@@ -483,7 +483,7 @@ mod tests {
 
     #[test]
     fn dropout_eval_is_identity() {
-        let mut rng = crate::rng::rng();
+        let mut rng = crate::rng::StdRng::seed_from_u64(0);
         let tape = Tape::new();
         let x = tape.leaf(t(&[1.0, 2.0, 3.0], [3]));
         let y = x.dropout(0.5, false, &mut rng);

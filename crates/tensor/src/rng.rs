@@ -4,8 +4,10 @@
 //! randomness (weight init, dropout, neighborhood sampling, synthetic graph
 //! generation) uses this module. The generator is xoshiro256** — the same
 //! family `rand`'s `SmallRng` uses — seeded through SplitMix64 so that any
-//! `u64` seed (including 0) expands to a full 256-bit state. Independent
-//! per-worker streams are derived with [`StdRng::split`].
+//! `u64` seed (including 0) expands to a full 256-bit state. A child stream
+//! is named by the fields that tell it apart (an epoch, a batch, an attempt)
+//! and derived from its parent's seed with [`derive`], the one derivation
+//! the workspace uses.
 //!
 //! The API mirrors the subset of `rand` the codebase uses (`random`,
 //! `random_range`, `shuffle`) so call sites read the same as before.
@@ -247,35 +249,6 @@ impl StdRng {
         ];
         StdRng { s }
     }
-
-    /// A nondeterministically seeded generator (wall clock + a process-wide
-    /// counter), for call sites that do not need reproducibility.
-    pub(crate) fn from_entropy() -> Self {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        #[expect(clippy::disallowed_methods, reason = "from_entropy is the one documented nondeterministic seed source; reproducible paths use seed_from_u64")]
-        let t = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
-        // Relaxed: the counter only needs unique values per call.
-        let c = COUNTER.fetch_add(1, Ordering::Relaxed);
-        Self::seed_from_u64(t ^ c.rotate_left(32) ^ 0xA076_1D64_78BD_642F)
-    }
-
-    /// Derives an independent child stream (for per-worker RNGs): hashes the
-    /// parent's next two outputs through SplitMix64 so parent and child
-    /// sequences do not overlap in practice.
-    pub fn split(&mut self) -> Self {
-        let mut sm = self.next_u64() ^ self.next_u64().rotate_left(31);
-        let s = [
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-        ];
-        StdRng { s }
-    }
 }
 
 impl Rng for StdRng {
@@ -296,9 +269,14 @@ impl Rng for StdRng {
     }
 }
 
-/// A nondeterministically seeded [`StdRng`] (the `rand::rng()` idiom).
-pub fn rng() -> StdRng {
-    StdRng::from_entropy()
+/// The seed of the child stream of `seed` named by `fields`. Each field is
+/// mixed in after the generator's own seeding has scrambled what came
+/// before, so no field can cancel another's bits and the parent seed may
+/// vary in any bit. Derivation composes: `derive(derive(s, a), b)` is
+/// `derive(s, a ++ b)`, so a stream derived from an epoch's seed is the
+/// run's stream named by the epoch's fields and its own.
+pub fn derive(seed: u64, fields: &[u64]) -> u64 {
+    fields.iter().fold(seed, |seed, &field| StdRng::seed_from_u64(seed).next_u64() ^ field)
 }
 
 #[cfg(test)]
@@ -383,12 +361,16 @@ mod tests {
     }
 
     #[test]
-    fn split_streams_are_independent() {
+    fn derivation_composes_and_tells_fields_apart() {
+        assert_eq!(derive(9, &[]), 9);
+        assert_eq!(derive(derive(9, &[1, 2]), &[3]), derive(9, &[1, 2, 3]));
+        // Neither the order of the fields nor a field that shifts into
+        // another's bits (as `seed ^ x << k` folds did) names the same stream.
+        assert_ne!(derive(9, &[1, 2]), derive(9, &[2, 1]));
+        assert_ne!(derive(9 ^ 1 << 16, &[0, 1]), derive(9, &[1 << 8, 1]));
         let mut parent = StdRng::seed_from_u64(9);
-        let mut child = parent.split();
-        let overlap = (0..64)
-            .filter(|_| parent.next_u64() == child.next_u64())
-            .count();
+        let mut child = StdRng::seed_from_u64(derive(9, &[0]));
+        let overlap = (0..64).filter(|_| parent.next_u64() == child.next_u64()).count();
         assert_eq!(overlap, 0);
     }
 

@@ -171,8 +171,10 @@ cargo test --release -q --offline -p salient-tensor
 # three epochs' loss bits of every executor against the constants for that
 # rung (AVX2 and AVX-512 share them; the portable rung, which rounds each
 # product before it adds, has its own), the digests of the benchmark's
-# two G100k datasets, of a warm FastSampler's MFGs and of a seeded serving
-# replay's answers. The four bits runs add ~8 s warm (2 s each).
+# two G100k datasets, of a warm FastSampler's MFGs, of one batch-prep
+# epoch's MFGs in batch-id order (one constant, at one worker and at three)
+# and of a seeded serving replay's answers. The four bits runs add ~8 s
+# warm (2 s each).
 cargo test --release -q --offline --test bits
 SALIENT_NUM_THREADS=1 cargo test --release -q --offline -p salient-tensor -p salient-nn
 SALIENT_NUM_THREADS=1 cargo test --release -q --offline --test bits

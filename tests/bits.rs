@@ -4,7 +4,7 @@
 //! as it is; one that moves a bit on purpose updates the constant and says
 //! why.
 //!
-//! Four families:
+//! Five families:
 //! * the `mean_loss` bits of three epochs of `DatasetConfig::tiny(77)` under
 //!   `RunConfig::test_tiny()`: the Baseline executor, the SALIENT executor at
 //!   one batch-prep worker, and `train_ddp` at two ranks (batch 32), each
@@ -16,6 +16,8 @@
 //!   slowly, the `G10k` shape (as the graph crate's oracle tests do);
 //! * an FNV-1a digest of the MFGs a warm `FastSampler` draws over
 //!   `tiny(77)`'s train split: node ids and each hop's edge lists;
+//! * the same digest of one SALIENT batch-prep epoch's MFGs over that
+//!   split, in batch-id order, at one worker and at three;
 //! * an FNV-1a digest of the answers of a seeded `serve::run_trace` replay
 //!   (a bursty trace on a ticking virtual clock, so the ladder moves): each
 //!   answered request's id, class and fanout level.
@@ -28,10 +30,11 @@
 //! losses do not depend on the pool width (`SALIENT_NUM_THREADS`): every
 //! kernel's chunks are independent of where the pool cuts them.
 
+use salient_repro::batchprep::{run_epoch, BatchResult, PrepConfig};
 use salient_repro::core::checkpoint::fnv1a_update;
 use salient_repro::core::{train_ddp, ExecutorKind, RunConfig, Trainer};
 use salient_repro::graph::{Dataset, DatasetConfig, FeatureSlab};
-use salient_repro::sampler::FastSampler;
+use salient_repro::sampler::{FastSampler, MessageFlowGraph};
 use salient_repro::serve::{loadgen, run_trace, Response, ServeConfig, ServerCore};
 use salient_repro::tensor::kernels::gemm_kernel_level;
 use salient_repro::tensor::Dtype;
@@ -51,22 +54,22 @@ enum Run {
 /// `(run, feature storage, mean_loss bits of epochs 1-3)` on the AVX2 and
 /// AVX-512 rungs.
 const VECTOR_LOSSES: [(Run, Dtype, [u64; 3]); 6] = [
-    (Run::Baseline, Dtype::F16, [0x3ffd_ceb3_9999_999a, 0x3ffd_68af_b999_999a, 0x3ffb_9d48_8000_0000]),
-    (Run::Salient, Dtype::F16, [0x3ffe_3015_b999_999a, 0x3ffd_5b39_2666_6666, 0x3ffc_111d_2000_0000]),
-    (Run::Ddp, Dtype::F16, [0x3ffe_36e6_8000_0000, 0x3ffc_e13b_0000_0000, 0x3ffb_853b_c000_0000]),
-    (Run::Baseline, Dtype::F32, [0x3ffd_ceb4_4ccc_cccd, 0x3ffd_68b2_cccc_cccd, 0x3ffb_9d4a_c666_6666]),
-    (Run::Salient, Dtype::F32, [0x3ffe_3017_f999_999a, 0x3ffd_5b3a_4000_0000, 0x3ffc_1121_e000_0000]),
-    (Run::Ddp, Dtype::F32, [0x3ffe_36ec_8000_0000, 0x3ffc_e13e_2000_0000, 0x3ffb_8540_c000_0000]),
+    (Run::Baseline, Dtype::F16, [0x3ffe_8b9d_7999_999a, 0x3ffd_1b32_d333_3333, 0x3ffb_e331_0000_0000]),
+    (Run::Salient, Dtype::F16, [0x3ffe_6f55_1999_999a, 0x3ffd_1e59_b999_999a, 0x3ffb_db27_eccc_cccd]),
+    (Run::Ddp, Dtype::F16, [0x3ffe_75b9_6000_0000, 0x3ffc_e586_4000_0000, 0x3ffc_3ffa_0000_0000]),
+    (Run::Baseline, Dtype::F32, [0x3ffe_8b9b_cccc_cccd, 0x3ffd_1b37_4ccc_cccd, 0x3ffb_e334_accc_cccd]),
+    (Run::Salient, Dtype::F32, [0x3ffe_6f53_6000_0000, 0x3ffd_1e66_b333_3333, 0x3ffb_db2f_1333_3333]),
+    (Run::Ddp, Dtype::F32, [0x3ffe_75c0_4000_0000, 0x3ffc_e593_0000_0000, 0x3ffc_3ff6_c000_0000]),
 ];
 
 /// The same runs on the portable rung.
 const PORTABLE_LOSSES: [(Run, Dtype, [u64; 3]); 6] = [
-    (Run::Baseline, Dtype::F16, [0x3ffd_ceb3_a000_0000, 0x3ffd_68af_b999_999a, 0x3ffb_9d48_8000_0000]),
-    (Run::Salient, Dtype::F16, [0x3ffe_3015_b999_999a, 0x3ffd_5b39_2ccc_cccd, 0x3ffc_111d_0ccc_cccd]),
-    (Run::Ddp, Dtype::F16, [0x3ffe_36e6_8000_0000, 0x3ffc_e13b_0000_0000, 0x3ffb_853b_c000_0000]),
-    (Run::Baseline, Dtype::F32, [0x3ffd_ceb4_5999_999a, 0x3ffd_68b2_c000_0000, 0x3ffb_9d4a_cccc_cccd]),
-    (Run::Salient, Dtype::F32, [0x3ffe_3017_e666_6666, 0x3ffd_5b3a_3999_999a, 0x3ffc_1121_e000_0000]),
-    (Run::Ddp, Dtype::F32, [0x3ffe_36ec_a000_0000, 0x3ffc_e13e_2000_0000, 0x3ffb_8540_c000_0000]),
+    (Run::Baseline, Dtype::F16, [0x3ffe_8b9d_7999_999a, 0x3ffd_1b32_c666_6666, 0x3ffb_e330_e666_6666]),
+    (Run::Salient, Dtype::F16, [0x3ffe_6f55_2ccc_cccd, 0x3ffd_1e59_cccc_cccd, 0x3ffb_db27_e666_6666]),
+    (Run::Ddp, Dtype::F16, [0x3ffe_75b9_4000_0000, 0x3ffc_e586_4000_0000, 0x3ffc_3ffa_0000_0000]),
+    (Run::Baseline, Dtype::F32, [0x3ffe_8b9b_d999_999a, 0x3ffd_1b37_4000_0000, 0x3ffb_e334_b999_999a]),
+    (Run::Salient, Dtype::F32, [0x3ffe_6f53_6000_0000, 0x3ffd_1e66_c000_0000, 0x3ffb_db2f_1999_999a]),
+    (Run::Ddp, Dtype::F32, [0x3ffe_75c0_4000_0000, 0x3ffc_e593_0000_0000, 0x3ffc_3ff6_a000_0000]),
 ];
 
 /// `(seed, digest)` of the benchmark-shaped dataset at `G100k` (release)
@@ -77,11 +80,15 @@ const DIGESTS_G10K: [(u64, u64); 2] = [(2868, 0xc19f_bd52_675f_977c), (94_445_09
 /// The MFGs of a warm `FastSampler` over `tiny(77)`'s train split.
 const WARM_MFG_DIGEST: u64 = 0xe17a_e64c_ff88_bbf7;
 
+/// The MFGs of one batch-prep epoch over `tiny(77)`'s train split, in
+/// batch-id order, at any worker count.
+const PREP_EPOCH_DIGEST: u64 = 0xf11e_55be_e00d_39b3;
+
 /// The seeded serving replay's answers on the AVX2 / AVX-512 rungs and on
 /// the portable rung. They agree: an argmax absorbs the portable rung's
 /// last-bit differences in this replay.
-const SERVE_ANSWERS_VECTOR: u64 = 0x2add_65d3_6040_0e39;
-const SERVE_ANSWERS_PORTABLE: u64 = 0x2add_65d3_6040_0e39;
+const SERVE_ANSWERS_VECTOR: u64 = 0xa78f_2c62_896c_79e0;
+const SERVE_ANSWERS_PORTABLE: u64 = 0xa78f_2c62_896c_79e0;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -163,6 +170,20 @@ fn the_benchmark_datasets_repeat_their_digests() {
     assert!(moved.is_empty(), "G{}k digests moved:\n{}", nodes / 1000, moved.join("\n"));
 }
 
+/// FNV-1a over `mfgs`' node ids and each hop's edge lists, in order.
+fn mfg_digest<'a>(mfgs: impl IntoIterator<Item = &'a MessageFlowGraph>) -> u64 {
+    let mut hash = FNV_OFFSET;
+    let mut feed = |words: &[u32]| words.iter().for_each(|w| hash = fnv1a_update(hash, &w.to_le_bytes()));
+    for mfg in mfgs {
+        feed(&mfg.node_ids);
+        for layer in &mfg.layers {
+            feed(&layer.edge_src);
+            feed(&layer.edge_dst);
+        }
+    }
+    hash
+}
+
 #[test]
 fn a_warm_fast_sampler_repeats_its_mfgs() {
     let ds = DatasetConfig::tiny(77).build();
@@ -172,17 +193,25 @@ fn a_warm_fast_sampler_repeats_its_mfgs() {
     for batch in &batches {
         sampler.sample(&ds.graph, batch, &[10, 5]);
     }
-    let mut hash = FNV_OFFSET;
-    let mut feed = |words: &[u32]| words.iter().for_each(|w| hash = fnv1a_update(hash, &w.to_le_bytes()));
-    for batch in &batches {
-        let mfg = sampler.sample(&ds.graph, batch, &[10, 5]);
-        feed(&mfg.node_ids);
-        for layer in &mfg.layers {
-            feed(&layer.edge_src);
-            feed(&layer.edge_dst);
-        }
-    }
+    let mfgs: Vec<_> = batches.iter().map(|batch| sampler.sample(&ds.graph, batch, &[10, 5])).collect();
+    let hash = mfg_digest(&mfgs);
     assert_eq!(hash, WARM_MFG_DIGEST, "the MFG digest moved: {hash:#018x}");
+}
+
+#[test]
+fn a_prep_epoch_repeats_its_mfgs_at_one_worker_and_at_three() {
+    let ds = Arc::new(DatasetConfig::tiny(77).build());
+    for num_workers in [1, 3] {
+        let cfg = PrepConfig { num_workers, fanouts: vec![5, 5], batch_size: 64, seed: 77, ..PrepConfig::default() };
+        let handle = run_epoch(&ds, &ds.splits.train, &cfg);
+        // Each batch's slot goes back as it arrives; only its MFG is kept.
+        let mut mfgs: Vec<_> = handle.batches.iter().filter_map(BatchResult::ready).map(|b| (b.batch_id, b.mfg)).collect();
+        handle.join();
+        mfgs.sort_unstable_by_key(|&(id, _)| id);
+        assert_eq!(mfgs.len(), ds.splits.train.len().div_ceil(64));
+        let hash = mfg_digest(mfgs.iter().map(|(_, mfg)| mfg));
+        assert_eq!(hash, PREP_EPOCH_DIGEST, "at {num_workers} workers the epoch's MFGs moved: {hash:#018x}");
+    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 use salient_repro::core::{train_ddp, DdpError, RunConfig};
 use salient_repro::ddp::Communicator;
 use salient_repro::graph::DatasetConfig;
-use salient_repro::tensor::rng::{SliceRandom, StdRng};
+use salient_repro::tensor::rng::{derive, SliceRandom, StdRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -99,11 +99,11 @@ fn a_panicking_rank_step_kills_only_that_rank() {
     };
     let ranks = 3;
     // The first node of epoch 0's first chunk lands in rank 0's shard
-    // (`rank_loop` shuffles with `seed ^ 0xE90C ^ epoch`, then deals a chunk
-    // out round-robin).
+    // (`rank_loop` shuffles epoch e from `derive(seed, &[3, e])`, its
+    // `Stream::DdpShuffle`, then deals a chunk out round-robin).
     let mut ds = DatasetConfig::tiny(50).build();
     let mut order = ds.splits.train.clone();
-    order.shuffle(&mut StdRng::seed_from_u64(run.seed ^ 0xE90C));
+    order.shuffle(&mut StdRng::seed_from_u64(derive(run.seed, &[3, 0])));
     ds.labels[order[0] as usize] = ds.num_classes as u32;
     let ds = Arc::new(ds);
 

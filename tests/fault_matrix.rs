@@ -4,6 +4,8 @@
 //! * the epoch always terminates (no hangs, no deadlocks);
 //! * every batch is accounted for — prepared, retried, or reported as a
 //!   terminal `BatchResult::Failed` marker (dropped messages excepted);
+//! * a batch is the same MFG whichever worker prepared it, however many
+//!   there were, in either mode, after a respawn or inline;
 //! * no pinned staging slot leaks, whatever dies;
 //! * every injected fault is *observable*: each retry, failed batch,
 //!   worker death, respawn and inline degradation is one point event on
@@ -18,11 +20,12 @@
 use salient_repro::batchprep::{
     run_epoch, run_epoch_with_pool, BatchResult, PinnedPool, PrepConfig, PrepMode, SamplerKind,
 };
-use salient_repro::core::checkpoint::{Checkpoint, CheckpointError};
+use salient_repro::core::checkpoint::{fnv1a_update, Checkpoint, CheckpointError};
 use salient_repro::core::{train_ddp, DdpError, RunConfig};
 use salient_repro::ddp::CommErrorKind;
 use salient_repro::fault::{self, sites, FaultKind, FaultPlan, FaultSpec, Trigger};
 use salient_repro::graph::{Dataset, DatasetConfig};
+use salient_repro::sampler::MessageFlowGraph;
 use salient_repro::serve::{Rejected, Request, Response, ServeConfig, ServerCore};
 use salient_repro::tensor::Tensor;
 use salient_repro::trace::{names, Clock, Trace};
@@ -88,14 +91,39 @@ fn fault_events(trace: &Trace) -> FaultEvents {
     .map(|name| snap.count(name))
 }
 
+/// Ready batches as `(batch id, digest of its MFG)`, in id order.
+type Batches = Vec<(usize, u64)>;
+
+/// FNV-1a over an MFG's node ids and each hop's edge lists.
+fn mfg_digest(mfg: &MessageFlowGraph) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    let words = std::iter::once(&mfg.node_ids)
+        .chain(mfg.layers.iter().flat_map(|layer| [&layer.edge_src, &layer.edge_dst]));
+    for w in words.flatten() {
+        hash = fnv1a_update(hash, &w.to_le_bytes());
+    }
+    hash
+}
+
+fn ids(ready: &Batches) -> Vec<usize> {
+    ready.iter().map(|&(id, _)| id).collect()
+}
+
 /// Runs one prep epoch under `plan`, consuming every message. Returns
-/// `(ready batch ids, failed (batch_id, attempts), fault events)` and
+/// `(ready batches, failed (batch_id, attempts), fault events)` and
 /// asserts the no-leaked-slot invariant.
-fn run_under_plan(
-    plan: FaultPlan,
-    cfg: &PrepConfig,
-) -> (Vec<usize>, Vec<(usize, u32)>, FaultEvents) {
+fn run_under_plan(plan: FaultPlan, cfg: &PrepConfig) -> (Batches, Vec<(usize, u32)>, FaultEvents) {
     run_gated(plan, cfg, || true)
+}
+
+/// The batches of a clean epoch at one worker: what every schedule, fault
+/// plan and worker count must deliver for each batch it prepares on its
+/// first attempt.
+fn one_clean_worker(mode: PrepMode) -> Batches {
+    let cfg = PrepConfig { num_workers: 1, ..prep_cfg(mode) };
+    let (ready, failed, events) = run_under_plan(FaultPlan::new(0), &cfg);
+    assert!(failed.is_empty() && events == NO_FAULTS, "{failed:?} {events:?}");
+    ready
 }
 
 /// [`run_under_plan`] with a consumer that takes nothing until `open()`
@@ -106,7 +134,7 @@ fn run_gated(
     plan: FaultPlan,
     cfg: &PrepConfig,
     open: impl Fn() -> bool,
-) -> (Vec<usize>, Vec<(usize, u32)>, FaultEvents) {
+) -> (Batches, Vec<(usize, u32)>, FaultEvents) {
     let ds = dataset();
     let order = ds.splits.train.clone();
     let _guard = fault::scoped(plan);
@@ -121,7 +149,7 @@ fn run_gated(
     let mut failed = Vec::new();
     for msg in handle.batches.iter() {
         match msg {
-            BatchResult::Ready(b) => ready.push(b.batch_id),
+            BatchResult::Ready(b) => ready.push((b.batch_id, mfg_digest(&b.mfg))),
             BatchResult::Failed { batch_id, attempts } => failed.push((batch_id, attempts)),
         }
     }
@@ -177,7 +205,7 @@ fn item_panic_is_retried_and_epoch_completes() {
             let plan = FaultPlan::new(1).panic_at(site, 2);
             let ((ready, failed, events), panics) =
                 counting_item_panics(|| run_under_plan(plan, &prep_cfg(mode)));
-            assert_eq!(ready, (0..n).collect::<Vec<_>>(), "{mode:?}/{site}");
+            assert_eq!(ids(&ready), (0..n).collect::<Vec<_>>(), "{mode:?}/{site}");
             assert!(failed.is_empty(), "{mode:?}/{site}: {failed:?}");
             assert_eq!(events, [1, 0, 0, 0, 0], "{mode:?}/{site}");
             assert_eq!(panics, 1, "{mode:?}/{site}");
@@ -198,7 +226,7 @@ fn exhausted_retry_budget_yields_exactly_one_failed_marker() {
                 counting_item_panics(|| run_under_plan(plan, &prep_cfg(mode)));
             let mut want: Vec<usize> = (0..n).collect();
             want.retain(|&b| b != 1);
-            assert_eq!(ready, want, "{mode:?}/{site}");
+            assert_eq!(ids(&ready), want, "{mode:?}/{site}");
             assert_eq!(failed, vec![(1, 2)], "{mode:?}/{site}: 1 + 1 retry = 2 attempts");
             assert_eq!(events, [1, 1, 0, 0, 0], "{mode:?}/{site}");
             // Every item panic is either retried or the batch's failure.
@@ -235,7 +263,7 @@ fn dropped_send_loses_the_batch_but_not_the_slot() {
     for mode in MODES {
         let plan = FaultPlan::new(3).drop_at(sites::PREP_SEND, 0);
         let (ready, failed, events) = run_under_plan(plan, &prep_cfg(mode));
-        assert_eq!(ready, (1..n).collect::<Vec<_>>(), "{mode:?}");
+        assert_eq!(ids(&ready), (1..n).collect::<Vec<_>>(), "{mode:?}");
         assert!(failed.is_empty(), "{mode:?}");
         assert_eq!(events, NO_FAULTS, "a dropped message is silent");
     }
@@ -293,9 +321,11 @@ fn worker_collapse_degrades_to_inline_preparation() {
             budget: None,
         });
         let (ready, failed, events) = run_under_plan(plan, &prep_cfg(mode));
-        assert_eq!(ready, (0..n).collect::<Vec<_>>(), "{mode:?}");
+        assert_eq!(ids(&ready), (0..n).collect::<Vec<_>>(), "{mode:?}");
         assert!(failed.is_empty(), "{mode:?}");
         assert_eq!(events, [0, 0, 3, 1, 1], "{mode:?}");
+        // Prepared inline, every batch is the one a healthy worker draws.
+        assert_eq!(ready, one_clean_worker(mode), "{mode:?}");
     }
 }
 
@@ -309,34 +339,61 @@ fn a_live_survivor_inherits_an_orphaned_partition() {
     // at once; whichever of the two leaves last prepares the orphans inline.
     let plan = FaultPlan::new(10).with_spec(always_panic_at(sites::PREP_WORKER, 0));
     let (ready, failed, events) = run_under_plan(plan, &prep_cfg(PrepMode::Multiprocessing));
-    assert_eq!(ready, (0..n).collect::<Vec<_>>());
+    assert_eq!(ids(&ready), (0..n).collect::<Vec<_>>());
     assert!(failed.is_empty(), "{failed:?}");
     assert_eq!(events, [0, 0, 2, 1, 1]);
+    // The orphans, prepared by whoever left last, are the batches their
+    // dead owner would have drawn.
+    assert_eq!(ready, one_clean_worker(PrepMode::Multiprocessing));
+}
+
+#[test]
+fn every_batch_is_schedule_independent() {
+    let _s = serial();
+    // Each attempt at batch b samples from (epoch seed, b, attempt) alone, so
+    // the batch that arrives is the same whichever worker claimed it, at one
+    // worker or three, in either mode.
+    let clean = one_clean_worker(PrepMode::SharedMemory);
+    for mode in MODES {
+        for num_workers in 1..=3 {
+            let cfg = PrepConfig { num_workers, ..prep_cfg(mode) };
+            let (ready, failed, events) = run_under_plan(FaultPlan::new(12), &cfg);
+            assert!(failed.is_empty(), "{mode:?} at {num_workers}: {failed:?}");
+            assert_eq!(events, NO_FAULTS, "{mode:?} at {num_workers}");
+            assert_eq!(ready, clean, "{mode:?} at {num_workers} workers");
+        }
+    }
 }
 
 #[test]
 fn a_retry_is_schedule_independent() {
     let _s = serial();
-    // Batch 2's first attempt panics; its retry draws from a sampler seeded
-    // by (batch, attempt) alone, so the batch that arrives is the same
-    // whether one worker caught the panic or any of three did.
-    let retried_batch = |num_workers: usize| -> Vec<u32> {
-        let ds = dataset();
-        let cfg = PrepConfig { num_workers, ..prep_cfg(PrepMode::SharedMemory) };
-        let _guard = fault::scoped(FaultPlan::new(12).panic_at(sites::PREP_SAMPLE, 2));
-        let handle = run_epoch_with_pool(&ds, &ds.splits.train, &cfg, &pool());
-        let node_ids = handle
-            .batches
-            .iter()
-            .filter_map(BatchResult::ready)
-            .find(|b| b.batch_id == 2)
-            .map(|b| b.mfg.node_ids.clone())
-            .expect("the retry succeeds");
-        handle.join();
-        assert_eq!(fault_events(&cfg.trace), [1, 0, 0, 0, 0]);
-        node_ids
-    };
-    assert_eq!(retried_batch(1), retried_batch(3));
+    // Batch 2's first attempt panics; its retry draws from (epoch seed, batch,
+    // attempt) alone, so the batch that arrives is the same whether one
+    // worker caught the panic or any of three did, in either mode.
+    let n = expected_batches();
+    let retried = || FaultPlan::new(12).panic_at(sites::PREP_SAMPLE, 2);
+    let mut retried_batches: Option<Batches> = None;
+    for mode in MODES {
+        for num_workers in 1..=3 {
+            let cfg = PrepConfig { num_workers, ..prep_cfg(mode) };
+            let (ready, failed, events) = run_under_plan(retried(), &cfg);
+            assert!(failed.is_empty(), "{mode:?} at {num_workers}: {failed:?}");
+            assert_eq!(events, [1, 0, 0, 0, 0], "{mode:?} at {num_workers}");
+            assert_eq!(ready.len(), n, "{mode:?} at {num_workers}");
+            let want = retried_batches.get_or_insert_with(|| ready.clone());
+            assert_eq!(&ready, want, "{mode:?} at {num_workers} workers, batch 2 retried");
+        }
+    }
+    // The retry is a stream of its own: only batch 2 differs from the clean
+    // epoch's.
+    let clean = one_clean_worker(PrepMode::SharedMemory);
+    let retried_batches = retried_batches.unwrap_or_default();
+    let moved: Vec<usize> = (clean.iter().zip(&retried_batches))
+        .filter(|(a, b)| a != b)
+        .map(|(&(id, _), _)| id)
+        .collect();
+    assert_eq!(moved, vec![2]);
 }
 
 #[test]
