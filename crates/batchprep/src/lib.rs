@@ -2,10 +2,12 @@
 //!
 //! SALIENT's shared-memory parallel batch preparation (§4.2): worker threads
 //! prepare mini-batches end-to-end (sample, then serially slice features and
-//! labels straight into pinned staging memory), pulling work from a
-//! lock-free dynamic queue. A PyTorch-multiprocessing emulation — static
-//! partitioning plus an extra shared-memory copy — is included as the
-//! baseline it replaces.
+//! labels straight into pinned staging memory), each claiming its next
+//! batch from the epoch's one lock-free claim cursor. A
+//! PyTorch-multiprocessing emulation — a private slice plus an extra
+//! shared-memory copy into the slot — is included as the baseline it
+//! replaces; it claims from the same cursor. A worker that dies is not
+//! replaced: the survivors claim its batches.
 //!
 //! # Example
 //!

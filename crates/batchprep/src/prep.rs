@@ -9,35 +9,36 @@
 //! * [`PrepMode::Multiprocessing`] (PyTorch-DataLoader emulation): the
 //!   worker slices into a private buffer and then *copies* it into the slot,
 //!   reproducing the POSIX-shared-memory hop that "effectively halves the
-//!   observed memory bandwidth"; work is also partitioned statically.
+//!   observed memory bandwidth".
 //!
-//! A worker keeps one sampler and reseeds it from [`batch_seed`] before each
-//! attempt at a batch, so batch `b` is the same MFG whichever worker claims
-//! it, at any worker count, in either mode.
+//! In both modes every worker claims its next batch from the epoch's one
+//! claim cursor (`queue::WorkQueue`). A worker keeps one sampler and
+//! reseeds it from [`batch_seed`] before each attempt at a batch, so batch
+//! `b` is the same MFG whichever worker claims it, at any worker count, in
+//! either mode.
 //!
 //! # Failure model
 //!
-//! Each worker supervises itself. A panic while preparing one work item is
-//! caught on the worker, which re-attempts the same item in place with the
+//! Each worker supervises itself. A panic while preparing one batch is
+//! caught on the worker, which re-attempts the same batch in place with the
 //! same sampler, reseeded for the next attempt, up to [`RETRY_BUDGET`] more
 //! times; a batch that exhausts the budget is reported as a terminal
 //! [`BatchResult::Failed`] marker — the consumer never waits on a batch that
 //! will not arrive, and the staging slot always returns to the pool. A panic
-//! that escapes the item guard ends that incarnation of the worker: the
-//! thread starts another under the same worker id while work is left and the
-//! epoch's [`RESPAWN_BUDGET`] has a unit, else it leaves, and the last
-//! worker to leave finishes any unclaimed work inline. Each of these acts
-//! is one point event on the epoch's trace (`fault.retry`,
-//! `fault.failed_batch`, `fault.worker_panic`, `fault.respawn`,
+//! that escapes the per-batch guard ends the worker: it is not replaced, and
+//! the survivors claim what it would have claimed. The last worker to leave
+//! prepares whatever is still unclaimed inline, unless the epoch was
+//! cancelled. Each of these acts is one point event on the epoch's trace
+//! (`fault.retry`, `fault.failed_batch`, `fault.worker_panic`,
 //! `fault.degraded`), and a failed batch is also its marker on the stream.
 
 #![expect(
     clippy::indexing_slicing,
-    reason = "work items are cut from 0..order.len() by `make_work_items`, and the MFG builder guarantees batch_size <= node_ids.len()"
+    reason = "the work queue cuts batch ranges from 0..order.len(), and the MFG builder guarantees batch_size <= node_ids.len()"
 )]
 
 use crate::pinned::{PinnedPool, PinnedSlot};
-use crate::queue::{make_work_items, WorkItem, WorkQueue};
+use crate::queue::WorkQueue;
 use crate::slice::{slice_batch, slice_batch_into};
 use salient_fault as fault;
 use salient_graph::{Dataset, NodeId};
@@ -49,20 +50,16 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 
-/// Extra attempts a work item gets after its preparation panicked.
+/// Extra attempts a batch gets after its preparation panicked.
 const RETRY_BUDGET: u32 = 1;
 
-/// Worker incarnations one epoch may start beyond each worker's first.
-const RESPAWN_BUDGET: usize = 1;
-
-/// Work-distribution and copy behaviour of the pool.
+/// Where a worker slices a batch before it is in its staging slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PrepMode {
-    /// SALIENT: shared-memory threads, dynamic queue, slice straight into
-    /// pinned memory.
+    /// SALIENT: shared-memory threads slice straight into pinned memory.
     SharedMemory,
-    /// Emulated PyTorch multiprocessing: static partitioning, private slice
-    /// buffer, extra copy into the slot.
+    /// Emulated PyTorch multiprocessing: private slice buffer, extra copy
+    /// into the slot.
     Multiprocessing,
 }
 
@@ -87,7 +84,7 @@ pub struct PrepConfig {
     /// Number of pinned staging slots [`run_epoch`] makes (bounds in-flight
     /// batches); a pool passed to [`run_epoch_with_pool`] brings its own.
     pub slots: usize,
-    /// Work distribution / copy mode.
+    /// Copy mode.
     pub mode: PrepMode,
     /// Sampler implementation.
     pub sampler: SamplerKind,
@@ -204,10 +201,8 @@ struct WorkerCtx {
     tx: SyncSender<BatchResult>,
     cfg: PrepConfig,
     cancel: Arc<AtomicBool>,
-    /// Units of [`RESPAWN_BUDGET`] no worker has taken yet.
-    respawns_left: AtomicUsize,
     /// Worker threads that have not left; the one that takes it to zero
-    /// finishes unclaimed work inline.
+    /// prepares unclaimed work inline.
     live: AtomicUsize,
 }
 
@@ -224,6 +219,11 @@ pub fn batch_seed(epoch_seed: u64, batch_id: usize, attempt: u32) -> u64 {
 pub struct EpochHandle {
     /// Prepared batches (and failure markers), in completion order. The
     /// stream has one consumer: read it in place, it cannot be cloned.
+    ///
+    /// A consumer that holds `pool.capacity()` prepared batches and reads
+    /// again waits forever: every slot is in its hands, the workers sleep
+    /// on the pool with no timeout, and only [`EpochHandle::join`]'s cancel
+    /// wakes them. Drop a batch before reading past the pool's capacity.
     pub batches: Receiver<BatchResult>,
     workers: Vec<std::thread::JoinHandle<()>>,
     cancel: Arc<AtomicBool>,
@@ -273,6 +273,10 @@ impl EpochHandle {
 /// threshold, so the next call gets the same heap pages back instead of
 /// mapping, faulting in and unmapping fresh ones every epoch.
 ///
+/// The consumer must not hold all `cfg.slots` prepared batches while it
+/// reads the stream: the workers' wait for a slot has no timeout, so that
+/// read never returns (see [`EpochHandle::batches`]).
+///
 /// # Panics
 ///
 /// Panics if the configuration is degenerate (zero workers, zero batch
@@ -296,7 +300,9 @@ pub fn run_epoch(dataset: &Arc<Dataset>, order: &[NodeId], cfg: &PrepConfig) -> 
 /// batches. Every slot is back in the pool once the handle is joined.
 ///
 /// Returns immediately; batches stream through the handle's receiver while
-/// workers run.
+/// workers run. A consumer that holds `pool.capacity()` prepared batches
+/// and reads the stream again waits forever (see
+/// [`EpochHandle::batches`]).
 ///
 /// # Panics
 ///
@@ -315,11 +321,6 @@ pub fn run_epoch_with_pool(
         dataset.features.dtype(),
         "staging pool and feature store disagree on dtype"
     );
-    let items = make_work_items(order.len(), cfg.batch_size);
-    let lanes = match cfg.mode {
-        PrepMode::SharedMemory => 1,
-        PrepMode::Multiprocessing => cfg.num_workers,
-    };
     let (tx, rx) = sync_channel::<BatchResult>(pool.capacity());
     let cancel = Arc::new(AtomicBool::new(false));
 
@@ -328,12 +329,11 @@ pub fn run_epoch_with_pool(
     let ctx = Arc::new(WorkerCtx {
         dataset: Arc::clone(dataset),
         order: order.to_vec(),
-        queue: WorkQueue::new(items, lanes),
+        queue: WorkQueue::new(order.len(), cfg.batch_size),
         pool: pool.clone(),
         tx,
         cfg: cfg.clone(),
         cancel: Arc::clone(&cancel),
-        respawns_left: AtomicUsize::new(RESPAWN_BUDGET),
         live: AtomicUsize::new(cfg.num_workers),
     });
     let workers = (0..cfg.num_workers)
@@ -355,61 +355,56 @@ pub fn run_epoch_with_pool(
     }
 }
 
-/// The body of worker thread `id`: incarnations of [`worker_loop`], each
-/// under `catch_unwind`. A dead incarnation is followed by another under the
-/// same id (under static partitioning the id *is* the partition, so it keeps
-/// its owner) while work is left, the epoch is not cancelled and the epoch's
-/// respawn budget has a unit. The last thread to leave finishes whatever a
+/// The body of worker thread `id`: one run of [`worker_loop`] under
+/// `catch_unwind`. A worker that dies is not replaced; the survivors claim
+/// what it would have claimed. The last thread to leave prepares whatever a
 /// collapsed worker set left unclaimed, so the consumer still sees every
 /// batch (prepared or failed).
 fn supervise_worker(ctx: &WorkerCtx, id: usize) {
     let trace = &ctx.cfg.trace;
-    let work_left = || !ctx.cancel.load(Ordering::Acquire) && ctx.queue.remaining() > 0;
-    while std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        // Whole-worker fault site: ends the incarnation itself, exercising
-        // this loop rather than the per-item guard.
+    if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        // Whole-worker fault site: kills the worker itself, exercising this
+        // guard rather than the per-batch one.
         fault::fire(fault::sites::PREP_WORKER, id as u64);
-        worker_loop(ctx, id)
+        worker_loop(ctx);
     }))
     .is_err()
     {
         trace.instant(names::events::WORKER_PANIC, id as u64);
-        let respawn = work_left()
-            && ctx
-                .respawns_left
-                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |left| left.checked_sub(1))
-                .is_ok();
-        if !respawn {
-            break;
-        }
-        trace.instant(names::events::RESPAWN, id as u64);
     }
     // AcqRel: the last to leave sees every claim the others made.
-    if ctx.live.fetch_sub(1, Ordering::AcqRel) == 1 && work_left() {
+    if ctx.live.fetch_sub(1, Ordering::AcqRel) == 1
+        && !ctx.cancel.load(Ordering::Acquire)
+        && ctx.queue.remaining() > 0
+    {
         trace.instant(names::events::DEGRADED_INLINE, NO_BATCH);
-        // Every partition in turn, unguarded: a statically partitioned item
-        // orphaned by a dead worker is still prepared.
-        (0..ctx.cfg.num_workers).for_each(|w| worker_loop(ctx, w));
+        worker_loop(ctx);
     }
 }
 
-/// One incarnation of a worker: claims and prepares items until the source
-/// has none for it, the epoch is cancelled or the consumer hangs up.
-fn worker_loop(ctx: &WorkerCtx, worker: usize) {
+/// Claims and prepares batches until the queue is drained, the epoch is
+/// cancelled or the consumer hangs up.
+fn worker_loop(ctx: &WorkerCtx) {
     let mut sampler = AnySampler::new(ctx.cfg.sampler);
     let mut private = FeatureSlab::new(ctx.dataset.features.dtype(), 0);
     let mut private_labels: Vec<u32> = Vec::new();
     while !ctx.cancel.load(Ordering::Acquire) {
-        let Some(item) = ctx.queue.next(worker) else {
+        let Some((batch_id, range)) = ctx.queue.next() else {
             break;
         };
-        let Some(result) =
-            prepare_with_retries(ctx, &mut sampler, &item, &mut private, &mut private_labels)
-        else {
+        let batch_nodes = &ctx.order[range];
+        let Some(result) = prepare_with_retries(
+            ctx,
+            &mut sampler,
+            batch_id,
+            batch_nodes,
+            &mut private,
+            &mut private_labels,
+        ) else {
             break; // cancelled while waiting for a slot
         };
         if matches!(result, BatchResult::Ready(_))
-            && fault::fire(fault::sites::PREP_SEND, item.batch_id as u64)
+            && fault::fire(fault::sites::PREP_SEND, batch_id as u64)
         {
             // Injected message drop: the batch is lost, but its slot
             // returns to the pool as `result` drops here.
@@ -421,8 +416,9 @@ fn worker_loop(ctx: &WorkerCtx, worker: usize) {
     }
 }
 
-/// Prepares `item` under `catch_unwind`, re-attempting it in place after a
-/// panic until [`RETRY_BUDGET`] is spent and the batch is reported as
+/// Prepares batch `batch_id` (destinations `batch_nodes`) under
+/// `catch_unwind`, re-attempting it in place after a panic until
+/// [`RETRY_BUDGET`] is spent and the batch is reported as
 /// [`BatchResult::Failed`]. Each attempt reseeds `sampler` from
 /// [`batch_seed`]; a sampler that unwound mid-batch samples as a fresh one
 /// once reseeded. Returns `None` if the epoch was cancelled while waiting
@@ -430,49 +426,49 @@ fn worker_loop(ctx: &WorkerCtx, worker: usize) {
 fn prepare_with_retries(
     ctx: &WorkerCtx,
     sampler: &mut AnySampler,
-    item: &WorkItem,
+    batch_id: usize,
+    batch_nodes: &[NodeId],
     private: &mut FeatureSlab,
     private_labels: &mut Vec<u32>,
 ) -> Option<BatchResult> {
     let trace = &ctx.cfg.trace;
-    let bid = item.batch_id as u64;
     for attempt in 0..=RETRY_BUDGET {
-        sampler.reseed(batch_seed(ctx.cfg.seed, item.batch_id, attempt));
+        sampler.reseed(batch_seed(ctx.cfg.seed, batch_id, attempt));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            prepare_item(ctx, sampler, item, private, private_labels)
+            prepare_batch(ctx, sampler, batch_id, batch_nodes, private, private_labels)
         }));
         if let Ok(prepared) = outcome {
             return prepared.map(BatchResult::Ready);
         }
         if attempt < RETRY_BUDGET {
-            trace.instant(names::events::RETRY, bid);
+            trace.instant(names::events::RETRY, batch_id as u64);
         }
     }
-    trace.instant(names::events::FAILED_BATCH, bid);
+    trace.instant(names::events::FAILED_BATCH, batch_id as u64);
     Some(BatchResult::Failed {
-        batch_id: item.batch_id,
+        batch_id,
         attempts: RETRY_BUDGET + 1,
     })
 }
 
 /// Prepares one batch end-to-end. Returns `None` if the epoch was cancelled
 /// while waiting for a staging slot.
-fn prepare_item(
+fn prepare_batch(
     ctx: &WorkerCtx,
     sampler: &mut AnySampler,
-    item: &WorkItem,
+    batch_id: usize,
+    batch_nodes: &[NodeId],
     private: &mut FeatureSlab,
     private_labels: &mut Vec<u32>,
 ) -> Option<PreparedBatch> {
     let dim = ctx.dataset.features.dim();
-    let batch_nodes = &ctx.order[item.start..item.end];
     let trace = &ctx.cfg.trace;
     // All stage stamps come from the trace clock (the workspace's sanctioned
     // time source), so the same code path is timed deterministically under a
     // VirtualClock in tests. They feed the spans only: a disabled trace
     // falls back to the monotonic clock and records nothing.
     let clock = trace.clock();
-    let bid = item.batch_id as u64;
+    let bid = batch_id as u64;
 
     let t0 = clock.now_ns();
     fault::fire(fault::sites::PREP_SAMPLE, bid);
@@ -515,7 +511,7 @@ fn prepare_item(
         }
     }
     Some(PreparedBatch {
-        batch_id: item.batch_id,
+        batch_id,
         mfg,
         slot,
     })

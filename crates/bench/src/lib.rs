@@ -70,7 +70,7 @@ pub(crate) fn fmt_pct(p: f64) -> String {
 }
 
 /// Renders a unicode horizontal bar of `value/max` scaled to `width` cells.
-pub fn bar(value: f64, max: f64, width: usize) -> String {
+pub(crate) fn bar(value: f64, max: f64, width: usize) -> String {
     if max <= 0.0 {
         return String::new();
     }

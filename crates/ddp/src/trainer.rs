@@ -3,22 +3,7 @@
 
 use crate::comm::{CommError, Communicator};
 use salient_nn::GnnModel;
-use salient_tensor::Param;
-
-/// Averages every parameter's gradient across ranks (in place).
-///
-/// All ranks must call this with parameters in the same order — guaranteed
-/// when each rank builds the same architecture.
-///
-/// # Errors
-///
-/// Propagates the first [`CommError`] (dead or stalled peer).
-pub(crate) fn average_gradients(comm: &Communicator, params: &mut [&mut Param]) -> Result<(), CommError> {
-    for p in params.iter_mut() {
-        comm.all_reduce_mean_tensor(p.grad_mut())?;
-    }
-    Ok(())
-}
+use salient_tensor::Tensor;
 
 /// Broadcasts rank 0's parameter values to every rank, making replicas
 /// bit-identical before training starts.
@@ -26,27 +11,20 @@ pub(crate) fn average_gradients(comm: &Communicator, params: &mut [&mut Param]) 
 /// # Errors
 ///
 /// Propagates the first [`CommError`] (dead or stalled peer).
-pub(crate) fn sync_parameters(comm: &Communicator, params: &mut [&mut Param]) -> Result<(), CommError> {
-    for p in params.iter_mut() {
+pub fn sync_model(comm: &Communicator, model: &mut dyn GnnModel) -> Result<(), CommError> {
+    for p in model.params_mut() {
         let mut buf = p.value().data().to_vec();
         comm.broadcast(&mut buf)?;
         let shape = p.value().shape().clone();
-        p.set_value(salient_tensor::Tensor::from_vec(buf, shape));
+        p.set_value(Tensor::from_vec(buf, shape));
     }
     Ok(())
 }
 
-/// Broadcasts a model's parameters from rank 0 (convenience wrapper).
+/// Averages every parameter's gradient across ranks (in place).
 ///
-/// # Errors
-///
-/// Propagates the first [`CommError`] (dead or stalled peer).
-pub fn sync_model(comm: &Communicator, model: &mut dyn GnnModel) -> Result<(), CommError> {
-    let mut params = model.params_mut();
-    sync_parameters(comm, &mut params)
-}
-
-/// Averages a model's gradients across ranks (convenience wrapper).
+/// All ranks must call this on the same architecture, so that they visit
+/// the parameters in the same order.
 ///
 /// # Errors
 ///
@@ -55,15 +33,16 @@ pub fn average_model_gradients(
     comm: &Communicator,
     model: &mut dyn GnnModel,
 ) -> Result<(), CommError> {
-    let mut params = model.params_mut();
-    average_gradients(comm, &mut params)
+    for p in model.params_mut() {
+        comm.all_reduce_mean_tensor(p.grad_mut())?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use salient_nn::{build_model, ModelKind};
-    use salient_tensor::Tensor;
 
     #[test]
     fn gradient_averaging_matches_mean() {
@@ -74,10 +53,19 @@ mod tests {
                 .enumerate()
                 .map(|(r, comm)| {
                     s.spawn(move || {
-                        let mut p = Param::new("w", Tensor::zeros([4]));
-                        p.accumulate_grad(&Tensor::full([4], r as f32));
-                        average_gradients(&comm, &mut [&mut p]).unwrap();
-                        p.grad().data().to_vec()
+                        // The same replica on every rank, rank r's gradient
+                        // r everywhere.
+                        let mut model = build_model(ModelKind::Sage, 8, 4, 3, 2, 100);
+                        for p in model.params_mut() {
+                            let shape = p.value().shape().clone();
+                            *p.grad_mut() = Tensor::full(shape, r as f32);
+                        }
+                        average_model_gradients(&comm, model.as_mut()).unwrap();
+                        model
+                            .params()
+                            .iter()
+                            .flat_map(|p| p.grad().data().to_vec())
+                            .collect::<Vec<f32>>()
                     })
                 })
                 .collect();
@@ -87,6 +75,7 @@ mod tests {
                 .collect::<Vec<_>>()
         });
         for g in results {
+            assert!(!g.is_empty());
             assert!(g.iter().all(|&v| (v - 1.0).abs() < 1e-6), "mean of 0,1,2 is 1");
         }
     }

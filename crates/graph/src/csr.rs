@@ -216,7 +216,7 @@ impl CsrGraph {
     }
 
     /// Bytes of memory used by the CSR arrays.
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.indptr.len() * std::mem::size_of::<usize>()
             + self.indices.len() * std::mem::size_of::<NodeId>()
     }

@@ -263,7 +263,7 @@ impl FeatureMatrix {
     }
 
     /// Bytes occupied by the feature storage.
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.data.bytes()
     }
 

@@ -29,7 +29,7 @@ impl Splits {
     /// # Panics
     ///
     /// Panics if the fractions are negative or sum to more than 1.
-    pub fn random(num_nodes: usize, frac_train: f64, frac_val: f64, frac_test: f64, seed: u64) -> Self {
+    pub(crate) fn random(num_nodes: usize, frac_train: f64, frac_val: f64, frac_test: f64, seed: u64) -> Self {
         assert!(
             frac_train >= 0.0 && frac_val >= 0.0 && frac_test >= 0.0,
             "negative split fraction"

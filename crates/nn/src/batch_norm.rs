@@ -16,7 +16,7 @@ pub struct BatchNorm1d {
 
 impl BatchNorm1d {
     /// Creates a batch-norm layer over `num_features` columns.
-    pub fn new(name: &str, num_features: usize) -> Self {
+    pub(crate) fn new(name: &str, num_features: usize) -> Self {
         BatchNorm1d {
             gamma: Param::new(format!("{name}.gamma"), Tensor::ones([num_features])),
             beta: Param::new(format!("{name}.beta"), Tensor::zeros([num_features])),
@@ -39,7 +39,7 @@ impl BatchNorm1d {
     /// # Panics
     ///
     /// Panics if `x` does not have `num_features` columns.
-    pub fn forward(&mut self, tape: &Tape, x: &Var, training: bool) -> Var {
+    pub(crate) fn forward(&mut self, tape: &Tape, x: &Var, training: bool) -> Var {
         let g = tape.param(&self.gamma);
         let b = tape.param(&self.beta);
         if training {
@@ -61,12 +61,12 @@ impl BatchNorm1d {
     }
 
     /// Trainable parameters.
-    pub fn params(&self) -> Vec<&Param> {
+    pub(crate) fn params(&self) -> Vec<&Param> {
         vec![&self.gamma, &self.beta]
     }
 
     /// Mutable trainable parameters.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.gamma, &mut self.beta]
     }
 }

@@ -13,7 +13,7 @@ pub struct Linear {
 
 impl Linear {
     /// Creates a Glorot-initialized linear layer.
-    pub fn new(
+    pub(crate) fn new(
         name: &str,
         in_features: usize,
         out_features: usize,
@@ -36,7 +36,7 @@ impl Linear {
     }
 
     /// Applies the layer.
-    pub fn forward(&self, tape: &Tape, x: &Var) -> Var {
+    pub(crate) fn forward(&self, tape: &Tape, x: &Var) -> Var {
         let w = tape.param(&self.weight);
         let y = x.matmul(&w);
         match &self.bias {
@@ -46,7 +46,7 @@ impl Linear {
     }
 
     /// Trainable parameters.
-    pub fn params(&self) -> Vec<&Param> {
+    pub(crate) fn params(&self) -> Vec<&Param> {
         match &self.bias {
             Some(b) => vec![&self.weight, b],
             None => vec![&self.weight],
@@ -54,7 +54,7 @@ impl Linear {
     }
 
     /// Mutable trainable parameters.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
         match &mut self.bias {
             Some(b) => vec![&mut self.weight, b],
             None => vec![&mut self.weight],

@@ -34,7 +34,7 @@ pub enum Mode {
 
 impl Mode {
     /// Whether this is training mode.
-    pub fn training(self) -> bool {
+    pub(crate) fn training(self) -> bool {
         matches!(self, Mode::Train)
     }
 }
@@ -217,7 +217,7 @@ pub struct Gat {
 
 impl Gat {
     /// Creates the model.
-    pub fn new(
+    pub(crate) fn new(
         in_dim: usize,
         hidden: usize,
         out_dim: usize,
@@ -288,7 +288,7 @@ pub struct Gin {
 
 impl Gin {
     /// Creates the model.
-    pub fn new(
+    pub(crate) fn new(
         in_dim: usize,
         hidden: usize,
         out_dim: usize,

@@ -138,7 +138,7 @@ pub struct PipeStats {
 
 impl PipeStats {
     /// Whether the run stopped early.
-    pub fn poisoned(&self) -> bool {
+    pub(crate) fn poisoned(&self) -> bool {
         self.fatal_stage.is_some()
     }
 }

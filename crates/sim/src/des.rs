@@ -72,7 +72,7 @@ pub struct Executed {
 impl Executed {
     /// Utilization of a resource over the makespan: busy time divided by
     /// `servers × makespan`.
-    pub fn utilization(&self, sim: &Simulation, resource: ResourceId) -> f64 {
+    pub(crate) fn utilization(&self, sim: &Simulation, resource: ResourceId) -> f64 {
         if self.makespan == 0 {
             return 0.0;
         }

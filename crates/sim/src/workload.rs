@@ -54,13 +54,13 @@ impl BatchWorkload {
 
     /// Bytes of MFG structure (edge lists as two `u32`s plus node ids)
     /// transferred per batch.
-    pub fn structure_bytes(&self) -> f64 {
+    pub(crate) fn structure_bytes(&self) -> f64 {
         self.mfg_edges * 8.0 + self.mfg_nodes * 4.0
     }
 
     /// Total bytes per batch crossing the CPU→GPU bus (features + labels +
     /// structure).
-    pub fn transfer_bytes(&self) -> f64 {
+    pub(crate) fn transfer_bytes(&self) -> f64 {
         self.feature_bytes() + self.batch_size as f64 * 4.0 + self.structure_bytes()
     }
 }

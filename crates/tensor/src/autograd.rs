@@ -113,7 +113,7 @@ impl Param {
     /// # Panics
     ///
     /// Panics if the gradient shape differs from the value shape.
-    pub fn accumulate_grad(&mut self, g: &Tensor) {
+    pub(crate) fn accumulate_grad(&mut self, g: &Tensor) {
         self.grad.axpy(1.0, g);
     }
 

@@ -16,12 +16,6 @@ pub trait Optimizer {
     fn step<'a>(&mut self, params: impl Iterator<Item = &'a mut Param>)
     where
         Self: Sized;
-
-    /// The current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Changes the learning rate (e.g. for warmup or decay schedules).
-    fn set_learning_rate(&mut self, lr: f32);
 }
 
 /// Zeroes the gradient of every parameter.
@@ -99,14 +93,6 @@ impl Optimizer for Adam {
             }
         }
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
@@ -130,12 +116,5 @@ mod tests {
         }
         assert!((p.value().item() - 3.0).abs() < 1e-2, "got {}", p.value().item());
         assert_eq!(opt.steps(), 300);
-    }
-
-    #[test]
-    fn learning_rate_is_adjustable() {
-        let mut opt = Adam::new(0.1);
-        opt.set_learning_rate(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
     }
 }

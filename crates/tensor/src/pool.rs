@@ -95,7 +95,7 @@ fn configured_threads() -> usize {
 static POOL: OnceLock<&'static ThreadPool> = OnceLock::new();
 
 /// The process-wide pool, created on first use.
-pub fn global() -> &'static ThreadPool {
+pub(crate) fn global() -> &'static ThreadPool {
     POOL.get_or_init(|| ThreadPool::new(configured_threads()))
 }
 
@@ -129,7 +129,7 @@ impl ThreadPool {
     }
 
     /// Total threads participating in jobs (workers + submitter).
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.threads
     }
 
@@ -196,7 +196,7 @@ impl ThreadPool {
     ///
     /// The closure must partition writes disjointly by chunk index; with
     /// that discipline results are identical for any thread count.
-    pub fn run(&'static self, n_chunks: usize, task: &(dyn Fn(usize) + Sync)) {
+    pub(crate) fn run(&'static self, n_chunks: usize, task: &(dyn Fn(usize) + Sync)) {
         if n_chunks == 0 {
             return;
         }

@@ -33,12 +33,12 @@ impl Shape {
     }
 
     /// The shape of a scalar (rank 0, one element).
-    pub fn scalar() -> Self {
+    pub(crate) fn scalar() -> Self {
         Shape(Vec::new())
     }
 
     /// The shape of a length-`n` vector.
-    pub fn vector(n: usize) -> Self {
+    pub(crate) fn vector(n: usize) -> Self {
         Shape(vec![n])
     }
 
@@ -85,7 +85,7 @@ impl Shape {
     }
 
     /// Number of columns of a rank-2 shape; 1 for vectors and scalars.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         match self.0.len() {
             0 | 1 => 1,
             _ => self.0[1..].iter().product(),

@@ -101,7 +101,7 @@ impl Tensor {
     }
 
     /// Creates a rank-0 tensor holding a single value.
-    pub fn scalar(value: f32) -> Self {
+    pub(crate) fn scalar(value: f32) -> Self {
         Tensor::from_vec(vec![value], Shape::scalar())
     }
 
@@ -185,7 +185,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the element counts differ.
-    pub fn reshape(&self, shape: impl Into<Shape>) -> Tensor {
+    pub(crate) fn reshape(&self, shape: impl Into<Shape>) -> Tensor {
         let shape = shape.into();
         assert_eq!(
             self.len(),
@@ -205,7 +205,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if `k > self.rows()`.
-    pub fn narrow_rows(&self, k: usize) -> Tensor {
+    pub(crate) fn narrow_rows(&self, k: usize) -> Tensor {
         assert!(k <= self.rows(), "narrow to {k} rows of {}", self.rows());
         Tensor {
             data: Arc::clone(&self.data),
@@ -270,7 +270,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if shapes differ.
-    pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+    pub(crate) fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!(
             self.shape, other.shape,
             "zip shape mismatch {} vs {}",
@@ -299,7 +299,7 @@ impl Tensor {
     }
 
     /// In-place multiply by a scalar.
-    pub fn scale(&mut self, alpha: f32) {
+    pub(crate) fn scale(&mut self, alpha: f32) {
         for d in self.data_mut() {
             *d *= alpha;
         }

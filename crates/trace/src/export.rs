@@ -198,7 +198,6 @@ pub fn render_report(r: &PipelineReport, snap: &Snapshot) -> String {
         ("retries", events::RETRY),
         ("failed_batches", events::FAILED_BATCH),
         ("worker_panics", events::WORKER_PANIC),
-        ("respawns", events::RESPAWN),
         ("degraded_inline", events::DEGRADED_INLINE),
     ]
     .map(|(label, name)| (label, snap.count(name)));
@@ -263,7 +262,7 @@ mod tests {
         assert!(text.contains("stage.train: n=1 p50=0.600 ms"), "{text}");
         assert!(!text.contains("warmup"), "{text}");
         assert!(
-            text.contains("faults: retries=1 failed_batches=0 worker_panics=0 respawns=0 degraded_inline=0"),
+            text.contains("faults: retries=1 failed_batches=0 worker_panics=0 degraded_inline=0"),
             "{text}"
         );
         // A window without the retry reports no faults.

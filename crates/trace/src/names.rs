@@ -179,15 +179,13 @@ registry! {
     /// Point-event names.
     pub mod events: EventName;
 
-    /// A prep work item is attempted again after a caught panic.
+    /// A prep batch is attempted again after a caught panic.
     RETRY = "fault.retry",
-    /// A prep worker started a new incarnation after its last one died.
-    RESPAWN = "fault.respawn",
     /// A batch exhausted its retry budget (terminal failure marker).
     FAILED_BATCH = "fault.failed_batch",
     /// The worker set collapsed; the epoch finished inline.
     DEGRADED_INLINE = "fault.degraded",
-    /// A prep-worker incarnation died.
+    /// A prep worker died; it is not replaced.
     WORKER_PANIC = "fault.worker_panic",
     /// The serving degradation ladder stepped down one fanout level.
     SERVE_DEGRADE = "serve.degrade",

@@ -5,12 +5,12 @@
 //! * every batch is accounted for — prepared, retried, or reported as a
 //!   terminal `BatchResult::Failed` marker (dropped messages excepted);
 //! * a batch is the same MFG whichever worker prepared it, however many
-//!   there were, in either mode, after a respawn or inline;
+//!   there were, in either mode, after a worker died or inline;
 //! * no pinned staging slot leaks, whatever dies;
 //! * every injected fault is *observable*: each retry, failed batch,
-//!   worker death, respawn and inline degradation is one point event on
-//!   the trace, as many as the plan implies, and each item panic is a
-//!   retry or a failed batch;
+//!   worker death and inline degradation is one point event on the trace,
+//!   as many as the plan implies, and each item panic is a retry or a
+//!   failed batch;
 //! * DDP collectives surface typed `CommError`s instead of hanging;
 //! * checkpoint saves are crash-safe and loads detect corruption.
 //!
@@ -74,10 +74,10 @@ fn prep_cfg(mode: PrepMode) -> PrepConfig {
 }
 
 /// Batch prep's fault events on `trace`, in the order
-/// `[retry, failed_batch, worker_panic, respawn, degraded]`.
-type FaultEvents = [usize; 5];
+/// `[retry, failed_batch, worker_panic, degraded]`.
+type FaultEvents = [usize; 4];
 
-const NO_FAULTS: FaultEvents = [0; 5];
+const NO_FAULTS: FaultEvents = [0; 4];
 
 fn fault_events(trace: &Trace) -> FaultEvents {
     let snap = trace.snapshot();
@@ -85,7 +85,6 @@ fn fault_events(trace: &Trace) -> FaultEvents {
         names::events::RETRY,
         names::events::FAILED_BATCH,
         names::events::WORKER_PANIC,
-        names::events::RESPAWN,
         names::events::DEGRADED_INLINE,
     ]
     .map(|name| snap.count(name))
@@ -109,13 +108,6 @@ fn ids(ready: &Batches) -> Vec<usize> {
     ready.iter().map(|&(id, _)| id).collect()
 }
 
-/// Runs one prep epoch under `plan`, consuming every message. Returns
-/// `(ready batches, failed (batch_id, attempts), fault events)` and
-/// asserts the no-leaked-slot invariant.
-fn run_under_plan(plan: FaultPlan, cfg: &PrepConfig) -> (Batches, Vec<(usize, u32)>, FaultEvents) {
-    run_gated(plan, cfg, || true)
-}
-
 /// The batches of a clean epoch at one worker: what every schedule, fault
 /// plan and worker count must deliver for each batch it prepares on its
 /// first attempt.
@@ -126,25 +118,16 @@ fn one_clean_worker(mode: PrepMode) -> Batches {
     ready
 }
 
-/// [`run_under_plan`] with a consumer that takes nothing until `open()`
-/// holds (or 10 s pass): the workers meanwhile fill the slots and block, so
-/// a scenario can fix what a dead worker finds when it acts instead of
-/// racing the survivors to it.
-fn run_gated(
-    plan: FaultPlan,
-    cfg: &PrepConfig,
-    open: impl Fn() -> bool,
-) -> (Batches, Vec<(usize, u32)>, FaultEvents) {
+/// Runs one prep epoch under `plan`, consuming every message. Returns
+/// `(ready batches, failed (batch_id, attempts), fault events)` and
+/// asserts the no-leaked-slot invariant.
+fn run_under_plan(plan: FaultPlan, cfg: &PrepConfig) -> (Batches, Vec<(usize, u32)>, FaultEvents) {
     let ds = dataset();
     let order = ds.splits.train.clone();
     let _guard = fault::scoped(plan);
     let pool = pool();
     assert_eq!(pool.available(), pool.capacity(), "the previous scenario leaked a slot");
     let handle = run_epoch_with_pool(&ds, &order, cfg, &pool);
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while !open() && std::time::Instant::now() < deadline {
-        std::thread::yield_now();
-    }
     let mut ready = Vec::new();
     let mut failed = Vec::new();
     for msg in handle.batches.iter() {
@@ -207,7 +190,7 @@ fn item_panic_is_retried_and_epoch_completes() {
                 counting_item_panics(|| run_under_plan(plan, &prep_cfg(mode)));
             assert_eq!(ids(&ready), (0..n).collect::<Vec<_>>(), "{mode:?}/{site}");
             assert!(failed.is_empty(), "{mode:?}/{site}: {failed:?}");
-            assert_eq!(events, [1, 0, 0, 0, 0], "{mode:?}/{site}");
+            assert_eq!(events, [1, 0, 0, 0], "{mode:?}/{site}");
             assert_eq!(panics, 1, "{mode:?}/{site}");
         }
     }
@@ -228,7 +211,7 @@ fn exhausted_retry_budget_yields_exactly_one_failed_marker() {
             want.retain(|&b| b != 1);
             assert_eq!(ids(&ready), want, "{mode:?}/{site}");
             assert_eq!(failed, vec![(1, 2)], "{mode:?}/{site}: 1 + 1 retry = 2 attempts");
-            assert_eq!(events, [1, 1, 0, 0, 0], "{mode:?}/{site}");
+            assert_eq!(events, [1, 1, 0, 0], "{mode:?}/{site}");
             // Every item panic is either retried or the batch's failure.
             assert_eq!(panics, events[0] + events[1], "{mode:?}/{site}");
         }
@@ -282,28 +265,38 @@ fn straggler_delay_only_slows_the_epoch() {
     }
 }
 
-#[test]
-fn dead_worker_is_respawned_within_budget() {
-    let _s = serial();
+/// Worker 0 dies at its start under `plan`, in both modes: it starts once
+/// and is not replaced. Worker 1 claims what worker 0 would have claimed,
+/// so the worker set never collapses and nothing is prepared inline,
+/// whichever of the two leaves last.
+fn assert_survivor_takes_over(plan: impl Fn() -> FaultPlan) {
     let n = expected_batches();
     for mode in MODES {
-        // Worker 0 dies at its start and restarts itself once (same id, so a
-        // static partition keeps its owner).
-        let plan = FaultPlan::new(5).panic_at(sites::PREP_WORKER, 0);
-        // A worker restarts only while work is left, and with a shared queue
-        // the survivor can finish the epoch before the dead one has unwound
-        // (a panic message with a backtrace takes milliseconds, and so does
-        // a descheduled thread on two cores; ten small batches do not).
-        // Nothing is consumed until it has acted: the survivor then holds at
-        // most `slots` batches plus the one in its hands, and the rest of
-        // the epoch is still to do.
-        let cfg = prep_cfg(mode);
-        let respawned = || cfg.trace.snapshot().count(names::events::RESPAWN) >= 1;
-        let (ready, failed, events) = run_gated(plan, &cfg, respawned);
-        assert_eq!(ready.len(), n, "{mode:?}");
-        assert!(failed.is_empty(), "{mode:?}");
-        assert_eq!(events, [0, 0, 1, 1, 0], "{mode:?}");
+        let (ready, failed, events) = run_under_plan(plan(), &prep_cfg(mode));
+        assert_eq!(ids(&ready), (0..n).collect::<Vec<_>>(), "{mode:?}");
+        assert!(failed.is_empty(), "{mode:?}: {failed:?}");
+        assert_eq!(events, [0, 0, 1, 0], "{mode:?}");
+        // The survivor's batches are the ones the dead worker would have
+        // drawn.
+        assert_eq!(ready, one_clean_worker(mode), "{mode:?}");
     }
+}
+
+#[test]
+fn a_dead_worker_leaves_its_batches_to_the_survivor() {
+    let _s = serial();
+    // Worker 0 dies once, at its first start.
+    assert_survivor_takes_over(|| FaultPlan::new(5).panic_at(sites::PREP_WORKER, 0));
+}
+
+#[test]
+fn a_live_survivor_inherits_an_orphaned_partition() {
+    let _s = serial();
+    // Worker 0 dies at every start; with no respawn that is still one death,
+    // and its share of the claim cursor is what the survivor inherits.
+    assert_survivor_takes_over(|| {
+        FaultPlan::new(10).with_spec(always_panic_at(sites::PREP_WORKER, 0))
+    });
 }
 
 #[test]
@@ -311,9 +304,8 @@ fn worker_collapse_degrades_to_inline_preparation() {
     let _s = serial();
     let n = expected_batches();
     for mode in MODES {
-        // Every worker (and the epoch's one respawn) dies instantly: three
-        // deaths. The last one out finishes the epoch inline, so the
-        // consumer still sees every batch.
+        // Both workers die instantly: two deaths. The last one out prepares
+        // the epoch inline, so the consumer still sees every batch.
         let plan = FaultPlan::new(6).with_spec(FaultSpec {
             site: sites::PREP_WORKER,
             kind: FaultKind::Panic,
@@ -323,28 +315,10 @@ fn worker_collapse_degrades_to_inline_preparation() {
         let (ready, failed, events) = run_under_plan(plan, &prep_cfg(mode));
         assert_eq!(ids(&ready), (0..n).collect::<Vec<_>>(), "{mode:?}");
         assert!(failed.is_empty(), "{mode:?}");
-        assert_eq!(events, [0, 0, 3, 1, 1], "{mode:?}");
+        assert_eq!(events, [0, 0, 2, 1], "{mode:?}");
         // Prepared inline, every batch is the one a healthy worker draws.
         assert_eq!(ready, one_clean_worker(mode), "{mode:?}");
     }
-}
-
-#[test]
-fn a_live_survivor_inherits_an_orphaned_partition() {
-    let _s = serial();
-    let n = expected_batches();
-    // Worker 0 dies at every start: once, again as its own replacement (the
-    // epoch's one respawn), then for good, its static partition untouched.
-    // Worker 1 is healthy throughout, so the worker set never collapses all
-    // at once; whichever of the two leaves last prepares the orphans inline.
-    let plan = FaultPlan::new(10).with_spec(always_panic_at(sites::PREP_WORKER, 0));
-    let (ready, failed, events) = run_under_plan(plan, &prep_cfg(PrepMode::Multiprocessing));
-    assert_eq!(ids(&ready), (0..n).collect::<Vec<_>>());
-    assert!(failed.is_empty(), "{failed:?}");
-    assert_eq!(events, [0, 0, 2, 1, 1]);
-    // The orphans, prepared by whoever left last, are the batches their
-    // dead owner would have drawn.
-    assert_eq!(ready, one_clean_worker(PrepMode::Multiprocessing));
 }
 
 #[test]
@@ -379,7 +353,7 @@ fn a_retry_is_schedule_independent() {
             let cfg = PrepConfig { num_workers, ..prep_cfg(mode) };
             let (ready, failed, events) = run_under_plan(retried(), &cfg);
             assert!(failed.is_empty(), "{mode:?} at {num_workers}: {failed:?}");
-            assert_eq!(events, [1, 0, 0, 0, 0], "{mode:?} at {num_workers}");
+            assert_eq!(events, [1, 0, 0, 0], "{mode:?} at {num_workers}");
             assert_eq!(ready.len(), n, "{mode:?} at {num_workers}");
             let want = retried_batches.get_or_insert_with(|| ready.clone());
             assert_eq!(&ready, want, "{mode:?} at {num_workers} workers, batch 2 retried");
