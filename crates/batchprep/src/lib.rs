@@ -6,8 +6,9 @@
 //! batch from the epoch's one lock-free claim cursor. A
 //! PyTorch-multiprocessing emulation — a private slice plus an extra
 //! shared-memory copy into the slot — is included as the baseline it
-//! replaces; it claims from the same cursor. A worker that dies is not
-//! replaced: the survivors claim its batches.
+//! replaces; it claims from the same cursor. A panic while preparing a
+//! batch costs that batch one attempt, never its worker: a batch that fails
+//! every attempt arrives as a `BatchResult::Failed` marker.
 //!
 //! # Example
 //!

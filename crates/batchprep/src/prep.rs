@@ -19,18 +19,19 @@
 //!
 //! # Failure model
 //!
-//! Each worker supervises itself. A panic while preparing one batch is
-//! caught on the worker, which re-attempts the same batch in place with the
-//! same sampler, reseeded for the next attempt, up to [`RETRY_BUDGET`] more
-//! times; a batch that exhausts the budget is reported as a terminal
-//! [`BatchResult::Failed`] marker — the consumer never waits on a batch that
-//! will not arrive, and the staging slot always returns to the pool. A panic
-//! that escapes the per-batch guard ends the worker: it is not replaced, and
-//! the survivors claim what it would have claimed. The last worker to leave
-//! prepares whatever is still unclaimed inline, unless the epoch was
-//! cancelled. Each of these acts is one point event on the epoch's trace
-//! (`fault.retry`, `fault.failed_batch`, `fault.worker_panic`,
-//! `fault.degraded`), and a failed batch is also its marker on the stream.
+//! The unit of failure is the batch, not the worker. Every step of a
+//! claimed batch — sampling, slicing, the `prep.send` fault site and the
+//! choice between sending it and dropping it — runs under one per-batch
+//! guard. A panic there is caught on the worker, which re-attempts the same
+//! batch in place with the same sampler, reseeded for the next attempt, up
+//! to [`RETRY_BUDGET`] more times; a batch that exhausts the budget is
+//! reported as a terminal [`BatchResult::Failed`] marker — the consumer
+//! never waits on a batch that will not arrive, and the staging slot always
+//! returns to the pool. Outside the guard a worker only reads the cancel
+//! flag, claims from the cursor and sends, none of which panics, so no
+//! worker dies. Each retry and each failed batch is one point event on the
+//! epoch's trace (`fault.retry`, `fault.failed_batch`), and a failed batch
+//! is also its marker on the stream.
 
 #![expect(
     clippy::indexing_slicing,
@@ -45,8 +46,8 @@ use salient_graph::{Dataset, NodeId};
 use salient_sampler::{FastSampler, MessageFlowGraph, PygSampler};
 use salient_graph::FeatureSlab;
 use salient_tensor::rng::derive;
-use salient_trace::{names, Trace, NO_BATCH};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use salient_trace::{names, Trace};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 
@@ -135,8 +136,6 @@ pub enum BatchResult {
     Failed {
         /// Sequential batch index within the epoch.
         batch_id: usize,
-        /// Total attempts consumed (1 + retries).
-        attempts: u32,
     },
 }
 
@@ -201,9 +200,6 @@ struct WorkerCtx {
     tx: SyncSender<BatchResult>,
     cfg: PrepConfig,
     cancel: Arc<AtomicBool>,
-    /// Worker threads that have not left; the one that takes it to zero
-    /// prepares unclaimed work inline.
-    live: AtomicUsize,
 }
 
 /// The seed attempt `attempt` at batch `batch_id` samples from, in an
@@ -239,8 +235,9 @@ impl EpochHandle {
     ///
     /// # Panics
     ///
-    /// Panics only if a worker thread panicked outside its own supervision
-    /// (panics inside it are recorded and survived).
+    /// Panics if a worker thread panicked, which is a bug: every step of a
+    /// claimed batch runs under the worker's per-batch guard, and what runs
+    /// outside it does not panic.
     pub fn join(self) {
         self.cancel.store(true, Ordering::Release);
         // A worker asleep on a slot the consumer still holds rereads the
@@ -249,8 +246,8 @@ impl EpochHandle {
         self.pool.wake_cancelled();
         drop(self.batches);
         for worker in self.workers {
-            #[expect(clippy::expect_used, reason = "propagating a panic that escaped a worker's supervision loop to the caller is the documented join contract")]
-            worker.join().expect("batch-prep worker panicked outside its supervision loop");
+            #[expect(clippy::expect_used, reason = "propagating a panic that escaped a worker's per-batch guard to the caller is the documented join contract")]
+            worker.join().expect("batch-prep worker panicked outside its per-batch guard");
         }
     }
 
@@ -334,7 +331,6 @@ pub fn run_epoch_with_pool(
         tx,
         cfg: cfg.clone(),
         cancel: Arc::clone(&cancel),
-        live: AtomicUsize::new(cfg.num_workers),
     });
     let workers = (0..cfg.num_workers)
         .map(|id| {
@@ -342,7 +338,7 @@ pub fn run_epoch_with_pool(
             #[expect(clippy::expect_used, reason = "thread-spawn failure is unrecoverable resource exhaustion at epoch start")]
             std::thread::Builder::new()
                 .name(format!("salient-prep-{id}"))
-                .spawn(move || supervise_worker(&ctx, id))
+                .spawn(move || worker_loop(&ctx))
                 .expect("failed to spawn batch-prep worker")
         })
         .collect();
@@ -355,35 +351,19 @@ pub fn run_epoch_with_pool(
     }
 }
 
-/// The body of worker thread `id`: one run of [`worker_loop`] under
-/// `catch_unwind`. A worker that dies is not replaced; the survivors claim
-/// what it would have claimed. The last thread to leave prepares whatever a
-/// collapsed worker set left unclaimed, so the consumer still sees every
-/// batch (prepared or failed).
-fn supervise_worker(ctx: &WorkerCtx, id: usize) {
-    let trace = &ctx.cfg.trace;
-    if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        // Whole-worker fault site: kills the worker itself, exercising this
-        // guard rather than the per-batch one.
-        fault::fire(fault::sites::PREP_WORKER, id as u64);
-        worker_loop(ctx);
-    }))
-    .is_err()
-    {
-        trace.instant(names::events::WORKER_PANIC, id as u64);
-    }
-    // AcqRel: the last to leave sees every claim the others made.
-    if ctx.live.fetch_sub(1, Ordering::AcqRel) == 1
-        && !ctx.cancel.load(Ordering::Acquire)
-        && ctx.queue.remaining() > 0
-    {
-        trace.instant(names::events::DEGRADED_INLINE, NO_BATCH);
-        worker_loop(ctx);
-    }
+/// What one claimed batch came to.
+enum Outcome {
+    /// Send this message: the prepared batch or its failure marker.
+    Send(BatchResult),
+    /// An injected `prep.send` drop lost the batch; its slot is back in the
+    /// pool.
+    Dropped,
+    /// The epoch was cancelled while an attempt waited for a staging slot.
+    Cancelled,
 }
 
-/// Claims and prepares batches until the queue is drained, the epoch is
-/// cancelled or the consumer hangs up.
+/// The body of every worker thread: claims and prepares batches until the
+/// queue is drained, the epoch is cancelled or the consumer hangs up.
 fn worker_loop(ctx: &WorkerCtx) {
     let mut sampler = AnySampler::new(ctx.cfg.sampler);
     let mut private = FeatureSlab::new(ctx.dataset.features.dtype(), 0);
@@ -393,24 +373,19 @@ fn worker_loop(ctx: &WorkerCtx) {
             break;
         };
         let batch_nodes = &ctx.order[range];
-        let Some(result) = prepare_with_retries(
+        let msg = match prepare_with_retries(
             ctx,
             &mut sampler,
             batch_id,
             batch_nodes,
             &mut private,
             &mut private_labels,
-        ) else {
-            break; // cancelled while waiting for a slot
+        ) {
+            Outcome::Send(msg) => msg,
+            Outcome::Dropped => continue,
+            Outcome::Cancelled => break,
         };
-        if matches!(result, BatchResult::Ready(_))
-            && fault::fire(fault::sites::PREP_SEND, batch_id as u64)
-        {
-            // Injected message drop: the batch is lost, but its slot
-            // returns to the pool as `result` drops here.
-            continue;
-        }
-        if ctx.tx.send(result).is_err() {
+        if ctx.tx.send(msg).is_err() {
             break; // consumer hung up: stop early
         }
     }
@@ -419,10 +394,10 @@ fn worker_loop(ctx: &WorkerCtx) {
 /// Prepares batch `batch_id` (destinations `batch_nodes`) under
 /// `catch_unwind`, re-attempting it in place after a panic until
 /// [`RETRY_BUDGET`] is spent and the batch is reported as
-/// [`BatchResult::Failed`]. Each attempt reseeds `sampler` from
-/// [`batch_seed`]; a sampler that unwound mid-batch samples as a fresh one
-/// once reseeded. Returns `None` if the epoch was cancelled while waiting
-/// for a staging slot.
+/// [`BatchResult::Failed`]. The guard covers the whole attempt: the
+/// preparation, the `prep.send` fault site and whether the batch is sent.
+/// Each attempt reseeds `sampler` from [`batch_seed`]; a sampler that
+/// unwound mid-batch samples as a fresh one once reseeded.
 fn prepare_with_retries(
     ctx: &WorkerCtx,
     sampler: &mut AnySampler,
@@ -430,25 +405,34 @@ fn prepare_with_retries(
     batch_nodes: &[NodeId],
     private: &mut FeatureSlab,
     private_labels: &mut Vec<u32>,
-) -> Option<BatchResult> {
+) -> Outcome {
     let trace = &ctx.cfg.trace;
     for attempt in 0..=RETRY_BUDGET {
         sampler.reseed(batch_seed(ctx.cfg.seed, batch_id, attempt));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            prepare_batch(ctx, sampler, batch_id, batch_nodes, private, private_labels)
+            let Some(batch) =
+                prepare_batch(ctx, sampler, batch_id, batch_nodes, private, private_labels)
+            else {
+                return Outcome::Cancelled;
+            };
+            // An injected panic here unwinds `batch`, returning its slot,
+            // and costs the attempt; an injected drop loses the batch, whose
+            // slot returns to the pool as it drops.
+            if fault::fire(fault::sites::PREP_SEND, batch_id as u64) {
+                Outcome::Dropped
+            } else {
+                Outcome::Send(BatchResult::Ready(batch))
+            }
         }));
-        if let Ok(prepared) = outcome {
-            return prepared.map(BatchResult::Ready);
+        if let Ok(outcome) = outcome {
+            return outcome;
         }
         if attempt < RETRY_BUDGET {
             trace.instant(names::events::RETRY, batch_id as u64);
         }
     }
     trace.instant(names::events::FAILED_BATCH, batch_id as u64);
-    Some(BatchResult::Failed {
-        batch_id,
-        attempts: RETRY_BUDGET + 1,
-    })
+    Outcome::Send(BatchResult::Failed { batch_id })
 }
 
 /// Prepares one batch end-to-end. Returns `None` if the epoch was cancelled

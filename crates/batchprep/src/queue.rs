@@ -3,8 +3,7 @@
 //! SALIENT's batch-prep threads "balance load dynamically via a lock-free
 //! input queue that contains the destination nodes for each mini-batch"
 //! (§4.2): every worker pulls its next batch from the same queue, so a worker
-//! stuck on a giant neighborhood does not delay the rest of the epoch, and a
-//! worker that dies leaves its share to whoever claims next.
+//! stuck on a giant neighborhood does not delay the rest of the epoch.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -42,13 +41,6 @@ impl WorkQueue {
         let start = b.checked_mul(self.batch_size).filter(|&s| s < self.nodes)?;
         Some((b, start..self.nodes.min(start + self.batch_size)))
     }
-
-    /// Batches no worker has claimed yet: whether the last worker to leave
-    /// left work behind.
-    pub(crate) fn remaining(&self) -> usize {
-        let batches = self.nodes.div_ceil(self.batch_size);
-        batches.saturating_sub(self.cursor.load(Ordering::Acquire))
-    }
 }
 
 #[cfg(test)]
@@ -61,7 +53,6 @@ mod tests {
         let claimed: Vec<_> = std::iter::from_fn(|| q.next()).collect();
         assert_eq!(claimed, vec![(0, 0..4), (1, 4..8), (2, 8..10)]);
         assert_eq!(q.next(), None, "a drained queue stays drained");
-        assert_eq!(q.remaining(), 0);
     }
 
     #[test]
@@ -79,15 +70,5 @@ mod tests {
         let mut all = popped.concat();
         all.sort_unstable();
         assert_eq!(all, (0..1_000).collect::<Vec<_>>(), "every id exactly once");
-    }
-
-    #[test]
-    fn remaining_tracks_claims() {
-        let q = WorkQueue::new(10, 2);
-        assert_eq!(q.remaining(), 5);
-        q.next();
-        assert_eq!(q.remaining(), 4);
-        while q.next().is_some() {}
-        assert_eq!(q.remaining(), 0);
     }
 }

@@ -14,10 +14,10 @@
 //! step expects, so ranks that fell out of step get an error, never each
 //! other's buffers. A [`Communicator`] belongs to one rank thread (it is
 //! `Send`, not `Sync`). Fault injection hooks ([`salient_fault::sites::DDP_SEND`]
-//! / [`salient_fault::sites::DDP_RECV`]) allow tests to drop links and delay
-//! ranks deterministically.
+//! / [`salient_fault::sites::DDP_RECV`]) allow tests to kill ranks, drop
+//! links and delay ranks deterministically.
 
-use salient_fault::{self as fault, FaultAction};
+use salient_fault as fault;
 use salient_tensor::Tensor;
 use salient_trace::{names, Trace};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -198,7 +198,9 @@ impl Communicator {
 
     /// One ring step: send `payload` to the next rank (unless an injected
     /// fault drops the link) and receive the previous rank's payload — of
-    /// `expected` floats — within the deadline.
+    /// `expected` floats — within the deadline. An injected drop at the
+    /// receive ends the step in a timeout without taking the payload: taking
+    /// it and reading again would pair this rank with the next step's chunk.
     fn step(
         &self,
         payload: Vec<f32>,
@@ -214,9 +216,8 @@ impl Communicator {
         // the trace-level view of ring latency.
         let _comm_span = self.trace.span(names::spans::COMM_STEP);
         self.send_next(payload, ring_step, phase)?;
-        if let FaultAction::Delay(d) = fault::point(fault::sites::DDP_RECV, self.rank as u64) {
-            #[expect(clippy::disallowed_methods, reason = "deterministically injected fault delay; duration comes from the fault plan")]
-            std::thread::sleep(d);
+        if fault::fire(fault::sites::DDP_RECV, self.rank as u64) {
+            return Err(self.err(phase, CommErrorKind::Timeout(self.timeout)));
         }
         let clock = self.trace.clock();
         let recv_t0 = clock.now_ns();
@@ -233,24 +234,10 @@ impl Communicator {
         let clock = self.trace.clock();
         let send_t0 = clock.now_ns();
         let bytes = (payload.len() * std::mem::size_of::<f32>()) as u64;
-        match fault::point(fault::sites::DDP_SEND, self.rank as u64) {
-            FaultAction::Proceed => {
-                if self.to_next.send(payload).is_err() {
-                    return Err(self.err(phase, CommErrorKind::Disconnected));
-                }
-            }
-            FaultAction::Drop => {} // link down: the next rank will time out
-            FaultAction::Delay(d) => {
-                #[expect(clippy::disallowed_methods, reason = "deterministically injected fault delay; duration comes from the fault plan")]
-                std::thread::sleep(d);
-                if self.to_next.send(payload).is_err() {
-                    return Err(self.err(phase, CommErrorKind::Disconnected));
-                }
-            }
-            #[expect(clippy::panic, reason = "injected fault demands a panic; the rank thread dies and `train_ddp` reports it as `DdpError::RankPanicked`")]
-            FaultAction::Panic => {
-                panic!("injected fault: panic at ddp.send (rank {})", self.rank)
-            }
+        // An injected drop takes the link down: the next rank will time out.
+        let dropped = fault::fire(fault::sites::DDP_SEND, self.rank as u64);
+        if !dropped && self.to_next.send(payload).is_err() {
+            return Err(self.err(phase, CommErrorKind::Disconnected));
         }
         let counts = [bytes, 0];
         self.trace

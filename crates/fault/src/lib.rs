@@ -24,7 +24,6 @@
 //! | site | occurrence |
 //! |------|------------|
 //! | `prep.sample`, `prep.slice`, `prep.send` | batch id |
-//! | `prep.worker` | worker id |
 //! | `ddp.send`, `ddp.recv`, `ddp.rank` | rank id |
 //! | `ckpt.write` | entry index |
 //! | `serve.request`, `serve.queue` | request id |
@@ -109,13 +108,14 @@ sites! {
     /// Batch-prep worker, inside feature/label slicing (occ = batch id).
     PREP_SLICE = "prep.slice",
     /// Batch-prep worker, just before publishing a batch (occ = batch id).
+    /// `panic` costs the batch one attempt, like the two sites above;
+    /// `drop` loses the prepared batch and returns its slot.
     PREP_SEND = "prep.send",
-    /// Batch-prep worker loop itself — kills the whole thread, exercising
-    /// supervision rather than per-item retry (occ = worker id).
-    PREP_WORKER = "prep.worker",
     /// DDP ring step, before sending to the next rank (occ = rank id).
     DDP_SEND = "ddp.send",
-    /// DDP ring step, before receiving from the previous rank (occ = rank id).
+    /// DDP ring step, before receiving from the previous rank (occ = rank
+    /// id). `panic` kills the rank; `drop` ends the step in a timeout
+    /// without taking the payload.
     DDP_RECV = "ddp.recv",
     /// DDP rank training loop (occ = rank id).
     DDP_RANK = "ddp.rank",
@@ -696,7 +696,7 @@ mod tests {
         // `ALL` is built from the same lines as the constants: its length
         // is the declaration count, and the parser resolves each name back
         // to the constant it was declared as.
-        assert_eq!(sites::ALL.len(), 15);
+        assert_eq!(sites::ALL.len(), 14);
         for (i, site) in sites::ALL.iter().enumerate() {
             assert_eq!(Site::lookup(site.as_str()), Some(*site));
             assert!(
@@ -747,19 +747,19 @@ mod tests {
             sink.lock().unwrap().push((site.to_string(), occ));
         })));
         {
-            let _g = scoped(FaultPlan::new(0).drop_at(sites::PREP_WORKER, 77));
+            let _g = scoped(FaultPlan::new(0).drop_at(sites::DDP_SEND, 77));
             // A proceed decision must not notify.
-            assert_eq!(point(sites::PREP_WORKER, 76), FaultAction::Proceed);
+            assert_eq!(point(sites::DDP_SEND, 76), FaultAction::Proceed);
             // A triggered drop must.
-            assert_eq!(point(sites::PREP_WORKER, 77), FaultAction::Drop);
+            assert_eq!(point(sites::DDP_SEND, 77), FaultAction::Drop);
         }
         set_fire_observer(None);
         let seen = seen.lock().unwrap();
         assert!(
-            seen.contains(&(sites::PREP_WORKER.to_string(), 77)),
+            seen.contains(&(sites::DDP_SEND.to_string(), 77)),
             "observer missed the triggered site: {seen:?}"
         );
-        assert!(!seen.contains(&(sites::PREP_WORKER.to_string(), 76)));
+        assert!(!seen.contains(&(sites::DDP_SEND.to_string(), 76)));
     }
 
     #[test]

@@ -197,8 +197,6 @@ pub fn render_report(r: &PipelineReport, snap: &Snapshot) -> String {
     let faults = [
         ("retries", events::RETRY),
         ("failed_batches", events::FAILED_BATCH),
-        ("worker_panics", events::WORKER_PANIC),
-        ("degraded_inline", events::DEGRADED_INLINE),
     ]
     .map(|(label, name)| (label, snap.count(name)));
     if faults.iter().any(|&(_, n)| n > 0) {
@@ -261,10 +259,7 @@ mod tests {
         assert!(text.contains("prep work: n=1 p50=0.050 ms"), "{text}");
         assert!(text.contains("stage.train: n=1 p50=0.600 ms"), "{text}");
         assert!(!text.contains("warmup"), "{text}");
-        assert!(
-            text.contains("faults: retries=1 failed_batches=0 worker_panics=0 degraded_inline=0"),
-            "{text}"
-        );
+        assert!(text.contains("faults: retries=1 failed_batches=0\n"), "{text}");
         // A window without the retry reports no faults.
         let window = snap.window(600_000, 1_000_000);
         assert!(!render_report(&analyze(&window), &window).contains("faults"));

@@ -183,10 +183,6 @@ registry! {
     RETRY = "fault.retry",
     /// A batch exhausted its retry budget (terminal failure marker).
     FAILED_BATCH = "fault.failed_batch",
-    /// The worker set collapsed; the epoch finished inline.
-    DEGRADED_INLINE = "fault.degraded",
-    /// A prep worker died; it is not replaced.
-    WORKER_PANIC = "fault.worker_panic",
     /// The serving degradation ladder stepped down one fanout level.
     SERVE_DEGRADE = "serve.degrade",
     /// The serving degradation ladder stepped back up one level.

@@ -34,7 +34,7 @@ pub const NO_BATCH: u64 = u64::MAX;
 pub enum EventKind {
     /// An interval with a start and an end.
     Span,
-    /// A point event (retry, worker death, failure marker).
+    /// A point event (retry, failure marker, breaker move).
     Instant,
 }
 

@@ -115,12 +115,13 @@ cargo test --workspace -q --offline -- --test-threads=1
 
 echo "== fault tier: the fault matrix and the serving scenarios again (release)"
 # Every scenario asserts the exact point events its plan implies (one
-# fault.retry and one fault.failed_batch, two worker deaths, seven ladder
-# moves, ...). An optimised build gives the supervised prep loops and the
-# serving steps other interleavings than the two debug passes above do;
-# every plan there is built with its own seed. The fault matrix runs ten
-# times: its worker-death scenarios race a dying worker against its
-# survivor, and each run is another schedule.
+# fault.retry and one fault.failed_batch, one of each per batch when every
+# send panics, seven ladder moves, ...). An optimised build gives the prep
+# workers and the serving steps other interleavings than the two debug
+# passes above do; every plan there is built with its own seed. The fault
+# matrix runs ten times: its scenarios at one to three prep workers race
+# the workers for the claim cursor, and each run is another schedule of
+# which worker prepares, retries or fails which batch.
 fault_start=$(date +%s.%N)
 cargo test --release -q --offline --test fault_matrix --test serving
 for _ in 2 3 4 5 6 7 8 9 10; do

@@ -5,13 +5,13 @@
 //! * every batch is accounted for — prepared, retried, or reported as a
 //!   terminal `BatchResult::Failed` marker (dropped messages excepted);
 //! * a batch is the same MFG whichever worker prepared it, however many
-//!   there were, in either mode, after a worker died or inline;
-//! * no pinned staging slot leaks, whatever dies;
-//! * every injected fault is *observable*: each retry, failed batch,
-//!   worker death and inline degradation is one point event on the trace,
-//!   as many as the plan implies, and each item panic is a retry or a
-//!   failed batch;
-//! * DDP collectives surface typed `CommError`s instead of hanging;
+//!   there were, in either mode;
+//! * no pinned staging slot leaks, whatever panics;
+//! * every injected fault is *observable*: each retry and failed batch is
+//!   one point event on the trace, as many as the plan implies, and each
+//!   item panic is a retry or a failed batch;
+//! * DDP collectives surface typed `CommError`s instead of hanging, and a
+//!   rank that panics is reported by rank;
 //! * checkpoint saves are crash-safe and loads detect corruption.
 //!
 //! The fault plan is process-global, so every test here serializes on one
@@ -47,8 +47,8 @@ fn dataset() -> Arc<Dataset> {
 }
 
 /// The one staging pool every prep scenario of this binary borrows, as a
-/// `Trainer` lends its own to epoch after epoch: whatever a scenario kills,
-/// the next one starts from a pool the dead left behind, and finds it whole.
+/// `Trainer` lends its own to epoch after epoch: whatever a scenario panics,
+/// the next one starts from the pool it left behind, and finds it whole.
 fn pool() -> PinnedPool {
     static POOL: OnceLock<PinnedPool> = OnceLock::new();
     POOL.get_or_init(|| {
@@ -74,20 +74,14 @@ fn prep_cfg(mode: PrepMode) -> PrepConfig {
 }
 
 /// Batch prep's fault events on `trace`, in the order
-/// `[retry, failed_batch, worker_panic, degraded]`.
-type FaultEvents = [usize; 4];
+/// `[retry, failed_batch]`.
+type FaultEvents = [usize; 2];
 
-const NO_FAULTS: FaultEvents = [0; 4];
+const NO_FAULTS: FaultEvents = [0; 2];
 
 fn fault_events(trace: &Trace) -> FaultEvents {
     let snap = trace.snapshot();
-    [
-        names::events::RETRY,
-        names::events::FAILED_BATCH,
-        names::events::WORKER_PANIC,
-        names::events::DEGRADED_INLINE,
-    ]
-    .map(|name| snap.count(name))
+    [names::events::RETRY, names::events::FAILED_BATCH].map(|name| snap.count(name))
 }
 
 /// Ready batches as `(batch id, digest of its MFG)`, in id order.
@@ -119,9 +113,9 @@ fn one_clean_worker(mode: PrepMode) -> Batches {
 }
 
 /// Runs one prep epoch under `plan`, consuming every message. Returns
-/// `(ready batches, failed (batch_id, attempts), fault events)` and
-/// asserts the no-leaked-slot invariant.
-fn run_under_plan(plan: FaultPlan, cfg: &PrepConfig) -> (Batches, Vec<(usize, u32)>, FaultEvents) {
+/// `(ready batches, failed batch ids, fault events)` and asserts the
+/// no-leaked-slot invariant.
+fn run_under_plan(plan: FaultPlan, cfg: &PrepConfig) -> (Batches, Vec<usize>, FaultEvents) {
     let ds = dataset();
     let order = ds.splits.train.clone();
     let _guard = fault::scoped(plan);
@@ -133,7 +127,7 @@ fn run_under_plan(plan: FaultPlan, cfg: &PrepConfig) -> (Batches, Vec<(usize, u3
     for msg in handle.batches.iter() {
         match msg {
             BatchResult::Ready(b) => ready.push((b.batch_id, mfg_digest(&b.mfg))),
-            BatchResult::Failed { batch_id, attempts } => failed.push((batch_id, attempts)),
+            BatchResult::Failed { batch_id } => failed.push(batch_id),
         }
     }
     handle.join();
@@ -146,13 +140,16 @@ fn run_under_plan(plan: FaultPlan, cfg: &PrepConfig) -> (Batches, Vec<(usize, u3
     (ready, failed, events)
 }
 
+/// The prep sites a panic costs a batch one attempt at.
+const ITEM_SITES: [fault::Site; 3] = [sites::PREP_SAMPLE, sites::PREP_SLICE, sites::PREP_SEND];
+
 /// Runs `scenario` while counting the faults the installed plan fires at
-/// the two per-item prep sites; with a panic plan, each is an item panic.
+/// the per-item prep sites; with a panic plan, each is an item panic.
 fn counting_item_panics<T>(scenario: impl FnOnce() -> T) -> (T, usize) {
     let fired = Arc::new(AtomicUsize::new(0));
     let counter = Arc::clone(&fired);
     fault::set_fire_observer(Some(Arc::new(move |site: &str, _occ: u64| {
-        if site == sites::PREP_SAMPLE.as_str() || site == sites::PREP_SLICE.as_str() {
+        if ITEM_SITES.iter().any(|s| s.as_str() == site) {
             counter.fetch_add(1, Ordering::SeqCst);
         }
     })));
@@ -183,14 +180,14 @@ fn item_panic_is_retried_and_epoch_completes() {
     let _s = serial();
     let n = expected_batches();
     for mode in MODES {
-        for site in [sites::PREP_SAMPLE, sites::PREP_SLICE] {
+        for site in ITEM_SITES {
             // Budget 1: the panic fires once, the retry succeeds.
             let plan = FaultPlan::new(1).panic_at(site, 2);
             let ((ready, failed, events), panics) =
                 counting_item_panics(|| run_under_plan(plan, &prep_cfg(mode)));
             assert_eq!(ids(&ready), (0..n).collect::<Vec<_>>(), "{mode:?}/{site}");
             assert!(failed.is_empty(), "{mode:?}/{site}: {failed:?}");
-            assert_eq!(events, [1, 0, 0, 0], "{mode:?}/{site}");
+            assert_eq!(events, [1, 0], "{mode:?}/{site}");
             assert_eq!(panics, 1, "{mode:?}/{site}");
         }
     }
@@ -201,7 +198,7 @@ fn exhausted_retry_budget_yields_exactly_one_failed_marker() {
     let _s = serial();
     let n = expected_batches();
     for mode in MODES {
-        for site in [sites::PREP_SAMPLE, sites::PREP_SLICE] {
+        for site in ITEM_SITES {
             // Unbudgeted rule: batch 1 panics on the first attempt AND on
             // its one retry, exhausting the budget.
             let plan = FaultPlan::new(2).with_spec(always_panic_at(site, 1));
@@ -210,8 +207,8 @@ fn exhausted_retry_budget_yields_exactly_one_failed_marker() {
             let mut want: Vec<usize> = (0..n).collect();
             want.retain(|&b| b != 1);
             assert_eq!(ids(&ready), want, "{mode:?}/{site}");
-            assert_eq!(failed, vec![(1, 2)], "{mode:?}/{site}: 1 + 1 retry = 2 attempts");
-            assert_eq!(events, [1, 1, 0, 0], "{mode:?}/{site}");
+            assert_eq!(failed, vec![1], "{mode:?}/{site}");
+            assert_eq!(events, [1, 1], "{mode:?}/{site}");
             // Every item panic is either retried or the batch's failure.
             assert_eq!(panics, events[0] + events[1], "{mode:?}/{site}");
         }
@@ -226,7 +223,7 @@ fn fault_events_carry_the_failing_batch_id() {
     // failed-batch event — both tagged with batch id 1 on the timeline.
     let plan = FaultPlan::new(2).with_spec(always_panic_at(sites::PREP_SAMPLE, 1));
     let (_ready, failed, _events) = run_under_plan(plan, &cfg);
-    assert_eq!(failed, vec![(1, 2)]);
+    assert_eq!(failed, vec![1]);
     let snap = cfg.trace.snapshot();
     let tagged = |name: names::EventName| -> Vec<u64> {
         snap.events
@@ -265,59 +262,30 @@ fn straggler_delay_only_slows_the_epoch() {
     }
 }
 
-/// Worker 0 dies at its start under `plan`, in both modes: it starts once
-/// and is not replaced. Worker 1 claims what worker 0 would have claimed,
-/// so the worker set never collapses and nothing is prepared inline,
-/// whichever of the two leaves last.
-fn assert_survivor_takes_over(plan: impl Fn() -> FaultPlan) {
-    let n = expected_batches();
-    for mode in MODES {
-        let (ready, failed, events) = run_under_plan(plan(), &prep_cfg(mode));
-        assert_eq!(ids(&ready), (0..n).collect::<Vec<_>>(), "{mode:?}");
-        assert!(failed.is_empty(), "{mode:?}: {failed:?}");
-        assert_eq!(events, [0, 0, 1, 0], "{mode:?}");
-        // The survivor's batches are the ones the dead worker would have
-        // drawn.
-        assert_eq!(ready, one_clean_worker(mode), "{mode:?}");
-    }
-}
-
 #[test]
-fn a_dead_worker_leaves_its_batches_to_the_survivor() {
-    let _s = serial();
-    // Worker 0 dies once, at its first start.
-    assert_survivor_takes_over(|| FaultPlan::new(5).panic_at(sites::PREP_WORKER, 0));
-}
-
-#[test]
-fn a_live_survivor_inherits_an_orphaned_partition() {
-    let _s = serial();
-    // Worker 0 dies at every start; with no respawn that is still one death,
-    // and its share of the claim cursor is what the survivor inherits.
-    assert_survivor_takes_over(|| {
-        FaultPlan::new(10).with_spec(always_panic_at(sites::PREP_WORKER, 0))
-    });
-}
-
-#[test]
-fn worker_collapse_degrades_to_inline_preparation() {
+fn no_plan_collapses_the_worker_set() {
     let _s = serial();
     let n = expected_batches();
-    for mode in MODES {
-        // Both workers die instantly: two deaths. The last one out prepares
-        // the epoch inline, so the consumer still sees every batch.
-        let plan = FaultPlan::new(6).with_spec(FaultSpec {
-            site: sites::PREP_WORKER,
+    // Every batch panics at its send site on every attempt. Each panic
+    // costs its batch an attempt, never its worker: at any worker count,
+    // in either mode, every batch arrives as one failed marker and the
+    // epoch joins with every slot back.
+    let every_send = || {
+        FaultPlan::new(6).with_spec(FaultSpec {
+            site: sites::PREP_SEND,
             kind: FaultKind::Panic,
             trigger: Trigger::Always,
             budget: None,
-        });
-        let (ready, failed, events) = run_under_plan(plan, &prep_cfg(mode));
-        assert_eq!(ids(&ready), (0..n).collect::<Vec<_>>(), "{mode:?}");
-        assert!(failed.is_empty(), "{mode:?}");
-        assert_eq!(events, [0, 0, 2, 1], "{mode:?}");
-        // Prepared inline, every batch is the one a healthy worker draws.
-        assert_eq!(ready, one_clean_worker(mode), "{mode:?}");
+        })
+    };
+    for mode in MODES {
+        for num_workers in 1..=3 {
+            let cfg = PrepConfig { num_workers, ..prep_cfg(mode) };
+            let (ready, failed, events) = run_under_plan(every_send(), &cfg);
+            assert!(ready.is_empty(), "{mode:?} at {num_workers}: {ready:?}");
+            assert_eq!(failed, (0..n).collect::<Vec<_>>(), "{mode:?} at {num_workers}");
+            assert_eq!(events, [n, n], "{mode:?} at {num_workers}");
+        }
     }
 }
 
@@ -342,21 +310,25 @@ fn every_batch_is_schedule_independent() {
 #[test]
 fn a_retry_is_schedule_independent() {
     let _s = serial();
-    // Batch 2's first attempt panics; its retry draws from (epoch seed, batch,
-    // attempt) alone, so the batch that arrives is the same whether one
-    // worker caught the panic or any of three did, in either mode.
+    // Batch 2's first attempt panics, at any of the item sites; its retry
+    // draws from (epoch seed, batch, attempt) alone, so the batch that
+    // arrives is the same whether one worker caught the panic or any of
+    // three did, in either mode, whichever site it came from.
     let n = expected_batches();
-    let retried = || FaultPlan::new(12).panic_at(sites::PREP_SAMPLE, 2);
     let mut retried_batches: Option<Batches> = None;
-    for mode in MODES {
-        for num_workers in 1..=3 {
-            let cfg = PrepConfig { num_workers, ..prep_cfg(mode) };
-            let (ready, failed, events) = run_under_plan(retried(), &cfg);
-            assert!(failed.is_empty(), "{mode:?} at {num_workers}: {failed:?}");
-            assert_eq!(events, [1, 0, 0, 0], "{mode:?} at {num_workers}");
-            assert_eq!(ready.len(), n, "{mode:?} at {num_workers}");
-            let want = retried_batches.get_or_insert_with(|| ready.clone());
-            assert_eq!(&ready, want, "{mode:?} at {num_workers} workers, batch 2 retried");
+    for site in ITEM_SITES {
+        for mode in MODES {
+            for num_workers in 1..=3 {
+                let cfg = PrepConfig { num_workers, ..prep_cfg(mode) };
+                let plan = FaultPlan::new(12).panic_at(site, 2);
+                let (ready, failed, events) = run_under_plan(plan, &cfg);
+                let at = format!("{site} in {mode:?} at {num_workers}");
+                assert!(failed.is_empty(), "{at}: {failed:?}");
+                assert_eq!(events, [1, 0], "{at}");
+                assert_eq!(ready.len(), n, "{at}");
+                let want = retried_batches.get_or_insert_with(|| ready.clone());
+                assert_eq!(&ready, want, "{at} workers, batch 2 retried");
+            }
         }
     }
     // The retry is a stream of its own: only batch 2 differs from the clean
@@ -634,6 +606,32 @@ fn ddp_dropped_messages_surface_typed_timeout() {
             matches!(e.kind, CommErrorKind::Timeout(_) | CommErrorKind::Disconnected),
             "unexpected kind: {e}"
         ),
+        Err(other) => panic!("expected Comm, got {other}"),
+    }
+}
+
+#[test]
+fn ddp_receive_faults_kill_the_rank_or_time_out_its_step() {
+    let _s = serial();
+    let ds = dataset();
+    // A panic before rank 1's first ring receive kills that rank.
+    {
+        let _guard = fault::scoped(FaultPlan::new(13).panic_at(sites::DDP_RECV, 1));
+        match train_ddp(&ds, &ddp_cfg(), 2) {
+            Ok(_) => panic!("a rank that panicked must fail the run"),
+            Err(DdpError::RankPanicked { rank }) => assert_eq!(rank, 1),
+            Err(other) => panic!("expected RankPanicked, got {other}"),
+        }
+    }
+    // A dropped receive on rank 0 ends its step in a typed timeout; rank 0
+    // is joined first, so its error is the run's.
+    let _guard = fault::scoped(FaultPlan::new(14).drop_at(sites::DDP_RECV, 0));
+    match train_ddp(&ds, &ddp_cfg(), 2) {
+        Ok(_) => panic!("a dropped receive must fail the run"),
+        Err(DdpError::Comm(e)) => {
+            assert_eq!(e.rank, 0, "{e}");
+            assert!(matches!(e.kind, CommErrorKind::Timeout(_)), "unexpected kind: {e}");
+        }
         Err(other) => panic!("expected Comm, got {other}"),
     }
 }

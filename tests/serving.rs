@@ -12,8 +12,9 @@
 //!   restores with hysteresis — and the entire response sequence replays
 //!   identically;
 //! * no staging slot leaks, whatever dies or expires;
-//! * a request for a node outside the graph fails alone at harvest, and a
-//!   panic inside a stage's body fails only its batch.
+//! * a request for a node outside the graph, or one that panics at the
+//!   `serve.request` site, fails alone at harvest, and a panic inside a
+//!   stage's body fails only its batch.
 //!
 //! The fault plan is process-global, so tests that install one serialize
 //! on a mutex.
@@ -343,44 +344,51 @@ fn served(out: &StepOutcome) -> Vec<(u64, u32)> {
         .collect()
 }
 
-/// Three steps in a row each carry one request for a node the graph does
-/// not have among three good ones. It fails alone, at harvest: its
-/// neighbours get the classes a server that never saw it gives, which also
-/// shows the sampler kept its stream from step to step, and no batch
-/// failed, so the breaker that three failures would open stays closed.
+/// Three steps in a row each carry one failing request among three good
+/// ones: a request for a node the graph does not have, or, as the second
+/// input, a good node whose request panics at the `serve.request` site. It
+/// fails alone, at harvest: its neighbours get the classes a server that
+/// never saw it gives, which also shows the sampler kept its stream from
+/// step to step, and no batch failed, so the breaker that three failures
+/// would open stays closed.
 #[test]
 fn a_node_outside_the_graph_fails_alone_and_its_batch_is_served() {
     let _s = serial();
     let bad = dataset().graph.num_nodes() as NodeId;
-    // A queue deep enough that four requests are no pressure: the ladder
-    // stays where the reference's three leave it.
-    let cfg = ServeConfig { queue_capacity: 16, ..small_cfg() };
-    let mut core = core_with(cfg.clone());
-    let mut reference = core_with(cfg);
-    for round in 0..3u64 {
-        let ids = [10 * round, 10 * round + 1, 10 * round + 2];
-        let bad_id = 10 * round + 9;
-        submit(&mut core, ids[0], 3);
-        submit(&mut core, bad_id, bad);
-        submit(&mut core, ids[1], 7);
-        submit(&mut core, ids[2], 11);
-        for (id, node) in ids.into_iter().zip([3, 7, 11]) {
-            submit(&mut reference, id, node);
+    let bad_ids = [9, 19, 29];
+    let request_panics = bad_ids.map(|k| format!("serve.request=panic@{k}")).join(";");
+    for (bad_node, spec) in [(bad, ""), (5, request_panics.as_str())] {
+        let _guard = fault::scoped(FaultPlan::parse(0, spec).unwrap());
+        // A queue deep enough that four requests are no pressure: the ladder
+        // stays where the reference's three leave it.
+        let cfg = ServeConfig { queue_capacity: 16, ..small_cfg() };
+        let mut core = core_with(cfg.clone());
+        let mut reference = core_with(cfg);
+        for (round, bad_id) in (0..3u64).zip(bad_ids) {
+            let ids = [10 * round, 10 * round + 1, 10 * round + 2];
+            submit(&mut core, ids[0], 3);
+            submit(&mut core, bad_id, bad_node);
+            submit(&mut core, ids[1], 7);
+            submit(&mut core, ids[2], 11);
+            for (id, node) in ids.into_iter().zip([3, 7, 11]) {
+                submit(&mut reference, id, node);
+            }
+            let out = core.step();
+            let at = format!("node {bad_node}, round {round}");
+            assert!(out.ran_batch, "{at}");
+            assert_eq!(out.responses.len(), 4, "{at}: {out:?}");
+            assert!(out.responses.contains(&(bad_id, Response::Failed)), "{at}: {out:?}");
+            let want = served(&reference.step());
+            assert_eq!(want.len(), 3);
+            assert_eq!(served(&out), want, "{at}");
+            assert_pool_intact(&core);
         }
-        let out = core.step();
-        assert!(out.ran_batch, "round {round}");
-        assert_eq!(out.responses.len(), 4, "round {round}: {out:?}");
-        assert!(out.responses.contains(&(bad_id, Response::Failed)), "round {round}: {out:?}");
-        let want = served(&reference.step());
-        assert_eq!(want.len(), 3);
-        assert_eq!(served(&out), want, "round {round}");
-        assert_pool_intact(&core);
+        assert_eq!(core.breaker_state(), BreakerState::Closed);
+        let snap = core.trace().snapshot();
+        assert_eq!(snap.count(names::events::SERVE_BREAKER_OPEN), 0);
+        assert_eq!(snap.metrics.counter(names::counters::SERVE_REQUEST_PANICS), 3);
+        assert_eq!(snap.metrics.counter(names::counters::SERVE_COMPLETED), 9);
     }
-    assert_eq!(core.breaker_state(), BreakerState::Closed);
-    let snap = core.trace().snapshot();
-    assert_eq!(snap.count(names::events::SERVE_BREAKER_OPEN), 0);
-    assert_eq!(snap.metrics.counter(names::counters::SERVE_REQUEST_PANICS), 3);
-    assert_eq!(snap.metrics.counter(names::counters::SERVE_COMPLETED), 9);
 }
 
 /// The trained model, except that its forward panics while `poisoned` is
