@@ -19,7 +19,7 @@
 
 use crate::config::{RunConfig, Stream};
 use crate::train::train_step;
-use salient_ddp::{average_model_gradients, sync_model, CommError, Communicator};
+use salient_ddp::{average_model_gradients, sync_model, CommError, CommErrorKind, Communicator};
 use salient_fault as fault;
 use salient_graph::{Dataset, NodeId};
 use salient_nn::{build_model, GnnModel};
@@ -146,7 +146,15 @@ pub(crate) fn train_ddp_traced(
                 first_err = Some(DdpError::RankPanicked { rank });
             }
             Ok(Err(comm)) => {
-                if first_err.is_none() {
+                // A lost peer is the echo of another rank's failure: that
+                // rank's own timeout or desynchronisation outranks it.
+                let echo = |e: &CommError| e.kind == CommErrorKind::Disconnected;
+                let replace = match &first_err {
+                    None => true,
+                    Some(DdpError::Comm(first)) => echo(first) && !echo(&comm),
+                    Some(DdpError::RankPanicked { .. }) => false,
+                };
+                if replace {
                     first_err = Some(DdpError::Comm(comm));
                 }
             }

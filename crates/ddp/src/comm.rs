@@ -139,9 +139,9 @@ impl Communicator {
         Self::ring_traced(world, timeout, &Trace::disabled())
     }
 
-    /// Creates a ring whose endpoints record their `ddp.step` spans, and
-    /// each send as a `ddp.ring_send` span counting its bytes, against
-    /// `trace`.
+    /// Creates a ring whose endpoints record their `ddp.step` spans, each
+    /// send as a `ddp.ring_send` span counting its bytes and each receive
+    /// as a `ddp.ring_recv` span, against `trace`.
     ///
     /// # Panics
     ///
@@ -198,9 +198,7 @@ impl Communicator {
 
     /// One ring step: send `payload` to the next rank (unless an injected
     /// fault drops the link) and receive the previous rank's payload — of
-    /// `expected` floats — within the deadline. An injected drop at the
-    /// receive ends the step in a timeout without taking the payload: taking
-    /// it and reading again would pair this rank with the next step's chunk.
+    /// `expected` floats — within the deadline.
     fn step(
         &self,
         payload: Vec<f32>,
@@ -216,15 +214,7 @@ impl Communicator {
         // the trace-level view of ring latency.
         let _comm_span = self.trace.span(names::spans::COMM_STEP);
         self.send_next(payload, ring_step, phase)?;
-        if fault::fire(fault::sites::DDP_RECV, self.rank as u64) {
-            return Err(self.err(phase, CommErrorKind::Timeout(self.timeout)));
-        }
-        let clock = self.trace.clock();
-        let recv_t0 = clock.now_ns();
-        let received = self.recv_from_prev(expected, phase);
-        self.trace
-            .record_span(names::spans::DDP_RING_RECV, ring_step, recv_t0, clock.now_ns());
-        received
+        self.recv_from_prev(expected, ring_step, phase)
     }
 
     /// Sends `payload` to the next rank unless an injected fault drops the
@@ -245,12 +235,24 @@ impl Communicator {
         Ok(())
     }
 
-    /// Receives the ring predecessor's payload within the step deadline and
-    /// checks it is the `expected` floats long, in release builds too: a
-    /// rank that fell out of step would otherwise have one collective's
-    /// buffer summed or copied into another's.
-    fn recv_from_prev(&self, expected: usize, phase: CommPhase) -> Result<Vec<f32>, CommError> {
-        let kind = match self.from_prev.recv_timeout(self.timeout) {
+    /// Receives the ring predecessor's payload within the step deadline, as
+    /// one `ddp.ring_recv` span tagged `ring_step`, and checks it is the
+    /// `expected` floats long, in release builds too: a rank that fell out
+    /// of step would otherwise have one collective's buffer summed or copied
+    /// into another's. Every receive, a broadcast's too, passes the
+    /// `ddp.recv` fault site first: an injected drop ends it in a timeout
+    /// without taking the payload, since taking it and reading again would
+    /// pair this rank with the next step's chunk.
+    fn recv_from_prev(&self, expected: usize, ring_step: u64, phase: CommPhase) -> Result<Vec<f32>, CommError> {
+        if fault::fire(fault::sites::DDP_RECV, self.rank as u64) {
+            return Err(self.err(phase, CommErrorKind::Timeout(self.timeout)));
+        }
+        let clock = self.trace.clock();
+        let recv_t0 = clock.now_ns();
+        let received = self.from_prev.recv_timeout(self.timeout);
+        self.trace
+            .record_span(names::spans::DDP_RING_RECV, ring_step, recv_t0, clock.now_ns());
+        let kind = match received {
             Ok(v) if v.len() == expected => return Ok(v),
             Ok(v) => CommErrorKind::Desynchronized { expected, got: v.len() },
             Err(RecvTimeoutError::Timeout) => CommErrorKind::Timeout(self.timeout),
@@ -329,12 +331,12 @@ impl Communicator {
         if self.world == 1 {
             return Ok(());
         }
-        // Relaxed: the step index only tags the send span.
+        // Relaxed: the step index only tags the send and receive spans.
         let ring_step = self.steps.fetch_add(1, Ordering::Relaxed);
         let _comm_span = self.trace.span(names::spans::COMM_STEP);
         // Pass the buffer down the ring from rank 0 to the last rank.
         if self.rank != 0 {
-            let incoming = self.recv_from_prev(data.len(), CommPhase::Broadcast)?;
+            let incoming = self.recv_from_prev(data.len(), ring_step, CommPhase::Broadcast)?;
             data.copy_from_slice(&incoming);
         }
         if self.rank != self.world - 1 {

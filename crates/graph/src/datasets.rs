@@ -158,6 +158,12 @@ impl DatasetConfig {
     /// (22 MB) lives beside the index array it is scattered into (22 MB,
     /// 18 MB of it kept once its rows are deduplicated) and is freed before
     /// the feature store (20 MB at f16) is filled, one row at a time.
+    ///
+    /// The features' bits are the same on every host: their `ln`, `sin`
+    /// and `cos` are the in-repo polynomials of [`crate::labels`]. The one
+    /// libm call left in a build is the graph's: `power_law_weights` takes
+    /// one `f64` `powf` a node (100 000 at `G100k`), so only the graph's
+    /// bits still rest on the platform's libm.
     pub fn build(&self) -> Dataset {
         pin_heap_thresholds();
         let cg = chung_lu_communities(&ChungLuConfig {
@@ -169,15 +175,8 @@ impl DatasetConfig {
             p_intra: self.p_intra,
             seed: self.seed,
         });
-        let feat_cfg = PlantedFeatureConfig {
-            dim: self.feat_dim,
-            num_classes: self.num_classes,
-            signal: self.signal,
-            noise: self.noise,
-            seed: self.seed ^ 0xF00D,
-        };
         let mut features = FeatureMatrix::zeros(self.dtype, self.num_nodes, self.feat_dim);
-        planted_rows(&cg.community, &feat_cfg, |v, row| features.set_row(v, row));
+        planted_rows(&cg.community, &self.feature_config(), |v, row| features.set_row(v, row));
         let (ft, fv, fs) = self.split_fracs;
         let splits = Splits::random(self.num_nodes, ft, fv, fs, self.seed ^ 0x5EED);
         Dataset {
@@ -187,6 +186,18 @@ impl DatasetConfig {
             labels: cg.community,
             num_classes: self.num_classes,
             splits,
+        }
+    }
+
+    /// The planted feature model: this dataset's shape, signal and noise,
+    /// drawn from its own stream.
+    pub(crate) fn feature_config(&self) -> PlantedFeatureConfig {
+        PlantedFeatureConfig {
+            dim: self.feat_dim,
+            num_classes: self.num_classes,
+            signal: self.signal,
+            noise: self.noise,
+            seed: self.seed ^ 0xF00D,
         }
     }
 }

@@ -8,7 +8,7 @@ use crate::csr::{CsrGraph, NodeId};
 use crate::datasets::{Dataset, DatasetConfig};
 use crate::features::{FeatureMatrix, FeatureSlab};
 use crate::generate::power_law_weights;
-use crate::labels::{planted_features, PlantedFeatureConfig};
+use crate::labels::planted_features;
 use crate::split::Splits;
 use salient_tensor::rng::{Rng, StdRng};
 use salient_tensor::Dtype;
@@ -105,16 +105,7 @@ fn chung_lu(cfg: &DatasetConfig) -> (CsrGraph, Vec<u32>) {
 /// The dataset `cfg` describes, built the reference way.
 pub(crate) fn build(cfg: &DatasetConfig) -> Dataset {
     let (graph, labels) = chung_lu(cfg);
-    let raw = planted_features(
-        &labels,
-        &PlantedFeatureConfig {
-            dim: cfg.feat_dim,
-            num_classes: cfg.num_classes,
-            signal: cfg.signal,
-            noise: cfg.noise,
-            seed: cfg.seed ^ 0xF00D,
-        },
-    );
+    let raw = planted_features(&labels, &cfg.feature_config());
     let (ft, fv, fs) = cfg.split_fracs;
     Dataset {
         name: cfg.name.clone(),

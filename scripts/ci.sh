@@ -149,6 +149,15 @@ echo "== graph tier: every dataset builds to the reference's bits (release)"
 # G100k datasets at seeds 2868 and 94445095, the presets at small scale
 # and the edge cases (one node, one community, p_intra 0 and 1, equal
 # degree bounds). The workspace runs above check the same at G10k.
+# The same run holds the feature noise's math (crates/graph/src/labels.rs)
+# against std on the full 2^24-point uniform grid, where the workspace runs
+# take every 61st point: the polynomial ln within 2 epsilon relative of
+# f32::ln, sin and cos within 5e-7 of f32::sin_cos; 2^20 Box-Muller pairs
+# (2^18 in debug) as independent standard normals (each half's mean,
+# variance and chi-square against the normal CDF, the halves' correlation),
+# a rotation mutant that swaps sine and cosine on odd quarter turns
+# rejected by the same checks, and each class of the G10k features centred
+# on signal x prototype with variance noise^2/dim.
 graph_start=$(date +%s.%N)
 cargo test --release -q --offline -p salient-graph
 awk -v s="$graph_start" -v e="$(date +%s.%N)" \

@@ -9,11 +9,13 @@
 //!   `RunConfig::test_tiny()`: the Baseline executor, the SALIENT executor at
 //!   one batch-prep worker, and `train_ddp` at two ranks (batch 32), each
 //!   over f16 and over f32 feature storage;
-//! * an FNV-1a digest (the checkpoint's) of a dataset shaped like the
+//! * two FNV-1a digests (the checkpoint's) of a dataset shaped like the
 //!   benchmark's (products-like, 100 f16 features, a 2 048-node train split)
-//!   at its two seeds: CSR arrays, feature bits, labels and splits. Release
-//!   builds digest the benchmark's own `G100k`; debug builds, which generate
-//!   slowly, the `G10k` shape (as the graph crate's oracle tests do);
+//!   at its two seeds: one of the graph half (CSR arrays, labels and
+//!   splits), one of the feature bits, so a failure says which half moved.
+//!   Release builds digest the benchmark's own `G100k`; debug builds, which
+//!   generate slowly, the `G10k` shape (as the graph crate's oracle tests
+//!   do);
 //! * an FNV-1a digest of the MFGs a warm `FastSampler` draws over
 //!   `tiny(77)`'s train split: node ids and each hop's edge lists;
 //! * the same digest of one SALIENT batch-prep epoch's MFGs over that
@@ -54,28 +56,34 @@ enum Run {
 /// `(run, feature storage, mean_loss bits of epochs 1-3)` on the AVX2 and
 /// AVX-512 rungs.
 const VECTOR_LOSSES: [(Run, Dtype, [u64; 3]); 6] = [
-    (Run::Baseline, Dtype::F16, [0x3ffe_8b9d_7999_999a, 0x3ffd_1b32_d333_3333, 0x3ffb_e331_0000_0000]),
-    (Run::Salient, Dtype::F16, [0x3ffe_6f55_1999_999a, 0x3ffd_1e59_b999_999a, 0x3ffb_db27_eccc_cccd]),
-    (Run::Ddp, Dtype::F16, [0x3ffe_75b9_6000_0000, 0x3ffc_e586_4000_0000, 0x3ffc_3ffa_0000_0000]),
-    (Run::Baseline, Dtype::F32, [0x3ffe_8b9b_cccc_cccd, 0x3ffd_1b37_4ccc_cccd, 0x3ffb_e334_accc_cccd]),
-    (Run::Salient, Dtype::F32, [0x3ffe_6f53_6000_0000, 0x3ffd_1e66_b333_3333, 0x3ffb_db2f_1333_3333]),
-    (Run::Ddp, Dtype::F32, [0x3ffe_75c0_4000_0000, 0x3ffc_e593_0000_0000, 0x3ffc_3ff6_c000_0000]),
+    (Run::Baseline, Dtype::F16, [0x3ffd_9ea2_7333_3333, 0x3ffc_5735_6ccc_cccd, 0x3ffb_7f9e_e000_0000]),
+    (Run::Salient, Dtype::F16, [0x3ffd_d934_2000_0000, 0x3ffc_817c_4000_0000, 0x3ffb_c77f_5333_3333]),
+    (Run::Ddp, Dtype::F16, [0x3ffd_9663_0000_0000, 0x3ffc_af24_8000_0000, 0x3ffb_adee_c000_0000]),
+    (Run::Baseline, Dtype::F32, [0x3ffd_9ea9_4ccc_cccd, 0x3ffc_573d_0ccc_cccd, 0x3ffb_7f9d_d999_999a]),
+    (Run::Salient, Dtype::F32, [0x3ffd_d939_8000_0000, 0x3ffc_8176_6666_6666, 0x3ffb_c782_1333_3333]),
+    (Run::Ddp, Dtype::F32, [0x3ffd_9664_0000_0000, 0x3ffc_af26_a000_0000, 0x3ffb_adf7_0000_0000]),
 ];
 
 /// The same runs on the portable rung.
 const PORTABLE_LOSSES: [(Run, Dtype, [u64; 3]); 6] = [
-    (Run::Baseline, Dtype::F16, [0x3ffe_8b9d_7999_999a, 0x3ffd_1b32_c666_6666, 0x3ffb_e330_e666_6666]),
-    (Run::Salient, Dtype::F16, [0x3ffe_6f55_2ccc_cccd, 0x3ffd_1e59_cccc_cccd, 0x3ffb_db27_e666_6666]),
-    (Run::Ddp, Dtype::F16, [0x3ffe_75b9_4000_0000, 0x3ffc_e586_4000_0000, 0x3ffc_3ffa_0000_0000]),
-    (Run::Baseline, Dtype::F32, [0x3ffe_8b9b_d999_999a, 0x3ffd_1b37_4000_0000, 0x3ffb_e334_b999_999a]),
-    (Run::Salient, Dtype::F32, [0x3ffe_6f53_6000_0000, 0x3ffd_1e66_c000_0000, 0x3ffb_db2f_1999_999a]),
-    (Run::Ddp, Dtype::F32, [0x3ffe_75c0_4000_0000, 0x3ffc_e593_0000_0000, 0x3ffc_3ff6_a000_0000]),
+    (Run::Baseline, Dtype::F16, [0x3ffd_9ea2_6666_6666, 0x3ffc_5735_6ccc_cccd, 0x3ffb_7f9e_e666_6666]),
+    (Run::Salient, Dtype::F16, [0x3ffd_d934_1333_3333, 0x3ffc_817c_4000_0000, 0x3ffb_c77f_4666_6666]),
+    (Run::Ddp, Dtype::F16, [0x3ffd_9663_0000_0000, 0x3ffc_af24_8000_0000, 0x3ffb_adee_a000_0000]),
+    (Run::Baseline, Dtype::F32, [0x3ffd_9ea9_4ccc_cccd, 0x3ffc_573d_0666_6666, 0x3ffb_7f9d_d999_999a]),
+    (Run::Salient, Dtype::F32, [0x3ffd_d939_6666_6666, 0x3ffc_8176_7333_3333, 0x3ffb_c782_1333_3333]),
+    (Run::Ddp, Dtype::F32, [0x3ffd_9664_0000_0000, 0x3ffc_af26_a000_0000, 0x3ffb_adf7_0000_0000]),
 ];
 
-/// `(seed, digest)` of the benchmark-shaped dataset at `G100k` (release)
-/// and at `G10k` (debug).
-const DIGESTS_G100K: [(u64, u64); 2] = [(2868, 0x4788_82d4_00d6_e448), (94_445_095, 0x5572_9d0d_a8ef_6d4a)];
-const DIGESTS_G10K: [(u64, u64); 2] = [(2868, 0xc19f_bd52_675f_977c), (94_445_095, 0x3ffe_4f9f_ead3_41a4)];
+/// `(seed, graph digest, feature digest)` of the benchmark-shaped dataset
+/// at `G100k` (release) and at `G10k` (debug).
+const DIGESTS_G100K: [(u64, u64, u64); 2] = [
+    (2868, 0xc66b_6130_aa8b_4edc, 0xc6a1_2676_55c3_2c1e),
+    (94_445_095, 0x5fae_532b_8805_dc7f, 0x987f_9514_2950_bc02),
+];
+const DIGESTS_G10K: [(u64, u64, u64); 2] = [
+    (2868, 0x5b79_c818_553f_8eb5, 0x51eb_2de2_f0f5_84b5),
+    (94_445_095, 0xa84b_5d3c_2f95_c6a7, 0x571a_362d_e1d1_7691),
+];
 
 /// The MFGs of a warm `FastSampler` over `tiny(77)`'s train split.
 const WARM_MFG_DIGEST: u64 = 0xe17a_e64c_ff88_bbf7;
@@ -87,8 +95,8 @@ const PREP_EPOCH_DIGEST: u64 = 0xf11e_55be_e00d_39b3;
 /// The seeded serving replay's answers on the AVX2 / AVX-512 rungs and on
 /// the portable rung. They agree: an argmax absorbs the portable rung's
 /// last-bit differences in this replay.
-const SERVE_ANSWERS_VECTOR: u64 = 0xa78f_2c62_896c_79e0;
-const SERVE_ANSWERS_PORTABLE: u64 = 0xa78f_2c62_896c_79e0;
+const SERVE_ANSWERS_VECTOR: u64 = 0xe193_7004_8086_2a4d;
+const SERVE_ANSWERS_PORTABLE: u64 = 0xe193_7004_8086_2a4d;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -139,20 +147,27 @@ fn ledger_config(seed: u64, nodes: usize) -> DatasetConfig {
     }
 }
 
-/// FNV-1a over every array of `ds`, each element as little-endian bytes of
-/// its own width.
-fn digest(ds: &Dataset) -> u64 {
+/// FNV-1a over the graph half of `ds`: its CSR arrays, labels and splits,
+/// each element as little-endian bytes of its own width.
+fn graph_digest(ds: &Dataset) -> u64 {
     let mut hash = FNV_OFFSET;
     let mut feed = |bytes: &[u8]| hash = fnv1a_update(hash, bytes);
     ds.graph.indptr().iter().for_each(|&x| feed(&(x as u64).to_le_bytes()));
     ds.graph.indices().iter().for_each(|x| feed(&x.to_le_bytes()));
-    match ds.features.slab() {
-        FeatureSlab::Half(v) => v.iter().for_each(|h| feed(&h.to_bits().to_le_bytes())),
-        FeatureSlab::Full(v) => v.iter().for_each(|x| feed(&x.to_bits().to_le_bytes())),
-    }
     ds.labels.iter().for_each(|x| feed(&x.to_le_bytes()));
     for split in [&ds.splits.train, &ds.splits.val, &ds.splits.test] {
         split.iter().for_each(|x| feed(&x.to_le_bytes()));
+    }
+    hash
+}
+
+/// FNV-1a over the feature store's bits.
+fn feature_digest(ds: &Dataset) -> u64 {
+    let mut hash = FNV_OFFSET;
+    let mut feed = |bytes: &[u8]| hash = fnv1a_update(hash, bytes);
+    match ds.features.slab() {
+        FeatureSlab::Half(v) => v.iter().for_each(|h| feed(&h.to_bits().to_le_bytes())),
+        FeatureSlab::Full(v) => v.iter().for_each(|x| feed(&x.to_bits().to_le_bytes())),
     }
     hash
 }
@@ -161,12 +176,17 @@ fn digest(ds: &Dataset) -> u64 {
 fn the_benchmark_datasets_repeat_their_digests() {
     let (nodes, table) =
         if cfg!(debug_assertions) { (10_000, &DIGESTS_G10K) } else { (100_000, &DIGESTS_G100K) };
-    let moved: Vec<String> = table
-        .iter()
-        .map(|&(seed, want)| (seed, want, digest(&ledger_config(seed, nodes).build())))
-        .filter(|&(_, want, got)| got != want)
-        .map(|(seed, want, got)| format!("seed {seed}: {got:#018x}, expected {want:#018x}"))
-        .collect();
+    let mut moved = Vec::new();
+    for &(seed, want_graph, want_features) in table {
+        let ds = ledger_config(seed, nodes).build();
+        for (half, got, want) in
+            [("graph", graph_digest(&ds), want_graph), ("features", feature_digest(&ds), want_features)]
+        {
+            if got != want {
+                moved.push(format!("seed {seed}, {half}: {got:#018x}, expected {want:#018x}"));
+            }
+        }
+    }
     assert!(moved.is_empty(), "G{}k digests moved:\n{}", nodes / 1000, moved.join("\n"));
 }
 

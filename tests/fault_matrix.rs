@@ -614,7 +614,8 @@ fn ddp_dropped_messages_surface_typed_timeout() {
 fn ddp_receive_faults_kill_the_rank_or_time_out_its_step() {
     let _s = serial();
     let ds = dataset();
-    // A panic before rank 1's first ring receive kills that rank.
+    // A panic at rank 1's first receive, the broadcast in `sync_model`,
+    // kills that rank.
     {
         let _guard = fault::scoped(FaultPlan::new(13).panic_at(sites::DDP_RECV, 1));
         match train_ddp(&ds, &ddp_cfg(), 2) {
@@ -630,6 +631,24 @@ fn ddp_receive_faults_kill_the_rank_or_time_out_its_step() {
         Ok(_) => panic!("a dropped receive must fail the run"),
         Err(DdpError::Comm(e)) => {
             assert_eq!(e.rank, 0, "{e}");
+            assert!(matches!(e.kind, CommErrorKind::Timeout(_)), "unexpected kind: {e}");
+        }
+        Err(other) => panic!("expected Comm, got {other}"),
+    }
+}
+
+#[test]
+fn a_dropped_broadcast_receive_times_out_in_the_broadcast_phase() {
+    let _s = serial();
+    let ds = dataset();
+    // `ddp.recv=drop@1`: rank 1's first receive is the broadcast of rank
+    // 0's first parameter, in `sync_model` before any training step. Rank
+    // 0 then loses its peer; the run reports the cause, rank 1's timeout.
+    let _guard = fault::scoped(FaultPlan::parse(15, "ddp.recv=drop@1").unwrap());
+    match train_ddp(&ds, &ddp_cfg(), 2) {
+        Ok(_) => panic!("a dropped broadcast must fail the run"),
+        Err(DdpError::Comm(e)) => {
+            assert_eq!((e.rank, e.phase.to_string().as_str()), (1, "broadcast"), "{e}");
             assert!(matches!(e.kind, CommErrorKind::Timeout(_)), "unexpected kind: {e}");
         }
         Err(other) => panic!("expected Comm, got {other}"),
