@@ -1,7 +1,10 @@
 //! Run configuration mirroring the paper's Table 5.
 
-use salient_nn::ModelKind;
+use salient_batchprep::PrepConfig;
+use salient_graph::Dataset;
+use salient_nn::{build_model, GnnModel, ModelKind};
 use salient_tensor::rng::derive;
+use salient_trace::Trace;
 
 /// Which execution pipeline to use (the Figure-1 comparison).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,7 +36,8 @@ pub struct RunConfig {
     pub learning_rate: f32,
     /// Training epochs.
     pub epochs: usize,
-    /// Batch-preparation worker threads (SALIENT executor).
+    /// Batch-preparation worker threads of the single-process SALIENT
+    /// executor; a DDP rank always runs one.
     pub num_workers: usize,
     /// Pinned staging slots, at least one. A batch keeps its slot from the
     /// worker's slice until the train step that reads it has finished. The
@@ -90,6 +94,26 @@ impl RunConfig {
         }
     }
 
+    /// The model this run trains, its weights drawn from [`RunConfig::seed`].
+    pub(crate) fn build_model(&self, dataset: &Dataset) -> Box<dyn GnnModel> {
+        let (dim, classes) = (dataset.features.dim(), dataset.num_classes);
+        build_model(self.model, dim, self.hidden, classes, self.num_layers, self.seed)
+    }
+
+    /// One epoch's batch preparation: `num_workers` shared-memory workers
+    /// running the fast sampler (`PrepConfig`'s defaults), seeded `seed`.
+    pub(crate) fn prep_config(&self, num_workers: usize, seed: u64, trace: &Trace) -> PrepConfig {
+        PrepConfig {
+            num_workers,
+            fanouts: self.train_fanouts.clone(),
+            batch_size: self.batch_size,
+            slots: self.slots,
+            seed,
+            trace: trace.clone(),
+            ..PrepConfig::default()
+        }
+    }
+
     /// Validates internal consistency.
     ///
     /// # Panics
@@ -128,10 +152,10 @@ pub(crate) enum Stream {
     /// batch `b` samples from `batchprep::batch_seed(this, b, a)`.
     Prep { epoch: usize },
     /// DDP: the shuffle every rank makes, one rank's dropout, and one
-    /// rank's shard of one step.
+    /// rank's `PrepConfig::seed` for an epoch (used as `Prep`'s is).
     DdpShuffle { epoch: usize },
     DdpDropout { rank: usize },
-    DdpShard { epoch: usize, step: usize, rank: usize },
+    DdpPrep { epoch: usize, rank: usize },
 }
 
 impl Stream {
@@ -144,7 +168,7 @@ impl Stream {
             Stream::Prep { epoch } => derive(run_seed, &[2, n(epoch)]),
             Stream::DdpShuffle { epoch } => derive(run_seed, &[3, n(epoch)]),
             Stream::DdpDropout { rank } => derive(run_seed, &[4, n(rank)]),
-            Stream::DdpShard { epoch, step, rank } => derive(run_seed, &[5, n(epoch), n(step), n(rank)]),
+            Stream::DdpPrep { epoch, rank } => derive(run_seed, &[5, n(epoch), n(rank)]),
         }
     }
 }
@@ -166,8 +190,11 @@ mod tests {
             }
             for rank in 0..4 {
                 seeds.push(Stream::DdpDropout { rank }.seed(run_seed));
-                for (epoch, step) in (0..4).flat_map(|epoch| (0..64).map(move |step| (epoch, step))) {
-                    seeds.push(Stream::DdpShard { epoch, step, rank }.seed(run_seed));
+                for epoch in 0..4 {
+                    let prep = Stream::DdpPrep { epoch, rank }.seed(run_seed);
+                    for batch_id in 0..64 {
+                        seeds.extend((0..=2).map(|attempt| salient_batchprep::batch_seed(prep, batch_id, attempt)));
+                    }
                 }
             }
             let mut distinct = std::collections::HashSet::from([run_seed]);

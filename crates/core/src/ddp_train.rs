@@ -3,32 +3,36 @@
 //! gradients are averaged with a ring all-reduce after every backward pass,
 //! and replicas stay bit-identical.
 //!
-//! A rank is a plain loop, prep then train then the next step, not a stage
-//! graph: ring collectives need every rank at the same all-reduce at the
-//! same time, so a rank may never run its own prep ahead of its neighbours
-//! and there is nothing to overlap. Each step records a `ddp.prep` and a
-//! `ddp.train` span that share their boundary timestamp.
+//! Each rank runs SALIENT's pipeline on its shard of every step, as §5 runs
+//! one per GPU: a one-worker batch-prep stream into the rank's own staging
+//! pool ([`rank_order`]), each staged batch trained through the trainer's
+//! `lend` and `train_step` with the all-reduce as the step's hook, between a
+//! `stage.prep` and a `stage.train` span. The loop counts the epoch's steps,
+//! not the messages it receives: a step whose batch is missing (an empty
+//! trailing shard, a failed preparation, a batch lost at its send) is a
+//! zero-gradient step that still joins the all-reduce.
 //!
 //! Failure is what the thread does: a collective error returns from the
-//! rank with `?`, and a panic anywhere in a step (a bad label, a kernel
-//! assertion) kills the rank thread. Either way the rank's ring endpoint
-//! drops, its peers' next receive reports a typed [`CommError`] within the
-//! step deadline, and [`train_ddp`]'s join loop names the dead rank. Nothing
-//! catches a rank's panic: a rank that outlived one would be a step behind
-//! its peers and would feed the wrong buffer into their next collective.
+//! rank with `?`, and a panic in a step kills the rank thread once the
+//! epoch's prep worker is joined. Either way the rank's ring endpoint drops,
+//! its peers' next receive reports a typed [`CommError`] within the step
+//! deadline, and [`train_ddp`]'s join loop names the dead rank. Nothing keeps
+//! a rank alive past its panic: it would be a step behind its peers and
+//! would feed the wrong buffer into their next collective.
 
+use crate::checkpoint::Checkpoint;
 use crate::config::{RunConfig, Stream};
-use crate::train::train_step;
+use crate::train::{lend, train_step};
+use salient_batchprep::{run_epoch_with_pool, BatchResult, PinnedPool};
 use salient_ddp::{average_model_gradients, sync_model, CommError, CommErrorKind, Communicator};
 use salient_fault as fault;
 use salient_graph::{Dataset, NodeId};
-use salient_nn::{build_model, GnnModel};
-use salient_sampler::FastSampler;
+use salient_nn::GnnModel;
 use salient_tensor::optim::Adam;
 use salient_tensor::rng::SliceRandom;
 use salient_tensor::rng::StdRng;
-use salient_tensor::Tape;
 use salient_trace::{names, Trace};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -82,6 +86,9 @@ impl From<CommError> for DdpError {
 /// Trains with `ranks` data-parallel replicas (threads). Each rank processes
 /// `config.batch_size` nodes per iteration, so the effective batch is
 /// `ranks × batch_size` — exactly the paper's multi-GPU scaling regime.
+/// Records into `trace` (pass [`Trace::disabled`] for none) each rank's
+/// `ddp.epoch`, `stage.prep` and `stage.train` spans, its prep worker's
+/// spans and fault events, and the ring's `ddp.step` communication spans.
 ///
 /// # Errors
 ///
@@ -93,24 +100,6 @@ impl From<CommError> for DdpError {
 ///
 /// Panics if `ranks == 0`.
 pub fn train_ddp(
-    dataset: &Arc<Dataset>,
-    config: &RunConfig,
-    ranks: usize,
-) -> Result<DdpRunResult, DdpError> {
-    train_ddp_traced(dataset, config, ranks, &Trace::disabled())
-}
-
-/// Like [`train_ddp`], recording each rank's per-epoch spans and the ring's
-/// `ddp.step` communication spans (plus bytes/steps counters) into `trace`.
-///
-/// # Errors
-///
-/// See [`train_ddp`].
-///
-/// # Panics
-///
-/// Panics if `ranks == 0`.
-pub(crate) fn train_ddp_traced(
     dataset: &Arc<Dataset>,
     config: &RunConfig,
     ranks: usize,
@@ -165,11 +154,25 @@ pub(crate) fn train_ddp_traced(
         return Err(err);
     }
     let (model, epoch_losses) = results.remove(0);
+    debug_assert!(
+        results.iter().all(|(r, _)| Checkpoint::from_model(r.as_ref()) == Checkpoint::from_model(model.as_ref())),
+        "a replica diverged from rank 0's parameters"
+    );
     Ok(DdpRunResult {
         model,
         epoch_losses,
         wall_s: clock.now_ns().saturating_sub(start_ns) as f64 / 1e9,
     })
+}
+
+/// Rank `rank`'s share of an epoch's `order`: positions `rank, rank + world,
+/// …` of each `batch_size × world` chunk, concatenated, so its batch `b` is
+/// its shard of step `b` (a short last chunk gives it fewer nodes, or none).
+fn rank_order(order: &[NodeId], batch_size: usize, world: usize, rank: usize) -> Vec<NodeId> {
+    (order.chunks(batch_size * world))
+        .flat_map(|chunk| chunk.iter().skip(rank).step_by(world))
+        .copied()
+        .collect()
 }
 
 fn rank_loop(
@@ -183,62 +186,56 @@ fn rank_loop(
     // Whole-rank fault site: a Panic here kills the rank thread, and its
     // peers' step deadlines convert the silence into typed errors.
     fault::fire(fault::sites::DDP_RANK, rank as u64);
+    let features = &dataset.features;
     // Same seed everywhere: replicas start identical. The broadcast is a
     // belt-and-suspenders guarantee (and exercises the collective).
-    let mut model = build_model(
-        config.model,
-        dataset.features.dim(),
-        config.hidden,
-        dataset.num_classes,
-        config.num_layers,
-        config.seed,
-    );
+    let mut model = config.build_model(&dataset);
     sync_model(&comm, model.as_mut())?;
     let mut opt = Adam::new(config.learning_rate);
-    let mut sampler = FastSampler::new(0); // reseeded for each step's shard
     let mut dropout_rng = StdRng::seed_from_u64(Stream::DdpDropout { rank }.seed(config.seed));
+    let pool = PinnedPool::new(config.slots, 0, features.dim(), 0, features.dtype());
     let mut epoch_losses = Vec::with_capacity(config.epochs);
     let clock = trace.clock();
 
     for epoch in 0..config.epochs {
         // One span per (rank, epoch): rank-level occupancy in the reports.
         let _rank_epoch = trace.span_batch(names::spans::RANK_EPOCH, epoch as u64);
-        // All ranks shuffle identically, then shard by iteration.
+        // All ranks shuffle identically, then shard by step.
         let mut order = dataset.splits.train.clone();
         order.shuffle(&mut StdRng::seed_from_u64(Stream::DdpShuffle { epoch }.seed(config.seed)));
-
-        let effective = config.batch_size * world;
-        let mut loss_sum = 0.0;
-        let mut steps = 0usize;
-        for (step, chunk) in order.chunks(effective).enumerate() {
-            let bid = step as u64;
-            let t0 = clock.now_ns();
-            // Rank r takes its slice of the effective batch; trailing
-            // partial chunks are shared as evenly as possible.
-            let shard: Vec<NodeId> = chunk.iter().skip(rank).step_by(world).copied().collect();
-            sampler.reseed(Stream::DdpShard { epoch, step, rank }.seed(config.seed));
-            // No batch for an empty shard, but the rank still takes the
-            // step, joining the all-reduce with zero gradients: every rank
-            // must reach the same number of collectives.
-            let mfg = (!shard.is_empty())
-                .then(|| sampler.sample(&dataset.graph, &shard, &config.train_fanouts));
-            let features = mfg.as_ref().map(|mfg| dataset.features.gather_f32(&mfg.node_ids));
-            let labels: Vec<u32> = (mfg.iter())
-                .flat_map(|mfg| &mfg.node_ids[..mfg.batch_size()])
-                .map(|&v| dataset.labels[v as usize])
-                .collect();
-            let t1 = clock.now_ns();
-            trace.record_span(names::spans::DDP_PREP, bid, t0, t1);
-            let batch = (mfg.as_ref().zip(features))
-                .map(|(mfg, x)| (mfg, move |tape: &Tape| tape.constant(x), labels.as_slice()));
-            let step = train_step(model.as_mut(), &mut opt, &mut dropout_rng, batch, |m| {
-                average_model_gradients(&comm, m)
-            });
-            trace.record_span(names::spans::DDP_TRAIN, bid, t1, clock.now_ns());
-            // A collective failure is terminal for the rank.
-            loss_sum += step?;
-            steps += 1;
-        }
+        let steps = order.len().div_ceil(config.batch_size * world);
+        // One worker, whatever `config.num_workers` says: batches then
+        // arrive in id order, so step `b`'s batch is the next message and a
+        // run is a function of its seed.
+        let prep = config.prep_config(1, Stream::DdpPrep { epoch, rank }.seed(config.seed), &trace);
+        let shard = rank_order(&order, config.batch_size, world, rank);
+        let handle = run_epoch_with_pool(&dataset, &shard, &prep, &pool);
+        let mut stream = handle.batches.iter().peekable();
+        let epoch_steps = catch_unwind(AssertUnwindSafe(|| {
+            let mut loss_sum = 0.0;
+            for step in 0..steps {
+                let (bid, t0) = (step as u64, clock.now_ns());
+                // A later batch that arrives first (this step's was lost)
+                // stays in the stream for its own step.
+                let batch = stream.next_if(|m| m.batch_id() == step).and_then(BatchResult::ready);
+                let t1 = clock.now_ns();
+                trace.record_span(names::spans::STAGE_PREP, bid, t0, t1);
+                let sync = |m: &mut dyn GnnModel| average_model_gradients(&comm, m);
+                let (model, opt, rng) = (model.as_mut(), &mut opt, &mut dropout_rng);
+                let loss = match batch.and_then(|b| lend(b, features.dim())) {
+                    Some((tape, x, mfg, labels)) => train_step(model, opt, rng, Some((tape, x, &mfg, &labels)), sync),
+                    None => train_step(model, opt, rng, None, sync),
+                };
+                trace.record_span(names::spans::STAGE_TRAIN, bid, t1, clock.now_ns());
+                // A collective failure is terminal for the rank.
+                loss_sum += loss?;
+            }
+            Ok(loss_sum)
+        }));
+        // The prep worker is joined however the epoch ended.
+        drop(stream);
+        handle.join();
+        let loss_sum = epoch_steps.unwrap_or_else(|panic| resume_unwind(panic))?;
         // Average the epoch loss across ranks for reporting.
         let mut l = [(loss_sum / steps.max(1) as f64) as f32];
         comm.all_reduce_mean(&mut l)?;
@@ -252,6 +249,7 @@ mod tests {
     use super::*;
     use salient_graph::DatasetConfig;
     use salient_nn::{metrics, Mode};
+    use salient_sampler::FastSampler;
     use salient_tensor::Tape;
 
     fn setup() -> (Arc<Dataset>, RunConfig) {
@@ -267,7 +265,7 @@ mod tests {
     #[test]
     fn ddp_reduces_loss_with_two_ranks() {
         let (ds, cfg) = setup();
-        let result = train_ddp(&ds, &cfg, 2).unwrap();
+        let result = train_ddp(&ds, &cfg, 2, &Trace::disabled()).unwrap();
         assert_eq!(result.epoch_losses.len(), 3);
         assert!(
             result.epoch_losses.last().unwrap() < result.epoch_losses.first().unwrap(),
@@ -280,7 +278,7 @@ mod tests {
     fn ddp_model_predicts_above_chance() {
         let (ds, mut cfg) = setup();
         cfg.epochs = 8;
-        let mut result = train_ddp(&ds, &cfg, 2).unwrap();
+        let mut result = train_ddp(&ds, &cfg, 2, &Trace::disabled()).unwrap();
         // Evaluate rank 0's model with a quick sampled pass.
         let mut sampler = FastSampler::new(5);
         let nodes = &ds.splits.val;
@@ -302,7 +300,7 @@ mod tests {
     fn traced_ddp_records_rank_epochs_and_comm() {
         let (ds, cfg) = setup();
         let trace = Trace::new(salient_trace::Clock::virtual_with_tick(1_000));
-        let result = train_ddp_traced(&ds, &cfg, 2, &trace).unwrap();
+        let result = train_ddp(&ds, &cfg, 2, &trace).unwrap();
         assert!(result.wall_s > 0.0);
         let snap = trace.snapshot();
         // 2 ranks × 3 epochs.
@@ -316,8 +314,8 @@ mod tests {
         assert!(snap.threads.iter().any(|n| n == "salient-ddp-rank-1"));
         // One prep and one train span per (rank, step), sharing the boundary.
         let steps = ds.splits.train.len().div_ceil(cfg.batch_size * 2);
-        let prep: Vec<_> = snap.spans(names::spans::DDP_PREP).collect();
-        let train: Vec<_> = snap.spans(names::spans::DDP_TRAIN).collect();
+        let prep: Vec<_> = snap.spans(names::spans::STAGE_PREP).collect();
+        let train: Vec<_> = snap.spans(names::spans::STAGE_TRAIN).collect();
         assert_eq!(prep.len(), 2 * cfg.epochs * steps);
         assert_eq!(train.len(), prep.len());
         for p in prep {
@@ -326,6 +324,35 @@ mod tests {
                 .filter(|t| (t.tid, t.batch, t.start_ns) == (p.tid, p.batch, p.end_ns));
             assert_eq!(next.count(), 1, "prep {p:?} has no train span starting where it ends");
         }
+    }
+
+    /// A rank's order, cut into batches, is its shard of every step: the
+    /// positions `rank, rank + world, …` of each effective batch. Here the
+    /// last chunk holds 2 nodes, so at worlds 3 and 4 the ranks from 2 on
+    /// have no shard of the last step and one batch fewer.
+    #[test]
+    fn a_ranks_batches_are_its_shards_of_the_steps() {
+        let order: Vec<NodeId> = (100..100 + 3 * 4 * 5 + 2).collect();
+        for world in 1..=4 {
+            for batch_size in [3, 5] {
+                let steps: Vec<&[NodeId]> = order.chunks(batch_size * world).collect();
+                for rank in 0..world {
+                    let mine = rank_order(&order, batch_size, world, rank);
+                    let batches: Vec<&[NodeId]> = mine.chunks(batch_size).collect();
+                    let shards: Vec<Vec<NodeId>> = (steps.iter())
+                        .map(|chunk| chunk.iter().skip(rank).step_by(world).copied().collect())
+                        .filter(|shard: &Vec<NodeId>| !shard.is_empty())
+                        .collect();
+                    assert_eq!(batches, shards, "world {world}, batch {batch_size}, rank {rank}");
+                    let short = steps.last().is_some_and(|last| last.len() <= rank);
+                    assert_eq!(batches.len() + usize::from(short), steps.len(), "world {world}, rank {rank}");
+                    assert!(batches.iter().rev().skip(1).all(|b| b.len() == batch_size));
+                }
+            }
+        }
+        // 62 nodes at batch 5: worlds 3 and 4 end on a 2-node chunk.
+        assert_eq!(rank_order(&order, 5, 4, 2).len().div_ceil(5), 3);
+        assert_eq!(rank_order(&order, 5, 4, 1).len().div_ceil(5), 4);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! sampling and pipelined batch preparation, on real (synthetic) datasets.
 //!
 //! Two executors implement the paper's Figure-1 comparison. They run one
-//! transfer→train stage graph over the same prepared batches and differ in
-//! the source that feeds it:
+//! consumer loop over the same prepared batches and differ in the source
+//! that feeds it:
 //!
 //! * [`ExecutorKind::Baseline`] — the standard serial PyTorch-style loop:
 //!   the source samples and slices the next batch on the trainer thread;
@@ -13,9 +13,9 @@
 //!   batch-prep workers slicing into pinned buffers, overlapping
 //!   preparation with training.
 //!
-//! Multi-rank data-parallel training ([`train_ddp`]) takes the same
-//! optimizer step as [`Trainer`], with a gradient all-reduce before the
-//! update; sampled / full-neighborhood inference completes the system.
+//! Multi-rank data-parallel training ([`train_ddp`]) runs the same pipeline
+//! on every rank, with a gradient all-reduce before each update; sampled /
+//! full-neighborhood inference completes the system.
 //!
 //! # Example
 //!

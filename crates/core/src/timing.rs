@@ -13,8 +13,8 @@ use salient_trace::PipelineReport;
 pub struct StageTimings {
     /// Batch preparation (sampling + slicing) blocking seconds.
     pub prep_s: f64,
-    /// Host→device hand-over ("transfer"): the stage counts the bytes a copy
-    /// would move and passes the slot on, so this is bookkeeping time.
+    /// Host→device transfer: always 0 for [`crate::Trainer`], which has no
+    /// transfer stage (it counts the bytes a copy would move instead).
     pub transfer_s: f64,
     /// Model compute (forward + backward + step).
     pub train_s: f64,

@@ -1,60 +1,60 @@
-//! The training loop over real data: one transfer→train [`StageGraph`]
+//! The training loop over real data: one consumer loop
 //! ([`Trainer::consume`]) and one optimizer step ([`train_step`]), fed two ways.
 //!
 //! The baseline executor (Listing 1) is the SALIENT consumer whose source
 //! prepares instead of receives: it samples and slices each batch inside the
-//! graph's source — the serial reference. The SALIENT executor receives
+//! loop's source — the serial reference. The SALIENT executor receives
 //! batches that shared-memory workers prepared while the consumer trained;
 //! that worker-side preparation is the overlap of this plane. The consumer
 //! itself is one thread under either executor. Nothing widens a staged
-//! batch: the train stage lends the pinned slot to the step's tape, whose
-//! first layer reads the rows at the width they are stored, and the slot
-//! returns to the pool when that tape drops.
+//! batch: the step's tape is lent the pinned slot ([`lend`]), its first
+//! layer reads the rows at the width they are stored, and the slot returns
+//! to the pool when that tape drops. A DDP rank trains through the same
+//! lend and the same step (`crate::ddp_train`).
 
 use crate::config::{ExecutorKind, RunConfig, Stream};
 use crate::timing::StageTimings;
 use crate::infer::BatchInferencer;
 use salient_batchprep::{
-    batch_seed, run_epoch_with_pool, slice_batch_into, BatchResult, PinnedPool, PrepConfig,
-    PrepMode, PreparedBatch, SamplerKind,
+    batch_seed, run_epoch_with_pool, slice_batch_into, BatchResult, PinnedPool, PreparedBatch,
 };
 use salient_fault as fault;
 use salient_graph::{Dataset, NodeId};
-use salient_nn::{build_model, metrics, GnnModel, Mode};
-use salient_pipeline::{GraphSpec, PipeItem, StageGraph, StageOutcome, StageSpec};
+use salient_nn::{metrics, GnnModel, Mode};
 use salient_sampler::{FastSampler, MessageFlowGraph, PygSampler};
 use salient_tensor::optim::{zero_grads, Adam, Optimizer};
 use salient_tensor::rng::SliceRandom;
 use salient_tensor::rng::StdRng;
 use salient_tensor::{Tape, Tensor, Var};
-use salient_trace::{analyze, names, Clock, Trace, NO_BATCH};
+use salient_trace::names::{self, SpanName};
+use salient_trace::{analyze, Clock, Trace, NO_BATCH};
 use std::convert::Infallible;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// The item flowing through the transfer→train graph: a prepared batch, or
-/// `None` for one whose preparation failed for good (and, past the train
-/// stage, for one that has been trained).
-struct TrainItem {
-    bid: u64,
-    batch: Option<PreparedBatch>,
-}
-
-impl PipeItem for TrainItem {
-    fn batch_id(&self) -> u64 {
-        self.bid
-    }
+/// Lends `batch`'s pinned slot to a fresh tape: the features are the staged
+/// rows where they lie, and the slot goes back to its pool when the tape
+/// drops — before the optimizer runs, or as the step unwinds. Fires
+/// `pipe.train` once the tape holds the slot; `None` if that site drops it.
+pub(crate) fn lend(batch: PreparedBatch, dim: usize) -> Option<(Tape, Var, MessageFlowGraph, Vec<u32>)> {
+    let PreparedBatch { batch_id, mfg, slot } = batch;
+    let labels = slot.labels().to_vec();
+    let tape = Tape::new();
+    let x = tape.constant_rows(Rc::new(slot), dim);
+    let dropped = fault::fire(fault::sites::PIPE_TRAIN, batch_id as u64);
+    (!dropped).then_some((tape, x, mfg, labels))
 }
 
 /// One optimizer step, the only one this crate spells: forward and backward
-/// over `batch` (sampled MFG, the features as a constant the step's tape is
-/// given to record, batch labels), gradients into the parameters,
+/// over `batch` (the tape its features were recorded on, those features as
+/// a constant on it, the MFG, the labels), gradients into the parameters,
 /// `sync_grads`, then the update. Returns the batch's loss.
 ///
 /// `sync_grads` runs between the gradients landing in the parameters and the
 /// optimizer reading them — where a DDP rank all-reduces — and its error
-/// leaves the step untaken. A rank whose shard of a step is empty passes no
-/// batch: it joins the collective with zero gradients and reports loss 0.
+/// leaves the step untaken. A rank with no batch for a step passes none: it
+/// joins the collective with zero gradients and reports loss 0.
 ///
 /// The features enter as a constant, so nothing is differentiated with
 /// respect to them, and the tape — with every buffer it holds, a lent
@@ -64,13 +64,11 @@ pub(crate) fn train_step<E>(
     model: &mut dyn GnnModel,
     opt: &mut Adam,
     rng: &mut StdRng,
-    batch: Option<(&MessageFlowGraph, impl FnOnce(&Tape) -> Var, &[u32])>,
+    batch: Option<(Tape, Var, &MessageFlowGraph, &[u32])>,
     sync_grads: impl FnOnce(&mut dyn GnnModel) -> Result<(), E>,
 ) -> Result<f64, E> {
-    let computed = batch.map(|(mfg, features, labels)| {
+    let computed = batch.map(|(tape, x, mfg, labels)| {
         let targets: Vec<usize> = labels.iter().map(|&c| c as usize).collect();
-        let tape = Tape::new();
-        let x = features(&tape);
         let out = model.forward(&tape, x, mfg, Mode::Train, rng);
         let loss = out.nll_loss(&targets);
         (loss.value().item() as f64, tape.backward(&loss))
@@ -95,8 +93,8 @@ pub struct EpochStats {
     /// Number of batches trained.
     pub batches: usize,
     /// Batches of the epoch that were not trained: preparation exhausted
-    /// its retry budget, a stage dropped or panicked on the batch, or the
-    /// pipeline poisoned before reaching it. `batches + failed_batches` is
+    /// its retry budget, the train step dropped or panicked on the batch, or
+    /// the run poisoned before reaching it. `batches + failed_batches` is
     /// the epoch's batch count (always 0 unless fault injection or real
     /// faults occurred).
     pub failed_batches: usize,
@@ -169,14 +167,7 @@ impl Trainer {
                 }
             })));
         }
-        let model = build_model(
-            config.model,
-            dataset.features.dim(),
-            config.hidden,
-            dataset.num_classes,
-            config.num_layers,
-            config.seed,
-        );
+        let model = config.build_model(&dataset);
         let opt = Adam::new(config.learning_rate);
         let rng = StdRng::seed_from_u64(Stream::Trainer.seed(config.seed));
         let features = &dataset.features;
@@ -223,42 +214,38 @@ impl Trainer {
 
     /// One optimizer step on a batch of widened features; returns the loss.
     pub fn train_batch(&mut self, mfg: &MessageFlowGraph, features: Tensor, labels: &[u32]) -> f64 {
-        self.step(mfg, |tape| tape.constant(features), labels)
+        let tape = Tape::new();
+        let x = tape.constant(features);
+        self.step((tape, x, mfg, labels))
     }
 
-    /// One optimizer step on a prepared batch, as an epoch's train stage
-    /// takes it; returns the loss. The step's tape is lent the batch's pinned
-    /// slot and reads the staged rows where they lie, at the width they are
-    /// stored; the slot goes back to its pool with the tape, before the
-    /// optimizer runs — or when the step unwinds.
-    pub fn train_prepared(&mut self, batch: PreparedBatch) -> f64 {
-        let PreparedBatch { batch_id, mfg, slot } = batch;
-        let (dim, labels) = (self.dataset.features.dim(), slot.labels().to_vec());
-        let lend = |tape: &Tape| {
-            let x = tape.constant_rows(Rc::new(slot), dim);
-            fault::fire(fault::sites::PIPE_TRAIN, batch_id as u64);
-            x
-        };
-        self.step(&mfg, lend, &labels)
+    /// One optimizer step on a prepared batch, as an epoch's consumer loop
+    /// takes it; returns the loss, or `None` when the `pipe.train` fault
+    /// site drops the batch untrained. The step's tape is lent the batch's
+    /// pinned slot and reads the staged rows where they lie, at the width
+    /// they are stored; the slot goes back to its pool with the tape, before
+    /// the optimizer runs — or when the step unwinds.
+    pub fn train_prepared(&mut self, batch: PreparedBatch) -> Option<f64> {
+        let (tape, x, mfg, labels) = lend(batch, self.dataset.features.dim())?;
+        Some(self.step((tape, x, &mfg, &labels)))
     }
 
     /// [`train_step`] with nothing between the gradients and the update.
-    fn step(&mut self, mfg: &MessageFlowGraph, features: impl FnOnce(&Tape) -> Var, labels: &[u32]) -> f64 {
-        let batch = Some((mfg, features, labels));
-        let Ok(loss) = train_step(self.model.as_mut(), &mut self.opt, &mut self.rng, batch, |_| {
+    fn step(&mut self, batch: (Tape, Var, &MessageFlowGraph, &[u32])) -> f64 {
+        let Ok(loss) = train_step(self.model.as_mut(), &mut self.opt, &mut self.rng, Some(batch), |_| {
             Ok::<(), Infallible>(())
         });
         loss
     }
 
     /// Runs one training epoch with the configured executor. Both run the
-    /// transfer→train graph of [`Trainer::consume`] on the same prepared
-    /// batches and differ in the source that feeds it:
+    /// consumer loop of [`Trainer::consume`] on the same prepared batches and
+    /// differ in the source that feeds it:
     ///
     /// * Baseline (Listing 1) prepares the next batch inside the source, on
-    ///   this thread, so the graph records preparation as the `stage.prep`
-    ///   span: prep, transfer and train run back to back with shared
-    ///   boundary timestamps — the serial reference.
+    ///   this thread, so the loop records preparation as the `stage.prep`
+    ///   span: prep and train run back to back with shared boundary
+    ///   timestamps — the serial reference.
     /// * SALIENT receives batches that shared-memory workers prepared
     ///   concurrently, so `stage.prep` is only the time the consumer blocks.
     ///   Workers record into the same trace registry (sample/slice spans,
@@ -278,12 +265,13 @@ impl Trainer {
                 // worker's retries, fault sites or cancellation — a panic
                 // here is the caller's. No fill: the first batch's
                 // preparation is work, not pipeline fill. Each batch draws
-                // the stream a worker's first attempt at it would.
+                // the stream a worker's first attempt at it would. Panic
+                // budget 0: the first panicking step poisons the run.
                 let mut sampler = PygSampler::new(0);
                 let mut chunks = order.chunks(self.config.batch_size).enumerate();
                 let (dataset, pool) = (Arc::clone(&self.dataset), self.pool.clone());
                 let fanouts = self.config.train_fanouts.clone();
-                self.consume(GraphSpec::new("baseline"), move || {
+                self.consume(0, names::spans::STAGE_PREP, move || {
                     let (batch_id, chunk) = chunks.next()?;
                     sampler.reseed(batch_seed(epoch_seed, batch_id, 0));
                     let mfg = sampler.sample(&dataset.graph, chunk, &fanouts);
@@ -294,25 +282,15 @@ impl Trainer {
                 })
             }
             ExecutorKind::Salient => {
-                let prep_cfg = PrepConfig {
-                    num_workers: self.config.num_workers,
-                    fanouts: self.config.train_fanouts.clone(),
-                    batch_size: self.config.batch_size,
-                    slots: self.config.slots,
-                    mode: PrepMode::SharedMemory,
-                    sampler: SamplerKind::Fast,
-                    seed: epoch_seed,
-                    trace: trace.clone(),
-                };
+                let prep_cfg = self.config.prep_config(self.config.num_workers, epoch_seed, &trace);
                 let handle = run_epoch_with_pool(&self.dataset, &order, &prep_cfg, &self.pool);
                 let rx = &handle.batches;
-                // Panic budget 2: an isolated stage panic retires its batch
+                // Panic budget 2: an isolated step panic retires its batch
                 // (it counts among `failed_batches`, mirroring prep's
                 // retry-exhaustion policy); repetition beyond the budget
-                // poisons the pipeline, because a recurring executor panic is
-                // a bug, not a flaky batch.
-                let spec = GraphSpec::new("train").panic_budget(2).first_wait_is_fill();
-                let consumed = self.consume(spec, move || rx.recv().ok());
+                // poisons the run, because a recurring panic is a bug, not
+                // a flaky batch. The first wait is pipeline fill.
+                let consumed = self.consume(2, names::spans::WARMUP, move || rx.recv().ok());
                 handle.join();
                 consumed
             }
@@ -327,7 +305,7 @@ impl Trainer {
             epoch: self.epoch,
             mean_loss: total_loss / batches as f64,
             batches,
-            // Whatever left the pipeline early — a failed preparation, a
+            // Whatever left the loop early — a failed preparation, a
             // dropped or panicked batch — or was never pulled because the
             // run poisoned, was not trained.
             failed_batches: order.len().div_ceil(self.config.batch_size) - batches,
@@ -337,54 +315,57 @@ impl Trainer {
         stats
     }
 
-    /// The consumer side of an epoch, the same for both executors: a
-    /// transfer→train stage graph over the batches `source` yields, run on
-    /// this thread in the clock-read and FP-operation order of a serial
-    /// consumer loop. Returns `(summed loss, batches trained)`; a batch that
-    /// a stage retired, dropped or panicked on is in neither.
-    fn consume(&mut self, spec: GraphSpec, mut source: impl FnMut() -> Option<BatchResult>) -> (f64, usize) {
+    /// The consumer side of an epoch, the same for both executors, on this
+    /// thread: pull a message from `source`, file the wait for it (the first
+    /// as `first_wait`, the rest as `stage.prep`: Table 1's "prep" column),
+    /// count the bytes a host→device copy would move, train the batch under
+    /// one panic guard and record `stage.train`. A caught panic retires its
+    /// batch; the one past `panic_budget` poisons the run (an event and a
+    /// flight-recorder dump) and nothing more is pulled. Returns `(summed
+    /// loss, batches trained)`.
+    fn consume(
+        &mut self,
+        panic_budget: u64,
+        first_wait: SpanName,
+        mut source: impl FnMut() -> Option<BatchResult>,
+    ) -> (f64, usize) {
         let trace = self.trace.clone();
+        let clock = trace.clock();
         let transfer_bytes = trace.counter(names::counters::TRANSFER_BYTES);
-        let (mut total_loss, mut batches) = (0.0, 0usize);
-        StageGraph::new(spec, move || {
-            let result = source()?;
+        let (mut total_loss, mut batches, mut panics) = (0.0, 0usize, 0u64);
+        let mut wait = first_wait;
+        loop {
+            let t0 = clock.now_ns();
+            let Some(result) = source() else {
+                break;
+            };
             let bid = result.batch_id() as u64;
-            Some(TrainItem { bid, batch: result.ready() })
-        })
-        // Transfer: the PCIe copy's stand-in (line 5) moves no bytes, it
-        // counts the ones a copy would and passes the pinned slot on. A
-        // batch that retires here drops its slot back into the pool.
-        .stage(
-            StageSpec::new("transfer", names::spans::STAGE_TRANSFER),
-            |item: TrainItem| {
-                let Some(batch) = &item.batch else {
-                    // Terminal marker: preparation exhausted its retry
-                    // budget. The epoch proceeds on the surviving batches.
-                    return StageOutcome::Skip;
-                };
-                if fault::fire(fault::sites::PIPE_TRANSFER, item.bid) {
-                    // Injected transfer drop: the batch retires here, its
-                    // slot returning to the pool via RAII.
-                    return StageOutcome::Skip;
+            let t1 = clock.now_ns();
+            trace.record_span(std::mem::replace(&mut wait, names::spans::STAGE_PREP), bid, t0, t1);
+            let Some(batch) = result.ready() else {
+                continue;
+            };
+            transfer_bytes.add(batch.slot.payload_bytes() as u64);
+            match catch_unwind(AssertUnwindSafe(|| self.train_prepared(batch))) {
+                Ok(Some(loss)) => {
+                    trace.record_span(names::spans::STAGE_TRAIN, bid, t1, clock.now_ns());
+                    total_loss += loss;
+                    batches += 1;
                 }
-                transfer_bytes.add(batch.slot.payload_bytes() as u64);
-                StageOutcome::Emit(item)
-            },
-        )
-        // Train (lines 6–8). This stage's input wait is Table 1's "prep"
-        // column: the time the consumer spends without a batch.
-        .stage(
-            StageSpec::new("train", names::spans::STAGE_TRAIN).wait(names::spans::STAGE_PREP),
-            |mut item: TrainItem| {
-                let Some(batch) = item.batch.take() else {
-                    return StageOutcome::Skip;
-                };
-                total_loss += self.train_prepared(batch);
-                batches += 1;
-                StageOutcome::Emit(item)
-            },
-        )
-        .run_inline(&trace);
+                Ok(None) => {}
+                Err(_) => {
+                    panics += 1;
+                    trace.instant(names::events::PIPE_STAGE_PANIC, bid);
+                    if panics > panic_budget {
+                        trace.instant(names::events::PIPE_POISONED, bid);
+                        if let Some(bb) = trace.blackbox() {
+                            let _ = bb.dump(&trace, names::events::PIPE_POISONED.as_str(), bid);
+                        }
+                        break;
+                    }
+                }
+            }
+        }
         (total_loss, batches)
     }
 
@@ -471,7 +452,7 @@ mod tests {
     }
 
     /// The oracle the executors are checked against: Listing 1 written out
-    /// by hand, sharing nothing with the stage graph but `train_batch` and
+    /// by hand, sharing nothing with the consumer loop but `train_batch` and
     /// the per-batch reseed.
     #[test]
     fn baseline_epochs_equal_a_hand_written_listing_1_loop_bitwise() {
@@ -545,11 +526,10 @@ mod tests {
                 assert!(snap.distinct_tids() >= 2);
                 continue;
             }
-            // Baseline: one span a stage a batch, all on this thread. The
-            // source's preparation is `stage.prep`, the first batch's
+            // Baseline: a prep and a train span a batch, all on this thread.
+            // The source's preparation is `stage.prep`, the first batch's
             // included — nothing is filed as pipeline fill.
             assert_eq!(count(names::spans::STAGE_PREP), stats.batches);
-            assert_eq!(count(names::spans::STAGE_TRANSFER), stats.batches);
             assert_eq!(count(names::spans::STAGE_TRAIN), stats.batches);
             assert_eq!(count(names::spans::WARMUP), 0);
             assert_eq!(snap.distinct_tids(), 1);

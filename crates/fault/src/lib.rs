@@ -137,15 +137,12 @@ sites! {
     /// Serving model-compute (GEMM) stage (occ = micro-batch sequence
     /// number).
     SERVE_GEMM = "serve.gemm",
-    /// Stage-graph executor transfer/widen stage (occ = batch id). `panic`
-    /// exercises the executor's per-item catch boundary: the batch is
-    /// dropped and counted, the pinned slot returns via RAII, and the
-    /// epoch completes on the remaining batches.
-    PIPE_TRANSFER = "pipe.transfer",
-    /// Stage-graph executor train stage, once the step's tape has been lent
-    /// the batch's pinned slot (occ = batch id). `panic` unwinds the step
-    /// through that tape: the slot must be back in the pool when the
-    /// executor's catch boundary has retired the batch.
+    /// A train step, once its tape has been lent the batch's pinned slot
+    /// (occ = batch id; a DDP rank's batch id is the step). `panic` unwinds
+    /// the step through that tape: the slot must be back in the pool when
+    /// the trainer's panic guard has retired the batch (a rank's panic
+    /// kills the rank). `drop` retires the batch untrained; a rank still
+    /// takes the step, with zero gradients.
     PIPE_TRAIN = "pipe.train",
 }
 
@@ -696,7 +693,7 @@ mod tests {
         // `ALL` is built from the same lines as the constants: its length
         // is the declaration count, and the parser resolves each name back
         // to the constant it was declared as.
-        assert_eq!(sites::ALL.len(), 14);
+        assert_eq!(sites::ALL.len(), 13);
         for (i, site) in sites::ALL.iter().enumerate() {
             assert_eq!(Site::lookup(site.as_str()), Some(*site));
             assert!(

@@ -2,11 +2,10 @@
 //!
 //! A [`StageShape`] names a pipeline stage once — its simulator task name,
 //! its trace span, and the resource class it occupies — so
-//! `salient-sim`'s discrete-event schedules and the real
-//! [`StageGraph`](crate::StageGraph) consumer are built from the same
-//! constants. Drift between the two planes then shows up as a structural
-//! mismatch (a missing stage, a renamed span), not a silently diverging
-//! string.
+//! `salient-sim`'s discrete-event schedules are built from the constants
+//! the real trainer's trace is checked against. Drift between the two
+//! planes then shows up as a structural mismatch (a missing stage, a
+//! renamed span), not a silently diverging string.
 
 /// Resource class a stage occupies; the simulator maps each class to a
 /// distinct serial (or worker-pool) resource.
@@ -35,12 +34,14 @@ pub struct StageShape {
 /// Double-buffer depth of the modelled machine: 2 ≡ one batch in flight on
 /// the device, one staged behind it. Read by the simulator's
 /// `transfer[b] → train[b-3]`-style dependency and by
-/// `tests/sim_vs_real.rs`; the real consumer has no queue to bound (its
-/// transfer stage moves no bytes and runs on the training thread).
+/// `tests/sim_vs_real.rs`; the real trainer has no queue to bound (it has
+/// no transfer stage).
 pub const TRANSFER_QUEUE_CAP: usize = 2;
 
 /// The training pipeline: prep (sample+slice on workers) → transfer
-/// (H2D on the DMA engine) → train (fwd/bwd/step on the device).
+/// (H2D on the DMA engine) → train (fwd/bwd/step on the device). The real
+/// trainer records the first and last stages' spans; for the transfer it
+/// counts `transfer.bytes`.
 pub fn train() -> [StageShape; 3] {
     use salient_trace::names::spans;
     [

@@ -151,7 +151,8 @@ pub struct PipelineReport {
     pub window_ns: u64,
     /// Trainer blocked on batch preparation (`stage.prep`).
     pub prep_ns: u64,
-    /// Trainer in host→device staging (`stage.transfer`).
+    /// Trainer in host→device staging (`stage.transfer`): 0 for the real
+    /// trainer, which records no such span.
     pub transfer_ns: u64,
     /// Trainer in model compute (`stage.train`).
     pub compute_ns: u64,
@@ -267,7 +268,7 @@ enum Role {
     /// A wrapper tagged with the epoch number, not a batch id.
     RankEpoch,
     /// Tagged with the ring step, not a batch id, and inside the
-    /// `ddp.train` span it serves.
+    /// `stage.train` span it serves.
     Ring,
     Fill,
     /// The trainer blocked on (the baseline: doing) preparation.
@@ -1025,13 +1026,13 @@ mod tests {
         assert_eq!(edge(spans::RANK_EPOCH), None);
         let t = Trace::new(Clock::virtual_manual());
         t.record_span(spans::RANK_EPOCH, 0, 0, 100);
-        t.record_span(spans::DDP_TRAIN, 0, 10, 60);
+        t.record_span(spans::STAGE_TRAIN, 0, 10, 60);
         t.record_span(spans::DDP_RING_SEND, 0, 40, 50);
         t.record_span(spans::DDP_RING_RECV, 0, 50, 55);
         let chains = attribute(&t.snapshot()).chains;
         assert_eq!(chains.len(), 1);
         let names: Vec<&str> = chains[0].edges.iter().map(|e| e.name).collect();
-        assert_eq!(names, [spans::DDP_TRAIN.as_str()]);
+        assert_eq!(names, [spans::STAGE_TRAIN.as_str()]);
     }
 
     /// Hand-built chain with a known path: fill 0..10, sample 10..40,

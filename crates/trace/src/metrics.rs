@@ -4,7 +4,7 @@
 //! registry lock), then update it on the hot path with a plain atomic add —
 //! no lock, no allocation. A counter holds only a fact that happens per
 //! request and that no span covers (admissions, sheds, completions, the
-//! bytes the transfer stage moves). A duration is a span and its
+//! bytes a host→device copy would move). A duration is a span and its
 //! percentiles come from the spans ([`crate::analysis::Percentiles`]); a
 //! rare fact (a fault, a ladder or breaker move, a dump) is a point event,
 //! counted from the snapshot, so a window of the trace says whose it is.

@@ -93,14 +93,15 @@ registry! {
     /// One training epoch, recorded on the consumer ("trainer") thread.
     EPOCH = "epoch",
     /// Trainer-side batch-preparation stage: for the baseline executor the
-    /// actual sample+slice work; for the SALIENT executor only the time the
-    /// trainer *blocked* waiting for a prepared batch.
+    /// actual sample+slice work; for the SALIENT executor and a DDP rank
+    /// only the time the trainer *blocked* waiting for a prepared batch.
     STAGE_PREP = "stage.prep",
-    /// Trainer-side host→device hand-over, the PCIe copy's stand-in: the
-    /// stage counts the bytes a copy would move (`transfer.bytes`) and
-    /// passes the pinned slot on.
+    /// Host→device hand-over, the PCIe copy's stage in the simulator's
+    /// training shape. The real trainer has no such stage (it counts the
+    /// bytes a copy would move in `transfer.bytes`) and records none.
     STAGE_TRANSFER = "stage.transfer",
-    /// Trainer-side model compute (forward + backward + step).
+    /// Trainer-side model compute (forward + backward + step; on a DDP
+    /// rank, the all-reduce too).
     STAGE_TRAIN = "stage.train",
     /// Worker-side neighborhood sampling + MFG construction. Counts: the
     /// MFG's nodes and edges.
@@ -122,15 +123,9 @@ registry! {
     SERVE_SLICE = "serve.slice",
     /// Serving micro-batch model compute (forward on the staged slot).
     SERVE_GEMM = "serve.gemm",
-    /// DDP rank-side batch preparation (sample + gather) stage work.
-    DDP_PREP = "ddp.prep",
-    /// DDP rank-side compute (forward + backward + all-reduce + step)
-    /// stage work.
-    DDP_TRAIN = "ddp.train",
     /// Warm-up iterations excluded from steady-state measurement; also the
-    /// stage-graph executor's first source wait per run (pipeline fill) in
-    /// a graph that files it apart, so its `stage.prep` waits are steady
-    /// state only.
+    /// SALIENT trainer's first wait for a batch in an epoch (pipeline
+    /// fill), so its `stage.prep` waits are steady state only.
     WARMUP = "warmup",
     /// `salient paper table2`: one PyG-style (per-batch allocation)
     /// sampling pass.
@@ -153,8 +148,8 @@ registry! {
     /// a dump) is an event in [`events`], and a snapshot counts them.
     pub mod counters: CounterName;
 
-    /// Packed bytes the trainer pulled through the transfer stage (staged
-    /// features at their storage dtype + labels). With f16 feature storage
+    /// Packed bytes of the staged batches the trainer took (features at
+    /// their storage dtype + labels): what a host→device copy would move. With f16 feature storage
     /// this is ~half the f32 figure — the paper's optimization (iii) made
     /// visible in the epoch report.
     TRANSFER_BYTES = "transfer.bytes",
@@ -225,7 +220,7 @@ mod tests {
     fn all_lists_carry_every_declared_constant() {
         // The macro builds `ALL` from the same lines as the constants, so
         // its length is the declaration count.
-        assert_eq!(spans::ALL.len(), 21);
+        assert_eq!(spans::ALL.len(), 19);
         assert_eq!(counters::ALL.len(), 8);
         assert_eq!(spans::ALL[0], spans::EPOCH);
         assert!("warmup" == spans::WARMUP);

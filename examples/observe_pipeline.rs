@@ -215,8 +215,8 @@ fn main() {
     );
 
     // Bytes: workers stage them into pinned slots (each `prep.slice` span's
-    // count) and the trainer pulls `transfer.bytes` through the transfer
-    // stage, both at the feature store's packed dtype — so with f16 storage
+    // count) and the trainer counts `transfer.bytes` for every batch it
+    // takes, both at the feature store's packed dtype — so with f16 storage
     // these are ~half of what an f32 store would report. They agree on
     // every batch the trainer actually consumed (prep may stage more if an
     // epoch is cut short).

@@ -46,13 +46,12 @@ fn main() {
     let mut trainer = Trainer::new(Arc::clone(&dataset), run);
     for stats in trainer.fit() {
         println!(
-            "epoch {:2}: loss {:.4}  ({} batches, {:.2}s; prep {:.2}s transfer {:.2}s train {:.2}s)",
+            "epoch {:2}: loss {:.4}  ({} batches, {:.2}s; prep {:.2}s train {:.2}s)",
             stats.epoch,
             stats.mean_loss,
             stats.batches,
             stats.timings.total_s,
             stats.timings.prep_s,
-            stats.timings.transfer_s,
             stats.timings.train_s,
         );
     }

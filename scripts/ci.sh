@@ -113,7 +113,7 @@ cargo test --workspace -q --offline -- --test-threads=1
 # `paper` --scale at which a preset overflows a NodeId) or fault variable
 # it does not accept: exits 2 naming what it accepts (tests/cli.rs).
 
-echo "== fault tier: the fault matrix and the serving scenarios again (release)"
+echo "== fault tier: the fault matrix, the serving and the DDP scenarios again (release)"
 # Every scenario asserts the exact point events its plan implies (one
 # fault.retry and one fault.failed_batch, one of each per batch when every
 # send panics, seven ladder moves, ...). An optimised build gives the prep
@@ -121,9 +121,11 @@ echo "== fault tier: the fault matrix and the serving scenarios again (release)"
 # passes above do; every plan there is built with its own seed. The fault
 # matrix runs ten times: its scenarios at one to three prep workers race
 # the workers for the claim cursor, and each run is another schedule of
-# which worker prepares, retries or fails which batch.
+# which worker prepares, retries or fails which batch. The first run also
+# takes tests/distributed.rs: every DDP rank owns a prep worker thread, so
+# an optimised build races ranks, their workers and the ring anew.
 fault_start=$(date +%s.%N)
-cargo test --release -q --offline --test fault_matrix --test serving
+cargo test --release -q --offline --test fault_matrix --test serving --test distributed
 for _ in 2 3 4 5 6 7 8 9 10; do
   cargo test --release -q --offline --test fault_matrix
 done

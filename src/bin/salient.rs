@@ -27,6 +27,7 @@ use salient_repro::graph::{Dataset, DatasetConfig, NodeId};
 use salient_repro::nn::ModelKind;
 use salient_repro::sampler::FastSampler;
 use salient_repro::tensor::Dtype;
+use salient_repro::trace::Trace;
 use std::sync::Arc;
 
 /// A bad flag or environment value: says what was accepted and exits with
@@ -191,7 +192,7 @@ fn cmd_train(args: &[String]) {
     let ds = build_dataset(args);
     if ranks > 1 {
         eprintln!("training with {ranks} data-parallel ranks...");
-        let result = match train_ddp(&ds, &cfg, ranks) {
+        let result = match train_ddp(&ds, &cfg, ranks, &Trace::disabled()) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("distributed run failed: {e}");
@@ -212,12 +213,11 @@ fn cmd_train(args: &[String]) {
     let mut trainer = Trainer::new(Arc::clone(&ds), cfg);
     for stats in trainer.fit() {
         println!(
-            "epoch {}: loss {:.4}  ({:.2}s; prep {:.2}s xfer {:.2}s train {:.2}s)",
+            "epoch {}: loss {:.4}  ({:.2}s; prep {:.2}s train {:.2}s)",
             stats.epoch,
             stats.mean_loss,
             stats.timings.total_s,
             stats.timings.prep_s,
-            stats.timings.transfer_s,
             stats.timings.train_s
         );
     }

@@ -4,6 +4,7 @@ use salient_repro::core::{train_ddp, DdpError, RunConfig};
 use salient_repro::ddp::Communicator;
 use salient_repro::graph::DatasetConfig;
 use salient_repro::tensor::rng::{derive, SliceRandom, StdRng};
+use salient_repro::trace::Trace;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -23,7 +24,7 @@ fn ddp_trains_with_various_rank_counts() {
         ..RunConfig::test_tiny()
     };
     for ranks in [1usize, 2, 4] {
-        let result = train_ddp(&ds, &run, ranks).unwrap();
+        let result = train_ddp(&ds, &run, ranks, &Trace::disabled()).unwrap();
         assert_eq!(result.epoch_losses.len(), 3);
         assert!(
             result.epoch_losses.iter().all(|l| l.is_finite()),
@@ -49,8 +50,8 @@ fn effective_batch_scales_with_ranks() {
         batch_size: 16,
         ..RunConfig::test_tiny()
     };
-    let single = train_ddp(&ds, &run, 1).unwrap();
-    let quad = train_ddp(&ds, &run, 4).unwrap();
+    let single = train_ddp(&ds, &run, 1, &Trace::disabled()).unwrap();
+    let quad = train_ddp(&ds, &run, 4, &Trace::disabled()).unwrap();
     assert!(single.epoch_losses[0].is_finite() && quad.epoch_losses[0].is_finite());
 }
 
@@ -122,7 +123,7 @@ fn a_panicking_rank_step_kills_only_that_rank() {
             chained(info);
         }
     }));
-    let result = train_ddp(&ds, &run, ranks);
+    let result = train_ddp(&ds, &run, ranks, &Trace::disabled());
     drop(std::panic::take_hook());
     if let Ok(hook) = Arc::try_unwrap(previous) {
         std::panic::set_hook(hook);

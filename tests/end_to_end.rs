@@ -64,9 +64,9 @@ fn one_slot_epoch_completes_serially_and_returns_the_slot() {
     let tid_of = |span| snap.spans(span).next().map(|e| e.tid);
     assert!(tid_of(names::spans::STAGE_TRAIN).is_some());
     assert_eq!(
-        tid_of(names::spans::STAGE_TRANSFER),
+        tid_of(names::spans::STAGE_PREP),
         tid_of(names::spans::STAGE_TRAIN),
-        "the transfer and train stages share the consumer's thread"
+        "the wait for a batch and its train step share the consumer's thread"
     );
 }
 

@@ -28,7 +28,7 @@ use salient_repro::graph::{Dataset, DatasetConfig};
 use salient_repro::sampler::MessageFlowGraph;
 use salient_repro::serve::{Rejected, Request, Response, ServeConfig, ServerCore};
 use salient_repro::tensor::Tensor;
-use salient_repro::trace::{names, Clock, Trace};
+use salient_repro::trace::{names, Clock, Snapshot, Trace};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
@@ -80,7 +80,10 @@ type FaultEvents = [usize; 2];
 const NO_FAULTS: FaultEvents = [0; 2];
 
 fn fault_events(trace: &Trace) -> FaultEvents {
-    let snap = trace.snapshot();
+    fault_events_of(&trace.snapshot())
+}
+
+fn fault_events_of(snap: &Snapshot) -> FaultEvents {
     [names::events::RETRY, names::events::FAILED_BATCH].map(|name| snap.count(name))
 }
 
@@ -343,14 +346,14 @@ fn a_retry_is_schedule_independent() {
 }
 
 #[test]
-fn transfer_stage_panic_retires_one_batch_and_the_pipeline_survives() {
+fn train_stage_panic_retires_one_batch_and_the_pipeline_survives() {
     let _s = serial();
     use salient_repro::core::Trainer;
-    // Batch 2's transfer stage panics inside the pipelined executor. The
-    // engine catches it, drops the item (its pinned slot returns via RAII —
-    // with slots=4 and more batches than slots, a leaked slot would starve
-    // the prep workers and hang this test), counts it against the graph's
-    // panic budget, and the epoch completes on the surviving batches.
+    // Batch 2's train step panics in the SALIENT trainer's loop. The loop's
+    // guard catches it, retires the batch (its pinned slot returns with the
+    // unwound tape — with slots=4 and more batches than slots, a leaked slot
+    // would starve the prep workers and hang this test), counts it against
+    // the panic budget, and the epoch completes on the surviving batches.
     let ds = dataset();
     let trace = Trace::new(Clock::virtual_with_tick(1_000));
     let run = RunConfig {
@@ -360,7 +363,7 @@ fn transfer_stage_panic_retires_one_batch_and_the_pipeline_survives() {
     };
     let n = ds.splits.train.len().div_ceil(run.batch_size);
     assert!(n > run.slots, "must recycle slots to prove none leaked");
-    let _guard = fault::scoped(FaultPlan::new(41).panic_at(sites::PIPE_TRANSFER, 2));
+    let _guard = fault::scoped(FaultPlan::new(41).panic_at(sites::PIPE_TRAIN, 2));
     let mut trainer = Trainer::with_trace(Arc::clone(&ds), run, trace.clone());
     let stats = trainer.fit();
     assert_eq!(stats.len(), 1);
@@ -382,7 +385,7 @@ fn transfer_stage_panic_retires_one_batch_and_the_pipeline_survives() {
     assert_eq!(tagged, vec![2]);
     assert_eq!(snap.count(names::events::PIPE_POISONED), 0);
 
-    // The panicked batch never reached the compute stage.
+    // The panicked batch never finished a train step.
     let trained: Vec<u64> = snap
         .spans(names::spans::STAGE_TRAIN)
         .map(|e| e.batch)
@@ -395,9 +398,9 @@ fn transfer_stage_panic_retires_one_batch_and_the_pipeline_survives() {
 fn train_stage_panic_unwinds_through_the_tape_that_holds_the_slot() {
     let _s = serial();
     use salient_repro::core::Trainer;
-    // The train stage lends a batch's pinned slot to the step's tape. Batch
-    // 1's step panics right after: the unwind drops the tape inside the
-    // engine's catch boundary, the slot goes home with it, and the epoch
+    // The train step's tape is lent a batch's pinned slot. Batch 1's step
+    // panics right after: the unwind drops the tape inside the loop's
+    // panic guard, the slot goes home with it, and the epoch
     // trains every other batch — through two slots, so a slot that stayed
     // with the dead step would starve the prep workers and hang this test.
     let ds = dataset();
@@ -421,9 +424,13 @@ fn train_stage_panic_unwinds_through_the_tape_that_holds_the_slot() {
     let snap = trace.snapshot();
     assert_eq!(snap.count(names::events::PIPE_STAGE_PANIC), 1);
     assert_eq!(snap.count(names::events::PIPE_POISONED), 0);
-    // The batch was handed over before it died, and the next one trained.
-    let handed: Vec<u64> = snap.spans(names::spans::STAGE_TRANSFER).map(|e| e.batch).collect();
-    assert!(handed.contains(&1) && handed.contains(&2), "{handed:?}");
+    // The batch was handed over before it died (the wait that ended with
+    // it is `stage.prep`, or `warmup` if it arrived first), and the next one
+    // trained.
+    let waits = snap.spans(names::spans::STAGE_PREP).chain(snap.spans(names::spans::WARMUP));
+    let handed: Vec<u64> = waits.map(|e| e.batch).collect();
+    let trained: Vec<u64> = snap.spans(names::spans::STAGE_TRAIN).map(|e| e.batch).collect();
+    assert!(handed.contains(&1) && trained.contains(&2) && !trained.contains(&1), "{handed:?} {trained:?}");
     drop(_guard);
     let stats = trainer.train_epoch();
     assert_eq!((stats.batches, stats.failed_batches), (n, 0), "the next epoch is whole");
@@ -461,12 +468,12 @@ fn two_slots_let_the_worker_prepare_the_next_batch_under_a_train_step() {
 }
 
 #[test]
-fn transfer_stage_drop_fault_skips_the_batch_silently_but_accounted() {
+fn train_stage_drop_fault_skips_the_batch_silently_but_accounted() {
     let _s = serial();
     use salient_repro::core::Trainer;
-    // Same site, Drop kind: the transfer stage sheds the batch without a
-    // panic — no stage-panic activity, but the batch is still accounted as
-    // failed and the rest of the epoch is untouched.
+    // Same site, Drop kind: the train step sheds the batch without a panic,
+    // once its tape holds the slot — no stage-panic activity, but the batch
+    // is still accounted as failed and the rest of the epoch is untouched.
     let ds = dataset();
     let trace = Trace::new(Clock::virtual_with_tick(1_000));
     let run = RunConfig {
@@ -475,7 +482,7 @@ fn transfer_stage_drop_fault_skips_the_batch_silently_but_accounted() {
         ..RunConfig::test_tiny()
     };
     let n = ds.splits.train.len().div_ceil(run.batch_size);
-    let _guard = fault::scoped(FaultPlan::new(42).drop_at(sites::PIPE_TRANSFER, 1));
+    let _guard = fault::scoped(FaultPlan::new(42).drop_at(sites::PIPE_TRAIN, 1));
     let mut trainer = Trainer::with_trace(Arc::clone(&ds), run, trace.clone());
     let stats = trainer.fit();
     assert_eq!(stats[0].batches, n - 1);
@@ -490,8 +497,8 @@ fn transfer_stage_drop_fault_skips_the_batch_silently_but_accounted() {
 fn pipeline_poison_dumps_the_flight_recorder_with_the_failing_chain() {
     let _s = serial();
     use salient_repro::core::Trainer;
-    // Every transfer attempt panics: the third exceeds the graph's panic
-    // budget (2) and poisons the pipeline. A run with an attached flight
+    // Every train step panics: the third exceeds the trainer's panic
+    // budget (2) and poisons the run. A run with an attached flight
     // recorder must leave a parseable post-mortem dump on disk carrying
     // the poisoning batch's causal chain.
     let ds = dataset();
@@ -504,7 +511,7 @@ fn pipeline_poison_dumps_the_flight_recorder_with_the_failing_chain() {
         ..RunConfig::test_tiny()
     };
     let _guard = fault::scoped(FaultPlan::new(43).with_spec(FaultSpec {
-        site: sites::PIPE_TRANSFER,
+        site: sites::PIPE_TRAIN,
         kind: FaultKind::Panic,
         trigger: Trigger::Always,
         budget: None,
@@ -586,7 +593,7 @@ fn ddp_rank_death_is_reported_not_hung() {
     let _s = serial();
     let ds = dataset();
     let _guard = fault::scoped(FaultPlan::new(7).panic_at(sites::DDP_RANK, 1));
-    match train_ddp(&ds, &ddp_cfg(), 2) {
+    match train_ddp(&ds, &ddp_cfg(), 2, &Trace::disabled()) {
         Ok(_) => panic!("a dead rank must fail the run"),
         Err(DdpError::RankPanicked { rank }) => assert_eq!(rank, 1),
         Err(other) => panic!("expected RankPanicked, got {other}"),
@@ -600,7 +607,7 @@ fn ddp_dropped_messages_surface_typed_timeout() {
     // Rank 0's ring sends vanish (sticky): its neighbor must time out with
     // a typed error instead of blocking forever.
     let _guard = fault::scoped(FaultPlan::new(8).drop_at(sites::DDP_SEND, 0));
-    match train_ddp(&ds, &ddp_cfg(), 2) {
+    match train_ddp(&ds, &ddp_cfg(), 2, &Trace::disabled()) {
         Ok(_) => panic!("a dropped link must fail the run"),
         Err(DdpError::Comm(e)) => assert!(
             matches!(e.kind, CommErrorKind::Timeout(_) | CommErrorKind::Disconnected),
@@ -618,7 +625,7 @@ fn ddp_receive_faults_kill_the_rank_or_time_out_its_step() {
     // kills that rank.
     {
         let _guard = fault::scoped(FaultPlan::new(13).panic_at(sites::DDP_RECV, 1));
-        match train_ddp(&ds, &ddp_cfg(), 2) {
+        match train_ddp(&ds, &ddp_cfg(), 2, &Trace::disabled()) {
             Ok(_) => panic!("a rank that panicked must fail the run"),
             Err(DdpError::RankPanicked { rank }) => assert_eq!(rank, 1),
             Err(other) => panic!("expected RankPanicked, got {other}"),
@@ -627,7 +634,7 @@ fn ddp_receive_faults_kill_the_rank_or_time_out_its_step() {
     // A dropped receive on rank 0 ends its step in a typed timeout; rank 0
     // is joined first, so its error is the run's.
     let _guard = fault::scoped(FaultPlan::new(14).drop_at(sites::DDP_RECV, 0));
-    match train_ddp(&ds, &ddp_cfg(), 2) {
+    match train_ddp(&ds, &ddp_cfg(), 2, &Trace::disabled()) {
         Ok(_) => panic!("a dropped receive must fail the run"),
         Err(DdpError::Comm(e)) => {
             assert_eq!(e.rank, 0, "{e}");
@@ -645,7 +652,7 @@ fn a_dropped_broadcast_receive_times_out_in_the_broadcast_phase() {
     // 0's first parameter, in `sync_model` before any training step. Rank
     // 0 then loses its peer; the run reports the cause, rank 1's timeout.
     let _guard = fault::scoped(FaultPlan::parse(15, "ddp.recv=drop@1").unwrap());
-    match train_ddp(&ds, &ddp_cfg(), 2) {
+    match train_ddp(&ds, &ddp_cfg(), 2, &Trace::disabled()) {
         Ok(_) => panic!("a dropped broadcast must fail the run"),
         Err(DdpError::Comm(e)) => {
             assert_eq!((e.rank, e.phase.to_string().as_str()), (1, "broadcast"), "{e}");
@@ -653,6 +660,78 @@ fn a_dropped_broadcast_receive_times_out_in_the_broadcast_phase() {
         }
         Err(other) => panic!("expected Comm, got {other}"),
     }
+}
+
+/// Runs `train_ddp` at two ranks for two epochs under `plan`, which
+/// keeps batch 1 from every rank in every epoch, and checks what every such
+/// run must show: it completes (a rank without a batch for a step still
+/// joins the all-reduce, so no peer times out) and every rank takes every
+/// step. A leaked slot would starve a rank's prep worker and hang the run.
+/// Debug builds of `train_ddp` also check that every replica ends on rank
+/// 0's parameters, bit for bit. Returns the trace and the epoch losses.
+fn ddp_run_under(plan: FaultPlan) -> (Snapshot, Vec<f64>) {
+    let ds = dataset();
+    let cfg = RunConfig { epochs: 2, ..ddp_cfg() };
+    let trace = Trace::new(Clock::virtual_with_tick(1_000));
+    let _guard = fault::scoped(plan);
+    let result = match train_ddp(&ds, &cfg, 2, &trace) {
+        Ok(result) => result,
+        Err(e) => panic!("every rank takes every step, so nothing times out: {e}"),
+    };
+    assert!(result.epoch_losses.iter().all(|l| l.is_finite()), "{:?}", result.epoch_losses);
+    let snap = trace.snapshot();
+    let steps = ds.splits.train.len().div_ceil(2 * cfg.batch_size);
+    assert!(steps > 2, "batch 1 must not be a rank's last");
+    assert_eq!(snap.spans(names::spans::STAGE_TRAIN).count(), 2 * cfg.epochs * steps);
+    (snap, result.epoch_losses)
+}
+
+/// Every attempt at batch 1 panics, on both ranks, in both epochs: each
+/// rank's prep worker retries it once and sends its failed marker.
+fn batch_1_fails_its_preparation() -> FaultPlan {
+    FaultPlan::new(16).with_spec(always_panic_at(sites::PREP_SAMPLE, 1))
+}
+
+#[test]
+fn a_ddp_batch_that_fails_its_preparation_is_a_zero_gradient_step() {
+    let _s = serial();
+    let (snap, _) = ddp_run_under(batch_1_fails_its_preparation());
+    // One retry and one failed batch per (rank, epoch): each epoch of each
+    // rank has its own prep worker thread, and each recorded exactly that.
+    let mut per_worker = std::collections::BTreeMap::<u32, FaultEvents>::new();
+    for e in &snap.events {
+        let slot = match e.name {
+            n if n == names::events::RETRY => 0,
+            n if n == names::events::FAILED_BATCH => 1,
+            _ => continue,
+        };
+        assert_eq!(e.batch, 1, "{e:?}");
+        per_worker.entry(e.tid).or_default()[slot] += 1;
+    }
+    assert_eq!(per_worker.len(), 2 * 2, "{per_worker:?}");
+    assert!(per_worker.values().all(|&events| events == [1, 1]), "{per_worker:?}");
+}
+
+#[test]
+fn a_ddp_batch_lost_at_its_send_is_a_zero_gradient_step() {
+    let _s = serial();
+    // Batch 1 is dropped at its send, on both ranks, in both epochs: the
+    // stream delivers batch 2 while each rank waits for step 1's, and it
+    // stays in the stream for step 2.
+    let drop_every_batch_1 = FaultSpec {
+        site: sites::PREP_SEND,
+        kind: FaultKind::Drop,
+        trigger: Trigger::Once(1),
+        budget: None,
+    };
+    let (snap, dropped) = ddp_run_under(FaultPlan::new(17).with_spec(drop_every_batch_1));
+    assert_eq!(fault_events_of(&snap), NO_FAULTS);
+    // Either way step 1 trains nothing and every other batch trains in its
+    // own step, so the losses are the failed-preparation run's, bit for bit;
+    // batch 2 trained in step 1's place would move them.
+    let (_, failed) = ddp_run_under(batch_1_fails_its_preparation());
+    let bits = |losses: &[f64]| losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&dropped), bits(&failed));
 }
 
 #[test]

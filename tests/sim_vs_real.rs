@@ -107,9 +107,10 @@ fn pipelined_sim_schedule_is_structurally_the_real_stage_graph() {
     // structurally: both planes are built from `pipeline::shape::train()`,
     // so this test asserts (a) every simulated Pipelined task comes from
     // the shared shape and runs on the shape's resource class, (b) the
-    // simulated transfer stage carries the real executor's
-    // double-buffering bound, and (c) a real traced run records exactly
-    // the spans the shape names.
+    // simulated transfer stage carries the modelled machine's
+    // double-buffering bound, and (c) a real traced run records the span
+    // of every stage the shape names on workers or on the device, and
+    // counts the bytes of the DMA stage, which the real plane does not run.
     use salient_repro::core::{ExecutorKind, RunConfig, Trainer};
     use salient_repro::trace::{Clock, Trace};
     use std::collections::BTreeMap;
@@ -162,9 +163,11 @@ fn pipelined_sim_schedule_is_structurally_the_real_stage_graph() {
     }
 
     // Real plane: a traced SALIENT run must record every span the shape
-    // names (prep.sample on the workers, stage.transfer and stage.train on
-    // the executor), so renaming or dropping a stage on either side fails
-    // here rather than silently desynchronizing the planes.
+    // names on workers or the device (prep.sample on the workers,
+    // stage.train on the trainer), so renaming or dropping a stage on
+    // either side fails here rather than silently desynchronizing the
+    // planes. This host has no copy engine: the trainer records no
+    // stage.transfer span and counts the bytes a copy would move instead.
     let trace = Trace::new(Clock::virtual_with_tick(1_000));
     let dataset = Arc::new(DatasetConfig::tiny(5).build());
     let run = RunConfig {
@@ -177,12 +180,15 @@ fn pipelined_sim_schedule_is_structurally_the_real_stage_graph() {
     trainer.fit();
     let snap = trace.snapshot();
     for stage in &train_shape {
-        assert!(
-            snap.spans(stage.span).next().is_some(),
-            "real trace is missing span {:?} required by shape::train()",
+        let recorded = snap.spans(stage.span).next().is_some();
+        assert_eq!(
+            recorded,
+            stage.resource != ResourceKind::Dma,
+            "span {:?} of shape::train(): recorded {recorded}",
             stage.span
         );
     }
+    assert!(snap.metrics.counter(salient_repro::trace::names::counters::TRANSFER_BYTES) > 0);
 }
 
 #[test]

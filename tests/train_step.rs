@@ -41,7 +41,7 @@ fn warm_train_batch_makes_no_large_allocation() {
     let widest = mfg.layers[0].n_dst * run.hidden.max(dim);
     assert!(pooled_bytes(widest) < pooled_bytes(wide.len()));
     // A prepared batch, as a worker hands it over — staged outside the
-    // counted window — then the epoch's train stage on it. Returns the loss
+    // counted window — then the epoch's train step on it. Returns the loss
     // and the step's allocations, all and large.
     let pool = trainer.staging_pool().clone();
     let step = |trainer: &mut Trainer| {
@@ -50,7 +50,7 @@ fn warm_train_batch_makes_no_large_allocation() {
         slice_batch_into(&ds, &mfg, &mut slot);
         let batch = PreparedBatch { batch_id: 0, mfg: mfg.clone(), slot };
         let before = (allocations(), large_allocations());
-        let loss = trainer.train_prepared(batch);
+        let loss = trainer.train_prepared(batch).expect("no fault plan drops the batch");
         (loss, allocations() - before.0, large_allocations() - before.1)
     };
 
