@@ -50,6 +50,7 @@ use salient_trace::{names, Trace};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// Extra attempts a batch gets after its preparation panicked.
 const RETRY_BUDGET: u32 = 1;
@@ -210,7 +211,9 @@ pub fn batch_seed(epoch_seed: u64, batch_id: usize, attempt: u32) -> u64 {
 }
 
 /// Handle to an in-flight epoch of batch preparation: iterate the receiver
-/// to consume batches, then call [`EpochHandle::join`].
+/// to consume batches, then call [`EpochHandle::join`]. Dropping the handle
+/// stops the epoch as `join` does, without its panic, so a consumer that
+/// returns early or unwinds past it leaves no worker running.
 #[derive(Debug)]
 pub struct EpochHandle {
     /// Prepared batches (and failure markers), in completion order. The
@@ -221,7 +224,7 @@ pub struct EpochHandle {
     /// on the pool with no timeout, and only [`EpochHandle::join`]'s cancel
     /// wakes them. Drop a batch before reading past the pool's capacity.
     pub batches: Receiver<BatchResult>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
     cancel: Arc<AtomicBool>,
     pool: PinnedPool,
 }
@@ -238,17 +241,26 @@ impl EpochHandle {
     /// Panics if a worker thread panicked, which is a bug: every step of a
     /// claimed batch runs under the worker's per-batch guard, and what runs
     /// outside it does not panic.
-    pub fn join(self) {
+    pub fn join(mut self) {
+        let escaped = self.stop();
+        assert!(escaped == 0, "batch-prep worker panicked outside its per-batch guard");
+    }
+
+    /// Cancels the epoch and joins its workers, once: after
+    /// [`EpochHandle::join`] the drop finds them gone. Returns how many of
+    /// them panicked.
+    fn stop(&mut self) -> usize {
+        if self.workers.is_empty() {
+            return 0;
+        }
         self.cancel.store(true, Ordering::Release);
         // A worker asleep on a slot the consumer still holds rereads the
-        // flag; dropping the receiver destroys parked batches, returning
-        // their slots, and fails any worker's blocked send.
+        // flag; dropping the receiver (swapped for one that is already
+        // disconnected) destroys parked batches, returning their slots, and
+        // fails any worker's blocked send.
         self.pool.wake_cancelled();
-        drop(self.batches);
-        for worker in self.workers {
-            #[expect(clippy::expect_used, reason = "propagating a panic that escaped a worker's per-batch guard to the caller is the documented join contract")]
-            worker.join().expect("batch-prep worker panicked outside its per-batch guard");
-        }
+        drop(std::mem::replace(&mut self.batches, sync_channel(0).1));
+        self.workers.drain(..).map(JoinHandle::join).filter(Result::is_err).count()
     }
 
     /// The staging-slot pool backing this epoch (diagnostics: after the
@@ -256,6 +268,14 @@ impl EpochHandle {
     /// `pool().capacity()` — anything less is a leaked slot).
     pub fn pool(&self) -> &PinnedPool {
         &self.pool
+    }
+}
+
+impl Drop for EpochHandle {
+    /// Stops the epoch as [`EpochHandle::join`] does, but does not panic:
+    /// the thread may be unwinding already, and a second panic aborts.
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 
@@ -645,6 +665,27 @@ mod tests {
             drop(first);
             assert_eq!(pool.available(), pool.capacity(), "{slots} slots: a slot stayed out");
         }
+    }
+
+    #[test]
+    fn a_consumer_that_unwinds_leaves_no_worker_behind() {
+        let ds = dataset();
+        let before = Arc::strong_count(&ds);
+        // One slot, held by the consumer as it unwinds: the worker is
+        // asleep waiting for it when the handle drops.
+        let cfg = PrepConfig { batch_size: 8, fanouts: vec![3], slots: 1, ..Default::default() };
+        let mut pool = None;
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut held = Vec::new();
+            let handle = run_epoch(&ds, &ds.splits.train.clone(), &cfg);
+            pool = Some(handle.pool().clone());
+            held.push(handle.batches.recv().unwrap());
+            panic!("the consumer fails mid-epoch, holding {} batch", held.len());
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(Arc::strong_count(&ds), before, "a worker still holds the dataset");
+        let pool = pool.unwrap();
+        assert_eq!(pool.available(), pool.capacity(), "a slot stayed out");
     }
 
     #[test]

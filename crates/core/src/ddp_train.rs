@@ -14,9 +14,10 @@
 //!
 //! Failure is what the thread does: a collective error returns from the
 //! rank with `?`, and a panic in a step kills the rank thread once the
-//! epoch's prep worker is joined. Either way the rank's ring endpoint drops,
-//! its peers' next receive reports a typed [`CommError`] within the step
-//! deadline, and [`train_ddp`]'s join loop names the dead rank. Nothing keeps
+//! epoch's handle, dropped as the rank unwinds, has joined its prep worker.
+//! Either way the rank's ring endpoint drops, its peers' next receive
+//! reports a typed [`CommError`] within the step deadline, and
+//! [`train_ddp`]'s join loop names the dead rank. Nothing keeps
 //! a rank alive past its panic: it would be a step behind its peers and
 //! would feed the wrong buffer into their next collective.
 
@@ -32,7 +33,6 @@ use salient_tensor::optim::Adam;
 use salient_tensor::rng::SliceRandom;
 use salient_tensor::rng::StdRng;
 use salient_trace::{names, Trace};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -209,33 +209,30 @@ fn rank_loop(
         // run is a function of its seed.
         let prep = config.prep_config(1, Stream::DdpPrep { epoch, rank }.seed(config.seed), &trace);
         let shard = rank_order(&order, config.batch_size, world, rank);
+        // Dropped however the epoch ends (a returned error, a panic), the
+        // handle joins the prep worker.
         let handle = run_epoch_with_pool(&dataset, &shard, &prep, &pool);
         let mut stream = handle.batches.iter().peekable();
-        let epoch_steps = catch_unwind(AssertUnwindSafe(|| {
-            let mut loss_sum = 0.0;
-            for step in 0..steps {
-                let (bid, t0) = (step as u64, clock.now_ns());
-                // A later batch that arrives first (this step's was lost)
-                // stays in the stream for its own step.
-                let batch = stream.next_if(|m| m.batch_id() == step).and_then(BatchResult::ready);
-                let t1 = clock.now_ns();
-                trace.record_span(names::spans::STAGE_PREP, bid, t0, t1);
-                let sync = |m: &mut dyn GnnModel| average_model_gradients(&comm, m);
-                let (model, opt, rng) = (model.as_mut(), &mut opt, &mut dropout_rng);
-                let loss = match batch.and_then(|b| lend(b, features.dim())) {
-                    Some((tape, x, mfg, labels)) => train_step(model, opt, rng, Some((tape, x, &mfg, &labels)), sync),
-                    None => train_step(model, opt, rng, None, sync),
-                };
-                trace.record_span(names::spans::STAGE_TRAIN, bid, t1, clock.now_ns());
-                // A collective failure is terminal for the rank.
-                loss_sum += loss?;
-            }
-            Ok(loss_sum)
-        }));
-        // The prep worker is joined however the epoch ended.
+        let mut loss_sum = 0.0;
+        for step in 0..steps {
+            let (bid, t0) = (step as u64, clock.now_ns());
+            // A later batch that arrives first (this step's was lost) stays
+            // in the stream for its own step.
+            let batch = stream.next_if(|m| m.batch_id() == step).and_then(BatchResult::ready);
+            let t1 = clock.now_ns();
+            trace.record_span(names::spans::STAGE_PREP, bid, t0, t1);
+            let sync = |m: &mut dyn GnnModel| average_model_gradients(&comm, m);
+            let (model, opt, rng) = (model.as_mut(), &mut opt, &mut dropout_rng);
+            let loss = match batch.and_then(|b| lend(b, features.dim())) {
+                Some((tape, x, mfg, labels)) => train_step(model, opt, rng, Some((tape, x, &mfg, &labels)), sync),
+                None => train_step(model, opt, rng, None, sync),
+            };
+            trace.record_span(names::spans::STAGE_TRAIN, bid, t1, clock.now_ns());
+            // A collective failure is terminal for the rank.
+            loss_sum += loss?;
+        }
         drop(stream);
         handle.join();
-        let loss_sum = epoch_steps.unwrap_or_else(|panic| resume_unwind(panic))?;
         // Average the epoch loss across ranks for reporting.
         let mut l = [(loss_sum / steps.max(1) as f64) as f32];
         comm.all_reduce_mean(&mut l)?;

@@ -253,6 +253,15 @@ impl SymmetricBuilder {
         }
     }
 
+    /// Hints the cache that [`SymmetricBuilder::count`]`(u, v)` is about to
+    /// run. A pure hint: nothing is loaded, so it never waits and accepts
+    /// any ids.
+    #[inline]
+    pub(crate) fn prefetch(&self, u: NodeId, v: NodeId) {
+        kernels::prefetch_read(self.ends.as_ptr().wrapping_add(u as usize));
+        kernels::prefetch_read(self.ends.as_ptr().wrapping_add(v as usize));
+    }
+
     /// Scatters `edges` into the graph. They must be the edges counted, in
     /// any order: both callers pass the same edges to `count` and here.
     ///

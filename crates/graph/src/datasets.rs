@@ -152,6 +152,10 @@ impl DatasetConfig {
 
     /// Generates the dataset.
     ///
+    /// The graph's endpoints are drawn through guide tables a block of
+    /// edges at a time, each dependent load prefetched a stage ahead, to the
+    /// nodes a binary search drawing one edge at a time would pick.
+    ///
     /// The arrays built here are the largest blocks a process allocates, so
     /// the allocator's thresholds are fixed before the first of them. At
     /// the benchmark's 100 000 nodes and 100 features the graph's edge list

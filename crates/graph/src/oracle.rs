@@ -7,7 +7,7 @@
 use crate::csr::{CsrGraph, NodeId};
 use crate::datasets::{Dataset, DatasetConfig};
 use crate::features::{FeatureMatrix, FeatureSlab};
-use crate::generate::power_law_weights;
+use crate::generate::{power_law_weights, BLOCK};
 use crate::labels::planted_features;
 use crate::split::Splits;
 use salient_tensor::rng::{Rng, StdRng};
@@ -192,10 +192,17 @@ mod tests {
         }
     }
 
+    /// The number of edges `cfg` draws, self-loops included.
+    fn edges_drawn(cfg: &DatasetConfig) -> usize {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let weights = power_law_weights(cfg.num_nodes, cfg.alpha, cfg.d_min, cfg.d_max, &mut rng);
+        (weights.iter().sum::<f64>() / 2.0).round() as usize
+    }
+
     #[test]
     fn edge_cases_build_to_the_oracle_bits() {
         let base = DatasetConfig { num_nodes: 500, ..DatasetConfig::tiny(3) };
-        let cases = [
+        let mut cases = vec![
             DatasetConfig { num_nodes: 1, ..base.clone() },
             DatasetConfig { num_nodes: 2, num_classes: 3, ..base.clone() },
             DatasetConfig { num_classes: 1, ..base.clone() },
@@ -203,7 +210,19 @@ mod tests {
             DatasetConfig { p_intra: 1.0, ..base.clone() },
             DatasetConfig { d_min: 7.0, d_max: 7.0, ..base.clone() },
             DatasetConfig { num_nodes: 40, num_classes: 40, ..base.clone() },
+            // Three nodes, each its own community: every intra-community
+            // draw, and a third of the rest, is a self-loop.
+            DatasetConfig { num_nodes: 3, d_min: 200.0, d_max: 200.0, ..base.clone() },
         ];
+        // Draws that end one edge into a block, one short of a full block,
+        // on a full block and one edge past it: `n` nodes of degree `d`
+        // draw `n·d/2` edges.
+        let blocks = [(2, 1.0, 1), (BLOCK - 1, 2.0, BLOCK - 1), (BLOCK, 2.0, BLOCK), (BLOCK + 1, 2.0, BLOCK + 1)];
+        for (nodes, degree, edges) in blocks {
+            let cfg = DatasetConfig { num_nodes: nodes, d_min: degree, d_max: degree, ..base.clone() };
+            assert_eq!(edges_drawn(&cfg), edges, "{nodes} nodes of degree {degree}");
+            cases.push(cfg);
+        }
         for cfg in &cases {
             assert_builds_as_the_oracle(cfg);
         }

@@ -143,14 +143,18 @@ echo "== sampler tier: the distribution did not change (release, 10^5 draws a ce
 cargo test --release -q --offline -p salient-sampler
 
 echo "== graph tier: every dataset builds to the reference's bits (release)"
-# The generator (guided draws, one scatter into the symmetric CSR, feature
-# rows narrowed as they are drawn) against the #[cfg(test)] oracle in
-# crates/graph/src/oracle.rs (binary-search draws, the directed CSR
-# symmetrized through a second index array, the f32 matrix quantized),
+# The generator (guided draws resolved 64 edges a block, one scatter into
+# the symmetric CSR, feature rows narrowed as they are drawn) against the
+# #[cfg(test)] oracle in crates/graph/src/oracle.rs (binary-search draws,
+# the directed CSR symmetrized through a second index array, the f32 matrix
+# quantized),
 # bit for bit: graph, features, labels and splits of the benchmark's own
 # G100k datasets at seeds 2868 and 94445095, the presets at small scale
 # and the edge cases (one node, one community, p_intra 0 and 1, equal
-# degree bounds). The workspace runs above check the same at G10k.
+# degree bounds, mostly self-loops, draws ending 1, 63, 64 and 65 edges
+# into the block loop), plus the guided walk against the binary search on
+# random draws, exact ties and a weight that spans many buckets. The
+# workspace runs above check the same at G10k.
 # The same run holds the feature noise's math (crates/graph/src/labels.rs)
 # against std on the full 2^24-point uniform grid, where the workspace runs
 # take every 61st point: the polynomial ln within 2 epsilon relative of
