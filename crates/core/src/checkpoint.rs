@@ -194,7 +194,8 @@ impl Checkpoint {
             let nb = name.as_bytes();
             hw.write_all(&(nb.len() as u32).to_le_bytes())?;
             hw.write_all(nb)?;
-            let dims = t.shape().dims();
+            let shape = t.shape();
+            let dims = shape.dims();
             hw.write_all(&(dims.len() as u32).to_le_bytes())?;
             for &d in dims {
                 hw.write_all(&(d as u64).to_le_bytes())?;
@@ -211,8 +212,8 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Returns a typed [`CheckpointError`] on I/O failure, malformed input,
-    /// or checksum mismatch.
+    /// Returns a typed [`CheckpointError`] on I/O failure, malformed input
+    /// (a tensor of rank above 2 among it), or checksum mismatch.
     pub fn read_from(r: &mut impl Read) -> Result<Self, CheckpointError> {
         let bad = |msg: &str| CheckpointError::Corrupt(msg.to_string());
         let mut hr = HashingReader { inner: r, hash: FNV_OFFSET };
@@ -243,22 +244,21 @@ impl Checkpoint {
             let name = String::from_utf8(name).map_err(|_| bad("name is not UTF-8"))?;
             hr.read_exact(&mut u32b)?;
             let rank = u32::from_le_bytes(u32b) as usize;
-            if rank > 8 {
-                return Err(bad("implausible rank"));
-            }
-            let mut dims = Vec::with_capacity(rank);
-            for _ in 0..rank {
+            let mut dims = [0usize; 2];
+            let Some(dims) = dims.get_mut(..rank) else {
+                return Err(bad("rank above 2"));
+            };
+            for d in dims.iter_mut() {
                 hr.read_exact(&mut u64b)?;
-                dims.push(u64::from_le_bytes(u64b) as usize);
+                *d = u64::from_le_bytes(u64b) as usize;
             }
             // Checked, and with a zero dim counted as one, so that neither the
-            // element count nor any partial product of the dims (a row
-            // width, a stride) can overflow on a crafted file.
+            // element count nor the row width can overflow on a crafted file.
             let bound = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d.max(1)));
             if bound.is_none_or(|n| n > 1 << 30) {
                 return Err(bad("implausible tensor size"));
             }
-            let shape = Shape::new(dims);
+            let shape = Shape::from_dims(dims).ok_or_else(|| bad("rank above 2"))?;
             let len = shape.len();
             let mut data = Vec::with_capacity(len.min(1 << 16));
             let mut f32b = [0u8; 4];
@@ -310,8 +310,8 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Returns a typed [`CheckpointError`] on I/O failure, malformed input,
-    /// or checksum mismatch.
+    /// Returns a typed [`CheckpointError`] on I/O failure, malformed input
+    /// (a tensor of rank above 2 among it), or checksum mismatch.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
         let mut f = io::BufReader::new(std::fs::File::open(path)?);
         Self::read_from(&mut f)
@@ -429,13 +429,16 @@ mod tests {
             buf
         };
         // 2^33 * 2^31 wraps to 0 elements in an unchecked product.
-        for dims in [&[1 << 33, 1 << 31][..], &[0, 1 << 40, 1 << 40], &[1 << 16, (1 << 14) + 1]] {
+        for dims in [&[1 << 33, 1 << 31][..], &[1 << 16, (1 << 14) + 1]] {
             let err = Checkpoint::read_from(&mut crafted(dims).as_slice()).unwrap_err();
             assert!(
                 matches!(&err, CheckpointError::Corrupt(m) if m == "implausible tensor size"),
                 "{dims:?}: {err}"
             );
         }
+        // A rank-3 header is refused before its dims are read.
+        let err = Checkpoint::read_from(&mut crafted(&[0, 1 << 40, 1 << 40]).as_slice()).unwrap_err();
+        assert!(matches!(&err, CheckpointError::Corrupt(m) if m == "rank above 2"), "{err}");
         // A zero-element tensor of plausible dims still loads.
         let back = Checkpoint::read_from(&mut crafted(&[0, 3]).as_slice()).unwrap();
         assert_eq!(back.entries[0].1.shape().dims(), &[0, 3]);

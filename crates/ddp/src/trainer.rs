@@ -15,7 +15,7 @@ pub fn sync_model(comm: &Communicator, model: &mut dyn GnnModel) -> Result<(), C
     for p in model.params_mut() {
         let mut buf = p.value().data().to_vec();
         comm.broadcast(&mut buf)?;
-        let shape = p.value().shape().clone();
+        let shape = p.value().shape();
         p.set_value(Tensor::from_vec(buf, shape));
     }
     Ok(())
@@ -57,7 +57,7 @@ mod tests {
                         // r everywhere.
                         let mut model = build_model(ModelKind::Sage, 8, 4, 3, 2, 100);
                         for p in model.params_mut() {
-                            let shape = p.value().shape().clone();
+                            let shape = p.value().shape();
                             *p.grad_mut() = Tensor::full(shape, r as f32);
                         }
                         average_model_gradients(&comm, model.as_mut()).unwrap();

@@ -55,7 +55,7 @@ pub struct Param {
 impl Param {
     /// Creates a parameter with a zeroed gradient of the same shape.
     pub fn new(name: impl Into<String>, value: Tensor) -> Self {
-        let grad = Tensor::zeros(value.shape().clone());
+        let grad = Tensor::zeros(value.shape());
         Param {
             id: ParamId::fresh(),
             name: name.into(),
@@ -152,11 +152,10 @@ impl Rows {
         }
     }
 
-    /// By value, as [`Var::shape`] returns it: a clone or a fresh two-element
-    /// shape, one small allocation either way.
+    /// The shape of the rows, as [`Var::shape`] returns it.
     fn shape(&self) -> Shape {
         match self {
-            Rows::Wide(t) => t.shape().clone(),
+            Rows::Wide(t) => t.shape(),
             Rows::Packed { store, cols, .. } => Shape::matrix(store.rows().len() / cols, *cols),
         }
     }
@@ -445,7 +444,7 @@ impl Var {
     }
 
     /// The shape of the forward value.
-    pub fn shape(&self) -> crate::Shape {
+    pub fn shape(&self) -> Shape {
         self.tape.nodes.borrow()[self.id].value.shape()
     }
 

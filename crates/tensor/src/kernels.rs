@@ -1700,7 +1700,7 @@ mod tests {
             let full = gemm(&a, &b, false, false);
             let mut half = vec![0.0f32; m * n];
             gemm_acc(&mut half, &crate::f16::quantize(a.data()), b.data(), false, false, m, n, k);
-            let abs = |t: &Tensor| Tensor::from_vec(t.data().iter().map(|v| v.abs()).collect(), t.shape().clone());
+            let abs = |t: &Tensor| Tensor::from_vec(t.data().iter().map(|v| v.abs()).collect(), t.shape());
             let mag = gemm(&abs(&a), &abs(&b), false, false);
             for ((h, f), g) in half.iter().zip(full.data()).zip(mag.data()) {
                 let err = (h - f).abs();

@@ -24,7 +24,7 @@ pub(crate) use crate::kernels::gemm;
 /// Broadcasts `grad` (shape `r×c`) down to `shape` by summing over rows when
 /// `shape` is a row vector / scalar. Used by the backward pass of broadcast
 /// addition.
-fn reduce_to_shape(grad: &Tensor, shape: &Shape) -> Tensor {
+fn reduce_to_shape(grad: &Tensor, shape: Shape) -> Tensor {
     if grad.shape() == shape {
         return grad.clone();
     }
@@ -34,7 +34,7 @@ fn reduce_to_shape(grad: &Tensor, shape: &Shape) -> Tensor {
     // Sum over rows into a single row of `shape.len()` columns.
     let cols = shape.len();
     assert_eq!(grad.cols(), cols, "broadcast reduce mismatch");
-    let mut out = Tensor::zeros(shape.clone());
+    let mut out = Tensor::zeros(shape);
     let od = out.data_mut();
     for r in 0..grad.rows() {
         for (o, v) in od.iter_mut().zip(grad.row(r).iter()) {
@@ -120,8 +120,8 @@ impl Var {
         let b = rhs.value();
         let out = broadcast_add(&self.value(), &b);
         self.binary(rhs, out, || {
-            let bshape = b.shape().clone();
-            (Tensor::clone, move |g: &Tensor| reduce_to_shape(g, &bshape))
+            let bshape = b.shape();
+            (Tensor::clone, move |g: &Tensor| reduce_to_shape(g, bshape))
         })
     }
 
@@ -176,7 +176,7 @@ impl Var {
         }
         let a = self.value();
         let keep = 1.0 - p;
-        let mask = Tensor::filled_by(a.shape().clone(), |mask| {
+        let mask = Tensor::filled_by(a.shape(), |mask| {
             for m in mask {
                 *m = if rng.random::<f32>() < keep { 1.0 / keep } else { 0.0 };
             }
@@ -210,7 +210,7 @@ impl Var {
     pub fn log_softmax(&self) -> Var {
         let a = self.value();
         let cols = a.cols();
-        let mut out = Tensor::zeros(a.shape().clone());
+        let mut out = Tensor::zeros(a.shape());
         for (r, orow) in out.data_mut().chunks_exact_mut(cols.max(1)).enumerate() {
             let row = a.row(r);
             let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -253,10 +253,10 @@ impl Var {
         loss /= rows.max(1) as f32;
         self.unary(Tensor::scalar(loss), || {
             let targets = targets.to_vec();
-            let shape = a.shape().clone();
+            let shape = a.shape();
             move |g: Tensor| {
                 let scale = g.item() / targets.len().max(1) as f32;
-                let mut dx = Tensor::zeros(shape.clone());
+                let mut dx = Tensor::zeros(shape);
                 let dxd = dx.data_mut();
                 for (r, &t) in targets.iter().enumerate() {
                     dxd[r * cols + t] = -scale;
@@ -270,8 +270,8 @@ impl Var {
     pub fn sum_all(&self) -> Var {
         let a = self.value();
         self.unary(Tensor::scalar(a.sum()), || {
-            let shape = a.shape().clone();
-            move |g: Tensor| Tensor::full(shape.clone(), g.item())
+            let shape = a.shape();
+            move |g: Tensor| Tensor::full(shape, g.item())
         })
     }
 
@@ -283,8 +283,8 @@ impl Var {
     pub fn reshape(&self, shape: impl Into<Shape>) -> Var {
         let a = self.value();
         self.unary(a.reshape(shape), || {
-            let old_shape = a.shape().clone();
-            move |g: Tensor| g.reshape(old_shape.clone())
+            let old_shape = a.shape();
+            move |g: Tensor| g.reshape(old_shape)
         })
     }
 
@@ -303,9 +303,9 @@ impl Var {
     pub fn narrow_rows(&self, k: usize) -> Var {
         let a = self.value();
         self.unary(a.narrow_rows(k), || {
-            let shape = a.shape().clone();
+            let shape = a.shape();
             move |g: Tensor| {
-                let mut dx = Tensor::zeros(shape.clone());
+                let mut dx = Tensor::zeros(shape);
                 // g is k of dx's rows.
                 dx.data_mut()[..g.len()].copy_from_slice(g.data());
                 dx

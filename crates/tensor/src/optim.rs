@@ -67,11 +67,11 @@ impl Optimizer for Adam {
             let m = self
                 .m
                 .entry(p.id())
-                .or_insert_with(|| Tensor::zeros(g.shape().clone()));
+                .or_insert_with(|| Tensor::zeros(g.shape()));
             let v = self
                 .v
                 .entry(p.id())
-                .or_insert_with(|| Tensor::zeros(g.shape().clone()));
+                .or_insert_with(|| Tensor::zeros(g.shape()));
             m.scale(self.beta1);
             m.axpy(1.0 - self.beta1, &g);
             {

@@ -1,17 +1,14 @@
-//! Tensor shapes and row-major index arithmetic.
-
-#![expect(
-    clippy::indexing_slicing,
-    reason = "`dim` and `offset` document their panic on a bad axis (# Panics); rows, cols and strides index below a rank they have just matched on"
-)]
+//! Tensor shapes: a scalar, a vector or a matrix, with the dims inline.
 
 use std::fmt;
 
-/// The shape of a dense, row-major tensor.
+/// The shape of a dense, row-major tensor: rank 0 (a scalar), 1 (a vector)
+/// or 2 (a matrix).
 ///
-/// A `Shape` is an ordered list of dimension sizes. Scalars are represented by
-/// the empty shape. Most of the SALIENT compute path uses rank-1 and rank-2
-/// tensors (feature matrices, weight matrices, label vectors).
+/// The dims live inline, so a `Shape` is `Copy` and making or cloning a
+/// tensor allocates nothing for it. An axis the rank does not have is held
+/// as 1, which makes [`Shape::rows`], [`Shape::cols`] and [`Shape::len`]
+/// plain reads for every rank.
 ///
 /// # Examples
 ///
@@ -22,125 +19,102 @@ use std::fmt;
 /// assert_eq!(s.len(), 12);
 /// assert_eq!(s.rank(), 2);
 /// assert_eq!(s.dims(), &[3, 4]);
+/// assert_eq!(Shape::from_dims(&[2, 3, 4]), None);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
-pub struct Shape(Vec<usize>);
+///
+/// A rank above 2 does not compile:
+///
+/// ```compile_fail
+/// let t = salient_tensor::Tensor::zeros([2, 3, 4]);
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Shape {
+    rank: u8,
+    /// `[rows, cols]`; an axis past `rank` is 1.
+    dims: [usize; 2],
+}
 
 impl Shape {
-    /// Creates a shape from a list of dimension sizes.
-    pub fn new(dims: impl Into<Vec<usize>>) -> Self {
-        Shape(dims.into())
-    }
-
     /// The shape of a scalar (rank 0, one element).
-    pub(crate) fn scalar() -> Self {
-        Shape(Vec::new())
+    pub(crate) const fn scalar() -> Self {
+        Shape { rank: 0, dims: [1, 1] }
     }
 
     /// The shape of a length-`n` vector.
-    pub(crate) fn vector(n: usize) -> Self {
-        Shape(vec![n])
+    pub(crate) const fn vector(n: usize) -> Self {
+        Shape { rank: 1, dims: [n, 1] }
     }
 
     /// The shape of an `rows × cols` matrix.
-    pub fn matrix(rows: usize, cols: usize) -> Self {
-        Shape(vec![rows, cols])
+    pub const fn matrix(rows: usize, cols: usize) -> Self {
+        Shape { rank: 2, dims: [rows, cols] }
     }
 
-    /// Number of dimensions.
+    /// The shape with these dims, or `None` for a rank above 2: the one way
+    /// to build a shape from a list known only at run time.
+    pub fn from_dims(dims: &[usize]) -> Option<Self> {
+        match *dims {
+            [] => Some(Shape::scalar()),
+            [n] => Some(Shape::vector(n)),
+            [rows, cols] => Some(Shape::matrix(rows, cols)),
+            _ => None,
+        }
+    }
+
+    /// Number of dimensions: 0, 1 or 2.
     pub fn rank(&self) -> usize {
-        self.0.len()
+        usize::from(self.rank)
     }
 
-    /// Total number of elements (product of all dimensions; 1 for scalars).
+    /// Total number of elements (1 for a scalar).
     pub fn len(&self) -> usize {
-        self.0.iter().product()
+        self.dims[0] * self.dims[1]
     }
 
-    /// Whether the shape contains zero elements.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The dimension sizes.
+    /// The dimension sizes, `rank()` of them.
     pub fn dims(&self) -> &[usize] {
-        &self.0
-    }
-
-    /// The size of dimension `d`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d >= self.rank()`.
-    pub fn dim(&self, d: usize) -> usize {
-        self.0[d]
+        self.dims.split_at(self.rank()).0
     }
 
     /// Number of rows; for a vector this is its length, for a scalar 1.
     pub fn rows(&self) -> usize {
-        match self.0.len() {
-            0 => 1,
-            _ => self.0[0],
-        }
+        self.dims[0]
     }
 
-    /// Number of columns of a rank-2 shape; 1 for vectors and scalars.
+    /// Number of columns of a matrix; 1 for vectors and scalars.
     pub(crate) fn cols(&self) -> usize {
-        match self.0.len() {
-            0 | 1 => 1,
-            _ => self.0[1..].iter().product(),
-        }
+        self.dims[1]
     }
 
-    /// Row-major strides for this shape: `[2, 3, 4]` has `[12, 4, 1]`.
-    pub(crate) fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.0.len()];
-        for i in (0..self.0.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
-        }
-        strides
-    }
-
-    /// Linear row-major offset of a multi-dimensional index: the strides of
-    /// `[2, 3, 4]` are `[12, 4, 1]`.
-    ///
-    /// ```
-    /// # use salient_tensor::Shape;
-    /// assert_eq!(Shape::new([2, 3, 4]).offset(&[1, 2, 3]), 12 + 2 * 4 + 3);
-    /// ```
+    /// Linear row-major offset of an index with one coordinate per axis.
     ///
     /// # Panics
     ///
     /// Panics if `idx` has the wrong rank or any coordinate is out of bounds.
-    pub fn offset(&self, idx: &[usize]) -> usize {
+    pub(crate) fn offset(&self, idx: &[usize]) -> usize {
         assert_eq!(
             idx.len(),
-            self.0.len(),
+            self.rank(),
             "index rank {} does not match shape rank {}",
             idx.len(),
-            self.0.len()
+            self.rank()
         );
-        let mut off = 0usize;
-        let strides = self.strides();
-        for (d, (&i, &s)) in idx.iter().zip(strides.iter()).enumerate() {
-            assert!(
-                i < self.0[d],
-                "index {i} out of bounds for dimension {d} of size {}",
-                self.0[d]
-            );
-            off += i * s;
+        assert!(
+            idx.iter().zip(self.dims()).all(|(i, n)| i < n),
+            "index {idx:?} out of bounds for shape {self}"
+        );
+        match *idx {
+            [row, col] => row * self.cols() + col,
+            [i] => i,
+            _ => 0,
         }
-        off
     }
 
     /// Whether two shapes are compatible for elementwise binary ops with
     /// row-broadcasting: identical shapes, or `other` is a single row / scalar
     /// broadcast across the rows of `self`.
-    pub(crate) fn broadcasts_with(&self, other: &Shape) -> bool {
-        if self == other {
-            return true;
-        }
-        if other.rank() == 0 {
+    pub(crate) fn broadcasts_with(&self, other: Shape) -> bool {
+        if *self == other || other.rank() == 0 {
             return true;
         }
         // A [1, c] or [c] row vector broadcasts over [r, c].
@@ -150,31 +124,24 @@ impl Shape {
 
 impl fmt::Debug for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Shape{:?}", self.0)
+        write!(f, "Shape{:?}", self.dims())
     }
 }
 
 impl fmt::Display for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:?}", self.0)
-    }
-}
-
-impl From<Vec<usize>> for Shape {
-    fn from(v: Vec<usize>) -> Self {
-        Shape(v)
-    }
-}
-
-impl From<&[usize]> for Shape {
-    fn from(v: &[usize]) -> Self {
-        Shape(v.to_vec())
+        write!(f, "{:?}", self.dims())
     }
 }
 
 impl<const N: usize> From<[usize; N]> for Shape {
     fn from(v: [usize; N]) -> Self {
-        Shape(v.to_vec())
+        const { assert!(N <= 2, "a tensor is a scalar, a vector or a matrix") };
+        let mut dims = [1; 2];
+        for (d, n) in dims.iter_mut().zip(v) {
+            *d = n;
+        }
+        Shape { rank: N as u8, dims }
     }
 }
 
@@ -189,25 +156,34 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert_eq!(s.rows(), 1);
         assert_eq!(s.cols(), 1);
+        assert_eq!(s, Shape::from([]));
     }
 
     #[test]
-    fn matrix_dims_and_strides() {
+    fn matrix_dims_and_offsets() {
         let s = Shape::matrix(3, 5);
         assert_eq!(s.rank(), 2);
         assert_eq!(s.len(), 15);
-        assert_eq!(s.strides(), vec![5, 1]);
         assert_eq!(s.offset(&[2, 3]), 13);
-        let s = Shape::new([2, 3, 4]);
-        assert_eq!(s.strides(), vec![12, 4, 1]);
-        assert_eq!(s.offset(&[1, 2, 3]), 23);
+        assert_eq!(s, Shape::from([3, 5]));
     }
 
     #[test]
-    fn vector_strides() {
+    fn vector_offsets() {
         let s = Shape::vector(7);
-        assert_eq!(s.strides(), vec![1]);
+        assert_eq!((s.rows(), s.cols()), (7, 1));
         assert_eq!(s.offset(&[6]), 6);
+        assert_eq!(s, Shape::from([7]));
+    }
+
+    #[test]
+    fn from_dims_takes_rank_two_and_below() {
+        for dims in [&[][..], &[4], &[4, 2]] {
+            let s = Shape::from_dims(dims).unwrap();
+            assert_eq!(s.dims(), dims);
+        }
+        assert_eq!(Shape::from_dims(&[1, 1, 1]), None);
+        assert_eq!(Shape::from_dims(&[0; 8]), None);
     }
 
     #[test]
@@ -225,16 +201,16 @@ mod tests {
     #[test]
     fn broadcast_rules() {
         let m = Shape::matrix(4, 3);
-        assert!(m.broadcasts_with(&Shape::matrix(4, 3)));
-        assert!(m.broadcasts_with(&Shape::vector(3)));
-        assert!(m.broadcasts_with(&Shape::scalar()));
-        assert!(!m.broadcasts_with(&Shape::vector(4)));
-        assert!(!m.broadcasts_with(&Shape::matrix(3, 4)));
+        assert!(m.broadcasts_with(Shape::matrix(4, 3)));
+        assert!(m.broadcasts_with(Shape::vector(3)));
+        assert!(m.broadcasts_with(Shape::scalar()));
+        assert!(!m.broadcasts_with(Shape::vector(4)));
+        assert!(!m.broadcasts_with(Shape::matrix(3, 4)));
     }
 
     #[test]
     fn zero_dim_is_empty() {
-        assert!(Shape::matrix(0, 3).is_empty());
-        assert!(!Shape::matrix(1, 3).is_empty());
+        assert_eq!(Shape::matrix(0, 3).len(), 0);
+        assert_eq!(Shape::vector(0).len(), 0);
     }
 }

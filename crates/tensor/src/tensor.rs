@@ -106,8 +106,8 @@ impl Tensor {
     }
 
     /// The tensor's shape.
-    pub fn shape(&self) -> &Shape {
-        &self.shape
+    pub fn shape(&self) -> Shape {
+        self.shape
     }
 
     /// Number of elements.
@@ -117,7 +117,7 @@ impl Tensor {
 
     /// Whether the tensor has zero elements.
     pub fn is_empty(&self) -> bool {
-        self.shape.is_empty()
+        self.len() == 0
     }
 
     /// Number of rows (see [`Shape::rows`]).
@@ -262,7 +262,7 @@ impl Tensor {
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         let mut out = take_f32(self.len());
         out.extend(self.data().iter().map(|&x| f(x)));
-        Tensor::from_vec(out, self.shape.clone())
+        Tensor::from_vec(out, self.shape)
     }
 
     /// Elementwise binary zip with another tensor of identical shape.
@@ -278,7 +278,7 @@ impl Tensor {
         );
         let mut out = take_f32(self.len());
         out.extend(self.data().iter().zip(other.data()).map(|(&a, &b)| f(a, b)));
-        Tensor::from_vec(out, self.shape.clone())
+        Tensor::from_vec(out, self.shape)
     }
 
     /// In-place `self += alpha * other` (used by optimizers and all-reduce).

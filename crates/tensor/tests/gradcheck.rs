@@ -6,11 +6,11 @@
 //! engine that trains every model in the reproduction.
 
 use salient_tensor::rng::{Rng, StdRng};
-use salient_tensor::{Tape, Tensor, Var};
+use salient_tensor::{Shape, Tape, Tensor, Var};
 
 /// Central-difference gradient of `f` at `x0`, compared elementwise against
 /// the analytic gradient produced by `f`'s tape.
-fn gradcheck(name: &str, x0: &[f32], shape: &[usize], f: &dyn Fn(&Var) -> Var, tol: f32) {
+fn gradcheck(name: &str, x0: &[f32], shape: Shape, f: &dyn Fn(&Var) -> Var, tol: f32) {
     gradcheck_on(name, x0, shape, &|_, x| f(x), tol);
 }
 
@@ -18,7 +18,7 @@ fn gradcheck(name: &str, x0: &[f32], shape: &[usize], f: &dyn Fn(&Var) -> Var, t
 fn gradcheck_on(
     name: &str,
     x0: &[f32],
-    shape: &[usize],
+    shape: Shape,
     f: &dyn Fn(&Tape, &Var) -> Var,
     tol: f32,
 ) {
@@ -61,7 +61,7 @@ fn matmul_gram_loss() {
     gradcheck(
         "matmul_gram",
         &x0,
-        &[2, 3],
+        [2, 3].into(),
         &|x| {
             let y = x.reshape([3, 2]);
             let p = x.matmul(&y);
@@ -77,7 +77,7 @@ fn elementwise_chain() {
     gradcheck(
         "relu_add_mul_chain",
         &x0,
-        &[2, 4],
+        [2, 4].into(),
         &|x| x.relu().add(&x.scale(0.3)).mul(&x.leaky_relu(0.1)).sum_all(),
         2e-2,
     );
@@ -89,7 +89,7 @@ fn leaky_relu_grad() {
     gradcheck(
         "leaky_relu",
         &x0,
-        &[6],
+        [6].into(),
         &|x| x.leaky_relu(0.1).mul(&x.leaky_relu(0.1)).sum_all(),
         2e-2,
     );
@@ -101,7 +101,7 @@ fn log_softmax_nll() {
     gradcheck(
         "log_softmax_nll",
         &x0,
-        &[3, 4],
+        [3, 4].into(),
         &|x| x.log_softmax().nll_loss(&[1, 3, 0]),
         2e-2,
     );
@@ -113,7 +113,7 @@ fn broadcast_bias_add() {
     gradcheck(
         "bias_broadcast",
         &x0,
-        &[3],
+        [3].into(),
         &|bias| {
             // A fixed activation derived from the bias itself keeps all
             // inputs on one tape: act = sigmoid(bias) replicated via matmul
@@ -133,7 +133,7 @@ fn narrow_concat_reshape() {
     gradcheck(
         "narrow_concat_reshape",
         &x0,
-        &[4, 3],
+        [4, 3].into(),
         &|x| {
             let head = x.narrow_rows(2);
             let tail = x.narrow_rows(4).narrow_rows(2);
@@ -151,7 +151,7 @@ fn gather_scatter_ops() {
     gradcheck(
         "scatter_mean_quadratic",
         &x0,
-        &[3, 3],
+        [3, 3].into(),
         &|x| {
             let agg = x.scatter_mean(&src, &dst, 3);
             agg.mul(&agg).sum_all()
@@ -161,7 +161,7 @@ fn gather_scatter_ops() {
     gradcheck(
         "scatter_add_then_gather",
         &x0,
-        &[3, 3],
+        [3, 3].into(),
         &|x| {
             let agg = x.scatter_add(&src, &dst, 3);
             let g = agg.gather_rows(&[2, 0]);
@@ -180,7 +180,7 @@ fn edge_softmax_attention_path() {
     gradcheck(
         "gat_attention_path",
         &x0,
-        &[4, 2],
+        [4, 2].into(),
         &|x| {
             // Per-edge logit: dot(x[src_e], x[dst_e]) computed as the
             // row-sums of the elementwise product of gathered rows.
@@ -206,7 +206,7 @@ fn batch_norm_train_full_path() {
     gradcheck(
         "batch_norm_composite",
         &x0,
-        &[4, 3],
+        [4, 3].into(),
         &|x| {
             // Data-dependent affine parameters route gradients through all
             // three batch-norm inputs.
@@ -253,7 +253,7 @@ fn sum_all_and_scale() {
     gradcheck(
         "sum_scale",
         &x0,
-        &[6],
+        [6].into(),
         &|x| x.mul(&x).sum_all().scale(0.5),
         1e-2,
     );
@@ -267,7 +267,7 @@ fn deep_composition_stays_accurate() {
     gradcheck(
         "deep_chain",
         &x0,
-        &[2, 2],
+        [2, 2].into(),
         &|x| {
             let mut y = x.clone();
             for _ in 0..5 {
@@ -326,7 +326,7 @@ fn fused_sage_conv_gradients_match_finite_differences() {
                 gradcheck_on(
                     &format!("sage_conv prefix={prefix} act={act:?} wrt operand {wrt}"),
                     &operands[wrt],
-                    &SAGE_SHAPES[wrt],
+                    SAGE_SHAPES[wrt].into(),
                     &|tape, tracked| {
                         let v: Vec<Var> = (0..4)
                             .map(|i| match i == wrt {

@@ -5,12 +5,12 @@
 //! * [`PipelineReport`] — the paper's Table 1 (per-stage blocking) and
 //!   Figure 4 (pipeline overlap) from recorded execution: the trainer's
 //!   `stage.*` spans partition its epoch wall-clock into prep-blocked /
-//!   transfer / compute / other; worker spans attribute preparation and how
-//!   much of it overlapped compute.
+//!   compute / other; worker spans attribute preparation and how much of it
+//!   overlapped compute.
 //! * [`BatchChain`] — each batch's causal chain, keyed by `(epoch, batch
 //!   id)` because a trainer numbers batches from 0 every epoch, and charged
 //!   category by category by [`BatchChain::attribute`].
-//! * [`RecordedStages`] — each chain's prep / transfer / train durations,
+//! * [`RecordedStages`] — each chain's prep / train durations,
 //!   the input of the what-if projector `salient_sim::what_if`. This module
 //!   reconstructs and attributes; it schedules nothing.
 //!
@@ -151,12 +151,9 @@ pub struct PipelineReport {
     pub window_ns: u64,
     /// Trainer blocked on batch preparation (`stage.prep`).
     pub prep_ns: u64,
-    /// Trainer in host→device staging (`stage.transfer`): 0 for the real
-    /// trainer, which records no such span.
-    pub transfer_ns: u64,
     /// Trainer in model compute (`stage.train`).
     pub compute_ns: u64,
-    /// Trainer time outside the three stages. Always equals
+    /// Trainer time outside the two stages. Always equals
     /// `fill_ns + idle_ns + shutdown_ns` — the named decomposition below —
     /// so nothing in the window is left unattributed.
     pub other_ns: u64,
@@ -176,9 +173,8 @@ pub struct PipelineReport {
     pub worker_copy_ns: u64,
     /// Worker time blocked waiting for a free pinned slot (backpressure).
     pub worker_slot_wait_ns: u64,
-    /// Preparation-pipeline work (sample/slice/copy/transfer on non-trainer
-    /// threads) that ran *concurrently with* trainer compute — the
-    /// pipeline-overlap win.
+    /// Preparation work (sample/slice/copy on non-trainer threads) that ran
+    /// *concurrently with* trainer compute — the pipeline-overlap win.
     pub overlap_ns: u64,
     /// DDP ring-step communication time across all ranks.
     pub comm_ns: u64,
@@ -237,15 +233,10 @@ impl PipelineReport {
         }
     }
 
-    /// The prep/transfer/compute/other percentages (sum to 100 whenever the
-    /// window is nonzero).
-    pub fn stage_pcts(&self) -> [f64; 4] {
-        [
-            self.pct(self.prep_ns),
-            self.pct(self.transfer_ns),
-            self.pct(self.compute_ns),
-            self.pct(self.other_ns),
-        ]
+    /// The prep/compute/other percentages (sum to 100 whenever the window
+    /// is nonzero).
+    pub fn stage_pcts(&self) -> [f64; 3] {
+        [self.pct(self.prep_ns), self.pct(self.compute_ns), self.pct(self.other_ns)]
     }
 
     /// Fraction of trainer compute time that preparation overlapped with
@@ -277,8 +268,6 @@ enum Role {
     Sample,
     Slice,
     Copy,
-    /// A stall on the trainer, preparation work off it.
-    Transfer,
     /// Model compute: the threads that record it are the trainer.
     Train,
     Comm,
@@ -299,7 +288,6 @@ fn role(name: &str) -> Role {
         n if n == spans::PREP_SAMPLE => Role::Sample,
         n if n == spans::PREP_SLICE => Role::Slice,
         n if n == spans::PREP_COPY => Role::Copy,
-        n if n == spans::STAGE_TRANSFER => Role::Transfer,
         n if n == spans::STAGE_TRAIN => Role::Train,
         n if n == spans::COMM_STEP => Role::Comm,
         _ => Role::Work,
@@ -464,9 +452,8 @@ pub fn attribute(snap: &Snapshot) -> Attribution {
     };
 
     let prep_ns = sum(Some(true), Role::PrepWait);
-    let transfer_ns = sum(Some(true), Role::Transfer);
     let compute_ns = sum(Some(true), Role::Train);
-    let other_ns = window_ns.saturating_sub(prep_ns + transfer_ns + compute_ns);
+    let other_ns = window_ns.saturating_sub(prep_ns + compute_ns);
 
     // Attribute the `other` bucket into named categories. Trainer "busy"
     // is the union of its non-wrapper spans. Fill is each window's lead-in
@@ -493,12 +480,10 @@ pub fn attribute(snap: &Snapshot) -> Attribution {
     let shutdown_ns = shutdown_raw.min(other_ns - fill_ns);
     let idle_ns = other_ns - fill_ns - shutdown_ns;
 
-    // Preparation work off the trainer — transfer included, which the
-    // training consumer runs on the trainer, where it is a stall — that ran
-    // concurrently with trainer compute.
-    let prep_work = |r| matches!(r, Role::Sample | Role::Slice | Role::Copy | Role::Transfer);
+    // Preparation work off the trainer that ran concurrently with trainer
+    // compute.
     let overlap_ns = intersection_ns(
-        &merge_intervals(spans(Some(false), &prep_work)),
+        &merge_intervals(spans(Some(false), &is_prep)),
         &merge_intervals(spans(Some(true), &|r| r == Role::Train)),
     );
 
@@ -553,7 +538,6 @@ pub fn attribute(snap: &Snapshot) -> Attribution {
             trainer_tid: trainer.iter().position(|&t| t).map(|tid| tid as u32),
             window_ns,
             prep_ns,
-            transfer_ns,
             compute_ns,
             other_ns,
             fill_ns,
@@ -708,8 +692,6 @@ impl ChainAttribution {
 pub struct RecordedStages {
     /// Prep work (sample + slice + copy) of each batch, nanoseconds.
     pub prep_ns: Vec<u64>,
-    /// Transfer-stage work of each batch.
-    pub transfer_ns: Vec<u64>,
     /// Train-stage work of each batch.
     pub train_ns: Vec<u64>,
     /// Number of distinct threads that recorded prep work (at least 1).
@@ -732,7 +714,6 @@ impl RecordedStages {
         lanes.dedup();
         Some(RecordedStages {
             prep_ns: per_chain(is_prep),
-            transfer_ns: per_chain(|r| r == Role::Transfer),
             train_ns: per_chain(|r| r == Role::Train),
             prep_lanes: lanes.len().max(1),
         })
@@ -760,13 +741,14 @@ mod tests {
     }
 
     /// A scripted two-thread pipeline: trainer computes 0..100 while a
-    /// worker samples 20..80 (overlap 60), then the trainer blocks 100..130.
+    /// worker samples and slices 20..80 (overlap 60), then the trainer
+    /// blocks 100..130 and trains the worker's batch 130..150.
     fn scripted() -> Snapshot {
         let t = Trace::new(Clock::virtual_manual());
         t.record_span(spans::EPOCH, crate::NO_BATCH, 0, 200);
         t.record_span(spans::STAGE_TRAIN, 0, 0, 100);
         t.record_span(spans::STAGE_PREP, 1, 100, 130);
-        t.record_span(spans::STAGE_TRANSFER, 1, 130, 150);
+        t.record_span(spans::STAGE_TRAIN, 1, 130, 150);
         let worker = std::thread::Builder::new()
             .name("w".into())
             .spawn({
@@ -787,8 +769,7 @@ mod tests {
         let r = analyze(&scripted());
         assert_eq!(r.window_ns, 200);
         assert_eq!(r.prep_ns, 30);
-        assert_eq!(r.transfer_ns, 20);
-        assert_eq!(r.compute_ns, 100);
+        assert_eq!(r.compute_ns, 120);
         assert_eq!(r.other_ns, 50);
         let total: f64 = r.stage_pcts().iter().sum();
         assert!((total - 100.0).abs() < 1e-9, "{total}");
@@ -811,7 +792,7 @@ mod tests {
         // Batch 1's prep work is its sample (50) + slice (10); the slot
         // wait is backpressure, not work. Batch 0 prepared nothing.
         assert_eq!(r.prep_work, pct(1, 60, 60, 60));
-        assert_eq!(r.train, pct(1, 100, 100, 100));
+        assert_eq!(r.train, pct(2, 20, 100, 100));
         assert_eq!(r.prep_wait, pct(1, 30, 30, 30));
         assert_eq!(r.fill, Percentiles::default());
     }
@@ -840,9 +821,9 @@ mod tests {
         assert_eq!(r.worker_sample_ns, 50);
         assert_eq!(r.worker_slice_ns, 10);
         assert_eq!(r.worker_slot_wait_ns, 15);
-        // Worker busy 20..80 intersected with compute 0..100 = 60.
+        // Worker busy 20..80 intersected with compute 0..100 ∪ 130..150 = 60.
         assert_eq!(r.overlap_ns, 60);
-        assert!((r.overlap_frac() - 0.6).abs() < 1e-9);
+        assert!((r.overlap_frac() - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -859,8 +840,8 @@ mod tests {
 
     /// A layout with every role on its own thread: `epoch` on an
     /// orchestrating main thread, compute (+ its prep wait) on a dedicated
-    /// thread, transfer on another, sampling on a worker. Known overlap by
-    /// construction: sample 20..60 (40) ∪ transfer 60..80 (20) against
+    /// thread, slicing on one worker, sampling on another. Known overlap by
+    /// construction: sample 20..60 (40) ∪ slice 60..80 (20) against
     /// compute 0..100 → 60 of 100 compute ns → 0.6.
     fn scripted_threaded() -> Snapshot {
         let t = Trace::new(Clock::virtual_manual());
@@ -883,9 +864,9 @@ mod tests {
             }),
         );
         spawn(
-            "transfer",
+            "slicer",
             Box::new(|t| {
-                t.record_span(spans::STAGE_TRANSFER, 1, 60, 80);
+                t.record_span(spans::PREP_SLICE, 1, 60, 80);
             }),
         );
         spawn(
@@ -912,10 +893,10 @@ mod tests {
         assert_eq!(r.window_ns, 200);
         assert_eq!(r.compute_ns, 160);
         assert_eq!(r.prep_ns, 30);
-        // Transfer happened on its own thread — pipelined away from
-        // the trainer, so it contributes to overlap, not to trainer stall.
-        assert_eq!(r.transfer_ns, 0);
-        // sample 20..60 ∪ transfer 60..80 vs compute 0..100 ∪ 130..190.
+        // Slicing happened on its own thread — pipelined away from the
+        // trainer, so it contributes to overlap, not to trainer stall.
+        assert_eq!(r.worker_slice_ns, 20);
+        // sample 20..60 ∪ slice 60..80 vs compute 0..100 ∪ 130..190.
         assert_eq!(r.overlap_ns, 60);
         assert!((r.overlap_frac() - 60.0 / 160.0).abs() < 1e-9);
         // other = 200 - 190 = 10, all after the trainer's last activity.
@@ -981,33 +962,36 @@ mod tests {
 
     #[test]
     fn serial_schedule_still_reports_zero_overlap() {
-        // A serial shape: prep wait, transfer, and compute all
-        // on one thread, worker spans only inside the trainer's waits —
-        // nothing concurrent with compute, so overlap must stay 0.
+        // A serial shape: prep wait and compute on one thread, the worker's
+        // sample and slice only inside the trainer's wait — nothing
+        // concurrent with compute, so overlap must stay 0.
         let t = Trace::new(Clock::virtual_manual());
         t.record_span(spans::EPOCH, crate::NO_BATCH, 0, 300);
         t.record_span(spans::STAGE_PREP, 0, 0, 100);
-        t.record_span(spans::STAGE_TRANSFER, 0, 100, 120);
-        t.record_span(spans::STAGE_TRAIN, 0, 120, 200);
+        t.record_span(spans::STAGE_TRAIN, 0, 100, 200);
         let worker = std::thread::Builder::new()
             .name("w".into())
             .spawn({
                 let t = t.clone();
-                move || t.record_span(spans::PREP_SAMPLE, 0, 10, 90)
+                move || {
+                    t.record_span(spans::PREP_SAMPLE, 0, 10, 70);
+                    t.record_span(spans::PREP_SLICE, 0, 70, 90);
+                }
             })
             .unwrap();
         worker.join().unwrap();
         let r = analyze(&t.snapshot());
+        assert_eq!((r.prep_ns, r.compute_ns), (100, 100));
+        assert_eq!(r.worker_sample_ns + r.worker_slice_ns, 80);
         assert_eq!(r.overlap_ns, 0);
         assert_eq!(r.overlap_frac(), 0.0);
-        assert_eq!(r.transfer_ns, 20);
     }
 
     #[test]
     fn empty_snapshot_analyzes_to_zero() {
         let r = analyze(&Snapshot::default());
         assert_eq!(r.window_ns, 0);
-        assert_eq!(r.stage_pcts(), [0.0; 4]);
+        assert_eq!(r.stage_pcts(), [0.0; 3]);
         assert_eq!(r.overlap_frac(), 0.0);
     }
 
@@ -1083,13 +1067,13 @@ mod tests {
             let off = b * 100;
             t.record_span(spans::PREP_SAMPLE, b, off, off + 30);
             t.record_span(spans::PREP_SLICE, b, off + 30, off + 40);
-            t.record_span(spans::STAGE_TRANSFER, b, off + 40, off + 50);
+            t.record_span(spans::STAGE_PREP, b, off + 35, off + 50);
             t.record_span(spans::STAGE_TRAIN, b, off + 50, off + 90);
         }
-        // prep 40, transfer 10, train 40 per batch, one recording thread.
+        // prep 40 (the trainer's wait is not prep work), train 40 per batch,
+        // one recording thread.
         let r = attribute(&t.snapshot()).stages.unwrap();
         assert_eq!(r.prep_ns, [40, 40, 40]);
-        assert_eq!(r.transfer_ns, [10, 10, 10]);
         assert_eq!(r.train_ns, [40, 40, 40]);
         assert_eq!(r.prep_lanes, 1);
         assert!(attribute(&Snapshot::default()).stages.is_none());

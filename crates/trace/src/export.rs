@@ -128,7 +128,6 @@ pub fn render_report(r: &PipelineReport, snap: &Snapshot) -> String {
     let _ = writeln!(out, "  trainer stage breakdown:");
     for (label, ns) in [
         ("prep (blocked)", r.prep_ns),
-        ("transfer", r.transfer_ns),
         ("compute", r.compute_ns),
         ("other", r.other_ns),
     ] {

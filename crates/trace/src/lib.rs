@@ -25,7 +25,7 @@
 //! * [`analysis`] — one pass ([`attribute`]) over a [`Snapshot`] of span
 //!   intervals, reading each span's meaning off one span-role table:
 //!   - a [`PipelineReport`]: trainer stall attribution (prep-blocked /
-//!     transfer / compute / other), worker prep breakdown, slot-wait
+//!     compute / other), worker prep breakdown, slot-wait
 //!     backpressure, and the prep∕compute overlap that quantifies
 //!     pipelining ([`analyze`] returns it alone);
 //!   - each batch's causal chain ([`BatchChain`], keyed by epoch and batch

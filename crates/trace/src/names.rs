@@ -98,7 +98,8 @@ registry! {
     STAGE_PREP = "stage.prep",
     /// Host→device hand-over, the PCIe copy's stage in the simulator's
     /// training shape. The real trainer has no such stage (it counts the
-    /// bytes a copy would move in `transfer.bytes`) and records none.
+    /// bytes a copy would move in `transfer.bytes`) and records none;
+    /// attribution reads it as ordinary stage work.
     STAGE_TRANSFER = "stage.transfer",
     /// Trainer-side model compute (forward + backward + step; on a DDP
     /// rank, the all-reduce too).

@@ -158,7 +158,7 @@ fn main() {
     let report = &attribution.report;
     println!("\n{}", render_report(report, &snap));
 
-    // The four stage shares partition the trainer's epoch wall-clock.
+    // The three stage shares partition the trainer's epoch wall-clock.
     let pcts = report.stage_pcts();
     let sum: f64 = pcts.iter().sum();
     assert!(
@@ -264,7 +264,10 @@ fn main() {
     );
     if let Some(r) = &attribution.stages {
         assert_eq!(r.train_ns.len(), trained, "one recorded batch per trained batch");
-        let recorded = [&r.prep_ns[..], &r.transfer_ns[..], &r.train_ns[..]];
+        // The sim models a PCIe copy between prep and train; the trainer
+        // has no such stage, so its lane is zero for every batch.
+        let no_transfer = vec![0; r.train_ns.len()];
+        let recorded = [&r.prep_ns[..], &no_transfer[..], &r.train_ns[..]];
         let w = what_if(recorded, r.prep_lanes, shape::TRANSFER_QUEUE_CAP, prefetch, 2, 2.0);
         println!(
             "what-if train 2x: baseline {:.3} ms -> projected {:.3} ms (speedup {:.2}x)",

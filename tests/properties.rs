@@ -473,10 +473,12 @@ fn trace_json_returns_on_mutated_chrome_traces() {
 /// splices of a real model checkpoint, and shapes rewritten under a
 /// recomputed trailer (the case a checksum cannot catch). Every input ends
 /// in a typed error or in a value that writes back to the bytes it was read
-/// from — never a panic or an allocation the stream does not back.
+/// from — never a panic or an allocation the stream does not back. A rank
+/// rewritten above 2, under a recomputed trailer, is always the loader's
+/// rank error.
 #[test]
 fn checkpoint_loader_returns_on_mutated_streams() {
-    use salient_repro::core::checkpoint::Checkpoint;
+    use salient_repro::core::checkpoint::{Checkpoint, CheckpointError};
     use salient_repro::nn::{build_model, ModelKind};
 
     let model = build_model(ModelKind::Sage, 8, 16, 4, 2, 7);
@@ -486,11 +488,13 @@ fn checkpoint_loader_returns_on_mutated_streams() {
 
     // Where each entry's dims sit: past magic and count, a name length, the
     // name and a rank, then `rank` dims and the f32 payload.
-    let mut dim_offsets = Vec::new();
+    let (mut rank_offsets, mut dim_offsets) = (Vec::new(), Vec::new());
     let mut at = 16;
     for p in model.params() {
-        let rank = p.value().shape().dims().len();
-        at += 4 + p.name().len() + 4;
+        let rank = p.value().shape().rank();
+        at += 4 + p.name().len();
+        rank_offsets.push(at);
+        at += 4;
         dim_offsets.extend((0..rank).map(|d| at + 8 * d));
         at += 8 * rank + 4 * p.value().len();
     }
@@ -500,6 +504,12 @@ fn checkpoint_loader_returns_on_mutated_streams() {
         bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x1_0000_01b3)
         })
+    };
+    let resealed = |mut doc: Vec<u8>| {
+        let body = doc.len() - 8;
+        let digest = fnv1a(&doc[..body]);
+        doc[body..].copy_from_slice(&digest.to_le_bytes());
+        doc
     };
     let mut loaded = 0;
     for seed in 0..2000u64 {
@@ -529,9 +539,7 @@ fn checkpoint_loader_returns_on_mutated_streams() {
                     _ => rng.random_range(0..u64::MAX),
                 };
                 doc[at..at + 8].copy_from_slice(&dim.to_le_bytes());
-                let body = doc.len() - 8;
-                let digest = fnv1a(&doc[..body]);
-                doc[body..].copy_from_slice(&digest.to_le_bytes());
+                doc = resealed(doc);
             }
         }
         if let Ok(ckpt) = Checkpoint::read_from(&mut doc.as_slice()) {
@@ -543,6 +551,21 @@ fn checkpoint_loader_returns_on_mutated_streams() {
     }
     // Zero-length splices leave the stream intact, so some inputs load.
     assert!(loaded > 0);
+
+    // Every entry's rank rewritten to each of 3..=8 and to a random u32
+    // above 2, under a recomputed trailer.
+    let mut rng = StdRng::seed_from_u64(9500);
+    for &at in &rank_offsets {
+        for rank in (3..=8u32).chain((0..8).map(|_| rng.random_range(3..=u32::MAX))) {
+            let mut doc = valid.clone();
+            doc[at..at + 4].copy_from_slice(&rank.to_le_bytes());
+            let err = Checkpoint::read_from(&mut resealed(doc).as_slice()).unwrap_err();
+            assert!(
+                matches!(&err, CheckpointError::Corrupt(m) if m == "rank above 2"),
+                "rank {rank} at byte {at}: {err}"
+            );
+        }
+    }
 }
 
 /// `FaultPlan::parse` (the `SALIENT_FAULT_SPEC` grammar) on clauses built
@@ -647,7 +670,7 @@ fn random_pipeline_trace(
     let batches: Vec<u64> = (0..phases).map(|_| rng.random_range(1..=4u64)).collect();
     let mut keys = std::collections::BTreeSet::new();
 
-    let trainer_spans = [spans::STAGE_PREP, spans::STAGE_TRANSFER, spans::STAGE_TRAIN, spans::WARMUP];
+    let trainer_spans = [spans::STAGE_PREP, spans::STAGE_TRAIN, spans::WARMUP];
     for (phase, &n) in batches.iter().enumerate() {
         let mut at = phase as u64 * PHASE + 1;
         for b in 0..n {
@@ -661,13 +684,7 @@ fn random_pipeline_trace(
             }
         }
     }
-    let worker_spans = [
-        spans::PREP_SAMPLE,
-        spans::PREP_SLICE,
-        spans::PREP_COPY,
-        spans::SLOT_WAIT,
-        spans::STAGE_TRANSFER,
-    ];
+    let worker_spans = [spans::PREP_SAMPLE, spans::PREP_SLICE, spans::PREP_COPY, spans::SLOT_WAIT];
     for _ in 0..rng.random_range(1..=3u32) {
         let mut plan = Vec::new();
         for (phase, &n) in batches.iter().enumerate() {

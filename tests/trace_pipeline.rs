@@ -1,7 +1,7 @@
 //! Acceptance tests for the observability subsystem: a deterministic
 //! 2-epoch SALIENT-executor run on a `VirtualClock` must yield
 //!
-//! * a stall-attribution report whose prep/transfer/compute/other shares
+//! * a stall-attribution report whose prep/compute/other shares
 //!   sum to 100%;
 //! * a structurally valid Chrome trace with spans from ≥ 3 threads;
 //! * per-batch preparation-latency percentiles, read off the spans, and
@@ -40,7 +40,7 @@ fn stall_attribution_sums_to_100() {
     assert_eq!(stats.len(), 2);
     let snap = trace.snapshot();
 
-    // Whole-run report: the four shares partition the trainer wall-clock.
+    // Whole-run report: the three shares partition the trainer wall-clock.
     let report = analyze(&snap);
     let pcts = report.stage_pcts();
     let sum: f64 = pcts.iter().sum();
@@ -48,7 +48,7 @@ fn stall_attribution_sums_to_100() {
 
     // The report renders without panicking and names every stage.
     let text = render_report(&report, &snap);
-    for needle in ["prep (blocked)", "transfer", "compute", "other"] {
+    for needle in ["prep (blocked)", "compute", "other"] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }
 
