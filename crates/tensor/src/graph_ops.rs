@@ -31,9 +31,11 @@ fn strips(n: usize) -> impl Iterator<Item = (usize, usize)> {
 }
 
 /// The forward pass of [`Var::sage_conv`] over rows of either element type:
-/// strip by strip, the mean aggregate of `x` over `(src, dst)`, the two
-/// products and the epilogue. Returns the aggregate — whole if `keep_agg`,
+/// strip by strip, the mean aggregate of `x` over `(src, dst)`, the
+/// product and the epilogue. Returns the aggregate — whole if `keep_agg`,
 /// else the last strip's — the output, and the epilogue's survivor scale.
+/// `train` (the node records gradients) lets the product run in bf16 tiles
+/// ([`kernels::SageWeights`]).
 #[expect(clippy::too_many_arguments, reason = "the layer's operands as sage_conv takes them, the rows already borrowed at their stored width")]
 fn sage_forward<T: Elem>(
     x: &[T],
@@ -41,11 +43,12 @@ fn sage_forward<T: Elem>(
     [ws, wn]: [&Tensor; 2],
     (src, dst): (&[u32], &[u32]),
     n_dst: usize,
-    keep_agg: bool,
+    (keep_agg, train): (bool, bool),
     act: Option<f32>,
     rng: &mut impl Rng,
 ) -> (Tensor, Tensor, Option<f32>) {
     let (k, n) = (ws.rows(), ws.cols());
+    let w = kernels::SageWeights::new([ws.data(), wn.data()], (k, n), n_dst, train);
     let agg_rows = if keep_agg { n_dst } else { STRIP.min(n_dst) };
     let mut agg = kernels::take_f32_stale(agg_rows * k);
     let mut out = kernels::take_f32_stale(n_dst * n);
@@ -55,8 +58,7 @@ fn sage_forward<T: Elem>(
         for (s0, s1) in strips(n_dst) {
             let a0 = if keep_agg { s0 } else { 0 };
             let (a, o) = (&mut agg[a0 * k..(a0 + s1 - s0) * k], &mut out[s0 * n..s1 * n]);
-            let w = [ws.data(), wn.data()];
-            kernels::sage_rows(rows, (s0, s1), &xt[s0 * k..s1 * k], w, n, a, o);
+            kernels::sage_rows(rows, (s0, s1), &xt[s0 * k..s1 * k], &w, n, a, o);
             if let Some(p) = act {
                 scale = Some(kernels::relu_dropout_in_place(o, p, rng));
             }
@@ -154,6 +156,14 @@ impl Var {
     /// added into its first `n_dst` rows (or returned on its own for a
     /// separate `x_target`), each `g · Wᵀ` one write-first product.
     ///
+    /// On the amx rung a node that records gradients runs each of these
+    /// products whose shape reaches `kernels::BF16_MIN_FLOPS` in AMX tiles
+    /// with bf16 operands and f32 accumulation: the forward as one product
+    /// `[x_target | agg] · [W_self; W_neigh]` per strip (both terms in the
+    /// same tiles, the output stored once), both weight gradients as one
+    /// `[x_target | agg]ᵀ · g` per strip, and `g · Wᵀ`. A node that records
+    /// nothing (a `Tape::no_grad` forward) is f32 on every rung.
+    ///
     /// # Panics
     ///
     /// Panics on inconsistent shapes or edge lists, or if `p` is not in
@@ -192,55 +202,63 @@ impl Var {
         let (ix, iws, iwn) = (self.id, w_self.id, w_neigh.id);
         let (need_x, need_ws, need_wn) =
             (self.needs_grad(), w_self.needs_grad(), w_neigh.needs_grad());
-        let (w, edges) = ([&ws, &wn], (src, dst));
+        // A separate, tracked x_target receives its own contribution.
+        let ixt = x_target.filter(|t| t.needs_grad()).map(|t| t.id);
+        let needs_grad = need_x || need_ws || need_wn || ixt.is_some();
+        let (w, edges, modes) = ([&ws, &wn], (src, dst), (need_wn, needs_grad));
         let (agg, out, scale) = match x.get() {
-            FeatureRows::Half(x) => sage_forward(x, &x[..n_dst * k], w, edges, n_dst, need_wn, act, rng),
+            FeatureRows::Half(x) => sage_forward(x, &x[..n_dst * k], w, edges, n_dst, modes, act, rng),
             FeatureRows::Full(x) => {
                 let own = xt.as_ref().map_or(&x[..n_dst * k], Tensor::data);
-                sage_forward(x, own, w, edges, n_dst, need_wn, act, rng)
+                sage_forward(x, own, w, edges, n_dst, modes, act, rng)
             }
         };
         let xt = xt.map_or(x, Rows::Wide);
 
-        // A separate, tracked x_target receives its own contribution.
-        let ixt = x_target.filter(|t| t.needs_grad()).map(|t| t.id);
         let prefix = x_target.is_none();
-        let needs_grad = need_x || need_ws || need_wn || ixt.is_some();
         let saved_out = out.clone();
         self.tape().record(out, needs_grad, || {
             let edges = need_x.then(|| (SavedIds::new(src), SavedIds::new(dst)));
             Box::new(move |mut g| {
-                let dw = |need: bool| need.then(|| Tensor::zeros(Shape::matrix(k, n)));
-                let (mut dw_self, mut dw_neigh) = (dw(need_ws), dw(need_wn));
+                let tracked = [(need_ws, iws), (need_wn, iwn)].map(|(need, id)| need.then_some(id));
+                let mut dw = kernels::WeightGrads::new(tracked.iter().flatten().count(), (k, n), n_dst);
                 for (s0, s1) in strips(n_dst) {
                     let gr = s0 * n..s1 * n;
                     if let Some(scale) = scale {
                         let gs = &mut g.data_mut()[gr.clone()];
                         kernels::relu_dropout_backward(gs, &saved_out.data()[gr.clone()], scale);
                     }
-                    let gs = &g.data()[gr];
-                    for (dw, lhs) in [(&mut dw_self, xt.get()), (&mut dw_neigh, FeatureRows::Full(agg.data()))] {
-                        let Some(dw) = dw else { continue };
-                        match lhs.view(s0 * k, (s1 - s0) * k) {
-                            FeatureRows::Half(lhs) => kernels::gemm_acc(dw.data_mut(), lhs, gs, true, false, k, n, s1 - s0),
-                            FeatureRows::Full(lhs) => kernels::gemm_acc(dw.data_mut(), lhs, gs, true, false, k, n, s1 - s0),
-                        }
+                    // The strip's rows of x_t and (kept whole when W_neigh
+                    // is tracked) of the aggregate, for the tracked weights.
+                    let (at, len) = (s0 * k, (s1 - s0) * k);
+                    let mut lhs = [FeatureRows::Full(&[]); 2];
+                    let mut parts = 0;
+                    if need_ws {
+                        (lhs[parts], parts) = (xt.get().view(at, len), parts + 1);
                     }
+                    if need_wn {
+                        (lhs[parts], parts) = (FeatureRows::Full(&agg.data()[at..at + len]), parts + 1);
+                    }
+                    dw.add_strip(&lhs[..parts], &g.data()[gr], s1 - s0);
                 }
                 let mut contribs = Vec::with_capacity(4);
-                contribs.extend(dw_self.map(|dw| (iws, dw)));
-                contribs.extend(dw_neigh.map(|dw| (iwn, dw)));
+                contribs.extend(tracked.into_iter().flatten().enumerate().map(|(p, id)| (id, dw.grad(p))));
+                // Its buffer back in the pool before the products below take theirs.
+                drop(dw);
+                // `g · Wᵀ`, write-first or onto `out`.
+                let times_wt = |out: &mut [f32], acc: bool, w: &Tensor| {
+                    kernels::train_gemm(out, acc, g.data(), (w.data(), true), false, n_dst, k, n)
+                };
                 if let Some((src, dst)) = &edges {
-                    let mut dagg = kernels::gemm(&g, &wn, false, true);
+                    let mut dagg = Tensor::filled_by(Shape::matrix(n_dst, k), |d| times_wt(d, false, &wn));
                     let mut dx =
                         kernels::scatter_reduce_backward(dagg.data_mut(), k, src, dst, n_src, true);
                     if prefix {
-                        let head = &mut dx[..n_dst * k];
-                        kernels::gemm_acc(head, g.data(), ws.data(), false, true, n_dst, k, n);
+                        times_wt(&mut dx[..n_dst * k], true, &ws);
                     }
                     contribs.push((ix, Tensor::from_vec(dx, Shape::matrix(n_src, k))));
                 }
-                contribs.extend(ixt.map(|ixt| (ixt, kernels::gemm(&g, &ws, false, true))));
+                contribs.extend(ixt.map(|ixt| (ixt, Tensor::filled_by(Shape::matrix(n_dst, k), |d| times_wt(d, false, &ws)))));
                 contribs
             })
         })

@@ -34,6 +34,13 @@
 //!   K-unrolled row loop. Every output element is one FMA per K step in
 //!   increasing K whatever the tile shape, so the vector rungs agree bitwise
 //!   and no value depends on how rows were cut into chunks.
+//! * **The amx rung** (`amx.rs`): where the CPU has AMX and the OS grants
+//!   the tile state, the products a training step's SAGE layers record
+//!   ([`SageWeights`], [`WeightGrads`], [`train_gemm`]) run in AMX tiles
+//!   with bf16 operands and f32 accumulation once they reach
+//!   [`BF16_MIN_FLOPS`]; every other product, and every product of a
+//!   forward that records nothing (inference, serving), stays on the f32
+//!   tile of the AVX-512 rung.
 //! * **Dispatch by work**: a product (or a SAGE strip, [`sage_rows`]) is cut
 //!   into row chunks of at least [`MIN_CHUNK_FLOPS`], one pool dispatch per
 //!   product; less than two chunks' worth runs on the caller, and so does
@@ -64,11 +71,16 @@
     reason = "panel, pack and row-kernel loops index inside shapes asserted at the GEMM and aggregation entries; hoisted slices keep the checks elidable"
 )]
 
-use crate::f16::F16;
+use crate::f16::{FeatureRows, F16};
 use crate::pool::{parallel_for, SendPtr};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use std::cell::RefCell;
+
+#[cfg(target_arch = "x86_64")]
+mod amx;
+#[cfg(target_arch = "x86_64")]
+use amx::{bf16_gemm, bf16_rows, BPanel, Blocks};
 
 // ---------------------------------------------------------------------------
 // Thread-local scratch buffers
@@ -321,6 +333,8 @@ fn widen_append<T: Elem>(src: &[T], dst: &mut Vec<f32>) {
 pub(crate) trait Elem: Copy + Send + Sync {
     /// The operand itself when it already is what the micro-kernel reads.
     fn as_f32(d: &[Self]) -> Option<&[f32]>;
+    /// The values as a dtype-tagged view (a bf16 product's operand).
+    fn rows(d: &[Self]) -> FeatureRows<'_>;
     /// `dst = src`, widened to `f32` (contiguous bulk path).
     fn widen(src: &[Self], dst: &mut [f32]);
     /// The row kernel's panel step: `acc[j] += src[j]` for `j < W`, each
@@ -341,6 +355,10 @@ impl Elem for f32 {
         Some(d)
     }
     #[inline]
+    fn rows(d: &[f32]) -> FeatureRows<'_> {
+        FeatureRows::Full(d)
+    }
+    #[inline]
     fn widen(src: &[f32], dst: &mut [f32]) {
         dst.copy_from_slice(src);
     }
@@ -357,6 +375,10 @@ impl Elem for F16 {
     #[inline]
     fn as_f32(_: &[F16]) -> Option<&[f32]> {
         None
+    }
+    #[inline]
+    fn rows(d: &[F16]) -> FeatureRows<'_> {
+        FeatureRows::Half(d)
     }
     #[inline]
     fn widen(src: &[F16], dst: &mut [f32]) {
@@ -479,11 +501,14 @@ pub(crate) fn gemm_acc<TA: Elem>(
     gemm_into(out, true, &Operands { a, b, ta, tb, n, k, a_cols, b_cols }, m);
 }
 
-/// Name of the active GEMM micro-kernel rung — `"avx512"`, `"avx2"`, or
-/// `"portable"` — for bench reports. Selection is automatic (CPUID) but can
-/// be pinned down-level with `SALIENT_GEMM_KERNEL=portable|avx2|avx512`.
+/// Name of the active GEMM micro-kernel rung — `"amx"`, `"avx512"`,
+/// `"avx2"`, or `"portable"` — for bench reports. Selection is automatic
+/// ([`level`]) and can be pinned with
+/// `SALIENT_GEMM_KERNEL=portable|avx2|avx512|amx`; `avx512` on an AMX host
+/// keeps every product in f32.
 pub fn gemm_kernel_level() -> &'static str {
     match level() {
+        Level::Amx => "amx",
         Level::Avx512 => "avx512",
         Level::Avx2 => "avx2",
         Level::Portable => "portable",
@@ -499,6 +524,9 @@ enum Level {
     Avx2,
     /// AVX-512F, tiles of up to 8×32.
     Avx512,
+    /// AVX-512F for every f32 product, and AMX tiles with bf16 operands for
+    /// the products a training step records that [`bf16_takes`].
+    Amx,
 }
 
 /// Which vector rungs this CPU has, as `(avx2, avx512)`. A rung's row
@@ -516,9 +544,26 @@ fn host_rungs() -> (bool, bool) {
     }
 }
 
-/// One-time CPUID probe (overridable down-level with
-/// `SALIENT_GEMM_KERNEL=portable|avx2|avx512` for benches and tests; an
-/// override naming an unsupported rung falls back to detection).
+/// Whether the amx rung can run here; asks the OS for the tile state the
+/// first time it is true (`amx::host_has_amx`).
+fn host_has_amx() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        amx::host_has_amx()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// One-time CPUID probe: the amx rung where CPUID leaf 7 reports AMX-BF16
+/// and AMX-TILE, the CPU has AVX512-BF16 (for `vcvtne2ps2bf16` packing) and
+/// `arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA)` succeeds, else the
+/// widest f32 rung. `SALIENT_GEMM_KERNEL=portable|avx2|avx512|amx` pins a
+/// rung for benches and tests — `avx512` opts an AMX host out of bf16
+/// products (and never asks for the tile state); an override naming a rung
+/// the host lacks falls back to detection.
 fn level() -> Level {
     static LEVEL: std::sync::OnceLock<Level> = std::sync::OnceLock::new();
     *LEVEL.get_or_init(|| {
@@ -527,11 +572,56 @@ fn level() -> Level {
             Some("portable") => Level::Portable,
             Some("avx2") if avx2 => Level::Avx2,
             Some("avx512") if avx512 => Level::Avx512,
+            _ if avx512 && host_has_amx() => Level::Amx,
             _ if avx512 => Level::Avx512,
             _ if avx2 => Level::Avx2,
             _ => Level::Portable,
         }
     })
+}
+
+/// The fewest flops a product must have to run in AMX tiles: below it the
+/// B pack, the tile configuration and the padding of K and N to 32
+/// weigh against a product of well under a millisecond on the f32 tile,
+/// and the small layers (a model's last, a test's tiny ones) keep f32.
+/// A function of the product's shape alone, so where the pool cuts rows
+/// never decides a rung.
+const BF16_MIN_FLOPS: usize = 1 << 24;
+
+/// Whether a training step's `m×k · k×n` product runs in bf16 AMX tiles:
+/// on the amx rung, from [`BF16_MIN_FLOPS`] on. The caller asks only for a
+/// product of a node that records gradients; everything else — the public
+/// [`gemm`], GAT/GIN/`Linear`, every `Tape::no_grad` forward, so inference
+/// and serving — is f32 on every rung.
+pub(crate) fn bf16_takes(m: usize, n: usize, k: usize) -> bool {
+    level() == Level::Amx && 2 * m * n * k >= BF16_MIN_FLOPS
+}
+
+/// `out = op(a)·op(b)` (or `+=` when `acc`) for a product a training step
+/// records: in bf16 AMX tiles when [`bf16_takes`] its shape, else exactly
+/// the f32 product [`gemm_acc`] runs. `op(a)` is `m×k`, `op(b)` `k×n`.
+#[expect(clippy::too_many_arguments, reason = "a GEMM's signature is its operands, their transposes and the three extents")]
+pub(crate) fn train_gemm<TA: Elem>(
+    out: &mut [f32],
+    acc: bool,
+    a: &[TA],
+    (b, tb): (&[f32], bool),
+    ta: bool,
+    m: usize,
+    n: usize,
+    k: usize,
+) {
+    assert_eq!(a.len(), m * k, "train_gemm: a buffer/shape mismatch");
+    assert_eq!(b.len(), k * n, "train_gemm: b buffer/shape mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if bf16_takes(m, n, k) {
+        let (a, b) = ([TA::rows(a)], [FeatureRows::Full(b)]);
+        let a = Blocks::side_by_side(&a, if ta { k } else { m }, if ta { m } else { k });
+        let b = BPanel::pack(&Blocks::side_by_side(&b, if tb { n } else { k }, if tb { k } else { n }), tb);
+        return bf16_gemm(out, acc, &a, ta, &b);
+    }
+    let (a_cols, b_cols) = (if ta { m } else { k }, if tb { k } else { n });
+    gemm_into(out, acc, &Operands { a, b, ta, tb, n, k, a_cols, b_cols }, m);
 }
 
 /// The seed's scalar triple-loop GEMM, the blocked GEMM's test oracle.
@@ -713,7 +803,7 @@ mod simd {
     /// many floats its vectors hold; `None` for the portable rung.
     pub(crate) fn tiles(lvl: Level, kmajor: bool) -> Option<(Tiles, usize)> {
         match lvl {
-            Level::Avx512 => Some((AVX512[usize::from(kmajor)], 16)),
+            Level::Avx512 | Level::Amx => Some((AVX512[usize::from(kmajor)], 16)),
             Level::Avx2 => Some((AVX2[usize::from(kmajor)], 8)),
             Level::Portable => None,
         }
@@ -1346,7 +1436,7 @@ impl<T: Elem> RowAgg<'_, T> {
         unsafe {
             #[cfg(target_arch = "x86_64")]
             match level() {
-                Level::Avx512 => return simd::agg_rows_avx512(self, r0, r1, out),
+                Level::Avx512 | Level::Amx => return simd::agg_rows_avx512(self, r0, r1, out),
                 Level::Avx2 => return simd::agg_rows_avx2(self, r0, r1, out),
                 Level::Portable => {}
             }
@@ -1412,26 +1502,58 @@ fn aggregate<T: Elem>(
     out
 }
 
+/// A SAGE layer's weights as its forward product reads them: `[W_self,
+/// W_neigh]` where they lie (the f32 tile, whose second product continues
+/// the first one's chains), or stacked into one bf16 panel for AMX tiles.
+pub(crate) enum SageWeights<'a> {
+    F32([&'a [f32]; 2]),
+    #[cfg(target_arch = "x86_64")]
+    Bf16(BPanel),
+}
+
+impl<'a> SageWeights<'a> {
+    /// `[W_self, W_neigh]`, each `k × n`, for a layer of `n_dst`
+    /// destinations: packed once for the tiles when the node records
+    /// gradients (`train`) and [`bf16_takes`] the layer's one product
+    /// `[x_t | agg] · [W_self; W_neigh]` (`n_dst × 2k · 2k × n`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a weight is not `k × n`.
+    pub(crate) fn new(w: [&'a [f32]; 2], (k, n): (usize, usize), n_dst: usize, train: bool) -> Self {
+        assert!(w.iter().all(|w| w.len() == k * n), "sage rows: weight/shape mismatch");
+        #[cfg(target_arch = "x86_64")]
+        if train && bf16_takes(n_dst, n, 2 * k) {
+            let parts = w.map(FeatureRows::Full);
+            return SageWeights::Bf16(BPanel::pack(&Blocks::stacked(&parts, k, n), false));
+        }
+        let _ = (n_dst, train);
+        SageWeights::F32(w)
+    }
+}
+
 /// Rows `[r0, r1)` of a SAGE layer's linear part, a chunk of them at a time:
-/// `a = mean_agg(x)` for the chunk's rows, then `o = xt · w[0]` written first
-/// and `o += a · w[1]` continuing its chains. `xt`, `a` and `o` hold exactly
-/// rows `[r0, r1)` (`k`, `k` and `n` wide); `xt` has the element type of the
-/// rows summed, and as [`F16`] goes through the A-side packer, a chunk of at
-/// most a strip at a time. One dispatch covers the aggregate and both
-/// products, in chunks of at least [`MIN_CHUNK_FLOPS`], so between the three
+/// `a = mean_agg(x)` for the chunk's rows, then the product
+/// `o = [xt | a] · [W_self; W_neigh]`. `xt`, `a` and `o` hold exactly rows
+/// `[r0, r1)` (`k`, `k` and `n` wide); `xt` has the element type of the rows
+/// summed. On the f32 tile that is `o = xt · w[0]` written first and
+/// `o += a · w[1]` continuing its chains, an [`F16`] `xt` through the A-side
+/// packer; in AMX tiles both halves of each row are packed side by side
+/// into bf16 and `o` is stored once. One dispatch covers the aggregate and
+/// the product, in chunks of at least [`MIN_CHUNK_FLOPS`], so between the
 /// steps a chunk's rows have not left the cache.
 pub(crate) fn sage_rows<T: Elem>(
     agg: &RowAgg<'_, T>,
     (r0, r1): (usize, usize),
     xt: &[T],
-    w: [&[f32]; 2],
+    w: &SageWeights<'_>,
     n: usize,
     a: &mut [f32],
     o: &mut [f32],
 ) {
     let (k, rows) = (agg.cols, r1 - r0);
     assert!(xt.len() == rows * k && a.len() == rows * k, "sage rows: operand/shape mismatch");
-    assert!(o.len() == rows * n && w.iter().all(|w| w.len() == k * n), "sage rows: shape mismatch");
+    assert_eq!(o.len(), rows * n, "sage rows: shape mismatch");
     let (ap, op) = (SendPtr(a.as_mut_ptr()), SendPtr(o.as_mut_ptr()));
     parallel_for(rows, min_chunk_rows(4 * k * n), &|c0, c1| {
         // SAFETY: `a` and `o` hold `rows` rows of k and n floats (asserted
@@ -1442,9 +1564,81 @@ pub(crate) fn sage_rows<T: Elem>(
         let o = unsafe { op.slice_mut(c0 * n, (c1 - c0) * n) };
         agg.rows_into((r0 + c0, r0 + c1), a);
         let (own, rows) = (&xt[c0 * k..c1 * k], (0, c1 - c0));
-        gemm_rows(o, false, &Operands { a: own, b: w[0], ta: false, tb: false, n, k, a_cols: k, b_cols: n }, rows);
-        gemm_rows(o, true, &Operands { a: &*a, b: w[1], ta: false, tb: false, n, k, a_cols: k, b_cols: n }, rows);
+        match w {
+            SageWeights::F32(w) => {
+                gemm_rows(o, false, &Operands { a: own, b: w[0], ta: false, tb: false, n, k, a_cols: k, b_cols: n }, rows);
+                gemm_rows(o, true, &Operands { a: &*a, b: w[1], ta: false, tb: false, n, k, a_cols: k, b_cols: n }, rows);
+            }
+            #[cfg(target_arch = "x86_64")]
+            SageWeights::Bf16(w) => {
+                let parts = [T::rows(own), FeatureRows::Full(a)];
+                bf16_rows(o, false, &Blocks::side_by_side(&parts, rows.1, k), false, w, rows);
+            }
+        }
     });
+}
+
+/// A SAGE layer's tracked weight gradients — `dW_self`, `dW_neigh` or both,
+/// each `k × n` — summed strip by strip over the layer's destinations:
+/// `dW += lhsᵀ · g` with `lhs` the strip's rows of the tracked ones of
+/// `[x_t, agg]`.
+///
+/// `acc` holds them stacked, `[dW_self; dW_neigh]`. On the f32 tile each
+/// weight's is its own product continuing its chains; in AMX tiles
+/// ([`bf16_takes`] the layer's whole `parts·k × n_dst · n_dst × n` product)
+/// a strip is one product, `[x_t | agg]ᵀ · g`, its `g` the B panel — the
+/// operand the tiles re-read for every 32 output rows, so the narrower of
+/// the two (run the other way round, the `parts·k` wide rows would be it,
+/// and a strip took twice as long).
+pub(crate) struct WeightGrads {
+    acc: Vec<f32>,
+    parts: usize,
+    k: usize,
+    n: usize,
+    bf16: bool,
+}
+
+impl WeightGrads {
+    /// Zeroed sums for `parts` weights of a layer of `n_dst` destinations.
+    pub(crate) fn new(parts: usize, (k, n): (usize, usize), n_dst: usize) -> Self {
+        let bf16 = bf16_takes(parts * k, n, n_dst);
+        WeightGrads { acc: take_f32_zeroed(parts * k * n), parts, k, n, bf16 }
+    }
+
+    /// Adds one strip: `lhs` are the tracked weights' operands (`rows × k`
+    /// each) and `g` the strip's output gradient (`rows × n`).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is an operand for every weight, of `rows` rows.
+    pub(crate) fn add_strip(&mut self, lhs: &[FeatureRows<'_>], g: &[f32], rows: usize) {
+        let (k, n) = (self.k, self.n);
+        assert_eq!(lhs.len(), self.parts, "weight gradients/operands mismatch");
+        #[cfg(target_arch = "x86_64")]
+        if self.bf16 {
+            let g = [FeatureRows::Full(g)];
+            let g = BPanel::pack(&Blocks::side_by_side(&g, rows, n), false);
+            return bf16_gemm(&mut self.acc, true, &Blocks::side_by_side(lhs, rows, k), true, &g);
+        }
+        for (dw, lhs) in self.acc.chunks_exact_mut(k * n).zip(lhs) {
+            match *lhs {
+                FeatureRows::Half(l) => gemm_acc(dw, l, g, true, false, k, n, rows),
+                FeatureRows::Full(l) => gemm_acc(dw, l, g, true, false, k, n, rows),
+            }
+        }
+    }
+
+    /// The `p`-th tracked weight's gradient, `k × n`.
+    pub(crate) fn grad(&self, p: usize) -> Tensor {
+        let len = self.k * self.n;
+        Tensor::filled_by(Shape::matrix(self.k, self.n), |d| d.copy_from_slice(&self.acc[p * len..(p + 1) * len]))
+    }
+}
+
+impl Drop for WeightGrads {
+    fn drop(&mut self) {
+        put_f32(std::mem::take(&mut self.acc));
+    }
 }
 
 /// Backward of [`gather_rows_forward`]: adds each gradient row `e` into
@@ -1710,6 +1904,261 @@ mod tests {
         }
     }
 
+    /// The documented elementwise bound of a bf16 product in AMX tiles
+    /// against the exact product of its unrounded operands, relative to
+    /// |A|·|B| (DESIGN.md, precision policy): each operand is rounded to
+    /// bf16 once (relative error ≤ u = 2⁻⁸, round to nearest even), a product
+    /// of two bf16 is exact in f32, and the f32 sum over K adds γ_K =
+    /// K·2⁻²⁴ / (1 − K·2⁻²⁴): `2u + u² + γ_K·(1 + u)²`.
+    fn bf16_gemm_rel_bound(k: usize) -> f64 {
+        let (u, eps) = (2f64.powi(-8), 2f64.powi(-24));
+        let gamma = k as f64 * eps / (1.0 - k as f64 * eps);
+        2.0 * u + u * u + gamma * (1.0 + u) * (1.0 + u)
+    }
+
+    /// The whole matrix a [`Blocks`] stands for, row-major, in f64.
+    fn dense(parts: &[FeatureRows<'_>], (rows, cols): (usize, usize), stacked: bool) -> (Vec<f64>, usize, usize) {
+        let wide: Vec<Vec<f32>> = parts.iter().map(FeatureRows::to_f32_vec).collect();
+        let p = parts.len();
+        let (r, c) = if stacked { (p * rows, cols) } else { (rows, p * cols) };
+        let at = |i: usize, j: usize| match stacked {
+            true => wide[i / rows][(i % rows) * cols + j],
+            false => wide[j / cols][i * cols + j % cols],
+        };
+        ((0..r * c).map(|q| f64::from(at(q / c, q % c))).collect(), r, c)
+    }
+
+    /// `op(x)[i][j]` of a dense `r × c` matrix.
+    fn op_at(x: &(Vec<f64>, usize, usize), t: bool, i: usize, j: usize) -> f64 {
+        if t {
+            x.0[j * x.2 + i]
+        } else {
+            x.0[i * x.2 + j]
+        }
+    }
+
+    /// Random values in [-2, 2), exact halves when `half`.
+    fn operand(len: usize, half: bool, rng: &mut StdRng) -> (Vec<f32>, Vec<F16>) {
+        let x: Vec<f32> = (0..len).map(|_| rng.random_range(-2.0f32..2.0)).collect();
+        let h = crate::f16::quantize(&x);
+        (if half { FeatureRows::Half(&h).to_f32_vec() } else { x }, h)
+    }
+
+    /// The bf16 products a train step runs — one- and two-block operands,
+    /// row-major and transposed A over `f32` and `F16` rows, B stored as is
+    /// and transposed; ragged M (not a multiple of 16), K not a multiple of
+    /// 32 — inside [`bf16_gemm_rel_bound`] of an f64 oracle, written first
+    /// and accumulated onto a filled output.
+    #[test]
+    fn bf16_gemm_within_documented_bound() {
+        if level() != Level::Amx {
+            eprintln!("bf16_gemm_within_documented_bound: this host runs the {} rung, not amx; nothing to check", gemm_kernel_level());
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(0xBF16);
+        // (A block rows × cols, A blocks side by side, ta, A half, B block
+        // rows × cols, B blocks stacked, tb)
+        #[expect(clippy::type_complexity, reason = "a table of test shapes")]
+        let cases: [((usize, usize), usize, bool, bool, (usize, usize), usize, bool); 7] = [
+            ((37, 45), 1, false, false, (45, 47), 1, false),
+            ((100, 100), 2, false, true, (100, 128), 2, false),
+            ((45, 37), 1, true, false, (45, 30), 1, false),
+            ((256, 100), 2, true, true, (256, 128), 1, false),
+            ((37, 100), 1, false, false, (129, 100), 1, true),
+            ((300, 77), 1, false, true, (33, 77), 1, true),
+            ((21, 9), 2, true, false, (21, 17), 1, false),
+        ];
+        for ((ar, ac), ap, ta, half, (br, bc), bp, tb) in cases {
+            let what = format!("A {ap}x({ar}x{ac}) ta={ta} half={half}, B {bp}x({br}x{bc}) tb={tb}");
+            let a_vals: Vec<_> = (0..ap).map(|_| operand(ar * ac, half, &mut rng)).collect();
+            let b_vals: Vec<_> = (0..bp).map(|_| operand(br * bc, false, &mut rng)).collect();
+            let a_rows: Vec<FeatureRows<'_>> = a_vals.iter().map(|(f, h)| if half { FeatureRows::Half(h) } else { FeatureRows::Full(f) }).collect();
+            let b_rows: Vec<FeatureRows<'_>> = b_vals.iter().map(|(f, _)| FeatureRows::Full(f)).collect();
+            let (a, b) = (Blocks::side_by_side(&a_rows, ar, ac), Blocks::stacked(&b_rows, br, bc));
+            let ((m, k), (k2, n)) = (a.op_dims(ta), b.op_dims(tb));
+            assert_eq!(k, k2, "{what}");
+            let (ad, bd) = (dense(&a_rows, (ar, ac), false), dense(&b_rows, (br, bc), true));
+            let panel = BPanel::pack(&b, tb);
+            let c0: Vec<f32> = (0..m * n).map(|_| rng.random_range(-2.0f32..2.0)).collect();
+            for acc in [false, true] {
+                let mut out = if acc { c0.clone() } else { vec![f32::NAN; m * n] };
+                bf16_gemm(&mut out, acc, &a, ta, &panel);
+                let bound = bf16_gemm_rel_bound(k + usize::from(acc));
+                for i in 0..m {
+                    for j in 0..n {
+                        let (mut exact, mut mag) = (0.0f64, 0.0f64);
+                        for p in 0..k {
+                            let (x, y) = (op_at(&ad, ta, i, p), op_at(&bd, tb, p, j));
+                            (exact, mag) = (exact + x * y, mag + (x * y).abs());
+                        }
+                        let c = if acc { f64::from(c0[i * n + j]) } else { 0.0 };
+                        let (got, want) = (f64::from(out[i * n + j]), c + exact);
+                        assert!(
+                            (got - want).abs() <= bound * (mag + c.abs()),
+                            "{what}, acc {acc}, ({i}, {j}): |{got} - {want}| > {bound} · {}",
+                            mag + c.abs()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A SAGE layer's weight gradients summed over strips in tiles — the
+    /// product `[x_t | agg]ᵀ · g` over f16 and f32 rows, one strip of K at
+    /// a time — inside the bound over the whole K, against an f64 oracle.
+    #[test]
+    fn weight_grads_in_tiles_within_documented_bound() {
+        let (n_dst, k, n) = (400, 100, 128);
+        let mut grads = WeightGrads::new(2, (k, n), n_dst);
+        if !grads.bf16 {
+            eprintln!("weight grads: this host runs the {} rung, not amx; nothing to check", gemm_kernel_level());
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(0xD3);
+        let (xt, xh) = operand(n_dst * k, true, &mut rng);
+        let (agg, _) = operand(n_dst * k, false, &mut rng);
+        let (g, _) = operand(n_dst * n, false, &mut rng);
+        for (s0, s1) in [(0, 256), (256, n_dst)] {
+            let lhs = [FeatureRows::Half(&xh[s0 * k..s1 * k]), FeatureRows::Full(&agg[s0 * k..s1 * k])];
+            grads.add_strip(&lhs, &g[s0 * n..s1 * n], s1 - s0);
+        }
+        let bound = bf16_gemm_rel_bound(n_dst);
+        for (p, x) in [xt, agg].iter().enumerate() {
+            let dw = grads.grad(p);
+            for i in 0..k {
+                for j in 0..n {
+                    let terms = (0..n_dst).map(|r| f64::from(x[r * k + i]) * f64::from(g[r * n + j]));
+                    let (exact, mag) = terms.fold((0.0, 0.0), |(e, m), t| (e + t, m + t.abs()));
+                    let got = f64::from(dw.data()[i * n + j]);
+                    assert!((got - exact).abs() <= bound * mag, "dW {p} ({i}, {j}): |{got} - {exact}| > {bound} · {mag}");
+                }
+            }
+        }
+    }
+
+    /// The row cuts `parallel_for` makes of `len` rows on a pool of
+    /// `threads` (one call on one thread).
+    fn pool_cuts(len: usize, min_chunk: usize, threads: usize) -> Vec<usize> {
+        let n = if threads == 1 { 1 } else { crate::pool::chunk_count(len, min_chunk, threads) };
+        (0..=n).map(|i| i * len / n).collect()
+    }
+
+    /// A bf16 product in tiles is the same bits however its rows are cut:
+    /// at arbitrary cuts, and at the chunks of a one- and a three-thread
+    /// pool, for a row-major and a transposed A, written first and
+    /// accumulated; and so is the fused SAGE product of [`sage_rows`].
+    #[test]
+    fn bf16_products_are_the_same_bits_at_every_row_cut_and_pool_width() {
+        if level() != Level::Amx {
+            eprintln!("bf16 row cuts: this host runs the {} rung, not amx; nothing to check", gemm_kernel_level());
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(0xC075);
+        for (m, k, n, ta) in [(300, 200, 128, false), (200, 256, 128, true), (1000, 37, 47, false)] {
+            let (ar, ac) = if ta { (k, m) } else { (m, k) };
+            let (av, ah) = operand(ar * ac, true, &mut rng);
+            let (bv, _) = operand(k * n, false, &mut rng);
+            let (a_rows, b_rows) = ([FeatureRows::Half(&ah)], [FeatureRows::Full(&bv)]);
+            let a = Blocks::side_by_side(&a_rows, ar, ac);
+            let panel = BPanel::pack(&Blocks::stacked(&b_rows, k, n), false);
+            let c0: Vec<f32> = (0..m * n).map(|_| rng.random_range(-1.0f32..1.0)).collect();
+            let _ = av;
+            for acc in [false, true] {
+                let mut whole = c0.clone();
+                bf16_gemm(&mut whole, acc, &a, ta, &panel);
+                let (x, y) = (rng.random_range(0..=m), rng.random_range(0..=m));
+                let min_chunk = min_chunk_rows(2 * n * k);
+                for cuts in [vec![0, x.min(y), x.max(y), m], pool_cuts(m, min_chunk, 1), pool_cuts(m, min_chunk, 3)] {
+                    let mut out = c0.clone();
+                    for w in cuts.windows(2) {
+                        bf16_rows(&mut out[w[0] * n..w[1] * n], acc, &a, ta, &panel, (w[0], w[1]));
+                    }
+                    assert_eq!(bits(&out), bits(&whole), "{m}x{k}x{n} ta={ta} acc={acc}, cuts {cuts:?}");
+                }
+            }
+        }
+        // The SAGE forward: [x_t | agg] · [W_self; W_neigh] over f16 rows.
+        let (n_dst, n_src, n_edges, k, n) = (400, 500, 4000, 100, 128);
+        let (_, xh) = operand(n_src * k, true, &mut rng);
+        let (ws, _) = operand(k * n, false, &mut rng);
+        let (wn, _) = operand(k * n, false, &mut rng);
+        let w = SageWeights::new([&ws, &wn], (k, n), n_dst, true);
+        assert!(matches!(w, SageWeights::Bf16(_)), "{n_dst} rows of 2·{k} x {n} take the tiles");
+        let dst: Vec<u32> = (0..n_edges).map(|e| (e * n_dst / n_edges) as u32).collect();
+        let src: Vec<u32> = (0..n_edges).map(|_| rng.random_range(0..n_src as u32)).collect();
+        let xt = &xh[..n_dst * k];
+        with_row_agg(&xh[..], k, &dst, n_dst, Some(&src), ["destination id", "source id"], true, |rows| {
+            let run = |cuts: &[usize]| {
+                let (mut agg, mut out) = (vec![f32::NAN; n_dst * k], vec![f32::NAN; n_dst * n]);
+                for c in cuts.windows(2) {
+                    let (r0, r1) = (c[0], c[1]);
+                    sage_rows(rows, (r0, r1), &xt[r0 * k..r1 * k], &w, n, &mut agg[r0 * k..r1 * k], &mut out[r0 * n..r1 * n]);
+                }
+                bits(&out)
+            };
+            let whole = run(&[0, n_dst]);
+            let min_chunk = min_chunk_rows(4 * k * n);
+            for cuts in [vec![0, 17, 200, n_dst], pool_cuts(n_dst, min_chunk, 1), pool_cuts(n_dst, min_chunk, 3)] {
+                assert_eq!(run(&cuts), whole, "sage rows, cuts {cuts:?}");
+            }
+        });
+    }
+
+    /// Below [`BF16_MIN_FLOPS`] a training product is the f32 product bit
+    /// for bit on every rung, the amx one included; from it on, the amx rung
+    /// (and only it) takes the tiles.
+    #[test]
+    fn a_product_below_the_threshold_is_the_f32_product_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x7E5);
+        for &(m, n, k, ta, tb) in &[(100, 47, 128, false, false), (128, 128, 300, true, false), (256, 100, 128, false, true)] {
+            assert!(2 * m * n * k < BF16_MIN_FLOPS && !bf16_takes(m, n, k));
+            let (_, ah) = operand(m * k, true, &mut rng);
+            let (b, _) = operand(k * n, false, &mut rng);
+            let c0: Vec<f32> = (0..m * n).map(|_| rng.random_range(-1.0f32..1.0)).collect();
+            for acc in [false, true] {
+                let (mut got, mut want) = (c0.clone(), c0.clone());
+                train_gemm(&mut got, acc, &ah, (&b, tb), ta, m, n, k);
+                let (a_cols, b_cols) = (if ta { m } else { k }, if tb { k } else { n });
+                gemm_into(&mut want, acc, &Operands { a: &ah[..], b: &b, ta, tb, n, k, a_cols, b_cols }, m);
+                assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n} ta={ta} tb={tb} acc={acc}");
+            }
+        }
+        let (k, n) = (128, 128);
+        let w = vec![0.5f32; k * n];
+        let below = BF16_MIN_FLOPS / (2 * 2 * k * n) - 1;
+        assert!(matches!(SageWeights::new([&w, &w], (k, n), below, true), SageWeights::F32(_)));
+        assert!(matches!(SageWeights::new([&w, &w], (k, n), 4 * below, false), SageWeights::F32(_)), "a forward that records nothing is f32");
+        assert_eq!(bf16_takes(2 * below, n, 2 * k), level() == Level::Amx);
+    }
+
+    /// `SALIENT_GEMM_KERNEL=avx512` keeps an AMX host on the f32 rung. The
+    /// rung is fixed once per process, so a run without the pin checks it
+    /// in a child process running this test alone.
+    #[test]
+    fn an_amx_host_pinned_to_avx512_reports_avx512() {
+        if std::env::var("SALIENT_GEMM_KERNEL").as_deref() == Ok("avx512") {
+            if host_rungs().1 {
+                assert_eq!(gemm_kernel_level(), "avx512");
+                assert!(!bf16_takes(1 << 12, 1 << 12, 1 << 12));
+            }
+            return;
+        }
+        if !host_has_amx() {
+            eprintln!("avx512 pin: this host has no amx rung; nothing to check");
+            return;
+        }
+        let name = "kernels::tests::an_amx_host_pinned_to_avx512_reports_avx512";
+        let exe = std::env::current_exe().expect("the test binary's path");
+        let out = std::process::Command::new(exe)
+            .args(["--exact", name, "--test-threads=1"])
+            .env("SALIENT_GEMM_KERNEL", "avx512")
+            .output()
+            .expect("the test binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success() && stdout.contains("1 passed"), "the pinned run failed: {stdout}{}", String::from_utf8_lossy(&out.stderr));
+    }
+
     /// Every GEMM rung this host can run (the process-wide dispatch picks
     /// one of them for good).
     fn levels() -> Vec<Level> {
@@ -1890,7 +2339,7 @@ mod tests {
                 with_row_agg(&x, k, &dst, n_dst, Some(&src), ["destination id", "source id"], true, |rows| {
                     for w in cuts.windows(2) {
                         let (r0, r1) = (w[0], w[1]);
-                        sage_rows(rows, (r0, r1), &xt[r0 * k..r1 * k], [&ws, &wn], n, &mut agg[r0 * k..r1 * k], &mut out[r0 * n..r1 * n]);
+                        sage_rows(rows, (r0, r1), &xt[r0 * k..r1 * k], &SageWeights::F32([&ws, &wn]), n, &mut agg[r0 * k..r1 * k], &mut out[r0 * n..r1 * n]);
                     }
                 });
                 assert_eq!(bits(&agg), bits(&want_agg), "aggregate, {n} wide, {case}, cuts {cuts:?}");

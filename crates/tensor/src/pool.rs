@@ -36,33 +36,30 @@ use crate::sync::{lock_unpoisoned, wait_unpoisoned};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 
-/// A borrowed parallel job: closure plus the chunk range to cover.
+/// A borrowed parallel job: the closure and how many chunks it covers.
+/// Workers copy it out of the pool's state under its lock; the chunk cursor
+/// and the panic slot it shares with them are the pool's own fields, reset
+/// for each job while its submitter holds `busy`, so a dispatch allocates
+/// nothing.
+#[derive(Clone, Copy)]
 struct Job {
     /// Type-erased `&(dyn Fn(usize) + Sync)` with the lifetime erased.
     task: *const (dyn Fn(usize) + Sync),
-    /// Next chunk index to claim.
-    next: AtomicUsize,
     /// One-past-last chunk index.
     n_chunks: usize,
-    /// The first caught chunk panic's payload; the submitter re-raises it
-    /// so `panic::catch_unwind` callers see the original message, not a
-    /// generic pool error.
-    panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
 // SAFETY: the raw `task` pointer is only dereferenced while the submitting
 // call frame is alive (`run` blocks until every worker finishes the job),
-// and the pointee is `Sync`, so sharing the pointer across threads is sound.
+// and the pointee is `Sync`, so handing the pointer to another thread is
+// sound.
 unsafe impl Send for Job {}
-// SAFETY: see the Send justification above — shared access is read-only
-// through a `Sync` pointee.
-unsafe impl Sync for Job {}
 
 struct PoolState {
     /// Monotone job sequence number; bumped on submit.
     epoch: u64,
     /// The current job, if one is active.
-    job: Option<std::sync::Arc<Job>>,
+    job: Option<Job>,
 }
 
 /// The process-wide kernel thread pool.
@@ -79,6 +76,12 @@ pub struct ThreadPool {
     /// Set while a submitter owns the workers (one job at a time); a
     /// submission that finds it set runs inline instead of waiting.
     busy: AtomicBool,
+    /// The current job's next chunk index to claim.
+    next: AtomicUsize,
+    /// The current job's first caught chunk panic; the submitter re-raises
+    /// it so `panic::catch_unwind` callers see the original message, not a
+    /// generic pool error.
+    panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
 fn configured_threads() -> usize {
@@ -116,6 +119,8 @@ impl ThreadPool {
             done_lock: Mutex::new(()),
             done_cv: Condvar::new(),
             busy: AtomicBool::new(false),
+            next: AtomicUsize::new(0),
+            panic_payload: Mutex::new(None),
         }));
         for w in 1..pool.threads {
             let p: &'static ThreadPool = pool;
@@ -140,7 +145,7 @@ impl ThreadPool {
                 let mut st = lock_unpoisoned(&self.state);
                 loop {
                     if st.epoch != seen_epoch {
-                        if let Some(job) = st.job.clone() {
+                        if let Some(job) = st.job {
                             seen_epoch = st.epoch;
                             break job;
                         }
@@ -149,7 +154,7 @@ impl ThreadPool {
                     st = wait_unpoisoned(&self.work_cv, st);
                 }
             };
-            self.drain(&job);
+            self.drain(job);
             // Last participant out signals the submitter.
             if self.active.fetch_sub(1, Ordering::AcqRel) == 1 {
                 let _g = lock_unpoisoned(&self.done_lock);
@@ -161,7 +166,7 @@ impl ThreadPool {
     /// Claims and runs chunks until the job's range is exhausted. A panic in
     /// a chunk is caught (so the pool's accounting stays consistent), its
     /// payload stashed, and re-raised on the submitting thread.
-    fn drain(&self, job: &Job) {
+    fn drain(&self, job: Job) {
         // SAFETY: `job.task` was erased from a live borrow in `run`, which
         // does not return until this job completes, so the pointee outlives
         // every dereference here.
@@ -169,7 +174,7 @@ impl ThreadPool {
         loop {
             // Chunk claiming only needs each index handed out once and
             // publishes nothing, so relaxed ordering is sufficient.
-            let i = job.next.fetch_add(1, Ordering::Relaxed);
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
             if i >= job.n_chunks {
                 return;
             }
@@ -180,8 +185,8 @@ impl ThreadPool {
                 // payload (later racers lose) for the submitter to re-raise.
                 // Relaxed: the store is an optimization hint; stragglers
                 // that miss it merely run extra chunks.
-                job.next.store(job.n_chunks, Ordering::Relaxed);
-                let mut slot = lock_unpoisoned(&job.panic_payload);
+                self.next.store(job.n_chunks, Ordering::Relaxed);
+                let mut slot = lock_unpoisoned(&self.panic_payload);
                 if slot.is_none() {
                     *slot = Some(payload);
                 }
@@ -213,12 +218,11 @@ impl ThreadPool {
         // completion wait at the end of this call, while `task` is borrowed.
         let erased: *const (dyn Fn(usize) + Sync) =
             unsafe { std::mem::transmute::<_, &'static (dyn Fn(usize) + Sync)>(task) };
-        let job = std::sync::Arc::new(Job {
-            task: erased,
-            next: AtomicUsize::new(0),
-            n_chunks,
-            panic_payload: Mutex::new(None),
-        });
+        let job = Job { task: erased, n_chunks };
+        // The state lock below publishes the reset with the job, and every
+        // worker of the previous job signed off before `busy` was released,
+        // so no claim can race it: relaxed is enough.
+        self.next.store(0, Ordering::Relaxed);
         // Every worker participates in every job epoch (a worker finding the
         // chunk counter already exhausted just signs off); this keeps the
         // `active` accounting exact without per-worker handshakes.
@@ -226,11 +230,11 @@ impl ThreadPool {
         {
             let mut st = lock_unpoisoned(&self.state);
             st.epoch += 1;
-            st.job = Some(std::sync::Arc::clone(&job));
+            st.job = Some(job);
             self.work_cv.notify_all();
         }
         // The submitter is a participant too.
-        self.drain(&job);
+        self.drain(job);
         if self.active.fetch_sub(1, Ordering::AcqRel) != 1 {
             let mut g = lock_unpoisoned(&self.done_lock);
             while self.active.load(Ordering::Acquire) != 0 {
@@ -240,7 +244,7 @@ impl ThreadPool {
         // Retire the job: the chunk counter is exhausted, but clearing drops
         // the erased borrow reference eagerly.
         lock_unpoisoned(&self.state).job = None;
-        let payload = lock_unpoisoned(&job.panic_payload).take();
+        let payload = lock_unpoisoned(&self.panic_payload).take();
         self.busy.store(false, Ordering::Release);
         if let Some(payload) = payload {
             // Propagate the chunk's own panic (message and all) as if it
@@ -265,13 +269,19 @@ pub(crate) fn parallel_for(len: usize, min_chunk: usize, body: &(dyn Fn(usize, u
         return;
     }
     let pool = global();
-    // Up to ~4 chunks per thread for load balance, as far as min_chunk allows.
-    let n_chunks = (len / min_chunk.max(1)).clamp(1, pool.threads() * 4);
+    let n_chunks = chunk_count(len, min_chunk, pool.threads());
     if n_chunks == 1 || pool.threads() == 1 {
         body(0, len);
         return;
     }
     pool.run(n_chunks, &|i| body(i * len / n_chunks, (i + 1) * len / n_chunks));
+}
+
+/// How many chunks [`parallel_for`] cuts `len` items into on a pool of
+/// `threads`: up to ~4 a thread for load balance, as far as `min_chunk`
+/// allows. Chunk `i` is `[i·len/n, (i+1)·len/n)`; one thread runs one call.
+pub(crate) fn chunk_count(len: usize, min_chunk: usize, threads: usize) -> usize {
+    (len / min_chunk.max(1)).clamp(1, threads * 4)
 }
 
 /// A `Send + Sync` wrapper for a raw mutable pointer handed to disjoint

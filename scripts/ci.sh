@@ -184,26 +184,43 @@ echo "== tensor tier: GEMM tiles and the aggregation row kernel against their or
 cargo test --release -q --offline -p salient-tensor
 # The benchmark pins the pool to one thread, where `parallel_for` is a plain
 # call and never a dispatch, and every run above drives the rung CPUID
-# picks: the tensor and nn suites again at one thread, at one thread on the
-# AVX2 rung (the tiles a host without AVX-512 runs), and at one thread on the
-# portable rung (where an f16 row goes through the bulk conversion). Each
-# pass re-runs the half-GEMM bound on its rung.
-# Each of the four passes is followed by tests/bits.rs on the same rung:
+# picks — on a host with AMX that is the amx rung: the training step's large
+# SAGE products in bf16 tiles (their bound against an f64 oracle, their
+# bits at every row cut and at pool widths 1 and 3), everything else on the
+# AVX-512 tile. Then the tensor and nn suites again at one thread, at one
+# thread on the AVX-512 rung (on an AMX host, the f32 products the amx rung
+# replaced; elsewhere the default again, so it is skipped), at one thread on
+# the AVX2 rung (the tiles a host without AVX-512 runs), and at one thread
+# on the portable rung (where an f16 row goes through the bulk conversion).
+# Each pass re-runs the half-GEMM bound on its rung.
+# Each of the five passes is followed by tests/bits.rs on the same rung:
 # three epochs' loss bits of every executor against the constants for that
-# rung (AVX2 and AVX-512 share them; the portable rung, which rounds each
-# product before it adds, has its own), the digests of the benchmark's
-# two G100k datasets, of a warm FastSampler's MFGs, of one batch-prep
-# epoch's MFGs in batch-id order (one constant, at one worker and at three)
-# and of a seeded serving replay's answers. The four bits runs add ~8 s
-# warm (2 s each).
+# rung (AVX2, AVX-512 and amx share them; the portable rung, which rounds
+# each product before it adds, has its own), the wide run's, whose products
+# cross the amx threshold (one constant for AVX2 and AVX-512, one for
+# portable, one for amx), the digests of the benchmark's two G100k
+# datasets, of a warm FastSampler's MFGs, of one batch-prep epoch's MFGs in
+# batch-id order (one constant, at one worker and at three) and of a seeded
+# serving replay's answers. The five bits runs add ~10 s warm (2 s each).
+if ! { grep -qw amx_bf16 /proc/cpuinfo 2>/dev/null && grep -qw amx_tile /proc/cpuinfo 2>/dev/null; }; then
+  echo "tensor tier: this host has no AMX (amx_bf16 + amx_tile) — the amx rung was skipped; the default passes ran its f32 rung"
+fi
 cargo test --release -q --offline --test bits
 SALIENT_NUM_THREADS=1 cargo test --release -q --offline -p salient-tensor -p salient-nn
 SALIENT_NUM_THREADS=1 cargo test --release -q --offline --test bits
-# The counting-allocator suites' warm-step bounds depend on the pool width
-# (a dispatch to the pool allocates its job; a one-thread pool never
-# dispatches): the workspace passes check them at this host's width, this
-# at the benchmark's.
+# The counting-allocator suites' warm-step bounds hold at any pool width (a
+# dispatch allocates nothing: the pool keeps its one job in place): the
+# workspace passes check them at this host's width, this at the
+# benchmark's.
 SALIENT_NUM_THREADS=1 cargo test -q --offline --test steady_state --test train_step
+if grep -qw amx_bf16 /proc/cpuinfo 2>/dev/null && grep -qw amx_tile /proc/cpuinfo 2>/dev/null \
+  && grep -qw avx512f /proc/cpuinfo 2>/dev/null; then
+  SALIENT_NUM_THREADS=1 SALIENT_GEMM_KERNEL=avx512 \
+    cargo test --release -q --offline -p salient-tensor -p salient-nn
+  SALIENT_NUM_THREADS=1 SALIENT_GEMM_KERNEL=avx512 cargo test --release -q --offline --test bits
+else
+  echo "tensor tier: no amx rung to opt out of — the AVX-512 pass is the default one above, skipped"
+fi
 if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo 2>/dev/null \
   && grep -qw f16c /proc/cpuinfo 2>/dev/null; then
   SALIENT_NUM_THREADS=1 SALIENT_GEMM_KERNEL=avx2 \

@@ -4,11 +4,13 @@
 //! as it is; one that moves a bit on purpose updates the constant and says
 //! why.
 //!
-//! Five families:
+//! Six families:
 //! * the `mean_loss` bits of three epochs of `DatasetConfig::tiny(77)` under
 //!   `RunConfig::test_tiny()`: the Baseline executor, the SALIENT executor at
 //!   one batch-prep worker, and `train_ddp` at two ranks (batch 32), each
 //!   over f16 and over f32 feature storage;
+//! * the same for the smallest run whose SAGE products cross the amx rung's
+//!   flop threshold: `tiny(77)` at 128 features, hidden 128;
 //! * two FNV-1a digests (the checkpoint's) of a dataset shaped like the
 //!   benchmark's (products-like, 100 f16 features, a 2 048-node train split)
 //!   at its two seeds: one of the graph half (CSR arrays, labels and
@@ -28,7 +30,10 @@
 //! picks). The AVX2 and AVX-512 rungs agree bit for bit: both sum each
 //! output element's K products in the same order, one fused multiply-add a
 //! step. The portable rung rounds each product and adds four of them before
-//! touching the output, so some losses differ in their last bits. The
+//! touching the output, so some losses differ in their last bits. The amx
+//! rung is the AVX-512 one below its threshold — `tiny(77)`'s layers under
+//! `test_tiny()` are, so every other constant holds on it too — and above
+//! it runs the products in bf16 tiles, which only the wide row sees. The
 //! losses do not depend on the pool width (`SALIENT_NUM_THREADS`): every
 //! kernel's chunks are independent of where the pool cuts them.
 
@@ -72,6 +77,18 @@ const PORTABLE_LOSSES: [(Run, Dtype, [u64; 3]); 6] = [
     (Run::Baseline, Dtype::F32, [0x3ffd_9ea9_4ccc_cccd, 0x3ffc_573d_0666_6666, 0x3ffb_7f9d_d999_999a]),
     (Run::Salient, Dtype::F32, [0x3ffd_d939_6666_6666, 0x3ffc_8176_7333_3333, 0x3ffb_c782_1333_3333]),
     (Run::Ddp, Dtype::F32, [0x3ffd_4e80_c000_0000, 0x3ffc_7210_8000_0000, 0x3ffb_ac39_c000_0000]),
+];
+
+/// The mean_loss bits of three epochs of the SALIENT executor (one worker,
+/// f16 storage) on `tiny(77)` at 128 features with hidden 128 and batch
+/// 128: hop 0's forward product, `n_dst × 256 · 256 × 128` for the few
+/// hundred destinations a batch reaches, and its weight gradients cross the
+/// amx rung's 2²⁴-flop threshold (at batch 64 too few destinations do). By
+/// rung: AVX2 / AVX-512, portable, amx.
+const WIDE_LOSSES: [(&str, [u64; 3]); 3] = [
+    ("vector", [0x3ffb_61e7_f555_5555, 0x3ff6_fe7a_eaaa_aaab, 0x3ff2_57fd_a000_0000]),
+    ("portable", [0x3ffb_61e8_0aaa_aaab, 0x3ff6_fe7a_f555_5555, 0x3ff2_57fd_a000_0000]),
+    ("amx", [0x3ffb_61a6_4000_0000, 0x3ff6_fdd1_8000_0000, 0x3ff2_56da_c000_0000]),
 ];
 
 /// `(seed, graph digest, feature digest)` of the benchmark-shaped dataset
@@ -132,6 +149,21 @@ fn three_epochs_of_every_executor_repeat_their_loss_bits() {
         }
     }
     assert!(moved.is_empty(), "on the {rung} rung the losses moved:\n{}", moved.join("\n"));
+}
+
+#[test]
+fn three_epochs_past_the_bf16_threshold_repeat_their_loss_bits() {
+    let ds = Arc::new(DatasetConfig { feat_dim: 128, ..DatasetConfig::tiny(77) }.build());
+    let config = RunConfig { epochs: 3, hidden: 128, batch_size: 128, executor: ExecutorKind::Salient, num_workers: 1, ..RunConfig::test_tiny() };
+    let got: Vec<u64> = Trainer::new(ds, config).fit().iter().map(|s| s.mean_loss.to_bits()).collect();
+    let rung = gemm_kernel_level();
+    let key = match rung {
+        "avx2" | "avx512" => "vector",
+        other => other,
+    };
+    let want = WIDE_LOSSES.iter().find(|(r, _)| *r == key).map(|(_, bits)| bits.to_vec());
+    let hex: Vec<String> = got.iter().map(|b| format!("{b:#018x}")).collect();
+    assert_eq!(Some(got), want, "on the {rung} rung the wide run's losses moved: {hex:?}");
 }
 
 /// The benchmark's dataset shape at `nodes` nodes.

@@ -183,3 +183,44 @@ fn fault_injection_variables_are_checked_before_anything_runs() {
     assert_eq!(code, Some(0), "{stderr}");
     assert!(stderr.contains("fault injection armed"), "{stderr}");
 }
+
+/// The interim convergence gate of the amx rung: the same `salient train`
+/// run (products-sim at 0.1, hidden 128, batch 256 — every hidden layer's
+/// products cross the bf16 threshold) on the avx512 rung and on the amx
+/// rung. Both runs' losses fall and their test accuracies agree within one
+/// point. The task is near saturation at this size, so the gate is weak: it
+/// catches a rung that does not train, not one that trains a little worse.
+/// A process that does not itself run the amx rung (no AMX, or a pinned
+/// `SALIENT_GEMM_KERNEL`) skips it with a notice.
+#[test]
+fn the_amx_rung_trains_as_the_avx512_rung_does() {
+    let rung = salient_repro::tensor::kernels::gemm_kernel_level();
+    if rung != "amx" {
+        eprintln!("amx convergence gate skipped: this process runs the {rung} rung, not amx");
+        return;
+    }
+    let args = ["--dataset", "products", "--scale", "0.1", "--hidden", "128", "--batch", "256", "--epochs", "5", "--workers", "1"];
+    let train = |kernel: &str| -> (Vec<f64>, f64) {
+        let out = command("train", &args, &[("SALIENT_GEMM_KERNEL", kernel)]).output().expect("the salient binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(out.status.success(), "{kernel}: train failed: {}", String::from_utf8_lossy(&out.stderr));
+        let number = |field: &str| field.trim().trim_end_matches(',').parse::<f64>().ok();
+        let losses: Vec<f64> = stdout
+            .lines()
+            .filter(|l| l.starts_with("epoch "))
+            .filter_map(|l| l.split("loss ").nth(1)?.split_whitespace().next().and_then(number))
+            .collect();
+        let test = stdout.lines().find_map(|l| number(l.split("test accuracy ").nth(1)?));
+        (losses, test.unwrap_or_else(|| panic!("{kernel}: no test accuracy in {stdout:?}")))
+    };
+    let (f32_losses, f32_test) = train("avx512");
+    let (amx_losses, amx_test) = train("amx");
+    for (kernel, losses) in [("avx512", &f32_losses), ("amx", &amx_losses)] {
+        assert_eq!(losses.len(), 5, "{kernel}: {losses:?}");
+        assert!(losses.windows(2).all(|w| w[1] < w[0]), "{kernel}: the loss did not fall every epoch: {losses:?}");
+    }
+    assert!(
+        (f32_test - amx_test).abs() <= 0.01,
+        "test accuracy {amx_test} on the amx rung against {f32_test} on avx512 (losses {amx_losses:?} against {f32_losses:?})"
+    );
+}
